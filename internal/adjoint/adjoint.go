@@ -394,14 +394,19 @@ func DirectSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 		s[k] = make([]float64, N)
 		rhsAll[k] = make([]float64, N)
 	}
-	// Per-worker scratch: sparse accumulator and G_{i-1}·s workspace.
-	// ParamSens itself is stateless (reads only the bound device tree), so
-	// one Eval is shared read-only across workers.
+	// Per-worker scratch: sparse accumulator, G_{i-1}·s workspace, and an
+	// evaluator (ParamSens keeps its device state in the Eval; worker 0
+	// shares the one that assembles J).
 	accs := make([]*device.SensAccum, W)
 	gss := make([][]float64, W)
+	evs := make([]*circuit.Eval, W)
+	evs[0] = ev
 	for w := 0; w < W; w++ {
 		accs[w] = device.NewSensAccum(N)
 		gss[w] = make([]float64, N)
+		if w > 0 {
+			evs[w] = circuit.NewEval(ckt)
+		}
 	}
 	// prevQ holds the previous step's sparse ∂q/∂p pairs per parameter.
 	type kv struct {
@@ -425,7 +430,7 @@ func DirectSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 		acc := accs[w]
 		for pk := lo; pk < hi; pk++ {
 			acc.Reset()
-			ev.ParamSens(params[pk], tr.States[0], tr.Times[0], acc)
+			evs[w].ParamSens(params[pk], tr.States[0], tr.Times[0], acc)
 			rhs := rhsAll[pk]
 			for k := range rhs {
 				rhs[k] = 0
@@ -470,7 +475,7 @@ func DirectSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 			acc, gs := accs[w], gss[w]
 			for pk := lo; pk < hi; pk++ {
 				acc.Reset()
-				ev.ParamSens(params[pk], tr.States[i], tr.Times[i], acc)
+				evs[w].ParamSens(params[pk], tr.States[i], tr.Times[i], acc)
 				// BE:   rhs = C_{i-1}s/h − (dqdp_i − dqdp_{i-1})/h − dfdp_i.
 				// Trap: rhs = C_{i-1}s/h − ½G_{i-1}s − (dqdp_i − dqdp_{i-1})/h
 				//             − ½(dfdp_i + dfdp_{i-1}).

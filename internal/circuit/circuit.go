@@ -102,6 +102,11 @@ type Eval struct {
 	F, Q []float64
 	G, C *sparse.Matrix
 	st   device.EvalState
+	// ps is ParamSens' device state. Devices take it by pointer through an
+	// interface, so a local would escape to the heap on every call; it is
+	// kept apart from st so a ParamSens between Run and a later read of the
+	// outputs cannot disturb Run's view.
+	ps device.EvalState
 }
 
 // NewEval allocates evaluation buffers for c.
@@ -130,11 +135,12 @@ func (e *Eval) Run(x []float64, t float64) {
 }
 
 // ParamSens adds ∂f/∂p and ∂q/∂p of parameter p (by global index) at state
-// x, time t into the accumulator (which is NOT reset first).
+// x, time t into the accumulator (which is NOT reset first). It allocates
+// nothing; like Run, it is not safe for concurrent use on one Eval.
 func (e *Eval) ParamSens(p int, x []float64, t float64, acc *device.SensAccum) {
 	pr := &e.ckt.params[p]
-	st := device.EvalState{X: x, T: t}
-	pr.Dev.AddParamSens(pr.Local, &st, acc)
+	e.ps = device.EvalState{X: x, T: t}
+	pr.Dev.AddParamSens(pr.Local, &e.ps, acc)
 }
 
 // BuildJ assembles J = G + invH·C into j (which must be on JPat), from the

@@ -160,6 +160,28 @@ func TestParamSensMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestParamSensDoesNotAllocate pins the reverse sweep's per-parameter loop
+// at zero allocations: the device state lives in the Eval, not on the heap.
+func TestParamSensDoesNotAllocate(t *testing.T) {
+	ckt := buildKitchenSink(t)
+	e := NewEval(ckt)
+	x := make([]float64, ckt.N)
+	for i := range x {
+		x[i] = 0.1 * float64(i+1)
+	}
+	acc := device.NewSensAccum(ckt.N)
+	n := len(ckt.Params())
+	allocs := testing.AllocsPerRun(20, func() {
+		acc.Reset()
+		for pi := 0; pi < n; pi++ {
+			e.ParamSens(pi, x, 3e-4, acc)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ParamSens over %d parameters allocated %.0f times per sweep, want 0", n, allocs)
+	}
+}
+
 func TestBuildJ(t *testing.T) {
 	ckt := buildKitchenSink(t)
 	e := NewEval(ckt)

@@ -94,10 +94,8 @@ func (s *CompressedStore) dropAnchorLocked(step int) {
 	s.stats.AnchorBytes -= b
 	s.stats.CorruptBlobs++
 	s.bumpResident(-b)
-	if s.async {
-		s.poolJ = append(s.poolJ, jv)
-		s.poolC = append(s.poolC, cv)
-	}
+	s.poolJ = append(s.poolJ, jv)
+	s.poolC = append(s.poolC, cv)
 	s.ob.anchorBytes.Set(float64(s.stats.AnchorBytes))
 	s.ob.corrupt.Inc()
 }
@@ -114,10 +112,8 @@ func (s *CompressedStore) fetchAnchor(step int) (jv, cv []float64, ok bool) {
 		s.mu.Unlock()
 		return nil, nil, false
 	}
-	jv = takeBuf(&s.poolJ, len(aj))
-	cv = takeBuf(&s.poolC, len(ac))
-	copy(jv, aj)
-	copy(cv, ac)
+	jv = copyBuf(&s.poolJ, aj)
+	cv = copyBuf(&s.poolC, ac)
 	s.plainJ[step] = jv
 	s.plainC[step] = cv
 	s.bumpResident(int64(8 * (len(jv) + len(cv))))

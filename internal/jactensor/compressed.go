@@ -30,10 +30,19 @@ import (
 type CompressedStore struct {
 	jc, cc compress.Compressor
 
+	// Sealed blobs, one pair per compressed step. They are slices into the
+	// arena, not heap objects: off the Go heap on unix, so the GC pacer sizes
+	// its headroom on the plaintext working set alone (DESIGN.md, "Modelled
+	// vs real memory"). frameJ/frameC are the scratch frames Compress
+	// appends into before the sealed result is copied to the arena at its
+	// exact length; only the compression path touches them, and that is
+	// serialized per store (the caller in sync mode, the single worker in
+	// async mode, EndForward after the drain).
+	arena          blobArena
 	jBlobs, cBlobs [][]byte
+	frameJ, frameC []byte
 	lastJ, lastC   []float64 // plaintext of the highest Put step
 	jLen, cLen     int       // per-step value counts
-	hintJ, hintC   int       // last sealed blob sizes, sizing the next dst
 	n              int       // highest step put; -1 before first Put
 	forwardDone    bool
 
@@ -54,9 +63,11 @@ type CompressedStore struct {
 	stats    Stats
 	resident int64
 
-	// Async pipeline state. mu guards every field above that the worker
-	// or prefetch goroutine touches (blobs, stats, resident, plain maps,
-	// pools, ferr); the sync code path never contends on it.
+	// mu guards every field above that a worker, prefetch, window slice or
+	// abandoned fetcher goroutine can touch (arena, blobs, stats, resident,
+	// plain maps, pools, ferr). A sync store's forward pass takes it only to
+	// move sealed blobs into the arena; its reverse sweep takes it like the
+	// async one does, uncontended.
 	async   bool
 	mu      sync.Mutex
 	jobs    chan fwdJob
@@ -64,7 +75,7 @@ type CompressedStore struct {
 	drained bool  // worker joined (EndForward or Close ran)
 	ferr    error // first background error; surfaces on Put/EndForward
 
-	poolJ, poolC [][]float64 // recycled plaintext buffers
+	poolJ, poolC [][]float64 // recycled plaintext frames, sync and async alike
 
 	pf *prefetch // at most one in-flight reverse prefetch
 
@@ -118,6 +129,9 @@ type prefetch struct {
 func NewCompressedStore(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern) *CompressedStore {
 	s := &CompressedStore{
 		jc: jc, cc: cc,
+		arena:       blobArena{src: defaultChunks()},
+		frameJ:      make([]byte, blobframe.HeaderSize),
+		frameC:      make([]byte, blobframe.HeaderSize),
 		n:           -1,
 		plainJ:      map[int][]float64{},
 		plainC:      map[int][]float64{},
@@ -164,29 +178,40 @@ func (s *CompressedStore) Async() bool { return s.async }
 // it before the first Put.
 func (s *CompressedStore) SetFault(in *faultinject.Injector) { s.fault = in }
 
-// frameDst returns the dst prefix a Compress call appends its payload to:
-// HeaderSize reserved bytes that Seal later fills in place. Capacity is
-// sized from the previous blob of the same tensor (blob sizes are stable
-// across steps), so the compressor's appends stay within one allocation —
-// the same count as the unframed path. hint is only touched on the
-// compression path, which is serialized per store (the caller in sync
-// mode, the single worker in async mode, EndForward after the drain).
-func frameDst(hint int) []byte {
-	return make([]byte, blobframe.HeaderSize, blobframe.HeaderSize+hint+hint/8+64)
+// sealFrame compresses cur against ref (nil = self-contained) into the
+// scratch frame behind HeaderSize reserved bytes, seals the frame in place
+// and applies any injected at-rest corruption. The result aliases *scratch
+// (shortened when the injector truncates) and is valid until the next call.
+func (s *CompressedStore) sealFrame(scratch *[]byte, c compress.Compressor, cur, ref []float64, kind byte, step int) []byte {
+	*scratch = c.Compress((*scratch)[:blobframe.HeaderSize], cur, ref)
+	blobframe.Seal(*scratch, kind, step)
+	frame, _ := s.fault.MutateBlob(step, *scratch)
+	return frame
 }
 
-// sealBlob seals the frame around the compressor's appended payload,
-// records the blob size as the next frameDst hint, and applies any
-// injected at-rest corruption.
-func (s *CompressedStore) sealBlob(frame []byte, kind byte, step int) []byte {
-	blobframe.Seal(frame, kind, step)
-	if kind == 'J' {
-		s.hintJ = len(frame)
-	} else {
-		s.hintC = len(frame)
+// compressStep encodes one step's tensors, copies the sealed frames into
+// the arena and accounts them; it returns the stored byte count. mu must not
+// be held.
+func (s *CompressedStore) compressStep(step int, curJ, curC, refJ, refC []float64) (int, error) {
+	jf := s.sealFrame(&s.frameJ, s.jc, curJ, refJ, 'J', step)
+	cf := s.sealFrame(&s.frameC, s.cc, curC, refC, 'C', step)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	jb, err := s.arena.append(jf)
+	if err != nil {
+		return 0, &StepError{Step: step, Op: "compress", Tensor: "J", Err: err}
 	}
-	frame, _ = s.fault.MutateBlob(step, frame)
-	return frame
+	cb, err := s.arena.append(cf)
+	if err != nil {
+		return 0, &StepError{Step: step, Op: "compress", Tensor: "C", Err: err}
+	}
+	s.jBlobs = append(s.jBlobs, jb)
+	s.cBlobs = append(s.cBlobs, cb)
+	n := len(jb) + len(cb)
+	s.stats.StoredBytes += int64(n)
+	s.bumpResident(int64(n))
+	s.ob.arenaBytes.Set(float64(s.arena.offHeapBytes()))
+	return n, nil
 }
 
 // openBlob verifies a stored frame and returns its payload; failures
@@ -222,9 +247,11 @@ func (s *CompressedStore) bumpResident(delta int64) {
 	s.ob.observeResident(s.resident)
 }
 
-// takeBuf returns a length-n plaintext buffer, recycling a pooled one when
-// available. mu must be held. The checked-out buffer counts as resident
-// until it is recycled.
+// takeBuf returns a length-n plaintext frame, recycling a pooled one when
+// available; the pool's owner serializes access (mu for the compressed
+// store). Pooled frames are idle memory the resident model does not count;
+// a frame counts from the moment its holder bumps the model to the matching
+// release.
 func takeBuf(pool *[][]float64, n int) []float64 {
 	if k := len(*pool); k > 0 {
 		b := (*pool)[k-1]
@@ -234,6 +261,13 @@ func takeBuf(pool *[][]float64, n int) []float64 {
 		}
 	}
 	return make([]float64, n)
+}
+
+// copyBuf returns a pooled frame holding a copy of src.
+func copyBuf(pool *[][]float64, src []float64) []float64 {
+	b := takeBuf(pool, len(src))
+	copy(b, src)
+	return b
 }
 
 // worker drains the forward compression queue. It is the only goroutine
@@ -283,18 +317,21 @@ func (s *CompressedStore) runJob(job fwdJob) {
 	csp := s.ob.rec.Start(job.parent, span.Compress, job.step)
 	s.setCodecParent(csp.ID())
 	start := time.Now()
-	jb := s.sealBlob(s.jc.Compress(frameDst(s.hintJ), job.curJ, refJ), 'J', job.step)
-	cb := s.sealBlob(s.cc.Compress(frameDst(s.hintC), job.curC, refC), 'C', job.step)
+	stored, err := s.compressStep(job.step, job.curJ, job.curC, refJ, refC)
 	elapsed := time.Since(start)
-	csp.Attr("bytes", int64(len(jb)+len(cb)))
+	csp.Attr("bytes", int64(stored))
 	csp.Attr("anchor", boolAttr(cut))
 	csp.End()
 	s.mu.Lock()
-	s.jBlobs = append(s.jBlobs, jb)
-	s.cBlobs = append(s.cBlobs, cb)
-	s.stats.StoredBytes += int64(len(jb) + len(cb))
+	if err != nil {
+		if s.ferr == nil {
+			s.ferr = err
+		}
+		s.mu.Unlock()
+		s.recycle(job.curJ, job.curC)
+		return
+	}
 	s.stats.CompressTime += elapsed
-	s.bumpResident(int64(len(jb) + len(cb)))
 	if cut {
 		// Retain the buffers as the anchor frame instead of recycling
 		// them; they are already counted resident from putAsync's
@@ -302,7 +339,7 @@ func (s *CompressedStore) runJob(job fwdJob) {
 		s.retainAnchorLocked(job.step, job.curJ, job.curC, false)
 	}
 	s.mu.Unlock()
-	s.observeCompress(job.step, elapsed, len(jb)+len(cb))
+	s.observeCompress(job.step, elapsed, stored)
 	s.ob.queueDepth.Set(float64(len(s.jobs)))
 	if !cut {
 		s.recycle(job.curJ, job.curC)
@@ -360,20 +397,19 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 		}
 		csp := s.ob.rec.Start(psp.ID(), span.Compress, step-1)
 		s.setCodecParent(csp.ID())
-		jb := s.sealBlob(s.jc.Compress(frameDst(s.hintJ), s.lastJ, refJ), 'J', step-1)
-		cb := s.sealBlob(s.cc.Compress(frameDst(s.hintC), s.lastC, refC), 'C', step-1)
-		csp.Attr("bytes", int64(len(jb)+len(cb)))
+		stored, err := s.compressStep(step-1, s.lastJ, s.lastC, refJ, refC)
+		csp.Attr("bytes", int64(stored))
 		csp.End()
-		s.jBlobs = append(s.jBlobs, jb)
-		s.cBlobs = append(s.cBlobs, cb)
-		s.stats.StoredBytes += int64(len(jb) + len(cb))
-		s.bumpResident(int64(len(jb) + len(cb)))
+		if err != nil {
+			psp.End()
+			return err
+		}
 		if s.isAnchorStep(step - 1) {
 			s.retainAnchorLocked(step-1,
 				append([]float64(nil), s.lastJ...),
 				append([]float64(nil), s.lastC...), true)
 		}
-		s.observeCompress(step-1, time.Since(start), len(jb)+len(cb))
+		s.observeCompress(step-1, time.Since(start), stored)
 	} else {
 		s.lastJ = make([]float64, len(jVals))
 		s.lastC = make([]float64, len(cVals))
@@ -476,37 +512,6 @@ func (s *CompressedStore) putAsync(step int, jVals, cVals []float64) error {
 // reference so the reverse chain has a self-contained head. In async mode
 // it first drains the compression queue.
 func (s *CompressedStore) EndForward() error {
-	if s.async {
-		return s.endForwardAsync()
-	}
-	if s.forwardDone {
-		return nil
-	}
-	if s.n < 0 {
-		return fmt.Errorf("jactensor: EndForward with no steps")
-	}
-	csp := s.ob.rec.Start(s.ob.spanParent(), span.Compress, s.n)
-	s.setCodecParent(csp.ID())
-	start := time.Now()
-	jb := s.sealBlob(s.jc.Compress(frameDst(s.hintJ), s.lastJ, nil), 'J', s.n)
-	cb := s.sealBlob(s.cc.Compress(frameDst(s.hintC), s.lastC, nil), 'C', s.n)
-	csp.Attr("bytes", int64(len(jb)+len(cb)))
-	csp.End()
-	s.jBlobs = append(s.jBlobs, jb)
-	s.cBlobs = append(s.cBlobs, cb)
-	s.stats.StoredBytes += int64(len(jb) + len(cb))
-	s.stats.CompressTime += time.Since(start)
-	// The plaintext of the last step stays resident as the chain head.
-	s.plainJ[s.n] = s.lastJ
-	s.plainC[s.n] = s.lastC
-	s.lastJ, s.lastC = nil, nil
-	s.bumpResident(int64(len(jb) + len(cb)))
-	s.forwardDone = true
-	s.observeCompress(s.n, time.Since(start), len(jb)+len(cb))
-	return nil
-}
-
-func (s *CompressedStore) endForwardAsync() error {
 	s.mu.Lock()
 	if s.forwardDone {
 		s.mu.Unlock()
@@ -520,49 +525,81 @@ func (s *CompressedStore) endForwardAsync() error {
 	s.forwardDone = true
 	s.mu.Unlock()
 
-	close(s.jobs)
-	<-s.wkDone
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drained = true
-	if s.ferr != nil {
-		return s.ferr
+	if s.async {
+		close(s.jobs)
+		<-s.wkDone
+		s.mu.Lock()
+		s.drained = true
+		err := s.ferr
+		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	csp := s.ob.rec.Start(s.ob.spanParent(), span.Compress, s.n)
 	s.setCodecParent(csp.ID())
 	start := time.Now()
-	jb := s.sealBlob(s.jc.Compress(frameDst(s.hintJ), s.lastJ, nil), 'J', s.n)
-	cb := s.sealBlob(s.cc.Compress(frameDst(s.hintC), s.lastC, nil), 'C', s.n)
-	csp.Attr("bytes", int64(len(jb)+len(cb)))
+	stored, err := s.compressStep(s.n, s.lastJ, s.lastC, nil, nil)
+	csp.Attr("bytes", int64(stored))
 	csp.End()
-	s.jBlobs = append(s.jBlobs, jb)
-	s.cBlobs = append(s.cBlobs, cb)
-	s.stats.StoredBytes += int64(len(jb) + len(cb))
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
 	s.stats.CompressTime += time.Since(start)
+	// The plaintext of the last step stays resident as the chain head.
 	s.plainJ[s.n] = s.lastJ
 	s.plainC[s.n] = s.lastC
 	s.lastJ, s.lastC = nil, nil
-	s.bumpResident(int64(len(jb) + len(cb)))
-	s.observeCompress(s.n, time.Since(start), len(jb)+len(cb))
+	s.mu.Unlock()
+	s.observeCompress(s.n, time.Since(start), stored)
 	return nil
 }
 
+// sealedLocked reports whether the forward pass has ended and every step's
+// blob is stored — the precondition of Fetch and Slice. mu must be held.
+func (s *CompressedStore) sealedLocked() bool {
+	return s.forwardDone && len(s.jBlobs) == s.n+1
+}
+
+// checkoutLocked pins the arena and returns step's sealed blobs plus two
+// pooled plaintext frames to decode them into. The caller reads the blobs
+// outside the lock and must call unpinBlobs when it has finished with them.
+// It fails with ErrClosed once Close has run. mu must be held.
+func (s *CompressedStore) checkoutLocked(step int) (jBlob, cBlob []byte, jv, cv []float64, err error) {
+	if s.quarantined[step] {
+		return nil, nil, nil, nil, corruptErr(step, "fetch", "", errAlreadyQuarantined)
+	}
+	if err := s.arena.pin(); err != nil {
+		return nil, nil, nil, nil, closedErr(step)
+	}
+	return s.jBlobs[step], s.cBlobs[step], takeBuf(&s.poolJ, s.jLen), takeBuf(&s.poolC, s.cLen), nil
+}
+
+// unpinBlobs ends a checkoutLocked read; after Close, the last one returns
+// the arena's memory.
+func (s *CompressedStore) unpinBlobs() {
+	s.mu.Lock()
+	s.arena.unpin()
+	if s.arena.closed {
+		s.ob.arenaBytes.Set(float64(s.arena.offHeapBytes()))
+	}
+	s.mu.Unlock()
+}
+
 // decompressStep inflates step's blobs against the given references into
-// freshly checked-out buffers. At most one call runs at a time (Fetch joins
-// any in-flight prefetch first), so the codecs' scratch state is safe.
+// frames checked out of the pool. At most one call runs at a time (Fetch
+// joins any in-flight prefetch first), so the codecs' scratch state is safe.
 // phase names the trace event ("decompress" foreground, "prefetch"
 // background).
 func (s *CompressedStore) decompressStep(step int, refJ, refC []float64, phase string) ([]float64, []float64, error) {
 	s.mu.Lock()
-	if s.quarantined[step] {
-		s.mu.Unlock()
-		return nil, nil, corruptErr(step, "fetch", "", errAlreadyQuarantined)
-	}
-	jv := takeBuf(&s.poolJ, s.jLen)
-	cv := takeBuf(&s.poolC, s.cLen)
-	jBlob, cBlob := s.jBlobs[step], s.cBlobs[step]
+	jBlob, cBlob, jv, cv, err := s.checkoutLocked(step)
 	s.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer s.unpinBlobs()
 	jPayload, err := s.openBlob(jBlob, 'J', step, "J")
 	if err != nil {
 		return nil, nil, err
@@ -643,14 +680,14 @@ func (s *CompressedStore) maybePrefetch(step int) {
 }
 
 // joinPrefetch waits for the in-flight prefetch (if any) and materializes
-// its result. It reports the prefetch error for `step` when that is the
-// step the caller wants.
-func (s *CompressedStore) joinPrefetch(step int) error {
+// its result. It reports whether that prefetch was for `step`, and its error
+// when so.
+func (s *CompressedStore) joinPrefetch(step int) (hit bool, err error) {
 	s.mu.Lock()
 	pf := s.pf
 	s.mu.Unlock()
 	if pf == nil {
-		return nil
+		return false, nil
 	}
 	<-pf.done
 	s.mu.Lock()
@@ -662,92 +699,33 @@ func (s *CompressedStore) joinPrefetch(step int) error {
 	}
 	s.mu.Unlock()
 	if pf.step == step {
-		return pf.err
+		return true, pf.err
 	}
-	return nil
+	return false, nil
 }
 
 // Fetch implements Store. Steps must be fetched in reverse order; each
 // decompression uses the plaintext of step i+1 as its reference. In async
 // mode the common case is a hit on the background prefetch, and fetching
-// step i kicks off the prefetch of step i-1.
+// step i kicks off the prefetch of step i-1. The returned frames are the
+// store's own and go back to its pool on Release.
 func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
-	if s.async {
-		return s.fetchAsync(step)
-	}
-	if !s.forwardDone {
-		return nil, nil, fmt.Errorf("jactensor: Fetch before EndForward")
-	}
-	if step < 0 || step > s.n {
-		return nil, nil, fmt.Errorf("jactensor: fetch step %d of %d", step, s.n)
-	}
-	if j, ok := s.plainJ[step]; ok {
-		s.ob.fetches.Inc()
-		return j, s.plainC[step], nil
-	}
-	anchored := s.isAnchorStep(step)
-	if anchored {
-		if jv, cv, ok := s.fetchAnchor(step); ok {
-			return jv, cv, nil
-		}
-		// Rotted anchor: fall through to its self-contained blob.
-	}
-	var refJ, refC []float64
-	if step < s.n && !anchored {
-		var ok bool
-		refJ, ok = s.plainJ[step+1]
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
-		}
-		refC = s.plainC[step+1]
-	}
-	if s.quarantined[step] {
-		return nil, nil, corruptErr(step, "fetch", "", errAlreadyQuarantined)
-	}
-	jPayload, err := s.openBlob(s.jBlobs[step], 'J', step, "J")
+	// Join any in-flight prefetch first: it is either our step (the hit
+	// path) or must finish before we may run another decompression.
+	wasPrefetched, err := s.joinPrefetch(step)
 	if err != nil {
 		return nil, nil, err
 	}
-	cPayload, err := s.openBlob(s.cBlobs[step], 'C', step, "C")
-	if err != nil {
-		return nil, nil, err
-	}
-	dsp := s.ob.rec.Start(s.ob.spanParent(), span.Decompress, step)
-	s.setCodecParent(dsp.ID())
-	start := time.Now()
-	jv := make([]float64, s.jLen)
-	cv := make([]float64, s.cLen)
-	if err := s.jc.Decompress(jv, jPayload, refJ); err != nil {
-		dsp.End()
-		return nil, nil, s.decodeFailed(step, "J", err)
-	}
-	if err := s.cc.Decompress(cv, cPayload, refC); err != nil {
-		dsp.End()
-		return nil, nil, s.decodeFailed(step, "C", err)
-	}
-	elapsed := time.Since(start)
-	dsp.Attr("bytes", int64(len(s.jBlobs[step])+len(s.cBlobs[step])))
-	dsp.End()
-	s.stats.DecompressTime += elapsed
-	s.plainJ[step] = jv
-	s.plainC[step] = cv
-	s.bumpResident(int64(8 * (len(jv) + len(cv))))
-	s.ob.fetches.Inc()
-	s.ob.decompressSec.AddDuration(elapsed)
-	if s.ob.tr != nil {
-		s.ob.tr.Emit(obs.Event{Step: step, Phase: "decompress", Dur: elapsed,
-			Key: "bytes", N: int64(len(s.jBlobs[step]) + len(s.cBlobs[step]))})
-	}
-	return jv, cv, nil
-}
-
-func (s *CompressedStore) fetchAsync(step int) ([]float64, []float64, error) {
 	s.mu.Lock()
 	if err := s.ferr; err != nil {
 		s.mu.Unlock()
 		return nil, nil, err
 	}
-	if !s.forwardDone || !s.drained {
+	if s.arena.closed {
+		s.mu.Unlock()
+		return nil, nil, closedErr(step)
+	}
+	if !s.sealedLocked() {
 		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("jactensor: Fetch before EndForward")
 	}
@@ -755,16 +733,6 @@ func (s *CompressedStore) fetchAsync(step int) ([]float64, []float64, error) {
 		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("jactensor: fetch step %d of %d", step, s.n)
 	}
-	wasPrefetched := s.pf != nil && s.pf.step == step
-	s.mu.Unlock()
-
-	// Join any in-flight prefetch first: it is either our step (the hit
-	// path) or must finish before we may run another decompression.
-	if err := s.joinPrefetch(step); err != nil {
-		return nil, nil, err
-	}
-
-	s.mu.Lock()
 	if j, ok := s.plainJ[step]; ok {
 		c := s.plainC[step]
 		s.maybePrefetch(step)
@@ -797,11 +765,13 @@ func (s *CompressedStore) fetchAsync(step int) ([]float64, []float64, error) {
 		}
 		// Rotted anchor: decode its self-contained blob instead.
 	}
-	s.ob.fetches.Inc()
-	s.ob.prefetchMiss.Inc()
 	jv, cv, err := s.decompressStep(step, refJ, refC, "decompress")
 	if err != nil {
 		return nil, nil, err
+	}
+	s.ob.fetches.Inc()
+	if s.async {
+		s.ob.prefetchMiss.Inc()
 	}
 	s.mu.Lock()
 	s.plainJ[step] = jv
@@ -823,16 +793,8 @@ func (s *CompressedStore) Repair(step int, jVals, cVals []float64) {
 	// concurrently even over a sync store.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var jv, cv []float64
-	if s.async {
-		jv = takeBuf(&s.poolJ, len(jVals))
-		cv = takeBuf(&s.poolC, len(cVals))
-	} else {
-		jv = make([]float64, len(jVals))
-		cv = make([]float64, len(cVals))
-	}
-	copy(jv, jVals)
-	copy(cv, cVals)
+	jv := copyBuf(&s.poolJ, jVals)
+	cv := copyBuf(&s.poolC, cVals)
 	s.plainJ[step] = jv
 	s.plainC[step] = cv
 	s.bumpResident(int64(8 * (len(jv) + len(cv))))
@@ -840,29 +802,19 @@ func (s *CompressedStore) Repair(step int, jVals, cVals []float64) {
 	s.stats.Repairs++
 }
 
-// Release implements Store.
+// Release implements Store: the step's plaintext frames go back to the pool
+// for the next Fetch to decode into.
 func (s *CompressedStore) Release(step int) {
-	if s.async {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if v, ok := s.plainJ[step]; ok {
-			s.bumpResident(-int64(8 * len(v)))
-			s.poolJ = append(s.poolJ, v)
-			delete(s.plainJ, step)
-		}
-		if v, ok := s.plainC[step]; ok {
-			s.bumpResident(-int64(8 * len(v)))
-			s.poolC = append(s.poolC, v)
-			delete(s.plainC, step)
-		}
-		return
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if v, ok := s.plainJ[step]; ok {
 		s.bumpResident(-int64(8 * len(v)))
+		s.poolJ = append(s.poolJ, v)
 		delete(s.plainJ, step)
 	}
 	if v, ok := s.plainC[step]; ok {
 		s.bumpResident(-int64(8 * len(v)))
+		s.poolC = append(s.poolC, v)
 		delete(s.plainC, step)
 	}
 }
@@ -877,7 +829,10 @@ func (s *CompressedStore) Stats() Stats {
 }
 
 // Close implements Store. In async mode it shuts the pipeline down, even
-// when the forward pass was abandoned before EndForward.
+// when the forward pass was abandoned before EndForward. The blobs' memory
+// is returned now, or — when a window slice or an abandoned fetcher is still
+// reading one — by that reader's unpin; every later Fetch fails with
+// ErrClosed. Idempotent.
 func (s *CompressedStore) Close() error {
 	if s.async {
 		s.mu.Lock()
@@ -891,17 +846,19 @@ func (s *CompressedStore) Close() error {
 			s.drained = true
 			s.mu.Unlock()
 		}
-		_ = s.joinPrefetch(-1)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.jBlobs, s.cBlobs = nil, nil
-		s.plainJ, s.plainC = nil, nil
-		s.anchorJ, s.anchorC = nil, nil
-		s.poolJ, s.poolC = nil, nil
-		return s.ferr
+		_, _ = s.joinPrefetch(-1) // no step is wanted: the error has no taker
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.arena.close()
+	s.ob.arenaBytes.Set(float64(s.arena.offHeapBytes()))
 	s.jBlobs, s.cBlobs = nil, nil
-	s.plainJ, s.plainC = nil, nil
-	s.anchorJ, s.anchorC = nil, nil
-	return nil
+	// Emptied, not nilled: a late Repair or fetch install from a goroutine
+	// that outlived the run must not hit a nil map.
+	clear(s.plainJ)
+	clear(s.plainC)
+	clear(s.anchorJ)
+	clear(s.anchorC)
+	s.poolJ, s.poolC = nil, nil
+	return s.ferr
 }

@@ -10,6 +10,11 @@ import (
 // errors.Is(err, ErrCorrupt).
 var ErrCorrupt = errors.New("jactensor: stored blob failed integrity verification")
 
+// ErrClosed reports a Put, Fetch or slice fetch on a compressed store whose
+// Close has already run: the blobs are gone, so the call fails instead of
+// touching them. It arrives wrapped in a non-degradable *StepError.
+var ErrClosed = errors.New("jactensor: store is closed")
+
 // StepError is a storage failure attributed to one step of the tensor, so a
 // multi-hour run that dies (or degrades) names exactly which step went bad.
 type StepError struct {
@@ -47,6 +52,12 @@ func (e *StepError) FailedStep() int { return e.Step }
 // corruptErr builds the degradable integrity-failure form of StepError.
 func corruptErr(step int, op, tensor string, err error) *StepError {
 	return &StepError{Step: step, Op: op, Tensor: tensor, Corrupt: true, Degradable: true, Err: err}
+}
+
+// closedErr is the fetch failure of a closed compressed store: typed, and not
+// degradable — recomputing the step would only fail again on the Repair.
+func closedErr(step int) *StepError {
+	return &StepError{Step: step, Op: "fetch", Err: ErrClosed}
 }
 
 // Repairer is the optional store capability the adjoint sweep uses after

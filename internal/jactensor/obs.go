@@ -38,6 +38,7 @@ type storeObs struct {
 	resident      *obs.Gauge
 	peakResident  *obs.Gauge
 	anchorBytes   *obs.Gauge
+	arenaBytes    *obs.Gauge
 	blobBytes     *obs.Histogram
 }
 
@@ -66,6 +67,7 @@ func newStoreObs(o *obs.Observer, kind string) storeObs {
 		resident:      reg.Gauge("masc_store_resident_bytes", "Modelled resident bytes held by the store right now.", lbl...),
 		peakResident:  reg.Gauge("masc_store_peak_resident_bytes", "Peak modelled resident bytes over the run.", lbl...),
 		anchorBytes:   reg.Gauge("masc_store_anchor_bytes", "Plaintext bytes retained as window anchor frames.", lbl...),
+		arenaBytes:    reg.Gauge("masc_store_arena_bytes", "Blob bytes currently held outside the Go heap, where runtime/metrics cannot see them.", lbl...),
 		blobBytes:     reg.Histogram("masc_store_blob_bytes", "Per-step compressed blob sizes (J+C).", obs.SizeBuckets(), lbl...),
 	}
 }

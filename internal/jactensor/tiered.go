@@ -114,11 +114,18 @@ type TieredStore struct {
 	spillDead bool            // creation failed or disabled: drop instead
 	ctx       context.Context // forwarded to the spill device's retry loop
 
-	anchorEvery  int
-	recompute    RecomputeFunc
-	forwardDone  bool
-	closed       bool
-	hintJ, hintC int // last sealed blob sizes, sizing the next dst
+	anchorEvery int
+	recompute   RecomputeFunc
+	forwardDone bool
+	closed      bool
+
+	// Recycling, so a Put/demote/promote cycle allocates nothing but the
+	// exact-size blob it keeps: hot frames freed by a demotion or a Release
+	// wait in freeJ/freeC for the next admission or promotion, and demotions
+	// compress into the frameJ/frameC scratch frames and copy the sealed
+	// result out at its exact length.
+	freeJ, freeC   [][]float64
+	frameJ, frameC []byte
 
 	quarantined map[int]bool
 	resident    int64
@@ -164,6 +171,8 @@ func NewTieredStore(jc, cc compress.Compressor, cfg TieredConfig) *TieredStore {
 		model:       m,
 		spillDead:   cfg.DisableDisk,
 		quarantined: map[int]bool{},
+		frameJ:      make([]byte, blobframe.HeaderSize),
+		frameC:      make([]byte, blobframe.HeaderSize),
 	}
 }
 
@@ -287,8 +296,8 @@ func (s *TieredStore) Put(step int, jVals, cVals []float64) error {
 	}
 	st := &tierStep{
 		tier:   tiersched.Hot,
-		j:      append([]float64(nil), jVals...),
-		c:      append([]float64(nil), cVals...),
+		j:      copyBuf(&s.freeJ, jVals),
+		c:      copyBuf(&s.freeC, cVals),
 		pinned: s.anchorEvery > 0 && step > 0 && step%s.anchorEvery == 0,
 	}
 	st.jSum = blobframe.ChecksumFloat64(st.j)
@@ -374,20 +383,20 @@ func (s *TieredStore) demoteHot(i int) {
 	s.setCodecParent(dsp.ID())
 	t0 := s.model.Now()
 	s.restart()
-	jb := s.jc.Compress(frameDst(s.hintJ), st.j, nil)
-	cb := s.cc.Compress(frameDst(s.hintC), st.c, nil)
+	s.frameJ = s.jc.Compress(s.frameJ[:blobframe.HeaderSize], st.j, nil)
+	s.frameC = s.cc.Compress(s.frameC[:blobframe.HeaderSize], st.c, nil)
 	d := s.model.Now().Sub(t0)
 	s.model.ObserveCompress(int(s.frameBytes), d)
 	s.stats.CompressTime += d
 	s.ob.compressSec.AddDuration(d)
-	blobframe.Seal(jb, 'J', i)
-	blobframe.Seal(cb, 'C', i)
+	blobframe.Seal(s.frameJ, 'J', i)
+	blobframe.Seal(s.frameC, 'C', i)
 	// Corruption during the demotion itself: the sealed blob is the target.
-	jb, _ = s.fault.MutateBlob(i, jb)
-	cb, _ = s.fault.MutateBlob(i, cb)
-	st.jBlob, st.cBlob = jb, cb
+	jb, _ := s.fault.MutateBlob(i, s.frameJ)
+	cb, _ := s.fault.MutateBlob(i, s.frameC)
+	st.jBlob = append([]byte(nil), jb...)
+	st.cBlob = append([]byte(nil), cb...)
 	st.jbN, st.cbN = len(jb), len(cb)
-	s.hintJ, s.hintC = st.jbN, st.cbN
 	st.tier = tiersched.Compressed
 	s.bumpResident(int64(len(jb) + len(cb)))
 	s.freeHot(st)
@@ -480,11 +489,28 @@ func (s *TieredStore) spillStep(i int) error {
 	return nil
 }
 
-// freeHot drops a step's plaintext frame from the resident model.
+// tierFreeFrames caps the free lists. A Put/demote or promote/Release cycle
+// keeps at most a frame or two waiting (plus the prefetch's); without a cap
+// an unlimited-budget store would park its whole tensor there as the sweep
+// releases it.
+const tierFreeFrames = 4
+
+// freeHot drops a step's plaintext frame from the resident model and parks
+// it for reuse.
 func (s *TieredStore) freeHot(st *tierStep) {
 	if st.j != nil {
 		s.bumpResident(-s.frameBytes)
+		s.parkFrame(st.j, st.c)
 		st.j, st.c = nil, nil
+	}
+}
+
+// parkFrame puts an idle frame on the free lists, or lets it go when they
+// are full.
+func (s *TieredStore) parkFrame(j, c []float64) {
+	if len(s.freeJ) < tierFreeFrames {
+		s.freeJ = append(s.freeJ, j)
+		s.freeC = append(s.freeC, c)
 	}
 }
 
@@ -663,8 +689,8 @@ func (s *TieredStore) promoteCold(step int, st *tierStep, parent span.ID) error 
 	return nil
 }
 
-// decodeBlobs opens and decompresses a step's sealed blobs into a fresh hot
-// frame; failures quarantine the step.
+// decodeBlobs opens and decompresses a step's sealed blobs into a recycled
+// hot frame; failures quarantine the step.
 func (s *TieredStore) decodeBlobs(step int, jb, cb []byte) error {
 	open := func(frame []byte, kind byte, tensor string) ([]byte, error) {
 		payload, err := blobframe.Open(frame, kind, step)
@@ -682,15 +708,17 @@ func (s *TieredStore) decodeBlobs(step int, jb, cb []byte) error {
 	if err != nil {
 		return err
 	}
-	jv := make([]float64, s.jLen)
-	cv := make([]float64, s.cLen)
+	jv := takeBuf(&s.freeJ, s.jLen)
+	cv := takeBuf(&s.freeC, s.cLen)
 	t0 := s.model.Now()
 	s.restart()
 	if err := s.jc.Decompress(jv, jp, nil); err != nil {
+		s.parkFrame(jv, cv)
 		s.quarantineLocked(step)
 		return corruptErr(step, "fetch", "J", err)
 	}
 	if err := s.cc.Decompress(cv, cp, nil); err != nil {
+		s.parkFrame(jv, cv)
 		s.quarantineLocked(step)
 		return corruptErr(step, "fetch", "C", err)
 	}
@@ -698,18 +726,22 @@ func (s *TieredStore) decodeBlobs(step int, jb, cb []byte) error {
 	s.model.ObserveDecompress(int(s.frameBytes), d)
 	s.stats.DecompressTime += d
 	s.ob.decompressSec.AddDuration(d)
-	s.installHot(step, jv, cv)
+	s.adoptHot(step, jv, cv)
 	return nil
 }
 
-// installHot copies jv/cv into step's hot frame (reusing any freed buffer)
-// and refreshes the sidecars.
+// installHot copies jv/cv into a recycled hot frame for step.
 func (s *TieredStore) installHot(step int, jv, cv []float64) {
+	s.adoptHot(step, copyBuf(&s.freeJ, jv), copyBuf(&s.freeC, cv))
+}
+
+// adoptHot makes jv/cv (owned by the store from here on) step's hot frame,
+// records the sidecars and counts the frame resident.
+func (s *TieredStore) adoptHot(step int, jv, cv []float64) {
 	st := s.steps[step]
-	st.j = append(st.j[:0], jv...)
-	st.c = append(st.c[:0], cv...)
-	st.jSum = blobframe.ChecksumFloat64(st.j)
-	st.cSum = blobframe.ChecksumFloat64(st.c)
+	st.j, st.c = jv, cv
+	st.jSum = blobframe.ChecksumFloat64(jv)
+	st.cSum = blobframe.ChecksumFloat64(cv)
 	s.bumpResident(s.frameBytes)
 }
 
@@ -857,6 +889,7 @@ func (s *TieredStore) Close() error {
 	defer s.mu.Unlock()
 	s.steps = nil
 	s.scratch = nil
+	s.freeJ, s.freeC = nil, nil
 	if s.spill != nil {
 		return s.spill.Close()
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -332,6 +333,49 @@ func TestTieredStatsAccounting(t *testing.T) {
 	}
 	if got := st.Stats().TierPromotions; got == 0 {
 		t.Fatal("reverse sweep recorded no promotions")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTieredRecyclesFrames pins the tiered store's steady state: under a
+// tight budget every Put demotes a frame and every fetch promotes one, and
+// neither may allocate a fresh plaintext frame or a slack-padded blob per
+// step — hot frames come off the free list and demotions compress into the
+// scratch frames. What remains is one exact-size copy of each blob (the
+// fixture's self-contained blobs barely compress, so that is about the raw
+// size once) plus bookkeeping; the old code allocated the raw tensor three
+// times over (Put copies, padded blobs, promoted frames).
+func TestTieredRecyclesFrames(t *testing.T) {
+	const n, steps = 300, 200
+	jp, cp, js, cs := tensorFixture(62, n, steps)
+	frame := int64(8 * (len(js[0]) + len(cs[0])))
+	st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{
+		BudgetBytes:     3 * frame,
+		DisableDisk:     true,
+		DisablePrefetch: true,
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range js {
+		if err := st.Put(i, js[i], cs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.EndForward(); err != nil {
+		t.Fatal(err)
+	}
+	for i := steps - 1; i >= 0; i-- {
+		if _, _, err := st.Fetch(i); err != nil {
+			t.Fatal(err)
+		}
+		st.Release(i)
+	}
+	runtime.ReadMemStats(&after)
+	raw := frame * steps
+	if got := int64(after.TotalAlloc - before.TotalAlloc); got > raw*3/2 {
+		t.Fatalf("forward+reverse over a %d B tensor allocated %d B; frames are not being recycled", raw, got)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

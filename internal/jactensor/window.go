@@ -31,10 +31,11 @@ type StoreSlice struct {
 // finished forward pass and codecs that support Fork (masczip does; its
 // blobs are self-describing, so a fork can decode any of them). hi should
 // be an anchor step or the head step n: the slice decodes its top blob
-// with no reference when the plaintext is not already retained.
+// with no reference when the plaintext is not already retained. A slice may
+// outlive the store's Close: its fetches then fail with ErrClosed.
 func (s *CompressedStore) Slice(lo, hi int) (*StoreSlice, error) {
 	s.mu.Lock()
-	done := s.forwardDone && (!s.async || s.drained)
+	done := s.sealedLocked()
 	n := s.n
 	s.mu.Unlock()
 	if !done {
@@ -71,7 +72,8 @@ func (s *CompressedStore) sharedPlainLocked(step int) (jv, cv []float64, ok bool
 // Fetch implements the adjoint package's JacobianSource. Steps must be
 // fetched in descending order from Hi: each decode references the
 // slice-local plaintext of step+1, except self-contained steps (the slice
-// top, anchors) which decode with no reference.
+// top, anchors) which decode with no reference. Frames come from the
+// parent's pool and return to it on Release.
 func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
 	if step < sl.lo || step > sl.hi {
 		return nil, nil, fmt.Errorf("jactensor: slice fetch step %d outside [%d,%d]", step, sl.lo, sl.hi)
@@ -84,9 +86,13 @@ func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
 	selfContained := step == sl.hi || p.isAnchorStep(step)
 
 	p.mu.Lock()
+	if p.arena.closed {
+		p.mu.Unlock()
+		return nil, nil, closedErr(step)
+	}
 	if aj, ac, ok := p.sharedPlainLocked(step); ok {
-		jv := append([]float64(nil), aj...)
-		cv := append([]float64(nil), ac...)
+		jv := copyBuf(&p.poolJ, aj)
+		cv := copyBuf(&p.poolC, ac)
 		p.bumpResident(int64(8 * (len(jv) + len(cv))))
 		p.mu.Unlock()
 		sl.plainJ[step] = jv
@@ -94,22 +100,23 @@ func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
 		p.ob.fetches.Inc()
 		return jv, cv, nil
 	}
-	if p.quarantined[step] {
-		p.mu.Unlock()
-		return nil, nil, corruptErr(step, "fetch", "", errAlreadyQuarantined)
-	}
-	jBlob, cBlob := p.jBlobs[step], p.cBlobs[step]
-	p.mu.Unlock()
-
 	var refJ, refC []float64
 	if !selfContained {
 		var ok bool
 		refJ, ok = sl.plainJ[step+1]
 		if !ok {
+			p.mu.Unlock()
 			return nil, nil, fmt.Errorf("%w: slice step %d needs step %d resident", ErrOutOfOrder, step, step+1)
 		}
 		refC = sl.plainC[step+1]
 	}
+	jBlob, cBlob, jv, cv, err := p.checkoutLocked(step)
+	p.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer p.unpinBlobs()
+
 	jPayload, err := p.openBlob(jBlob, 'J', step, "J")
 	if err != nil {
 		return nil, nil, err
@@ -119,8 +126,6 @@ func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
 		return nil, nil, err
 	}
 	start := time.Now()
-	jv := make([]float64, p.jLen)
-	cv := make([]float64, p.cLen)
 	if err := sl.jc.Decompress(jv, jPayload, refJ); err != nil {
 		return nil, nil, p.decodeFailed(step, "J", err)
 	}
@@ -143,7 +148,7 @@ func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
 	return jv, cv, nil
 }
 
-// Release implements JacobianSource: it frees only the slice-local copy;
+// Release implements JacobianSource: it recycles only the slice-local copy;
 // anchor frames and the parent's shared cache are untouched, so the same
 // store can be sliced and swept again.
 func (sl *StoreSlice) Release(step int) {
@@ -157,6 +162,8 @@ func (sl *StoreSlice) Release(step int) {
 	p := sl.p
 	p.mu.Lock()
 	p.bumpResident(-int64(8 * (len(jv) + len(cv))))
+	p.poolJ = append(p.poolJ, jv)
+	p.poolC = append(p.poolC, cv)
 	p.mu.Unlock()
 }
 
@@ -168,12 +175,12 @@ func (sl *StoreSlice) Repair(step int, jVals, cVals []float64) {
 	if step < sl.lo || step > sl.hi {
 		return
 	}
-	jv := append([]float64(nil), jVals...)
-	cv := append([]float64(nil), cVals...)
-	sl.plainJ[step] = jv
-	sl.plainC[step] = cv
 	p := sl.p
 	p.mu.Lock()
+	jv := copyBuf(&p.poolJ, jVals)
+	cv := copyBuf(&p.poolC, cVals)
+	sl.plainJ[step] = jv
+	sl.plainC[step] = cv
 	delete(p.quarantined, step)
 	p.stats.Repairs++
 	p.bumpResident(int64(8 * (len(jv) + len(cv))))

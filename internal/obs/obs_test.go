@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -118,6 +119,44 @@ func TestManifestWrite(t *testing.T) {
 	}
 	if doc.Metrics["steps_total"].(map[string]any)[""] != 42.0 {
 		t.Fatalf("metrics snapshot = %v", doc.Metrics)
+	}
+}
+
+// TestManifestMemoryProvenance: the manifest written after a run carries
+// the off-heap high-water mark (not the current value, which is back to zero
+// once the store has closed) and the process's real peak RSS beside the Go
+// heap figures.
+func TestManifestMemoryProvenance(t *testing.T) {
+	man := NewManifest("masc-test")
+	want := uint64(offHeap.Load() + 12<<20)
+	NoteOffHeap(8 << 20)
+	NoteOffHeap(4 << 20)
+	NoteOffHeap(-12 << 20) // store closed before the manifest is written
+	path := filepath.Join(t.TempDir(), "run.json")
+	if err := man.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := got.Provenance
+	if p.StoreOffheapBytes < want {
+		t.Fatalf("store_offheap_bytes = %d, want at least the %d B peak", p.StoreOffheapBytes, want)
+	}
+	if runtime.GOOS == "linux" {
+		if p.PeakRSSBytes < p.HeapObjectBytes || p.PeakRSSBytes > 1<<40 {
+			t.Fatalf("peak_rss_bytes = %d beside %d B of heap objects", p.PeakRSSBytes, p.HeapObjectBytes)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"store_offheap_bytes"`, `"peak_rss_bytes"`, `"heap_object_bytes"`} {
+		if !strings.Contains(string(raw), key) {
+			t.Fatalf("manifest lacks %s", key)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
+	"sync/atomic"
 )
 
 // Provenance identifies the build and runtime that produced a manifest, so
@@ -26,6 +27,31 @@ type Provenance struct {
 	GCCPUSec          float64 `json:"gc_cpu_sec"`
 	HeapObjectBytes   uint64  `json:"heap_object_bytes"`
 	RuntimeTotalBytes uint64  `json:"runtime_total_bytes"`
+	// StoreOffheapBytes is the process-wide peak of bytes the Jacobian
+	// stores held outside the Go heap (the compressed store's blob arena):
+	// memory RuntimeTotalBytes cannot see. PeakRSSBytes is getrusage's
+	// ru_maxrss, 0 where unavailable — what the machine actually held, next
+	// to what the store models (TensorStats.PeakResident) and what the Go
+	// runtime accounts for.
+	StoreOffheapBytes uint64 `json:"store_offheap_bytes"`
+	PeakRSSBytes      uint64 `json:"peak_rss_bytes"`
+}
+
+// offHeap is the process-wide count of bytes held outside the Go heap, and
+// its high-water mark. Process-wide like every other Provenance figure: the
+// manifest describes the process, whichever stores ran in it.
+var offHeap, offHeapPeak atomic.Int64
+
+// NoteOffHeap records delta bytes written to (positive) or released from
+// (negative) memory outside the Go heap.
+func NoteOffHeap(delta int64) {
+	cur := offHeap.Add(delta)
+	for {
+		peak := offHeapPeak.Load()
+		if cur <= peak || offHeapPeak.CompareAndSwap(peak, cur) {
+			return
+		}
+	}
 }
 
 // CollectProvenance gathers build identity (via debug.ReadBuildInfo's
@@ -78,4 +104,6 @@ func (p *Provenance) refreshRuntime() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	p.GCPauseTotalSec = float64(ms.PauseTotalNs) / 1e9
+	p.StoreOffheapBytes = uint64(offHeapPeak.Load())
+	p.PeakRSSBytes = peakRSSBytes()
 }

@@ -48,12 +48,22 @@ func (k metricKind) String() string {
 }
 
 // family is one metric name with its help text and label-keyed series.
+// name, help and kind never change after creation. series and order are
+// guarded by Registry.mu; order is append-only, so a slice header copied
+// under the lock stays safe to read after it is dropped (a later insert
+// writes only past the copied length, or into a new backing array).
 type family struct {
 	name   string
 	help   string
 	kind   metricKind
 	series map[string]any // label signature -> *Counter | *Gauge | *Histogram
-	order  []string       // label signatures in creation order
+	order  []series       // the same series in creation order
+}
+
+// series is one member of a family: its label signature and handle.
+type series struct {
+	sig string
+	m   any
 }
 
 // labelSig renders alternating key, value pairs as a stable Prometheus
@@ -111,7 +121,7 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []string, m
 	if !ok {
 		s = mk()
 		f.series[sig] = s
-		f.order = append(f.order, sig)
+		f.order = append(f.order, series{sig: sig, m: s})
 	}
 	return s
 }
@@ -248,9 +258,16 @@ func (r *Registry) WritePrometheus(b []byte) []byte {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fams := make([]*family, len(names))
+	// Snapshot each family's series list under the lock: lookup may insert
+	// into f.series and f.order while the text is rendered below.
+	type famView struct {
+		*family
+		order []series
+	}
+	fams := make([]famView, len(names))
 	for i, n := range names {
-		fams[i] = r.fam[n]
+		f := r.fam[n]
+		fams[i] = famView{family: f, order: f.order}
 	}
 	r.mu.Unlock()
 
@@ -267,14 +284,14 @@ func (r *Registry) WritePrometheus(b []byte) []byte {
 		b = append(b, ' ')
 		b = append(b, f.kind.String()...)
 		b = append(b, '\n')
-		for _, sig := range f.order {
-			switch m := f.series[sig].(type) {
+		for _, sr := range f.order {
+			switch m := sr.m.(type) {
 			case *Counter:
-				b = appendSample(b, f.name, sig, m.Value())
+				b = appendSample(b, f.name, sr.sig, m.Value())
 			case *Gauge:
-				b = appendSample(b, f.name, sig, m.Value())
+				b = appendSample(b, f.name, sr.sig, m.Value())
 			case *Histogram:
-				b = m.writePrometheus(b, f.name, sig)
+				b = m.writePrometheus(b, f.name, sr.sig)
 			}
 		}
 	}
