@@ -262,12 +262,14 @@ func run(c cli) error {
 		// the finished sensitivities come straight from the journal.
 		fmt.Println("resume: journal already complete — sensitivities recovered without replay")
 	} else {
-		fmt.Printf("transient: %d steps, %d newton iterations, %d (re)factorizations\n",
+		fmt.Printf("transient: %d steps, %d newton iterations, %d (re)factorizations, %d factor reuses\n",
 			run.Tran.Steps(), run.Tran.Stats.NewtonIters,
-			run.Tran.Stats.Factorizations+run.Tran.Stats.Refactorizations)
-		fmt.Printf("sensitivity: total %v (fetch %v, solve %v, ∂F/∂p %v)\n",
+			run.Tran.Stats.Factorizations+run.Tran.Stats.Refactorizations,
+			run.Tran.Stats.FactorReuses)
+		fmt.Printf("sensitivity: total %v (fetch %v, solve %v, ∂F/∂p %v), %d (re)factorizations, %d factor reuses\n",
 			run.Sens.Timing.Total, run.Sens.Timing.Fetch,
-			run.Sens.Timing.FactorSolve, run.Sens.Timing.ParamEval)
+			run.Sens.Timing.FactorSolve, run.Sens.Timing.ParamEval,
+			run.Sens.Factorizations+run.Sens.Refactorizations, run.Sens.FactorReuses)
 	}
 	if run.Tran != nil && run.Storage != masc.StorageRecompute {
 		st := run.TensorStats
@@ -368,6 +370,11 @@ func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, st
 			}
 		}
 		man.Section("sensitivity_timing", run.Sens.Timing)
+		man.Section("sensitivity_lu", map[string]int{
+			"factorizations":   run.Sens.Factorizations,
+			"refactorizations": run.Sens.Refactorizations,
+			"factor_reuses":    run.Sens.FactorReuses,
+		})
 		man.Set("adjoint_windows_ran", run.Sens.Windows)
 		if run.SelectedCodec != "" {
 			man.Set("selected_codec", run.SelectedCodec)

@@ -202,6 +202,7 @@ type sweepObs struct {
 	solveSec  *obs.Counter
 	paramSec  *obs.Counter
 	degraded  *obs.Counter
+	reuses    *obs.Counter
 	shards    *obs.Counter
 	workers   *obs.Gauge
 	windows   *obs.Gauge
@@ -224,6 +225,7 @@ func newSweepObs(o *obs.Observer) sweepObs {
 		solveSec:  reg.Counter("masc_adjoint_solve_seconds_total", "LU factorization and adjoint solve time."),
 		paramSec:  reg.Counter("masc_adjoint_param_seconds_total", "Parameter sensitivity (dF/dp) accumulation time."),
 		degraded:  reg.Counter("masc_store_degraded_total", "Reverse-sweep steps recovered by per-step recomputation after a storage failure."),
+		reuses:    reg.Counter("masc_lu_factor_reuse_total", "Factor requests answered by the factors in hand because the Jacobian was bit-identical.", "pass", "reverse"),
 		shards:    reg.Counter("masc_adjoint_param_shards_total", "Parameter-gradient shard tasks executed."),
 		workers:   reg.Gauge("masc_adjoint_workers", "Worker count of the most recent adjoint sweep."),
 		windows:   reg.Gauge("masc_adjoint_windows", "Window count of the most recent adjoint sweep (1 = serial)."),
@@ -255,6 +257,15 @@ type Result struct {
 	// stored Jacobians could not be fetched and were recomputed instead.
 	// Empty on a healthy run.
 	DegradedSteps []int
+
+	// What the per-step factor requests took, as in transient.Stats: fresh
+	// pivot searches, numeric refactorizations along recorded pivots, and
+	// requests the factors in hand already answered because the step's
+	// Jacobian was bit-identical to the previous one's. A windowed run sums
+	// its window sweeps and the seeding sweep.
+	Factorizations   int
+	Refactorizations int
+	FactorReuses     int
 
 	// Windows is the window count the sweep actually ran with: 1 for the
 	// plain single-sweep engine, including Windows > 1 requests that fell
@@ -330,6 +341,13 @@ func isTrap(tr *transient.Result) (bool, error) {
 // every worker count (each parameter's value stream is param-local, so
 // reordering builds across parameters changes no per-parameter operation).
 func DirectSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Objective, opt Options) (*Result, error) {
+	return directSensitivities(ckt, tr, objs, opt, nil)
+}
+
+// directSensitivities is DirectSensitivities starting from the factors in
+// fact (nil for none), the seam its tests inject a foreign factorization
+// through.
+func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Objective, opt Options, fact *lu.LU) (*Result, error) {
 	n := tr.Steps()
 	if n < 1 {
 		return nil, fmt.Errorf("adjoint: trajectory has no integration steps")
@@ -358,20 +376,22 @@ func DirectSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 	defer pool.close()
 	ev := circuit.NewEval(ckt)
 	J := sparse.NewMatrix(ckt.JPat)
-	var fact *lu.LU
 	perm := ckt.JPerm()
+	res := &Result{
+		DOdp:   make([][]float64, len(objs)),
+		Params: params,
+	}
+	for o := range objs {
+		res.DOdp[o] = make([]float64, len(params))
+	}
 
 	factorize := func() error {
-		if fact != nil {
-			if err := fact.Refactor(J); err == nil {
-				return nil
-			}
-		}
-		f, err := lu.Factor(J, lu.Options{ColPerm: perm})
+		f, what, err := lu.Factorize(fact, J, lu.Options{ColPerm: perm})
 		if err != nil {
 			return err
 		}
 		fact = f
+		what.Count(&res.Factorizations, &res.Refactorizations, &res.FactorReuses)
 		return nil
 	}
 
@@ -451,13 +471,6 @@ func DirectSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 	copy(cPrev.Val, ev.C.Val)
 	copy(gPrev.Val, ev.G.Val)
 
-	res := &Result{
-		DOdp:   make([][]float64, len(objs)),
-		Params: params,
-	}
-	for o := range objs {
-		res.DOdp[o] = make([]float64, len(params))
-	}
 	for i := 1; i <= n; i++ {
 		h := tr.Hs[i]
 		invH := 1 / h
@@ -560,6 +573,9 @@ func XyceNaiveSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []O
 		total.Timing.Fetch += r.Timing.Fetch
 		total.Timing.FactorSolve += r.Timing.FactorSolve
 		total.Timing.ParamEval += r.Timing.ParamEval
+		total.Factorizations += r.Factorizations
+		total.Refactorizations += r.Refactorizations
+		total.FactorReuses += r.FactorReuses
 	}
 	return total, nil
 }

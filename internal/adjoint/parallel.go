@@ -526,21 +526,19 @@ func (s *sweep) noteFetch(i int, wait, acq time.Duration, degraded bool) {
 	s.so.tr.Emit(obs.Event{Step: i, Phase: "adjoint_fetch", Dur: wait})
 }
 
-// factorize reuses the recorded symbolic structure when the numeric
-// refactorization succeeds and falls back to a fresh pivoting factorization
-// when it does not.
-func (s *sweep) factorize(j *sparse.Matrix) error {
-	if s.fact != nil {
-		if err := s.fact.Refactor(j); err == nil {
-			return nil
-		}
-	}
-	f, err := lu.Factor(j, lu.Options{ColPerm: s.perm})
+// factorize brings s.fact up to date with one step's Jacobian and counts
+// what that took. Runs on the sweep's own goroutine only.
+func (s *sweep) factorize(j *sparse.Matrix) (lu.Outcome, error) {
+	f, what, err := lu.Factorize(s.fact, j, lu.Options{ColPerm: s.perm})
 	if err != nil {
-		return err
+		return what, err
 	}
 	s.fact = f
-	return nil
+	what.Count(&s.res.Factorizations, &s.res.Refactorizations, &s.res.FactorReuses)
+	if what == lu.Reused {
+		s.so.reuses.Inc()
+	}
+	return what, nil
 }
 
 // buildRHS forms the adjoint right-hand side of objective o at step i in
@@ -594,6 +592,7 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 
 	ssp := s.so.rec.Start(s.sweepSpan, span.Solve, i)
 	tSolve := time.Now()
+	var what lu.Outcome
 	var factErr error
 	if s.workers > 1 && len(s.objs) > 1 {
 		// Background workers build their RHS shards while the calling
@@ -607,14 +606,14 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 				}
 			})
 		}
-		factErr = s.factorize(J)
+		what, factErr = s.factorize(J)
 		lo, hi := shard(0, s.workers, len(s.objs))
 		for o := lo; o < hi; o++ {
 			s.buildRHS(o, i, J, C, s.tmps[0])
 		}
 		s.pool.wait(s.workers - 1)
 	} else {
-		factErr = s.factorize(J)
+		what, factErr = s.factorize(J)
 		for o := range s.objs {
 			s.buildRHS(o, i, J, C, s.tmps[0])
 		}
@@ -631,6 +630,7 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 		s.fact.SolveTMulti(s.lam)
 	}
 	ssp.Attr("objs", int64(len(s.objs)))
+	ssp.Attr("lu", int64(what)) // lu.Outcome: 0 reused, 1 refactor, 2 factor
 	ssp.End()
 	if s.so.on {
 		d := time.Since(tSolve)

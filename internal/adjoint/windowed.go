@@ -356,6 +356,7 @@ func runWindowed(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource,
 	var firstErr error
 	var degraded []int
 	var timing Timing
+	var factored, refactored, reused int
 	sweepSec := make([]float64, W)
 
 	for _, wp := range completed {
@@ -381,6 +382,9 @@ func runWindowed(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource,
 		timing.Fetch += ws.res.Timing.Fetch
 		timing.FactorSolve += ws.res.Timing.FactorSolve
 		timing.ParamEval += ws.res.Timing.ParamEval
+		factored += ws.res.Factorizations
+		refactored += ws.res.Refactorizations
+		reused += ws.res.FactorReuses
 		if werr != nil && firstErr == nil && !errors.Is(werr, errSweepStopped) {
 			firstErr = werr
 		}
@@ -471,6 +475,10 @@ func runWindowed(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource,
 		Timing:         timing,
 		Windows:        W,
 		WindowSweepSec: sweepSec,
+
+		Factorizations:   factored,
+		Refactorizations: refactored,
+		FactorReuses:     reused,
 	}
 	// Fold: the global descending-step replay of the serial accumulation.
 	for o := 0; o < K; o++ {

@@ -353,3 +353,40 @@ func TestWindowedInterruptTeardown(t *testing.T) {
 	}
 	requireBitIdentical(t, "post-teardown windowed", want, got)
 }
+
+// TestWindowedOnUntouchedPattern runs the windowed, overlapped engine on a
+// circuit nothing has factored yet — the shape of a resumed run whose
+// forward pass happened in another process — so the reverse pass is what
+// first asks the Jacobian pattern for its lazily built column view. Run
+// under -race in CI.
+func TestWindowedOnUntouchedPattern(t *testing.T) {
+	tc := cases()[0]
+	twin, b := tc.build(t)
+	res, err := transient.Run(twin, tc.opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := b.NodeIndex(tc.obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := []Objective{
+		{Name: "final", Node: node, Weight: 1},
+		{Name: "integral", Node: node, Weight: 2, Integral: true},
+	}
+	want, err := Sensitivities(twin, res, NewRecomputeSource(twin, res), objs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Options{{Windows: 3}, {Windows: 3, Workers: 2}, {Windows: 2, Workers: 3}} {
+		fresh, _ := tc.build(t)
+		got, err := Sensitivities(fresh, res, NewRecomputeSource(fresh, res), objs, cfg)
+		if err != nil {
+			t.Fatalf("W=%d workers=%d: %v", cfg.Windows, cfg.Workers, err)
+		}
+		if got.Windows != cfg.Windows {
+			t.Fatalf("W=%d: ran with %d windows", cfg.Windows, got.Windows)
+		}
+		requireBitIdentical(t, fmt.Sprintf("W=%d workers=%d", cfg.Windows, cfg.Workers), want, got)
+	}
+}

@@ -33,13 +33,15 @@ func (f *LU) Clone() *LU {
 		topoRow:  f.topoRow,
 		topoDest: f.topoDest,
 		// Overwritten by Refactor: private copies.
-		lx: append([]float64(nil), f.lx...),
-		ux: append([]float64(nil), f.ux...),
-		ud: append([]float64(nil), f.ud...),
+		lx: exact(f.lx),
+		ux: exact(f.ux),
+		ud: exact(f.ud),
+		// The value memo travels with the factors it describes, so a clone's
+		// first Refactor skips exactly when the original's would.
+		memo:   exact(f.memo),
+		memoOK: f.memoOK,
 		// Scratch. w is zero outside an active Factor/Refactor call, so a
-		// fresh zero slice is equivalent; mark/tick/stk/post only matter to
-		// Factor, which always builds a new LU.
-		w:    make([]float64, f.n),
-		mark: make([]int32, f.n),
+		// fresh zero slice is equivalent.
+		w: make([]float64, f.n),
 	}
 }

@@ -4,13 +4,18 @@
 // a transient run shares one sparsity pattern, the factorization records its
 // symbolic structure (reach sets, pivot order, fill pattern) once and
 // subsequent matrices are refactorized numerically in-place, which is where
-// the simulator spends most of its solve time.
+// the simulator spends most of its solve time — unless the matrix is
+// bit-identical to the one already factored (every step of a linear circuit
+// at a fixed step size), in which case Refactor does nothing at all.
+// Factorize is the one refactor-else-factor policy the forward Newton loop,
+// the reverse sweeps and the direct method share.
 package lu
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"masc/internal/sparse"
 )
@@ -73,11 +78,13 @@ type LU struct {
 	topoRow  []int32
 	topoDest []int32
 
-	w    []float64 // workspace, len n, zero outside active reach
-	mark []int32   // DFS visit stamp per original row
-	tick int32
-	stk  []int32 // DFS stack
-	post []int32 // topological order buffer
+	// Value memo: a bit image of the a.Val most recently handed to Factor or
+	// Refactor, and whether the numeric factors above were computed from it.
+	// Refactor returns at once on a bit-identical matrix (see Refactor).
+	memo   []float64
+	memoOK bool
+
+	w []float64 // workspace, len n, zero outside active reach
 
 	// Stride-k workspaces of the multi-RHS solves, grown on demand and
 	// reused so repeated SolveMulti/SolveTMulti calls allocate nothing.
@@ -91,6 +98,46 @@ func (f *LU) N() int { return f.n }
 // LNNZ and UNNZ report factor fill (excluding unit/diagonal entries).
 func (f *LU) LNNZ() int { return len(f.lrow) }
 func (f *LU) UNNZ() int { return len(f.uk) }
+
+// factorScratch is the working set only Factor needs: the six fill arrays
+// while their final length is still unknown, and the DFS state. Factor builds
+// into a pooled scratch and keeps exact-length copies, so a factorization
+// neither pays append's regrowth nor retains its slack, and concurrent
+// Factor calls (window sweeps re-pivoting after ErrPivotDegraded) each draw
+// their own.
+type factorScratch struct {
+	lrow, uk          []int32
+	lx, ux            []float64
+	topoRow, topoDest []int32
+
+	mark []int32 // DFS visit stamp per original row
+	tick int32
+	stk  []int32 // DFS stack
+	post []int32 // topological order buffer
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(factorScratch) }}
+
+// reset empties the scratch for an n×n factorization, keeping capacity.
+func (sc *factorScratch) reset(n int) {
+	sc.lrow, sc.uk = sc.lrow[:0], sc.uk[:0]
+	sc.lx, sc.ux = sc.lx[:0], sc.ux[:0]
+	sc.topoRow, sc.topoDest = sc.topoRow[:0], sc.topoDest[:0]
+	if cap(sc.mark) < n {
+		sc.mark = make([]int32, n)
+	}
+	sc.mark = sc.mark[:n]
+	clear(sc.mark)
+	sc.tick = 0
+}
+
+// exact copies src into an allocation of exactly its length (slices.Clone
+// and append may round the capacity up to a size class).
+func exact[T any](src []T) []T {
+	dst := make([]T, len(src))
+	copy(dst, src)
+	return dst
+}
 
 // Factor computes the LU factorization of a, choosing pivots, and records
 // the symbolic structure for later Refactor calls.
@@ -120,81 +167,87 @@ func Factor(a *sparse.Matrix, opt Options) (*LU, error) {
 		up:      make([]int32, 1, n+1),
 		ud:      make([]float64, n),
 		w:       make([]float64, n),
-		mark:    make([]int32, n),
 		topoPtr: make([]int32, 1, n+1),
 	}
 	for i := range f.pinv {
 		f.pinv[i] = -1
 	}
+	sc := scratchPool.Get().(*factorScratch)
+	defer scratchPool.Put(sc)
+	sc.reset(n)
 	csc := a.P.CSC()
 	for j := 0; j < n; j++ {
-		if err := f.factorColumn(a, csc, int32(j)); err != nil {
+		if err := f.factorColumn(sc, a, csc, int32(j)); err != nil {
 			return nil, fmt.Errorf("lu: column %d (original %d): %w", j, f.q[j], err)
 		}
 	}
+	f.lrow, f.lx = exact(sc.lrow), exact(sc.lx)
+	f.uk, f.ux = exact(sc.uk), exact(sc.ux)
+	f.topoRow, f.topoDest = exact(sc.topoRow), exact(sc.topoDest)
+	f.memo, f.memoOK = exact(a.Val), true
 	return f, nil
 }
 
 // dfsReach computes the reach of column c's structural rows through the
 // columns of L pivoted so far, leaving the nodes in topological order in
-// f.post (dependencies first).
-func (f *LU) dfsReach(csc *sparse.CSCView, c int32) {
-	f.tick++
-	f.post = f.post[:0]
+// sc.post (dependencies first).
+func (f *LU) dfsReach(sc *factorScratch, csc *sparse.CSCView, c int32) {
+	sc.tick++
+	sc.post = sc.post[:0]
 	for p := csc.ColPtr[c]; p < csc.ColPtr[c+1]; p++ {
 		root := csc.RowIdx[p]
-		if f.mark[root] == f.tick {
+		if sc.mark[root] == sc.tick {
 			continue
 		}
 		// Iterative DFS with an explicit edge-cursor stack.
-		f.stk = f.stk[:0]
-		f.stk = append(f.stk, root, 0)
-		f.mark[root] = f.tick
-		for len(f.stk) > 0 {
-			node := f.stk[len(f.stk)-2]
-			cur := f.stk[len(f.stk)-1]
+		sc.stk = sc.stk[:0]
+		sc.stk = append(sc.stk, root, 0)
+		sc.mark[root] = sc.tick
+		for len(sc.stk) > 0 {
+			node := sc.stk[len(sc.stk)-2]
+			cur := sc.stk[len(sc.stk)-1]
 			k := f.pinv[node]
 			expanded := false
 			if k >= 0 { // pivoted: children are rows of L column k
 				lo, hi := f.lp[k], f.lp[k+1]
 				for p2 := lo + cur; p2 < hi; p2++ {
-					child := f.lrow[p2]
-					if f.mark[child] != f.tick {
-						f.stk[len(f.stk)-1] = p2 - lo + 1
-						f.stk = append(f.stk, child, 0)
-						f.mark[child] = f.tick
+					child := sc.lrow[p2]
+					if sc.mark[child] != sc.tick {
+						sc.stk[len(sc.stk)-1] = p2 - lo + 1
+						sc.stk = append(sc.stk, child, 0)
+						sc.mark[child] = sc.tick
 						expanded = true
 						break
 					}
 				}
 			}
 			if !expanded {
-				f.stk = f.stk[:len(f.stk)-2]
-				f.post = append(f.post, node)
+				sc.stk = sc.stk[:len(sc.stk)-2]
+				sc.post = append(sc.post, node)
 			}
 		}
 	}
-	// f.post is a valid topological order (children recorded before
+	// sc.post is a valid topological order (children recorded before
 	// parents), which is the order the sparse triangular solve needs when
 	// processed from the END: we want dependencies processed first, and a
 	// node's dependencies (the L-columns that update it) are its DFS
 	// descendants... For the left-looking update we must process U nodes so
 	// that a node is finalized before its column updates others. Reverse
 	// postorder gives that.
-	for i, j := 0, len(f.post)-1; i < j; i, j = i+1, j-1 {
-		f.post[i], f.post[j] = f.post[j], f.post[i]
+	for i, j := 0, len(sc.post)-1; i < j; i, j = i+1, j-1 {
+		sc.post[i], sc.post[j] = sc.post[j], sc.post[i]
 	}
 }
 
-func (f *LU) factorColumn(a *sparse.Matrix, csc *sparse.CSCView, j int32) error {
+func (f *LU) factorColumn(sc *factorScratch, a *sparse.Matrix, csc *sparse.CSCView, j int32) error {
 	c := f.q[j]
-	f.dfsReach(csc, c)
+	f.dfsReach(sc, csc, c)
 	// Scatter A(:,c) into the workspace.
 	for p := csc.ColPtr[c]; p < csc.ColPtr[c+1]; p++ {
 		f.w[csc.RowIdx[p]] = a.Val[csc.Slot[p]]
 	}
 	// Sparse triangular solve in topological order.
-	for _, node := range f.post {
+	for _, node := range sc.post {
 		k := f.pinv[node]
 		if k < 0 {
 			continue
@@ -202,14 +255,14 @@ func (f *LU) factorColumn(a *sparse.Matrix, csc *sparse.CSCView, j int32) error 
 		ukj := f.w[node]
 		if ukj != 0 {
 			for p := f.lp[k]; p < f.lp[k+1]; p++ {
-				f.w[f.lrow[p]] -= ukj * f.lx[p]
+				f.w[sc.lrow[p]] -= ukj * sc.lx[p]
 			}
 		}
 	}
 	// Pivot selection among unpivoted reach rows.
 	var pivot int32 = -1
 	var pmax float64
-	for _, node := range f.post {
+	for _, node := range sc.post {
 		if f.pinv[node] >= 0 {
 			continue
 		}
@@ -222,7 +275,7 @@ func (f *LU) factorColumn(a *sparse.Matrix, csc *sparse.CSCView, j int32) error 
 		return ErrSingular
 	}
 	// Prefer the structural diagonal row if it is acceptable.
-	if f.pinv[c] < 0 && f.mark[c] == f.tick {
+	if f.pinv[c] < 0 && sc.mark[c] == sc.tick {
 		if v := math.Abs(f.w[c]); v >= f.tau*pmax {
 			pivot = c
 		}
@@ -236,36 +289,73 @@ func (f *LU) factorColumn(a *sparse.Matrix, csc *sparse.CSCView, j int32) error 
 	// recording the refactor recipe in DFS topological order. Entry order
 	// within a column is irrelevant to the solves: both substitution
 	// directions only require whole columns to be processed in pivot order.
-	for _, node := range f.post {
-		f.topoRow = append(f.topoRow, node)
+	for _, node := range sc.post {
+		sc.topoRow = append(sc.topoRow, node)
 		k := f.pinv[node]
 		switch {
 		case node == pivot:
-			f.topoDest = append(f.topoDest, -1)
+			sc.topoDest = append(sc.topoDest, -1)
 		case k >= 0 && k < j:
-			f.topoDest = append(f.topoDest, int32(len(f.uk)))
-			f.uk = append(f.uk, k)
-			f.ux = append(f.ux, f.w[node])
+			sc.topoDest = append(sc.topoDest, int32(len(sc.uk)))
+			sc.uk = append(sc.uk, k)
+			sc.ux = append(sc.ux, f.w[node])
 		default: // unpivoted → L
-			f.topoDest = append(f.topoDest, -(int32(len(f.lrow)) + 2))
-			f.lrow = append(f.lrow, node)
-			f.lx = append(f.lx, f.w[node]/d)
+			sc.topoDest = append(sc.topoDest, -(int32(len(sc.lrow)) + 2))
+			sc.lrow = append(sc.lrow, node)
+			sc.lx = append(sc.lx, f.w[node]/d)
 		}
 		f.w[node] = 0
 	}
-	f.lp = append(f.lp, int32(len(f.lrow)))
-	f.up = append(f.up, int32(len(f.uk)))
-	f.topoPtr = append(f.topoPtr, int32(len(f.topoRow)))
+	f.lp = append(f.lp, int32(len(sc.lrow)))
+	f.up = append(f.up, int32(len(sc.uk)))
+	f.topoPtr = append(f.topoPtr, int32(len(sc.topoRow)))
 	return nil
 }
 
 // Refactor recomputes the numeric factors for a matrix with the same
 // pattern, reusing the recorded pivot order and symbolic structure. If a
 // recorded pivot has collapsed numerically it returns ErrPivotDegraded.
+//
+// A matrix whose values are bit-identical (math.Float64bits, so −0 ≠ +0 and
+// only same-payload NaNs match) to the one the current factors were computed
+// from returns at once: the numeric pass is a pure function of the recorded
+// structure and the values, so it would reproduce lx/ux/ud exactly.
 func (f *LU) Refactor(a *sparse.Matrix) error {
+	_, err := f.refactor(a)
+	return err
+}
+
+// refactor is Refactor that also reports whether the value memo hit.
+func (f *LU) refactor(a *sparse.Matrix) (reused bool, err error) {
 	if a.P != f.pat {
-		return errors.New("lu: Refactor requires the pattern used by Factor")
+		return false, errors.New("lu: Refactor requires the pattern used by Factor")
 	}
+	if len(a.Val) != len(f.memo) {
+		return false, fmt.Errorf("lu: Refactor got %d values for a pattern of %d", len(a.Val), len(f.memo))
+	}
+	// f.memo always holds a complete image of the last matrix seen, so only
+	// the tail from the first differing entry needs copying.
+	val := a.Val[:len(f.memo)]
+	d := 0
+	for d < len(val) && math.Float64bits(f.memo[d]) == math.Float64bits(val[d]) {
+		d++
+	}
+	if d == len(val) && f.memoOK {
+		return true, nil
+	}
+	// Invalidate before the numeric pass: an ErrPivotDegraded exit leaves the
+	// factors half-written, and the same matrix again must not be skipped.
+	f.memoOK = false
+	copy(f.memo[d:], val[d:])
+	if err := f.refactorNumeric(a); err != nil {
+		return false, err
+	}
+	f.memoOK = true
+	return false, nil
+}
+
+// refactorNumeric is the numeric pass of Refactor along the recorded pivots.
+func (f *LU) refactorNumeric(a *sparse.Matrix) error {
 	csc := a.P.CSC()
 	for j := 0; j < f.n; j++ {
 		c := f.q[j]
@@ -322,6 +412,54 @@ func (f *LU) Refactor(a *sparse.Matrix) error {
 		}
 	}
 	return nil
+}
+
+// Outcome says how Factorize brought the factors up to date with a matrix.
+type Outcome uint8
+
+const (
+	// Reused: the values were bit-identical to the ones already factored.
+	Reused Outcome = iota
+	// Refactored: a numeric pass along the recorded pivots.
+	Refactored
+	// Factored: a fresh pivot search (no factors yet, or ErrPivotDegraded).
+	Factored
+)
+
+// Count adds one to the counter matching o.
+func (o Outcome) Count(factored, refactored, reused *int) {
+	switch o {
+	case Reused:
+		*reused++
+	case Refactored:
+		*refactored++
+	case Factored:
+		*factored++
+	}
+}
+
+// Factorize returns factors of a: f itself after a Refactor when f is
+// non-nil and its recorded pivots still hold, otherwise a fresh Factor with
+// opt. Only ErrPivotDegraded falls back to re-pivoting; any other Refactor
+// error (a foreign pattern, a short value array) is returned, with f
+// unchanged, because re-pivoting would hide it.
+func Factorize(f *LU, a *sparse.Matrix, opt Options) (*LU, Outcome, error) {
+	if f != nil {
+		reused, err := f.refactor(a)
+		switch {
+		case err == nil && reused:
+			return f, Reused, nil
+		case err == nil:
+			return f, Refactored, nil
+		case !errors.Is(err, ErrPivotDegraded):
+			return f, 0, err
+		}
+	}
+	nf, err := Factor(a, opt)
+	if err != nil {
+		return f, 0, err
+	}
+	return nf, Factored, nil
 }
 
 // Solve solves A·x = b in place: on return b holds x.

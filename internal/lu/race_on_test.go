@@ -1,0 +1,5 @@
+//go:build race
+
+package lu
+
+const raceEnabled = true

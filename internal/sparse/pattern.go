@@ -9,6 +9,7 @@ package sparse
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Pattern is an immutable CSR sparsity pattern of an N×N matrix.
@@ -20,7 +21,12 @@ type Pattern struct {
 
 	diag []int32 // slot of (i,i) per row, -1 if absent; built lazily
 	tr   []int32 // slot of the transposed entry per slot, -1 if absent
-	csc  *CSCView
+
+	// The CSC view is what lu.Factor and Refactor read a matrix through;
+	// concurrent window sweeps (or two analyses sharing one circuit) may
+	// each be the first to ask.
+	cscOnce sync.Once
+	csc     *CSCView
 }
 
 // CSCView is a column-oriented view of a CSR pattern. Slot[k] maps the k-th
@@ -33,11 +39,13 @@ type CSCView struct {
 }
 
 // CSC returns the cached column-oriented view, building it on first use.
-// Callers must not modify the returned view.
+// Safe for concurrent use. Callers must not modify the returned view.
 func (p *Pattern) CSC() *CSCView {
-	if p.csc != nil {
-		return p.csc
-	}
+	p.cscOnce.Do(p.buildCSC)
+	return p.csc
+}
+
+func (p *Pattern) buildCSC() {
 	nnz := p.NNZ()
 	v := &CSCView{
 		ColPtr: make([]int32, p.N+1),
@@ -62,7 +70,6 @@ func (p *Pattern) CSC() *CSCView {
 		}
 	}
 	p.csc = v
-	return v
 }
 
 // NNZ reports the number of structurally nonzero entries.

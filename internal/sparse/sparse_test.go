@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -271,5 +272,30 @@ func BenchmarkMulVec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.MulVec(x, y)
+	}
+}
+
+// TestCSCConcurrentFirstUse: concurrent window sweeps' lu.Factor calls can
+// each be the first to ask a pattern for its CSC view. Run under -race.
+func TestCSCConcurrentFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	p := buildRandomPattern(rng, 50, 250)
+	views := make([]*CSCView, 8)
+	var wg sync.WaitGroup
+	for g := range views {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			views[g] = p.CSC()
+		}(g)
+	}
+	wg.Wait()
+	for g, v := range views {
+		if v == nil || v != views[0] {
+			t.Fatalf("goroutine %d got view %p, goroutine 0 got %p", g, v, views[0])
+		}
+	}
+	if got := int(views[0].ColPtr[p.N]); got != p.NNZ() {
+		t.Fatalf("view holds %d entries, pattern has %d", got, p.NNZ())
 	}
 }

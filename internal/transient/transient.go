@@ -204,11 +204,16 @@ const (
 	MethodTrap Method = "trap"
 )
 
-// Stats aggregates solver work counters.
+// Stats aggregates solver work counters. Every Newton iteration asks for
+// factors of its Jacobian once; the three LU counters say what that took:
+// a fresh pivot search, a numeric refactorization along the recorded
+// pivots, or nothing because the Jacobian was bit-identical to the one
+// already factored (a linear circuit at a fixed step).
 type Stats struct {
 	NewtonIters      int
 	Factorizations   int
 	Refactorizations int
+	FactorReuses     int
 	StepsAccepted    int
 	StepsCut         int
 }
@@ -224,6 +229,7 @@ type runObs struct {
 	cuts    *obs.Counter
 	newton  *obs.Counter
 	facts   *obs.Counter
+	reuses  *obs.Counter
 	stepSec *obs.Histogram
 	simTime *obs.Gauge
 }
@@ -241,6 +247,7 @@ func newRunObs(o *obs.Observer) runObs {
 		cuts:    reg.Counter("masc_transient_step_cuts_total", "Step halvings after Newton failure or LTE rejection."),
 		newton:  reg.Counter("masc_transient_newton_iters_total", "Newton iterations across all solves."),
 		facts:   reg.Counter("masc_transient_factorizations_total", "LU factorizations plus pivot-reusing refactorizations."),
+		reuses:  reg.Counter("masc_lu_factor_reuse_total", "Factor requests answered by the factors in hand because the Jacobian was bit-identical.", "pass", "forward"),
 		stepSec: reg.Histogram("masc_transient_step_seconds", "Wall time per timestep solve attempt.", obs.TimingBuckets()),
 		simTime: reg.Gauge("masc_transient_sim_time_seconds", "Simulation time reached by the forward analysis."),
 	}
@@ -284,28 +291,6 @@ func newSolver(ckt *circuit.Circuit, opt Options, st *Stats) *solver {
 	}
 }
 
-// factorize (re)factors s.J, falling back to a fresh pivot search when the
-// recorded pivots degrade.
-func (s *solver) factorize() error {
-	if s.fact != nil {
-		err := s.fact.Refactor(s.J)
-		if err == nil {
-			s.st.Refactorizations++
-			return nil
-		}
-		if !errors.Is(err, lu.ErrPivotDegraded) {
-			return err
-		}
-	}
-	f, err := lu.Factor(s.J, lu.Options{ColPerm: s.perm})
-	if err != nil {
-		return err
-	}
-	s.st.Factorizations++
-	s.fact = f
-	return nil
-}
-
 // newton solves the nonlinear system whose residual and Jacobian are
 // produced by eval(x) into s.ev/s.res/s.J, updating x in place. A
 // backtracking line search on the residual ∞-norm tames the on/off
@@ -329,9 +314,12 @@ func (s *solver) newton(x []float64, eval func(x []float64)) error {
 	rnorm := resNorm()
 	for iter := 0; iter < opt.MaxNewton; iter++ {
 		s.st.NewtonIters++
-		if err := s.factorize(); err != nil {
+		f, what, err := lu.Factorize(s.fact, s.J, lu.Options{ColPerm: s.perm})
+		if err != nil {
 			return fmt.Errorf("transient: newton iteration %d: %w", iter, err)
 		}
+		s.fact = f
+		what.Count(&s.st.Factorizations, &s.st.Refactorizations, &s.st.FactorReuses)
 		s.fact.Solve(s.res) // res now holds dx = J⁻¹ r
 		copy(s.dx, s.res)
 		// Convergence test on the undamped update. Damping considers node
@@ -504,6 +492,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			ro.steps.Inc()
 			ro.newton.Add(float64(dcStats.NewtonIters))
 			ro.facts.Add(float64(dcStats.Factorizations + dcStats.Refactorizations))
+			ro.reuses.Add(float64(dcStats.FactorReuses))
 			ro.stepSec.Observe(d.Seconds())
 			ro.simTime.Set(opt.TStart)
 			ro.tr.Emit(obs.Event{Step: 0, Phase: "dc", T: opt.TStart, Dur: d,
@@ -564,6 +553,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		copy(xTrial, x)
 		itersBefore := res.Stats.NewtonIters
 		factsBefore := res.Stats.Factorizations + res.Stats.Refactorizations
+		reusesBefore := res.Stats.FactorReuses
 		var attemptStart time.Time
 		if ro.on || opt.StepCost != nil || opt.NewtonBudget > 0 {
 			attemptStart = time.Now()
@@ -602,6 +592,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 				ro.cuts.Inc()
 				ro.newton.Add(float64(res.Stats.NewtonIters - itersBefore))
 				ro.facts.Add(float64(res.Stats.Factorizations + res.Stats.Refactorizations - factsBefore))
+				ro.reuses.Add(float64(res.Stats.FactorReuses - reusesBefore))
 				ro.tr.Emit(obs.Event{Step: step, Phase: "step_cut", T: tNext,
 					Dur: time.Since(attemptStart), Key: "cuts", N: int64(cuts)})
 			}
@@ -664,6 +655,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			ro.steps.Inc()
 			ro.newton.Add(float64(iters))
 			ro.facts.Add(float64(res.Stats.Factorizations + res.Stats.Refactorizations - factsBefore))
+			ro.reuses.Add(float64(res.Stats.FactorReuses - reusesBefore))
 			ro.stepSec.Observe(d.Seconds())
 			ro.simTime.Set(tNext)
 			ro.tr.Emit(obs.Event{Step: step, Phase: "solve", T: tNext, Dur: d,
