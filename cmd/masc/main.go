@@ -262,10 +262,11 @@ func run(c cli) error {
 		// the finished sensitivities come straight from the journal.
 		fmt.Println("resume: journal already complete — sensitivities recovered without replay")
 	} else {
-		fmt.Printf("transient: %d steps, %d newton iterations, %d (re)factorizations, %d factor reuses\n",
+		fill, nnz := run.Tran.Stats.FillNNZ, deck.Ckt.JPat.NNZ()
+		fmt.Printf("transient: %d steps, %d newton iterations, %d (re)factorizations, %d factor reuses, fill=%d (%.2f× nnz)\n",
 			run.Tran.Steps(), run.Tran.Stats.NewtonIters,
 			run.Tran.Stats.Factorizations+run.Tran.Stats.Refactorizations,
-			run.Tran.Stats.FactorReuses)
+			run.Tran.Stats.FactorReuses, fill, float64(fill)/float64(nnz))
 		fmt.Printf("sensitivity: total %v (fetch %v, solve %v, ∂F/∂p %v), %d (re)factorizations, %d factor reuses\n",
 			run.Sens.Timing.Total, run.Sens.Timing.Fetch,
 			run.Sens.Timing.FactorSolve, run.Sens.Timing.ParamEval,
@@ -374,6 +375,8 @@ func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, st
 			"factorizations":   run.Sens.Factorizations,
 			"refactorizations": run.Sens.Refactorizations,
 			"factor_reuses":    run.Sens.FactorReuses,
+			"fill_nnz":         run.Sens.FillNNZ,
+			"jacobian_nnz":     deck.Ckt.JPat.NNZ(),
 		})
 		man.Set("adjoint_windows_ran", run.Sens.Windows)
 		if run.SelectedCodec != "" {

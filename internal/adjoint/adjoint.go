@@ -203,6 +203,7 @@ type sweepObs struct {
 	paramSec  *obs.Counter
 	degraded  *obs.Counter
 	reuses    *obs.Counter
+	fill      *obs.Gauge
 	shards    *obs.Counter
 	workers   *obs.Gauge
 	windows   *obs.Gauge
@@ -226,6 +227,7 @@ func newSweepObs(o *obs.Observer) sweepObs {
 		paramSec:  reg.Counter("masc_adjoint_param_seconds_total", "Parameter sensitivity (dF/dp) accumulation time."),
 		degraded:  reg.Counter("masc_store_degraded_total", "Reverse-sweep steps recovered by per-step recomputation after a storage failure."),
 		reuses:    reg.Counter("masc_lu_factor_reuse_total", "Factor requests answered by the factors in hand because the Jacobian was bit-identical.", "pass", "reverse"),
+		fill:      reg.Gauge("masc_lu_fill_nnz", "Off-diagonal entries of L and U in the factors in hand.", "pass", "reverse"),
 		shards:    reg.Counter("masc_adjoint_param_shards_total", "Parameter-gradient shard tasks executed."),
 		workers:   reg.Gauge("masc_adjoint_workers", "Worker count of the most recent adjoint sweep."),
 		windows:   reg.Gauge("masc_adjoint_windows", "Window count of the most recent adjoint sweep (1 = serial)."),
@@ -262,10 +264,13 @@ type Result struct {
 	// pivot searches, numeric refactorizations along recorded pivots, and
 	// requests the factors in hand already answered because the step's
 	// Jacobian was bit-identical to the previous one's. A windowed run sums
-	// its window sweeps and the seeding sweep.
+	// its window sweeps and the seeding sweep. FillNNZ is the off-diagonal
+	// entries of L and U in the factors in hand when the sweep ended (the
+	// largest among a windowed run's sweeps).
 	Factorizations   int
 	Refactorizations int
 	FactorReuses     int
+	FillNNZ          int
 
 	// Windows is the window count the sweep actually ran with: 1 for the
 	// plain single-sweep engine, including Windows > 1 requests that fell
@@ -392,6 +397,7 @@ func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 		}
 		fact = f
 		what.Count(&res.Factorizations, &res.Refactorizations, &res.FactorReuses)
+		res.FillNNZ = f.LNNZ() + f.UNNZ()
 		return nil
 	}
 

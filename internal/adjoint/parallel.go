@@ -535,6 +535,8 @@ func (s *sweep) factorize(j *sparse.Matrix) (lu.Outcome, error) {
 	}
 	s.fact = f
 	what.Count(&s.res.Factorizations, &s.res.Refactorizations, &s.res.FactorReuses)
+	s.res.FillNNZ = f.LNNZ() + f.UNNZ()
+	s.so.fill.Set(float64(s.res.FillNNZ))
 	if what == lu.Reused {
 		s.so.reuses.Inc()
 	}

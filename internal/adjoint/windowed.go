@@ -356,7 +356,7 @@ func runWindowed(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource,
 	var firstErr error
 	var degraded []int
 	var timing Timing
-	var factored, refactored, reused int
+	var factored, refactored, reused, fill int
 	sweepSec := make([]float64, W)
 
 	for _, wp := range completed {
@@ -385,6 +385,7 @@ func runWindowed(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource,
 		factored += ws.res.Factorizations
 		refactored += ws.res.Refactorizations
 		reused += ws.res.FactorReuses
+		fill = max(fill, ws.res.FillNNZ)
 		if werr != nil && firstErr == nil && !errors.Is(werr, errSweepStopped) {
 			firstErr = werr
 		}
@@ -479,6 +480,7 @@ func runWindowed(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource,
 		Factorizations:   factored,
 		Refactorizations: refactored,
 		FactorReuses:     reused,
+		FillNNZ:          fill,
 	}
 	// Fold: the global descending-step replay of the serial accumulation.
 	for o := 0; o < K; o++ {

@@ -38,12 +38,13 @@ type Circuit struct {
 	jPerm     []int32
 }
 
-// JPerm returns the fill-reducing RCM column ordering of the union Jacobian
-// pattern, computed once per circuit and shared by every factorization
-// (transient solves, adjoint sweeps, direct sensitivities). Callers must
-// not modify the returned slice.
+// JPerm returns the fill-reducing minimum-degree column ordering of the
+// union Jacobian pattern, computed once per circuit and shared by every
+// factorization (transient solves, adjoint sweeps, direct sensitivities).
+// It is a pure function of the pattern, so a resumed run factors in the
+// order the interrupted one did. Callers must not modify the returned slice.
 func (c *Circuit) JPerm() []int32 {
-	c.jPermOnce.Do(func() { c.jPerm = lu.RCM(c.JPat) })
+	c.jPermOnce.Do(func() { c.jPerm = lu.MinDegree(c.JPat) })
 	return c.jPerm
 }
 

@@ -147,14 +147,28 @@ func Factor(a *sparse.Matrix, opt Options) (*LU, error) {
 	if tau == 0 {
 		tau = 0.1
 	}
+	sc := scratchPool.Get().(*factorScratch)
+	defer scratchPool.Put(sc)
+	sc.reset(n)
 	q := opt.ColPerm
 	if q == nil {
 		q = make([]int32, n)
 		for i := range q {
 			q[i] = int32(i)
 		}
-	} else if len(q) != n {
-		return nil, fmt.Errorf("lu: column permutation length %d, want %d", len(q), n)
+	} else {
+		if len(q) != n {
+			return nil, fmt.Errorf("lu: column permutation length %d, want %d", len(q), n)
+		}
+		// A repeated index would factor a different matrix, or fail as
+		// ErrSingular on a column that is fine.
+		sc.tick++
+		for j, c := range q {
+			if c < 0 || int(c) >= n || sc.mark[c] == sc.tick {
+				return nil, fmt.Errorf("lu: ColPerm[%d] = %d: not a permutation of 0..%d", j, c, n-1)
+			}
+			sc.mark[c] = sc.tick
+		}
 	}
 	f := &LU{
 		n:       n,
@@ -172,9 +186,6 @@ func Factor(a *sparse.Matrix, opt Options) (*LU, error) {
 	for i := range f.pinv {
 		f.pinv[i] = -1
 	}
-	sc := scratchPool.Get().(*factorScratch)
-	defer scratchPool.Put(sc)
-	sc.reset(n)
 	csc := a.P.CSC()
 	for j := 0; j < n; j++ {
 		if err := f.factorColumn(sc, a, csc, int32(j)); err != nil {

@@ -229,88 +229,6 @@ func TestRefactorRejectsForeignPattern(t *testing.T) {
 	}
 }
 
-func TestRCMOrderingIsPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 10; iter++ {
-		n := 1 + rng.Intn(80)
-		m := randomSPDish(rng, n, 3*n)
-		ord := RCM(m.P)
-		if len(ord) != n {
-			t.Fatalf("ordering length %d, want %d", len(ord), n)
-		}
-		seen := make([]bool, n)
-		for _, v := range ord {
-			if v < 0 || int(v) >= n || seen[v] {
-				t.Fatalf("not a permutation: %v", ord)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestRCMReducesFillOnLadder(t *testing.T) {
-	// A 2-D grid Laplacian: RCM should not increase fill versus a random
-	// permutation (it typically reduces it a lot).
-	side := 20
-	n := side * side
-	b := sparse.NewBuilder(n)
-	id := func(r, c int) int32 { return int32(r*side + c) }
-	for r := 0; r < side; r++ {
-		for c := 0; c < side; c++ {
-			b.Add(id(r, c), id(r, c))
-			if r+1 < side {
-				b.Add(id(r, c), id(r+1, c))
-				b.Add(id(r+1, c), id(r, c))
-			}
-			if c+1 < side {
-				b.Add(id(r, c), id(r, c+1))
-				b.Add(id(r, c+1), id(r, c))
-			}
-		}
-	}
-	m := sparse.NewMatrix(b.Build())
-	for i := 0; i < n; i++ {
-		m.AddAt(int32(i), int32(i), 4)
-	}
-	for i := int32(0); i < int32(n); i++ {
-		lo, hi := m.P.Row(i)
-		for k := lo; k < hi; k++ {
-			if m.P.ColIdx[k] != i {
-				m.Val[k] = -1
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	randPerm := make([]int32, n)
-	for i := range randPerm {
-		randPerm[i] = int32(i)
-	}
-	rng.Shuffle(n, func(i, j int) { randPerm[i], randPerm[j] = randPerm[j], randPerm[i] })
-
-	fRand, err := Factor(m, Options{ColPerm: randPerm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fRCM, err := Factor(m, Options{ColPerm: RCM(m.P)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fRCM.LNNZ()+fRCM.UNNZ() > fRand.LNNZ()+fRand.UNNZ() {
-		t.Fatalf("RCM fill %d worse than random %d", fRCM.LNNZ()+fRCM.UNNZ(), fRand.LNNZ()+fRand.UNNZ())
-	}
-	// Sanity: solve still correct under ordering.
-	b2 := make([]float64, n)
-	want := make([]float64, n)
-	for i := range b2 {
-		b2[i] = rng.NormFloat64()
-		want[i] = b2[i]
-	}
-	fRCM.Solve(b2)
-	if r := residual(m, b2, want); r > 1e-8 {
-		t.Fatalf("residual with RCM: %g", r)
-	}
-}
-
 func TestQuickSolve(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -337,7 +255,7 @@ func TestQuickSolve(t *testing.T) {
 func BenchmarkFactor(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomSPDish(rng, 2000, 10000)
-	q := RCM(m.P)
+	q := MinDegree(m.P)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -353,7 +271,7 @@ func BenchmarkRefactor(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomSPDish(rng, 2000, 10000)
 	ms := [2]*sparse.Matrix{perturbed(m, rng, 1), m}
-	f, err := Factor(m, Options{ColPerm: RCM(m.P)})
+	f, err := Factor(m, Options{ColPerm: MinDegree(m.P)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -375,7 +293,7 @@ func BenchmarkRefactor(b *testing.B) {
 func BenchmarkSolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomSPDish(rng, 2000, 10000)
-	f, err := Factor(m, Options{ColPerm: RCM(m.P)})
+	f, err := Factor(m, Options{ColPerm: MinDegree(m.P)})
 	if err != nil {
 		b.Fatal(err)
 	}

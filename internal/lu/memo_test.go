@@ -226,7 +226,7 @@ func TestRefactorAndFactorAllocations(t *testing.T) {
 	n := 60
 	m1 := randomSPDish(rng, n, 5*n)
 	m2 := perturbed(m1, rng, 1)
-	perm := RCM(m1.P)
+	perm := MinDegree(m1.P)
 	f, err := Factor(m1, Options{ColPerm: perm})
 	if err != nil {
 		t.Fatal(err)

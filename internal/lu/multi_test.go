@@ -18,7 +18,7 @@ func multiFixture(t *testing.T, rng *rand.Rand, n, k int, indefinite bool) (*LU,
 	} else {
 		m = randomSPDish(rng, n, 4*n)
 	}
-	f, err := Factor(m, Options{ColPerm: RCM(m.P)})
+	f, err := Factor(m, Options{ColPerm: MinDegree(m.P)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func benchFactor(b *testing.B, n, k int) (*LU, [][]float64) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
 	m := randomSPDish(rng, n, 6*n)
-	f, err := Factor(m, Options{ColPerm: RCM(m.P)})
+	f, err := Factor(m, Options{ColPerm: MinDegree(m.P)})
 	if err != nil {
 		b.Fatal(err)
 	}

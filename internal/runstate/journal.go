@@ -40,9 +40,14 @@ import (
 	"masc/internal/blobframe"
 )
 
-// FormatVersion is bumped whenever a record layout changes incompatibly;
-// Recover rejects journals written by a different version.
-const FormatVersion = 1
+// FormatVersion is bumped whenever a record layout changes incompatibly, or
+// whenever something a resumed run must replay but no record carries changes;
+// Recover rejects journals written under a different version with
+// ErrFormatVersion. Version 2: the LU column order became minimum degree. The
+// pivot order is part of what a resume replays, so a journal checkpointed
+// under version 1's RCM order must be refused, not continued into a hybrid
+// run no uninterrupted binary would produce.
+const FormatVersion = 2
 
 // Record kind bytes.
 const (

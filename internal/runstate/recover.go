@@ -15,6 +15,22 @@ import (
 // invalid: nothing can be recovered from it.
 var ErrNoConfig = errors.New("runstate: journal has no valid config record")
 
+// ErrFormatVersion reports a journal whose config record is intact but was
+// written under another FormatVersion. The error returned is a
+// *FormatVersionError naming both versions; errors.Is matches it to this.
+var ErrFormatVersion = errors.New("runstate: journal format version mismatch")
+
+// FormatVersionError is the ErrFormatVersion Recover returns.
+type FormatVersionError struct {
+	Got, Want int
+}
+
+func (e *FormatVersionError) Error() string {
+	return fmt.Sprintf("runstate: journal has format version %d, this binary reads and resumes version %d", e.Got, e.Want)
+}
+
+func (e *FormatVersionError) Is(target error) bool { return target == ErrFormatVersion }
+
 // Recovered is the trusted prefix of a journal: every frame up to (not
 // including) the first torn, corrupt, or semantically inconsistent one.
 type Recovered struct {
@@ -48,7 +64,8 @@ func (r *Recovered) LastStep() *StepRec {
 // CRC32C, or violates the record grammar (a step out of order, a second
 // config, a checkpoint after forward-done): everything after a bad frame is
 // untrusted by construction, because append order is the only order. Only a
-// missing or invalid leading config record is a hard error.
+// missing or invalid leading config record (ErrNoConfig), or a valid one from
+// another format version (ErrFormatVersion), is a hard error.
 func Recover(path string) (*Recovered, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -82,6 +99,9 @@ func Recover(path string) (*Recovered, error) {
 		if !rec.apply(kind, step, payload) {
 			break
 		}
+		if off == 0 && rec.Config.FormatVersion != FormatVersion {
+			return nil, &FormatVersionError{Got: rec.Config.FormatVersion, Want: FormatVersion}
+		}
 		off = end
 	}
 	if off == 0 {
@@ -101,13 +121,7 @@ func (r *Recovered) apply(kind byte, step int, payload []byte) bool {
 		if step != 0 {
 			return false
 		}
-		if err := json.Unmarshal(payload, &r.Config); err != nil {
-			return false
-		}
-		if r.Config.FormatVersion != FormatVersion {
-			return false
-		}
-		return true
+		return json.Unmarshal(payload, &r.Config) == nil
 	case KindStep:
 		if r.ForwardDone || step != len(r.Steps) {
 			return false

@@ -1,10 +1,14 @@
 package runstate
 
 import (
+	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"masc/internal/blobframe"
 )
 
 func testConfig() *Config {
@@ -226,5 +230,29 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Recover(path); err == nil {
 		t.Fatal("expected ErrNoConfig for garbage")
+	}
+}
+
+// TestRecoverRejectsOtherFormatVersion: a journal whose config frame is
+// intact but carries another format version is refused as such — with both
+// versions in the error — rather than reported as having no config at all.
+func TestRecoverRejectsOtherFormatVersion(t *testing.T) {
+	cfg := testConfig()
+	cfg.FormatVersion = 1
+	payload, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.journal")
+	if err := os.WriteFile(path, blobframe.Wrap(KindConfig, 0, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Recover(path)
+	if !errors.Is(err, ErrFormatVersion) {
+		t.Fatalf("Recover of a version-1 journal: %v, want ErrFormatVersion", err)
+	}
+	var fv *FormatVersionError
+	if !errors.As(err, &fv) || fv.Got != 1 || fv.Want != FormatVersion {
+		t.Fatalf("Recover of a version-1 journal: %#v, want got 1 / want %d", err, FormatVersion)
 	}
 }

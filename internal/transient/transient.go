@@ -208,12 +208,15 @@ const (
 // factors of its Jacobian once; the three LU counters say what that took:
 // a fresh pivot search, a numeric refactorization along the recorded
 // pivots, or nothing because the Jacobian was bit-identical to the one
-// already factored (a linear circuit at a fixed step).
+// already factored (a linear circuit at a fixed step). FillNNZ is what
+// every one of those requests and every solve pays for: the off-diagonal
+// entries of L and U in the factors in hand when the pass ended.
 type Stats struct {
 	NewtonIters      int
 	Factorizations   int
 	Refactorizations int
 	FactorReuses     int
+	FillNNZ          int
 	StepsAccepted    int
 	StepsCut         int
 }
@@ -230,6 +233,7 @@ type runObs struct {
 	newton  *obs.Counter
 	facts   *obs.Counter
 	reuses  *obs.Counter
+	fill    *obs.Gauge
 	stepSec *obs.Histogram
 	simTime *obs.Gauge
 }
@@ -248,6 +252,7 @@ func newRunObs(o *obs.Observer) runObs {
 		newton:  reg.Counter("masc_transient_newton_iters_total", "Newton iterations across all solves."),
 		facts:   reg.Counter("masc_transient_factorizations_total", "LU factorizations plus pivot-reusing refactorizations."),
 		reuses:  reg.Counter("masc_lu_factor_reuse_total", "Factor requests answered by the factors in hand because the Jacobian was bit-identical.", "pass", "forward"),
+		fill:    reg.Gauge("masc_lu_fill_nnz", "Off-diagonal entries of L and U in the factors in hand.", "pass", "forward"),
 		stepSec: reg.Histogram("masc_transient_step_seconds", "Wall time per timestep solve attempt.", obs.TimingBuckets()),
 		simTime: reg.Gauge("masc_transient_sim_time_seconds", "Simulation time reached by the forward analysis."),
 	}
@@ -320,6 +325,7 @@ func (s *solver) newton(x []float64, eval func(x []float64)) error {
 		}
 		s.fact = f
 		what.Count(&s.st.Factorizations, &s.st.Refactorizations, &s.st.FactorReuses)
+		s.st.FillNNZ = f.LNNZ() + f.UNNZ()
 		s.fact.Solve(s.res) // res now holds dx = J⁻¹ r
 		copy(s.dx, s.res)
 		// Convergence test on the undamped update. Damping considers node
@@ -493,6 +499,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			ro.newton.Add(float64(dcStats.NewtonIters))
 			ro.facts.Add(float64(dcStats.Factorizations + dcStats.Refactorizations))
 			ro.reuses.Add(float64(dcStats.FactorReuses))
+			ro.fill.Set(float64(dcStats.FillNNZ))
 			ro.stepSec.Observe(d.Seconds())
 			ro.simTime.Set(opt.TStart)
 			ro.tr.Emit(obs.Event{Step: 0, Phase: "dc", T: opt.TStart, Dur: d,
@@ -656,6 +663,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			ro.newton.Add(float64(iters))
 			ro.facts.Add(float64(res.Stats.Factorizations + res.Stats.Refactorizations - factsBefore))
 			ro.reuses.Add(float64(res.Stats.FactorReuses - reusesBefore))
+			ro.fill.Set(float64(res.Stats.FillNNZ))
 			ro.stepSec.Observe(d.Seconds())
 			ro.simTime.Set(tNext)
 			ro.tr.Emit(obs.Event{Step: step, Phase: "solve", T: tNext, Dur: d,

@@ -138,6 +138,12 @@ func trajectoryFromSteps(steps []runstate.StepRec, method Method) *TransientResu
 	return tr
 }
 
+// ErrFormatVersion is what Resume returns (errors.Is) for a journal written
+// under another journal format version — including one checkpointed before
+// the LU column order changed, which this binary could only continue into a
+// run no uninterrupted binary would produce.
+var ErrFormatVersion = runstate.ErrFormatVersion
+
 // Resume continues a journaled run after a crash, kill, or deadline: it
 // recovers the journal's trusted prefix (truncating any torn tail),
 // revalidates it against ckt, rebuilds the Jacobian store from the
@@ -155,7 +161,7 @@ func trajectoryFromSteps(steps []runstate.StepRec, method Method) *TransientResu
 func Resume(ckt *Circuit, journalPath string, opt SimOptions) (*Run, error) {
 	rcv, err := runstate.Recover(journalPath)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("masc: resume %s: %w", journalPath, err)
 	}
 	cfg := &rcv.Config
 	if want := CircuitHash(ckt); cfg.CircuitHash != want {

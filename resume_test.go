@@ -2,6 +2,7 @@ package masc
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -173,6 +174,39 @@ func TestResumeRejectsForeignCircuit(t *testing.T) {
 	}
 	if _, err := Resume(ckt, path, SimOptions{}); err != nil {
 		t.Fatalf("resume rejected the original circuit: %v", err)
+	}
+}
+
+// TestResumeRejectsOtherFormatVersion: a journal checkpointed by a binary
+// with another journal format (version 1 factored in RCM column order) is
+// refused by name, not continued and not mistaken for an empty journal.
+func TestResumeRejectsOtherFormatVersion(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	path := filepath.Join(t.TempDir(), "run.journal")
+	if _, err := Simulate(ckt, SimOptions{TStep: 2e-6, TStop: 5e-5, Journal: path},
+		[]Objective{obj}, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := journalFrameEnds(t, data)[0]
+	var cfg map[string]any
+	if err := json.Unmarshal(data[blobframe.HeaderSize:end], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["format_version"] = 1
+	payload, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append(blobframe.Wrap('R', 0, payload), data[end:]...)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(ckt, path, SimOptions{}); !errors.Is(err, ErrFormatVersion) {
+		t.Fatalf("resume of a version-1 journal: %v, want ErrFormatVersion", err)
 	}
 }
 
