@@ -63,14 +63,18 @@ type Stats struct {
 	TierHotBytes        int64
 	TierCompressedBytes int64
 	TierDiskBytes       int64
-	// TierDemotions counts steps pushed down the ladder under budget
-	// pressure; TierPromotions counts re-materializations during the
-	// reverse sweep; TierRecomputes counts deliberately-dropped steps
+	// TierDemotions counts rung changes under budget pressure — one per
+	// step that left the hot tier, plus one per blob later evicted from the
+	// compressed rung; TierDirectDrops counts the steps among them that
+	// went from the hot tier straight to the recompute rung without ever
+	// meeting the codec; TierPromotions counts re-materializations during
+	// the reverse sweep; TierRecomputes counts deliberately-dropped steps
 	// re-derived from the trajectory (distinct from Repairs, which heal
 	// corruption).
-	TierDemotions  int64
-	TierPromotions int64
-	TierRecomputes int64
+	TierDemotions   int64
+	TierDirectDrops int64
+	TierPromotions  int64
+	TierRecomputes  int64
 }
 
 // Store retains per-step (J values, C values) pairs written forward and

@@ -99,16 +99,18 @@ func (so *storeObs) observeResident(resident int64) {
 // per-tier placement gauges plus demotion/promotion counters labelled with
 // the destination/origin tier. Zero value = disabled, like storeObs.
 type tierObs struct {
-	steps     [tiersched.NumTiers]*obs.Gauge
-	bytes     [tiersched.NumTiers]*obs.Gauge
-	demotions [tiersched.NumTiers]*obs.Counter
-	promotes  [tiersched.NumTiers]*obs.Counter
+	steps       [tiersched.NumTiers]*obs.Gauge
+	bytes       [tiersched.NumTiers]*obs.Gauge
+	demotions   [tiersched.NumTiers]*obs.Counter
+	promotes    [tiersched.NumTiers]*obs.Counter
+	directDrops *obs.Counter
 }
 
 // newTierObs registers the masc_store_tier_* families, one series per tier.
 func newTierObs(o *obs.Observer) tierObs {
 	reg := o.Registry()
-	var t tierObs
+	t := tierObs{directDrops: reg.Counter("masc_store_tier_direct_drops_total",
+		"Steps sent from the hot tier straight to the recompute rung, never compressed.")}
 	for tier := tiersched.Hot; tier <= tiersched.Dropped; tier++ {
 		lbl := []string{"tier", tier.String()}
 		t.steps[tier] = reg.Gauge("masc_store_tier_steps",

@@ -1,22 +1,35 @@
 package jactensor
 
-// The tiered Jacobian store: per-step placement across the four-rung ladder
+// The tiered Jacobian store: per-step placement across four rungs
 //
-//	hot RAM → compressed RAM → disk spill → deliberate drop-and-recompute
+//	hot RAM · compressed RAM · disk spill · deliberate drop-and-recompute
 //
 // under a hard resident-byte budget. Capture-side, every Put admits the new
-// step as a hot frame and then demotes the cheapest victims down the ladder
-// until the modelled resident bytes fit the budget again; reverse-side,
-// Fetch promotes steps back to hot frames (and prefetches the next step in
-// the background when the budget has slack). The tiersched cost model —
-// fed with measured compress/decompress/spill/recompute timings through an
-// injectable clock — decides whether an evicted blob is worth spilling or
-// cheaper to recompute.
+// step as a hot frame and, while the modelled resident bytes exceed the
+// budget, moves the lowest hot step to the rung it will stay on: its final
+// rung is chosen once, when it leaves the hot tier, never by passing it
+// through every rung on the way down. It is compressed into RAM while the
+// compressed rung has room; after that the tiersched cost model — fed with
+// measured compress/decompress/spill/recompute timings through an injectable
+// clock — prices an estimate of its blob and sends it straight to the spill
+// file (compressed into a scratch frame and appended) or straight to the
+// recompute rung, in which case the codec never sees it. Reverse-side, Fetch
+// promotes steps back to hot frames and prefetches the next step in the
+// background.
+//
+// The reverse sweep reads every step exactly once and a recomputation costs
+// the same whichever step it is, so which steps hold the compressed rung
+// does not change the sweep's cost — only how many. Keeping the first blobs
+// that fit is therefore as good as any other choice, and it makes the rung a
+// fill-once region: blobs are appended to an off-heap arena (arena.go) while
+// arena bytes + hotReserveFrames frames <= budget, and never after
+// EndForward. The arena can thus never hold more than the budget, and the
+// compressed rung costs no heap objects and no GC headroom.
 //
 // Every rung is lossless, so the sensitivities a sweep reads through this
 // store are bit-identical to the all-RAM run for any budget: hot frames are
 // exact plaintext, blobs are lossless codec output, the spill file holds
-// those same sealed blobs, and a dropped step is recomputed bit-exactly
+// sealed blobs of the same kind, and a dropped step is recomputed bit-exactly
 // from the in-memory trajectory. Placement moves cost between memory and
 // time — never into the numbers.
 //
@@ -24,9 +37,10 @@ package jactensor
 // here is self-contained (the codecs are restarted around each step), so
 // the store is random-access: any fetch order works, which is what lets
 // windowed reverse sweeps share it through the adjoint engine's
-// copy-on-fetch sharedSource wrapper. SetAnchorEvery pins the window-anchor
-// steps against dropping (and demotes them last), so a window's first fetch
-// never lands on the recompute rung.
+// copy-on-fetch sharedSource wrapper. The price is the temporal predictor:
+// a self-contained blob is 2–3x the size of a chained one. SetAnchorEvery
+// pins the window-anchor steps against dropping (and demotes them last), so
+// a window's first fetch never lands on the recompute rung.
 //
 // Integrity mirrors the other stores: hot frames carry CRC32C sidecars
 // (verified at fetch AND before a demotion re-encodes them, so in-RAM rot
@@ -59,7 +73,9 @@ type TieredConfig struct {
 	// compressed-RAM blobs plus I/O scratch). <= 0 means unlimited: every
 	// step stays hot and the store behaves like MemStore with sidecars.
 	// The cap is enforced up to one in-flight frame plus one blob of slack
-	// (a demotion briefly holds both representations).
+	// (a demotion briefly holds both representations). hotReserveFrames
+	// frames of it are kept for plaintext, whatever the compressed rung
+	// could use.
 	BudgetBytes int64
 	// Model prices the ladder; nil builds a wall-clock model.
 	Model *tiersched.Model
@@ -80,14 +96,16 @@ type tierStep struct {
 	tier       tiersched.Tier
 	j, c       []float64 // hot plaintext (tier == Hot)
 	jSum, cSum uint32    // CRC32C sidecars of the hot plaintext
-	jBlob      []byte    // sealed self-contained blob (tier == Compressed)
-	cBlob      []byte
-	jOff, cOff int64 // spill offsets (tier == Disk)
-	jbN, cbN   int   // sealed blob lengths, kept for spill reads
-	pinned     bool  // window anchor: demoted last, never dropped to recompute
-	inUse      bool  // fetched and not yet released: not evictable
-	prefetched bool  // materialized by the background prefetch
-	released   bool
+	// Sealed self-contained blobs (tier == Compressed): arena memory, or
+	// the store's scratch frames while a demotion is still placing them.
+	jBlob, cBlob []byte
+	jOff, cOff   int64 // spill offsets (tier == Disk)
+	jbN, cbN     int   // sealed blob lengths, kept for spill reads
+	pinned       bool  // window anchor: demoted last, never dropped to recompute
+	inUse        bool  // fetched and not yet released: not evictable
+	prefetched   bool  // materialized by the background prefetch
+	released     bool
+	quarantined  bool // failed verification: unreadable until Repair
 }
 
 // RecomputeFunc re-derives one step's (J values, C values) from the forward
@@ -119,17 +137,27 @@ type TieredStore struct {
 	forwardDone bool
 	closed      bool
 
-	// Recycling, so a Put/demote/promote cycle allocates nothing but the
-	// exact-size blob it keeps: hot frames freed by a demotion or a Release
-	// wait in freeJ/freeC for the next admission or promotion, and demotions
-	// compress into the frameJ/frameC scratch frames and copy the sealed
-	// result out at its exact length.
+	// Recycling, so a Put/demote/promote cycle allocates nothing: hot frames
+	// freed by a demotion or a Release wait in freeJ/freeC for the next
+	// admission or promotion, and demotions compress into the frameJ/frameC
+	// scratch frames; the sealed result is copied at its exact length into
+	// the arena or appended to the spill file from there.
 	freeJ, freeC   [][]float64
 	frameJ, frameC []byte
 
-	quarantined map[int]bool
-	resident    int64
-	scratch     []byte // spill read staging
+	// arena holds the compressed rung. All reads and appends happen under
+	// s.mu, so it needs no pins; Close returns its chunks.
+	arena blobArena
+	// blobSum/blobN is the running mean sealed blob size (J+C), the
+	// estimate a hot step is placed on before it has been compressed.
+	blobSum, blobN int64
+	// evictable indexes the steps resting on the hot and the compressed
+	// rung, lowest first; see victim.
+	evictable [2]stepHeap
+	probes    int64 // heap entries examined by victim, for the scale test
+
+	resident int64
+	scratch  []byte // spill read staging
 
 	prefetchBusy bool
 	prefetchWG   sync.WaitGroup
@@ -165,14 +193,14 @@ func NewTieredStore(jc, cc compress.Compressor, cfg TieredConfig) *TieredStore {
 		m = tiersched.NewModel(nil)
 	}
 	return &TieredStore{
-		jc:          jc,
-		cc:          cc,
-		cfg:         cfg,
-		model:       m,
-		spillDead:   cfg.DisableDisk,
-		quarantined: map[int]bool{},
-		frameJ:      make([]byte, blobframe.HeaderSize),
-		frameC:      make([]byte, blobframe.HeaderSize),
+		jc:        jc,
+		cc:        cc,
+		cfg:       cfg,
+		model:     m,
+		spillDead: cfg.DisableDisk,
+		arena:     blobArena{src: defaultChunks()},
+		frameJ:    make([]byte, blobframe.HeaderSize),
+		frameC:    make([]byte, blobframe.HeaderSize),
 	}
 }
 
@@ -264,9 +292,10 @@ func (s *TieredStore) Model() *tiersched.Model { return s.model }
 
 // ObserveStepCost feeds one forward integration step's wall time into the
 // cost model as the recompute-cost proxy — the capture-side sampling hook
-// the transient loop drives.
+// the transient loop drives. The proxy prices drops only until the reverse
+// sweep has measured a real recomputation.
 func (s *TieredStore) ObserveStepCost(d time.Duration) {
-	s.model.ObserveRecompute(d)
+	s.model.ObserveForwardStep(d)
 }
 
 // bumpResident adjusts the resident model and peak, shared accounting with
@@ -311,49 +340,70 @@ func (s *TieredStore) Put(step int, jVals, cVals []float64) error {
 	s.bumpResident(s.frameBytes)
 	s.ob.puts.Inc()
 	s.ob.rawBytes.Add(float64(s.frameBytes))
-	s.enforceBudget(step)
+	s.enforceBudget()
+	s.markEvictable(step)
 	return nil
 }
 
-// enforceBudget demotes steps down the ladder until resident <= budget.
-// protect (>= 0) exempts one step — the frame the caller is admitting or
-// returning. Victims are taken lowest-step-first: the reverse sweep reads
-// n→0, so the lowest live step is the one touched furthest in the future
-// (the Belady choice for this access pattern). Non-pinned steps go before
-// anchors.
-func (s *TieredStore) enforceBudget(protect int) {
+// enforceBudget demotes steps until resident <= budget: hot frames first,
+// then — only once no hot frame can go, which the hot reserve keeps from
+// happening during capture — blobs of the compressed rung. A frame the
+// caller is admitting or returning is exempt because callers mark it
+// evictable only afterwards; whatever is left over budget then is in-use
+// frames, which budget + slack covers.
+func (s *TieredStore) enforceBudget() {
 	if s.cfg.BudgetBytes <= 0 {
 		return
 	}
 	for s.resident > s.cfg.BudgetBytes {
-		if v := s.victim(tiersched.Hot, protect); v >= 0 {
-			s.demoteHot(v)
-			continue
+		v := s.victim(tiersched.Hot)
+		if v < 0 {
+			v = s.victim(tiersched.Compressed)
 		}
-		if v := s.victim(tiersched.Compressed, protect); v >= 0 {
-			s.demoteCompressed(v)
-			continue
+		if v < 0 {
+			return
 		}
-		return // only protected/in-use frames remain: budget + slack covers them
+		s.demote(v)
 	}
 }
 
-// victim picks the lowest evictable step currently on the given tier,
-// preferring non-pinned steps; -1 when none qualifies.
-func (s *TieredStore) victim(tier tiersched.Tier, protect int) int {
-	pinned := -1
-	for i, st := range s.steps {
-		if st.tier != tier || st.inUse || st.released || i == protect || s.quarantined[i] {
-			continue
-		}
-		if !st.pinned {
+// pinnedKey sorts window anchors behind every other step in a stepHeap.
+const pinnedKey = 1 << 31
+
+// markEvictable enters step, which rests on the hot or the compressed rung,
+// into that rung's victim index.
+func (s *TieredStore) markEvictable(step int) {
+	if s.cfg.BudgetBytes <= 0 {
+		return // nothing is ever evicted
+	}
+	st := s.steps[step]
+	key := uint32(step)
+	if st.pinned {
+		key |= pinnedKey
+	}
+	s.evictable[st.tier].push(key)
+}
+
+// victim takes the lowest evictable step off the given rung's index,
+// non-anchors before anchors; -1 when none is left. Lowest first because the
+// reverse sweep reads n→0, so the lowest live step is the one touched
+// furthest in the future (the Belady choice for this access pattern).
+//
+// The index is a min-heap with lazy deletion: a step is pushed when it comes
+// to rest on the rung, and an entry whose step has since moved, been
+// fetched, released or quarantined is discarded when it surfaces. Every
+// entry is examined at most once, so a run of n steps costs O(n log n)
+// however long it is — no scan over the steps, no per-probe map lookup.
+func (s *TieredStore) victim(tier tiersched.Tier) int {
+	h := &s.evictable[tier]
+	for len(*h) > 0 {
+		s.probes++
+		i := int(h.pop() &^ pinnedKey)
+		if st := s.steps[i]; st.tier == tier && !st.inUse && !st.released && !st.quarantined {
 			return i
 		}
-		if pinned < 0 {
-			pinned = i
-		}
 	}
-	return pinned
+	return -1
 }
 
 // restart cuts any cross-call codec prediction state so the next
@@ -368,19 +418,76 @@ func (s *TieredStore) restart() {
 	}
 }
 
-// demoteHot re-encodes step i's hot frame as sealed self-contained blobs
-// (hot → compressed RAM). The sidecars are verified first: plaintext that
-// rotted in RAM must quarantine, not be laundered into a freshly sealed
-// blob the fetch path would trust.
-func (s *TieredStore) demoteHot(i int) {
+// hotReserveFrames is the part of the budget the compressed rung may not
+// fill, in frames: the reverse sweep's working set — the step being
+// consumed, the one above it that is released only after the next fetch, and
+// the background prefetch. Without the third, every promotion of a dropped
+// step (a recomputation) would run in the foreground of its Fetch.
+const hotReserveFrames = 3
+
+// roomInRAM reports whether a blob of n bytes may join the compressed rung.
+// The rung only ever fills (arena bytes are never handed back, and nothing
+// joins after EndForward), so arena bytes <= budget holds by construction;
+// and a blob no smaller than its frame is not worth keeping, so a demotion
+// never raises the resident bytes it was called to lower.
+func (s *TieredStore) roomInRAM(n int) bool {
+	return !s.forwardDone && int64(n) < s.frameBytes &&
+		s.arena.used+int64(n)+hotReserveFrames*s.frameBytes <= s.cfg.BudgetBytes
+}
+
+// blobEstimate is the expected sealed size (J+C) of a step that has not
+// been compressed: the running mean of the blobs seen so far. Before the
+// first it is a guess whose only job is to let that first blob be made.
+func (s *TieredStore) blobEstimate() int {
+	if s.blobN == 0 {
+		return int(s.frameBytes / 2)
+	}
+	return int(s.blobSum / s.blobN)
+}
+
+// demote moves victim i off its rung, to the rung it will stay on. A hot
+// frame is compressed into RAM if its blob fits — judged on the estimate
+// before the codec runs and on the real size after — and otherwise goes
+// where offload sends it; a blob of the compressed rung can only be
+// offloaded. The sidecars of a hot frame are verified first: plaintext that
+// rotted in RAM must quarantine, not be laundered into a freshly sealed blob
+// the fetch path would trust.
+func (s *TieredStore) demote(i int) {
 	st := s.steps[i]
-	if blobframe.ChecksumFloat64(st.j) != st.jSum || blobframe.ChecksumFloat64(st.c) != st.cSum {
-		s.quarantineLocked(i)
-		s.freeHot(st)
-		return
+	if st.tier == tiersched.Hot {
+		if blobframe.ChecksumFloat64(st.j) != st.jSum || blobframe.ChecksumFloat64(st.c) != st.cSum {
+			s.quarantineLocked(i)
+			s.freeHot(st)
+			return
+		}
 	}
 	dsp := s.ob.rec.Start(s.ob.spanParent(), span.Demote, i)
 	s.setCodecParent(dsp.ID())
+	kept := false
+	if est := s.blobEstimate(); st.tier == tiersched.Hot && s.roomInRAM(est) {
+		s.noteDecision(dsp.ID(), i, est, tiersched.SpillDecision{Target: tiersched.Compressed})
+		s.encode(i)
+		// The real size decides; an estimate that was short sends the blob
+		// on, already made.
+		kept = s.roomInRAM(st.jbN+st.cbN) && s.keepBlobs(st)
+	}
+	if kept {
+		s.markEvictable(i)
+		s.noteDemote(i, tiersched.Compressed, int64(st.jbN+st.cbN))
+	} else {
+		s.offload(dsp.ID(), i)
+	}
+	dsp.Attr("tier", int64(st.tier))
+	dsp.Attr("bytes", int64(st.jbN+st.cbN))
+	dsp.End()
+}
+
+// encode compresses hot step i into the scratch frames as sealed
+// self-contained blobs and frees its plaintext. The step's blobs alias the
+// scratch until the caller copies them into the arena or the spill file, or
+// drops them.
+func (s *TieredStore) encode(i int) {
+	st := s.steps[i]
 	t0 := s.model.Now()
 	s.restart()
 	s.frameJ = s.jc.Compress(s.frameJ[:blobframe.HeaderSize], st.j, nil)
@@ -392,60 +499,94 @@ func (s *TieredStore) demoteHot(i int) {
 	blobframe.Seal(s.frameJ, 'J', i)
 	blobframe.Seal(s.frameC, 'C', i)
 	// Corruption during the demotion itself: the sealed blob is the target.
-	jb, _ := s.fault.MutateBlob(i, s.frameJ)
-	cb, _ := s.fault.MutateBlob(i, s.frameC)
-	st.jBlob = append([]byte(nil), jb...)
-	st.cBlob = append([]byte(nil), cb...)
-	st.jbN, st.cbN = len(jb), len(cb)
+	st.jBlob, _ = s.fault.MutateBlob(i, s.frameJ)
+	st.cBlob, _ = s.fault.MutateBlob(i, s.frameC)
+	st.jbN, st.cbN = len(st.jBlob), len(st.cBlob)
 	st.tier = tiersched.Compressed
-	s.bumpResident(int64(len(jb) + len(cb)))
+	n := int64(st.jbN + st.cbN)
+	s.bumpResident(n)
 	s.freeHot(st)
-	s.noteDemote(i, tiersched.Compressed, int64(st.jbN+st.cbN))
-	s.ob.blobBytes.Observe(float64(st.jbN + st.cbN))
-	dsp.Attr("tier", int64(tiersched.Compressed))
-	dsp.Attr("bytes", int64(st.jbN+st.cbN))
-	dsp.End()
+	s.blobSum += n
+	s.blobN++
+	s.ob.blobBytes.Observe(float64(n))
 }
 
-// demoteCompressed pushes step i's blobs off-RAM: to the spill device when
-// the cost model prefers it (and it works), otherwise dropping the step for
-// deliberate recomputation. Spill failures after retries degrade to a drop
-// rather than aborting the forward pass.
-func (s *TieredStore) demoteCompressed(i int) {
-	st := s.steps[i]
-	diskOK := !s.spillDead
-	dec := s.model.ExplainSpill(st.jbN+st.cbN, int(s.frameBytes), diskOK)
-	target := dec.Target
-	if st.pinned && diskOK {
-		target = tiersched.Disk // anchors never drop while the spill lives
+// keepBlobs copies a just-encoded step's blobs from the scratch frames into
+// the arena. It reports false — leaving the blobs where they are — when the
+// arena cannot take them (no memory to map), which the caller treats like a
+// blob that does not fit.
+func (s *TieredStore) keepBlobs(st *tierStep) bool {
+	jb, err := s.arena.append(st.jBlob)
+	if err != nil {
+		return false
 	}
-	// Record the cost-model inputs behind the placement, so every demotion
-	// is auditable from the span stream after the fact.
-	tsp := s.ob.rec.Start(s.ob.spanParent(), span.TierDecision, i)
-	tsp.Attr("tier", int64(target))
-	tsp.Attr("blob_bytes", int64(st.jbN+st.cbN))
-	tsp.Attr("raw_bytes", s.frameBytes)
-	tsp.Attr("recompute_ns", dec.RecomputeNS)
-	tsp.Attr("disk_ns", dec.DiskNS)
-	tsp.Attr("measured", boolAttr(dec.Measured))
-	tsp.End()
-	if target == tiersched.Disk {
+	cb, err := s.arena.append(st.cBlob)
+	if err != nil {
+		return false
+	}
+	st.jBlob, st.cBlob = jb, cb
+	s.ob.arenaBytes.Set(float64(s.arena.offHeapBytes()))
+	return true
+}
+
+// offload moves step i out of RAM: onto the spill device when the cost
+// model prefers that to a recomputation (and the device works), otherwise
+// onto the recompute rung. A hot frame is priced on the blob estimate and
+// meets the codec only if it is spilled; a step that already has its blobs
+// is priced on their real size. Spill failures after retries degrade to a
+// drop rather than aborting the forward pass.
+func (s *TieredStore) offload(parent span.ID, i int) {
+	st := s.steps[i]
+	blobBytes := st.jbN + st.cbN
+	if st.tier == tiersched.Hot {
+		blobBytes = s.blobEstimate()
+	}
+	diskOK := !s.spillDead
+	dec := s.model.ExplainSpill(blobBytes, int(s.frameBytes), diskOK)
+	if st.pinned && diskOK {
+		dec.Target = tiersched.Disk // anchors never drop while the spill lives
+	}
+	s.noteDecision(parent, i, blobBytes, dec)
+	if dec.Target == tiersched.Disk {
+		if st.tier == tiersched.Hot {
+			s.encode(i)
+		}
 		if err := s.spillStep(i); err == nil {
 			return
 		}
 		// Spill device gone: degrade this and future demotions to drops.
 		s.spillDead = true
 	}
-	dsp := s.ob.rec.Start(s.ob.spanParent(), span.Demote, i)
-	s.bumpResident(-int64(st.jbN + st.cbN))
-	st.jBlob, st.cBlob = nil, nil
+	if st.tier == tiersched.Hot {
+		s.freeHot(st)
+		s.stats.TierDirectDrops++
+		s.tob.directDrops.Inc()
+	} else {
+		s.bumpResident(-int64(st.jbN + st.cbN))
+		st.jBlob, st.cBlob = nil, nil
+	}
+	st.jbN, st.cbN = 0, 0
 	st.tier = tiersched.Dropped
 	s.noteDemote(i, tiersched.Dropped, 0)
-	dsp.Attr("tier", int64(tiersched.Dropped))
-	dsp.End()
 }
 
-// spillStep appends step i's sealed blobs to the spill file.
+// noteDecision records one placement with the cost-model inputs behind it,
+// so every demotion is auditable from the span stream after the fact.
+// blobBytes is what the decision was priced on: the estimate for a step
+// leaving the hot tier, the real size for one that has its blobs.
+func (s *TieredStore) noteDecision(parent span.ID, step, blobBytes int, dec tiersched.SpillDecision) {
+	tsp := s.ob.rec.Start(parent, span.TierDecision, step)
+	tsp.Attr("tier", int64(dec.Target))
+	tsp.Attr("est_blob_bytes", int64(blobBytes))
+	tsp.Attr("raw_bytes", s.frameBytes)
+	tsp.Attr("recompute_ns", dec.RecomputeNS)
+	tsp.Attr("disk_ns", dec.DiskNS)
+	tsp.Attr("measured", boolAttr(dec.Measured))
+	tsp.End()
+}
+
+// spillStep appends step i's sealed blobs — in the scratch frames or the
+// arena — to the spill file.
 func (s *TieredStore) spillStep(i int) error {
 	st := s.steps[i]
 	if s.spill == nil {
@@ -533,18 +674,18 @@ func (s *TieredStore) notePromote(step int, from tiersched.Tier) {
 func (s *TieredStore) quarantineLocked(i int) {
 	qsp := s.ob.rec.Start(s.ob.spanParent(), span.Quarantine, i)
 	qsp.End()
-	s.quarantined[i] = true
+	s.steps[i].quarantined = true
 	s.stats.CorruptBlobs++
 	s.ob.corrupt.Inc()
 }
 
-// EndForward implements Store: one final budget pass, then the per-tier
-// placement snapshot.
+// EndForward implements Store: close the compressed rung to new blobs, one
+// final budget pass, then the per-tier placement snapshot.
 func (s *TieredStore) EndForward() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.forwardDone = true
-	s.enforceBudget(-1)
+	s.enforceBudget()
 	s.snapshotTiersLocked()
 	s.stats.StoredBytes = s.stats.TierHotBytes + s.stats.TierCompressedBytes + s.stats.TierDiskBytes
 	s.ob.storedBytes.Add(float64(s.stats.StoredBytes))
@@ -612,12 +753,13 @@ func (s *TieredStore) Fetch(step int) ([]float64, []float64, error) {
 }
 
 // materialize promotes step to a verified hot frame, whatever rung it sits
-// on. Caller holds s.mu.
+// on. The frame is not evictable until the caller says so (markEvictable).
+// Caller holds s.mu.
 func (s *TieredStore) materialize(step int) error {
-	if s.quarantined[step] {
+	st := s.steps[step]
+	if st.quarantined {
 		return corruptErr(step, "fetch", "", errors.New("step is quarantined"))
 	}
-	st := s.steps[step]
 	if st.tier == tiersched.Hot {
 		// Verify the sidecars on every fetch, like MemStore: rot between
 		// Put/promote and now must degrade, not propagate.
@@ -643,7 +785,7 @@ func (s *TieredStore) materialize(step int) error {
 	}
 	st.tier = tiersched.Hot
 	s.notePromote(step, from)
-	s.enforceBudget(step)
+	s.enforceBudget()
 	return nil
 }
 
@@ -805,6 +947,7 @@ func (s *TieredStore) maybePrefetch(step int) {
 		}
 		if s.materialize(step) == nil {
 			st.prefetched = true
+			s.markEvictable(step)
 		}
 	}()
 }
@@ -834,12 +977,13 @@ func (s *TieredStore) Repair(step int, jVals, cVals []float64) {
 	// ladder (sharedSource releases the base copy immediately): repair
 	// revives it.
 	st.released = false
-	delete(s.quarantined, step)
+	st.quarantined = false
 	s.stats.Repairs++
 	if from != tiersched.Hot {
 		s.notePromote(step, from)
 	}
-	s.enforceBudget(step)
+	s.enforceBudget()
+	s.markEvictable(step)
 }
 
 // Release implements Store: the step is dead — free every representation.
@@ -878,8 +1022,8 @@ func (s *TieredStore) Stats() Stats {
 	return st
 }
 
-// Close implements Store: drain the prefetch, then drop everything and
-// remove the spill file. Idempotent.
+// Close implements Store: drain the prefetch, then drop everything, return
+// the arena's memory and remove the spill file. Idempotent.
 func (s *TieredStore) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -890,8 +1034,56 @@ func (s *TieredStore) Close() error {
 	s.steps = nil
 	s.scratch = nil
 	s.freeJ, s.freeC = nil, nil
+	s.evictable = [2]stepHeap{}
+	s.arena.close()
+	s.ob.arenaBytes.Set(float64(s.arena.offHeapBytes()))
 	if s.spill != nil {
 		return s.spill.Close()
 	}
 	return nil
+}
+
+// stepHeap is a binary min-heap of step keys (the step number, with
+// pinnedKey set on anchors).
+type stepHeap []uint32
+
+func (h *stepHeap) push(k uint32) {
+	a := append(*h, k)
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if a[p] <= k {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = k
+	*h = a
+}
+
+func (h *stepHeap) pop() uint32 {
+	a := *h
+	top, k := a[0], a[len(a)-1]
+	a = a[:len(a)-1]
+	*h = a
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(a) {
+			break
+		}
+		if c+1 < len(a) && a[c+1] < a[c] {
+			c++
+		}
+		if k <= a[c] {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	if len(a) > 0 {
+		a[i] = k
+	}
+	return top
 }

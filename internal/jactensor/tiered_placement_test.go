@@ -1,0 +1,461 @@
+package jactensor
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"masc/internal/blobframe"
+	"masc/internal/compress"
+	"masc/internal/compress/masczip"
+	"masc/internal/sparse"
+	"masc/internal/tiersched"
+)
+
+// countedCodec counts the Compress calls that reach the codec it wraps.
+type countedCodec struct {
+	compress.Compressor
+	calls *int
+}
+
+func (c countedCodec) Compress(dst []byte, cur, ref []float64) []byte {
+	*c.calls++
+	return c.Compressor.Compress(dst, cur, ref)
+}
+
+func (c countedCodec) Restart() { c.Compressor.(interface{ Restart() }).Restart() }
+
+// f32Codec stores values as float32 bits: half the size, and lossless for
+// the small integers the scale test stores — a codec for tests that are
+// about the store's bookkeeping and not the coder.
+type f32Codec struct{}
+
+func (f32Codec) Name() string   { return "f32" }
+func (f32Codec) Lossless() bool { return true }
+
+func (f32Codec) Compress(dst []byte, cur, _ []float64) []byte {
+	for _, v := range cur {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
+	}
+	return dst
+}
+
+func (f32Codec) Decompress(cur []float64, blob []byte, _ []float64) error {
+	if len(blob) != 4*len(cur) {
+		return fmt.Errorf("f32: %d bytes for %d floats", len(blob), len(cur))
+	}
+	for i := range cur {
+		cur[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(blob[4*i:])))
+	}
+	return nil
+}
+
+// envBudgets parses MASC_MEM_BUDGET ("96K,16K"), the CI budget-sweep knob
+// the facade-level suite also reads.
+func envBudgets(t *testing.T) []int64 {
+	var out []int64
+	for _, f := range strings.Split(os.Getenv("MASC_MEM_BUDGET"), ",") {
+		f = strings.ToUpper(strings.TrimSpace(f))
+		if f == "" {
+			continue
+		}
+		mult := int64(1)
+		switch {
+		case strings.HasSuffix(f, "K"):
+			mult, f = 1<<10, f[:len(f)-1]
+		case strings.HasSuffix(f, "M"):
+			mult, f = 1<<20, f[:len(f)-1]
+		}
+		n, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			t.Fatalf("MASC_MEM_BUDGET: %v", err)
+		}
+		out = append(out, n*mult)
+	}
+	return out
+}
+
+// placementRegime fixes where a step that finds no room in RAM goes, by what
+// the injected clock and the fed forward-step price make the cost model see.
+type placementRegime struct {
+	name    string
+	noDisk  bool
+	stepFwd time.Duration // forward-step proxy fed before the first Put
+}
+
+var placementRegimes = []placementRegime{
+	// Every FakeClock-timed operation lasts one 1µs tick, so a spill
+	// round-trip prices at a few µs: a 1 ns step makes recomputing cheaper
+	// than spilling, a 1 s step dearer.
+	{name: "drop", stepFwd: time.Nanosecond},
+	{name: "disk", stepFwd: time.Second},
+	{name: "diskless", noDisk: true, stepFwd: time.Second},
+}
+
+// placementFixture is tensorFixture's patterns with values a self-contained
+// blob can compress (runs of repeated stamps, a few entries moving per
+// step): tensorFixture's own values only shrink against the previous step,
+// which the tiered store's restarted codecs never see, so its blobs come out
+// larger than their frames and would never be kept in RAM.
+func placementFixture(n, steps int) (jp, cp *sparse.Pattern, js, cs [][]float64) {
+	jp, cp, js, cs = tensorFixture(71, n, steps)
+	rng := rand.New(rand.NewSource(72))
+	for s := range js {
+		for i := range js[s] {
+			js[s][i] = float64(1+(i/6)%3) * (1 + 1e-3*float64(s))
+		}
+		for i := range cs[s] {
+			cs[s][i] = 1e-9 * float64(1+(i/5)%2)
+		}
+		for k := rng.Intn(8); k > 0; k-- {
+			js[s][rng.Intn(len(js[s]))] = rng.NormFloat64()
+		}
+	}
+	return
+}
+
+// blobSizes returns the total and the largest sealed size (J+C) of the
+// fixture's steps, each compressed on its own as the tiered store does.
+func blobSizes(jc, cc *masczip.Compressor, js, cs [][]float64) (total, largest int64) {
+	for i := range js {
+		jc.Restart()
+		cc.Restart()
+		n := int64(len(jc.Compress(nil, js[i], nil)) + len(cc.Compress(nil, cs[i], nil)) + 2*blobframe.HeaderSize)
+		total += n
+		largest = max(largest, n)
+	}
+	return total, largest
+}
+
+// placementRun is what one pass of the placement property test observed.
+type placementRun struct {
+	tiers     []tiersched.Tier // placement at EndForward
+	snap      tiersched.Snapshot
+	stats     Stats // at EndForward
+	encodes   int   // codec Compress calls for J up to EndForward
+	arenaHigh int64
+}
+
+// runPlacement drives one store through capture and a reverse read in the
+// given order, checking every fetched step against the MemStore's bits, the
+// per-Put resident bound and the arena bound as it goes.
+func runPlacement(t *testing.T, budget int64, rg placementRegime, anchorEvery int, interleaved, noPrefetch bool,
+	n, steps int) placementRun {
+	t.Helper()
+	jp, cp, js, cs := placementFixture(n, steps)
+	frame := int64(8 * (len(js[0]) + len(cs[0])))
+	_, maxBlob := blobSizes(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), js, cs)
+	mem := NewMemStore()
+	var out placementRun
+	cfg := TieredConfig{
+		BudgetBytes:     budget,
+		DisableDisk:     rg.noDisk,
+		DisablePrefetch: noPrefetch,
+		Model:           tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond)),
+	}
+	if !rg.noDisk {
+		cfg.DiskDir = t.TempDir()
+	}
+	cfg.Model.ObserveForwardStep(rg.stepFwd)
+	st := NewTieredStore(
+		countedCodec{masczip.New(jp, masczip.Options{}), &out.encodes},
+		masczip.New(cp, masczip.Options{}), cfg)
+	defer st.Close()
+	st.SetRecompute(func(step int) ([]float64, []float64, error) { return js[step], cs[step], nil })
+	if anchorEvery > 0 {
+		st.SetAnchorEvery(anchorEvery)
+	}
+
+	sample := func(when string) {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		out.arenaHigh = max(out.arenaHigh, st.arena.used)
+		if st.blobN > 0 && budget > 0 && st.arena.used > budget {
+			t.Fatalf("%s: arena holds %d B under a %d B budget", when, st.arena.used, budget)
+		}
+	}
+	for i := range js {
+		if err := mem.Put(i, js[i], cs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(i, js[i], cs[i]); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+		sample(fmt.Sprintf("put %d", i))
+		if peak := st.Stats().PeakResident; budget >= frame && peak > budget+frame+maxBlob {
+			t.Fatalf("put %d: PeakResident %d > budget %d + frame %d + blob %d", i, peak, budget, frame, maxBlob)
+		}
+	}
+	if err := mem.EndForward(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.EndForward(); err != nil {
+		t.Fatal(err)
+	}
+	out.stats = st.Stats()
+	out.snap = st.Model().Snapshot()
+	forwardEncodes := out.encodes
+	for _, s := range st.steps {
+		out.tiers = append(out.tiers, s.tier)
+	}
+
+	check := func(i int) {
+		jv, cv, err := st.Fetch(i)
+		if err != nil {
+			t.Fatalf("fetch %d: %v", i, err)
+		}
+		mj, mc, err := mem.Fetch(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range mj {
+			if math.Float64bits(jv[k]) != math.Float64bits(mj[k]) {
+				t.Fatalf("step %d: J[%d] differs from MemStore", i, k)
+			}
+		}
+		for k := range mc {
+			if math.Float64bits(cv[k]) != math.Float64bits(mc[k]) {
+				t.Fatalf("step %d: C[%d] differs from MemStore", i, k)
+			}
+		}
+		sample(fmt.Sprintf("fetch %d", i))
+	}
+	if interleaved {
+		// Two windows sweeping side by side, split at an anchor when there
+		// are any; each holds one step in use, like sharedSource's callers.
+		mid := steps / 2
+		if anchorEvery > 0 {
+			mid -= mid % anchorEvery
+		}
+		for a, b := steps-1, mid-1; a >= mid || b >= 0; a, b = a-1, b-1 {
+			if a >= mid {
+				check(a)
+			}
+			if b >= 0 {
+				check(b)
+				st.Release(b)
+			}
+			if a >= mid {
+				st.Release(a)
+			}
+		}
+	} else {
+		for i := steps - 1; i >= 0; i-- {
+			check(i)
+			if i < steps-1 {
+				st.Release(i + 1)
+			}
+		}
+		st.Release(0)
+	}
+	out.encodes = forwardEncodes
+	return out
+}
+
+// TestTieredPlacementProperties is the property suite of admission-time
+// placement: across budgets (unlimited, fractions of the compressed size, a
+// tiny one, MASC_MEM_BUDGET's), cost regimes (recompute cheaper than disk,
+// disk cheaper, no disk), anchors, fetch orders and prefetch on/off —
+//
+//   - every fetched step is bit-equal to what a MemStore returns;
+//   - the codec is called exactly once for every step that left the hot
+//     tier for the compressed rung or the spill file, and not at all for a
+//     direct drop (up to the one blob whose estimate was short);
+//   - PeakResident <= budget + one frame + one blob after every Put;
+//   - the arena never holds more than the budget, however many steps pass
+//     through the store;
+//   - two runs fed the same injected clock place every step identically.
+func TestTieredPlacementProperties(t *testing.T) {
+	const n, steps = 20, 96
+	jp, cp, js, cs := placementFixture(n, steps)
+	frame := int64(8 * (len(js[0]) + len(cs[0])))
+	compressed, _ := blobSizes(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), js, cs)
+	budgets := append([]int64{0, compressed / 2, compressed / 4, compressed / 8, 4 << 10}, envBudgets(t)...)
+
+	for _, budget := range budgets {
+		for _, rg := range placementRegimes {
+			for _, anchorEvery := range []int{0, 8} {
+				for _, interleaved := range []bool{false, true} {
+					for _, noPrefetch := range []bool{false, true} {
+						name := fmt.Sprintf("budget=%d/%s/anchors=%d/interleaved=%v/prefetch=%v",
+							budget, rg.name, anchorEvery, interleaved, !noPrefetch)
+						t.Run(name, func(t *testing.T) {
+							a := runPlacement(t, budget, rg, anchorEvery, interleaved, noPrefetch, n, steps)
+							b := runPlacement(t, budget, rg, anchorEvery, interleaved, noPrefetch, n, steps)
+							if a.snap != b.snap {
+								t.Fatalf("model snapshots diverged:\n%+v\n%+v", a.snap, b.snap)
+							}
+							for i := range a.tiers {
+								if a.tiers[i] != b.tiers[i] {
+									t.Fatalf("step %d placed on %v, then on %v", i, a.tiers[i], b.tiers[i])
+								}
+							}
+
+							s := a.stats
+							if budget == 0 || budget >= frame*steps {
+								if a.encodes != 0 || s.TierHotSteps != steps {
+									t.Fatalf("budget never binds, yet %d encodes and %+v", a.encodes, s)
+								}
+								return
+							}
+							left := steps - s.TierHotSteps // steps that left the hot tier
+							if want := left - int(s.TierDirectDrops); a.encodes != want {
+								t.Fatalf("%d codec calls for %d steps off the hot tier of which %d direct drops (want %d): %+v",
+									a.encodes, left, s.TierDirectDrops, want, s)
+							}
+							// Steps that met the codec and were dropped all
+							// the same: a blob its estimate undersized, and —
+							// where anchors must spill — nothing else.
+							if wasted := s.TierDroppedSteps - int(s.TierDirectDrops); wasted > 2 {
+								t.Fatalf("%d steps were compressed and then dropped: %+v", wasted, s)
+							}
+							if rg.name == "disk" && s.TierDroppedSteps != 0 {
+								t.Fatalf("disk regime dropped %d steps: %+v", s.TierDroppedSteps, s)
+							}
+							if rg.noDisk && (s.TierDiskSteps != 0 || s.TierDroppedSteps == 0) {
+								t.Fatalf("diskless regime: %+v", s)
+							}
+							if rg.name == "drop" && anchorEvery == 0 && s.TierDiskSteps > 1 {
+								// One unpriced spill measures the device.
+								t.Fatalf("drop regime spilled %d steps: %+v", s.TierDiskSteps, s)
+							}
+							if a.arenaHigh > budget {
+								t.Fatalf("arena high-water %d B over the %d B budget", a.arenaHigh, budget)
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTieredArenaBoundedOnLongDiskRun is the case an append-only arena could
+// not survive under a ladder that cycled every step through compressed RAM:
+// 2 000 steps through a budget that holds a few dozen blobs, every one of
+// them headed for the spill file. The compressed rung fills once, the rest
+// are compressed into the scratch frame and appended to the file, and the
+// arena's high-water mark stays under the budget.
+func TestTieredArenaBoundedOnLongDiskRun(t *testing.T) {
+	const n, steps = 12, 2000
+	_, _, js, cs := placementFixture(n, 1)
+	frame := int64(8 * (len(js[0]) + len(cs[0])))
+	budget := 24 * frame
+	rg := placementRegimes[1]
+	a := runPlacement(t, budget, rg, 0, false, false, n, steps)
+	if a.stats.TierDroppedSteps != 0 || a.stats.TierDiskSteps < steps/2 {
+		t.Fatalf("not a disk-regime run: %+v", a.stats)
+	}
+	if a.arenaHigh == 0 || a.arenaHigh > budget {
+		t.Fatalf("arena high-water %d B, want within (0, %d]", a.arenaHigh, budget)
+	}
+	if a.encodes != steps-a.stats.TierHotSteps {
+		t.Fatalf("%d codec calls for %d steps off the hot tier", a.encodes, steps-a.stats.TierHotSteps)
+	}
+	t.Logf("%d steps, budget %d B: arena high-water %d B, %d compressed in RAM, %d spilled",
+		steps, budget, a.arenaHigh, a.stats.TierCompressedSteps, a.stats.TierDiskSteps)
+}
+
+// TestTieredVictimSelectionScales puts 10⁵ steps through a budget that holds
+// about a hundred of them and counts the index entries victim examined: a
+// count, not a time, and linear in the steps — the scan it replaces walked
+// the step list from 0 for every demotion, 5·10⁹ probes for this run. The
+// second pass pins every 50th step, quarantines a few frames that rot before
+// their demotion, and leaves steps in use while further promotions force
+// evictions, so every way an entry can go stale is met.
+func TestTieredVictimSelectionScales(t *testing.T) {
+	const steps, floats = 100_000, 8 // 8 J + 8 C values: 16-float frames
+	const frame = 8 * 2 * floats
+	j, c := make([]float64, floats), make([]float64, floats)
+	fill := func(st *TieredStore, rot map[int]bool) {
+		t.Helper()
+		for i := 0; i < steps; i++ {
+			for k := range j {
+				j[k], c[k] = float64(i+k), float64(i-k)
+			}
+			if err := st.Put(i, j, c); err != nil {
+				t.Fatal(err)
+			}
+			if rot[i] {
+				st.steps[i].j[0]++ // behind the sidecar's back
+			}
+		}
+		if err := st.EndForward(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newStore := func() *TieredStore {
+		st := NewTieredStore(f32Codec{}, f32Codec{}, TieredConfig{
+			BudgetBytes: 100 * frame, DisableDisk: true, DisablePrefetch: true,
+			Model: tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond)),
+		})
+		st.SetRecompute(func(step int) ([]float64, []float64, error) {
+			for k := range j {
+				j[k], c[k] = float64(step+k), float64(step-k)
+			}
+			return j, c, nil
+		})
+		return st
+	}
+
+	t.Run("plain", func(t *testing.T) {
+		st := newStore()
+		defer st.Close()
+		fill(st, nil)
+		if st.probes > 2*steps {
+			t.Fatalf("victim examined %d index entries for %d steps", st.probes, steps)
+		}
+		if got := st.Stats(); got.TierDirectDrops < steps-200 {
+			t.Fatalf("only %d direct drops: %+v", got.TierDirectDrops, got)
+		}
+		t.Logf("%d probes for %d steps", st.probes, steps)
+	})
+
+	t.Run("pinned+quarantined+inuse", func(t *testing.T) {
+		st := newStore()
+		defer st.Close()
+		st.SetAnchorEvery(50)
+		rot := map[int]bool{10: true, 5_000: true, 77_777: true}
+		fill(st, rot)
+		if got := st.Stats().CorruptBlobs; got != len(rot) {
+			t.Fatalf("%d frames quarantined at demotion, want %d", got, len(rot))
+		}
+		// A windowed read: hold the top steps in use, then promote a run of
+		// dropped steps from the middle without releasing the first few, so
+		// evictions must pass over in-use and quarantined entries.
+		fetches := 0
+		for i := steps - 1; i >= steps-5; i-- {
+			if _, _, err := st.Fetch(i); err != nil {
+				t.Fatal(err)
+			}
+			fetches++
+		}
+		for i := 60_000; i > 59_000; i-- {
+			if _, _, err := st.Fetch(i); err != nil {
+				t.Fatal(err)
+			}
+			fetches++
+			if i < 59_995 {
+				st.Release(i)
+			}
+		}
+		for step := range rot {
+			st.Repair(step, j, c)
+			fetches++
+		}
+		if limit := int64(2 * (steps + fetches)); st.probes > limit {
+			t.Fatalf("victim examined %d index entries for %d steps and %d fetches (limit %d)",
+				st.probes, steps, fetches, limit)
+		}
+		if peak, budget := st.Stats().PeakResident, int64(100*frame); peak > budget+8*frame {
+			t.Fatalf("PeakResident %d over budget %d with in-use slack", peak, budget)
+		}
+		t.Logf("%d probes for %d steps and %d fetches", st.probes, steps, fetches)
+	})
+}

@@ -2,7 +2,6 @@ package jactensor
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -31,34 +30,6 @@ func newTieredFixture(t *testing.T, jp, cp *sparse.Pattern, js, cs [][]float64, 
 		return js[step], cs[step], nil
 	})
 	return st
-}
-
-// TestTieredMatchesMemStore is the store-level half of the tier-equivalence
-// property suite: for every budget on the ladder — unlimited, fractions of
-// the measured all-RAM peak, and an absurdly tiny one that degrades to
-// recompute — the tiered store must hand back the fixture bit-for-bit, with
-// and without the spill rung and the prefetch. fillAndVerify does the
-// bit-exact comparison.
-func TestTieredMatchesMemStore(t *testing.T) {
-	const n, steps = 60, 20
-	jp, cp, js, cs := tensorFixture(60, n, steps)
-	peak := int64(8 * (len(js[0]) + len(cs[0])) * steps) // the MemStore peak
-
-	for _, budget := range []int64{0, peak / 2, peak / 4, peak / 8, 4 << 10} {
-		for _, noDisk := range []bool{false, true} {
-			for _, noPrefetch := range []bool{false, true} {
-				name := fmt.Sprintf("budget=%d/disk=%v/prefetch=%v", budget, !noDisk, !noPrefetch)
-				t.Run(name, func(t *testing.T) {
-					st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{
-						BudgetBytes:     budget,
-						DisableDisk:     noDisk,
-						DisablePrefetch: noPrefetch,
-					})
-					fillAndVerify(t, st, js, cs)
-				})
-			}
-		}
-	}
 }
 
 // TestTieredRandomAccess checks the contract the windowed sweep depends on:

@@ -4,7 +4,8 @@
 // drop-and-recompute — a step should occupy so the store's modelled resident
 // bytes stay under a hard budget, and it prices the rungs with *measured*
 // per-operation timings sampled from the first steps of the run (compress,
-// decompress, spill write/read, forward-solve cost as the recompute proxy).
+// decompress, spill write/read, and the recompute price: a forward step's
+// solve time until the reverse sweep has measured a real recomputation).
 //
 // The model never influences the numbers a sweep produces — every tier is
 // lossless (recomputation is bit-exact from the trajectory), so placement
@@ -131,7 +132,7 @@ func (r *RateMeter) Seconds() float64 { return r.ns / 1e9 }
 
 // Model prices the tier ladder with measured per-op timings. The zero-value
 // rates make every unmeasured cost read as 0 — callers resolve those with
-// the conservative defaults documented on SpillTarget. All methods are safe
+// the conservative defaults documented on ExplainSpill. All methods are safe
 // for concurrent use.
 type Model struct {
 	mu    sync.Mutex
@@ -142,8 +143,14 @@ type Model struct {
 	diskWrite  RateMeter
 	diskRead   RateMeter
 
-	recomputeNS float64
-	recomputeN  int
+	// The recompute price has two sources that are never mixed: forward
+	// steps (a whole Newton solve, an upper bound known during capture) and
+	// real recomputations (one device evaluation and a Jacobian build,
+	// typically ~10x cheaper). Real samples replace the proxy outright.
+	// Both meters are fed one "byte" per step, so PerByte is the mean
+	// seconds per step.
+	recompute RateMeter
+	stepProxy RateMeter
 }
 
 // NewModel returns an empty model over the given clock (nil = wall clock).
@@ -186,50 +193,35 @@ func (m *Model) ObserveDiskRead(bytes int, d time.Duration) {
 	m.mu.Unlock()
 }
 
-// ObserveRecompute feeds one per-step recomputation-cost sample: either a
-// forward integration step's solve time (the capture-side proxy the facade
-// wires in) or an actual reverse-sweep recomputation.
+// ObserveRecompute feeds the measured cost of one actual recomputation of a
+// dropped step. From the first such sample on, the recompute price is the
+// mean of these alone.
 func (m *Model) ObserveRecompute(d time.Duration) {
 	m.mu.Lock()
-	m.recomputeNS += float64(d)
-	m.recomputeN++
+	m.recompute.Observe(1, d)
 	m.mu.Unlock()
 }
 
-// recomputeSec returns the mean measured per-step recompute cost in
-// seconds, or 0 with no samples. Callers hold m.mu.
-func (m *Model) recomputeSec() float64 {
-	if m.recomputeN == 0 {
-		return 0
-	}
-	return m.recomputeNS / 1e9 / float64(m.recomputeN)
-}
-
-// FetchCost estimates the reverse-sweep cost of re-materializing one step
-// from the given tier: zero for hot, decompression for compressed RAM, a
-// spill read plus decompression for disk, and the mean measured step solve
-// for a dropped step. blobBytes is the step's sealed blob size (J+C),
-// rawBytes its plaintext size.
-func (m *Model) FetchCost(t Tier, blobBytes, rawBytes int) time.Duration {
+// ObserveForwardStep feeds one forward integration step's solve time: the
+// stand-in recompute price during capture, when no step has been recomputed
+// yet. It prices nothing once ObserveRecompute has been called.
+func (m *Model) ObserveForwardStep(d time.Duration) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	sec := 0.0
-	switch t {
-	case Compressed:
-		sec = m.decompress.PerByte() * float64(rawBytes)
-	case Disk:
-		readPB := m.diskRead.PerByte()
-		if readPB == 0 {
-			readPB = m.diskWrite.PerByte() // no reads yet: assume symmetric
-		}
-		sec = readPB*float64(blobBytes) + m.decompress.PerByte()*float64(rawBytes)
-	case Dropped:
-		sec = m.recomputeSec()
-	}
-	return time.Duration(sec * 1e9)
+	m.stepProxy.Observe(1, d)
+	m.mu.Unlock()
 }
 
-// SpillDecision is one spill placement together with the cost-model inputs
+// recomputeSec returns the per-step recompute price in seconds: the mean of
+// the measured recomputations when there are any, else the forward-step
+// proxy, else 0. Callers hold m.mu.
+func (m *Model) recomputeSec() float64 {
+	if m.recompute.n > 0 {
+		return m.recompute.PerByte()
+	}
+	return m.stepProxy.PerByte()
+}
+
+// SpillDecision is one off-RAM placement together with the cost-model inputs
 // that produced it, so every demotion is auditable after the fact (the
 // tiered store records them as tier_decision span attributes). Costs are
 // nanoseconds; 0 means the corresponding side was unmeasured.
@@ -240,19 +232,17 @@ type SpillDecision struct {
 	Measured    bool  // both sides were measured; false forced the default
 }
 
-// SpillTarget decides where a compressed-RAM blob goes when the budget
-// forces it out of memory: Disk when the measured spill round-trip
-// (write + read + decompress) is cheaper than one recomputation — or when
-// either side is still unmeasured, since spilling is the conservative
-// choice that preserves the blob — and Dropped otherwise. diskOK reports
-// whether the spill device is usable at all; without it the only way down
-// is Dropped. The decision is a pure function of the fed samples, so runs
-// with identical (injected-clock) measurements demote identically.
-func (m *Model) SpillTarget(blobBytes, rawBytes int, diskOK bool) Tier {
-	return m.ExplainSpill(blobBytes, rawBytes, diskOK).Target
-}
-
-// ExplainSpill is SpillTarget plus the priced inputs behind the choice.
+// ExplainSpill decides where a step goes when the budget has no room for it
+// in RAM: Disk when the measured spill round-trip (write + read +
+// decompress) is cheaper than one recomputation — or when either side is
+// still unmeasured, since spilling is the conservative choice that preserves
+// the step — and Dropped otherwise. blobBytes is the step's sealed blob size,
+// or the store's estimate of it when the step has not been compressed: the
+// decision is what saves the codec call for a step that will be dropped.
+// diskOK reports whether the spill device is usable at all; without it the
+// only way down is Dropped. The decision is a pure function of the fed
+// samples, so runs with identical (injected-clock) measurements place
+// identically.
 func (m *Model) ExplainSpill(blobBytes, rawBytes int, diskOK bool) SpillDecision {
 	if !diskOK {
 		return SpillDecision{Target: Dropped}
@@ -288,12 +278,14 @@ type Snapshot struct {
 	DecompressSecPerByte float64
 	DiskWriteSecPerByte  float64
 	DiskReadSecPerByte   float64
-	RecomputeSecPerStep  float64
+	RecomputeSecPerStep  float64 // the price in force: measured, else the proxy
+	ForwardStepSec       float64 // the forward-step proxy on its own
 	CompressSamples      int
 	DecompressSamples    int
 	DiskWriteSamples     int
 	DiskReadSamples      int
-	RecomputeSamples     int
+	RecomputeSamples     int // real recomputations only
+	ForwardStepSamples   int
 }
 
 // Snapshot returns the current measured rates.
@@ -306,10 +298,12 @@ func (m *Model) Snapshot() Snapshot {
 		DiskWriteSecPerByte:  m.diskWrite.PerByte(),
 		DiskReadSecPerByte:   m.diskRead.PerByte(),
 		RecomputeSecPerStep:  m.recomputeSec(),
+		ForwardStepSec:       m.stepProxy.PerByte(),
 		CompressSamples:      m.compress.n,
 		DecompressSamples:    m.decompress.n,
 		DiskWriteSamples:     m.diskWrite.n,
 		DiskReadSamples:      m.diskRead.n,
-		RecomputeSamples:     m.recomputeN,
+		RecomputeSamples:     m.recompute.n,
+		ForwardStepSamples:   m.stepProxy.n,
 	}
 }

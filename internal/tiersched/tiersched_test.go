@@ -60,51 +60,16 @@ func close(a, b float64) bool {
 	return d <= 1e-12+1e-9*b
 }
 
-func TestFetchCost(t *testing.T) {
-	m := NewModel(nil)
-	m.ObserveDecompress(1000, time.Millisecond)  // 1µs/byte
-	m.ObserveDiskWrite(1000, 2*time.Millisecond) // 2µs/byte
-	m.ObserveRecompute(5 * time.Millisecond)
-
-	if c := m.FetchCost(Hot, 100, 800); c != 0 {
-		t.Fatalf("hot fetch cost = %v", c)
-	}
-	if c := m.FetchCost(Compressed, 100, 800); !durClose(c, 800*time.Microsecond) {
-		t.Fatalf("compressed fetch cost = %v", c)
-	}
-	// Disk with no read samples falls back to the write rate:
-	// 100B·2µs + 800B·1µs = 1000µs.
-	if c := m.FetchCost(Disk, 100, 800); !durClose(c, 1000*time.Microsecond) {
-		t.Fatalf("disk fetch cost = %v", c)
-	}
-	if c := m.FetchCost(Dropped, 100, 800); !durClose(c, 5*time.Millisecond) {
-		t.Fatalf("dropped fetch cost = %v", c)
-	}
-	// A read sample replaces the write-rate fallback.
-	m.ObserveDiskRead(1000, 10*time.Millisecond) // 10µs/byte
-	if c := m.FetchCost(Disk, 100, 800); !durClose(c, 1800*time.Microsecond) {
-		t.Fatalf("disk fetch cost after read sample = %v", c)
-	}
-}
-
-func durClose(a, b time.Duration) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= b/1000+time.Nanosecond
-}
-
-// TestSpillTargetDecisions locks down the demotion decision table: the
+// TestSpillDecisions locks down the demotion decision table: the
 // conservative default is Disk, the model flips to Dropped only when a
 // measured recomputation is cheaper than the measured spill round-trip, and
 // losing the spill device forces Dropped regardless.
-func TestSpillTargetDecisions(t *testing.T) {
+func TestSpillDecisions(t *testing.T) {
 	m := NewModel(nil)
-	if got := m.SpillTarget(100, 800, true); got != Disk {
+	if got := m.ExplainSpill(100, 800, true).Target; got != Disk {
 		t.Fatalf("unmeasured model: %v, want disk", got)
 	}
-	if got := m.SpillTarget(100, 800, false); got != Dropped {
+	if got := m.ExplainSpill(100, 800, false).Target; got != Dropped {
 		t.Fatalf("no disk: %v, want dropped", got)
 	}
 
@@ -115,7 +80,7 @@ func TestSpillTargetDecisions(t *testing.T) {
 	m.ObserveDecompress(1000, time.Millisecond)
 
 	m.ObserveRecompute(5 * time.Millisecond) // 5000µs > 1200µs → keep disk
-	if got := m.SpillTarget(100, 800, true); got != Disk {
+	if got := m.ExplainSpill(100, 800, true).Target; got != Disk {
 		t.Fatalf("expensive recompute: %v, want disk", got)
 	}
 
@@ -124,7 +89,7 @@ func TestSpillTargetDecisions(t *testing.T) {
 	cheap.ObserveDiskRead(1000, 2*time.Millisecond)
 	cheap.ObserveDecompress(1000, time.Millisecond)
 	cheap.ObserveRecompute(100 * time.Microsecond) // 100µs < 1200µs → drop
-	if got := cheap.SpillTarget(100, 800, true); got != Dropped {
+	if got := cheap.ExplainSpill(100, 800, true).Target; got != Dropped {
 		t.Fatalf("cheap recompute: %v, want dropped", got)
 	}
 }
@@ -144,7 +109,10 @@ func TestDecisionsReproducible(t *testing.T) {
 			m.ObserveDecompress(4096, m.Now().Sub(t0))
 			t0 = m.Now()
 			m.ObserveDiskWrite(512, m.Now().Sub(t0))
-			m.ObserveRecompute(m.Now().Sub(t0))
+			m.ObserveForwardStep(m.Now().Sub(t0))
+			if i >= 4 {
+				m.ObserveRecompute(m.Now().Sub(t0))
+			}
 		}
 		return m
 	}
@@ -154,14 +122,43 @@ func TestDecisionsReproducible(t *testing.T) {
 	}
 	for _, blob := range []int{64, 512, 4096} {
 		for _, diskOK := range []bool{true, false} {
-			if ga, gb := a.SpillTarget(blob, 8*blob, diskOK), b.SpillTarget(blob, 8*blob, diskOK); ga != gb {
-				t.Fatalf("SpillTarget(%d, %v) diverged: %v vs %v", blob, diskOK, ga, gb)
+			if ga, gb := a.ExplainSpill(blob, 8*blob, diskOK), b.ExplainSpill(blob, 8*blob, diskOK); ga != gb {
+				t.Fatalf("ExplainSpill(%d, %v) diverged: %+v vs %+v", blob, diskOK, ga, gb)
 			}
 		}
-		for tier := Hot; tier <= Dropped; tier++ {
-			if ca, cb := a.FetchCost(tier, blob, 8*blob), b.FetchCost(tier, blob, 8*blob); ca != cb {
-				t.Fatalf("FetchCost(%v, %d) diverged: %v vs %v", tier, blob, ca, cb)
-			}
-		}
+	}
+}
+
+// TestRecomputePriceSources pins the two-source rule of the recompute price:
+// forward steps price a recomputation only until one has really been
+// measured; from then on the measured mean stands alone, so a proxy sample
+// fed later — the forward pass of a resumed or repeated run, say — cannot
+// drag reverse-phase decisions back toward a whole Newton solve.
+func TestRecomputePriceSources(t *testing.T) {
+	m := NewModel(nil)
+	// Spill round-trip for a 100 B blob of an 800 B frame: 2·100·1µs = 200µs.
+	m.ObserveDiskWrite(1000, time.Millisecond)
+	m.ObserveDiskRead(1000, time.Millisecond)
+
+	m.ObserveForwardStep(480 * time.Microsecond)
+	proxy := m.ExplainSpill(100, 800, true)
+	if proxy.Target != Disk || proxy.RecomputeNS != 480_000 || !proxy.Measured {
+		t.Fatalf("proxy-priced decision = %+v, want disk at 480µs", proxy)
+	}
+
+	m.ObserveRecompute(49 * time.Microsecond)
+	real := m.ExplainSpill(100, 800, true)
+	if real.Target != Dropped || real.RecomputeNS != 49_000 {
+		t.Fatalf("measured decision = %+v, want dropped at 49µs (not the 264µs mix)", real)
+	}
+
+	m.ObserveForwardStep(480 * time.Microsecond)
+	m.ObserveForwardStep(10 * time.Millisecond)
+	if after := m.ExplainSpill(100, 800, true); after != real {
+		t.Fatalf("a proxy sample after a real one moved the decision: %+v → %+v", real, after)
+	}
+	snap := m.Snapshot()
+	if snap.RecomputeSamples != 1 || snap.ForwardStepSamples != 3 {
+		t.Fatalf("samples = %d real / %d proxy, want 1 / 3", snap.RecomputeSamples, snap.ForwardStepSamples)
 	}
 }
