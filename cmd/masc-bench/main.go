@@ -7,17 +7,9 @@
 // Experiments: table1, fig1, table2, table3, fig5b, fig6, fig7, parallel,
 // pipeline, adjoint, windows, budget, memory, ablation, all. Scale 1 is
 // the benchmark size (minutes); use smaller scales for a quick look.
-//
-// Perf-regression gate: -baseline diffs this run's rows against an earlier
-// -stats-json snapshot with noise-aware per-metric thresholds, and exits
-// with status 3 when any metric regressed past its allowance:
-//
-//	masc-bench -experiment adjoint -scale 0.1 -baseline BENCH_adjoint_scale0.1.json
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,48 +30,15 @@ func main() {
 		depth      = flag.Int("pipeline-depth", 2, "async pipeline depth for the pipeline experiment")
 		diskBps    = flag.Float64("disk-bps", bench.DefaultDiskBps, "simulated disk bandwidth (bytes/s)")
 		statsJSON  = flag.String("stats-json", "", "write every experiment's raw rows as one JSON document")
-		baseline   = flag.String("baseline", "", "regression gate: compare this run against an earlier -stats-json snapshot; exit 3 on regression")
-		timePct    = flag.Float64("time-threshold", 25, "baseline gate: allowed slowdown of time metrics, percent")
-		minTime    = flag.Float64("min-time", 0.02, "baseline gate: noise floor in seconds — limits grow from max(baseline, floor)")
-		bytesPct   = flag.Float64("bytes-threshold", 10, "baseline gate: allowed growth of byte/size metrics, percent")
-		ratioPct   = flag.Float64("ratio-threshold", 20, "baseline gate: allowed loss of speedup/compression-ratio metrics, percent")
 	)
 	flag.Parse()
-	gate := gateConfig{
-		baseline: *baseline,
-		opt: bench.RegressOptions{
-			TimeFrac:   *timePct / 100,
-			MinTimeSec: *minTime,
-			BytesFrac:  *bytesPct / 100,
-			RatioFrac:  *ratioPct / 100,
-		},
-	}
-	if err := run(strings.ToLower(*exp), *scale, *workers, *adjWorkers, *adjWindows, *depth, *diskBps, *statsJSON, gate); err != nil {
-		var rerr regressionError
-		if errors.As(err, &rerr) {
-			fmt.Fprintln(os.Stderr, "masc-bench:", err)
-			os.Exit(3)
-		}
+	if err := run(strings.ToLower(*exp), *scale, *workers, *adjWorkers, *adjWindows, *depth, *diskBps, *statsJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "masc-bench:", err)
 		os.Exit(1)
 	}
 }
 
-// gateConfig carries the -baseline regression-gate settings into run.
-type gateConfig struct {
-	baseline string
-	opt      bench.RegressOptions
-}
-
-// regressionError marks a failed -baseline gate so main can exit 3 (a
-// perf regression) instead of 1 (a broken run).
-type regressionError struct{ n int }
-
-func (e regressionError) Error() string {
-	return fmt.Sprintf("%d metric(s) regressed past the baseline thresholds", e.n)
-}
-
-func run(exp string, scale float64, workers, adjWorkers, adjWindows, depth int, diskBps float64, statsJSON string, gate gateConfig) error {
+func run(exp string, scale float64, workers, adjWorkers, adjWindows, depth int, diskBps float64, statsJSON string) error {
 	all := exp == "all"
 	did := false
 	// The manifest mirrors every experiment's raw rows, so a -stats-json
@@ -133,10 +92,8 @@ func run(exp string, scale float64, workers, adjWorkers, adjWindows, depth int, 
 	}
 	if all || exp == "codec" {
 		section("Codec throughput — the masczip hot path's smoke benchmark")
-		// The word-parallel hot path's CI gate: a small dataset pair, the
-		// codecs whose throughput the fused encoder/decoder moves, with
-		// the derived MB/s columns the -baseline gate treats as
-		// higher-is-better rates.
+		// A small dataset pair and the codecs whose throughput the fused
+		// encoder/decoder moves, with the derived MB/s columns.
 		cells, err := bench.RunTable3([]string{"add20", "mem_plus"},
 			[]string{"masc", "masc+markov", "gzip"}, scale, workers)
 		if err != nil {
@@ -245,7 +202,7 @@ func run(exp string, scale float64, workers, adjWorkers, adjWindows, depth int, 
 	}
 	if all || exp == "journal" {
 		section("Write-ahead run journal — forward-phase overhead by fsync cadence")
-		rows, err := bench.RunJournal(nil, scale, nil, 10)
+		rows, err := bench.RunJournal(nil, scale, nil)
 		if err != nil {
 			return err
 		}
@@ -269,24 +226,6 @@ func run(exp string, scale float64, workers, adjWorkers, adjWindows, depth int, 
 			return err
 		}
 		fmt.Printf("\nstats written to %s\n", statsJSON)
-	}
-	if gate.baseline != "" {
-		base, err := os.ReadFile(gate.baseline)
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		cur, err := json.Marshal(man)
-		if err != nil {
-			return err
-		}
-		rep, err := bench.CompareManifests(base, cur, gate.opt)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\n%s", bench.FormatRegressReport(rep))
-		if !rep.OK() {
-			return regressionError{n: len(rep.Regressions)}
-		}
 	}
 	return nil
 }

@@ -6,7 +6,7 @@
 //
 //	masc-compress -dataset mem_plus -scale 0.5 -workers 8
 //	masc-compress -dataset add20 -dump add20.tensor
-//	masc-compress -file add20.tensor -codecs masc,gzip,rans
+//	masc-compress -file add20.tensor -codecs masc,gzip,chimp
 //	masc-compress -list
 package main
 
@@ -36,7 +36,7 @@ func main() {
 	flag.Parse()
 	if *list {
 		fmt.Println("datasets:", strings.Join(append(workload.Table2Names(), workload.Table1Names()...), " "))
-		fmt.Println("codecs:  ", strings.Join(append(bench.CodecNames(), "rans", "huffman", "chimp-temporal"), " "))
+		fmt.Println("codecs:  ", strings.Join(bench.CodecNames(), " "))
 		return
 	}
 	if err := run(*dataset, *file, *dump, *codecs, *scale, *workers, *statsJSON); err != nil {

@@ -19,7 +19,6 @@
 //
 //	-metrics-addr :9090   serve /metrics, /debug/vars, /debug/pprof,
 //	                      /debug/spans (span tree) and /events (live SSE)
-//	-trace run.jsonl      per-timestep JSONL event trace
 //	-span-trace run.trace hierarchical span tree as Chrome trace-event JSON
 //	                      (load in Perfetto / chrome://tracing)
 //	-span-jsonl spans.jsonl   span tree as one JSON object per line
@@ -54,7 +53,7 @@ type cli struct {
 	memBudgetBytes       int64
 	csvPath              string
 	metricsAddr          string
-	tracePath, maniPath  string
+	maniPath             string
 	spanTrace, spanJSONL string
 	hold                 time.Duration
 	journal              string
@@ -77,7 +76,6 @@ func main() {
 	flag.IntVar(&c.top, "top", 12, "print the top-N sensitivities per objective")
 	flag.StringVar(&c.csvPath, "csv", "", "write .print waveforms to this CSV file")
 	flag.StringVar(&c.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
-	flag.StringVar(&c.tracePath, "trace", "", "write a per-timestep JSONL event trace to this file")
 	flag.StringVar(&c.spanTrace, "span-trace", "", "write the hierarchical span tree as Chrome trace-event JSON to this file (Perfetto-loadable)")
 	flag.StringVar(&c.spanJSONL, "span-jsonl", "", "write the span tree as JSONL (one span object per line) to this file")
 	flag.StringVar(&c.maniPath, "manifest", "", "write a JSON run manifest (config + aggregate stats) to this file")
@@ -128,24 +126,16 @@ func run(c cli) error {
 	}
 	fmt.Printf("%s\n%s\n", deck.Title, deck.Ckt)
 
-	// Telemetry: a registry whenever anything will consume it, a tracer
-	// only when -trace names a file, a span recorder when span export or
-	// the HTTP endpoint wants one, and an SSE broadcaster with the server.
+	// Telemetry: a registry whenever anything will consume it, a span
+	// recorder when span export or the HTTP endpoint wants one, and an SSE
+	// broadcaster with the server.
 	var ob *masc.Observer
 	var reg *masc.Registry
 	spansOn := c.spanTrace != "" || c.spanJSONL != "" || c.metricsAddr != ""
-	telemetry := c.metricsAddr != "" || c.tracePath != "" || c.maniPath != "" || spansOn
+	telemetry := c.maniPath != "" || spansOn
 	if telemetry {
 		reg = masc.NewRegistry()
 		ob = &masc.Observer{Reg: reg}
-		if c.tracePath != "" {
-			tr, err := masc.OpenTrace(c.tracePath)
-			if err != nil {
-				return err
-			}
-			defer tr.Close()
-			ob.Trace = tr
-		}
 		if spansOn {
 			ob.Spans = masc.NewSpanRecorder(0)
 		}
@@ -153,9 +143,9 @@ func run(c cli) error {
 	var srv *masc.MetricsServer
 	var bc *masc.Broadcaster
 	if c.metricsAddr != "" {
-		// Live streaming: completed spans and trace events tee into the
-		// /events SSE broadcaster as they happen. Publish copies the frame,
-		// so the sink can reuse one scratch buffer.
+		// Live streaming: completed spans tee into the /events SSE
+		// broadcaster as they happen. Publish copies the frame, so the sink
+		// can reuse one scratch buffer.
 		bc = masc.NewBroadcaster()
 		ob.Events = bc
 		defer bc.Close()
@@ -164,9 +154,6 @@ func run(c cli) error {
 			buf = masc.AppendSpanJSON(buf[:0], r)
 			bc.Publish("span", buf)
 		})
-		if ob.Trace != nil {
-			ob.Trace.SetBroadcast(bc)
-		}
 		srv, err = masc.ServeObserver(c.metricsAddr, ob)
 		if err != nil {
 			return err
@@ -222,14 +209,9 @@ func run(c cli) error {
 		if errors.Is(err, masc.ErrInterrupted) {
 			// Flush and close every telemetry sink so the partial run is
 			// diagnosable, then report the interruption as a failure
-			// (nonzero exit). Order matters: trace flush, span export and
-			// broadcaster close all precede the "interrupted" manifest, so
-			// a manifest on disk implies the other artifacts are complete.
-			if ob != nil && ob.Trace != nil {
-				if ferr := ob.Trace.Flush(); ferr != nil {
-					fmt.Fprintln(os.Stderr, "masc: trace flush:", ferr)
-				}
-			}
+			// (nonzero exit). Order matters: span export and broadcaster
+			// close precede the "interrupted" manifest, so a manifest on
+			// disk implies the other artifacts are complete.
 			if serr := exportSpans(c, ob); serr != nil {
 				fmt.Fprintln(os.Stderr, "masc: span export:", serr)
 			}
@@ -244,15 +226,9 @@ func run(c cli) error {
 		}
 		return err
 	}
-	// All trace events and spans are emitted inside Simulate; flush and
-	// export now so the files are complete even if the process is killed
-	// during -hold. The broadcaster stays open through -hold so /events
-	// clients keep their stream.
-	if ob != nil && ob.Trace != nil {
-		if err := ob.Trace.Flush(); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
+	// All spans are emitted inside Simulate; export now so the files are
+	// complete even if the process is killed during -hold. The broadcaster
+	// stays open through -hold so /events clients keep their stream.
 	if err := exportSpans(c, ob); err != nil {
 		return err
 	}

@@ -193,7 +193,6 @@ func (e *DegradeError) FailedStep() int { return e.Step }
 // zero value is a no-op.
 type sweepObs struct {
 	on        bool
-	tr        *obs.Tracer
 	rec       *span.Recorder
 	steps     *obs.Counter
 	fetchSec  *obs.Counter
@@ -217,7 +216,6 @@ func newSweepObs(o *obs.Observer) sweepObs {
 	reg := o.Registry()
 	return sweepObs{
 		on:        true,
-		tr:        o.Tracer(),
 		rec:       o.SpanRecorder(),
 		steps:     reg.Counter("masc_adjoint_steps_total", "Reverse-sweep steps completed."),
 		fetchSec:  reg.Counter("masc_adjoint_fetch_seconds_total", "Jacobian acquisition time (recompute/decompress/IO)."),

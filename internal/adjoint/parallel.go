@@ -36,7 +36,6 @@ import (
 	"masc/internal/device"
 	"masc/internal/jactensor"
 	"masc/internal/lu"
-	"masc/internal/obs"
 	"masc/internal/obs/span"
 	"masc/internal/sparse"
 	"masc/internal/transient"
@@ -521,9 +520,7 @@ func (s *sweep) noteFetch(i int, wait, acq time.Duration, degraded bool) {
 	}
 	if degraded {
 		s.so.degraded.Inc()
-		s.so.tr.Emit(obs.Event{Step: i, Phase: "degrade", Dur: acq})
 	}
-	s.so.tr.Emit(obs.Event{Step: i, Phase: "adjoint_fetch", Dur: wait})
 }
 
 // factorize brings s.fact up to date with one step's Jacobian and counts
@@ -638,7 +635,6 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 		d := time.Since(tSolve)
 		s.res.Timing.FactorSolve += d
 		s.so.solveSec.AddDuration(d)
-		s.so.tr.Emit(obs.Event{Step: i, Phase: "adjoint_solve", Dur: d})
 	} else {
 		s.res.Timing.FactorSolve += time.Since(tSolve)
 	}
@@ -719,7 +715,6 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 			s.res.Timing.ParamEval += d
 			s.so.paramSec.AddDuration(d)
 			s.so.shards.Add(float64(s.workers))
-			s.so.tr.Emit(obs.Event{Step: i, Phase: "param_eval", Dur: d})
 			s.so.steps.Inc()
 		} else {
 			s.res.Timing.ParamEval += time.Since(tPar)

@@ -23,9 +23,8 @@ var autoSelectCandidates = []string{"masc", "masc+markov", "gzip", "spicemate"}
 
 // AutoSelectRow reports the autopilot's pick on one dataset against the
 // ex-post best codec. SelEfficiencyRatio is pickedScore/bestScore over the
-// full tensor (1.0 = the trial found the true optimum); its name carries
-// "Ratio" so the -baseline gate treats it as higher-is-better. WithinTol
-// is the experiment's acceptance verdict: efficiency ≥ 0.9.
+// full tensor (1.0 = the trial found the true optimum). WithinTol is the
+// experiment's acceptance verdict: efficiency ≥ 0.9.
 type AutoSelectRow struct {
 	Dataset            string
 	Picked             string

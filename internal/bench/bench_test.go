@@ -221,23 +221,6 @@ func TestUnknownCodecRejected(t *testing.T) {
 	}
 }
 
-func TestExtraCodecsOnTensor(t *testing.T) {
-	tn := mustTensor(t, "add20")
-	for _, name := range []string{"rans", "huffman", "chimp-temporal"} {
-		pair, err := NewCodecPair(name, tn, 1, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := MeasureCodec(pair, tn)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !r.RoundTripChecked {
-			t.Fatalf("%s: roundtrip not verified", name)
-		}
-	}
-}
-
 func TestMemoryExperiment(t *testing.T) {
 	rows, err := RunMemory([]string{"add20"}, testScale, 2)
 	if err != nil {

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"masc/internal/compress"
-	"masc/internal/compress/ansz"
 	"masc/internal/compress/chimpz"
 	"masc/internal/compress/fpzipz"
 	"masc/internal/compress/gzipz"
-	"masc/internal/compress/huffz"
 	"masc/internal/compress/masczip"
 	"masc/internal/compress/ndzipz"
 	"masc/internal/compress/spicemate"
@@ -45,12 +43,6 @@ func NewCodecPair(name string, tn *Tensor, workers int, collectStats bool) (code
 		return single(gzipz.New()), nil
 	case "chimp":
 		return single(chimpz.New()), nil
-	case "chimp-temporal":
-		return single(chimpz.NewTemporal()), nil
-	case "rans":
-		return single(ansz.New()), nil
-	case "huffman":
-		return single(huffz.New()), nil
 	case "masc":
 		return codecPair{
 			name: name,

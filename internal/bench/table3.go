@@ -9,8 +9,7 @@ import (
 
 // Table3Cell holds one (dataset, codec) measurement of the paper's Table 3.
 // The *RateMBps fields are the derived throughputs (raw MB per second of
-// codec time); their names carry "Rate" so the -baseline regression gate
-// treats them as higher-is-better metrics.
+// codec time).
 type Table3Cell struct {
 	Dataset        string
 	Codec          string

@@ -7,25 +7,34 @@ import (
 	"masc/internal/compress/bitstream"
 )
 
-// Batched region coders: the word-parallel counterpart of runRegions.
+// Batched region coders.
 //
-// The dominant symbol in idle circuit regions is the 1-bit temporal-exact
-// hit (the paper's 1-bit scenario), so instead of dispatching every element
-// through codeElement — one WriteBit/ReadBit plus a candidate computation
-// per hit — the encoder scans ahead for the run of bit-exact hits and emits
-// it as whole words of '1' bits, and the decoder counts a run with one
-// LeadingZeros64(^word) over a peeked window and materializes it as bulk
-// stores from the reference slice. Misses are fused too: the encoder packs
-// marker + selector + residual flags + payload into a single WriteBits
-// word, and the decoder extracts all of them branchlessly from the same
-// peeked window that delimited the preceding run, consuming run and miss
-// with one Skip. Candidate predictions are only computed for misses, which
-// also skips region D's off-diagonal row sum on every hit.
+// Wire format per element:
 //
-// The wire format is untouched: both paths produce and consume the exact
-// same bit sequence (the property test in batch_test.go flips useBatched
-// off to prove byte identity across the fixture matrix, and the golden-runs
-// corpus pins run-heavy blobs on disk).
+//	'1'                         — the temporal prediction is bit-exact
+//	                              (the dominant case in idle circuit
+//	                              regions; the paper's 1-bit scenario)
+//	'0' + selector + residual   — best-fit mode: 1 (D) or 2 (U/L) selector
+//	                              bits, then the window-coded XOR residual
+//	'0' + residual              — Markov mode: the selector is predicted
+//	                              from the decision history, no bits
+//
+// The dominant symbol is the 1-bit temporal-exact hit, so instead of one
+// WriteBit/ReadBit plus a candidate computation per element the encoder
+// scans ahead for the run of bit-exact hits and emits it as whole words of
+// '1' bits, and the decoder counts a run with one LeadingZeros64(^word) over
+// a peeked window and materializes it as bulk stores from the reference
+// slice. Misses are fused too: the encoder packs marker + selector + residual
+// flags + payload into a single WriteBits word, and the decoder extracts all
+// of them branchlessly from the same peeked window that delimited the
+// preceding run, consuming run and miss with one Skip. Candidate predictions
+// are only computed for misses, which also skips region D's off-diagonal row
+// sum on every hit.
+//
+// The element-at-a-time transcription of the format lives in
+// reference_test.go; the property test in batch_test.go proves byte identity
+// against it across the fixture matrix, and the golden-runs corpus pins
+// run-heavy blobs on disk.
 
 // maxFusedRun bounds the run length the decoder handles inside one peeked
 // window: after the run there must still be room for the miss marker, the
@@ -35,8 +44,7 @@ import (
 const maxFusedRun = 50
 
 // noteHits tallies a run of temporal-exact hits: each costs one '1' payload
-// bit and lands in the zero-residual histogram bucket, exactly as the
-// per-element fast path in codeElement accounts them.
+// bit and lands in the zero-residual histogram bucket.
 func (cc *chunkCoder) noteHits(n int64) {
 	cc.stats.Elements += n
 	cc.stats.PayloadBits += n
@@ -48,7 +56,7 @@ func (cc *chunkCoder) noteHits(n int64) {
 // XOR residual, packed into a single WriteBits word whenever marker +
 // selector + flags + descriptor + payload fit in 64 bits (payloads long
 // enough to spill are written with one extra call). Bit sequence and
-// statistics accounting are identical to the codeElement reference path.
+// statistics accounting are identical to the reference coder's.
 func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 	cands *[4]float64, nSyms int, prev *uint8,
 	table []uint8, counts func(prev, sym uint8)) uint8 {

@@ -109,14 +109,6 @@ func batchFixtures() []struct {
 	return out
 }
 
-// withScalarPaths runs f with the batched region coders disabled, restoring
-// them afterwards. Tests using it cannot run in parallel with each other.
-func withScalarPaths(f func()) {
-	useBatched = false
-	defer func() { useBatched = true }()
-	f()
-}
-
 // TestBatchedWireIdentity is the property test gating the word-parallel
 // paths: across every fixture, the batched encoder must emit byte-identical
 // blobs to the element-at-a-time reference path, each decoder must invert
@@ -124,8 +116,8 @@ func withScalarPaths(f func()) {
 func TestBatchedWireIdentity(t *testing.T) {
 	for _, fx := range batchFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
-			encodeChain := func() ([][]byte, Stats) {
-				c := New(fx.p, fx.opt)
+			encodeChain := func(newCodec func(*sparse.Pattern, Options) *Compressor) ([][]byte, Stats) {
+				c := newCodec(fx.p, fx.opt)
 				var blobs [][]byte
 				for i := 0; i < len(fx.frames)-1; i++ {
 					blobs = append(blobs, c.Compress(nil, fx.frames[i], fx.frames[i+1]))
@@ -133,10 +125,8 @@ func TestBatchedWireIdentity(t *testing.T) {
 				blobs = append(blobs, c.Compress(nil, fx.frames[len(fx.frames)-1], nil))
 				return blobs, c.Stats()
 			}
-			batched, batchedStats := encodeChain()
-			var scalar [][]byte
-			var scalarStats Stats
-			withScalarPaths(func() { scalar, scalarStats = encodeChain() })
+			batched, batchedStats := encodeChain(New)
+			scalar, scalarStats := encodeChain(newReference)
 
 			for i := range batched {
 				if !bytes.Equal(batched[i], scalar[i]) {
@@ -148,8 +138,8 @@ func TestBatchedWireIdentity(t *testing.T) {
 				t.Fatalf("stats diverged:\nbatched: %+v\nscalar:  %+v", batchedStats, scalarStats)
 			}
 
-			decodeChain := func(blobs [][]byte) [][]float64 {
-				d := New(fx.p, fx.opt)
+			decodeChain := func(newCodec func(*sparse.Pattern, Options) *Compressor, blobs [][]byte) [][]float64 {
+				d := newCodec(fx.p, fx.opt)
 				var got [][]float64
 				for i := range blobs {
 					var ref []float64
@@ -166,9 +156,8 @@ func TestBatchedWireIdentity(t *testing.T) {
 			}
 			// Batched decoder over scalar-encoded blobs (and vice versa —
 			// the blobs are identical, so one decode per mode covers both).
-			fromBatched := decodeChain(scalar)
-			var fromScalar [][]float64
-			withScalarPaths(func() { fromScalar = decodeChain(batched) })
+			fromBatched := decodeChain(New, scalar)
+			fromScalar := decodeChain(newReference, batched)
 			for i := range fromBatched {
 				for k := range fromBatched[i] {
 					want := math.Float64bits(fx.frames[i][k])
@@ -196,10 +185,7 @@ func TestBatchedTruncatedAgreesWithScalar(t *testing.T) {
 	out := make([]float64, p.NNZ())
 	for k := 0; k < len(blob); k++ {
 		berr := New(p, Options{}).Decompress(out, blob[:k], frames[1])
-		var serr error
-		withScalarPaths(func() {
-			serr = New(p, Options{}).Decompress(out, blob[:k], frames[1])
-		})
+		serr := newReference(p, Options{}).Decompress(out, blob[:k], frames[1])
 		if (berr == nil) != (serr == nil) {
 			t.Fatalf("prefix %d: batched err %v, scalar err %v", k, berr, serr)
 		}

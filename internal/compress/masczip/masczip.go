@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"masc/internal/compress"
 	"masc/internal/compress/bitstream"
@@ -111,7 +110,6 @@ type Compressor struct {
 	decBounds []int32
 	lens      []int
 	starts    []int
-	errs      []error
 
 	// Call state shared with encFn/decFn, which are allocated once here
 	// rather than as per-call closures.
@@ -182,10 +180,6 @@ func (c *Compressor) ensureChunks(nchunks int) {
 		c.chStats = make([]Stats, nchunks)
 	}
 	c.chStats = c.chStats[:cap(c.chStats)]
-	if cap(c.errs) < nchunks {
-		c.errs = make([]error, nchunks)
-	}
-	c.errs = c.errs[:cap(c.errs)]
 }
 
 // SetSpans installs a span recorder: each Compress/Decompress call then
@@ -229,9 +223,9 @@ func (c *Compressor) refOrZeros(ref []float64) []float64 {
 	return c.zeros
 }
 
-// encodeChunk encodes chunk ci of the call in flight into its persistent
-// writer. It is c.encFn, dispatched through the workpool.
-func (c *Compressor) encodeChunk(ci int) {
+// chunkEncoder resets chunk ci's persistent writer and coder for the call
+// in flight.
+func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
 	w := c.writers[ci]
 	w.Reset()
 	ec := &c.coders[ci]
@@ -250,7 +244,14 @@ func (c *Compressor) encodeChunk(ci int) {
 		ec.stats = &c.chStats[ci]
 		ec.statsOn = true
 	}
-	ec.encode(w)
+	return ec, w
+}
+
+// encodeChunk encodes chunk ci of the call in flight into its persistent
+// writer. It is c.encFn, dispatched through the workpool.
+func (c *Compressor) encodeChunk(ci int) {
+	ec, w := c.chunkEncoder(ci)
+	ec.encodeRegions(w)
 }
 
 // Compress implements compress.Compressor.
@@ -338,9 +339,9 @@ func boolInt(b bool) int64 {
 	return 0
 }
 
-// decodeChunk decodes chunk ci of the call in flight, recording any error
-// in c.errs[ci]. It is c.decFn, dispatched through the workpool.
-func (c *Compressor) decodeChunk(ci int) {
+// chunkDecoder points chunk ci's persistent reader at its payload and resets
+// its coder for the call in flight.
+func (c *Compressor) chunkDecoder(ci int) (*chunkCoder, *bitstream.Reader) {
 	r := c.readers[ci]
 	r.Reset(c.blob[c.starts[ci] : c.starts[ci]+c.lens[ci]])
 	dc := &c.coders[ci]
@@ -351,11 +352,15 @@ func (c *Compressor) decodeChunk(ci int) {
 		calib: c.calib, tables: &c.tbl,
 	}
 	dc.stats = &dc.discard
-	if err := dc.decode(r); err != nil {
-		c.errs[ci] = fmt.Errorf("masczip: chunk %d: %w", ci, err)
-	} else {
-		c.errs[ci] = nil
-	}
+	return dc, r
+}
+
+// decodeChunk decodes chunk ci of the call in flight; an overrun stays in
+// the chunk's reader for Decompress to report. It is c.decFn, dispatched
+// through the workpool.
+func (c *Compressor) decodeChunk(ci int) {
+	dc, r := c.chunkDecoder(ci)
+	dc.decodeRegions(r)
 }
 
 // Decompress implements compress.Compressor.
@@ -458,8 +463,8 @@ func (c *Compressor) Decompress(cur []float64, blob []byte, ref []float64) error
 	workpool.Do(nchunks, c.decFn)
 	c.cur, c.ref, c.blob = nil, nil, nil
 	for ci := 0; ci < nchunks; ci++ {
-		if c.errs[ci] != nil {
-			return c.errs[ci]
+		if err := c.readers[ci].Err(); err != nil {
+			return fmt.Errorf("masczip: chunk %d: %w", ci, err)
 		}
 	}
 	return nil
@@ -613,234 +618,6 @@ func bestSym(val float64, cands *[4]float64, n int) uint8 {
 	return uint8(best)
 }
 
-// encodeResidual writes the XOR residual with the window code.
-func (cc *chunkCoder) encodeResidual(w *bitstream.Writer, val, pred float64) {
-	x := math.Float64bits(val) ^ math.Float64bits(pred)
-	if x == 0 {
-		w.WriteBit(1)
-		cc.stats.LZHist[8]++
-		cc.stats.PayloadBits++
-		return
-	}
-	before := w.BitLen()
-	w.WriteBit(0)
-	lz := uint(bits.LeadingZeros64(x))
-	// Branch-free byte-class: x != 0 bounds lz at 63, so lz&^7 is already
-	// capped at 56 — no clamp needed.
-	lz8 := lz &^ 7
-	tz := uint(bits.TrailingZeros64(x))
-	length := 64 - lz8 - tz
-	prevShift := 64 - cc.win.lz8 - cc.win.len
-	// Share the previous window only when the residual fits it AND the
-	// shared form is no longer than re-describing a tight window (1+len
-	// shared vs 10+len fresh): a stale wide window wastes bits.
-	fits := !cc.opt.DisableSharedWindow && cc.win.len > 0 &&
-		lz >= cc.win.lz8 && tz >= prevShift && cc.win.len <= length+9
-	if fits {
-		w.WriteBit(1)
-		w.WriteBits(x>>prevShift, cc.win.len)
-	} else {
-		w.WriteBit(0)
-		w.WriteBits(uint64(lz8>>3), 3)
-		w.WriteBits(uint64(length-1), 6)
-		w.WriteBits(x>>tz, length)
-		cc.win.lz8 = lz8
-		cc.win.len = length
-	}
-	cc.stats.LZHist[lz8>>3]++
-	cc.stats.PayloadBits += int64(w.BitLen() - before)
-}
-
-// decodeResidual mirrors encodeResidual and returns the value. This is the
-// sequential reference path; the batched decoder fuses these reads into the
-// single-peek field extraction of decodeMissAt.
-func (cc *chunkCoder) decodeResidual(r *bitstream.Reader, pred float64) float64 {
-	if r.ReadBit() == 1 {
-		return pred
-	}
-	var x uint64
-	if r.ReadBit() == 1 {
-		prevShift := 64 - cc.win.lz8 - cc.win.len
-		x = r.ReadBits(cc.win.len) << prevShift
-	} else {
-		lz8 := uint(r.ReadBits(3)) << 3
-		length := uint(r.ReadBits(6)) + 1
-		x = r.ReadBits(length) << (64 - lz8 - length)
-		cc.win.lz8 = lz8
-		cc.win.len = length
-	}
-	return math.Float64frombits(math.Float64bits(pred) ^ x)
-}
-
-// codeElement encodes or decodes one element (exactly one of w, r is
-// non-nil) and returns the decoded value (decoder) or val (encoder), plus
-// the selected model symbol for statistics.
-//
-// Wire format per element:
-//
-//	'1'                         — the temporal prediction is bit-exact
-//	                              (the dominant case in idle circuit
-//	                              regions; the paper's 1-bit scenario)
-//	'0' + selector + residual   — best-fit mode: 1 (D) or 2 (U/L) selector
-//	                              bits, then the window-coded XOR residual
-//	'0' + residual              — Markov mode: the selector is predicted
-//	                              from the decision history, no bits
-func (cc *chunkCoder) codeElement(w *bitstream.Writer, r *bitstream.Reader,
-	val float64, cands *[4]float64, nSyms int, prev *uint8,
-	table []uint8, counts func(prev, sym uint8)) (float64, uint8) {
-
-	if w != nil { // encode
-		if math.Float64bits(val) == math.Float64bits(cands[0]) {
-			w.WriteBit(1)
-			cc.stats.Elements++
-			cc.stats.PayloadBits++
-			cc.stats.LZHist[8]++
-			*prev = 0
-			return val, 0
-		}
-		w.WriteBit(0)
-		var sym uint8
-		if cc.calib {
-			sym = bestSym(val, cands, nSyms)
-			bitsN := uint(2)
-			if nSyms == 2 {
-				bitsN = 1
-			}
-			w.WriteBits(uint64(sym), bitsN)
-			if counts != nil {
-				counts(*prev, sym)
-			}
-			cc.stats.SelectorBits += int64(bitsN)
-		} else {
-			sym = table[*prev]
-			if cc.statsOn {
-				cc.stats.MarkovPredicted++
-				if math.Float64bits(val) == math.Float64bits(cands[sym]) {
-					cc.stats.MarkovExact++
-				}
-			}
-		}
-		*prev = sym
-		cc.encodeResidual(w, val, cands[sym])
-		return val, sym
-	}
-	// decode
-	if r.ReadBit() == 1 {
-		*prev = 0
-		return cands[0], 0
-	}
-	var sym uint8
-	if cc.calib {
-		bitsN := uint(2)
-		if nSyms == 2 {
-			bitsN = 1
-		}
-		sym = uint8(r.ReadBits(bitsN))
-	} else {
-		sym = table[*prev]
-	}
-	*prev = sym
-	return cc.decodeResidual(r, cands[sym]), sym
-}
-
-// useBatched selects the word-parallel region coders. The element-at-a-time
-// path in runRegions is kept as the reference implementation; the
-// batched-wire-identity property test flips this off to prove both paths
-// produce byte-identical streams.
-var useBatched = true
-
-// encode writes the chunk's three regions (U, L, D) to w.
-func (cc *chunkCoder) encode(w *bitstream.Writer) {
-	if useBatched {
-		cc.encodeRegions(w)
-		return
-	}
-	cc.runRegions(w, nil)
-}
-
-// decode fills cc.cur for the chunk's rows from r.
-func (cc *chunkCoder) decode(r *bitstream.Reader) error {
-	if useBatched {
-		cc.decodeRegions(r)
-	} else {
-		cc.runRegions(nil, r)
-	}
-	return r.Err()
-}
-
-// runRegions drives the shared encode/decode control flow. Exactly one of
-// w and r is non-nil.
-func (cc *chunkCoder) runRegions(w *bitstream.Writer, r *bitstream.Reader) {
-	pl := cc.plan
-	var cands [4]float64
-
-	countU := func(p, s uint8) { cc.counts.u[p][s]++ }
-	countL := func(p, s uint8) { cc.counts.l[p][s]++ }
-	countD := func(p, s uint8) { cc.counts.d[p][s]++ }
-	if cc.counts == nil {
-		countU, countL, countD = nil, nil, nil
-	}
-
-	// Region U.
-	cc.win = window{}
-	for k := pl.uRowPtr[cc.rowLo]; k < pl.uRowPtr[cc.rowHi]; k++ {
-		slot := pl.uSlots[k]
-		n := cc.candsU(slot, &cands)
-		var val float64
-		if w != nil {
-			val = cc.cur[slot]
-		}
-		v, sym := cc.codeElement(w, r, val, &cands, n, &cc.prevU, cc.tables.u[:], countU)
-		if r != nil {
-			cc.cur[slot] = v
-		} else if math.Float64bits(val) != math.Float64bits(cands[0]) {
-			cc.note(sym, regionU)
-		}
-	}
-
-	// Region L: per-row last-value chaining.
-	cc.win = window{}
-	for row := cc.rowLo; row < cc.rowHi; row++ {
-		lastVal := 0.0
-		haveLast := false
-		for k := pl.lRowPtr[row]; k < pl.lRowPtr[row+1]; k++ {
-			slot := pl.lSlots[k]
-			n := cc.candsL(slot, lastVal, haveLast, &cands)
-			var val float64
-			if w != nil {
-				val = cc.cur[slot]
-			}
-			v, sym := cc.codeElement(w, r, val, &cands, n, &cc.prevL, cc.tables.l[:], countL)
-			if r != nil {
-				cc.cur[slot] = v
-			} else if math.Float64bits(val) != math.Float64bits(cands[0]) {
-				cc.note(sym, regionL)
-			}
-			lastVal, haveLast = v, true
-		}
-	}
-
-	// Region D.
-	cc.win = window{}
-	for row := cc.rowLo; row < cc.rowHi; row++ {
-		slot := pl.diag[row]
-		if slot < 0 {
-			continue
-		}
-		n := cc.candsD(row, slot, &cands)
-		var val float64
-		if w != nil {
-			val = cc.cur[slot]
-		}
-		v, sym := cc.codeElement(w, r, val, &cands, n, &cc.prevD, cc.tables.d[:], countD)
-		if r != nil {
-			cc.cur[slot] = v
-		} else if math.Float64bits(val) != math.Float64bits(cands[0]) {
-			cc.note(sym, regionD)
-		}
-	}
-}
-
 type region int
 
 const (
@@ -851,7 +628,7 @@ const (
 
 // note maps a selector symbol to the paper's three model families for the
 // Figure-6 statistics. It is called only for selector-coded elements (the
-// temporal-exact fast path is tallied separately in codeElement).
+// temporal-exact hits are tallied separately, in noteHits).
 func (cc *chunkCoder) note(sym uint8, rg region) {
 	cc.stats.Elements++
 	cc.stats.SelectorElements++

@@ -1,9 +1,9 @@
 // Package workpool provides a process-wide pool of persistent worker
 // goroutines for the chunk-parallel codecs. The per-timestep hot path of a
 // MASC run compresses thousands of matrices; spawning Workers goroutines
-// per matrix (the seed behaviour of masczip and parallelz) costs a stack
-// and scheduler churn every call. The pool starts GOMAXPROCS workers once,
-// on first use, and fans chunk indices out to them.
+// per matrix (the seed behaviour of masczip) costs a stack and scheduler
+// churn every call. The pool starts GOMAXPROCS workers once, on first use,
+// and fans chunk indices out to them.
 package workpool
 
 import (

@@ -9,7 +9,6 @@ import (
 	"masc/internal/compress"
 	"masc/internal/compress/varint"
 	"masc/internal/faultinject"
-	"masc/internal/obs"
 	"masc/internal/obs/span"
 	"masc/internal/sparse"
 )
@@ -339,7 +338,7 @@ func (s *CompressedStore) runJob(job fwdJob) {
 		s.retainAnchorLocked(job.step, job.curJ, job.curC, false)
 	}
 	s.mu.Unlock()
-	s.observeCompress(job.step, elapsed, stored)
+	s.observeCompress(elapsed, stored)
 	s.ob.queueDepth.Set(float64(len(s.jobs)))
 	if !cut {
 		s.recycle(job.curJ, job.curC)
@@ -348,13 +347,10 @@ func (s *CompressedStore) runJob(job fwdJob) {
 
 // observeCompress mirrors one compressed step into the telemetry handles
 // (no-op when detached).
-func (s *CompressedStore) observeCompress(step int, d time.Duration, bytes int) {
+func (s *CompressedStore) observeCompress(d time.Duration, bytes int) {
 	s.ob.compressSec.AddDuration(d)
 	s.ob.storedBytes.Add(float64(bytes))
 	s.ob.blobBytes.Observe(float64(bytes))
-	if s.ob.tr != nil {
-		s.ob.tr.Emit(obs.Event{Step: step, Phase: "compress", Dur: d, Key: "bytes", N: int64(bytes)})
-	}
 }
 
 // recycle returns a consumed plaintext pair to the buffer pool.
@@ -409,7 +405,7 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 				append([]float64(nil), s.lastJ...),
 				append([]float64(nil), s.lastC...), true)
 		}
-		s.observeCompress(step-1, time.Since(start), stored)
+		s.observeCompress(time.Since(start), stored)
 	} else {
 		s.lastJ = make([]float64, len(jVals))
 		s.lastC = make([]float64, len(cVals))
@@ -484,9 +480,6 @@ func (s *CompressedStore) putAsync(step int, jVals, cVals []float64) error {
 			s.mu.Unlock()
 			s.ob.stallSec.AddDuration(stall)
 			psp.Attr("stall_ns", int64(stall))
-			if s.ob.tr != nil {
-				s.ob.tr.Emit(obs.Event{Step: step, Phase: "stall", Dur: stall})
-			}
 		}
 	}
 	s.lastJ, s.lastC = jb, cb
@@ -502,9 +495,6 @@ func (s *CompressedStore) putAsync(step int, jVals, cVals []float64) error {
 	s.ob.queueDepth.Set(float64(depth))
 	psp.Attr("queue", int64(depth))
 	psp.End()
-	if s.ob.tr != nil {
-		s.ob.tr.Emit(obs.Event{Step: step, Phase: "put", Key: "queue", N: int64(depth)})
-	}
 	return nil
 }
 
@@ -552,7 +542,7 @@ func (s *CompressedStore) EndForward() error {
 	s.plainC[s.n] = s.lastC
 	s.lastJ, s.lastC = nil, nil
 	s.mu.Unlock()
-	s.observeCompress(s.n, time.Since(start), stored)
+	s.observeCompress(time.Since(start), stored)
 	return nil
 }
 
@@ -590,9 +580,8 @@ func (s *CompressedStore) unpinBlobs() {
 // decompressStep inflates step's blobs against the given references into
 // frames checked out of the pool. At most one call runs at a time (Fetch
 // joins any in-flight prefetch first), so the codecs' scratch state is safe.
-// phase names the trace event ("decompress" foreground, "prefetch"
-// background).
-func (s *CompressedStore) decompressStep(step int, refJ, refC []float64, phase string) ([]float64, []float64, error) {
+// prefetch marks the span of a background decode ahead of the sweep.
+func (s *CompressedStore) decompressStep(step int, refJ, refC []float64, prefetch bool) ([]float64, []float64, error) {
 	s.mu.Lock()
 	jBlob, cBlob, jv, cv, err := s.checkoutLocked(step)
 	s.mu.Unlock()
@@ -621,16 +610,12 @@ func (s *CompressedStore) decompressStep(step int, refJ, refC []float64, phase s
 	}
 	elapsed := time.Since(start)
 	dsp.Attr("bytes", int64(len(jBlob)+len(cBlob)))
-	dsp.Attr("prefetch", boolAttr(phase == "prefetch"))
+	dsp.Attr("prefetch", boolAttr(prefetch))
 	dsp.End()
 	s.mu.Lock()
 	s.stats.DecompressTime += elapsed
 	s.mu.Unlock()
 	s.ob.decompressSec.AddDuration(elapsed)
-	if s.ob.tr != nil {
-		s.ob.tr.Emit(obs.Event{Step: step, Phase: phase, Dur: elapsed,
-			Key: "bytes", N: int64(len(jBlob) + len(cBlob))})
-	}
 	return jv, cv, nil
 }
 
@@ -675,7 +660,7 @@ func (s *CompressedStore) maybePrefetch(step int) {
 			}
 			close(pf.done)
 		}()
-		pf.j, pf.c, pf.err = s.decompressStep(pf.step, refJ, refC, "prefetch")
+		pf.j, pf.c, pf.err = s.decompressStep(pf.step, refJ, refC, true)
 	}()
 }
 
@@ -740,9 +725,6 @@ func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 		s.ob.fetches.Inc()
 		if wasPrefetched {
 			s.ob.prefetchHits.Inc()
-			if s.ob.tr != nil {
-				s.ob.tr.Emit(obs.Event{Step: step, Phase: "prefetch_hit"})
-			}
 		}
 		return j, c, nil
 	}
@@ -765,7 +747,7 @@ func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 		}
 		// Rotted anchor: decode its self-contained blob instead.
 	}
-	jv, cv, err := s.decompressStep(step, refJ, refC, "decompress")
+	jv, cv, err := s.decompressStep(step, refJ, refC, false)
 	if err != nil {
 		return nil, nil, err
 	}

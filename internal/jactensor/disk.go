@@ -11,7 +11,7 @@ import (
 	"masc/internal/blobframe"
 	"masc/internal/diskio"
 	"masc/internal/faultinject"
-	"masc/internal/obs"
+	"masc/internal/obs/span"
 )
 
 // DiskStore spills every step to a (bandwidth-throttled) spill file — the
@@ -110,6 +110,8 @@ func (s *DiskStore) Put(step int, jVals, cVals []float64) error {
 	if step == 0 {
 		s.jLen, s.cLen = len(jVals), len(cVals)
 	}
+	psp := s.ob.rec.Start(s.ob.spanParent(), span.Put, step)
+	defer psp.End()
 	start := time.Now()
 	write := func(vals []float64, kind byte, tensor string) (int64, error) {
 		rec := s.encode(vals, kind, step)
@@ -135,12 +137,8 @@ func (s *DiskStore) Put(step int, jVals, cVals []float64) error {
 	s.trackResident()
 	s.ob.puts.Inc()
 	s.ob.rawBytes.Add(float64(8 * (len(jVals) + len(cVals))))
-	if s.ob.tr != nil || s.ob.ioSec != nil {
-		d := time.Since(start)
-		s.ob.ioSec.AddDuration(d)
-		s.ob.tr.Emit(obs.Event{Step: step, Phase: "put", Dur: d,
-			Key: "bytes", N: int64(8 * (len(jVals) + len(cVals)))})
-	}
+	s.ob.ioSec.AddDuration(time.Since(start))
+	psp.Attr("bytes", int64(8*(len(jVals)+len(cVals))))
 	return nil
 }
 
@@ -212,10 +210,6 @@ func (s *DiskStore) Fetch(step int) ([]float64, []float64, error) {
 	s.trackResident()
 	s.ob.fetches.Inc()
 	s.ob.ioSec.AddDuration(d)
-	if s.ob.tr != nil {
-		s.ob.tr.Emit(obs.Event{Step: step, Phase: "fetch", Dur: d,
-			Key: "bytes", N: int64(8 * (s.jLen + s.cLen))})
-	}
 	return s.jBuf, s.cBuf, nil
 }
 

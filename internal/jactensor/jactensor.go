@@ -1,8 +1,13 @@
 // Package jactensor manages the Jacobian tensor — the sequence of J and C
 // matrices produced by forward integration and consumed in reverse by the
-// adjoint sweep. It provides the four storage strategies the MASC paper
-// compares: raw in-memory, disk spill, compressed in-memory (MASC or any
-// baseline codec), and — via the adjoint package — full recomputation.
+// adjoint sweep. It provides the stores behind the strategies the MASC
+// paper compares — raw in-memory (MemStore), disk spill (DiskStore),
+// compressed in-memory with MASC or any baseline codec (CompressedStore,
+// sync or async, and its window views StoreSlice), full recomputation via
+// the adjoint package — plus the two this reproduction adds: AutoStore,
+// which picks the codec from an on-line trial, and TieredStore, which holds
+// a memory budget by placing each step on RAM, compressed RAM, disk or
+// recompute.
 package jactensor
 
 import (

@@ -13,8 +13,6 @@ import (
 // value (all-nil handles) makes every hook a cheap no-op, so the hot
 // paths carry no "is telemetry on?" branching of their own.
 type storeObs struct {
-	tr *obs.Tracer
-
 	// rec records store-internal spans (put/compress/decompress, tier
 	// moves); scope is the fixed fallback parent (the run root span) used
 	// whenever the recorder's dynamic scope — the forward step span, set
@@ -50,7 +48,6 @@ func newStoreObs(o *obs.Observer, kind string) storeObs {
 	reg := o.Registry()
 	lbl := []string{"store", kind}
 	return storeObs{
-		tr:            o.Tracer(),
 		rec:           o.SpanRecorder(),
 		puts:          reg.Counter("masc_store_put_total", "Steps written to the Jacobian store.", lbl...),
 		fetches:       reg.Counter("masc_store_fetch_total", "Steps fetched from the Jacobian store.", lbl...),

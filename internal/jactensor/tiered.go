@@ -62,7 +62,6 @@ import (
 	"masc/internal/compress"
 	"masc/internal/diskio"
 	"masc/internal/faultinject"
-	"masc/internal/obs"
 	"masc/internal/obs/span"
 	"masc/internal/tiersched"
 )
@@ -473,7 +472,7 @@ func (s *TieredStore) demote(i int) {
 	}
 	if kept {
 		s.markEvictable(i)
-		s.noteDemote(i, tiersched.Compressed, int64(st.jbN+st.cbN))
+		s.noteDemote(tiersched.Compressed)
 	} else {
 		s.offload(dsp.ID(), i)
 	}
@@ -567,7 +566,7 @@ func (s *TieredStore) offload(parent span.ID, i int) {
 	}
 	st.jbN, st.cbN = 0, 0
 	st.tier = tiersched.Dropped
-	s.noteDemote(i, tiersched.Dropped, 0)
+	s.noteDemote(tiersched.Dropped)
 }
 
 // noteDecision records one placement with the cost-model inputs behind it,
@@ -622,7 +621,7 @@ func (s *TieredStore) spillStep(i int) error {
 	s.bumpResident(-int64(st.jbN + st.cbN))
 	st.jBlob, st.cBlob = nil, nil
 	st.tier = tiersched.Disk
-	s.noteDemote(i, tiersched.Disk, int64(st.jbN+st.cbN))
+	s.noteDemote(tiersched.Disk)
 	ssp.Attr("bytes", int64(st.jbN+st.cbN))
 	ssp.Attr("off", jOff)
 	ssp.Attr("ok", 1)
@@ -655,20 +654,14 @@ func (s *TieredStore) parkFrame(j, c []float64) {
 	}
 }
 
-func (s *TieredStore) noteDemote(step int, to tiersched.Tier, bytes int64) {
+func (s *TieredStore) noteDemote(to tiersched.Tier) {
 	s.stats.TierDemotions++
 	s.tob.demote(to)
-	if s.ob.tr != nil {
-		s.ob.tr.Emit(obs.Event{Step: step, Phase: "demote", Key: to.String(), N: bytes})
-	}
 }
 
-func (s *TieredStore) notePromote(step int, from tiersched.Tier) {
+func (s *TieredStore) notePromote(from tiersched.Tier) {
 	s.stats.TierPromotions++
 	s.tob.promote(from)
-	if s.ob.tr != nil {
-		s.ob.tr.Emit(obs.Event{Step: step, Phase: "promote", Key: from.String(), N: s.frameBytes})
-	}
 }
 
 func (s *TieredStore) quarantineLocked(i int) {
@@ -784,7 +777,7 @@ func (s *TieredStore) materialize(step int) error {
 		return err
 	}
 	st.tier = tiersched.Hot
-	s.notePromote(step, from)
+	s.notePromote(from)
 	s.enforceBudget()
 	return nil
 }
@@ -980,7 +973,7 @@ func (s *TieredStore) Repair(step int, jVals, cVals []float64) {
 	st.quarantined = false
 	s.stats.Repairs++
 	if from != tiersched.Hot {
-		s.notePromote(step, from)
+		s.notePromote(from)
 	}
 	s.enforceBudget()
 	s.markEvictable(step)

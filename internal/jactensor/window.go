@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"masc/internal/compress"
-	"masc/internal/obs"
+	"masc/internal/obs/span"
 )
 
 // StoreSlice is a window-local view of a CompressedStore: an independent
@@ -125,14 +125,19 @@ func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	dsp := p.ob.rec.Start(p.ob.spanParent(), span.Decompress, step)
 	start := time.Now()
 	if err := sl.jc.Decompress(jv, jPayload, refJ); err != nil {
+		dsp.End()
 		return nil, nil, p.decodeFailed(step, "J", err)
 	}
 	if err := sl.cc.Decompress(cv, cPayload, refC); err != nil {
+		dsp.End()
 		return nil, nil, p.decodeFailed(step, "C", err)
 	}
 	elapsed := time.Since(start)
+	dsp.Attr("bytes", int64(len(jBlob)+len(cBlob)))
+	dsp.End()
 	sl.plainJ[step] = jv
 	sl.plainC[step] = cv
 	p.mu.Lock()
@@ -141,10 +146,6 @@ func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
 	p.mu.Unlock()
 	p.ob.fetches.Inc()
 	p.ob.decompressSec.AddDuration(elapsed)
-	if p.ob.tr != nil {
-		p.ob.tr.Emit(obs.Event{Step: step, Phase: "decompress", Dur: elapsed,
-			Key: "bytes", N: int64(len(jBlob) + len(cBlob))})
-	}
 	return jv, cv, nil
 }
 

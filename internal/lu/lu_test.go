@@ -309,72 +309,3 @@ func BenchmarkSolve(b *testing.B) {
 		f.Solve(buf)
 	}
 }
-
-func TestSolveRefinedImprovesResidual(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	// An ill-conditioned matrix: diagonally dominant base plus a near-
-	// dependent pair of rows.
-	n := 60
-	m := randomSPDish(rng, n, 4*n)
-	// Scale one row way down to hurt conditioning.
-	lo, hi := m.P.Row(7)
-	for k := lo; k < hi; k++ {
-		m.Val[k] *= 1e-10
-	}
-	f, err := Factor(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, n)
-	want := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-		want[i] = b[i]
-	}
-	plain := append([]float64(nil), want...)
-	f.Solve(plain)
-	plainRes := residual(m, plain, want)
-
-	refined := append([]float64(nil), want...)
-	refRes := f.SolveRefined(m, refined, 4)
-	if refRes > plainRes*1.01 {
-		t.Fatalf("refinement did not help: %g vs %g", refRes, plainRes)
-	}
-	// κ ≈ 1e10 puts the attainable residual near κ·ε ≈ 1e-6.
-	if refRes > 1e-6 {
-		t.Fatalf("refined residual still large: %g", refRes)
-	}
-}
-
-func TestCondEstimate(t *testing.T) {
-	// Diagonal matrices have known κ₁ = max|d|/min|d|.
-	n := 12
-	b := sparse.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		b.Add(int32(i), int32(i))
-	}
-	m := sparse.NewMatrix(b.Build())
-	for i := 0; i < n; i++ {
-		m.Val[i] = float64(i + 1) // κ₁ = 12
-	}
-	f, err := Factor(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := f.CondEstimate(m)
-	if est < 11.9 || est > 12.1 {
-		t.Fatalf("diagonal condition estimate %g, want 12", est)
-	}
-	// A well-conditioned random matrix must not report a huge κ, and the
-	// estimate is a lower bound so it must exceed 1.
-	rng := rand.New(rand.NewSource(32))
-	m2 := randomSPDish(rng, 40, 160)
-	f2, err := Factor(m2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est2 := f2.CondEstimate(m2)
-	if est2 < 1 || est2 > 1e6 {
-		t.Fatalf("random-matrix condition estimate %g out of plausible range", est2)
-	}
-}

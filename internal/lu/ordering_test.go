@@ -82,28 +82,66 @@ func orderingCases(rng *rand.Rand) []orderingCase {
 	return cases
 }
 
+// checkOrdering: MinDegree of c is a permutation of 0..n-1, the same on a
+// second call, and the same when the entries are added in the order rng
+// shuffles them into.
+func checkOrdering(t *testing.T, c orderingCase, rng *rand.Rand) {
+	t.Helper()
+	p := c.pattern(nil)
+	ord := MinDegree(p)
+	if len(ord) != c.n {
+		t.Fatalf("%s n=%d: ordering length %d", c.name, c.n, len(ord))
+	}
+	seen := make([]bool, c.n)
+	for _, v := range ord {
+		if v < 0 || int(v) >= c.n || seen[v] {
+			t.Fatalf("%s n=%d: not a permutation: %v", c.name, c.n, ord)
+		}
+		seen[v] = true
+	}
+	if again := MinDegree(p); !slices.Equal(ord, again) {
+		t.Fatalf("%s n=%d: second call differs", c.name, c.n)
+	}
+	if shuffled := MinDegree(c.pattern(rng)); !slices.Equal(ord, shuffled) {
+		t.Fatalf("%s n=%d: ordering depends on the order entries were added in", c.name, c.n)
+	}
+}
+
 func TestMinDegreeIsDeterministicPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range orderingCases(rng) {
-		p := c.pattern(nil)
-		ord := MinDegree(p)
-		if len(ord) != c.n {
-			t.Fatalf("%s n=%d: ordering length %d", c.name, c.n, len(ord))
-		}
-		seen := make([]bool, c.n)
-		for _, v := range ord {
-			if v < 0 || int(v) >= c.n || seen[v] {
-				t.Fatalf("%s n=%d: not a permutation: %v", c.name, c.n, ord)
-			}
-			seen[v] = true
-		}
-		if again := MinDegree(p); !slices.Equal(ord, again) {
-			t.Fatalf("%s n=%d: second call differs", c.name, c.n)
-		}
-		if shuffled := MinDegree(c.pattern(rng)); !slices.Equal(ord, shuffled) {
-			t.Fatalf("%s n=%d: ordering depends on the order entries were added in", c.name, c.n)
-		}
+		checkOrdering(t, c, rng)
 	}
+}
+
+// FuzzMinDegree holds arbitrary small patterns to checkOrdering. The first
+// byte picks n in 1..256 (large enough for a supply rail to be set aside),
+// each following pair of bytes is one entry (i, j) mod n; duplicates, missing
+// diagonals and isolated variables all occur.
+func FuzzMinDegree(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0, 0, 1, 1, 0, 1})
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range orderingCases(rng) {
+		if c.n < 1 || c.n > 256 {
+			continue
+		}
+		seed := []byte{byte(c.n - 1)}
+		for _, e := range c.edges {
+			seed = append(seed, byte(e.i), byte(e.j))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		c := orderingCase{name: "fuzz", n: 1 + int(data[0])}
+		for k := 1; k+1 < len(data); k += 2 {
+			c.edges = append(c.edges, edge{int32(int(data[k]) % c.n), int32(int(data[k+1]) % c.n)})
+		}
+		checkOrdering(t, c, rand.New(rand.NewSource(int64(len(data)))))
+	})
 }
 
 // TestMinDegreeOnGrid: on a 2-D grid Laplacian the ordering must fill no more

@@ -4,20 +4,17 @@
 //   - a concurrent metrics Registry (counters, gauges, histograms) that
 //     renders in Prometheus text exposition format and as an expvar JSON
 //     snapshot, optionally served over HTTP together with net/http/pprof;
-//   - a structured per-timestep Tracer that streams one JSON object per
-//     pipeline phase (solve, put, compress, fetch, adjoint solve, …) to a
-//     JSONL file, with a zero-allocation no-op path when tracing is off;
 //   - a causal span Recorder (internal/obs/span) that records the run's
 //     phase tree — forward steps, jacobian put/compress, adjoint windows,
 //     sweeps, fetches, tier decisions, disk retries — with nanosecond
 //     timing, exportable as Chrome trace-event JSON or JSONL;
-//   - an SSE Broadcaster that live-streams trace and span events to HTTP
-//     clients on /events;
+//   - an SSE Broadcaster that live-streams finished spans to HTTP clients
+//     on /events;
 //   - a run-Manifest writer that serializes the configuration, provenance
 //     and final aggregate statistics of a run as one JSON document, so
 //     experiments can be compared across runs and machines.
 //
-// Every type is nil-safe: a nil *Observer, *Registry, *Tracer, *Recorder,
+// Every type is nil-safe: a nil *Observer, *Registry, *Recorder,
 // *Broadcaster, *Counter, *Gauge or *Histogram turns the corresponding call
 // into a no-op, so instrumented code needs no "is telemetry on?" branches
 // of its own.
@@ -29,7 +26,6 @@ import "masc/internal/obs/span"
 // A nil Observer (or nil fields) disables the corresponding facility.
 type Observer struct {
 	Reg    *Registry
-	Trace  *Tracer
 	Spans  *span.Recorder
 	Events *Broadcaster
 }
@@ -40,14 +36,6 @@ func (o *Observer) Registry() *Registry {
 		return nil
 	}
 	return o.Reg
-}
-
-// Tracer returns the trace writer, or nil when o is nil.
-func (o *Observer) Tracer() *Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.Trace
 }
 
 // SpanRecorder returns the span recorder, or nil when o is nil.

@@ -13,11 +13,11 @@ import (
 
 func TestObserverNilSafety(t *testing.T) {
 	var o *Observer
-	if o.Registry() != nil || o.Tracer() != nil {
+	if o.Registry() != nil || o.SpanRecorder() != nil {
 		t.Fatal("nil observer must expose nil sinks")
 	}
 	o2 := &Observer{}
-	if o2.Registry() != nil || o2.Tracer() != nil {
+	if o2.Registry() != nil || o2.SpanRecorder() != nil {
 		t.Fatal("empty observer must expose nil sinks")
 	}
 	o3 := &Observer{Reg: NewRegistry()}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -221,5 +222,32 @@ func TestSnapshot(t *testing.T) {
 	buckets := hs["buckets"].(map[string]uint64)
 	if buckets["1"] != 1 || buckets["+Inf"] != 2 {
 		t.Fatalf("snapshot buckets = %+v", buckets)
+	}
+}
+
+// TestDisabledPathZeroAlloc: telemetry that is off costs no allocation — nil
+// handles and nil-registry lookups are what instrumented hot paths call.
+func TestDisabledPathZeroAlloc(t *testing.T) {
+	var (
+		r *Registry
+		c *Counter
+		g *Gauge
+		h *Histogram
+	)
+	if n := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		c.Add(2)
+		c.AddDuration(time.Millisecond)
+		g.Set(1)
+		g.SetMax(2)
+		h.Observe(3)
+	}); n != 0 {
+		t.Fatalf("nil handles allocate %v/op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = r.Counter("x_total", "")
+		_ = r.Gauge("y", "")
+	}); n != 0 {
+		t.Fatalf("nil Registry lookups allocate %v/op", n)
 	}
 }

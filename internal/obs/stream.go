@@ -8,9 +8,8 @@ import (
 
 // Broadcaster fans pre-formatted Server-Sent-Events frames out to any
 // number of HTTP clients. It is the live side of the telemetry layer: the
-// Tracer tees each JSONL line into it as an "event: trace" frame and the
-// span recorder's sink publishes "event: span" frames, so `curl -N /events`
-// follows a run in real time (the masc-serve progress-stream schema).
+// span recorder's sink publishes each finished span as an "event: span"
+// frame, so `curl -N /events` follows a run in real time.
 //
 // Delivery is best-effort by design: Publish never blocks the pipeline.
 // Each client has a bounded buffer; when a client falls behind, frames are
@@ -36,7 +35,7 @@ func NewBroadcaster() *Broadcaster {
 
 // Publish sends one SSE frame ("event: <event>\ndata: <data>\n\n") to every
 // connected client. data must be a single line (the JSON encodings used by
-// the tracer and span recorder are). The frame is built once and shared;
+// the span recorder are). The frame is built once and shared;
 // clients must treat received slices as read-only.
 func (b *Broadcaster) Publish(event string, data []byte) {
 	if b == nil {
@@ -142,7 +141,7 @@ func (b *Broadcaster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.Set("Cache-Control", "no-store")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, ": masc event stream\n\nevent: hello\ndata: {\"stream\":\"masc\",\"events\":[\"trace\",\"span\"]}\n\n")
+	io.WriteString(w, ": masc event stream\n\nevent: hello\ndata: {\"stream\":\"masc\",\"events\":[\"span\"]}\n\n")
 	fl.Flush()
 	if b == nil {
 		return

@@ -15,7 +15,7 @@ import (
 
 func TestBroadcasterNilSafe(t *testing.T) {
 	var b *Broadcaster
-	b.Publish("trace", []byte(`{}`))
+	b.Publish("span", []byte(`{}`))
 	ch, cancel := b.Subscribe()
 	cancel()
 	if _, ok := <-ch; ok {
@@ -48,7 +48,7 @@ func TestBroadcasterSlowClientDropsFrames(t *testing.T) {
 	_, cancel := b.Subscribe() // never read
 	defer cancel()
 	for i := 0; i < clientBuf+10; i++ {
-		b.Publish("trace", []byte(`{}`))
+		b.Publish("span", []byte(`{}`))
 	}
 	if got := b.Dropped(); got != 10 {
 		t.Fatalf("dropped = %d, want 10", got)
@@ -67,13 +67,13 @@ func TestBroadcasterCloseIdempotent(t *testing.T) {
 	if ch2, _ := b.Subscribe(); func() bool { _, ok := <-ch2; return ok }() {
 		t.Fatal("subscribe after close returned open channel")
 	}
-	b.Publish("trace", []byte(`{}`)) // inert
+	b.Publish("span", []byte(`{}`)) // inert
 }
 
 // TestBroadcasterChurnRace hammers the broadcaster from concurrent
-// publishers (trace + span producers) while clients connect, read a little
-// and disconnect mid-run. Run under -race this is the SSE thread-safety
-// gate required by the span-layer test plan.
+// publishers while clients connect, read a little and disconnect mid-run.
+// Run under -race this is the SSE thread-safety gate required by the
+// span-layer test plan.
 func TestBroadcasterChurnRace(t *testing.T) {
 	b := NewBroadcaster()
 	stop := make(chan struct{})
@@ -89,7 +89,7 @@ func TestBroadcasterChurnRace(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					b.Publish("trace", payload)
+					b.Publish("span", payload)
 				}
 			}
 		}(p)
@@ -120,32 +120,6 @@ func TestBroadcasterChurnRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	b.Close()
-}
-
-func TestTracerBroadcastTee(t *testing.T) {
-	var sink bytes.Buffer
-	tr := NewTracer(&sink)
-	b := NewBroadcaster()
-	tr.SetBroadcast(b)
-	ch, cancel := b.Subscribe()
-	defer cancel()
-
-	tr.Emit(Event{Step: 3, Phase: "solve", T: 1e-6})
-	select {
-	case frame := <-ch:
-		s := string(frame)
-		if !strings.HasPrefix(s, "event: trace\ndata: {") || !strings.Contains(s, `"phase":"solve"`) {
-			t.Fatalf("unexpected frame %q", s)
-		}
-		if strings.Contains(strings.TrimSuffix(s, "\n\n"), "\n\n") {
-			t.Fatalf("frame data spans lines: %q", s)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no tee frame")
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestServeObserverEndpoints(t *testing.T) {

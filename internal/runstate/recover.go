@@ -71,6 +71,11 @@ func Recover(path string) (*Recovered, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstate: read journal: %w", err)
 	}
+	return scan(data)
+}
+
+// scan is Recover over the journal's bytes.
+func scan(data []byte) (*Recovered, error) {
 	rec := &Recovered{Windows: map[int]*WindowRec{}}
 	off := 0
 	for {
@@ -168,12 +173,30 @@ func (r *Recovered) apply(kind byte, step int, payload []byte) bool {
 	}
 }
 
+// sized reports whether a payload of n bytes is exactly hdr header bytes,
+// deg uint32s and rows×cols float64s. The counts come from the payload's own
+// header, so it divides instead of multiplying and bounds each count by the
+// bytes present: a forged header can neither wrap the comparison nor size an
+// allocation past what is on disk.
+func sized(n, hdr, deg, rows, cols int) bool {
+	rest := n - hdr
+	if rest < 0 || deg < 0 || rows < 0 || cols < 0 || deg > rest/4 || rows > n {
+		return false
+	}
+	rest -= 4 * deg
+	if cols == 0 || rows == 0 {
+		return rest == 0
+	}
+	cells := rest / 8
+	return rest%8 == 0 && cells%cols == 0 && cells/cols == rows
+}
+
 func decodeStep(step int, p []byte) (StepRec, bool) {
 	if len(p) < 32 {
 		return StepRec{}, false
 	}
 	n := int(binary.LittleEndian.Uint32(p[28:]))
-	if len(p) != 32+8*n {
+	if !sized(len(p), 32, 0, 1, n) {
 		return StepRec{}, false
 	}
 	sr := StepRec{
@@ -202,7 +225,7 @@ func decodeWindow(p []byte) (*WindowRec, bool) {
 	}
 	deg := int(binary.LittleEndian.Uint32(p[16:]))
 	steps := wr.Hi - wr.Lo + 1
-	if steps < 0 || wr.RowLen < 0 || len(p) != 20+4*deg+8*steps*wr.RowLen {
+	if !sized(len(p), 20, deg, steps, wr.RowLen) {
 		return nil, false
 	}
 	off := 20
@@ -232,7 +255,7 @@ func decodeDone(p []byte) (*DoneRec, bool) {
 	K := int(binary.LittleEndian.Uint32(p[0:]))
 	P := int(binary.LittleEndian.Uint32(p[4:]))
 	deg := int(binary.LittleEndian.Uint32(p[8:]))
-	if K < 0 || P < 0 || len(p) != 12+4*deg+8*K*P {
+	if !sized(len(p), 12, deg, K, P) {
 		return nil, false
 	}
 	dr := &DoneRec{}

@@ -28,7 +28,7 @@ func testConfig() *Config {
 	}
 }
 
-func writeSample(t *testing.T, path string) {
+func writeSample(t testing.TB, path string) {
 	t.Helper()
 	w, err := Create(path, testConfig())
 	if err != nil {

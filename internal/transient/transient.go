@@ -226,7 +226,6 @@ type Stats struct {
 // beyond a couple of time.Now calls guarded by `on`.
 type runObs struct {
 	on      bool
-	tr      *obs.Tracer
 	rec     *span.Recorder
 	steps   *obs.Counter
 	cuts    *obs.Counter
@@ -245,7 +244,6 @@ func newRunObs(o *obs.Observer) runObs {
 	reg := o.Registry()
 	return runObs{
 		on:      true,
-		tr:      o.Tracer(),
 		rec:     o.SpanRecorder(),
 		steps:   reg.Counter("masc_transient_steps_total", "Accepted integration steps."),
 		cuts:    reg.Counter("masc_transient_step_cuts_total", "Step halvings after Newton failure or LTE rejection."),
@@ -502,8 +500,6 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			ro.fill.Set(float64(dcStats.FillNNZ))
 			ro.stepSec.Observe(d.Seconds())
 			ro.simTime.Set(opt.TStart)
-			ro.tr.Emit(obs.Event{Step: 0, Phase: "dc", T: opt.TStart, Dur: d,
-				Key: "iters", N: int64(dcStats.NewtonIters)})
 		}
 		s = newSolver(ckt, opt, &res.Stats)
 		x = dcX
@@ -600,8 +596,6 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 				ro.newton.Add(float64(res.Stats.NewtonIters - itersBefore))
 				ro.facts.Add(float64(res.Stats.Factorizations + res.Stats.Refactorizations - factsBefore))
 				ro.reuses.Add(float64(res.Stats.FactorReuses - reusesBefore))
-				ro.tr.Emit(obs.Event{Step: step, Phase: "step_cut", T: tNext,
-					Dur: time.Since(attemptStart), Key: "cuts", N: int64(cuts)})
 			}
 			if opt.NewtonBudget > 0 {
 				failedSolveTime += time.Since(attemptStart)
@@ -633,11 +627,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 				ssp.Attr("cut", 1)
 				ssp.End()
 				res.Stats.StepsCut++
-				if ro.on {
-					ro.cuts.Inc()
-					ro.tr.Emit(obs.Event{Step: step, Phase: "step_cut", T: tNext,
-						Dur: time.Since(attemptStart), Key: "lte", N: 1})
-				}
+				ro.cuts.Inc()
 				h = math.Max(h/2, opt.MinStep)
 				continue
 			}
@@ -666,8 +656,6 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			ro.fill.Set(float64(res.Stats.FillNNZ))
 			ro.stepSec.Observe(d.Seconds())
 			ro.simTime.Set(tNext)
-			ro.tr.Emit(obs.Event{Step: step, Phase: "solve", T: tNext, Dur: d,
-				Key: "iters", N: int64(iters)})
 		}
 		if opt.StepCost != nil {
 			opt.StepCost(step, time.Since(attemptStart))

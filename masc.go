@@ -6,10 +6,13 @@
 // The package bundles a complete SPICE-like substrate — netlist parsing,
 // MNA assembly with R/C/L/V/I/diode/BJT/MOSFET models, sparse LU, backward
 // Euler transient analysis — with discrete adjoint sensitivity analysis
-// whose per-timestep Jacobian tensor is retained through one of four
-// storage strategies: recomputation (the Xyce-style baseline), raw memory,
-// bandwidth-modelled disk spill, or MASC's lossless spatiotemporally
-// predicted in-memory compression.
+// whose per-timestep Jacobian tensor is retained through one of the
+// Storage strategies: recomputation (the Xyce-style baseline), raw memory,
+// bandwidth-modelled disk spill, MASC's lossless spatiotemporally predicted
+// in-memory compression (plain, with the Markov selector, or with the codec
+// picked by an on-line trial), and — under SimOptions.MemBudgetBytes — a
+// tiered store that places every step on hot RAM, compressed RAM, disk or
+// recompute.
 //
 // Quick start:
 //
@@ -83,13 +86,11 @@ type (
 	// Method selects the integration scheme of the forward analysis.
 	Method = transient.Method
 
-	// Observer bundles the optional telemetry sinks (metrics + trace).
+	// Observer bundles the optional telemetry sinks (metrics, spans, SSE).
 	Observer = obs.Observer
 	// Registry is a concurrent metrics registry with Prometheus and
 	// expvar rendering.
 	Registry = obs.Registry
-	// Tracer writes the per-timestep JSONL event trace.
-	Tracer = obs.Tracer
 	// Manifest is the run-manifest document written by -manifest.
 	Manifest = obs.Manifest
 	// MetricsServer is the HTTP endpoint serving /metrics and pprof.
@@ -137,9 +138,6 @@ func NewBuilder() *Builder { return circuit.NewBuilder() }
 
 // NewRegistry returns an empty metrics registry.
 func NewRegistry() *Registry { return obs.NewRegistry() }
-
-// OpenTrace opens (truncating) a JSONL trace file.
-func OpenTrace(path string) (*Tracer, error) { return obs.OpenTrace(path) }
 
 // NewManifest starts a run manifest for the named tool.
 func NewManifest(tool string) *Manifest { return obs.NewManifest(tool) }
@@ -249,10 +247,9 @@ type SimOptions struct {
 	// MemBudgetBytes caps the Jacobian store's modelled resident bytes
 	// ("finish this sweep in 256 MB"). A positive budget replaces the
 	// in-RAM storage strategies (memory, masc, masc+markov, auto) with a
-	// tiered
-	// store that places each step across hot RAM → compressed RAM → disk
-	// spill → deliberate drop-and-recompute, scheduled by a cost model fed
-	// with timings measured from the first steps of the run. The selected
+	// tiered store that places each step across hot RAM → compressed RAM →
+	// disk spill → deliberate drop-and-recompute, scheduled by a cost model
+	// fed with timings measured from the first steps of the run. The selected
 	// strategy still picks the codecs (masc+markov enables the Markov
 	// selector; memory and masc use the default MASC codec). Every tier is
 	// lossless, so sensitivities stay bit-identical to the unlimited-RAM
@@ -266,7 +263,7 @@ type SimOptions struct {
 	// override its time axis when set.
 	Transient TransientOptions
 	// Obs, if non-nil, receives telemetry from every pipeline stage:
-	// metric updates into Obs.Reg and per-timestep events into Obs.Trace.
+	// metric updates into Obs.Reg and the run's span tree into Obs.Spans.
 	// A nil Obs (or nil fields) costs nothing on the hot paths.
 	Obs *Observer
 	// CollectCodecStats enables the masczip encoder-side predictor
@@ -815,10 +812,12 @@ func ParseByteSize(s string) (int64, error) {
 		mult, t = 1<<40, t[:len(t)-1]
 	}
 	n, err := strconv.ParseFloat(strings.TrimSpace(t), 64)
-	if err != nil || n < 0 {
+	v := n * float64(mult)
+	// Written so NaN fails it; 2^63 and up (and +Inf) do not fit an int64.
+	if err != nil || !(v >= 0 && v < 1<<63) {
 		return 0, fmt.Errorf("masc: bad byte size %q", s)
 	}
-	return int64(n * float64(mult)), nil
+	return int64(v), nil
 }
 
 // RunTransient runs only the forward analysis.

@@ -318,6 +318,8 @@ func TestParseByteSize(t *testing.T) {
 		{"1T", 1 << 40},
 		{"1.5M", 3 << 19},
 		{" 8M ", 8 << 20},
+		{"268435456", 256 << 20},
+		{"8388607T", 8388607 << 40},
 	} {
 		got, err := ParseByteSize(tc.in)
 		if err != nil {
@@ -327,7 +329,8 @@ func TestParseByteSize(t *testing.T) {
 			t.Fatalf("ParseByteSize(%q) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "x", "-1", "12Q", "MB"} {
+	for _, bad := range []string{"", "x", "-1", "12Q", "MB",
+		"NaN", "Inf", "-Inf", "1e30", "9223372036854775807", "8E", "8388608T"} {
 		if _, err := ParseByteSize(bad); err == nil {
 			t.Fatalf("ParseByteSize(%q) accepted", bad)
 		}

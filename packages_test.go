@@ -1,0 +1,45 @@
+package masc
+
+import (
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// goList runs `go list args...` in the module root and returns the package
+// paths it prints.
+func goList(t *testing.T, args ...string) []string {
+	t.Helper()
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return strings.Fields(string(out))
+}
+
+// TestNoOrphanInternalPackages fails when an internal/ package is imported
+// (transitively) by neither the facade nor a command: code that no
+// experiment and no CLI can reach is deleted, not kept. Test-only helper
+// packages are the one exception and are listed here by name.
+func TestNoOrphanInternalPackages(t *testing.T) {
+	testHelpers := map[string]bool{
+		"masc/internal/compress/codectest": true,
+	}
+	reached := map[string]bool{}
+	for _, p := range goList(t, "-deps", ".", "./cmd/...") {
+		reached[p] = true
+	}
+	for _, p := range goList(t, "./internal/...") {
+		if !reached[p] && !testHelpers[p] {
+			t.Errorf("%s is reached by neither the masc package nor any cmd/: wire it in or delete it", p)
+		}
+	}
+	for p := range testHelpers {
+		if reached[p] {
+			t.Errorf("%s is allow-listed as test-only but production code imports it", p)
+		}
+	}
+}
