@@ -2,7 +2,8 @@
 // workbench. It can simulate a named dataset or load a tensor file, then
 // report every codec's ratio and throughput — a one-dataset slice of
 // Table 3 — and optionally dump the tensor for later runs or external
-// tools.
+// tools. The tensor it simulates is the one the facade stores: per step,
+// G = ∂f/∂x and C = ∂q/∂x.
 //
 //	masc-compress -dataset mem_plus -scale 0.5 -workers 8
 //	masc-compress -dataset add20 -dump add20.tensor
@@ -53,8 +54,8 @@ func run(dataset, file, dump, codecs string, scale float64, workers int, statsJS
 			return err
 		}
 		tn = t
-		fmt.Printf("loaded %s: %d steps, J nnz %d, C nnz %d, %d B raw\n",
-			file, tn.Steps, tn.JPat.NNZ(), tn.CPat.NNZ(), tn.RawBytes())
+		fmt.Printf("loaded %s: %d steps, G nnz %d, C nnz %d, %d B raw\n",
+			file, tn.Steps, tn.GPat.NNZ(), tn.CPat.NNZ(), tn.RawBytes())
 	} else {
 		ds, err := workload.Build(dataset, scale)
 		if err != nil {
@@ -65,7 +66,8 @@ func run(dataset, file, dump, codecs string, scale float64, workers int, statsJS
 			return err
 		}
 		tn = t
-		fmt.Printf("simulated %s: %d steps, %d B raw\n", dataset, tn.Steps, tn.RawBytes())
+		fmt.Printf("simulated %s: %d steps, G nnz %d, C nnz %d, %d B raw\n",
+			dataset, tn.Steps, tn.GPat.NNZ(), tn.CPat.NNZ(), tn.RawBytes())
 	}
 	if dump != "" {
 		if err := tn.SaveFile(dump); err != nil {

@@ -250,8 +250,8 @@ func run(c cli) error {
 	}
 	if run.Tran != nil && run.Storage != masc.StorageRecompute {
 		st := run.TensorStats
-		fmt.Printf("tensor: raw %d B, stored %d B (CR %.2f), peak resident %d B\n",
-			st.RawBytes, st.StoredBytes,
+		fmt.Printf("tensor: layout %s, raw %d B, stored %d B (CR %.2f), peak resident %d B\n",
+			masc.TensorLayout, st.RawBytes, st.StoredBytes,
 			float64(st.RawBytes)/float64(st.StoredBytes), st.PeakResident)
 		if st.BudgetBytes > 0 {
 			fmt.Printf("tiers: budget %d B — %d hot / %d compressed / %d disk / %d dropped steps, %d demotions (%d direct drops, never compressed), %d promotions, %d recomputes\n",
@@ -320,10 +320,10 @@ func run(c cli) error {
 
 // writeManifest serializes the run's configuration and every layer's
 // aggregate statistics as one JSON document. The tensor section is the
-// store's Stats() verbatim, so its fields match the in-process values
-// bit-for-bit. run may be nil (e.g. an interrupted simulation): the
-// manifest then records the configuration, status, and whatever metrics
-// accumulated before the stop.
+// store's Stats() verbatim (plus the layout those byte counts are of), so
+// its fields match the in-process values bit-for-bit. run may be nil (e.g.
+// an interrupted simulation): the manifest then records the configuration,
+// status, and whatever metrics accumulated before the stop.
 func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, status string) error {
 	man := masc.NewManifest("masc")
 	man.Set("netlist", c.path).
@@ -343,7 +343,10 @@ func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, st
 		if run.Tran != nil {
 			man.Section("transient", run.Tran.Stats)
 			if run.Storage != masc.StorageRecompute {
-				man.Section("tensor", run.TensorStats)
+				man.Section("tensor", struct {
+					masc.TensorStats
+					Layout string `json:"layout"`
+				}{run.TensorStats, masc.TensorLayout})
 			}
 		}
 		man.Section("sensitivity_timing", run.Sens.Timing)
@@ -360,10 +363,10 @@ func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, st
 			man.Section("codec_trials", run.CodecTrials)
 		}
 		if run.HasCodecStats {
-			man.Section("codec_j", run.CodecStatsJ)
+			man.Section("codec_g", run.CodecStatsG)
 			man.Section("codec_c", run.CodecStatsC)
 			man.Section("codec_summary", map[string]any{
-				"markov_hit_rate_j": run.CodecStatsJ.MarkovHitRate(),
+				"markov_hit_rate_g": run.CodecStatsG.MarkovHitRate(),
 				"markov_hit_rate_c": run.CodecStatsC.MarkovHitRate(),
 			})
 		}

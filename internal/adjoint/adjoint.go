@@ -16,7 +16,9 @@
 // Jacobians J_i = G_i + C_i/h_i and C_i = ∂q/∂x|_i are exactly the matrices
 // the forward transient run already computed; JacobianSource abstracts
 // where they come back from — recomputation (Xyce-style), raw memory, disk,
-// or MASC-compressed memory.
+// or MASC-compressed memory. What is kept is the pair the devices produce,
+// (G_i, C_i); the sweep rebuilds J_i from it as it fetches
+// (Options.StoredGC, transient.Result.AssembleJ).
 package adjoint
 
 import (
@@ -37,8 +39,9 @@ import (
 // sweep. Fetch is called in strictly decreasing step order (n, n-1, …, 0);
 // the returned slices are valid until the matching Release.
 type JacobianSource interface {
-	// Fetch returns the J values (on the circuit's JPat) and C values (on
-	// CPat) of step i.
+	// Fetch returns step i's pair: the G values (on the circuit's GPat) and
+	// C values (on CPat) under Options.StoredGC, the assembled J values (on
+	// JPat) and C values otherwise.
 	Fetch(i int) (jVals, cVals []float64, err error)
 	// Release indicates step i will not be fetched again.
 	Release(i int)
@@ -87,6 +90,14 @@ func (o *Objective) sourceAt(i, n int, h float64) float64 {
 type Options struct {
 	// Params are indices into ckt.Params(); nil means all parameters.
 	Params []int
+
+	// StoredGC says the source holds what the devices produce — (G_i, C_i)
+	// on GPat and CPat — and the sweep assembles J_i itself as it fetches;
+	// the degradation ladder then recomputes and repairs that pair. It is
+	// the layout of every store this repository builds. The zero value is
+	// the (J_i, C_i) contract benchmark/trace.go still assembles its
+	// pipeline against; it goes when that file moves to CaptureGC.
+	StoredGC bool
 
 	// Obs, if non-nil, receives per-step telemetry: the masc_adjoint_*
 	// metric families and one trace event per reverse-sweep phase
@@ -444,8 +455,7 @@ func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 
 	// Step 0: DC sensitivity G_0 s_0 = -dfdp_0.
 	ev.Run(tr.States[0], tr.Times[0])
-	ev.BuildJ(J, 0)
-	ckt.AddGmin(J, 1e-12)
+	tr.AssembleJ(ckt, 0, J.Val, ev.G.Val, ev.C.Val)
 	if err := factorize(); err != nil {
 		return nil, fmt.Errorf("adjoint: direct DC factor: %w", err)
 	}
@@ -479,11 +489,7 @@ func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 		h := tr.Hs[i]
 		invH := 1 / h
 		ev.Run(tr.States[i], tr.Times[i])
-		if trap {
-			ev.BuildJWeighted(J, 0.5, invH)
-		} else {
-			ev.BuildJ(J, invH)
-		}
+		tr.AssembleJ(ckt, i, J.Val, ev.G.Val, ev.C.Val)
 		if err := factorize(); err != nil {
 			return nil, fmt.Errorf("adjoint: direct factor step %d: %w", i, err)
 		}
@@ -562,8 +568,9 @@ func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 // the paper's motivation.
 func XyceNaiveSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Objective, opt Options) (*Result, error) {
 	var total *Result
+	opt.StoredGC = true
 	for o := range objs {
-		src := NewRecomputeSource(ckt, tr)
+		src := NewRecomputeSource(ckt, tr).Pairs()
 		r, err := Sensitivities(ckt, tr, src, objs[o:o+1], opt)
 		if err != nil {
 			return nil, err

@@ -15,9 +15,10 @@ package adjoint
 //  3. Fetch/solve overlap: a dedicated fetcher goroutine owns every
 //     JacobianSource call and runs one step ahead of the solver, so
 //     decompression / disk reads / recomputation hide behind the
-//     factor+solve+accumulate of the previous step. The PR-4 degradation
-//     ladder (quarantine → recompute → repair → refetch) runs unchanged
-//     on the fetcher.
+//     factor+solve+accumulate of the previous step. So does assembling
+//     J_i from a stored (G_i, C_i) pair, which acquire does straight into
+//     the fetcher's buffer, and the degradation ladder (quarantine →
+//     recompute → repair → refetch), which runs unchanged on the fetcher.
 //
 // Determinism notes. Shards are pure functions of (worker count, length),
 // each worker writes only its own res.DOdp[o][pk] cells and lam rows, and
@@ -25,7 +26,10 @@ package adjoint
 // are bit-identical for every worker count, including 1. The fetcher copies
 // fetched values into private rotating buffers before touching the next
 // step, because sources (RecomputeSource in particular) may alias internal
-// scratch that the next Fetch overwrites.
+// scratch that the next Fetch overwrites. The assembled J is a pure function
+// of the fetched pair and the trajectory (transient.Result.AssembleJ), built
+// with the forward pass's operation order, so which goroutine builds it
+// changes no bit.
 
 import (
 	"errors"
@@ -260,16 +264,49 @@ func (s *sweep) run() (*Result, error) {
 	return s.res, nil
 }
 
-// acquire materializes step i's Jacobian tensors, running the degradation
-// ladder on any recoverable fetch failure: recompute the step bit-exactly
-// from the in-memory trajectory, hand the plaintext back to the store
-// (healing the quarantined step and the compressed reference chain), and
-// prefer the healed store copy. The returned slices may alias source
+// acquire materializes step i's J and C values. Under Options.StoredGC the
+// source holds (G_i, C_i) and J_i is assembled here, into jDst (JPat-sized),
+// so the overlapped fetcher builds it off the solver's critical path straight
+// into its rotating buffer. The returned slices may alias jDst or source
 // internals and are only valid until the next acquire/Release.
-func (s *sweep) acquire(i int) (jv, cv []float64, degraded bool, err error) {
-	jv, cv, err = s.src.Fetch(i)
+func (s *sweep) acquire(i int, jDst []float64) (jv, cv []float64, degraded bool, err error) {
+	av, cv, degraded, err := s.acquireStored(i)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	first, layout := s.ckt.JPat, "(J, C)"
+	if s.opt.StoredGC {
+		first, layout = s.ckt.GPat, "(G, C)"
+	}
+	if len(av) != first.NNZ() || len(cv) != s.ckt.CPat.NNZ() {
+		return nil, nil, false, fmt.Errorf("adjoint: step %d: source returned %d and %d values, the %s layout has %d and %d (Options.StoredGC must match what the store was fed)",
+			i, len(av), len(cv), layout, first.NNZ(), s.ckt.CPat.NNZ())
+	}
+	if !s.opt.StoredGC {
+		return av, cv, degraded, nil
+	}
+	s.tr.AssembleJ(s.ckt, i, jDst, av, cv)
+	return jDst, cv, degraded, nil
+}
+
+// jFrame returns a buffer for acquire to assemble J into, nil when the
+// source yields J itself.
+func (s *sweep) jFrame() []float64 {
+	if !s.opt.StoredGC {
+		return nil
+	}
+	return make([]float64, s.ckt.JPat.NNZ())
+}
+
+// acquireStored fetches step i's pair in the source's own layout, running
+// the degradation ladder on any recoverable fetch failure: recompute the pair
+// bit-exactly from the in-memory trajectory, hand the plaintext back to the
+// store (healing the quarantined step and the compressed reference chain),
+// and prefer the healed store copy.
+func (s *sweep) acquireStored(i int) (av, cv []float64, degraded bool, err error) {
+	av, cv, err = s.src.Fetch(i)
 	if err == nil {
-		return jv, cv, false, nil
+		return av, cv, false, nil
 	}
 	var se *jactensor.StepError
 	if s.opt.DisableDegrade || !errors.As(err, &se) || !se.Degradable {
@@ -278,17 +315,21 @@ func (s *sweep) acquire(i int) (jv, cv []float64, degraded bool, err error) {
 	if s.rec == nil {
 		s.rec = NewRecomputeSource(s.ckt, s.tr)
 	}
-	rj, rc, rerr := s.rec.Fetch(i)
+	recompute := s.rec.Fetch
+	if s.opt.StoredGC {
+		recompute = s.rec.Pair
+	}
+	ra, rc, rerr := recompute(i)
 	if rerr != nil {
 		return nil, nil, false, &DegradeError{Step: i, Fetch: err, Recompute: rerr}
 	}
 	if rp, ok := s.src.(jactensor.Repairer); ok {
-		rp.Repair(i, rj, rc)
-		if jv2, cv2, ferr := s.src.Fetch(i); ferr == nil {
-			rj, rc = jv2, cv2
+		rp.Repair(i, ra, rc)
+		if av2, cv2, ferr := s.src.Fetch(i); ferr == nil {
+			ra, rc = av2, cv2
 		}
 	}
-	return rj, rc, true, nil
+	return ra, rc, true, nil
 }
 
 // runSerialFetch is the workers ≤ 1 path: fetch, compute, and store
@@ -297,13 +338,14 @@ func (s *sweep) acquire(i int) (jv, cv []float64, degraded bool, err error) {
 func (s *sweep) runSerialFetch() error {
 	swp := s.startSweepSpan()
 	defer swp.End()
+	jBuf := s.jFrame()
 	t0 := time.Now()
 	for i := s.hiStep; i >= s.loStep; i-- {
 		if err := s.checkStop(); err != nil {
 			return err
 		}
 		tFetch := time.Now()
-		jv, cv, degraded, err := s.acquire(i)
+		jv, cv, degraded, err := s.acquire(i, jBuf)
 		if err != nil {
 			return err
 		}
@@ -367,8 +409,8 @@ func (s *sweep) runOverlapped() error {
 	results := make(chan *fetchBuf, 2)
 	errCh := make(chan error, 1)
 	stop := make(chan struct{})
-	free <- &fetchBuf{}
-	free <- &fetchBuf{}
+	free <- &fetchBuf{jv: s.jFrame()}
+	free <- &fetchBuf{jv: s.jFrame()}
 
 	go func() {
 		defer close(results)
@@ -383,14 +425,17 @@ func (s *sweep) runOverlapped() error {
 				return
 			}
 			t := time.Now()
-			jv, cv, degraded, err := s.acquire(i)
+			jv, cv, degraded, err := s.acquire(i, buf.jv)
 			if err != nil {
 				errCh <- err
 				return
 			}
 			// Copy before the next Fetch/Release: the source may reuse the
-			// returned backing arrays (RecomputeSource always does).
-			buf.jv = append(buf.jv[:0], jv...)
+			// returned backing arrays (RecomputeSource always does). A J
+			// assembled into buf.jv is already in place.
+			if !s.opt.StoredGC {
+				buf.jv = append(buf.jv[:0], jv...)
+			}
 			buf.cv = append(buf.cv[:0], cv...)
 			if i < s.hiStep {
 				s.src.Release(i + 1)

@@ -22,13 +22,13 @@ func ablationPair(variant string, tn *Tensor) (codecPair, error) {
 		opts.DisableSharedWindow = true
 	case "temporal-only(chimp)":
 		c := chimpz.NewTemporal()
-		return codecPair{name: variant, j: c, c: c}, nil
+		return codecPair{name: variant, g: c, c: c}, nil
 	default:
 		return codecPair{}, fmt.Errorf("bench: unknown ablation variant %q", variant)
 	}
 	return codecPair{
 		name: variant,
-		j:    masczip.New(tn.JPat, opts),
+		g:    masczip.New(tn.GPat, opts),
 		c:    masczip.New(tn.CPat, opts),
 	}, nil
 }

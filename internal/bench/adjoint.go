@@ -71,7 +71,7 @@ func RunAdjoint(names []string, scale float64, workersList []int) ([]AdjointRow,
 			for rep := 0; rep < 3; rep++ {
 				start := time.Now()
 				r, err := adjoint.Sensitivities(ds.Ckt, tr, src, ds.Objectives,
-					adjoint.Options{Params: ds.Params, Workers: workers, SingleRHS: single})
+					adjoint.Options{Params: ds.Params, StoredGC: true, Workers: workers, SingleRHS: single})
 				if err != nil {
 					return nil, 0, err
 				}

@@ -46,7 +46,7 @@ func BenchmarkSensitivities(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, err := adjoint.Sensitivities(ds.Ckt, tr, src, ds.Objectives,
-					adjoint.Options{Params: ds.Params, Workers: cfg.workers, SingleRHS: cfg.single})
+					adjoint.Options{Params: ds.Params, StoredGC: true, Workers: cfg.workers, SingleRHS: cfg.single})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -77,7 +77,7 @@ func autoSelectOne(tn *Tensor, workers int) (AutoSelectRow, error) {
 			return row, err
 		}
 		trials = append(trials, compress.RunTrial(
-			compress.NewCandidate(cn, pair.j, pair.c), tn.JS[:k], tn.CS[:k], nil))
+			compress.NewCandidate(cn, pair.g, pair.c), tn.GS[:k], tn.CS[:k], nil))
 	}
 	win := compress.Pick(trials)
 	if win < 0 {

@@ -19,11 +19,12 @@ import (
 
 // Tensor is an in-memory Jacobian tensor captured from a simulation (or
 // loaded from a tensor file): the raw material of the compression
-// experiments.
+// experiments. It is the tensor the facade stores — per step, the device
+// matrices G = ∂f/∂x and C = ∂q/∂x, not the assembled J = G + C/h.
 type Tensor struct {
 	Name       string
-	JPat, CPat *sparse.Pattern
-	JS         [][]float64 // J values per step
+	GPat, CPat *sparse.Pattern
+	GS         [][]float64 // G values per step
 	CS         [][]float64 // C values per step
 	Steps      int
 }
@@ -33,26 +34,26 @@ func (t *Tensor) RawBytes() int64 {
 	if t.Steps == 0 {
 		return 0
 	}
-	return int64(8*(len(t.JS[0])+len(t.CS[0]))) * int64(t.Steps)
+	return int64(8*(len(t.GS[0])+len(t.CS[0]))) * int64(t.Steps)
 }
 
-// CaptureTensor simulates the dataset and keeps every step's J and C
+// CaptureTensor simulates the dataset and keeps every step's G and C
 // values in memory.
 func CaptureTensor(ds *workload.Dataset) (*Tensor, error) {
 	st := jactensor.NewMemStore()
 	if _, err := ds.RunForward(st); err != nil {
 		return nil, err
 	}
-	tn := &Tensor{Name: ds.Name, JPat: ds.Ckt.JPat, CPat: ds.Ckt.CPat}
+	tn := &Tensor{Name: ds.Name, GPat: ds.Ckt.GPat, CPat: ds.Ckt.CPat}
 	for i := 0; ; i++ {
-		j, c, err := st.Fetch(i)
+		g, c, err := st.Fetch(i)
 		if err != nil {
 			break
 		}
-		tn.JS = append(tn.JS, append([]float64(nil), j...))
+		tn.GS = append(tn.GS, append([]float64(nil), g...))
 		tn.CS = append(tn.CS, append([]float64(nil), c...))
 	}
-	tn.Steps = len(tn.JS)
+	tn.Steps = len(tn.GS)
 	if tn.Steps == 0 {
 		return nil, fmt.Errorf("bench: %s captured no steps", ds.Name)
 	}
@@ -71,10 +72,10 @@ type CodecResult struct {
 	RoundTripChecked bool
 }
 
-// codecPair supplies (possibly stateful) codecs for the J and C tensors.
+// codecPair supplies (possibly stateful) codecs for the G and C tensors.
 type codecPair struct {
 	name string
-	j, c compress.Compressor
+	g, c compress.Compressor
 }
 
 // MeasureCodec runs the Algorithm-2 chain over the tensor: step i is
@@ -84,40 +85,40 @@ type codecPair struct {
 func MeasureCodec(p codecPair, tn *Tensor) (CodecResult, error) {
 	res := CodecResult{Codec: p.name}
 	n := tn.Steps
-	jBlobs := make([][]byte, n)
+	gBlobs := make([][]byte, n)
 	cBlobs := make([][]byte, n)
 
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		var refJ, refC []float64
+		var refG, refC []float64
 		if i+1 < n {
-			refJ, refC = tn.JS[i+1], tn.CS[i+1]
+			refG, refC = tn.GS[i+1], tn.CS[i+1]
 		}
-		jBlobs[i] = p.j.Compress(nil, tn.JS[i], refJ)
+		gBlobs[i] = p.g.Compress(nil, tn.GS[i], refG)
 		cBlobs[i] = p.c.Compress(nil, tn.CS[i], refC)
-		res.CompressedBytes += int64(len(jBlobs[i]) + len(cBlobs[i]))
+		res.CompressedBytes += int64(len(gBlobs[i]) + len(cBlobs[i]))
 	}
 	res.CompressTime = time.Since(start)
 
-	lossless := p.j.Lossless() && p.c.Lossless()
-	jBuf := make([]float64, len(tn.JS[0]))
+	lossless := p.g.Lossless() && p.c.Lossless()
+	gBuf := make([]float64, len(tn.GS[0]))
 	cBuf := make([]float64, len(tn.CS[0]))
 	start = time.Now()
 	for i := n - 1; i >= 0; i-- {
-		var refJ, refC []float64
+		var refG, refC []float64
 		if i+1 < n {
-			refJ, refC = tn.JS[i+1], tn.CS[i+1]
+			refG, refC = tn.GS[i+1], tn.CS[i+1]
 		}
-		if err := p.j.Decompress(jBuf, jBlobs[i], refJ); err != nil {
-			return res, fmt.Errorf("bench: %s step %d J: %w", p.name, i, err)
+		if err := p.g.Decompress(gBuf, gBlobs[i], refG); err != nil {
+			return res, fmt.Errorf("bench: %s step %d G: %w", p.name, i, err)
 		}
 		if err := p.c.Decompress(cBuf, cBlobs[i], refC); err != nil {
 			return res, fmt.Errorf("bench: %s step %d C: %w", p.name, i, err)
 		}
 		if lossless {
-			for k := range jBuf {
-				if math.Float64bits(jBuf[k]) != math.Float64bits(tn.JS[i][k]) {
-					return res, fmt.Errorf("bench: %s step %d J[%d] roundtrip mismatch", p.name, i, k)
+			for k := range gBuf {
+				if math.Float64bits(gBuf[k]) != math.Float64bits(tn.GS[i][k]) {
+					return res, fmt.Errorf("bench: %s step %d G[%d] roundtrip mismatch", p.name, i, k)
 				}
 			}
 			for k := range cBuf {
@@ -159,7 +160,7 @@ func (t *Tensor) SaveFile(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := jactensor.WriteTensorFile(f, t.JPat, t.CPat, t.JS, t.CS); err != nil {
+	if err := jactensor.WriteTensorFile(f, t.GPat, t.CPat, t.GS, t.CS); err != nil {
 		f.Close()
 		return err
 	}
@@ -174,16 +175,16 @@ func LoadTensor(path string) (*Tensor, error) {
 		return nil, err
 	}
 	defer f.Close()
-	jp, cp, js, cs, err := jactensor.ReadTensorFile(f)
+	gp, cp, gs, cs, err := jactensor.ReadTensorFile(f)
 	if err != nil {
 		return nil, err
 	}
 	return &Tensor{
 		Name:  filepath.Base(path),
-		JPat:  jp,
+		GPat:  gp,
 		CPat:  cp,
-		JS:    js,
+		GS:    gs,
 		CS:    cs,
-		Steps: len(js),
+		Steps: len(gs),
 	}, nil
 }

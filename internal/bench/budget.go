@@ -44,7 +44,7 @@ type BudgetRow struct {
 // recompute rung, and returns the store with its EndForward tier placement.
 func budgetCapture(ds *workload.Dataset, budget int64, disableDisk bool) (*jactensor.TieredStore, *transient.Result, jactensor.Stats, error) {
 	ts := jactensor.NewTieredStore(
-		masczip.New(ds.Ckt.JPat, masczip.Options{}), masczip.New(ds.Ckt.CPat, masczip.Options{}),
+		masczip.New(ds.Ckt.GPat, masczip.Options{}), masczip.New(ds.Ckt.CPat, masczip.Options{}),
 		jactensor.TieredConfig{BudgetBytes: budget, DisableDisk: disableDisk})
 	opt := ds.CaptureInto(ts)
 	opt.StepCost = func(_ int, d time.Duration) { ts.ObserveStepCost(d) }
@@ -57,7 +57,7 @@ func budgetCapture(ds *workload.Dataset, budget int64, disableDisk bool) (*jacte
 		ts.Close()
 		return nil, nil, jactensor.Stats{}, err
 	}
-	ts.SetRecompute(adjoint.NewRecomputeSource(ds.Ckt, tr).Fetch)
+	ts.SetRecompute(adjoint.NewRecomputeSource(ds.Ckt, tr).Pair)
 	return ts, tr, ts.Stats(), nil
 }
 
@@ -94,7 +94,7 @@ func RunBudget(names []string, scale float64) ([]BudgetRow, error) {
 				}
 				start := time.Now()
 				r, err := adjoint.Sensitivities(ds.Ckt, tr, ts, ds.Objectives,
-					adjoint.Options{Params: ds.Params})
+					adjoint.Options{Params: ds.Params, StoredGC: true})
 				sec := time.Since(start).Seconds()
 				// Cumulative counters (demotions, recomputes) include the
 				// sweep's promotions; snapshot them before closing.

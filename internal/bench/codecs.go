@@ -23,7 +23,7 @@ func CodecNames() []string {
 // collection is enabled when collectStats is set.
 func NewCodecPair(name string, tn *Tensor, workers int, collectStats bool) (codecPair, error) {
 	single := func(c compress.Compressor) codecPair {
-		return codecPair{name: name, j: c, c: c}
+		return codecPair{name: name, g: c, c: c}
 	}
 	mascOpts := func(markov bool) masczip.Options {
 		return masczip.Options{
@@ -46,13 +46,13 @@ func NewCodecPair(name string, tn *Tensor, workers int, collectStats bool) (code
 	case "masc":
 		return codecPair{
 			name: name,
-			j:    masczip.New(tn.JPat, mascOpts(false)),
+			g:    masczip.New(tn.GPat, mascOpts(false)),
 			c:    masczip.New(tn.CPat, mascOpts(false)),
 		}, nil
 	case "masc+markov":
 		return codecPair{
 			name: name,
-			j:    masczip.New(tn.JPat, mascOpts(true)),
+			g:    masczip.New(tn.GPat, mascOpts(true)),
 			c:    masczip.New(tn.CPat, mascOpts(true)),
 		}, nil
 	default:
@@ -62,7 +62,7 @@ func NewCodecPair(name string, tn *Tensor, workers int, collectStats bool) (code
 
 // mascStats extracts the merged encoder statistics from a MASC codec pair.
 func mascStats(p codecPair) (masczip.Stats, bool) {
-	j, ok := p.j.(*masczip.Compressor)
+	g, ok := p.g.(*masczip.Compressor)
 	if !ok {
 		return masczip.Stats{}, false
 	}
@@ -70,7 +70,7 @@ func mascStats(p codecPair) (masczip.Stats, bool) {
 	if !ok {
 		return masczip.Stats{}, false
 	}
-	st := j.Stats()
+	st := g.Stats()
 	cst := c.Stats()
 	st.Elements += cst.Elements
 	st.SelectorElements += cst.SelectorElements

@@ -57,7 +57,7 @@ func RunFig7(names []string, scale float64, workers int, diskBps float64) ([]Fig
 			var sens *adjoint.Result
 			if store != nil {
 				sens, err = adjoint.Sensitivities(ds.Ckt, tr, store, ds.Objectives,
-					adjoint.Options{Params: ds.Params})
+					adjoint.Options{Params: ds.Params, StoredGC: true})
 			} else {
 				// The recompute baseline is the Xyce-style flow: one
 				// Jacobian-recomputing sweep per objective.
@@ -103,9 +103,9 @@ func RunFig7(names []string, scale float64, workers int, diskBps float64) ([]Fig
 		// MASC in-memory compression (Markov mode, parallel).
 		opt := masczip.Options{Markov: true, Workers: workers}
 		cs := jactensor.NewCompressedStore(
-			masczip.New(ds.Ckt.JPat, opt),
+			masczip.New(ds.Ckt.GPat, opt),
 			masczip.New(ds.Ckt.CPat, opt),
-			ds.Ckt.JPat, ds.Ckt.CPat)
+			ds.Ckt.GPat, ds.Ckt.CPat)
 		var st jactensor.Stats
 		sec, sens, st, err = runVariant(cs)
 		if err != nil {

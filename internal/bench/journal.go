@@ -65,8 +65,8 @@ func RunJournal(names []string, scale float64, cadences []int) ([]JournalRow, er
 			row := JournalRow{Dataset: name, Unknowns: ds.Ckt.N, FsyncEvery: cadence}
 			for rep := 0; rep < 3; rep++ {
 				cs := jactensor.NewCompressedStore(
-					masczip.New(ds.Ckt.JPat, masczip.Options{}), masczip.New(ds.Ckt.CPat, masczip.Options{}),
-					ds.Ckt.JPat, ds.Ckt.CPat)
+					masczip.New(ds.Ckt.GPat, masczip.Options{}), masczip.New(ds.Ckt.CPat, masczip.Options{}),
+					ds.Ckt.GPat, ds.Ckt.CPat)
 				opt := ds.CaptureInto(cs)
 				opt.FreshFactorPerStep = true
 				var jw *runstate.Writer

@@ -41,14 +41,14 @@ func RunMemory(names []string, scale float64, workers int) ([]MemoryRow, error) 
 			{"masc", func() (jactensor.Store, error) {
 				opt := masczip.Options{Workers: workers}
 				return jactensor.NewCompressedStore(
-					masczip.New(ds.Ckt.JPat, opt), masczip.New(ds.Ckt.CPat, opt),
-					ds.Ckt.JPat, ds.Ckt.CPat), nil
+					masczip.New(ds.Ckt.GPat, opt), masczip.New(ds.Ckt.CPat, opt),
+					ds.Ckt.GPat, ds.Ckt.CPat), nil
 			}},
 			{"masc+markov", func() (jactensor.Store, error) {
 				opt := masczip.Options{Markov: true, Workers: workers}
 				return jactensor.NewCompressedStore(
-					masczip.New(ds.Ckt.JPat, opt), masczip.New(ds.Ckt.CPat, opt),
-					ds.Ckt.JPat, ds.Ckt.CPat), nil
+					masczip.New(ds.Ckt.GPat, opt), masczip.New(ds.Ckt.CPat, opt),
+					ds.Ckt.GPat, ds.Ckt.CPat), nil
 			}},
 		}
 		for _, sc := range stores {

@@ -46,12 +46,12 @@ func RunPipeline(names []string, scale float64, workers, depth int) ([]PipelineR
 
 		runVariant := func(async bool) (fwd, rev float64, sens *adjoint.Result, st jactensor.Stats, err error) {
 			opt := masczip.Options{Markov: true, Workers: workers}
-			jc, cc := masczip.New(ds.Ckt.JPat, opt), masczip.New(ds.Ckt.CPat, opt)
+			gc, cc := masczip.New(ds.Ckt.GPat, opt), masczip.New(ds.Ckt.CPat, opt)
 			var store jactensor.Store
 			if async {
-				store = jactensor.NewCompressedStoreAsync(jc, cc, ds.Ckt.JPat, ds.Ckt.CPat, depth)
+				store = jactensor.NewCompressedStoreAsync(gc, cc, ds.Ckt.GPat, ds.Ckt.CPat, depth)
 			} else {
-				store = jactensor.NewCompressedStore(jc, cc, ds.Ckt.JPat, ds.Ckt.CPat)
+				store = jactensor.NewCompressedStore(gc, cc, ds.Ckt.GPat, ds.Ckt.CPat)
 			}
 			defer store.Close()
 			start := time.Now()
@@ -62,7 +62,7 @@ func RunPipeline(names []string, scale float64, workers, depth int) ([]PipelineR
 			fwd = time.Since(start).Seconds()
 			start = time.Now()
 			sens, err = adjoint.Sensitivities(ds.Ckt, tr, store, ds.Objectives,
-				adjoint.Options{Params: ds.Params})
+				adjoint.Options{Params: ds.Params, StoredGC: true})
 			if err != nil {
 				return 0, 0, nil, jactensor.Stats{}, err
 			}

@@ -71,8 +71,8 @@ func RunWindows(names []string, scale float64, windowsList []int) ([]WindowsRow,
 			return nil, err
 		}
 		cs := jactensor.NewCompressedStore(
-			masczip.New(ds.Ckt.JPat, masczip.Options{}), masczip.New(ds.Ckt.CPat, masczip.Options{}),
-			ds.Ckt.JPat, ds.Ckt.CPat)
+			masczip.New(ds.Ckt.GPat, masczip.Options{}), masczip.New(ds.Ckt.CPat, masczip.Options{}),
+			ds.Ckt.GPat, ds.Ckt.CPat)
 		every := ds.Tran.EstimatedSteps() / maxW
 		if every < 1 {
 			every = 1
@@ -103,7 +103,7 @@ func RunWindows(names []string, scale float64, windowsList []int) ([]WindowsRow,
 				}
 				start := time.Now()
 				r, err := adjoint.Sensitivities(ds.Ckt, tr, src, ds.Objectives,
-					adjoint.Options{Params: ds.Params, Windows: W})
+					adjoint.Options{Params: ds.Params, StoredGC: true, Windows: W})
 				if err != nil {
 					return nil, 0, err
 				}

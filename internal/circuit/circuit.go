@@ -156,12 +156,29 @@ func (e *Eval) BuildJWeighted(j *sparse.Matrix, gw, cw float64) {
 	if j.P != e.ckt.JPat {
 		panic("circuit: BuildJ target not on the union pattern")
 	}
-	j.Clear()
+	e.ckt.AssembleJ(j.Val, e.G.Val, e.C.Val, gw, cw)
+}
+
+// AssembleJ writes J = gw·G + cw·C into j (values on JPat) from G values on
+// GPat and C values on CPat. It is the one place the system Jacobian is
+// formed — by the Newton loop from the evaluator's matrices, and by the
+// reverse pass from a stored (G, C) pair — so a J rebuilt from stored values
+// is bit-identical to the one the solver factored: clear, scatter gw·G, then
+// scatter cw·C, a zero weight skipping its scatter.
+func (c *Circuit) AssembleJ(j, gVals, cVals []float64, gw, cw float64) {
+	if len(j) != c.JPat.NNZ() || len(gVals) != len(c.gToJ) || len(cVals) != len(c.cToJ) {
+		panic("circuit: AssembleJ values not on the circuit's patterns")
+	}
+	clear(j)
 	if gw != 0 {
-		sparse.AXPYInto(j, gw, e.G, e.ckt.gToJ)
+		for k, v := range gVals {
+			j[c.gToJ[k]] += gw * v
+		}
 	}
 	if cw != 0 {
-		sparse.AXPYInto(j, cw, e.C, e.ckt.cToJ)
+		for k, v := range cVals {
+			j[c.cToJ[k]] += cw * v
+		}
 	}
 }
 

@@ -251,3 +251,72 @@ func TestGroundHandling(t *testing.T) {
 		t.Fatalf("q[0] = %g, want 2e-9", got)
 	}
 }
+
+// TestAssembleJMatchesScatterAdd pins the slice-based assembly, bit for bit,
+// to the scatter-add the Newton loop has always used (clear, AXPY gw·G, AXPY
+// cw·C, a zero weight skipping its pass) — over the DC, backward-Euler and
+// trapezoidal weightings and over values where a reordering would show:
+// signed zeros, subnormals, cancelling pairs and magnitudes 1e±300.
+func TestAssembleJMatchesScatterAdd(t *testing.T) {
+	ckt := buildKitchenSink(t)
+	rng := rand.New(rand.NewSource(7))
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+		1e300, -1e300, 1e-300, 1, -1, math.Pi}
+	draw := func() float64 {
+		if rng.Intn(3) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+	}
+	weights := [][2]float64{{1, 0}, {1, 1e6}, {0.5, 1e6}, {1, 1 / 3e-7}, {0.5, 1 / 7e-9}, {0, 1}}
+	e := NewEval(ckt)
+	want, got := newJ(ckt), newJ(ckt)
+	for round := 0; round < 200; round++ {
+		for k := range e.G.Val {
+			e.G.Val[k] = draw()
+		}
+		for k := range e.C.Val {
+			e.C.Val[k] = draw()
+			if rng.Intn(8) == 0 {
+				// A C entry that cancels the G entry it lands on, so the
+				// sum's sign-of-zero depends on the operation order.
+				e.C.Val[k] = -e.G.Val[rng.Intn(len(e.G.Val))]
+			}
+		}
+		w := weights[round%len(weights)]
+		want.Clear()
+		if w[0] != 0 {
+			sparse.AXPYInto(want, w[0], e.G, ckt.gToJ)
+		}
+		if w[1] != 0 {
+			sparse.AXPYInto(want, w[1], e.C, ckt.cToJ)
+		}
+		for k := range got.Val {
+			got.Val[k] = math.NaN() // AssembleJ must overwrite, not accumulate
+		}
+		ckt.AssembleJ(got.Val, e.G.Val, e.C.Val, w[0], w[1])
+		for k := range want.Val {
+			if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+				t.Fatalf("round %d weights %v: J[%d] = %x, scatter-add gives %x",
+					round, w, k, math.Float64bits(got.Val[k]), math.Float64bits(want.Val[k]))
+			}
+		}
+		e.BuildJWeighted(got, w[0], w[1])
+		for k := range want.Val {
+			if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+				t.Fatalf("round %d weights %v: BuildJWeighted J[%d] differs from the scatter-add", round, w, k)
+			}
+		}
+	}
+}
+
+func TestAssembleJRejectsForeignLengths(t *testing.T) {
+	ckt := buildKitchenSink(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("J-sized values passed as G were accepted")
+		}
+	}()
+	j := make([]float64, ckt.JPat.NNZ())
+	ckt.AssembleJ(j, j, make([]float64, ckt.CPat.NNZ()), 1, 1)
+}

@@ -69,8 +69,9 @@ type AutoConfig struct {
 	// Async / PipelineDepth build the committed store in pipelined mode.
 	Async         bool
 	PipelineDepth int
-	// JPat/CPat contribute the shared-index footprint to the stats, as for
-	// NewCompressedStore.
+	// JPat/CPat are the patterns of the first and second tensor (G and C in
+	// the facade); they contribute the shared-index footprint to the stats,
+	// as for NewCompressedStore.
 	JPat, CPat *sparse.Pattern
 	// Clock injects trial timing (nil = wall clock) so tests can make
 	// selection deterministic.

@@ -121,8 +121,9 @@ type prefetch struct {
 	done chan struct{}
 }
 
-// NewCompressedStore builds a synchronous store over the given codecs (one
-// for the J tensor, one for C). jPat/cPat, when non-nil, contribute the
+// NewCompressedStore builds a synchronous store over the given codecs (jc
+// for the first tensor — G in the facade — and cc for the second, C), each
+// built on its tensor's pattern. jPat/cPat, when non-nil, contribute the
 // one-off shared-index footprint to the stats, matching the paper's
 // accounting.
 func NewCompressedStore(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern) *CompressedStore {

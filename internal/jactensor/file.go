@@ -13,8 +13,8 @@ import (
 
 // File format for Jacobian tensors (the masc-compress interchange format):
 //
-//	magic "MASCTNSR" | u16 version | J pattern | C pattern | u32 steps |
-//	steps × (J values, C values) as little-endian float64
+//	magic "MASCTNSR" | u16 version | first pattern | C pattern | u32 steps |
+//	steps × (first-tensor values, C values) as little-endian float64
 //
 // Patterns are stored as u32 dimension + delta/uvarint CSR indices (the
 // shared-indices encoding). Values are raw: the format is a container for

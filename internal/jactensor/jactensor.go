@@ -1,8 +1,12 @@
-// Package jactensor manages the Jacobian tensor — the sequence of J and C
-// matrices produced by forward integration and consumed in reverse by the
-// adjoint sweep. It provides the stores behind the strategies the MASC
-// paper compares — raw in-memory (MemStore), disk spill (DiskStore),
-// compressed in-memory with MASC or any baseline codec (CompressedStore,
+// Package jactensor manages the Jacobian tensor — per timestep, a pair of
+// value arrays produced by forward integration and consumed in reverse by the
+// adjoint sweep. The stores are generic over the pair: every j-named
+// parameter, field and blob below is the first tensor and every c-named one
+// the second. The facade stores (G, C) = (∂f/∂x, ∂q/∂x), what the devices
+// produce, and the sweep rebuilds J = G + C/h from it; the benchmark's trace
+// still feeds the assembled (J, C). It provides the stores behind the
+// strategies the MASC paper compares — raw in-memory (MemStore), disk spill
+// (DiskStore), compressed in-memory with MASC or any baseline codec (CompressedStore,
 // sync or async, and its window views StoreSlice), full recomputation via
 // the adjoint package — plus the two this reproduction adds: AutoStore,
 // which picks the codec from an on-line trial, and TieredStore, which holds
@@ -26,7 +30,7 @@ var ErrOutOfOrder = errors.New("jactensor: compressed store must be fetched in r
 // Stats describes a store's footprint and time costs.
 type Stats struct {
 	Steps          int
-	RawBytes       int64 // total uncompressed payload (the paper's S_NZ)
+	RawBytes       int64 // total uncompressed payload: the paper's S_NZ of the stored pair (G, C in the facade)
 	StoredBytes    int64 // bytes held by the store after EndForward
 	PeakResident   int64 // peak resident memory bytes during the run
 	CompressTime   time.Duration
@@ -82,9 +86,10 @@ type Stats struct {
 	TierRecomputes  int64
 }
 
-// Store retains per-step (J values, C values) pairs written forward and
-// read back in reverse. All implementations also satisfy the adjoint
-// package's JacobianSource interface.
+// Store retains per-step pairs of value arrays written forward and read
+// back in reverse: jVals is the first tensor (G in the facade), cVals the
+// second (C). All implementations also satisfy the adjoint package's
+// JacobianSource interface.
 type Store interface {
 	// Put records step i's tensors. Steps arrive in increasing order
 	// starting at 0. The slices are owned by the caller and copied.

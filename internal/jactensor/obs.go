@@ -206,8 +206,8 @@ func (s *CompressedStore) SetSpanScope(id span.ID) {
 }
 
 // PredictorStats returns the predictor-selection statistics accumulated by
-// the J and C codecs, when the store was built over masczip compressors
-// with Options.CollectStats enabled (ok reports both conditions). In async
+// the first-tensor (G in the facade) and C codecs, when the store was built
+// over masczip compressors with Options.CollectStats enabled (ok reports both conditions). In async
 // mode call it only after EndForward or Close, once the worker has
 // drained.
 func (s *CompressedStore) PredictorStats() (j, c masczip.Stats, ok bool) {
@@ -228,8 +228,8 @@ func (s *CompressedStore) PredictorStats() (j, c masczip.Stats, ok bool) {
 
 // PublishCodecStats mirrors one codec's predictor-selection statistics
 // into the masc_codec_* metric families, labelled with the tensor name
-// ("j" or "c"). The counters are set once, from the encoder's final
-// accumulated totals.
+// ("g" or "c" in the facade). The counters are set once, from the encoder's
+// final accumulated totals.
 func PublishCodecStats(reg *obs.Registry, tensor string, st masczip.Stats) {
 	if reg == nil {
 		return

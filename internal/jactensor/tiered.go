@@ -107,10 +107,11 @@ type tierStep struct {
 	quarantined  bool // failed verification: unreadable until Repair
 }
 
-// RecomputeFunc re-derives one step's (J values, C values) from the forward
-// trajectory. The returned slices may alias callee scratch; the store
-// copies them. It must be bit-exact with what Put recorded for the step —
-// adjoint.NewRecomputeSource satisfies this.
+// RecomputeFunc re-derives one step's pair (first tensor, second tensor)
+// from the forward trajectory. The returned slices may alias callee scratch;
+// the store copies them. It must be bit-exact with what Put recorded for the
+// step — adjoint.RecomputeSource's Pair is, for a store fed (G, C), and its
+// Fetch for one fed (J, C).
 type RecomputeFunc func(step int) (jVals, cVals []float64, err error)
 
 // TieredStore places steps across the hot/compressed/disk/recompute ladder
@@ -182,10 +183,10 @@ func (s *TieredStore) setCodecParent(id span.ID) {
 	}
 }
 
-// NewTieredStore builds a tiered store over the given J and C codecs
-// (masczip in production; any lossless Compressor works — codecs that keep
-// cross-call prediction state should implement Restart() so per-step blobs
-// stay self-contained).
+// NewTieredStore builds a tiered store over the given first-tensor (G in the
+// facade) and C codecs (masczip in production; any lossless Compressor works
+// — codecs that keep cross-call prediction state should implement Restart()
+// so per-step blobs stay self-contained).
 func NewTieredStore(jc, cc compress.Compressor, cfg TieredConfig) *TieredStore {
 	m := cfg.Model
 	if m == nil {

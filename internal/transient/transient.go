@@ -1,9 +1,10 @@
 // Package transient implements the forward time-domain analysis: a DC
 // operating point via gmin stepping followed by fixed-step backward-Euler
 // integration with a damped Newton–Raphson solve at every timestep. The
-// Capture hook hands the converged per-step Jacobians (J = G + C/h and
-// C = ∂q/∂x) to the caller — this is where MASC's compression pipeline
-// attaches during forward integration.
+// CaptureGC hook hands the converged per-step device matrices (G = ∂f/∂x
+// and C = ∂q/∂x) to the caller — this is where MASC's compression pipeline
+// attaches during forward integration; Result.AssembleJ rebuilds the system
+// Jacobian J = G + C/h from them, bit for bit.
 package transient
 
 import (
@@ -51,12 +52,21 @@ type Options struct {
 	// Newton tolerances; default 1000 (the usual trtol-like relaxation).
 	LTETol float64
 
-	// Capture, if non-nil, is called after every accepted solution:
-	// step 0 is the DC operating point (J is the DC Jacobian, h=0), and
-	// step i ≥ 1 carries J = G + C/h at the converged state. The matrices
-	// are reused between calls — the callee must copy what it keeps. A
-	// non-nil error aborts the run: storage failures (disk full, a poisoned
-	// compression pipeline) surface here instead of panicking mid-solve.
+	// CaptureGC, if non-nil, is called after every accepted solution with
+	// the evaluator's G = ∂f/∂x and C = ∂q/∂x at the converged state (step 0
+	// is the DC operating point, h=0). They are what a Jacobian store keeps:
+	// the system Jacobian is a function of them and the trajectory
+	// (Result.AssembleJ). The matrices are reused between calls — the callee
+	// must copy what it keeps. A non-nil error aborts the run: storage
+	// failures (disk full, a poisoned compression pipeline) surface here
+	// instead of panicking mid-solve.
+	CaptureGC func(step int, t float64, x []float64, G, C *sparse.Matrix) error
+
+	// Capture is CaptureGC for callers that want the assembled system
+	// Jacobian instead of G: J is the DC Jacobian (G + gmin) at step 0 and
+	// G + C/h (½G + C/h for the trapezoidal rule) afterwards, assembled by
+	// Result.AssembleJ for the call. When both hooks are set Capture runs
+	// first.
 	Capture func(step int, t float64, x []float64, J, C *sparse.Matrix) error
 
 	// StepCost, if non-nil, receives the wall time of every accepted
@@ -84,7 +94,7 @@ type Options struct {
 	// trajectory prefix instead of solving the DC operating point: the
 	// prefix is copied into the Result and the loop enters at the step
 	// after the checkpoint, carrying the recorded step size and cut count.
-	// Capture and AfterStep are NOT replayed for the seeded steps —
+	// The capture hooks and AfterStep are NOT replayed for the seeded steps —
 	// rebuilding a Jacobian store for them is the caller's job (see
 	// adjoint.RecomputeSource).
 	Resume *ResumeState
@@ -148,7 +158,7 @@ func (o *Options) withDefaults() Options {
 		out.RelTol = 1e-6
 	}
 	if out.Gmin == 0 {
-		out.Gmin = 1e-12
+		out.Gmin = DefaultGmin
 	}
 	if out.MaxCuts == 0 {
 		out.MaxCuts = 8
@@ -172,6 +182,9 @@ func (o *Options) withDefaults() Options {
 	}
 	return out
 }
+
+// DefaultGmin is the DC diagonal conductance floor of a run that sets none.
+const DefaultGmin = 1e-12
 
 // ErrInterrupted is wrapped into Run's error when Options.Stop requests a
 // halt. The partial Result is still returned alongside it: every step
@@ -262,11 +275,47 @@ type Result struct {
 	Hs     []float64   // Hs[i] = Times[i]-Times[i-1]; Hs[0] = 0
 	States [][]float64 // converged states, States[i] aligned with Times[i]
 	Method Method      // integration scheme that produced the trajectory
-	Stats  Stats
+	// Gmin is the diagonal conductance floor the DC Jacobian of step 0
+	// carries (Options.Gmin after defaults). Zero, in a Result assembled by
+	// hand, means DefaultGmin.
+	Gmin  float64
+	Stats Stats
 }
 
 // Steps returns n, the number of integration steps (len(Times)-1).
 func (r *Result) Steps() int { return len(r.Times) - 1 }
+
+// JWeights returns how step i's system Jacobian is formed from the device
+// matrices at its converged state: J_i = gw·G_i + cw·C_i, plus gmin on every
+// structural diagonal. Step 0 is the DC Jacobian G_0 + gmin; later steps
+// carry G + C/h (backward Euler) or ½G + C/h (trapezoidal) and no gmin.
+func (r *Result) JWeights(i int) (gw, cw, gmin float64) {
+	switch {
+	case i == 0:
+		if r.Gmin == 0 {
+			return 1, 0, DefaultGmin
+		}
+		return 1, 0, r.Gmin
+	case r.Method == MethodTrap:
+		return 0.5, 1 / r.Hs[i], 0
+	default:
+		return 1, 1 / r.Hs[i], 0
+	}
+}
+
+// AssembleJ writes step i's system Jacobian into j (values on ckt.JPat)
+// from G and C values at that step's converged state. Every J outside the
+// Newton loop comes from here — the Capture hook's, the recompute source's,
+// the direct method's, and the one the adjoint sweep rebuilds from a stored
+// (G, C) pair — in the forward pass's operation order, so all of them are
+// bit-identical.
+func (r *Result) AssembleJ(ckt *circuit.Circuit, i int, j, gVals, cVals []float64) {
+	gw, cw, gmin := r.JWeights(i)
+	ckt.AssembleJ(j, gVals, cVals, gw, cw)
+	if gmin != 0 {
+		ckt.AddGmin(&sparse.Matrix{P: ckt.JPat, Val: j}, gmin)
+	}
+}
 
 // solver carries the reusable machinery of Newton solves.
 type solver struct {
@@ -417,7 +466,7 @@ func DCOperatingPoint(ckt *circuit.Circuit, t float64, opt Options) ([]float64, 
 }
 
 // Run performs the full analysis: DC point, then backward-Euler steps until
-// TStop, invoking opt.Capture after every accepted solution.
+// TStop, invoking the capture hooks after every accepted solution.
 func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if opt.TStep <= 0 || opt.TStop <= opt.TStart {
@@ -427,7 +476,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("transient: unknown integration method %q", opt.Method)
 	}
 	trap := opt.Method == MethodTrap
-	res := &Result{Method: opt.Method}
+	res := &Result{Method: opt.Method, Gmin: opt.Gmin}
 	ro := newRunObs(opt.Obs)
 	fsp := ro.rec.Start(opt.SpanParent, span.Forward, -1)
 	defer fsp.End()
@@ -451,6 +500,23 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		hPrev        float64
 		startStep    int
 	)
+	// capture hands the step just recorded to the hooks. The evaluator holds
+	// G and C at the converged state; J is assembled only for a caller that
+	// asked for it, into the solver's matrix (the next Newton evaluation
+	// rebuilds it anyway).
+	capturing := opt.Capture != nil || opt.CaptureGC != nil
+	capture := func(step int, t float64) error {
+		if opt.Capture != nil {
+			res.AssembleJ(ckt, step, s.J.Val, s.ev.G.Val, s.ev.C.Val)
+			if err := opt.Capture(step, t, x, s.J, s.ev.C); err != nil {
+				return err
+			}
+		}
+		if opt.CaptureGC != nil {
+			return opt.CaptureGC(step, t, x, s.ev.G, s.ev.C)
+		}
+		return nil
+	}
 	if rs := opt.Resume; rs != nil {
 		C := len(rs.States) - 1
 		if C < 0 || len(rs.Times) != C+1 || len(rs.Hs) != C+1 || rs.NextH <= 0 {
@@ -504,15 +570,13 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		s = newSolver(ckt, opt, &res.Stats)
 		x = dcX
 
-		// Accept the DC point as step 0 and hand it to Capture.
+		// Accept the DC point as step 0 and hand it to the capture hooks.
 		s.ev.Run(x, opt.TStart)
-		s.ev.BuildJ(s.J, 0)
-		ckt.AddGmin(s.J, opt.Gmin)
 		record(opt.TStart, 0, x)
-		if opt.Capture != nil {
+		if capturing {
 			s0 := ro.rec.Start(fsp.ID(), span.Step, 0)
 			ro.rec.SetScope(s0.ID())
-			err := opt.Capture(0, opt.TStart, x, s.J, s.ev.C)
+			err := capture(0, opt.TStart)
 			ro.rec.SetScope(0)
 			s0.End()
 			if err != nil {
@@ -636,14 +700,9 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		copy(xPrev, x)
 		hPrev = h
 		copy(x, xTrial)
-		// Re-evaluate at the converged state so the captured J and C are
+		// Re-evaluate at the converged state so the captured G and C are
 		// clean (the last Newton evaluation was at the pre-update iterate).
 		s.ev.Run(x, tNext)
-		if trap {
-			s.ev.BuildJWeighted(s.J, 0.5, invH)
-		} else {
-			s.ev.BuildJ(s.J, invH)
-		}
 		record(tNext, h, x)
 		res.Stats.StepsAccepted++
 		if ro.on {
@@ -660,8 +719,8 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		if opt.StepCost != nil {
 			opt.StepCost(step, time.Since(attemptStart))
 		}
-		if opt.Capture != nil {
-			if err := opt.Capture(step, tNext, x, s.J, s.ev.C); err != nil {
+		if capturing {
+			if err := capture(step, tNext); err != nil {
 				ssp.End()
 				return nil, fmt.Errorf("transient: capture step %d: %w", step, err)
 			}

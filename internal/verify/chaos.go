@@ -46,11 +46,14 @@ const (
 // budget > 0 promotes the run to the tiered store (SimOptions.MemBudgetBytes),
 // so the faults land inside the tier ladder: hot-frame rot caught at demotion,
 // blob corruption in the compressed/disk rungs, EIO on spill writes mid-demotion.
+// gmin > 0 runs the solver with that DC conductance floor instead of the
+// default, so a recomputed step 0 must carry the run's own value.
 type chaosScenario struct {
 	name    string
 	storage masc.Storage
 	async   bool
 	budget  int64
+	gmin    float64
 	profile func(seed int64) faultinject.Profile
 }
 
@@ -60,32 +63,32 @@ type chaosScenario struct {
 // positions drift across cases instead of pinning to the same steps.
 func chaosScenarios() []chaosScenario {
 	return []chaosScenario{
-		{"bitflip-masc-sync", masc.StorageMASC, false, 0, func(s int64) faultinject.Profile {
+		{"bitflip-masc-sync", masc.StorageMASC, false, 0, 0, func(s int64) faultinject.Profile {
 			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 7}
 		}},
-		{"bitflip-masc-async", masc.StorageMASC, true, 0, func(s int64) faultinject.Profile {
+		{"bitflip-masc-async", masc.StorageMASC, true, 0, 0, func(s int64) faultinject.Profile {
 			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 7}
 		}},
-		{"truncate-masc-sync", masc.StorageMASC, false, 0, func(s int64) faultinject.Profile {
+		{"truncate-masc-sync", masc.StorageMASC, false, 0, 0, func(s int64) faultinject.Profile {
 			return faultinject.Profile{Name: "truncate", Seed: s, TruncateOneIn: 7}
 		}},
-		{"bitflip-memory", masc.StorageMemory, false, 0, func(s int64) faultinject.Profile {
+		{"bitflip-memory", masc.StorageMemory, false, 0, 0, func(s int64) faultinject.Profile {
 			return faultinject.Profile{Name: "bitrot", Seed: s, BitFlipOneIn: 5}
 		}},
-		{"bitflip-disk", masc.StorageDisk, false, 0, func(s int64) faultinject.Profile {
+		{"bitflip-disk", masc.StorageDisk, false, 0, 0, func(s int64) faultinject.Profile {
 			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 7}
 		}},
-		{"eio-transient-disk", masc.StorageDisk, false, 0, func(s int64) faultinject.Profile {
+		{"eio-transient-disk", masc.StorageDisk, false, 0, 0, func(s int64) faultinject.Profile {
 			// Single-shot failures: the disk layer's retry budget (4
 			// attempts) must absorb every one of them.
 			return faultinject.Profile{Name: "eio", Seed: s, FailOpEvery: 11, FailOpBurst: 1}
 		}},
-		{"eio-hard-disk", masc.StorageDisk, false, 0, func(s int64) faultinject.Profile {
+		{"eio-hard-disk", masc.StorageDisk, false, 0, 0, func(s int64) faultinject.Profile {
 			// Bursts longer than the retry budget: the op must fail with a
 			// typed error, and the pipeline must degrade or abort loudly.
 			return faultinject.Profile{Name: "eio-hard", Seed: s, FailOpEvery: 23, FailOpBurst: 8}
 		}},
-		{"worker-panic-async", masc.StorageMASC, true, 0, func(s int64) faultinject.Profile {
+		{"worker-panic-async", masc.StorageMASC, true, 0, 0, func(s int64) faultinject.Profile {
 			// Every generated case has ≥ 15 steps, so the poisoned step is
 			// always reached.
 			return faultinject.Profile{Name: "panic", Seed: s, PanicAtStep: 1 + int(s%10)}
@@ -95,16 +98,16 @@ func chaosScenarios() []chaosScenario {
 		// the whole ladder (hot -> compressed -> disk -> recompute), so the
 		// injected faults land inside demotions, spill writes, and promoted
 		// fetches rather than only at Put/Fetch boundaries.
-		{"bitflip-tiered", masc.StorageMASC, false, 8 << 10, func(s int64) faultinject.Profile {
+		{"bitflip-tiered", masc.StorageMASC, false, 8 << 10, 0, func(s int64) faultinject.Profile {
 			// Rots hot frames after their CRC sidecar (caught at demotion,
 			// never laundered into a sealed blob) and blobs after sealing
 			// (caught at decode). Both heal through the repair ladder.
 			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 5}
 		}},
-		{"truncate-tiered", masc.StorageMASC, false, 8 << 10, func(s int64) faultinject.Profile {
+		{"truncate-tiered", masc.StorageMASC, false, 8 << 10, 0, func(s int64) faultinject.Profile {
 			return faultinject.Profile{Name: "truncate", Seed: s, TruncateOneIn: 5}
 		}},
-		{"eio-tiered-spill", masc.StorageMASC, false, 2 << 10, func(s int64) faultinject.Profile {
+		{"eio-tiered-spill", masc.StorageMASC, false, 2 << 10, 0, func(s int64) faultinject.Profile {
 			// Single-shot spill-device failures during demotion and
 			// reverse-sweep reads: the disk layer's retries absorb them.
 			// The cost model sends only the cheapest handful of steps to
@@ -112,17 +115,28 @@ func chaosScenarios() []chaosScenario {
 			// guarantee a hit on the few spill ops that happen.
 			return faultinject.Profile{Name: "eio", Seed: s, FailOpEvery: 2, FailOpBurst: 1}
 		}},
-		{"eio-hard-tiered-demote", masc.StorageMASC, false, 2 << 10, func(s int64) faultinject.Profile {
+		{"eio-hard-tiered-demote", masc.StorageMASC, false, 2 << 10, 0, func(s int64) faultinject.Profile {
 			// A persistently dead device: every spill op fails through the
 			// whole retry budget, killing the very first demotion's write
 			// mid-flight. The store must mark the device dead and fall back
 			// to deliberate drops (recompute), never abort the run.
 			return faultinject.Profile{Name: "eio-hard", Seed: s, FailOpEvery: 1, FailOpBurst: 8}
 		}},
-		{"bitflip-tiered-tiny", masc.StorageMASC, false, 1 << 10, func(s int64) faultinject.Profile {
+		{"bitflip-tiered-tiny", masc.StorageMASC, false, 1 << 10, 0, func(s int64) faultinject.Profile {
 			// A 1 KiB budget drops nearly every step: corruption has to
 			// survive a store that lives almost entirely on the recompute rung.
 			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 7}
+		}},
+
+		// A non-default gmin with every blob rotted: each step, the DC step
+		// included, comes back through the recompute ladder, and its J must
+		// carry the gmin the forward pass used, not the default — a J off by
+		// that much still factors, so the only symptom is wrong numbers.
+		{"bitflip-all-masc-gmin", masc.StorageMASC, false, 0, 1e-6, func(s int64) faultinject.Profile {
+			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 1}
+		}},
+		{"bitflip-all-tiered-gmin", masc.StorageMASC, false, 8 << 10, 1e-6, func(s int64) faultinject.Profile {
+			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 1}
 		}},
 	}
 }
@@ -211,6 +225,7 @@ func simulateChaos(c *Case, o Options, sc chaosScenario, inj *faultinject.Inject
 	opt.Async = sc.async
 	opt.PipelineDepth = o.PipelineDepth
 	opt.AdjointWindows = o.AdjointWindows
+	opt.Transient.Gmin = sc.gmin
 	if sc.budget > 0 {
 		opt.MemBudgetBytes = sc.budget
 		if o.MemBudgetBytes > 0 {

@@ -354,9 +354,12 @@ func verifyAuto(c *Case, opt Options, rep *CaseReport, dense *masc.Run) {
 }
 
 // verifyStores runs ONE forward integration captured into three stores at
-// once, then walks the reverse sweep's fetch order asserting bit-identical
-// J and C values from every store — the tightest possible statement of
-// "the compressor is lossless where it matters".
+// once — the stored pair (G, C), as the facade keeps it — and, through the
+// (J, C) capture adapter, every step's assembled J beside them. It then walks
+// the reverse sweep's fetch order asserting bit-identical G and C values from
+// every store, and that the J rebuilt from each fetched pair is the J the
+// solver's capture saw — the tightest possible statement of "the compressor
+// is lossless where it matters, and J need not be stored".
 func verifyStores(c *Case, opt Options, rep *CaseReport) {
 	bt, err := c.Build()
 	if err != nil {
@@ -367,9 +370,9 @@ func verifyStores(c *Case, opt Options, rep *CaseReport) {
 	mo := masczip.Options{Workers: opt.Workers}
 	mem := jactensor.NewMemStore()
 	syncSt := jactensor.NewCompressedStore(
-		masczip.New(ckt.JPat, mo), masczip.New(ckt.CPat, mo), ckt.JPat, ckt.CPat)
+		masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo), ckt.GPat, ckt.CPat)
 	asyncSt := jactensor.NewCompressedStoreAsync(
-		masczip.New(ckt.JPat, mo), masczip.New(ckt.CPat, mo), ckt.JPat, ckt.CPat, opt.PipelineDepth)
+		masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo), ckt.GPat, ckt.CPat, opt.PipelineDepth)
 	stores := []struct {
 		name string
 		st   jactensor.Store
@@ -383,12 +386,17 @@ func verifyStores(c *Case, opt Options, rep *CaseReport) {
 	topt := bt.SimBase.Transient
 	topt.TStep = bt.SimBase.TStep
 	topt.TStop = bt.SimBase.TStop
-	topt.Capture = func(step int, tm float64, x []float64, J, C *sparse.Matrix) error {
+	topt.CaptureGC = func(step int, tm float64, x []float64, G, C *sparse.Matrix) error {
 		for _, s := range stores {
-			if err := s.st.Put(step, J.Val, C.Val); err != nil {
+			if err := s.st.Put(step, G.Val, C.Val); err != nil {
 				return fmt.Errorf("capture into %s: %w", s.name, err)
 			}
 		}
+		return nil
+	}
+	var capturedJ [][]float64
+	topt.Capture = func(step int, tm float64, x []float64, J, C *sparse.Matrix) error {
+		capturedJ = append(capturedJ, append([]float64(nil), J.Val...))
 		return nil
 	}
 	tr, err := transient.Run(ckt, topt)
@@ -403,26 +411,36 @@ func verifyStores(c *Case, opt Options, rep *CaseReport) {
 		}
 	}
 	n := tr.Steps()
+	if len(capturedJ) != n+1 {
+		rep.failf("(J, C) capture adapter saw %d steps, the trajectory has %d", len(capturedJ), n+1)
+		return
+	}
+	jBuf := make([]float64, ckt.JPat.NNZ())
 	for i := n; i >= 0; i-- {
-		jw, cw, err := mem.Fetch(i)
-		if err != nil {
-			rep.failf("dense fetch %d: %v", i, err)
-			return
-		}
-		for _, s := range stores[1:] {
-			jg, cg, err := s.st.Fetch(i)
+		var gw, cw []float64
+		for k, s := range stores {
+			gg, cg, err := s.st.Fetch(i)
 			if err != nil {
 				rep.failf("%s fetch %d: %v", s.name, i, err)
 				return
 			}
-			if k := firstBitDiff(jw, jg); k >= 0 {
-				rep.failf("%s step %d J[%d]: %x vs %x", s.name, i, k,
-					math.Float64bits(jw[k]), math.Float64bits(jg[k]))
+			if k == 0 {
+				gw, cw = gg, cg
+			}
+			if d := firstBitDiff(gw, gg); d >= 0 {
+				rep.failf("%s step %d G[%d]: %x vs %x", s.name, i, d,
+					math.Float64bits(gw[d]), math.Float64bits(gg[d]))
 				return
 			}
-			if k := firstBitDiff(cw, cg); k >= 0 {
-				rep.failf("%s step %d C[%d]: %x vs %x", s.name, i, k,
-					math.Float64bits(cw[k]), math.Float64bits(cg[k]))
+			if d := firstBitDiff(cw, cg); d >= 0 {
+				rep.failf("%s step %d C[%d]: %x vs %x", s.name, i, d,
+					math.Float64bits(cw[d]), math.Float64bits(cg[d]))
+				return
+			}
+			tr.AssembleJ(ckt, i, jBuf, gg, cg)
+			if d := firstBitDiff(capturedJ[i], jBuf); d >= 0 {
+				rep.failf("%s step %d: J[%d] assembled from the stored pair is %x, the solver captured %x",
+					s.name, i, d, math.Float64bits(jBuf[d]), math.Float64bits(capturedJ[i][d]))
 				return
 			}
 		}

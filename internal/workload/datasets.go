@@ -107,12 +107,13 @@ func Build(name string, scale float64) (*Dataset, error) {
 	}
 }
 
-// CaptureInto returns the dataset's transient options with the Jacobian
-// tensor capture wired into store.
+// CaptureInto returns the dataset's transient options with the tensor
+// capture wired into store: every step's (G, C) pair, the layout the facade
+// stores (sweep such a store with adjoint.Options.StoredGC).
 func (d *Dataset) CaptureInto(store jactensor.Store) transient.Options {
 	opt := d.Tran
-	opt.Capture = func(step int, _ float64, _ []float64, J, C *sparse.Matrix) error {
-		if err := store.Put(step, J.Val, C.Val); err != nil {
+	opt.CaptureGC = func(step int, _ float64, _ []float64, G, C *sparse.Matrix) error {
+		if err := store.Put(step, G.Val, C.Val); err != nil {
 			return fmt.Errorf("workload: tensor capture: %w", err)
 		}
 		return nil
@@ -139,19 +140,20 @@ func (d *Dataset) RunForward(store jactensor.Store) (*transient.Result, error) {
 	return res, nil
 }
 
-// CSRBytes returns the paper's S_CSR for this dataset's tensor over the
-// given number of steps: per step, 8 bytes per nonzero plus 4-byte row/col
-// indices (stored once per step in the naive accounting the paper uses).
+// CSRBytes returns the paper's S_CSR for this dataset's stored tensor (the
+// pair G, C) over the given number of steps: per step, 8 bytes per nonzero
+// plus 4-byte row/col indices (stored once per step in the naive accounting
+// the paper uses).
 func (d *Dataset) CSRBytes(steps int) int64 {
-	jnnz := int64(d.Ckt.JPat.NNZ())
+	gnnz := int64(d.Ckt.GPat.NNZ())
 	cnnz := int64(d.Ckt.CPat.NNZ())
-	perStep := 8*(jnnz+cnnz) + // values
-		4*(jnnz+cnnz) + // column indices
-		4*int64(d.Ckt.JPat.N+1) + 4*int64(d.Ckt.CPat.N+1) // row pointers
+	perStep := 8*(gnnz+cnnz) + // values
+		4*(gnnz+cnnz) + // column indices
+		4*int64(d.Ckt.GPat.N+1) + 4*int64(d.Ckt.CPat.N+1) // row pointers
 	return perStep * int64(steps)
 }
 
 // NZBytes returns the paper's S_NZ: the value payload alone.
 func (d *Dataset) NZBytes(steps int) int64 {
-	return 8 * int64(d.Ckt.JPat.NNZ()+d.Ckt.CPat.NNZ()) * int64(steps)
+	return 8 * int64(d.Ckt.GPat.NNZ()+d.Ckt.CPat.NNZ()) * int64(steps)
 }

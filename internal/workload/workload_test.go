@@ -83,12 +83,12 @@ func TestDatasetSensitivityPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	objs := ds.Objectives[:2]
-	opt := adjoint.Options{Params: ds.Params[:5]}
+	opt := adjoint.Options{Params: ds.Params[:5], StoredGC: true}
 	a1, err := adjoint.Sensitivities(ds.Ckt, res, store, objs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := adjoint.Sensitivities(ds.Ckt, res, adjoint.NewRecomputeSource(ds.Ckt, res), objs, opt)
+	a2, err := adjoint.Sensitivities(ds.Ckt, res, adjoint.NewRecomputeSource(ds.Ckt, res).Pairs(), objs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ type (
 	// MetricsServer is the HTTP endpoint serving /metrics and pprof.
 	MetricsServer = obs.Server
 	// CodecStats is the predictor-selection statistics of one masczip
-	// encoder (J or C), available via SimOptions.CollectCodecStats.
+	// encoder (G or C), available via SimOptions.CollectCodecStats.
 	CodecStats = masczip.Stats
 	// CodecTrial is one candidate's scorecard from the "auto" storage
 	// selection trial (Run.CodecTrials).
@@ -184,6 +184,14 @@ func ParseNetlist(r io.Reader) (*Deck, error) { return netlist.Parse(r) }
 // for the reverse (adjoint) pass.
 type Storage string
 
+// TensorLayout names what every Storage keeps per step: the matrices the
+// devices produce, G = ∂f/∂x and C = ∂q/∂x. The system Jacobian
+// J = G + C/h the solver assembles from them is not stored beside C — it
+// would carry C's entropy a second time — but rebuilt bit-exactly by the
+// reverse sweep as each pair is fetched. TensorStats.RawBytes and
+// StoredBytes count this pair; manifests record it as sections.tensor.layout.
+const TensorLayout = "g+c"
+
 const (
 	// StorageRecompute re-evaluates Jacobians during the reverse pass
 	// (the paper's Xyce baseline: no memory, maximum time).
@@ -267,7 +275,7 @@ type SimOptions struct {
 	// A nil Obs (or nil fields) costs nothing on the hot paths.
 	Obs *Observer
 	// CollectCodecStats enables the masczip encoder-side predictor
-	// statistics (Run.CodecStatsJ/C); MASC storage strategies only.
+	// statistics (Run.CodecStatsG/C); MASC storage strategies only.
 	// Adds one branch plus a few counter increments per element.
 	CollectCodecStats bool
 	// Fault, if non-nil, wires a deterministic fault injector into the
@@ -316,10 +324,10 @@ type Run struct {
 	Sens        *SensitivityResult
 	TensorStats TensorStats
 	Storage     Storage
-	// CodecStatsJ/C are the predictor-selection statistics of the J and C
-	// encoders; valid only when HasCodecStats (MASC storage with
-	// SimOptions.CollectCodecStats set).
-	CodecStatsJ, CodecStatsC CodecStats
+	// CodecStatsG/C are the predictor-selection statistics of the G and C
+	// encoders (the stored pair, see TensorLayout); valid only when
+	// HasCodecStats (MASC storage with SimOptions.CollectCodecStats set).
+	CodecStatsG, CodecStatsC CodecStats
 	HasCodecStats            bool
 	// SelectedCodec names the codec the "auto" storage committed the run
 	// to; empty for every other storage strategy (and for budget-tiered
@@ -427,13 +435,6 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 	}
 	topt.Ctx = ctx
 
-	// The re-derivation gmin must match the forward solver's effective
-	// value or recomputed step-0 Jacobians diverge from captured ones.
-	gmin := topt.Gmin
-	if gmin == 0 {
-		gmin = 1e-12
-	}
-
 	// The run root span: every forward/adjoint/store span of this simulation
 	// nests under it. Inert (zero span, ID 0) without a recorder.
 	rec := opt.Obs.SpanRecorder()
@@ -451,8 +452,8 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 			// auto trial is inert (like Async/CollectCodecStats) and the
 			// codec is the best-fit MASC pair.
 			mo := masczip.Options{Markov: storage == StorageMASCMarkov, Workers: workers}
-			jc, cc := masczip.New(ckt.JPat, mo), masczip.New(ckt.CPat, mo)
-			tiered = jactensor.NewTieredStore(jc, cc, jactensor.TieredConfig{
+			gc, cc := masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
+			tiered = jactensor.NewTieredStore(gc, cc, jactensor.TieredConfig{
 				BudgetBytes:     opt.MemBudgetBytes,
 				DiskDir:         opt.DiskDir,
 				DiskBytesPerSec: opt.DiskBytesPerSec,
@@ -491,12 +492,12 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 			Workers:      workers,
 			CollectStats: opt.CollectCodecStats,
 		}
-		jc, cc := masczip.New(ckt.JPat, mo), masczip.New(ckt.CPat, mo)
+		gc, cc := masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
 		var cs *jactensor.CompressedStore
 		if opt.Async {
-			cs = jactensor.NewCompressedStoreAsync(jc, cc, ckt.JPat, ckt.CPat, opt.PipelineDepth)
+			cs = jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, opt.PipelineDepth)
 		} else {
-			cs = jactensor.NewCompressedStore(jc, cc, ckt.JPat, ckt.CPat)
+			cs = jactensor.NewCompressedStore(gc, cc, ckt.GPat, ckt.CPat)
 		}
 		if plan.anchorEvery > 0 {
 			// Cut the prediction chain so every window boundary lands on a
@@ -518,7 +519,7 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 					Workers:      workers,
 					CollectStats: opt.CollectCodecStats,
 				}
-				return masczip.New(ckt.JPat, mo), masczip.New(ckt.CPat, mo)
+				return masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
 			}
 		}
 		as, err := jactensor.NewAutoStore(jactensor.AutoConfig{
@@ -534,7 +535,7 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 			},
 			Async:         opt.Async,
 			PipelineDepth: opt.PipelineDepth,
-			JPat:          ckt.JPat,
+			JPat:          ckt.GPat,
 			CPat:          ckt.CPat,
 		})
 		if err != nil {
@@ -578,15 +579,18 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 	topt.Obs = opt.Obs
 	topt.SpanParent = rsp.ID()
 
+	// Every store holds what the devices produce, the pair (G, C): J is a
+	// function of it and the trajectory, rebuilt by the reverse sweep
+	// (adjoint.Options.StoredGC), so it is never stored beside C.
 	if store != nil {
-		prev := topt.Capture
-		topt.Capture = func(step int, tm float64, x []float64, J, C *sparse.Matrix) error {
+		prev := topt.CaptureGC
+		topt.CaptureGC = func(step int, tm float64, x []float64, G, C *sparse.Matrix) error {
 			if prev != nil {
-				if err := prev(step, tm, x, J, C); err != nil {
+				if err := prev(step, tm, x, G, C); err != nil {
 					return err
 				}
 			}
-			if err := store.Put(step, J.Val, C.Val); err != nil {
+			if err := store.Put(step, G.Val, C.Val); err != nil {
 				return fmt.Errorf("masc: tensor capture: %w", err)
 			}
 			return nil
@@ -624,7 +628,7 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 		}
 	}
 
-	// Resume seeding: re-derive the journaled prefix's Jacobians into the
+	// Resume seeding: re-derive the journaled prefix's (G, C) pairs into the
 	// fresh store (bit-exact, via the recompute source), then either
 	// re-enter the forward loop after the last checkpoint or, when the
 	// forward phase already completed, skip it entirely.
@@ -634,16 +638,15 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 		if method == "" {
 			method = MethodBE
 		}
-		seeded := trajectoryFromSteps(rcv.Steps, method)
+		seeded := trajectoryFromSteps(rcv.Steps, method, topt.Gmin)
 		if store != nil {
 			rs := adjoint.NewRecomputeSource(ckt, seeded)
-			rs.SetGmin(gmin)
 			for i := range rcv.Steps {
-				jv, cv, err := rs.Fetch(i)
+				gv, cv, err := rs.Pair(i)
 				if err != nil {
 					return fail(fmt.Errorf("masc: resume: re-derive step %d: %w", i, err))
 				}
-				if err := store.Put(i, jv, cv); err != nil {
+				if err := store.Put(i, gv, cv); err != nil {
 					return fail(fmt.Errorf("masc: resume: re-seed step %d: %w", i, err))
 				}
 			}
@@ -675,9 +678,7 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 		// recompute path for deliberately dropped steps — the same
 		// re-derivation the degradation ladder uses for corruption, but
 		// wired inside the store so planned drops never count as degraded.
-		rs := adjoint.NewRecomputeSource(ckt, tr)
-		rs.SetGmin(gmin)
-		tiered.SetRecompute(rs.Fetch)
+		tiered.SetRecompute(adjoint.NewRecomputeSource(ckt, tr).Pair)
 	}
 
 	var src adjoint.JacobianSource
@@ -687,11 +688,9 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 		}
 		src = store
 	} else {
-		rs := adjoint.NewRecomputeSource(ckt, tr)
-		rs.SetGmin(gmin)
-		src = rs
+		src = adjoint.NewRecomputeSource(ckt, tr).Pairs()
 	}
-	aopt := adjoint.Options{Params: params, Obs: opt.Obs, DisableDegrade: opt.DisableDegrade,
+	aopt := adjoint.Options{Params: params, StoredGC: true, Obs: opt.Obs, DisableDegrade: opt.DisableDegrade,
 		Workers: opt.AdjointWorkers, Windows: windows, SpanParent: rsp.ID(),
 		Ctx: ctx, FetchStallTimeout: opt.FetchStallTimeout}
 	if jw != nil && windows > 1 {
@@ -735,11 +734,11 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 		if cs, ok := store.(interface {
 			PredictorStats() (masczip.Stats, masczip.Stats, bool)
 		}); ok {
-			if j, c, ok := cs.PredictorStats(); ok {
-				run.CodecStatsJ, run.CodecStatsC = j, c
+			if g, c, ok := cs.PredictorStats(); ok {
+				run.CodecStatsG, run.CodecStatsC = g, c
 				run.HasCodecStats = true
 				if opt.Obs != nil {
-					jactensor.PublishCodecStats(opt.Obs.Registry(), "j", j)
+					jactensor.PublishCodecStats(opt.Obs.Registry(), "g", g)
 					jactensor.PublishCodecStats(opt.Obs.Registry(), "c", c)
 				}
 			}

@@ -121,11 +121,14 @@ func (plan *runPlan) journalConfig(ckt *Circuit, opt *SimOptions) *runstate.Conf
 }
 
 // trajectoryFromSteps rebuilds the forward trajectory prefix a journal's
-// checkpoints describe. The states are the journaled bit images, so the
-// recompute source re-derives the exact Jacobians the crashed run captured.
-func trajectoryFromSteps(steps []runstate.StepRec, method Method) *TransientResult {
+// checkpoints describe. The states are the journaled bit images and gmin the
+// journaled solver setting (0 = the default), so the recompute source
+// re-derives the exact tensors the crashed run captured and the sweep the
+// exact Jacobians it factored.
+func trajectoryFromSteps(steps []runstate.StepRec, method Method, gmin float64) *TransientResult {
 	tr := &transient.Result{
 		Method: method,
+		Gmin:   gmin,
 		Times:  make([]float64, len(steps)),
 		Hs:     make([]float64, len(steps)),
 		States: make([][]float64, len(steps)),
