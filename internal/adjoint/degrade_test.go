@@ -60,7 +60,7 @@ func TestDegradedSweepBitIdentical(t *testing.T) {
 		"mem": func() (jactensor.Store, *faultinject.Injector) {
 			in := faultinject.New(faultinject.Profile{Seed: 11, BitFlipOneIn: 10})
 			st := jactensor.NewMemStore()
-			st.SetFault(in)
+			st.Attach(jactensor.Attachment{Fault: in})
 			return st, in
 		},
 		"compressed-sync": func() (jactensor.Store, *faultinject.Injector) {
@@ -69,7 +69,7 @@ func TestDegradedSweepBitIdentical(t *testing.T) {
 			st := jactensor.NewCompressedStore(
 				masczip.New(ckt.JPat, masczip.Options{}), masczip.New(ckt.CPat, masczip.Options{}),
 				ckt.JPat, ckt.CPat)
-			st.SetFault(in)
+			st.Attach(jactensor.Attachment{Fault: in})
 			return st, in
 		},
 	}
@@ -105,7 +105,7 @@ func TestDisableDegradeFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := jactensor.NewMemStore()
-	st.SetFault(faultinject.New(faultinject.Profile{Seed: 3, BitFlipOneIn: 5}))
+	st.Attach(jactensor.Attachment{Fault: faultinject.New(faultinject.Profile{Seed: 3, BitFlipOneIn: 5})})
 	res, err := transient.Run(ckt, captureInto(transient.Options{TStop: 2e-4, TStep: 2e-6}, st))
 	if err != nil {
 		t.Fatal(err)

@@ -55,9 +55,9 @@ func TestStoredGCSweepsBitIdentical(t *testing.T) {
 			}
 			jc, gc := jactensor.NewMemStore(), jactensor.NewMemStore()
 			rotMem := jactensor.NewMemStore()
-			rotMem.SetFault(faultinject.New(faultinject.Profile{Seed: 5, BitFlipOneIn: 3}))
+			rotMem.Attach(jactensor.Attachment{Fault: faultinject.New(faultinject.Profile{Seed: 5, BitFlipOneIn: 3})})
 			rotComp := newComp()
-			rotComp.SetFault(faultinject.New(faultinject.Profile{Seed: 9, BitFlipOneIn: 1}))
+			rotComp.Attach(jactensor.Attachment{Fault: faultinject.New(faultinject.Profile{Seed: 9, BitFlipOneIn: 1})})
 			comps := []*jactensor.CompressedStore{newComp(), newComp(), newComp()}
 			pairStores := []jactensor.Store{gc, rotMem, rotComp, comps[0], comps[1], comps[2]}
 
@@ -167,7 +167,7 @@ func TestLegacyLadderUsesRecordedGmin(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean, rotted := jactensor.NewMemStore(), jactensor.NewMemStore()
-	rotted.SetFault(faultinject.New(faultinject.Profile{Seed: 1, BitFlipOneIn: 1}))
+	rotted.Attach(jactensor.Attachment{Fault: faultinject.New(faultinject.Profile{Seed: 1, BitFlipOneIn: 1})})
 	opt := transient.Options{TStop: 2e-5, TStep: 2e-7, Gmin: 1e-5}
 	opt.Capture = func(step int, _ float64, _ []float64, J, C *sparse.Matrix) error {
 		if err := clean.Put(step, J.Val, C.Val); err != nil {

@@ -134,11 +134,11 @@ func degradedRun(t *testing.T, workers int, compressed bool) (*Result, *Result) 
 		st := jactensor.NewCompressedStore(
 			masczip.New(ckt.JPat, masczip.Options{}), masczip.New(ckt.CPat, masczip.Options{}),
 			ckt.JPat, ckt.CPat)
-		st.SetFault(in)
+		st.Attach(jactensor.Attachment{Fault: in})
 		faulty = st
 	} else {
 		st := jactensor.NewMemStore()
-		st.SetFault(in)
+		st.Attach(jactensor.Attachment{Fault: in})
 		faulty = st
 	}
 	clean := jactensor.NewMemStore()

@@ -173,12 +173,12 @@ func windowedDegradedRun(t *testing.T, W int) (want, gotMem, gotComp *Result) {
 	inMem := faultinject.New(faultinject.Profile{Seed: 11, BitFlipOneIn: 10})
 	inComp := faultinject.New(faultinject.Profile{Seed: 13, BitFlipOneIn: 10})
 	faultyMem := jactensor.NewMemStore()
-	faultyMem.SetFault(inMem)
+	faultyMem.Attach(jactensor.Attachment{Fault: inMem})
 	faultyComp := jactensor.NewCompressedStore(
 		masczip.New(ckt.JPat, masczip.Options{}), masczip.New(ckt.CPat, masczip.Options{}),
 		ckt.JPat, ckt.CPat)
 	faultyComp.SetAnchorEvery(12)
-	faultyComp.SetFault(inComp)
+	faultyComp.Attach(jactensor.Attachment{Fault: inComp})
 	clean := jactensor.NewMemStore()
 	opt := transient.Options{TStop: 2e-4, TStep: 2e-6}
 	opt.Capture = func(step int, _ float64, _ []float64, J, C *sparse.Matrix) error {

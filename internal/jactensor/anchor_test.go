@@ -22,14 +22,6 @@ func anchoredStore(jp, cp *sparse.Pattern, every int, async bool) *CompressedSto
 	return st
 }
 
-func TestAnchoredStoreSerialRoundTrip(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(60, 40, 17)
-	for _, async := range []bool{false, true} {
-		st := anchoredStore(jp, cp, 5, async)
-		fillAndVerify(t, st, js, cs)
-	}
-}
-
 func TestAnchorStepsLayout(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(61, 30, 13)
 	st := anchoredStore(jp, cp, 4, false)
@@ -166,7 +158,7 @@ func TestCorruptAnchorFallsBackToBlob(t *testing.T) {
 	if err := st.EndForward(); err != nil {
 		t.Fatal(err)
 	}
-	st.anchorJ[10][3] += 1 // rot after the sidecar was recorded
+	st.steps[10].j[3] += 1 // rot after the sidecar was recorded
 
 	// Direct fetch path.
 	jv, _, err := st.Fetch(15)
@@ -201,7 +193,7 @@ func TestCorruptAnchorFallsBackToBlob(t *testing.T) {
 	}
 
 	// Slice path: the same rot on another anchor, seen through a slice.
-	st.anchorJ[5][0] += 1
+	st.steps[5].j[0] += 1
 	sl, err := st.Slice(1, 5)
 	if err != nil {
 		t.Fatal(err)

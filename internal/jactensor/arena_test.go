@@ -336,11 +336,11 @@ func TestStoreBlobsLiveInArena(t *testing.T) {
 	}
 	filledStore(t, st.arena.src, js, cs, st)
 	var blobBytes int64
-	for i := range st.jBlobs {
-		if cap(st.jBlobs[i]) != len(st.jBlobs[i]) || cap(st.cBlobs[i]) != len(st.cBlobs[i]) {
+	for i, rec := range st.steps {
+		if cap(rec.jBlob) != len(rec.jBlob) || cap(rec.cBlob) != len(rec.cBlob) {
 			t.Fatalf("step %d blob carries slack", i)
 		}
-		blobBytes += int64(len(st.jBlobs[i]) + len(st.cBlobs[i]))
+		blobBytes += int64(len(rec.jBlob) + len(rec.cBlob))
 	}
 	if got := st.Stats().StoredBytes; got != blobBytes {
 		t.Fatalf("StoredBytes %d != arena blob bytes %d", got, blobBytes)

@@ -251,33 +251,3 @@ func TestAutoStoreAnchorsAndSlices(t *testing.T) {
 		}
 	}
 }
-
-func TestAutoStorePutValidation(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(23, 4, 4)
-	mo := masczip.Options{}
-	auto, err := NewAutoStore(AutoConfig{
-		Candidates: []AutoCandidate{{
-			Name: "masc",
-			New: func() (compress.Compressor, compress.Compressor) {
-				return masczip.New(jp, mo), masczip.New(cp, mo)
-			},
-		}},
-		TrialSteps: 8, JPat: jp, CPat: cp,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer auto.Close()
-	if err := auto.Put(1, js[1], cs[1]); err == nil {
-		t.Fatal("out-of-order Put accepted during the trial buffer phase")
-	}
-	if err := auto.Put(0, js[0], cs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := auto.Put(1, js[1][:2], cs[1]); err == nil {
-		t.Fatal("changed value count accepted")
-	}
-	if _, err := NewAutoStore(AutoConfig{}); err == nil {
-		t.Fatal("empty candidate menu accepted")
-	}
-}

@@ -1,122 +1,81 @@
 package jactensor
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"masc/internal/blobframe"
 	"masc/internal/compress"
+	"masc/internal/compress/masczip"
 	"masc/internal/compress/varint"
-	"masc/internal/faultinject"
 	"masc/internal/obs/span"
 	"masc/internal/sparse"
 )
 
-// CompressedStore holds the tensor in memory as per-step compressed blobs,
-// following Algorithm 2 of the paper: during forward integration step t's
-// Put compresses step t-1 using step t as the prediction reference; during
-// the reverse sweep step i is decompressed using the already-materialized
-// step i+1, whose memory is freed by Release.
+// CompressedStore is the chain policy over core: the tensor stays in memory
+// as per-step sealed blobs, following Algorithm 2 of the paper. During
+// forward integration step t's Put compresses step t-1 using step t as the
+// prediction reference; during the reverse sweep step i is decompressed
+// using the already-materialized step i+1, whose memory is freed by Release.
+//
+// Every k-th step can be made a window anchor (SetAnchorEvery): the chain is
+// cut there — the anchor's blob is compressed with no reference and restarted
+// codecs — and its plaintext stays resident as a checksummed frame, so a
+// window-local reverse sweep (StoreSlice) can start at it without decoding
+// the chain above. A rotted anchor frame is dropped and the step served from
+// its self-contained blob: a slower fetch, not an error.
 //
 // In async mode (NewCompressedStoreAsync) the compression runs on a
 // persistent background worker behind a bounded queue, so Put returns as
 // soon as the incoming values are copied and the solver proceeds to step
 // t+1 while step t-1 compresses; symmetrically, the reverse sweep
 // prefetches step i-1 on a background goroutine while the adjoint solve
-// consumes step i. The blob sequence is byte-identical to sync mode: the
-// worker performs exactly the same Compress calls in the same order.
+// consumes step i. The blob sequence is byte-identical to sync mode: both
+// run the same runJob calls in the same order, the worker merely elsewhere.
+//
+// Built by NewAutoStore, the store starts with no codecs: it parks the first
+// TrialSteps frames, trials the candidate menu on them, binds the winner and
+// replays the parked frames through put (auto.go).
 type CompressedStore struct {
-	jc, cc compress.Compressor
+	core
+	last pair // plaintext of the highest Put step
 
-	// Sealed blobs, one pair per compressed step. They are slices into the
-	// arena, not heap objects: off the Go heap on unix, so the GC pacer sizes
-	// its headroom on the plaintext working set alone (DESIGN.md, "Modelled
-	// vs real memory"). frameJ/frameC are the scratch frames Compress
-	// appends into before the sealed result is copied to the arena at its
-	// exact length; only the compression path touches them, and that is
-	// serialized per store (the caller in sync mode, the single worker in
-	// async mode, EndForward after the drain).
-	arena          blobArena
-	jBlobs, cBlobs [][]byte
-	frameJ, frameC []byte
-	lastJ, lastC   []float64 // plaintext of the highest Put step
-	jLen, cLen     int       // per-step value counts
-	n              int       // highest step put; -1 before first Put
-	forwardDone    bool
+	trial    *autoTrial // non-nil while the codecs are unbound
+	selected string     // the codec a trial bound, and its scorecards
+	trials   []compress.TrialResult
 
-	// Reverse-sweep plaintext cache: at most two live steps (plus one
-	// in-flight prefetch in async mode).
-	plainJ, plainC map[int][]float64
-
-	// Window anchors: steps at which the prediction chain was cut. Each
-	// anchor's plaintext stays resident (CRC-checked like MemStore frames)
-	// so a window-local reverse sweep can start there without decoding the
-	// whole chain above it; its blob is compressed with no reference, so a
-	// rotted anchor degrades to a self-contained blob decode instead of an
-	// error.
-	anchorEvery            int
-	anchorJ, anchorC       map[int][]float64
-	anchorJSum, anchorCSum map[int]uint32
-
-	stats    Stats
-	resident int64
-
-	// mu guards every field above that a worker, prefetch, window slice or
-	// abandoned fetcher goroutine can touch (arena, blobs, stats, resident,
-	// plain maps, pools, ferr). A sync store's forward pass takes it only to
-	// move sealed blobs into the arena; its reverse sweep takes it like the
-	// async one does, uncontended.
-	async   bool
+	// mu guards everything above that a worker, prefetch, window slice or
+	// abandoned fetcher goroutine can touch (steps and their records, arena,
+	// stats, resident, pool, ferr). Codec calls run outside it: the forward
+	// ones are serialized per store (the caller in sync mode, the single
+	// worker in async mode, EndForward after the drain), the reverse ones by
+	// Fetch joining any prefetch first, on a pinned arena.
 	mu      sync.Mutex
+	async   bool
 	jobs    chan fwdJob
 	wkDone  chan struct{}
-	drained bool  // worker joined (EndForward or Close ran)
-	ferr    error // first background error; surfaces on Put/EndForward
-
-	poolJ, poolC [][]float64 // recycled plaintext frames, sync and async alike
+	drained bool  // the job queue is closed (EndForward or Close ran)
+	ferr    error // first compression error; surfaces on Put/EndForward/Fetch/Close
 
 	pf *prefetch // at most one in-flight reverse prefetch
-
-	quarantined map[int]bool          // steps whose blobs failed verification
-	fault       *faultinject.Injector // nil = fault-free
-	ob          storeObs              // telemetry handles; zero value = disabled
-
-	// Codec-level span hooks (masczip), cached from a type assertion in
-	// SetSpanScope; nil when the codecs don't trace or spans are off.
-	spanJC, spanCC spanCodec
 }
 
-// spanCodec is implemented by codecs (masczip) that can record
-// encode/decode spans under a per-call parent. The store serializes all
-// codec calls, so setting the parent between calls is race-free.
-type spanCodec interface {
-	SetSpans(*span.Recorder)
-	SetSpanParent(span.ID)
-}
-
-// setCodecParent points the codecs' next encode/decode span at id.
-func (s *CompressedStore) setCodecParent(id span.ID) {
-	if s.spanJC != nil {
-		s.spanJC.SetSpanParent(id)
-	}
-	if s.spanCC != nil {
-		s.spanCC.SetSpanParent(id)
-	}
-}
-
-// fwdJob asks the worker to compress step t-1 (cur) against step t (ref).
+// fwdJob asks for step's plaintext cur to be compressed against the next
+// step's values (ref).
 type fwdJob struct {
-	step       int // the step being compressed (t-1)
-	curJ, curC []float64
+	step       int
+	st         *stepRec
+	cur        pair
 	refJ, refC []float64
-	parent     span.ID // span scope snapshotted at Put time (causal trigger)
+	parent     span.ID // the span that caused the job (the next step's put)
 }
 
-// prefetch is one in-flight background decompression of step `step`.
+// prefetch is one in-flight background decompression.
 type prefetch struct {
 	step int
-	j, c []float64
+	st   *stepRec
+	out  pair
 	err  error
 	done chan struct{}
 }
@@ -127,20 +86,7 @@ type prefetch struct {
 // one-off shared-index footprint to the stats, matching the paper's
 // accounting.
 func NewCompressedStore(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern) *CompressedStore {
-	s := &CompressedStore{
-		jc: jc, cc: cc,
-		arena:       blobArena{src: defaultChunks()},
-		frameJ:      make([]byte, blobframe.HeaderSize),
-		frameC:      make([]byte, blobframe.HeaderSize),
-		n:           -1,
-		plainJ:      map[int][]float64{},
-		plainC:      map[int][]float64{},
-		anchorJ:     map[int][]float64{},
-		anchorC:     map[int][]float64{},
-		anchorJSum:  map[int]uint32{},
-		anchorCSum:  map[int]uint32{},
-		quarantined: map[int]bool{},
-	}
+	s := &CompressedStore{core: newCore(jc, cc)}
 	if jPat != nil {
 		s.stats.StoredBytes += int64(len(varint.EncodeCSRIndices(jPat.RowPtr, jPat.ColIdx)))
 	}
@@ -168,407 +114,356 @@ func NewCompressedStoreAsync(jc, cc compress.Compressor, jPat, cPat *sparse.Patt
 	return s
 }
 
-// Async reports whether the store runs the pipelined (background
-// compression) mode.
-func (s *CompressedStore) Async() bool { return s.async }
-
-// SetFault installs a fault injector: blob corruption applies after frames
-// are sealed (at-rest rot, caught by the CRC at fetch time) and worker
-// panics fire when the async pipeline compresses the configured step. Call
-// it before the first Put.
-func (s *CompressedStore) SetFault(in *faultinject.Injector) { s.fault = in }
-
-// sealFrame compresses cur against ref (nil = self-contained) into the
-// scratch frame behind HeaderSize reserved bytes, seals the frame in place
-// and applies any injected at-rest corruption. The result aliases *scratch
-// (shortened when the injector truncates) and is valid until the next call.
-func (s *CompressedStore) sealFrame(scratch *[]byte, c compress.Compressor, cur, ref []float64, kind byte, step int) []byte {
-	*scratch = c.Compress((*scratch)[:blobframe.HeaderSize], cur, ref)
-	blobframe.Seal(*scratch, kind, step)
-	frame, _ := s.fault.MutateBlob(step, *scratch)
-	return frame
-}
-
-// compressStep encodes one step's tensors, copies the sealed frames into
-// the arena and accounts them; it returns the stored byte count. mu must not
-// be held.
-func (s *CompressedStore) compressStep(step int, curJ, curC, refJ, refC []float64) (int, error) {
-	jf := s.sealFrame(&s.frameJ, s.jc, curJ, refJ, 'J', step)
-	cf := s.sealFrame(&s.frameC, s.cc, curC, refC, 'C', step)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	jb, err := s.arena.append(jf)
-	if err != nil {
-		return 0, &StepError{Step: step, Op: "compress", Tensor: "J", Err: err}
-	}
-	cb, err := s.arena.append(cf)
-	if err != nil {
-		return 0, &StepError{Step: step, Op: "compress", Tensor: "C", Err: err}
-	}
-	s.jBlobs = append(s.jBlobs, jb)
-	s.cBlobs = append(s.cBlobs, cb)
-	n := len(jb) + len(cb)
-	s.stats.StoredBytes += int64(n)
-	s.bumpResident(int64(n))
-	s.ob.arenaBytes.Set(float64(s.arena.offHeapBytes()))
-	return n, nil
-}
-
-// openBlob verifies a stored frame and returns its payload; failures
-// quarantine the step (mu must not be held).
-func (s *CompressedStore) openBlob(frame []byte, kind byte, step int, tensor string) ([]byte, error) {
-	payload, err := blobframe.Open(frame, kind, step)
-	if err == nil {
-		return payload, nil
-	}
-	s.mu.Lock()
-	s.quarantined[step] = true
-	s.stats.CorruptBlobs++
-	s.mu.Unlock()
-	s.noteQuarantine(step)
-	return nil, corruptErr(step, "fetch", tensor, err)
-}
-
-// noteQuarantine mirrors one quarantined step into the telemetry handles:
-// the corruption counter plus an instant quarantine span.
-func (s *CompressedStore) noteQuarantine(step int) {
-	s.ob.corrupt.Inc()
-	qsp := s.ob.rec.Start(s.ob.spanParent(), span.Quarantine, step)
-	qsp.End()
-}
-
-// bumpResident adjusts the resident-byte model; callers in async mode must
-// hold mu.
-func (s *CompressedStore) bumpResident(delta int64) {
-	s.resident += delta
-	if s.resident > s.stats.PeakResident {
-		s.stats.PeakResident = s.resident
-	}
-	s.ob.observeResident(s.resident)
-}
-
-// takeBuf returns a length-n plaintext frame, recycling a pooled one when
-// available; the pool's owner serializes access (mu for the compressed
-// store). Pooled frames are idle memory the resident model does not count;
-// a frame counts from the moment its holder bumps the model to the matching
-// release.
-func takeBuf(pool *[][]float64, n int) []float64 {
-	if k := len(*pool); k > 0 {
-		b := (*pool)[k-1]
-		*pool = (*pool)[:k-1]
-		if len(b) == n {
-			return b
-		}
-	}
-	return make([]float64, n)
-}
-
-// copyBuf returns a pooled frame holding a copy of src.
-func copyBuf(pool *[][]float64, src []float64) []float64 {
-	b := takeBuf(pool, len(src))
-	copy(b, src)
-	return b
-}
-
-// worker drains the forward compression queue. It is the only goroutine
-// calling s.jc.Compress / s.cc.Compress, so the (stateful, non-thread-safe)
-// codecs see exactly the sync-mode call sequence.
-func (s *CompressedStore) worker() {
-	defer close(s.wkDone)
-	for job := range s.jobs {
-		s.runJob(job)
+// Attach wires telemetry and fault injection into the store: blob corruption
+// applies after frames are sealed, float rot to anchor frames after their
+// sidecars, and worker panics fire when the async pipeline compresses the
+// configured step. Call it before the first Put (the worker reads the
+// handles unlocked afterwards).
+func (s *CompressedStore) Attach(a Attachment) {
+	s.attach(a, "compressed")
+	s.cd.trace(s.ob.rec)
+	if s.trial != nil {
+		s.trial.ob = newAutoObs(a.Obs, s.trial.cfg.Candidates)
 	}
 }
 
-func (s *CompressedStore) runJob(job fwdJob) {
-	defer func() {
-		if r := recover(); r != nil {
-			// A worker panic is recorded as a typed error naming the step
-			// and surfaces from the next Put, EndForward, Fetch, or Close —
-			// never swallowed.
-			s.mu.Lock()
-			if s.ferr == nil {
-				s.ferr = &StepError{Step: job.step, Op: "compress",
-					Err: fmt.Errorf("async worker panic: %v", r)}
-			}
-			s.mu.Unlock()
-		}
-	}()
-	s.mu.Lock()
-	failed := s.ferr != nil
-	s.mu.Unlock()
-	if failed {
-		s.recycle(job.curJ, job.curC)
-		return
+// SetAnchorEvery makes every k-th step (step 0 excluded) a window anchor.
+// k <= 0 disables anchoring (the default). Call before the first Put;
+// anchoring an in-flight forward pass is not supported.
+func (s *CompressedStore) SetAnchorEvery(k int) {
+	if s.stats.Steps == 0 {
+		s.anchorEvery = max(k, 0)
 	}
-	if s.fault.PanicNow(job.step) {
-		panic(fmt.Sprintf("injected worker panic at step %d", job.step))
-	}
-	// Anchor steps cut the chain exactly as the sync path does: the worker
-	// is the only goroutine calling Compress, so the restart lands at the
-	// same point in the codec's call sequence and the blob stream stays
-	// byte-identical to sync mode.
-	cut := s.isAnchorStep(job.step)
-	refJ, refC := job.refJ, job.refC
-	if cut {
-		s.restartCodecs()
-		refJ, refC = nil, nil
-	}
-	csp := s.ob.rec.Start(job.parent, span.Compress, job.step)
-	s.setCodecParent(csp.ID())
-	start := time.Now()
-	stored, err := s.compressStep(job.step, job.curJ, job.curC, refJ, refC)
-	elapsed := time.Since(start)
-	csp.Attr("bytes", int64(stored))
-	csp.Attr("anchor", boolAttr(cut))
-	csp.End()
-	s.mu.Lock()
-	if err != nil {
-		if s.ferr == nil {
-			s.ferr = err
-		}
-		s.mu.Unlock()
-		s.recycle(job.curJ, job.curC)
-		return
-	}
-	s.stats.CompressTime += elapsed
-	if cut {
-		// Retain the buffers as the anchor frame instead of recycling
-		// them; they are already counted resident from putAsync's
-		// checkout.
-		s.retainAnchorLocked(job.step, job.curJ, job.curC, false)
-	}
-	s.mu.Unlock()
-	s.observeCompress(elapsed, stored)
-	s.ob.queueDepth.Set(float64(len(s.jobs)))
-	if !cut {
-		s.recycle(job.curJ, job.curC)
-	}
-}
-
-// observeCompress mirrors one compressed step into the telemetry handles
-// (no-op when detached).
-func (s *CompressedStore) observeCompress(d time.Duration, bytes int) {
-	s.ob.compressSec.AddDuration(d)
-	s.ob.storedBytes.Add(float64(bytes))
-	s.ob.blobBytes.Observe(float64(bytes))
-}
-
-// recycle returns a consumed plaintext pair to the buffer pool.
-func (s *CompressedStore) recycle(j, c []float64) {
-	s.mu.Lock()
-	s.poolJ = append(s.poolJ, j)
-	s.poolC = append(s.poolC, c)
-	s.bumpResident(-int64(8 * (len(j) + len(c))))
-	s.mu.Unlock()
 }
 
 // Put implements Store.
 func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
-	if s.async {
-		return s.putAsync(step, jVals, cVals)
+	s.mu.Lock()
+	err := s.ferr
+	if err == nil {
+		err = s.admit(step, jVals, cVals)
 	}
-	if s.forwardDone {
-		return fmt.Errorf("jactensor: Put after EndForward")
+	s.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	if step != s.n+1 {
-		return fmt.Errorf("jactensor: put step %d out of order (expected %d)", step, s.n+1)
+	if s.trial != nil {
+		return s.park(jVals, cVals)
 	}
-	if step == 0 {
-		s.jLen, s.cLen = len(jVals), len(cVals)
-	} else if len(jVals) != s.jLen || len(cVals) != s.cLen {
-		return fmt.Errorf("jactensor: step %d value counts changed (%d/%d vs %d/%d)",
-			step, len(jVals), len(cVals), s.jLen, s.cLen)
-	}
+	return s.put(step, jVals, cVals)
+}
+
+// put takes an admitted step: it becomes the chain's last plaintext, and the
+// step before it is compressed against it. The two modes differ in one thing
+// only — sync runs that job here, against the caller's slices; async copies
+// the values into a pooled frame and hands the job to the worker, so the
+// caller proceeds to the next timestep at once and a worker error surfaces
+// one Put late at worst.
+func (s *CompressedStore) put(step int, jVals, cVals []float64) error {
 	psp := s.ob.rec.Start(s.ob.spanParent(), span.Put, step)
-	start := time.Now()
+	defer psp.End()
+	// The chain cuts at an anchor: its blob is self-contained and its
+	// plaintext retained. The head is never one (EndForward clears the mark).
+	st := s.newRec(step)
+	job := fwdJob{step: step - 1, cur: s.last, refJ: jVals, refC: cVals, parent: psp.ID()}
 	if step > 0 {
-		// Compress M_{t-1} with M_t as the prediction reference — unless
-		// t-1 is an anchor, where the chain cuts: the blob is
-		// self-contained and the plaintext is retained for windowed
-		// sweeps.
-		refJ, refC := jVals, cVals
-		if s.isAnchorStep(step - 1) {
-			s.restartCodecs()
-			refJ, refC = nil, nil
+		job.st = s.steps[step-1]
+	}
+	if s.async || step == 0 {
+		// A frame for this step's values: a new one per step for the worker
+		// to read while the solver moves on, the chain's one otherwise.
+		s.mu.Lock()
+		s.last = s.takeFrame()
+		s.bumpResident(s.frameBytes)
+		s.mu.Unlock()
+	}
+	if s.async {
+		copy(s.last.j, jVals)
+		copy(s.last.c, cVals)
+		job.refJ, job.refC = s.last.j, s.last.c
+		if step > 0 {
+			s.enqueue(job, &psp)
 		}
-		csp := s.ob.rec.Start(psp.ID(), span.Compress, step-1)
-		s.setCodecParent(csp.ID())
-		stored, err := s.compressStep(step-1, s.lastJ, s.lastC, refJ, refC)
-		csp.Attr("bytes", int64(stored))
-		csp.End()
-		if err != nil {
-			psp.End()
-			return err
-		}
-		if s.isAnchorStep(step - 1) {
-			s.retainAnchorLocked(step-1,
-				append([]float64(nil), s.lastJ...),
-				append([]float64(nil), s.lastC...), true)
-		}
-		s.observeCompress(time.Since(start), stored)
 	} else {
-		s.lastJ = make([]float64, len(jVals))
-		s.lastC = make([]float64, len(cVals))
-		s.bumpResident(int64(8 * (len(jVals) + len(cVals))))
-	}
-	copy2 := func(dst *[]float64, src []float64) {
-		if len(*dst) != len(src) {
-			*dst = make([]float64, len(src))
+		if step > 0 {
+			if err := s.runJob(job); err != nil {
+				return err
+			}
 		}
-		copy(*dst, src)
+		copy(s.last.j, jVals)
+		copy(s.last.c, cVals)
 	}
-	copy2(&s.lastJ, jVals)
-	copy2(&s.lastC, cVals)
-	s.n = step
-	s.stats.Steps++
-	s.stats.RawBytes += int64(8 * (len(jVals) + len(cVals)))
-	s.stats.CompressTime += time.Since(start)
-	s.ob.puts.Inc()
-	s.ob.rawBytes.Add(float64(8 * (len(jVals) + len(cVals))))
-	psp.End()
+	s.mu.Lock()
+	s.steps = append(s.steps, st)
+	s.mu.Unlock()
+	if s.async {
+		depth := len(s.jobs)
+		s.ob.queueDepth.Set(float64(depth))
+		psp.Attr("queue", int64(depth))
+	}
 	return nil
 }
 
-// putAsync double-buffers the incoming values and hands the "compress
-// M_{t-1} against M_t" job to the worker, so the caller immediately
-// proceeds to the next timestep. Worker errors surface here (and on
-// EndForward), one Put late at worst.
-func (s *CompressedStore) putAsync(step int, jVals, cVals []float64) error {
+// enqueue hands job to the worker. A full queue means the compressor is the
+// bottleneck right now: the wait is accounted, so the overlap experiment can
+// report how much compression latency leaked back onto the solver.
+func (s *CompressedStore) enqueue(job fwdJob, psp *span.Span) {
+	select {
+	case s.jobs <- job:
+		return
+	default:
+	}
+	start := time.Now()
+	s.jobs <- job
+	stall := time.Since(start)
 	s.mu.Lock()
-	if err := s.ferr; err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if s.forwardDone {
-		s.mu.Unlock()
-		return fmt.Errorf("jactensor: Put after EndForward")
-	}
-	if step != s.n+1 {
-		s.mu.Unlock()
-		return fmt.Errorf("jactensor: put step %d out of order (expected %d)", step, s.n+1)
-	}
-	if step == 0 {
-		s.jLen, s.cLen = len(jVals), len(cVals)
-	} else if len(jVals) != s.jLen || len(cVals) != s.cLen {
-		s.mu.Unlock()
-		return fmt.Errorf("jactensor: step %d value counts changed (%d/%d vs %d/%d)",
-			step, len(jVals), len(cVals), s.jLen, s.cLen)
-	}
-	jb := takeBuf(&s.poolJ, len(jVals))
-	cb := takeBuf(&s.poolC, len(cVals))
-	s.bumpResident(int64(8 * (len(jVals) + len(cVals))))
+	s.stats.StallTime += stall
 	s.mu.Unlock()
+	s.ob.stallSec.AddDuration(stall)
+	psp.Attr("stall_ns", int64(stall))
+}
 
-	psp := s.ob.rec.Start(s.ob.spanParent(), span.Put, step)
-	copy(jb, jVals)
-	copy(cb, cVals)
-	if step > 0 {
-		// The put span is the causal trigger for compressing step-1, so
-		// the worker parents its compress span under it.
-		job := fwdJob{step: step - 1, curJ: s.lastJ, curC: s.lastC, refJ: jb, refC: cb, parent: psp.ID()}
-		select {
-		case s.jobs <- job:
-		default:
-			// Queue full: the compressor is the bottleneck right now.
-			// Account the wait so the overlap experiment can report how
-			// much compression latency leaked back onto the solver.
-			start := time.Now()
-			s.jobs <- job
-			stall := time.Since(start)
+// worker drains the forward compression queue. It is the only goroutine
+// running jobs, so the (stateful, non-thread-safe) codecs see exactly the
+// sync-mode call sequence. A job's frame goes back to the pool unless it was
+// retained as an anchor.
+func (s *CompressedStore) worker() {
+	defer close(s.wkDone)
+	for job := range s.jobs {
+		s.mu.Lock()
+		failed := s.ferr != nil
+		s.mu.Unlock()
+		if failed || s.guarded(job) != nil || !job.st.pinned {
 			s.mu.Lock()
-			s.stats.StallTime += stall
+			s.giveBack(&job.cur)
 			s.mu.Unlock()
-			s.ob.stallSec.AddDuration(stall)
-			psp.Attr("stall_ns", int64(stall))
+		}
+		s.ob.queueDepth.Set(float64(len(s.jobs)))
+	}
+}
+
+// guarded runs one job on the worker. A panic — injected, or a codec's — is
+// recorded as a typed error naming the step and surfaces from the next Put,
+// EndForward, Fetch or Close; never swallowed, never on the solver's thread.
+func (s *CompressedStore) guarded(job fwdJob) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &StepError{Step: job.step, Op: "compress", Err: fmt.Errorf("async worker panic: %v", r)}
+			s.mu.Lock()
+			if s.ferr == nil {
+				s.ferr = err
+			}
+			s.mu.Unlock()
+		}
+	}()
+	if s.fault.PanicNow(job.step) {
+		panic(fmt.Sprintf("injected worker panic at step %d", job.step))
+	}
+	return s.runJob(job)
+}
+
+// runJob is the forward step of Algorithm 2, the same in both modes: seal
+// job.step against the next step's values — or, at an anchor, against
+// nothing and with restarted codecs — keep the blobs, account them, and
+// retain an anchor's plaintext. mu must not be held.
+func (s *CompressedStore) runJob(job fwdJob) error {
+	cut := job.st.pinned
+	refJ, refC := job.refJ, job.refC
+	if cut {
+		s.cd.restart()
+		refJ, refC = nil, nil
+	}
+	csp := s.ob.rec.Start(job.parent, span.Compress, job.step)
+	s.cd.setParent(csp.ID())
+	start := time.Now()
+	jb, cb := s.seal(job.step, job.cur, refJ, refC)
+	stored := len(jb) + len(cb)
+
+	s.mu.Lock()
+	tensor, err := s.keep(job.st, jb, cb)
+	elapsed := time.Since(start)
+	if err != nil {
+		err = &StepError{Step: job.step, Op: "compress", Tensor: tensor, Err: err}
+		if s.ferr == nil {
+			s.ferr = err
+		}
+		stored = 0
+	} else {
+		s.stats.StoredBytes += int64(stored)
+		s.stats.CompressTime += elapsed
+		s.bumpResident(int64(stored))
+		if cut {
+			// The worker's frame becomes the anchor (it is already counted
+			// resident); the sync path's is the chain's one last frame, so
+			// the anchor is a counted copy.
+			master := job.cur
+			if !s.async {
+				master = s.copyFrame(job.cur)
+				s.bumpResident(s.frameBytes)
+			}
+			s.admitFrame(job.step, job.st, master)
+			s.stats.AnchorBytes += s.frameBytes
+			s.ob.anchorBytes.Set(float64(s.stats.AnchorBytes))
 		}
 	}
-	s.lastJ, s.lastC = jb, cb
-
-	s.mu.Lock()
-	s.n = step
-	s.stats.Steps++
-	s.stats.RawBytes += int64(8 * (len(jVals) + len(cVals)))
 	s.mu.Unlock()
-	s.ob.puts.Inc()
-	s.ob.rawBytes.Add(float64(8 * (len(jVals) + len(cVals))))
-	depth := len(s.jobs)
-	s.ob.queueDepth.Set(float64(depth))
-	psp.Attr("queue", int64(depth))
-	psp.End()
+	csp.Attr("bytes", int64(stored))
+	csp.Attr("anchor", boolAttr(cut))
+	csp.End()
+	if err != nil {
+		return err
+	}
+	s.ob.compressSec.AddDuration(elapsed)
+	s.ob.storedBytes.Add(float64(stored))
+	s.ob.blobBytes.Observe(float64(stored))
 	return nil
+}
+
+// drain closes the job queue and joins the worker (async mode; the queue is
+// closed once, the worker may be awaited by several), then reports the first
+// compression error.
+func (s *CompressedStore) drain() error {
+	s.mu.Lock()
+	first := !s.drained
+	s.drained = true
+	s.mu.Unlock()
+	if s.async {
+		if first {
+			close(s.jobs)
+		}
+		<-s.wkDone
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ferr
 }
 
 // EndForward implements Store: the final step is compressed with no
-// reference so the reverse chain has a self-contained head. In async mode
-// it first drains the compression queue.
+// reference, so the reverse chain has a self-contained head, and its
+// plaintext stays resident as the first frame the sweep reads. A trial still
+// pending (a run shorter than its window) binds first; in async mode the
+// compression queue drains first.
 func (s *CompressedStore) EndForward() error {
 	s.mu.Lock()
 	if s.forwardDone {
 		s.mu.Unlock()
 		return nil
 	}
-	if s.n < 0 {
+	if s.stats.Steps == 0 {
 		s.mu.Unlock()
 		return fmt.Errorf("jactensor: EndForward with no steps")
 	}
 	// Block further Puts before the queue closes.
 	s.forwardDone = true
 	s.mu.Unlock()
-
-	if s.async {
-		close(s.jobs)
-		<-s.wkDone
-		s.mu.Lock()
-		s.drained = true
-		err := s.ferr
-		s.mu.Unlock()
-		if err != nil {
+	if s.trial != nil {
+		if err := s.bind(); err != nil {
 			return err
 		}
 	}
-	csp := s.ob.rec.Start(s.ob.spanParent(), span.Compress, s.n)
-	s.setCodecParent(csp.ID())
-	start := time.Now()
-	stored, err := s.compressStep(s.n, s.lastJ, s.lastC, nil, nil)
-	csp.Attr("bytes", int64(stored))
-	csp.End()
-	if err != nil {
+	if err := s.drain(); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.stats.CompressTime += time.Since(start)
-	// The plaintext of the last step stays resident as the chain head.
-	s.plainJ[s.n] = s.lastJ
-	s.plainC[s.n] = s.lastC
-	s.lastJ, s.lastC = nil, nil
+	n := len(s.steps) - 1
+	head := s.steps[n]
+	head.pinned = false
 	s.mu.Unlock()
-	s.observeCompress(time.Since(start), stored)
+	if err := s.runJob(fwdJob{step: n, st: head, cur: s.last, parent: s.ob.spanParent()}); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	head.out, s.last = s.last, pair{}
+	s.mu.Unlock()
 	return nil
 }
 
 // sealedLocked reports whether the forward pass has ended and every step's
 // blob is stored — the precondition of Fetch and Slice. mu must be held.
 func (s *CompressedStore) sealedLocked() bool {
-	return s.forwardDone && len(s.jBlobs) == s.n+1
+	n := len(s.steps)
+	return s.forwardDone && n > 0 && s.steps[n-1].jBlob != nil
 }
 
-// checkoutLocked pins the arena and returns step's sealed blobs plus two
-// pooled plaintext frames to decode them into. The caller reads the blobs
-// outside the lock and must call unpinBlobs when it has finished with them.
-// It fails with ErrClosed once Close has run. mu must be held.
-func (s *CompressedStore) checkoutLocked(step int) (jBlob, cBlob []byte, jv, cv []float64, err error) {
-	if s.quarantined[step] {
-		return nil, nil, nil, nil, corruptErr(step, "fetch", "", errAlreadyQuarantined)
+// giveBack returns a plaintext frame to the pool and takes it out of the
+// resident model. mu must be held.
+func (s *CompressedStore) giveBack(p *pair) {
+	if p.j != nil {
+		s.bumpResident(-s.frameBytes)
+		s.parkFrame(*p)
+		*p = pair{}
 	}
-	if err := s.arena.pin(); err != nil {
-		return nil, nil, nil, nil, closedErr(step)
-	}
-	return s.jBlobs[step], s.cBlobs[step], takeBuf(&s.poolJ, s.jLen), takeBuf(&s.poolC, s.cLen), nil
 }
 
-// unpinBlobs ends a checkoutLocked read; after Close, the last one returns
-// the arena's memory.
+// anchorLocked returns st's retained anchor plaintext, verified, or a zero
+// pair when there is none or it has rotted — in which case the frame is
+// dropped and counted, and the caller decodes the step's self-contained blob
+// instead. The slices are the store's own: callers copy. mu must be held.
+func (s *CompressedStore) anchorLocked(st *stepRec) pair {
+	if st.j == nil {
+		return pair{}
+	}
+	if _, err := st.rotted(); err == nil {
+		return st.pair
+	}
+	s.parkFrame(st.pair)
+	st.frame = frame{}
+	s.stats.AnchorBytes -= s.frameBytes
+	s.ob.anchorBytes.Set(float64(s.stats.AnchorBytes))
+	s.bumpResident(-s.frameBytes)
+	s.noteCorrupt()
+	return pair{}
+}
+
+// decodeStep is the reverse half of the blob lifecycle: pin the arena, open
+// the step's sealed blobs, decode them with cd (the store's codecs, or a
+// slice's forks) against ref into a pooled frame, and quarantine the step on
+// any failure. The frame is the caller's to install and count. At most one
+// call runs per codec pair at a time; prefetch marks the span of a background
+// decode ahead of the sweep. mu must not be held.
+func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, ref pair, prefetch bool) (pair, error) {
+	s.mu.Lock()
+	if st.quarantined {
+		s.mu.Unlock()
+		return pair{}, corruptErr(step, "fetch", "", errQuarantined)
+	}
+	if s.arena.pin() != nil {
+		s.mu.Unlock()
+		return pair{}, closedErr(step)
+	}
+	jb, cb := st.jBlob, st.cBlob
+	out := s.takeFrame()
+	s.mu.Unlock()
+	defer s.unpinBlobs()
+
+	var elapsed time.Duration
+	jp, cp, tensor, err := openPair(step, jb, cb)
+	if err == nil {
+		dsp := s.ob.rec.Start(s.ob.spanParent(), span.Decompress, step)
+		cd.setParent(dsp.ID())
+		start := time.Now()
+		tensor, err = cd.decode(out, jp, cp, ref.j, ref.c)
+		elapsed = time.Since(start)
+		dsp.Attr("bytes", int64(len(jb)+len(cb)))
+		dsp.Attr("prefetch", boolAttr(prefetch))
+		dsp.End()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		// The frame verified but the codec rejected the payload, or the
+		// frame did not verify: either way a degradable corruption.
+		s.parkFrame(out)
+		s.quarantine(step, st)
+		return pair{}, corruptErr(step, "fetch", tensor, err)
+	}
+	s.stats.DecompressTime += elapsed
+	s.ob.decompressSec.AddDuration(elapsed)
+	return out, nil
+}
+
+// unpinBlobs ends a decodeStep read; after Close, the last one returns the
+// arena's memory.
 func (s *CompressedStore) unpinBlobs() {
 	s.mu.Lock()
 	s.arena.unpin()
@@ -578,95 +473,36 @@ func (s *CompressedStore) unpinBlobs() {
 	s.mu.Unlock()
 }
 
-// decompressStep inflates step's blobs against the given references into
-// frames checked out of the pool. At most one call runs at a time (Fetch
-// joins any in-flight prefetch first), so the codecs' scratch state is safe.
-// prefetch marks the span of a background decode ahead of the sweep.
-func (s *CompressedStore) decompressStep(step int, refJ, refC []float64, prefetch bool) ([]float64, []float64, error) {
-	s.mu.Lock()
-	jBlob, cBlob, jv, cv, err := s.checkoutLocked(step)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer s.unpinBlobs()
-	jPayload, err := s.openBlob(jBlob, 'J', step, "J")
-	if err != nil {
-		return nil, nil, err
-	}
-	cPayload, err := s.openBlob(cBlob, 'C', step, "C")
-	if err != nil {
-		return nil, nil, err
-	}
-	dsp := s.ob.rec.Start(s.ob.spanParent(), span.Decompress, step)
-	s.setCodecParent(dsp.ID())
-	start := time.Now()
-	if err := s.jc.Decompress(jv, jPayload, refJ); err != nil {
-		dsp.End()
-		return nil, nil, s.decodeFailed(step, "J", err)
-	}
-	if err := s.cc.Decompress(cv, cPayload, refC); err != nil {
-		dsp.End()
-		return nil, nil, s.decodeFailed(step, "C", err)
-	}
-	elapsed := time.Since(start)
-	dsp.Attr("bytes", int64(len(jBlob)+len(cBlob)))
-	dsp.Attr("prefetch", boolAttr(prefetch))
-	dsp.End()
-	s.mu.Lock()
-	s.stats.DecompressTime += elapsed
-	s.mu.Unlock()
-	s.ob.decompressSec.AddDuration(elapsed)
-	return jv, cv, nil
-}
-
-var errAlreadyQuarantined = fmt.Errorf("step is quarantined")
-
-// decodeFailed records a decode failure (the frame verified, but the codec
-// rejected the payload) as a quarantined, degradable corruption.
-func (s *CompressedStore) decodeFailed(step int, tensor string, err error) error {
-	s.mu.Lock()
-	s.quarantined[step] = true
-	s.stats.CorruptBlobs++
-	s.mu.Unlock()
-	s.noteQuarantine(step)
-	return corruptErr(step, "fetch", tensor, err)
-}
-
 // maybePrefetch schedules a background decompression of step-1 using
 // step's (resident) plaintext as reference. mu must be held.
 func (s *CompressedStore) maybePrefetch(step int) {
-	if !s.async || s.pf != nil || step <= 0 {
-		return
-	}
-	prev := step - 1
-	if _, ok := s.plainJ[prev]; ok {
+	if !s.async || s.pf != nil || step <= 0 || s.arena.closed {
 		return
 	}
 	// Anchor steps are served from their retained plaintext, and their
-	// blobs want a nil reference anyway — skip the prefetch.
-	if s.isAnchorStep(prev) {
+	// blobs want no reference anyway.
+	prev := s.steps[step-1]
+	if prev.out.j != nil || prev.pinned {
 		return
 	}
-	refJ, refC := s.plainJ[step], s.plainC[step]
-	pf := &prefetch{step: prev, done: make(chan struct{})}
+	ref := s.steps[step].out
+	pf := &prefetch{step: step - 1, st: prev, done: make(chan struct{})}
 	s.pf = pf
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				// A prefetch panic becomes a typed error the owning Fetch
 				// reports, naming the step.
-				pf.err = &StepError{Step: pf.step, Op: "prefetch",
-					Err: fmt.Errorf("panic: %v", r)}
+				pf.err = &StepError{Step: pf.step, Op: "prefetch", Err: fmt.Errorf("panic: %v", r)}
 			}
 			close(pf.done)
 		}()
-		pf.j, pf.c, pf.err = s.decompressStep(pf.step, refJ, refC, true)
+		pf.out, pf.err = s.decodeStep(&s.cd, pf.step, pf.st, ref, true)
 	}()
 }
 
-// joinPrefetch waits for the in-flight prefetch (if any) and materializes
-// its result. It reports whether that prefetch was for `step`, and its error
+// joinPrefetch waits for the in-flight prefetch (if any) and installs its
+// result. It reports whether that prefetch was for `step`, and its error
 // when so.
 func (s *CompressedStore) joinPrefetch(step int) (hit bool, err error) {
 	s.mu.Lock()
@@ -679,9 +515,8 @@ func (s *CompressedStore) joinPrefetch(step int) (hit bool, err error) {
 	s.mu.Lock()
 	s.pf = nil
 	if pf.err == nil {
-		s.plainJ[pf.step] = pf.j
-		s.plainC[pf.step] = pf.c
-		s.bumpResident(int64(8 * (len(pf.j) + len(pf.c))))
+		pf.st.out = pf.out
+		s.bumpResident(s.frameBytes)
 	}
 	s.mu.Unlock()
 	if pf.step == step {
@@ -691,10 +526,11 @@ func (s *CompressedStore) joinPrefetch(step int) (hit bool, err error) {
 }
 
 // Fetch implements Store. Steps must be fetched in reverse order; each
-// decompression uses the plaintext of step i+1 as its reference. In async
-// mode the common case is a hit on the background prefetch, and fetching
-// step i kicks off the prefetch of step i-1. The returned frames are the
-// store's own and go back to its pool on Release.
+// decompression uses the plaintext of step i+1 as its reference, except at
+// an anchor, which is copied from its retained frame. In async mode the
+// common case is a hit on the background prefetch, and fetching step i kicks
+// off the prefetch of step i-1. The returned frames are the store's own and
+// go back to its pool on Release.
 func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 	// Join any in-flight prefetch first: it is either our step (the hit
 	// path) or must finish before we may run another decompression.
@@ -703,66 +539,58 @@ func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 		return nil, nil, err
 	}
 	s.mu.Lock()
-	if err := s.ferr; err != nil {
+	switch {
+	case s.ferr != nil:
+		err = s.ferr
+	case s.arena.closed:
+		err = closedErr(step)
+	case !s.sealedLocked():
+		err = &StepError{Step: step, Op: "fetch", Err: errors.New("Fetch before EndForward")}
+	case step < 0 || step >= len(s.steps):
+		err = fmt.Errorf("jactensor: fetch step %d of %d", step, len(s.steps))
+	}
+	if err != nil {
 		s.mu.Unlock()
 		return nil, nil, err
 	}
-	if s.arena.closed {
-		s.mu.Unlock()
-		return nil, nil, closedErr(step)
-	}
-	if !s.sealedLocked() {
-		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("jactensor: Fetch before EndForward")
-	}
-	if step < 0 || step > s.n {
-		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("jactensor: fetch step %d of %d", step, s.n)
-	}
-	if j, ok := s.plainJ[step]; ok {
-		c := s.plainC[step]
+	st := s.steps[step]
+	if out := st.out; out.j != nil {
 		s.maybePrefetch(step)
 		s.mu.Unlock()
 		s.ob.fetches.Inc()
 		if wasPrefetched {
 			s.ob.prefetchHits.Inc()
 		}
-		return j, c, nil
+		return out.j, out.c, nil
 	}
-	anchored := s.isAnchorStep(step)
-	var refJ, refC []float64
-	if step < s.n && !anchored {
-		var ok bool
-		refJ, ok = s.plainJ[step+1]
-		if !ok {
+	var out, ref pair
+	if st.pinned {
+		if master := s.anchorLocked(st); master.j != nil {
+			out = s.copyFrame(master)
+		}
+	} else if step+1 < len(s.steps) {
+		if ref = s.steps[step+1].out; ref.j == nil {
 			s.mu.Unlock()
 			return nil, nil, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
 		}
-		refC = s.plainC[step+1]
 	}
 	s.mu.Unlock()
 
-	if anchored {
-		if jv, cv, ok := s.fetchAnchor(step); ok {
-			return jv, cv, nil
+	if out.j == nil {
+		if out, err = s.decodeStep(&s.cd, step, st, ref, false); err != nil {
+			return nil, nil, err
 		}
-		// Rotted anchor: decode its self-contained blob instead.
-	}
-	jv, cv, err := s.decompressStep(step, refJ, refC, false)
-	if err != nil {
-		return nil, nil, err
+		if s.async {
+			s.ob.prefetchMiss.Inc()
+		}
 	}
 	s.ob.fetches.Inc()
-	if s.async {
-		s.ob.prefetchMiss.Inc()
-	}
 	s.mu.Lock()
-	s.plainJ[step] = jv
-	s.plainC[step] = cv
-	s.bumpResident(int64(8 * (len(jv) + len(cv))))
+	st.out = out
+	s.bumpResident(s.frameBytes)
 	s.maybePrefetch(step)
 	s.mu.Unlock()
-	return jv, cv, nil
+	return out.j, out.c, nil
 }
 
 // Repair implements Repairer: it installs recomputed plaintext for a
@@ -772,40 +600,31 @@ func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 func (s *CompressedStore) Repair(step int, jVals, cVals []float64) {
 	rsp := s.ob.rec.Start(s.ob.spanParent(), span.Repair, step)
 	defer rsp.End()
-	// Locked unconditionally: windowed sweeps repair through their slices
-	// concurrently even over a sync store.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	jv := copyBuf(&s.poolJ, jVals)
-	cv := copyBuf(&s.poolC, cVals)
-	s.plainJ[step] = jv
-	s.plainC[step] = cv
-	s.bumpResident(int64(8 * (len(jv) + len(cv))))
-	delete(s.quarantined, step)
-	s.stats.Repairs++
+	if step < 0 || step >= len(s.steps) {
+		return // closed, or never stored
+	}
+	st := s.steps[step]
+	s.giveBack(&st.out)
+	st.out = s.copyFrame(pair{jVals, cVals})
+	s.bumpResident(s.frameBytes)
+	s.heal(st)
 }
 
-// Release implements Store: the step's plaintext frames go back to the pool
-// for the next Fetch to decode into.
+// Release implements Store: the step's plaintext frame goes back to the pool
+// for the next Fetch to decode into. An anchor's retained frame stays, so the
+// same store can be swept or sliced again.
 func (s *CompressedStore) Release(step int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v, ok := s.plainJ[step]; ok {
-		s.bumpResident(-int64(8 * len(v)))
-		s.poolJ = append(s.poolJ, v)
-		delete(s.plainJ, step)
-	}
-	if v, ok := s.plainC[step]; ok {
-		s.bumpResident(-int64(8 * len(v)))
-		s.poolC = append(s.poolC, v)
-		delete(s.plainC, step)
+	if step >= 0 && step < len(s.steps) {
+		s.giveBack(&s.steps[step].out)
 	}
 }
 
 // Stats implements Store.
 func (s *CompressedStore) Stats() Stats {
-	// Locked unconditionally: slice fetches mutate stats under mu even
-	// when the store itself is synchronous.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
@@ -817,31 +636,46 @@ func (s *CompressedStore) Stats() Stats {
 // reading one — by that reader's unpin; every later Fetch fails with
 // ErrClosed. Idempotent.
 func (s *CompressedStore) Close() error {
-	if s.async {
-		s.mu.Lock()
-		needDrain := !s.drained
-		s.forwardDone = true
-		s.mu.Unlock()
-		if needDrain {
-			close(s.jobs)
-			<-s.wkDone
-			s.mu.Lock()
-			s.drained = true
-			s.mu.Unlock()
-		}
-		_, _ = s.joinPrefetch(-1) // no step is wanted: the error has no taker
-	}
+	s.mu.Lock()
+	s.forwardDone = true
+	s.mu.Unlock()
+	_ = s.drain()             // reported below
+	_, _ = s.joinPrefetch(-1) // no step is wanted: the error has no taker
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.arena.close()
-	s.ob.arenaBytes.Set(float64(s.arena.offHeapBytes()))
-	s.jBlobs, s.cBlobs = nil, nil
-	// Emptied, not nilled: a late Repair or fetch install from a goroutine
-	// that outlived the run must not hit a nil map.
-	clear(s.plainJ)
-	clear(s.plainC)
-	clear(s.anchorJ)
-	clear(s.anchorC)
-	s.poolJ, s.poolC = nil, nil
+	s.closeCore()
+	s.trial = nil
 	return s.ferr
+}
+
+// AnchorSteps returns the chain-cut layout of the finished forward pass:
+// every interior anchor step that still holds its frame, in ascending order,
+// with the head step n appended (the head's plaintext is retained by
+// EndForward, so it behaves as the top anchor). Windowed sweeps slice the
+// trajectory at exactly these steps. Returns nil before EndForward.
+func (s *CompressedStore) AnchorSteps() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.anchorMenu(func(st *stepRec) bool { return st.j != nil })
+}
+
+// PredictorStats returns the predictor-selection statistics accumulated by
+// the first-tensor (G in the facade) and C codecs, when the store was built
+// over masczip compressors with Options.CollectStats enabled (ok reports both conditions). In async
+// mode call it only after EndForward or Close, once the worker has
+// drained.
+func (s *CompressedStore) PredictorStats() (j, c masczip.Stats, ok bool) {
+	type statser interface{ Stats() masczip.Stats }
+	js, okJ := s.cd.j.(statser)
+	cs, okC := s.cd.c.(statser)
+	if !okJ || !okC {
+		return j, c, false
+	}
+	j, c = js.Stats(), cs.Stats()
+	// CollectStats off leaves the counters at zero; report !ok so callers
+	// can distinguish "no data" from "all-zero data".
+	if j.Elements == 0 && c.Elements == 0 {
+		return j, c, false
+	}
+	return j, c, true
 }

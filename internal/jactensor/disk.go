@@ -1,7 +1,6 @@
 package jactensor
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 
 	"masc/internal/blobframe"
 	"masc/internal/diskio"
-	"masc/internal/faultinject"
 	"masc/internal/obs/span"
 )
 
@@ -22,29 +20,20 @@ import (
 // degradable corruption error at fetch time instead of silently wrong
 // sensitivities.
 type DiskStore struct {
+	storeBase
 	spill        *diskio.Store
 	jOffs, cOffs []int64
-	jLen, cLen   int
-	forwardDone  bool
 	quarantined  map[int]bool
 	repJ, repC   map[int][]float64 // repaired plaintext, keyed by step
-	stats        Stats
 	scratch      []byte
 	jBuf, cBuf   []float64
-	fault        *faultinject.Injector
-	ob           storeObs
 }
 
-// trackResident recomputes the resident-byte model — the streaming encode
-// scratch plus the fetch buffers, the only state the spill store keeps in
-// RAM — and folds it into the running peak, mirroring the accounting of
-// MemStore and CompressedStore.
+// trackResident brings the resident-byte model up to date: the streaming
+// encode scratch plus the fetch buffers are the only state the spill store
+// keeps in RAM.
 func (s *DiskStore) trackResident() {
-	resident := int64(cap(s.scratch)) + int64(8*(len(s.jBuf)+len(s.cBuf)))
-	if resident > s.stats.PeakResident {
-		s.stats.PeakResident = resident
-	}
-	s.ob.observeResident(resident)
+	s.bumpResident(int64(cap(s.scratch)) + int64(8*(len(s.jBuf)+len(s.cBuf))) - s.resident)
 }
 
 // NewDiskStore creates a spill-backed store. dir may be empty (temp dir);
@@ -62,28 +51,21 @@ func NewDiskStore(dir string, bytesPerSec float64) (*DiskStore, error) {
 	}, nil
 }
 
-// SetFault installs a fault injector. Blob corruption applies to framed
-// records after sealing (modelling at-rest rot); op faults apply to the
-// underlying spill device, where the retry policy fights them first.
-func (s *DiskStore) SetFault(in *faultinject.Injector) {
-	s.fault = in
-	s.spill.SetFault(in)
+// Attach wires telemetry, fault injection and the run's context. Blob
+// corruption applies to framed records after sealing (modelling at-rest
+// rot); op faults apply to the underlying spill device, where the retry
+// policy fights them first — and gives up early once the context is done, so
+// a canceled run is not held up by backoff against a dying disk. Call it
+// before the first Put.
+func (s *DiskStore) Attach(a Attachment) {
+	s.attach(a, "disk")
+	s.wireSpill(s.spill)
 }
-
-// SetRetryPolicy forwards to the spill device.
-func (s *DiskStore) SetRetryPolicy(p diskio.RetryPolicy) { s.spill.SetRetryPolicy(p) }
-
-// SetContext forwards a cancellation context to the spill device's retry
-// loop, so a canceled run is not held up by backoff against a dying disk.
-func (s *DiskStore) SetContext(ctx context.Context) { s.spill.SetContext(ctx) }
 
 // SyncSpill fsyncs the spill file. The run journal calls it before marking
 // the steps referencing those spill bytes durable, ordering data ahead of
 // the checkpoint record that points at it.
 func (s *DiskStore) SyncSpill() error { return s.spill.Sync() }
-
-// SpillPath exposes the spill file location for tests that damage it.
-func (s *DiskStore) SpillPath() string { return s.spill.Path() }
 
 // encode frames vals as a sealed blobframe record in the scratch buffer.
 func (s *DiskStore) encode(vals []float64, kind byte, step int) []byte {
@@ -101,14 +83,8 @@ func (s *DiskStore) encode(vals []float64, kind byte, step int) []byte {
 
 // Put implements Store.
 func (s *DiskStore) Put(step int, jVals, cVals []float64) error {
-	if s.forwardDone {
-		return &StepError{Step: step, Op: "put", Err: errors.New("Put after EndForward")}
-	}
-	if step != len(s.jOffs) {
-		return fmt.Errorf("jactensor: put step %d out of order (expected %d)", step, len(s.jOffs))
-	}
-	if step == 0 {
-		s.jLen, s.cLen = len(jVals), len(cVals)
+	if err := s.admit(step, jVals, cVals); err != nil {
+		return err
 	}
 	psp := s.ob.rec.Start(s.ob.spanParent(), span.Put, step)
 	defer psp.End()
@@ -132,13 +108,9 @@ func (s *DiskStore) Put(step int, jVals, cVals []float64) error {
 		return err
 	}
 	s.cOffs = append(s.cOffs, off)
-	s.stats.Steps++
-	s.stats.RawBytes += int64(8 * (len(jVals) + len(cVals)))
 	s.trackResident()
-	s.ob.puts.Inc()
-	s.ob.rawBytes.Add(float64(8 * (len(jVals) + len(cVals))))
 	s.ob.ioSec.AddDuration(time.Since(start))
-	psp.Attr("bytes", int64(8*(len(jVals)+len(cVals))))
+	psp.Attr("bytes", s.frameBytes)
 	return nil
 }
 
@@ -166,7 +138,7 @@ func (s *DiskStore) Fetch(step int) ([]float64, []float64, error) {
 		return j, s.repC[step], nil
 	}
 	if s.quarantined[step] {
-		return nil, nil, corruptErr(step, "fetch", "", errors.New("step is quarantined"))
+		return nil, nil, corruptErr(step, "fetch", "", errQuarantined)
 	}
 	start := time.Now()
 	if len(s.jBuf) != s.jLen {
@@ -183,15 +155,13 @@ func (s *DiskStore) Fetch(step int) ([]float64, []float64, error) {
 			// A read failure here (after retries) means the record cannot
 			// be produced — degradable, like corruption.
 			s.quarantined[step] = true
-			s.stats.CorruptBlobs++
-			s.ob.corrupt.Inc()
+			s.noteCorrupt()
 			return &StepError{Step: step, Op: "fetch", Tensor: tensor, Degradable: true, Err: err}
 		}
 		payload, err := blobframe.Open(raw, kind, step)
 		if err != nil {
 			s.quarantined[step] = true
-			s.stats.CorruptBlobs++
-			s.ob.corrupt.Inc()
+			s.noteCorrupt()
 			return corruptErr(step, "fetch", tensor, err)
 		}
 		for i := range dst {

@@ -80,16 +80,16 @@ func TestSyncAsyncEquivalence(t *testing.T) {
 				t.Fatalf("async EndForward: %v", err)
 			}
 
-			if len(sync.jBlobs) != len(async.jBlobs) || len(sync.cBlobs) != len(async.cBlobs) {
-				t.Fatalf("blob counts diverge: sync %d/%d async %d/%d",
-					len(sync.jBlobs), len(sync.cBlobs), len(async.jBlobs), len(async.cBlobs))
+			if len(sync.steps) != len(async.steps) {
+				t.Fatalf("blob counts diverge: sync %d async %d", len(sync.steps), len(async.steps))
 			}
-			for i := range sync.jBlobs {
-				if !bytes.Equal(sync.jBlobs[i], async.jBlobs[i]) {
-					t.Fatalf("J blob %d differs (%d vs %d bytes)", i, len(sync.jBlobs[i]), len(async.jBlobs[i]))
+			for i, sr := range sync.steps {
+				ar := async.steps[i]
+				if !bytes.Equal(sr.jBlob, ar.jBlob) {
+					t.Fatalf("J blob %d differs (%d vs %d bytes)", i, len(sr.jBlob), len(ar.jBlob))
 				}
-				if !bytes.Equal(sync.cBlobs[i], async.cBlobs[i]) {
-					t.Fatalf("C blob %d differs (%d vs %d bytes)", i, len(sync.cBlobs[i]), len(async.cBlobs[i]))
+				if !bytes.Equal(sr.cBlob, ar.cBlob) {
+					t.Fatalf("C blob %d differs (%d vs %d bytes)", i, len(sr.cBlob), len(ar.cBlob))
 				}
 			}
 			ss, as := sync.Stats(), async.Stats()

@@ -34,7 +34,7 @@ func allStoreFaultCases(jp *patternPair) []faultCase {
 	flipBlob := func(t *testing.T, st Store, step int) {
 		cs := st.(*CompressedStore)
 		cs.mu.Lock()
-		cs.jBlobs[step][len(cs.jBlobs[step])/2] ^= 0x10
+		cs.steps[step].jBlob[len(cs.steps[step].jBlob)/2] ^= 0x10
 		cs.mu.Unlock()
 	}
 	return []faultCase{
@@ -64,7 +64,7 @@ func allStoreFaultCases(jp *patternPair) []faultCase {
 			},
 			corrupt: func(t *testing.T, st Store, step int) {
 				ds := st.(*DiskStore)
-				f, err := os.OpenFile(ds.SpillPath(), os.O_RDWR, 0)
+				f, err := os.OpenFile(ds.spill.Path(), os.O_RDWR, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +82,7 @@ func allStoreFaultCases(jp *patternPair) []faultCase {
 			mk:   mkCompressed(false),
 			corrupt: func(t *testing.T, st Store, step int) {
 				cs := st.(*CompressedStore)
-				cs.cBlobs[step] = cs.cBlobs[step][:len(cs.cBlobs[step])-3]
+				cs.steps[step].cBlob = cs.steps[step].cBlob[:len(cs.steps[step].cBlob)-3]
 			},
 		},
 	}
@@ -90,24 +90,6 @@ func allStoreFaultCases(jp *patternPair) []faultCase {
 
 // patternPair keeps the fixture's two sparsity patterns together.
 type patternPair struct{ j, c *sparse.Pattern }
-
-func TestFetchBeforeEndForwardAllStores(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(77, 20, 4)
-	for _, fc := range allStoreFaultCases(&patternPair{jp, cp}) {
-		t.Run(fc.name, func(t *testing.T) {
-			st := fc.mk(t)
-			defer st.Close()
-			for i := range js {
-				if err := st.Put(i, js[i], cs[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, _, err := st.Fetch(len(js) - 1); err == nil {
-				t.Fatal("Fetch before EndForward must fail")
-			}
-		})
-	}
-}
 
 // TestCorruptStepDegradesAndRepairs is the heart of the degradation
 // contract, table-driven across all three store kinds: after the forward
@@ -202,7 +184,7 @@ func TestDiskStoreTruncatedSpill(t *testing.T) {
 	}
 	// Chop the tail: the last step's C record (and part of its J record)
 	// are gone.
-	if err := os.Truncate(st.SpillPath(), st.jOffs[len(js)-1]+8); err != nil {
+	if err := os.Truncate(st.spill.Path(), st.jOffs[len(js)-1]+8); err != nil {
 		t.Fatal(err)
 	}
 	last := len(js) - 1
@@ -230,7 +212,7 @@ func TestInjectedPanicAtStepNamesStep(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(80, 20, 12)
 	for _, k := range []int{1, 3, 7} {
 		st := NewCompressedStoreAsync(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 2)
-		st.SetFault(faultinject.New(faultinject.Profile{Seed: 1, PanicAtStep: k}))
+		st.Attach(Attachment{Fault: faultinject.New(faultinject.Profile{Seed: 1, PanicAtStep: k})})
 		var err error
 		for i := range js {
 			if err = st.Put(i, js[i], cs[i]); err != nil {
@@ -255,7 +237,7 @@ func TestInjectedPanicAtStepNamesStep(t *testing.T) {
 func TestInjectedBitRotAllBlobs(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(81, 20, 8)
 	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
-	st.SetFault(faultinject.New(faultinject.Profile{Seed: 2, BitFlipOneIn: 1}))
+	st.Attach(Attachment{Fault: faultinject.New(faultinject.Profile{Seed: 2, BitFlipOneIn: 1})})
 	for i := range js {
 		if err := st.Put(i, js[i], cs[i]); err != nil {
 			t.Fatal(err)

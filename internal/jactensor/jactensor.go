@@ -4,14 +4,20 @@
 // parameter, field and blob below is the first tensor and every c-named one
 // the second. The facade stores (G, C) = (∂f/∂x, ∂q/∂x), what the devices
 // produce, and the sweep rebuilds J = G + C/h from it; the benchmark's trace
-// still feeds the assembled (J, C). It provides the stores behind the
-// strategies the MASC paper compares — raw in-memory (MemStore), disk spill
-// (DiskStore), compressed in-memory with MASC or any baseline codec (CompressedStore,
-// sync or async, and its window views StoreSlice), full recomputation via
-// the adjoint package — plus the two this reproduction adds: AutoStore,
-// which picks the codec from an on-line trial, and TieredStore, which holds
-// a memory budget by placing each step on RAM, compressed RAM, disk or
-// recompute.
+// still feeds the assembled (J, C).
+//
+// The package is one core, two placement policies and two raw stores. The
+// core (core.go) owns the per-step records, the blob arena, the frame pool
+// and the single seal / keep / open-and-decode / quarantine / heal path, and
+// every store shares the Put contract, the resident meter and the one Attach
+// call (storeBase). CompressedStore is the chain policy over it — the
+// paper's Algorithm 2: every blob in RAM, each predicted from the next step,
+// sync or pipelined, with window views (StoreSlice) and, built by
+// NewAutoStore, codecs picked by an on-line trial. TieredStore is the ladder
+// policy: it holds a memory budget by placing each step on RAM, compressed
+// RAM, disk or recompute. MemStore (raw in-memory, the reference the others
+// are compared with) and DiskStore (raw spill) keep plaintext and share only
+// storeBase. Full recomputation lives in the adjoint package.
 package jactensor
 
 import (
@@ -20,7 +26,6 @@ import (
 	"time"
 
 	"masc/internal/blobframe"
-	"masc/internal/faultinject"
 )
 
 // ErrOutOfOrder reports a Fetch that violates the reverse-sequential
@@ -111,42 +116,28 @@ type Store interface {
 // carries a CRC32C sidecar computed at Put and verified at Fetch, so in-RAM
 // bit rot (or a fault injector standing in for it) is detected instead of
 // silently propagated into the sensitivities.
+//
+// It is the reference every other store's bits are compared with, so beyond
+// the Put contract, the meter and the attachment (storeBase) it shares
+// nothing with them: its sidecars, its quarantine and its copies are its own.
 type MemStore struct {
+	storeBase
 	j, c         [][]float64
 	jSums, cSums []uint32
-	forwardDone  bool
 	quarantined  map[int]bool
-	stats        Stats
-	resident     int64
-	fault        *faultinject.Injector
-	ob           storeObs
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{quarantined: map[int]bool{}} }
 
-// SetFault installs a fault injector that corrupts stored tensors after
-// their checksums are recorded. nil injects nothing.
-func (s *MemStore) SetFault(in *faultinject.Injector) { s.fault = in }
-
-// bumpResident adjusts the resident-byte model and its running peak —
-// the same accounting CompressedStore and DiskStore use, so PeakResident
-// is comparable across the three strategies.
-func (s *MemStore) bumpResident(delta int64) {
-	s.resident += delta
-	if s.resident > s.stats.PeakResident {
-		s.stats.PeakResident = s.resident
-	}
-	s.ob.observeResident(s.resident)
-}
+// Attach wires telemetry and a fault injector that corrupts stored tensors
+// after their checksums are recorded. Call it before the first Put.
+func (s *MemStore) Attach(a Attachment) { s.attach(a, "memory") }
 
 // Put implements Store.
 func (s *MemStore) Put(step int, jVals, cVals []float64) error {
-	if s.forwardDone {
-		return &StepError{Step: step, Op: "put", Err: errors.New("Put after EndForward")}
-	}
-	if step != len(s.j) {
-		return fmt.Errorf("jactensor: put step %d out of order (have %d)", step, len(s.j))
+	if err := s.admit(step, jVals, cVals); err != nil {
+		return err
 	}
 	jCopy := append([]float64(nil), jVals...)
 	cCopy := append([]float64(nil), cVals...)
@@ -158,11 +149,7 @@ func (s *MemStore) Put(step int, jVals, cVals []float64) error {
 	s.fault.MutateFloats(step, cCopy)
 	s.j = append(s.j, jCopy)
 	s.c = append(s.c, cCopy)
-	s.stats.Steps++
-	s.stats.RawBytes += int64(8 * (len(jVals) + len(cVals)))
-	s.bumpResident(int64(8 * (len(jVals) + len(cVals))))
-	s.ob.puts.Inc()
-	s.ob.rawBytes.Add(float64(8 * (len(jVals) + len(cVals))))
+	s.bumpResident(s.frameBytes)
 	return nil
 }
 
@@ -188,7 +175,7 @@ func (s *MemStore) Fetch(step int) ([]float64, []float64, error) {
 		return nil, nil, fmt.Errorf("jactensor: step %d already released", step)
 	}
 	if s.quarantined[step] {
-		return nil, nil, corruptErr(step, "fetch", "", errors.New("step is quarantined"))
+		return nil, nil, corruptErr(step, "fetch", "", errQuarantined)
 	}
 	if got := blobframe.ChecksumFloat64(s.j[step]); got != s.jSums[step] {
 		return nil, nil, s.quarantine(step, "J", got, s.jSums[step])
@@ -203,8 +190,7 @@ func (s *MemStore) Fetch(step int) ([]float64, []float64, error) {
 // quarantine marks a step corrupt, counts it, and builds the typed error.
 func (s *MemStore) quarantine(step int, tensor string, got, want uint32) error {
 	s.quarantined[step] = true
-	s.stats.CorruptBlobs++
-	s.ob.corrupt.Inc()
+	s.noteCorrupt()
 	return corruptErr(step, "fetch", tensor,
 		fmt.Errorf("checksum %#08x, want %#08x", got, want))
 }

@@ -10,8 +10,6 @@ import (
 
 	"masc/internal/blobframe"
 	"masc/internal/compress"
-	"masc/internal/compress/chimpz"
-	"masc/internal/compress/gzipz"
 	"masc/internal/compress/masczip"
 	"masc/internal/sparse"
 )
@@ -101,36 +99,6 @@ func fillAndVerify(t *testing.T, st Store, js, cs [][]float64) {
 	}
 }
 
-func TestMemStoreRoundTrip(t *testing.T) {
-	_, _, js, cs := tensorFixture(1, 40, 12)
-	fillAndVerify(t, NewMemStore(), js, cs)
-}
-
-func TestCompressedStoreMASC(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(2, 40, 12)
-	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
-	fillAndVerify(t, st, js, cs)
-}
-
-func TestCompressedStoreMarkovParallel(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(3, 60, 20)
-	opt := masczip.Options{Markov: true, CalibEvery: 5, Workers: 4}
-	st := NewCompressedStore(masczip.New(jp, opt), masczip.New(cp, opt), jp, cp)
-	fillAndVerify(t, st, js, cs)
-}
-
-func TestCompressedStoreGenericCodecs(t *testing.T) {
-	_, _, js, cs := tensorFixture(4, 30, 8)
-	for _, mk := range []func() compress.Compressor{
-		func() compress.Compressor { return gzipz.New() },
-		func() compress.Compressor { return chimpz.New() },
-		func() compress.Compressor { return chimpz.NewTemporal() },
-	} {
-		st := NewCompressedStore(mk(), mk(), nil, nil)
-		fillAndVerify(t, st, js, cs)
-	}
-}
-
 func TestCompressedStoreShrinks(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(5, 80, 30)
 	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
@@ -176,45 +144,6 @@ func TestCompressedStoreOutOfOrderFetch(t *testing.T) {
 	if _, _, err := st.Fetch(4); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestCompressedStorePutValidation(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(7, 20, 3)
-	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
-	if err := st.Put(1, js[1], cs[1]); err == nil {
-		t.Fatal("expected out-of-order put error")
-	}
-	if err := st.Put(0, js[0], cs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(1, js[1][:3], cs[1]); err == nil {
-		t.Fatal("expected length-change error")
-	}
-	if err := st.EndForward(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(1, js[1], cs[1]); err == nil {
-		t.Fatal("expected put-after-EndForward error")
-	}
-}
-
-func TestAsyncStoreRoundTrip(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(30, 50, 16)
-	for _, depth := range []int{1, 2, 8} {
-		opt := masczip.Options{Workers: 2}
-		st := NewCompressedStoreAsync(masczip.New(jp, opt), masczip.New(cp, opt), jp, cp, depth)
-		if !st.Async() {
-			t.Fatal("store not in async mode")
-		}
-		fillAndVerify(t, st, js, cs)
-	}
-}
-
-func TestAsyncStoreMarkov(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(31, 60, 20)
-	opt := masczip.Options{Markov: true, CalibEvery: 5, Workers: 4}
-	st := NewCompressedStoreAsync(masczip.New(jp, opt), masczip.New(cp, opt), jp, cp, 3)
-	fillAndVerify(t, st, js, cs)
 }
 
 // TestAsyncMatchesSyncBytes is the cross-mode equivalence invariant: the
@@ -266,36 +195,6 @@ func TestAsyncMatchesSyncBytes(t *testing.T) {
 				t.Fatalf("reverse-sweep values diverge at fetch %d index %d", k, i)
 			}
 		}
-	}
-}
-
-func TestAsyncStoreValidation(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(33, 20, 3)
-	opt := masczip.Options{}
-	st := NewCompressedStoreAsync(masczip.New(jp, opt), masczip.New(cp, opt), jp, cp, 2)
-	if err := st.Put(1, js[1], cs[1]); err == nil {
-		t.Fatal("expected out-of-order put error")
-	}
-	if err := st.Put(0, js[0], cs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(1, js[1][:3], cs[1]); err == nil {
-		t.Fatal("expected length-change error")
-	}
-	if _, _, err := st.Fetch(0); err == nil {
-		t.Fatal("expected Fetch-before-EndForward error")
-	}
-	if err := st.EndForward(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(1, js[1], cs[1]); err == nil {
-		t.Fatal("expected put-after-EndForward error")
-	}
-	if _, _, err := st.Fetch(7); err == nil {
-		t.Fatal("expected out-of-range fetch error")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -382,15 +281,6 @@ type slowCodec struct {
 func (s *slowCodec) Compress(dst []byte, cur, ref []float64) []byte {
 	time.Sleep(s.delay)
 	return s.Compressor.Compress(dst, cur, ref)
-}
-
-func TestDiskStoreRoundTrip(t *testing.T) {
-	_, _, js, cs := tensorFixture(8, 40, 10)
-	st, err := NewDiskStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillAndVerify(t, st, js, cs)
 }
 
 func TestDiskStoreThrottleAccounting(t *testing.T) {

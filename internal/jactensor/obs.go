@@ -41,9 +41,9 @@ type storeObs struct {
 }
 
 // newStoreObs resolves the masc_store_* metric families, labelled with the
-// store kind ("memory", "disk", "compressed"). All families are registered
-// eagerly so /metrics exposes them from the first scrape, before any
-// traffic.
+// store kind ("memory", "disk", "compressed", "tiered"). All families are
+// registered eagerly so /metrics exposes them from the first scrape, before
+// any traffic. A nil observer yields all-nil handles.
 func newStoreObs(o *obs.Observer, kind string) storeObs {
 	reg := o.Registry()
 	lbl := []string{"store", kind}
@@ -131,99 +131,6 @@ func (t *tierObs) observe(steps [tiersched.NumTiers]int, bytes [tiersched.NumTie
 		t.steps[tier].Set(float64(steps[tier]))
 		t.bytes[tier].Set(float64(bytes[tier]))
 	}
-}
-
-// SetObserver attaches telemetry to the store. Call it before the first
-// Put; a nil observer detaches.
-func (s *MemStore) SetObserver(o *obs.Observer) { s.ob = newStoreObs(o, "memory") }
-
-// SetObserver attaches telemetry to the store (store=tiered series plus the
-// masc_store_tier_* placement families). Call it before the first Put; a
-// nil observer detaches.
-func (s *TieredStore) SetObserver(o *obs.Observer) {
-	s.ob = newStoreObs(o, "tiered")
-	s.tob = newTierObs(o)
-}
-
-// SetObserver attaches telemetry to the store. Call it before the first
-// Put; a nil observer detaches.
-func (s *DiskStore) SetObserver(o *obs.Observer) { s.ob = newStoreObs(o, "disk") }
-
-// SetObserver attaches telemetry to the store. Call it before the first
-// Put; a nil observer detaches. Safe in async mode only before the first
-// Put (the worker reads the handles unlocked afterwards).
-func (s *CompressedStore) SetObserver(o *obs.Observer) { s.ob = newStoreObs(o, "compressed") }
-
-// SetSpanScope fixes the fallback parent (normally the run root span) for
-// store-internal spans, and — when the codecs support it — wires them to the
-// same recorder so each compress/decompress span encloses the codec's own
-// encode/decode span. Call it after SetObserver and before the first Put.
-func (s *MemStore) SetSpanScope(id span.ID) { s.ob.scope = id }
-
-// SetSpanScope fixes the fallback span parent; see (*MemStore).SetSpanScope.
-func (s *DiskStore) SetSpanScope(id span.ID) {
-	s.ob.scope = id
-	if s.spill != nil {
-		s.spill.SetSpans(s.ob.rec, id)
-	}
-}
-
-// SetSpanScope fixes the fallback span parent; see (*MemStore).SetSpanScope.
-func (s *TieredStore) SetSpanScope(id span.ID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ob.scope = id
-	if s.ob.rec == nil {
-		return
-	}
-	if sc, ok := s.jc.(spanCodec); ok {
-		sc.SetSpans(s.ob.rec)
-		s.spanJC = sc
-	}
-	if sc, ok := s.cc.(spanCodec); ok {
-		sc.SetSpans(s.ob.rec)
-		s.spanCC = sc
-	}
-	if s.spill != nil {
-		s.spill.SetSpans(s.ob.rec, id)
-	}
-}
-
-// SetSpanScope fixes the fallback span parent; see (*MemStore).SetSpanScope.
-func (s *CompressedStore) SetSpanScope(id span.ID) {
-	s.ob.scope = id
-	if s.ob.rec == nil {
-		return
-	}
-	if sc, ok := s.jc.(spanCodec); ok {
-		sc.SetSpans(s.ob.rec)
-		s.spanJC = sc
-	}
-	if sc, ok := s.cc.(spanCodec); ok {
-		sc.SetSpans(s.ob.rec)
-		s.spanCC = sc
-	}
-}
-
-// PredictorStats returns the predictor-selection statistics accumulated by
-// the first-tensor (G in the facade) and C codecs, when the store was built
-// over masczip compressors with Options.CollectStats enabled (ok reports both conditions). In async
-// mode call it only after EndForward or Close, once the worker has
-// drained.
-func (s *CompressedStore) PredictorStats() (j, c masczip.Stats, ok bool) {
-	type statser interface{ Stats() masczip.Stats }
-	js, okJ := s.jc.(statser)
-	cs, okC := s.cc.(statser)
-	if !okJ || !okC {
-		return j, c, false
-	}
-	j, c = js.Stats(), cs.Stats()
-	// CollectStats off leaves the counters at zero; report !ok so callers
-	// can distinguish "no data" from "all-zero data".
-	if j.Elements == 0 && c.Elements == 0 {
-		return j, c, false
-	}
-	return j, c, true
 }
 
 // PublishCodecStats mirrors one codec's predictor-selection statistics

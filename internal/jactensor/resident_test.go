@@ -237,10 +237,8 @@ func TestTieredUnlimitedBudgetStaysHot(t *testing.T) {
 func TestTieredModelDecisionsReproducible(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(57, 40, 16)
 	run := func() ([]tiersched.Tier, tiersched.Snapshot) {
-		st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{
-			BudgetBytes: 8 << 10,
-			Model:       tiersched.NewModel(tiersched.NewFakeClock(3 * time.Microsecond)),
-		})
+		model := tiersched.NewModel(tiersched.NewFakeClock(3 * time.Microsecond))
+		st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{BudgetBytes: 8 << 10, Model: model})
 		for i := range js {
 			if err := st.Put(i, js[i], cs[i]); err != nil {
 				t.Fatal(err)
@@ -253,7 +251,7 @@ func TestTieredModelDecisionsReproducible(t *testing.T) {
 		for i, step := range st.steps {
 			tiers[i] = step.tier
 		}
-		snap := st.Model().Snapshot()
+		snap := model.Snapshot()
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -52,16 +52,13 @@ package jactensor
 // the forward pass.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"masc/internal/blobframe"
 	"masc/internal/compress"
 	"masc/internal/diskio"
-	"masc/internal/faultinject"
 	"masc/internal/obs/span"
 	"masc/internal/tiersched"
 )
@@ -90,23 +87,6 @@ type TieredConfig struct {
 	DisablePrefetch bool
 }
 
-// tierStep is the per-step placement state.
-type tierStep struct {
-	tier       tiersched.Tier
-	j, c       []float64 // hot plaintext (tier == Hot)
-	jSum, cSum uint32    // CRC32C sidecars of the hot plaintext
-	// Sealed self-contained blobs (tier == Compressed): arena memory, or
-	// the store's scratch frames while a demotion is still placing them.
-	jBlob, cBlob []byte
-	jOff, cOff   int64 // spill offsets (tier == Disk)
-	jbN, cbN     int   // sealed blob lengths, kept for spill reads
-	pinned       bool  // window anchor: demoted last, never dropped to recompute
-	inUse        bool  // fetched and not yet released: not evictable
-	prefetched   bool  // materialized by the background prefetch
-	released     bool
-	quarantined  bool // failed verification: unreadable until Repair
-}
-
 // RecomputeFunc re-derives one step's pair (first tensor, second tensor)
 // from the forward trajectory. The returned slices may alias callee scratch;
 // the store copies them. It must be bit-exact with what Put recorded for the
@@ -114,40 +94,24 @@ type tierStep struct {
 // Fetch for one fed (J, C).
 type RecomputeFunc func(step int) (jVals, cVals []float64, err error)
 
-// TieredStore places steps across the hot/compressed/disk/recompute ladder
-// under TieredConfig.BudgetBytes. It implements Store and Repairer and is
-// safe for concurrent use (windowed sweeps fetch through the adjoint
-// engine's sharedSource, the prefetch runs on a background goroutine).
+// TieredStore is the ladder policy over core: it places steps across the
+// hot/compressed/disk/recompute rungs under TieredConfig.BudgetBytes. It
+// implements Store and Repairer and is safe for concurrent use (windowed
+// sweeps fetch through the adjoint engine's sharedSource, the prefetch runs
+// on a background goroutine): every method, and with it every codec call and
+// every arena access, runs under mu, so the arena needs no pins.
 type TieredStore struct {
-	mu     sync.Mutex
-	jc, cc compress.Compressor
-	cfg    TieredConfig
-	model  *tiersched.Model
+	mu sync.Mutex
+	core
+	cfg   TieredConfig
+	model *tiersched.Model
 
-	steps      []*tierStep
-	jLen, cLen int
-	frameBytes int64 // 8*(jLen+cLen), known after the first Put
+	spill     *diskio.Store // lazily created on the first disk demotion
+	spillDead bool          // creation failed or disabled: drop instead
 
-	spill     *diskio.Store   // lazily created on the first disk demotion
-	spillDead bool            // creation failed or disabled: drop instead
-	ctx       context.Context // forwarded to the spill device's retry loop
+	recompute RecomputeFunc
+	closed    bool
 
-	anchorEvery int
-	recompute   RecomputeFunc
-	forwardDone bool
-	closed      bool
-
-	// Recycling, so a Put/demote/promote cycle allocates nothing: hot frames
-	// freed by a demotion or a Release wait in freeJ/freeC for the next
-	// admission or promotion, and demotions compress into the frameJ/frameC
-	// scratch frames; the sealed result is copied at its exact length into
-	// the arena or appended to the spill file from there.
-	freeJ, freeC   [][]float64
-	frameJ, frameC []byte
-
-	// arena holds the compressed rung. All reads and appends happen under
-	// s.mu, so it needs no pins; Close returns its chunks.
-	arena blobArena
 	// blobSum/blobN is the running mean sealed blob size (J+C), the
 	// estimate a hot step is placed on before it has been compressed.
 	blobSum, blobN int64
@@ -156,31 +120,12 @@ type TieredStore struct {
 	evictable [2]stepHeap
 	probes    int64 // heap entries examined by victim, for the scale test
 
-	resident int64
-	scratch  []byte // spill read staging
+	scratch []byte // spill read staging
 
 	prefetchBusy bool
 	prefetchWG   sync.WaitGroup
 
-	stats Stats
-	fault *faultinject.Injector
-	ob    storeObs
-	tob   tierObs
-
-	// Codec-level span hooks (masczip), cached in SetSpanScope; nil when
-	// the codecs don't trace or spans are off. All codec calls run under
-	// s.mu, so re-pointing the parent between calls is race-free.
-	spanJC, spanCC spanCodec
-}
-
-// setCodecParent points the codecs' next encode/decode span at id.
-func (s *TieredStore) setCodecParent(id span.ID) {
-	if s.spanJC != nil {
-		s.spanJC.SetSpanParent(id)
-	}
-	if s.spanCC != nil {
-		s.spanCC.SetSpanParent(id)
-	}
+	tob tierObs
 }
 
 // NewTieredStore builds a tiered store over the given first-tensor (G in the
@@ -192,38 +137,20 @@ func NewTieredStore(jc, cc compress.Compressor, cfg TieredConfig) *TieredStore {
 	if m == nil {
 		m = tiersched.NewModel(nil)
 	}
-	return &TieredStore{
-		jc:        jc,
-		cc:        cc,
-		cfg:       cfg,
-		model:     m,
-		spillDead: cfg.DisableDisk,
-		arena:     blobArena{src: defaultChunks()},
-		frameJ:    make([]byte, blobframe.HeaderSize),
-		frameC:    make([]byte, blobframe.HeaderSize),
-	}
+	return &TieredStore{core: newCore(jc, cc), cfg: cfg, model: m, spillDead: cfg.DisableDisk}
 }
 
-// SetFault installs a fault injector: float rot on hot frames after their
+// Attach wires telemetry (store=tiered series plus the masc_store_tier_*
+// placement families), fault injection — float rot on hot frames after their
 // sidecars are recorded, blob corruption after sealing (which covers a
-// demotion in flight), op failures on the spill device. nil injects
-// nothing.
-func (s *TieredStore) SetFault(in *faultinject.Injector) {
-	s.fault = in
-	if s.spill != nil {
-		s.spill.SetFault(in)
-	}
-}
-
-// SetContext attaches a cancellation context forwarded to the spill
-// device's retry loop (including one created by a later lazy demotion).
-func (s *TieredStore) SetContext(ctx context.Context) {
+// demotion in flight), op failures on the spill device — and the context the
+// spill device's retry loop watches. Call it before the first Put.
+func (s *TieredStore) Attach(a Attachment) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ctx = ctx
-	if s.spill != nil {
-		s.spill.SetContext(ctx)
-	}
+	s.attach(a, "tiered")
+	s.tob = newTierObs(a.Obs)
+	s.cd.trace(s.ob.rec)
 }
 
 // SyncSpill fsyncs the spill file, if one exists, so every demoted blob a
@@ -270,25 +197,11 @@ func (s *TieredStore) SetAnchorEvery(k int) {
 func (s *TieredStore) AnchorSteps() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.forwardDone || s.anchorEvery <= 0 || len(s.steps) == 0 {
+	if s.anchorEvery <= 0 {
 		return nil
 	}
-	var out []int
-	head := len(s.steps) - 1
-	for i, st := range s.steps {
-		// The head is appended below; skip it here so a trajectory whose
-		// length is an exact multiple of anchorEvery doesn't list it twice
-		// (duplicate tops would degenerate the window split).
-		if st.pinned && i != head {
-			out = append(out, i)
-		}
-	}
-	return append(out, head)
+	return s.anchorMenu(nil)
 }
-
-// Model exposes the cost model (tests feed it deterministic samples;
-// the facade feeds forward-step timings as the recompute cost proxy).
-func (s *TieredStore) Model() *tiersched.Model { return s.model }
 
 // ObserveStepCost feeds one forward integration step's wall time into the
 // cost model as the recompute-cost proxy — the capture-side sampling hook
@@ -298,48 +211,19 @@ func (s *TieredStore) ObserveStepCost(d time.Duration) {
 	s.model.ObserveForwardStep(d)
 }
 
-// bumpResident adjusts the resident model and peak, shared accounting with
-// the other stores.
-func (s *TieredStore) bumpResident(delta int64) {
-	s.resident += delta
-	if s.resident > s.stats.PeakResident {
-		s.stats.PeakResident = s.resident
-	}
-	s.ob.observeResident(s.resident)
-}
-
 // Put implements Store: admit the step as a hot frame, then demote victims
 // until the budget holds again.
 func (s *TieredStore) Put(step int, jVals, cVals []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.forwardDone {
-		return &StepError{Step: step, Op: "put", Err: errors.New("Put after EndForward")}
+	if err := s.admit(step, jVals, cVals); err != nil {
+		return err
 	}
-	if step != len(s.steps) {
-		return fmt.Errorf("jactensor: put step %d out of order (have %d)", step, len(s.steps))
-	}
-	if step == 0 {
-		s.jLen, s.cLen = len(jVals), len(cVals)
-		s.frameBytes = int64(8 * (s.jLen + s.cLen))
-	}
-	st := &tierStep{
-		tier:   tiersched.Hot,
-		j:      copyBuf(&s.freeJ, jVals),
-		c:      copyBuf(&s.freeC, cVals),
-		pinned: s.anchorEvery > 0 && step > 0 && step%s.anchorEvery == 0,
-	}
-	st.jSum = blobframe.ChecksumFloat64(st.j)
-	st.cSum = blobframe.ChecksumFloat64(st.c)
+	st := s.newRec(step)
 	// Hot-tier rot window: after the sidecar, before any re-encode.
-	s.fault.MutateFloats(step, st.j)
-	s.fault.MutateFloats(step, st.c)
+	s.admitFrame(step, st, s.copyFrame(pair{jVals, cVals}))
 	s.steps = append(s.steps, st)
-	s.stats.Steps++
-	s.stats.RawBytes += s.frameBytes
 	s.bumpResident(s.frameBytes)
-	s.ob.puts.Inc()
-	s.ob.rawBytes.Add(float64(s.frameBytes))
 	s.enforceBudget()
 	s.markEvictable(step)
 	return nil
@@ -406,18 +290,6 @@ func (s *TieredStore) victim(tier tiersched.Tier) int {
 	return -1
 }
 
-// restart cuts any cross-call codec prediction state so the next
-// Compress/Decompress round-trips as a self-contained blob.
-func (s *TieredStore) restart() {
-	type restarter interface{ Restart() }
-	if r, ok := s.jc.(restarter); ok {
-		r.Restart()
-	}
-	if r, ok := s.cc.(restarter); ok {
-		r.Restart()
-	}
-}
-
 // hotReserveFrames is the part of the budget the compressed rung may not
 // fill, in frames: the reverse sweep's working set — the step being
 // consumed, the one above it that is released only after the next fetch, and
@@ -455,14 +327,14 @@ func (s *TieredStore) blobEstimate() int {
 func (s *TieredStore) demote(i int) {
 	st := s.steps[i]
 	if st.tier == tiersched.Hot {
-		if blobframe.ChecksumFloat64(st.j) != st.jSum || blobframe.ChecksumFloat64(st.c) != st.cSum {
-			s.quarantineLocked(i)
+		if _, err := st.rotted(); err != nil {
+			s.quarantine(i, st)
 			s.freeHot(st)
 			return
 		}
 	}
 	dsp := s.ob.rec.Start(s.ob.spanParent(), span.Demote, i)
-	s.setCodecParent(dsp.ID())
+	s.cd.setParent(dsp.ID())
 	kept := false
 	if est := s.blobEstimate(); st.tier == tiersched.Hot && s.roomInRAM(est) {
 		s.noteDecision(dsp.ID(), i, est, tiersched.SpillDecision{Target: tiersched.Compressed})
@@ -482,25 +354,19 @@ func (s *TieredStore) demote(i int) {
 	dsp.End()
 }
 
-// encode compresses hot step i into the scratch frames as sealed
-// self-contained blobs and frees its plaintext. The step's blobs alias the
-// scratch until the caller copies them into the arena or the spill file, or
-// drops them.
+// encode seals hot step i as self-contained blobs and frees its plaintext.
+// The step's blobs alias the scratch frames until the caller keeps them in
+// the arena, appends them to the spill file, or drops them.
 func (s *TieredStore) encode(i int) {
 	st := s.steps[i]
 	t0 := s.model.Now()
-	s.restart()
-	s.frameJ = s.jc.Compress(s.frameJ[:blobframe.HeaderSize], st.j, nil)
-	s.frameC = s.cc.Compress(s.frameC[:blobframe.HeaderSize], st.c, nil)
+	s.cd.restart()
+	// Corruption during the demotion itself: the sealed blob is the target.
+	st.jBlob, st.cBlob = s.seal(i, st.pair, nil, nil)
 	d := s.model.Now().Sub(t0)
 	s.model.ObserveCompress(int(s.frameBytes), d)
 	s.stats.CompressTime += d
 	s.ob.compressSec.AddDuration(d)
-	blobframe.Seal(s.frameJ, 'J', i)
-	blobframe.Seal(s.frameC, 'C', i)
-	// Corruption during the demotion itself: the sealed blob is the target.
-	st.jBlob, _ = s.fault.MutateBlob(i, s.frameJ)
-	st.cBlob, _ = s.fault.MutateBlob(i, s.frameC)
 	st.jbN, st.cbN = len(st.jBlob), len(st.cBlob)
 	st.tier = tiersched.Compressed
 	n := int64(st.jbN + st.cbN)
@@ -511,22 +377,13 @@ func (s *TieredStore) encode(i int) {
 	s.ob.blobBytes.Observe(float64(n))
 }
 
-// keepBlobs copies a just-encoded step's blobs from the scratch frames into
+// keepBlobs moves a just-encoded step's blobs from the scratch frames into
 // the arena. It reports false — leaving the blobs where they are — when the
 // arena cannot take them (no memory to map), which the caller treats like a
 // blob that does not fit.
-func (s *TieredStore) keepBlobs(st *tierStep) bool {
-	jb, err := s.arena.append(st.jBlob)
-	if err != nil {
-		return false
-	}
-	cb, err := s.arena.append(st.cBlob)
-	if err != nil {
-		return false
-	}
-	st.jBlob, st.cBlob = jb, cb
-	s.ob.arenaBytes.Set(float64(s.arena.offHeapBytes()))
-	return true
+func (s *TieredStore) keepBlobs(st *stepRec) bool {
+	_, err := s.keep(st, st.jBlob, st.cBlob)
+	return err == nil
 }
 
 // offload moves step i out of RAM: onto the spill device when the cost
@@ -594,22 +451,16 @@ func (s *TieredStore) spillStep(i int) error {
 		if err != nil {
 			return err
 		}
-		sp.SetFault(s.fault)
-		sp.SetSpans(s.ob.rec, s.ob.scope)
-		if s.ctx != nil {
-			sp.SetContext(s.ctx)
-		}
+		s.wireSpill(sp)
 		s.spill = sp
 	}
 	ssp := s.ob.rec.Start(s.ob.spanParent(), span.Spill, i)
 	t0 := s.model.Now()
 	jOff, err := s.spill.Append(st.jBlob)
-	if err != nil {
-		ssp.Attr("ok", 0)
-		ssp.End()
-		return err
+	var cOff int64
+	if err == nil {
+		cOff, err = s.spill.Append(st.cBlob)
 	}
-	cOff, err := s.spill.Append(st.cBlob)
 	if err != nil {
 		ssp.Attr("ok", 0)
 		ssp.End()
@@ -630,28 +481,13 @@ func (s *TieredStore) spillStep(i int) error {
 	return nil
 }
 
-// tierFreeFrames caps the free lists. A Put/demote or promote/Release cycle
-// keeps at most a frame or two waiting (plus the prefetch's); without a cap
-// an unlimited-budget store would park its whole tensor there as the sweep
-// releases it.
-const tierFreeFrames = 4
-
 // freeHot drops a step's plaintext frame from the resident model and parks
 // it for reuse.
-func (s *TieredStore) freeHot(st *tierStep) {
+func (s *TieredStore) freeHot(st *stepRec) {
 	if st.j != nil {
 		s.bumpResident(-s.frameBytes)
-		s.parkFrame(st.j, st.c)
-		st.j, st.c = nil, nil
-	}
-}
-
-// parkFrame puts an idle frame on the free lists, or lets it go when they
-// are full.
-func (s *TieredStore) parkFrame(j, c []float64) {
-	if len(s.freeJ) < tierFreeFrames {
-		s.freeJ = append(s.freeJ, j)
-		s.freeC = append(s.freeC, c)
+		s.parkFrame(st.pair)
+		st.frame = frame{}
 	}
 }
 
@@ -663,14 +499,6 @@ func (s *TieredStore) noteDemote(to tiersched.Tier) {
 func (s *TieredStore) notePromote(from tiersched.Tier) {
 	s.stats.TierPromotions++
 	s.tob.promote(from)
-}
-
-func (s *TieredStore) quarantineLocked(i int) {
-	qsp := s.ob.rec.Start(s.ob.spanParent(), span.Quarantine, i)
-	qsp.End()
-	s.steps[i].quarantined = true
-	s.stats.CorruptBlobs++
-	s.ob.corrupt.Inc()
 }
 
 // EndForward implements Store: close the compressed rung to new blobs, one
@@ -752,24 +580,20 @@ func (s *TieredStore) Fetch(step int) ([]float64, []float64, error) {
 func (s *TieredStore) materialize(step int) error {
 	st := s.steps[step]
 	if st.quarantined {
-		return corruptErr(step, "fetch", "", errors.New("step is quarantined"))
+		return corruptErr(step, "fetch", "", errQuarantined)
 	}
 	if st.tier == tiersched.Hot {
 		// Verify the sidecars on every fetch, like MemStore: rot between
 		// Put/promote and now must degrade, not propagate.
-		if got := blobframe.ChecksumFloat64(st.j); got != st.jSum {
-			s.quarantineLocked(step)
-			return corruptErr(step, "fetch", "J", fmt.Errorf("checksum %#08x, want %#08x", got, st.jSum))
-		}
-		if got := blobframe.ChecksumFloat64(st.c); got != st.cSum {
-			s.quarantineLocked(step)
-			return corruptErr(step, "fetch", "C", fmt.Errorf("checksum %#08x, want %#08x", got, st.cSum))
+		if tensor, err := st.rotted(); err != nil {
+			s.quarantine(step, st)
+			return corruptErr(step, "fetch", tensor, err)
 		}
 		return nil
 	}
 	from := st.tier
 	psp := s.ob.rec.Start(s.ob.spanParent(), span.Promote, step)
-	s.setCodecParent(psp.ID())
+	s.cd.setParent(psp.ID())
 	err := s.promoteCold(step, st, psp.ID())
 	psp.Attr("from", int64(from))
 	psp.Attr("ok", boolAttr(err == nil))
@@ -785,7 +609,7 @@ func (s *TieredStore) materialize(step int) error {
 
 // promoteCold re-derives a non-hot step's plaintext frame from whatever
 // rung holds it. parent is the enclosing promote span. Caller holds s.mu.
-func (s *TieredStore) promoteCold(step int, st *tierStep, parent span.ID) error {
+func (s *TieredStore) promoteCold(step int, st *stepRec, parent span.ID) error {
 	switch st.tier {
 	case tiersched.Compressed:
 		if err := s.decodeBlobs(step, st.jBlob, st.cBlob); err != nil {
@@ -818,7 +642,7 @@ func (s *TieredStore) promoteCold(step int, st *tierStep, parent span.ID) error 
 		d := s.model.Now().Sub(t0)
 		s.model.ObserveRecompute(d)
 		s.stats.TierRecomputes++
-		s.installHot(step, jv, cv)
+		s.adoptHot(step, s.copyFrame(pair{jv, cv}))
 		rsp.Attr("ok", 1)
 		rsp.End()
 	}
@@ -828,56 +652,29 @@ func (s *TieredStore) promoteCold(step int, st *tierStep, parent span.ID) error 
 // decodeBlobs opens and decompresses a step's sealed blobs into a recycled
 // hot frame; failures quarantine the step.
 func (s *TieredStore) decodeBlobs(step int, jb, cb []byte) error {
-	open := func(frame []byte, kind byte, tensor string) ([]byte, error) {
-		payload, err := blobframe.Open(frame, kind, step)
-		if err != nil {
-			s.quarantineLocked(step)
-			return nil, corruptErr(step, "fetch", tensor, err)
+	jp, cp, tensor, err := openPair(step, jb, cb)
+	if err == nil {
+		p := s.takeFrame()
+		t0 := s.model.Now()
+		s.cd.restart()
+		if tensor, err = s.cd.decode(p, jp, cp, nil, nil); err == nil {
+			d := s.model.Now().Sub(t0)
+			s.model.ObserveDecompress(int(s.frameBytes), d)
+			s.stats.DecompressTime += d
+			s.ob.decompressSec.AddDuration(d)
+			s.adoptHot(step, p)
+			return nil
 		}
-		return payload, nil
+		s.parkFrame(p)
 	}
-	jp, err := open(jb, 'J', "J")
-	if err != nil {
-		return err
-	}
-	cp, err := open(cb, 'C', "C")
-	if err != nil {
-		return err
-	}
-	jv := takeBuf(&s.freeJ, s.jLen)
-	cv := takeBuf(&s.freeC, s.cLen)
-	t0 := s.model.Now()
-	s.restart()
-	if err := s.jc.Decompress(jv, jp, nil); err != nil {
-		s.parkFrame(jv, cv)
-		s.quarantineLocked(step)
-		return corruptErr(step, "fetch", "J", err)
-	}
-	if err := s.cc.Decompress(cv, cp, nil); err != nil {
-		s.parkFrame(jv, cv)
-		s.quarantineLocked(step)
-		return corruptErr(step, "fetch", "C", err)
-	}
-	d := s.model.Now().Sub(t0)
-	s.model.ObserveDecompress(int(s.frameBytes), d)
-	s.stats.DecompressTime += d
-	s.ob.decompressSec.AddDuration(d)
-	s.adoptHot(step, jv, cv)
-	return nil
+	s.quarantine(step, s.steps[step])
+	return corruptErr(step, "fetch", tensor, err)
 }
 
-// installHot copies jv/cv into a recycled hot frame for step.
-func (s *TieredStore) installHot(step int, jv, cv []float64) {
-	s.adoptHot(step, copyBuf(&s.freeJ, jv), copyBuf(&s.freeC, cv))
-}
-
-// adoptHot makes jv/cv (owned by the store from here on) step's hot frame,
+// adoptHot makes p (owned by the store from here on) step's hot frame,
 // records the sidecars and counts the frame resident.
-func (s *TieredStore) adoptHot(step int, jv, cv []float64) {
-	st := s.steps[step]
-	st.j, st.c = jv, cv
-	st.jSum = blobframe.ChecksumFloat64(jv)
-	st.cSum = blobframe.ChecksumFloat64(cv)
+func (s *TieredStore) adoptHot(step int, p pair) {
+	s.steps[step].rest(p)
 	s.bumpResident(s.frameBytes)
 }
 
@@ -896,7 +693,7 @@ func (s *TieredStore) readSpill(step int) (jb, cb []byte, err error) {
 	cb = s.scratch[st.jbN:need]
 	read := func(dst []byte, off int64, tensor string) error {
 		if rerr := s.spill.ReadAt(dst, off); rerr != nil {
-			s.quarantineLocked(step)
+			s.quarantine(step, st)
 			return &StepError{Step: step, Op: "fetch", Tensor: tensor, Degradable: true, Err: rerr}
 		}
 		return nil
@@ -966,13 +763,12 @@ func (s *TieredStore) Repair(step int, jVals, cVals []float64) {
 		s.freeHot(st)
 	}
 	st.tier = tiersched.Hot
-	s.installHot(step, jVals, cVals)
+	s.adoptHot(step, s.copyFrame(pair{jVals, cVals}))
 	// A released step may be healed and refetched by the degradation
 	// ladder (sharedSource releases the base copy immediately): repair
 	// revives it.
 	st.released = false
-	st.quarantined = false
-	s.stats.Repairs++
+	s.heal(st)
 	if from != tiersched.Hot {
 		s.notePromote(from)
 	}
@@ -1025,12 +821,9 @@ func (s *TieredStore) Close() error {
 	s.prefetchWG.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.steps = nil
+	s.closeCore()
 	s.scratch = nil
-	s.freeJ, s.freeC = nil, nil
 	s.evictable = [2]stepHeap{}
-	s.arena.close()
-	s.ob.arenaBytes.Set(float64(s.arena.offHeapBytes()))
 	if s.spill != nil {
 		return s.spill.Close()
 	}

@@ -199,7 +199,7 @@ func runPlacement(t *testing.T, budget int64, rg placementRegime, anchorEvery in
 		t.Fatal(err)
 	}
 	out.stats = st.Stats()
-	out.snap = st.Model().Snapshot()
+	out.snap = cfg.Model.Snapshot()
 	forwardEncodes := out.encodes
 	for _, s := range st.steps {
 		out.tiers = append(out.tiers, s.tier)

@@ -3,7 +3,6 @@ package jactensor
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -30,43 +29,6 @@ func newTieredFixture(t *testing.T, jp, cp *sparse.Pattern, js, cs [][]float64, 
 		return js[step], cs[step], nil
 	})
 	return st
-}
-
-// TestTieredRandomAccess checks the contract the windowed sweep depends on:
-// every step's blobs are self-contained, so fetch order is free — unlike
-// the chained CompressedStore.
-func TestTieredRandomAccess(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(61, 40, 16)
-	st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{BudgetBytes: 16 << 10})
-	for i := range js {
-		if err := st.Put(i, js[i], cs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.EndForward(); err != nil {
-		t.Fatal(err)
-	}
-	order := rand.New(rand.NewSource(61)).Perm(len(js))
-	for _, i := range order {
-		jv, cv, err := st.Fetch(i)
-		if err != nil {
-			t.Fatalf("fetch %d: %v", i, err)
-		}
-		for k := range jv {
-			if math.Float64bits(jv[k]) != math.Float64bits(js[i][k]) {
-				t.Fatalf("step %d: J[%d] mismatch", i, k)
-			}
-		}
-		for k := range cv {
-			if math.Float64bits(cv[k]) != math.Float64bits(cs[i][k]) {
-				t.Fatalf("step %d: C[%d] mismatch", i, k)
-			}
-		}
-		st.Release(i)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestTieredAnchorsRespected pins the window-boundary contract: anchors are
@@ -209,7 +171,7 @@ func TestTieredDroppedWithoutHookDegrades(t *testing.T) {
 func TestTieredHotRotQuarantinesAtDemotion(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(65, 40, 12)
 	st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{BudgetBytes: 8 << 10})
-	st.SetFault(faultinject.New(faultinject.Profile{Name: "rot", Seed: 7, BitFlipOneIn: 3}))
+	st.Attach(Attachment{Fault: faultinject.New(faultinject.Profile{Name: "rot", Seed: 7, BitFlipOneIn: 3})})
 	for i := range js {
 		if err := st.Put(i, js[i], cs[i]); err != nil {
 			t.Fatal(err)
@@ -263,7 +225,7 @@ func TestTieredSpillFailureFallsBackToDrop(t *testing.T) {
 	st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{BudgetBytes: 6 << 10})
 	// Fail every spill op with a long burst: retries are exhausted and the
 	// device is declared dead.
-	st.SetFault(faultinject.New(faultinject.Profile{Name: "eio", Seed: 3, FailOpEvery: 1, FailOpBurst: 1 << 20}))
+	st.Attach(Attachment{Fault: faultinject.New(faultinject.Profile{Name: "eio", Seed: 3, FailOpEvery: 1, FailOpBurst: 1 << 20})})
 	fillAndVerify(t, st, js, cs)
 }
 

@@ -2,10 +2,8 @@ package jactensor
 
 import (
 	"fmt"
-	"time"
 
 	"masc/internal/compress"
-	"masc/internal/obs/span"
 )
 
 // StoreSlice is a window-local view of a CompressedStore: an independent
@@ -16,15 +14,14 @@ import (
 // or the head step — which is exactly how the windowed adjoint engine
 // picks its boundaries (from AnchorSteps).
 //
-// Shared parent state (blob quarantine, stats, the resident-byte model,
-// anchor frames) is touched only under the parent's mutex; the blobs
-// themselves are immutable once the forward pass has ended.
+// Shared parent state (step records, stats, the resident-byte model, the
+// frame pool) is touched only under the parent's mutex; the blobs themselves
+// are immutable once the forward pass has ended.
 type StoreSlice struct {
 	p      *CompressedStore
 	lo, hi int
-	jc, cc compress.Compressor // forked decoders, private to this slice
-
-	plainJ, plainC map[int][]float64
+	cd     codecs // forked decoders, private to this slice
+	out    []pair // the slice's fetched frames, indexed by step-lo
 }
 
 // Slice returns a window-local fetcher over steps [lo, hi]. It requires a
@@ -36,7 +33,7 @@ type StoreSlice struct {
 func (s *CompressedStore) Slice(lo, hi int) (*StoreSlice, error) {
 	s.mu.Lock()
 	done := s.sealedLocked()
-	n := s.n
+	n := len(s.steps) - 1
 	s.mu.Unlock()
 	if !done {
 		return nil, fmt.Errorf("jactensor: Slice before EndForward")
@@ -45,127 +42,74 @@ func (s *CompressedStore) Slice(lo, hi int) (*StoreSlice, error) {
 		return nil, fmt.Errorf("jactensor: slice [%d,%d] out of range [0,%d]", lo, hi, n)
 	}
 	type forker interface{ Fork() compress.Compressor }
-	jf, okJ := s.jc.(forker)
-	cf, okC := s.cc.(forker)
+	jf, okJ := s.cd.j.(forker)
+	cf, okC := s.cd.c.(forker)
 	if !okJ || !okC {
-		return nil, fmt.Errorf("jactensor: codec %s does not support forked decoders", s.jc.Name())
+		return nil, fmt.Errorf("jactensor: codec %s does not support forked decoders", s.cd.j.Name())
 	}
-	return &StoreSlice{
-		p: s, lo: lo, hi: hi,
-		jc: jf.Fork(), cc: cf.Fork(),
-		plainJ: map[int][]float64{},
-		plainC: map[int][]float64{},
-	}, nil
-}
-
-// sharedPlainLocked looks step up in the parent's shared plaintext
-// sources: the reverse-sweep cache (which holds the retained head frame
-// and any repairs) first, then the anchor frames (CRC-verified). mu must
-// be held. The returned slices are the parent's own — callers copy.
-func (s *CompressedStore) sharedPlainLocked(step int) (jv, cv []float64, ok bool) {
-	if j, hit := s.plainJ[step]; hit {
-		return j, s.plainC[step], true
-	}
-	return s.anchorPlainLocked(step)
+	return &StoreSlice{p: s, lo: lo, hi: hi,
+		cd: codecs{j: jf.Fork(), c: cf.Fork()}, out: make([]pair, hi-lo+1)}, nil
 }
 
 // Fetch implements the adjoint package's JacobianSource. Steps must be
 // fetched in descending order from Hi: each decode references the
 // slice-local plaintext of step+1, except self-contained steps (the slice
-// top, anchors) which decode with no reference. Frames come from the
-// parent's pool and return to it on Release.
+// top, anchors) which decode with no reference. A step whose plaintext the
+// parent holds — the head frame, a repair, a verified anchor — is copied
+// instead. Frames come from the parent's pool and return to it on Release.
 func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
 	if step < sl.lo || step > sl.hi {
 		return nil, nil, fmt.Errorf("jactensor: slice fetch step %d outside [%d,%d]", step, sl.lo, sl.hi)
 	}
-	if j, ok := sl.plainJ[step]; ok {
-		sl.p.ob.fetches.Inc()
-		return j, sl.plainC[step], nil
+	p, mine := sl.p, &sl.out[step-sl.lo]
+	if mine.j != nil {
+		p.ob.fetches.Inc()
+		return mine.j, mine.c, nil
 	}
-	p := sl.p
-	selfContained := step == sl.hi || p.isAnchorStep(step)
-
 	p.mu.Lock()
 	if p.arena.closed {
 		p.mu.Unlock()
 		return nil, nil, closedErr(step)
 	}
-	if aj, ac, ok := p.sharedPlainLocked(step); ok {
-		jv := copyBuf(&p.poolJ, aj)
-		cv := copyBuf(&p.poolC, ac)
-		p.bumpResident(int64(8 * (len(jv) + len(cv))))
-		p.mu.Unlock()
-		sl.plainJ[step] = jv
-		sl.plainC[step] = cv
-		p.ob.fetches.Inc()
-		return jv, cv, nil
+	st := p.steps[step]
+	src := st.out
+	if src.j == nil {
+		src = p.anchorLocked(st)
 	}
-	var refJ, refC []float64
-	if !selfContained {
-		var ok bool
-		refJ, ok = sl.plainJ[step+1]
-		if !ok {
+	var out, ref pair
+	if src.j != nil {
+		out = p.copyFrame(src)
+	} else if step != sl.hi && !st.pinned {
+		if ref = sl.out[step+1-sl.lo]; ref.j == nil {
 			p.mu.Unlock()
 			return nil, nil, fmt.Errorf("%w: slice step %d needs step %d resident", ErrOutOfOrder, step, step+1)
 		}
-		refC = sl.plainC[step+1]
 	}
-	jBlob, cBlob, jv, cv, err := p.checkoutLocked(step)
 	p.mu.Unlock()
-	if err != nil {
-		return nil, nil, err
+	if out.j == nil {
+		var err error
+		if out, err = p.decodeStep(&sl.cd, step, st, ref, false); err != nil {
+			return nil, nil, err
+		}
 	}
-	defer p.unpinBlobs()
-
-	jPayload, err := p.openBlob(jBlob, 'J', step, "J")
-	if err != nil {
-		return nil, nil, err
-	}
-	cPayload, err := p.openBlob(cBlob, 'C', step, "C")
-	if err != nil {
-		return nil, nil, err
-	}
-	dsp := p.ob.rec.Start(p.ob.spanParent(), span.Decompress, step)
-	start := time.Now()
-	if err := sl.jc.Decompress(jv, jPayload, refJ); err != nil {
-		dsp.End()
-		return nil, nil, p.decodeFailed(step, "J", err)
-	}
-	if err := sl.cc.Decompress(cv, cPayload, refC); err != nil {
-		dsp.End()
-		return nil, nil, p.decodeFailed(step, "C", err)
-	}
-	elapsed := time.Since(start)
-	dsp.Attr("bytes", int64(len(jBlob)+len(cBlob)))
-	dsp.End()
-	sl.plainJ[step] = jv
-	sl.plainC[step] = cv
 	p.mu.Lock()
-	p.stats.DecompressTime += elapsed
-	p.bumpResident(int64(8 * (len(jv) + len(cv))))
+	p.bumpResident(p.frameBytes)
 	p.mu.Unlock()
+	*mine = out
 	p.ob.fetches.Inc()
-	p.ob.decompressSec.AddDuration(elapsed)
-	return jv, cv, nil
+	return out.j, out.c, nil
 }
 
 // Release implements JacobianSource: it recycles only the slice-local copy;
-// anchor frames and the parent's shared cache are untouched, so the same
+// anchor frames and the parent's own frames are untouched, so the same
 // store can be sliced and swept again.
 func (sl *StoreSlice) Release(step int) {
-	jv, ok := sl.plainJ[step]
-	if !ok {
+	if step < sl.lo || step > sl.hi {
 		return
 	}
-	cv := sl.plainC[step]
-	delete(sl.plainJ, step)
-	delete(sl.plainC, step)
-	p := sl.p
-	p.mu.Lock()
-	p.bumpResident(-int64(8 * (len(jv) + len(cv))))
-	p.poolJ = append(p.poolJ, jv)
-	p.poolC = append(p.poolC, cv)
-	p.mu.Unlock()
+	sl.p.mu.Lock()
+	sl.p.giveBack(&sl.out[step-sl.lo])
+	sl.p.mu.Unlock()
 }
 
 // Repair implements Repairer: recomputed plaintext heals the step for this
@@ -178,12 +122,11 @@ func (sl *StoreSlice) Repair(step int, jVals, cVals []float64) {
 	}
 	p := sl.p
 	p.mu.Lock()
-	jv := copyBuf(&p.poolJ, jVals)
-	cv := copyBuf(&p.poolC, cVals)
-	sl.plainJ[step] = jv
-	sl.plainC[step] = cv
-	delete(p.quarantined, step)
-	p.stats.Repairs++
-	p.bumpResident(int64(8 * (len(jv) + len(cv))))
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	p.giveBack(&sl.out[step-sl.lo])
+	sl.out[step-sl.lo] = p.copyFrame(pair{jVals, cVals})
+	p.bumpResident(p.frameBytes)
+	if step < len(p.steps) {
+		p.heal(p.steps[step])
+	}
 }

@@ -368,8 +368,12 @@ func newRunPlan(opt *SimOptions, objectives []Objective, params []int) (*runPlan
 		topt.NewtonBudget = opt.NewtonBudget
 	}
 	storage := opt.Storage
-	if storage == "" {
+	switch storage {
+	case "":
 		storage = StorageMASC
+	case StorageRecompute, StorageMemory, StorageDisk, StorageMASC, StorageMASCMarkov, StorageAuto:
+	default:
+		return nil, fmt.Errorf("masc: unknown storage strategy %q", storage)
 	}
 	workers := opt.Workers
 	if workers < 1 {
@@ -392,6 +396,88 @@ func newRunPlan(opt *SimOptions, objectives []Objective, params []int) (*runPlan
 		anchorEvery: anchorEvery, objectives: objectives, params: params}, nil
 }
 
+// newStore builds the Jacobian store the plan calls for; nil means
+// StorageRecompute, which keeps nothing. It fails on an unknown strategy or
+// an unusable spill directory.
+func (plan *runPlan) newStore(ckt *Circuit, opt *SimOptions) (jactensor.Store, error) {
+	storage := plan.storage
+	// Under a budget the tiered store owns residency policy for every in-RAM
+	// strategy: the auto trial, Async and CollectCodecStats are inert, and
+	// the codec is the MASC pair.
+	budgeted := opt.MemBudgetBytes > 0 && storage != StorageRecompute && storage != StorageDisk
+	mascPair := func(markov bool) func() (compress.Compressor, compress.Compressor) {
+		return func() (compress.Compressor, compress.Compressor) {
+			mo := masczip.Options{Markov: markov, Workers: plan.workers,
+				CollectStats: opt.CollectCodecStats && !budgeted}
+			return masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
+		}
+	}
+	// anchored cuts the store at ~W steps across the estimated trajectory, so
+	// every window boundary lands on a self-contained frame the reverse
+	// sweeps restart from (and, under a budget, one the scheduler demotes
+	// last and never drops).
+	anchored := func(st interface{ SetAnchorEvery(int) }) {
+		if plan.anchorEvery > 0 {
+			st.SetAnchorEvery(plan.anchorEvery)
+		}
+	}
+	switch {
+	case storage == StorageRecompute:
+		return nil, nil
+	case storage == StorageDisk:
+		return jactensor.NewDiskStore(opt.DiskDir, opt.DiskBytesPerSec)
+	case budgeted:
+		gc, cc := mascPair(storage == StorageMASCMarkov)()
+		ts := jactensor.NewTieredStore(gc, cc, jactensor.TieredConfig{
+			BudgetBytes:     opt.MemBudgetBytes,
+			DiskDir:         opt.DiskDir,
+			DiskBytesPerSec: opt.DiskBytesPerSec,
+		})
+		anchored(ts)
+		return ts, nil
+	case storage == StorageMemory:
+		return jactensor.NewMemStore(), nil
+	case storage == StorageMASC || storage == StorageMASCMarkov:
+		gc, cc := mascPair(storage == StorageMASCMarkov)()
+		var cs *jactensor.CompressedStore
+		if opt.Async {
+			cs = jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, opt.PipelineDepth)
+		} else {
+			cs = jactensor.NewCompressedStore(gc, cc, ckt.GPat, ckt.CPat)
+		}
+		anchored(cs)
+		return cs, nil
+	case storage == StorageAuto:
+		// Adaptive codec selection: trial the menu on the first captured
+		// steps, commit to the best lossless codec by bytes saved per second.
+		// The MASC pairs are listed first so "nothing is measurably better"
+		// falls back to masczip; spicemate is lossy and therefore trialed for
+		// telemetry only, never committed.
+		cs, err := jactensor.NewAutoStore(jactensor.AutoConfig{
+			Candidates: []jactensor.AutoCandidate{
+				{Name: string(StorageMASC), New: mascPair(false)},
+				{Name: string(StorageMASCMarkov), New: mascPair(true)},
+				{Name: "gzip", New: func() (compress.Compressor, compress.Compressor) {
+					return gzipz.New(), gzipz.New()
+				}},
+				{Name: "spicemate", New: func() (compress.Compressor, compress.Compressor) {
+					return spicemate.New(), spicemate.New()
+				}},
+			},
+			Async:         opt.Async,
+			PipelineDepth: opt.PipelineDepth,
+			JPat:          ckt.GPat,
+			CPat:          ckt.CPat,
+		})
+		if err != nil {
+			return nil, err
+		}
+		anchored(cs)
+		return cs, nil
+	}
+	return nil, fmt.Errorf("masc: unknown storage strategy %q", storage)
+}
+
 // Simulate runs the full MASC pipeline on ckt: forward transient analysis
 // with Jacobian capture under the selected storage strategy, then the
 // reverse adjoint sweep for the given objectives. params selects parameter
@@ -401,24 +487,36 @@ func Simulate(ckt *Circuit, opt SimOptions, objectives []Objective, params []int
 	if err != nil {
 		return nil, err
 	}
-	var jw *runstate.Writer
-	if opt.Journal != "" {
-		jw, err = runstate.Create(opt.Journal, plan.journalConfig(ckt, &opt))
-		if err != nil {
-			return nil, err
+	return plan.execute(ckt, &opt, func() (*runstate.Writer, error) {
+		if opt.Journal == "" {
+			return nil, nil
 		}
-	}
-	return plan.execute(ckt, &opt, jw, nil)
+		return runstate.Create(opt.Journal, plan.journalConfig(ckt, &opt))
+	}, nil)
 }
 
-// execute runs a resolved plan. jw, if non-nil, receives the write-ahead
-// journal records; rec, if non-nil, is recovered journal state to resume
-// from (the store is re-seeded from its checkpoints, the forward loop
-// re-enters after the last one, and completed adjoint windows are replayed
-// instead of re-swept).
-func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer, rcv *runstate.Recovered) (*Run, error) {
+// execute runs a resolved plan. It builds the store first and only then
+// opens the journal — journal creates or reopens the run's write-ahead
+// journal, or returns nil for an unjournaled run — so a request whose store
+// cannot be built leaves an earlier journal at that path untouched. rcv, if
+// non-nil, is recovered journal state to resume from (the store is re-seeded
+// from its checkpoints, the forward loop re-enters after the last one, and
+// completed adjoint windows are replayed instead of re-swept). Store and
+// journal are closed on every path.
+func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*runstate.Writer, error), rcv *runstate.Recovered) (*Run, error) {
+	store, err := plan.newStore(ckt, opt)
+	if err != nil {
+		return nil, err
+	}
+	jw, err := journal()
+	if err != nil {
+		if store != nil {
+			store.Close()
+		}
+		return nil, err
+	}
 	topt := plan.topt
-	storage, workers, windows := plan.storage, plan.workers, plan.windows
+	storage, windows := plan.storage, plan.windows
 	objectives, params := plan.objectives, plan.params
 
 	// One context governs the forward loop, the reverse sweep, and the
@@ -439,142 +537,32 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 	// nests under it. Inert (zero span, ID 0) without a recorder.
 	rec := opt.Obs.SpanRecorder()
 	rsp := rec.Start(0, span.Run, -1)
-	rsp.Attr("workers", int64(workers))
+	rsp.Attr("workers", int64(plan.workers))
 	rsp.Attr("windows", int64(windows))
 	defer rsp.End()
 
-	var store jactensor.Store
-	var tiered *jactensor.TieredStore
-	if opt.MemBudgetBytes > 0 {
-		switch storage {
-		case StorageMemory, StorageMASC, StorageMASCMarkov, StorageAuto:
-			// Under a budget the tiered store owns residency policy, so the
-			// auto trial is inert (like Async/CollectCodecStats) and the
-			// codec is the best-fit MASC pair.
-			mo := masczip.Options{Markov: storage == StorageMASCMarkov, Workers: workers}
-			gc, cc := masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
-			tiered = jactensor.NewTieredStore(gc, cc, jactensor.TieredConfig{
-				BudgetBytes:     opt.MemBudgetBytes,
-				DiskDir:         opt.DiskDir,
-				DiskBytesPerSec: opt.DiskBytesPerSec,
-			})
-			if plan.anchorEvery > 0 {
-				tiered.SetAnchorEvery(plan.anchorEvery)
+	// One attachment wires the store; what only some stores can do is asked
+	// for through a small interface where it is used.
+	if st, ok := store.(interface{ Attach(jactensor.Attachment) }); ok {
+		// The root span is the fallback parent for store-side spans emitted
+		// outside any forward step scope (EndForward, adjoint-phase promotes).
+		st.Attach(jactensor.Attachment{Obs: opt.Obs, Scope: rsp.ID(), Fault: opt.Fault, Ctx: ctx})
+	}
+	if st, ok := store.(interface{ ObserveStepCost(time.Duration) }); ok {
+		// The solver's per-step wall time is the tiered store's cost-model
+		// recompute-price proxy, sampled from the first steps on.
+		prevCost := topt.StepCost
+		topt.StepCost = func(step int, d time.Duration) {
+			if prevCost != nil {
+				prevCost(step, d)
 			}
-			// The solver's per-step wall time is the cost model's
-			// recompute-price proxy, sampled from the first steps on.
-			prevCost := topt.StepCost
-			topt.StepCost = func(step int, d time.Duration) {
-				if prevCost != nil {
-					prevCost(step, d)
-				}
-				tiered.ObserveStepCost(d)
-			}
-			store = tiered
+			st.ObserveStepCost(d)
 		}
 	}
-	switch {
-	case store != nil:
-		// Tiered store already built above.
-	case storage == StorageRecompute:
-		store = nil
-	case storage == StorageMemory:
-		store = jactensor.NewMemStore()
-	case storage == StorageDisk:
-		ds, err := jactensor.NewDiskStore(opt.DiskDir, opt.DiskBytesPerSec)
-		if err != nil {
-			return nil, err
-		}
-		store = ds
-	case storage == StorageMASC || storage == StorageMASCMarkov:
-		mo := masczip.Options{
-			Markov:       storage == StorageMASCMarkov,
-			Workers:      workers,
-			CollectStats: opt.CollectCodecStats,
-		}
-		gc, cc := masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
-		var cs *jactensor.CompressedStore
-		if opt.Async {
-			cs = jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, opt.PipelineDepth)
-		} else {
-			cs = jactensor.NewCompressedStore(gc, cc, ckt.GPat, ckt.CPat)
-		}
-		if plan.anchorEvery > 0 {
-			// Cut the prediction chain so every window boundary lands on a
-			// self-contained anchor frame the reverse sweeps can restart
-			// from. ~W anchors across the estimated trajectory.
-			cs.SetAnchorEvery(plan.anchorEvery)
-		}
-		store = cs
-	case storage == StorageAuto:
-		// Adaptive codec selection: trial the menu on the first captured
-		// steps, commit to the best lossless codec by bytes saved per second.
-		// The MASC pairs are listed first so "nothing is measurably better"
-		// falls back to masczip; spicemate is lossy and therefore trialed for
-		// telemetry only, never committed.
-		mascPair := func(markov bool) func() (compress.Compressor, compress.Compressor) {
-			return func() (compress.Compressor, compress.Compressor) {
-				mo := masczip.Options{
-					Markov:       markov,
-					Workers:      workers,
-					CollectStats: opt.CollectCodecStats,
-				}
-				return masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
-			}
-		}
-		as, err := jactensor.NewAutoStore(jactensor.AutoConfig{
-			Candidates: []jactensor.AutoCandidate{
-				{Name: string(StorageMASC), New: mascPair(false)},
-				{Name: string(StorageMASCMarkov), New: mascPair(true)},
-				{Name: "gzip", New: func() (compress.Compressor, compress.Compressor) {
-					return gzipz.New(), gzipz.New()
-				}},
-				{Name: "spicemate", New: func() (compress.Compressor, compress.Compressor) {
-					return spicemate.New(), spicemate.New()
-				}},
-			},
-			Async:         opt.Async,
-			PipelineDepth: opt.PipelineDepth,
-			JPat:          ckt.GPat,
-			CPat:          ckt.CPat,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if plan.anchorEvery > 0 {
-			as.SetAnchorEvery(plan.anchorEvery)
-		}
-		store = as
-	default:
-		return nil, fmt.Errorf("masc: unknown storage strategy %q", storage)
-	}
-
-	if store != nil && opt.Obs != nil {
-		if so, ok := store.(interface{ SetObserver(*obs.Observer) }); ok {
-			so.SetObserver(opt.Obs)
-		}
-		if ss, ok := store.(interface{ SetSpanScope(span.ID) }); ok {
-			// Fallback parent for store-side spans emitted outside any
-			// forward step scope (EndForward, adjoint-phase promotes).
-			ss.SetSpanScope(rsp.ID())
-		}
-	}
-	if store != nil && opt.Fault != nil {
-		if sf, ok := store.(interface{ SetFault(*faultinject.Injector) }); ok {
-			sf.SetFault(opt.Fault)
-		}
-	}
-	if store != nil && ctx != nil {
-		if sc, ok := store.(interface{ SetContext(context.Context) }); ok {
-			sc.SetContext(ctx)
-		}
-	}
-	if jw != nil && store != nil {
+	if st, ok := store.(interface{ SyncSpill() error }); ok && jw != nil {
 		// Spill blobs a durable checkpoint logically covers must reach
 		// stable storage before the checkpoint record does.
-		if sy, ok := store.(interface{ SyncSpill() error }); ok {
-			jw.SetPreSync(sy.SyncSpill)
-		}
+		jw.SetPreSync(st.SyncSpill)
 	}
 	topt.Obs = opt.Obs
 	topt.SpanParent = rsp.ID()
@@ -673,12 +661,12 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 		}
 	}
 	run := &Run{Tran: tr, Storage: storage}
-	if tiered != nil {
+	if st, ok := store.(interface{ SetRecompute(jactensor.RecomputeFunc) }); ok {
 		// The trajectory now exists: give the tiered store the bit-exact
 		// recompute path for deliberately dropped steps — the same
 		// re-derivation the degradation ladder uses for corruption, but
 		// wired inside the store so planned drops never count as degraded.
-		tiered.SetRecompute(adjoint.NewRecomputeSource(ckt, tr).Pair)
+		st.SetRecompute(adjoint.NewRecomputeSource(ckt, tr).Pair)
 	}
 
 	var src adjoint.JacobianSource
@@ -726,7 +714,9 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, jw *runstate.Writer,
 	}
 	if store != nil {
 		run.TensorStats = store.Stats()
-		if as, ok := store.(*jactensor.AutoStore); ok {
+		if as, ok := store.(interface {
+			Selected() (string, []compress.TrialResult, bool)
+		}); ok {
 			if name, trials, ok := as.Selected(); ok {
 				run.SelectedCodec, run.CodecTrials = name, trials
 			}

@@ -235,9 +235,7 @@ func Resume(ckt *Circuit, journalPath string, opt SimOptions) (*Run, error) {
 		FetchStallTimeout: opt.FetchStallTimeout,
 		CollectCodecStats: opt.CollectCodecStats,
 	}
-	jw, err := runstate.Append(journalPath, rcv.Offset, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return plan.execute(ckt, &ropt, jw, rcv)
+	return plan.execute(ckt, &ropt, func() (*runstate.Writer, error) {
+		return runstate.Append(journalPath, rcv.Offset, cfg)
+	}, rcv)
 }

@@ -1,6 +1,7 @@
 package masc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -251,4 +252,92 @@ func TestSimulateCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "resume after cancel", run.Sens.DOdp, ref.Sens.DOdp)
+}
+
+// openDescriptors counts this process's open file descriptors, or -1 where
+// /proc does not say.
+func openDescriptors() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
+}
+
+// TestUnbuildableStoreLeavesJournal: a request whose store cannot be built —
+// an unknown strategy, a spill directory that does not exist — fails before
+// it touches the journal at its path. It used to truncate the journal of an
+// earlier good run to a bare config record (Simulate creates the journal
+// with O_TRUNC before the store) and leak the descriptor it had just opened,
+// as did a Resume whose spill directory had gone.
+func TestUnbuildableStoreLeavesJournal(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.journal")
+	opt := SimOptions{TStep: 2e-6, TStop: 2e-4, Storage: StorageMemory, Journal: path}
+	good, err := Simulate(ckt, opt, []Objective{obj}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(what string, fds int) {
+		t.Helper()
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("%s: journal went from %d to %d bytes", what, len(before), len(after))
+		}
+		if now := openDescriptors(); now != fds {
+			t.Fatalf("%s: %d descriptors open, %d before the call", what, now, fds)
+		}
+	}
+	for what, bad := range map[string]SimOptions{
+		"unknown strategy": {Storage: "bogus"},
+		"no spill dir":     {Storage: StorageDisk, DiskDir: filepath.Join(dir, "nonexistent")},
+	} {
+		bad.TStep, bad.TStop, bad.Journal = opt.TStep, opt.TStop, path
+		fds := openDescriptors()
+		if _, err := Simulate(ckt, bad, []Objective{obj}, nil); err == nil {
+			t.Fatalf("%s: Simulate succeeded", what)
+		}
+		unchanged(what, fds)
+	}
+	resumed, err := Resume(ckt, path, SimOptions{})
+	if err != nil {
+		t.Fatalf("the earlier journal no longer resumes: %v", err)
+	}
+	sameBits(t, "resumed", resumed.Sens.DOdp, good.Sens.DOdp)
+
+	// The same early return under Resume: a disk-store run cut mid-forward,
+	// resumed after its spill directory is gone.
+	spill := filepath.Join(dir, "spill")
+	if err := os.Mkdir(spill, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	opt.Storage, opt.DiskDir = StorageDisk, spill
+	if _, err := Simulate(ckt, opt, []Objective{obj}, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := journalFrameEnds(t, data)
+	before = data[:ends[len(ends)/3]]
+	if err := os.WriteFile(path, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(spill); err != nil {
+		t.Fatal(err)
+	}
+	fds := openDescriptors()
+	if _, err := Resume(ckt, path, SimOptions{}); err == nil {
+		t.Fatal("Resume without its spill directory succeeded")
+	}
+	unchanged("resume without spill dir", fds)
 }
