@@ -82,6 +82,10 @@ func mascStats(p codecPair) (masczip.Stats, bool) {
 	}
 	st.SelectorBits += cst.SelectorBits
 	st.PayloadBits += cst.PayloadBits
+	for i := range st.RegionBits {
+		st.RegionMisses[i] += cst.RegionMisses[i]
+		st.RegionBits[i] += cst.RegionBits[i]
+	}
 	return st, true
 }
 

@@ -51,6 +51,26 @@ func (cc *chunkCoder) noteHits(n int64) {
 	cc.stats.LZHist[8] += n
 }
 
+// regionMark is the writer position and miss count at a region's start.
+type regionMark struct {
+	bits   int
+	misses int64
+}
+
+// closeRegion books what region rg wrote since m — stream bits from the
+// writer's position, misses from the running selector-element count — and
+// moves m to the next region's start. Three calls per chunk, nothing per
+// element.
+func (cc *chunkCoder) closeRegion(rg region, w *bitstream.Writer, m *regionMark) {
+	if !cc.statsOn {
+		return
+	}
+	now := regionMark{w.BitLen(), cc.stats.SelectorElements}
+	cc.stats.RegionBits[rg] += int64(now.bits - m.bits)
+	cc.stats.RegionMisses[rg] += now.misses - m.misses
+	*m = now
+}
+
 // encodeMiss writes one element whose temporal prediction was not bit-exact:
 // the '0' marker, the selector (best-fit matrices only) and the window-coded
 // XOR residual, packed into a single WriteBits word whenever marker +
@@ -91,7 +111,7 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 	if x == 0 {
 		w.WriteBits(pre<<1|1, preN+1) // residual '1': prediction is exact
 		cc.stats.LZHist[8]++
-		cc.stats.PayloadBits++
+		cc.stats.PayloadBits += 2 // marker + flag
 		return sym
 	}
 	lz := uint(bits.LeadingZeros64(x))
@@ -114,7 +134,7 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 			w.WriteBits(payload, wl)
 		}
 		cc.stats.LZHist[lz8>>3]++
-		cc.stats.PayloadBits += int64(2 + wl)
+		cc.stats.PayloadBits += int64(3 + wl)
 		return sym
 	}
 	desc := uint64(lz8>>3)<<6 | uint64(length-1) // 9 bits under the two '0' flags
@@ -128,7 +148,7 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 	cc.win.lz8 = lz8
 	cc.win.len = length
 	cc.stats.LZHist[lz8>>3]++
-	cc.stats.PayloadBits += int64(11 + length)
+	cc.stats.PayloadBits += int64(12 + length)
 	return sym
 }
 
@@ -206,6 +226,8 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 		countU, countL, countD = nil, nil, nil
 	}
 
+	var mark regionMark // chunkEncoder reset the writer; Compress zeroed the chunk's statistics
+
 	// Region U.
 	cc.win = window{}
 	lo, hi := pl.uRowPtr[cc.rowLo], pl.uRowPtr[cc.rowHi]
@@ -233,6 +255,7 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 		cc.note(sym, regionU)
 		k++
 	}
+	cc.closeRegion(regionU, w, &mark)
 
 	// Region L: per-row last-value chaining. A hit's decoded value is the
 	// reference value, so after a run the last-value candidate is simply
@@ -270,6 +293,7 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 			k++
 		}
 	}
+	cc.closeRegion(regionL, w, &mark)
 
 	// Region D over the packed diagonal slots: skipping candsD on hits also
 	// skips the off-diagonal row sum, the most expensive candidate.
@@ -299,6 +323,7 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 		cc.note(sym, regionD)
 		k++
 	}
+	cc.closeRegion(regionD, w, &mark)
 }
 
 // decodeRegions fills cc.cur for the chunk's rows from r with hit-run

@@ -116,17 +116,12 @@ func batchFixtures() []struct {
 func TestBatchedWireIdentity(t *testing.T) {
 	for _, fx := range batchFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
-			encodeChain := func(newCodec func(*sparse.Pattern, Options) *Compressor) ([][]byte, Stats) {
+			encode := func(newCodec func(*sparse.Pattern, Options) *Compressor) ([][]byte, Stats) {
 				c := newCodec(fx.p, fx.opt)
-				var blobs [][]byte
-				for i := 0; i < len(fx.frames)-1; i++ {
-					blobs = append(blobs, c.Compress(nil, fx.frames[i], fx.frames[i+1]))
-				}
-				blobs = append(blobs, c.Compress(nil, fx.frames[len(fx.frames)-1], nil))
-				return blobs, c.Stats()
+				return encodeChain(c, fx.frames), c.Stats()
 			}
-			batched, batchedStats := encodeChain(New)
-			scalar, scalarStats := encodeChain(newReference)
+			batched, batchedStats := encode(New)
+			scalar, scalarStats := encode(newReference)
 
 			for i := range batched {
 				if !bytes.Equal(batched[i], scalar[i]) {

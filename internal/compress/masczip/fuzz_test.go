@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 )
 
@@ -33,19 +34,32 @@ func FuzzDecompress(f *testing.F) {
 	// past 2^31 (would wrap negative through the int32 conversion) and
 	// near-maximal chunk lengths (whose sum would overflow the payload
 	// offset if accumulated unchecked).
-	wrapDelta := []byte{flagCalib}
+	wrapDelta := []byte{flagCalib | flagDiffStamp}
 	wrapDelta = binary.AppendUvarint(wrapDelta, uint64(p.NNZ()))
 	wrapDelta = binary.AppendUvarint(wrapDelta, 3)
 	wrapDelta = binary.AppendUvarint(wrapDelta, 1<<33)
 	wrapDelta = binary.AppendUvarint(wrapDelta, 1)
 	f.Add(wrapDelta)
-	hugeLens := []byte{flagCalib}
+	hugeLens := []byte{flagCalib | flagDiffStamp}
 	hugeLens = binary.AppendUvarint(hugeLens, uint64(p.NNZ()))
 	hugeLens = binary.AppendUvarint(hugeLens, 2)
 	hugeLens = binary.AppendUvarint(hugeLens, 1) // valid boundary delta
 	hugeLens = binary.AppendUvarint(hugeLens, math.MaxUint64)
 	hugeLens = binary.AppendUvarint(hugeLens, math.MaxUint64)
 	f.Add(hugeLens)
+	// Flags bytes the decoder must refuse before reading anything else: a
+	// blob from before the stamp revision bit (the golden corpus' pattern is
+	// not this one, so past the flags check it is a foreign blob too), and a
+	// well-formed header under an all-bits-set first byte.
+	prerev, err := readCorpus(filepath.Join("testdata", "prerev-nilref.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(prerev[0])
+	allSet := []byte{0xff}
+	allSet = binary.AppendUvarint(allSet, uint64(p.NNZ()))
+	allSet = binary.AppendUvarint(allSet, 1)
+	f.Add(allSet)
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		out := make([]float64, p.NNZ())
 		_ = c.Decompress(out, blob, ref)
@@ -54,15 +68,31 @@ func FuzzDecompress(f *testing.F) {
 }
 
 // FuzzRoundTrip mutates the value stream: whatever the bits, a
-// compress/decompress cycle must be the identity.
+// compress/decompress cycle must be the identity. The first 8·nnz bytes are
+// the values; a second 8·nnz, when present, are the reference (so −0, NaN and
+// ±Inf reach the stamp sums from both sides), otherwise the reference is the
+// values with the low byte flipped. The pattern has rows with no
+// off-diagonal. Without a reference the blob must also be the value-form
+// oracle's, byte for byte.
 func FuzzRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
-	p := mnaPattern(rng, 12, 12)
+	p := islandPattern(rng, 12, 12, 2)
 	nnz := p.NNZ()
 	seed := make([]byte, 8*nnz)
 	rng.Read(seed)
 	f.Add(seed, true)
 	f.Add(seed, false)
+	specials := []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 0, 1}
+	both := make([]byte, 16*nnz)
+	rng.Read(both)
+	for i := 0; i < nnz; i++ {
+		binary.BigEndian.PutUint64(both[8*(nnz+i):], math.Float64bits(specials[i%len(specials)]))
+	}
+	f.Add(both, false)
+	for i := 0; i < nnz; i += 2 {
+		binary.BigEndian.PutUint64(both[8*i:], math.Float64bits(specials[(i/2)%len(specials)]))
+	}
+	f.Add(both, true)
 	f.Fuzz(func(t *testing.T, raw []byte, markov bool) {
 		if len(raw) < 8*nnz {
 			t.Skip()
@@ -70,23 +100,16 @@ func FuzzRoundTrip(f *testing.F) {
 		cur := make([]float64, nnz)
 		ref := make([]float64, nnz)
 		for i := range cur {
-			bits := uint64(0)
-			for b := 0; b < 8; b++ {
-				bits = bits<<8 | uint64(raw[8*i+b])
-			}
+			bits := binary.BigEndian.Uint64(raw[8*i:])
 			cur[i] = math.Float64frombits(bits)
 			ref[i] = math.Float64frombits(bits ^ 0xFF)
-		}
-		c := New(p, Options{Markov: markov, CalibEvery: 2})
-		blob := c.Compress(nil, cur, ref)
-		got := make([]float64, nnz)
-		if err := c.Decompress(got, blob, ref); err != nil {
-			t.Fatalf("decompress own blob: %v", err)
-		}
-		for i := range cur {
-			if math.Float64bits(got[i]) != math.Float64bits(cur[i]) {
-				t.Fatalf("roundtrip mismatch at %d", i)
+			if len(raw) >= 16*nnz {
+				ref[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*(nnz+i):]))
 			}
 		}
+		opt := Options{Markov: markov, CalibEvery: 2}
+		roundTrip(t, New(p, opt), cur, ref)
+		roundTrip(t, New(p, opt), cur, nil)
+		checkNilRefIsValueForm(t, p, opt, cur)
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"masc/internal/atomicio"
@@ -82,11 +83,7 @@ func readCorpus(path string) ([][]byte, error) {
 // change with MASC_UPDATE_GOLDEN=1 go test ./internal/compress/masczip
 // -run TestGoldenFormat, and say so in the commit message.
 func TestGoldenFormat(t *testing.T) {
-	goldenCorpusTest(t, goldenFrames, []goldenProfile{
-		{"plain", Options{}},
-		{"markov", Options{Markov: true, CalibEvery: 2}},
-		{"chunked", Options{Workers: 3}},
-	})
+	goldenCorpusTest(t, goldenFrames, goldenFormatProfiles)
 }
 
 // TestGoldenRuns pins the format over the run-heavy corpus: blobs dominated
@@ -94,11 +91,7 @@ func TestGoldenFormat(t *testing.T) {
 // shapes the batched word-parallel paths rewrite. Any drift in run batching
 // shows up here as an encode-identity failure.
 func TestGoldenRuns(t *testing.T) {
-	goldenCorpusTest(t, goldenRunFrames, []goldenProfile{
-		{"runs", Options{}},
-		{"runs-markov", Options{Markov: true, CalibEvery: 3}},
-		{"runs-chunked", Options{Workers: 4}},
-	})
+	goldenCorpusTest(t, goldenRunFrames, goldenRunsProfiles)
 }
 
 type goldenProfile struct {
@@ -106,18 +99,71 @@ type goldenProfile struct {
 	opt  Options
 }
 
+var (
+	goldenFormatProfiles = []goldenProfile{
+		{"plain", Options{}},
+		{"markov", Options{Markov: true, CalibEvery: 2}},
+		{"chunked", Options{Workers: 3}},
+	}
+	goldenRunsProfiles = []goldenProfile{
+		{"runs", Options{}},
+		{"runs-markov", Options{Markov: true, CalibEvery: 3}},
+		{"runs-chunked", Options{Workers: 4}},
+	}
+)
+
+// encodeChain encodes a frame chain through c the way the store does: frame
+// i against frame i+1 as reference, the head frame unreferenced.
+func encodeChain(c *Compressor, frames [][]float64) [][]byte {
+	var blobs [][]byte
+	for i := 0; i < len(frames)-1; i++ {
+		blobs = append(blobs, c.Compress(nil, frames[i], frames[i+1]))
+	}
+	return append(blobs, c.Compress(nil, frames[len(frames)-1], nil))
+}
+
+// TestNilRefBlobsKeepPreRevisionBytes: prerev-nilref.bin holds the
+// unreferenced tail blob of each golden corpus as the last binary without
+// the stamp revision bit wrote it. With a nil reference the difference-form
+// stamp is the value form, so today's encoder must reproduce each of them in
+// every byte but the flags byte — anchors, tiered rungs and spill blobs kept
+// their size — and the decoder must refuse the old blobs by name rather than
+// read symbol 1 under its new meaning.
+func TestNilRefBlobsKeepPreRevisionBytes(t *testing.T) {
+	old, err := readCorpus(filepath.Join("testdata", "prerev-nilref.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for _, set := range []struct {
+		mk       func() (*sparse.Pattern, [][]float64)
+		profiles []goldenProfile
+	}{{goldenFrames, goldenFormatProfiles}, {goldenRunFrames, goldenRunsProfiles}} {
+		p, frames := set.mk()
+		for _, prof := range set.profiles {
+			blobs := encodeChain(New(p, prof.opt), frames)
+			now, was := blobs[len(blobs)-1], old[i]
+			i++
+			if was[0]&flagDiffStamp != 0 || was[0]|flagDiffStamp != now[0] {
+				t.Errorf("%s: flags byte %#02x, pre-revision %#02x", prof.name, now[0], was[0])
+			}
+			if !bytes.Equal(now[1:], was[1:]) {
+				t.Errorf("%s: nil-reference blob differs from the pre-revision one past the flags byte (%d vs %d bytes)",
+					prof.name, len(now), len(was))
+			}
+			err := New(p, prof.opt).Decompress(make([]float64, p.NNZ()), was, nil)
+			if err == nil || !strings.Contains(err.Error(), "flags byte") {
+				t.Errorf("%s: pre-revision blob decoded: %v", prof.name, err)
+			}
+		}
+	}
+}
+
 func goldenCorpusTest(t *testing.T, mk func() (*sparse.Pattern, [][]float64), profiles []goldenProfile) {
 	p, frames := mk()
 	for _, prof := range profiles {
 		t.Run(prof.name, func(t *testing.T) {
-			// Encode the frame chain the way the store does: frame i against
-			// frame i+1 as reference, head frame unreferenced.
-			c := New(p, prof.opt)
-			var blobs [][]byte
-			for i := 0; i < len(frames)-1; i++ {
-				blobs = append(blobs, c.Compress(nil, frames[i], frames[i+1]))
-			}
-			blobs = append(blobs, c.Compress(nil, frames[len(frames)-1], nil))
+			blobs := encodeChain(New(p, prof.opt), frames)
 
 			path := filepath.Join("testdata", "golden-"+prof.name+".bin")
 			if os.Getenv("MASC_UPDATE_GOLDEN") != "" {

@@ -48,9 +48,17 @@ type Stats struct {
 	// LZHist[i] counts residuals whose leading-zero class is 8·i
 	// (i = 0..7); LZHist[8] counts all-zero residuals.
 	LZHist [9]int64
-	// SelectorBits / PayloadBits split the stream cost.
+	// SelectorBits / PayloadBits split the stream cost: selector symbols
+	// against everything else (hit bits, miss markers, residuals), so their
+	// sum is the chunk streams' length in bits.
 	SelectorBits int64
 	PayloadBits  int64
+	// RegionMisses / RegionBits split the same stream by region, indexed
+	// U, L, D: the elements whose temporal prediction was not bit-exact
+	// (summing to SelectorElements) and the bits the region's hits and
+	// misses took (summing to SelectorBits + PayloadBits).
+	RegionMisses [3]int64
+	RegionBits   [3]int64
 	// MarkovPredicted counts elements whose selector came from the frozen
 	// Markov table (non-calibration matrices, no selector bits on the
 	// wire); MarkovExact counts the subset whose predicted model
@@ -80,6 +88,10 @@ func (s *Stats) merge(o *Stats) {
 	}
 	s.SelectorBits += o.SelectorBits
 	s.PayloadBits += o.PayloadBits
+	for i := range s.RegionBits {
+		s.RegionMisses[i] += o.RegionMisses[i]
+		s.RegionBits[i] += o.RegionBits[i]
+	}
 	s.MarkovPredicted += o.MarkovPredicted
 	s.MarkovExact += o.MarkovExact
 }
@@ -208,9 +220,16 @@ func (c *Compressor) Stats() Stats { return c.stats }
 // ResetStats clears the accumulated statistics.
 func (c *Compressor) ResetStats() { c.stats = Stats{} }
 
-// header flag bits.
+// Header flag bits. flagDiffStamp is the format revision in which region D's
+// symbol 1 means the difference-form stamp of candsD: every encoder sets it
+// and the decoder requires it, because a blob coded under the older meaning
+// (−Σcur) has the same layout and would decode to wrong values, not fail.
+// No bit outside flagsKnown is ever written, so one that is set is corruption
+// or a foreign byte.
 const (
-	flagCalib = 1 << 0
+	flagCalib     = 1 << 0
+	flagDiffStamp = 1 << 1
+	flagsKnown    = flagCalib | flagDiffStamp
 )
 
 func (c *Compressor) refOrZeros(ref []float64) []float64 {
@@ -274,7 +293,7 @@ func (c *Compressor) Compress(dst []byte, cur, ref []float64) []byte {
 	bounds := c.encBounds
 	nchunks := len(bounds) - 1
 
-	var flags byte
+	flags := byte(flagDiffStamp)
 	if calib {
 		flags |= flagCalib
 	}
@@ -382,6 +401,12 @@ func (c *Compressor) Decompress(cur []float64, blob []byte, ref []float64) error
 		return fmt.Errorf("masczip: empty blob")
 	}
 	flags := blob[0]
+	if flags&^flagsKnown != 0 {
+		return fmt.Errorf("masczip: flags byte %#02x has unknown bits %#02x", flags, flags&^flagsKnown)
+	}
+	if flags&flagDiffStamp == 0 {
+		return fmt.Errorf("masczip: flags byte %#02x lacks the stamp revision bit %#02x (blob of an older format)", flags, flagDiffStamp)
+	}
 	off := 1
 	n, k := binary.Uvarint(blob[off:])
 	if k <= 0 {
@@ -572,8 +597,18 @@ func (cc *chunkCoder) candsL(k int32, lastVal float64, haveLast bool, out *[4]fl
 	return 4
 }
 
-// candsD computes the region-D candidates: temporal and the negated sum of
-// the row's decoded off-diagonal values (the MNA row-conservation stamp).
+// candsD computes the region-D candidates: temporal, and the spatiotemporal
+// stamp ref[k] − (Σcur − Σref) over the row's off-diagonal slots. A pair
+// stamp puts +c on the diagonal and −c beside it, so a row's sum is the
+// node's grounded capacitance: rarely zero (which the value form −Σcur needs)
+// but constant while the grounded elements are linear, which is all the
+// difference form needs — the diagonal moves by minus what the decoded
+// off-diagonals moved by. Written −((Σcur − Σref) − ref[k]) so that an
+// all-zero reference gives exactly −Σcur, the sign of a zero sum included,
+// which keeps self-contained blobs what the value form made them. Sums,
+// differences and a negation only: with no multiplication there is nothing
+// for a compiler to contract into an FMA, so encoder and decoder round alike
+// on every architecture.
 func (cc *chunkCoder) candsD(row int32, k int32, out *[4]float64) int {
 	out[0] = cc.ref[k]
 	if cc.opt.DisableStamp {
@@ -581,13 +616,15 @@ func (cc *chunkCoder) candsD(row int32, k int32, out *[4]float64) int {
 		return 2
 	}
 	pl := cc.plan
-	sum := 0.0
+	cur, ref := cc.cur, cc.ref
+	sumCur, sumRef := 0.0, 0.0
 	for s := pl.pat.RowPtr[row]; s < pl.pat.RowPtr[row+1]; s++ {
 		if s != k {
-			sum += cc.cur[s]
+			sumCur += cur[s]
+			sumRef += ref[s]
 		}
 	}
-	out[1] = -sum
+	out[1] = -((sumCur - sumRef) - ref[k])
 	return 2
 }
 

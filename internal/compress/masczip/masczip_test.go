@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -186,28 +187,38 @@ func TestAblationsStillLossless(t *testing.T) {
 
 func TestSpecialValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	p := mnaPattern(rng, 30, 40)
-	c := New(p, Options{})
+	// Three island rows: a diagonal with no off-diagonal, where both stamp
+	// sums are empty.
+	p := islandPattern(rng, 30, 40, 3)
+	diag := p.DiagSlots()
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64}
 	cur := mnaValues(rng, p, 0.01)
-	cur[0] = math.NaN()
-	cur[1] = math.Inf(1)
-	cur[2] = math.Inf(-1)
-	cur[3] = 0
-	cur[4] = math.Copysign(0, -1)
-	cur[5] = math.SmallestNonzeroFloat64
-	cur[6] = math.MaxFloat64
-	ref := evolve(rng, cur, 1e-3)
-	ref[0] = 1 // don't let the NaN leak into ref arithmetic checks
-	blob := c.Compress(nil, cur, ref)
-	got := make([]float64, len(cur))
-	if err := c.Decompress(got, blob, ref); err != nil {
-		t.Fatal(err)
+	copy(cur, specials)
+	cur[diag[p.N-1]] = math.Copysign(0, -1) // −0 on an island: the value form's exact hit
+	cur[diag[p.N-2]] = math.NaN()
+
+	plainRef := evolve(rng, cur, 1e-3)
+	plainRef[0] = 1 // don't let the NaN leak into ref arithmetic checks
+	// A reference that itself holds −0, NaN and ±Inf, on diagonals, beside
+	// them (so they enter Σref) and on an island.
+	laced := evolve(rng, cur, 1e-3)
+	for i, d := range diag {
+		laced[d] = specials[i%len(specials)]
 	}
-	for i := range cur {
-		if math.Float64bits(got[i]) != math.Float64bits(cur[i]) {
-			t.Fatalf("special value %d not bit-exact", i)
-		}
+	for k := 0; k < len(laced); k += 7 {
+		laced[k] = specials[(k/7)%len(specials)]
 	}
+	for name, ref := range map[string][]float64{"evolved": plainRef, "specials": laced, "nil": nil} {
+		t.Run(name, func(t *testing.T) {
+			for _, opt := range []Options{{}, {Workers: 3}} {
+				roundTrip(t, New(p, opt), cur, ref)
+				roundTrip(t, newReference(p, opt), cur, ref)
+			}
+		})
+	}
+	checkNilRefIsValueForm(t, p, Options{}, cur)
+	checkNilRefIsValueForm(t, p, Options{}, laced)
 }
 
 func TestCompressionRatioOnSmoothTensor(t *testing.T) {
@@ -288,6 +299,24 @@ func TestStatsCollected(t *testing.T) {
 	if hist != st.Elements {
 		t.Fatalf("LZ histogram covers %d of %d", hist, st.Elements)
 	}
+	var regionBits, regionMisses int64
+	for rg := range st.RegionBits {
+		if st.RegionBits[rg] == 0 || st.RegionMisses[rg] == 0 {
+			t.Fatalf("region %d of an evolved tensor booked nothing: %+v", rg, st)
+		}
+		regionBits += st.RegionBits[rg]
+		regionMisses += st.RegionMisses[rg]
+	}
+	if regionBits != st.SelectorBits+st.PayloadBits {
+		t.Fatalf("regions hold %d bits, selector+payload %d", regionBits, st.SelectorBits+st.PayloadBits)
+	}
+	if regionMisses != st.SelectorElements {
+		t.Fatalf("regions hold %d misses, selector elements %d", regionMisses, st.SelectorElements)
+	}
+	// The split is of the real stream: the one chunk's bytes, less padding.
+	if stream := int64(c.writers[0].Len()) * 8; regionBits > stream || regionBits <= stream-8 {
+		t.Fatalf("regions hold %d bits, the chunk stream %d", regionBits, stream)
+	}
 	c.ResetStats()
 	if c.Stats().Elements != 0 {
 		t.Fatal("ResetStats did not clear")
@@ -322,15 +351,30 @@ func TestDecompressErrors(t *testing.T) {
 // TestHeaderHardening feeds the decoder headers whose uvarints are
 // individually plausible but adversarial in combination: chunk-boundary
 // deltas past 2^31 (which would wrap negative through the int32 cast) and
-// chunk lengths whose sum would overflow the payload offset.
+// chunk lengths whose sum would overflow the payload offset. Those carry a
+// valid flags byte, so they reach the parser they are aimed at; the flags
+// cases put a wrong first byte on an otherwise good blob, which must be
+// refused with an error that names the byte.
 func TestHeaderHardening(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	p := mnaPattern(rng, 30, 40)
 	c := New(p, Options{})
 	got := make([]float64, p.NNZ())
 
+	good := c.Compress(nil, mnaValues(rng, p, 0.01), nil)
+	if err := c.Decompress(got, good, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, flags := range []byte{0x80, good[0] | 0x04, 0xff, good[0] &^ flagDiffStamp, 0} {
+		bad := append([]byte{flags}, good[1:]...)
+		err := c.Decompress(got, bad, nil)
+		if want := fmt.Sprintf("flags byte %#02x", flags); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("flags %#02x: %v, want an error naming %q", flags, err, want)
+		}
+	}
+
 	hdr := func(nchunks uint64, extra ...uint64) []byte {
-		b := []byte{flagCalib}
+		b := []byte{flagCalib | flagDiffStamp}
 		b = binary.AppendUvarint(b, uint64(p.NNZ()))
 		b = binary.AppendUvarint(b, nchunks)
 		for _, v := range extra {
@@ -346,7 +390,7 @@ func TestHeaderHardening(t *testing.T) {
 		{"delta zero", hdr(3, 0, 1)},
 		{"delta past n", hdr(2, uint64(p.N)+7)},
 		{"chunk count past n", hdr(uint64(p.N) + 1)},
-		{"element count overflows int", append([]byte{flagCalib},
+		{"element count overflows int", append([]byte{flagCalib | flagDiffStamp},
 			binary.AppendUvarint(nil, math.MaxUint64)...)},
 		{"max chunk lengths", hdr(2, 1, math.MaxUint64, math.MaxUint64)},
 		{"summed lengths overflow", hdr(4, 1, 1, 1,

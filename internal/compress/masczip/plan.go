@@ -3,7 +3,10 @@
 // to a sparsity Pattern — the paper's shared indices — and compresses the
 // per-timestep value arrays with three prediction models (temporal,
 // MNA-stamp spatial, last-value), best-fit or Markov model selection, and a
-// leading-zero-window XOR residual code.
+// leading-zero-window XOR residual code. One departure from the paper: a
+// diagonal's stamp prediction is spatiotemporal — the reference value moved
+// by the change in its row's off-diagonals, not the row's negated sum — so
+// that it survives grounded elements (candsD; DESIGN.md §3).
 package masczip
 
 import (
@@ -99,7 +102,7 @@ func (pl *plan) chunkRows(w int) []int32 {
 //
 //	U: 0 temporal, 1 transpose (stamp), 2 -diag(row) (stamp), 3 -diag(col) (stamp)
 //	L: 0 temporal, 1 symmetric current transpose (stamp), 2 -diag(row) (stamp), 3 last value
-//	D: 0 temporal, 1 negated off-diagonal row sum (stamp)
+//	D: 0 temporal, 1 reference minus the change in the off-diagonal row sum (stamp; candsD)
 const (
 	uSyms = 4
 	lSyms = 4

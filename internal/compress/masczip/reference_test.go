@@ -18,16 +18,44 @@ import (
 // instead of encodeRegions/decodeRegions. Framing, chunking and Markov
 // calibration are the production code.
 func newReference(p *sparse.Pattern, opt Options) *Compressor {
+	return newReferenceWith(p, opt, (*chunkCoder).candsD)
+}
+
+// candsDFunc is the region-D predictor a reference coder runs.
+type candsDFunc func(cc *chunkCoder, row, k int32, out *[4]float64) int
+
+func newReferenceWith(p *sparse.Pattern, opt Options, candsD candsDFunc) *Compressor {
 	c := New(p, opt)
 	c.encFn = func(ci int) {
 		ec, w := c.chunkEncoder(ci)
-		ec.runRegions(w, nil)
+		ec.runRegions(w, nil, candsD)
 	}
 	c.decFn = func(ci int) {
 		dc, r := c.chunkDecoder(ci)
-		dc.runRegions(nil, r)
+		dc.runRegions(nil, r, candsD)
 	}
 	return c
+}
+
+// candsDValueForm is region D as it was before the revision bit: the stamp
+// candidate is −Σcur over the row's off-diagonals, which holds only on a row
+// with no grounded element. Kept as the oracle the predictor tests measure
+// the difference form against, and that nil-reference blobs must still match.
+func candsDValueForm(cc *chunkCoder, row, k int32, out *[4]float64) int {
+	out[0] = cc.ref[k]
+	if cc.opt.DisableStamp {
+		out[1] = out[0]
+		return 2
+	}
+	pl := cc.plan
+	sum := 0.0
+	for s := pl.pat.RowPtr[row]; s < pl.pat.RowPtr[row+1]; s++ {
+		if s != k {
+			sum += cc.cur[s]
+		}
+	}
+	out[1] = -sum
+	return 2
 }
 
 // encodeResidual writes the XOR residual with the window code.
@@ -107,6 +135,7 @@ func (cc *chunkCoder) codeElement(w *bitstream.Writer, r *bitstream.Reader,
 			return val, 0
 		}
 		w.WriteBit(0)
+		cc.stats.PayloadBits++
 		var sym uint8
 		if cc.calib {
 			sym = bestSym(val, cands, nSyms)
@@ -153,7 +182,7 @@ func (cc *chunkCoder) codeElement(w *bitstream.Writer, r *bitstream.Reader,
 
 // runRegions drives the shared encode/decode control flow. Exactly one of
 // w and r is non-nil.
-func (cc *chunkCoder) runRegions(w *bitstream.Writer, r *bitstream.Reader) {
+func (cc *chunkCoder) runRegions(w *bitstream.Writer, r *bitstream.Reader, candsD candsDFunc) {
 	pl := cc.plan
 	var cands [4]float64
 
@@ -162,6 +191,13 @@ func (cc *chunkCoder) runRegions(w *bitstream.Writer, r *bitstream.Reader) {
 	countD := func(p, s uint8) { cc.counts.d[p][s]++ }
 	if cc.counts == nil {
 		countU, countL, countD = nil, nil, nil
+	}
+
+	var mark regionMark
+	closeRegion := func(rg region) {
+		if w != nil {
+			cc.closeRegion(rg, w, &mark)
+		}
 	}
 
 	// Region U.
@@ -180,6 +216,7 @@ func (cc *chunkCoder) runRegions(w *bitstream.Writer, r *bitstream.Reader) {
 			cc.note(sym, regionU)
 		}
 	}
+	closeRegion(regionU)
 
 	// Region L: per-row last-value chaining.
 	cc.win = window{}
@@ -202,6 +239,7 @@ func (cc *chunkCoder) runRegions(w *bitstream.Writer, r *bitstream.Reader) {
 			lastVal, haveLast = v, true
 		}
 	}
+	closeRegion(regionL)
 
 	// Region D.
 	cc.win = window{}
@@ -210,7 +248,7 @@ func (cc *chunkCoder) runRegions(w *bitstream.Writer, r *bitstream.Reader) {
 		if slot < 0 {
 			continue
 		}
-		n := cc.candsD(row, slot, &cands)
+		n := candsD(cc, row, slot, &cands)
 		var val float64
 		if w != nil {
 			val = cc.cur[slot]
@@ -222,4 +260,5 @@ func (cc *chunkCoder) runRegions(w *bitstream.Writer, r *bitstream.Reader) {
 			cc.note(sym, regionD)
 		}
 	}
+	closeRegion(regionD)
 }

@@ -155,8 +155,12 @@ func PublishCodecStats(reg *obs.Registry, tensor string, st masczip.Stats) {
 		"tensor", tensor).Add(float64(st.SelectorElements))
 	reg.Counter("masc_codec_selector_bits_total", "Selector bits on the wire.",
 		"tensor", tensor).Add(float64(st.SelectorBits))
-	reg.Counter("masc_codec_payload_bits_total", "Residual payload bits on the wire.",
+	reg.Counter("masc_codec_payload_bits_total", "Hit, miss-marker and residual bits on the wire.",
 		"tensor", tensor).Add(float64(st.PayloadBits))
+	for rg, name := range [...]string{"u", "l", "d"} {
+		reg.Counter("masc_codec_region_bits_total", "Stream bits by region (strictly upper, strictly lower, diagonal); sums to selector + payload bits.",
+			"tensor", tensor, "region", name).Add(float64(st.RegionBits[rg]))
+	}
 	reg.Counter("masc_codec_markov_predicted_total", "Elements whose selector came from the frozen Markov table.",
 		"tensor", tensor).Add(float64(st.MarkovPredicted))
 	reg.Counter("masc_codec_markov_exact_total", "Markov-predicted elements reproduced bit-exactly.",

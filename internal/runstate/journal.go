@@ -46,8 +46,12 @@ import (
 // ErrFormatVersion. Version 2: the LU column order became minimum degree. The
 // pivot order is part of what a resume replays, so a journal checkpointed
 // under version 1's RCM order must be refused, not continued into a hybrid
-// run no uninterrupted binary would produce.
-const FormatVersion = 2
+// run no uninterrupted binary would produce. Version 3: masczip blobs carry a
+// revision bit for region D's difference-form stamp and the decoder refuses
+// blobs without it. A resumed tiered run re-reads the spill blobs the killed
+// run wrote, so a version-2 journal would resume into a run whose every
+// spilled fetch degrades to recomputation; it is refused here instead.
+const FormatVersion = 3
 
 // Record kind bytes.
 const (

@@ -237,22 +237,26 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 // intact but carries another format version is refused as such — with both
 // versions in the error — rather than reported as having no config at all.
 func TestRecoverRejectsOtherFormatVersion(t *testing.T) {
-	cfg := testConfig()
-	cfg.FormatVersion = 1
-	payload, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "v1.journal")
-	if err := os.WriteFile(path, blobframe.Wrap(KindConfig, 0, payload), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Recover(path)
-	if !errors.Is(err, ErrFormatVersion) {
-		t.Fatalf("Recover of a version-1 journal: %v, want ErrFormatVersion", err)
-	}
-	var fv *FormatVersionError
-	if !errors.As(err, &fv) || fv.Got != 1 || fv.Want != FormatVersion {
-		t.Fatalf("Recover of a version-1 journal: %#v, want got 1 / want %d", err, FormatVersion)
+	// Version 1 factored in RCM order; version 2 wrote masczip blobs without
+	// the stamp revision bit.
+	for _, version := range []int{1, 2, FormatVersion + 1} {
+		cfg := testConfig()
+		cfg.FormatVersion = version
+		payload, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "old.journal")
+		if err := os.WriteFile(path, blobframe.Wrap(KindConfig, 0, payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Recover(path)
+		if !errors.Is(err, ErrFormatVersion) {
+			t.Fatalf("Recover of a version-%d journal: %v, want ErrFormatVersion", version, err)
+		}
+		var fv *FormatVersionError
+		if !errors.As(err, &fv) || fv.Got != version || fv.Want != FormatVersion {
+			t.Fatalf("Recover of a version-%d journal: %#v, want got %d / want %d", version, err, version, FormatVersion)
+		}
 	}
 }

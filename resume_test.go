@@ -179,8 +179,9 @@ func TestResumeRejectsForeignCircuit(t *testing.T) {
 }
 
 // TestResumeRejectsOtherFormatVersion: a journal checkpointed by a binary
-// with another journal format (version 1 factored in RCM column order) is
-// refused by name, not continued and not mistaken for an empty journal.
+// with another journal format (version 1 factored in RCM column order,
+// version 2 spilled masczip blobs without the stamp revision bit) is refused
+// by name, not continued and not mistaken for an empty journal.
 func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	path := filepath.Join(t.TempDir(), "run.journal")
@@ -197,17 +198,19 @@ func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	if err := json.Unmarshal(data[blobframe.HeaderSize:end], &cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg["format_version"] = 1
-	payload, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := append(blobframe.Wrap('R', 0, payload), data[end:]...)
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Resume(ckt, path, SimOptions{}); !errors.Is(err, ErrFormatVersion) {
-		t.Fatalf("resume of a version-1 journal: %v, want ErrFormatVersion", err)
+	for _, version := range []int{1, 2} {
+		cfg["format_version"] = version
+		payload, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := append(blobframe.Wrap('R', 0, payload), data[end:]...)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Resume(ckt, path, SimOptions{}); !errors.Is(err, ErrFormatVersion) {
+			t.Fatalf("resume of a version-%d journal: %v, want ErrFormatVersion", version, err)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package masc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"masc/internal/obs/span"
@@ -128,6 +130,45 @@ func TestSimulateSpanTreeTiered(t *testing.T) {
 	for _, k := range []span.Kind{span.Demote, span.TierDecision, span.Promote} {
 		if !kinds[k] {
 			t.Errorf("tiered run missing span kind %s", k)
+		}
+	}
+}
+
+// TestSimulateCodecRegionStats: a run with CollectCodecStats says where each
+// tensor's bits went — per region, summing to the stream — in Run and in the
+// masc_codec_region_bits_total family, for the serial and the pipelined store.
+func TestSimulateCodecRegionStats(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	for _, async := range []bool{false, true} {
+		ob := &Observer{Reg: NewRegistry()}
+		run, err := Simulate(ckt, SimOptions{
+			TStep: 2e-6, TStop: 4e-4,
+			Storage: StorageMASC, Async: async,
+			CollectCodecStats: true, Obs: ob,
+		}, []Objective{obj}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !run.HasCodecStats {
+			t.Fatal("no codec statistics")
+		}
+		prom := string(ob.Reg.WritePrometheus(nil))
+		for tensor, st := range map[string]CodecStats{"g": run.CodecStatsG, "c": run.CodecStatsC} {
+			var regionBits, misses int64
+			for rg, name := range []string{"u", "l", "d"} {
+				regionBits += st.RegionBits[rg]
+				misses += st.RegionMisses[rg]
+				line := fmt.Sprintf("masc_codec_region_bits_total{tensor=%q,region=%q} %d\n", tensor, name, st.RegionBits[rg])
+				if !strings.Contains(prom, line) {
+					t.Errorf("async=%v: /metrics lacks %q", async, line)
+				}
+			}
+			if regionBits == 0 || regionBits != st.SelectorBits+st.PayloadBits {
+				t.Errorf("async=%v tensor %s: regions hold %d bits, selector+payload %d", async, tensor, regionBits, st.SelectorBits+st.PayloadBits)
+			}
+			if misses != st.SelectorElements {
+				t.Errorf("async=%v tensor %s: regions hold %d misses, selector elements %d", async, tensor, misses, st.SelectorElements)
+			}
 		}
 	}
 }
