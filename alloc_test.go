@@ -3,8 +3,11 @@ package masc
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"masc/internal/obs"
+	"masc/internal/runstate"
+	"masc/internal/tiersched"
 	"masc/internal/workload"
 )
 
@@ -21,11 +24,20 @@ func allocFixture(t *testing.T) *workload.Dataset {
 // one-time pattern, ordering and codec-plan work — and returns the second
 // run with the bytes it allocated on the GC heap and the size of the
 // trajectory it returns, the one allocation that has to scale with the run.
-func warmRunAllocation(t *testing.T, ds *workload.Dataset, opt SimOptions) (run *Run, allocated, trajectory int64) {
+// tierModel, when non-nil, builds each run's tiered cost model (the runPlan
+// seam); nil is Simulate as callers get it.
+func warmRunAllocation(t *testing.T, ds *workload.Dataset, opt SimOptions, tierModel func() *tiersched.Model) (run *Run, allocated, trajectory int64) {
 	t.Helper()
 	opt.TStep, opt.TStop = ds.Tran.TStep, ds.Tran.TStop
 	simulate := func() *Run {
-		run, err := Simulate(ds.Ckt, opt, ds.Objectives, ds.Params)
+		plan, err := newRunPlan(&opt, ds.Objectives, ds.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tierModel != nil {
+			plan.tierModel = tierModel()
+		}
+		run, err := plan.execute(ds.Ckt, &opt, func() (*runstate.Writer, error) { return nil, nil }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +55,7 @@ func warmRunAllocation(t *testing.T, ds *workload.Dataset, opt SimOptions) (run 
 }
 
 // TestBudgetedMASCRunAllocationBudget is the serial test's twin under a
-// memory budget of about 1/7 of the compressed tensor (the benchmark's
+// memory budget of about half the compressed tensor (the benchmark's
 // mem_budget shape): the tiered store may allocate the trajectory, a fixed
 // set-up cost and a few KiB of bookkeeping per step — no blob objects (the
 // compressed rung lives in the off-heap arena, spilled and dropped steps
@@ -51,32 +63,42 @@ func warmRunAllocation(t *testing.T, ds *workload.Dataset, opt SimOptions) (run 
 // the free list — and what it holds off the heap stays under the budget plus
 // one blob. When every step was walked hot → compressed → dropped, the same
 // run allocated each step's blob on the heap only to discard ~94 % of them.
-// A slow spill device puts the run on the recompute rung, as in mem_budget;
-// an unthrottled one leaves the choice to the cost model (on most hosts it
-// spills), and the bounds are the same.
+// The bounds are the same on the recompute rung (mem_budget's) and on the
+// spill rung. Which of the two a run takes is the cost model's call, and on
+// wall-clock samples that call changes with the host and under the race
+// detector; here the model runs on a FakeClock — every timed operation one
+// tick — and is fed one recomputation sample up front, which prices
+// recomputation from then on (the forward-step proxy never does), so the
+// rung is a function of what the case feeds: a recomputation far cheaper
+// than the three ticks of a spill round-trip, or far dearer.
 //
 // It runs first in this file so that, in a whole-package run, no other
 // store has raised the process-wide off-heap peak before it looks.
 func TestBudgetedMASCRunAllocationBudget(t *testing.T) {
 	ds := allocFixture(t)
-	// StorageMASC stores this tensor at CR ≈ 4.2, so raw/30 is about 1/7 of
+	// StorageMASC stores this tensor at CR ≈ 13, so raw/30 is about half of
 	// that; working it out from the patterns keeps any other store — and
 	// its arena — out of the process before the measurement.
 	raw := int64(8*(ds.Ckt.JPat.NNZ()+ds.Ckt.CPat.NNZ())) * int64(ds.Tran.EstimatedSteps())
 	memBudget := raw / 30
+	const tick = time.Millisecond
 	for _, tc := range []struct {
-		name    string
-		diskBps float64
-	}{{"drop", 50e6}, {"unthrottled", 0}} {
+		name      string
+		recompute time.Duration
+	}{{"drop", tick / 1000}, {"spill", 1000 * tick}} {
 		t.Run(tc.name, func(t *testing.T) {
 			offHeapBefore := int64(obs.CollectProvenance().StoreOffheapBytes)
 			run, allocated, trajectory := warmRunAllocation(t, ds, SimOptions{Storage: StorageMASC,
-				MemBudgetBytes: memBudget, DiskDir: t.TempDir(), DiskBytesPerSec: tc.diskBps})
+				MemBudgetBytes: memBudget, DiskDir: t.TempDir()}, func() *tiersched.Model {
+				m := tiersched.NewModel(tiersched.NewFakeClock(tick))
+				m.ObserveRecompute(tc.recompute)
+				return m
+			})
 			st := run.TensorStats
 			steps := int64(run.Tran.Steps())
 			frame := st.RawBytes / int64(st.Steps)
-			if st.TierDemotions < steps/2 || (tc.diskBps > 0 && st.TierDirectDrops < steps/2) {
-				t.Fatalf("the budget does not bind the way this case needs: %+v", st)
+			if drop := tc.recompute < tick; st.TierDemotions < steps/2 || (st.TierDirectDrops >= steps/2) != drop || (st.TierRecomputes > 0) != drop {
+				t.Fatalf("the budget does not bind the way this case feeds it: %+v", st)
 			}
 
 			budget := trajectory + 1<<20 + steps*4<<10
@@ -115,7 +137,7 @@ func TestBudgetedMASCRunAllocationBudget(t *testing.T) {
 // with slack, which is what set the GC's headroom and with it the process's
 // real peak memory.
 func TestSerialMASCRunAllocationBudget(t *testing.T) {
-	run, allocated, trajectory := warmRunAllocation(t, allocFixture(t), SimOptions{Storage: StorageMASC})
+	run, allocated, trajectory := warmRunAllocation(t, allocFixture(t), SimOptions{Storage: StorageMASC}, nil)
 	steps := int64(run.Tran.Steps())
 	budget := trajectory + 1<<20 + steps*4<<10
 	if obs.CollectProvenance().StoreOffheapBytes == 0 {

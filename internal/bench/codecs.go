@@ -85,7 +85,12 @@ func mascStats(p codecPair) (masczip.Stats, bool) {
 	for i := range st.RegionBits {
 		st.RegionMisses[i] += cst.RegionMisses[i]
 		st.RegionBits[i] += cst.RegionBits[i]
+		st.RegionHits[i] += cst.RegionHits[i]
+		st.HitRuns[i] += cst.HitRuns[i]
 	}
+	st.RunLengthBits += cst.RunLengthBits
+	st.MateBlobs += cst.MateBlobs
+	st.StampBlobs += cst.StampBlobs
 	return st, true
 }
 

@@ -1,6 +1,8 @@
 package masczip
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -9,46 +11,161 @@ import (
 
 // Batched region coders.
 //
-// Wire format per element:
+// A chunk is three regions — U, L, D — and a region is a flat sequence of
+// slots (regionCoder). Every element is a hit or a miss: a hit is "this
+// region's hit predictor reproduces the value bit for bit", where the hit
+// predictor is the temporal value ref[k] in U, ref[k] or the already decoded
+// symmetric mate in L, ref[k] or the difference stamp in D, as the blob's
+// flags say (masczip.go; the paper's 1-bit scenario is the temporal case).
+// What the predictor already knows costs next to nothing: hits are coded in
+// maximal runs.
 //
-//	'1'                         — the temporal prediction is bit-exact
-//	                              (the dominant case in idle circuit
-//	                              regions; the paper's 1-bit scenario)
-//	'0' + selector + residual   — best-fit mode: 1 (D) or 2 (U/L) selector
-//	                              bits, then the window-coded XOR residual
-//	'0' + residual              — Markov mode: the selector is predicted
-//	                              from the decision history, no bits
+//	n × '1', n < longRun          — a run of n hits
+//	longRun × '1' + γ(n−longRun+1) — a run of n ≥ longRun hits (Elias-γ)
+//	'0' + selector + residual     — a miss in best-fit mode: 1 (D) or 2 (U/L)
+//	                                selector bits, then the window-coded XOR
+//	                                residual
+//	'0' + residual                — a miss in Markov mode: the selector is
+//	                                predicted from the decision history
 //
-// The dominant symbol is the 1-bit temporal-exact hit, so instead of one
-// WriteBit/ReadBit plus a candidate computation per element the encoder
-// scans ahead for the run of bit-exact hits and emits it as whole words of
-// '1' bits, and the decoder counts a run with one LeadingZeros64(^word) over
-// a peeked window and materializes it as bulk stores from the reference
-// slice. Misses are fused too: the encoder packs marker + selector + residual
-// flags + payload into a single WriteBits word, and the decoder extracts all
-// of them branchlessly from the same peeked window that delimited the
-// preceding run, consuming run and miss with one Skip. Candidate predictions
-// are only computed for misses, which also skips region D's off-diagonal row
-// sum on every hit.
+// A length-coded run ends at a miss or at the region's end, which the decoder
+// can tell apart by counting, so the miss that follows one drops its '0'
+// marker. Against one bit per hit that costs at most one bit more on a run of
+// 9 or 11, and at most three when the run closes its region.
+//
+// The encoder scans ahead for each run and writes it in one or two calls, the
+// decoder counts it with one LeadingZeros64(^word) over a peeked window. Misses
+// are fused too: the encoder packs marker + selector + residual flags + payload
+// into a single WriteBits word, and the decoder extracts all of them
+// branchlessly from the same peeked window that delimited a preceding short
+// run, consuming run and miss with one Skip (longRun + 1 + 2 + 11 bits of fixed
+// fields always fit). Candidate predictions are only computed for misses.
 //
 // The element-at-a-time transcription of the format lives in
 // reference_test.go; the property test in batch_test.go proves byte identity
 // against it across the fixture matrix, and the golden-runs corpus pins
 // run-heavy blobs on disk.
 
-// maxFusedRun bounds the run length the decoder handles inside one peeked
-// window: after the run there must still be room for the miss marker, the
-// selector (≤2 bits) and the 11-bit residual descriptor, so every fixed
-// field is extracted from real stream bits (50 + 1 + 2 + 11 = 64). Longer
-// runs take the generic RunOfOnes path and re-peek for the miss.
-const maxFusedRun = 50
+// longRun is the wire constant at which a hit run switches from unary to a
+// length field.
+const longRun = 8
 
-// noteHits tallies a run of temporal-exact hits: each costs one '1' payload
-// bit and lands in the zero-residual histogram bucket.
-func (cc *chunkCoder) noteHits(n int64) {
-	cc.stats.Elements += n
-	cc.stats.PayloadBits += n
-	cc.stats.LZHist[8] += n
+// regionCoder is one row of the chunk's region table: the flat slot sequence,
+// how its hits are predicted, and its Markov state and policy.
+type regionCoder struct {
+	rg     region
+	slots  []int32 // the plan's slot list; positions [lo, hi) are this chunk's
+	lo, hi int32
+	hitSym uint8 // the hit predictor as a selector symbol: 0 temporal, 1 mate (L) / stamp (D)
+	prev   uint8 // Markov chain state
+	table  []uint8
+}
+
+func (cc *chunkCoder) regions() [3]regionCoder {
+	pl := cc.plan
+	lo, hi := cc.rowLo, cc.rowHi
+	mate, stamp := uint8(boolInt(cc.mateHit)), uint8(boolInt(cc.stampHit))
+	return [3]regionCoder{
+		{rg: regionU, slots: pl.uSlots, lo: pl.uRowPtr[lo], hi: pl.uRowPtr[hi], table: cc.tables.u[:]},
+		{rg: regionL, slots: pl.lSlots, lo: pl.lRowPtr[lo], hi: pl.lRowPtr[hi], table: cc.tables.l[:], hitSym: mate},
+		{rg: regionD, slots: pl.dSlots, lo: pl.dRowPtr[lo], hi: pl.dRowPtr[hi], table: cc.tables.d[:], hitSym: stamp},
+	}
+}
+
+// cands computes the candidate predictions for position k of region r.
+func (cc *chunkCoder) cands(r *regionCoder, k int32, out *[4]float64) int {
+	switch r.rg {
+	case regionU:
+		return cc.candsU(r.slots[k], out)
+	case regionL:
+		return cc.candsL(k, out)
+	default:
+		return cc.candsD(k, out)
+	}
+}
+
+// hitRun is the length of the run of hits that starts at position k.
+func (cc *chunkCoder) hitRun(r *regionCoder, k int32) int32 {
+	cur, ref := cc.cur, cc.ref
+	n := k
+	switch {
+	case r.hitSym == 0:
+		for ; n < r.hi; n++ {
+			if s := r.slots[n]; math.Float64bits(cur[s]) != math.Float64bits(ref[s]) {
+				break
+			}
+		}
+	case r.rg == regionL:
+		for ; n < r.hi; n++ {
+			if s := r.slots[n]; math.Float64bits(cur[s]) != math.Float64bits(cc.mate(s)) {
+				break
+			}
+		}
+	default:
+		for ; n < r.hi; n++ {
+			if math.Float64bits(cur[r.slots[n]]) != math.Float64bits(cc.stamp[n]) {
+				break
+			}
+		}
+	}
+	return n - k
+}
+
+// fillHits decodes the run of n hits that starts at position k.
+func (cc *chunkCoder) fillHits(r *regionCoder, k, n int32) {
+	cur, ref := cc.cur, cc.ref
+	switch {
+	case r.hitSym == 0:
+		for _, s := range r.slots[k : k+n] {
+			cur[s] = ref[s]
+		}
+	case r.rg == regionL:
+		for _, s := range r.slots[k : k+n] {
+			cur[s] = cc.mate(s)
+		}
+	default:
+		for i := k; i < k+n; i++ {
+			cur[r.slots[i]] = cc.stampD(i)
+		}
+	}
+	r.prev = r.hitSym
+}
+
+// encodeRun writes a run of n hits and tallies it: its stream bits are
+// payload, its elements land in the zero-residual histogram bucket.
+func (cc *chunkCoder) encodeRun(w *bitstream.Writer, r *regionCoder, n int32) {
+	spent := int64(n)
+	if n < longRun {
+		w.WriteOnes(int(n))
+	} else {
+		v := uint64(n - longRun + 1)
+		g := uint(2*bits.Len64(v) - 1) // the value's bits under one zero fewer
+		w.WriteOnes(longRun)
+		w.WriteBits(v, g)
+		spent = longRun + int64(g)
+		cc.stats.RunLengthBits += int64(g)
+	}
+	r.prev = r.hitSym
+	cc.stats.Elements += int64(n)
+	cc.stats.PayloadBits += spent
+	cc.stats.LZHist[8] += int64(n)
+	cc.stats.HitRuns[r.rg]++
+}
+
+// decodeRunLength reads the γ field that follows longRun '1' bits and returns
+// the run's length, which may not pass the rem positions the region has left.
+func decodeRunLength(r *bitstream.Reader, rem int32) (int32, error) {
+	w, _ := r.Peek64()
+	z := uint(bits.LeadingZeros64(w))
+	if z >= 32 {
+		return 0, errors.New("run-length γ code has 32 or more leading zeros")
+	}
+	n := w>>(63-2*z) + longRun - 1
+	r.Skip(2*z + 1)
+	if n > uint64(rem) {
+		return 0, fmt.Errorf("hit run of %d exceeds the %d slots left", n, rem)
+	}
+	return int32(n), nil
 }
 
 // regionMark is the writer position and miss count at a region's start.
@@ -57,47 +174,50 @@ type regionMark struct {
 	misses int64
 }
 
-// closeRegion books what region rg wrote since m — stream bits from the
-// writer's position, misses from the running selector-element count — and
-// moves m to the next region's start. Three calls per chunk, nothing per
-// element.
-func (cc *chunkCoder) closeRegion(rg region, w *bitstream.Writer, m *regionMark) {
+// closeRegion books what region r wrote since m — stream bits from the
+// writer's position, misses from the running selector-element count, hits as
+// the rest — and moves m to the next region's start. Three calls per chunk,
+// nothing per element.
+func (cc *chunkCoder) closeRegion(r *regionCoder, w *bitstream.Writer, m *regionMark) {
 	if !cc.statsOn {
 		return
 	}
 	now := regionMark{w.BitLen(), cc.stats.SelectorElements}
-	cc.stats.RegionBits[rg] += int64(now.bits - m.bits)
-	cc.stats.RegionMisses[rg] += now.misses - m.misses
+	cc.stats.RegionBits[r.rg] += int64(now.bits - m.bits)
+	cc.stats.RegionMisses[r.rg] += now.misses - m.misses
+	cc.stats.RegionHits[r.rg] += int64(r.hi-r.lo) - (now.misses - m.misses)
 	*m = now
 }
 
-// encodeMiss writes one element whose temporal prediction was not bit-exact:
-// the '0' marker, the selector (best-fit matrices only) and the window-coded
-// XOR residual, packed into a single WriteBits word whenever marker +
-// selector + flags + descriptor + payload fit in 64 bits (payloads long
-// enough to spill are written with one extra call). Bit sequence and
-// statistics accounting are identical to the reference coder's.
+// encodeMiss writes one element its hit predictor did not reproduce: the '0'
+// marker (none when bare, after a length-coded run), the selector (best-fit
+// matrices only) and the window-coded XOR residual, packed into a single
+// WriteBits word whenever marker + selector + flags + descriptor + payload fit
+// in 64 bits (payloads long enough to spill are written with one extra call).
 func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
-	cands *[4]float64, nSyms int, prev *uint8,
-	table []uint8, counts func(prev, sym uint8)) uint8 {
+	cands *[4]float64, nSyms int, r *regionCoder, bare bool) uint8 {
 
 	var sym uint8
 	pre := uint64(0) // '0' marker plus selector bits, MSB-first
 	preN := uint(1)
+	if bare {
+		preN = 0
+	}
+	cc.stats.PayloadBits += int64(preN)
 	if cc.calib {
 		sym = bestSym(val, cands, nSyms)
 		bitsN := uint(2)
 		if nSyms == 2 {
 			bitsN = 1
 		}
-		pre = uint64(sym) // the marker bit above it stays 0
-		preN = 1 + bitsN
-		if counts != nil {
-			counts(*prev, sym)
+		pre = uint64(sym) // a marker bit above it stays 0
+		preN += bitsN
+		if cc.counts != nil {
+			cc.counts.add(r.rg, r.prev, sym)
 		}
 		cc.stats.SelectorBits += int64(bitsN)
 	} else {
-		sym = table[*prev]
+		sym = r.table[r.prev]
 		if cc.statsOn {
 			cc.stats.MarkovPredicted++
 			if math.Float64bits(val) == math.Float64bits(cands[sym]) {
@@ -105,13 +225,13 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 			}
 		}
 	}
-	*prev = sym
+	r.prev = sym
 
 	x := math.Float64bits(val) ^ math.Float64bits(cands[sym])
 	if x == 0 {
 		w.WriteBits(pre<<1|1, preN+1) // residual '1': prediction is exact
 		cc.stats.LZHist[8]++
-		cc.stats.PayloadBits += 2 // marker + flag
+		cc.stats.PayloadBits++
 		return sym
 	}
 	lz := uint(bits.LeadingZeros64(x))
@@ -134,7 +254,7 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 			w.WriteBits(payload, wl)
 		}
 		cc.stats.LZHist[lz8>>3]++
-		cc.stats.PayloadBits += int64(3 + wl)
+		cc.stats.PayloadBits += int64(2 + wl)
 		return sym
 	}
 	desc := uint64(lz8>>3)<<6 | uint64(length-1) // 9 bits under the two '0' flags
@@ -148,24 +268,22 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 	cc.win.lz8 = lz8
 	cc.win.len = length
 	cc.stats.LZHist[lz8>>3]++
-	cc.stats.PayloadBits += int64(12 + length)
+	cc.stats.PayloadBits += int64(11 + length)
 	return sym
 }
 
-// decodeMissAt decodes one miss whose '0' marker sits at bit offset pre of
-// the peeked window (w, valid) — pre counts the run of '1' hit bits the
-// caller identified in the same window but has not consumed. Selector and
-// residual fields are extracted branchlessly from the word; run, marker,
-// selector and residual are consumed with a single Skip. The caller
-// guarantees pre ≤ maxFusedRun, so every fixed field lies inside the
-// window; only a long payload needs the ReadBits spill. Zero padding past
-// the end of the stream reproduces exactly the zero-extended fields the
-// sequential reference reads would decode, with ErrOverrun surfacing from
-// Skip/ReadBits as before.
-func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, pre uint, w uint64,
-	cands *[4]float64, nSyms int, prev *uint8, table []uint8) float64 {
+// decodeMissAt decodes one miss whose selector starts at bit offset off of the
+// peeked window w: past the short run of '1' hit bits the caller identified in
+// the same window but has not consumed and the '0' marker, or 0 for the bare
+// miss after a length-coded run. Selector and residual fields are extracted
+// branchlessly from the word; run, marker, selector and residual are consumed
+// with a single Skip. off ≤ longRun, so every fixed field lies inside the
+// window; only a long payload needs the ReadBits spill. Zero padding past the
+// end of the stream decodes as the zero-extended fields sequential reads would
+// see, with ErrOverrun surfacing from Skip/ReadBits.
+func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64,
+	cands *[4]float64, nSyms int, rc *regionCoder) float64 {
 
-	off := pre + 1 // past the run and the '0' marker
 	var sym uint8
 	if cc.calib {
 		bitsN := uint(2)
@@ -175,9 +293,9 @@ func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, pre uint, w uint64,
 		sym = uint8((w << off) >> (64 - bitsN))
 		off += bitsN
 	} else {
-		sym = table[*prev]
+		sym = rc.table[rc.prev]
 	}
-	*prev = sym
+	rc.prev = sym
 	pred := cands[sym]
 
 	wres := w << off // residual view, flags at the top
@@ -212,274 +330,79 @@ func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, pre uint, w uint64,
 	return math.Float64frombits(math.Float64bits(pred) ^ x)
 }
 
-// encodeRegions writes the chunk's three regions (U, L, D) to w with
-// hit-run batching.
+// encodeRegions writes the chunk's three regions to w.
 func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
-	pl := cc.plan
-	cur, ref := cc.cur, cc.ref
 	var cands [4]float64
-
-	countU := func(p, s uint8) { cc.counts.u[p][s]++ }
-	countL := func(p, s uint8) { cc.counts.l[p][s]++ }
-	countD := func(p, s uint8) { cc.counts.d[p][s]++ }
-	if cc.counts == nil {
-		countU, countL, countD = nil, nil, nil
-	}
-
 	var mark regionMark // chunkEncoder reset the writer; Compress zeroed the chunk's statistics
-
-	// Region U.
-	cc.win = window{}
-	lo, hi := pl.uRowPtr[cc.rowLo], pl.uRowPtr[cc.rowHi]
-	for k := lo; k < hi; {
-		run := int32(0)
-		for k+run < hi {
-			slot := pl.uSlots[k+run]
-			if math.Float64bits(cur[slot]) != math.Float64bits(ref[slot]) {
-				break
-			}
-			run++
-		}
-		if run > 0 {
-			w.WriteOnes(int(run))
-			cc.noteHits(int64(run))
-			cc.prevU = 0
-			k += run
-			if k >= hi {
-				break
-			}
-		}
-		slot := pl.uSlots[k]
-		n := cc.candsU(slot, &cands)
-		sym := cc.encodeMiss(w, cur[slot], &cands, n, &cc.prevU, cc.tables.u[:], countU)
-		cc.note(sym, regionU)
-		k++
-	}
-	cc.closeRegion(regionU, w, &mark)
-
-	// Region L: per-row last-value chaining. A hit's decoded value is the
-	// reference value, so after a run the last-value candidate is simply
-	// ref at the final slot of the run.
-	cc.win = window{}
-	for row := cc.rowLo; row < cc.rowHi; row++ {
-		lastVal := 0.0
-		haveLast := false
-		rlo, rhi := pl.lRowPtr[row], pl.lRowPtr[row+1]
-		for k := rlo; k < rhi; {
-			run := int32(0)
-			for k+run < rhi {
-				slot := pl.lSlots[k+run]
-				if math.Float64bits(cur[slot]) != math.Float64bits(ref[slot]) {
-					break
-				}
-				run++
-			}
-			if run > 0 {
-				w.WriteOnes(int(run))
-				cc.noteHits(int64(run))
-				cc.prevL = 0
-				lastVal, haveLast = ref[pl.lSlots[k+run-1]], true
-				k += run
-				if k >= rhi {
+	table := cc.regions()
+	for i := range table {
+		r := &table[i]
+		cc.win = window{}
+		bare := false
+		for k := r.lo; k < r.hi; k++ {
+			if run := cc.hitRun(r, k); run > 0 {
+				cc.encodeRun(w, r, run)
+				bare = run >= longRun
+				if k += run; k >= r.hi {
 					break
 				}
 			}
-			slot := pl.lSlots[k]
-			n := cc.candsL(slot, lastVal, haveLast, &cands)
-			val := cur[slot]
-			sym := cc.encodeMiss(w, val, &cands, n, &cc.prevL, cc.tables.l[:], countL)
-			cc.note(sym, regionL)
-			lastVal, haveLast = val, true
-			k++
+			n := cc.cands(r, k, &cands)
+			sym := cc.encodeMiss(w, cc.cur[r.slots[k]], &cands, n, r, bare)
+			cc.note(sym, r.rg)
+			bare = false
 		}
+		cc.closeRegion(r, w, &mark)
 	}
-	cc.closeRegion(regionL, w, &mark)
-
-	// Region D over the packed diagonal slots: skipping candsD on hits also
-	// skips the off-diagonal row sum, the most expensive candidate.
-	cc.win = window{}
-	dlo, dhi := pl.dRowPtr[cc.rowLo], pl.dRowPtr[cc.rowHi]
-	for k := dlo; k < dhi; {
-		run := int32(0)
-		for k+run < dhi {
-			slot := pl.dSlots[k+run]
-			if math.Float64bits(cur[slot]) != math.Float64bits(ref[slot]) {
-				break
-			}
-			run++
-		}
-		if run > 0 {
-			w.WriteOnes(int(run))
-			cc.noteHits(int64(run))
-			cc.prevD = 0
-			k += run
-			if k >= dhi {
-				break
-			}
-		}
-		slot := pl.dSlots[k]
-		n := cc.candsD(pl.dRows[k], slot, &cands)
-		sym := cc.encodeMiss(w, cur[slot], &cands, n, &cc.prevD, cc.tables.d[:], countD)
-		cc.note(sym, regionD)
-		k++
-	}
-	cc.closeRegion(regionD, w, &mark)
 }
 
-// decodeRegions fills cc.cur for the chunk's rows from r with hit-run
-// batching. Each loop iteration peeks one 64-bit window, counts the run of
-// '1' hits with a LeadingZeros64, and — when the following miss's fixed
-// fields fit in the same window — decodes run and miss with a single Skip.
-// Runs reaching the segment end, the window edge, or maxFusedRun fall back
-// to the generic RunOfOnes path and re-peek. On a corrupt or truncated
-// stream it follows the same zeros-past-the-end decode the scalar path
-// performs, with ErrOverrun surfacing through r.Err() as before.
-func (cc *chunkCoder) decodeRegions(r *bitstream.Reader) {
-	pl := cc.plan
-	cur, ref := cc.cur, cc.ref
+// decodeRegions fills cc.cur for the chunk's rows from r. Each iteration peeks
+// one 64-bit window and counts the run of '1' hits with a LeadingZeros64: a
+// short run and the miss behind it are decoded with a single Skip, a run that
+// closes the region or carries a length field is consumed on its own. A length
+// field that cannot be right is an error here; a stream that ends early is
+// decoded from zero padding up to the first overrun, which stays in r.
+func (cc *chunkCoder) decodeRegions(r *bitstream.Reader) error {
 	var cands [4]float64
-
-	// Region U.
-	cc.win = window{}
-	lo, hi := pl.uRowPtr[cc.rowLo], pl.uRowPtr[cc.rowHi]
-	for k := lo; k < hi; {
-		w, valid := r.Peek64()
-		ones := uint(bits.LeadingZeros64(^w))
-		if ones > valid {
-			ones = valid
-		}
-		rem := uint(hi - k)
-		if ones < rem && ones <= maxFusedRun && ones < valid {
-			// Fused path: the run and the following miss share this window.
-			if ones > 0 {
-				for i := uint(0); i < ones; i++ {
-					slot := pl.uSlots[k+int32(i)]
-					cur[slot] = ref[slot]
-				}
-				cc.noteHits(int64(ones))
-				cc.prevU = 0
-				k += int32(ones)
-			}
-			slot := pl.uSlots[k]
-			n := cc.candsU(slot, &cands)
-			cur[slot] = cc.decodeMissAt(r, ones, w, &cands, n, &cc.prevU, cc.tables.u[:])
-			k++
-			continue
-		}
-		run := int32(r.RunOfOnes(int(rem)))
-		for i := int32(0); i < run; i++ {
-			slot := pl.uSlots[k+i]
-			cur[slot] = ref[slot]
-		}
-		if run > 0 {
-			cc.noteHits(int64(run))
-			cc.prevU = 0
-			k += run
-		} else if valid == 0 {
-			// Exhausted stream: decode the miss from zero padding so the
-			// loop advances exactly as the scalar reference does.
-			slot := pl.uSlots[k]
-			n := cc.candsU(slot, &cands)
-			cur[slot] = cc.decodeMissAt(r, 0, 0, &cands, n, &cc.prevU, cc.tables.u[:])
-			k++
-		}
-	}
-
-	// Region L.
-	cc.win = window{}
-	for row := cc.rowLo; row < cc.rowHi; row++ {
-		lastVal := 0.0
-		haveLast := false
-		rlo, rhi := pl.lRowPtr[row], pl.lRowPtr[row+1]
-		for k := rlo; k < rhi; {
+	table := cc.regions()
+	for i := range table {
+		rc := &table[i]
+		cc.win = window{}
+		bare := false
+		for k := rc.lo; k < rc.hi && r.Err() == nil; {
 			w, valid := r.Peek64()
-			ones := uint(bits.LeadingZeros64(^w))
-			if ones > valid {
-				ones = valid
-			}
-			rem := uint(rhi - k)
-			if ones < rem && ones <= maxFusedRun && ones < valid {
-				if ones > 0 {
-					var slot int32
-					for i := uint(0); i < ones; i++ {
-						slot = pl.lSlots[k+int32(i)]
-						cur[slot] = ref[slot]
+			off := uint(0)
+			if !bare {
+				ones := int32(bits.LeadingZeros64(^w))
+				if uint(ones) > valid {
+					ones = int32(valid)
+				}
+				rem := rc.hi - k
+				if lim := min(rem, longRun); ones >= lim {
+					// The run closes the region or is length-coded.
+					r.Skip(uint(lim))
+					if ones = lim; lim == longRun {
+						var err error
+						if ones, err = decodeRunLength(r, rem); err != nil {
+							return fmt.Errorf("region %s: %w", rc.rg, err)
+						}
+						bare = true
 					}
-					cc.noteHits(int64(ones))
-					cc.prevL = 0
-					lastVal, haveLast = cur[slot], true
-					k += int32(ones)
+					cc.fillHits(rc, k, ones)
+					k += ones
+					continue
 				}
-				slot := pl.lSlots[k]
-				n := cc.candsL(slot, lastVal, haveLast, &cands)
-				v := cc.decodeMissAt(r, ones, w, &cands, n, &cc.prevL, cc.tables.l[:])
-				cur[slot] = v
-				lastVal, haveLast = v, true
-				k++
-				continue
-			}
-			run := int32(r.RunOfOnes(int(rem)))
-			if run > 0 {
-				var slot int32
-				for i := int32(0); i < run; i++ {
-					slot = pl.lSlots[k+i]
-					cur[slot] = ref[slot]
+				if ones > 0 {
+					cc.fillHits(rc, k, ones)
+					k += ones
 				}
-				cc.noteHits(int64(run))
-				cc.prevL = 0
-				lastVal, haveLast = cur[slot], true
-				k += run
-			} else if valid == 0 {
-				slot := pl.lSlots[k]
-				n := cc.candsL(slot, lastVal, haveLast, &cands)
-				v := cc.decodeMissAt(r, 0, 0, &cands, n, &cc.prevL, cc.tables.l[:])
-				cur[slot] = v
-				lastVal, haveLast = v, true
-				k++
+				off = uint(ones) + 1
 			}
-		}
-	}
-
-	// Region D.
-	cc.win = window{}
-	dlo, dhi := pl.dRowPtr[cc.rowLo], pl.dRowPtr[cc.rowHi]
-	for k := dlo; k < dhi; {
-		w, valid := r.Peek64()
-		ones := uint(bits.LeadingZeros64(^w))
-		if ones > valid {
-			ones = valid
-		}
-		rem := uint(dhi - k)
-		if ones < rem && ones <= maxFusedRun && ones < valid {
-			if ones > 0 {
-				for i := uint(0); i < ones; i++ {
-					slot := pl.dSlots[k+int32(i)]
-					cur[slot] = ref[slot]
-				}
-				cc.noteHits(int64(ones))
-				cc.prevD = 0
-				k += int32(ones)
-			}
-			slot := pl.dSlots[k]
-			n := cc.candsD(pl.dRows[k], slot, &cands)
-			cur[slot] = cc.decodeMissAt(r, ones, w, &cands, n, &cc.prevD, cc.tables.d[:])
-			k++
-			continue
-		}
-		run := int32(r.RunOfOnes(int(rem)))
-		for i := int32(0); i < run; i++ {
-			slot := pl.dSlots[k+i]
-			cur[slot] = ref[slot]
-		}
-		if run > 0 {
-			cc.noteHits(int64(run))
-			cc.prevD = 0
-			k += run
-		} else if valid == 0 {
-			slot := pl.dSlots[k]
-			n := cc.candsD(pl.dRows[k], slot, &cands)
-			cur[slot] = cc.decodeMissAt(r, 0, 0, &cands, n, &cc.prevD, cc.tables.d[:])
+			n := cc.cands(rc, k, &cands)
+			cc.cur[rc.slots[k]] = cc.decodeMissAt(r, off, w, &cands, n, rc)
+			bare = false
 			k++
 		}
 	}
+	return nil
 }

@@ -35,11 +35,35 @@ func runHeavyFrames(rng *rand.Rand, p *sparse.Pattern, steps int) [][]float64 {
 	return frames
 }
 
+// worstCaseFrames builds the chain the run-length code is worst on: in every
+// region's flat slot order, a run of exactly 9 hits, a miss, a run of exactly
+// 11, a miss, then hit/miss alternating — each long run one bit dearer than a
+// bit per hit, no run long enough to win anything back.
+func worstCaseFrames(rng *rand.Rand, p *sparse.Pattern, steps int) [][]float64 {
+	pl := newPlan(p)
+	shape := []bool{9: true, 21: true, 23: true, 25: true, 27: true} // true = miss; 28 positions per cycle
+	frames := [][]float64{mnaValues(rng, p, 0.05)}
+	for s := 0; s < steps; s++ {
+		nv := append([]float64(nil), frames[len(frames)-1]...)
+		for _, slots := range [][]int32{pl.uSlots, pl.lSlots, pl.dSlots} {
+			for i, slot := range slots {
+				if shape[i%len(shape)] {
+					nv[slot] *= 1 + 1e-6*(1+rng.Float64())
+				}
+			}
+		}
+		frames = append(frames, nv)
+	}
+	return frames
+}
+
 // batchFixtures returns the (options, frame-chain) matrix the wire-identity
 // property test runs over: every coding mode (best-fit, Markov with a short
 // calibration period, chunked) and every ablation switch, crossed with a
-// generic evolving chain, a run-heavy chain, a fully static chain, and a
-// specials-laced chain.
+// generic evolving chain, a run-heavy chain, a fully static chain, a
+// specials-laced chain, an exactly symmetric pair-stamp chain (the mate and
+// stamp hit predictors win every chained blob) and the run-length code's worst
+// case.
 func batchFixtures() []struct {
 	name   string
 	opt    Options
@@ -97,6 +121,12 @@ func batchFixtures() []struct {
 				w[i] = specials[(i/5)%len(specials)]
 			}
 			return [][]float64{w, v, w}
+		}},
+		{"pair-stamp", func(rng *rand.Rand, p *sparse.Pattern) [][]float64 {
+			return pairStampFrames(rng, p, 5, true)
+		}},
+		{"worst-case", func(rng *rand.Rand, p *sparse.Pattern) [][]float64 {
+			return worstCaseFrames(rng, p, 4)
 		}},
 	}
 	for _, o := range opts {
@@ -165,6 +195,54 @@ func TestBatchedWireIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// newBits codes frames as a store chain with the production coder and returns
+// the chunk streams' total length in bits, and what the size bound allows on
+// top of the previous revision's: a bit per hit run and three per region.
+func newBits(p *sparse.Pattern, opt Options, frames [][]float64) (stream, slack int) {
+	opt.CollectStats = true
+	c := New(p, opt)
+	for i := range frames {
+		var ref []float64
+		if i+1 < len(frames) {
+			ref = frames[i+1]
+		}
+		c.Compress(nil, frames[i], ref)
+		stream += streamBits(c)
+		slack += 3 * 3 * (len(c.curBounds) - 1)
+	}
+	st := c.Stats()
+	return stream, slack + int(st.HitRuns[regionU]+st.HitRuns[regionL]+st.HitRuns[regionD])
+}
+
+// checkSizeBound holds the format against its predecessor: whatever the data,
+// a chain's streams are no longer than the previous revision's region coder
+// made them plus one bit per hit run (a run of 9 or 11) and three per region
+// (a length-coded run with no miss marker behind it to drop).
+func checkSizeBound(t *testing.T, p *sparse.Pattern, opt Options, frames [][]float64) {
+	t.Helper()
+	got, slack := newBits(p, opt, frames)
+	if legacy := legacyBits(p, opt, frames); got > legacy+slack {
+		t.Fatalf("%d stream bits, the previous revision %d: over by %d, allowed %d", got, legacy, got-legacy, slack)
+	}
+}
+
+func TestNoLargerThanPreviousRevision(t *testing.T) {
+	for _, fx := range batchFixtures() {
+		t.Run(fx.name, func(t *testing.T) { checkSizeBound(t, fx.p, fx.opt, fx.frames) })
+	}
+	// The worst case is met, not only bounded: with both hit predictors off
+	// the hit set is the previous revision's, and the runs of 9 and 11 make
+	// the chain longer than it was, inside the allowance.
+	rng := rand.New(rand.NewSource(17))
+	p := mnaPattern(rng, 40, 60)
+	frames := worstCaseFrames(rng, p, 3)
+	opt := Options{DisableStamp: true}
+	got, slack := newBits(p, opt, frames)
+	if over := got - legacyBits(p, opt, frames); over <= 0 || over > slack {
+		t.Fatalf("worst-case chain is %d bits longer than under the previous revision, want 1..%d", over, slack)
 	}
 }
 

@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 )
 
 // FuzzDecompress feeds arbitrary bytes to the decoder: it must never panic
-// or over-allocate, only return an error or garbage values.
+// or over-allocate, only return an error or garbage values — the garbage, and
+// whether it is an error, being the element-at-a-time oracle's too.
 func FuzzDecompress(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	p := mnaPattern(rng, 24, 30)
@@ -34,36 +34,46 @@ func FuzzDecompress(f *testing.F) {
 	// past 2^31 (would wrap negative through the int32 conversion) and
 	// near-maximal chunk lengths (whose sum would overflow the payload
 	// offset if accumulated unchecked).
-	wrapDelta := []byte{flagCalib | flagDiffStamp}
+	wrapDelta := []byte{flagCalib | flagsRevision}
 	wrapDelta = binary.AppendUvarint(wrapDelta, uint64(p.NNZ()))
 	wrapDelta = binary.AppendUvarint(wrapDelta, 3)
 	wrapDelta = binary.AppendUvarint(wrapDelta, 1<<33)
 	wrapDelta = binary.AppendUvarint(wrapDelta, 1)
 	f.Add(wrapDelta)
-	hugeLens := []byte{flagCalib | flagDiffStamp}
+	hugeLens := []byte{flagCalib | flagsRevision}
 	hugeLens = binary.AppendUvarint(hugeLens, uint64(p.NNZ()))
 	hugeLens = binary.AppendUvarint(hugeLens, 2)
 	hugeLens = binary.AppendUvarint(hugeLens, 1) // valid boundary delta
 	hugeLens = binary.AppendUvarint(hugeLens, math.MaxUint64)
 	hugeLens = binary.AppendUvarint(hugeLens, math.MaxUint64)
 	f.Add(hugeLens)
-	// Flags bytes the decoder must refuse before reading anything else: a
-	// blob from before the stamp revision bit (the golden corpus' pattern is
-	// not this one, so past the flags check it is a foreign blob too), and a
+	// Bad run-length fields, and blobs of both older revisions, which the
+	// decoder must refuse at the flags byte (the golden corpus' pattern is not
+	// this one, so past that check they are foreign blobs too); then a
 	// well-formed header under an all-bits-set first byte.
-	prerev, err := readCorpus(filepath.Join("testdata", "prerev-nilref.bin"))
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range adversarialBlobs(f, p) {
+		f.Add(seed)
 	}
-	f.Add(prerev[0])
 	allSet := []byte{0xff}
 	allSet = binary.AppendUvarint(allSet, uint64(p.NNZ()))
 	allSet = binary.AppendUvarint(allSet, 1)
 	f.Add(allSet)
+	oracle := newReference(p, Options{})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		out := make([]float64, p.NNZ())
-		_ = c.Decompress(out, blob, ref)
-		_ = c.Decompress(out, blob, nil)
+		want := make([]float64, p.NNZ())
+		for _, ref := range [][]float64{ref, nil} {
+			err := c.Decompress(out, blob, ref)
+			serr := oracle.Decompress(want, blob, ref)
+			if (err == nil) != (serr == nil) {
+				t.Fatalf("batched decoder: %v; scalar decoder: %v", err, serr)
+			}
+			for i := range out {
+				if err == nil && math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("value %d: batched %x, scalar %x", i, math.Float64bits(out[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
 	})
 }
 
@@ -73,7 +83,8 @@ func FuzzDecompress(f *testing.F) {
 // ±Inf reach the stamp sums from both sides), otherwise the reference is the
 // values with the low byte flipped. The pattern has rows with no
 // off-diagonal. Without a reference the blob must also be the value-form
-// oracle's, byte for byte.
+// oracle's, byte for byte, and with or without one it must stay inside the
+// size bound against the previous revision's coder.
 func FuzzRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	p := islandPattern(rng, 12, 12, 2)
@@ -111,5 +122,6 @@ func FuzzRoundTrip(f *testing.F) {
 		roundTrip(t, New(p, opt), cur, ref)
 		roundTrip(t, New(p, opt), cur, nil)
 		checkNilRefIsValueForm(t, p, opt, cur)
+		checkSizeBound(t, p, opt, [][]float64{cur, ref})
 	})
 }

@@ -122,38 +122,40 @@ func encodeChain(c *Compressor, frames [][]float64) [][]byte {
 	return append(blobs, c.Compress(nil, frames[len(frames)-1], nil))
 }
 
-// TestNilRefBlobsKeepPreRevisionBytes: prerev-nilref.bin holds the
-// unreferenced tail blob of each golden corpus as the last binary without
-// the stamp revision bit wrote it. With a nil reference the difference-form
-// stamp is the value form, so today's encoder must reproduce each of them in
-// every byte but the flags byte — anchors, tiered rungs and spill blobs kept
-// their size — and the decoder must refuse the old blobs by name rather than
-// read symbol 1 under its new meaning.
-func TestNilRefBlobsKeepPreRevisionBytes(t *testing.T) {
-	old, err := readCorpus(filepath.Join("testdata", "prerev-nilref.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	for _, set := range []struct {
-		mk       func() (*sparse.Pattern, [][]float64)
-		profiles []goldenProfile
-	}{{goldenFrames, goldenFormatProfiles}, {goldenRunFrames, goldenRunsProfiles}} {
-		p, frames := set.mk()
-		for _, prof := range set.profiles {
-			blobs := encodeChain(New(p, prof.opt), frames)
-			now, was := blobs[len(blobs)-1], old[i]
-			i++
-			if was[0]&flagDiffStamp != 0 || was[0]|flagDiffStamp != now[0] {
-				t.Errorf("%s: flags byte %#02x, pre-revision %#02x", prof.name, now[0], was[0])
-			}
-			if !bytes.Equal(now[1:], was[1:]) {
-				t.Errorf("%s: nil-reference blob differs from the pre-revision one past the flags byte (%d vs %d bytes)",
-					prof.name, len(now), len(was))
-			}
-			err := New(p, prof.opt).Decompress(make([]float64, p.NNZ()), was, nil)
-			if err == nil || !strings.Contains(err.Error(), "flags byte") {
-				t.Errorf("%s: pre-revision blob decoded: %v", prof.name, err)
+// oldRevisionCorpora are the refusal fixtures, one blob per golden profile in
+// the order of goldenFormatProfiles then goldenRunsProfiles: the unreferenced
+// tail blobs as the last binary without the stamp revision bit wrote them
+// (flags 0x01), and one chained blob of each corpus as the last binary without
+// the hit-run revision bit did (flags 0x02/0x03).
+var oldRevisionCorpora = []string{"prerev-nilref.bin", "prerev-chained.bin"}
+
+// TestOlderRevisionsRefused: a blob of either older revision has a layout this
+// decoder would read to the end and get wrong values from, so it must be
+// refused by name, on its own pattern, whatever else is in it.
+func TestOlderRevisionsRefused(t *testing.T) {
+	for _, file := range oldRevisionCorpora {
+		old, err := readCorpus(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for _, set := range []struct {
+			mk       func() (*sparse.Pattern, [][]float64)
+			profiles []goldenProfile
+		}{{goldenFrames, goldenFormatProfiles}, {goldenRunFrames, goldenRunsProfiles}} {
+			p, frames := set.mk()
+			for _, prof := range set.profiles {
+				was := old[i]
+				i++
+				if was[0]&flagsRevision == flagsRevision {
+					t.Fatalf("%s %s: flags byte %#02x is not an older revision's", file, prof.name, was[0])
+				}
+				for _, ref := range [][]float64{nil, frames[1]} {
+					err := New(p, prof.opt).Decompress(make([]float64, p.NNZ()), was, ref)
+					if err == nil || !strings.Contains(err.Error(), "flags byte") || !strings.Contains(err.Error(), "older format") {
+						t.Errorf("%s %s: older-revision blob decoded: %v", file, prof.name, err)
+					}
+				}
 			}
 		}
 	}

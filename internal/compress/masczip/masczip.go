@@ -28,7 +28,7 @@ type Options struct {
 	CollectStats bool
 
 	// Ablation switches.
-	DisableStamp        bool // drop the stamp-based spatial candidates
+	DisableStamp        bool // drop the stamp-based spatial candidates; every hit is then temporal
 	DisableLastValue    bool // drop the last-value candidate in region L
 	DisableSharedWindow bool // always re-emit the residual window
 }
@@ -37,10 +37,10 @@ type Options struct {
 type Stats struct {
 	Elements int64
 	// SelectorElements counts elements that actually went through model
-	// selection (a nonzero temporal residual); the model-family counters
-	// below partition it. Elements whose temporal prediction was bit-exact
-	// take the 1-bit fast path and are not "selections" (Figure 6
-	// semantics of the paper).
+	// selection (their region's hit predictor was not bit-exact); the
+	// model-family counters below partition it. Hits take the run-coded fast
+	// path and are not "selections" (Figure 6 semantics of the paper) —
+	// including the mate and stamp predictions a blob's flags made hits.
 	SelectorElements int64
 	Temporal         int64
 	Stamp            int64
@@ -54,11 +54,21 @@ type Stats struct {
 	SelectorBits int64
 	PayloadBits  int64
 	// RegionMisses / RegionBits split the same stream by region, indexed
-	// U, L, D: the elements whose temporal prediction was not bit-exact
-	// (summing to SelectorElements) and the bits the region's hits and
-	// misses took (summing to SelectorBits + PayloadBits).
+	// U, L, D: the elements whose hit predictor was not bit-exact (summing
+	// to SelectorElements) and the bits the region's hits and misses took
+	// (summing to SelectorBits + PayloadBits). RegionHits are the rest of
+	// each region's elements, coded in HitRuns maximal runs.
 	RegionMisses [3]int64
 	RegionBits   [3]int64
+	RegionHits   [3]int64
+	HitRuns      [3]int64
+	// RunLengthBits counts the γ-coded length fields of the runs of
+	// longRun hits or more (part of PayloadBits).
+	RunLengthBits int64
+	// MateBlobs / StampBlobs count the blobs whose flags made region L's
+	// hit predictor the symmetric mate and region D's the difference stamp.
+	MateBlobs  int64
+	StampBlobs int64
 	// MarkovPredicted counts elements whose selector came from the frozen
 	// Markov table (non-calibration matrices, no selector bits on the
 	// wire); MarkovExact counts the subset whose predicted model
@@ -91,7 +101,12 @@ func (s *Stats) merge(o *Stats) {
 	for i := range s.RegionBits {
 		s.RegionMisses[i] += o.RegionMisses[i]
 		s.RegionBits[i] += o.RegionBits[i]
+		s.RegionHits[i] += o.RegionHits[i]
+		s.HitRuns[i] += o.HitRuns[i]
 	}
+	s.RunLengthBits += o.RunLengthBits
+	s.MateBlobs += o.MateBlobs
+	s.StampBlobs += o.StampBlobs
 	s.MarkovPredicted += o.MarkovPredicted
 	s.MarkovExact += o.MarkovExact
 }
@@ -113,7 +128,9 @@ type Compressor struct {
 	// coders/counts/chStats are cleared in place, and the chunk fan-out
 	// goes through the persistent workpool instead of fresh goroutines.
 	encBounds []int32 // cached chunkRows(opt.Workers)
-	curBounds []int32 // bounds of the call in flight (encode or decode)
+	hits      []hitCounts
+	stamp     []float64 // the encoder's stamp prediction per packed diagonal (countHits)
+	curBounds []int32   // bounds of the call in flight (encode or decode)
 	writers   []*bitstream.Writer
 	readers   []*bitstream.Reader
 	coders    []chunkCoder
@@ -128,7 +145,10 @@ type Compressor struct {
 	cur, ref []float64
 	blob     []byte
 	calib    bool
+	mateHit  bool // region L's hit predictor is the symmetric mate
+	stampHit bool // region D's hit predictor is the difference stamp
 	tbl      markovTables
+	preFn    func(int)
 	encFn    func(int)
 	decFn    func(int)
 
@@ -148,6 +168,7 @@ func New(p *sparse.Pattern, opt Options) *Compressor {
 		opt.Workers = 1
 	}
 	c := &Compressor{plan: newPlan(p), opt: opt}
+	c.preFn = c.countChunk
 	c.encFn = c.encodeChunk
 	c.decFn = c.decodeChunk
 	return c
@@ -192,6 +213,10 @@ func (c *Compressor) ensureChunks(nchunks int) {
 		c.chStats = make([]Stats, nchunks)
 	}
 	c.chStats = c.chStats[:cap(c.chStats)]
+	if cap(c.hits) < nchunks {
+		c.hits = make([]hitCounts, nchunks)
+	}
+	c.hits = c.hits[:cap(c.hits)]
 }
 
 // SetSpans installs a span recorder: each Compress/Decompress call then
@@ -220,16 +245,24 @@ func (c *Compressor) Stats() Stats { return c.stats }
 // ResetStats clears the accumulated statistics.
 func (c *Compressor) ResetStats() { c.stats = Stats{} }
 
-// Header flag bits. flagDiffStamp is the format revision in which region D's
-// symbol 1 means the difference-form stamp of candsD: every encoder sets it
-// and the decoder requires it, because a blob coded under the older meaning
-// (−Σcur) has the same layout and would decode to wrong values, not fail.
-// No bit outside flagsKnown is ever written, so one that is set is corruption
-// or a foreign byte.
+// Header flag bits. flagDiffStamp and flagHitRuns are format revisions: the
+// first is the one in which region D's symbol 1 means the difference-form
+// stamp of candsD, the second the one in which a hit means "the region's hit
+// predictor is bit-exact" and hits are run-length coded over flat regions
+// (batch.go). Every encoder sets both and the decoder requires both, because a
+// blob coded under an older meaning would decode to wrong values, not fail.
+// flagMateHit and flagStampHit are the encoder's per-blob choice of region L's
+// and region D's hit predictor (clear = temporal); the decoder obeys them
+// whatever its own options. No bit outside flagsKnown is ever written, so one
+// that is set is corruption or a foreign byte.
 const (
 	flagCalib     = 1 << 0
 	flagDiffStamp = 1 << 1
-	flagsKnown    = flagCalib | flagDiffStamp
+	flagHitRuns   = 1 << 2
+	flagMateHit   = 1 << 3
+	flagStampHit  = 1 << 4
+	flagsRevision = flagDiffStamp | flagHitRuns
+	flagsKnown    = flagCalib | flagsRevision | flagMateHit | flagStampHit
 )
 
 func (c *Compressor) refOrZeros(ref []float64) []float64 {
@@ -253,7 +286,8 @@ func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
 		cur: c.cur, ref: c.ref,
 		rowLo: c.curBounds[ci], rowHi: c.curBounds[ci+1],
 		calib: c.calib, tables: &c.tbl,
-		counts: &c.counts[ci],
+		mateHit: c.mateHit, stampHit: c.stampHit,
+		counts: &c.counts[ci], stamp: c.stamp,
 	}
 	// The stats sink is never nil: with collection off it points at the
 	// coder's own discard field (zeroed by the assignment above, never
@@ -264,6 +298,43 @@ func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
 		ec.statsOn = true
 	}
 	return ec, w
+}
+
+// countChunk is the encoder's pre-pass over chunk ci (c.preFn).
+func (c *Compressor) countChunk(ci int) {
+	ec, _ := c.chunkEncoder(ci)
+	c.hits[ci] = ec.countHits()
+}
+
+// pickHitPredictors runs the pre-pass and makes the mate region L's hit
+// predictor, and the stamp region D's, where it is bit-exact on more of the
+// blob's elements than the temporal prediction is.
+func (c *Compressor) pickHitPredictors(nchunks int) {
+	c.mateHit, c.stampHit = false, false
+	if c.opt.DisableStamp || sameBits(c.cur, c.ref) {
+		return // nothing to choose; a frame that is its reference again (a linear circuit's) is all temporal hits
+	}
+	if len(c.stamp) != len(c.plan.dSlots) {
+		c.stamp = make([]float64, len(c.plan.dSlots))
+	}
+	workpool.Do(nchunks, c.preFn)
+	var n hitCounts
+	for _, h := range c.hits[:nchunks] {
+		n.lTemporal += h.lTemporal
+		n.lMate += h.lMate
+		n.dTemporal += h.dTemporal
+		n.dStamp += h.dStamp
+	}
+	c.mateHit, c.stampHit = n.lMate > n.lTemporal, n.dStamp > n.dTemporal
+}
+
+func sameBits(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // encodeChunk encodes chunk ci of the call in flight into its persistent
@@ -293,11 +364,12 @@ func (c *Compressor) Compress(dst []byte, cur, ref []float64) []byte {
 	bounds := c.encBounds
 	nchunks := len(bounds) - 1
 
-	flags := byte(flagDiffStamp)
-	if calib {
-		flags |= flagCalib
-	}
-	dst = append(dst, flags)
+	c.ensureChunks(nchunks)
+	c.cur, c.ref, c.calib, c.curBounds = cur, ref, calib, bounds
+	c.pickHitPredictors(nchunks)
+
+	dst = append(dst, byte(flagsRevision|boolInt(calib)*flagCalib|
+		boolInt(c.mateHit)*flagMateHit|boolInt(c.stampHit)*flagStampHit))
 	dst = binary.AppendUvarint(dst, uint64(len(cur)))
 	// The chunk row boundaries travel in the header: re-deriving them from
 	// the chunk count alone is not a fixed point of the partitioner when
@@ -312,8 +384,6 @@ func (c *Compressor) Compress(dst []byte, cur, ref []float64) []byte {
 		dst = append(dst, tb[:]...)
 	}
 
-	c.ensureChunks(nchunks)
-	c.cur, c.ref, c.calib, c.curBounds = cur, ref, calib, bounds
 	if calib {
 		for i := 0; i < nchunks; i++ {
 			c.counts[i] = markovCounts{}
@@ -335,6 +405,8 @@ func (c *Compressor) Compress(dst []byte, cur, ref []float64) []byte {
 		for i := 0; i < nchunks; i++ {
 			c.stats.merge(&c.chStats[i])
 		}
+		c.stats.MateBlobs += boolInt(c.mateHit)
+		c.stats.StampBlobs += boolInt(c.stampHit)
 	}
 	for ci := 0; ci < nchunks; ci++ {
 		dst = binary.AppendUvarint(dst, uint64(c.writers[ci].Len()))
@@ -369,17 +441,19 @@ func (c *Compressor) chunkDecoder(ci int) (*chunkCoder, *bitstream.Reader) {
 		cur: c.cur, ref: c.ref,
 		rowLo: c.decBounds[ci], rowHi: c.decBounds[ci+1],
 		calib: c.calib, tables: &c.tbl,
+		mateHit: c.mateHit, stampHit: c.stampHit,
 	}
-	dc.stats = &dc.discard
 	return dc, r
 }
 
-// decodeChunk decodes chunk ci of the call in flight; an overrun stays in
-// the chunk's reader for Decompress to report. It is c.decFn, dispatched
-// through the workpool.
+// decodeChunk decodes chunk ci of the call in flight; a bad length field or
+// an overrun stays in the chunk's coder for Decompress to report. It is
+// c.decFn, dispatched through the workpool.
 func (c *Compressor) decodeChunk(ci int) {
 	dc, r := c.chunkDecoder(ci)
-	dc.decodeRegions(r)
+	if dc.err = dc.decodeRegions(r); dc.err == nil {
+		dc.err = r.Err()
+	}
 }
 
 // Decompress implements compress.Compressor.
@@ -404,8 +478,8 @@ func (c *Compressor) Decompress(cur []float64, blob []byte, ref []float64) error
 	if flags&^flagsKnown != 0 {
 		return fmt.Errorf("masczip: flags byte %#02x has unknown bits %#02x", flags, flags&^flagsKnown)
 	}
-	if flags&flagDiffStamp == 0 {
-		return fmt.Errorf("masczip: flags byte %#02x lacks the stamp revision bit %#02x (blob of an older format)", flags, flagDiffStamp)
+	if missing := flagsRevision &^ flags; missing != 0 {
+		return fmt.Errorf("masczip: flags byte %#02x lacks the revision bits %#02x (blob of an older format)", flags, missing)
 	}
 	off := 1
 	n, k := binary.Uvarint(blob[off:])
@@ -485,10 +559,11 @@ func (c *Compressor) Decompress(cur []float64, blob []byte, ref []float64) error
 	}
 	c.ensureChunks(nchunks)
 	c.cur, c.ref, c.calib, c.tbl, c.blob = cur, ref, calib, tables, blob
+	c.mateHit, c.stampHit = flags&flagMateHit != 0, flags&flagStampHit != 0
 	workpool.Do(nchunks, c.decFn)
 	c.cur, c.ref, c.blob = nil, nil, nil
 	for ci := 0; ci < nchunks; ci++ {
-		if err := c.readers[ci].Err(); err != nil {
+		if err := c.coders[ci].err; err != nil {
 			return fmt.Errorf("masczip: chunk %d: %w", ci, err)
 		}
 	}
@@ -507,6 +582,10 @@ type chunkCoder struct {
 	tables *markovTables
 	counts *markovCounts // calibration output (encoder only)
 
+	mateHit, stampHit bool      // the blob's hit predictors for regions L and D
+	stamp             []float64 // encoder only: stampD per packed diagonal, filled by countHits
+	err               error     // decoder only: what stopped decodeRegions
+
 	// stats is never nil: it points at chStats when collection is on and at
 	// discard otherwise, so the hot loops increment unconditionally instead
 	// of branching per element. statsOn guards only the counters whose
@@ -515,23 +594,13 @@ type chunkCoder struct {
 	statsOn bool
 	discard Stats
 
-	win   window
-	prevU uint8 // Markov chain states per region
-	prevL uint8
-	prevD uint8
+	win window
 }
 
 // window is the shared leading-zero window of the residual coder.
 type window struct {
 	lz8 uint // leading-zero class (multiple of 8)
 	len uint // meaningful bit count
-}
-
-// inChunk reports whether slot k's row belongs to this chunk, i.e. whether
-// its current-matrix value is available during chunked decoding.
-func (cc *chunkCoder) inChunk(k int32) bool {
-	r := cc.plan.rowOf[k]
-	return r >= cc.rowLo && r < cc.rowHi
 }
 
 // candsU computes the region-U candidate predictions for slot k.
@@ -563,69 +632,125 @@ func (cc *chunkCoder) candsU(k int32, out *[4]float64) int {
 	return 4
 }
 
-// candsL computes the region-L candidates; lastVal is the previously coded
-// value in the same row (NaN when none).
-func (cc *chunkCoder) candsL(k int32, lastVal float64, haveLast bool, out *[4]float64) int {
+// mate is region L's mate prediction for slot k: the current value of the
+// symmetric entry, which lives in region U of row ColIdx[k] — above k's own
+// row, so decoded before region L if this chunk starts at or above it — and
+// the temporal value otherwise.
+func (cc *chunkCoder) mate(k int32) float64 {
+	if t := cc.plan.tr[k]; t >= 0 && cc.plan.pat.ColIdx[k] >= cc.rowLo {
+		return cc.cur[t]
+	}
+	return cc.ref[k]
+}
+
+// candsL computes the region-L candidates for position k of lSlots. The
+// last-value candidate is the value coded just before in the same row, which
+// is the previous position of the flat region when that slot shares the row.
+func (cc *chunkCoder) candsL(k int32, out *[4]float64) int {
 	pl := cc.plan
 	ref := cc.ref
-	out[0] = ref[k]
+	slot := pl.lSlots[k]
+	row := pl.rowOf[slot]
+	out[0] = ref[slot]
 	if cc.opt.DisableStamp {
 		out[1], out[2] = out[0], out[0]
 	} else {
-		if t := pl.tr[k]; t >= 0 {
-			// The symmetric mate lives in region U of row ColIdx[k]; its
-			// decoded current value is available only within this chunk.
-			if cc.inChunk(t) {
-				out[1] = cc.cur[t]
-			} else {
-				out[1] = ref[t]
-			}
-		} else {
+		switch t := pl.tr[slot]; {
+		case t < 0:
 			out[1] = out[0]
+		case pl.pat.ColIdx[slot] >= cc.rowLo: // the mate's row is in this chunk
+			out[1] = cc.cur[t]
+		default:
+			out[1] = ref[t]
 		}
-		if d := pl.diag[pl.rowOf[k]]; d >= 0 {
+		if d := pl.diag[row]; d >= 0 {
 			out[2] = -ref[d]
 		} else {
 			out[2] = out[0]
 		}
 	}
-	if !cc.opt.DisableLastValue && haveLast {
-		out[3] = lastVal
+	if !cc.opt.DisableLastValue && k > pl.lRowPtr[row] {
+		out[3] = cc.cur[pl.lSlots[k-1]]
 	} else {
 		out[3] = out[0]
 	}
 	return 4
 }
 
-// candsD computes the region-D candidates: temporal, and the spatiotemporal
-// stamp ref[k] − (Σcur − Σref) over the row's off-diagonal slots. A pair
-// stamp puts +c on the diagonal and −c beside it, so a row's sum is the
-// node's grounded capacitance: rarely zero (which the value form −Σcur needs)
-// but constant while the grounded elements are linear, which is all the
-// difference form needs — the diagonal moves by minus what the decoded
-// off-diagonals moved by. Written −((Σcur − Σref) − ref[k]) so that an
-// all-zero reference gives exactly −Σcur, the sign of a zero sum included,
-// which keeps self-contained blobs what the value form made them. Sums,
-// differences and a negation only: with no multiplication there is nothing
-// for a compiler to contract into an FMA, so encoder and decoder round alike
-// on every architecture.
-func (cc *chunkCoder) candsD(row int32, k int32, out *[4]float64) int {
-	out[0] = cc.ref[k]
-	if cc.opt.DisableStamp {
-		out[1] = out[0]
-		return 2
-	}
+// stampD is the spatiotemporal stamp prediction for packed diagonal k:
+// ref[d] − (Σcur − Σref) over the row's off-diagonal slots. A pair stamp puts
+// +c on the diagonal and −c beside it, so a row's sum is the node's grounded
+// capacitance: rarely zero (which the value form −Σcur needs) but constant
+// while the grounded elements are linear, which is all the difference form
+// needs — the diagonal moves by minus what the decoded off-diagonals moved by.
+// Written −((Σcur − Σref) − ref[d]) so that an all-zero reference gives exactly
+// −Σcur, the sign of a zero sum included. Sums, differences and a negation
+// only: with no multiplication there is nothing for a compiler to contract
+// into an FMA, so encoder and decoder round alike on every architecture.
+func (cc *chunkCoder) stampD(k int32) float64 {
 	pl := cc.plan
 	cur, ref := cc.cur, cc.ref
+	row, d := pl.dRows[k], pl.dSlots[k]
 	sumCur, sumRef := 0.0, 0.0
-	for s := pl.pat.RowPtr[row]; s < pl.pat.RowPtr[row+1]; s++ {
-		if s != k {
-			sumCur += cur[s]
-			sumRef += ref[s]
+	for s := pl.pat.RowPtr[row]; s < d; s++ {
+		sumCur += cur[s]
+		sumRef += ref[s]
+	}
+	for s := d + 1; s < pl.pat.RowPtr[row+1]; s++ {
+		sumCur += cur[s]
+		sumRef += ref[s]
+	}
+	return -((sumCur - sumRef) - ref[d])
+}
+
+// candsD computes the region-D candidates for packed diagonal k: temporal and
+// stampD — read from the pre-pass's cache on the encode side, so coding a blob
+// sums each row once.
+func (cc *chunkCoder) candsD(k int32, out *[4]float64) int {
+	out[0] = cc.ref[cc.plan.dSlots[k]]
+	switch {
+	case cc.opt.DisableStamp:
+		out[1] = out[0]
+	case cc.stamp != nil:
+		out[1] = cc.stamp[k]
+	default:
+		out[1] = cc.stampD(k)
+	}
+	return 2
+}
+
+// hitCounts is what the encoder's pre-pass finds in one chunk: how many of
+// region L's and region D's elements each candidate hit predictor reproduces
+// bit for bit.
+type hitCounts struct{ lTemporal, lMate, dTemporal, dStamp int }
+
+// countHits is the pre-pass over this chunk; it also fills cc.stamp, which the
+// region-D scan and candsD then read instead of summing rows again.
+func (cc *chunkCoder) countHits() hitCounts {
+	pl := cc.plan
+	cur, ref := cc.cur, cc.ref
+	var n hitCounts
+	for _, slot := range pl.lSlots[pl.lRowPtr[cc.rowLo]:pl.lRowPtr[cc.rowHi]] {
+		v := math.Float64bits(cur[slot])
+		if v == math.Float64bits(ref[slot]) {
+			n.lTemporal++
+		}
+		if v == math.Float64bits(cc.mate(slot)) {
+			n.lMate++
 		}
 	}
-	out[1] = -((sumCur - sumRef) - ref[k])
-	return 2
+	for k := pl.dRowPtr[cc.rowLo]; k < pl.dRowPtr[cc.rowHi]; k++ {
+		st := cc.stampD(k)
+		cc.stamp[k] = st
+		v := math.Float64bits(cur[pl.dSlots[k]])
+		if v == math.Float64bits(ref[pl.dSlots[k]]) {
+			n.dTemporal++
+		}
+		if v == math.Float64bits(st) {
+			n.dStamp++
+		}
+	}
+	return n
 }
 
 // bestSym picks the candidate closest to val (bit-exact match wins
@@ -662,6 +787,8 @@ const (
 	regionL
 	regionD
 )
+
+func (rg region) String() string { return [...]string{"U", "L", "D"}[rg] }
 
 // note maps a selector symbol to the paper's three model families for the
 // Figure-6 statistics. It is called only for selector-coded elements (the

@@ -4,14 +4,35 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"masc/internal/compress/bitstream"
 	"masc/internal/sparse"
 )
+
+// adversarialBlobs are the decoder seeds TestCorruptedBlobNoPanic and
+// FuzzDecompress share: the bad run lengths over p and every blob of the two
+// older-revision corpora (foreign patterns here, refused at the flags byte).
+func adversarialBlobs(t testing.TB, p *sparse.Pattern) [][]byte {
+	var out [][]byte
+	for _, tc := range badRunLengths(p) {
+		out = append(out, tc.blob)
+	}
+	for _, file := range oldRevisionCorpora {
+		old, err := readCorpus(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, old...)
+	}
+	return out
+}
 
 // mnaPattern builds an MNA-like symmetric-structure pattern: a ring of
 // two-terminal stamps plus random extra stamps, all with diagonals.
@@ -300,9 +321,12 @@ func TestStatsCollected(t *testing.T) {
 		t.Fatalf("LZ histogram covers %d of %d", hist, st.Elements)
 	}
 	var regionBits, regionMisses int64
-	for rg := range st.RegionBits {
+	for rg, elems := range []int{len(c.plan.uSlots), len(c.plan.lSlots), len(c.plan.dSlots)} {
 		if st.RegionBits[rg] == 0 || st.RegionMisses[rg] == 0 {
 			t.Fatalf("region %d of an evolved tensor booked nothing: %+v", rg, st)
+		}
+		if got := st.RegionHits[rg] + st.RegionMisses[rg]; got != int64(elems) {
+			t.Fatalf("region %d: %d hits + %d misses, %d elements", rg, st.RegionHits[rg], st.RegionMisses[rg], elems)
 		}
 		regionBits += st.RegionBits[rg]
 		regionMisses += st.RegionMisses[rg]
@@ -320,6 +344,23 @@ func TestStatsCollected(t *testing.T) {
 	c.ResetStats()
 	if c.Stats().Elements != 0 {
 		t.Fatal("ResetStats did not clear")
+	}
+
+	// What the codec decided, on a tensor where it decides something: every
+	// chained blob of an exactly symmetric pair-stamp tensor takes the mate
+	// and the stamp as hit predictors, each region L is one length-coded run,
+	// and the length fields are the bits booked for them.
+	frames := pairStampFrames(rng, p, 5, true)
+	_, st = chainBytes(c, frames)
+	chained := int64(len(frames) - 1)
+	if st.MateBlobs < chained || st.StampBlobs < chained {
+		t.Fatalf("%d mate / %d stamp blobs of %d chained: %+v", st.MateBlobs, st.StampBlobs, chained, st)
+	}
+	if st.HitRuns[regionL] != st.MateBlobs || st.RegionHits[regionL] != st.MateBlobs*int64(len(c.plan.lSlots)) {
+		t.Fatalf("region L: %d hits in %d runs over %d mate blobs", st.RegionHits[regionL], st.HitRuns[regionL], st.MateBlobs)
+	}
+	if st.RunLengthBits == 0 || st.RunLengthBits >= st.PayloadBits {
+		t.Fatalf("run lengths took %d of %d payload bits", st.RunLengthBits, st.PayloadBits)
 	}
 }
 
@@ -365,7 +406,7 @@ func TestHeaderHardening(t *testing.T) {
 	if err := c.Decompress(got, good, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, flags := range []byte{0x80, good[0] | 0x04, 0xff, good[0] &^ flagDiffStamp, 0} {
+	for _, flags := range []byte{0x80, good[0] | 0x20, 0xff, good[0] &^ flagDiffStamp, good[0] &^ flagHitRuns, flagCalib, 0} {
 		bad := append([]byte{flags}, good[1:]...)
 		err := c.Decompress(got, bad, nil)
 		if want := fmt.Sprintf("flags byte %#02x", flags); err == nil || !strings.Contains(err.Error(), want) {
@@ -373,8 +414,28 @@ func TestHeaderHardening(t *testing.T) {
 		}
 	}
 
+	// The hit-predictor bits are the blob's to set: a decoder built with
+	// DisableStamp obeys them. A static, exactly symmetric frame is all hits
+	// under either predictor, so the same stream decodes to the same values
+	// with the bits forced on.
+	static := pairStampFrames(rng, p, 1, false)[0]
+	ablated := New(p, Options{DisableStamp: true})
+	blob := ablated.Compress(nil, static, static)
+	if blob[0]&(flagMateHit|flagStampHit) != 0 {
+		t.Fatalf("DisableStamp encoder set hit-predictor bits: flags %#02x", blob[0])
+	}
+	blob[0] |= flagMateHit | flagStampHit
+	if err := ablated.Decompress(got, blob, static); err != nil {
+		t.Fatalf("hit-predictor bits on a DisableStamp decoder: %v", err)
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(static[i]) {
+			t.Fatalf("hit-predictor bits on a DisableStamp decoder: value %d differs", i)
+		}
+	}
+
 	hdr := func(nchunks uint64, extra ...uint64) []byte {
-		b := []byte{flagCalib | flagDiffStamp}
+		b := []byte{flagCalib | flagsRevision}
 		b = binary.AppendUvarint(b, uint64(p.NNZ()))
 		b = binary.AppendUvarint(b, nchunks)
 		for _, v := range extra {
@@ -390,7 +451,7 @@ func TestHeaderHardening(t *testing.T) {
 		{"delta zero", hdr(3, 0, 1)},
 		{"delta past n", hdr(2, uint64(p.N)+7)},
 		{"chunk count past n", hdr(uint64(p.N) + 1)},
-		{"element count overflows int", append([]byte{flagCalib | flagDiffStamp},
+		{"element count overflows int", append([]byte{flagCalib | flagsRevision},
 			binary.AppendUvarint(nil, math.MaxUint64)...)},
 		{"max chunk lengths", hdr(2, 1, math.MaxUint64, math.MaxUint64)},
 		{"summed lengths overflow", hdr(4, 1, 1, 1,
@@ -407,6 +468,56 @@ func TestHeaderHardening(t *testing.T) {
 				t.Fatalf("%s: decoder accepted adversarial header", tc.name)
 			}
 		}()
+	}
+
+	// The run-length field is as attacker-controlled as the header: each bad
+	// one is an error that names the chunk and the field, from the production
+	// decoder and from the oracle alike, never a clamp or an index past slots.
+	for _, tc := range badRunLengths(p) {
+		for name, d := range map[string]*Compressor{"batched": c, "scalar": newReference(p, Options{})} {
+			err := d.Decompress(got, tc.blob, nil)
+			if err == nil || !strings.Contains(err.Error(), "chunk 0: region U: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s decoder: %v, want a chunk 0 region U error naming %q", tc.name, name, err, tc.want)
+			}
+		}
+	}
+}
+
+// badRunLengths are one-chunk blobs over p whose region U opens with a
+// length-coded run the decoder must refuse: longer than the region, γ-coded
+// with 32 leading zeros, and cut off inside the γ code.
+func badRunLengths(p *sparse.Pattern) []struct {
+	name, want string
+	blob       []byte
+} {
+	craft := func(gamma func(w *bitstream.Writer)) []byte {
+		w := bitstream.NewWriter(16)
+		w.WriteOnes(longRun)
+		gamma(w)
+		b := []byte{flagCalib | flagsRevision}
+		b = binary.AppendUvarint(b, uint64(p.NNZ()))
+		b = binary.AppendUvarint(b, 1)
+		b = binary.AppendUvarint(b, uint64(w.Len()))
+		return w.AppendTo(b)
+	}
+	return []struct {
+		name, want string
+		blob       []byte
+	}{
+		{"run past the region", "exceeds", craft(func(w *bitstream.Writer) {
+			w.WriteBits(1<<20, 41) // γ(2^20): a run of 2^20 + 7
+			w.WriteBits(0, 64)
+		})},
+		{"run one past the region", "exceeds", craft(func(w *bitstream.Writer) {
+			v := uint64(len(newPlan(p).uSlots) + 1 - longRun + 1)
+			w.WriteBits(v, uint(2*bits.Len64(v)-1))
+			w.WriteBits(0, 64)
+		})},
+		{"gamma overflow", "γ code", craft(func(w *bitstream.Writer) {
+			w.WriteBits(0, 32)
+			w.WriteBits(math.MaxUint64, 33)
+		})},
+		{"truncated gamma", "γ code", craft(func(w *bitstream.Writer) { w.WriteBits(0, 3) })},
 	}
 }
 
@@ -534,6 +645,12 @@ func TestCorruptedBlobNoPanic(t *testing.T) {
 	c.Compress(nil, cur, ref) // advance to a markov matrix
 	blob := c.Compress(nil, cur, ref)
 	got := make([]float64, len(cur))
+	// The crafted length fields and the older revisions' blobs first, then
+	// random damage to a good blob.
+	for _, seed := range adversarialBlobs(t, p) {
+		_ = c.Decompress(got, seed, ref)
+		_ = c.Decompress(got, seed, nil)
+	}
 	for trial := 0; trial < 300; trial++ {
 		mutated := append([]byte(nil), blob...)
 		switch trial % 3 {

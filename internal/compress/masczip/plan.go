@@ -3,10 +3,13 @@
 // to a sparsity Pattern — the paper's shared indices — and compresses the
 // per-timestep value arrays with three prediction models (temporal,
 // MNA-stamp spatial, last-value), best-fit or Markov model selection, and a
-// leading-zero-window XOR residual code. One departure from the paper: a
+// leading-zero-window XOR residual code. Two departures from the paper: a
 // diagonal's stamp prediction is spatiotemporal — the reference value moved
 // by the change in its row's off-diagonals, not the row's negated sum — so
-// that it survives grounded elements (candsD; DESIGN.md §3).
+// that it survives grounded elements (stampD); and the one-bit case is not
+// only "the temporal prediction is exact" but "the region's hit predictor is",
+// which a blob's flags may make the symmetric mate or that stamp, with runs of
+// such hits length-coded (batch.go; DESIGN.md §3).
 package masczip
 
 import (
@@ -98,11 +101,16 @@ func (pl *plan) chunkRows(w int) []int32 {
 	return bounds
 }
 
-// Model-selector symbol spaces. Per region:
+// Model-selector symbol spaces, which a miss chooses from. Per region:
 //
 //	U: 0 temporal, 1 transpose (stamp), 2 -diag(row) (stamp), 3 -diag(col) (stamp)
 //	L: 0 temporal, 1 symmetric current transpose (stamp), 2 -diag(row) (stamp), 3 last value
-//	D: 0 temporal, 1 reference minus the change in the off-diagonal row sum (stamp; candsD)
+//	D: 0 temporal, 1 reference minus the change in the off-diagonal row sum (stamp; stampD)
+//
+// A hit is symbol 0 being exact — or, in a blob whose flags say so, symbol 1
+// of D, or of L where the mate's row is in the chunk (temporal where it is
+// not). After a run of hits the Markov chain's state is the region's hit
+// symbol for the blob: 0, or 1 under its flag.
 const (
 	uSyms = 4
 	lSyms = 4
@@ -115,6 +123,18 @@ type markovCounts struct {
 	u [uSyms][uSyms]uint32
 	l [lSyms][lSyms]uint32
 	d [dSyms][dSyms]uint32
+}
+
+// add books one best-fit decision of region rg: sym chosen after prev.
+func (m *markovCounts) add(rg region, prev, sym uint8) {
+	switch rg {
+	case regionU:
+		m.u[prev][sym]++
+	case regionL:
+		m.l[prev][sym]++
+	default:
+		m.d[prev][sym]++
+	}
 }
 
 func (m *markovCounts) merge(o *markovCounts) {

@@ -1,6 +1,7 @@
 package masczip
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -8,54 +9,154 @@ import (
 	"masc/internal/sparse"
 )
 
-// The element-at-a-time reference coder: one WriteBit/ReadBit plus a
-// candidate computation per element, straight from the wire-format
-// description. Production runs only the batched region coders in batch.go;
-// this file is the oracle TestBatchedWireIdentity checks them against, bit
-// for bit, so it must stay a plain transcription of the format.
+// The element-at-a-time reference coder: one WriteBit/ReadBit and one hit
+// prediction per element, straight from the wire-format description.
+// Production runs only the batched region coders in batch.go; this file is
+// the oracle TestBatchedWireIdentity checks them against, bit for bit, so it
+// must stay a plain transcription of the format and call nothing in batch.go —
+// it shares only the candidate functions, framing and Markov calibration of
+// masczip.go, and it sums every row it needs itself rather than read the
+// encoder's pre-pass cache.
 
-// newReference returns a Compressor whose chunks go through runRegions
-// instead of encodeRegions/decodeRegions. Framing, chunking and Markov
-// calibration are the production code.
+// stampFunc is the region-D stamp prediction a reference coder runs, as hit
+// predictor and as candidate 1.
+type stampFunc func(cc *chunkCoder, k int32) float64
+
+// newReference returns a Compressor whose pre-pass and chunks go through
+// refCoder instead of countHits/encodeRegions/decodeRegions.
 func newReference(p *sparse.Pattern, opt Options) *Compressor {
-	return newReferenceWith(p, opt, (*chunkCoder).candsD)
+	return newReferenceWith(p, opt, (*chunkCoder).stampD)
 }
 
-// candsDFunc is the region-D predictor a reference coder runs.
-type candsDFunc func(cc *chunkCoder, row, k int32, out *[4]float64) int
-
-func newReferenceWith(p *sparse.Pattern, opt Options, candsD candsDFunc) *Compressor {
+func newReferenceWith(p *sparse.Pattern, opt Options, stamp stampFunc) *Compressor {
 	c := New(p, opt)
+	c.preFn = func(ci int) {
+		ec, _ := c.chunkEncoder(ci)
+		c.hits[ci] = (&refCoder{chunkCoder: ec, stampOf: stamp}).count()
+	}
 	c.encFn = func(ci int) {
 		ec, w := c.chunkEncoder(ci)
-		ec.runRegions(w, nil, candsD)
+		ec.stamp = nil
+		_ = (&refCoder{chunkCoder: ec, stampOf: stamp}).run(w, nil)
 	}
 	c.decFn = func(ci int) {
 		dc, r := c.chunkDecoder(ci)
-		dc.runRegions(nil, r, candsD)
+		if dc.err = (&refCoder{chunkCoder: dc, stampOf: stamp}).run(nil, r); dc.err == nil {
+			dc.err = r.Err()
+		}
 	}
 	return c
 }
 
-// candsDValueForm is region D as it was before the revision bit: the stamp
-// candidate is −Σcur over the row's off-diagonals, which holds only on a row
-// with no grounded element. Kept as the oracle the predictor tests measure
-// the difference form against, and that nil-reference blobs must still match.
-func candsDValueForm(cc *chunkCoder, row, k int32, out *[4]float64) int {
-	out[0] = cc.ref[k]
-	if cc.opt.DisableStamp {
-		out[1] = out[0]
-		return 2
-	}
+// stampValueForm is the stamp as it was before the revision bit: −Σcur over
+// the row's off-diagonals, which holds only on a row with no grounded element.
+// Kept as the oracle the predictor tests measure the difference form against,
+// and that nil-reference blobs must still match.
+func stampValueForm(cc *chunkCoder, k int32) float64 {
 	pl := cc.plan
+	row, d := pl.dRows[k], pl.dSlots[k]
 	sum := 0.0
 	for s := pl.pat.RowPtr[row]; s < pl.pat.RowPtr[row+1]; s++ {
-		if s != k {
+		if s != d {
 			sum += cc.cur[s]
 		}
 	}
-	out[1] = -sum
-	return 2
+	return -sum
+}
+
+type refCoder struct {
+	*chunkCoder
+	stampOf stampFunc
+}
+
+// refRegion is one region as the format describes it.
+type refRegion struct {
+	rg     region
+	slots  []int32
+	lo, hi int32
+	nSyms  int
+	table  []uint8
+	hitSym uint8 // 0: a hit is temporal; 1: a hit is the mate (L) or the stamp (D)
+}
+
+func (rc *refCoder) regionTable() []refRegion {
+	pl := rc.plan
+	t := []refRegion{
+		{regionU, pl.uSlots, pl.uRowPtr[rc.rowLo], pl.uRowPtr[rc.rowHi], uSyms, rc.tables.u[:], 0},
+		{regionL, pl.lSlots, pl.lRowPtr[rc.rowLo], pl.lRowPtr[rc.rowHi], lSyms, rc.tables.l[:], 0},
+		{regionD, pl.dSlots, pl.dRowPtr[rc.rowLo], pl.dRowPtr[rc.rowHi], dSyms, rc.tables.d[:], 0},
+	}
+	if rc.mateHit {
+		t[regionL].hitSym = 1
+	}
+	if rc.stampHit {
+		t[regionD].hitSym = 1
+	}
+	return t
+}
+
+// mateOf: the symmetric entry's current value when its row is in this chunk,
+// the temporal value otherwise.
+func (rc *refCoder) mateOf(slot int32) float64 {
+	t := rc.plan.tr[slot]
+	if t < 0 {
+		return rc.ref[slot]
+	}
+	if row := rc.plan.rowOf[t]; row < rc.rowLo || row >= rc.rowHi {
+		return rc.ref[slot]
+	}
+	return rc.cur[t]
+}
+
+// hitPred is the value a hit at position k of rg stands for.
+func (rc *refCoder) hitPred(rg *refRegion, k int32) float64 {
+	switch {
+	case rg.hitSym == 0:
+		return rc.ref[rg.slots[k]]
+	case rg.rg == regionL:
+		return rc.mateOf(rg.slots[k])
+	default:
+		return rc.stampOf(rc.chunkCoder, k)
+	}
+}
+
+// candidates are the miss predictions at position k of rg.
+func (rc *refCoder) candidates(rg *refRegion, k int32, out *[4]float64) {
+	switch rg.rg {
+	case regionU:
+		rc.candsU(rg.slots[k], out)
+	case regionL:
+		rc.candsL(k, out)
+	default:
+		out[0] = rc.ref[rg.slots[k]]
+		out[1] = out[0]
+		if !rc.opt.DisableStamp {
+			out[1] = rc.stampOf(rc.chunkCoder, k)
+		}
+	}
+}
+
+// count is the pre-pass: exact matches of each candidate hit predictor.
+func (rc *refCoder) count() hitCounts {
+	var n hitCounts
+	same := func(a, b float64) int {
+		if math.Float64bits(a) == math.Float64bits(b) {
+			return 1
+		}
+		return 0
+	}
+	pl := rc.plan
+	for k := pl.lRowPtr[rc.rowLo]; k < pl.lRowPtr[rc.rowHi]; k++ {
+		s := pl.lSlots[k]
+		n.lTemporal += same(rc.cur[s], rc.ref[s])
+		n.lMate += same(rc.cur[s], rc.mateOf(s))
+	}
+	for k := pl.dRowPtr[rc.rowLo]; k < pl.dRowPtr[rc.rowHi]; k++ {
+		s := pl.dSlots[k]
+		n.dTemporal += same(rc.cur[s], rc.ref[s])
+		n.dStamp += same(rc.cur[s], rc.stampOf(rc.chunkCoder, k))
+	}
+	return n
 }
 
 // encodeResidual writes the XOR residual with the window code.
@@ -96,9 +197,7 @@ func (cc *chunkCoder) encodeResidual(w *bitstream.Writer, val, pred float64) {
 	cc.stats.PayloadBits += int64(w.BitLen() - before)
 }
 
-// decodeResidual mirrors encodeResidual and returns the value; the batched
-// decoder fuses these reads into the single-peek field extraction of
-// decodeMissAt.
+// decodeResidual mirrors encodeResidual and returns the value.
 func (cc *chunkCoder) decodeResidual(r *bitstream.Reader, pred float64) float64 {
 	if r.ReadBit() == 1 {
 		return pred
@@ -117,148 +216,256 @@ func (cc *chunkCoder) decodeResidual(r *bitstream.Reader, pred float64) float64 
 	return math.Float64frombits(math.Float64bits(pred) ^ x)
 }
 
-// codeElement encodes or decodes one element (exactly one of w, r is
-// non-nil) in the per-element wire format documented in batch.go, and
-// returns the decoded value (decoder) or val (encoder), plus the selected
-// model symbol for statistics.
-func (cc *chunkCoder) codeElement(w *bitstream.Writer, r *bitstream.Reader,
-	val float64, cands *[4]float64, nSyms int, prev *uint8,
-	table []uint8, counts func(prev, sym uint8)) (float64, uint8) {
-
-	if w != nil { // encode
-		if math.Float64bits(val) == math.Float64bits(cands[0]) {
-			w.WriteBit(1)
-			cc.stats.Elements++
-			cc.stats.PayloadBits++
-			cc.stats.LZHist[8]++
-			*prev = 0
-			return val, 0
-		}
-		w.WriteBit(0)
-		cc.stats.PayloadBits++
-		var sym uint8
-		if cc.calib {
-			sym = bestSym(val, cands, nSyms)
-			bitsN := uint(2)
-			if nSyms == 2 {
-				bitsN = 1
-			}
-			w.WriteBits(uint64(sym), bitsN)
-			if counts != nil {
-				counts(*prev, sym)
-			}
-			cc.stats.SelectorBits += int64(bitsN)
-		} else {
-			sym = table[*prev]
-			if cc.statsOn {
-				cc.stats.MarkovPredicted++
-				if math.Float64bits(val) == math.Float64bits(cands[sym]) {
-					cc.stats.MarkovExact++
-				}
-			}
-		}
-		*prev = sym
-		cc.encodeResidual(w, val, cands[sym])
-		return val, sym
+// selectorBits is the width of region rg's best-fit selector.
+func selectorBits(nSyms int) uint {
+	if nSyms == 2 {
+		return 1
 	}
-	// decode
-	if r.ReadBit() == 1 {
-		*prev = 0
-		return cands[0], 0
+	return 2
+}
+
+// writeRun writes n pending hits: unary below eight, else eight '1' bits and
+// the Elias-γ code of n − 7 (as many '0' bits as the value has bits after its
+// first, then the value).
+func (rc *refCoder) writeRun(w *bitstream.Writer, rg *refRegion, n int32) {
+	before := w.BitLen()
+	for i := int32(0); i < n && i < 8; i++ {
+		w.WriteBit(1)
+	}
+	if n >= 8 {
+		v := uint64(n - 7)
+		nb := uint(bits.Len64(v))
+		for i := uint(1); i < nb; i++ {
+			w.WriteBit(0)
+		}
+		w.WriteBits(v, nb)
+		rc.stats.RunLengthBits += int64(2*nb - 1)
+	}
+	rc.stats.Elements += int64(n)
+	rc.stats.LZHist[8] += int64(n)
+	rc.stats.PayloadBits += int64(w.BitLen() - before)
+	rc.stats.HitRuns[rg.rg]++
+	rc.stats.RegionHits[rg.rg] += int64(n)
+}
+
+// writeMiss writes one element its hit predictor missed; marker is false
+// right after a run of eight or more.
+func (rc *refCoder) writeMiss(w *bitstream.Writer, rg *refRegion, k int32, prev *uint8, marker bool) {
+	var cands [4]float64
+	rc.candidates(rg, k, &cands)
+	val := rc.cur[rg.slots[k]]
+	if marker {
+		w.WriteBit(0)
+		rc.stats.PayloadBits++
 	}
 	var sym uint8
-	if cc.calib {
-		bitsN := uint(2)
-		if nSyms == 2 {
-			bitsN = 1
+	if rc.calib {
+		sym = bestSym(val, &cands, rg.nSyms)
+		w.WriteBits(uint64(sym), selectorBits(rg.nSyms))
+		if rc.counts != nil {
+			switch rg.rg {
+			case regionU:
+				rc.counts.u[*prev][sym]++
+			case regionL:
+				rc.counts.l[*prev][sym]++
+			case regionD:
+				rc.counts.d[*prev][sym]++
+			}
 		}
-		sym = uint8(r.ReadBits(bitsN))
+		rc.stats.SelectorBits += int64(selectorBits(rg.nSyms))
+	} else {
+		sym = rg.table[*prev]
+		if rc.statsOn {
+			rc.stats.MarkovPredicted++
+			if math.Float64bits(val) == math.Float64bits(cands[sym]) {
+				rc.stats.MarkovExact++
+			}
+		}
+	}
+	*prev = sym
+	rc.encodeResidual(w, val, cands[sym])
+	rc.note(sym, rg.rg)
+	rc.stats.RegionMisses[rg.rg]++
+}
+
+// readMiss reads what writeMiss wrote past the marker.
+func (rc *refCoder) readMiss(r *bitstream.Reader, rg *refRegion, k int32, prev *uint8) {
+	var cands [4]float64
+	rc.candidates(rg, k, &cands)
+	var sym uint8
+	if rc.calib {
+		sym = uint8(r.ReadBits(selectorBits(rg.nSyms)))
+	} else {
+		sym = rg.table[*prev]
+	}
+	*prev = sym
+	rc.cur[rg.slots[k]] = rc.decodeResidual(r, cands[sym])
+}
+
+// run drives the shared encode/decode control flow. Exactly one of w and r is
+// non-nil.
+func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
+	for _, rg := range rc.regionTable() {
+		rg := rg
+		rc.win = window{}
+		prev := uint8(0)
+		marker := true // the next miss carries its '0'
+		if w != nil {
+			start := w.BitLen()
+			pending := int32(0)
+			flush := func() {
+				if pending > 0 {
+					rc.writeRun(w, &rg, pending)
+					prev = rg.hitSym
+					marker = pending < 8
+					pending = 0
+				}
+			}
+			for k := rg.lo; k < rg.hi; k++ {
+				if math.Float64bits(rc.cur[rg.slots[k]]) == math.Float64bits(rc.hitPred(&rg, k)) {
+					pending++
+					continue
+				}
+				flush()
+				rc.writeMiss(w, &rg, k, &prev, marker)
+				marker = true
+			}
+			flush()
+			rc.stats.RegionBits[rg.rg] += int64(w.BitLen() - start)
+			continue
+		}
+		for k := rg.lo; k < rg.hi && r.Err() == nil; {
+			if !marker {
+				rc.readMiss(r, &rg, k, &prev)
+				marker = true
+				k++
+				continue
+			}
+			// Unary part of a run: up to eight '1' bits, never past the region.
+			rem := rg.hi - k
+			lim := rem
+			if lim > 8 {
+				lim = 8
+			}
+			n := int32(0)
+			sawMarker := false
+			for n < lim {
+				if r.ReadBit() == 0 {
+					sawMarker = true
+					break
+				}
+				n++
+			}
+			if n == 8 {
+				z := 0
+				for r.ReadBit() == 0 {
+					if z++; z >= 32 {
+						return fmt.Errorf("region %s: run-length γ code has 32 or more leading zeros", rg.rg)
+					}
+				}
+				v := uint64(1)<<uint(z) | r.ReadBits(uint(z))
+				if v+7 > uint64(rem) {
+					return fmt.Errorf("region %s: hit run of %d exceeds the %d slots left", rg.rg, v+7, rem)
+				}
+				n = int32(v + 7)
+				marker = false
+			}
+			for i := int32(0); i < n; i++ {
+				rc.cur[rg.slots[k+i]] = rc.hitPred(&rg, k+i)
+			}
+			if n > 0 {
+				prev = rg.hitSym
+				k += n
+			}
+			if sawMarker {
+				rc.readMiss(r, &rg, k, &prev)
+				k++
+			}
+		}
+	}
+	return nil
+}
+
+// newLegacy returns a Compressor whose chunks go through the region coder of
+// the previous format revision, encode half only: one '1' bit per temporal
+// hit, every miss with its '0' marker. It survives as the yardstick legacyBits
+// gives the size property test; nothing decodes what it writes.
+func newLegacy(p *sparse.Pattern, opt Options) *Compressor {
+	c := New(p, opt)
+	c.preFn = func(int) {} // the old format had no hit-predictor choice
+	c.encFn = func(ci int) {
+		ec, w := c.chunkEncoder(ci)
+		ec.stamp = nil
+		ec.legacyRegions(w)
+	}
+	return c
+}
+
+// streamBits is the length in bits of the chunk streams of c's last Compress.
+func streamBits(c *Compressor) int {
+	n := 0
+	for ci := 0; ci < len(c.curBounds)-1; ci++ {
+		n += c.writers[ci].BitLen()
+	}
+	return n
+}
+
+// legacyBits codes frames as a store chain under the previous revision's
+// region coder and returns the chunk streams' total length in bits.
+func legacyBits(p *sparse.Pattern, opt Options, frames [][]float64) int {
+	c := newLegacy(p, opt)
+	n := 0
+	for i := range frames {
+		var ref []float64
+		if i+1 < len(frames) {
+			ref = frames[i+1]
+		}
+		c.Compress(nil, frames[i], ref)
+		n += streamBits(c)
+	}
+	return n
+}
+
+func (cc *chunkCoder) legacyElement(w *bitstream.Writer, rg region, val float64, cands *[4]float64, nSyms int, prev *uint8, table []uint8) {
+	if math.Float64bits(val) == math.Float64bits(cands[0]) {
+		w.WriteBit(1)
+		*prev = 0
+		return
+	}
+	w.WriteBit(0)
+	var sym uint8
+	if cc.calib {
+		sym = bestSym(val, cands, nSyms)
+		w.WriteBits(uint64(sym), selectorBits(nSyms))
+		if cc.counts != nil {
+			cc.counts.add(rg, *prev, sym)
+		}
 	} else {
 		sym = table[*prev]
 	}
 	*prev = sym
-	return cc.decodeResidual(r, cands[sym]), sym
+	cc.encodeResidual(w, val, cands[sym])
 }
 
-// runRegions drives the shared encode/decode control flow. Exactly one of
-// w and r is non-nil.
-func (cc *chunkCoder) runRegions(w *bitstream.Writer, r *bitstream.Reader, candsD candsDFunc) {
+func (cc *chunkCoder) legacyRegions(w *bitstream.Writer) {
 	pl := cc.plan
 	var cands [4]float64
+	var prev uint8
 
-	countU := func(p, s uint8) { cc.counts.u[p][s]++ }
-	countL := func(p, s uint8) { cc.counts.l[p][s]++ }
-	countD := func(p, s uint8) { cc.counts.d[p][s]++ }
-	if cc.counts == nil {
-		countU, countL, countD = nil, nil, nil
-	}
-
-	var mark regionMark
-	closeRegion := func(rg region) {
-		if w != nil {
-			cc.closeRegion(rg, w, &mark)
-		}
-	}
-
-	// Region U.
 	cc.win = window{}
 	for k := pl.uRowPtr[cc.rowLo]; k < pl.uRowPtr[cc.rowHi]; k++ {
 		slot := pl.uSlots[k]
 		n := cc.candsU(slot, &cands)
-		var val float64
-		if w != nil {
-			val = cc.cur[slot]
-		}
-		v, sym := cc.codeElement(w, r, val, &cands, n, &cc.prevU, cc.tables.u[:], countU)
-		if r != nil {
-			cc.cur[slot] = v
-		} else if math.Float64bits(val) != math.Float64bits(cands[0]) {
-			cc.note(sym, regionU)
-		}
+		cc.legacyElement(w, regionU, cc.cur[slot], &cands, n, &prev, cc.tables.u[:])
 	}
-	closeRegion(regionU)
-
-	// Region L: per-row last-value chaining.
-	cc.win = window{}
-	for row := cc.rowLo; row < cc.rowHi; row++ {
-		lastVal := 0.0
-		haveLast := false
-		for k := pl.lRowPtr[row]; k < pl.lRowPtr[row+1]; k++ {
-			slot := pl.lSlots[k]
-			n := cc.candsL(slot, lastVal, haveLast, &cands)
-			var val float64
-			if w != nil {
-				val = cc.cur[slot]
-			}
-			v, sym := cc.codeElement(w, r, val, &cands, n, &cc.prevL, cc.tables.l[:], countL)
-			if r != nil {
-				cc.cur[slot] = v
-			} else if math.Float64bits(val) != math.Float64bits(cands[0]) {
-				cc.note(sym, regionL)
-			}
-			lastVal, haveLast = v, true
-		}
+	cc.win, prev = window{}, 0
+	for k := pl.lRowPtr[cc.rowLo]; k < pl.lRowPtr[cc.rowHi]; k++ {
+		n := cc.candsL(k, &cands)
+		cc.legacyElement(w, regionL, cc.cur[pl.lSlots[k]], &cands, n, &prev, cc.tables.l[:])
 	}
-	closeRegion(regionL)
-
-	// Region D.
-	cc.win = window{}
-	for row := cc.rowLo; row < cc.rowHi; row++ {
-		slot := pl.diag[row]
-		if slot < 0 {
-			continue
-		}
-		n := candsD(cc, row, slot, &cands)
-		var val float64
-		if w != nil {
-			val = cc.cur[slot]
-		}
-		v, sym := cc.codeElement(w, r, val, &cands, n, &cc.prevD, cc.tables.d[:], countD)
-		if r != nil {
-			cc.cur[slot] = v
-		} else if math.Float64bits(val) != math.Float64bits(cands[0]) {
-			cc.note(sym, regionD)
-		}
+	cc.win, prev = window{}, 0
+	for k := pl.dRowPtr[cc.rowLo]; k < pl.dRowPtr[cc.rowHi]; k++ {
+		n := cc.candsD(k, &cands)
+		cc.legacyElement(w, regionD, cc.cur[pl.dSlots[k]], &cands, n, &prev, cc.tables.d[:])
 	}
-	closeRegion(regionD)
 }

@@ -151,15 +151,21 @@ func PublishCodecStats(reg *obs.Registry, tensor string, st masczip.Stats) {
 	sel("last_value").Add(float64(st.LastValue))
 	reg.Counter("masc_codec_elements_total", "Matrix elements pushed through the MASC coder.",
 		"tensor", tensor).Add(float64(st.Elements))
-	reg.Counter("masc_codec_selector_elements_total", "Elements that went through model selection (nonzero temporal residual).",
+	reg.Counter("masc_codec_selector_elements_total", "Elements that went through model selection (their region's hit predictor was not bit-exact).",
 		"tensor", tensor).Add(float64(st.SelectorElements))
 	reg.Counter("masc_codec_selector_bits_total", "Selector bits on the wire.",
 		"tensor", tensor).Add(float64(st.SelectorBits))
-	reg.Counter("masc_codec_payload_bits_total", "Hit, miss-marker and residual bits on the wire.",
+	reg.Counter("masc_codec_payload_bits_total", "Hit-run, miss-marker and residual bits on the wire.",
 		"tensor", tensor).Add(float64(st.PayloadBits))
 	for rg, name := range [...]string{"u", "l", "d"} {
 		reg.Counter("masc_codec_region_bits_total", "Stream bits by region (strictly upper, strictly lower, diagonal); sums to selector + payload bits.",
 			"tensor", tensor, "region", name).Add(float64(st.RegionBits[rg]))
+		reg.Counter("masc_codec_hit_runs_total", "Maximal runs of hits (elements the region's hit predictor reproduced bit for bit) by region.",
+			"tensor", tensor, "region", name).Add(float64(st.HitRuns[rg]))
+	}
+	for name, n := range map[string]int64{"mate": st.MateBlobs, "stamp": st.StampBlobs} {
+		reg.Counter("masc_codec_hit_predictor_blobs_total", "Blobs whose encoder made the symmetric mate (region L) or the difference stamp (region D) the hit predictor in place of the temporal value.",
+			"tensor", tensor, "predictor", name).Add(float64(n))
 	}
 	reg.Counter("masc_codec_markov_predicted_total", "Elements whose selector came from the frozen Markov table.",
 		"tensor", tensor).Add(float64(st.MarkovPredicted))

@@ -55,12 +55,11 @@ type pinnedBytes struct {
 // the stored byte count, the modelled resident peak and a hash of the sealed
 // blob stream, for two fixtures under the five store shapes the facade
 // builds. A change to the store layer that is meant to keep the bytes may not
-// re-record them. The chained-store rows (sync, async, anchors, auto) were
-// recorded when masczip's region-D stamp became the difference form; the
-// tiered rows' stored and peak are older (commit 3fede77, before the stores
-// shared a core) and did not move then — a tiered blob has no reference, and
-// without one the two forms are the same — only their stream hash did,
-// through the revision bit in each blob's flags byte. The pipelined store's
+// re-record them. Every row but chained/tiered (which holds no blob on the
+// compressed rung under this clock: its pin is commit 3fede77's) was recorded
+// when masczip's hits became "the region's hit predictor is exact", coded in
+// runs: that changes self-contained blobs as well as chained ones, so the
+// tiered selfcontained row moved with the rest. The pipelined store's
 // peak depends on how far the worker and the prefetch run ahead, so it is
 // bounded (by the synchronous peak plus the frames the queue can hold), not
 // pinned.
@@ -118,16 +117,16 @@ func TestPinnedStoreBytes(t *testing.T) {
 		}},
 	}
 	want := map[string]pinnedBytes{
-		"chained/masc-sync":                     {stored: 41571, peak: 47228, stream: 0x04bd5105157c4270},
-		"chained/masc-async2":                   {stored: 41571, peak: -1, stream: 0x04bd5105157c4270},
-		"chained/masc-anchors50":                {stored: 47670, peak: 59455, stream: 0xa1d57ac9f0301205},
-		"chained/auto":                          {stored: 40996, peak: 46653, stream: 0x2fa79368dfd51bd1},
+		"chained/masc-sync":                     {stored: 41078, peak: 46735, stream: 0x10a7863c304af332},
+		"chained/masc-async2":                   {stored: 41078, peak: -1, stream: 0x10a7863c304af332},
+		"chained/masc-anchors50":                {stored: 47187, peak: 58972, stream: 0xebdd6414928e5f87},
+		"chained/auto":                          {stored: 40493, peak: 46150, stream: 0x7dace2f927f1ea8f},
 		"chained/tiered-quarter-diskless":       {stored: 91920, peak: 98353, stream: 0x4222caa0e70ae523},
-		"selfcontained/masc-sync":               {stored: 80063, peak: 82837, stream: 0x6def4d8f7e5e03ed},
-		"selfcontained/masc-async2":             {stored: 80063, peak: -1, stream: 0x6def4d8f7e5e03ed},
-		"selfcontained/masc-anchors50":          {stored: 81373, peak: 87155, stream: 0x53d5e5d41fa4d736},
-		"selfcontained/auto":                    {stored: 87479, peak: 90253, stream: 0x44c8178a0f3f23d8},
-		"selfcontained/tiered-quarter-diskless": {stored: 44143, peak: 47895, stream: 0x7ed8a2ebe217496b},
+		"selfcontained/masc-sync":               {stored: 79269, peak: 82043, stream: 0x9e4f03c8a102937f},
+		"selfcontained/masc-async2":             {stored: 79269, peak: -1, stream: 0x9e4f03c8a102937f},
+		"selfcontained/masc-anchors50":          {stored: 80575, peak: 86357, stream: 0x014f7e71ed8e6dde},
+		"selfcontained/auto":                    {stored: 80642, peak: 83416, stream: 0xda4a6bc562cd049b},
+		"selfcontained/tiered-quarter-diskless": {stored: 43882, peak: 47870, stream: 0x67b0657dcfef626d},
 	}
 	for _, f := range fixtures {
 		frame := int64(8 * (len(f.js[0]) + len(f.cs[0])))

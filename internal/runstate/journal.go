@@ -51,7 +51,9 @@ import (
 // blobs without it. A resumed tiered run re-reads the spill blobs the killed
 // run wrote, so a version-2 journal would resume into a run whose every
 // spilled fetch degrades to recomputation; it is refused here instead.
-const FormatVersion = 3
+// Version 4: a second revision bit (a hit is the region's hit predictor being
+// exact, hits are coded in runs), for the same reason.
+const FormatVersion = 4
 
 // Record kind bytes.
 const (

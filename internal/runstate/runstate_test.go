@@ -237,9 +237,9 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 // intact but carries another format version is refused as such — with both
 // versions in the error — rather than reported as having no config at all.
 func TestRecoverRejectsOtherFormatVersion(t *testing.T) {
-	// Version 1 factored in RCM order; version 2 wrote masczip blobs without
-	// the stamp revision bit.
-	for _, version := range []int{1, 2, FormatVersion + 1} {
+	// Version 1 factored in RCM order; versions 2 and 3 wrote masczip blobs
+	// without the stamp and the hit-run revision bits.
+	for _, version := range []int{1, 2, 3, FormatVersion + 1} {
 		cfg := testConfig()
 		cfg.FormatVersion = version
 		payload, err := json.Marshal(cfg)

@@ -237,6 +237,12 @@ type Stats struct {
 // runObs is the resolved telemetry bundle of one transient run. The zero
 // value (nil handles) is a no-op, so Run carries no telemetry branches
 // beyond a couple of time.Now calls guarded by `on`.
+// Why a step attempt was rejected, as the step span's cut attribute carries it.
+const (
+	cutNewton = 1 // Newton did not converge
+	cutLTE    = 2 // the local truncation error estimate was over tolerance
+)
+
 type runObs struct {
 	on      bool
 	rec     *span.Recorder
@@ -629,7 +635,22 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			s.fact = nil
 		}
 		ssp := ro.rec.Start(fsp.ID(), span.Step, step)
+		ssp.Attr("t_ps", int64(math.Round(tNext*1e12)))
 		ro.rec.SetScope(ssp.ID())
+		// reject closes the span of an attempt that will not be accepted and
+		// books what it cost: the metrics count every attempt, as Stats does.
+		reject := func(reason int64) {
+			ro.rec.SetScope(0)
+			ssp.Attr("cut", reason)
+			ssp.End()
+			res.Stats.StepsCut++
+			if ro.on {
+				ro.cuts.Inc()
+				ro.newton.Add(float64(res.Stats.NewtonIters - itersBefore))
+				ro.facts.Add(float64(res.Stats.Factorizations + res.Stats.Refactorizations - factsBefore))
+				ro.reuses.Add(float64(res.Stats.FactorReuses - reusesBefore))
+			}
+		}
 		var eval func(xx []float64)
 		if trap {
 			// (q_i - q_{i-1})/h + (f_i + f_{i-1})/2 = 0.
@@ -650,17 +671,8 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			}
 		}
 		if err := s.newton(xTrial, eval); err != nil {
-			ro.rec.SetScope(0)
-			ssp.Attr("cut", 1)
-			ssp.End()
+			reject(cutNewton)
 			cuts++
-			res.Stats.StepsCut++
-			if ro.on {
-				ro.cuts.Inc()
-				ro.newton.Add(float64(res.Stats.NewtonIters - itersBefore))
-				ro.facts.Add(float64(res.Stats.Factorizations + res.Stats.Refactorizations - factsBefore))
-				ro.reuses.Add(float64(res.Stats.FactorReuses - reusesBefore))
-			}
 			if opt.NewtonBudget > 0 {
 				failedSolveTime += time.Since(attemptStart)
 				if failedSolveTime > opt.NewtonBudget {
@@ -687,11 +699,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 				}
 			}
 			if worst > 1 && h > opt.MinStep {
-				ro.rec.SetScope(0)
-				ssp.Attr("cut", 1)
-				ssp.End()
-				res.Stats.StepsCut++
-				ro.cuts.Inc()
+				reject(cutLTE)
 				h = math.Max(h/2, opt.MinStep)
 				continue
 			}

@@ -51,6 +51,7 @@ import (
 	"masc/internal/obs/span"
 	"masc/internal/runstate"
 	"masc/internal/sparse"
+	"masc/internal/tiersched"
 	"masc/internal/transient"
 )
 
@@ -350,6 +351,11 @@ type runPlan struct {
 	anchorEvery int
 	objectives  []Objective
 	params      []int
+
+	// tierModel prices the tiered store's ladder. Nil — always, outside this
+	// package's tests — is the wall-clock model; a test hands in one over a
+	// tiersched.FakeClock so placements are a function of the samples it feeds.
+	tierModel *tiersched.Model
 }
 
 // newRunPlan resolves opt into a concrete plan.
@@ -432,6 +438,7 @@ func (plan *runPlan) newStore(ckt *Circuit, opt *SimOptions) (jactensor.Store, e
 			BudgetBytes:     opt.MemBudgetBytes,
 			DiskDir:         opt.DiskDir,
 			DiskBytesPerSec: opt.DiskBytesPerSec,
+			Model:           plan.tierModel,
 		})
 		anchored(ts)
 		return ts, nil

@@ -180,7 +180,8 @@ func TestResumeRejectsForeignCircuit(t *testing.T) {
 
 // TestResumeRejectsOtherFormatVersion: a journal checkpointed by a binary
 // with another journal format (version 1 factored in RCM column order,
-// version 2 spilled masczip blobs without the stamp revision bit) is refused
+// version 2 spilled masczip blobs without the stamp revision bit, version 3
+// without the hit-run one) is refused
 // by name, not continued and not mistaken for an empty journal.
 func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
@@ -198,7 +199,7 @@ func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	if err := json.Unmarshal(data[blobframe.HeaderSize:end], &cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []int{1, 2} {
+	for _, version := range []int{1, 2, 3} {
 		cfg["format_version"] = version
 		payload, err := json.Marshal(cfg)
 		if err != nil {

@@ -135,8 +135,10 @@ func TestSimulateSpanTreeTiered(t *testing.T) {
 }
 
 // TestSimulateCodecRegionStats: a run with CollectCodecStats says where each
-// tensor's bits went — per region, summing to the stream — in Run and in the
-// masc_codec_region_bits_total family, for the serial and the pipelined store.
+// tensor's bits went and what the codec decided — per region, bits summing to
+// the stream and hits + misses to the elements, hit runs, and how many blobs
+// took the mate or the stamp as hit predictor — in Run and in the
+// masc_codec_* families, for the serial and the pipelined store.
 func TestSimulateCodecRegionStats(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	for _, async := range []bool{false, true} {
@@ -154,14 +156,32 @@ func TestSimulateCodecRegionStats(t *testing.T) {
 		}
 		prom := string(ob.Reg.WritePrometheus(nil))
 		for tensor, st := range map[string]CodecStats{"g": run.CodecStatsG, "c": run.CodecStatsC} {
-			var regionBits, misses int64
+			var regionBits, misses, elements int64
+			lines := []string{
+				fmt.Sprintf("masc_codec_hit_predictor_blobs_total{tensor=%q,predictor=\"mate\"} %d\n", tensor, st.MateBlobs),
+				fmt.Sprintf("masc_codec_hit_predictor_blobs_total{tensor=%q,predictor=\"stamp\"} %d\n", tensor, st.StampBlobs),
+			}
 			for rg, name := range []string{"u", "l", "d"} {
 				regionBits += st.RegionBits[rg]
 				misses += st.RegionMisses[rg]
-				line := fmt.Sprintf("masc_codec_region_bits_total{tensor=%q,region=%q} %d\n", tensor, name, st.RegionBits[rg])
+				elements += st.RegionHits[rg] + st.RegionMisses[rg]
+				if st.HitRuns[rg] > st.RegionHits[rg] || (st.HitRuns[rg] == 0) != (st.RegionHits[rg] == 0) {
+					t.Errorf("async=%v tensor %s region %s: %d hits in %d runs", async, tensor, name, st.RegionHits[rg], st.HitRuns[rg])
+				}
+				lines = append(lines,
+					fmt.Sprintf("masc_codec_region_bits_total{tensor=%q,region=%q} %d\n", tensor, name, st.RegionBits[rg]),
+					fmt.Sprintf("masc_codec_hit_runs_total{tensor=%q,region=%q} %d\n", tensor, name, st.HitRuns[rg]))
+			}
+			for _, line := range lines {
 				if !strings.Contains(prom, line) {
 					t.Errorf("async=%v: /metrics lacks %q", async, line)
 				}
+			}
+			if elements != st.Elements {
+				t.Errorf("async=%v tensor %s: regions hold %d hits + misses, %d elements", async, tensor, elements, st.Elements)
+			}
+			if elements == misses {
+				t.Errorf("async=%v tensor %s: no element of %d was a hit", async, tensor, elements)
 			}
 			if regionBits == 0 || regionBits != st.SelectorBits+st.PayloadBits {
 				t.Errorf("async=%v tensor %s: regions hold %d bits, selector+payload %d", async, tensor, regionBits, st.SelectorBits+st.PayloadBits)
