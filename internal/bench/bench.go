@@ -78,9 +78,16 @@ type codecPair struct {
 	g, c compress.Compressor
 }
 
+// historyOf is the frames above step i that codec c reads — the caller holds
+// them all: as many as a history codec's depth, the next one otherwise, none
+// at the last step.
+func historyOf(c compress.Compressor, frames [][]float64, i int) [][]float64 {
+	return frames[i+1 : min(i+1+compress.HistoryDepth(c), len(frames))]
+}
+
 // MeasureCodec runs the Algorithm-2 chain over the tensor: step i is
-// compressed with step i+1 as reference (the last step with none), then
-// decompressed in reverse and verified (bit-exact for lossless codecs,
+// compressed with the steps above it as reference (the last step with none),
+// then decompressed in reverse and verified (bit-exact for lossless codecs,
 // skipped for lossy ones).
 func MeasureCodec(p codecPair, tn *Tensor) (CodecResult, error) {
 	res := CodecResult{Codec: p.name}
@@ -90,12 +97,8 @@ func MeasureCodec(p codecPair, tn *Tensor) (CodecResult, error) {
 
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		var refG, refC []float64
-		if i+1 < n {
-			refG, refC = tn.GS[i+1], tn.CS[i+1]
-		}
-		gBlobs[i] = p.g.Compress(nil, tn.GS[i], refG)
-		cBlobs[i] = p.c.Compress(nil, tn.CS[i], refC)
+		gBlobs[i] = compress.Encode(p.g, nil, tn.GS[i], historyOf(p.g, tn.GS, i))
+		cBlobs[i] = compress.Encode(p.c, nil, tn.CS[i], historyOf(p.c, tn.CS, i))
 		res.CompressedBytes += int64(len(gBlobs[i]) + len(cBlobs[i]))
 	}
 	res.CompressTime = time.Since(start)
@@ -105,14 +108,10 @@ func MeasureCodec(p codecPair, tn *Tensor) (CodecResult, error) {
 	cBuf := make([]float64, len(tn.CS[0]))
 	start = time.Now()
 	for i := n - 1; i >= 0; i-- {
-		var refG, refC []float64
-		if i+1 < n {
-			refG, refC = tn.GS[i+1], tn.CS[i+1]
-		}
-		if err := p.g.Decompress(gBuf, gBlobs[i], refG); err != nil {
+		if err := compress.Decode(p.g, gBuf, gBlobs[i], historyOf(p.g, tn.GS, i)); err != nil {
 			return res, fmt.Errorf("bench: %s step %d G: %w", p.name, i, err)
 		}
-		if err := p.c.Decompress(cBuf, cBlobs[i], refC); err != nil {
+		if err := compress.Decode(p.c, cBuf, cBlobs[i], historyOf(p.c, tn.CS, i)); err != nil {
 			return res, fmt.Errorf("bench: %s step %d C: %w", p.name, i, err)
 		}
 		if lossless {

@@ -91,6 +91,9 @@ func mascStats(p codecPair) (masczip.Stats, bool) {
 	st.RunLengthBits += cst.RunLengthBits
 	st.MateBlobs += cst.MateBlobs
 	st.StampBlobs += cst.StampBlobs
+	for o := range st.OrderBlobs {
+		st.OrderBlobs[o] += cst.OrderBlobs[o]
+	}
 	return st, true
 }
 

@@ -7,7 +7,6 @@ package bitstream
 import (
 	"encoding/binary"
 	"errors"
-	"math/bits"
 )
 
 // ErrOverrun is reported by Reader when a read extends past the end of the
@@ -247,37 +246,6 @@ func (r *Reader) Skip(n uint) {
 		r.n = 8 - rem
 		r.acc = b & ((1 << r.n) - 1)
 	}
-}
-
-// RunOfOnes counts and consumes a maximal run of '1' bits, at most max. The
-// run ends at the first '0' bit (which stays unconsumed) or at the end of
-// the stream. A whole word of the run is counted with one
-// LeadingZeros64(^w) instead of per-bit reads; zero padding past the end of
-// the stream terminates the count, so the run never overruns the buffer.
-func (r *Reader) RunOfOnes(max int) int {
-	n := 0
-	for n < max {
-		w, valid := r.Peek64()
-		if valid == 0 {
-			break
-		}
-		ones := bits.LeadingZeros64(^w)
-		if uint(ones) > valid {
-			ones = int(valid)
-		}
-		if rem := max - n; ones > rem {
-			ones = rem
-		}
-		if ones == 0 {
-			break
-		}
-		r.Skip(uint(ones))
-		n += ones
-		if uint(ones) < valid {
-			break // stopped at a genuine '0' bit within the window
-		}
-	}
-	return n
 }
 
 // ReadBits reads n bits (n in [0,64]) MSB-first and returns them

@@ -19,3 +19,51 @@ type Compressor interface {
 	// Lossless reports whether Decompress reproduces bit-exact values.
 	Lossless() bool
 }
+
+// HistoryCompressor is the optional capability of a codec whose prediction
+// reads more than one reference frame. hist holds the frames the caller has
+// already kept, nearest first — hist[0] is the ref of Compress — and may be
+// empty (a self-contained blob); frames may alias one another. The codec
+// reads at most HistoryDepth of them, and Decompress needs the frames the
+// blob was coded against, in the same order. The two-argument methods of such
+// a codec are its one-frame case.
+type HistoryCompressor interface {
+	Compressor
+	// HistoryDepth is the largest number of reference frames the codec reads.
+	HistoryDepth() int
+	CompressHistory(dst []byte, cur []float64, hist [][]float64) []byte
+	DecompressHistory(cur []float64, blob []byte, hist [][]float64) error
+}
+
+// HistoryDepth is how many reference frames c reads: its HistoryDepth where
+// it has the capability, one otherwise.
+func HistoryDepth(c Compressor) int {
+	if hc, ok := c.(HistoryCompressor); ok {
+		return hc.HistoryDepth()
+	}
+	return 1
+}
+
+// Encode appends cur's blob to dst, coded against hist (nearest first, may be
+// empty): the whole of it where c reads a history, its nearest frame otherwise.
+func Encode(c Compressor, dst []byte, cur []float64, hist [][]float64) []byte {
+	if hc, ok := c.(HistoryCompressor); ok {
+		return hc.CompressHistory(dst, cur, hist)
+	}
+	return c.Compress(dst, cur, nearest(hist))
+}
+
+// Decode inverts Encode, given the history the blob was coded against.
+func Decode(c Compressor, cur []float64, blob []byte, hist [][]float64) error {
+	if hc, ok := c.(HistoryCompressor); ok {
+		return hc.DecompressHistory(cur, blob, hist)
+	}
+	return c.Decompress(cur, blob, nearest(hist))
+}
+
+func nearest(hist [][]float64) []float64 {
+	if len(hist) == 0 {
+		return nil
+	}
+	return hist[0]
+}

@@ -59,6 +59,7 @@ type regionCoder struct {
 	hitSym uint8 // the hit predictor as a selector symbol: 0 temporal, 1 mate (L) / stamp (D)
 	prev   uint8 // Markov chain state
 	table  []uint8
+	selLen uint // width of the best-fit selector: 2 bits for four symbols, 1 for D's two
 }
 
 func (cc *chunkCoder) regions() [3]regionCoder {
@@ -66,9 +67,9 @@ func (cc *chunkCoder) regions() [3]regionCoder {
 	lo, hi := cc.rowLo, cc.rowHi
 	mate, stamp := uint8(boolInt(cc.mateHit)), uint8(boolInt(cc.stampHit))
 	return [3]regionCoder{
-		{rg: regionU, slots: pl.uSlots, lo: pl.uRowPtr[lo], hi: pl.uRowPtr[hi], table: cc.tables.u[:]},
-		{rg: regionL, slots: pl.lSlots, lo: pl.lRowPtr[lo], hi: pl.lRowPtr[hi], table: cc.tables.l[:], hitSym: mate},
-		{rg: regionD, slots: pl.dSlots, lo: pl.dRowPtr[lo], hi: pl.dRowPtr[hi], table: cc.tables.d[:], hitSym: stamp},
+		{rg: regionU, slots: pl.uSlots, lo: pl.uRowPtr[lo], hi: pl.uRowPtr[hi], table: cc.tables.u[:], selLen: 2},
+		{rg: regionL, slots: pl.lSlots, lo: pl.lRowPtr[lo], hi: pl.lRowPtr[hi], table: cc.tables.l[:], selLen: 2, hitSym: mate},
+		{rg: regionD, slots: pl.dSlots, lo: pl.dRowPtr[lo], hi: pl.dRowPtr[hi], table: cc.tables.d[:], selLen: 1, hitSym: stamp},
 	}
 }
 
@@ -206,16 +207,12 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 	cc.stats.PayloadBits += int64(preN)
 	if cc.calib {
 		sym = bestSym(val, cands, nSyms)
-		bitsN := uint(2)
-		if nSyms == 2 {
-			bitsN = 1
-		}
 		pre = uint64(sym) // a marker bit above it stays 0
-		preN += bitsN
+		preN += r.selLen
 		if cc.counts != nil {
 			cc.counts.add(r.rg, r.prev, sym)
 		}
-		cc.stats.SelectorBits += int64(bitsN)
+		cc.stats.SelectorBits += int64(r.selLen)
 	} else {
 		sym = r.table[r.prev]
 		if cc.statsOn {
@@ -272,31 +269,35 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 	return sym
 }
 
-// decodeMissAt decodes one miss whose selector starts at bit offset off of the
-// peeked window w: past the short run of '1' hit bits the caller identified in
-// the same window but has not consumed and the '0' marker, or 0 for the bare
-// miss after a length-coded run. Selector and residual fields are extracted
-// branchlessly from the word; run, marker, selector and residual are consumed
-// with a single Skip. off ≤ longRun, so every fixed field lies inside the
-// window; only a long payload needs the ReadBits spill. Zero padding past the
-// end of the stream decodes as the zero-extended fields sequential reads would
-// see, with ErrOverrun surfacing from Skip/ReadBits.
-func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64,
-	cands *[4]float64, nSyms int, rc *regionCoder) float64 {
-
+// decodeMissAt decodes the miss at position k of region rc, whose selector
+// starts at bit offset off of the peeked window w: past the short run of '1'
+// hit bits the caller identified in the same window but has not consumed and
+// the '0' marker, or 0 for the bare miss after a length-coded run. Selector and
+// residual fields are extracted branchlessly from the word; run, marker,
+// selector and residual are consumed with a single Skip. off ≤ longRun, so every
+// fixed field lies inside the window; only a long payload needs the ReadBits
+// spill. Zero padding past the end of the stream decodes as the zero-extended
+// fields sequential reads would see, with ErrOverrun surfacing from
+// Skip/ReadBits. The decoder knows the symbol before it needs a prediction, so
+// it computes that one: symbol 0 is the temporal candidate in every region, and
+// where a history makes it the usual choice the other three are never formed.
+func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64, rc *regionCoder, k int32) float64 {
 	var sym uint8
 	if cc.calib {
-		bitsN := uint(2)
-		if nSyms == 2 {
-			bitsN = 1
-		}
-		sym = uint8((w << off) >> (64 - bitsN))
-		off += bitsN
+		sym = uint8((w << off) >> (64 - rc.selLen))
+		off += rc.selLen
 	} else {
 		sym = rc.table[rc.prev]
 	}
 	rc.prev = sym
-	pred := cands[sym]
+	var pred float64
+	if sym == 0 {
+		pred = cc.temporal(rc.slots[k])
+	} else {
+		var cands [4]float64
+		cc.cands(rc, k, &cands)
+		pred = cands[sym]
+	}
 
 	wres := w << off // residual view, flags at the top
 	var x uint64
@@ -363,7 +364,6 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 // field that cannot be right is an error here; a stream that ends early is
 // decoded from zero padding up to the first overrun, which stays in r.
 func (cc *chunkCoder) decodeRegions(r *bitstream.Reader) error {
-	var cands [4]float64
 	table := cc.regions()
 	for i := range table {
 		rc := &table[i]
@@ -398,8 +398,7 @@ func (cc *chunkCoder) decodeRegions(r *bitstream.Reader) error {
 				}
 				off = uint(ones) + 1
 			}
-			n := cc.cands(rc, k, &cands)
-			cc.cur[rc.slots[k]] = cc.decodeMissAt(r, off, w, &cands, n, rc)
+			cc.cur[rc.slots[k]] = cc.decodeMissAt(r, off, w, rc, k)
 			bare = false
 			k++
 		}

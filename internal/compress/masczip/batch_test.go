@@ -2,6 +2,7 @@ package masczip
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -145,56 +146,30 @@ func batchFixtures() []struct {
 // the other's blobs bit-exactly, and the encoder statistics must agree.
 func TestBatchedWireIdentity(t *testing.T) {
 	for _, fx := range batchFixtures() {
-		t.Run(fx.name, func(t *testing.T) {
-			encode := func(newCodec func(*sparse.Pattern, Options) *Compressor) ([][]byte, Stats) {
-				c := newCodec(fx.p, fx.opt)
-				return encodeChain(c, fx.frames), c.Stats()
-			}
-			batched, batchedStats := encode(New)
-			scalar, scalarStats := encode(newReference)
+		for _, depth := range []int{1, MaxOrder + 1} {
+			t.Run(fmt.Sprintf("%s/depth%d", fx.name, depth), func(t *testing.T) {
+				encode := func(newCodec func(*sparse.Pattern, Options) *Compressor) ([][]byte, Stats) {
+					c := newCodec(fx.p, fx.opt)
+					return encodeChainDepth(c, fx.frames, depth), c.Stats()
+				}
+				batched, batchedStats := encode(New)
+				scalar, scalarStats := encode(newReference)
 
-			for i := range batched {
-				if !bytes.Equal(batched[i], scalar[i]) {
-					t.Fatalf("blob %d: batched encode diverged from scalar (%d vs %d bytes)",
-						i, len(batched[i]), len(scalar[i]))
-				}
-			}
-			if batchedStats != scalarStats {
-				t.Fatalf("stats diverged:\nbatched: %+v\nscalar:  %+v", batchedStats, scalarStats)
-			}
-
-			decodeChain := func(newCodec func(*sparse.Pattern, Options) *Compressor, blobs [][]byte) [][]float64 {
-				d := newCodec(fx.p, fx.opt)
-				var got [][]float64
-				for i := range blobs {
-					var ref []float64
-					if i < len(fx.frames)-1 {
-						ref = fx.frames[i+1]
-					}
-					out := make([]float64, fx.p.NNZ())
-					if err := d.Decompress(out, blobs[i], ref); err != nil {
-						t.Fatalf("blob %d: %v", i, err)
-					}
-					got = append(got, out)
-				}
-				return got
-			}
-			// Batched decoder over scalar-encoded blobs (and vice versa —
-			// the blobs are identical, so one decode per mode covers both).
-			fromBatched := decodeChain(New, scalar)
-			fromScalar := decodeChain(newReference, batched)
-			for i := range fromBatched {
-				for k := range fromBatched[i] {
-					want := math.Float64bits(fx.frames[i][k])
-					if g := math.Float64bits(fromBatched[i][k]); g != want {
-						t.Fatalf("batched decode blob %d value %d: got %x want %x", i, k, g, want)
-					}
-					if g := math.Float64bits(fromScalar[i][k]); g != want {
-						t.Fatalf("scalar decode blob %d value %d: got %x want %x", i, k, g, want)
+				for i := range batched {
+					if !bytes.Equal(batched[i], scalar[i]) {
+						t.Fatalf("blob %d: batched encode diverged from scalar (%d vs %d bytes)",
+							i, len(batched[i]), len(scalar[i]))
 					}
 				}
-			}
-		})
+				if batchedStats != scalarStats {
+					t.Fatalf("stats diverged:\nbatched: %+v\nscalar:  %+v", batchedStats, scalarStats)
+				}
+				// Batched decoder over scalar-encoded blobs (and vice versa —
+				// the blobs are identical, so one decode per mode covers both).
+				decodeChainDepth(t, New(fx.p, fx.opt), scalar, fx.frames, depth)
+				decodeChainDepth(t, newReference(fx.p, fx.opt), batched, fx.frames, depth)
+			})
+		}
 	}
 }
 

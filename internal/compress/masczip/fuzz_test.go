@@ -21,13 +21,23 @@ func FuzzDecompress(f *testing.F) {
 	f.Add(cm.Compress(nil, cur, ref))
 	// Run-heavy seeds: blobs dominated by long '1'-bit hit runs and
 	// window-shared residual streaks, steering the fuzzer at the batched
-	// RunOfOnes/bulk-copy decode paths.
+	// run-counting and bulk-copy decode paths.
 	rf := runHeavyFrames(rng, p, 4)
 	cr := New(p, Options{})
 	f.Add(cr.Compress(nil, rf[1], rf[2]))
 	crm := New(p, Options{Markov: true, CalibEvery: 2})
 	crm.Compress(nil, rf[0], rf[1]) // advance past calibration
 	f.Add(crm.Compress(nil, rf[1], rf[2]))
+	// History seeds: a waveform chain's blobs at the orders the chooser
+	// picked, and one forced to the highest.
+	wf := waveformFrames(rng, p, MaxOrder+3, 5)
+	hist := wf[1 : MaxOrder+2]
+	for _, blob := range encodeChainDepth(New(p, Options{}), wf, MaxOrder+1) {
+		f.Add(blob)
+	}
+	top := New(p, Options{Workers: 2})
+	forceOrder(top, MaxOrder)
+	f.Add(top.CompressHistory(nil, wf[0], hist))
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3})
 	// Adversarial headers for the hardened parser: a chunk-boundary delta
@@ -47,10 +57,11 @@ func FuzzDecompress(f *testing.F) {
 	hugeLens = binary.AppendUvarint(hugeLens, math.MaxUint64)
 	hugeLens = binary.AppendUvarint(hugeLens, math.MaxUint64)
 	f.Add(hugeLens)
-	// Bad run-length fields, and blobs of both older revisions, which the
-	// decoder must refuse at the flags byte (the golden corpus' pattern is not
-	// this one, so past that check they are foreign blobs too); then a
-	// well-formed header under an all-bits-set first byte.
+	// Bad run-length fields, order fields no history satisfies, and blobs of
+	// both older revisions, which the decoder must refuse at the flags byte
+	// (the golden corpus' pattern is not this one, so past that check they
+	// are foreign blobs too); then a well-formed header under an
+	// all-bits-set first byte.
 	for _, seed := range adversarialBlobs(f, p) {
 		f.Add(seed)
 	}
@@ -62,9 +73,11 @@ func FuzzDecompress(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		out := make([]float64, p.NNZ())
 		want := make([]float64, p.NNZ())
-		for _, ref := range [][]float64{ref, nil} {
-			err := c.Decompress(out, blob, ref)
-			serr := oracle.Decompress(want, blob, ref)
+		// Against a full history, a partial one that is the waveform's, one
+		// frame (the two-argument call) and none.
+		for _, hist := range [][][]float64{hist, hist[:3], {ref}, nil} {
+			err := c.DecompressHistory(out, blob, hist)
+			serr := oracle.DecompressHistory(want, blob, hist)
 			if (err == nil) != (serr == nil) {
 				t.Fatalf("batched decoder: %v; scalar decoder: %v", err, serr)
 			}
@@ -84,7 +97,8 @@ func FuzzDecompress(f *testing.F) {
 // values with the low byte flipped. The pattern has rows with no
 // off-diagonal. Without a reference the blob must also be the value-form
 // oracle's, byte for byte, and with or without one it must stay inside the
-// size bound against the previous revision's coder.
+// size bound against the previous revision's coder. The same values also make
+// a chain coded against a history, which must invert as well.
 func FuzzRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	p := islandPattern(rng, 12, 12, 2)
@@ -121,6 +135,9 @@ func FuzzRoundTrip(f *testing.F) {
 		opt := Options{Markov: markov, CalibEvery: 2}
 		roundTrip(t, New(p, opt), cur, ref)
 		roundTrip(t, New(p, opt), cur, nil)
+		// Whatever order the chooser makes of three frames that are two arrays.
+		frames := [][]float64{cur, ref, cur, ref}
+		decodeChainDepth(t, New(p, opt), encodeChainDepth(New(p, opt), frames, MaxOrder+1), frames, MaxOrder+1)
 		checkNilRefIsValueForm(t, p, opt, cur)
 		checkSizeBound(t, p, opt, [][]float64{cur, ref})
 	})

@@ -83,7 +83,7 @@ func readCorpus(path string) ([][]byte, error) {
 // change with MASC_UPDATE_GOLDEN=1 go test ./internal/compress/masczip
 // -run TestGoldenFormat, and say so in the commit message.
 func TestGoldenFormat(t *testing.T) {
-	goldenCorpusTest(t, goldenFrames, goldenFormatProfiles)
+	goldenCorpusTest(t, goldenFrames, goldenFormatProfiles, 1)
 }
 
 // TestGoldenRuns pins the format over the run-heavy corpus: blobs dominated
@@ -91,7 +91,7 @@ func TestGoldenFormat(t *testing.T) {
 // shapes the batched word-parallel paths rewrite. Any drift in run batching
 // shows up here as an encode-identity failure.
 func TestGoldenRuns(t *testing.T) {
-	goldenCorpusTest(t, goldenRunFrames, goldenRunsProfiles)
+	goldenCorpusTest(t, goldenRunFrames, goldenRunsProfiles, 1)
 }
 
 type goldenProfile struct {
@@ -112,14 +112,41 @@ var (
 	}
 )
 
-// encodeChain encodes a frame chain through c the way the store does: frame
-// i against frame i+1 as reference, the head frame unreferenced.
+// historyOf is the history the store codes frame i of a chain against when
+// its codecs read depth frames: the depth frames above it, fewer near the
+// head, none at it.
+func historyOf(frames [][]float64, i, depth int) [][]float64 {
+	return frames[i+1 : min(i+1+depth, len(frames))]
+}
+
+// encodeChain encodes a frame chain through c the way a one-reference store
+// does: frame i against frame i+1, the head frame unreferenced.
 func encodeChain(c *Compressor, frames [][]float64) [][]byte {
+	return encodeChainDepth(c, frames, 1)
+}
+
+// encodeChainDepth encodes a frame chain against depth frames of history.
+func encodeChainDepth(c *Compressor, frames [][]float64, depth int) [][]byte {
 	var blobs [][]byte
-	for i := 0; i < len(frames)-1; i++ {
-		blobs = append(blobs, c.Compress(nil, frames[i], frames[i+1]))
+	for i := range frames {
+		blobs = append(blobs, c.CompressHistory(nil, frames[i], historyOf(frames, i, depth)))
 	}
-	return append(blobs, c.Compress(nil, frames[len(frames)-1], nil))
+	return blobs
+}
+
+// goldenHistoryFrames returns the chain behind golden-history.bin: a tenth of
+// the slots follow smooth waveforms of their own (the rest stand still), with
+// a step in the middle of the chain that no order extrapolates across.
+func goldenHistoryFrames() (*sparse.Pattern, [][]float64) {
+	rng := rand.New(rand.NewSource(44))
+	p := mnaPattern(rng, 20, 26)
+	return p, waveformFrames(rng, p, 14, 7)
+}
+
+// TestGoldenHistory pins the format of blobs coded against a history: the
+// order field of the flags byte and the extrapolated temporal candidate.
+func TestGoldenHistory(t *testing.T) {
+	goldenCorpusTest(t, goldenHistoryFrames, []goldenProfile{{"history", Options{}}}, MaxOrder+1)
 }
 
 // oldRevisionCorpora are the refusal fixtures, one blob per golden profile in
@@ -161,11 +188,11 @@ func TestOlderRevisionsRefused(t *testing.T) {
 	}
 }
 
-func goldenCorpusTest(t *testing.T, mk func() (*sparse.Pattern, [][]float64), profiles []goldenProfile) {
+func goldenCorpusTest(t *testing.T, mk func() (*sparse.Pattern, [][]float64), profiles []goldenProfile, depth int) {
 	p, frames := mk()
 	for _, prof := range profiles {
 		t.Run(prof.name, func(t *testing.T) {
-			blobs := encodeChain(New(p, prof.opt), frames)
+			blobs := encodeChainDepth(New(p, prof.opt), frames, depth)
 
 			path := filepath.Join("testdata", "golden-"+prof.name+".bin")
 			if os.Getenv("MASC_UPDATE_GOLDEN") != "" {
@@ -195,11 +222,7 @@ func goldenCorpusTest(t *testing.T, mk func() (*sparse.Pattern, [][]float64), pr
 			d := New(p, prof.opt)
 			got := make([]float64, p.NNZ())
 			for i := range golden {
-				var ref []float64
-				if i < len(frames)-1 {
-					ref = frames[i+1]
-				}
-				if err := d.Decompress(got, golden[i], ref); err != nil {
+				if err := d.DecompressHistory(got, golden[i], historyOf(frames, i, depth)); err != nil {
 					t.Fatalf("golden blob %d: %v", i, err)
 				}
 				for k := range got {

@@ -1,0 +1,108 @@
+package masczip
+
+import (
+	"math"
+	"math/bits"
+)
+
+// The temporal candidate (selector symbol 0 of every region) is an
+// extrapolation. A smooth waveform's next value is predictable from more than
+// its last one: through the o+1 nearest reference frames runs one polynomial
+// of degree o, and its value one step on is the order-o candidate — the
+// nearest frame's value at order 0, which is the paper's temporal model. The
+// encoder picks o per blob (prePass) and writes it in the flags byte; hits,
+// the mate, the stamp and every other candidate read the nearest frame alone.
+//
+// The arithmetic is on integers. A bit pattern is mapped to the uint64 that
+// sorts like the value (ordered), the polynomial is evaluated with wrapping
+// adds and multiplies, and the result is mapped back. There is no rounding
+// for encoder and decoder to disagree on, NaN, ±Inf, ±0 and denormals are
+// bit patterns like any other, and where the frames are near one another the
+// ordered integers are an affine image of the values, so a smooth run of
+// floats is a smooth run of integers.
+
+// MaxOrder is the highest extrapolation order a blob can name, a constant of
+// the wire format: an order-o blob reads o+1 reference frames.
+const MaxOrder = 6
+
+// The pre-pass prices the orders on a sample of the chunk: it looks at every
+// orderSlotStride-th slot — a prime, so that no regular row length keeps it on
+// one column — and takes every orderMissStride-th of those that differ from the
+// nearest frame, the first included.
+const (
+	orderSlotStride = 7
+	orderMissStride = 4
+)
+
+// ordered maps a float64 bit pattern to the integer that sorts as the value
+// does: positive values get the top bit, negative ones are complemented.
+func ordered(b uint64) uint64 { return b ^ (uint64(int64(b)>>63) | 1<<63) }
+
+// unordered inverts ordered.
+func unordered(m uint64) uint64 { return m ^ (uint64(int64(^m)>>63) | 1<<63) }
+
+// temporal is the temporal candidate for slot k: frame i weighs
+// (−1)^i·C(o+1, i+1) in the order-o extrapolation, which sums to 1. Written out
+// per order over an array of frames held in the coder, a call costs 6 ns at
+// order 6; a loop over a coefficient table and a slice of slices cost 12.
+func (cc *chunkCoder) temporal(k int32) float64 {
+	if cc.order == 0 {
+		return cc.ref[k]
+	}
+	h := &cc.hist
+	m := func(i int) uint64 { return ordered(math.Float64bits(h[i][k])) }
+	var p uint64
+	switch cc.order {
+	case 1:
+		p = 2*m(0) - m(1)
+	case 2:
+		p = 3*(m(0)-m(1)) + m(2)
+	case 3:
+		p = 4*(m(0)+m(2)) - 6*m(1) - m(3)
+	case 4:
+		p = 5*(m(0)-m(3)) + 10*(m(2)-m(1)) + m(4)
+	case 5:
+		p = 6*(m(0)+m(4)) - 15*(m(1)+m(3)) + 20*m(2) - m(5)
+	default:
+		p = 7*(m(0)-m(5)) + 21*(m(4)-m(1)) + 35*(m(2)-m(3)) + m(6)
+	}
+	return math.Float64frombits(unordered(p))
+}
+
+// sampleOrders adds to cost, per order the call's history allows, the
+// significant bits of the XOR residual the temporal candidate would leave on
+// the sampled elements of the chunk — of any region: one a mate or stamp hit
+// will code moves as smoothly as the misses beside it, and is as good a sample.
+// One table of backward
+// differences gives every order: its head after o rounds is the o-th difference
+// at the nearest frame, and the order-o prediction is the sum of the first o+1
+// heads.
+func (cc *chunkCoder) sampleOrders(cost *[MaxOrder + 1]int64) {
+	top := cc.nhist - 1
+	if top < 1 {
+		return
+	}
+	cur, ref := cc.cur, cc.ref
+	misses := 0
+	for slot := cc.plan.pat.RowPtr[cc.rowLo]; slot < cc.plan.pat.RowPtr[cc.rowHi]; slot += orderSlotStride {
+		v := math.Float64bits(cur[slot])
+		if v == math.Float64bits(ref[slot]) {
+			continue
+		}
+		if misses++; misses%orderMissStride != 1 {
+			continue
+		}
+		var d [MaxOrder + 1]uint64
+		for i, h := range cc.hist[:cc.nhist] {
+			d[i] = ordered(math.Float64bits(h[slot]))
+		}
+		p := uint64(0)
+		for o := 0; o <= top; o++ {
+			p += d[0]
+			cost[o] += int64(bits.Len64(v ^ unordered(p)))
+			for i := 0; i < top-o; i++ {
+				d[i] -= d[i+1]
+			}
+		}
+	}
+}

@@ -69,6 +69,9 @@ type Stats struct {
 	// hit predictor the symmetric mate and region D's the difference stamp.
 	MateBlobs  int64
 	StampBlobs int64
+	// OrderBlobs[o] counts the blobs whose temporal candidate extrapolates at
+	// order o (flags bits 5–7); they sum to the blobs compressed.
+	OrderBlobs [MaxOrder + 1]int64
 	// MarkovPredicted counts elements whose selector came from the frozen
 	// Markov table (non-calibration matrices, no selector bits on the
 	// wire); MarkovExact counts the subset whose predicted model
@@ -107,6 +110,9 @@ func (s *Stats) merge(o *Stats) {
 	s.RunLengthBits += o.RunLengthBits
 	s.MateBlobs += o.MateBlobs
 	s.StampBlobs += o.StampBlobs
+	for i := range s.OrderBlobs {
+		s.OrderBlobs[i] += o.OrderBlobs[i]
+	}
 	s.MarkovPredicted += o.MarkovPredicted
 	s.MarkovExact += o.MarkovExact
 }
@@ -121,6 +127,7 @@ type Compressor struct {
 	cnt   markovCounts
 	stats Stats
 	zeros []float64
+	one   [1][]float64 // the history of a two-argument call
 
 	// Per-chunk scratch reused across calls. A MASC run compresses the
 	// Jacobian tensor thousands of times through one Compressor, so the
@@ -143,10 +150,12 @@ type Compressor struct {
 	// Call state shared with encFn/decFn, which are allocated once here
 	// rather than as per-call closures.
 	cur, ref []float64
+	hist     [][]float64 // the reference frames, nearest first: hist[0] is ref; nil with none
 	blob     []byte
 	calib    bool
 	mateHit  bool // region L's hit predictor is the symmetric mate
 	stampHit bool // region D's hit predictor is the difference stamp
+	order    int  // the blob's temporal candidate extrapolates over hist[:order+1]
 	tbl      markovTables
 	preFn    func(int)
 	encFn    func(int)
@@ -252,27 +261,42 @@ func (c *Compressor) ResetStats() { c.stats = Stats{} }
 // (batch.go). Every encoder sets both and the decoder requires both, because a
 // blob coded under an older meaning would decode to wrong values, not fail.
 // flagMateHit and flagStampHit are the encoder's per-blob choice of region L's
-// and region D's hit predictor (clear = temporal); the decoder obeys them
-// whatever its own options. No bit outside flagsKnown is ever written, so one
-// that is set is corruption or a foreign byte.
+// and region D's hit predictor (clear = temporal), and bits 5–7 its choice of
+// the order the temporal candidate extrapolates at (history.go; 0 = the
+// nearest frame's value, 7 is above MaxOrder and refused); the decoder obeys
+// them whatever its own options.
 const (
 	flagCalib     = 1 << 0
 	flagDiffStamp = 1 << 1
 	flagHitRuns   = 1 << 2
 	flagMateHit   = 1 << 3
 	flagStampHit  = 1 << 4
+	orderShift    = 5
 	flagsRevision = flagDiffStamp | flagHitRuns
-	flagsKnown    = flagCalib | flagsRevision | flagMateHit | flagStampHit
 )
 
-func (c *Compressor) refOrZeros(ref []float64) []float64 {
-	if ref != nil {
-		return ref
+// history checks a call's frames against the pattern and returns the ones the
+// codec reads — the MaxOrder+1 nearest — with the nearest, or the all-zero
+// frame a self-contained blob is predicted from.
+func (c *Compressor) history(cur []float64, hist [][]float64) ([][]float64, []float64, error) {
+	if len(cur) != c.plan.nnz {
+		return nil, nil, fmt.Errorf("masczip: value count %d does not match pattern nnz %d", len(cur), c.plan.nnz)
+	}
+	if len(hist) > MaxOrder+1 {
+		hist = hist[:MaxOrder+1]
+	}
+	for i, h := range hist {
+		if len(h) != c.plan.nnz {
+			return nil, nil, fmt.Errorf("masczip: reference frame %d holds %d values, pattern nnz is %d", i, len(h), c.plan.nnz)
+		}
+	}
+	if len(hist) > 0 {
+		return hist, hist[0], nil
 	}
 	if len(c.zeros) != c.plan.nnz {
 		c.zeros = make([]float64, c.plan.nnz)
 	}
-	return c.zeros
+	return nil, c.zeros, nil
 }
 
 // chunkEncoder resets chunk ci's persistent writer and coder for the call
@@ -284,6 +308,7 @@ func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
 	*ec = chunkCoder{
 		plan: c.plan, opt: &c.opt,
 		cur: c.cur, ref: c.ref,
+		nhist: len(c.hist), order: c.order,
 		rowLo: c.curBounds[ci], rowHi: c.curBounds[ci+1],
 		calib: c.calib, tables: &c.tbl,
 		mateHit: c.mateHit, stampHit: c.stampHit,
@@ -292,6 +317,7 @@ func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
 	// The stats sink is never nil: with collection off it points at the
 	// coder's own discard field (zeroed by the assignment above, never
 	// merged), so the per-element hot path carries no nil checks.
+	copy(ec.hist[:], c.hist)
 	ec.stats = &ec.discard
 	if c.opt.CollectStats {
 		ec.stats = &c.chStats[ci]
@@ -306,13 +332,19 @@ func (c *Compressor) countChunk(ci int) {
 	c.hits[ci] = ec.countHits()
 }
 
-// pickHitPredictors runs the pre-pass and makes the mate region L's hit
-// predictor, and the stamp region D's, where it is bit-exact on more of the
-// blob's elements than the temporal prediction is.
-func (c *Compressor) pickHitPredictors(nchunks int) {
-	c.mateHit, c.stampHit = false, false
-	if c.opt.DisableStamp || sameBits(c.cur, c.ref) {
+// prePass makes the blob's three choices from one pass over the frame: the
+// mate becomes region L's hit predictor, and the stamp region D's, where it is
+// bit-exact on more of the blob's elements than the temporal prediction is; and
+// the temporal candidate extrapolates at the order that left the fewest
+// significant residual bits on the sampled moving elements (the lowest on a
+// tie, so 0 when nothing was sampled).
+func (c *Compressor) prePass(nchunks int) {
+	c.mateHit, c.stampHit, c.order = false, false, 0
+	if sameBits(c.cur, c.ref) {
 		return // nothing to choose; a frame that is its reference again (a linear circuit's) is all temporal hits
+	}
+	if c.opt.DisableStamp && len(c.hist) < 2 {
+		return
 	}
 	if len(c.stamp) != len(c.plan.dSlots) {
 		c.stamp = make([]float64, len(c.plan.dSlots))
@@ -324,8 +356,18 @@ func (c *Compressor) pickHitPredictors(nchunks int) {
 		n.lMate += h.lMate
 		n.dTemporal += h.dTemporal
 		n.dStamp += h.dStamp
+		for o := range n.orderBits {
+			n.orderBits[o] += h.orderBits[o]
+		}
 	}
-	c.mateHit, c.stampHit = n.lMate > n.lTemporal, n.dStamp > n.dTemporal
+	if !c.opt.DisableStamp {
+		c.mateHit, c.stampHit = n.lMate > n.lTemporal, n.dStamp > n.dTemporal
+	}
+	for o := 1; o < len(c.hist); o++ {
+		if n.orderBits[o] < n.orderBits[c.order] {
+			c.order = o
+		}
+	}
 }
 
 func sameBits(a, b []float64) bool {
@@ -344,17 +386,46 @@ func (c *Compressor) encodeChunk(ci int) {
 	ec.encodeRegions(w)
 }
 
-// Compress implements compress.Compressor.
+// Compress implements compress.Compressor: CompressHistory with ref as the
+// one frame of history.
 func (c *Compressor) Compress(dst []byte, cur, ref []float64) []byte {
-	if len(cur) != c.plan.nnz {
-		panic(fmt.Sprintf("masczip: value count %d does not match pattern nnz %d", len(cur), c.plan.nnz))
+	dst = c.CompressHistory(dst, cur, c.oneFrame(ref))
+	c.one[0] = nil
+	return dst
+}
+
+// Decompress implements compress.Compressor: DecompressHistory with ref as
+// the one frame of history.
+func (c *Compressor) Decompress(cur []float64, blob []byte, ref []float64) error {
+	err := c.DecompressHistory(cur, blob, c.oneFrame(ref))
+	c.one[0] = nil
+	return err
+}
+
+func (c *Compressor) oneFrame(ref []float64) [][]float64 {
+	if ref == nil {
+		return nil
+	}
+	c.one[0] = ref
+	return c.one[:]
+}
+
+// HistoryDepth implements compress.HistoryCompressor.
+func (c *Compressor) HistoryDepth() int { return MaxOrder + 1 }
+
+// CompressHistory implements compress.HistoryCompressor. Hits, the mate, the
+// stamp and every candidate but the temporal one read hist[0] alone, so a blob
+// coded with one frame, or at order 0, is the blob Compress always wrote.
+func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist [][]float64) []byte {
+	hist, ref, err := c.history(cur, hist)
+	if err != nil {
+		panic(err.Error())
 	}
 	var sp span.Span
 	if c.spanRec != nil {
 		sp = c.spanRec.Start(c.spanParent, span.Encode, -1)
 	}
 	base := len(dst)
-	ref = c.refOrZeros(ref)
 	calib := !c.opt.Markov || c.seq%c.opt.CalibEvery == 0
 	c.seq++
 
@@ -365,11 +436,11 @@ func (c *Compressor) Compress(dst []byte, cur, ref []float64) []byte {
 	nchunks := len(bounds) - 1
 
 	c.ensureChunks(nchunks)
-	c.cur, c.ref, c.calib, c.curBounds = cur, ref, calib, bounds
-	c.pickHitPredictors(nchunks)
+	c.cur, c.ref, c.hist, c.calib, c.curBounds = cur, ref, hist, calib, bounds
+	c.prePass(nchunks)
 
 	dst = append(dst, byte(flagsRevision|boolInt(calib)*flagCalib|
-		boolInt(c.mateHit)*flagMateHit|boolInt(c.stampHit)*flagStampHit))
+		boolInt(c.mateHit)*flagMateHit|boolInt(c.stampHit)*flagStampHit|int64(c.order)<<orderShift))
 	dst = binary.AppendUvarint(dst, uint64(len(cur)))
 	// The chunk row boundaries travel in the header: re-deriving them from
 	// the chunk count alone is not a fixed point of the partitioner when
@@ -395,7 +466,7 @@ func (c *Compressor) Compress(dst []byte, cur, ref []float64) []byte {
 		}
 	}
 	workpool.Do(nchunks, c.encFn)
-	c.cur, c.ref = nil, nil
+	c.cur, c.ref, c.hist = nil, nil, nil
 	if calib {
 		for i := 0; i < nchunks; i++ {
 			c.cnt.merge(&c.counts[i])
@@ -407,6 +478,7 @@ func (c *Compressor) Compress(dst []byte, cur, ref []float64) []byte {
 		}
 		c.stats.MateBlobs += boolInt(c.mateHit)
 		c.stats.StampBlobs += boolInt(c.stampHit)
+		c.stats.OrderBlobs[c.order]++
 	}
 	for ci := 0; ci < nchunks; ci++ {
 		dst = binary.AppendUvarint(dst, uint64(c.writers[ci].Len()))
@@ -439,10 +511,12 @@ func (c *Compressor) chunkDecoder(ci int) (*chunkCoder, *bitstream.Reader) {
 	*dc = chunkCoder{
 		plan: c.plan, opt: &c.opt,
 		cur: c.cur, ref: c.ref,
+		nhist: len(c.hist), order: c.order,
 		rowLo: c.decBounds[ci], rowHi: c.decBounds[ci+1],
 		calib: c.calib, tables: &c.tbl,
 		mateHit: c.mateHit, stampHit: c.stampHit,
 	}
+	copy(dc.hist[:], c.hist)
 	return dc, r
 }
 
@@ -456,30 +530,33 @@ func (c *Compressor) decodeChunk(ci int) {
 	}
 }
 
-// Decompress implements compress.Compressor.
-func (c *Compressor) Decompress(cur []float64, blob []byte, ref []float64) error {
+// DecompressHistory implements compress.HistoryCompressor. hist must open
+// with the frames the blob was coded against; the blob's order says how many
+// it reads.
+func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist [][]float64) error {
 	if c.spanRec != nil {
 		sp := c.spanRec.Start(c.spanParent, span.Decode, -1)
 		sp.Attr("elems", int64(len(cur)))
 		sp.Attr("bytes", int64(len(blob)))
 		defer sp.End()
 	}
-	if len(cur) != c.plan.nnz {
-		return fmt.Errorf("masczip: value count %d does not match pattern nnz %d", len(cur), c.plan.nnz)
+	hist, ref, err := c.history(cur, hist)
+	if err != nil {
+		return err
 	}
-	if ref != nil && len(ref) != c.plan.nnz {
-		return fmt.Errorf("masczip: reference count %d does not match pattern nnz %d", len(ref), c.plan.nnz)
-	}
-	ref = c.refOrZeros(ref)
 	if len(blob) < 1 {
 		return fmt.Errorf("masczip: empty blob")
 	}
 	flags := blob[0]
-	if flags&^flagsKnown != 0 {
-		return fmt.Errorf("masczip: flags byte %#02x has unknown bits %#02x", flags, flags&^flagsKnown)
-	}
 	if missing := flagsRevision &^ flags; missing != 0 {
 		return fmt.Errorf("masczip: flags byte %#02x lacks the revision bits %#02x (blob of an older format)", flags, missing)
+	}
+	order := int(flags >> orderShift)
+	if order > MaxOrder {
+		return fmt.Errorf("masczip: flags byte %#02x names extrapolation order %d, the format's highest is %d", flags, order, MaxOrder)
+	}
+	if order > 0 && order >= len(hist) {
+		return fmt.Errorf("masczip: flags byte %#02x: an order-%d blob reads %d reference frames, %d given", flags, order, order+1, len(hist))
 	}
 	off := 1
 	n, k := binary.Uvarint(blob[off:])
@@ -558,10 +635,10 @@ func (c *Compressor) Decompress(cur []float64, blob []byte, ref []float64) error
 		}
 	}
 	c.ensureChunks(nchunks)
-	c.cur, c.ref, c.calib, c.tbl, c.blob = cur, ref, calib, tables, blob
-	c.mateHit, c.stampHit = flags&flagMateHit != 0, flags&flagStampHit != 0
+	c.cur, c.ref, c.hist, c.calib, c.tbl, c.blob = cur, ref, hist, calib, tables, blob
+	c.mateHit, c.stampHit, c.order = flags&flagMateHit != 0, flags&flagStampHit != 0, order
 	workpool.Do(nchunks, c.decFn)
-	c.cur, c.ref, c.blob = nil, nil, nil
+	c.cur, c.ref, c.hist, c.blob = nil, nil, nil, nil
 	for ci := 0; ci < nchunks; ci++ {
 		if err := c.coders[ci].err; err != nil {
 			return fmt.Errorf("masczip: chunk %d: %w", ci, err)
@@ -572,10 +649,16 @@ func (c *Compressor) Decompress(cur []float64, blob []byte, ref []float64) error
 
 // chunkCoder encodes or decodes the rows [rowLo, rowHi) of one matrix.
 type chunkCoder struct {
+	// hist is the nhist frames the call was given (hist[0] is ref); the coder
+	// reads hist[:order+1]. An array in the coder, and first in it: temporal
+	// ran a third slower with the headers behind a slice or mid-struct.
+	hist   [MaxOrder + 1][]float64
 	plan   *plan
 	opt    *Options
 	cur    []float64 // encoder: input; decoder: output
 	ref    []float64
+	nhist  int
+	order  int
 	rowLo  int32
 	rowHi  int32
 	calib  bool
@@ -607,7 +690,7 @@ type window struct {
 func (cc *chunkCoder) candsU(k int32, out *[4]float64) int {
 	pl := cc.plan
 	ref := cc.ref
-	out[0] = ref[k]
+	out[0] = cc.temporal(k)
 	if cc.opt.DisableStamp {
 		out[1], out[2], out[3] = out[0], out[0], out[0]
 		return 4
@@ -651,7 +734,7 @@ func (cc *chunkCoder) candsL(k int32, out *[4]float64) int {
 	ref := cc.ref
 	slot := pl.lSlots[k]
 	row := pl.rowOf[slot]
-	out[0] = ref[slot]
+	out[0] = cc.temporal(slot)
 	if cc.opt.DisableStamp {
 		out[1], out[2] = out[0], out[0]
 	} else {
@@ -707,7 +790,7 @@ func (cc *chunkCoder) stampD(k int32) float64 {
 // stampD — read from the pre-pass's cache on the encode side, so coding a blob
 // sums each row once.
 func (cc *chunkCoder) candsD(k int32, out *[4]float64) int {
-	out[0] = cc.ref[cc.plan.dSlots[k]]
+	out[0] = cc.temporal(cc.plan.dSlots[k])
 	switch {
 	case cc.opt.DisableStamp:
 		out[1] = out[0]
@@ -721,8 +804,11 @@ func (cc *chunkCoder) candsD(k int32, out *[4]float64) int {
 
 // hitCounts is what the encoder's pre-pass finds in one chunk: how many of
 // region L's and region D's elements each candidate hit predictor reproduces
-// bit for bit.
-type hitCounts struct{ lTemporal, lMate, dTemporal, dStamp int }
+// bit for bit, and what each extrapolation order would leave to code.
+type hitCounts struct {
+	lTemporal, lMate, dTemporal, dStamp int
+	orderBits                           [MaxOrder + 1]int64 // significant residual bits per extrapolation order, over the sampled misses
+}
 
 // countHits is the pre-pass over this chunk; it also fills cc.stamp, which the
 // region-D scan and candsD then read instead of summing rows again.
@@ -730,6 +816,10 @@ func (cc *chunkCoder) countHits() hitCounts {
 	pl := cc.plan
 	cur, ref := cc.cur, cc.ref
 	var n hitCounts
+	cc.sampleOrders(&n.orderBits)
+	if cc.opt.DisableStamp {
+		return n
+	}
 	for _, slot := range pl.lSlots[pl.lRowPtr[cc.rowLo]:pl.lRowPtr[cc.rowHi]] {
 		v := math.Float64bits(cur[slot])
 		if v == math.Float64bits(ref[slot]) {

@@ -17,13 +17,15 @@ import (
 )
 
 // adversarialBlobs are the decoder seeds TestCorruptedBlobNoPanic and
-// FuzzDecompress share: the bad run lengths over p and every blob of the two
-// older-revision corpora (foreign patterns here, refused at the flags byte).
+// FuzzDecompress share: the bad run lengths over p, nil-reference blobs whose
+// flags name an extrapolation order, and every blob of the two older-revision
+// corpora (foreign patterns here, refused at the flags byte).
 func adversarialBlobs(t testing.TB, p *sparse.Pattern) [][]byte {
 	var out [][]byte
 	for _, tc := range badRunLengths(p) {
 		out = append(out, tc.blob)
 	}
+	out = append(out, orderBlobs(p)...)
 	for _, file := range oldRevisionCorpora {
 		old, err := readCorpus(filepath.Join("testdata", file))
 		if err != nil {
@@ -395,8 +397,9 @@ func TestDecompressErrors(t *testing.T) {
 // chunk lengths whose sum would overflow the payload offset. Those carry a
 // valid flags byte, so they reach the parser they are aimed at; the flags
 // cases put a wrong first byte on an otherwise good blob, which must be
-// refused with an error that names the byte.
+// refused with an error that names the byte; the order field has its own part.
 func TestHeaderHardening(t *testing.T) {
+	t.Run("order field", orderNeedsItsHistory)
 	rng := rand.New(rand.NewSource(21))
 	p := mnaPattern(rng, 30, 40)
 	c := New(p, Options{})

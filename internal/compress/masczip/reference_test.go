@@ -16,7 +16,10 @@ import (
 // must stay a plain transcription of the format and call nothing in batch.go —
 // it shares only the candidate functions, framing and Markov calibration of
 // masczip.go, and it sums every row it needs itself rather than read the
-// encoder's pre-pass cache.
+// encoder's pre-pass cache. The temporal candidate's extrapolation and the
+// pre-pass that picks its order are transcribed here a second time
+// (extrapolateRef, count): every temporal candidate the oracle codes with is
+// checked against that transcription, bit for bit.
 
 // stampFunc is the region-D stamp prediction a reference coder runs, as hit
 // predictor and as candidate 1.
@@ -120,15 +123,60 @@ func (rc *refCoder) hitPred(rg *refRegion, k int32) float64 {
 	}
 }
 
+// extrapolateRef is the order-o temporal candidate for slot k as the format
+// describes it: map the o+1 nearest frames' values to their ordered integers,
+// take backward differences until one is left per level, and add the levels up
+// — the value one step on of the degree-o polynomial through the frames, mod
+// 2^64 — then map back.
+func extrapolateRef(hist [][]float64, o int, k int32) float64 {
+	level := make([]uint64, o+1)
+	for i := range level {
+		b := math.Float64bits(hist[i][k])
+		if b>>63 == 0 {
+			level[i] = b | 1<<63
+		} else {
+			level[i] = ^b
+		}
+	}
+	sum := uint64(0)
+	for len(level) > 0 {
+		sum += level[0]
+		for i := 0; i+1 < len(level); i++ {
+			level[i] -= level[i+1]
+		}
+		level = level[:len(level)-1]
+	}
+	if sum>>63 == 1 {
+		return math.Float64frombits(sum &^ (1 << 63))
+	}
+	return math.Float64frombits(^sum)
+}
+
+// temporalRef is candidate 0 for a slot, which candsU, candsL and candsD must
+// have put in out[0].
+func (rc *refCoder) temporalRef(slot int32, got float64) float64 {
+	want := rc.ref[slot]
+	if rc.order > 0 {
+		want = extrapolateRef(rc.hist[:rc.nhist], rc.order, slot)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		panic(fmt.Sprintf("slot %d: order-%d temporal candidate %x, the transcription gives %x",
+			slot, rc.order, math.Float64bits(got), math.Float64bits(want)))
+	}
+	return want
+}
+
 // candidates are the miss predictions at position k of rg.
 func (rc *refCoder) candidates(rg *refRegion, k int32, out *[4]float64) {
 	switch rg.rg {
 	case regionU:
 		rc.candsU(rg.slots[k], out)
+		out[0] = rc.temporalRef(rg.slots[k], out[0])
 	case regionL:
 		rc.candsL(k, out)
+		out[0] = rc.temporalRef(rg.slots[k], out[0])
 	default:
-		out[0] = rc.ref[rg.slots[k]]
+		out[0] = rc.temporalRef(rg.slots[k], rc.temporal(rg.slots[k]))
 		out[1] = out[0]
 		if !rc.opt.DisableStamp {
 			out[1] = rc.stampOf(rc.chunkCoder, k)
@@ -136,7 +184,10 @@ func (rc *refCoder) candidates(rg *refRegion, k int32, out *[4]float64) {
 	}
 }
 
-// count is the pre-pass: exact matches of each candidate hit predictor.
+// count is the pre-pass: exact matches of each candidate hit predictor, and
+// per extrapolation order the call's history allows, the significant bits of
+// the residual it leaves on the sample: of the chunk's slots 0, 7, 14, … the
+// 1st, 5th, 9th, … that differ from the nearest frame.
 func (rc *refCoder) count() hitCounts {
 	var n hitCounts
 	same := func(a, b float64) int {
@@ -146,6 +197,19 @@ func (rc *refCoder) count() hitCounts {
 		return 0
 	}
 	pl := rc.plan
+	misses := 0
+	for s := pl.pat.RowPtr[rc.rowLo]; s < pl.pat.RowPtr[rc.rowHi] && rc.nhist > 1; s += 7 {
+		if same(rc.cur[s], rc.ref[s]) == 1 {
+			continue
+		}
+		if misses++; (misses-1)%4 != 0 {
+			continue
+		}
+		for o := 0; o < rc.nhist; o++ {
+			x := math.Float64bits(rc.cur[s]) ^ math.Float64bits(extrapolateRef(rc.hist[:rc.nhist], o, s))
+			n.orderBits[o] += int64(64 - bits.LeadingZeros64(x))
+		}
+	}
 	for k := pl.lRowPtr[rc.rowLo]; k < pl.lRowPtr[rc.rowHi]; k++ {
 		s := pl.lSlots[k]
 		n.lTemporal += same(rc.cur[s], rc.ref[s])

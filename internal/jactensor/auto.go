@@ -128,7 +128,7 @@ func (s *CompressedStore) bind() error {
 	// and the store must produce the same blob stream as a run that used
 	// this codec from step 0.
 	jc, cc := t.cfg.Candidates[win].New()
-	s.cd = codecs{j: jc, c: cc}
+	s.cd = newCodecs(jc, cc)
 	s.cd.trace(s.ob.rec)
 	s.trial = nil
 	for i := range t.parkedJ {

@@ -14,32 +14,42 @@ import (
 )
 
 // CompressedStore is the chain policy over core: the tensor stays in memory
-// as per-step sealed blobs, following Algorithm 2 of the paper. During
-// forward integration step t's Put compresses step t-1 using step t as the
-// prediction reference; during the reverse sweep step i is decompressed
-// using the already-materialized step i+1, whose memory is freed by Release.
+// as per-step sealed blobs, following Algorithm 2 of the paper, with one
+// difference. There a step is predicted from the next one; here from as many
+// of the steps above it as the codecs read (cd.depth: seven for masczip, whose
+// temporal candidate extrapolates; one for a one-reference codec). During
+// forward integration the store therefore holds a window of the depth+1 newest
+// plaintext frames, and Put of step t+depth seals step t against frames
+// t+1…t+depth; EndForward seals the tail against what is above it. During the
+// reverse sweep step i is decompressed against the already-materialized steps
+// i+1…i+depth, which the store keeps after the sweep's Release until the sweep
+// is depth steps below them. Consecutive frames of a tensor that are
+// bit-identical share one array, so a tensor that does not move costs the
+// window one frame.
 //
 // Every k-th step can be made a window anchor (SetAnchorEvery): the chain is
 // cut there — the anchor's blob is compressed with no reference and restarted
-// codecs — and its plaintext stays resident as a checksummed frame, so a
-// window-local reverse sweep (StoreSlice) can start at it without decoding
-// the chain above. A rotted anchor frame is dropped and the step served from
-// its self-contained blob: a slower fetch, not an error.
+// codecs, no step's history reaches past the nearest anchor above it — and its
+// plaintext stays resident as a checksummed frame, so a window-local reverse
+// sweep (StoreSlice) can start at it without decoding the chain above. A
+// rotted anchor frame is dropped and the step served from its self-contained
+// blob: a slower fetch, not an error.
 //
 // In async mode (NewCompressedStoreAsync) the compression runs on a
 // persistent background worker behind a bounded queue, so Put returns as
-// soon as the incoming values are copied and the solver proceeds to step
-// t+1 while step t-1 compresses; symmetrically, the reverse sweep
-// prefetches step i-1 on a background goroutine while the adjoint solve
-// consumes step i. The blob sequence is byte-identical to sync mode: both
-// run the same runJob calls in the same order, the worker merely elsewhere.
+// soon as the incoming values are copied and the solver proceeds while the
+// due step compresses; symmetrically, the reverse sweep prefetches step i-1
+// on a background goroutine while the adjoint solve consumes step i. The blob
+// sequence is byte-identical to sync mode: both run the same runJob calls in
+// the same order, the worker merely elsewhere.
 //
 // Built by NewAutoStore, the store starts with no codecs: it parks the first
 // TrialSteps frames, trials the candidate menu on them, binds the winner and
 // replays the parked frames through put (auto.go).
 type CompressedStore struct {
 	core
-	last pair // plaintext of the highest Put step
+	issued int // steps whose seal job has been issued; only Put and EndForward's caller touches it
+	at     int // the lowest step the reverse sweep has fetched
 
 	trial    *autoTrial // non-nil while the codecs are unbound
 	selected string     // the codec a trial bound, and its scorecards
@@ -47,7 +57,7 @@ type CompressedStore struct {
 
 	// mu guards everything above that a worker, prefetch, window slice or
 	// abandoned fetcher goroutine can touch (steps and their records, arena,
-	// stats, resident, pool, ferr). Codec calls run outside it: the forward
+	// stats, resident, pools, ferr). Codec calls run outside it: the forward
 	// ones are serialized per store (the caller in sync mode, the single
 	// worker in async mode, EndForward after the drain), the reverse ones by
 	// Fetch joining any prefetch first, on a pinned arena.
@@ -61,14 +71,13 @@ type CompressedStore struct {
 	pf *prefetch // at most one in-flight reverse prefetch
 }
 
-// fwdJob asks for step's plaintext cur to be compressed against the next
-// step's values (ref).
+// fwdJob asks for step's held plaintext to be sealed against the frames above
+// it.
 type fwdJob struct {
-	step       int
-	st         *stepRec
-	cur        pair
-	refJ, refC []float64
-	parent     span.ID // the span that caused the job (the next step's put)
+	step   int
+	st     *stepRec
+	head   bool    // the last step: its plaintext stays, as the first frame the sweep reads
+	parent span.ID // the span that caused the job (a later step's put)
 }
 
 // prefetch is one in-flight background decompression.
@@ -153,55 +162,57 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 	return s.put(step, jVals, cVals)
 }
 
-// put takes an admitted step: it becomes the chain's last plaintext, and the
-// step before it is compressed against it. The two modes differ in one thing
-// only — sync runs that job here, against the caller's slices; async copies
-// the values into a pooled frame and hands the job to the worker, so the
-// caller proceeds to the next timestep at once and a worker error surfaces
-// one Put late at worst.
+// put takes an admitted step: its values join the history window, and the
+// step depth below it, whose history is now complete, is sealed. The two modes
+// differ in one thing only — sync runs that job here; async hands it to the
+// worker, so the caller proceeds to the next timestep at once and a worker
+// error surfaces one Put late at worst.
 func (s *CompressedStore) put(step int, jVals, cVals []float64) error {
 	psp := s.ob.rec.Start(s.ob.spanParent(), span.Put, step)
 	defer psp.End()
 	// The chain cuts at an anchor: its blob is self-contained and its
 	// plaintext retained. The head is never one (EndForward clears the mark).
 	st := s.newRec(step)
-	job := fwdJob{step: step - 1, cur: s.last, refJ: jVals, refC: cVals, parent: psp.ID()}
-	if step > 0 {
-		job.st = s.steps[step-1]
-	}
-	if s.async || step == 0 {
-		// A frame for this step's values: a new one per step for the worker
-		// to read while the solver moves on, the chain's one otherwise.
-		s.mu.Lock()
-		s.last = s.takeFrame()
-		s.bumpResident(s.frameBytes)
-		s.mu.Unlock()
-	}
-	if s.async {
-		copy(s.last.j, jVals)
-		copy(s.last.c, cVals)
-		job.refJ, job.refC = s.last.j, s.last.c
-		if step > 0 {
-			s.enqueue(job, &psp)
-		}
-	} else {
-		if step > 0 {
-			if err := s.runJob(job); err != nil {
-				return err
-			}
-		}
-		copy(s.last.j, jVals)
-		copy(s.last.c, cVals)
-	}
 	s.mu.Lock()
+	var below pair
+	if step > 0 {
+		below = s.steps[step-1].out // unsealed, so held: its job is issued by this Put at the earliest
+	}
+	s.mu.Unlock()
+	sameJ, sameC := below.j != nil && sameBits(jVals, below.j), below.c != nil && sameBits(cVals, below.c)
+	s.mu.Lock()
+	st.out = pair{s.adopt(&s.poolJ, jVals, below.j, sameJ), s.adopt(&s.poolC, cVals, below.c, sameC)}
 	s.steps = append(s.steps, st)
 	s.mu.Unlock()
+
+	if due := step - s.cd.depth; due >= 0 {
+		s.issued = due + 1
+		job := fwdJob{step: due, st: s.steps[due], parent: psp.ID()}
+		if s.async {
+			s.enqueue(job, &psp)
+		} else if err := s.runJob(job); err != nil {
+			return err
+		}
+	}
 	if s.async {
 		depth := len(s.jobs)
 		s.ob.queueDepth.Set(float64(depth))
 		psp.Attr("queue", int64(depth))
 	}
 	return nil
+}
+
+// adopt returns a held array with vals' values: the step below's own when the
+// two are bit-identical, else a counted copy. mu must be held.
+func (s *CompressedStore) adopt(pool *[][]float64, vals, below []float64, same bool) []float64 {
+	if same {
+		s.hold(below)
+		return below
+	}
+	v := takeVals(pool, len(vals))
+	copy(v, vals)
+	s.bumpResident(int64(8 * len(v)))
+	return v
 }
 
 // enqueue hands job to the worker. A full queue means the compressor is the
@@ -225,17 +236,17 @@ func (s *CompressedStore) enqueue(job fwdJob, psp *span.Span) {
 
 // worker drains the forward compression queue. It is the only goroutine
 // running jobs, so the (stateful, non-thread-safe) codecs see exactly the
-// sync-mode call sequence. A job's frame goes back to the pool unless it was
-// retained as an anchor.
+// sync-mode call sequence. A job that does not run to the end still gives its
+// step's frame back.
 func (s *CompressedStore) worker() {
 	defer close(s.wkDone)
 	for job := range s.jobs {
 		s.mu.Lock()
 		failed := s.ferr != nil
 		s.mu.Unlock()
-		if failed || s.guarded(job) != nil || !job.st.pinned {
+		if failed || s.guarded(job) != nil {
 			s.mu.Lock()
-			s.giveBack(&job.cur)
+			s.giveBack(&job.st.out)
 			s.mu.Unlock()
 		}
 		s.ob.queueDepth.Set(float64(len(s.jobs)))
@@ -262,25 +273,71 @@ func (s *CompressedStore) guarded(job fwdJob) (err error) {
 	return s.runJob(job)
 }
 
+// held implements frames over the store's own window.
+func (s *CompressedStore) held(step int) *heldFrame {
+	if step < 0 || step >= len(s.steps) {
+		return nil
+	}
+	return &s.steps[step].heldFrame
+}
+
+// frames is the plaintext window a seal or a reverse sweep reads its history
+// from, by step: the step records for the forward pass and the store's own
+// sweep, a slice's private cache for a window sweep. held is nil outside it.
+type frames interface{ held(step int) *heldFrame }
+
+// gather collects in cd's scratch, nearest first, the frames of w that step's
+// blob is — or was — sealed against: up to cd.depth resident ones above it,
+// none past the nearest anchor (an anchor itself has none), so a window slice
+// that starts at that anchor sees the history the forward pass did. It also
+// meters what the history costs beyond the one frame a one-reference chain
+// holds: the bytes of the distinct arrays past the nearest. mu must be held.
+func (s *CompressedStore) gather(cd *codecs, w frames, step int) history {
+	h := history{cd.hist.j[:0], cd.hist.c[:0]}
+	extra := int64(0)
+	for t := step + 1; t <= step+cd.depth && !s.steps[t-1].pinned; t++ {
+		f := w.held(t)
+		if f == nil || f.out.j == nil {
+			break
+		}
+		if n := len(h.j); n > 0 {
+			extra += distinctBytes(f.out.j, h.j[n-1]) + distinctBytes(f.out.c, h.c[n-1])
+		}
+		h.j, h.c = append(h.j, f.out.j), append(h.c, f.out.c)
+	}
+	s.stats.HistoryBytes = max(s.stats.HistoryBytes, extra)
+	return h
+}
+
+// distinctBytes is v's size unless it is the array prev.
+func distinctBytes(v, prev []float64) int64 {
+	if len(v) == 0 || &v[0] == &prev[0] {
+		return 0
+	}
+	return int64(8 * len(v))
+}
+
 // runJob is the forward step of Algorithm 2, the same in both modes: seal
-// job.step against the next step's values — or, at an anchor, against
-// nothing and with restarted codecs — keep the blobs, account them, and
-// retain an anchor's plaintext. mu must not be held.
+// job.step against the frames above it — or, at an anchor, against nothing and
+// with restarted codecs — keep the blobs, account them, retain an anchor's
+// plaintext and let the step's frame go. mu must not be held.
 func (s *CompressedStore) runJob(job fwdJob) error {
-	cut := job.st.pinned
-	refJ, refC := job.refJ, job.refC
+	st := job.st
+	cut := st.pinned
 	if cut {
 		s.cd.restart()
-		refJ, refC = nil, nil
 	}
+	s.mu.Lock()
+	cur, h := st.out, s.gather(&s.cd, s, job.step)
+	s.mu.Unlock()
 	csp := s.ob.rec.Start(job.parent, span.Compress, job.step)
 	s.cd.setParent(csp.ID())
 	start := time.Now()
-	jb, cb := s.seal(job.step, job.cur, refJ, refC)
+	jb, cb := s.seal(job.step, cur, h)
 	stored := len(jb) + len(cb)
 
 	s.mu.Lock()
-	tensor, err := s.keep(job.st, jb, cb)
+	tensor, err := s.keep(st, jb, cb)
 	elapsed := time.Since(start)
 	if err != nil {
 		err = &StepError{Step: job.step, Op: "compress", Tensor: tensor, Err: err}
@@ -293,17 +350,15 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 		s.stats.CompressTime += elapsed
 		s.bumpResident(int64(stored))
 		if cut {
-			// The worker's frame becomes the anchor (it is already counted
-			// resident); the sync path's is the chain's one last frame, so
-			// the anchor is a counted copy.
-			master := job.cur
-			if !s.async {
-				master = s.copyFrame(job.cur)
-				s.bumpResident(s.frameBytes)
-			}
-			s.admitFrame(job.step, job.st, master)
+			// The anchor is a counted private copy: the window's frame may be
+			// the next step's too, and the fault window mutates an anchor.
+			s.admitFrame(job.step, st, s.copyFrame(cur))
+			s.bumpResident(s.frameBytes)
 			s.stats.AnchorBytes += s.frameBytes
 			s.ob.anchorBytes.Set(float64(s.stats.AnchorBytes))
+		}
+		if !job.head {
+			s.giveBack(&st.out)
 		}
 	}
 	s.mu.Unlock()
@@ -338,11 +393,11 @@ func (s *CompressedStore) drain() error {
 	return s.ferr
 }
 
-// EndForward implements Store: the final step is compressed with no
-// reference, so the reverse chain has a self-contained head, and its
-// plaintext stays resident as the first frame the sweep reads. A trial still
-// pending (a run shorter than its window) binds first; in async mode the
-// compression queue drains first.
+// EndForward implements Store: the steps still waiting for their history are
+// sealed against what is above them, the final step with no reference, so the
+// reverse chain has a self-contained head, and its plaintext stays resident as
+// the first frame the sweep reads. A trial still pending (a run shorter than
+// its window) binds first; in async mode the compression queue drains first.
 func (s *CompressedStore) EndForward() error {
 	s.mu.Lock()
 	if s.forwardDone {
@@ -366,15 +421,19 @@ func (s *CompressedStore) EndForward() error {
 	}
 	s.mu.Lock()
 	n := len(s.steps) - 1
-	head := s.steps[n]
-	head.pinned = false
+	s.steps[n].pinned = false
+	s.at = n
 	s.mu.Unlock()
-	if err := s.runJob(fwdJob{step: n, st: head, cur: s.last, parent: s.ob.spanParent()}); err != nil {
-		return err
+	for ; s.issued <= n; s.issued++ {
+		// The worker is gone, but its jobs keep its panic guard.
+		run := s.runJob
+		if s.async {
+			run = s.guarded
+		}
+		if err := run(fwdJob{step: s.issued, st: s.steps[s.issued], head: s.issued == n, parent: s.ob.spanParent()}); err != nil {
+			return err
+		}
 	}
-	s.mu.Lock()
-	head.out, s.last = s.last, pair{}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -385,13 +444,54 @@ func (s *CompressedStore) sealedLocked() bool {
 	return s.forwardDone && n > 0 && s.steps[n-1].jBlob != nil
 }
 
-// giveBack returns a plaintext frame to the pool and takes it out of the
-// resident model. mu must be held.
+// drop ends one frame's hold on v: an array nothing else holds leaves the
+// resident model and goes back to its pool. mu must be held.
+func (s *CompressedStore) drop(pool *[][]float64, v []float64) {
+	if s.letGo(v) {
+		s.bumpResident(int64(-8 * len(v)))
+		s.parkVals(pool, v)
+	}
+}
+
+// giveBack ends a window frame's hold on its arrays. mu must be held.
 func (s *CompressedStore) giveBack(p *pair) {
 	if p.j != nil {
-		s.bumpResident(-s.frameBytes)
-		s.parkFrame(*p)
+		s.drop(&s.poolJ, p.j)
+		s.drop(&s.poolC, p.c)
 		*p = pair{}
+	}
+}
+
+// share makes *v — a counted array nothing else holds — the neighbouring
+// step's array other, whose values are bit-identical, and returns *v's own to
+// the pool. mu must be held.
+func (s *CompressedStore) share(pool *[][]float64, v *[]float64, other []float64) {
+	s.drop(pool, *v)
+	s.hold(other)
+	*v = other
+}
+
+// dead reports whether step's frame is one no decode will read again. The
+// sweep over [lo, …] stands at step at: the next decode, of at−1, reads
+// at…at+depth−1, so at+depth and above are dead — and at lo everything is.
+func (cd *codecs) dead(step, at, lo int) bool { return step >= at+cd.depth || at == lo }
+
+// trim lets go of the released frames of w that died when the sweep over
+// [lo, …] reached at. mu must be held.
+func (s *CompressedStore) trim(cd *codecs, w frames, at, lo int) {
+	for t := at; t <= at+cd.depth; t++ {
+		if f := w.held(t); f != nil && f.released && cd.dead(t, at, lo) {
+			s.giveBack(&f.out)
+		}
+	}
+}
+
+// retire is Release: the sweep is done with f, step's frame, which goes at once
+// if it is dead already and when the sweep gets far enough below it otherwise.
+// mu must be held.
+func (s *CompressedStore) retire(cd *codecs, f *heldFrame, step, at, lo int) {
+	if f.released = true; cd.dead(step, at, lo) {
+		s.giveBack(&f.out)
 	}
 }
 
@@ -417,11 +517,12 @@ func (s *CompressedStore) anchorLocked(st *stepRec) pair {
 
 // decodeStep is the reverse half of the blob lifecycle: pin the arena, open
 // the step's sealed blobs, decode them with cd (the store's codecs, or a
-// slice's forks) against ref into a pooled frame, and quarantine the step on
-// any failure. The frame is the caller's to install and count. At most one
-// call runs per codec pair at a time; prefetch marks the span of a background
-// decode ahead of the sweep. mu must not be held.
-func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, ref pair, prefetch bool) (pair, error) {
+// slice's forks) against h into a pooled frame, and quarantine the step on
+// any failure. The frame comes back counted, and sharing the arrays of the
+// nearest history frame where the values are bit-identical; it is the caller's
+// to install. At most one call runs per codec pair at a time; prefetch marks
+// the span of a background decode ahead of the sweep. mu must not be held.
+func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h history, prefetch bool) (pair, error) {
 	s.mu.Lock()
 	if st.quarantined {
 		s.mu.Unlock()
@@ -437,16 +538,22 @@ func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, ref pair
 	defer s.unpinBlobs()
 
 	var elapsed time.Duration
+	var above pair
+	var sameJ, sameC bool
 	jp, cp, tensor, err := openPair(step, jb, cb)
 	if err == nil {
 		dsp := s.ob.rec.Start(s.ob.spanParent(), span.Decompress, step)
 		cd.setParent(dsp.ID())
 		start := time.Now()
-		tensor, err = cd.decode(out, jp, cp, ref.j, ref.c)
+		tensor, err = cd.decode(out, jp, cp, h)
 		elapsed = time.Since(start)
 		dsp.Attr("bytes", int64(len(jb)+len(cb)))
 		dsp.Attr("prefetch", boolAttr(prefetch))
 		dsp.End()
+		if err == nil && len(h.j) > 0 {
+			above = pair{h.j[0], h.c[0]}
+			sameJ, sameC = sameBits(out.j, above.j), sameBits(out.c, above.c)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -459,6 +566,13 @@ func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, ref pair
 	}
 	s.stats.DecompressTime += elapsed
 	s.ob.decompressSec.AddDuration(elapsed)
+	s.bumpResident(s.frameBytes)
+	if sameJ {
+		s.share(&s.poolJ, &out.j, above.j)
+	}
+	if sameC {
+		s.share(&s.poolC, &out.c, above.c)
+	}
 	return out, nil
 }
 
@@ -473,8 +587,8 @@ func (s *CompressedStore) unpinBlobs() {
 	s.mu.Unlock()
 }
 
-// maybePrefetch schedules a background decompression of step-1 using
-// step's (resident) plaintext as reference. mu must be held.
+// maybePrefetch schedules a background decompression of step-1 against the
+// (resident) frames from step up. mu must be held.
 func (s *CompressedStore) maybePrefetch(step int) {
 	if !s.async || s.pf != nil || step <= 0 || s.arena.closed {
 		return
@@ -485,7 +599,7 @@ func (s *CompressedStore) maybePrefetch(step int) {
 	if prev.out.j != nil || prev.pinned {
 		return
 	}
-	ref := s.steps[step].out
+	h := s.gather(&s.cd, s, step-1)
 	pf := &prefetch{step: step - 1, st: prev, done: make(chan struct{})}
 	s.pf = pf
 	go func() {
@@ -497,7 +611,7 @@ func (s *CompressedStore) maybePrefetch(step int) {
 			}
 			close(pf.done)
 		}()
-		pf.out, pf.err = s.decodeStep(&s.cd, pf.step, pf.st, ref, true)
+		pf.out, pf.err = s.decodeStep(&s.cd, pf.step, pf.st, h, true)
 	}()
 }
 
@@ -515,8 +629,7 @@ func (s *CompressedStore) joinPrefetch(step int) (hit bool, err error) {
 	s.mu.Lock()
 	s.pf = nil
 	if pf.err == nil {
-		pf.st.out = pf.out
-		s.bumpResident(s.frameBytes)
+		pf.st.heldFrame = heldFrame{out: pf.out}
 	}
 	s.mu.Unlock()
 	if pf.step == step {
@@ -526,11 +639,13 @@ func (s *CompressedStore) joinPrefetch(step int) (hit bool, err error) {
 }
 
 // Fetch implements Store. Steps must be fetched in reverse order; each
-// decompression uses the plaintext of step i+1 as its reference, except at
-// an anchor, which is copied from its retained frame. In async mode the
-// common case is a hit on the background prefetch, and fetching step i kicks
-// off the prefetch of step i-1. The returned frames are the store's own and
-// go back to its pool on Release.
+// decompression reads the plaintext of the steps above it — step i+1 must be
+// resident, the deeper ones the store has kept — except at an anchor, which is
+// copied from its retained frame. In async mode the common case is a hit on
+// the background prefetch, and fetching step i kicks off the prefetch of step
+// i-1. The returned frames are the store's own: they stay valid until Release,
+// and the store keeps them past it for as long as a lower step decodes against
+// them.
 func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 	// Join any in-flight prefetch first: it is either our step (the hit
 	// path) or must finish before we may run another decompression.
@@ -554,49 +669,49 @@ func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 		return nil, nil, err
 	}
 	st := s.steps[step]
-	if out := st.out; out.j != nil {
-		s.maybePrefetch(step)
-		s.mu.Unlock()
-		s.ob.fetches.Inc()
-		if wasPrefetched {
-			s.ob.prefetchHits.Inc()
-		}
-		return out.j, out.c, nil
-	}
-	var out, ref pair
-	if st.pinned {
-		if master := s.anchorLocked(st); master.j != nil {
-			out = s.copyFrame(master)
-		}
-	} else if step+1 < len(s.steps) {
-		if ref = s.steps[step+1].out; ref.j == nil {
+	if st.out.j != nil {
+		s.at = min(s.at, step)
+	} else {
+		var out pair
+		var h history
+		if st.pinned {
+			if master := s.anchorLocked(st); master.j != nil {
+				out = s.copyFrame(master)
+				s.bumpResident(s.frameBytes)
+			}
+		} else if h = s.gather(&s.cd, s, step); len(h.j) == 0 && step+1 < len(s.steps) {
 			s.mu.Unlock()
 			return nil, nil, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
 		}
-	}
-	s.mu.Unlock()
+		s.mu.Unlock()
 
-	if out.j == nil {
-		if out, err = s.decodeStep(&s.cd, step, st, ref, false); err != nil {
-			return nil, nil, err
+		if out.j == nil {
+			if out, err = s.decodeStep(&s.cd, step, st, h, false); err != nil {
+				return nil, nil, err
+			}
+			if s.async {
+				s.ob.prefetchMiss.Inc()
+			}
 		}
-		if s.async {
-			s.ob.prefetchMiss.Inc()
-		}
+		s.mu.Lock()
+		st.out, s.at = out, step
 	}
-	s.ob.fetches.Inc()
-	s.mu.Lock()
-	st.out = out
-	s.bumpResident(s.frameBytes)
+	out := st.out
+	st.released = false
+	s.trim(&s.cd, s, s.at, 0)
 	s.maybePrefetch(step)
 	s.mu.Unlock()
+	s.ob.fetches.Inc()
+	if wasPrefetched {
+		s.ob.prefetchHits.Inc()
+	}
 	return out.j, out.c, nil
 }
 
 // Repair implements Repairer: it installs recomputed plaintext for a
 // quarantined step, which both serves later fetches of the step and — the
 // part that keeps the chained store alive — restores the decompression
-// reference step-1 needs.
+// history of the steps below it.
 func (s *CompressedStore) Repair(step int, jVals, cVals []float64) {
 	rsp := s.ob.rec.Start(s.ob.spanParent(), span.Repair, step)
 	defer rsp.End()
@@ -607,19 +722,20 @@ func (s *CompressedStore) Repair(step int, jVals, cVals []float64) {
 	}
 	st := s.steps[step]
 	s.giveBack(&st.out)
-	st.out = s.copyFrame(pair{jVals, cVals})
+	st.heldFrame = heldFrame{out: s.copyFrame(pair{jVals, cVals})}
 	s.bumpResident(s.frameBytes)
 	s.heal(st)
 }
 
-// Release implements Store: the step's plaintext frame goes back to the pool
-// for the next Fetch to decode into. An anchor's retained frame stays, so the
+// Release implements Store: the sweep is done with the step's frame. It goes
+// back to the pool once no lower step decodes against it — at once when the
+// sweep is already that far down. An anchor's retained frame stays, so the
 // same store can be swept or sliced again.
 func (s *CompressedStore) Release(step int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if step >= 0 && step < len(s.steps) {
-		s.giveBack(&s.steps[step].out)
+	if f := s.held(step); f != nil {
+		s.retire(&s.cd, f, step, s.at, 0)
 	}
 }
 

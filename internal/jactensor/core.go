@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"masc/internal/blobframe"
 	"masc/internal/compress"
@@ -143,22 +144,31 @@ func (f *frame) rotted() (tensor string, err error) {
 	return "", nil
 }
 
+// heldFrame is one step's plaintext in the chain's window: put and not yet
+// sealed, or fetched by a sweep — and, once the sweep released it, kept while a
+// step below still decodes against it. Its arrays may be the neighbouring
+// step's (core.hold).
+type heldFrame struct {
+	out      pair
+	released bool // the sweep let go of out (ladder: the step is dead)
+}
+
 // stepRec is everything a blob-holding store knows about one step. Which
 // fields are live is the policy's business: the ladder moves a step between
 // rungs and hands its frame out directly; the chain keeps every blob in RAM,
-// a frame only on window anchors, and hands out copies.
+// a frame on window anchors and in its history window, and hands out the
+// window's frames.
 type stepRec struct {
 	tier         tiersched.Tier // ladder rung
 	frame                       // checksummed plaintext at rest: the ladder's hot rung, a chain anchor
-	out          pair           // chain: what a sweep holds between Fetch and Release
+	heldFrame                   // chain: the step's place in the history window
 	jBlob, cBlob []byte         // sealed blobs: arena memory, or the scratch frames until kept or spilled
 	jOff, cOff   int64          // spill offsets (ladder, tier == Disk)
 	jbN, cbN     int            // sealed lengths, kept for spill reads
 	pinned       bool           // window anchor: the chain cuts here; the ladder demotes it last and never drops it
 	inUse        bool           // ladder: fetched and not yet released, so not evictable
 	prefetched   bool           // ladder: materialized by the background prefetch
-	released     bool
-	quarantined  bool // failed verification: unreadable until Repair
+	quarantined  bool           // failed verification: unreadable until Repair
 }
 
 // spanCodec is implemented by codecs (masczip) that can record encode/decode
@@ -169,12 +179,26 @@ type spanCodec interface {
 	SetSpanParent(span.ID)
 }
 
+// history is the reference frames of one seal or decode, nearest first, per
+// tensor. The zero value is none: a self-contained blob.
+type history struct{ j, c [][]float64 }
+
 // codecs is a first-tensor/second-tensor compressor pair with the optional
 // capabilities the stores use. A StoreSlice decodes with a forked pair, which
 // is why the decode half of the blob path hangs off this type and not core.
 type codecs struct {
 	j, c         compress.Compressor
 	spanJ, spanC spanCodec // nil unless the codecs trace and spans are on
+	// depth is how many frames above a step the chain holds for it: the
+	// deeper codec's history depth, 1 for a pair of one-reference codecs.
+	depth int
+	hist  history // gather's scratch, so a steady-state seal or decode allocates nothing
+}
+
+func newCodecs(j, c compress.Compressor) codecs {
+	depth := max(compress.HistoryDepth(j), compress.HistoryDepth(c))
+	return codecs{j: j, c: c, depth: depth,
+		hist: history{make([][]float64, 0, depth), make([][]float64, 0, depth)}}
 }
 
 // trace wires the codecs to rec, so each compress/decompress span encloses
@@ -216,13 +240,13 @@ func (cd *codecs) restart() {
 	}
 }
 
-// decode inflates verified payloads into p against the given references
-// (nil = self-contained); a failure names the tensor.
-func (cd *codecs) decode(p pair, jp, cp []byte, refJ, refC []float64) (tensor string, err error) {
-	if err := cd.j.Decompress(p.j, jp, refJ); err != nil {
+// decode inflates verified payloads into p against the history they were
+// sealed against; a failure names the tensor.
+func (cd *codecs) decode(p pair, jp, cp []byte, h history) (tensor string, err error) {
+	if err := compress.Decode(cd.j, p.j, jp, h.j); err != nil {
 		return "J", err
 	}
-	if err := cd.c.Decompress(p.c, cp, refC); err != nil {
+	if err := compress.Decode(cd.c, p.c, cp, h.c); err != nil {
 		return "C", err
 	}
 	return "", nil
@@ -240,10 +264,12 @@ func openPair(step int, jb, cb []byte) (jp, cp []byte, tensor string, err error)
 	return jp, cp, "", nil
 }
 
-// poolFrames caps the frame pool. A Put/compress or fetch/Release cycle
-// keeps a frame or two waiting (plus the prefetch's and a short queue's);
-// without a cap an unbudgeted ladder would park its whole tensor there as
-// the sweep releases it.
+// poolFrames caps the frame pool beyond the chain's history depth. A
+// Put/compress or fetch/Release cycle keeps a frame or two waiting (plus the
+// prefetch's and a short queue's), and the end of a forward pass parks the
+// whole history window for the sweep to take back; without a cap an
+// unbudgeted ladder would park its whole tensor there as the sweep releases
+// it.
 const poolFrames = 4
 
 // core is the shared body of the blob-holding stores.
@@ -261,20 +287,26 @@ type core struct {
 	arena          blobArena
 	frameJ, frameC []byte
 
-	// pool recycles plaintext frames, so a steady-state Put or Fetch
-	// allocates nothing. Pooled frames are idle memory the resident model
-	// does not count; a frame counts from the moment its holder bumps the
-	// model to the matching release.
-	pool []pair
+	// The pools recycle plaintext arrays, one per tensor, so a steady-state
+	// Put or Fetch allocates nothing. Pooled arrays are idle memory the
+	// resident model does not count; an array counts from the moment its
+	// holder bumps the model to the matching release.
+	poolJ, poolC [][]float64
+	// shared lists the arrays more than one frame of the chain's window
+	// holds, with their holder counts (hold, letGo).
+	shared map[*float64]int
 }
 
 func newCore(jc, cc compress.Compressor) core {
-	return core{
-		cd:     codecs{j: jc, c: cc},
+	k := core{
 		arena:  blobArena{src: defaultChunks()},
 		frameJ: make([]byte, blobframe.HeaderSize),
 		frameC: make([]byte, blobframe.HeaderSize),
 	}
+	if jc != nil { // an auto store binds its codecs after the trial
+		k.cd = newCodecs(jc, cc)
+	}
+	return k
 }
 
 // newRec starts the record of an admitted step. Step 0 is never an anchor:
@@ -302,14 +334,27 @@ func (k *core) anchorMenu(keep func(*stepRec) bool) []int {
 	return append(out, head)
 }
 
-// takeFrame returns a frame of the store's value counts, pooled if one waits.
-func (k *core) takeFrame() pair {
-	if n := len(k.pool); n > 0 {
-		p := k.pool[n-1]
-		k.pool = k.pool[:n-1]
-		return p
+// takeVals returns an array of n values, pooled if one waits.
+func takeVals(pool *[][]float64, n int) []float64 {
+	if m := len(*pool); m > 0 {
+		v := (*pool)[m-1]
+		*pool = (*pool)[:m-1]
+		return v
 	}
-	return pair{make([]float64, k.jLen), make([]float64, k.cLen)}
+	return make([]float64, n)
+}
+
+// parkVals puts an idle array back in its pool, or lets it go when the pool
+// is full.
+func (k *core) parkVals(pool *[][]float64, v []float64) {
+	if len(*pool) < poolFrames+k.cd.depth {
+		*pool = append(*pool, v)
+	}
+}
+
+// takeFrame returns a frame of the store's value counts.
+func (k *core) takeFrame() pair {
+	return pair{takeVals(&k.poolJ, k.jLen), takeVals(&k.poolC, k.cLen)}
 }
 
 // copyFrame returns a pooled frame holding a copy of src.
@@ -320,12 +365,56 @@ func (k *core) copyFrame(src pair) pair {
 	return p
 }
 
-// parkFrame puts an idle frame back in the pool, or lets it go when the pool
-// is full.
+// parkFrame puts an idle frame nothing else holds back in the pools.
 func (k *core) parkFrame(p pair) {
-	if p.j != nil && len(k.pool) < poolFrames {
-		k.pool = append(k.pool, p)
+	if p.j != nil {
+		k.parkVals(&k.poolJ, p.j)
+		k.parkVals(&k.poolC, p.c)
 	}
+}
+
+// sameBits reports whether two value arrays are bit-identical.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hold gives v one more holder. The chain lets consecutive steps whose values
+// for a tensor are bit-identical hold one array, so a tensor that does not
+// move — a linear circuit's — costs its history window one frame, not depth+1.
+func (k *core) hold(v []float64) {
+	if len(v) == 0 {
+		return
+	}
+	if k.shared == nil {
+		k.shared = map[*float64]int{}
+	}
+	k.shared[&v[0]] = max(k.shared[&v[0]], 1) + 1
+}
+
+// letGo ends one holder's use of v and reports whether it was the last, in
+// which case the array is the caller's to uncount and park.
+func (k *core) letGo(v []float64) bool {
+	if len(v) == 0 {
+		return true
+	}
+	n, ok := k.shared[&v[0]]
+	switch {
+	case !ok:
+		return true
+	case n == 2:
+		delete(k.shared, &v[0])
+	default:
+		k.shared[&v[0]] = n - 1
+	}
+	return false
 }
 
 // admitFrame brings p to rest as st's frame: sidecars first, then the fault
@@ -339,13 +428,13 @@ func (k *core) admitFrame(step int, st *stepRec, p pair) {
 
 // seal is the forward half of the blob lifecycle: codec, blobframe.Seal,
 // then the fault window (at-rest rot, caught by the CRC when the blob is
-// opened). cur is compressed against the references (nil = self-contained)
-// into the scratch frames; the sealed results alias them — shortened when
-// the injector truncates — until keep copies them out or the ladder appends
-// them to its spill file.
-func (k *core) seal(step int, cur pair, refJ, refC []float64) (jb, cb []byte) {
-	k.frameJ = k.cd.j.Compress(k.frameJ[:blobframe.HeaderSize], cur.j, refJ)
-	k.frameC = k.cd.c.Compress(k.frameC[:blobframe.HeaderSize], cur.c, refC)
+// opened). cur is compressed against h (none = self-contained) into the
+// scratch frames; the sealed results alias them — shortened when the injector
+// truncates — until keep copies them out or the ladder appends them to its
+// spill file.
+func (k *core) seal(step int, cur pair, h history) (jb, cb []byte) {
+	k.frameJ = compress.Encode(k.cd.j, k.frameJ[:blobframe.HeaderSize], cur.j, h.j)
+	k.frameC = compress.Encode(k.cd.c, k.frameC[:blobframe.HeaderSize], cur.c, h.c)
 	blobframe.Seal(k.frameJ, 'J', step)
 	blobframe.Seal(k.frameC, 'C', step)
 	jb, _ = k.fault.MutateBlob(step, k.frameJ)
@@ -390,9 +479,9 @@ func (k *core) heal(st *stepRec) {
 // the list goes: a goroutine that outlived the run may still hold one.
 func (k *core) closeCore() {
 	for _, st := range k.steps {
-		*st = stepRec{released: true}
+		*st = stepRec{heldFrame: heldFrame{released: true}}
 	}
-	k.steps, k.pool = nil, nil
+	k.steps, k.poolJ, k.poolC, k.shared = nil, nil, nil, nil
 	k.arena.close()
 	k.ob.arenaBytes.Set(float64(k.arena.offHeapBytes()))
 }

@@ -1,0 +1,463 @@
+package jactensor
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"sync"
+	"testing"
+
+	"masc/internal/compress"
+	"masc/internal/compress/chimpz"
+	"masc/internal/compress/masczip"
+	"masc/internal/sparse"
+)
+
+// spyCodec is a masczip compressor that records, per blob it codes or
+// decodes, which frames it was handed as history — by matching their bits
+// against the fixture's — so the tests can hold the chain policy to "step s is
+// sealed against, and decoded against, steps s+1…s+depth, stopping at the
+// nearest anchor above s and at the head". Forks share the log.
+type spyCodec struct {
+	*masczip.Compressor
+	frames [][]float64 // the fixture's frames of this tensor, by step
+	log    *spyLog
+}
+
+type spyLog struct {
+	mu      sync.Mutex
+	sealed  map[int][]int // step -> history steps, nearest first
+	decoded map[int][]int
+}
+
+func newSpy(p *sparse.Pattern, opt masczip.Options, frames [][]float64) *spyCodec {
+	return &spyCodec{masczip.New(p, opt), frames, &spyLog{sealed: map[int][]int{}, decoded: map[int][]int{}}}
+}
+
+// stepOf finds the fixture step whose frame has v's bits.
+func (s *spyCodec) stepOf(v []float64) int {
+	for i, f := range s.frames {
+		if sameBits(v, f) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (s *spyCodec) steps(hist [][]float64) []int {
+	out := []int{}
+	for _, h := range hist {
+		out = append(out, s.stepOf(h))
+	}
+	return out
+}
+
+func (s *spyCodec) CompressHistory(dst []byte, cur []float64, hist [][]float64) []byte {
+	s.log.mu.Lock()
+	s.log.sealed[s.stepOf(cur)] = s.steps(hist)
+	s.log.mu.Unlock()
+	return s.Compressor.CompressHistory(dst, cur, hist)
+}
+
+func (s *spyCodec) DecompressHistory(cur []float64, blob []byte, hist [][]float64) error {
+	err := s.Compressor.DecompressHistory(cur, blob, hist)
+	s.log.mu.Lock()
+	s.log.decoded[s.stepOf(cur)] = s.steps(hist)
+	s.log.mu.Unlock()
+	return err
+}
+
+func (s *spyCodec) Fork() compress.Compressor {
+	return &spyCodec{s.Compressor.Fork().(*masczip.Compressor), s.frames, s.log}
+}
+
+// wantHistory is the chain policy's rule for a run of n+1 steps.
+func wantHistory(step, n, depth, anchorEvery int) []int {
+	out := []int{}
+	anchor := func(t int) bool { return anchorEvery > 0 && t > 0 && t < n && t%anchorEvery == 0 }
+	if anchor(step) {
+		return out
+	}
+	for t := step + 1; t <= min(step+depth, n); t++ {
+		if out = append(out, t); anchor(t) {
+			break
+		}
+	}
+	return out
+}
+
+// movingFixture is tensorFixture with every frame of both tensors distinct
+// from every other, so a spy can tell the steps apart.
+func movingFixture(seed int64, n, steps int) (jp, cp *sparse.Pattern, js, cs [][]float64) {
+	jp, cp, js, cs = tensorFixture(seed, n, steps)
+	for s := range js {
+		js[s][0] = float64(s + 1)
+		cs[s][0] = float64(s+1) * 1e-9
+	}
+	return
+}
+
+// TestHistoryStopsAtAnchorsAndHead: over sync stores, pipelined ones of
+// depth 1/2/4 and window slices at 2, 3 and 5 windows, every blob is sealed
+// against exactly the frames the rule names and decoded against the same
+// ones; the blob stream is the sync store's byte for byte; and every step
+// comes back bit for bit.
+func TestHistoryStopsAtAnchorsAndHead(t *testing.T) {
+	const steps = 41
+	jp, cp, js, cs := movingFixture(91, 16, steps)
+	n := steps - 1
+	for _, anchorEvery := range []int{0, 20, 14, 8, 7, 1} { // 1, 2, 3, 5 and 6 windows, and every step its own
+		var syncStream uint64
+		for _, queue := range []int{0, 1, 2, 4} {
+			name := fmt.Sprintf("anchors%d/queue%d", anchorEvery, queue)
+			opt := masczip.Options{Workers: 1 + anchorEvery%3}
+			jc, cc := newSpy(jp, opt, js), newSpy(cp, opt, cs)
+			var st *CompressedStore
+			if queue == 0 {
+				st = NewCompressedStore(jc, cc, jp, cp)
+			} else {
+				st = NewCompressedStoreAsync(jc, cc, jp, cp, queue)
+			}
+			st.SetAnchorEvery(anchorEvery)
+			for i := range js {
+				if err := st.Put(i, js[i], cs[i]); err != nil {
+					t.Fatalf("%s: put %d: %v", name, i, err)
+				}
+			}
+			if err := st.EndForward(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if stream := sealedStream(st); queue == 0 {
+				syncStream = stream
+			} else if stream != syncStream {
+				t.Fatalf("%s: blob stream %#x, the sync store's is %#x", name, stream, syncStream)
+			}
+			depth := st.cd.depth
+			if depth != masczip.MaxOrder+1 {
+				t.Fatalf("%s: the store holds %d frames of history for masczip, want %d", name, depth, masczip.MaxOrder+1)
+			}
+			for _, log := range []*spyLog{jc.log, cc.log} {
+				for s := 0; s <= n; s++ {
+					if got, want := fmt.Sprint(log.sealed[s]), fmt.Sprint(wantHistory(s, n, depth, anchorEvery)); got != want {
+						t.Fatalf("%s: step %d sealed against %s, want %s", name, s, got, want)
+					}
+				}
+			}
+
+			// Read everything back: serially, or through one slice per window.
+			tops := st.AnchorSteps()
+			if queue%2 == 0 {
+				tops = []int{n}
+			}
+			var srcs []fetcher
+			lo := 0
+			for _, hi := range tops {
+				if len(tops) == 1 {
+					srcs = append(srcs, st)
+				} else {
+					sl, err := st.Slice(lo, hi)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					srcs = append(srcs, sl)
+				}
+				lo = hi + 1
+			}
+			lo = 0
+			for w, hi := range tops {
+				for i := hi; i >= lo; i-- {
+					j, c, err := srcs[w].Fetch(i)
+					if err != nil {
+						t.Fatalf("%s: fetch %d: %v", name, i, err)
+					}
+					if !sameBits(j, js[i]) || !sameBits(c, cs[i]) {
+						t.Fatalf("%s: step %d: bits differ", name, i)
+					}
+					if i < hi {
+						srcs[w].Release(i + 1)
+					}
+				}
+				srcs[w].Release(lo)
+				lo = hi + 1
+			}
+			for _, log := range []*spyLog{jc.log, cc.log} {
+				for s, got := range log.decoded {
+					if want := wantHistory(s, n, depth, anchorEvery); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: step %d decoded against %v, sealed against %v", name, s, got, want)
+					}
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+}
+
+// TestRepairRestoresHistoryBelow: a step whose blob went bad mid-chain is
+// recomputed and repaired; the depth steps below it decode against the
+// repaired frame among their history, and every one comes back bit for bit.
+func TestRepairRestoresHistoryBelow(t *testing.T) {
+	const steps, bad = 30, 17
+	jp, cp, js, cs := movingFixture(92, 16, steps)
+	for _, async := range []bool{false, true} {
+		jc, cc := newSpy(jp, masczip.Options{}, js), newSpy(cp, masczip.Options{}, cs)
+		st := NewCompressedStore(jc, cc, jp, cp)
+		if async {
+			st = NewCompressedStoreAsync(jc, cc, jp, cp, 2)
+		}
+		for i := range js {
+			if err := st.Put(i, js[i], cs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.EndForward(); err != nil {
+			t.Fatal(err)
+		}
+		st.mu.Lock()
+		st.steps[bad].cBlob[len(st.steps[bad].cBlob)/2] ^= 0x04
+		st.mu.Unlock()
+		for i := steps - 1; i >= 0; i-- {
+			j, c, err := st.Fetch(i)
+			if i == bad {
+				if err == nil {
+					t.Fatalf("async=%v: the damaged step decoded", async)
+				}
+				st.Repair(i, js[i], cs[i])
+				j, c, err = st.Fetch(i)
+			}
+			if err != nil {
+				t.Fatalf("async=%v: fetch %d: %v", async, i, err)
+			}
+			if !sameBits(j, js[i]) || !sameBits(c, cs[i]) {
+				t.Fatalf("async=%v: step %d: bits differ", async, i)
+			}
+			if i < steps-1 {
+				st.Release(i + 1)
+			}
+		}
+		for s := bad - 1; s >= bad-st.cd.depth; s-- {
+			if got, want := fmt.Sprint(cc.log.decoded[s]), fmt.Sprint(wantHistory(s, steps-1, st.cd.depth, 0)); got != want {
+				t.Fatalf("async=%v: step %d, below the repaired one, decoded against %s, want %s", async, s, got, want)
+			}
+		}
+		if stats := st.Stats(); stats.Repairs != 1 || stats.CorruptBlobs != 1 {
+			t.Fatalf("async=%v: %d repairs, %d corruptions, want one of each", async, stats.Repairs, stats.CorruptBlobs)
+		}
+		st.Close()
+	}
+}
+
+// TestMissingHistoryIsOutOfOrderOrCorrupt: fetching a step whose nearest
+// reference is not resident is ErrOutOfOrder naming the missing step; one
+// whose deeper history is gone is a degradable corruption from the codec,
+// naming the order and the frames it was given.
+func TestMissingHistoryIsOutOfOrderOrCorrupt(t *testing.T) {
+	jp, cp, _, _ := tensorFixture(93, 16, 1)
+	// Waveforms, so the blobs extrapolate.
+	const steps = 20
+	js, cs := make([][]float64, steps), make([][]float64, steps)
+	for s := range js {
+		js[s], cs[s] = make([]float64, jp.NNZ()), make([]float64, cp.NNZ())
+		for k := range js[s] {
+			js[s][k] = float64(k+1) * float64(1+s*s)
+		}
+		for k := range cs[s] {
+			cs[s][k] = 1e-9 * float64(k+1) * float64(3+s*s*s)
+		}
+	}
+	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+	defer st.Close()
+	for i := range js {
+		if err := st.Put(i, js[i], cs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.EndForward(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := st.Fetch(10)
+	if want := "step 10 needs step 11 resident"; !errors.Is(err, ErrOutOfOrder) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("fetch mid-chain: %v, want ErrOutOfOrder saying %q", err, want)
+	}
+	// A repair makes step 11 resident, but not the frames above it.
+	st.Repair(11, js[11], cs[11])
+	_, _, err = st.Fetch(10)
+	var se *StepError
+	if !errors.As(err, &se) || !se.Degradable || !se.Corrupt || se.Step != 10 || !strings.Contains(err.Error(), "reference frames, 1 given") {
+		t.Fatalf("fetch with one frame of a deeper history: %v, want a degradable corruption naming the frames given", err)
+	}
+}
+
+// blobBytes is what the store's sealed blobs take: StoredBytes without the
+// shared-index footprint, which the resident meter does not carry.
+func blobBytes(st *CompressedStore, index int64) int64 { return st.Stats().StoredBytes - index }
+
+// TestIdenticalTensorHoldsOneFrame: a tensor that never moves — a linear
+// circuit's — shares one array per tensor across the whole history window, so
+// the store holds exactly what a one-reference chain held: every blob, the
+// head's frame and the frame a fetch decodes into. A codec that reads one
+// reference holds that too.
+func TestIdenticalTensorHoldsOneFrame(t *testing.T) {
+	jp, cp, js, cs := tensorFixture(94, 24, 1)
+	const steps = 50
+	for len(js) < steps {
+		js, cs = append(js, js[0]), append(cs, cs[0])
+	}
+	frame := int64(8 * (len(js[0]) + len(cs[0])))
+	for name, mk := range map[string]func() *CompressedStore{
+		"masc": func() *CompressedStore {
+			return NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+		},
+		"masc-async": func() *CompressedStore {
+			return NewCompressedStoreAsync(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 2)
+		},
+		"chimp": func() *CompressedStore { return NewCompressedStore(chimpz.NewTemporal(), chimpz.NewTemporal(), jp, cp) },
+	} {
+		st := mk()
+		index := st.Stats().StoredBytes
+		for i := range js {
+			// The solver's buffers, not the fixture's: sharing is by value.
+			if err := st.Put(i, append([]float64(nil), js[i]...), append([]float64(nil), cs[i]...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.EndForward(); err != nil {
+			t.Fatal(err)
+		}
+		stored := blobBytes(st, index)
+		if peak := st.Stats().PeakResident; peak != stored+frame {
+			t.Fatalf("%s: PeakResident %d after the forward pass, want the blobs (%d) and one frame (%d)", name, peak, stored, frame)
+		}
+		for i := steps - 1; i >= 0; i-- {
+			j, c, err := st.Fetch(i)
+			if err != nil {
+				t.Fatalf("%s: fetch %d: %v", name, i, err)
+			}
+			if !sameBits(j, js[i]) || !sameBits(c, cs[i]) {
+				t.Fatalf("%s: step %d: bits differ", name, i)
+			}
+			if i < steps-1 {
+				st.Release(i + 1)
+			}
+		}
+		st.Release(0)
+		stats := st.Stats()
+		if stats.PeakResident != stored+2*frame || stats.HistoryBytes != 0 {
+			t.Fatalf("%s: PeakResident %d, HistoryBytes %d; want the blobs (%d) and two frames (%d each), and no history",
+				name, stats.PeakResident, stats.HistoryBytes, stored, frame)
+		}
+		st.mu.Lock()
+		if st.resident != stored || len(st.shared) != 0 {
+			t.Fatalf("%s: after the sweep %d B resident beside %d B of blobs, %d shared arrays", name, st.resident, stored, len(st.shared))
+		}
+		st.mu.Unlock()
+		st.Close()
+	}
+}
+
+// TestHistoryWindowAccounting: on a tensor that moves, the forward window
+// holds depth+1 frames, the sweep depth+2 at its peak, HistoryBytes reads the
+// depth−1 frames past the nearest, and a finished sweep leaves only blobs.
+func TestHistoryWindowAccounting(t *testing.T) {
+	const steps = 30
+	jp, cp, js, cs := movingFixture(95, 16, steps)
+	frame := int64(8 * (len(js[0]) + len(cs[0])))
+	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+	defer st.Close()
+	index := st.Stats().StoredBytes
+	depth := int64(masczip.MaxOrder + 1)
+	for i := range js {
+		if err := st.Put(i, js[i], cs[i]); err != nil {
+			t.Fatal(err)
+		}
+		st.mu.Lock()
+		plain := st.resident - (st.stats.StoredBytes - index)
+		st.mu.Unlock()
+		if want := min(int64(i+1), depth) * frame; plain != want {
+			t.Fatalf("after put %d: %d B of plaintext, want %d frames", i, plain, want/frame)
+		}
+	}
+	if err := st.EndForward(); err != nil {
+		t.Fatal(err)
+	}
+	stored := blobBytes(st, index)
+	for i := steps - 1; i >= 0; i-- {
+		if _, _, err := st.Fetch(i); err != nil {
+			t.Fatal(err)
+		}
+		if i < steps-1 {
+			st.Release(i + 1)
+		}
+	}
+	st.Release(0)
+	stats := st.Stats()
+	if want := stored + (depth+1)*frame; stats.PeakResident != want {
+		t.Fatalf("PeakResident %d, want the blobs (%d) and %d frames of %d", stats.PeakResident, stored, depth+1, frame)
+	}
+	if want := (depth - 1) * frame; stats.HistoryBytes != want {
+		t.Fatalf("HistoryBytes %d, want %d frames of %d", stats.HistoryBytes, depth-1, frame)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.resident != stored {
+		t.Fatalf("%d B resident after the sweep, %d B of blobs", st.resident, stored)
+	}
+}
+
+// TestEarlyCloseLeaksNoFrame: closing a store whose newest steps still wait
+// for their history — sync or with jobs queued — stops the worker, drops every
+// frame and record, and reports no error.
+func TestEarlyCloseLeaksNoFrame(t *testing.T) {
+	jp, cp, js, cs := movingFixture(96, 16, 12)
+	for _, queue := range []int{0, 1, 4} {
+		for _, puts := range []int{1, 3, 12} {
+			jc, cc := masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{})
+			st := NewCompressedStore(jc, cc, jp, cp)
+			if queue > 0 {
+				st = NewCompressedStoreAsync(jc, cc, jp, cp, queue)
+			}
+			for i := 0; i < puts; i++ {
+				if err := st.Put(i, js[i], cs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatalf("queue %d, %d puts: Close: %v", queue, puts, err)
+			}
+			if queue > 0 {
+				select {
+				case <-st.wkDone:
+				default:
+					t.Fatalf("queue %d, %d puts: the worker outlived Close", queue, puts)
+				}
+			}
+			st.mu.Lock()
+			if st.steps != nil || st.poolJ != nil || st.poolC != nil || st.shared != nil || !st.arena.closed {
+				t.Fatalf("queue %d, %d puts: Close left %d records, %d+%d pooled arrays, %d shared",
+					queue, puts, len(st.steps), len(st.poolJ), len(st.poolC), len(st.shared))
+			}
+			st.mu.Unlock()
+			if err := st.Put(puts, js[0], cs[0]); err == nil {
+				t.Fatalf("queue %d, %d puts: Put after Close succeeded", queue, puts)
+			}
+		}
+	}
+}
+
+// TestHistoryOfNonFiniteFrames: NaN, ±Inf, ±0 and denormals go through the
+// window's sharing test and the codec's extrapolation unchanged.
+func TestHistoryOfNonFiniteFrames(t *testing.T) {
+	jp, cp, js, cs := movingFixture(97, 12, 20)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64}
+	for s := range js {
+		for k := 1 + s%3; k < len(js[s]); k += 5 {
+			js[s][k] = specials[(k+s)%len(specials)]
+		}
+		for k := 1; k < len(cs[s]); k += 2 {
+			cs[s][k] = specials[k%len(specials)] // the same in every frame
+		}
+	}
+	fillAndVerify(t, NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp), js, cs)
+}

@@ -11,8 +11,9 @@
 // and the single seal / keep / open-and-decode / quarantine / heal path, and
 // every store shares the Put contract, the resident meter and the one Attach
 // call (storeBase). CompressedStore is the chain policy over it — the
-// paper's Algorithm 2: every blob in RAM, each predicted from the next step,
-// sync or pipelined, with window views (StoreSlice) and, built by
+// paper's Algorithm 2: every blob in RAM, each predicted from the steps above
+// it (as many as its codecs read, held in a window of plaintext frames), sync
+// or pipelined, with window views (StoreSlice) and, built by
 // NewAutoStore, codecs picked by an on-line trial. TieredStore is the ladder
 // policy: it holds a memory budget by placing each step on RAM, compressed
 // RAM, disk or recompute. MemStore (raw in-memory, the reference the others
@@ -63,6 +64,12 @@ type Stats struct {
 	// toward PeakResident: they are real resident memory the windowed
 	// sweep pays for.
 	AnchorBytes int64
+	// HistoryBytes is the most plaintext any one seal or decode of the
+	// compressed store read beyond its nearest reference frame — the deeper
+	// frames a history codec extrapolates from, shared arrays counted once.
+	// The store holds them, so they are inside PeakResident: this is the part
+	// of it a one-reference chain would not have.
+	HistoryBytes int64
 
 	// Tiered-store placement accounting (TieredStore only). The per-tier
 	// step/byte gauges snapshot the live placement at the last Stats or

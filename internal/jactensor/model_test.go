@@ -3,7 +3,6 @@ package jactensor
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -34,19 +33,6 @@ func (o *oracle) put(step int, j, c []float64) bool {
 	return true
 }
 
-// sameBits reports whether two value arrays are bit-identical.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
-			return false
-		}
-	}
-	return true
-}
-
 func (o *oracle) same(step int, j, c []float64) bool {
 	return sameBits(j, o.steps[step].j) && sameBits(c, o.steps[step].c)
 }
@@ -68,8 +54,9 @@ type modelShape struct {
 	mk      func(t *testing.T, rng *rand.Rand, f *modelFixture, anchorEvery int) Store
 	// bound is the most PeakResident may ever read: stored is the bytes the
 	// store reports holding, held the frames the schedule can have out at
-	// once on top of what the store keeps for itself.
-	bound func(f *modelFixture, steps int, stored int64, anchors, held int) int64
+	// once on top of what the store keeps for itself, hist the frames of
+	// history a chained store's codecs read (0 for the other stores).
+	bound func(f *modelFixture, steps int, stored int64, anchors, held, hist int) int64
 }
 
 // modelCodecs draws a codec pair the chained stores accept (only the masczip
@@ -88,12 +75,13 @@ func modelCodecs(rng *rand.Rand, f *modelFixture) (jc, cc compress.Compressor) {
 	}
 }
 
-func chainedBound(depth int) func(f *modelFixture, steps int, stored int64, anchors, held int) int64 {
-	// Every blob, the chain's last frame, the frames a queue of the given
-	// depth can hold (one admitted, one running, depth waiting), the anchors,
-	// and what the sweep holds plus one prefetch.
-	return func(f *modelFixture, _ int, stored int64, anchors, held int) int64 {
-		return stored + int64(3+depth+anchors+held+1)*f.frame
+func chainedBound(depth int) func(f *modelFixture, steps int, stored int64, anchors, held, hist int) int64 {
+	// Every blob, the chain's newest frame and the hist below it that wait for
+	// their history, the frames a queue of the given depth can hold (one
+	// admitted, one running, depth waiting), the anchors, and what the sweep
+	// holds — its own hist frames of history are in held — plus one prefetch.
+	return func(f *modelFixture, _ int, stored int64, anchors, held, hist int) int64 {
+		return stored + int64(3+depth+anchors+held+1+hist)*f.frame
 	}
 }
 
@@ -117,7 +105,7 @@ func tieredShape(name string, budgetFrames int64, noDisk bool) modelShape {
 			}
 			return st
 		},
-		bound: func(f *modelFixture, steps int, _ int64, _, held int) int64 {
+		bound: func(f *modelFixture, steps int, _ int64, _, held, _ int) int64 {
 			if budgetFrames == 0 {
 				// Everything stays hot; a repair may briefly hold its copy.
 				return int64(steps+1) * f.frame
@@ -167,7 +155,7 @@ func modelShapes() []modelShape {
 	return []modelShape{
 		{name: "memory",
 			mk: func(*testing.T, *rand.Rand, *modelFixture, int) Store { return NewMemStore() },
-			bound: func(f *modelFixture, steps int, _ int64, _, _ int) int64 {
+			bound: func(f *modelFixture, steps int, _ int64, _, _, _ int) int64 {
 				return int64(steps) * f.frame
 			}},
 		{name: "disk",
@@ -180,7 +168,7 @@ func modelShapes() []modelShape {
 			},
 			// One encode scratch and one fetch buffer pair, whatever the
 			// step count.
-			bound: func(f *modelFixture, _ int, _ int64, _, _ int) int64 { return 3 * f.frame }},
+			bound: func(f *modelFixture, _ int, _ int64, _, _, _ int) int64 { return 3 * f.frame }},
 		{name: "compressed", chained: true, mk: chainedMk(false, false), bound: chainedBound(0)},
 		{name: "compressed-async", chained: true, mk: chainedMk(true, false), bound: chainedBound(8)},
 		{name: "auto", chained: true, mk: chainedMk(false, true), bound: chainedBound(0)},
@@ -206,11 +194,20 @@ type modelRun struct {
 	anchors, held int
 }
 
+// hist is the history depth of a chained store's codecs (once an auto store
+// has bound them), 0 for the others.
+func (m *modelRun) hist() int {
+	if cs, ok := m.st.(*CompressedStore); ok {
+		return cs.cd.depth
+	}
+	return 0
+}
+
 // checkPeak holds PeakResident to the shape's bound.
 func (m *modelRun) checkPeak(when string) {
 	m.t.Helper()
 	stats := m.st.Stats()
-	if limit := m.sh.bound(m.f, len(m.want.steps), stats.StoredBytes, m.anchors, m.held); stats.PeakResident > limit {
+	if limit := m.sh.bound(m.f, len(m.want.steps), stats.StoredBytes, m.anchors, m.held, m.hist()); stats.PeakResident > limit {
 		m.t.Fatalf("%s: PeakResident %d above its bound %d (frame %d, %+v)", when, stats.PeakResident, limit, m.f.frame, stats)
 	}
 }
@@ -387,7 +384,7 @@ func (m *modelRun) reverse() {
 			serial() // codecs that cannot fork
 			return
 		}
-		m.held = 2 * len(tops)
+		m.held = (2 + m.hist()) * len(tops)
 		windowed(func(lo, hi int) func() bool {
 			sl, err := cs.Slice(lo, hi)
 			if err != nil {
@@ -474,7 +471,10 @@ func TestStoreModel(t *testing.T) {
 // took a step with changed value counts (the disk store then reported the
 // caller's bug as a corrupt record at fetch time).
 func TestPutContract(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(7, 20, 3)
+	// Longer than the chain's history window, so refusals land before, while
+	// and after steps are sealed behind the newest ones.
+	const steps = 12
+	jp, cp, js, cs := tensorFixture(7, 20, steps+1)
 	masc := func() (compress.Compressor, compress.Compressor) {
 		return masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{})
 	}
@@ -527,20 +527,30 @@ func TestPutContract(t *testing.T) {
 			refused("fewer J values", 1, js[1][:3], cs[1])
 			refused("more C values", 1, js[1], append([]float64{1, 2, 3}, cs[1]...))
 			refused("repeated step", 0, js[0], cs[0])
-			if err := st.Put(1, js[1], cs[1]); err != nil {
-				t.Fatal(err)
+			for i := 1; i < steps; i++ {
+				if err := st.Put(i, js[i], cs[i]); err != nil {
+					t.Fatal(err)
+				}
+				if i%4 == 0 {
+					refused("out of order, mid-run", i+2, js[i], cs[i])
+					refused("fewer C values, mid-run", i+1, js[i], cs[i][:1])
+					refused("repeated step, mid-run", i, js[i], cs[i])
+				}
 			}
 			if err := st.EndForward(); err != nil {
 				t.Fatal(err)
 			}
-			refused("after EndForward", 2, js[2], cs[2])
-			for i := 1; i >= 0; i-- {
+			refused("after EndForward", steps, js[steps], cs[steps])
+			for i := steps - 1; i >= 0; i-- {
 				j, c, err := st.Fetch(i)
 				if err != nil {
 					t.Fatalf("fetch %d: %v", i, err)
 				}
 				if !sameBits(j, js[i]) || !sameBits(c, cs[i]) {
 					t.Fatalf("step %d: bits differ after the refusals", i)
+				}
+				if i < steps-1 {
+					st.Release(i + 1)
 				}
 			}
 		})

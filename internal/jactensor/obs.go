@@ -2,6 +2,7 @@ package jactensor
 
 import (
 	"fmt"
+	"strconv"
 
 	"masc/internal/compress/masczip"
 	"masc/internal/obs"
@@ -166,6 +167,10 @@ func PublishCodecStats(reg *obs.Registry, tensor string, st masczip.Stats) {
 	for name, n := range map[string]int64{"mate": st.MateBlobs, "stamp": st.StampBlobs} {
 		reg.Counter("masc_codec_hit_predictor_blobs_total", "Blobs whose encoder made the symmetric mate (region L) or the difference stamp (region D) the hit predictor in place of the temporal value.",
 			"tensor", tensor, "predictor", name).Add(float64(n))
+	}
+	for o, n := range st.OrderBlobs {
+		reg.Counter("masc_codec_history_order_blobs_total", "Blobs by the order their temporal candidate extrapolates at over the reference frames (0 = the nearest frame's value).",
+			"tensor", tensor, "order", strconv.Itoa(o)).Add(float64(n))
 	}
 	reg.Counter("masc_codec_markov_predicted_total", "Elements whose selector came from the frozen Markov table.",
 		"tensor", tensor).Add(float64(st.MarkovPredicted))

@@ -362,7 +362,7 @@ func (s *TieredStore) encode(i int) {
 	t0 := s.model.Now()
 	s.cd.restart()
 	// Corruption during the demotion itself: the sealed blob is the target.
-	st.jBlob, st.cBlob = s.seal(i, st.pair, nil, nil)
+	st.jBlob, st.cBlob = s.seal(i, st.pair, history{})
 	d := s.model.Now().Sub(t0)
 	s.model.ObserveCompress(int(s.frameBytes), d)
 	s.stats.CompressTime += d
@@ -657,7 +657,7 @@ func (s *TieredStore) decodeBlobs(step int, jb, cb []byte) error {
 		p := s.takeFrame()
 		t0 := s.model.Now()
 		s.cd.restart()
-		if tensor, err = s.cd.decode(p, jp, cp, nil, nil); err == nil {
+		if tensor, err = s.cd.decode(p, jp, cp, history{}); err == nil {
 			d := s.model.Now().Sub(t0)
 			s.model.ObserveDecompress(int(s.frameBytes), d)
 			s.stats.DecompressTime += d

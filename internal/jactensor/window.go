@@ -20,8 +20,9 @@ import (
 type StoreSlice struct {
 	p      *CompressedStore
 	lo, hi int
-	cd     codecs // forked decoders, private to this slice
-	out    []pair // the slice's fetched frames, indexed by step-lo
+	at     int         // the lowest step fetched
+	cd     codecs      // forked decoders, private to this slice
+	out    []heldFrame // the slice's window, indexed by step-lo
 }
 
 // Slice returns a window-local fetcher over steps [lo, hi]. It requires a
@@ -47,73 +48,85 @@ func (s *CompressedStore) Slice(lo, hi int) (*StoreSlice, error) {
 	if !okJ || !okC {
 		return nil, fmt.Errorf("jactensor: codec %s does not support forked decoders", s.cd.j.Name())
 	}
-	return &StoreSlice{p: s, lo: lo, hi: hi,
-		cd: codecs{j: jf.Fork(), c: cf.Fork()}, out: make([]pair, hi-lo+1)}, nil
+	return &StoreSlice{p: s, lo: lo, hi: hi, at: hi,
+		cd: newCodecs(jf.Fork(), cf.Fork()), out: make([]heldFrame, hi-lo+1)}, nil
+}
+
+// held implements frames over the slice's private window.
+func (sl *StoreSlice) held(step int) *heldFrame {
+	if step < sl.lo || step > sl.hi {
+		return nil
+	}
+	return &sl.out[step-sl.lo]
 }
 
 // Fetch implements the adjoint package's JacobianSource. Steps must be
-// fetched in descending order from Hi: each decode references the
-// slice-local plaintext of step+1, except self-contained steps (the slice
+// fetched in descending order from Hi: each decode reads the slice-local
+// plaintext of the steps above it, except self-contained steps (the slice
 // top, anchors) which decode with no reference. A step whose plaintext the
 // parent holds — the head frame, a repair, a verified anchor — is copied
-// instead. Frames come from the parent's pool and return to it on Release.
+// instead. Frames come from the parent's pool and return to it once released
+// and out of every lower step's history.
 func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
 	if step < sl.lo || step > sl.hi {
 		return nil, nil, fmt.Errorf("jactensor: slice fetch step %d outside [%d,%d]", step, sl.lo, sl.hi)
 	}
 	p, mine := sl.p, &sl.out[step-sl.lo]
-	if mine.j != nil {
-		p.ob.fetches.Inc()
-		return mine.j, mine.c, nil
-	}
 	p.mu.Lock()
-	if p.arena.closed {
-		p.mu.Unlock()
-		return nil, nil, closedErr(step)
-	}
-	st := p.steps[step]
-	src := st.out
-	if src.j == nil {
-		src = p.anchorLocked(st)
-	}
-	var out, ref pair
-	if src.j != nil {
-		out = p.copyFrame(src)
-	} else if step != sl.hi && !st.pinned {
-		if ref = sl.out[step+1-sl.lo]; ref.j == nil {
+	if mine.out.j != nil {
+		sl.at = min(sl.at, step)
+	} else {
+		if p.arena.closed {
+			p.mu.Unlock()
+			return nil, nil, closedErr(step)
+		}
+		st := p.steps[step]
+		src := st.out
+		if src.j == nil {
+			src = p.anchorLocked(st)
+		}
+		var out pair
+		var h history
+		if src.j != nil {
+			out = p.copyFrame(src)
+			p.bumpResident(p.frameBytes)
+		} else if h = p.gather(&sl.cd, sl, step); len(h.j) == 0 && step != sl.hi && !st.pinned {
 			p.mu.Unlock()
 			return nil, nil, fmt.Errorf("%w: slice step %d needs step %d resident", ErrOutOfOrder, step, step+1)
 		}
-	}
-	p.mu.Unlock()
-	if out.j == nil {
-		var err error
-		if out, err = p.decodeStep(&sl.cd, step, st, ref, false); err != nil {
-			return nil, nil, err
+		p.mu.Unlock()
+		if out.j == nil {
+			var err error
+			if out, err = p.decodeStep(&sl.cd, step, st, h, false); err != nil {
+				return nil, nil, err
+			}
 		}
+		p.mu.Lock()
+		mine.out, sl.at = out, step
 	}
-	p.mu.Lock()
-	p.bumpResident(p.frameBytes)
+	out := mine.out
+	mine.released = false
+	p.trim(&sl.cd, sl, sl.at, sl.lo)
 	p.mu.Unlock()
-	*mine = out
 	p.ob.fetches.Inc()
 	return out.j, out.c, nil
 }
 
-// Release implements JacobianSource: it recycles only the slice-local copy;
-// anchor frames and the parent's own frames are untouched, so the same
-// store can be sliced and swept again.
+// Release implements JacobianSource: it lets go of the slice-local frame only,
+// once no lower step of the slice decodes against it; anchor frames and the
+// parent's own frames are untouched, so the same store can be sliced and swept
+// again.
 func (sl *StoreSlice) Release(step int) {
 	if step < sl.lo || step > sl.hi {
 		return
 	}
 	sl.p.mu.Lock()
-	sl.p.giveBack(&sl.out[step-sl.lo])
+	sl.p.retire(&sl.cd, &sl.out[step-sl.lo], step, sl.at, sl.lo)
 	sl.p.mu.Unlock()
 }
 
 // Repair implements Repairer: recomputed plaintext heals the step for this
-// slice (serving the refetch and restoring the downward reference chain)
+// slice (serving the refetch and restoring the history of the steps below)
 // and lifts the parent's quarantine so the accounting matches the serial
 // engine's.
 func (sl *StoreSlice) Repair(step int, jVals, cVals []float64) {
@@ -123,8 +136,8 @@ func (sl *StoreSlice) Repair(step int, jVals, cVals []float64) {
 	p := sl.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.giveBack(&sl.out[step-sl.lo])
-	sl.out[step-sl.lo] = p.copyFrame(pair{jVals, cVals})
+	p.giveBack(&sl.out[step-sl.lo].out)
+	sl.out[step-sl.lo] = heldFrame{out: p.copyFrame(pair{jVals, cVals})}
 	p.bumpResident(p.frameBytes)
 	if step < len(p.steps) {
 		p.heal(p.steps[step])

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"masc/internal/compress/masczip"
 	"masc/internal/obs/span"
+	"masc/internal/workload"
 )
 
 // TestSimulateSpanTree runs the full pipeline with a span recorder attached
@@ -172,6 +174,14 @@ func TestSimulateCodecRegionStats(t *testing.T) {
 					fmt.Sprintf("masc_codec_region_bits_total{tensor=%q,region=%q} %d\n", tensor, name, st.RegionBits[rg]),
 					fmt.Sprintf("masc_codec_hit_runs_total{tensor=%q,region=%q} %d\n", tensor, name, st.HitRuns[rg]))
 			}
+			var blobs int64
+			for o, n := range st.OrderBlobs {
+				blobs += n
+				lines = append(lines, fmt.Sprintf("masc_codec_history_order_blobs_total{tensor=%q,order=\"%d\"} %d\n", tensor, o, n))
+			}
+			if want := int64(run.TensorStats.Steps); blobs != want {
+				t.Errorf("async=%v tensor %s: OrderBlobs %v sum to %d, %d blobs were coded", async, tensor, st.OrderBlobs, blobs, want)
+			}
 			for _, line := range lines {
 				if !strings.Contains(prom, line) {
 					t.Errorf("async=%v: /metrics lacks %q", async, line)
@@ -189,6 +199,52 @@ func TestSimulateCodecRegionStats(t *testing.T) {
 			if misses != st.SelectorElements {
 				t.Errorf("async=%v tensor %s: regions hold %d misses, selector elements %d", async, tensor, misses, st.SelectorElements)
 			}
+		}
+	}
+}
+
+// TestSimulateCodecRegionStatsOrders: on MOS_T7 — smooth device capacitances under
+// a pulse train — C's encoder extrapolates at order 4 or above on most blobs,
+// G's hardly moves and so hardly extrapolates, the store reports the frames
+// that cost, and a linear circuit's tensor, which never moves, pays none.
+func TestSimulateCodecRegionStatsOrders(t *testing.T) {
+	for _, fx := range []struct {
+		name   string
+		linear bool
+	}{{"MOS_T7", false}, {"RC_01", true}} {
+		ds, err := workload.Build(fx.name, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := Simulate(ds.Ckt, SimOptions{Transient: ds.Tran, Storage: StorageMASC, CollectCodecStats: true},
+			ds.Objectives, ds.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs, frame := int64(run.TensorStats.Steps), int64(8*(ds.Ckt.GPat.NNZ()+ds.Ckt.CPat.NNZ()))
+		var high, all int64
+		for o, n := range run.CodecStatsC.OrderBlobs {
+			if all += n; o >= 4 {
+				high += n
+			}
+		}
+		t.Logf("%s: OrderBlobs G %v C %v, HistoryBytes %d (frame %d)", fx.name,
+			run.CodecStatsG.OrderBlobs, run.CodecStatsC.OrderBlobs, run.TensorStats.HistoryBytes, frame)
+		if all != blobs {
+			t.Fatalf("%s: C's OrderBlobs sum to %d over %d blobs", fx.name, all, blobs)
+		}
+		if fx.linear {
+			if zero := run.CodecStatsC.OrderBlobs[0]; zero != blobs || run.TensorStats.HistoryBytes != 0 {
+				t.Fatalf("%s: a tensor that never moves coded %d of %d blobs at order 0 and held %d B of history",
+					fx.name, zero, blobs, run.TensorStats.HistoryBytes)
+			}
+			continue
+		}
+		if 2*high <= blobs {
+			t.Fatalf("%s: C extrapolates at order >= 4 on %d of %d blobs", fx.name, high, blobs)
+		}
+		if hb := run.TensorStats.HistoryBytes; hb <= frame || hb > masczip.MaxOrder*frame {
+			t.Fatalf("%s: HistoryBytes %d, want between one frame (%d) and %d of them", fx.name, hb, frame, masczip.MaxOrder)
 		}
 	}
 }
