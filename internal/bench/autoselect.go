@@ -69,7 +69,11 @@ func autoSelectOne(tn *Tensor, workers int) (AutoSelectRow, error) {
 	row := AutoSelectRow{Dataset: tn.Name, TrialSteps: k}
 
 	// The trial, exactly as the AutoStore runs it: fresh codec pairs over
-	// the first k frames, scored on bytes saved per second.
+	// the first k frames and their states, scored on bytes saved per second.
+	var xs [][]float64
+	if tn.XS != nil {
+		xs = tn.XS[:k]
+	}
 	trials := make([]compress.TrialResult, 0, len(autoSelectCandidates))
 	for _, cn := range autoSelectCandidates {
 		pair, err := NewCodecPair(cn, tn, workers, false)
@@ -77,7 +81,7 @@ func autoSelectOne(tn *Tensor, workers int) (AutoSelectRow, error) {
 			return row, err
 		}
 		trials = append(trials, compress.RunTrial(
-			compress.NewCandidate(cn, pair.g, pair.c), tn.GS[:k], tn.CS[:k], nil))
+			compress.NewCandidate(cn, pair.g, pair.c), tn.GS[:k], tn.CS[:k], xs, nil))
 	}
 	win := compress.Pick(trials)
 	if win < 0 {

@@ -26,6 +26,7 @@ type Tensor struct {
 	GPat, CPat *sparse.Pattern
 	GS         [][]float64 // G values per step
 	CS         [][]float64 // C values per step
+	XS         [][]float64 // the state each step was produced at; nil for a loaded tensor file, which holds none
 	Steps      int
 }
 
@@ -38,13 +39,14 @@ func (t *Tensor) RawBytes() int64 {
 }
 
 // CaptureTensor simulates the dataset and keeps every step's G and C
-// values in memory.
+// values, and the state it was produced at, in memory.
 func CaptureTensor(ds *workload.Dataset) (*Tensor, error) {
 	st := jactensor.NewMemStore()
-	if _, err := ds.RunForward(st); err != nil {
+	res, err := ds.RunForward(st)
+	if err != nil {
 		return nil, err
 	}
-	tn := &Tensor{Name: ds.Name, GPat: ds.Ckt.GPat, CPat: ds.Ckt.CPat}
+	tn := &Tensor{Name: ds.Name, GPat: ds.Ckt.GPat, CPat: ds.Ckt.CPat, XS: res.States}
 	for i := 0; ; i++ {
 		g, c, err := st.Fetch(i)
 		if err != nil {
@@ -86,19 +88,28 @@ func historyOf(c compress.Compressor, frames [][]float64, i int) [][]float64 {
 }
 
 // MeasureCodec runs the Algorithm-2 chain over the tensor: step i is
-// compressed with the steps above it as reference (the last step with none),
-// then decompressed in reverse and verified (bit-exact for lossless codecs,
+// compressed with the steps above it as reference (the last step with none)
+// and their states beside them, as the compressed store does, then
+// decompressed in reverse and verified (bit-exact for lossless codecs,
 // skipped for lossy ones).
 func MeasureCodec(p codecPair, tn *Tensor) (CodecResult, error) {
 	res := CodecResult{Codec: p.name}
 	n := tn.Steps
 	gBlobs := make([][]byte, n)
 	cBlobs := make([][]byte, n)
+	encode := func(c compress.Compressor, dst []byte, frames [][]float64, i int) []byte {
+		hist := historyOf(c, frames, i)
+		return compress.Encode(c, dst, frames[i], hist, compress.StatesAt(tn.XS, i, len(hist)))
+	}
+	decode := func(c compress.Compressor, cur []float64, blob []byte, frames [][]float64, i int) error {
+		hist := historyOf(c, frames, i)
+		return compress.Decode(c, cur, blob, hist, compress.StatesAt(tn.XS, i, len(hist)))
+	}
 
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		gBlobs[i] = compress.Encode(p.g, nil, tn.GS[i], historyOf(p.g, tn.GS, i))
-		cBlobs[i] = compress.Encode(p.c, nil, tn.CS[i], historyOf(p.c, tn.CS, i))
+		gBlobs[i] = encode(p.g, nil, tn.GS, i)
+		cBlobs[i] = encode(p.c, nil, tn.CS, i)
 		res.CompressedBytes += int64(len(gBlobs[i]) + len(cBlobs[i]))
 	}
 	res.CompressTime = time.Since(start)
@@ -108,10 +119,10 @@ func MeasureCodec(p codecPair, tn *Tensor) (CodecResult, error) {
 	cBuf := make([]float64, len(tn.CS[0]))
 	start = time.Now()
 	for i := n - 1; i >= 0; i-- {
-		if err := compress.Decode(p.g, gBuf, gBlobs[i], historyOf(p.g, tn.GS, i)); err != nil {
+		if err := decode(p.g, gBuf, gBlobs[i], tn.GS, i); err != nil {
 			return res, fmt.Errorf("bench: %s step %d G: %w", p.name, i, err)
 		}
-		if err := compress.Decode(p.c, cBuf, cBlobs[i], historyOf(p.c, tn.CS, i)); err != nil {
+		if err := decode(p.c, cBuf, cBlobs[i], tn.CS, i); err != nil {
 			return res, fmt.Errorf("bench: %s step %d C: %w", p.name, i, err)
 		}
 		if lossless {

@@ -70,30 +70,8 @@ func mascStats(p codecPair) (masczip.Stats, bool) {
 	if !ok {
 		return masczip.Stats{}, false
 	}
-	st := g.Stats()
-	cst := c.Stats()
-	st.Elements += cst.Elements
-	st.SelectorElements += cst.SelectorElements
-	st.Temporal += cst.Temporal
-	st.Stamp += cst.Stamp
-	st.LastValue += cst.LastValue
-	for i := range st.LZHist {
-		st.LZHist[i] += cst.LZHist[i]
-	}
-	st.SelectorBits += cst.SelectorBits
-	st.PayloadBits += cst.PayloadBits
-	for i := range st.RegionBits {
-		st.RegionMisses[i] += cst.RegionMisses[i]
-		st.RegionBits[i] += cst.RegionBits[i]
-		st.RegionHits[i] += cst.RegionHits[i]
-		st.HitRuns[i] += cst.HitRuns[i]
-	}
-	st.RunLengthBits += cst.RunLengthBits
-	st.MateBlobs += cst.MateBlobs
-	st.StampBlobs += cst.StampBlobs
-	for o := range st.OrderBlobs {
-		st.OrderBlobs[o] += cst.OrderBlobs[o]
-	}
+	st, cst := g.Stats(), c.Stats()
+	st.Merge(&cst)
 	return st, true
 }
 

@@ -85,6 +85,30 @@ func (cc *chunkCoder) cands(r *regionCoder, k int32, out *[4]float64) int {
 	}
 }
 
+// cand is candidate sym alone for position k of region r: the one prediction
+// the decoder needs, without symbol 0 where sym has its own.
+func (cc *chunkCoder) cand(r *regionCoder, k int32, sym uint8) float64 {
+	if sym != 0 {
+		var out [4]float64
+		var fallback uint8
+		switch r.rg {
+		case regionU:
+			fallback = cc.spatialU(r.slots[k], &out)
+		case regionL:
+			fallback = cc.spatialL(k, &out)
+		default:
+			fallback = cc.spatialD(k, &out)
+		}
+		if fallback>>sym&1 == 0 {
+			return out[sym]
+		}
+	}
+	if r.rg == regionD {
+		return cc.firstD(k)
+	}
+	return cc.first(r.slots[k])
+}
+
 // hitRun is the length of the run of hits that starts at position k.
 func (cc *chunkCoder) hitRun(r *regionCoder, k int32) int32 {
 	cur, ref := cc.cur, cc.ref
@@ -279,7 +303,7 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 // spill. Zero padding past the end of the stream decodes as the zero-extended
 // fields sequential reads would see, with ErrOverrun surfacing from
 // Skip/ReadBits. The decoder knows the symbol before it needs a prediction, so
-// it computes that one: symbol 0 is the temporal candidate in every region, and
+// it computes that one: symbol 0 is the blob's family in every region, and
 // where a history makes it the usual choice the other three are never formed.
 func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64, rc *regionCoder, k int32) float64 {
 	var sym uint8
@@ -290,14 +314,7 @@ func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64, rc *
 		sym = rc.table[rc.prev]
 	}
 	rc.prev = sym
-	var pred float64
-	if sym == 0 {
-		pred = cc.temporal(rc.slots[k])
-	} else {
-		var cands [4]float64
-		cc.cands(rc, k, &cands)
-		pred = cands[sym]
-	}
+	pred := cc.cand(rc, k, sym)
 
 	wres := w << off // residual view, flags at the top
 	var x uint64

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// FuzzDecompress feeds arbitrary bytes to the decoder: it must never panic
-// or over-allocate, only return an error or garbage values — the garbage, and
-// whether it is an error, being the element-at-a-time oracle's too.
+// FuzzDecompress feeds arbitrary bytes to the decoder, with and without
+// states: it must never panic or over-allocate, only return an error or
+// garbage values — the garbage, and whether it is an error, being the
+// element-at-a-time oracle's too.
 func FuzzDecompress(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	p := mnaPattern(rng, 24, 30)
@@ -37,7 +38,19 @@ func FuzzDecompress(f *testing.F) {
 	}
 	top := New(p, Options{Workers: 2})
 	forceOrder(top, MaxOrder)
-	f.Add(top.CompressHistory(nil, wf[0], hist))
+	f.Add(top.CompressHistory(nil, wf[0], hist, nil))
+	// State seeds: a branch-voltage chain's blobs (a pattern this small is
+	// sampled under voltEvidence, so the chooser codes them in time) and the
+	// chain's head forced into the voltage at every order.
+	bv, xs := branchVoltageFrames(rng, p, MaxOrder+3)
+	for _, blob := range encodeChainStates(New(p, Options{}), bv, xs, MaxOrder+1) {
+		f.Add(blob)
+	}
+	for o := 0; o <= MaxOrder; o++ {
+		vc := New(p, Options{Workers: 2})
+		forceVoltage(vc, o)
+		f.Add(vc.CompressHistory(nil, bv[0], bv[1:MaxOrder+2], xs[:MaxOrder+2]))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3})
 	// Adversarial headers for the hardened parser: a chunk-boundary delta
@@ -74,10 +87,14 @@ func FuzzDecompress(f *testing.F) {
 		out := make([]float64, p.NNZ())
 		want := make([]float64, p.NNZ())
 		// Against a full history, a partial one that is the waveform's, one
-		// frame (the two-argument call) and none.
-		for _, hist := range [][][]float64{hist, hist[:3], {ref}, nil} {
-			err := c.DecompressHistory(out, blob, hist)
-			serr := oracle.DecompressHistory(want, blob, hist)
+		// frame (the two-argument call) and none; then the branch-voltage
+		// chain's frames with their states, all of them or too few.
+		for _, call := range []struct{ hist, states [][]float64 }{
+			{hist, nil}, {hist[:3], nil}, {[][]float64{ref}, nil}, {nil, nil},
+			{bv[1 : MaxOrder+2], xs[:MaxOrder+2]}, {bv[1:4], xs[:3]},
+		} {
+			err := c.DecompressHistory(out, blob, call.hist, call.states)
+			serr := oracle.DecompressHistory(want, blob, call.hist, call.states)
 			if (err == nil) != (serr == nil) {
 				t.Fatalf("batched decoder: %v; scalar decoder: %v", err, serr)
 			}

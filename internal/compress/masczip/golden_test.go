@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -83,7 +82,8 @@ func readCorpus(path string) ([][]byte, error) {
 // change with MASC_UPDATE_GOLDEN=1 go test ./internal/compress/masczip
 // -run TestGoldenFormat, and say so in the commit message.
 func TestGoldenFormat(t *testing.T) {
-	goldenCorpusTest(t, goldenFrames, goldenFormatProfiles, 1)
+	p, frames := goldenFrames()
+	goldenCorpusTest(t, p, frames, nil, goldenFormatProfiles, 1)
 }
 
 // TestGoldenRuns pins the format over the run-heavy corpus: blobs dominated
@@ -91,7 +91,8 @@ func TestGoldenFormat(t *testing.T) {
 // shapes the batched word-parallel paths rewrite. Any drift in run batching
 // shows up here as an encode-identity failure.
 func TestGoldenRuns(t *testing.T) {
-	goldenCorpusTest(t, goldenRunFrames, goldenRunsProfiles, 1)
+	p, frames := goldenRunFrames()
+	goldenCorpusTest(t, p, frames, nil, goldenRunsProfiles, 1)
 }
 
 type goldenProfile struct {
@@ -129,7 +130,7 @@ func encodeChain(c *Compressor, frames [][]float64) [][]byte {
 func encodeChainDepth(c *Compressor, frames [][]float64, depth int) [][]byte {
 	var blobs [][]byte
 	for i := range frames {
-		blobs = append(blobs, c.CompressHistory(nil, frames[i], historyOf(frames, i, depth)))
+		blobs = append(blobs, c.CompressHistory(nil, frames[i], historyOf(frames, i, depth), nil))
 	}
 	return blobs
 }
@@ -146,7 +147,28 @@ func goldenHistoryFrames() (*sparse.Pattern, [][]float64) {
 // TestGoldenHistory pins the format of blobs coded against a history: the
 // order field of the flags byte and the extrapolated temporal candidate.
 func TestGoldenHistory(t *testing.T) {
-	goldenCorpusTest(t, goldenHistoryFrames, []goldenProfile{{"history", Options{}}}, MaxOrder+1)
+	p, frames := goldenHistoryFrames()
+	goldenCorpusTest(t, p, frames, nil, []goldenProfile{{"history", Options{}}}, MaxOrder+1)
+}
+
+// TestGoldenStates pins the format of blobs coded with states beside their
+// frames: the extension byte and the voltage family's interpolation. The chain
+// is branchVoltageFrames', every blob with two frames or more coded in the
+// voltage.
+func TestGoldenStates(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	p := mnaPattern(rng, 120, 180)
+	frames, states := branchVoltageFrames(rng, p, 12)
+	goldenCorpusTest(t, p, frames, states, []goldenProfile{{"states", Options{}}}, MaxOrder+1)
+	golden, err := readCorpus(filepath.Join("testdata", "golden-states.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, blob := range golden[:len(golden)-2] {
+		if _, volt := blobFamily(blob); !volt {
+			t.Fatalf("golden-states blob %d (flags %#02x) is not coded in the voltage", i, blob[0])
+		}
+	}
 }
 
 // oldRevisionCorpora are the refusal fixtures, one blob per golden profile in
@@ -188,11 +210,10 @@ func TestOlderRevisionsRefused(t *testing.T) {
 	}
 }
 
-func goldenCorpusTest(t *testing.T, mk func() (*sparse.Pattern, [][]float64), profiles []goldenProfile, depth int) {
-	p, frames := mk()
+func goldenCorpusTest(t *testing.T, p *sparse.Pattern, frames, states [][]float64, profiles []goldenProfile, depth int) {
 	for _, prof := range profiles {
 		t.Run(prof.name, func(t *testing.T) {
-			blobs := encodeChainDepth(New(p, prof.opt), frames, depth)
+			blobs := encodeChainStates(New(p, prof.opt), frames, states, depth)
 
 			path := filepath.Join("testdata", "golden-"+prof.name+".bin")
 			if os.Getenv("MASC_UPDATE_GOLDEN") != "" {
@@ -219,19 +240,7 @@ func goldenCorpusTest(t *testing.T, mk func() (*sparse.Pattern, [][]float64), pr
 
 			// Decode compatibility: a fresh decoder must invert the
 			// checked-in corpus bit-exactly.
-			d := New(p, prof.opt)
-			got := make([]float64, p.NNZ())
-			for i := range golden {
-				if err := d.DecompressHistory(got, golden[i], historyOf(frames, i, depth)); err != nil {
-					t.Fatalf("golden blob %d: %v", i, err)
-				}
-				for k := range got {
-					if math.Float64bits(got[k]) != math.Float64bits(frames[i][k]) {
-						t.Fatalf("golden blob %d value %d: got %x want %x",
-							i, k, math.Float64bits(got[k]), math.Float64bits(frames[i][k]))
-					}
-				}
-			}
+			decodeChainStates(t, New(p, prof.opt), golden, frames, states, depth)
 		})
 	}
 }

@@ -34,6 +34,18 @@ const (
 	orderMissStride = 4
 )
 
+// The voltage family is priced on every voltSampleStride-th of those samples —
+// an interpolation through seven frames costs what twenty temporal candidates
+// do — and chosen over time only on that subset, where time is priced too, and
+// only once it holds voltEvidence elements: a tensor that hardly moves — a
+// circuit's G, a few dozen changed entries a step — is sampled on one or two
+// elements a blob, and what is cheaper on those is a coin toss that time, the
+// family every blob coded without states uses, should win.
+const (
+	voltSampleStride = 2
+	voltEvidence     = 8
+)
+
 // ordered maps a float64 bit pattern to the integer that sorts as the value
 // does: positive values get the top bit, negative ones are complemented.
 func ordered(b uint64) uint64 { return b ^ (uint64(int64(b)>>63) | 1<<63) }
@@ -69,17 +81,18 @@ func (cc *chunkCoder) temporal(k int32) float64 {
 	return math.Float64frombits(unordered(p))
 }
 
-// sampleOrders adds to cost, per order the call's history allows, the
-// significant bits of the XOR residual the temporal candidate would leave on
-// the sampled elements of the chunk — of any region: one a mate or stamp hit
-// will code moves as smoothly as the misses beside it, and is as good a sample.
-// One table of backward
-// differences gives every order: its head after o rounds is the o-th difference
-// at the nearest frame, and the order-o prediction is the sum of the first o+1
+// sampleOrders adds to n, per order the call's history allows, the significant
+// bits of the XOR residual the temporal candidate would leave on the sampled
+// elements of the chunk — of any region: one a mate or stamp hit will code
+// moves as smoothly as the misses beside it, and is as good a sample — and,
+// where the call brings states, what both families would leave on the voltage
+// subset of the sample (sampleVoltage). One table of backward differences
+// gives every temporal order: its head after o rounds is the o-th difference at
+// the nearest frame, and the order-o prediction is the sum of the first o+1
 // heads.
-func (cc *chunkCoder) sampleOrders(cost *[MaxOrder + 1]int64) {
+func (cc *chunkCoder) sampleOrders(n *hitCounts) {
 	top := cc.nhist - 1
-	if top < 1 {
+	if top < 1 && cc.nvolt == 0 {
 		return
 	}
 	cur, ref := cc.cur, cc.ref
@@ -92,6 +105,11 @@ func (cc *chunkCoder) sampleOrders(cost *[MaxOrder + 1]int64) {
 		if misses++; misses%orderMissStride != 1 {
 			continue
 		}
+		subset := cc.nvolt > 0 && misses%(orderMissStride*voltSampleStride) == 1
+		if subset {
+			n.sampled++
+			cc.sampleVoltage(slot, v, &n.voltBits)
+		}
 		var d [MaxOrder + 1]uint64
 		for i, h := range cc.hist[:cc.nhist] {
 			d[i] = ordered(math.Float64bits(h[slot]))
@@ -99,7 +117,11 @@ func (cc *chunkCoder) sampleOrders(cost *[MaxOrder + 1]int64) {
 		p := uint64(0)
 		for o := 0; o <= top; o++ {
 			p += d[0]
-			cost[o] += int64(bits.Len64(v ^ unordered(p)))
+			cost := int64(bits.Len64(v ^ unordered(p)))
+			n.orderBits[o] += cost
+			if subset {
+				n.subsetBits[o] += cost
+			}
 			for i := 0; i < top-o; i++ {
 				d[i] -= d[i+1]
 			}

@@ -2,6 +2,7 @@ package masczip
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -101,7 +102,7 @@ func decodeChainDepth(t *testing.T, d *Compressor, blobs [][]byte, frames [][]fl
 	t.Helper()
 	got := make([]float64, len(frames[0]))
 	for i, blob := range blobs {
-		if err := d.DecompressHistory(got, blob, historyOf(frames, i, depth)); err != nil {
+		if err := d.DecompressHistory(got, blob, historyOf(frames, i, depth), nil); err != nil {
 			t.Fatalf("blob %d (flags %#02x): %v", i, blob[0], err)
 		}
 		for k := range got {
@@ -157,8 +158,8 @@ func TestPolynomialSeriesIsNearlyFree(t *testing.T) {
 			for i := range frames {
 				hist := historyOf(frames, i, MaxOrder+1)
 				c.ResetStats()
-				blob := c.CompressHistory(nil, frames[i], hist)
-				if want := oracle.CompressHistory(nil, frames[i], hist); !bytes.Equal(blob, want) {
+				blob := c.CompressHistory(nil, frames[i], hist, nil)
+				if want := oracle.CompressHistory(nil, frames[i], hist, nil); !bytes.Equal(blob, want) {
 					t.Fatalf("degree %d %+v blob %d: production and oracle encoders differ (flags %#02x, %#02x)", d, opt, i, blob[0], want[0])
 				}
 				if len(hist) < d+1 {
@@ -214,8 +215,8 @@ func TestHistoryRoundTripMatrix(t *testing.T) {
 				forceOrder(oracle, o)
 				var blob []byte
 				for rep := 0; rep < 2; rep++ { // the second blob of a Markov encoder is table-driven
-					blob = enc.CompressHistory(nil, cur, hist)
-					if !bytes.Equal(blob, oracle.CompressHistory(nil, cur, hist)) {
+					blob = enc.CompressHistory(nil, cur, hist, nil)
+					if !bytes.Equal(blob, oracle.CompressHistory(nil, cur, hist, nil)) {
 						t.Fatalf("order %d markov=%v workers=%d rep %d: production and oracle encoders differ", o, markov, ew, rep)
 					}
 				}
@@ -226,7 +227,7 @@ func TestHistoryRoundTripMatrix(t *testing.T) {
 					for name, dec := range map[string]*Compressor{"batched": New(p, Options{Workers: dw}), "scalar": newReference(p, Options{Workers: dw})} {
 						got := make([]float64, p.NNZ())
 						// More frames than the order reads are ignored.
-						if err := dec.DecompressHistory(got, blob, append(hist[:len(hist):len(hist)], frames[MaxOrder+2])); err != nil {
+						if err := dec.DecompressHistory(got, blob, append(hist[:len(hist):len(hist)], frames[MaxOrder+2]), nil); err != nil {
 							t.Fatalf("order %d markov=%v enc workers=%d, %s dec workers=%d: %v", o, markov, ew, name, dw, err)
 						}
 						for k := range got {
@@ -305,12 +306,13 @@ func TestOrderRestartsAtAnEdge(t *testing.T) {
 }
 
 // orderBlobs are nil-reference blobs over p with each nonzero order written
-// into the flags byte: no history can satisfy them, and 7 is no order at all.
+// into the flags byte: no history can satisfy them. (7 is the escape to the
+// extension byte, whose blobs are extensionBlobs.)
 func orderBlobs(p *sparse.Pattern) [][]byte {
 	rng := rand.New(rand.NewSource(64))
 	good := New(p, Options{}).Compress(nil, mnaValues(rng, p, 0.01), nil)
 	var out [][]byte
-	for o := 1; o <= MaxOrder+1; o++ {
+	for o := 1; o <= MaxOrder; o++ {
 		out = append(out, append([]byte{good[0] | byte(o)<<orderShift}, good[1:]...))
 	}
 	return out
@@ -318,9 +320,9 @@ func orderBlobs(p *sparse.Pattern) [][]byte {
 
 // orderNeedsItsHistory is TestHeaderHardening's part on the order field: a blob
 // that asks for more frames than the call brings — a chain decoded past a
-// missing frame, or corruption the CRC did not see — is an error naming the
-// order and the frames given, from both decoders, whatever else is in the
-// blob; so is the order above MaxOrder.
+// missing frame, or corruption the CRC did not see — is an ErrReference naming
+// the order and the frames given, from both decoders, whatever else is in the
+// blob.
 func orderNeedsItsHistory(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	p := mnaPattern(rng, 30, 40)
@@ -330,15 +332,15 @@ func orderNeedsItsHistory(t *testing.T) {
 	for o := 1; o <= MaxOrder; o++ {
 		enc := New(p, Options{})
 		forceOrder(enc, o)
-		blob := enc.CompressHistory(nil, frames[0], frames[1:o+2])
+		blob := enc.CompressHistory(nil, frames[0], frames[1:o+2], nil)
 		for name, d := range decoders {
-			if err := d.DecompressHistory(got, blob, frames[1:o+2]); err != nil {
+			if err := d.DecompressHistory(got, blob, frames[1:o+2], nil); err != nil {
 				t.Fatalf("order %d, %s decoder, full history: %v", o, name, err)
 			}
 			for given := 0; given <= o; given++ {
-				err := d.DecompressHistory(got, blob, frames[1:1+given])
+				err := d.DecompressHistory(got, blob, frames[1:1+given], nil)
 				want := fmt.Sprintf("order-%d blob reads %d reference frames, %d given", o, o+1, given)
-				if err == nil || !strings.Contains(err.Error(), want) {
+				if !errors.Is(err, ErrReference) || !strings.Contains(err.Error(), want) {
 					t.Errorf("order %d, %s decoder, %d frames: %v, want an error saying %q", o, name, given, err, want)
 				}
 			}
@@ -347,9 +349,9 @@ func orderNeedsItsHistory(t *testing.T) {
 	for i, blob := range orderBlobs(p) {
 		for name, d := range decoders {
 			for _, hist := range [][][]float64{nil, frames[1:2]} {
-				err := d.DecompressHistory(got, blob, hist)
-				if want := fmt.Sprintf("flags byte %#02x", blob[0]); err == nil || !strings.Contains(err.Error(), want) ||
-					!strings.Contains(err.Error(), fmt.Sprintf("order %d", i+1)) && !strings.Contains(err.Error(), fmt.Sprintf("order-%d", i+1)) {
+				err := d.DecompressHistory(got, blob, hist, nil)
+				if want := fmt.Sprintf("flags byte %#02x", blob[0]); !errors.Is(err, ErrReference) || !strings.Contains(err.Error(), want) ||
+					!strings.Contains(err.Error(), fmt.Sprintf("order-%d", i+1)) {
 					t.Errorf("order bits %d on a nil-reference blob, %s decoder, %d frames: %v", i+1, name, len(hist), err)
 				}
 			}
@@ -365,14 +367,14 @@ func TestHistoryAllocsPinnedZero(t *testing.T) {
 	frames := waveformFrames(rng, p, MaxOrder+2, -1)
 	c := New(p, Options{})
 	dst := make([]byte, 0, 1<<20)
-	blob := c.CompressHistory(dst, frames[0], frames[1:])
+	blob := c.CompressHistory(dst, frames[0], frames[1:], nil)
 	if blob[0]>>orderShift == 0 {
 		t.Fatalf("flags %#02x: the waveform chain was coded at order 0", blob[0])
 	}
 	out := make([]float64, p.NNZ())
 	if avg := testing.AllocsPerRun(100, func() {
-		dst = c.CompressHistory(dst[:0], frames[0], frames[1:])
-		if err := c.DecompressHistory(out, dst, frames[1:]); err != nil {
+		dst = c.CompressHistory(dst[:0], frames[0], frames[1:], nil)
+		if err := c.DecompressHistory(out, dst, frames[1:], nil); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -389,20 +391,20 @@ func BenchmarkHistory(b *testing.B) {
 	for _, depth := range []int{1, MaxOrder + 1} {
 		hist := frames[1 : 1+depth]
 		c := New(p, Options{})
-		blob := c.CompressHistory(nil, frames[0], hist)
+		blob := c.CompressHistory(nil, frames[0], hist, nil)
 		out := make([]float64, p.NNZ())
 		b.Run(fmt.Sprintf("compress/depth%d", depth), func(b *testing.B) {
 			b.SetBytes(int64(8 * p.NNZ()))
 			dst := make([]byte, 0, len(blob))
 			for i := 0; i < b.N; i++ {
-				dst = c.CompressHistory(dst[:0], frames[0], hist)
+				dst = c.CompressHistory(dst[:0], frames[0], hist, nil)
 			}
 			b.ReportMetric(float64(len(blob)), "blob-B")
 		})
 		b.Run(fmt.Sprintf("decompress/depth%d", depth), func(b *testing.B) {
 			b.SetBytes(int64(8 * p.NNZ()))
 			for i := 0; i < b.N; i++ {
-				if err := c.DecompressHistory(out, blob, hist); err != nil {
+				if err := c.DecompressHistory(out, blob, hist, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

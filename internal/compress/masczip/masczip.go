@@ -2,6 +2,7 @@ package masczip
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -69,9 +70,12 @@ type Stats struct {
 	// hit predictor the symmetric mate and region D's the difference stamp.
 	MateBlobs  int64
 	StampBlobs int64
-	// OrderBlobs[o] counts the blobs whose temporal candidate extrapolates at
-	// order o (flags bits 5–7); they sum to the blobs compressed.
+	// OrderBlobs[o] counts the blobs whose symbol-0 candidate reads o+1
+	// reference frames, in either family; they sum to the blobs compressed.
+	// VoltBlobs[o] counts the part of OrderBlobs[o] that interpolated in the
+	// branch voltage (voltage.go) rather than extrapolating in time.
 	OrderBlobs [MaxOrder + 1]int64
+	VoltBlobs  [MaxOrder + 1]int64
 	// MarkovPredicted counts elements whose selector came from the frozen
 	// Markov table (non-calibration matrices, no selector bits on the
 	// wire); MarkovExact counts the subset whose predicted model
@@ -90,7 +94,9 @@ func (s *Stats) MarkovHitRate() float64 {
 	return float64(s.MarkovExact) / float64(s.MarkovPredicted)
 }
 
-func (s *Stats) merge(o *Stats) {
+// Merge adds o's counters to s: the statistics of two encoders (a run's G and
+// C), or of one encoder's chunks, as one.
+func (s *Stats) Merge(o *Stats) {
 	s.Elements += o.Elements
 	s.SelectorElements += o.SelectorElements
 	s.Temporal += o.Temporal
@@ -112,6 +118,7 @@ func (s *Stats) merge(o *Stats) {
 	s.StampBlobs += o.StampBlobs
 	for i := range s.OrderBlobs {
 		s.OrderBlobs[i] += o.OrderBlobs[i]
+		s.VoltBlobs[i] += o.VoltBlobs[i]
 	}
 	s.MarkovPredicted += o.MarkovPredicted
 	s.MarkovExact += o.MarkovExact
@@ -151,11 +158,13 @@ type Compressor struct {
 	// rather than as per-call closures.
 	cur, ref []float64
 	hist     [][]float64 // the reference frames, nearest first: hist[0] is ref; nil with none
+	states   [][]float64 // the coded step's state, then hist[i]'s at 1+i; nil with none
 	blob     []byte
 	calib    bool
 	mateHit  bool // region L's hit predictor is the symmetric mate
 	stampHit bool // region D's hit predictor is the difference stamp
-	order    int  // the blob's temporal candidate extrapolates over hist[:order+1]
+	order    int  // the blob's symbol-0 candidate reads hist[:order+1]
+	volt     bool // ... interpolating in the branch voltage (voltage.go), not extrapolating in time
 	tbl      markovTables
 	preFn    func(int)
 	encFn    func(int)
@@ -263,8 +272,12 @@ func (c *Compressor) ResetStats() { c.stats = Stats{} }
 // flagMateHit and flagStampHit are the encoder's per-blob choice of region L's
 // and region D's hit predictor (clear = temporal), and bits 5–7 its choice of
 // the order the temporal candidate extrapolates at (history.go; 0 = the
-// nearest frame's value, 7 is above MaxOrder and refused); the decoder obeys
-// them whatever its own options.
+// nearest frame's value). The order field's value 7 — above MaxOrder — says an
+// extension byte follows the flags byte: bits 0–2 the order, bit 3 the voltage
+// family (voltage.go), the rest unknown and refused. The decoder obeys all of
+// them whatever its own options. Only a blob that interpolates in the voltage
+// carries the extension, so one coded without states is what the previous
+// format wrote.
 const (
 	flagCalib     = 1 << 0
 	flagDiffStamp = 1 << 1
@@ -273,6 +286,20 @@ const (
 	flagStampHit  = 1 << 4
 	orderShift    = 5
 	flagsRevision = flagDiffStamp | flagHitRuns
+	orderExtended = 7 // the order field's escape to the extension byte
+
+	extOrder = 1<<3 - 1
+	extVolt  = 1 << 3
+)
+
+// Decoding errors a caller can tell apart: ErrFormat is a blob this decoder
+// does not read (an older revision, unknown header bits, an order past
+// MaxOrder, a malformed header); ErrReference is a blob coded against
+// reference data the call does not bring — fewer frames than its order reads,
+// or a voltage-family blob without the states it interpolates in.
+var (
+	ErrFormat    = errors.New("masczip: unreadable blob")
+	ErrReference = errors.New("masczip: blob needs reference data the call lacks")
 )
 
 // history checks a call's frames against the pattern and returns the ones the
@@ -299,6 +326,17 @@ func (c *Compressor) history(cur []float64, hist [][]float64) ([][]float64, []fl
 	return nil, c.zeros, nil
 }
 
+// checkStates reports the first of states that is not a state of the
+// pattern's dimension.
+func (c *Compressor) checkStates(states [][]float64) error {
+	for i, x := range states {
+		if len(x) != c.plan.pat.N {
+			return fmt.Errorf("%w: state %d holds %d unknowns, the pattern has %d", ErrReference, i, len(x), c.plan.pat.N)
+		}
+	}
+	return nil
+}
+
 // chunkEncoder resets chunk ci's persistent writer and coder for the call
 // in flight.
 func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
@@ -308,7 +346,8 @@ func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
 	*ec = chunkCoder{
 		plan: c.plan, opt: &c.opt,
 		cur: c.cur, ref: c.ref,
-		nhist: len(c.hist), order: c.order,
+		nhist: len(c.hist), nvolt: voltFrames(c.hist, c.states),
+		order: c.order, volt: c.volt,
 		rowLo: c.curBounds[ci], rowHi: c.curBounds[ci+1],
 		calib: c.calib, tables: &c.tbl,
 		mateHit: c.mateHit, stampHit: c.stampHit,
@@ -318,6 +357,7 @@ func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
 	// coder's own discard field (zeroed by the assignment above, never
 	// merged), so the per-element hot path carries no nil checks.
 	copy(ec.hist[:], c.hist)
+	copy(ec.states[:], c.states)
 	ec.stats = &ec.discard
 	if c.opt.CollectStats {
 		ec.stats = &c.chStats[ci]
@@ -332,18 +372,29 @@ func (c *Compressor) countChunk(ci int) {
 	c.hits[ci] = ec.countHits()
 }
 
-// prePass makes the blob's three choices from one pass over the frame: the
-// mate becomes region L's hit predictor, and the stamp region D's, where it is
+// voltFrames is how many of the frames the voltage family can read: those
+// whose state the call brings, with the coded step's; 0 without them.
+func voltFrames(hist, states [][]float64) int {
+	if len(states) < 2 {
+		return 0
+	}
+	return min(len(hist), len(states)-1)
+}
+
+// prePass makes the blob's choices from one pass over the frame: the mate
+// becomes region L's hit predictor, and the stamp region D's, where it is
 // bit-exact on more of the blob's elements than the temporal prediction is; and
-// the temporal candidate extrapolates at the order that left the fewest
-// significant residual bits on the sampled moving elements (the lowest on a
-// tie, so 0 when nothing was sampled).
+// symbol 0 takes the order that left the fewest significant residual bits on
+// the sampled moving elements (the lowest on a tie, so 0 when nothing was
+// sampled), and then the voltage family at the order that leaves fewer still
+// on the voltage subset of the sample, if there is one and it holds
+// voltEvidence elements.
 func (c *Compressor) prePass(nchunks int) {
-	c.mateHit, c.stampHit, c.order = false, false, 0
+	c.mateHit, c.stampHit, c.order, c.volt = false, false, 0, false
 	if sameBits(c.cur, c.ref) {
 		return // nothing to choose; a frame that is its reference again (a linear circuit's) is all temporal hits
 	}
-	if c.opt.DisableStamp && len(c.hist) < 2 {
+	if c.opt.DisableStamp && len(c.hist) < 2 && c.states == nil {
 		return
 	}
 	if len(c.stamp) != len(c.plan.dSlots) {
@@ -356,8 +407,11 @@ func (c *Compressor) prePass(nchunks int) {
 		n.lMate += h.lMate
 		n.dTemporal += h.dTemporal
 		n.dStamp += h.dStamp
+		n.sampled += h.sampled
 		for o := range n.orderBits {
 			n.orderBits[o] += h.orderBits[o]
+			n.subsetBits[o] += h.subsetBits[o]
+			n.voltBits[o] += h.voltBits[o]
 		}
 	}
 	if !c.opt.DisableStamp {
@@ -366,6 +420,15 @@ func (c *Compressor) prePass(nchunks int) {
 	for o := 1; o < len(c.hist); o++ {
 		if n.orderBits[o] < n.orderBits[c.order] {
 			c.order = o
+		}
+	}
+	if n.sampled < voltEvidence {
+		return
+	}
+	best := n.subsetBits[c.order]
+	for o := 0; o < voltFrames(c.hist, c.states); o++ {
+		if n.voltBits[o] < best {
+			c.order, c.volt, best = o, true, n.voltBits[o]
 		}
 	}
 }
@@ -387,17 +450,17 @@ func (c *Compressor) encodeChunk(ci int) {
 }
 
 // Compress implements compress.Compressor: CompressHistory with ref as the
-// one frame of history.
+// one frame of history and no states.
 func (c *Compressor) Compress(dst []byte, cur, ref []float64) []byte {
-	dst = c.CompressHistory(dst, cur, c.oneFrame(ref))
+	dst = c.CompressHistory(dst, cur, c.oneFrame(ref), nil)
 	c.one[0] = nil
 	return dst
 }
 
 // Decompress implements compress.Compressor: DecompressHistory with ref as
-// the one frame of history.
+// the one frame of history and no states.
 func (c *Compressor) Decompress(cur []float64, blob []byte, ref []float64) error {
-	err := c.DecompressHistory(cur, blob, c.oneFrame(ref))
+	err := c.DecompressHistory(cur, blob, c.oneFrame(ref), nil)
 	c.one[0] = nil
 	return err
 }
@@ -414,10 +477,19 @@ func (c *Compressor) oneFrame(ref []float64) [][]float64 {
 func (c *Compressor) HistoryDepth() int { return MaxOrder + 1 }
 
 // CompressHistory implements compress.HistoryCompressor. Hits, the mate, the
-// stamp and every candidate but the temporal one read hist[0] alone, so a blob
-// coded with one frame, or at order 0, is the blob Compress always wrote.
-func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist [][]float64) []byte {
+// stamp and every candidate but symbol 0 read hist[0] alone, so a blob coded
+// with one frame and no states, or at time order 0, is the blob Compress
+// always wrote. states, when given, must be states of the pattern's dimension:
+// the coded step's, then hist[i]'s at 1+i.
+func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist, states [][]float64) []byte {
 	hist, ref, err := c.history(cur, hist)
+	if err == nil {
+		states = states[:min(len(states), len(hist)+1)]
+		if voltFrames(hist, states) == 0 {
+			states = nil
+		}
+		err = c.checkStates(states)
+	}
 	if err != nil {
 		panic(err.Error())
 	}
@@ -436,11 +508,18 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist [][]float64
 	nchunks := len(bounds) - 1
 
 	c.ensureChunks(nchunks)
-	c.cur, c.ref, c.hist, c.calib, c.curBounds = cur, ref, hist, calib, bounds
+	c.cur, c.ref, c.hist, c.states, c.calib, c.curBounds = cur, ref, hist, states, calib, bounds
 	c.prePass(nchunks)
 
+	order := int64(c.order)
+	if c.volt {
+		order = orderExtended
+	}
 	dst = append(dst, byte(flagsRevision|boolInt(calib)*flagCalib|
-		boolInt(c.mateHit)*flagMateHit|boolInt(c.stampHit)*flagStampHit|int64(c.order)<<orderShift))
+		boolInt(c.mateHit)*flagMateHit|boolInt(c.stampHit)*flagStampHit|order<<orderShift))
+	if c.volt {
+		dst = append(dst, byte(c.order|extVolt))
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(cur)))
 	// The chunk row boundaries travel in the header: re-deriving them from
 	// the chunk count alone is not a fixed point of the partitioner when
@@ -466,7 +545,7 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist [][]float64
 		}
 	}
 	workpool.Do(nchunks, c.encFn)
-	c.cur, c.ref, c.hist = nil, nil, nil
+	c.cur, c.ref, c.hist, c.states = nil, nil, nil, nil
 	if calib {
 		for i := 0; i < nchunks; i++ {
 			c.cnt.merge(&c.counts[i])
@@ -474,11 +553,12 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist [][]float64
 	}
 	if c.opt.CollectStats {
 		for i := 0; i < nchunks; i++ {
-			c.stats.merge(&c.chStats[i])
+			c.stats.Merge(&c.chStats[i])
 		}
 		c.stats.MateBlobs += boolInt(c.mateHit)
 		c.stats.StampBlobs += boolInt(c.stampHit)
 		c.stats.OrderBlobs[c.order]++
+		c.stats.VoltBlobs[c.order] += boolInt(c.volt)
 	}
 	for ci := 0; ci < nchunks; ci++ {
 		dst = binary.AppendUvarint(dst, uint64(c.writers[ci].Len()))
@@ -511,12 +591,13 @@ func (c *Compressor) chunkDecoder(ci int) (*chunkCoder, *bitstream.Reader) {
 	*dc = chunkCoder{
 		plan: c.plan, opt: &c.opt,
 		cur: c.cur, ref: c.ref,
-		nhist: len(c.hist), order: c.order,
+		nhist: len(c.hist), order: c.order, volt: c.volt,
 		rowLo: c.decBounds[ci], rowHi: c.decBounds[ci+1],
 		calib: c.calib, tables: &c.tbl,
 		mateHit: c.mateHit, stampHit: c.stampHit,
 	}
 	copy(dc.hist[:], c.hist)
+	copy(dc.states[:], c.states)
 	return dc, r
 }
 
@@ -530,10 +611,50 @@ func (c *Compressor) decodeChunk(ci int) {
 	}
 }
 
+// header reads the blob's flags byte, and the extension byte where the order
+// field escapes to one, and checks them against what the call brings: nhist
+// frames and states. It returns the blob's order and family and the offset of
+// its element count.
+func (c *Compressor) header(blob []byte, nhist int, states [][]float64) (order int, volt bool, off int, err error) {
+	if len(blob) < 1 {
+		return 0, false, 0, fmt.Errorf("%w: empty blob", ErrFormat)
+	}
+	flags := blob[0]
+	if missing := flagsRevision &^ flags; missing != 0 {
+		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x lacks the revision bits %#02x (blob of an older format)", ErrFormat, flags, missing)
+	}
+	order, off = int(flags>>orderShift), 1
+	if order == orderExtended {
+		if len(blob) < 2 {
+			return 0, false, 0, fmt.Errorf("%w: flags byte %#02x announces an extension byte the blob lacks", ErrFormat, flags)
+		}
+		ext := blob[1]
+		if unknown := ext &^ (extOrder | extVolt); unknown != 0 {
+			return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x has unknown bits %#02x", ErrFormat, flags, ext, unknown)
+		}
+		order, volt, off = int(ext&extOrder), ext&extVolt != 0, 2
+		if order > MaxOrder {
+			return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x names order %d, the format's highest is %d", ErrFormat, flags, ext, order, MaxOrder)
+		}
+	}
+	if order > 0 && order >= nhist {
+		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: an order-%d blob reads %d reference frames, %d given", ErrReference, flags, order, order+1, nhist)
+	}
+	if volt {
+		if len(states) < order+2 {
+			return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: a voltage-family order-%d blob reads %d states, %d given", ErrReference, flags, order, order+2, len(states))
+		}
+		if err := c.checkStates(states[:order+2]); err != nil {
+			return 0, false, 0, fmt.Errorf("flags byte %#02x: %w", flags, err)
+		}
+	}
+	return order, volt, off, nil
+}
+
 // DecompressHistory implements compress.HistoryCompressor. hist must open
-// with the frames the blob was coded against; the blob's order says how many
-// it reads.
-func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist [][]float64) error {
+// with the frames the blob was coded against, and states with the states it
+// was coded with; the blob's order and family say how many of each it reads.
+func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist, states [][]float64) error {
 	if c.spanRec != nil {
 		sp := c.spanRec.Start(c.spanParent, span.Decode, -1)
 		sp.Attr("elems", int64(len(cur)))
@@ -544,21 +665,14 @@ func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist [][]floa
 	if err != nil {
 		return err
 	}
-	if len(blob) < 1 {
-		return fmt.Errorf("masczip: empty blob")
+	order, volt, off, err := c.header(blob, len(hist), states)
+	if err != nil {
+		return err
+	}
+	if !volt {
+		states = nil
 	}
 	flags := blob[0]
-	if missing := flagsRevision &^ flags; missing != 0 {
-		return fmt.Errorf("masczip: flags byte %#02x lacks the revision bits %#02x (blob of an older format)", flags, missing)
-	}
-	order := int(flags >> orderShift)
-	if order > MaxOrder {
-		return fmt.Errorf("masczip: flags byte %#02x names extrapolation order %d, the format's highest is %d", flags, order, MaxOrder)
-	}
-	if order > 0 && order >= len(hist) {
-		return fmt.Errorf("masczip: flags byte %#02x: an order-%d blob reads %d reference frames, %d given", flags, order, order+1, len(hist))
-	}
-	off := 1
 	n, k := binary.Uvarint(blob[off:])
 	if k <= 0 {
 		return fmt.Errorf("masczip: bad element count")
@@ -635,10 +749,10 @@ func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist [][]floa
 		}
 	}
 	c.ensureChunks(nchunks)
-	c.cur, c.ref, c.hist, c.calib, c.tbl, c.blob = cur, ref, hist, calib, tables, blob
-	c.mateHit, c.stampHit, c.order = flags&flagMateHit != 0, flags&flagStampHit != 0, order
+	c.cur, c.ref, c.hist, c.states, c.calib, c.tbl, c.blob = cur, ref, hist, states, calib, tables, blob
+	c.mateHit, c.stampHit, c.order, c.volt = flags&flagMateHit != 0, flags&flagStampHit != 0, order, volt
 	workpool.Do(nchunks, c.decFn)
-	c.cur, c.ref, c.hist, c.blob = nil, nil, nil, nil
+	c.cur, c.ref, c.hist, c.states, c.blob = nil, nil, nil, nil, nil
 	for ci := 0; ci < nchunks; ci++ {
 		if err := c.coders[ci].err; err != nil {
 			return fmt.Errorf("masczip: chunk %d: %w", ci, err)
@@ -659,6 +773,9 @@ type chunkCoder struct {
 	ref    []float64
 	nhist  int
 	order  int
+	volt   bool                    // symbol 0 interpolates in the branch voltage over states (voltage.go)
+	states [MaxOrder + 2][]float64 // the coded step's state, then hist[i]'s at 1+i
+	nvolt  int                     // encoder only: the frames the voltage family can read (voltFrames)
 	rowLo  int32
 	rowHi  int32
 	calib  bool
@@ -686,33 +803,65 @@ type window struct {
 	len uint // meaningful bit count
 }
 
+// first is selector symbol 0 for off-diagonal slot k: the blob's family at its
+// order.
+func (cc *chunkCoder) first(k int32) float64 {
+	if cc.volt {
+		return cc.voltage(k)
+	}
+	return cc.temporal(k)
+}
+
+// firstD is selector symbol 0 for packed diagonal k.
+func (cc *chunkCoder) firstD(k int32) float64 {
+	if cc.volt {
+		return cc.voltageD(k)
+	}
+	return cc.temporal(cc.plan.dSlots[k])
+}
+
+// fill completes a candidate array from its spatial half: out[0] is symbol 0,
+// first, and so is every symbol of the fallback mask (bit s for symbol s),
+// which had no spatial prediction of its own.
+func fill(fallback uint8, first float64, out *[4]float64) {
+	out[0] = first
+	for s := 1; s < len(out); s++ {
+		if fallback>>s&1 != 0 {
+			out[s] = first
+		}
+	}
+}
+
 // candsU computes the region-U candidate predictions for slot k.
 func (cc *chunkCoder) candsU(k int32, out *[4]float64) int {
+	fill(cc.spatialU(k, out), cc.first(k), out)
+	return uSyms
+}
+
+// spatialU fills out[1..3] with slot k's region-U spatial candidates and
+// returns the mask of those that fall back to symbol 0.
+func (cc *chunkCoder) spatialU(k int32, out *[4]float64) (fallback uint8) {
+	if cc.opt.DisableStamp {
+		return 0b1110
+	}
 	pl := cc.plan
 	ref := cc.ref
-	out[0] = cc.temporal(k)
-	if cc.opt.DisableStamp {
-		out[1], out[2], out[3] = out[0], out[0], out[0]
-		return 4
-	}
 	if t := pl.tr[k]; t >= 0 {
 		out[1] = ref[t]
 	} else {
-		out[1] = out[0]
+		fallback |= 1 << 1
 	}
-	i := pl.rowOf[k]
-	j := pl.pat.ColIdx[k]
-	if d := pl.diag[i]; d >= 0 {
+	if d := pl.diag[pl.rowOf[k]]; d >= 0 {
 		out[2] = -ref[d]
 	} else {
-		out[2] = out[0]
+		fallback |= 1 << 2
 	}
-	if d := pl.diag[j]; d >= 0 {
+	if d := pl.diag[pl.pat.ColIdx[k]]; d >= 0 {
 		out[3] = -ref[d]
 	} else {
-		out[3] = out[0]
+		fallback |= 1 << 3
 	}
-	return 4
+	return fallback
 }
 
 // mate is region L's mate prediction for slot k: the current value of the
@@ -726,21 +875,27 @@ func (cc *chunkCoder) mate(k int32) float64 {
 	return cc.ref[k]
 }
 
-// candsL computes the region-L candidates for position k of lSlots. The
+// candsL computes the region-L candidates for position k of lSlots.
+func (cc *chunkCoder) candsL(k int32, out *[4]float64) int {
+	fill(cc.spatialL(k, out), cc.first(cc.plan.lSlots[k]), out)
+	return lSyms
+}
+
+// spatialL fills out[1..3] with the region-L spatial candidates for position k
+// of lSlots and returns the mask of those that fall back to symbol 0. The
 // last-value candidate is the value coded just before in the same row, which
 // is the previous position of the flat region when that slot shares the row.
-func (cc *chunkCoder) candsL(k int32, out *[4]float64) int {
+func (cc *chunkCoder) spatialL(k int32, out *[4]float64) (fallback uint8) {
 	pl := cc.plan
 	ref := cc.ref
 	slot := pl.lSlots[k]
 	row := pl.rowOf[slot]
-	out[0] = cc.temporal(slot)
 	if cc.opt.DisableStamp {
-		out[1], out[2] = out[0], out[0]
+		fallback = 0b0110
 	} else {
 		switch t := pl.tr[slot]; {
 		case t < 0:
-			out[1] = out[0]
+			fallback |= 1 << 1
 		case pl.pat.ColIdx[slot] >= cc.rowLo: // the mate's row is in this chunk
 			out[1] = cc.cur[t]
 		default:
@@ -749,15 +904,15 @@ func (cc *chunkCoder) candsL(k int32, out *[4]float64) int {
 		if d := pl.diag[row]; d >= 0 {
 			out[2] = -ref[d]
 		} else {
-			out[2] = out[0]
+			fallback |= 1 << 2
 		}
 	}
 	if !cc.opt.DisableLastValue && k > pl.lRowPtr[row] {
 		out[3] = cc.cur[pl.lSlots[k-1]]
 	} else {
-		out[3] = out[0]
+		fallback |= 1 << 3
 	}
-	return 4
+	return fallback
 }
 
 // stampD is the spatiotemporal stamp prediction for packed diagonal k:
@@ -786,37 +941,57 @@ func (cc *chunkCoder) stampD(k int32) float64 {
 	return -((sumCur - sumRef) - ref[d])
 }
 
-// candsD computes the region-D candidates for packed diagonal k: temporal and
-// stampD — read from the pre-pass's cache on the encode side, so coding a blob
-// sums each row once.
-func (cc *chunkCoder) candsD(k int32, out *[4]float64) int {
-	out[0] = cc.temporal(cc.plan.dSlots[k])
-	switch {
-	case cc.opt.DisableStamp:
-		out[1] = out[0]
-	case cc.stamp != nil:
-		out[1] = cc.stamp[k]
-	default:
-		out[1] = cc.stampD(k)
+// stampAt is stampD for packed diagonal k: read from the pre-pass's cache on
+// the encode side, so coding a blob sums each row once.
+func (cc *chunkCoder) stampAt(k int32) float64 {
+	if cc.stamp != nil {
+		return cc.stamp[k]
 	}
-	return 2
+	return cc.stampD(k)
+}
+
+// candsD computes the region-D candidates for packed diagonal k: symbol 0 and
+// the stamp.
+func (cc *chunkCoder) candsD(k int32, out *[4]float64) int {
+	fill(cc.spatialD(k, out), cc.firstD(k), out)
+	return dSyms
+}
+
+// spatialD fills out[1] with packed diagonal k's stamp, and returns the mask of
+// the candidates that fall back to symbol 0.
+func (cc *chunkCoder) spatialD(k int32, out *[4]float64) (fallback uint8) {
+	if cc.opt.DisableStamp {
+		return 1 << 1
+	}
+	out[1] = cc.stampAt(k)
+	return 0
 }
 
 // hitCounts is what the encoder's pre-pass finds in one chunk: how many of
 // region L's and region D's elements each candidate hit predictor reproduces
-// bit for bit, and what each extrapolation order would leave to code.
+// bit for bit, and what symbol 0 would leave to code in each family at each
+// order — significant residual bits over the sampled misses.
 type hitCounts struct {
 	lTemporal, lMate, dTemporal, dStamp int
-	orderBits                           [MaxOrder + 1]int64 // significant residual bits per extrapolation order, over the sampled misses
+	orderBits                           [MaxOrder + 1]int64 // time, over the sample
+	sampled                             int                 // the sample's voltage subset: its elements,
+	subsetBits, voltBits                [MaxOrder + 1]int64 // and what time and the voltage leave on them
 }
 
-// countHits is the pre-pass over this chunk; it also fills cc.stamp, which the
-// region-D scan and candsD then read instead of summing rows again.
+// countHits is the pre-pass over this chunk. It first fills cc.stamp, which
+// the voltage family's sample, the region-D scan and candsD then read instead
+// of summing rows again.
 func (cc *chunkCoder) countHits() hitCounts {
 	pl := cc.plan
 	cur, ref := cc.cur, cc.ref
 	var n hitCounts
-	cc.sampleOrders(&n.orderBits)
+	dLo, dHi := pl.dRowPtr[cc.rowLo], pl.dRowPtr[cc.rowHi]
+	if !cc.opt.DisableStamp || cc.nvolt > 0 {
+		for k := dLo; k < dHi; k++ {
+			cc.stamp[k] = cc.stampD(k)
+		}
+	}
+	cc.sampleOrders(&n)
 	if cc.opt.DisableStamp {
 		return n
 	}
@@ -829,9 +1004,8 @@ func (cc *chunkCoder) countHits() hitCounts {
 			n.lMate++
 		}
 	}
-	for k := pl.dRowPtr[cc.rowLo]; k < pl.dRowPtr[cc.rowHi]; k++ {
-		st := cc.stampD(k)
-		cc.stamp[k] = st
+	for k := dLo; k < dHi; k++ {
+		st := cc.stamp[k]
 		v := math.Float64bits(cur[pl.dSlots[k]])
 		if v == math.Float64bits(ref[pl.dSlots[k]]) {
 			n.dTemporal++

@@ -18,14 +18,16 @@ import (
 
 // adversarialBlobs are the decoder seeds TestCorruptedBlobNoPanic and
 // FuzzDecompress share: the bad run lengths over p, nil-reference blobs whose
-// flags name an extrapolation order, and every blob of the two older-revision
-// corpora (foreign patterns here, refused at the flags byte).
+// flags name an extrapolation order, voltage-family blobs with a bad or missing
+// extension byte, and every blob of the two older-revision corpora (foreign
+// patterns here, refused at the flags byte).
 func adversarialBlobs(t testing.TB, p *sparse.Pattern) [][]byte {
 	var out [][]byte
 	for _, tc := range badRunLengths(p) {
 		out = append(out, tc.blob)
 	}
 	out = append(out, orderBlobs(p)...)
+	out = append(out, extensionBlobs(t, p)...)
 	for _, file := range oldRevisionCorpora {
 		old, err := readCorpus(filepath.Join("testdata", file))
 		if err != nil {
@@ -400,6 +402,7 @@ func TestDecompressErrors(t *testing.T) {
 // refused with an error that names the byte; the order field has its own part.
 func TestHeaderHardening(t *testing.T) {
 	t.Run("order field", orderNeedsItsHistory)
+	t.Run("extension byte", voltageNeedsItsStates)
 	rng := rand.New(rand.NewSource(21))
 	p := mnaPattern(rng, 30, 40)
 	c := New(p, Options{})
@@ -521,6 +524,33 @@ func badRunLengths(p *sparse.Pattern) []struct {
 			w.WriteBits(math.MaxUint64, 33)
 		})},
 		{"truncated gamma", "γ code", craft(func(w *bitstream.Writer) { w.WriteBits(0, 3) })},
+	}
+}
+
+// TestHeavyLastRowChunks: a last row holding more than a chunk's share of the
+// entries must not get a chunk boundary of its own past it — the partitioner
+// used to emit the pattern's end as a boundary, the last chunk empty, and the
+// decoder refused the blob (TestQuickRoundTrip found it on a random seed).
+func TestHeavyLastRowChunks(t *testing.T) {
+	b := sparse.NewBuilder(3)
+	b.Add(0, 0)
+	b.Add(1, 1)
+	for c := int32(0); c < 3; c++ {
+		b.Add(2, c)
+	}
+	p := b.Build()
+	cur := []float64{1, 2, 3, 4, 5}
+	for w := 1; w <= 4; w++ {
+		c := New(p, Options{Workers: w})
+		got := make([]float64, len(cur))
+		if err := c.Decompress(got, c.Compress(nil, cur, nil), nil); err != nil {
+			t.Fatalf("workers %d: %v", w, err)
+		}
+		for i := range cur {
+			if got[i] != cur[i] {
+				t.Fatalf("workers %d: value %d is %g, want %g", w, i, got[i], cur[i])
+			}
+		}
 	}
 }
 
@@ -650,13 +680,19 @@ func TestCorruptedBlobNoPanic(t *testing.T) {
 	got := make([]float64, len(cur))
 	// The crafted length fields and the older revisions' blobs first, then
 	// random damage to a good blob.
+	vblob, hist, states := voltageBlob(t, p)
 	for _, seed := range adversarialBlobs(t, p) {
 		_ = c.Decompress(got, seed, ref)
 		_ = c.Decompress(got, seed, nil)
+		_ = c.DecompressHistory(got, seed, hist, states)
 	}
-	for trial := 0; trial < 300; trial++ {
-		mutated := append([]byte(nil), blob...)
-		switch trial % 3 {
+	for trial := 0; trial < 600; trial++ {
+		src, decode := blob, func(b []byte) error { return c.Decompress(got, b, ref) }
+		if trial%2 == 1 { // a voltage-family blob, decoded against its frames and states
+			src, decode = vblob, func(b []byte) error { return c.DecompressHistory(got, b, hist, states) }
+		}
+		mutated := append([]byte(nil), src...)
+		switch trial / 2 % 3 {
 		case 0: // single bit flip
 			i := rng.Intn(len(mutated))
 			mutated[i] ^= 1 << uint(rng.Intn(8))
@@ -673,7 +709,7 @@ func TestCorruptedBlobNoPanic(t *testing.T) {
 					t.Fatalf("trial %d: panic: %v", trial, r)
 				}
 			}()
-			_ = c.Decompress(got, mutated, ref)
+			_ = decode(mutated)
 		}()
 	}
 }

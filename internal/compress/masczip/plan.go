@@ -93,7 +93,9 @@ func (pl *plan) chunkRows(w int) []int32 {
 		for row < n && int64(pl.pat.RowPtr[row]) < target {
 			row++
 		}
-		if row > bounds[len(bounds)-1] {
+		// A last row heavier than the target's remainder would put a bound
+		// at n and leave the last chunk empty, which the decoder refuses.
+		if row > bounds[len(bounds)-1] && row < n {
 			bounds = append(bounds, row)
 		}
 	}

@@ -152,16 +152,86 @@ func extrapolateRef(hist [][]float64, o int, k int32) float64 {
 	return math.Float64frombits(^sum)
 }
 
-// temporalRef is candidate 0 for a slot, which candsU, candsL and candsD must
-// have put in out[0].
-func (rc *refCoder) temporalRef(slot int32, got float64) float64 {
+// interpolateRef is the voltage candidate's change as the format describes it:
+// the table of divided differences of the points (u[i], y[i]) — each the
+// difference of its two parents times the reciprocal of its divisor, zero
+// where the divisor is — and the Newton form of the polynomial through them at
+// at less its value at u[0], summed term by term from the first. Every
+// operation is rounded by an explicit conversion, so nothing here can be fused.
+func interpolateRef(u, y []float64, at float64) float64 {
+	o := len(u) - 1
+	dd := [][]float64{append([]float64(nil), y...)}
+	for j := 1; j <= o; j++ {
+		level := make([]float64, o+1-j)
+		for i := range level {
+			r := 0.0
+			if den := float64(u[i+j] - u[i]); den != 0 {
+				r = float64(1 / den)
+			}
+			level[i] = float64(float64(dd[j-1][i+1]-dd[j-1][i]) * r)
+		}
+		dd = append(dd, level)
+	}
+	sum, w := 0.0, 1.0
+	for j := 1; j <= o; j++ {
+		w = float64(w * float64(at-u[j-1]))
+		sum = float64(sum + float64(dd[j][0]*w))
+	}
+	return sum
+}
+
+// moveRef is base moved by a change d: unmoved where d is zero, NaN or
+// infinite.
+func moveRef(base, d float64) float64 {
+	if d == 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+		return base
+	}
+	return float64(base + d)
+}
+
+// voltageRef is the order-o voltage candidate for a slot: a diagonal's stamp
+// moved by its row sum's change in the row's node voltage, an off-diagonal's
+// nearest value moved by its change in the voltage across it — unmoved where
+// the change is zero, NaN or infinite.
+func (rc *refCoder) voltageRef(slot int32, o int) float64 {
+	pl := rc.plan
+	row, col := pl.rowOf[slot], pl.pat.ColIdx[slot]
+	u, y := make([]float64, o+1), make([]float64, o+1)
+	var base, at float64
+	if row == col {
+		base = rc.stampOf(rc.chunkCoder, pl.dRowPtr[row])
+		for i := range u {
+			for s := pl.pat.RowPtr[row]; s < pl.pat.RowPtr[row+1]; s++ {
+				y[i] += rc.hist[i][s]
+			}
+			u[i] = rc.states[1+i][row]
+		}
+		at = rc.states[0][row]
+	} else {
+		base = rc.ref[slot]
+		for i := range u {
+			y[i] = rc.hist[i][slot]
+			u[i] = rc.states[1+i][row] - rc.states[1+i][col]
+		}
+		at = rc.states[0][row] - rc.states[0][col]
+	}
+	return moveRef(base, interpolateRef(u, y, at))
+}
+
+// firstRef is symbol 0 at position k of rg, which candsU, candsL and candsD
+// must have put in out[0] (got): the blob's family at its order.
+func (rc *refCoder) firstRef(rg *refRegion, k int32, got float64) float64 {
+	slot := rg.slots[k]
 	want := rc.ref[slot]
-	if rc.order > 0 {
+	switch {
+	case rc.volt:
+		want = rc.voltageRef(slot, rc.order)
+	case rc.order > 0:
 		want = extrapolateRef(rc.hist[:rc.nhist], rc.order, slot)
 	}
 	if math.Float64bits(got) != math.Float64bits(want) {
-		panic(fmt.Sprintf("slot %d: order-%d temporal candidate %x, the transcription gives %x",
-			slot, rc.order, math.Float64bits(got), math.Float64bits(want)))
+		panic(fmt.Sprintf("slot %d: order-%d symbol 0 (voltage %v) %x, the transcription gives %x",
+			slot, rc.order, rc.volt, math.Float64bits(got), math.Float64bits(want)))
 	}
 	return want
 }
@@ -171,12 +241,12 @@ func (rc *refCoder) candidates(rg *refRegion, k int32, out *[4]float64) {
 	switch rg.rg {
 	case regionU:
 		rc.candsU(rg.slots[k], out)
-		out[0] = rc.temporalRef(rg.slots[k], out[0])
+		out[0] = rc.firstRef(rg, k, out[0])
 	case regionL:
 		rc.candsL(k, out)
-		out[0] = rc.temporalRef(rg.slots[k], out[0])
+		out[0] = rc.firstRef(rg, k, out[0])
 	default:
-		out[0] = rc.temporalRef(rg.slots[k], rc.temporal(rg.slots[k]))
+		out[0] = rc.firstRef(rg, k, rc.firstD(k))
 		out[1] = out[0]
 		if !rc.opt.DisableStamp {
 			out[1] = rc.stampOf(rc.chunkCoder, k)
@@ -185,9 +255,11 @@ func (rc *refCoder) candidates(rg *refRegion, k int32, out *[4]float64) {
 }
 
 // count is the pre-pass: exact matches of each candidate hit predictor, and
-// per extrapolation order the call's history allows, the significant bits of
-// the residual it leaves on the sample: of the chunk's slots 0, 7, 14, … the
-// 1st, 5th, 9th, … that differ from the nearest frame.
+// per order the call's frames allow, the significant bits of the residual the
+// temporal candidate leaves on the sample — of the chunk's slots 0, 7, 14, …
+// the 1st, 5th, 9th, … that differ from the nearest frame — and where it
+// brings states, what each family leaves at each order on the sample's 1st,
+// 9th, 17th, … element.
 func (rc *refCoder) count() hitCounts {
 	var n hitCounts
 	same := func(a, b float64) int {
@@ -196,18 +268,31 @@ func (rc *refCoder) count() hitCounts {
 		}
 		return 0
 	}
+	cost := func(v, pred float64) int64 {
+		return int64(64 - bits.LeadingZeros64(math.Float64bits(v)^math.Float64bits(pred)))
+	}
 	pl := rc.plan
 	misses := 0
-	for s := pl.pat.RowPtr[rc.rowLo]; s < pl.pat.RowPtr[rc.rowHi] && rc.nhist > 1; s += 7 {
+	for s := pl.pat.RowPtr[rc.rowLo]; s < pl.pat.RowPtr[rc.rowHi] && (rc.nhist > 1 || rc.nvolt > 0); s += 7 {
 		if same(rc.cur[s], rc.ref[s]) == 1 {
 			continue
 		}
 		if misses++; (misses-1)%4 != 0 {
 			continue
 		}
+		subset := rc.nvolt > 0 && (misses-1)%8 == 0 // the voltage family's half of the sample
 		for o := 0; o < rc.nhist; o++ {
-			x := math.Float64bits(rc.cur[s]) ^ math.Float64bits(extrapolateRef(rc.hist[:rc.nhist], o, s))
-			n.orderBits[o] += int64(64 - bits.LeadingZeros64(x))
+			c := cost(rc.cur[s], extrapolateRef(rc.hist[:rc.nhist], o, s))
+			n.orderBits[o] += c
+			if subset {
+				n.subsetBits[o] += c
+			}
+		}
+		if subset {
+			n.sampled++
+			for o := 0; o < rc.nvolt; o++ {
+				n.voltBits[o] += cost(rc.cur[s], rc.voltageRef(s, o))
+			}
 		}
 	}
 	for k := pl.lRowPtr[rc.rowLo]; k < pl.lRowPtr[rc.rowHi]; k++ {

@@ -56,11 +56,13 @@ func (t TrialResult) Ratio() float64 {
 }
 
 // RunTrial scores one candidate over the buffered forward frames, feeding
-// the codec pair exactly the call sequence the compressed store's forward
-// pass would issue: frame i compressed against frame i+1 as the prediction
-// reference (Algorithm 2's direction), head frame unreferenced. jFrames
-// and cFrames hold the same steps of the two tensors. clock injects time
-// (nil = wall clock) so tests can score deterministically.
+// the codec pair what the compressed store's forward pass would: frame i
+// encoded against the frames above it (Algorithm 2's direction) — as many as
+// the codec reads — and, where states holds every step's, their states; the
+// head frame unreferenced. jFrames and cFrames hold the same steps of the two
+// tensors, states (nil, or entries nil, for none) the states those steps were
+// produced at. clock injects time (nil = wall clock) so tests can score
+// deterministically.
 //
 // Each tensor gets one unscored warm-up pass before the scored one. The
 // warm-up serves two ends: caches and branch predictors are hot when the
@@ -70,7 +72,7 @@ func (t TrialResult) Ratio() float64 {
 // dominates a long run, not the first-K-steps cold start. The trial pair is
 // discarded after scoring, so the extra codec state the warm-up accumulates
 // never reaches the committed store.
-func RunTrial(cand Candidate, jFrames, cFrames [][]float64, clock tiersched.Clock) TrialResult {
+func RunTrial(cand Candidate, jFrames, cFrames, states [][]float64, clock tiersched.Clock) TrialResult {
 	if clock == nil {
 		clock = tiersched.Wall()
 	}
@@ -86,16 +88,14 @@ func RunTrial(cand Candidate, jFrames, cFrames [][]float64, clock tiersched.Cloc
 	encode := func(codec Compressor, frames [][]float64, p *pass) {
 		var dst []byte
 		for i := 0; i < len(frames); i++ {
-			var ref []float64
-			if i+1 < len(frames) {
-				ref = frames[i+1]
-			}
+			hist := frames[i+1 : min(i+1+HistoryDepth(codec), len(frames))]
+			xs := StatesAt(states, i, len(hist))
 			if p == nil {
-				dst = codec.Compress(dst[:0], frames[i], ref)
+				dst = Encode(codec, dst[:0], frames[i], hist, xs)
 				continue
 			}
 			start := clock.Now()
-			dst = codec.Compress(dst[:0], frames[i], ref)
+			dst = Encode(codec, dst[:0], frames[i], hist, xs)
 			p.meter.Observe(8*len(frames[i]), clock.Now().Sub(start))
 			p.raw += int64(8 * len(frames[i]))
 			p.comp += int64(len(dst))

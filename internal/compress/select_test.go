@@ -42,7 +42,7 @@ func TestRunTrialDeterministic(t *testing.T) {
 	c := &fakeCodec{name: "x", outBytes: 10, lossless: true}
 	jF, cF := frames(4, 8), frames(4, 8)
 	clk := tiersched.NewFakeClock(time.Millisecond)
-	res := RunTrial(NewCandidate("x", j, c), jF, cF, clk)
+	res := RunTrial(NewCandidate("x", j, c), jF, cF, nil, clk)
 
 	// 4 warm-up + 3×4 scored calls per tensor.
 	if j.calls != 16 || c.calls != 16 {
@@ -69,9 +69,63 @@ func TestRunTrialDeterministic(t *testing.T) {
 	// injected clock.
 	j2 := &fakeCodec{name: "x", outBytes: 10, lossless: true}
 	c2 := &fakeCodec{name: "x", outBytes: 10, lossless: true}
-	res2 := RunTrial(NewCandidate("x", j2, c2), jF, cF, tiersched.NewFakeClock(time.Millisecond))
+	res2 := RunTrial(NewCandidate("x", j2, c2), jF, cF, nil, tiersched.NewFakeClock(time.Millisecond))
 	if res2 != res {
 		t.Fatalf("repeat trial diverged: %+v vs %+v", res2, res)
+	}
+}
+
+// historyCodec is a fakeCodec that reads a history: each blob is one byte per
+// reference frame it was handed and 100 more when it was handed their states.
+type historyCodec struct {
+	fakeCodec
+	depth int
+}
+
+func (h *historyCodec) HistoryDepth() int { return h.depth }
+func (h *historyCodec) CompressHistory(dst []byte, cur []float64, hist, states [][]float64) []byte {
+	n := len(hist)
+	if states != nil {
+		if len(states) != len(hist)+1 {
+			panic("states do not match the frames")
+		}
+		n += 100
+	}
+	return append(dst, make([]byte, n)...)
+}
+func (h *historyCodec) DecompressHistory(cur []float64, blob []byte, hist, states [][]float64) error {
+	return nil
+}
+
+// TestRunTrialScoresTheChain: the trial codes each frame as the chain store
+// does — against as many frames above it as the codec reads, with their
+// states when every step has one — not against one reference.
+func TestRunTrialScoresTheChain(t *testing.T) {
+	const steps, depth = 8, 3
+	frames := frames(steps, 4)
+	states := frames // any arrays will do
+	var want int64
+	for i := 0; i < steps; i++ {
+		want += int64(min(depth, steps-1-i))
+	}
+	for _, tc := range []struct {
+		name   string
+		states [][]float64
+		want   int64
+	}{
+		{"no states", nil, want},
+		{"states", states, want + 100*(steps-1)},
+		// Step 5 has no state: steps 2–5 read it; 0, 1 and 6 do not, and 7 reads
+		// no frame.
+		{"a step without", append(append([][]float64(nil), states[:5]...), append([][]float64{nil}, states[6:]...)...),
+			want + 100*3},
+	} {
+		j := &historyCodec{fakeCodec{name: "h", lossless: true}, depth}
+		c := &historyCodec{fakeCodec{name: "h", lossless: true}, depth}
+		res := RunTrial(NewCandidate("h", j, c), frames, frames, tc.states, tiersched.NewFakeClock(time.Millisecond))
+		if res.CompressedBytes != 2*tc.want {
+			t.Errorf("%s: trial scored %d bytes, the chain stores %d", tc.name, res.CompressedBytes, 2*tc.want)
+		}
 	}
 }
 
@@ -80,7 +134,7 @@ func TestRunTrialInflation(t *testing.T) {
 	// win against a shrinking one.
 	big := &fakeCodec{name: "bloat", outBytes: 1000, lossless: true}
 	bigC := &fakeCodec{name: "bloat", outBytes: 1000, lossless: true}
-	res := RunTrial(NewCandidate("bloat", big, bigC), frames(3, 4), frames(3, 4),
+	res := RunTrial(NewCandidate("bloat", big, bigC), frames(3, 4), frames(3, 4), nil,
 		tiersched.NewFakeClock(time.Millisecond))
 	if res.Score >= 0 {
 		t.Fatalf("inflating codec scored %g, want negative", res.Score)

@@ -64,6 +64,7 @@ type autoTrial struct {
 	cfg     AutoConfig
 	parkedJ [][]float64 // private copies of steps 0..K-1
 	parkedC [][]float64
+	parkedX [][]float64 // their states: the attachment's references, nil without one
 	ob      autoObs
 }
 
@@ -93,12 +94,13 @@ func (s *CompressedStore) Selected() (name string, trials []compress.TrialResult
 	return s.selected, s.trials, s.selected != ""
 }
 
-// park keeps a private copy of an admitted step for the trial, and binds
-// once the window is full.
-func (s *CompressedStore) park(jVals, cVals []float64) error {
+// park keeps a private copy of an admitted step, and its state, for the
+// trial, and binds once the window is full.
+func (s *CompressedStore) park(jVals, cVals, x []float64) error {
 	t := s.trial
 	t.parkedJ = append(t.parkedJ, append([]float64(nil), jVals...))
 	t.parkedC = append(t.parkedC, append([]float64(nil), cVals...))
+	t.parkedX = append(t.parkedX, x)
 	if len(t.parkedJ) >= t.cfg.TrialSteps {
 		return s.bind()
 	}
@@ -113,7 +115,7 @@ func (s *CompressedStore) bind() error {
 	for _, cand := range t.cfg.Candidates {
 		jc, cc := cand.New()
 		results = append(results, compress.RunTrial(compress.NewCandidate(cand.Name, jc, cc),
-			t.parkedJ, t.parkedC, t.cfg.Clock))
+			t.parkedJ, t.parkedC, t.parkedX, t.cfg.Clock))
 	}
 	win := compress.Pick(results)
 	if win < 0 {
@@ -132,7 +134,7 @@ func (s *CompressedStore) bind() error {
 	s.cd.trace(s.ob.rec)
 	s.trial = nil
 	for i := range t.parkedJ {
-		if err := s.put(i, t.parkedJ[i], t.parkedC[i]); err != nil {
+		if err := s.put(i, t.parkedJ[i], t.parkedC[i], t.parkedX[i]); err != nil {
 			return fmt.Errorf("jactensor: auto store replay step %d: %w", i, err)
 		}
 	}

@@ -156,23 +156,26 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 	if err != nil {
 		return err
 	}
+	x := s.stateOf(step)
 	if s.trial != nil {
-		return s.park(jVals, cVals)
+		return s.park(jVals, cVals, x)
 	}
-	return s.put(step, jVals, cVals)
+	return s.put(step, jVals, cVals, x)
 }
 
-// put takes an admitted step: its values join the history window, and the
-// step depth below it, whose history is now complete, is sealed. The two modes
-// differ in one thing only — sync runs that job here; async hands it to the
-// worker, so the caller proceeds to the next timestep at once and a worker
-// error surfaces one Put late at worst.
-func (s *CompressedStore) put(step int, jVals, cVals []float64) error {
+// put takes an admitted step and the state it was produced at (nil = none):
+// its values join the history window, and the step depth below it, whose
+// history is now complete, is sealed. The two modes differ in one thing only —
+// sync runs that job here; async hands it to the worker, so the caller
+// proceeds to the next timestep at once and a worker error surfaces one Put
+// late at worst.
+func (s *CompressedStore) put(step int, jVals, cVals, x []float64) error {
 	psp := s.ob.rec.Start(s.ob.spanParent(), span.Put, step)
 	defer psp.End()
 	// The chain cuts at an anchor: its blob is self-contained and its
 	// plaintext retained. The head is never one (EndForward clears the mark).
 	st := s.newRec(step)
+	st.x = x
 	s.mu.Lock()
 	var below pair
 	if step > 0 {
@@ -289,11 +292,13 @@ type frames interface{ held(step int) *heldFrame }
 // gather collects in cd's scratch, nearest first, the frames of w that step's
 // blob is — or was — sealed against: up to cd.depth resident ones above it,
 // none past the nearest anchor (an anchor itself has none), so a window slice
-// that starts at that anchor sees the history the forward pass did. It also
-// meters what the history costs beyond the one frame a one-reference chain
-// holds: the bytes of the distinct arrays past the nearest. mu must be held.
+// that starts at that anchor sees the history the forward pass did; and the
+// states of step and of those frames' steps, when every one of them has one.
+// It also meters what the history costs beyond the one frame a one-reference
+// chain holds: the bytes of the distinct arrays past the nearest (the states
+// are the caller's, not the store's). mu must be held.
 func (s *CompressedStore) gather(cd *codecs, w frames, step int) history {
-	h := history{cd.hist.j[:0], cd.hist.c[:0]}
+	h := history{j: cd.hist.j[:0], c: cd.hist.c[:0]}
 	extra := int64(0)
 	for t := step + 1; t <= step+cd.depth && !s.steps[t-1].pinned; t++ {
 		f := w.held(t)
@@ -306,6 +311,16 @@ func (s *CompressedStore) gather(cd *codecs, w frames, step int) history {
 		h.j, h.c = append(h.j, f.out.j), append(h.c, f.out.c)
 	}
 	s.stats.HistoryBytes = max(s.stats.HistoryBytes, extra)
+	if len(h.j) > 0 {
+		h.x = cd.hist.x[:0]
+		for t := step; t <= step+len(h.j); t++ {
+			if s.steps[t].x == nil {
+				h.x = nil
+				break
+			}
+			h.x = append(h.x, s.steps[t].x)
+		}
+	}
 	return h
 }
 

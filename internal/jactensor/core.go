@@ -27,13 +27,20 @@ import (
 // Attachment is everything a run wires into its store: telemetry, the
 // fallback parent of store-side spans (normally the run root span; the
 // forward loop's step span takes precedence while one is published), a fault
-// injector and the context the spill device's retry sleeps abort on. The
-// zero value attaches nothing. Attach it once, before the first Put.
+// injector, the context the spill device's retry sleeps abort on, and the
+// states the steps were produced at. The zero value attaches nothing. Attach
+// it once, before the first Put.
 type Attachment struct {
 	Obs   *obs.Observer
 	Scope span.ID
 	Fault *faultinject.Injector
 	Ctx   context.Context
+	// State, if non-nil, returns the simulation state step was produced at:
+	// an array the caller keeps unchanged until the store is closed, which the
+	// chain store references — never copies — beside the step and hands to a
+	// history codec with the frames (compress.HistoryCompressor). It is called
+	// only inside Put, on the caller's goroutine, for the step being put.
+	State func(step int) []float64
 }
 
 // storeBase is the state and bookkeeping that do not depend on what a store
@@ -46,7 +53,8 @@ type storeBase struct {
 	forwardDone bool
 	fault       *faultinject.Injector // nil = fault-free
 	ctx         context.Context
-	ob          storeObs // telemetry handles; zero value = disabled
+	state       func(step int) []float64 // Attachment.State; nil = none
+	ob          storeObs                 // telemetry handles; zero value = disabled
 }
 
 // attach resolves a into the store's handles; kind labels the metric series
@@ -56,6 +64,15 @@ func (b *storeBase) attach(a Attachment, kind string) {
 	b.ob.scope = a.Scope
 	b.fault = a.Fault
 	b.ctx = a.Ctx
+	b.state = a.State
+}
+
+// stateOf is the state the attachment gives for step, nil without one.
+func (b *storeBase) stateOf(step int) []float64 {
+	if b.state == nil {
+		return nil
+	}
+	return b.state(step)
 }
 
 // wireSpill hands a spill device the attachment's share: op faults, the
@@ -162,6 +179,7 @@ type stepRec struct {
 	tier         tiersched.Tier // ladder rung
 	frame                       // checksummed plaintext at rest: the ladder's hot rung, a chain anchor
 	heldFrame                   // chain: the step's place in the history window
+	x            []float64      // chain: the state the step was produced at (Attachment.State) — the caller's array, not counted as resident
 	jBlob, cBlob []byte         // sealed blobs: arena memory, or the scratch frames until kept or spilled
 	jOff, cOff   int64          // spill offsets (ladder, tier == Disk)
 	jbN, cbN     int            // sealed lengths, kept for spill reads
@@ -180,8 +198,10 @@ type spanCodec interface {
 }
 
 // history is the reference frames of one seal or decode, nearest first, per
-// tensor. The zero value is none: a self-contained blob.
-type history struct{ j, c [][]float64 }
+// tensor, and the states both tensors' codecs may read beside them: the coded
+// step's, then each frame's (compress.HistoryCompressor), nil when the run
+// attached none. The zero value is none: a self-contained blob.
+type history struct{ j, c, x [][]float64 }
 
 // codecs is a first-tensor/second-tensor compressor pair with the optional
 // capabilities the stores use. A StoreSlice decodes with a forked pair, which
@@ -198,7 +218,7 @@ type codecs struct {
 func newCodecs(j, c compress.Compressor) codecs {
 	depth := max(compress.HistoryDepth(j), compress.HistoryDepth(c))
 	return codecs{j: j, c: c, depth: depth,
-		hist: history{make([][]float64, 0, depth), make([][]float64, 0, depth)}}
+		hist: history{make([][]float64, 0, depth), make([][]float64, 0, depth), make([][]float64, 0, depth+1)}}
 }
 
 // trace wires the codecs to rec, so each compress/decompress span encloses
@@ -243,10 +263,10 @@ func (cd *codecs) restart() {
 // decode inflates verified payloads into p against the history they were
 // sealed against; a failure names the tensor.
 func (cd *codecs) decode(p pair, jp, cp []byte, h history) (tensor string, err error) {
-	if err := compress.Decode(cd.j, p.j, jp, h.j); err != nil {
+	if err := compress.Decode(cd.j, p.j, jp, h.j, h.x); err != nil {
 		return "J", err
 	}
-	if err := compress.Decode(cd.c, p.c, cp, h.c); err != nil {
+	if err := compress.Decode(cd.c, p.c, cp, h.c, h.x); err != nil {
 		return "C", err
 	}
 	return "", nil
@@ -433,8 +453,8 @@ func (k *core) admitFrame(step int, st *stepRec, p pair) {
 // truncates — until keep copies them out or the ladder appends them to its
 // spill file.
 func (k *core) seal(step int, cur pair, h history) (jb, cb []byte) {
-	k.frameJ = compress.Encode(k.cd.j, k.frameJ[:blobframe.HeaderSize], cur.j, h.j)
-	k.frameC = compress.Encode(k.cd.c, k.frameC[:blobframe.HeaderSize], cur.c, h.c)
+	k.frameJ = compress.Encode(k.cd.j, k.frameJ[:blobframe.HeaderSize], cur.j, h.j, h.x)
+	k.frameC = compress.Encode(k.cd.c, k.frameC[:blobframe.HeaderSize], cur.c, h.c, h.x)
 	blobframe.Seal(k.frameJ, 'J', step)
 	blobframe.Seal(k.frameC, 'C', step)
 	jb, _ = k.fault.MutateBlob(step, k.frameJ)

@@ -53,15 +53,15 @@ func (s *spyCodec) steps(hist [][]float64) []int {
 	return out
 }
 
-func (s *spyCodec) CompressHistory(dst []byte, cur []float64, hist [][]float64) []byte {
+func (s *spyCodec) CompressHistory(dst []byte, cur []float64, hist, states [][]float64) []byte {
 	s.log.mu.Lock()
 	s.log.sealed[s.stepOf(cur)] = s.steps(hist)
 	s.log.mu.Unlock()
-	return s.Compressor.CompressHistory(dst, cur, hist)
+	return s.Compressor.CompressHistory(dst, cur, hist, states)
 }
 
-func (s *spyCodec) DecompressHistory(cur []float64, blob []byte, hist [][]float64) error {
-	err := s.Compressor.DecompressHistory(cur, blob, hist)
+func (s *spyCodec) DecompressHistory(cur []float64, blob []byte, hist, states [][]float64) error {
+	err := s.Compressor.DecompressHistory(cur, blob, hist, states)
 	s.log.mu.Lock()
 	s.log.decoded[s.stepOf(cur)] = s.steps(hist)
 	s.log.mu.Unlock()
@@ -407,10 +407,10 @@ func TestHistoryWindowAccounting(t *testing.T) {
 }
 
 // TestEarlyCloseLeaksNoFrame: closing a store whose newest steps still wait
-// for their history — sync or with jobs queued — stops the worker, drops every
-// frame and record, and reports no error.
+// for their history — sync or with jobs queued, states attached — stops the
+// worker, drops every frame, record and state reference, and reports no error.
 func TestEarlyCloseLeaksNoFrame(t *testing.T) {
-	jp, cp, js, cs := movingFixture(96, 16, 12)
+	jp, cp, js, cs, xs := voltageFixture(96, voltageNodes, 12)
 	for _, queue := range []int{0, 1, 4} {
 		for _, puts := range []int{1, 3, 12} {
 			jc, cc := masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{})
@@ -418,6 +418,7 @@ func TestEarlyCloseLeaksNoFrame(t *testing.T) {
 			if queue > 0 {
 				st = NewCompressedStoreAsync(jc, cc, jp, cp, queue)
 			}
+			st.Attach(stateOfStep(xs))
 			for i := 0; i < puts; i++ {
 				if err := st.Put(i, js[i], cs[i]); err != nil {
 					t.Fatal(err)

@@ -37,10 +37,12 @@ func (o *oracle) same(step int, j, c []float64) bool {
 	return sameBits(j, o.steps[step].j) && sameBits(c, o.steps[step].c)
 }
 
-// modelFixture is one randomly sized tensor.
+// modelFixture is one randomly sized tensor, with the states its steps were
+// produced at.
 type modelFixture struct {
 	jp, cp *sparse.Pattern
 	js, cs [][]float64
+	xs     [][]float64
 	frame  int64
 }
 
@@ -415,8 +417,8 @@ func (m *modelRun) reverse() {
 // EndForward, Fetch in every order a store's contract allows, Release and
 // Repair — serial, through window slices and in the shared-source pattern —
 // over every constructor, codec menus, anchor spacings, budgets (none,
-// tight, tight and diskless) and injected frame and blob rot, each checked
-// against a map. Bits are equal, refusals are typed, PeakResident stays
+// tight, tight and diskless), states attached or not and injected frame and
+// blob rot, each checked against a map. Bits are equal, refusals are typed, PeakResident stays
 // under its bound, and a quarantined step heals through Repair and only
 // through it.
 func TestStoreModel(t *testing.T) {
@@ -428,10 +430,13 @@ func TestStoreModel(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				steps := 1 + rng.Intn(40)
 				f := &modelFixture{}
-				if rng.Intn(2) == 0 {
+				switch rng.Intn(3) {
+				case 0:
 					f.jp, f.cp, f.js, f.cs = tensorFixture(seed, 4+rng.Intn(12), steps)
-				} else {
+				case 1:
 					f.jp, f.cp, f.js, f.cs = placementFixture(4+rng.Intn(12), steps)
+				default: // with states, large enough for C to be coded in the voltage
+					f.jp, f.cp, f.js, f.cs, f.xs = voltageFixture(seed, 4+rng.Intn(2*voltageNodes), steps)
 				}
 				f.frame = int64(8 * (len(f.js[0]) + len(f.cs[0])))
 				anchorEvery := 0
@@ -443,10 +448,14 @@ func TestStoreModel(t *testing.T) {
 				if anchorEvery > 0 {
 					m.anchors = steps / anchorEvery
 				}
-				if m.faulty {
-					m.st.(interface{ Attach(Attachment) }).Attach(Attachment{Fault: faultinject.New(
-						faultinject.Profile{Name: "rot", Seed: seed, BitFlipOneIn: 2 + rng.Intn(6), TruncateOneIn: 9})})
+				att := stateOfStep(f.xs)
+				if f.xs == nil {
+					att.State = nil
 				}
+				if m.faulty {
+					att.Fault = faultinject.New(faultinject.Profile{Name: "rot", Seed: seed, BitFlipOneIn: 2 + rng.Intn(6), TruncateOneIn: 9})
+				}
+				m.st.(interface{ Attach(Attachment) }).Attach(att)
 				m.forward()
 				m.reverse()
 				stats := m.st.Stats()
@@ -464,17 +473,17 @@ func TestStoreModel(t *testing.T) {
 	}
 }
 
-// TestPutContract: every store refuses an out-of-order step, a step whose
-// value counts differ from step 0's and a step after EndForward, with a
-// non-degradable *StepError{Op: "put"} naming the step, and counts none of
-// them. Before the contract was shared, the tiered, disk and memory stores
+// TestPutContract: every store, the states attached, refuses an out-of-order
+// step, a step whose value counts differ from step 0's and a step after
+// EndForward, with a non-degradable *StepError{Op: "put"} naming the step, and
+// counts none of them. Before the contract was shared, the tiered, disk and memory stores
 // took a step with changed value counts (the disk store then reported the
 // caller's bug as a corrupt record at fetch time).
 func TestPutContract(t *testing.T) {
 	// Longer than the chain's history window, so refusals land before, while
 	// and after steps are sealed behind the newest ones.
 	const steps = 12
-	jp, cp, js, cs := tensorFixture(7, 20, steps+1)
+	jp, cp, js, cs, xs := voltageFixture(7, voltageNodes, steps+1)
 	masc := func() (compress.Compressor, compress.Compressor) {
 		return masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{})
 	}
@@ -508,6 +517,7 @@ func TestPutContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
+			st.(interface{ Attach(Attachment) }).Attach(stateOfStep(xs))
 			refused := func(what string, step int, j, c []float64) {
 				t.Helper()
 				before := st.Stats()

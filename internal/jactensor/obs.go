@@ -169,8 +169,10 @@ func PublishCodecStats(reg *obs.Registry, tensor string, st masczip.Stats) {
 			"tensor", tensor, "predictor", name).Add(float64(n))
 	}
 	for o, n := range st.OrderBlobs {
-		reg.Counter("masc_codec_history_order_blobs_total", "Blobs by the order their temporal candidate extrapolates at over the reference frames (0 = the nearest frame's value).",
-			"tensor", tensor, "order", strconv.Itoa(o)).Add(float64(n))
+		for family, m := range map[string]int64{"time": n - st.VoltBlobs[o], "voltage": st.VoltBlobs[o]} {
+			reg.Counter("masc_codec_history_order_blobs_total", "Blobs by the order and family of their symbol-0 candidate over the reference frames: extrapolated in time (order 0 = the nearest frame's value) or interpolated in the branch voltage.",
+				"tensor", tensor, "order", strconv.Itoa(o), "family", family).Add(float64(m))
+		}
 	}
 	reg.Counter("masc_codec_markov_predicted_total", "Elements whose selector came from the frozen Markov table.",
 		"tensor", tensor).Add(float64(st.MarkovPredicted))

@@ -53,33 +53,50 @@ type pinnedBytes struct {
 
 // TestPinnedStoreBytes pins, to the byte, what the blob-holding stores keep:
 // the stored byte count, the modelled resident peak and a hash of the sealed
-// blob stream, for two fixtures under the five store shapes the facade
-// builds. A change to the store layer that is meant to keep the bytes may not
-// re-record them. The eight chain-store rows were recorded when the chain
-// began to seal each step against seven frames of history and masczip's
+// blob stream, for three fixtures under the five store shapes the facade
+// builds, each with its states attached as the facade attaches them. A change
+// to the store layer that is meant to keep the bytes may not re-record them.
+// The "voltage" rows were recorded when masczip began to interpolate in the
+// branch voltage: that fixture's C is a function of its states, and its chain
+// rows hold 63 % less than the same blobs coded without the states (sync
+// 532499 → 194720 B); its tiered row holds self-contained blobs, which the
+// states do not reach. The other eight chain-store rows were recorded when the
+// chain began to seal each step against seven frames of history and masczip's
 // temporal candidate to extrapolate over them: the blobs changed (the
 // "chained" fixture is a random walk no order predicts, +0.3 %; the
 // "selfcontained" one moves linearly in the step, −58 %) and the resident
-// peak gained the six frames of history past the nearest. The two tiered rows
-// hold self-contained blobs only, which a history cannot change:
-// selfcontained/tiered is from the hit-run revision, chained/tiered (no blob
-// on the compressed rung under this clock) from commit 3fede77. The pipelined
-// store's peak depends on how far the worker and the prefetch run ahead, so it
-// is bounded (by the synchronous peak plus the frames the queue can hold), not
-// pinned.
+// peak gained the six frames of history past the nearest; the states leave
+// them as they were. The two tiered rows hold self-contained blobs only, which
+// a history cannot change: selfcontained/tiered is from the hit-run revision,
+// chained/tiered (no blob on the compressed rung under this clock) from commit
+// 3fede77. The pipelined store's peak depends on how far the worker and the
+// prefetch run ahead, so it is bounded (by the synchronous peak plus the
+// frames the queue can hold), not pinned.
 func TestPinnedStoreBytes(t *testing.T) {
 	const steps = 120
 	type fixture struct {
-		name   string
-		jp, cp *sparse.Pattern
-		js, cs [][]float64
+		name       string
+		jp, cp     *sparse.Pattern
+		js, cs, xs [][]float64
 	}
 	var fixtures []fixture
 	{
-		jp, cp, js, cs := tensorFixture(90, 40, steps)
-		fixtures = append(fixtures, fixture{"chained", jp, cp, js, cs})
+		// The first two fixtures' states are the third's walk, cut to their
+		// dimension: too few of their entries move for the voltage family to
+		// be priced, so the states leave their blobs as they were.
+		jp, cp, js, cs, xs := voltageFixture(90, voltageNodes, steps)
+		walk := func(n int) [][]float64 {
+			out := make([][]float64, len(xs))
+			for i, x := range xs {
+				out[i] = x[:n]
+			}
+			return out
+		}
+		fixtures = append(fixtures, fixture{"voltage", jp, cp, js, cs, xs})
+		jp, cp, js, cs = tensorFixture(90, 40, steps)
+		fixtures = append(fixtures, fixture{"chained", jp, cp, js, cs, walk(40)})
 		jp, cp, js, cs = placementFixture(20, steps)
-		fixtures = append(fixtures, fixture{"selfcontained", jp, cp, js, cs})
+		fixtures = append(fixtures, fixture{"selfcontained", jp, cp, js, cs, walk(20)})
 	}
 	const asyncDepth = 2
 	shapes := []struct {
@@ -121,6 +138,11 @@ func TestPinnedStoreBytes(t *testing.T) {
 		}},
 	}
 	want := map[string]pinnedBytes{
+		"voltage/masc-sync":                     {stored: 194720, peak: 293929, stream: 0x11223d58cd9f4c16},
+		"voltage/masc-async2":                   {stored: 194720, peak: -1, stream: 0x11223d58cd9f4c16},
+		"voltage/masc-anchors50":                {stored: 227217, peak: 351754, stream: 0xb13229d25bd4b065},
+		"voltage/auto":                          {stored: 181493, peak: 280702, stream: 0x782284bd5f677a7d},
+		"voltage/tiered-quarter-diskless":       {stored: 379219, peak: 404768, stream: 0xf96f67bb71cb4c25},
 		"chained/masc-sync":                     {stored: 41195, peak: 65236, stream: 0xf7d174e495d967d4},
 		"chained/masc-async2":                   {stored: 41195, peak: -1, stream: 0xf7d174e495d967d4},
 		"chained/masc-anchors50":                {stored: 47296, peak: 77465, stream: 0xb3832931b9e0fd7a},
@@ -140,6 +162,7 @@ func TestPinnedStoreBytes(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				st := sh.mk(t, f)
 				defer st.Close()
+				st.(interface{ Attach(Attachment) }).Attach(stateOfStep(f.xs))
 				for i := range f.js {
 					if err := st.Put(i, f.js[i], f.cs[i]); err != nil {
 						t.Fatal(err)

@@ -120,6 +120,31 @@ func TestCaptureLayouts(t *testing.T) {
 	}
 }
 
+// TestCaptureHandsTheRecordedState: the x a capture hook receives is the
+// Result's own array for the step — not the solver's working vector — so a
+// store may keep a reference and read it after the run, as it was.
+func TestCaptureHandsTheRecordedState(t *testing.T) {
+	ckt := buildDiodeRC(t)
+	var kept [][]float64
+	o := Options{TStop: 1.03e-4, TStep: 4e-6}
+	o.CaptureGC = func(step int, _ float64, x []float64, _, _ *sparse.Matrix) error {
+		kept = append(kept, x)
+		return nil
+	}
+	res, err := Run(ckt, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != len(res.States) {
+		t.Fatalf("%d captures, %d states", len(kept), len(res.States))
+	}
+	for i, x := range kept {
+		if &x[0] != &res.States[i][0] {
+			t.Fatalf("step %d: the hook was handed an array that is not Result.States[%d]", i, i)
+		}
+	}
+}
+
 // TestJWeightsHandAssembledResult: a Result built by hand (no Gmin) means the
 // solver default, like an empty Method means backward Euler.
 func TestJWeightsHandAssembledResult(t *testing.T) {

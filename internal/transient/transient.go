@@ -57,9 +57,11 @@ type Options struct {
 	// is the DC operating point, h=0). They are what a Jacobian store keeps:
 	// the system Jacobian is a function of them and the trajectory
 	// (Result.AssembleJ). The matrices are reused between calls — the callee
-	// must copy what it keeps. A non-nil error aborts the run: storage
-	// failures (disk full, a poisoned compression pipeline) surface here
-	// instead of panicking mid-solve.
+	// must copy what it keeps. x is the converged state as the Result records
+	// it: a stable array, never written again, which the callee may keep a
+	// reference to. A non-nil error aborts the run: storage failures (disk
+	// full, a poisoned compression pipeline) surface here instead of panicking
+	// mid-solve.
 	CaptureGC func(step int, t float64, x []float64, G, C *sparse.Matrix) error
 
 	// Capture is CaptureGC for callers that want the assembled system
@@ -506,20 +508,22 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		hPrev        float64
 		startStep    int
 	)
-	// capture hands the step just recorded to the hooks. The evaluator holds
-	// G and C at the converged state; J is assembled only for a caller that
-	// asked for it, into the solver's matrix (the next Newton evaluation
-	// rebuilds it anyway).
+	// capture hands the step just recorded to the hooks, with its recorded
+	// state — the Result's own array, which nothing writes again, so a hook may
+	// keep it. The evaluator holds G and C at the converged state; J is
+	// assembled only for a caller that asked for it, into the solver's matrix
+	// (the next Newton evaluation rebuilds it anyway).
 	capturing := opt.Capture != nil || opt.CaptureGC != nil
 	capture := func(step int, t float64) error {
+		xr := res.States[len(res.States)-1]
 		if opt.Capture != nil {
 			res.AssembleJ(ckt, step, s.J.Val, s.ev.G.Val, s.ev.C.Val)
-			if err := opt.Capture(step, t, x, s.J, s.ev.C); err != nil {
+			if err := opt.Capture(step, t, xr, s.J, s.ev.C); err != nil {
 				return err
 			}
 		}
 		if opt.CaptureGC != nil {
-			return opt.CaptureGC(step, t, x, s.ev.G, s.ev.C)
+			return opt.CaptureGC(step, t, xr, s.ev.G, s.ev.C)
 		}
 		return nil
 	}

@@ -549,11 +549,22 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 	defer rsp.End()
 
 	// One attachment wires the store; what only some stores can do is asked
-	// for through a small interface where it is used.
+	// for through a small interface where it is used. putting is the state of
+	// the step being put — the trajectory's own array, from the forward loop
+	// or the resume re-seed — which the chain store references beside the
+	// step for its codecs.
+	var putting []float64
 	if st, ok := store.(interface{ Attach(jactensor.Attachment) }); ok {
 		// The root span is the fallback parent for store-side spans emitted
 		// outside any forward step scope (EndForward, adjoint-phase promotes).
-		st.Attach(jactensor.Attachment{Obs: opt.Obs, Scope: rsp.ID(), Fault: opt.Fault, Ctx: ctx})
+		st.Attach(jactensor.Attachment{Obs: opt.Obs, Scope: rsp.ID(), Fault: opt.Fault, Ctx: ctx,
+			State: func(int) []float64 { return putting }})
+	}
+	put := func(step int, x, gv, cv []float64) error {
+		putting = x
+		err := store.Put(step, gv, cv)
+		putting = nil
+		return err
 	}
 	if st, ok := store.(interface{ ObserveStepCost(time.Duration) }); ok {
 		// The solver's per-step wall time is the tiered store's cost-model
@@ -585,7 +596,7 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 					return err
 				}
 			}
-			if err := store.Put(step, G.Val, C.Val); err != nil {
+			if err := put(step, x, G.Val, C.Val); err != nil {
 				return fmt.Errorf("masc: tensor capture: %w", err)
 			}
 			return nil
@@ -641,7 +652,7 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 				if err != nil {
 					return fail(fmt.Errorf("masc: resume: re-derive step %d: %w", i, err))
 				}
-				if err := store.Put(i, gv, cv); err != nil {
+				if err := put(i, seeded.States[i], gv, cv); err != nil {
 					return fail(fmt.Errorf("masc: resume: re-seed step %d: %w", i, err))
 				}
 			}

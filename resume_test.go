@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"masc/internal/blobframe"
+	"masc/internal/workload"
 )
 
 // journalFrameEnds scans a journal's frame boundaries: every frame end is a
@@ -147,6 +148,55 @@ func TestJournalResumeAfterForwardCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "resume after crash", run.Sens.DOdp, ref.Sens.DOdp)
+}
+
+// TestResumeReseedSealsTheSameBlobs: a resumed run re-seeds its store from the
+// journal's states, not the solver's, and the chain codes C in the branch
+// voltage from those states — so the resumed store must seal what the
+// uninterrupted run sealed, to the byte and to the codec's every decision.
+func TestResumeReseedSealsTheSameBlobs(t *testing.T) {
+	ds, err := workload.Build("MOS_T7", 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opt := SimOptions{Transient: ds.Tran, Storage: StorageMASC, CollectCodecStats: true,
+		Journal: filepath.Join(dir, "ref.journal")}
+	ref, err := Simulate(ds.Ckt, opt, ds.Objectives, ds.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var volt int64
+	for _, n := range ref.CodecStatsC.VoltBlobs {
+		volt += n
+	}
+	if volt == 0 {
+		t.Fatal("the reference run coded no blob of C in the voltage")
+	}
+
+	opt.Journal = filepath.Join(dir, "crash.journal")
+	copt := opt
+	copt.Transient.AfterStep = func(step int, _, _, _ float64, _ int, _ []float64) error {
+		if step == ref.TensorStats.Steps/2 {
+			return errors.New("simulated crash")
+		}
+		return nil
+	}
+	if _, err := Simulate(ds.Ckt, copt, ds.Objectives, ds.Params); err == nil {
+		t.Fatal("crashing run succeeded")
+	}
+	run, err := Resume(ds.Ckt, opt.Journal, SimOptions{CollectCodecStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "resume", run.Sens.DOdp, ref.Sens.DOdp)
+	if run.TensorStats.StoredBytes != ref.TensorStats.StoredBytes {
+		t.Fatalf("resumed store holds %d B, the uninterrupted one %d B", run.TensorStats.StoredBytes, ref.TensorStats.StoredBytes)
+	}
+	if run.CodecStatsG != ref.CodecStatsG || run.CodecStatsC != ref.CodecStatsC {
+		t.Fatalf("resumed codecs decided otherwise: C VoltBlobs %v RegionBits %v, uninterrupted %v %v",
+			run.CodecStatsC.VoltBlobs, run.CodecStatsC.RegionBits, ref.CodecStatsC.VoltBlobs, ref.CodecStatsC.RegionBits)
+	}
 }
 
 // TestResumeRejectsForeignCircuit: a journal must not resume against a

@@ -177,7 +177,12 @@ func TestSimulateCodecRegionStats(t *testing.T) {
 			var blobs int64
 			for o, n := range st.OrderBlobs {
 				blobs += n
-				lines = append(lines, fmt.Sprintf("masc_codec_history_order_blobs_total{tensor=%q,order=\"%d\"} %d\n", tensor, o, n))
+				if v := st.VoltBlobs[o]; v < 0 || v > n {
+					t.Errorf("async=%v tensor %s: %d voltage blobs of %d at order %d", async, tensor, v, n, o)
+				}
+				lines = append(lines,
+					fmt.Sprintf("masc_codec_history_order_blobs_total{tensor=%q,order=\"%d\",family=\"time\"} %d\n", tensor, o, n-st.VoltBlobs[o]),
+					fmt.Sprintf("masc_codec_history_order_blobs_total{tensor=%q,order=\"%d\",family=\"voltage\"} %d\n", tensor, o, st.VoltBlobs[o]))
 			}
 			if want := int64(run.TensorStats.Steps); blobs != want {
 				t.Errorf("async=%v tensor %s: OrderBlobs %v sum to %d, %d blobs were coded", async, tensor, st.OrderBlobs, blobs, want)
@@ -204,9 +209,11 @@ func TestSimulateCodecRegionStats(t *testing.T) {
 }
 
 // TestSimulateCodecRegionStatsOrders: on MOS_T7 — smooth device capacitances under
-// a pulse train — C's encoder extrapolates at order 4 or above on most blobs,
-// G's hardly moves and so hardly extrapolates, the store reports the frames
-// that cost, and a linear circuit's tensor, which never moves, pays none.
+// a pulse train — C's encoder reads five frames or more on most blobs, and on
+// most blobs with two frames or more interpolates in the branch voltage the
+// facade attaches beside them; G's hardly moves and so hardly extrapolates, the
+// store reports the frames that cost, and a linear circuit's tensor, which
+// never moves, pays none.
 func TestSimulateCodecRegionStatsOrders(t *testing.T) {
 	for _, fx := range []struct {
 		name   string
@@ -222,14 +229,16 @@ func TestSimulateCodecRegionStatsOrders(t *testing.T) {
 			t.Fatal(err)
 		}
 		blobs, frame := int64(run.TensorStats.Steps), int64(8*(ds.Ckt.GPat.NNZ()+ds.Ckt.CPat.NNZ()))
-		var high, all int64
+		var high, all, volt int64
 		for o, n := range run.CodecStatsC.OrderBlobs {
 			if all += n; o >= 4 {
 				high += n
 			}
+			volt += run.CodecStatsC.VoltBlobs[o]
 		}
-		t.Logf("%s: OrderBlobs G %v C %v, HistoryBytes %d (frame %d)", fx.name,
-			run.CodecStatsG.OrderBlobs, run.CodecStatsC.OrderBlobs, run.TensorStats.HistoryBytes, frame)
+		t.Logf("%s: OrderBlobs G %v C %v, VoltBlobs G %v C %v, HistoryBytes %d (frame %d)", fx.name,
+			run.CodecStatsG.OrderBlobs, run.CodecStatsC.OrderBlobs, run.CodecStatsG.VoltBlobs, run.CodecStatsC.VoltBlobs,
+			run.TensorStats.HistoryBytes, frame)
 		if all != blobs {
 			t.Fatalf("%s: C's OrderBlobs sum to %d over %d blobs", fx.name, all, blobs)
 		}
@@ -241,7 +250,10 @@ func TestSimulateCodecRegionStatsOrders(t *testing.T) {
 			continue
 		}
 		if 2*high <= blobs {
-			t.Fatalf("%s: C extrapolates at order >= 4 on %d of %d blobs", fx.name, high, blobs)
+			t.Fatalf("%s: C reads five frames or more on %d of %d blobs", fx.name, high, blobs)
+		}
+		if 2*volt <= blobs-2 { // the head has no frame, the step below it one
+			t.Fatalf("%s: C interpolates in the voltage on %d of the %d blobs with two frames or more", fx.name, volt, blobs-2)
 		}
 		if hb := run.TensorStats.HistoryBytes; hb <= frame || hb > masczip.MaxOrder*frame {
 			t.Fatalf("%s: HistoryBytes %d, want between one frame (%d) and %d of them", fx.name, hb, frame, masczip.MaxOrder)
