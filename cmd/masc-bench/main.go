@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("experiment", "all", "table1|fig1|table2|table3|codec|auto|fig5b|fig6|fig7|parallel|pipeline|adjoint|windows|budget|memory|ablation|journal|all")
+		exp        = flag.String("experiment", "all", "table1|fig1|table2|table3|codec|fig5b|fig6|fig7|parallel|pipeline|adjoint|windows|budget|memory|ablation|journal|all")
 		scale      = flag.Float64("scale", 1.0, "workload scale (1 = benchmark size)")
 		workers    = flag.Int("workers", runtime.NumCPU(), "parallel compressor workers")
 		adjWorkers = flag.Int("adjoint-workers", 0, "adjoint experiment: extra reverse-sweep worker count to measure (0 = just the built-in 1/2/4 sweep)")
@@ -101,21 +101,6 @@ func run(exp string, scale float64, workers, adjWorkers, adjWindows, depth int, 
 		}
 		fmt.Print(bench.FormatTable3(cells))
 		man.Section("codec", cells)
-	}
-	if all || exp == "auto" {
-		section("Adaptive codec selection — trial pick vs ex-post best")
-		rows, err := bench.RunAutoSelect(nil, scale, workers)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatAutoSelect(rows))
-		man.Section("autoselect", rows)
-		for _, r := range rows {
-			if !r.WithinTol {
-				fmt.Printf("WARNING: %s picked %s at %.0f%% of the ex-post best (%s)\n",
-					r.Dataset, r.Picked, 100*r.SelEfficiencyRatio, r.ExPostBest)
-			}
-		}
 	}
 	if all || exp == "fig5b" || exp == "fig6" {
 		section("Figures 5b & 6 — residual and model-selection statistics")

@@ -122,7 +122,7 @@ func main() {
 
 	fmt.Printf("masc-verify: %d cases, seed %d: %d passed, %d failed (%.1fs)\n",
 		len(cases), *seed, len(cases)-fr.Failed, fr.Failed, time.Since(start).Seconds())
-	fmt.Printf("  layers: dense oracle vs recompute/sync/async (bitwise), store fetch sweep (bitwise),\n")
+	fmt.Printf("  layers: dense oracle vs recompute/sync/async and markov sync/async/windows/budget (bitwise), store fetch sweep (bitwise),\n")
 	fmt.Printf("          direct method (max rel err %.3g), finite differences (%d checked, %d skipped, max rel err %.3g)\n",
 		fr.MaxDirectErr, fr.FDChecked, fr.FDSkipped, fr.MaxFDErr)
 	if *maniPath != "" {

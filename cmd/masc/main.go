@@ -5,9 +5,7 @@
 //	masc -netlist lowpass.sp -storage masc -workers 4
 //
 // The storage flag selects the Jacobian strategy the paper compares:
-// recompute (Xyce-style), memory, disk, masc, masc+markov — plus auto,
-// which trials the codec menu on the first captured steps and commits the
-// run to the best lossless codec by bytes saved per second.
+// recompute (Xyce-style), memory, disk, masc (best-fit) and masc+markov.
 //
 // Crash durability: -journal run.wal checkpoints every accepted step into a
 // write-ahead journal; after a crash, kill, or -deadline expiry the same
@@ -65,7 +63,7 @@ type cli struct {
 func main() {
 	var c cli
 	flag.StringVar(&c.path, "netlist", "", "netlist file (required)")
-	flag.StringVar(&c.storage, "storage", "masc", "jacobian storage: recompute|memory|disk|masc|masc+markov|auto (auto trials the codec menu on the first steps and commits the best)")
+	flag.StringVar(&c.storage, "storage", "masc", "jacobian storage: recompute|memory|disk|masc|masc+markov")
 	flag.IntVar(&c.workers, "workers", 1, "parallel compressor workers")
 	flag.IntVar(&c.adjWorkers, "adjoint-workers", 1, "reverse-sweep workers (shards dF/dp + overlaps fetches; results are bit-identical for any count)")
 	flag.IntVar(&c.adjWindows, "adjoint-windows", 0, "parallel-in-time window sweeps: N>1 concurrent windows, -1 auto-sizes from CPUs and step count, 0/1 one sweep (results are bit-identical for any value)")
@@ -259,14 +257,8 @@ func run(c cli) error {
 				st.TierDiskSteps, st.TierDroppedSteps,
 				st.TierDemotions, st.TierDirectDrops, st.TierPromotions, st.TierRecomputes)
 		}
-		if run.SelectedCodec != "" {
-			fmt.Printf("codec: auto selected %q over", run.SelectedCodec)
-			for _, t := range run.CodecTrials {
-				fmt.Printf(" %s(CR %.2f, %.0f MB/s saved)", t.Name, t.Ratio(), t.Score/1e6)
-			}
-			fmt.Println()
-		}
-		if c.async && (run.Storage == masc.StorageMASC || run.Storage == masc.StorageMASCMarkov || run.Storage == masc.StorageAuto) {
+		// Async is inert under a budget: the tiered store compresses inside Put.
+		if c.async && st.BudgetBytes == 0 && (run.Storage == masc.StorageMASC || run.Storage == masc.StorageMASCMarkov) {
 			fmt.Printf("pipeline: compress %v moved off the solver thread, %v leaked back as Put stalls\n",
 				st.CompressTime, st.StallTime)
 		}
@@ -358,10 +350,6 @@ func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, st
 			"jacobian_nnz":     deck.Ckt.JPat.NNZ(),
 		})
 		man.Set("adjoint_windows_ran", run.Sens.Windows)
-		if run.SelectedCodec != "" {
-			man.Set("selected_codec", run.SelectedCodec)
-			man.Section("codec_trials", run.CodecTrials)
-		}
 		if run.HasCodecStats {
 			man.Section("codec_g", run.CodecStatsG)
 			man.Section("codec_c", run.CodecStatsC)

@@ -144,6 +144,74 @@ func TestStoreSlicesConcurrentSweeps(t *testing.T) {
 	}
 }
 
+// TestMarkovAnchorsAndSlices: the Markov selector's counts carry from blob to
+// blob, so an anchor must restart them — a slice between two anchors decodes
+// bit-exact with only its own blobs, and async stores the bytes sync does.
+func TestMarkovAnchorsAndSlices(t *testing.T) {
+	const steps = 24
+	jp, cp, js, cs := tensorFixture(19, 6, steps)
+	stored := map[bool]int64{}
+	for _, async := range []bool{false, true} {
+		name := "sync"
+		if async {
+			name = "async"
+		}
+		t.Run(name, func(t *testing.T) {
+			mo := masczip.Options{Markov: true, CalibEvery: 4}
+			jc, cc := masczip.New(jp, mo), masczip.New(cp, mo)
+			var st *CompressedStore
+			if async {
+				st = NewCompressedStoreAsync(jc, cc, jp, cp, 2)
+			} else {
+				st = NewCompressedStore(jc, cc, jp, cp)
+			}
+			defer st.Close()
+			st.SetAnchorEvery(6)
+			for i := range js {
+				if err := st.Put(i, js[i], cs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.EndForward(); err != nil {
+				t.Fatal(err)
+			}
+			stored[async] = st.Stats().StoredBytes
+			anchors := st.AnchorSteps()
+			if len(anchors) < 3 {
+				t.Fatalf("AnchorSteps() = %v, want ≥3 anchors with cadence 6 over %d steps", anchors, steps)
+			}
+			lo, hi := anchors[0]+1, anchors[1]
+			sl, err := st.Slice(lo, hi)
+			if err != nil {
+				t.Fatalf("Slice(%d,%d): %v", lo, hi, err)
+			}
+			for i := hi; i >= lo; i-- {
+				jv, cv, err := sl.Fetch(i)
+				if err != nil {
+					t.Fatalf("slice fetch %d: %v", i, err)
+				}
+				for k := range jv {
+					if math.Float64bits(jv[k]) != math.Float64bits(js[i][k]) {
+						t.Fatalf("slice step %d: J[%d] mismatch", i, k)
+					}
+				}
+				for k := range cv {
+					if math.Float64bits(cv[k]) != math.Float64bits(cs[i][k]) {
+						t.Fatalf("slice step %d: C[%d] mismatch", i, k)
+					}
+				}
+				if i < hi {
+					sl.Release(i + 1)
+				}
+			}
+			sl.Release(lo)
+		})
+	}
+	if stored[false] != stored[true] {
+		t.Fatalf("stored bytes diverge: sync %d async %d", stored[false], stored[true])
+	}
+}
+
 // TestCorruptAnchorFallsBackToBlob pins the degradation contract: a rotted
 // anchor frame is dropped and the fetch silently decodes the step's
 // self-contained blob instead — same values, one corruption counted.

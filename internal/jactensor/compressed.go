@@ -42,18 +42,10 @@ import (
 // on a background goroutine while the adjoint solve consumes step i. The blob
 // sequence is byte-identical to sync mode: both run the same runJob calls in
 // the same order, the worker merely elsewhere.
-//
-// Built by NewAutoStore, the store starts with no codecs: it parks the first
-// TrialSteps frames, trials the candidate menu on them, binds the winner and
-// replays the parked frames through put (auto.go).
 type CompressedStore struct {
 	core
 	issued int // steps whose seal job has been issued; only Put and EndForward's caller touches it
 	at     int // the lowest step the reverse sweep has fetched
-
-	trial    *autoTrial // non-nil while the codecs are unbound
-	selected string     // the codec a trial bound, and its scorecards
-	trials   []compress.TrialResult
 
 	// mu guards everything above that a worker, prefetch, window slice or
 	// abandoned fetcher goroutine can touch (steps and their records, arena,
@@ -131,9 +123,6 @@ func NewCompressedStoreAsync(jc, cc compress.Compressor, jPat, cPat *sparse.Patt
 func (s *CompressedStore) Attach(a Attachment) {
 	s.attach(a, "compressed")
 	s.cd.trace(s.ob.rec)
-	if s.trial != nil {
-		s.trial.ob = newAutoObs(a.Obs, s.trial.cfg.Candidates)
-	}
 }
 
 // SetAnchorEvery makes every k-th step (step 0 excluded) a window anchor.
@@ -145,7 +134,12 @@ func (s *CompressedStore) SetAnchorEvery(k int) {
 	}
 }
 
-// Put implements Store.
+// Put implements Store: the admitted step's values, and the state it was
+// produced at (nil = none), join the history window, and the step depth below
+// it, whose history is now complete, is sealed. The two modes differ in one
+// thing only — sync runs that job here; async hands it to the worker, so the
+// caller proceeds to the next timestep at once and a worker error surfaces one
+// Put late at worst.
 func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 	s.mu.Lock()
 	err := s.ferr
@@ -156,26 +150,12 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 	if err != nil {
 		return err
 	}
-	x := s.stateOf(step)
-	if s.trial != nil {
-		return s.park(jVals, cVals, x)
-	}
-	return s.put(step, jVals, cVals, x)
-}
-
-// put takes an admitted step and the state it was produced at (nil = none):
-// its values join the history window, and the step depth below it, whose
-// history is now complete, is sealed. The two modes differ in one thing only —
-// sync runs that job here; async hands it to the worker, so the caller
-// proceeds to the next timestep at once and a worker error surfaces one Put
-// late at worst.
-func (s *CompressedStore) put(step int, jVals, cVals, x []float64) error {
 	psp := s.ob.rec.Start(s.ob.spanParent(), span.Put, step)
 	defer psp.End()
 	// The chain cuts at an anchor: its blob is self-contained and its
 	// plaintext retained. The head is never one (EndForward clears the mark).
 	st := s.newRec(step)
-	st.x = x
+	st.x = s.stateOf(step)
 	s.mu.Lock()
 	var below pair
 	if step > 0 {
@@ -411,8 +391,8 @@ func (s *CompressedStore) drain() error {
 // EndForward implements Store: the steps still waiting for their history are
 // sealed against what is above them, the final step with no reference, so the
 // reverse chain has a self-contained head, and its plaintext stays resident as
-// the first frame the sweep reads. A trial still pending (a run shorter than
-// its window) binds first; in async mode the compression queue drains first.
+// the first frame the sweep reads. In async mode the compression queue drains
+// first.
 func (s *CompressedStore) EndForward() error {
 	s.mu.Lock()
 	if s.forwardDone {
@@ -426,11 +406,6 @@ func (s *CompressedStore) EndForward() error {
 	// Block further Puts before the queue closes.
 	s.forwardDone = true
 	s.mu.Unlock()
-	if s.trial != nil {
-		if err := s.bind(); err != nil {
-			return err
-		}
-	}
 	if err := s.drain(); err != nil {
 		return err
 	}
@@ -775,7 +750,6 @@ func (s *CompressedStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closeCore()
-	s.trial = nil
 	return s.ferr
 }
 

@@ -318,15 +318,12 @@ type core struct {
 }
 
 func newCore(jc, cc compress.Compressor) core {
-	k := core{
+	return core{
+		cd:     newCodecs(jc, cc),
 		arena:  blobArena{src: defaultChunks()},
 		frameJ: make([]byte, blobframe.HeaderSize),
 		frameC: make([]byte, blobframe.HeaderSize),
 	}
-	if jc != nil { // an auto store binds its codecs after the trial
-		k.cd = newCodecs(jc, cc)
-	}
-	return k
 }
 
 // newRec starts the record of an admitted step. Step 0 is never an anchor:

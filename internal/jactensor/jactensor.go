@@ -13,8 +13,8 @@
 // call (storeBase). CompressedStore is the chain policy over it — the
 // paper's Algorithm 2: every blob in RAM, each predicted from the steps above
 // it (as many as its codecs read, held in a window of plaintext frames), sync
-// or pipelined, with window views (StoreSlice) and, built by
-// NewAutoStore, codecs picked by an on-line trial. TieredStore is the ladder
+// or pipelined, with window views (StoreSlice), over the codecs its caller
+// names. TieredStore is the ladder
 // policy: it holds a memory budget by placing each step on RAM, compressed
 // RAM, disk or recompute. MemStore (raw in-memory, the reference the others
 // are compared with) and DiskStore (raw spill) keep plaintext and share only

@@ -121,30 +121,14 @@ func tieredShape(name string, budgetFrames int64, noDisk bool) modelShape {
 }
 
 func modelShapes() []modelShape {
-	chainedMk := func(async, auto bool) func(t *testing.T, rng *rand.Rand, f *modelFixture, anchorEvery int) Store {
+	chainedMk := func(async bool) func(t *testing.T, rng *rand.Rand, f *modelFixture, anchorEvery int) Store {
 		return func(t *testing.T, rng *rand.Rand, f *modelFixture, anchorEvery int) Store {
 			var st *CompressedStore
 			depth := 1 + rng.Intn(8)
-			switch {
-			case auto:
-				var err error
-				st, err = NewAutoStore(AutoConfig{
-					Candidates: []AutoCandidate{
-						{Name: "masc", New: func() (compress.Compressor, compress.Compressor) {
-							return masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{})
-						}},
-						{Name: "chimp", New: func() (compress.Compressor, compress.Compressor) { return chimpz.NewTemporal(), chimpz.NewTemporal() }},
-					},
-					TrialSteps: 1 + rng.Intn(10), Async: async, PipelineDepth: depth, JPat: f.jp, CPat: f.cp,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			case async:
-				jc, cc := modelCodecs(rng, f)
+			jc, cc := modelCodecs(rng, f)
+			if async {
 				st = NewCompressedStoreAsync(jc, cc, f.jp, f.cp, depth)
-			default:
-				jc, cc := modelCodecs(rng, f)
+			} else {
 				st = NewCompressedStore(jc, cc, f.jp, f.cp)
 			}
 			if st.async != async {
@@ -171,10 +155,8 @@ func modelShapes() []modelShape {
 			// One encode scratch and one fetch buffer pair, whatever the
 			// step count.
 			bound: func(f *modelFixture, _ int, _ int64, _, _, _ int) int64 { return 3 * f.frame }},
-		{name: "compressed", chained: true, mk: chainedMk(false, false), bound: chainedBound(0)},
-		{name: "compressed-async", chained: true, mk: chainedMk(true, false), bound: chainedBound(8)},
-		{name: "auto", chained: true, mk: chainedMk(false, true), bound: chainedBound(0)},
-		{name: "auto-async", chained: true, mk: chainedMk(true, true), bound: chainedBound(8)},
+		{name: "compressed", chained: true, mk: chainedMk(false), bound: chainedBound(0)},
+		{name: "compressed-async", chained: true, mk: chainedMk(true), bound: chainedBound(8)},
 		tieredShape("tiered-unlimited", 0, false),
 		tieredShape("tiered-tight", 5, false),
 		tieredShape("tiered-diskless", 5, true),
@@ -196,8 +178,7 @@ type modelRun struct {
 	anchors, held int
 }
 
-// hist is the history depth of a chained store's codecs (once an auto store
-// has bound them), 0 for the others.
+// hist is the history depth of a chained store's codecs, 0 for the others.
 func (m *modelRun) hist() int {
 	if cs, ok := m.st.(*CompressedStore); ok {
 		return cs.cd.depth
@@ -416,7 +397,7 @@ func (m *modelRun) reverse() {
 // TestStoreModel is the model-based suite: random schedules of Put,
 // EndForward, Fetch in every order a store's contract allows, Release and
 // Repair — serial, through window slices and in the shared-source pattern —
-// over every constructor, codec menus, anchor spacings, budgets (none,
+// over every constructor, codec pairs, anchor spacings, budgets (none,
 // tight, tight and diskless), states attached or not and injected frame and
 // blob rot, each checked against a map. Bits are equal, refusals are typed, PeakResident stays
 // under its bound, and a quarantined step heals through Repair and only
@@ -487,9 +468,6 @@ func TestPutContract(t *testing.T) {
 	masc := func() (compress.Compressor, compress.Compressor) {
 		return masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{})
 	}
-	if _, err := NewAutoStore(AutoConfig{}); err == nil {
-		t.Fatal("empty candidate menu accepted")
-	}
 	for name, mk := range map[string]func() (Store, error){
 		"memory": func() (Store, error) { return NewMemStore(), nil },
 		"disk":   func() (Store, error) { return NewDiskStore(t.TempDir(), 0) },
@@ -500,9 +478,6 @@ func TestPutContract(t *testing.T) {
 		"compressed-async": func() (Store, error) {
 			jc, cc := masc()
 			return NewCompressedStoreAsync(jc, cc, jp, cp, 2), nil
-		},
-		"auto": func() (Store, error) {
-			return NewAutoStore(AutoConfig{Candidates: []AutoCandidate{{Name: "masc", New: masc}}, JPat: jp, CPat: cp})
 		},
 		"tiered": func() (Store, error) {
 			jc, cc := masc()

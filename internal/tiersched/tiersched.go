@@ -96,8 +96,8 @@ func (c *FakeClock) Advance(d time.Duration) {
 }
 
 // RateMeter accumulates (bytes, duration) samples of one operation class —
-// the cost-model primitive behind the tier ladder, also reused by the codec
-// autopilot to score compression trials. The zero value is an empty meter.
+// the cost-model primitive behind the tier ladder. The zero value is an empty
+// meter.
 // Not safe for concurrent use on its own; Model serializes access under its
 // mutex.
 type RateMeter struct {

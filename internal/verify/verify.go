@@ -218,10 +218,13 @@ func compareDOdp(r *CaseReport, label string, want, got [][]float64) {
 //  1. the pipeline four ways — dense in-RAM oracle, recompute, sync
 //     compressed, async compressed — with bit-identical sensitivities
 //     required across all four;
-//  2. a store-level sweep over one shared forward run, requiring
+//  2. the Markov-selector storage sync, async, under windowed reverse
+//     sweeps and under a memory budget, each bit-identical to the dense
+//     oracle, with async storing exactly sync's bytes;
+//  3. a store-level sweep over one shared forward run, requiring
 //     bit-identical Jacobian fetches from dense, sync and async stores;
-//  3. the direct (forward) sensitivity method within DirectTol;
-//  4. central finite differences with Richardson extrapolation on a
+//  4. the direct (forward) sensitivity method within DirectTol;
+//  5. central finite differences with Richardson extrapolation on a
 //     parameter subset within FDTol.
 //
 // The returned error reports infrastructure failure (the case could not be
@@ -272,7 +275,7 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 		}
 	}
 
-	verifyAuto(c, opt, rep, dense)
+	verifyMarkov(c, opt, rep, dense)
 	verifyStores(c, opt, rep)
 	verifyDirect(c, opt, rep, dense)
 	if opt.FDChecks > 0 {
@@ -281,56 +284,42 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 	return rep, nil
 }
 
-// verifyAuto runs the adaptive-codec storage through every execution mode —
+// verifyMarkov runs the Markov-selector storage through every execution mode —
 // sync, async, windowed reverse sweeps, and a tiered memory budget — and
 // requires bit-identical sensitivities against the dense oracle for all of
-// them. The auto trial buffers and replays the first captured steps, so any
-// replay divergence (wrong codec state, lost step, reordered Put) surfaces
-// here as a bit mismatch.
-func verifyAuto(c *Case, opt Options, rep *CaseReport, dense *masc.Run) {
+// them. The selector's counts carry state from blob to blob, so a lost or
+// reordered Put, or an anchor that fails to restart them, surfaces here as a
+// bit mismatch; and async must store exactly the bytes sync does.
+func verifyMarkov(c *Case, opt Options, rep *CaseReport, dense *masc.Run) {
 	runMode := func(label string, mutate func(*masc.SimOptions)) *masc.Run {
 		bt, err := c.Build()
 		if err != nil {
-			rep.failf("auto %s rebuild: %v", label, err)
+			rep.failf("markov %s rebuild: %v", label, err)
 			return nil
 		}
 		so := bt.SimBase
-		so.Storage = masc.StorageAuto
+		so.Storage = masc.StorageMASCMarkov
 		so.Workers = opt.Workers
 		so.PipelineDepth = opt.PipelineDepth
-		if mutate != nil {
-			mutate(&so)
-		}
+		mutate(&so)
 		run, err := masc.Simulate(bt.Ckt, so, bt.Objectives, nil)
 		if err != nil {
-			rep.failf("auto %s run: %v", label, err)
+			rep.failf("markov %s run: %v", label, err)
 			return nil
 		}
-		compareDOdp(rep, "auto-"+label+" vs dense", dense.Sens.DOdp, run.Sens.DOdp)
+		compareDOdp(rep, "markov-"+label+" vs dense", dense.Sens.DOdp, run.Sens.DOdp)
 		return run
 	}
 
-	if sync := runMode("sync", nil); sync != nil {
-		if sync.SelectedCodec == "" {
-			rep.failf("auto-sync: no codec selected")
-		}
-		if sync.TensorStats.Steps != dense.TensorStats.Steps {
-			rep.failf("auto-sync store steps %d vs dense %d",
-				sync.TensorStats.Steps, dense.TensorStats.Steps)
-		}
-		if async := runMode("async", func(so *masc.SimOptions) { so.Async = true }); async != nil {
-			if async.SelectedCodec == "" {
-				rep.failf("auto-async: no codec selected")
-			}
-			// The winner is a timing call (bytes saved per second), so sync
-			// and async runs may legitimately crown different codecs; but
-			// when they agree, the committed blob streams must be identical.
-			if async.SelectedCodec == sync.SelectedCodec &&
-				async.TensorStats.StoredBytes != sync.TensorStats.StoredBytes {
-				rep.failf("auto-async stored %d bytes vs sync %d under the same codec %q: pipelines diverged",
-					async.TensorStats.StoredBytes, sync.TensorStats.StoredBytes, sync.SelectedCodec)
-			}
-		}
+	sync := runMode("sync", func(*masc.SimOptions) {})
+	if sync != nil && sync.TensorStats.Steps != dense.TensorStats.Steps {
+		rep.failf("markov-sync store steps %d vs dense %d",
+			sync.TensorStats.Steps, dense.TensorStats.Steps)
+	}
+	async := runMode("async", func(so *masc.SimOptions) { so.Async = true })
+	if sync != nil && async != nil && async.TensorStats.StoredBytes != sync.TensorStats.StoredBytes {
+		rep.failf("markov-async stored %d bytes vs sync %d: pipelines diverged",
+			async.TensorStats.StoredBytes, sync.TensorStats.StoredBytes)
 	}
 
 	windows := opt.AdjointWindows
@@ -345,12 +334,7 @@ func verifyAuto(c *Case, opt Options, rep *CaseReport, dense *masc.Run) {
 		// leaving the hot tier usable.
 		budget = 1 << 20
 	}
-	if tiered := runMode("budget", func(so *masc.SimOptions) { so.MemBudgetBytes = budget }); tiered != nil {
-		if tiered.SelectedCodec != "" {
-			rep.failf("auto-budget: trial ran under a budget (selected %q); it must be inert",
-				tiered.SelectedCodec)
-		}
-	}
+	runMode("budget", func(so *masc.SimOptions) { so.MemBudgetBytes = budget })
 }
 
 // verifyStores runs ONE forward integration captured into three stores at

@@ -99,7 +99,7 @@ func TestTensorStatsCountTheStoredPair(t *testing.T) {
 			budget  int64
 		}{
 			{StorageMemory, 0}, {StorageDisk, 0}, {StorageMASC, 0}, {StorageMASCMarkov, 0},
-			{StorageAuto, 0}, {StorageMASC, 256 << 10},
+			{StorageMASC, 256 << 10},
 		} {
 			label := fmt.Sprintf("%s/%s/budget=%d", fx.name, tc.storage, tc.budget)
 			run, err := Simulate(ckt, SimOptions{Transient: ds.Tran, Storage: tc.storage,

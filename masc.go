@@ -9,10 +9,9 @@
 // whose per-timestep Jacobian tensor is retained through one of the
 // Storage strategies: recomputation (the Xyce-style baseline), raw memory,
 // bandwidth-modelled disk spill, MASC's lossless spatiotemporally predicted
-// in-memory compression (plain, with the Markov selector, or with the codec
-// picked by an on-line trial), and — under SimOptions.MemBudgetBytes — a
-// tiered store that places every step on hot RAM, compressed RAM, disk or
-// recompute.
+// in-memory compression (best-fit, or with the Markov selector), and — under
+// SimOptions.MemBudgetBytes — a tiered store that places every step on hot
+// RAM, compressed RAM, disk or recompute.
 //
 // Quick start:
 //
@@ -39,10 +38,7 @@ import (
 
 	"masc/internal/adjoint"
 	"masc/internal/circuit"
-	"masc/internal/compress"
-	"masc/internal/compress/gzipz"
 	"masc/internal/compress/masczip"
-	"masc/internal/compress/spicemate"
 	"masc/internal/device"
 	"masc/internal/faultinject"
 	"masc/internal/jactensor"
@@ -99,9 +95,6 @@ type (
 	// CodecStats is the predictor-selection statistics of one masczip
 	// encoder (G or C), available via SimOptions.CollectCodecStats.
 	CodecStats = masczip.Stats
-	// CodecTrial is one candidate's scorecard from the "auto" storage
-	// selection trial (Run.CodecTrials).
-	CodecTrial = compress.TrialResult
 
 	// SpanRecorder is the bounded in-memory recorder of hierarchical run
 	// spans (Observer.Spans). Nil recorders are inert everywhere.
@@ -205,14 +198,6 @@ const (
 	StorageMASC Storage = "masc"
 	// StorageMASCMarkov is MASC with the Markov model selector.
 	StorageMASCMarkov Storage = "masc+markov"
-	// StorageAuto trials the codec menu (masc, masc+markov, gzip,
-	// spicemate) on the first captured steps, scores each candidate on
-	// bytes saved per second of compression, and commits the run to the
-	// best lossless codec (ties fall back to masc). The committed blob
-	// stream is byte-identical to a run that had selected that codec from
-	// step 0, so sensitivities stay bit-exact. Under MemBudgetBytes the
-	// tiered store takes over with the MASC codec and the trial is inert.
-	StorageAuto Storage = "auto"
 )
 
 // SimOptions configures Simulate.
@@ -255,7 +240,7 @@ type SimOptions struct {
 	DiskDir         string
 	// MemBudgetBytes caps the Jacobian store's modelled resident bytes
 	// ("finish this sweep in 256 MB"). A positive budget replaces the
-	// in-RAM storage strategies (memory, masc, masc+markov, auto) with a
+	// in-RAM storage strategies (memory, masc, masc+markov) with a
 	// tiered store that places each step across hot RAM → compressed RAM →
 	// disk spill → deliberate drop-and-recompute, scheduled by a cost model
 	// fed with timings measured from the first steps of the run. The selected
@@ -330,12 +315,6 @@ type Run struct {
 	// HasCodecStats (MASC storage with SimOptions.CollectCodecStats set).
 	CodecStatsG, CodecStatsC CodecStats
 	HasCodecStats            bool
-	// SelectedCodec names the codec the "auto" storage committed the run
-	// to; empty for every other storage strategy (and for budget-tiered
-	// auto runs, where the trial is inert). CodecTrials holds the
-	// per-candidate scorecards behind the selection.
-	SelectedCodec string
-	CodecTrials   []CodecTrial
 }
 
 // runPlan is the fully resolved shape of one simulation: the merged solver
@@ -374,12 +353,8 @@ func newRunPlan(opt *SimOptions, objectives []Objective, params []int) (*runPlan
 		topt.NewtonBudget = opt.NewtonBudget
 	}
 	storage := opt.Storage
-	switch storage {
-	case "":
-		storage = StorageMASC
-	case StorageRecompute, StorageMemory, StorageDisk, StorageMASC, StorageMASCMarkov, StorageAuto:
-	default:
-		return nil, fmt.Errorf("masc: unknown storage strategy %q", storage)
+	if storage == "" {
+		storage = StorageMASC // an unknown name fails in newStore
 	}
 	workers := opt.Workers
 	if workers < 1 {
@@ -407,16 +382,27 @@ func newRunPlan(opt *SimOptions, objectives []Objective, params []int) (*runPlan
 // an unusable spill directory.
 func (plan *runPlan) newStore(ckt *Circuit, opt *SimOptions) (jactensor.Store, error) {
 	storage := plan.storage
+	switch storage {
+	case StorageRecompute:
+		return nil, nil
+	case StorageDisk:
+		return jactensor.NewDiskStore(opt.DiskDir, opt.DiskBytesPerSec)
+	case StorageMemory, StorageMASC, StorageMASCMarkov:
+	default:
+		// A caller's typo, or a journal naming a storage this build does not
+		// have: either way, before the journal is opened.
+		return nil, fmt.Errorf("masc: unknown storage strategy %q", storage)
+	}
 	// Under a budget the tiered store owns residency policy for every in-RAM
-	// strategy: the auto trial, Async and CollectCodecStats are inert, and
-	// the codec is the MASC pair.
-	budgeted := opt.MemBudgetBytes > 0 && storage != StorageRecompute && storage != StorageDisk
-	mascPair := func(markov bool) func() (compress.Compressor, compress.Compressor) {
-		return func() (compress.Compressor, compress.Compressor) {
-			mo := masczip.Options{Markov: markov, Workers: plan.workers,
-				CollectStats: opt.CollectCodecStats && !budgeted}
-			return masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
-		}
+	// strategy: Async and CollectCodecStats are inert, and the codec is the
+	// MASC pair.
+	budgeted := opt.MemBudgetBytes > 0
+	// mascPair is the one place the storage name becomes codecs: masc+markov
+	// turns on the Markov selector, masc and memory are best-fit.
+	mascPair := func() (*masczip.Compressor, *masczip.Compressor) {
+		mo := masczip.Options{Markov: storage == StorageMASCMarkov, Workers: plan.workers,
+			CollectStats: opt.CollectCodecStats && !budgeted}
+		return masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
 	}
 	// anchored cuts the store at ~W steps across the estimated trajectory, so
 	// every window boundary lands on a self-contained frame the reverse
@@ -428,12 +414,8 @@ func (plan *runPlan) newStore(ckt *Circuit, opt *SimOptions) (jactensor.Store, e
 		}
 	}
 	switch {
-	case storage == StorageRecompute:
-		return nil, nil
-	case storage == StorageDisk:
-		return jactensor.NewDiskStore(opt.DiskDir, opt.DiskBytesPerSec)
 	case budgeted:
-		gc, cc := mascPair(storage == StorageMASCMarkov)()
+		gc, cc := mascPair()
 		ts := jactensor.NewTieredStore(gc, cc, jactensor.TieredConfig{
 			BudgetBytes:     opt.MemBudgetBytes,
 			DiskDir:         opt.DiskDir,
@@ -444,45 +426,16 @@ func (plan *runPlan) newStore(ckt *Circuit, opt *SimOptions) (jactensor.Store, e
 		return ts, nil
 	case storage == StorageMemory:
 		return jactensor.NewMemStore(), nil
-	case storage == StorageMASC || storage == StorageMASCMarkov:
-		gc, cc := mascPair(storage == StorageMASCMarkov)()
-		var cs *jactensor.CompressedStore
-		if opt.Async {
-			cs = jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, opt.PipelineDepth)
-		} else {
-			cs = jactensor.NewCompressedStore(gc, cc, ckt.GPat, ckt.CPat)
-		}
-		anchored(cs)
-		return cs, nil
-	case storage == StorageAuto:
-		// Adaptive codec selection: trial the menu on the first captured
-		// steps, commit to the best lossless codec by bytes saved per second.
-		// The MASC pairs are listed first so "nothing is measurably better"
-		// falls back to masczip; spicemate is lossy and therefore trialed for
-		// telemetry only, never committed.
-		cs, err := jactensor.NewAutoStore(jactensor.AutoConfig{
-			Candidates: []jactensor.AutoCandidate{
-				{Name: string(StorageMASC), New: mascPair(false)},
-				{Name: string(StorageMASCMarkov), New: mascPair(true)},
-				{Name: "gzip", New: func() (compress.Compressor, compress.Compressor) {
-					return gzipz.New(), gzipz.New()
-				}},
-				{Name: "spicemate", New: func() (compress.Compressor, compress.Compressor) {
-					return spicemate.New(), spicemate.New()
-				}},
-			},
-			Async:         opt.Async,
-			PipelineDepth: opt.PipelineDepth,
-			JPat:          ckt.GPat,
-			CPat:          ckt.CPat,
-		})
-		if err != nil {
-			return nil, err
-		}
-		anchored(cs)
-		return cs, nil
 	}
-	return nil, fmt.Errorf("masc: unknown storage strategy %q", storage)
+	gc, cc := mascPair()
+	var cs *jactensor.CompressedStore
+	if opt.Async {
+		cs = jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, opt.PipelineDepth)
+	} else {
+		cs = jactensor.NewCompressedStore(gc, cc, ckt.GPat, ckt.CPat)
+	}
+	anchored(cs)
+	return cs, nil
 }
 
 // Simulate runs the full MASC pipeline on ckt: forward transient analysis
@@ -732,13 +685,6 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 	}
 	if store != nil {
 		run.TensorStats = store.Stats()
-		if as, ok := store.(interface {
-			Selected() (string, []compress.TrialResult, bool)
-		}); ok {
-			if name, trials, ok := as.Selected(); ok {
-				run.SelectedCodec, run.CodecTrials = name, trials
-			}
-		}
 		if cs, ok := store.(interface {
 			PredictorStats() (masczip.Stats, masczip.Stats, bool)
 		}); ok {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"masc/internal/blobframe"
@@ -263,6 +264,60 @@ func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 			t.Fatalf("resume of a version-%d journal: %v, want ErrFormatVersion", version, err)
 		}
 	}
+}
+
+// TestResumeRejectsRetiredStorage: a journal whose config names a storage this
+// build no longer has ("auto", the retired codec trial) fails by that name when
+// unfinished, before the journal is reopened, so the file is left as it was; a
+// finished one still returns its recorded sensitivities, which need no store.
+func TestResumeRejectsRetiredStorage(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	path := filepath.Join(t.TempDir(), "run.journal")
+	good, err := Simulate(ckt, SimOptions{TStep: 2e-6, TStop: 5e-5, Journal: path},
+		[]Objective{obj}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := journalFrameEnds(t, data)
+	// UseNumber keeps the 64-bit circuit hash exact through the rewrite.
+	dec := json.NewDecoder(bytes.NewReader(data[blobframe.HeaderSize:ends[0]]))
+	dec.UseNumber()
+	var cfg map[string]any
+	if err := dec.Decode(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["storage"] = "auto"
+	payload, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := func(cut int) []byte {
+		journal := append(blobframe.Wrap('R', 0, payload), data[ends[0]:cut]...)
+		if err := os.WriteFile(path, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return journal
+	}
+
+	unfinished := retired(ends[len(ends)/3])
+	_, err = Resume(ckt, path, SimOptions{})
+	if err == nil || !strings.Contains(err.Error(), `"auto"`) {
+		t.Fatalf("resume of an unfinished auto journal: %v, want an error naming \"auto\"", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, unfinished) {
+		t.Fatalf("the refused resume touched the journal (%d bytes, was %d; %v)", len(after), len(unfinished), err)
+	}
+
+	retired(len(data))
+	done, err := Resume(ckt, path, SimOptions{})
+	if err != nil {
+		t.Fatalf("resume of a finished auto journal: %v", err)
+	}
+	sameBits(t, "finished auto journal", done.Sens.DOdp, good.Sens.DOdp)
 }
 
 // TestSimulateCancellation: a pre-canceled context and an expired deadline
