@@ -5,8 +5,8 @@
 //	masc-bench -experiment all -scale 0.25
 //
 // Experiments: table1, fig1, table2, table3, fig5b, fig6, fig7, parallel,
-// pipeline, adjoint, windows, budget, memory, ablation, all. Scale 1 is
-// the benchmark size (minutes); use smaller scales for a quick look.
+// ablation, all. Scale 1 is the benchmark size (minutes); use smaller scales
+// for a quick look.
 package main
 
 import (
@@ -20,25 +20,25 @@ import (
 	"masc/internal/obs"
 )
 
+// experiments is the -experiment usage string: every name run accepts.
+const experiments = "table1|fig1|table2|table3|fig5b|fig6|fig7|parallel|ablation|all"
+
 func main() {
 	var (
-		exp        = flag.String("experiment", "all", "table1|fig1|table2|table3|codec|fig5b|fig6|fig7|parallel|pipeline|adjoint|windows|budget|memory|ablation|journal|all")
-		scale      = flag.Float64("scale", 1.0, "workload scale (1 = benchmark size)")
-		workers    = flag.Int("workers", runtime.NumCPU(), "parallel compressor workers")
-		adjWorkers = flag.Int("adjoint-workers", 0, "adjoint experiment: extra reverse-sweep worker count to measure (0 = just the built-in 1/2/4 sweep)")
-		adjWindows = flag.Int("adjoint-windows", 0, "windows experiment: extra window count to measure (0 = just the built-in 2/4/NumCPU sweep)")
-		depth      = flag.Int("pipeline-depth", 2, "async pipeline depth for the pipeline experiment")
-		diskBps    = flag.Float64("disk-bps", bench.DefaultDiskBps, "simulated disk bandwidth (bytes/s)")
-		statsJSON  = flag.String("stats-json", "", "write every experiment's raw rows as one JSON document")
+		exp       = flag.String("experiment", "all", experiments)
+		scale     = flag.Float64("scale", 1.0, "workload scale (1 = benchmark size)")
+		workers   = flag.Int("workers", runtime.NumCPU(), "parallel compressor workers")
+		diskBps   = flag.Float64("disk-bps", bench.DefaultDiskBps, "simulated disk bandwidth (bytes/s)")
+		statsJSON = flag.String("stats-json", "", "write every experiment's raw rows as one JSON document")
 	)
 	flag.Parse()
-	if err := run(strings.ToLower(*exp), *scale, *workers, *adjWorkers, *adjWindows, *depth, *diskBps, *statsJSON); err != nil {
+	if err := run(strings.ToLower(*exp), *scale, *workers, *diskBps, *statsJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "masc-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, scale float64, workers, adjWorkers, adjWindows, depth int, diskBps float64, statsJSON string) error {
+func run(exp string, scale float64, workers int, diskBps float64, statsJSON string) error {
 	all := exp == "all"
 	did := false
 	// The manifest mirrors every experiment's raw rows, so a -stats-json
@@ -48,7 +48,6 @@ func run(exp string, scale float64, workers, adjWorkers, adjWindows, depth int, 
 		Set("scale", scale).
 		Set("host_cpus", runtime.NumCPU()).
 		Set("workers", workers).
-		Set("pipeline_depth", depth).
 		Set("disk_bps", diskBps)
 	section := func(title string) {
 		fmt.Printf("\n==== %s ====\n", title)
@@ -83,24 +82,12 @@ func run(exp string, scale float64, workers, adjWorkers, adjWindows, depth int, 
 	}
 	if all || exp == "table3" {
 		section("Table 3 — compression ratio and time by codec")
-		cells, err := bench.RunTable3(nil, nil, scale, workers)
+		cells, err := bench.RunTable3(nil, scale, workers)
 		if err != nil {
 			return err
 		}
 		fmt.Print(bench.FormatTable3(cells))
 		man.Section("table3", cells)
-	}
-	if all || exp == "codec" {
-		section("Codec throughput — the masczip hot path's smoke benchmark")
-		// A small dataset pair and the codecs whose throughput the fused
-		// encoder/decoder moves, with the derived MB/s columns.
-		cells, err := bench.RunTable3([]string{"add20", "mem_plus"},
-			[]string{"masc", "masc+markov", "gzip"}, scale, workers)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatTable3(cells))
-		man.Section("codec", cells)
 	}
 	if all || exp == "fig5b" || exp == "fig6" {
 		section("Figures 5b & 6 — residual and model-selection statistics")
@@ -131,68 +118,6 @@ func run(exp string, scale float64, workers, adjWorkers, adjWindows, depth int, 
 		}
 		fmt.Print(bench.FormatParallel(rows))
 		man.Section("parallel", rows)
-	}
-	if all || exp == "pipeline" {
-		section("Pipelined store — async compression overlap")
-		rows, err := bench.RunPipeline(nil, scale, workers, depth)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatPipeline(rows))
-		man.Section("pipeline", rows)
-	}
-	if all || exp == "adjoint" {
-		section("Parallel adjoint engine — multi-RHS, sharded dF/dp, fetch overlap")
-		ws := []int{1, 2, 4}
-		if adjWorkers > 0 {
-			ws = append(ws, adjWorkers)
-		}
-		rows, err := bench.RunAdjoint(nil, scale, ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatAdjoint(rows))
-		man.Section("adjoint", rows)
-	}
-	if all || exp == "windows" {
-		section("Parallel-in-time windowed adjoint — concurrent sweeps over window slices")
-		ws := []int{2, 4, runtime.NumCPU()}
-		if adjWindows > 1 {
-			ws = append(ws, adjWindows)
-		}
-		rows, err := bench.RunWindows(nil, scale, ws)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatWindows(rows))
-		man.Section("windows", rows)
-	}
-	if all || exp == "budget" {
-		section("Tiered store — memory-budget ladder (hot/compressed/disk/recompute)")
-		rows, err := bench.RunBudget(nil, scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatBudget(rows))
-		man.Section("budget", rows)
-	}
-	if all || exp == "memory" {
-		section("Memory footprint by storage strategy (measured)")
-		rows, err := bench.RunMemory(nil, scale, workers)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatMemory(rows))
-		man.Section("memory", rows)
-	}
-	if all || exp == "journal" {
-		section("Write-ahead run journal — forward-phase overhead by fsync cadence")
-		rows, err := bench.RunJournal(nil, scale, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatJournal(rows))
-		man.Section("journal", rows)
 	}
 	if all || exp == "ablation" {
 		section("Ablation — MASC design choices")

@@ -74,6 +74,3 @@ func mascStats(p codecPair) (masczip.Stats, bool) {
 	st.Merge(&cst)
 	return st, true
 }
-
-// mascStatsT aliases the masczip stats type for external diagnostics.
-type mascStatsT = masczip.Stats

@@ -31,7 +31,7 @@ type Fig7Row struct {
 const DefaultDiskBps = 0.5e9
 
 // RunFig7 reproduces the end-to-end experiment. Sensitivities from all
-// three strategies are verified to agree before times are reported.
+// three strategies are verified bit-identical before times are reported.
 func RunFig7(names []string, scale float64, workers int, diskBps float64) ([]Fig7Row, error) {
 	if names == nil {
 		names = []string{"add20", "smult20", "mem_plus"}
@@ -124,14 +124,15 @@ func RunFig7(names []string, scale float64, workers int, diskBps float64) ([]Fig
 	return rows, nil
 }
 
-// compareSens checks that two sensitivity results agree to solver
-// precision — the end-to-end losslessness claim of the paper.
-func compareSens(a, b *adjoint.Result) error {
-	for o := range a.DOdp {
-		for k := range a.DOdp[o] {
-			x, y := a.DOdp[o][k], b.DOdp[o][k]
-			if d := math.Abs(x - y); d > 1e-9*math.Max(1, math.Max(math.Abs(x), math.Abs(y))) {
-				return fmt.Errorf("sensitivities diverge at obj %d param %d: %g vs %g", o, k, x, y)
+// compareSens checks that a stored strategy's sensitivities are bit-identical
+// to the recompute baseline's — the end-to-end losslessness claim of the
+// paper.
+func compareSens(recompute, got *adjoint.Result) error {
+	for o := range recompute.DOdp {
+		for k := range recompute.DOdp[o] {
+			x, y := recompute.DOdp[o][k], got.DOdp[o][k]
+			if math.Float64bits(x) != math.Float64bits(y) {
+				return fmt.Errorf("sensitivity obj %d param %d is %g, the recompute baseline's is %g: not bit-identical", o, k, y, x)
 			}
 		}
 	}

@@ -101,25 +101,3 @@ func FormatFig6(rows []Fig6Row) string {
 	}
 	return b.String()
 }
-
-// DebugMascStats exposes the raw MASC encoder statistics for one dataset;
-// used by diagnostics and tests.
-func DebugMascStats(name string, scale float64) (st mascStatsT, err error) {
-	ds, err := workload.Build(name, scale)
-	if err != nil {
-		return st, err
-	}
-	tn, err := CaptureTensor(ds)
-	if err != nil {
-		return st, err
-	}
-	pair, err := NewCodecPair("masc", tn, 1, true)
-	if err != nil {
-		return st, err
-	}
-	if _, err := MeasureCodec(pair, tn); err != nil {
-		return st, err
-	}
-	s, _ := mascStats(pair)
-	return s, nil
-}

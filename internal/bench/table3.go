@@ -22,12 +22,9 @@ type Table3Cell struct {
 
 // RunTable3 measures every codec over every dataset. Each dataset is
 // simulated once; all codecs compress the same captured tensor.
-func RunTable3(names []string, codecs []string, scale float64, workers int) ([]Table3Cell, error) {
+func RunTable3(names []string, scale float64, workers int) ([]Table3Cell, error) {
 	if names == nil {
 		names = workload.Table2Names()
-	}
-	if codecs == nil {
-		codecs = CodecNames()
 	}
 	var cells []Table3Cell
 	for _, name := range names {
@@ -39,7 +36,7 @@ func RunTable3(names []string, codecs []string, scale float64, workers int) ([]T
 		if err != nil {
 			return nil, err
 		}
-		more, err := MeasureAllCodecs(tn, codecs, workers)
+		more, err := MeasureAllCodecs(tn, nil, workers)
 		if err != nil {
 			return nil, err
 		}

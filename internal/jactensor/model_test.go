@@ -91,7 +91,7 @@ func tieredShape(name string, budgetFrames int64, noDisk bool) modelShape {
 	return modelShape{
 		name: name,
 		mk: func(t *testing.T, rng *rand.Rand, f *modelFixture, anchorEvery int) Store {
-			cfg := TieredConfig{BudgetBytes: budgetFrames * f.frame, DisableDisk: noDisk,
+			cfg := TieredConfig{BudgetBytes: budgetFrames * f.frame,
 				DisablePrefetch: rng.Intn(2) == 0,
 				Model:           tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond))}
 			if !noDisk {
@@ -101,6 +101,9 @@ func tieredShape(name string, budgetFrames int64, noDisk bool) modelShape {
 			// recompute rung, one at a second to the spill file.
 			cfg.Model.ObserveForwardStep(time.Duration(1+rng.Intn(2)*int(time.Second-1)) * time.Nanosecond)
 			st := NewTieredStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), cfg)
+			if noDisk {
+				diskless(st)
+			}
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return f.js[step], f.cs[step], nil })
 			if anchorEvery > 0 {
 				st.SetAnchorEvery(anchorEvery)
@@ -481,7 +484,7 @@ func TestPutContract(t *testing.T) {
 		},
 		"tiered": func() (Store, error) {
 			jc, cc := masc()
-			st := NewTieredStore(jc, cc, TieredConfig{BudgetBytes: 200, DisableDisk: true})
+			st := diskless(NewTieredStore(jc, cc, TieredConfig{BudgetBytes: 200}))
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return js[step], cs[step], nil })
 			return st, nil
 		},

@@ -122,10 +122,10 @@ func TestPinnedStoreBytes(t *testing.T) {
 		}},
 		{"tiered-quarter-diskless", func(t *testing.T, f fixture) Store {
 			raw := int64(8*(len(f.js[0])+len(f.cs[0]))) * steps
-			st := NewTieredStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), TieredConfig{
-				BudgetBytes: raw / 4, DisableDisk: true, DisablePrefetch: true,
+			st := diskless(NewTieredStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), TieredConfig{
+				BudgetBytes: raw / 4, DisablePrefetch: true,
 				Model: tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond)),
-			})
+			}))
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return f.js[step], f.cs[step], nil })
 			return st
 		}},

@@ -164,10 +164,10 @@ func TestTieredBudgetEnforced(t *testing.T) {
 	} {
 		name := fmt.Sprintf("budget=%d/disk=%v", tc.budget, !tc.noDisk)
 		t.Run(name, func(t *testing.T) {
-			st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{
-				BudgetBytes: tc.budget,
-				DisableDisk: tc.noDisk,
-			})
+			st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{BudgetBytes: tc.budget})
+			if tc.noDisk {
+				diskless(st)
+			}
 			for i := range js {
 				if err := st.Put(i, js[i], cs[i]); err != nil {
 					t.Fatal(err)

@@ -79,9 +79,6 @@ type TieredConfig struct {
 	// system temp, 0 bps = unthrottled), like DiskStore.
 	DiskDir         string
 	DiskBytesPerSec float64
-	// DisableDisk removes the spill rung: evicted blobs are dropped and
-	// recomputed. (Also the degraded mode after a spill-device failure.)
-	DisableDisk bool
 	// DisablePrefetch turns off the reverse-sweep background promotion of
 	// step-1 while the sweep consumes step.
 	DisablePrefetch bool
@@ -107,7 +104,7 @@ type TieredStore struct {
 	model *tiersched.Model
 
 	spill     *diskio.Store // lazily created on the first disk demotion
-	spillDead bool          // creation failed or disabled: drop instead
+	spillDead bool          // creation or a write failed: drop instead
 
 	recompute RecomputeFunc
 	closed    bool
@@ -137,7 +134,7 @@ func NewTieredStore(jc, cc compress.Compressor, cfg TieredConfig) *TieredStore {
 	if m == nil {
 		m = tiersched.NewModel(nil)
 	}
-	return &TieredStore{core: newCore(jc, cc), cfg: cfg, model: m, spillDead: cfg.DisableDisk}
+	return &TieredStore{core: newCore(jc, cc), cfg: cfg, model: m}
 }
 
 // Attach wires telemetry (store=tiered series plus the masc_store_tier_*
@@ -155,7 +152,7 @@ func (s *TieredStore) Attach(a Attachment) {
 
 // SyncSpill fsyncs the spill file, if one exists, so every demoted blob a
 // journal checkpoint references is durable before the checkpoint record is.
-// A store that never demoted to disk (or runs diskless) syncs nothing.
+// A store that never demoted to disk syncs nothing.
 func (s *TieredStore) SyncSpill() error {
 	s.mu.Lock()
 	sp := s.spill

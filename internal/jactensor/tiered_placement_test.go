@@ -155,7 +155,6 @@ func runPlacement(t *testing.T, budget int64, rg placementRegime, anchorEvery in
 	var out placementRun
 	cfg := TieredConfig{
 		BudgetBytes:     budget,
-		DisableDisk:     rg.noDisk,
 		DisablePrefetch: noPrefetch,
 		Model:           tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond)),
 	}
@@ -166,6 +165,9 @@ func runPlacement(t *testing.T, budget int64, rg placementRegime, anchorEvery in
 	st := NewTieredStore(
 		countedCodec{masczip.New(jp, masczip.Options{}), &out.encodes},
 		masczip.New(cp, masczip.Options{}), cfg)
+	if rg.noDisk {
+		diskless(st)
+	}
 	defer st.Close()
 	st.SetRecompute(func(step int) ([]float64, []float64, error) { return js[step], cs[step], nil })
 	if anchorEvery > 0 {
@@ -391,10 +393,10 @@ func TestTieredVictimSelectionScales(t *testing.T) {
 		}
 	}
 	newStore := func() *TieredStore {
-		st := NewTieredStore(f32Codec{}, f32Codec{}, TieredConfig{
-			BudgetBytes: 100 * frame, DisableDisk: true, DisablePrefetch: true,
+		st := diskless(NewTieredStore(f32Codec{}, f32Codec{}, TieredConfig{
+			BudgetBytes: 100 * frame, DisablePrefetch: true,
 			Model: tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond)),
-		})
+		}))
 		st.SetRecompute(func(step int) ([]float64, []float64, error) {
 			for k := range j {
 				j[k], c[k] = float64(step+k), float64(step-k)

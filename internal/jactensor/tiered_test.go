@@ -21,13 +21,21 @@ func newTieredFixture(t *testing.T, jp, cp *sparse.Pattern, js, cs [][]float64, 
 	if cfg.Model == nil {
 		cfg.Model = tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond))
 	}
-	if cfg.DiskDir == "" && !cfg.DisableDisk {
+	if cfg.DiskDir == "" {
 		cfg.DiskDir = t.TempDir()
 	}
 	st := NewTieredStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), cfg)
 	st.SetRecompute(func(step int) ([]float64, []float64, error) {
 		return js[step], cs[step], nil
 	})
+	return st
+}
+
+// diskless puts st, before its first Put, in the state a failed spill device
+// leaves it in: the ladder has no disk rung, so evicted blobs are dropped and
+// recomputed.
+func diskless(st *TieredStore) *TieredStore {
+	st.spillDead = true
 	return st
 }
 
@@ -128,11 +136,10 @@ func TestTieredNoAnchorsMeansNilMenu(t *testing.T) {
 // sweep's recompute ladder handles it), never a silent wrong answer.
 func TestTieredDroppedWithoutHookDegrades(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(64, 40, 12)
-	st := NewTieredStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), TieredConfig{
+	st := diskless(NewTieredStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), TieredConfig{
 		BudgetBytes: 4 << 10,
-		DisableDisk: true,
 		Model:       tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond)),
-	})
+	}))
 	for i := range js {
 		if err := st.Put(i, js[i], cs[i]); err != nil {
 			t.Fatal(err)
@@ -284,11 +291,10 @@ func TestTieredRecyclesFrames(t *testing.T) {
 	const n, steps = 300, 200
 	jp, cp, js, cs := tensorFixture(62, n, steps)
 	frame := int64(8 * (len(js[0]) + len(cs[0])))
-	st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{
+	st := diskless(newTieredFixture(t, jp, cp, js, cs, TieredConfig{
 		BudgetBytes:     3 * frame,
-		DisableDisk:     true,
 		DisablePrefetch: true,
-	})
+	}))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range js {

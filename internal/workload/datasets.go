@@ -107,35 +107,28 @@ func Build(name string, scale float64) (*Dataset, error) {
 	}
 }
 
-// CaptureInto returns the dataset's transient options with the tensor
-// capture wired into store: every step's (G, C) pair, the layout the facade
+// RunForward simulates the dataset, capturing the tensor into store (which
+// may be nil for a plain run): every step's (G, C) pair, the layout the facade
 // stores (sweep such a store with adjoint.Options.StoredGC), with the state
 // the step was produced at attached beside it as the facade attaches it. It
 // attaches the store itself, so the caller must not attach it again.
-func (d *Dataset) CaptureInto(store jactensor.Store) transient.Options {
-	opt := d.Tran
-	var putting []float64 // the state of the step being put
-	if a, ok := store.(interface{ Attach(jactensor.Attachment) }); ok {
-		a.Attach(jactensor.Attachment{State: func(int) []float64 { return putting }})
-	}
-	opt.CaptureGC = func(step int, _ float64, x []float64, G, C *sparse.Matrix) error {
-		putting = x
-		err := store.Put(step, G.Val, C.Val)
-		putting = nil
-		if err != nil {
-			return fmt.Errorf("workload: tensor capture: %w", err)
-		}
-		return nil
-	}
-	return opt
-}
-
-// RunForward simulates the dataset, capturing the tensor into store (which
-// may be nil for a plain run). EndForward is called on success.
+// EndForward is called on success.
 func (d *Dataset) RunForward(store jactensor.Store) (*transient.Result, error) {
 	opt := d.Tran
 	if store != nil {
-		opt = d.CaptureInto(store)
+		var putting []float64 // the state of the step being put
+		if a, ok := store.(interface{ Attach(jactensor.Attachment) }); ok {
+			a.Attach(jactensor.Attachment{State: func(int) []float64 { return putting }})
+		}
+		opt.CaptureGC = func(step int, _ float64, x []float64, G, C *sparse.Matrix) error {
+			putting = x
+			err := store.Put(step, G.Val, C.Val)
+			putting = nil
+			if err != nil {
+				return fmt.Errorf("workload: tensor capture: %w", err)
+			}
+			return nil
+		}
 	}
 	res, err := transient.Run(d.Ckt, opt)
 	if err != nil {
