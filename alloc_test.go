@@ -28,9 +28,9 @@ func allocFixture(t *testing.T) *workload.Dataset {
 // seam); nil is Simulate as callers get it.
 func warmRunAllocation(t *testing.T, ds *workload.Dataset, opt SimOptions, tierModel func() *tiersched.Model) (run *Run, allocated, trajectory int64) {
 	t.Helper()
-	opt.TStep, opt.TStop = ds.Tran.TStep, ds.Tran.TStop
+	opt.Transient.TStep, opt.Transient.TStop = ds.Tran.TStep, ds.Tran.TStop
 	simulate := func() *Run {
-		plan, err := newRunPlan(&opt, ds.Objectives, ds.Params)
+		plan, err := newRunPlan(ds.Ckt, &opt, ds.Objectives, ds.Params)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,8 +97,7 @@ func BenchmarkFig7(b *testing.B) {
 		b.Run(string(storage), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run, err := Simulate(ds.Ckt, SimOptions{
-					TStep:           ds.Tran.TStep,
-					TStop:           ds.Tran.TStop,
+					Transient:       TransientOptions{TStep: ds.Tran.TStep, TStop: ds.Tran.TStop},
 					Storage:         storage,
 					Workers:         4,
 					DiskBytesPerSec: bench.DefaultDiskBps,
@@ -168,7 +167,7 @@ func BenchmarkSimulatePipeline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(ds.Ckt, SimOptions{
-			TStep: ds.Tran.TStep, TStop: ds.Tran.TStop, Storage: StorageMASC,
+			Transient: TransientOptions{TStep: ds.Tran.TStep, TStop: ds.Tran.TStop}, Storage: StorageMASC,
 		}, ds.Objectives[:1], ds.Params[:4]); err != nil {
 			b.Fatal(err)
 		}

@@ -176,8 +176,7 @@ func run(c cli) error {
 	}()
 
 	simOpt := masc.SimOptions{
-		TStep:             deck.Tran.TStep,
-		TStop:             deck.Tran.TStop,
+		Transient:         masc.TransientOptions{TStep: deck.Tran.TStep, TStop: deck.Tran.TStop},
 		Storage:           masc.Storage(c.storage),
 		Workers:           c.workers,
 		AdjointWorkers:    c.adjWorkers,
@@ -198,7 +197,7 @@ func run(c cli) error {
 	if c.resume {
 		// The journal's config record replays the original run's shape;
 		// simOpt contributes only the runtime-side knobs (telemetry,
-		// deadline, stop hook).
+		// deadline) and the solver's hooks (the stop hook).
 		run, err = masc.Resume(deck.Ckt, c.journal, simOpt)
 	} else {
 		run, err = masc.Simulate(deck.Ckt, simOpt, deck.Objectives, nil)
@@ -315,21 +314,27 @@ func run(c cli) error {
 // store's Stats() verbatim (plus the layout those byte counts are of), so
 // its fields match the in-process values bit-for-bit. run may be nil (e.g.
 // an interrupted simulation): the manifest then records the configuration,
-// status, and whatever metrics accumulated before the stop.
+// status, and whatever metrics accumulated before the stop. A resumed run's
+// shape is the journal's, not the command line's, so its manifest records
+// "resumed" and only what the run itself reports.
 func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, status string) error {
 	man := masc.NewManifest("masc")
 	man.Set("netlist", c.path).
-		Set("status", status).
-		Set("storage", c.storage).
-		Set("workers", c.workers).
-		Set("adjoint_workers", c.adjWorkers).
-		Set("adjoint_windows", c.adjWindows).
-		Set("async", c.async).
-		Set("pipeline_depth", c.depth).
-		Set("disk_bps", c.diskBps).
-		Set("mem_budget_bytes", c.memBudgetBytes).
-		Set("tstep", deck.Tran.TStep).
-		Set("tstop", deck.Tran.TStop)
+		Set("status", status)
+	if c.resume {
+		man.Set("resumed", true)
+	} else {
+		man.Set("storage", c.storage).
+			Set("workers", c.workers).
+			Set("adjoint_workers", c.adjWorkers).
+			Set("adjoint_windows", c.adjWindows).
+			Set("async", c.async).
+			Set("pipeline_depth", c.depth).
+			Set("disk_bps", c.diskBps).
+			Set("mem_budget_bytes", c.memBudgetBytes).
+			Set("tstep", deck.Tran.TStep).
+			Set("tstop", deck.Tran.TStop)
+	}
 	if run != nil {
 		man.Set("storage", string(run.Storage))
 		if run.Tran != nil {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -76,5 +78,64 @@ func TestRetiredStorageNameFails(t *testing.T) {
 	}
 	if strings.Contains(out, "dO/d(") {
 		t.Fatalf("storage %q printed sensitivities:\n%s", "auto", out)
+	}
+}
+
+// TestResumedManifestRecordsOnlyWhatTheRunReports: under -resume the journal
+// fixes the run's shape, so the manifest must not echo the command line's
+// shape flags; it records that the run resumed and what the run reports.
+func TestResumedManifestRecordsOnlyWhatTheRunReports(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "run.wal")
+	config := func(path string) map[string]any {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man struct{ Config map[string]any }
+		if err := json.Unmarshal(raw, &man); err != nil {
+			t.Fatal(err)
+		}
+		return man.Config
+	}
+	shape := []string{"workers", "adjoint_workers", "adjoint_windows", "async", "pipeline_depth",
+		"disk_bps", "mem_budget_bytes", "tstep", "tstop"}
+
+	first := filepath.Join(dir, "first.json")
+	if _, err := runOutput(t, cli{path: lowpass, storage: "masc", workers: 1, adjWorkers: 1, adjWindows: 2,
+		depth: 2, top: 1, journal: journal, maniPath: first}); err != nil {
+		t.Fatal(err)
+	}
+	want := config(first)
+	for _, k := range shape {
+		if _, ok := want[k]; !ok {
+			t.Fatalf("the journaled run's manifest lacks %q: %v", k, want)
+		}
+	}
+	// A torn tail: the resumed run re-enters the forward phase.
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journal, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := filepath.Join(dir, "resumed.json")
+	if _, err := runOutput(t, cli{path: lowpass, storage: "memory", workers: 3, adjWorkers: 2, adjWindows: 4,
+		async: true, depth: 5, diskBps: 1e6, memBudgetBytes: 1 << 20, top: 1,
+		journal: journal, resume: true, maniPath: resumed}); err != nil {
+		t.Fatal(err)
+	}
+	got := config(resumed)
+	for _, k := range shape {
+		if v, ok := got[k]; ok {
+			t.Errorf("the resumed manifest echoes the command line's %s = %v", k, v)
+		}
+	}
+	if got["resumed"] != true || got["storage"] != "masc" || got["adjoint_windows_ran"] != want["adjoint_windows_ran"] {
+		t.Errorf("resumed manifest: resumed %v, storage %v, adjoint_windows_ran %v; want true, masc, %v",
+			got["resumed"], got["storage"], got["adjoint_windows_ran"], want["adjoint_windows_ran"])
 	}
 }

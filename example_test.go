@@ -23,7 +23,7 @@ func ExampleSimulate() {
 	}
 	out, _ := b.NodeIndex("out")
 	run, err := masc.Simulate(ckt, masc.SimOptions{
-		TStep: 1e-5, TStop: 1e-3, Storage: masc.StorageMASC,
+		Transient: masc.TransientOptions{TStep: 1e-5, TStop: 1e-3}, Storage: masc.StorageMASC,
 	}, []masc.Objective{{Name: "v(out)", Node: out, Weight: 1}}, nil)
 	if err != nil {
 		log.Fatal(err)
@@ -54,7 +54,7 @@ R2 mid 0 3k
 		log.Fatal(err)
 	}
 	run, err := masc.Simulate(deck.Ckt, masc.SimOptions{
-		TStep: deck.Tran.TStep, TStop: deck.Tran.TStop, Storage: masc.StorageRecompute,
+		Transient: masc.TransientOptions{TStep: deck.Tran.TStep, TStop: deck.Tran.TStop}, Storage: masc.StorageRecompute,
 	}, deck.Objectives, nil)
 	if err != nil {
 		log.Fatal(err)
@@ -132,7 +132,7 @@ func ExampleSimulate_storageModes() {
 		}
 		out, _ := b.NodeIndex("out")
 		r, err := masc.Simulate(ckt, masc.SimOptions{
-			TStep: 1e-6, TStop: 1e-4, Storage: storage,
+			Transient: masc.TransientOptions{TStep: 1e-6, TStop: 1e-4}, Storage: storage,
 		}, []masc.Objective{{Name: "v(out)", Node: out, Weight: 1}}, nil)
 		if err != nil {
 			log.Fatal(err)

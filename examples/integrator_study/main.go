@@ -48,12 +48,10 @@ func main() {
 			log.Fatal(err)
 		}
 		opt := masc.SimOptions{
-			TStep:   v.step,
-			TStop:   6e-4,
+			Transient: masc.TransientOptions{TStep: v.step, TStop: 6e-4,
+				Method: v.method, Adaptive: v.adaptive},
 			Storage: masc.StorageMASC,
 		}
-		opt.Transient.Method = v.method
-		opt.Transient.Adaptive = v.adaptive
 		run, err := masc.Simulate(ckt, opt, []masc.Objective{obj}, nil)
 		if err != nil {
 			log.Fatal(err)

@@ -35,9 +35,8 @@ func main() {
 	fmt.Println(d.Title)
 
 	run, err := masc.Simulate(d.Ckt, masc.SimOptions{
-		TStep:   d.Tran.TStep,
-		TStop:   d.Tran.TStop,
-		Storage: masc.StorageMASCMarkov,
+		Transient: masc.TransientOptions{TStep: d.Tran.TStep, TStop: d.Tran.TStop},
+		Storage:   masc.StorageMASCMarkov,
 	}, d.Objectives, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -29,9 +29,8 @@ func main() {
 	// Simulate 0.4 ms with the Jacobian tensor held as MASC-compressed
 	// blobs, then compute dV(out)/dp for every R and C.
 	run, err := masc.Simulate(ckt, masc.SimOptions{
-		TStep:   2e-6,
-		TStop:   4e-4,
-		Storage: masc.StorageMASC,
+		Transient: masc.TransientOptions{TStep: 2e-6, TStop: 4e-4},
+		Storage:   masc.StorageMASC,
 	}, []masc.Objective{{Name: "v(out)", Node: out, Weight: 1}}, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -54,7 +54,7 @@ func main() {
 	fmt.Println(ckt)
 
 	base := masc.SimOptions{
-		TStep: 1e-10, TStop: 5e-8,
+		Transient:       masc.TransientOptions{TStep: 1e-10, TStop: 5e-8},
 		Workers:         4,
 		DiskBytesPerSec: 0.5e9, // the paper's SSD
 	}

@@ -36,7 +36,8 @@ func main() {
 		log.Fatal(err)
 	}
 	obj := masc.Objective{Name: "v(s7)", Node: last, Weight: 1}
-	opt := masc.SimOptions{TStep: 2e-6, TStop: 2e-3, Storage: masc.StorageMASC}
+	opt := masc.SimOptions{Transient: masc.TransientOptions{TStep: 2e-6, TStop: 2e-3},
+		Storage: masc.StorageMASC}
 
 	start := time.Now()
 	run, err := masc.Simulate(ckt, opt, []masc.Objective{obj}, nil)

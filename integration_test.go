@@ -35,12 +35,10 @@ func TestIntegrationMatrix(t *testing.T) {
 				var ref [][]float64
 				for _, st := range storages {
 					opt := SimOptions{
-						TStep:   ds.Tran.TStep,
-						TStop:   ds.Tran.TStop,
-						Storage: st,
-						Workers: 2,
+						Transient: TransientOptions{TStep: ds.Tran.TStep, TStop: ds.Tran.TStop, Method: m},
+						Storage:   st,
+						Workers:   2,
 					}
-					opt.Transient.Method = m
 					run, err := Simulate(ds.Ckt, opt, objs, params)
 					if err != nil {
 						t.Fatalf("%s/%s: %v", m, st, err)
@@ -76,7 +74,7 @@ func TestIntegrationSensitivityPhysics(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid, _ := b.NodeIndex("mid")
-	run, err := Simulate(ckt, SimOptions{TStep: 1e-7, TStop: 3e-5, Storage: StorageMASC},
+	run, err := Simulate(ckt, SimOptions{Transient: TransientOptions{TStep: 1e-7, TStop: 3e-5}, Storage: StorageMASC},
 		[]Objective{{Name: "v(mid)", Node: mid, Weight: 1}}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -52,8 +52,9 @@ import (
 // run wrote, so a version-2 journal would resume into a run whose every
 // spilled fetch degrades to recomputation; it is refused here instead.
 // Version 4: a second revision bit (a hit is the region's hit predictor being
-// exact, hits are coded in runs), for the same reason.
-const FormatVersion = 4
+// exact, hits are coded in runs), for the same reason. Version 5: the run's
+// shape is one opaque Plan value instead of fields of its own.
+const FormatVersion = 5
 
 // Record kind bytes.
 const (
@@ -69,59 +70,16 @@ const (
 // lost on a kill — is at most this many steps.
 const DefaultFsyncEvery = 32
 
-// Config pins everything a resumed run must replay identically: the circuit
-// identity, the time axis and solver knobs, the storage strategy, and the
-// *resolved* parallelism (window count and anchor cadence are chosen from
-// runtime.NumCPU at Simulate time, so the original run's choice is recorded
-// rather than re-derived on a possibly different machine).
+// Config is the journal's first record: the format version and solution
+// length Recover checks, the fsync cadence the writer keeps, the circuit
+// identity the caller checks, and Plan — the caller's description of the
+// run's shape as one JSON value, which runstate stores and returns untouched.
 type Config struct {
-	FormatVersion int    `json:"format_version"`
-	CircuitHash   uint64 `json:"circuit_hash"`
-	N             int    `json:"n"`
-
-	Storage         string  `json:"storage"`
-	Workers         int     `json:"workers"`
-	AdjointWorkers  int     `json:"adjoint_workers"`
-	Windows         int     `json:"windows"`      // resolved window count (>= 1)
-	AnchorEvery     int     `json:"anchor_every"` // resolved anchor cadence, 0 = none
-	Async           bool    `json:"async,omitempty"`
-	PipelineDepth   int     `json:"pipeline_depth,omitempty"`
-	DiskBytesPerSec float64 `json:"disk_bps,omitempty"`
-	DiskDir         string  `json:"disk_dir,omitempty"`
-	MemBudgetBytes  int64   `json:"mem_budget_bytes,omitempty"`
-	DisableDegrade  bool    `json:"disable_degrade,omitempty"`
-
-	// Forward solver knobs (unresolved, exactly as passed to Simulate; the
-	// resume applies the same defaulting the original run did).
-	TStart    float64 `json:"t_start"`
-	TStep     float64 `json:"t_step"`
-	TStop     float64 `json:"t_stop"`
-	MaxNewton int     `json:"max_newton,omitempty"`
-	AbsTol    float64 `json:"abs_tol,omitempty"`
-	RelTol    float64 `json:"rel_tol,omitempty"`
-	Gmin      float64 `json:"gmin,omitempty"`
-	MaxCuts   int     `json:"max_cuts,omitempty"`
-	DampLimit float64 `json:"damp_limit,omitempty"`
-	Method    string  `json:"method"`
-	Adaptive  bool    `json:"adaptive,omitempty"`
-	MinStep   float64 `json:"min_step,omitempty"`
-	MaxStep   float64 `json:"max_step,omitempty"`
-	LTETol    float64 `json:"lte_tol,omitempty"`
-
-	Objectives []ObjectiveRec `json:"objectives"`
-	Params     []int          `json:"params"` // resolved parameter indices
-
-	FsyncEvery int `json:"fsync_every"`
-}
-
-// ObjectiveRec mirrors adjoint.Objective without importing it (runstate
-// stays a leaf package under blobframe only).
-type ObjectiveRec struct {
-	Name     string  `json:"name"`
-	Node     int32   `json:"node"`
-	Weight   float64 `json:"weight"`
-	Step     int     `json:"step,omitempty"`
-	Integral bool    `json:"integral,omitempty"`
+	FormatVersion int             `json:"format_version"`
+	CircuitHash   uint64          `json:"circuit_hash"`
+	N             int             `json:"n"`
+	FsyncEvery    int             `json:"fsync_every"`
+	Plan          json.RawMessage `json:"plan"`
 }
 
 // StepRec is one forward checkpoint: everything the integrator needs to

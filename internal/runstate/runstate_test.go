@@ -11,20 +11,20 @@ import (
 	"masc/internal/blobframe"
 )
 
+// testPlan is a resolved plan in the shape a run journals it; runstate
+// stores it byte for byte and never looks inside.
+const testPlan = `{"transient":{"TStart":0,"TStep":1e-06,"TStop":0.001,"Method":"be"},` +
+	`"storage":"masc","workers":1,"adjoint_workers":0,"windows":2,"anchor_every":5,` +
+	`"async":false,"pipeline_depth":0,"disk_bps":0,"disk_dir":"","mem_budget_bytes":0,` +
+	`"disable_degrade":false,"objectives":[{"Name":"v(out)","Node":1,"Weight":1,"Step":0,` +
+	`"Integral":false}],"params":[0,1,2]}`
+
 func testConfig() *Config {
 	return &Config{
 		CircuitHash: 0xdeadbeefcafe,
 		N:           3,
-		Storage:     "masc",
-		Workers:     1,
-		Windows:     2,
-		AnchorEvery: 5,
-		TStep:       1e-6,
-		TStop:       1e-3,
-		Method:      "be",
-		Objectives:  []ObjectiveRec{{Name: "v(out)", Node: 1, Weight: 1}},
-		Params:      []int{0, 1, 2},
 		FsyncEvery:  4,
+		Plan:        json.RawMessage(testPlan),
 	}
 }
 
@@ -70,7 +70,8 @@ func TestRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if r.Config.CircuitHash != 0xdeadbeefcafe || r.Config.Storage != "masc" || r.Config.Windows != 2 {
+	if r.Config.CircuitHash != 0xdeadbeefcafe || r.Config.FormatVersion != FormatVersion ||
+		string(r.Config.Plan) != testPlan {
 		t.Fatalf("config mismatch: %+v", r.Config)
 	}
 	if len(r.Steps) != 6 {
@@ -238,8 +239,9 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 // versions in the error — rather than reported as having no config at all.
 func TestRecoverRejectsOtherFormatVersion(t *testing.T) {
 	// Version 1 factored in RCM order; versions 2 and 3 wrote masczip blobs
-	// without the stamp and the hit-run revision bits.
-	for _, version := range []int{1, 2, 3, FormatVersion + 1} {
+	// without the stamp and the hit-run revision bits; version 4 spelled the
+	// plan out as fields of the config.
+	for _, version := range []int{1, 2, 3, 4, FormatVersion + 1} {
 		cfg := testConfig()
 		cfg.FormatVersion = version
 		payload, err := json.Marshal(cfg)

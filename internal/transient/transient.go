@@ -21,7 +21,10 @@ import (
 	"masc/internal/sparse"
 )
 
-// Options configures a transient run.
+// Options configures a transient run. Its JSON encoding is the run's solver
+// shape, which a journal records: the per-process fields — hooks, context,
+// telemetry, resume state, the Newton wall-time budget — are tagged `json:"-"`,
+// so decoding a journaled value over a caller's Options keeps the caller's.
 type Options struct {
 	TStop  float64 // end time (required, > TStart)
 	TStep  float64 // base step size (required, > 0)
@@ -62,35 +65,35 @@ type Options struct {
 	// reference to. A non-nil error aborts the run: storage failures (disk
 	// full, a poisoned compression pipeline) surface here instead of panicking
 	// mid-solve.
-	CaptureGC func(step int, t float64, x []float64, G, C *sparse.Matrix) error
+	CaptureGC func(step int, t float64, x []float64, G, C *sparse.Matrix) error `json:"-"`
 
 	// Capture is CaptureGC for callers that want the assembled system
 	// Jacobian instead of G: J is the DC Jacobian (G + gmin) at step 0 and
 	// G + C/h (½G + C/h for the trapezoidal rule) afterwards, assembled by
 	// Result.AssembleJ for the call. When both hooks are set Capture runs
 	// first.
-	Capture func(step int, t float64, x []float64, J, C *sparse.Matrix) error
+	Capture func(step int, t float64, x []float64, J, C *sparse.Matrix) error `json:"-"`
 
 	// StepCost, if non-nil, receives the wall time of every accepted
 	// integration step (step >= 1; the DC solve is excluded — it prices
 	// differently). This is the capture-side sampling hook a tiered
 	// Jacobian store's cost model uses to learn what recomputing one step
 	// costs, without the store reaching into the solver.
-	StepCost func(step int, d time.Duration)
+	StepCost func(step int, d time.Duration) `json:"-"`
 
 	// Stop, if non-nil, is polled at every step boundary. When it returns
 	// true the run halts cleanly: Run returns the partial trajectory
 	// accepted so far together with an error wrapping ErrInterrupted. This
 	// is the hook for SIGINT handling — the solver never observes a signal
 	// mid-Newton, only between steps.
-	Stop func() bool
+	Stop func() bool `json:"-"`
 
 	// Ctx, if non-nil, cancels the run between steps. The loop polls it at
 	// every step boundary exactly like Stop, so a deadline or an explicit
 	// cancel halts cleanly with the partial trajectory and an error that
 	// wraps both ErrInterrupted and the context's error. The solver never
 	// observes cancellation mid-Newton.
-	Ctx context.Context
+	Ctx context.Context `json:"-"`
 
 	// Resume, if non-nil, restarts the integration from a checkpointed
 	// trajectory prefix instead of solving the DC operating point: the
@@ -99,7 +102,7 @@ type Options struct {
 	// The capture hooks and AfterStep are NOT replayed for the seeded steps —
 	// rebuilding a Jacobian store for them is the caller's job (see
 	// adjoint.RecomputeSource).
-	Resume *ResumeState
+	Resume *ResumeState `json:"-"`
 
 	// AfterStep, if non-nil, runs after each accepted step has been
 	// recorded and captured, receiving the exact loop-carried state: the
@@ -109,7 +112,7 @@ type Options struct {
 	// bit-identically through Resume — this is the write-ahead journal's
 	// checkpoint hook. Step 0 (the DC point) is reported with h=0. A
 	// non-nil error aborts the run with the partial trajectory.
-	AfterStep func(step int, t, h, nextH float64, cuts int, x []float64) error
+	AfterStep func(step int, t, h, nextH float64, cuts int, x []float64) error `json:"-"`
 
 	// FreshFactorPerStep drops the LU pivot recipe before every step
 	// attempt, so each solve factors from scratch. Pivot reuse chains
@@ -125,16 +128,16 @@ type Options struct {
 	// ErrNewtonBudget instead of grinding through MaxCuts halvings against
 	// a solve that will never converge — the watchdog that turns a hung
 	// forward phase into a typed error.
-	NewtonBudget time.Duration
+	NewtonBudget time.Duration `json:"-"`
 
 	// Obs, if non-nil, receives per-step telemetry: the
 	// masc_transient_* metric families and one trace event per solve
 	// attempt ("dc", "solve", "step_cut").
-	Obs *obs.Observer
+	Obs *obs.Observer `json:"-"`
 
 	// SpanParent is the span the forward pass nests under (normally the
 	// run root). Spans are recorded only when Obs carries a recorder.
-	SpanParent span.ID
+	SpanParent span.ID `json:"-"`
 }
 
 // EstimatedSteps predicts the integration step count of the fixed-step

@@ -26,7 +26,6 @@ func TestAssembleJMatchesSolverAcrossFleet(t *testing.T) {
 			}
 			ckt := bt.Ckt
 			topt := bt.SimBase.Transient
-			topt.TStep, topt.TStop = bt.SimBase.TStep, bt.SimBase.TStop
 			topt.Method = method
 			// The generator's Newton tolerances are set for finite differences;
 			// under LTE control they would pin every step at MinStep.

@@ -174,9 +174,9 @@ func (c *Case) Build() (*Built, error) {
 		method = masc.MethodTrap
 	}
 	opt := masc.SimOptions{
-		TStep: tstep,
-		TStop: tstop,
 		Transient: masc.TransientOptions{
+			TStep:  tstep,
+			TStop:  tstop,
 			Method: method,
 			// Tight Newton tolerances: the finite-difference cross-check
 			// differentiates the *discrete* solution, so solver noise must

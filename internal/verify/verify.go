@@ -368,8 +368,6 @@ func verifyStores(c *Case, opt Options, rep *CaseReport) {
 	}()
 
 	topt := bt.SimBase.Transient
-	topt.TStep = bt.SimBase.TStep
-	topt.TStop = bt.SimBase.TStop
 	topt.CaptureGC = func(step int, tm float64, x []float64, G, C *sparse.Matrix) error {
 		for _, s := range stores {
 			if err := s.st.Put(step, G.Val, C.Val); err != nil {
@@ -466,10 +464,7 @@ func verifyDirect(c *Case, opt Options, rep *CaseReport, dense *masc.Run) {
 		rep.failf("direct rebuild: %v", err)
 		return
 	}
-	topt := bt.SimBase.Transient
-	topt.TStep = bt.SimBase.TStep
-	topt.TStop = bt.SimBase.TStop
-	tr, err := masc.RunTransient(bt.Ckt, topt)
+	tr, err := masc.RunTransient(bt.Ckt, bt.SimBase.Transient)
 	if err != nil {
 		rep.failf("direct forward run: %v", err)
 		return
@@ -537,10 +532,7 @@ func verifyFD(c *Case, opt Options, rep *CaseReport, dense *masc.Run) {
 			return nil, nil, err
 		}
 		bt.Ckt.Params()[k].Set(val)
-		topt := bt.SimBase.Transient
-		topt.TStep = bt.SimBase.TStep
-		topt.TStop = bt.SimBase.TStop
-		tr, err := masc.RunTransient(bt.Ckt, topt)
+		tr, err := masc.RunTransient(bt.Ckt, bt.SimBase.Transient)
 		return tr, bt.Objectives, err
 	}
 

@@ -22,7 +22,8 @@
 //	ckt, _ := b.Build()
 //	out, _ := b.NodeIndex("out")
 //	run, _ := masc.Simulate(ckt, masc.SimOptions{
-//		TStep: 2e-6, TStop: 1e-3, Storage: masc.StorageMASC,
+//		Transient: masc.TransientOptions{TStep: 2e-6, TStop: 1e-3},
+//		Storage:   masc.StorageMASC,
 //	}, []masc.Objective{{Name: "v(out)", Node: out, Weight: 1}}, nil)
 //	fmt.Println(run.Sens.DOdp)
 package masc
@@ -202,8 +203,9 @@ const (
 
 // SimOptions configures Simulate.
 type SimOptions struct {
-	// TStep and TStop define the fixed-step time axis (required).
-	TStep, TStop float64
+	// Transient holds the solver knobs; its TStep and TStop define the time
+	// axis (required).
+	Transient TransientOptions
 	// Storage selects the Jacobian strategy; default StorageMASC.
 	Storage Storage
 	// Workers bounds the parallel compressor (default 1).
@@ -253,9 +255,6 @@ type SimOptions struct {
 	// ignore the budget (their footprint is already step-count-free).
 	// Async and CollectCodecStats are inert under a budget.
 	MemBudgetBytes int64
-	// Transient exposes the remaining solver knobs; TStep/TStop above
-	// override its time axis when set.
-	Transient TransientOptions
 	// Obs, if non-nil, receives telemetry from every pipeline stage:
 	// metric updates into Obs.Reg and the run's span tree into Obs.Spans.
 	// A nil Obs (or nil fields) costs nothing on the hot paths.
@@ -281,13 +280,11 @@ type SimOptions struct {
 	// past its deadline fails with context.DeadlineExceeded — and, when
 	// journaled, resumes from where it stopped.
 	Deadline time.Duration
-	// NewtonBudget, if positive, bounds the wall time one integration step
-	// may burn in failed Newton attempts before the run aborts with
-	// transient.ErrNewtonBudget (see TransientOptions.NewtonBudget).
-	NewtonBudget time.Duration
-	// FetchStallTimeout, if positive, bounds how long the adjoint sweep
-	// waits for one Jacobian fetch before aborting with
-	// adjoint.ErrFetchStalled instead of hanging on a wedged read.
+	// FetchStallTimeout, if positive, bounds how long the overlapped
+	// adjoint sweep waits for one Jacobian fetch before aborting with
+	// ErrFetchStalled instead of hanging on a wedged read. Only the
+	// overlapped sweep (AdjointWorkers > 1) has a fetcher to wait on: the
+	// serial sweep fetches inline and never reads the timeout.
 	FetchStallTimeout time.Duration
 	// Journal, if non-empty, write-ahead journals the run to this path: the
 	// resolved configuration, a checkpoint per accepted forward step, and
@@ -317,19 +314,27 @@ type Run struct {
 	HasCodecStats            bool
 }
 
-// runPlan is the fully resolved shape of one simulation: the merged solver
-// options plus the storage and parallelism choices Simulate derives from
-// SimOptions (some of which depend on runtime.NumCPU). Resolving the plan
-// once — and journaling the resolved values — is what lets Resume replay an
-// identical shape on a different machine.
+// runPlan is the fully resolved shape of one simulation: the solver options
+// plus the storage and parallelism choices Simulate derives from SimOptions
+// (some of which depend on runtime.NumCPU). Its JSON encoding is the journal's
+// record of the run, so Resume replays an identical shape on a different
+// machine. No field is omitempty: decoding a journaled plan overwrites every
+// shape field, and only Transient's `json:"-"` fields keep the caller's values.
 type runPlan struct {
-	topt        TransientOptions
-	storage     Storage
-	workers     int
-	windows     int
-	anchorEvery int
-	objectives  []Objective
-	params      []int
+	Transient       TransientOptions `json:"transient"`
+	Storage         Storage          `json:"storage"`
+	Workers         int              `json:"workers"`
+	AdjointWorkers  int              `json:"adjoint_workers"`
+	Windows         int              `json:"windows"`      // resolved window count
+	AnchorEvery     int              `json:"anchor_every"` // resolved anchor cadence, 0 = none
+	Async           bool             `json:"async"`
+	PipelineDepth   int              `json:"pipeline_depth"`
+	DiskBytesPerSec float64          `json:"disk_bps"`
+	DiskDir         string           `json:"disk_dir"`
+	MemBudgetBytes  int64            `json:"mem_budget_bytes"`
+	DisableDegrade  bool             `json:"disable_degrade"`
+	Objectives      []Objective      `json:"objectives"`
+	Params          []int            `json:"params"` // resolved parameter indices
 
 	// tierModel prices the tiered store's ladder. Nil — always, outside this
 	// package's tests — is the wall-clock model; a test hands in one over a
@@ -337,20 +342,17 @@ type runPlan struct {
 	tierModel *tiersched.Model
 }
 
-// newRunPlan resolves opt into a concrete plan.
-func newRunPlan(opt *SimOptions, objectives []Objective, params []int) (*runPlan, error) {
+// newRunPlan resolves opt into a concrete plan for ckt; nil params means
+// every parameter of ckt.
+func newRunPlan(ckt *Circuit, opt *SimOptions, objectives []Objective, params []int) (*runPlan, error) {
 	if len(objectives) == 0 {
 		return nil, fmt.Errorf("masc: at least one objective is required")
 	}
-	topt := opt.Transient
-	if opt.TStep != 0 {
-		topt.TStep = opt.TStep
-	}
-	if opt.TStop != 0 {
-		topt.TStop = opt.TStop
-	}
-	if opt.NewtonBudget > 0 {
-		topt.NewtonBudget = opt.NewtonBudget
+	if params == nil {
+		params = make([]int, len(ckt.Params()))
+		for i := range params {
+			params[i] = i
+		}
 	}
 	storage := opt.Storage
 	if storage == "" {
@@ -360,33 +362,34 @@ func newRunPlan(opt *SimOptions, objectives []Objective, params []int) (*runPlan
 	if workers < 1 {
 		workers = 1
 	}
-	windows := resolveAdjointWindows(opt.AdjointWindows, topt.EstimatedSteps())
+	est := opt.Transient.EstimatedSteps()
+	windows := resolveAdjointWindows(opt.AdjointWindows, est)
 	anchorEvery := 0
-	if windows > 1 {
+	if windows > 1 && est > 0 {
 		// Pin ~W anchor steps so window boundaries land on self-contained
 		// frames the reverse sweeps restart from (and, under a budget,
 		// frames the scheduler demotes last and never drops).
-		if est := topt.EstimatedSteps(); est > 0 {
-			anchorEvery = est / windows
-			if anchorEvery < 1 {
-				anchorEvery = 1
-			}
-		}
+		anchorEvery = max(est/windows, 1)
 	}
-	return &runPlan{topt: topt, storage: storage, workers: workers, windows: windows,
-		anchorEvery: anchorEvery, objectives: objectives, params: params}, nil
+	return &runPlan{Transient: opt.Transient, Storage: storage, Workers: workers,
+		AdjointWorkers: opt.AdjointWorkers, Windows: windows, AnchorEvery: anchorEvery,
+		Async: opt.Async, PipelineDepth: opt.PipelineDepth,
+		DiskBytesPerSec: opt.DiskBytesPerSec, DiskDir: opt.DiskDir,
+		MemBudgetBytes: opt.MemBudgetBytes, DisableDegrade: opt.DisableDegrade,
+		Objectives: objectives, Params: params}, nil
 }
 
 // newStore builds the Jacobian store the plan calls for; nil means
 // StorageRecompute, which keeps nothing. It fails on an unknown strategy or
-// an unusable spill directory.
-func (plan *runPlan) newStore(ckt *Circuit, opt *SimOptions) (jactensor.Store, error) {
-	storage := plan.storage
+// an unusable spill directory. collectStats asks the MASC codecs for their
+// predictor statistics.
+func (plan *runPlan) newStore(ckt *Circuit, collectStats bool) (jactensor.Store, error) {
+	storage := plan.Storage
 	switch storage {
 	case StorageRecompute:
 		return nil, nil
 	case StorageDisk:
-		return jactensor.NewDiskStore(opt.DiskDir, opt.DiskBytesPerSec)
+		return jactensor.NewDiskStore(plan.DiskDir, plan.DiskBytesPerSec)
 	case StorageMemory, StorageMASC, StorageMASCMarkov:
 	default:
 		// A caller's typo, or a journal naming a storage this build does not
@@ -396,12 +399,12 @@ func (plan *runPlan) newStore(ckt *Circuit, opt *SimOptions) (jactensor.Store, e
 	// Under a budget the tiered store owns residency policy for every in-RAM
 	// strategy: Async and CollectCodecStats are inert, and the codec is the
 	// MASC pair.
-	budgeted := opt.MemBudgetBytes > 0
+	budgeted := plan.MemBudgetBytes > 0
 	// mascPair is the one place the storage name becomes codecs: masc+markov
 	// turns on the Markov selector, masc and memory are best-fit.
 	mascPair := func() (*masczip.Compressor, *masczip.Compressor) {
-		mo := masczip.Options{Markov: storage == StorageMASCMarkov, Workers: plan.workers,
-			CollectStats: opt.CollectCodecStats && !budgeted}
+		mo := masczip.Options{Markov: storage == StorageMASCMarkov, Workers: plan.Workers,
+			CollectStats: collectStats && !budgeted}
 		return masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
 	}
 	// anchored cuts the store at ~W steps across the estimated trajectory, so
@@ -409,17 +412,17 @@ func (plan *runPlan) newStore(ckt *Circuit, opt *SimOptions) (jactensor.Store, e
 	// sweeps restart from (and, under a budget, one the scheduler demotes
 	// last and never drops).
 	anchored := func(st interface{ SetAnchorEvery(int) }) {
-		if plan.anchorEvery > 0 {
-			st.SetAnchorEvery(plan.anchorEvery)
+		if plan.AnchorEvery > 0 {
+			st.SetAnchorEvery(plan.AnchorEvery)
 		}
 	}
 	switch {
 	case budgeted:
 		gc, cc := mascPair()
 		ts := jactensor.NewTieredStore(gc, cc, jactensor.TieredConfig{
-			BudgetBytes:     opt.MemBudgetBytes,
-			DiskDir:         opt.DiskDir,
-			DiskBytesPerSec: opt.DiskBytesPerSec,
+			BudgetBytes:     plan.MemBudgetBytes,
+			DiskDir:         plan.DiskDir,
+			DiskBytesPerSec: plan.DiskBytesPerSec,
 			Model:           plan.tierModel,
 		})
 		anchored(ts)
@@ -429,8 +432,8 @@ func (plan *runPlan) newStore(ckt *Circuit, opt *SimOptions) (jactensor.Store, e
 	}
 	gc, cc := mascPair()
 	var cs *jactensor.CompressedStore
-	if opt.Async {
-		cs = jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, opt.PipelineDepth)
+	if plan.Async {
+		cs = jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, plan.PipelineDepth)
 	} else {
 		cs = jactensor.NewCompressedStore(gc, cc, ckt.GPat, ckt.CPat)
 	}
@@ -443,7 +446,7 @@ func (plan *runPlan) newStore(ckt *Circuit, opt *SimOptions) (jactensor.Store, e
 // reverse adjoint sweep for the given objectives. params selects parameter
 // indices from ckt.Params(); nil means all parameters.
 func Simulate(ckt *Circuit, opt SimOptions, objectives []Objective, params []int) (*Run, error) {
-	plan, err := newRunPlan(&opt, objectives, params)
+	plan, err := newRunPlan(ckt, &opt, objectives, params)
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +454,11 @@ func Simulate(ckt *Circuit, opt SimOptions, objectives []Objective, params []int
 		if opt.Journal == "" {
 			return nil, nil
 		}
-		return runstate.Create(opt.Journal, plan.journalConfig(ckt, &opt))
+		cfg, err := plan.journalConfig(ckt, opt.JournalFsyncEvery)
+		if err != nil {
+			return nil, err
+		}
+		return runstate.Create(opt.Journal, cfg)
 	}, nil)
 }
 
@@ -462,9 +469,11 @@ func Simulate(ckt *Circuit, opt SimOptions, objectives []Objective, params []int
 // non-nil, is recovered journal state to resume from (the store is re-seeded
 // from its checkpoints, the forward loop re-enters after the last one, and
 // completed adjoint windows are replayed instead of re-swept). Store and
-// journal are closed on every path.
+// journal are closed on every path. The run's shape comes from the plan alone;
+// opt contributes only the runtime knobs (Obs, Fault, Ctx, Deadline,
+// FetchStallTimeout, CollectCodecStats).
 func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*runstate.Writer, error), rcv *runstate.Recovered) (*Run, error) {
-	store, err := plan.newStore(ckt, opt)
+	store, err := plan.newStore(ckt, opt.CollectCodecStats)
 	if err != nil {
 		return nil, err
 	}
@@ -475,9 +484,8 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 		}
 		return nil, err
 	}
-	topt := plan.topt
-	storage, windows := plan.storage, plan.windows
-	objectives, params := plan.objectives, plan.params
+	topt := plan.Transient
+	windows, objectives, params := plan.Windows, plan.Objectives, plan.Params
 
 	// One context governs the forward loop, the reverse sweep, and the
 	// disk-backed stores' retry sleeps.
@@ -497,7 +505,7 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 	// nests under it. Inert (zero span, ID 0) without a recorder.
 	rec := opt.Obs.SpanRecorder()
 	rsp := rec.Start(0, span.Run, -1)
-	rsp.Attr("workers", int64(plan.workers))
+	rsp.Attr("workers", int64(plan.Workers))
 	rsp.Attr("windows", int64(windows))
 	defer rsp.End()
 
@@ -631,7 +639,7 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 			}
 		}
 	}
-	run := &Run{Tran: tr, Storage: storage}
+	run := &Run{Tran: tr, Storage: plan.Storage}
 	if st, ok := store.(interface{ SetRecompute(jactensor.RecomputeFunc) }); ok {
 		// The trajectory now exists: give the tiered store the bit-exact
 		// recompute path for deliberately dropped steps — the same
@@ -649,11 +657,11 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 	} else {
 		src = adjoint.NewRecomputeSource(ckt, tr).Pairs()
 	}
-	aopt := adjoint.Options{Params: params, StoredGC: true, Obs: opt.Obs, DisableDegrade: opt.DisableDegrade,
-		Workers: opt.AdjointWorkers, Windows: windows, SpanParent: rsp.ID(),
+	aopt := adjoint.Options{Params: params, StoredGC: true, Obs: opt.Obs, DisableDegrade: plan.DisableDegrade,
+		Workers: plan.AdjointWorkers, Windows: windows, SpanParent: rsp.ID(),
 		Ctx: ctx, FetchStallTimeout: opt.FetchStallTimeout}
 	if jw != nil && windows > 1 {
-		rowLen := len(objectives) * paramCount(ckt, params)
+		rowLen := len(objectives) * len(params)
 		aopt.WindowDone = func(j, lo, hi int, rows [][]float64, degraded []int) error {
 			return jw.WindowDone(&runstate.WindowRec{J: j, Lo: lo, Hi: hi,
 				RowLen: rowLen, Rows: rows, Degraded: degraded})
@@ -714,14 +722,6 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 		}
 	}
 	return run, nil
-}
-
-// paramCount resolves the effective parameter count of a params selection.
-func paramCount(ckt *Circuit, params []int) int {
-	if params == nil {
-		return len(ckt.Params())
-	}
-	return len(params)
 }
 
 // resolveAdjointWindows maps the SimOptions.AdjointWindows knob to a

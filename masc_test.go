@@ -29,7 +29,7 @@ func buildTestCircuit(t testing.TB) (*Circuit, *Builder, Objective) {
 
 func TestSimulateAllStorages(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
-	opt := SimOptions{TStep: 2e-6, TStop: 4e-4}
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}}
 	var ref *Run
 	for _, st := range []Storage{StorageRecompute, StorageMemory, StorageDisk, StorageMASC, StorageMASCMarkov} {
 		opt.Storage = st
@@ -62,13 +62,13 @@ func TestSimulateAsyncMatchesSync(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	for _, st := range []Storage{StorageMASC, StorageMASCMarkov} {
 		sync, err := Simulate(ckt, SimOptions{
-			TStep: 2e-6, TStop: 4e-4, Storage: st,
+			Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: st,
 		}, []Objective{obj}, nil)
 		if err != nil {
 			t.Fatalf("%s sync: %v", st, err)
 		}
 		async, err := Simulate(ckt, SimOptions{
-			TStep: 2e-6, TStop: 4e-4, Storage: st, Async: true, PipelineDepth: 3,
+			Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: st, Async: true, PipelineDepth: 3,
 		}, []Objective{obj}, nil)
 		if err != nil {
 			t.Fatalf("%s async: %v", st, err)
@@ -90,10 +90,10 @@ func TestSimulateAsyncMatchesSync(t *testing.T) {
 
 func TestSimulateValidation(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
-	if _, err := Simulate(ckt, SimOptions{TStep: 1e-6, TStop: 1e-5}, nil, nil); err == nil {
+	if _, err := Simulate(ckt, SimOptions{Transient: TransientOptions{TStep: 1e-6, TStop: 1e-5}}, nil, nil); err == nil {
 		t.Fatal("expected error without objectives")
 	}
-	if _, err := Simulate(ckt, SimOptions{TStep: 1e-6, TStop: 1e-5, Storage: "bogus"}, []Objective{obj}, nil); err == nil {
+	if _, err := Simulate(ckt, SimOptions{Transient: TransientOptions{TStep: 1e-6, TStop: 1e-5}, Storage: "bogus"}, []Objective{obj}, nil); err == nil {
 		t.Fatal("expected error for unknown storage")
 	}
 	if _, err := Simulate(ckt, SimOptions{}, []Objective{obj}, nil); err == nil {
@@ -107,7 +107,7 @@ func TestParseNetlistFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	run, err := Simulate(deck.Ckt, SimOptions{
-		TStep: deck.Tran.TStep, TStop: deck.Tran.TStop, Storage: StorageMASC,
+		Transient: TransientOptions{TStep: deck.Tran.TStep, TStop: deck.Tran.TStop}, Storage: StorageMASC,
 	}, deck.Objectives, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestParseNetlistFacade(t *testing.T) {
 
 func TestDirectMatchesAdjointFacade(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
-	run, err := Simulate(ckt, SimOptions{TStep: 2e-6, TStop: 2e-4, Storage: StorageMemory}, []Objective{obj}, nil)
+	run, err := Simulate(ckt, SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 2e-4}, Storage: StorageMemory}, []Objective{obj}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +148,14 @@ func TestSimulateAdjointWorkersBitIdentical(t *testing.T) {
 	objs := []Objective{obj, {Name: "int_v(mid)", Node: mid, Weight: 1, Integral: true}}
 	for _, st := range []Storage{StorageMemory, StorageMASC} {
 		serial, err := Simulate(ckt, SimOptions{
-			TStep: 2e-6, TStop: 4e-4, Storage: st,
+			Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: st,
 		}, objs, nil)
 		if err != nil {
 			t.Fatalf("%s serial: %v", st, err)
 		}
 		for _, w := range []int{2, 5} {
 			par, err := Simulate(ckt, SimOptions{
-				TStep: 2e-6, TStop: 4e-4, Storage: st, AdjointWorkers: w,
+				Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: st, AdjointWorkers: w,
 			}, objs, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", st, w, err)
@@ -187,7 +187,7 @@ func TestSimulateAdjointWindowsBitIdentical(t *testing.T) {
 	objs := []Objective{obj, {Name: "int_v(mid)", Node: mid, Weight: 1, Integral: true}}
 	for _, st := range []Storage{StorageMemory, StorageMASC} {
 		serial, err := Simulate(ckt, SimOptions{
-			TStep: 2e-6, TStop: 4e-4, Storage: st,
+			Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: st,
 		}, objs, nil)
 		if err != nil {
 			t.Fatalf("%s serial: %v", st, err)
@@ -195,7 +195,7 @@ func TestSimulateAdjointWindowsBitIdentical(t *testing.T) {
 		for _, W := range []int{-1, 2, 4} {
 			for _, workers := range []int{0, 2} {
 				par, err := Simulate(ckt, SimOptions{
-					TStep: 2e-6, TStop: 4e-4, Storage: st,
+					Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: st,
 					AdjointWindows: W, AdjointWorkers: workers,
 				}, objs, nil)
 				if err != nil {
@@ -241,7 +241,7 @@ func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 	}
 	for _, st := range []Storage{StorageMemory, StorageMASC} {
 		for _, method := range []Method{MethodBE, MethodTrap} {
-			base := SimOptions{TStep: 2e-6, TStop: 2e-4, Storage: st}
+			base := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 2e-4}, Storage: st}
 			base.Transient.Method = method
 			ref, err := Simulate(ckt, base, objs, nil)
 			if err != nil {

@@ -169,7 +169,7 @@ func TestPinnedSensitivityBits(t *testing.T) {
 						for _, resume := range []bool{false, true} {
 							label := fmt.Sprintf("%s/%s/%s/wk%d/win%d/resume=%v",
 								fx.name, method, sc.name, workers, windows, resume)
-							opt := SimOptions{TStep: tstep, TStop: fx.tstop, Storage: sc.st,
+							opt := SimOptions{Transient: TransientOptions{TStep: tstep, TStop: fx.tstop}, Storage: sc.st,
 								MemBudgetBytes: sc.budget, AdjointWorkers: workers, AdjointWindows: windows}
 							opt.Transient.Method = method
 							if sc.budget > 0 {

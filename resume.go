@@ -2,6 +2,7 @@ package masc
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -15,7 +16,7 @@ import (
 // Re-exported journal errors and knobs.
 var (
 	// ErrNewtonBudget is wrapped into run errors when
-	// SimOptions.NewtonBudget expires inside one integration step.
+	// TransientOptions.NewtonBudget expires inside one integration step.
 	ErrNewtonBudget = transient.ErrNewtonBudget
 	// ErrFetchStalled is wrapped into run errors when
 	// SimOptions.FetchStallTimeout expires waiting for one Jacobian fetch.
@@ -67,57 +68,13 @@ func CircuitHash(ckt *Circuit) uint64 {
 
 // journalConfig freezes the resolved plan into the journal's config record:
 // everything a resumed run must replay identically, including the
-// NumCPU-derived window count and anchor cadence.
-func (plan *runPlan) journalConfig(ckt *Circuit, opt *SimOptions) *runstate.Config {
-	t := &plan.topt
-	params := plan.params
-	if params == nil {
-		params = make([]int, len(ckt.Params()))
-		for i := range params {
-			params[i] = i
-		}
+// NumCPU-derived window count and anchor cadence, as one JSON value.
+func (plan *runPlan) journalConfig(ckt *Circuit, fsyncEvery int) (*runstate.Config, error) {
+	raw, err := json.Marshal(plan)
+	if err != nil {
+		return nil, fmt.Errorf("masc: journal the run plan: %w", err)
 	}
-	objs := make([]runstate.ObjectiveRec, len(plan.objectives))
-	for i, o := range plan.objectives {
-		objs[i] = runstate.ObjectiveRec{Name: o.Name, Node: o.Node,
-			Weight: o.Weight, Step: o.Step, Integral: o.Integral}
-	}
-	return &runstate.Config{
-		CircuitHash: CircuitHash(ckt),
-		N:           ckt.N,
-
-		Storage:         string(plan.storage),
-		Workers:         plan.workers,
-		AdjointWorkers:  opt.AdjointWorkers,
-		Windows:         plan.windows,
-		AnchorEvery:     plan.anchorEvery,
-		Async:           opt.Async,
-		PipelineDepth:   opt.PipelineDepth,
-		DiskBytesPerSec: opt.DiskBytesPerSec,
-		DiskDir:         opt.DiskDir,
-		MemBudgetBytes:  opt.MemBudgetBytes,
-		DisableDegrade:  opt.DisableDegrade,
-
-		TStart:    t.TStart,
-		TStep:     t.TStep,
-		TStop:     t.TStop,
-		MaxNewton: t.MaxNewton,
-		AbsTol:    t.AbsTol,
-		RelTol:    t.RelTol,
-		Gmin:      t.Gmin,
-		MaxCuts:   t.MaxCuts,
-		DampLimit: t.DampLimit,
-		Method:    string(t.Method),
-		Adaptive:  t.Adaptive,
-		MinStep:   t.MinStep,
-		MaxStep:   t.MaxStep,
-		LTETol:    t.LTETol,
-
-		Objectives: objs,
-		Params:     params,
-
-		FsyncEvery: opt.JournalFsyncEvery,
-	}
+	return &runstate.Config{CircuitHash: CircuitHash(ckt), N: ckt.N, FsyncEvery: fsyncEvery, Plan: raw}, nil
 }
 
 // trajectoryFromSteps rebuilds the forward trajectory prefix a journal's
@@ -159,9 +116,11 @@ var ErrFormatVersion = runstate.ErrFormatVersion
 // sensitivities without replaying anything (Run.Tran is nil in that case).
 //
 // The run's shape — storage strategy, window count, solver knobs,
-// objectives, parameter selection — comes from the journal, not from opt;
-// opt contributes only the runtime-side knobs (Obs, Fault, Ctx, Deadline,
-// NewtonBudget, FetchStallTimeout, CollectCodecStats). Sensitivities of a
+// objectives, parameter selection — comes from the journal, not from opt: the
+// journaled plan is decoded over a copy of opt.Transient, which keeps only its
+// per-process fields (the Stop, AfterStep, StepCost and capture hooks, and
+// NewtonBudget). Of the rest of opt only the runtime knobs count (Obs, Fault,
+// Ctx, Deadline, FetchStallTimeout, CollectCodecStats). Sensitivities of a
 // killed-and-resumed run are bit-identical to an uninterrupted one.
 func Resume(ckt *Circuit, journalPath string, opt SimOptions) (*Run, error) {
 	rcv, err := runstate.Recover(journalPath)
@@ -173,71 +132,18 @@ func Resume(ckt *Circuit, journalPath string, opt SimOptions) (*Run, error) {
 		return nil, fmt.Errorf("masc: journal %s records circuit hash %#x, this circuit hashes to %#x: refusing to resume against a different circuit",
 			journalPath, cfg.CircuitHash, want)
 	}
-	objectives := make([]Objective, len(cfg.Objectives))
-	for i, o := range cfg.Objectives {
-		objectives[i] = Objective{Name: o.Name, Node: o.Node,
-			Weight: o.Weight, Step: o.Step, Integral: o.Integral}
+	plan := &runPlan{Transient: opt.Transient}
+	if err := json.Unmarshal(cfg.Plan, plan); err != nil {
+		return nil, fmt.Errorf("masc: journal %s: run plan: %w", journalPath, err)
 	}
 	if rcv.Done != nil {
 		return &Run{
-			Storage: Storage(cfg.Storage),
-			Sens: &SensitivityResult{DOdp: rcv.Done.DOdp, Params: cfg.Params,
+			Storage: plan.Storage,
+			Sens: &SensitivityResult{DOdp: rcv.Done.DOdp, Params: plan.Params,
 				DegradedSteps: rcv.Done.Degraded},
 		}, nil
 	}
-
-	plan := &runPlan{
-		topt: TransientOptions{
-			TStart:    cfg.TStart,
-			TStep:     cfg.TStep,
-			TStop:     cfg.TStop,
-			MaxNewton: cfg.MaxNewton,
-			AbsTol:    cfg.AbsTol,
-			RelTol:    cfg.RelTol,
-			Gmin:      cfg.Gmin,
-			MaxCuts:   cfg.MaxCuts,
-			DampLimit: cfg.DampLimit,
-			Method:    Method(cfg.Method),
-			Adaptive:  cfg.Adaptive,
-			MinStep:   cfg.MinStep,
-			MaxStep:   cfg.MaxStep,
-			LTETol:    cfg.LTETol,
-		},
-		storage:     Storage(cfg.Storage),
-		workers:     cfg.Workers,
-		windows:     cfg.Windows,
-		anchorEvery: cfg.AnchorEvery,
-		objectives:  objectives,
-		params:      cfg.Params,
-	}
-	if opt.NewtonBudget > 0 {
-		plan.topt.NewtonBudget = opt.NewtonBudget
-	}
-	// The journaled shape wins; only runtime-side knobs survive from the
-	// caller's options.
-	ropt := SimOptions{
-		Storage:           plan.storage,
-		Workers:           cfg.Workers,
-		AdjointWorkers:    cfg.AdjointWorkers,
-		AdjointWindows:    cfg.Windows,
-		Async:             cfg.Async,
-		PipelineDepth:     cfg.PipelineDepth,
-		DiskBytesPerSec:   cfg.DiskBytesPerSec,
-		DiskDir:           cfg.DiskDir,
-		MemBudgetBytes:    cfg.MemBudgetBytes,
-		DisableDegrade:    cfg.DisableDegrade,
-		JournalFsyncEvery: cfg.FsyncEvery,
-		Journal:           journalPath,
-
-		Obs:               opt.Obs,
-		Fault:             opt.Fault,
-		Ctx:               opt.Ctx,
-		Deadline:          opt.Deadline,
-		NewtonBudget:      opt.NewtonBudget,
-		FetchStallTimeout: opt.FetchStallTimeout,
-		CollectCodecStats: opt.CollectCodecStats,
-	}
-	return plan.execute(ckt, &ropt, func() (*runstate.Writer, error) {
+	return plan.execute(ckt, &opt, func() (*runstate.Writer, error) {
 		return runstate.Append(journalPath, rcv.Offset, cfg)
 	}, rcv)
 }

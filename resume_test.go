@@ -60,7 +60,7 @@ func TestJournalResumeTruncateAnywhere(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	dir := t.TempDir()
 	refPath := filepath.Join(dir, "ref.journal")
-	opt := SimOptions{TStep: 2e-6, TStop: 2e-4, Storage: StorageMASC,
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 2e-4}, Storage: StorageMASC,
 		AdjointWindows: 3, Journal: refPath, JournalFsyncEvery: 8}
 	objs := []Objective{obj, {Name: "int(v)", Node: obj.Node, Weight: 2, Integral: true}}
 	ref, err := Simulate(ckt, opt, objs, nil)
@@ -119,36 +119,94 @@ func TestJournalResumeTruncateAnywhere(t *testing.T) {
 	}
 }
 
-// TestJournalResumeAfterForwardCrash aborts a journaled run mid-forward (the
-// in-process stand-in for a kill) and resumes it in place.
-func TestJournalResumeAfterForwardCrash(t *testing.T) {
-	ckt, _, obj := buildTestCircuit(t)
+// crashedJournal runs opt journaled twice: once to completion — the reference
+// it returns — and once aborted by an error from its AfterStep hook at step
+// crashAt, the in-process stand-in for a kill, whose journal path it returns.
+func crashedJournal(t *testing.T, ckt *Circuit, opt SimOptions, objs []Objective, crashAt int) (*Run, string) {
+	t.Helper()
 	dir := t.TempDir()
-	opt := SimOptions{TStep: 2e-6, TStop: 1e-4, Storage: StorageMASC, AdjointWindows: 2}
-	objs := []Objective{obj}
-
 	opt.Journal = filepath.Join(dir, "ref.journal")
 	ref, err := Simulate(ckt, opt, objs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	opt.Journal = filepath.Join(dir, "crash.journal")
-	copt := opt
-	copt.Transient.AfterStep = func(step int, _, _, _ float64, _ int, _ []float64) error {
-		if step == 25 {
+	opt.Transient.AfterStep = func(step int, _, _, _ float64, _ int, _ []float64) error {
+		if step == crashAt {
 			return errors.New("simulated crash")
 		}
 		return nil
 	}
-	if _, err := Simulate(ckt, copt, objs, nil); err == nil {
+	if _, err := Simulate(ckt, opt, objs, nil); err == nil {
 		t.Fatal("crashing run succeeded")
 	}
-	run, err := Resume(ckt, opt.Journal, SimOptions{})
+	return ref, opt.Journal
+}
+
+// TestJournalResumeAfterForwardCrash aborts a journaled run mid-forward and
+// resumes it in place.
+func TestJournalResumeAfterForwardCrash(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC, AdjointWindows: 2}
+	ref, path := crashedJournal(t, ckt, opt, []Objective{obj}, 25)
+	run, err := Resume(ckt, path, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameBits(t, "resume after crash", run.Sens.DOdp, ref.Sens.DOdp)
+}
+
+// TestResumeKeepsCallerHooks: the journal replaces the run's shape, not the
+// caller's per-process hooks. A resumed run whose Stop hook fires stops at a
+// step boundary with ErrInterrupted, having called the caller's AfterStep, and
+// the journal it leaves still resumes to the uninterrupted bits.
+func TestResumeKeepsCallerHooks(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC, AdjointWindows: 2}
+	ref, path := crashedJournal(t, ckt, opt, []Objective{obj}, 10)
+
+	var polls, after int
+	var hooked SimOptions
+	hooked.Transient.Stop = func() bool { polls++; return polls > 5 }
+	hooked.Transient.AfterStep = func(int, float64, float64, float64, int, []float64) error { after++; return nil }
+	if _, err := Resume(ckt, path, hooked); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("resume with a Stop hook that fires: %v, want ErrInterrupted", err)
+	}
+	if after == 0 {
+		t.Fatal("the resumed run never called the caller's AfterStep")
+	}
+	run, err := Resume(ckt, path, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "resume after a stopped resume", run.Sens.DOdp, ref.Sens.DOdp)
+}
+
+// TestResumeIgnoresCallerShape: every shape field of the caller's options
+// loses to the journal's. The journaled plan is decoded over the caller's
+// solver options, so a solver knob whose journaled value is the zero one (the
+// default method, a fixed step) must still be written by the decode: the
+// plan's JSON has no omitempty field to skip.
+func TestResumeIgnoresCallerShape(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC, AdjointWindows: 2}
+	ref, path := crashedJournal(t, ckt, opt, []Objective{obj}, 25)
+
+	shaped := SimOptions{Storage: StorageMemory, Async: true, MemBudgetBytes: 1 << 10, AdjointWindows: 5,
+		Transient: TransientOptions{TStep: 4e-6, TStop: 1e-4, Method: MethodTrap, Adaptive: true}}
+	run, err := Resume(ckt, path, shaped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Storage != StorageMASC || run.Sens.Windows != 2 {
+		t.Fatalf("resumed as %s with %d windows, journaled %s with 2", run.Storage, run.Sens.Windows, StorageMASC)
+	}
+	if run.TensorStats.BudgetBytes != 0 || run.Tran.Steps() != ref.Tran.Steps() ||
+		run.TensorStats.StoredBytes != ref.TensorStats.StoredBytes {
+		t.Fatalf("resumed under budget %d B over %d steps storing %d B, the journaled run had no budget, %d steps, %d B",
+			run.TensorStats.BudgetBytes, run.Tran.Steps(), run.TensorStats.StoredBytes, ref.Tran.Steps(), ref.TensorStats.StoredBytes)
+	}
+	sameBits(t, "resume with the caller's shape", run.Sens.DOdp, ref.Sens.DOdp)
 }
 
 // TestResumeReseedSealsTheSameBlobs: a resumed run re-seeds its store from the
@@ -205,7 +263,7 @@ func TestResumeReseedSealsTheSameBlobs(t *testing.T) {
 func TestResumeRejectsForeignCircuit(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	path := filepath.Join(t.TempDir(), "run.journal")
-	if _, err := Simulate(ckt, SimOptions{TStep: 2e-6, TStop: 5e-5, Journal: path},
+	if _, err := Simulate(ckt, SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 5e-5}, Journal: path},
 		[]Objective{obj}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +290,12 @@ func TestResumeRejectsForeignCircuit(t *testing.T) {
 // TestResumeRejectsOtherFormatVersion: a journal checkpointed by a binary
 // with another journal format (version 1 factored in RCM column order,
 // version 2 spilled masczip blobs without the stamp revision bit, version 3
-// without the hit-run one) is refused
-// by name, not continued and not mistaken for an empty journal.
+// without the hit-run one, version 4 spelled the plan out field by field) is
+// refused by name, not continued and not mistaken for an empty journal.
 func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	path := filepath.Join(t.TempDir(), "run.journal")
-	if _, err := Simulate(ckt, SimOptions{TStep: 2e-6, TStop: 5e-5, Journal: path},
+	if _, err := Simulate(ckt, SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 5e-5}, Journal: path},
 		[]Objective{obj}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +308,7 @@ func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	if err := json.Unmarshal(data[blobframe.HeaderSize:end], &cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []int{1, 2, 3} {
+	for _, version := range []int{1, 2, 3, 4} {
 		cfg["format_version"] = version
 		payload, err := json.Marshal(cfg)
 		if err != nil {
@@ -273,7 +331,7 @@ func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 func TestResumeRejectsRetiredStorage(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	path := filepath.Join(t.TempDir(), "run.journal")
-	good, err := Simulate(ckt, SimOptions{TStep: 2e-6, TStop: 5e-5, Journal: path},
+	good, err := Simulate(ckt, SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 5e-5}, Journal: path},
 		[]Objective{obj}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +348,7 @@ func TestResumeRejectsRetiredStorage(t *testing.T) {
 	if err := dec.Decode(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg["storage"] = "auto"
+	cfg["plan"].(map[string]any)["storage"] = "auto"
 	payload, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -328,13 +386,13 @@ func TestSimulateCancellation(t *testing.T) {
 	objs := []Objective{obj}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Simulate(ckt, SimOptions{TStep: 2e-6, TStop: 1e-4, Ctx: ctx},
+	if _, err := Simulate(ckt, SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Ctx: ctx},
 		objs, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 
 	dir := t.TempDir()
-	opt := SimOptions{TStep: 2e-6, TStop: 1e-4, Journal: filepath.Join(dir, "ref.journal")}
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Journal: filepath.Join(dir, "ref.journal")}
 	ref, err := Simulate(ckt, opt, objs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +441,7 @@ func TestUnbuildableStoreLeavesJournal(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.journal")
-	opt := SimOptions{TStep: 2e-6, TStop: 2e-4, Storage: StorageMemory, Journal: path}
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 2e-4}, Storage: StorageMemory, Journal: path}
 	good, err := Simulate(ckt, opt, []Objective{obj}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +467,7 @@ func TestUnbuildableStoreLeavesJournal(t *testing.T) {
 		"unknown strategy": {Storage: "bogus"},
 		"no spill dir":     {Storage: StorageDisk, DiskDir: filepath.Join(dir, "nonexistent")},
 	} {
-		bad.TStep, bad.TStop, bad.Journal = opt.TStep, opt.TStop, path
+		bad.Transient, bad.Journal = opt.Transient, path
 		fds := openDescriptors()
 		if _, err := Simulate(ckt, bad, []Objective{obj}, nil); err == nil {
 			t.Fatalf("%s: Simulate succeeded", what)

@@ -20,7 +20,7 @@ func TestSimulateSpanTree(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	ob := &Observer{Spans: NewSpanRecorder(0)}
 	_, err := Simulate(ckt, SimOptions{
-		TStep: 2e-6, TStop: 4e-4,
+		Transient:      TransientOptions{TStep: 2e-6, TStop: 4e-4},
 		Storage:        StorageMASC,
 		AdjointWorkers: 2,
 		AdjointWindows: 2,
@@ -116,7 +116,7 @@ func TestSimulateSpanTreeTiered(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	ob := &Observer{Spans: NewSpanRecorder(0)}
 	_, err := Simulate(ckt, SimOptions{
-		TStep: 2e-6, TStop: 4e-4,
+		Transient:      TransientOptions{TStep: 2e-6, TStop: 4e-4},
 		Storage:        StorageMASC,
 		MemBudgetBytes: 4 << 10,
 		DiskDir:        t.TempDir(),
@@ -146,8 +146,8 @@ func TestSimulateCodecRegionStats(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		ob := &Observer{Reg: NewRegistry()}
 		run, err := Simulate(ckt, SimOptions{
-			TStep: 2e-6, TStop: 4e-4,
-			Storage: StorageMASC, Async: async,
+			Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4},
+			Storage:   StorageMASC, Async: async,
 			CollectCodecStats: true, Obs: ob,
 		}, []Objective{obj}, nil)
 		if err != nil {
