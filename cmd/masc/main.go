@@ -7,9 +7,15 @@
 // The storage flag selects the Jacobian strategy the paper compares:
 // recompute (Xyce-style), memory, disk, masc (best-fit) and masc+markov.
 //
+// Stopping: the run has one context. The first SIGINT/SIGTERM cancels it and
+// -deadline bounds it; either way the forward loop stops at the next step
+// boundary and the reverse sweep at its next step, the command writes an
+// "interrupted" manifest (with -manifest) and exits non-zero. A second signal
+// kills the process.
+//
 // Crash durability: -journal run.wal checkpoints every accepted step into a
-// write-ahead journal; after a crash, kill, or -deadline expiry the same
-// command with -resume continues from the last checkpoint and produces
+// write-ahead journal; after a crash, kill, interrupt or -deadline expiry the
+// same command with -resume continues from the last checkpoint and produces
 // bit-identical sensitivities. A journal that already finished returns its
 // recorded result without replaying anything.
 //
@@ -26,13 +32,12 @@ package main
 
 import (
 	"bufio"
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"sort"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -160,20 +165,24 @@ func run(c cli) error {
 		fmt.Printf("telemetry: serving http://%s/metrics (spans: /debug/spans, live: /events)\n", srv.Addr)
 	}
 
-	// Graceful shutdown: the first SIGINT/SIGTERM asks the transient loop to
-	// stop at the next step boundary (no half-written tensor step); a second
-	// signal falls through to the default handler and kills the process.
-	var stopped atomic.Bool
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-	go func() {
-		if _, ok := <-sigCh; ok {
-			fmt.Fprintln(os.Stderr, "masc: interrupt — stopping at the next step boundary")
-			stopped.Store(true)
-			signal.Stop(sigCh)
-		}
-	}()
+	// Graceful shutdown: one context stops the run. The first SIGINT/SIGTERM
+	// or the -deadline cancels it, and the run stops at the next step
+	// boundary (no half-written tensor step). Once it is done the signal
+	// handler is released, so a second signal falls through to the default
+	// handler and kills the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if c.deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.deadline)
+		defer cancel()
+	}
+	// Deferred last so it runs first: a run that returns does not announce
+	// the teardown of its own context.
+	defer context.AfterFunc(ctx, func() {
+		stop()
+		fmt.Fprintf(os.Stderr, "masc: %v — stopping at the next step boundary\n", context.Cause(ctx))
+	})()
 
 	simOpt := masc.SimOptions{
 		Transient:         masc.TransientOptions{TStep: deck.Tran.TStep, TStop: deck.Tran.TStop},
@@ -189,22 +198,22 @@ func run(c cli) error {
 		CollectCodecStats: telemetry,
 		Journal:           c.journal,
 		JournalFsyncEvery: c.journalFsync,
-		Deadline:          c.deadline,
+		Ctx:               ctx,
 	}
-	simOpt.Transient.Stop = stopped.Load
 
 	var run *masc.Run
 	if c.resume {
 		// The journal's config record replays the original run's shape;
-		// simOpt contributes only the runtime-side knobs (telemetry,
-		// deadline) and the solver's hooks (the stop hook).
+		// simOpt contributes only the runtime-side knobs (telemetry and the
+		// run's context).
 		run, err = masc.Resume(deck.Ckt, c.journal, simOpt)
 	} else {
 		run, err = masc.Simulate(deck.Ckt, simOpt, deck.Objectives, nil)
 	}
 	if err != nil {
-		if errors.Is(err, masc.ErrInterrupted) {
-			// Flush and close every telemetry sink so the partial run is
+		if ctx.Err() != nil {
+			// Stopped by a signal or the deadline, in either phase. Flush
+			// and close every telemetry sink so the partial run is
 			// diagnosable, then report the interruption as a failure
 			// (nonzero exit). Order matters: span export and broadcaster
 			// close precede the "interrupted" manifest, so a manifest on

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"masc"
 )
 
 const lowpass = "../../examples/lowpass.sp"
@@ -138,4 +143,59 @@ func TestResumedManifestRecordsOnlyWhatTheRunReports(t *testing.T) {
 		t.Errorf("resumed manifest: resumed %v, storage %v, adjoint_windows_ran %v; want true, masc, %v",
 			got["resumed"], got["storage"], got["adjoint_windows_ran"], want["adjoint_windows_ran"])
 	}
+}
+
+// manifestStatus reads the status a run manifest records.
+func manifestStatus(t *testing.T, path string) any {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no manifest: %v", err)
+	}
+	var man struct{ Config map[string]any }
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	return man.Config["status"]
+}
+
+// TestDeadlineWritesInterruptedManifest: a run its -deadline stops fails, and
+// its manifest records the interruption.
+func TestDeadlineWritesInterruptedManifest(t *testing.T) {
+	mani := filepath.Join(t.TempDir(), "m.json")
+	_, err := runOutput(t, cli{path: lowpass, storage: "masc", workers: 1, adjWorkers: 1, depth: 2, top: 1,
+		deadline: time.Nanosecond, maniPath: mani})
+	if err == nil {
+		t.Fatal("a run past its deadline succeeded")
+	}
+	if st := manifestStatus(t, mani); st != "interrupted" {
+		t.Fatalf("manifest status %v, want interrupted", st)
+	}
+}
+
+// TestDeadlineInReverseSweepWritesInterruptedManifest: a -deadline that
+// expires in the reverse sweep fails the run with the deadline's error — but
+// not masc.ErrInterrupted, which only the forward loop returns — and the
+// manifest still records the interruption. A throttled disk store stretches
+// both phases to a similar length; the deadline grows until one lands in the
+// sweep.
+func TestDeadlineInReverseSweepWritesInterruptedManifest(t *testing.T) {
+	mani := filepath.Join(t.TempDir(), "m.json")
+	for d := 20 * time.Millisecond; d < 10*time.Second; d = d * 5 / 4 {
+		_, err := runOutput(t, cli{path: lowpass, storage: "disk", diskBps: 4e5, workers: 1, adjWorkers: 2,
+			depth: 2, top: 1, deadline: d, maniPath: mani})
+		switch {
+		case err == nil:
+			t.Fatalf("no deadline landed in the reverse sweep: %v stopped the forward loop, %v let the run finish", d*4/5, d)
+		case errors.Is(err, masc.ErrInterrupted):
+			continue // still in the forward loop
+		case !errors.Is(err, context.DeadlineExceeded):
+			t.Fatalf("deadline %v: %v, want context.DeadlineExceeded", d, err)
+		}
+		if st := manifestStatus(t, mani); st != "interrupted" {
+			t.Fatalf("deadline %v in the reverse sweep: manifest status %v, want interrupted", d, st)
+		}
+		return
+	}
+	t.Fatal("every deadline up to 10s stopped the forward loop")
 }

@@ -38,6 +38,12 @@ import (
 // JacobianSource supplies the per-step Jacobian tensors during the reverse
 // sweep. Fetch is called in strictly decreasing step order (n, n-1, …, 0);
 // the returned slices are valid until the matching Release.
+//
+// A sweep the caller's context stops while it waits on its overlapped
+// fetcher (Options.Workers > 1) returns without waiting for that fetcher, so
+// the fetcher's last Fetch and Release may run concurrently with whatever
+// the caller does next — typically closing the source. A source must
+// tolerate that: calls after its Close fail or do nothing, they do not race.
 type JacobianSource interface {
 	// Fetch returns step i's pair: the G values (on the circuit's GPat) and
 	// C values (on CPat) under Options.StoredGC, the assembled J values (on
@@ -104,11 +110,6 @@ type Options struct {
 	// ("adjoint_fetch", "adjoint_solve", "param_eval", "degrade").
 	Obs *obs.Observer
 
-	// DisableDegrade turns off the recompute-on-corruption fallback: any
-	// degradable fetch error aborts the sweep instead. Used by tests and
-	// by callers that prefer fail-fast over degraded completion.
-	DisableDegrade bool
-
 	// Workers bounds the reverse sweep's parallelism. 0 and 1 both mean
 	// fully serial (single goroutine, serial store-access order); W > 1
 	// shards the parameter-gradient loop and the per-objective RHS builds
@@ -116,11 +117,6 @@ type Options struct {
 	// the current step's compute. Results are bit-identical for every
 	// value of Workers.
 	Workers int
-
-	// SingleRHS forces one triangular solve per objective instead of the
-	// blocked multi-RHS kernel. Results are bit-identical either way; the
-	// knob exists so benchmarks can isolate the multi-RHS win.
-	SingleRHS bool
 
 	// Windows splits the reverse sweep in time: the trajectory is cut into
 	// W windows whose reverse sweeps run concurrently, each seeded with
@@ -136,19 +132,14 @@ type Options struct {
 	SpanParent span.ID
 
 	// Ctx, if non-nil, cancels the reverse sweep cooperatively: every
-	// engine (serial, overlapped, windowed) polls it at step boundaries
-	// and aborts with an error wrapping the context's error. Unlike the
-	// windowed teardown signal, cancellation is a root cause, not a
-	// casualty — it surfaces from Sensitivities.
+	// engine (serial, overlapped, windowed) polls it at step boundaries,
+	// the overlapped engine also while it waits for a fetch, and aborts
+	// with an error wrapping the context's error. A wedged fetch cannot
+	// hold the sweep past a deadline: its fetcher goroutine is abandoned
+	// and drained asynchronously. Unlike the windowed engine's teardown of
+	// its siblings, cancellation is a root cause, not a casualty — it
+	// surfaces from Sensitivities.
 	Ctx context.Context
-
-	// FetchStallTimeout, if positive, bounds how long the overlapped
-	// engine waits for the fetch pipeline to deliver one step. A stall
-	// beyond it — a wedged disk read, a dead recompute — aborts with an
-	// error wrapping ErrFetchStalled instead of hanging the sweep. The
-	// abandoned fetcher goroutine is drained asynchronously so a stuck
-	// syscall cannot pin the caller.
-	FetchStallTimeout time.Duration
 
 	// WindowDone, if non-nil, runs as each window sweep completes without
 	// error (on that sweep's goroutine, serialized by the engine lock),
@@ -322,6 +313,9 @@ func Sensitivities(ckt *circuit.Circuit, tr *transient.Result, src JacobianSourc
 	asp.Attr("objs", int64(len(objs)))
 	defer asp.End()
 	opt.SpanParent = asp.ID()
+	if opt.Ctx == nil {
+		opt.Ctx = context.Background()
+	}
 	if opt.Windows > 1 {
 		if res, handled, werr := runWindowed(ckt, tr, src, objs, params, trap, opt); handled {
 			return res, werr
@@ -330,7 +324,12 @@ func Sensitivities(ckt *circuit.Circuit, tr *transient.Result, src JacobianSourc
 		// compressed store, …): the serial sweep is the W=1 degenerate
 		// case, so fall through to it.
 	}
-	return newSweep(ckt, tr, src, objs, params, trap, opt).run()
+	s := newSweep(ckt, tr, src, objs, params, trap, opt)
+	defer s.pool.close()
+	if err := s.run(); err != nil {
+		return nil, err
+	}
+	return s.res, nil
 }
 
 // isTrap resolves the trajectory's integration method (an empty Method is
@@ -410,19 +409,6 @@ func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 		return nil
 	}
 
-	// solveAll solves every system in rhsAll in place on the current
-	// factorization: one blocked traversal unless SingleRHS pins the
-	// one-at-a-time baseline.
-	solveAll := func(rhsAll [][]float64) {
-		if opt.SingleRHS {
-			for _, r := range rhsAll {
-				fact.Solve(r)
-			}
-		} else {
-			fact.SolveMulti(rhsAll)
-		}
-	}
-
 	s := make([][]float64, len(params))      // s_i per parameter
 	rhsAll := make([][]float64, len(params)) // per-parameter right-hand sides
 	for k := range s {
@@ -478,7 +464,7 @@ func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 			}
 		}
 	})
-	solveAll(rhsAll)
+	fact.SolveMulti(rhsAll)
 	for pk := range params {
 		s[pk], rhsAll[pk] = rhsAll[pk], s[pk]
 	}
@@ -536,7 +522,7 @@ func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 				}
 			}
 		})
-		solveAll(rhsAll)
+		fact.SolveMulti(rhsAll)
 		for pk := range params {
 			s[pk], rhsAll[pk] = rhsAll[pk], s[pk]
 		}

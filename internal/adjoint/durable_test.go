@@ -111,25 +111,41 @@ func TestPreCanceledContext(t *testing.T) {
 	}
 }
 
-// TestFetchStallTimeout: a fetch that never returns must trip the watchdog
-// instead of hanging the sweep.
-func TestFetchStallTimeout(t *testing.T) {
+// TestWedgedFetchHonoursDeadline: a fetch that never returns must not hold
+// the overlapped sweep past the caller's deadline — the wait for the fetcher
+// selects on the context, and the wedged fetcher is abandoned. The windowed
+// engine's sweeps share that wait, so a deadline frees them too.
+func TestWedgedFetchHonoursDeadline(t *testing.T) {
 	ckt, res, src, objs := runForward(t)
-	gate := make(chan struct{})
-	defer close(gate) // let the abandoned fetcher goroutine exit
-	ss := &stallingSource{base: src, stall: res.Steps() / 2, gate: gate}
-	done := make(chan error, 1)
-	go func() {
-		_, err := Sensitivities(ckt, res, ss, objs, Options{Workers: 2, FetchStallTimeout: 100 * time.Millisecond})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrFetchStalled) {
-			t.Fatalf("want ErrFetchStalled, got %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("sweep hung despite FetchStallTimeout")
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"overlapped", Options{Workers: 2}},
+		{"windowed", Options{Windows: 3, Workers: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			defer close(gate) // let the abandoned fetcher goroutines exit
+			ss := &stallingSource{base: src, stall: res.Steps() / 2, gate: gate}
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			opt := tc.opt
+			opt.Ctx = ctx
+			done := make(chan error, 1)
+			go func() {
+				_, err := Sensitivities(ckt, res, ss, objs, opt)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("want context.DeadlineExceeded, got %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("sweep hung on a wedged fetch despite the deadline")
+			}
+		})
 	}
 }
 

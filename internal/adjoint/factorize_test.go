@@ -1,6 +1,7 @@
 package adjoint
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -38,10 +39,11 @@ func TestForeignPatternFactorsFailLoudly(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2} {
-		s := newSweep(ckt, res, src, objs, params, false, Options{Workers: workers})
+		s := newSweep(ckt, res, src, objs, params, false, Options{Workers: workers, Ctx: context.Background()})
 		s.fact = foreign.Clone()
-		r, err := s.run()
-		check("sweep", r, err)
+		err := s.run()
+		s.pool.close()
+		check("sweep", nil, err)
 		if s.res.Factorizations != 0 {
 			t.Fatalf("sweep re-pivoted %d times on a pattern mismatch", s.res.Factorizations)
 		}

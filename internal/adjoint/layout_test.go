@@ -91,7 +91,7 @@ func TestStoredGCSweepsBitIdentical(t *testing.T) {
 				{Name: "mid", Node: node, Weight: 0.5, Step: res.Steps() / 2},
 				{Name: "integral", Node: node, Weight: 2, Integral: true},
 			}
-			want, err := Sensitivities(ckt, res, keepAll{jc}, objs, Options{Workers: 1, SingleRHS: true})
+			want, err := Sensitivities(ckt, res, keepAll{jc}, objs, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,6 +32,7 @@ package adjoint
 // changes no bit.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -156,10 +157,8 @@ type sweep struct {
 	// ParamEval its windows will perform.
 	skipParamsAtOrBelow int
 
-	// stop, when non-nil, aborts the sweep cooperatively at the next step
-	// boundary (the windowed engine's shared teardown signal). afterStep
-	// runs at the end of every processStep — the seed-capture hook.
-	stop      <-chan struct{}
+	// afterStep runs at the end of every processStep — the seed-capture
+	// hook.
 	afterStep func(i int)
 
 	workers int
@@ -246,22 +245,15 @@ func newSweep(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, ob
 	return s
 }
 
-// run drives the sweep to completion. Workers ≤ 1 keeps everything on the
-// calling goroutine (and in the serial store-access order); workers > 1
-// additionally overlaps the next step's fetch with the current step's
-// compute.
-func (s *sweep) run() (*Result, error) {
-	defer s.pool.close()
-	var err error
+// run drives the sweep over [loStep, hiStep] to completion. Workers ≤ 1
+// keeps everything on the calling goroutine (and in the serial store-access
+// order); workers > 1 additionally overlaps the next step's fetch with the
+// current step's compute.
+func (s *sweep) run() error {
 	if s.workers > 1 {
-		err = s.runOverlapped()
-	} else {
-		err = s.runSerialFetch()
+		return s.runOverlapped()
 	}
-	if err != nil {
-		return nil, err
-	}
-	return s.res, nil
+	return s.runSerialFetch()
 }
 
 // acquire materializes step i's J and C values. Under Options.StoredGC the
@@ -309,7 +301,7 @@ func (s *sweep) acquireStored(i int) (av, cv []float64, degraded bool, err error
 		return av, cv, false, nil
 	}
 	var se *jactensor.StepError
-	if s.opt.DisableDegrade || !errors.As(err, &se) || !se.Degradable {
+	if !errors.As(err, &se) || !se.Degradable {
 		return nil, nil, false, fmt.Errorf("adjoint: fetch step %d: %w", i, err)
 	}
 	if s.rec == nil {
@@ -367,34 +359,24 @@ func (s *sweep) runSerialFetch() error {
 	return nil
 }
 
-// errSweepStopped is the cooperative-abort sentinel: a window sweep that saw
-// the shared stop signal (because a sibling failed) returns it so the
-// orchestrator can distinguish casualties from the root cause.
+// errSweepStopped is the cooperative-abort sentinel: the windowed engine
+// cancels its sweeps' context with it as the cause when a sibling fails, and
+// a sweep that sees it returns it so the orchestrator can distinguish
+// casualties from the root cause.
 var errSweepStopped = errors.New("adjoint: sweep aborted")
 
-// ErrFetchStalled is wrapped into the sweep's error when the overlapped
-// engine's fetch pipeline fails to deliver a step within
-// Options.FetchStallTimeout.
-var ErrFetchStalled = errors.New("adjoint: fetch stalled")
-
-// checkStop polls cancellation and the windowed engine's shared teardown
-// signal. A canceled context is a root cause (a real error the orchestrator
-// reports); the teardown signal is a casualty (errSweepStopped, filtered).
+// checkStop polls the sweep's context. The caller's cancellation is a root
+// cause (a real error the orchestrator reports); the windowed engine's
+// teardown is a casualty (errSweepStopped, filtered).
 func (s *sweep) checkStop() error {
-	if ctx := s.opt.Ctx; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("adjoint: canceled: %w", err)
-		}
-	}
-	if s.stop == nil {
+	err := s.opt.Ctx.Err()
+	if err == nil {
 		return nil
 	}
-	select {
-	case <-s.stop:
+	if context.Cause(s.opt.Ctx) == errSweepStopped {
 		return errSweepStopped
-	default:
-		return nil
 	}
+	return fmt.Errorf("adjoint: canceled: %w", err)
 }
 
 // runOverlapped is the workers > 1 path: a fetcher goroutine owns every
@@ -454,7 +436,8 @@ func (s *sweep) runOverlapped() error {
 
 	// halt tears the pipeline down on an error: signal the fetcher, then
 	// drain until it has closed results, so no goroutine touches the store
-	// after run returns.
+	// after run returns. The one exception is the caller's cancellation
+	// arriving while the sweep waits on the fetcher (below).
 	halt := func() {
 		close(stop)
 		for range results {
@@ -469,24 +452,27 @@ func (s *sweep) runOverlapped() error {
 		tWait := time.Now()
 		var buf *fetchBuf
 		var ok bool
-		if d := s.opt.FetchStallTimeout; d > 0 {
-			timer := time.NewTimer(d)
-			select {
-			case buf, ok = <-results:
-				timer.Stop()
-			case <-timer.C:
-				// The fetcher is wedged (hung syscall, dead recompute).
-				// Signal it and drain asynchronously — waiting for a stuck
-				// read to finish would just move the hang here.
-				close(stop)
-				go func() {
-					for range results {
-					}
-				}()
-				return fmt.Errorf("adjoint: step %d not delivered within %v: %w", i, d, ErrFetchStalled)
+		select {
+		case buf, ok = <-results:
+		case <-s.opt.Ctx.Done():
+			err := s.checkStop()
+			if err == errSweepStopped {
+				// A sibling window failed; this fetcher is healthy, so it
+				// drains like any other teardown.
+				halt()
+				return err
 			}
-		} else {
-			buf, ok = <-results
+			// The caller stopped the run, and the fetcher may be why (a hung
+			// read, a dead recompute). Signal it and drain asynchronously —
+			// waiting for a stuck read would just move the hang here. Its
+			// last Fetch/Release may then race the store's Close, which
+			// every store tolerates (see JacobianSource).
+			close(stop)
+			go func() {
+				for range results {
+				}
+			}()
+			return err
 		}
 		wait := time.Since(tWait)
 		if !ok {
@@ -494,8 +480,8 @@ func (s *sweep) runOverlapped() error {
 			case err := <-errCh:
 				return err
 			default:
-				if s.checkStop() != nil {
-					return errSweepStopped
+				if err := s.checkStop(); err != nil {
+					return err
 				}
 				return fmt.Errorf("adjoint: fetch pipeline stopped before step %d", i)
 			}
@@ -666,13 +652,7 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 		ssp.End()
 		return fmt.Errorf("adjoint: factor step %d: %w", i, factErr)
 	}
-	if s.opt.SingleRHS {
-		for o := range s.objs {
-			s.fact.SolveT(s.lam[o])
-		}
-	} else {
-		s.fact.SolveTMulti(s.lam)
-	}
+	s.fact.SolveTMulti(s.lam)
 	ssp.Attr("objs", int64(len(s.objs)))
 	ssp.Attr("lu", int64(what)) // lu.Outcome: 0 reused, 1 refactor, 2 factor
 	ssp.End()

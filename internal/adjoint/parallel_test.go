@@ -49,9 +49,8 @@ func requireBitIdentical(t *testing.T, label string, want, got *Result) {
 
 // TestParallelSweepBitIdentical is the tentpole property test: for every
 // circuit family, integrator, objective mix, and worker count (including
-// oversubscription), the parallel sweep must reproduce the serial
-// single-RHS sweep's bits exactly, with and without the blocked multi-RHS
-// kernel.
+// oversubscription), the parallel sweep must reproduce the serial sweep's
+// bits exactly.
 func TestParallelSweepBitIdentical(t *testing.T) {
 	type fixture struct {
 		name string
@@ -96,22 +95,16 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 				{Name: "quarter", Node: node, Weight: -1, Step: res.Steps() / 4},
 			}
 			src := keepAll{store}
-			want, err := Sensitivities(ckt, res, src, objs, Options{Workers: 1, SingleRHS: true})
+			want, err := Sensitivities(ckt, res, src, objs, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts(t) {
-				for _, single := range []bool{false, true} {
-					got, err := Sensitivities(ckt, res, src, objs, Options{Workers: w, SingleRHS: single})
-					if err != nil {
-						t.Fatalf("workers=%d singleRHS=%v: %v", w, single, err)
-					}
-					label := "workers=" + strconv.Itoa(w)
-					if single {
-						label += ",singleRHS"
-					}
-					requireBitIdentical(t, label, want, got)
+				got, err := Sensitivities(ckt, res, src, objs, Options{Workers: w})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
 				}
+				requireBitIdentical(t, "workers="+strconv.Itoa(w), want, got)
 			}
 		})
 	}
@@ -163,7 +156,7 @@ func degradedRun(t *testing.T, workers int, compressed bool) (*Result, *Result) 
 		{Node: node, Weight: 1},
 		{Node: node, Weight: 1, Integral: true},
 	}
-	want, err := Sensitivities(ckt, res, clean, objs, Options{Workers: 1, SingleRHS: true})
+	want, err := Sensitivities(ckt, res, clean, objs, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +194,7 @@ func TestParallelDegradedBitIdentical(t *testing.T) {
 
 // TestDirectParallelBitIdentical pins the same property for the forward
 // method: sharded RHS builds plus the blocked SolveMulti must match the
-// serial single-RHS baseline bit for bit.
+// serial baseline bit for bit.
 func TestDirectParallelBitIdentical(t *testing.T) {
 	for _, trap := range []bool{false, true} {
 		name := "be"
@@ -226,7 +219,7 @@ func TestDirectParallelBitIdentical(t *testing.T) {
 				{Node: node, Weight: 1},
 				{Node: node, Weight: 1, Integral: true},
 			}
-			want, err := DirectSensitivities(ckt, res, objs, Options{Workers: 1, SingleRHS: true})
+			want, err := DirectSensitivities(ckt, res, objs, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +254,7 @@ func TestSweepErrorTeardown(t *testing.T) {
 	if _, err := Sensitivities(ckt, res, store, objs, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Sensitivities(ckt, res, store, objs, Options{Workers: 4, DisableDegrade: true}); err == nil {
+	if _, err := Sensitivities(ckt, res, store, objs, Options{Workers: 4}); err == nil {
 		t.Fatal("second sweep over a released store should fail")
 	}
 }

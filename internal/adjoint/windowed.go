@@ -35,6 +35,7 @@ package adjoint
 // plaintext regardless of which sweep hits it first.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -348,9 +349,11 @@ func runWindowed(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource,
 	}
 
 	tWall := time.Now()
-	stopCh := make(chan struct{})
-	var stopOnce sync.Once
-	abort := func() { stopOnce.Do(func() { close(stopCh) }) }
+	// Every sweep of this pass polls one context: the caller's, plus the
+	// teardown a failing sibling triggers (cause errSweepStopped).
+	ctx, abort := context.WithCancelCause(opt.Ctx)
+	defer abort(nil)
+	opt.Ctx = ctx
 
 	var mu sync.Mutex
 	var firstErr error
@@ -391,7 +394,7 @@ func runWindowed(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource,
 		}
 		mu.Unlock()
 		if werr != nil {
-			abort()
+			abort(errSweepStopped)
 		}
 	}
 
@@ -412,15 +415,9 @@ func runWindowed(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource,
 				ws.spanParent = wsp.ID()
 				ws.hiStep, ws.loStep = hi, lo
 				ws.stepContrib = contribs[lo : hi+1]
-				ws.stop = stopCh
 				ws.applySeed(seed)
 				t := time.Now()
-				var werr error
-				if ws.workers > 1 {
-					werr = ws.runOverlapped()
-				} else {
-					werr = ws.runSerialFetch()
-				}
+				werr := ws.run()
 				finish(j, ws, time.Since(t), werr)
 			}()
 		}
@@ -443,7 +440,6 @@ func runWindowed(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource,
 			seeder.skipParamsAtOrBelow = n
 		}
 		seeder.stepContrib = contribs[tops[0]+1:]
-		seeder.stop = stopCh
 		seeder.afterStep = func(i int) {
 			j, ok := windowAt[i]
 			if !ok || seeder.checkStop() != nil {
@@ -455,12 +451,7 @@ func runWindowed(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource,
 			launch(j, lows[j], tops[j], views[j], captureSeed(seeder))
 		}
 		tSeed := time.Now()
-		var serr error
-		if seeder.workers > 1 {
-			serr = seeder.runOverlapped()
-		} else {
-			serr = seeder.runSerialFetch()
-		}
+		serr := seeder.run()
 		finish(W-1, seeder, time.Since(tSeed), serr)
 		ssp.End()
 		wg.Wait()

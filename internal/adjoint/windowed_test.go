@@ -121,7 +121,7 @@ func TestWindowedSweepBitIdentical(t *testing.T) {
 				{Name: "quarter", Node: node, Weight: -1, Step: res.Steps() / 4},
 			}
 			src := keepAll{mem}
-			want, err := Sensitivities(ckt, res, src, objs, Options{Workers: 1, SingleRHS: true})
+			want, err := Sensitivities(ckt, res, src, objs, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func windowedDegradedRun(t *testing.T, W int) (want, gotMem, gotComp *Result) {
 		{Node: node, Weight: 1},
 		{Node: node, Weight: 1, Integral: true},
 	}
-	want, err = Sensitivities(ckt, res, clean, objs, Options{Workers: 1, SingleRHS: true})
+	want, err = Sensitivities(ckt, res, clean, objs, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestWindowedInterruptTeardown(t *testing.T) {
 	// Fail inside window 0's range so the seeding sweep has finished its
 	// own descent and sibling windows are mid-flight when the error lands.
 	src := failAt{JacobianSource: keepAll{mem}, step: 2}
-	_, err = Sensitivities(ckt, res, src, objs, Options{Windows: 4, DisableDegrade: true, Workers: 2})
+	_, err = Sensitivities(ckt, res, src, objs, Options{Windows: 4, Workers: 2})
 	if err == nil {
 		t.Fatal("windowed sweep over failing source succeeded")
 	}

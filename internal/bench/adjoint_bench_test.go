@@ -33,26 +33,23 @@ func adjointFixture(b *testing.B, name string, scale float64) (*workload.Dataset
 }
 
 // BenchmarkSensitivities sweeps the reverse-sweep engine configurations on
-// a multi-objective workload: the pre-engine baseline (workers=1, one
-// triangular solve per objective), the blocked multi-RHS kernel alone, and
-// the sharded/overlapped engine at increasing worker counts.
+// a multi-objective workload: the serial sweep and the sharded/overlapped
+// engine at increasing worker counts.
 func BenchmarkSensitivities(b *testing.B) {
 	ds, tr, src := adjointFixture(b, "add20", 0.1)
 	for _, cfg := range []struct {
 		name    string
 		workers int
-		single  bool
 	}{
-		{"serial-singleRHS", 1, true},
-		{"serial-multiRHS", 1, false},
-		{"workers2", 2, false},
-		{"workers4", 4, false},
+		{"serial-multiRHS", 1},
+		{"workers2", 2},
+		{"workers4", 4},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, err := adjoint.Sensitivities(ds.Ckt, tr, src, ds.Objectives,
-					adjoint.Options{Params: ds.Params, StoredGC: true, Workers: cfg.workers, SingleRHS: cfg.single})
+					adjoint.Options{Params: ds.Params, StoredGC: true, Workers: cfg.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -68,17 +65,15 @@ func BenchmarkDirectSensitivities(b *testing.B) {
 	for _, cfg := range []struct {
 		name    string
 		workers int
-		single  bool
 	}{
-		{"serial-singleRHS", 1, true},
-		{"serial-multiRHS", 1, false},
-		{"workers4", 4, false},
+		{"serial-multiRHS", 1},
+		{"workers4", 4},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, err := adjoint.DirectSensitivities(ds.Ckt, tr, ds.Objectives,
-					adjoint.Options{Params: ds.Params, Workers: cfg.workers, SingleRHS: cfg.single})
+					adjoint.Options{Params: ds.Params, Workers: cfg.workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,8 +7,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"time"
 
 	"masc/internal/compress"
@@ -17,16 +15,15 @@ import (
 	"masc/internal/workload"
 )
 
-// Tensor is an in-memory Jacobian tensor captured from a simulation (or
-// loaded from a tensor file): the raw material of the compression
-// experiments. It is the tensor the facade stores — per step, the device
+// Tensor is an in-memory Jacobian tensor captured from a simulation: the
+// raw material of the compression experiments. It is the tensor the facade stores — per step, the device
 // matrices G = ∂f/∂x and C = ∂q/∂x, not the assembled J = G + C/h.
 type Tensor struct {
 	Name       string
 	GPat, CPat *sparse.Pattern
 	GS         [][]float64 // G values per step
 	CS         [][]float64 // C values per step
-	XS         [][]float64 // the state each step was produced at; nil for a loaded tensor file, which holds none
+	XS         [][]float64 // the state each step was produced at
 	Steps      int
 }
 
@@ -162,39 +159,4 @@ func fmtBytes(b int64) string {
 	default:
 		return fmt.Sprintf("%d B", b)
 	}
-}
-
-// SaveFile writes the tensor to path in the masc tensor file format.
-func (t *Tensor) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := jactensor.WriteTensorFile(f, t.GPat, t.CPat, t.GS, t.CS); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadTensor reads a tensor file produced by SaveFile (or any tool using
-// jactensor.WriteTensorFile).
-func LoadTensor(path string) (*Tensor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	gp, cp, gs, cs, err := jactensor.ReadTensorFile(f)
-	if err != nil {
-		return nil, err
-	}
-	return &Tensor{
-		Name:  filepath.Base(path),
-		GPat:  gp,
-		CPat:  cp,
-		GS:    gs,
-		CS:    cs,
-		Steps: len(gs),
-	}, nil
 }

@@ -236,8 +236,8 @@ func TestFetchAfterCloseIsTypedError(t *testing.T) {
 }
 
 // TestArenaReaderRacesClose closes the store while window slices and an
-// abandoned serial fetcher are mid-sweep (what adjoint's FetchStallTimeout
-// path and a failed sibling window leave behind). Every fetch must either
+// abandoned serial fetcher are mid-sweep (what an adjoint sweep cancelled
+// mid-fetch and a failed sibling window leave behind). Every fetch must either
 // return bit-exact data or ErrClosed; under -race this also checks that the
 // pin/close hand-off is properly synchronized.
 func TestArenaReaderRacesClose(t *testing.T) {

@@ -213,5 +213,7 @@ func (s *DiskStore) Stats() Stats {
 }
 
 // Close implements Store, removing the spill file. Idempotent, like the
-// spill store underneath.
+// spill store underneath. It touches nothing but the spill, whose lock
+// orders it against the last fetch of a canceled sweep's fetcher; that fetch
+// then fails to read and is recomputed.
 func (s *DiskStore) Close() error { return s.spill.Close() }

@@ -24,6 +24,7 @@ package jactensor
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"masc/internal/blobframe"
@@ -127,8 +128,12 @@ type Store interface {
 // It is the reference every other store's bits are compared with, so beyond
 // the Put contract, the meter and the attachment (storeBase) it shares
 // nothing with them: its sidecars, its quarantine and its copies are its own.
+//
+// mu orders the reverse sweep's calls (Fetch, Repair, Release) against
+// Close, which may race the last fetch of a canceled sweep's fetcher.
 type MemStore struct {
 	storeBase
+	mu           sync.Mutex
 	j, c         [][]float64
 	jSums, cSums []uint32
 	quarantined  map[int]bool
@@ -172,6 +177,8 @@ func (s *MemStore) EndForward() error {
 // a mismatch quarantines the step and returns a degradable *StepError so
 // the adjoint sweep can fall back to recomputation.
 func (s *MemStore) Fetch(step int) ([]float64, []float64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.forwardDone {
 		return nil, nil, &StepError{Step: step, Op: "fetch", Err: errors.New("Fetch before EndForward")}
 	}
@@ -205,6 +212,8 @@ func (s *MemStore) quarantine(step int, tensor string, got, want uint32) error {
 // Repair implements Repairer: it installs recomputed plaintext for a
 // quarantined step and refreshes the sidecar.
 func (s *MemStore) Repair(step int, jVals, cVals []float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if step < 0 || step >= len(s.j) {
 		return
 	}
@@ -218,6 +227,8 @@ func (s *MemStore) Repair(step int, jVals, cVals []float64) {
 
 // Release implements Store.
 func (s *MemStore) Release(step int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if step >= 0 && step < len(s.j) {
 		if s.j[step] != nil {
 			s.bumpResident(-int64(8 * (len(s.j[step]) + len(s.c[step]))))
@@ -230,8 +241,10 @@ func (s *MemStore) Release(step int) {
 // Stats implements Store.
 func (s *MemStore) Stats() Stats { return s.stats }
 
-// Close implements Store.
+// Close implements Store; later fetches fail.
 func (s *MemStore) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.j, s.c = nil, nil
 	return nil
 }

@@ -1,7 +1,6 @@
 package jactensor
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -331,62 +330,5 @@ func TestMemStoreReleaseFrees(t *testing.T) {
 	}
 	if _, _, err := st.Fetch(1); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTensorFileRoundTrip(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(42, 30, 7)
-	var buf bytes.Buffer
-	if err := WriteTensorFile(&buf, jp, cp, js, cs); err != nil {
-		t.Fatal(err)
-	}
-	jp2, cp2, js2, cs2, err := ReadTensorFile(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jp2.N != jp.N || jp2.NNZ() != jp.NNZ() || cp2.N != cp.N || cp2.NNZ() != cp.NNZ() {
-		t.Fatal("pattern shape mismatch")
-	}
-	for i := range jp.ColIdx {
-		if jp2.ColIdx[i] != jp.ColIdx[i] {
-			t.Fatal("J pattern mismatch")
-		}
-	}
-	if len(js2) != len(js) {
-		t.Fatalf("step count %d, want %d", len(js2), len(js))
-	}
-	for s := range js {
-		for k := range js[s] {
-			if math.Float64bits(js2[s][k]) != math.Float64bits(js[s][k]) {
-				t.Fatalf("J value mismatch at step %d", s)
-			}
-		}
-		for k := range cs[s] {
-			if math.Float64bits(cs2[s][k]) != math.Float64bits(cs[s][k]) {
-				t.Fatalf("C value mismatch at step %d", s)
-			}
-		}
-	}
-}
-
-func TestTensorFileErrors(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(43, 10, 3)
-	var buf bytes.Buffer
-	if err := WriteTensorFile(&buf, jp, cp, js, cs); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	if _, _, _, _, err := ReadTensorFile(bytes.NewReader(full[:10])); err == nil {
-		t.Fatal("expected error on truncated header")
-	}
-	if _, _, _, _, err := ReadTensorFile(bytes.NewReader(full[:len(full)-5])); err == nil {
-		t.Fatal("expected error on truncated payload")
-	}
-	bad := append([]byte("NOTMAGIC"), full[8:]...)
-	if _, _, _, _, err := ReadTensorFile(bytes.NewReader(bad)); err == nil {
-		t.Fatal("expected error on bad magic")
-	}
-	if err := WriteTensorFile(&buf, jp, cp, js, cs[:2]); err == nil {
-		t.Fatal("expected error on mismatched step counts")
 	}
 }

@@ -1,6 +1,7 @@
 package transient
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -8,24 +9,28 @@ import (
 	"masc/internal/sparse"
 )
 
-// TestStopReturnsPartialResult pins the graceful-shutdown contract: a Stop
-// that fires after k accepted steps returns the partial trajectory (every
-// accepted step captured, none half-done) and an error wrapping
+// TestContextCancelReturnsPartialResult pins the graceful-shutdown contract:
+// a context cancelled after k accepted steps returns the partial trajectory
+// (every accepted step captured, none half-done) and an error wrapping
 // ErrInterrupted.
-func TestStopReturnsPartialResult(t *testing.T) {
+func TestContextCancelReturnsPartialResult(t *testing.T) {
 	ckt, _ := buildRC(t, 1e3, 1e-6)
 	for _, k := range []int{0, 1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
 		captured := 0
 		res, err := Run(ckt, Options{
-			TStop: 1e-4, TStep: 1e-5,
-			Stop: func() bool { return captured > k },
+			TStop: 1e-4, TStep: 1e-5, Ctx: ctx,
 			Capture: func(step int, _ float64, _ []float64, _, _ *sparse.Matrix) error {
 				captured++
+				if captured > k {
+					cancel()
+				}
 				return nil
 			},
 		})
-		if !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("k=%d: want ErrInterrupted, got %v", k, err)
+		cancel()
+		if !errors.Is(err, ErrInterrupted) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: want ErrInterrupted wrapping context.Canceled, got %v", k, err)
 		}
 		if res == nil {
 			t.Fatalf("k=%d: partial result must be returned alongside ErrInterrupted", k)
@@ -40,11 +45,13 @@ func TestStopReturnsPartialResult(t *testing.T) {
 	}
 }
 
-// TestStopNeverFiringIsHarmless: a Stop hook that always returns false must
+// TestContextNeverCancelledIsHarmless: a context that is never cancelled must
 // not perturb the run.
-func TestStopNeverFiringIsHarmless(t *testing.T) {
+func TestContextNeverCancelledIsHarmless(t *testing.T) {
 	ckt, _ := buildRC(t, 1e3, 1e-6)
-	res, err := Run(ckt, Options{TStop: 1e-4, TStep: 1e-5, Stop: func() bool { return false }})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := Run(ckt, Options{TStop: 1e-4, TStep: 1e-5, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,18 +81,12 @@ type Options struct {
 	// costs, without the store reaching into the solver.
 	StepCost func(step int, d time.Duration) `json:"-"`
 
-	// Stop, if non-nil, is polled at every step boundary. When it returns
-	// true the run halts cleanly: Run returns the partial trajectory
-	// accepted so far together with an error wrapping ErrInterrupted. This
-	// is the hook for SIGINT handling — the solver never observes a signal
-	// mid-Newton, only between steps.
-	Stop func() bool `json:"-"`
-
-	// Ctx, if non-nil, cancels the run between steps. The loop polls it at
-	// every step boundary exactly like Stop, so a deadline or an explicit
-	// cancel halts cleanly with the partial trajectory and an error that
-	// wraps both ErrInterrupted and the context's error. The solver never
-	// observes cancellation mid-Newton.
+	// Ctx, if non-nil, is the run's one stop signal. The loop polls it at
+	// every step boundary (a cut retry included), so a signal, a deadline or
+	// an explicit cancel halts cleanly: Run returns the partial trajectory
+	// accepted so far together with an error that wraps both ErrInterrupted
+	// and the context's error. The solver never observes cancellation
+	// mid-Newton.
 	Ctx context.Context `json:"-"`
 
 	// Resume, if non-nil, restarts the integration from a checkpointed
@@ -121,14 +115,6 @@ type Options struct {
 	// takes bit-identical Newton trajectories, trading a few percent of
 	// forward time for replayability.
 	FreshFactorPerStep bool
-
-	// NewtonBudget, if positive, bounds the wall time one integration step
-	// may spend in *failed* Newton attempts across its step cuts. A step
-	// that exhausts the budget aborts the run with an error wrapping
-	// ErrNewtonBudget instead of grinding through MaxCuts halvings against
-	// a solve that will never converge — the watchdog that turns a hung
-	// forward phase into a typed error.
-	NewtonBudget time.Duration `json:"-"`
 
 	// Obs, if non-nil, receives per-step telemetry: the
 	// masc_transient_* metric families and one trace event per solve
@@ -191,14 +177,10 @@ func (o *Options) withDefaults() Options {
 // DefaultGmin is the DC diagonal conductance floor of a run that sets none.
 const DefaultGmin = 1e-12
 
-// ErrInterrupted is wrapped into Run's error when Options.Stop requests a
-// halt. The partial Result is still returned alongside it: every step
-// recorded in it was fully accepted and captured before the stop.
+// ErrInterrupted is wrapped into Run's error when Options.Ctx is done. The
+// partial Result is still returned alongside it: every step recorded in it
+// was fully accepted and captured before the stop.
 var ErrInterrupted = errors.New("transient: interrupted")
-
-// ErrNewtonBudget is wrapped into Run's error when a single step burns more
-// wall time in failed Newton solves than Options.NewtonBudget allows.
-var ErrNewtonBudget = errors.New("transient: newton budget exhausted")
 
 // ResumeState seeds Run mid-trajectory from a recovered journal: the
 // accepted prefix (steps 0..C of Times/Hs/States) plus the loop-carried
@@ -611,14 +593,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 	}
 
 	xTrial := make([]float64, ckt.N)
-	// Wall time burnt in failed Newton attempts for the current step, for
-	// the NewtonBudget watchdog; reset on every acceptance.
-	var failedSolveTime time.Duration
 	for step := startStep; t < opt.TStop-1e-12*opt.TStop; {
-		if opt.Stop != nil && opt.Stop() {
-			return res, fmt.Errorf("transient: stopped at t=%g after %d accepted steps: %w",
-				t, res.Stats.StepsAccepted, ErrInterrupted)
-		}
 		if opt.Ctx != nil {
 			if cerr := opt.Ctx.Err(); cerr != nil {
 				return res, fmt.Errorf("transient: canceled at t=%g after %d accepted steps: %w: %w",
@@ -635,7 +610,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		factsBefore := res.Stats.Factorizations + res.Stats.Refactorizations
 		reusesBefore := res.Stats.FactorReuses
 		var attemptStart time.Time
-		if ro.on || opt.StepCost != nil || opt.NewtonBudget > 0 {
+		if ro.on || opt.StepCost != nil {
 			attemptStart = time.Now()
 		}
 		if opt.FreshFactorPerStep {
@@ -680,13 +655,6 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		if err := s.newton(xTrial, eval); err != nil {
 			reject(cutNewton)
 			cuts++
-			if opt.NewtonBudget > 0 {
-				failedSolveTime += time.Since(attemptStart)
-				if failedSolveTime > opt.NewtonBudget {
-					return nil, fmt.Errorf("transient: step at t=%g spent %v in failed newton solves (budget %v): %w",
-						t, failedSolveTime.Round(time.Millisecond), opt.NewtonBudget, ErrNewtonBudget)
-				}
-			}
 			if cuts > opt.MaxCuts {
 				return nil, fmt.Errorf("transient: step at t=%g failed after %d cuts: %w", t, cuts, err)
 			}
@@ -746,7 +714,6 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		copy(qPrev, s.ev.Q)
 		copy(fPrev, s.ev.F)
 		t = tNext
-		failedSolveTime = 0
 		accepted := step
 		step++
 		if opt.Adaptive {

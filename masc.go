@@ -118,8 +118,9 @@ type (
 // NewFaultInjector builds a deterministic fault injector from a profile.
 func NewFaultInjector(p FaultProfile) *FaultInjector { return faultinject.New(p) }
 
-// ErrInterrupted is wrapped into Simulate/RunTransient errors when
-// TransientOptions.Stop requested a halt (e.g. on SIGINT).
+// ErrInterrupted is wrapped into Simulate/RunTransient errors when the run's
+// context (SimOptions.Ctx, TransientOptions.Ctx) stopped the forward loop —
+// a signal, a deadline or an explicit cancel.
 var ErrInterrupted = transient.ErrInterrupted
 
 // Integration schemes (set SimOptions.Transient.Method).
@@ -137,12 +138,6 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // NewManifest starts a run manifest for the named tool.
 func NewManifest(tool string) *Manifest { return obs.NewManifest(tool) }
 
-// ServeMetrics starts an HTTP listener on addr exposing /metrics
-// (Prometheus text format), /debug/vars (expvar) and /debug/pprof.
-func ServeMetrics(addr string, reg *Registry) (*MetricsServer, error) {
-	return obs.Serve(addr, reg)
-}
-
 // DefaultSpanCapacity is the span ring size NewSpanRecorder callers
 // typically want (large enough for every span of a mid-sized run).
 const DefaultSpanCapacity = span.DefaultCapacity
@@ -154,9 +149,10 @@ func NewSpanRecorder(capacity int) *SpanRecorder { return span.NewRecorder(capac
 // NewBroadcaster returns an SSE broadcaster for Observer.Events.
 func NewBroadcaster() *Broadcaster { return obs.NewBroadcaster() }
 
-// ServeObserver is ServeMetrics plus the observer's span and event
-// endpoints: /debug/spans (JSONL, ?format=chrome for a Perfetto-loadable
-// trace) and /events (SSE) when the observer carries them.
+// ServeObserver starts an HTTP listener on addr exposing the observer's
+// registry at /metrics (Prometheus text format), /debug/vars (expvar) and
+// /debug/pprof, plus /debug/spans (JSONL, ?format=chrome for a
+// Perfetto-loadable trace) and /events (SSE) when the observer carries them.
 func ServeObserver(addr string, ob *Observer) (*MetricsServer, error) {
 	return obs.ServeObserver(addr, ob)
 }
@@ -267,25 +263,14 @@ type SimOptions struct {
 	// selected storage backend: blob bit rot, spill I/O errors, pipeline
 	// worker panics. Testing/chaos use only; nil costs nothing.
 	Fault *FaultInjector
-	// DisableDegrade turns off the reverse sweep's recompute-on-corruption
-	// fallback: a corrupt blob then fails the run instead of degrading.
-	DisableDegrade bool
-	// Ctx, if non-nil, cancels the run cooperatively: the forward loop and
-	// the reverse sweep poll it at step boundaries, and the disk-backed
+	// Ctx, if non-nil, is the run's one stop signal: a signal handler's
+	// context, a deadline (context.WithTimeout) or an explicit cancel. The
+	// forward loop and the reverse sweep poll it at step boundaries, the
+	// overlapped sweep also while it waits for a fetch, and the disk-backed
 	// stores' I/O retry sleeps abort on it. The run returns the context's
 	// error (wrapped); the forward phase additionally wraps ErrInterrupted.
+	// A journaled run stopped this way resumes from where it stopped.
 	Ctx context.Context
-	// Deadline, if positive, bounds the whole run's wall time (forward +
-	// adjoint + store I/O) by layering a timeout context over Ctx. A run
-	// past its deadline fails with context.DeadlineExceeded — and, when
-	// journaled, resumes from where it stopped.
-	Deadline time.Duration
-	// FetchStallTimeout, if positive, bounds how long the overlapped
-	// adjoint sweep waits for one Jacobian fetch before aborting with
-	// ErrFetchStalled instead of hanging on a wedged read. Only the
-	// overlapped sweep (AdjointWorkers > 1) has a fetcher to wait on: the
-	// serial sweep fetches inline and never reads the timeout.
-	FetchStallTimeout time.Duration
 	// Journal, if non-empty, write-ahead journals the run to this path: the
 	// resolved configuration, a checkpoint per accepted forward step, and
 	// the adjoint engine's per-window progress, fsync'd on a bounded
@@ -332,7 +317,6 @@ type runPlan struct {
 	DiskBytesPerSec float64          `json:"disk_bps"`
 	DiskDir         string           `json:"disk_dir"`
 	MemBudgetBytes  int64            `json:"mem_budget_bytes"`
-	DisableDegrade  bool             `json:"disable_degrade"`
 	Objectives      []Objective      `json:"objectives"`
 	Params          []int            `json:"params"` // resolved parameter indices
 
@@ -375,8 +359,7 @@ func newRunPlan(ckt *Circuit, opt *SimOptions, objectives []Objective, params []
 		AdjointWorkers: opt.AdjointWorkers, Windows: windows, AnchorEvery: anchorEvery,
 		Async: opt.Async, PipelineDepth: opt.PipelineDepth,
 		DiskBytesPerSec: opt.DiskBytesPerSec, DiskDir: opt.DiskDir,
-		MemBudgetBytes: opt.MemBudgetBytes, DisableDegrade: opt.DisableDegrade,
-		Objectives: objectives, Params: params}, nil
+		MemBudgetBytes: opt.MemBudgetBytes, Objectives: objectives, Params: params}, nil
 }
 
 // newStore builds the Jacobian store the plan calls for; nil means
@@ -470,8 +453,7 @@ func Simulate(ckt *Circuit, opt SimOptions, objectives []Objective, params []int
 // from its checkpoints, the forward loop re-enters after the last one, and
 // completed adjoint windows are replayed instead of re-swept). Store and
 // journal are closed on every path. The run's shape comes from the plan alone;
-// opt contributes only the runtime knobs (Obs, Fault, Ctx, Deadline,
-// FetchStallTimeout, CollectCodecStats).
+// opt contributes only the runtime knobs (Obs, Fault, Ctx, CollectCodecStats).
 func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*runstate.Writer, error), rcv *runstate.Recovered) (*Run, error) {
 	store, err := plan.newStore(ckt, opt.CollectCodecStats)
 	if err != nil {
@@ -489,17 +471,7 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 
 	// One context governs the forward loop, the reverse sweep, and the
 	// disk-backed stores' retry sleeps.
-	ctx := opt.Ctx
-	if opt.Deadline > 0 {
-		base := ctx
-		if base == nil {
-			base = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(base, opt.Deadline)
-		defer cancel()
-	}
-	topt.Ctx = ctx
+	topt.Ctx = opt.Ctx
 
 	// The run root span: every forward/adjoint/store span of this simulation
 	// nests under it. Inert (zero span, ID 0) without a recorder.
@@ -518,7 +490,7 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 	if st, ok := store.(interface{ Attach(jactensor.Attachment) }); ok {
 		// The root span is the fallback parent for store-side spans emitted
 		// outside any forward step scope (EndForward, adjoint-phase promotes).
-		st.Attach(jactensor.Attachment{Obs: opt.Obs, Scope: rsp.ID(), Fault: opt.Fault, Ctx: ctx,
+		st.Attach(jactensor.Attachment{Obs: opt.Obs, Scope: rsp.ID(), Fault: opt.Fault, Ctx: opt.Ctx,
 			State: func(int) []float64 { return putting }})
 	}
 	put := func(step int, x, gv, cv []float64) error {
@@ -657,9 +629,8 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 	} else {
 		src = adjoint.NewRecomputeSource(ckt, tr).Pairs()
 	}
-	aopt := adjoint.Options{Params: params, StoredGC: true, Obs: opt.Obs, DisableDegrade: plan.DisableDegrade,
-		Workers: plan.AdjointWorkers, Windows: windows, SpanParent: rsp.ID(),
-		Ctx: ctx, FetchStallTimeout: opt.FetchStallTimeout}
+	aopt := adjoint.Options{Params: params, StoredGC: true, Obs: opt.Obs,
+		Workers: plan.AdjointWorkers, Windows: windows, SpanParent: rsp.ID(), Ctx: opt.Ctx}
 	if jw != nil && windows > 1 {
 		rowLen := len(objectives) * len(params)
 		aopt.WindowDone = func(j, lo, hi int, rows [][]float64, degraded []int) error {

@@ -7,20 +7,9 @@ import (
 	"hash/fnv"
 	"math"
 
-	"masc/internal/adjoint"
 	"masc/internal/runstate"
 	"masc/internal/sparse"
 	"masc/internal/transient"
-)
-
-// Re-exported journal errors and knobs.
-var (
-	// ErrNewtonBudget is wrapped into run errors when
-	// TransientOptions.NewtonBudget expires inside one integration step.
-	ErrNewtonBudget = transient.ErrNewtonBudget
-	// ErrFetchStalled is wrapped into run errors when
-	// SimOptions.FetchStallTimeout expires waiting for one Jacobian fetch.
-	ErrFetchStalled = adjoint.ErrFetchStalled
 )
 
 // DefaultJournalFsyncEvery is the default journal fsync cadence
@@ -118,10 +107,10 @@ var ErrFormatVersion = runstate.ErrFormatVersion
 // The run's shape — storage strategy, window count, solver knobs,
 // objectives, parameter selection — comes from the journal, not from opt: the
 // journaled plan is decoded over a copy of opt.Transient, which keeps only its
-// per-process fields (the Stop, AfterStep, StepCost and capture hooks, and
-// NewtonBudget). Of the rest of opt only the runtime knobs count (Obs, Fault,
-// Ctx, Deadline, FetchStallTimeout, CollectCodecStats). Sensitivities of a
-// killed-and-resumed run are bit-identical to an uninterrupted one.
+// per-process fields (the AfterStep, StepCost and capture hooks). Of the rest
+// of opt only the runtime knobs count (Obs, Fault, Ctx, CollectCodecStats).
+// Sensitivities of a killed-and-resumed run are bit-identical to an
+// uninterrupted one.
 func Resume(ckt *Circuit, journalPath string, opt SimOptions) (*Run, error) {
 	rcv, err := runstate.Recover(journalPath)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"masc/internal/blobframe"
@@ -157,23 +158,29 @@ func TestJournalResumeAfterForwardCrash(t *testing.T) {
 }
 
 // TestResumeKeepsCallerHooks: the journal replaces the run's shape, not the
-// caller's per-process hooks. A resumed run whose Stop hook fires stops at a
-// step boundary with ErrInterrupted, having called the caller's AfterStep, and
-// the journal it leaves still resumes to the uninterrupted bits.
+// caller's per-process hooks or context. A resumed run whose AfterStep hook
+// cancels the caller's context stops at a step boundary with ErrInterrupted,
+// and the journal it leaves still resumes to the uninterrupted bits.
 func TestResumeKeepsCallerHooks(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC, AdjointWindows: 2}
 	ref, path := crashedJournal(t, ckt, opt, []Objective{obj}, 10)
 
-	var polls, after int
-	var hooked SimOptions
-	hooked.Transient.Stop = func() bool { polls++; return polls > 5 }
-	hooked.Transient.AfterStep = func(int, float64, float64, float64, int, []float64) error { after++; return nil }
-	if _, err := Resume(ckt, path, hooked); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("resume with a Stop hook that fires: %v, want ErrInterrupted", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	after := 0
+	hooked := SimOptions{Ctx: ctx}
+	hooked.Transient.AfterStep = func(int, float64, float64, float64, int, []float64) error {
+		if after++; after == 5 {
+			cancel()
+		}
+		return nil
 	}
-	if after == 0 {
-		t.Fatal("the resumed run never called the caller's AfterStep")
+	if _, err := Resume(ckt, path, hooked); !errors.Is(err, ErrInterrupted) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("resume whose AfterStep cancels its context: %v, want ErrInterrupted wrapping context.Canceled", err)
+	}
+	if after != 5 {
+		t.Fatalf("the resumed run called the caller's AfterStep %d times, want 5", after)
 	}
 	run, err := Resume(ckt, path, SimOptions{})
 	if err != nil {
@@ -256,6 +263,41 @@ func TestResumeReseedSealsTheSameBlobs(t *testing.T) {
 		t.Fatalf("resumed codecs decided otherwise: C VoltBlobs %v RegionBits %v, uninterrupted %v %v",
 			run.CodecStatsC.VoltBlobs, run.CodecStatsC.RegionBits, ref.CodecStatsC.VoltBlobs, ref.CodecStatsC.RegionBits)
 	}
+}
+
+// TestResumeIgnoresRetiredPlanKeys: a journal written before a plan field was
+// deleted (disable_degrade, the degrade opt-out) still resumes under the same
+// format version — the plan decode skips keys this build no longer has — and
+// to the uninterrupted bits.
+func TestResumeIgnoresRetiredPlanKeys(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC, AdjointWindows: 2}
+	ref, path := crashedJournal(t, ckt, opt, []Objective{obj}, 25)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := journalFrameEnds(t, data)[0]
+	// UseNumber keeps the 64-bit circuit hash exact through the rewrite.
+	dec := json.NewDecoder(bytes.NewReader(data[blobframe.HeaderSize:end]))
+	dec.UseNumber()
+	var cfg map[string]any
+	if err := dec.Decode(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["plan"].(map[string]any)["disable_degrade"] = false
+	payload, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(blobframe.Wrap('R', 0, payload), data[end:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run, err := Resume(ckt, path, SimOptions{})
+	if err != nil {
+		t.Fatalf("resume of a journal whose plan holds disable_degrade: %v", err)
+	}
+	sameBits(t, "resume with a retired plan key", run.Sens.DOdp, ref.Sens.DOdp)
 }
 
 // TestResumeRejectsForeignCircuit: a journal must not resume against a
@@ -419,6 +461,82 @@ func TestSimulateCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "resume after cancel", run.Sens.DOdp, ref.Sens.DOdp)
+}
+
+// cancelAtPoll is a context that, on its at-th Err poll, cancels itself from
+// a fresh goroutine: the cancellation lands a moment later, wherever the run
+// then is — often while the overlapped reverse sweep waits on its fetcher.
+// With at == 0 it only counts the polls.
+type cancelAtPoll struct {
+	context.Context
+	cancel context.CancelFunc
+	at     int64
+	polls  atomic.Int64
+}
+
+func (c *cancelAtPoll) Err() error {
+	if c.polls.Add(1) == c.at {
+		go c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestCancelDuringReverseSweep: a context that ends during the overlapped
+// reverse sweep fails the run with the context's error — not ErrInterrupted,
+// which is the forward loop's — and leaves a journal that resumes to the
+// uninterrupted bits. Under -race it also checks that the fetcher a canceled
+// sweep leaves behind does not race the store's Close.
+func TestCancelDuringReverseSweep(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	objs := []Objective{obj}
+	for _, st := range []Storage{StorageMemory, StorageDisk, StorageMASC} {
+		t.Run(string(st), func(t *testing.T) {
+			dir := t.TempDir()
+			opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: st, AdjointWorkers: 2}
+
+			// An uncanceled run counts the polls: fwd by the forward loop's
+			// last step, total by the end of the reverse sweep.
+			probe := &cancelAtPoll{Context: context.Background()}
+			var fwd int64
+			popt := opt
+			popt.Ctx = probe
+			popt.Journal = filepath.Join(dir, "ref.journal")
+			popt.Transient.AfterStep = func(int, float64, float64, float64, int, []float64) error {
+				fwd = probe.polls.Load()
+				return nil
+			}
+			ref, err := Simulate(ckt, popt, objs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := probe.polls.Load()
+
+			canceled := 0
+			for at := fwd + 1; at <= total; at++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				copt := opt
+				copt.Ctx = &cancelAtPoll{Context: ctx, cancel: cancel, at: at}
+				copt.Journal = filepath.Join(dir, fmt.Sprintf("cancel%d.journal", at))
+				_, err := Simulate(ckt, copt, objs, nil)
+				cancel()
+				if err == nil {
+					continue // the cancellation landed after the sweep finished
+				}
+				if errors.Is(err, ErrInterrupted) || !errors.Is(err, context.Canceled) {
+					t.Fatalf("poll %d: %v, want context.Canceled without ErrInterrupted", at, err)
+				}
+				canceled++
+				run, err := Resume(ckt, copt.Journal, SimOptions{})
+				if err != nil {
+					t.Fatalf("poll %d: resume: %v", at, err)
+				}
+				sameBits(t, fmt.Sprintf("resume after a cancel at poll %d", at), run.Sens.DOdp, ref.Sens.DOdp)
+			}
+			if canceled == 0 {
+				t.Fatalf("none of polls %d..%d canceled the reverse sweep", fwd+1, total)
+			}
+		})
+	}
 }
 
 // openDescriptors counts this process's open file descriptors, or -1 where
