@@ -18,8 +18,6 @@ func ablationPair(variant string, tn *Tensor) (codecPair, error) {
 		opts.DisableStamp = true
 	case "no-lastvalue":
 		opts.DisableLastValue = true
-	case "no-shared-window":
-		opts.DisableSharedWindow = true
 	case "temporal-only(chimp)":
 		c := chimpz.NewTemporal()
 		return codecPair{name: variant, g: c, c: c}, nil

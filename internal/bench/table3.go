@@ -137,7 +137,7 @@ type AblationRow struct {
 // ablationVariants maps variant names to masczip option mutations; they are
 // applied through NewCodecPair-compatible construction below.
 var ablationVariants = []string{
-	"full", "markov", "no-stamp", "no-lastvalue", "no-shared-window", "temporal-only(chimp)",
+	"full", "markov", "no-stamp", "no-lastvalue", "temporal-only(chimp)",
 }
 
 // RunAblation measures the contribution of each MASC design choice.

@@ -23,8 +23,7 @@ import (
 //	n × '1', n < longRun          — a run of n hits
 //	longRun × '1' + γ(n−longRun+1) — a run of n ≥ longRun hits (Elias-γ)
 //	'0' + selector + residual     — a miss in best-fit mode: 1 (D) or 2 (U/L)
-//	                                selector bits, then the window-coded XOR
-//	                                residual
+//	                                selector bits, then the residual
 //	'0' + residual                — a miss in Markov mode: the selector is
 //	                                predicted from the decision history
 //
@@ -33,13 +32,28 @@ import (
 // marker. Against one bit per hit that costs at most one bit more on a run of
 // 9 or 11, and at most three when the run closes its region.
 //
+// A miss costs its distance from the prediction, not the bits it differs in.
+// The residual is z, the signed distance between the ordered integers of the
+// value and of the chosen candidate (ordered, history.go), zigzagged so that
+// a short step either way is a small number — 0 where the candidate is exact.
+// Its length L = bits.Len64(z), 0…64, is coded against the region's running
+// estimate E of the lengths before it:
+//
+//	EG0(zigzag(L − E)) + the L − 1 bits of z below its leading one
+//
+// where EG0(u) is u + 1 in 2·bits.Len64(u+1) − 1 bits (order-0 exp-Golomb), E
+// is (a + 8) >> 4 and a, in sixteenths of a bit, starts each region at 0 and
+// moves a quarter of the way to 16·L after every miss (lengthModel). A value a
+// few units in the last place from its prediction costs a few bits whatever
+// bits the two differ in — the XOR of 1.0 and its predecessor has 53.
+//
 // The encoder scans ahead for each run and writes it in one or two calls, the
 // decoder counts it with one LeadingZeros64(^word) over a peeked window. Misses
-// are fused too: the encoder packs marker + selector + residual flags + payload
-// into a single WriteBits word, and the decoder extracts all of them
-// branchlessly from the same peeked window that delimited a preceding short
-// run, consuming run and miss with one Skip (longRun + 1 + 2 + 11 bits of fixed
-// fields always fit). Candidate predictions are only computed for misses.
+// are fused too: the encoder packs marker + selector + length code + payload
+// into a single WriteBits word, and the decoder extracts all of them from the
+// same peeked window that delimited a preceding short run, consuming run and
+// miss with one Skip (longRun + 1 + 2 + 15 bits of fixed fields always fit).
+// Candidate predictions are only computed for misses.
 //
 // The element-at-a-time transcription of the format lives in
 // reference_test.go; the property test in batch_test.go proves byte identity
@@ -60,6 +74,7 @@ type regionCoder struct {
 	prev   uint8 // Markov chain state
 	table  []uint8
 	selLen uint // width of the best-fit selector: 2 bits for four symbols, 1 for D's two
+	length lengthModel
 }
 
 func (cc *chunkCoder) regions() [3]regionCoder {
@@ -71,6 +86,44 @@ func (cc *chunkCoder) regions() [3]regionCoder {
 		{rg: regionL, slots: pl.lSlots, lo: pl.lRowPtr[lo], hi: pl.lRowPtr[hi], table: cc.tables.l[:], selLen: 2, hitSym: mate},
 		{rg: regionD, slots: pl.dSlots, lo: pl.dRowPtr[lo], hi: pl.dRowPtr[hi], table: cc.tables.d[:], selLen: 1, hitSym: stamp},
 	}
+}
+
+// lengthModel is a region's running estimate of its residual lengths, in
+// sixteenths of a bit.
+type lengthModel int32
+
+// maxLengthZeros is the most leading zeros a length code can have: zigzag(L−E)
+// is at most 128 for L and E in 0…64, and 129 has 8 bits.
+const maxLengthZeros = 7
+
+// expected is E, the length the estimate predicts: a sixteenth of it, rounded
+// half up.
+func (m lengthModel) expected() int32 { return (int32(m) + 8) >> 4 }
+
+// code returns the exp-Golomb code of residual length l against the estimate,
+// and its width, and moves the estimate toward l.
+func (m *lengthModel) code(l int32) (uint64, uint) {
+	e := l - m.expected()
+	v := uint64(e<<1^e>>31) + 1
+	m.learn(l)
+	return v, uint(2*bits.Len64(v) - 1)
+}
+
+// decode returns the length the code value v stands for, or −1 if that is not
+// one of 0…64, and moves the estimate toward it.
+func (m *lengthModel) decode(v uint64) int32 {
+	u := int32(v - 1)
+	l := m.expected() + (u>>1 ^ -(u & 1))
+	if l < 0 || l > 64 {
+		return -1
+	}
+	m.learn(l)
+	return l
+}
+
+// learn moves the estimate a quarter of the way to l.
+func (m *lengthModel) learn(l int32) {
+	*m += lengthModel((l<<4 - int32(*m)) >> 2)
 }
 
 // cands computes the candidate predictions for position k of region r.
@@ -216,9 +269,9 @@ func (cc *chunkCoder) closeRegion(r *regionCoder, w *bitstream.Writer, m *region
 
 // encodeMiss writes one element its hit predictor did not reproduce: the '0'
 // marker (none when bare, after a length-coded run), the selector (best-fit
-// matrices only) and the window-coded XOR residual, packed into a single
-// WriteBits word whenever marker + selector + flags + descriptor + payload fit
-// in 64 bits (payloads long enough to spill are written with one extra call).
+// matrices only) and the residual, packed into a single WriteBits word
+// whenever marker + selector + length code + payload fit in 64 bits (payloads
+// long enough to spill are written with one extra call).
 func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 	cands *[4]float64, nSyms int, r *regionCoder, bare bool) uint8 {
 
@@ -248,64 +301,37 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 	}
 	r.prev = sym
 
-	x := math.Float64bits(val) ^ math.Float64bits(cands[sym])
-	if x == 0 {
-		w.WriteBits(pre<<1|1, preN+1) // residual '1': prediction is exact
-		cc.stats.LZHist[8]++
-		cc.stats.PayloadBits++
-		return sym
-	}
-	lz := uint(bits.LeadingZeros64(x))
-	lz8 := lz &^ 7 // byte-class: x != 0 bounds lz at 63, so already ≤ 56
-	tz := uint(bits.TrailingZeros64(x))
-	length := 64 - lz8 - tz
-	prevShift := 64 - cc.win.lz8 - cc.win.len
-	// Share the previous window only when the residual fits it AND the
-	// shared form is no longer than re-describing a tight window (1+len
-	// shared vs 10+len fresh): a stale wide window wastes bits.
-	fits := !cc.opt.DisableSharedWindow && cc.win.len > 0 &&
-		lz >= cc.win.lz8 && tz >= prevShift && cc.win.len <= length+9
-	if fits {
-		wl := cc.win.len
-		payload := x >> prevShift // < 2^wl: lz ≥ win.lz8 bounds the top bit
-		if n := preN + 2 + wl; n <= 64 {
-			w.WriteBits(pre<<(2+wl)|1<<wl|payload, n)
-		} else {
-			w.WriteBits(pre<<2|1, preN+2)
-			w.WriteBits(payload, wl)
-		}
-		cc.stats.LZHist[lz8>>3]++
-		cc.stats.PayloadBits += int64(2 + wl)
-		return sym
-	}
-	desc := uint64(lz8>>3)<<6 | uint64(length-1) // 9 bits under the two '0' flags
-	payload := x >> tz                           // < 2^length
-	if n := preN + 11 + length; n <= 64 {
-		w.WriteBits(pre<<(11+length)|desc<<length|payload, n)
+	z := residual(val, cands[sym])
+	l := bits.Len64(z)
+	code, g := r.length.code(int32(l))
+	pn := uint(max(l, 1) - 1) // the bits below the leading one
+	payload := z & (1<<pn - 1)
+	if n := preN + g + pn; n <= 64 {
+		w.WriteBits(pre<<(g+pn)|code<<pn|payload, n)
 	} else {
-		w.WriteBits(pre<<11|desc, preN+11)
-		w.WriteBits(payload, length)
+		w.WriteBits(pre<<g|code, preN+g)
+		w.WriteBits(payload, pn)
 	}
-	cc.win.lz8 = lz8
-	cc.win.len = length
-	cc.stats.LZHist[lz8>>3]++
-	cc.stats.PayloadBits += int64(11 + length)
+	cc.stats.LZHist[(64-l)>>3]++
+	cc.stats.PayloadBits += int64(g + pn)
 	return sym
 }
 
 // decodeMissAt decodes the miss at position k of region rc, whose selector
 // starts at bit offset off of the peeked window w: past the short run of '1'
 // hit bits the caller identified in the same window but has not consumed and
-// the '0' marker, or 0 for the bare miss after a length-coded run. Selector and
-// residual fields are extracted branchlessly from the word; run, marker,
-// selector and residual are consumed with a single Skip. off ≤ longRun, so every
-// fixed field lies inside the window; only a long payload needs the ReadBits
-// spill. Zero padding past the end of the stream decodes as the zero-extended
-// fields sequential reads would see, with ErrOverrun surfacing from
-// Skip/ReadBits. The decoder knows the symbol before it needs a prediction, so
-// it computes that one: symbol 0 is the blob's family in every region, and
-// where a history makes it the usual choice the other three are never formed.
-func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64, rc *regionCoder, k int32) float64 {
+// the '0' marker, or 0 for the bare miss after a length-coded run. Selector,
+// length code and a payload that fits are extracted from the word; run,
+// marker, selector and residual are consumed with a single Skip. off ≤
+// longRun, so every fixed field lies inside the window; only a long payload
+// needs the ReadBits spill. Zero padding past the end of the stream decodes as
+// the zero-extended fields sequential reads would see, with ErrOverrun
+// surfacing from Skip/ReadBits — or, where the padding reaches a length code,
+// as a length code with too many leading zeros. The decoder knows the symbol
+// before it needs a prediction, so it computes that one: symbol 0 is the
+// blob's family in every region, and where a history makes it the usual choice
+// the other three are never formed.
+func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64, rc *regionCoder, k int32) (float64, error) {
 	var sym uint8
 	if cc.calib {
 		sym = uint8((w << off) >> (64 - rc.selLen))
@@ -316,36 +342,30 @@ func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64, rc *
 	rc.prev = sym
 	pred := cc.cand(rc, k, sym)
 
-	wres := w << off // residual view, flags at the top
-	var x uint64
-	if wres&(1<<63) != 0 { // '1': zero residual
-		r.Skip(off + 1)
-		return pred
+	wres := w << off // residual view, length code at the top
+	q := uint(bits.LeadingZeros64(wres))
+	if q > maxLengthZeros {
+		return 0, fmt.Errorf("residual length code has more than %d leading zeros", maxLengthZeros)
 	}
-	if wres&(1<<62) != 0 { // '0'+'1': payload reuses the previous window
-		wl := cc.win.len
-		prevShift := 64 - cc.win.lz8 - wl
-		if n := off + 2 + wl; n <= 64 {
-			x = ((wres << 2) >> (64 - wl)) << prevShift
-			r.Skip(n)
-		} else {
-			r.Skip(off + 2)
-			x = r.ReadBits(wl) << prevShift
-		}
-	} else { // '0'+'0': fresh 3-bit class + 6-bit length, then the payload
-		lz8 := uint(wres>>59) & 7 << 3
-		length := uint(wres>>53)&0x3f + 1
-		if n := off + 11 + length; n <= 64 {
-			x = ((wres << 11) >> (64 - length)) << (64 - lz8 - length)
-			r.Skip(n)
-		} else {
-			r.Skip(off + 11)
-			x = r.ReadBits(length) << (64 - lz8 - length)
-		}
-		cc.win.lz8 = lz8
-		cc.win.len = length
+	g := 2*q + 1
+	l := rc.length.decode(wres >> (64 - g))
+	if l < 0 {
+		return 0, fmt.Errorf("residual length code %d names a length outside 0…64", wres>>(64-g))
 	}
-	return math.Float64frombits(math.Float64bits(pred) ^ x)
+	if l == 0 {
+		r.Skip(off + g)
+		return pred, nil
+	}
+	pn := uint(l - 1)
+	var z uint64
+	if n := off + g + pn; n <= 64 {
+		z = (wres << g) >> (64 - pn) // pn = 0 shifts everything out
+		r.Skip(n)
+	} else {
+		r.Skip(off + g)
+		z = r.ReadBits(pn)
+	}
+	return unresidual(pred, z|1<<pn), nil
 }
 
 // encodeRegions writes the chunk's three regions to w.
@@ -355,7 +375,6 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 	table := cc.regions()
 	for i := range table {
 		r := &table[i]
-		cc.win = window{}
 		bare := false
 		for k := r.lo; k < r.hi; k++ {
 			if run := cc.hitRun(r, k); run > 0 {
@@ -379,12 +398,12 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 // short run and the miss behind it are decoded with a single Skip, a run that
 // closes the region or carries a length field is consumed on its own. A length
 // field that cannot be right is an error here; a stream that ends early is
-// decoded from zero padding up to the first overrun, which stays in r.
+// decoded from zero padding up to the first overrun, which stays in r, or up to
+// a residual length code the padding makes impossible.
 func (cc *chunkCoder) decodeRegions(r *bitstream.Reader) error {
 	table := cc.regions()
 	for i := range table {
 		rc := &table[i]
-		cc.win = window{}
 		bare := false
 		for k := rc.lo; k < rc.hi && r.Err() == nil; {
 			w, valid := r.Peek64()
@@ -415,7 +434,11 @@ func (cc *chunkCoder) decodeRegions(r *bitstream.Reader) error {
 				}
 				off = uint(ones) + 1
 			}
-			cc.cur[rc.slots[k]] = cc.decodeMissAt(r, off, w, rc, k)
+			v, err := cc.decodeMissAt(r, off, w, rc, k)
+			if err != nil {
+				return fmt.Errorf("region %s: %w", rc.rg, err)
+			}
+			cc.cur[rc.slots[k]] = v
 			bare = false
 			k++
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"masc/internal/sparse"
@@ -14,7 +15,7 @@ import (
 // temporal hits: most steps touch only a handful of slots (long exact-hit
 // runs for the batched coder), and every third step perturbs a contiguous
 // band with like-magnitude relative deltas so consecutive residuals share a
-// leading-zero window (window-shared streaks).
+// length (streaks the length model predicts).
 func runHeavyFrames(rng *rand.Rand, p *sparse.Pattern, steps int) [][]float64 {
 	nnz := p.NNZ()
 	frames := [][]float64{mnaValues(rng, p, 0.05)}
@@ -90,7 +91,6 @@ func batchFixtures() []struct {
 		{"stats", Options{CollectStats: true}},
 		{"no-stamp", Options{DisableStamp: true}},
 		{"no-lastvalue", Options{DisableLastValue: true}},
-		{"no-window", Options{DisableSharedWindow: true}},
 	}
 	chains := []struct {
 		name  string
@@ -218,6 +218,37 @@ func TestNoLargerThanPreviousRevision(t *testing.T) {
 	got, slack := newBits(p, opt, frames)
 	if over := got - legacyBits(p, opt, frames); over <= 0 || over > slack {
 		t.Fatalf("worst-case chain is %d bits longer than under the previous revision, want 1..%d", over, slack)
+	}
+}
+
+// TestNoLargerThanXORResiduals holds the distance code against the residual
+// code it replaced: on every fixture, coded against one frame and against
+// seven, the chained blobs' streams are no longer than the same choices coded
+// as XOR residuals in a shared leading-zero window, but for four bits a region
+// — a region's first miss codes its length against an estimate of zero, up to
+// 15 bits where a fresh window's descriptor is 11. The specials chain is left
+// out: its NaN, ±Inf and extremes sit across the number line from any finite
+// prediction, where a distance is as long as the XOR and keeps the trailing
+// zeros a window strips.
+func TestNoLargerThanXORResiduals(t *testing.T) {
+	for _, fx := range batchFixtures() {
+		if strings.HasSuffix(fx.name, "/specials") {
+			continue
+		}
+		for _, depth := range []int{1, MaxOrder + 1} {
+			t.Run(fmt.Sprintf("%s/depth%d", fx.name, depth), func(t *testing.T) {
+				c := New(fx.p, fx.opt)
+				got, slack := 0, 0
+				for i := range fx.frames[:len(fx.frames)-1] {
+					c.CompressHistory(nil, fx.frames[i], historyOf(fx.frames, i, depth), nil)
+					got += streamBits(c)
+					slack += 4 * 3 * (len(c.curBounds) - 1)
+				}
+				if xor := xorBits(fx.p, fx.opt, fx.frames, depth); got > xor+slack {
+					t.Fatalf("%d stream bits, %d with XOR residuals: over by %d, allowed %d", got, xor, got-xor, slack)
+				}
+			})
+		}
 	}
 }
 

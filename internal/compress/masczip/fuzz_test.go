@@ -57,13 +57,13 @@ func FuzzDecompress(f *testing.F) {
 	// past 2^31 (would wrap negative through the int32 conversion) and
 	// near-maximal chunk lengths (whose sum would overflow the payload
 	// offset if accumulated unchecked).
-	wrapDelta := []byte{flagCalib | flagsRevision}
+	wrapDelta := []byte{flagCalib | revision}
 	wrapDelta = binary.AppendUvarint(wrapDelta, uint64(p.NNZ()))
 	wrapDelta = binary.AppendUvarint(wrapDelta, 3)
 	wrapDelta = binary.AppendUvarint(wrapDelta, 1<<33)
 	wrapDelta = binary.AppendUvarint(wrapDelta, 1)
 	f.Add(wrapDelta)
-	hugeLens := []byte{flagCalib | flagsRevision}
+	hugeLens := []byte{flagCalib | revision}
 	hugeLens = binary.AppendUvarint(hugeLens, uint64(p.NNZ()))
 	hugeLens = binary.AppendUvarint(hugeLens, 2)
 	hugeLens = binary.AppendUvarint(hugeLens, 1) // valid boundary delta

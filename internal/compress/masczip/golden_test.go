@@ -174,9 +174,10 @@ func TestGoldenStates(t *testing.T) {
 // oldRevisionCorpora are the refusal fixtures, one blob per golden profile in
 // the order of goldenFormatProfiles then goldenRunsProfiles: the unreferenced
 // tail blobs as the last binary without the stamp revision bit wrote them
-// (flags 0x01), and one chained blob of each corpus as the last binary without
-// the hit-run revision bit did (flags 0x02/0x03).
-var oldRevisionCorpora = []string{"prerev-nilref.bin", "prerev-chained.bin"}
+// (revision bits 0b00), one chained blob of each corpus as the last binary
+// without the hit-run revision bit did (0b01), and the first blob of each
+// corpus as the last binary with XOR residuals did (0b11).
+var oldRevisionCorpora = []string{"prerev-nilref.bin", "prerev-chained.bin", "prerev-xor.bin"}
 
 // TestOlderRevisionsRefused: a blob of either older revision has a layout this
 // decoder would read to the end and get wrong values from, so it must be
@@ -196,7 +197,7 @@ func TestOlderRevisionsRefused(t *testing.T) {
 			for _, prof := range set.profiles {
 				was := old[i]
 				i++
-				if was[0]&flagsRevision == flagsRevision {
+				if was[0]&revisionMask == revision {
 					t.Fatalf("%s %s: flags byte %#02x is not an older revision's", file, prof.name, was[0])
 				}
 				for _, ref := range [][]float64{nil, frames[1]} {

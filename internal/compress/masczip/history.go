@@ -53,6 +53,22 @@ func ordered(b uint64) uint64 { return b ^ (uint64(int64(b)>>63) | 1<<63) }
 // unordered inverts ordered.
 func unordered(m uint64) uint64 { return m ^ (uint64(int64(^m)>>63) | 1<<63) }
 
+// zigzag maps a wrapped difference 0, −1, 1, −2, … to 0, 1, 2, 3, …, so that
+// a short step either way is a small number.
+func zigzag(d uint64) uint64 { return d<<1 ^ uint64(int64(d)>>63) }
+
+// residual is the distance from pred to val that a miss codes: the difference
+// of their ordered integers, zigzagged.
+func residual(val, pred float64) uint64 {
+	return zigzag(ordered(math.Float64bits(val)) - ordered(math.Float64bits(pred)))
+}
+
+// unresidual is the value residual z stands for against pred.
+func unresidual(pred float64, z uint64) float64 {
+	d := z>>1 ^ -(z & 1)
+	return math.Float64frombits(unordered(ordered(math.Float64bits(pred)) + d))
+}
+
 // temporal is the temporal candidate for slot k: frame i weighs
 // (−1)^i·C(o+1, i+1) in the order-o extrapolation, which sums to 1. Written out
 // per order over an array of frames held in the coder, a call costs 6 ns at
@@ -81,15 +97,16 @@ func (cc *chunkCoder) temporal(k int32) float64 {
 	return math.Float64frombits(unordered(p))
 }
 
-// sampleOrders adds to n, per order the call's history allows, the significant
-// bits of the XOR residual the temporal candidate would leave on the sampled
-// elements of the chunk — of any region: one a mate or stamp hit will code
-// moves as smoothly as the misses beside it, and is as good a sample — and,
-// where the call brings states, what both families would leave on the voltage
-// subset of the sample (sampleVoltage). One table of backward differences
-// gives every temporal order: its head after o rounds is the o-th difference at
-// the nearest frame, and the order-o prediction is the sum of the first o+1
-// heads.
+// sampleOrders adds to n, per order the call's history allows, the length of
+// the residual the temporal candidate would leave on the sampled elements of
+// the chunk — of any region: one a mate or stamp hit will code moves as
+// smoothly as the misses beside it, and is as good a sample — and, where the
+// call brings states, what both families would leave on the voltage subset of
+// the sample (sampleVoltage). One table of backward differences gives every
+// temporal order: its head after o rounds is the o-th difference at the
+// nearest frame, and the order-o prediction is the sum of the first o+1 heads,
+// already an ordered integer, so its distance from the value is one
+// subtraction.
 func (cc *chunkCoder) sampleOrders(n *hitCounts) {
 	top := cc.nhist - 1
 	if top < 1 && cc.nvolt == 0 {
@@ -108,16 +125,17 @@ func (cc *chunkCoder) sampleOrders(n *hitCounts) {
 		subset := cc.nvolt > 0 && misses%(orderMissStride*voltSampleStride) == 1
 		if subset {
 			n.sampled++
-			cc.sampleVoltage(slot, v, &n.voltBits)
+			cc.sampleVoltage(slot, cur[slot], &n.voltBits)
 		}
 		var d [MaxOrder + 1]uint64
 		for i, h := range cc.hist[:cc.nhist] {
 			d[i] = ordered(math.Float64bits(h[slot]))
 		}
+		ov := ordered(v)
 		p := uint64(0)
 		for o := 0; o <= top; o++ {
 			p += d[0]
-			cost := int64(bits.Len64(v ^ unordered(p)))
+			cost := int64(bits.Len64(zigzag(ov - p)))
 			n.orderBits[o] += cost
 			if subset {
 				n.subsetBits[o] += cost

@@ -29,9 +29,8 @@ type Options struct {
 	CollectStats bool
 
 	// Ablation switches.
-	DisableStamp        bool // drop the stamp-based spatial candidates; every hit is then temporal
-	DisableLastValue    bool // drop the last-value candidate in region L
-	DisableSharedWindow bool // always re-emit the residual window
+	DisableStamp     bool // drop the stamp-based spatial candidates; every hit is then temporal
+	DisableLastValue bool // drop the last-value candidate in region L
 }
 
 // Stats aggregates encoder-side statistics across all compressed matrices.
@@ -46,8 +45,9 @@ type Stats struct {
 	Temporal         int64
 	Stamp            int64
 	LastValue        int64
-	// LZHist[i] counts residuals whose leading-zero class is 8·i
-	// (i = 0..7); LZHist[8] counts all-zero residuals.
+	// LZHist[i] counts residuals — zigzagged ordered-integer distances, as
+	// coded — whose leading-zero class is 8·i (i = 0..7); LZHist[8] counts
+	// zero residuals, the hits among them.
 	LZHist [9]int64
 	// SelectorBits / PayloadBits split the stream cost: selector symbols
 	// against everything else (hit bits, miss markers, residuals), so their
@@ -263,12 +263,14 @@ func (c *Compressor) Stats() Stats { return c.stats }
 // ResetStats clears the accumulated statistics.
 func (c *Compressor) ResetStats() { c.stats = Stats{} }
 
-// Header flag bits. flagDiffStamp and flagHitRuns are format revisions: the
-// first is the one in which region D's symbol 1 means the difference-form
-// stamp of candsD, the second the one in which a hit means "the region's hit
-// predictor is bit-exact" and hits are run-length coded over flat regions
-// (batch.go). Every encoder sets both and the decoder requires both, because a
-// blob coded under an older meaning would decode to wrong values, not fail.
+// Header flag bits. Bits 1–2 are the format revision. The three before this
+// one wrote 0b00 (region D's symbol 1 the value-form stamp), 0b01 (the
+// difference-form stamp of candsD) and 0b11 (a hit means "the region's hit
+// predictor is bit-exact", and hits are run-length coded over flat regions);
+// this one writes 0b10: a residual is the ordered-integer distance from the
+// prediction with an exp-Golomb length (batch.go), not the XOR of the two in a
+// leading-zero window. The decoder reads this revision only, because a blob
+// coded under an older meaning would decode to wrong values, not fail.
 // flagMateHit and flagStampHit are the encoder's per-blob choice of region L's
 // and region D's hit predictor (clear = temporal), and bits 5–7 its choice of
 // the order the temporal candidate extrapolates at (history.go; 0 = the
@@ -276,16 +278,14 @@ func (c *Compressor) ResetStats() { c.stats = Stats{} }
 // extension byte follows the flags byte: bits 0–2 the order, bit 3 the voltage
 // family (voltage.go), the rest unknown and refused. The decoder obeys all of
 // them whatever its own options. Only a blob that interpolates in the voltage
-// carries the extension, so one coded without states is what the previous
-// format wrote.
+// carries the extension.
 const (
 	flagCalib     = 1 << 0
-	flagDiffStamp = 1 << 1
-	flagHitRuns   = 1 << 2
+	revisionMask  = 3 << 1
+	revision      = 2 << 1
 	flagMateHit   = 1 << 3
 	flagStampHit  = 1 << 4
 	orderShift    = 5
-	flagsRevision = flagDiffStamp | flagHitRuns
 	orderExtended = 7 // the order field's escape to the extension byte
 
 	extOrder = 1<<3 - 1
@@ -515,7 +515,7 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist, states [][
 	if c.volt {
 		order = orderExtended
 	}
-	dst = append(dst, byte(flagsRevision|boolInt(calib)*flagCalib|
+	dst = append(dst, byte(revision|boolInt(calib)*flagCalib|
 		boolInt(c.mateHit)*flagMateHit|boolInt(c.stampHit)*flagStampHit|order<<orderShift))
 	if c.volt {
 		dst = append(dst, byte(c.order|extVolt))
@@ -620,8 +620,8 @@ func (c *Compressor) header(blob []byte, nhist int, states [][]float64) (order i
 		return 0, false, 0, fmt.Errorf("%w: empty blob", ErrFormat)
 	}
 	flags := blob[0]
-	if missing := flagsRevision &^ flags; missing != 0 {
-		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x lacks the revision bits %#02x (blob of an older format)", ErrFormat, flags, missing)
+	if rev := flags & revisionMask; rev != revision {
+		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x has revision bits %#02x, not %#02x (blob of an older format)", ErrFormat, flags, rev, revision)
 	}
 	order, off = int(flags>>orderShift), 1
 	if order == orderExtended {
@@ -793,14 +793,6 @@ type chunkCoder struct {
 	stats   *Stats
 	statsOn bool
 	discard Stats
-
-	win window
-}
-
-// window is the shared leading-zero window of the residual coder.
-type window struct {
-	lz8 uint // leading-zero class (multiple of 8)
-	len uint // meaningful bit count
 }
 
 // first is selector symbol 0 for off-diagonal slot k: the blob's family at its
@@ -1025,7 +1017,11 @@ func (cc *chunkCoder) countHits() hitCounts {
 // out of the loop. The distance pass needs no explicit NaN guard: a NaN
 // distance compares false against bestDist, which is exactly the "treat as
 // infinitely far" behavior, and when every distance is NaN the initial
-// best=0 matches the old fallback.
+// best=0 matches the old fallback. The distance is the values', not the
+// ordered integers' the residual codes: within a binade the two agree, and
+// across zero the values' makes +0 and −0 tie, so a self-contained blob —
+// predicted from zeros — calibrates the Markov tables to symbol 0, not to
+// whichever zero is one unit in the last place nearer.
 func bestSym(val float64, cands *[4]float64, n int) uint8 {
 	vb := math.Float64bits(val)
 	for s := 0; s < n; s++ {

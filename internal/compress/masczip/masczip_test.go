@@ -23,7 +23,7 @@ import (
 // patterns here, refused at the flags byte).
 func adversarialBlobs(t testing.TB, p *sparse.Pattern) [][]byte {
 	var out [][]byte
-	for _, tc := range badRunLengths(p) {
+	for _, tc := range append(badRunLengths(p), badLengthCodes(p)...) {
 		out = append(out, tc.blob)
 	}
 	out = append(out, orderBlobs(p)...)
@@ -189,8 +189,7 @@ func TestAblationsStillLossless(t *testing.T) {
 	opts := []Options{
 		{DisableStamp: true},
 		{DisableLastValue: true},
-		{DisableSharedWindow: true},
-		{DisableStamp: true, DisableLastValue: true, DisableSharedWindow: true},
+		{DisableStamp: true, DisableLastValue: true},
 		{Markov: true, DisableStamp: true},
 	}
 	for oi, o := range opts {
@@ -412,7 +411,8 @@ func TestHeaderHardening(t *testing.T) {
 	if err := c.Decompress(got, good, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, flags := range []byte{0x80, good[0] | 0x20, 0xff, good[0] &^ flagDiffStamp, good[0] &^ flagHitRuns, flagCalib, 0} {
+	older := good[0] &^ revisionMask
+	for _, flags := range []byte{0x80, good[0] | 0x20, 0xff, older, older | 1<<1, older | 3<<1, flagCalib, 0} {
 		bad := append([]byte{flags}, good[1:]...)
 		err := c.Decompress(got, bad, nil)
 		if want := fmt.Sprintf("flags byte %#02x", flags); err == nil || !strings.Contains(err.Error(), want) {
@@ -441,7 +441,7 @@ func TestHeaderHardening(t *testing.T) {
 	}
 
 	hdr := func(nchunks uint64, extra ...uint64) []byte {
-		b := []byte{flagCalib | flagsRevision}
+		b := []byte{flagCalib | revision}
 		b = binary.AppendUvarint(b, uint64(p.NNZ()))
 		b = binary.AppendUvarint(b, nchunks)
 		for _, v := range extra {
@@ -457,7 +457,7 @@ func TestHeaderHardening(t *testing.T) {
 		{"delta zero", hdr(3, 0, 1)},
 		{"delta past n", hdr(2, uint64(p.N)+7)},
 		{"chunk count past n", hdr(uint64(p.N) + 1)},
-		{"element count overflows int", append([]byte{flagCalib | flagsRevision},
+		{"element count overflows int", append([]byte{flagCalib | revision},
 			binary.AppendUvarint(nil, math.MaxUint64)...)},
 		{"max chunk lengths", hdr(2, 1, math.MaxUint64, math.MaxUint64)},
 		{"summed lengths overflow", hdr(4, 1, 1, 1,
@@ -476,10 +476,11 @@ func TestHeaderHardening(t *testing.T) {
 		}()
 	}
 
-	// The run-length field is as attacker-controlled as the header: each bad
-	// one is an error that names the chunk and the field, from the production
-	// decoder and from the oracle alike, never a clamp or an index past slots.
-	for _, tc := range badRunLengths(p) {
+	// The run-length field and a miss's length code are as attacker-controlled
+	// as the header: each bad one is an error that names the chunk and the
+	// field, from the production decoder and from the oracle alike, never a
+	// clamp, an index past slots or a shift past a word.
+	for _, tc := range append(badRunLengths(p), badLengthCodes(p)...) {
 		for name, d := range map[string]*Compressor{"batched": c, "scalar": newReference(p, Options{})} {
 			err := d.Decompress(got, tc.blob, nil)
 			if err == nil || !strings.Contains(err.Error(), "chunk 0: region U: ") || !strings.Contains(err.Error(), tc.want) {
@@ -487,6 +488,18 @@ func TestHeaderHardening(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oneChunkBlob is a best-fit blob over p with one chunk whose stream is what
+// body writes.
+func oneChunkBlob(p *sparse.Pattern, body func(w *bitstream.Writer)) []byte {
+	w := bitstream.NewWriter(16)
+	body(w)
+	b := []byte{flagCalib | revision}
+	b = binary.AppendUvarint(b, uint64(p.NNZ()))
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendUvarint(b, uint64(w.Len()))
+	return w.AppendTo(b)
 }
 
 // badRunLengths are one-chunk blobs over p whose region U opens with a
@@ -497,14 +510,10 @@ func badRunLengths(p *sparse.Pattern) []struct {
 	blob       []byte
 } {
 	craft := func(gamma func(w *bitstream.Writer)) []byte {
-		w := bitstream.NewWriter(16)
-		w.WriteOnes(longRun)
-		gamma(w)
-		b := []byte{flagCalib | flagsRevision}
-		b = binary.AppendUvarint(b, uint64(p.NNZ()))
-		b = binary.AppendUvarint(b, 1)
-		b = binary.AppendUvarint(b, uint64(w.Len()))
-		return w.AppendTo(b)
+		return oneChunkBlob(p, func(w *bitstream.Writer) {
+			w.WriteOnes(longRun)
+			gamma(w)
+		})
 	}
 	return []struct {
 		name, want string
@@ -524,6 +533,32 @@ func badRunLengths(p *sparse.Pattern) []struct {
 			w.WriteBits(math.MaxUint64, 33)
 		})},
 		{"truncated gamma", "γ code", craft(func(w *bitstream.Writer) { w.WriteBits(0, 3) })},
+	}
+}
+
+// badLengthCodes are one-chunk blobs over p whose region U opens with a miss
+// — the '0' marker and selector 0 — whose residual length code the decoder
+// must refuse: eight leading zeros, where 129 (seven) is the most a length in
+// 0…64 needs, and the lengths −1 and 65 against the region's first estimate,
+// 0.
+func badLengthCodes(p *sparse.Pattern) []struct {
+	name, want string
+	blob       []byte
+} {
+	craft := func(code uint64) []byte {
+		return oneChunkBlob(p, func(w *bitstream.Writer) {
+			w.WriteBits(0, 3)
+			w.WriteBits(code, uint(2*bits.Len64(code)-1))
+			w.WriteBits(0, 64)
+		})
+	}
+	return []struct {
+		name, want string
+		blob       []byte
+	}{
+		{"eight leading zeros", "leading zeros", craft(1 << 8)},
+		{"length −1", "outside 0…64", craft(zigzagRef(-1) + 1)},
+		{"length 65", "outside 0…64", craft(zigzagRef(65) + 1)},
 	}
 }
 

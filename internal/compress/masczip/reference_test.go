@@ -70,6 +70,8 @@ func stampValueForm(cc *chunkCoder, k int32) float64 {
 type refCoder struct {
 	*chunkCoder
 	stampOf stampFunc
+	avg     int        // the region's length estimate, in sixteenths of a bit
+	xor     *xorWindow // encoder only: code the previous revision's residuals instead
 }
 
 // refRegion is one region as the format describes it.
@@ -269,7 +271,7 @@ func (rc *refCoder) count() hitCounts {
 		return 0
 	}
 	cost := func(v, pred float64) int64 {
-		return int64(64 - bits.LeadingZeros64(math.Float64bits(v)^math.Float64bits(pred)))
+		return int64(bitLen(zigzagRef(int64(orderedRef(v) - orderedRef(pred)))))
 	}
 	pl := rc.plan
 	misses := 0
@@ -308,61 +310,110 @@ func (rc *refCoder) count() hitCounts {
 	return n
 }
 
-// encodeResidual writes the XOR residual with the window code.
-func (cc *chunkCoder) encodeResidual(w *bitstream.Writer, val, pred float64) {
-	x := math.Float64bits(val) ^ math.Float64bits(pred)
-	if x == 0 {
-		w.WriteBit(1)
-		cc.stats.LZHist[8]++
-		cc.stats.PayloadBits++
-		return
+// orderedRef is the ordered integer of v as the format describes it: a
+// non-negative value's bit pattern with the top bit set, a negative one's
+// complemented.
+func orderedRef(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b>>63 == 0 {
+		return b | 1<<63
 	}
+	return ^b
+}
+
+// unorderedRef inverts orderedRef.
+func unorderedRef(m uint64) float64 {
+	if m>>63 == 1 {
+		return math.Float64frombits(m &^ (1 << 63))
+	}
+	return math.Float64frombits(^m)
+}
+
+// zigzagRef maps 0, −1, 1, −2, … to 0, 1, 2, 3, …
+func zigzagRef(d int64) uint64 {
+	if d >= 0 {
+		return 2 * uint64(d)
+	}
+	return 2*uint64(-d) - 1
+}
+
+// unzigzagRef inverts zigzagRef.
+func unzigzagRef(u uint64) int64 {
+	if u%2 == 0 {
+		return int64(u / 2)
+	}
+	return -int64(u/2) - 1
+}
+
+// bitLen is the number of bits of v up to and including its leading one.
+func bitLen(v uint64) int {
+	n := 0
+	for ; v != 0; v >>= 1 {
+		n++
+	}
+	return n
+}
+
+// expected is the residual length a region's estimate avg (sixteenths of a
+// bit) predicts: avg/16 rounded half up.
+func expected(avg int) int { return (avg + 8) / 16 }
+
+// learnLength moves the estimate a quarter of the way to length l, rounding
+// toward minus infinity.
+func learnLength(avg *int, l int) {
+	*avg += (16*l - *avg) >> 2
+}
+
+// encodeResidual writes the residual of val against pred: the ordered-integer
+// distance z, zigzagged, as the order-0 exp-Golomb code of its length's
+// zigzagged difference from the region's expected length — as many '0' bits as
+// that number plus one has bits after its first, then the number plus one —
+// followed by z's bits below its leading one.
+func (cc *chunkCoder) encodeResidual(w *bitstream.Writer, val, pred float64, avg *int) {
 	before := w.BitLen()
-	w.WriteBit(0)
-	lz := uint(bits.LeadingZeros64(x))
-	// Branch-free byte-class: x != 0 bounds lz at 63, so lz&^7 is already
-	// capped at 56 — no clamp needed.
-	lz8 := lz &^ 7
-	tz := uint(bits.TrailingZeros64(x))
-	length := 64 - lz8 - tz
-	prevShift := 64 - cc.win.lz8 - cc.win.len
-	// Share the previous window only when the residual fits it AND the
-	// shared form is no longer than re-describing a tight window (1+len
-	// shared vs 10+len fresh): a stale wide window wastes bits.
-	fits := !cc.opt.DisableSharedWindow && cc.win.len > 0 &&
-		lz >= cc.win.lz8 && tz >= prevShift && cc.win.len <= length+9
-	if fits {
-		w.WriteBit(1)
-		w.WriteBits(x>>prevShift, cc.win.len)
-	} else {
+	z := zigzagRef(int64(orderedRef(val) - orderedRef(pred)))
+	l := bitLen(z)
+	v := zigzagRef(int64(l-expected(*avg))) + 1
+	nb := bitLen(v)
+	for i := 1; i < nb; i++ {
 		w.WriteBit(0)
-		w.WriteBits(uint64(lz8>>3), 3)
-		w.WriteBits(uint64(length-1), 6)
-		w.WriteBits(x>>tz, length)
-		cc.win.lz8 = lz8
-		cc.win.len = length
 	}
-	cc.stats.LZHist[lz8>>3]++
+	for i := nb - 1; i >= 0; i-- {
+		w.WriteBit(v >> uint(i) & 1)
+	}
+	for i := l - 2; i >= 0; i-- {
+		w.WriteBit(z >> uint(i) & 1)
+	}
+	learnLength(avg, l)
+	cc.stats.LZHist[(64-l)/8]++
 	cc.stats.PayloadBits += int64(w.BitLen() - before)
 }
 
 // decodeResidual mirrors encodeResidual and returns the value.
-func (cc *chunkCoder) decodeResidual(r *bitstream.Reader, pred float64) float64 {
-	if r.ReadBit() == 1 {
-		return pred
+func (cc *chunkCoder) decodeResidual(r *bitstream.Reader, pred float64, avg *int) (float64, error) {
+	zeros := 0
+	for r.ReadBit() == 0 {
+		if zeros++; zeros > 7 {
+			return 0, fmt.Errorf("residual length code has more than 7 leading zeros")
+		}
 	}
-	var x uint64
-	if r.ReadBit() == 1 {
-		prevShift := 64 - cc.win.lz8 - cc.win.len
-		x = r.ReadBits(cc.win.len) << prevShift
-	} else {
-		lz8 := uint(r.ReadBits(3)) << 3
-		length := uint(r.ReadBits(6)) + 1
-		x = r.ReadBits(length) << (64 - lz8 - length)
-		cc.win.lz8 = lz8
-		cc.win.len = length
+	v := uint64(1)
+	for i := 0; i < zeros; i++ {
+		v = v<<1 | r.ReadBit()
 	}
-	return math.Float64frombits(math.Float64bits(pred) ^ x)
+	l := expected(*avg) + int(unzigzagRef(v-1))
+	if l < 0 || l > 64 {
+		return 0, fmt.Errorf("residual length code %d names a length outside 0…64", v)
+	}
+	learnLength(avg, l)
+	var z uint64
+	if l > 0 {
+		z = 1
+		for i := 1; i < l; i++ {
+			z = z<<1 | r.ReadBit()
+		}
+	}
+	return unorderedRef(orderedRef(pred) + uint64(unzigzagRef(z))), nil
 }
 
 // selectorBits is the width of region rg's best-fit selector.
@@ -432,13 +483,17 @@ func (rc *refCoder) writeMiss(w *bitstream.Writer, rg *refRegion, k int32, prev 
 		}
 	}
 	*prev = sym
-	rc.encodeResidual(w, val, cands[sym])
+	if rc.xor != nil {
+		rc.xor.write(w, val, cands[sym])
+	} else {
+		rc.encodeResidual(w, val, cands[sym], &rc.avg)
+	}
 	rc.note(sym, rg.rg)
 	rc.stats.RegionMisses[rg.rg]++
 }
 
 // readMiss reads what writeMiss wrote past the marker.
-func (rc *refCoder) readMiss(r *bitstream.Reader, rg *refRegion, k int32, prev *uint8) {
+func (rc *refCoder) readMiss(r *bitstream.Reader, rg *refRegion, k int32, prev *uint8) error {
 	var cands [4]float64
 	rc.candidates(rg, k, &cands)
 	var sym uint8
@@ -448,7 +503,12 @@ func (rc *refCoder) readMiss(r *bitstream.Reader, rg *refRegion, k int32, prev *
 		sym = rg.table[*prev]
 	}
 	*prev = sym
-	rc.cur[rg.slots[k]] = rc.decodeResidual(r, cands[sym])
+	v, err := rc.decodeResidual(r, cands[sym], &rc.avg)
+	if err != nil {
+		return fmt.Errorf("region %s: %w", rg.rg, err)
+	}
+	rc.cur[rg.slots[k]] = v
+	return nil
 }
 
 // run drives the shared encode/decode control flow. Exactly one of w and r is
@@ -456,7 +516,10 @@ func (rc *refCoder) readMiss(r *bitstream.Reader, rg *refRegion, k int32, prev *
 func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 	for _, rg := range rc.regionTable() {
 		rg := rg
-		rc.win = window{}
+		rc.avg = 0
+		if rc.xor != nil {
+			*rc.xor = xorWindow{}
+		}
 		prev := uint8(0)
 		marker := true // the next miss carries its '0'
 		if w != nil {
@@ -485,7 +548,9 @@ func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 		}
 		for k := rg.lo; k < rg.hi && r.Err() == nil; {
 			if !marker {
-				rc.readMiss(r, &rg, k, &prev)
+				if err := rc.readMiss(r, &rg, k, &prev); err != nil {
+					return err
+				}
 				marker = true
 				k++
 				continue
@@ -527,7 +592,9 @@ func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 				k += n
 			}
 			if sawMarker {
-				rc.readMiss(r, &rg, k, &prev)
+				if err := rc.readMiss(r, &rg, k, &prev); err != nil {
+					return err
+				}
 				k++
 			}
 		}
@@ -536,9 +603,10 @@ func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 }
 
 // newLegacy returns a Compressor whose chunks go through the region coder of
-// the previous format revision, encode half only: one '1' bit per temporal
-// hit, every miss with its '0' marker. It survives as the yardstick legacyBits
-// gives the size property test; nothing decodes what it writes.
+// the revision before the hit runs, encode half only: one '1' bit per temporal
+// hit, every miss with its '0' marker, the residuals coded as today. It
+// survives as the yardstick legacyBits gives the hit-run size property test;
+// nothing decodes what it writes.
 func newLegacy(p *sparse.Pattern, opt Options) *Compressor {
 	c := New(p, opt)
 	c.preFn = func(int) {} // the old format had no hit-predictor choice
@@ -559,8 +627,8 @@ func streamBits(c *Compressor) int {
 	return n
 }
 
-// legacyBits codes frames as a store chain under the previous revision's
-// region coder and returns the chunk streams' total length in bits.
+// legacyBits codes frames as a store chain under the pre-hit-run region coder
+// and returns the chunk streams' total length in bits.
 func legacyBits(p *sparse.Pattern, opt Options, frames [][]float64) int {
 	c := newLegacy(p, opt)
 	n := 0
@@ -575,7 +643,7 @@ func legacyBits(p *sparse.Pattern, opt Options, frames [][]float64) int {
 	return n
 }
 
-func (cc *chunkCoder) legacyElement(w *bitstream.Writer, rg region, val float64, cands *[4]float64, nSyms int, prev *uint8, table []uint8) {
+func (cc *chunkCoder) legacyElement(w *bitstream.Writer, rg region, val float64, cands *[4]float64, nSyms int, prev *uint8, avg *int, table []uint8) {
 	if math.Float64bits(val) == math.Float64bits(cands[0]) {
 		w.WriteBit(1)
 		*prev = 0
@@ -593,28 +661,80 @@ func (cc *chunkCoder) legacyElement(w *bitstream.Writer, rg region, val float64,
 		sym = table[*prev]
 	}
 	*prev = sym
-	cc.encodeResidual(w, val, cands[sym])
+	cc.encodeResidual(w, val, cands[sym], avg)
 }
 
 func (cc *chunkCoder) legacyRegions(w *bitstream.Writer) {
 	pl := cc.plan
 	var cands [4]float64
 	var prev uint8
+	var avg int
 
-	cc.win = window{}
 	for k := pl.uRowPtr[cc.rowLo]; k < pl.uRowPtr[cc.rowHi]; k++ {
 		slot := pl.uSlots[k]
 		n := cc.candsU(slot, &cands)
-		cc.legacyElement(w, regionU, cc.cur[slot], &cands, n, &prev, cc.tables.u[:])
+		cc.legacyElement(w, regionU, cc.cur[slot], &cands, n, &prev, &avg, cc.tables.u[:])
 	}
-	cc.win, prev = window{}, 0
+	prev, avg = 0, 0
 	for k := pl.lRowPtr[cc.rowLo]; k < pl.lRowPtr[cc.rowHi]; k++ {
 		n := cc.candsL(k, &cands)
-		cc.legacyElement(w, regionL, cc.cur[pl.lSlots[k]], &cands, n, &prev, cc.tables.l[:])
+		cc.legacyElement(w, regionL, cc.cur[pl.lSlots[k]], &cands, n, &prev, &avg, cc.tables.l[:])
 	}
-	cc.win, prev = window{}, 0
+	prev, avg = 0, 0
 	for k := pl.dRowPtr[cc.rowLo]; k < pl.dRowPtr[cc.rowHi]; k++ {
 		n := cc.candsD(k, &cands)
-		cc.legacyElement(w, regionD, cc.cur[pl.dSlots[k]], &cands, n, &prev, cc.tables.d[:])
+		cc.legacyElement(w, regionD, cc.cur[pl.dSlots[k]], &cands, n, &prev, &avg, cc.tables.d[:])
 	}
+}
+
+// xorWindow is the residual coder of the revision before the distance code,
+// encode half only, kept as the yardstick xorBits gives the distance code's
+// size test: the XOR of value and prediction, '1' when it is zero, else '01'
+// and its bits inside the previous window, or '00', its leading-zero class in
+// steps of 8 (3 bits), the length from there to its last one (6 bits, less
+// one) and those bits. The window is shared only where the residual fits it
+// and re-describing a tight one would not be shorter.
+type xorWindow struct{ lz8, len uint }
+
+func (win *xorWindow) write(w *bitstream.Writer, val, pred float64) {
+	x := math.Float64bits(val) ^ math.Float64bits(pred)
+	if x == 0 {
+		w.WriteBit(1)
+		return
+	}
+	w.WriteBit(0)
+	lz := uint(bits.LeadingZeros64(x))
+	lz8 := lz &^ 7
+	tz := uint(bits.TrailingZeros64(x))
+	length := 64 - lz8 - tz
+	prevShift := 64 - win.lz8 - win.len
+	if win.len > 0 && lz >= win.lz8 && tz >= prevShift && win.len <= length+9 {
+		w.WriteBit(1)
+		w.WriteBits(x>>prevShift, win.len)
+		return
+	}
+	w.WriteBit(0)
+	w.WriteBits(uint64(lz8>>3), 3)
+	w.WriteBits(uint64(length-1), 6)
+	w.WriteBits(x>>tz, length)
+	win.lz8, win.len = lz8, length
+}
+
+// xorBits codes frames as a store chain against depth frames of history, with
+// the production coder's choices and the XOR residuals of the revision before
+// the distance code, and returns the total length in bits of the chained
+// blobs' chunk streams (all but the head's).
+func xorBits(p *sparse.Pattern, opt Options, frames [][]float64, depth int) int {
+	c := New(p, opt)
+	c.encFn = func(ci int) {
+		ec, w := c.chunkEncoder(ci)
+		ec.stamp = nil
+		_ = (&refCoder{chunkCoder: ec, stampOf: (*chunkCoder).stampD, xor: &xorWindow{}}).run(w, nil)
+	}
+	n := 0
+	for i := range frames[:len(frames)-1] {
+		c.CompressHistory(nil, frames[i], historyOf(frames, i, depth), nil)
+		n += streamBits(c)
+	}
+	return n
 }

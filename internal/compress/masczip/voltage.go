@@ -180,10 +180,10 @@ func (cc *chunkCoder) voltageD(k int32) float64 {
 }
 
 // sampleVoltage adds to cost, per order the call's states and frames allow,
-// the significant bits of the XOR residual the voltage candidate would leave on
-// slot — sampleOrders' sample. One table of divided differences serves every
+// the length of the residual the voltage candidate would leave on slot's value
+// v — sampleOrders' sample. One table of divided differences serves every
 // order.
-func (cc *chunkCoder) sampleVoltage(slot int32, v uint64, cost *[MaxOrder + 1]int64) {
+func (cc *chunkCoder) sampleVoltage(slot int32, v float64, cost *[MaxOrder + 1]int64) {
 	top := cc.nvolt - 1
 	var u, y nodes
 	var at, base float64
@@ -200,6 +200,6 @@ func (cc *chunkCoder) sampleVoltage(slot int32, v uint64, cost *[MaxOrder + 1]in
 	}
 	divide(top, &u, &y)
 	for o := 0; o <= top; o++ {
-		cost[o] += int64(bits.Len64(v ^ math.Float64bits(moved(base, change(o, &u, &y, at)))))
+		cost[o] += int64(bits.Len64(residual(v, moved(base, change(o, &u, &y, at)))))
 	}
 }

@@ -183,7 +183,7 @@ func PublishCodecStats(reg *obs.Registry, tensor string, st masczip.Stats) {
 		if i == len(st.LZHist)-1 {
 			class = "zero"
 		}
-		reg.Counter("masc_codec_residual_lz_class_total", "Residuals by leading-zero class (bits); class=zero is an all-zero residual.",
+		reg.Counter("masc_codec_residual_lz_class_total", "Residuals (zigzagged ordered-integer distances from the prediction) by leading-zero class (bits); class=zero is an all-zero residual.",
 			"tensor", tensor, "class", class).Add(float64(n))
 	}
 }

@@ -55,23 +55,17 @@ type pinnedBytes struct {
 // blob stream, for three fixtures under the five store shapes the facade
 // builds, each with its states attached as the facade attaches them. A change
 // to the store layer that is meant to keep the bytes may not re-record them.
-// The "voltage" rows were recorded when masczip began to interpolate in the
-// branch voltage: that fixture's C is a function of its states, and its chain
-// rows hold 63 % less than the same blobs coded without the states (sync
-// 532499 → 194720 B); its tiered row holds self-contained blobs, which the
-// states do not reach. The other eight chain-store rows were recorded when the
-// chain began to seal each step against seven frames of history and masczip's
-// temporal candidate to extrapolate over them: the blobs changed (the
-// "chained" fixture is a random walk no order predicts, +0.3 %; the
-// "selfcontained" one moves linearly in the step, −58 %) and the resident
-// peak gained the six frames of history past the nearest; the states leave
-// them as they were. The markov-sync rows were recorded through the since
-// removed codec-trial store, which parked the first steps, trialed Markov
-// masczip on them and replayed them into a chain store: the plain store
-// reproduces them, so the trial was a detour to the same bytes. The two tiered rows hold self-contained blobs only, which
-// a history cannot change: selfcontained/tiered is from the hit-run revision,
-// chained/tiered (no blob on the compressed rung under this clock) from commit
-// 3fede77. The pipelined store's peak depends on how far the worker and the
+// Every row was re-recorded when masczip's residuals became ordered-integer
+// distances with an exp-Golomb length: the chain rows hold 19 % less on
+// "voltage" (sync 194720 → 158471 B), whose C is a function of its states, 4 %
+// less on "chained", a random walk no order predicts (41195 → 39483), and 16 %
+// less on "selfcontained", which moves linearly in the step (33260 → 28041).
+// The tiered rows hold self-contained blobs only, predicted from zeros, where
+// a distance keeps the trailing zeros a window stripped: voltage/tiered 2 %
+// less, selfcontained/tiered 1.6 % more (43882 → 44589), and chained/tiered —
+// no blob on the compressed rung under this clock — the same bytes and stream,
+// its peak 41 B lower: the blob the ladder seals while it places a step is
+// shorter. The pipelined store's peak depends on how far the worker and the
 // prefetch run ahead, so it is bounded (by the synchronous peak plus the
 // frames the queue can hold), not pinned.
 func TestPinnedStoreBytes(t *testing.T) {
@@ -131,21 +125,21 @@ func TestPinnedStoreBytes(t *testing.T) {
 		}},
 	}
 	want := map[string]pinnedBytes{
-		"voltage/masc-sync":                     {stored: 194720, peak: 293929, stream: 0x11223d58cd9f4c16},
-		"voltage/masc-async2":                   {stored: 194720, peak: -1, stream: 0x11223d58cd9f4c16},
-		"voltage/masc-anchors50":                {stored: 227217, peak: 351754, stream: 0xb13229d25bd4b065},
-		"voltage/markov-sync":                   {stored: 181493, peak: 280702, stream: 0x782284bd5f677a7d},
-		"voltage/tiered-quarter-diskless":       {stored: 379219, peak: 404768, stream: 0xf96f67bb71cb4c25},
-		"chained/masc-sync":                     {stored: 41195, peak: 65236, stream: 0xf7d174e495d967d4},
-		"chained/masc-async2":                   {stored: 41195, peak: -1, stream: 0xf7d174e495d967d4},
-		"chained/masc-anchors50":                {stored: 47296, peak: 77465, stream: 0xb3832931b9e0fd7a},
-		"chained/markov-sync":                   {stored: 40645, peak: 64686, stream: 0x365a5324ec7f58f2},
-		"chained/tiered-quarter-diskless":       {stored: 91920, peak: 98353, stream: 0x4222caa0e70ae523},
-		"selfcontained/masc-sync":               {stored: 33260, peak: 41314, stream: 0x262ad3739b478cc7},
-		"selfcontained/masc-async2":             {stored: 33260, peak: -1, stream: 0x262ad3739b478cc7},
-		"selfcontained/masc-anchors50":          {stored: 36157, peak: 47843, stream: 0x4e44f67221e6d3fc},
-		"selfcontained/markov-sync":             {stored: 34206, peak: 42260, stream: 0xb2ad8a0b910c816a},
-		"selfcontained/tiered-quarter-diskless": {stored: 43882, peak: 47870, stream: 0x67b0657dcfef626d},
+		"voltage/masc-sync":                     {stored: 158471, peak: 257680, stream: 0x1b6fb3b0810da6d6},
+		"voltage/masc-async2":                   {stored: 158471, peak: -1, stream: 0x1b6fb3b0810da6d6},
+		"voltage/masc-anchors50":                {stored: 190703, peak: 315240, stream: 0x174dc991c44e07c1},
+		"voltage/markov-sync":                   {stored: 145169, peak: 244378, stream: 0xfb825e88c2f21ff8},
+		"voltage/tiered-quarter-diskless":       {stored: 371057, peak: 404475, stream: 0x3dd8869fa414d1fc},
+		"chained/masc-sync":                     {stored: 39483, peak: 63524, stream: 0x77309e931e0332ec},
+		"chained/masc-async2":                   {stored: 39483, peak: -1, stream: 0x77309e931e0332ec},
+		"chained/masc-anchors50":                {stored: 45540, peak: 75709, stream: 0x916e8c32ff20e16a},
+		"chained/markov-sync":                   {stored: 38923, peak: 62964, stream: 0xfadd9f22d20d8e27},
+		"chained/tiered-quarter-diskless":       {stored: 91920, peak: 98312, stream: 0x4222caa0e70ae523},
+		"selfcontained/masc-sync":               {stored: 28041, peak: 36095, stream: 0x7b3fc226ab4f0621},
+		"selfcontained/masc-async2":             {stored: 28041, peak: -1, stream: 0x7b3fc226ab4f0621},
+		"selfcontained/masc-anchors50":          {stored: 31286, peak: 42972, stream: 0x767276749a91e124},
+		"selfcontained/markov-sync":             {stored: 29355, peak: 37409, stream: 0x1cb683e9d58defa2},
+		"selfcontained/tiered-quarter-diskless": {stored: 44589, peak: 48005, stream: 0xf0b8cbbc67a17dca},
 	}
 	for _, f := range fixtures {
 		frame := int64(8 * (len(f.js[0]) + len(f.cs[0])))

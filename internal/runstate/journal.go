@@ -53,8 +53,10 @@ import (
 // spilled fetch degrades to recomputation; it is refused here instead.
 // Version 4: a second revision bit (a hit is the region's hit predictor being
 // exact, hits are coded in runs), for the same reason. Version 5: the run's
-// shape is one opaque Plan value instead of fields of its own.
-const FormatVersion = 5
+// shape is one opaque Plan value instead of fields of its own. Version 6:
+// masczip's residuals are ordered-integer distances under a third revision,
+// and the decoder refuses the XOR blobs a version-5 run spilled.
+const FormatVersion = 6
 
 // Record kind bytes.
 const (

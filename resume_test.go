@@ -332,8 +332,9 @@ func TestResumeRejectsForeignCircuit(t *testing.T) {
 // TestResumeRejectsOtherFormatVersion: a journal checkpointed by a binary
 // with another journal format (version 1 factored in RCM column order,
 // version 2 spilled masczip blobs without the stamp revision bit, version 3
-// without the hit-run one, version 4 spelled the plan out field by field) is
-// refused by name, not continued and not mistaken for an empty journal.
+// without the hit-run one, version 4 spelled the plan out field by field,
+// version 5 spilled XOR-residual blobs) is refused by name, not continued and
+// not mistaken for an empty journal.
 func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	path := filepath.Join(t.TempDir(), "run.journal")
@@ -350,7 +351,7 @@ func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	if err := json.Unmarshal(data[blobframe.HeaderSize:end], &cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []int{1, 2, 3, 4} {
+	for _, version := range []int{1, 2, 3, 4, 5} {
 		cfg["format_version"] = version
 		payload, err := json.Marshal(cfg)
 		if err != nil {
