@@ -150,13 +150,13 @@ func TestFig7(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rows[0]
-	if r.MascSec <= 0 || r.RecomputeSec <= 0 || r.DiskSec <= 0 {
+	if r.MascSec <= 0 || r.RecomputeSec <= 0 || r.BatchedSec <= 0 || r.DiskSec <= 0 {
 		t.Fatalf("non-positive times: %+v", r)
 	}
 	if r.MascCR < 2 {
 		t.Fatalf("MASC CR %.2f too low end-to-end", r.MascCR)
 	}
-	if !strings.Contains(FormatFig7(rows), "vsDisk") {
+	if out := FormatFig7(rows); !strings.Contains(out, "vsDisk") || !strings.Contains(out, "vsBatched") {
 		t.Fatal("bad rendering")
 	}
 }

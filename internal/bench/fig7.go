@@ -15,23 +15,26 @@ import (
 
 // Fig7Row is one dataset's end-to-end comparison (Figure 7): total
 // sensitivity-simulation time (forward + reverse) under the three Jacobian
-// strategies the paper compares.
+// strategies the paper compares, and under the recomputation this product
+// runs for StorageRecompute.
 type Fig7Row struct {
 	Dataset      string
-	RecomputeSec float64 // Xyce-style: recompute Jacobians in the reverse pass
+	RecomputeSec float64 // Xyce-style: one Jacobian-recomputing sweep per objective (the paper's baseline)
+	BatchedSec   float64 // StorageRecompute: one sweep for every objective, Jacobians re-evaluated in it
 	DiskSec      float64 // store raw tensors on the (throttled) disk
 	MascSec      float64 // MASC in-memory compression
 	MascCR       float64
-	// Speedups of MASC over the two baselines.
+	// Speedups of MASC over the three baselines: below 1 where MASC is slower.
 	VsRecompute float64
+	VsBatched   float64
 	VsDisk      float64
 }
 
 // DefaultDiskBps is the paper's measurement SSD bandwidth (~0.5 GB/s).
 const DefaultDiskBps = 0.5e9
 
-// RunFig7 reproduces the end-to-end experiment. Sensitivities from all
-// three strategies are verified bit-identical before times are reported.
+// RunFig7 reproduces the end-to-end experiment. Sensitivities from all four
+// strategies are verified bit-identical before times are reported.
 func RunFig7(names []string, scale float64, workers int, diskBps float64) ([]Fig7Row, error) {
 	if names == nil {
 		names = []string{"add20", "smult20", "mem_plus"}
@@ -48,19 +51,25 @@ func RunFig7(names []string, scale float64, workers int, diskBps float64) ([]Fig
 		row := Fig7Row{Dataset: name}
 		var ref *adjoint.Result
 
-		runVariant := func(store jactensor.Store) (float64, *adjoint.Result, jactensor.Stats, error) {
+		// runVariant times one strategy: a store, or with none the Xyce-style
+		// flow — one Jacobian-recomputing sweep per objective — or, batched,
+		// the product's, whose one sweep re-evaluates each step's pair once
+		// for every objective.
+		runVariant := func(store jactensor.Store, batched bool) (float64, *adjoint.Result, jactensor.Stats, error) {
 			start := time.Now()
 			tr, err := ds.RunForward(store)
 			if err != nil {
 				return 0, nil, jactensor.Stats{}, err
 			}
 			var sens *adjoint.Result
-			if store != nil {
+			switch {
+			case store != nil:
 				sens, err = adjoint.Sensitivities(ds.Ckt, tr, store, ds.Objectives,
 					adjoint.Options{Params: ds.Params, StoredGC: true})
-			} else {
-				// The recompute baseline is the Xyce-style flow: one
-				// Jacobian-recomputing sweep per objective.
+			case batched:
+				sens, err = adjoint.Sensitivities(ds.Ckt, tr, adjoint.NewRecomputeSource(ds.Ckt, tr).Pairs(), ds.Objectives,
+					adjoint.Options{Params: ds.Params, StoredGC: true})
+			default:
 				sens, err = adjoint.XyceNaiveSensitivities(ds.Ckt, tr, ds.Objectives,
 					adjoint.Options{Params: ds.Params})
 			}
@@ -76,19 +85,29 @@ func RunFig7(names []string, scale float64, workers int, diskBps float64) ([]Fig
 		}
 
 		// Xyce-style recomputation.
-		sec, sens, _, err := runVariant(nil)
+		sec, sens, _, err := runVariant(nil, false)
 		if err != nil {
 			return nil, fmt.Errorf("bench fig7 %s recompute: %w", name, err)
 		}
 		row.RecomputeSec = sec
 		ref = sens
 
+		// The product's recomputation.
+		sec, sens, _, err = runVariant(nil, true)
+		if err != nil {
+			return nil, fmt.Errorf("bench fig7 %s batched recompute: %w", name, err)
+		}
+		if err := compareSens(ref, sens); err != nil {
+			return nil, fmt.Errorf("bench fig7 %s batched recompute: %w", name, err)
+		}
+		row.BatchedSec = sec
+
 		// Raw tensors on throttled disk.
 		disk, err := jactensor.NewDiskStore("", diskBps)
 		if err != nil {
 			return nil, err
 		}
-		sec, sens, _, err = runVariant(disk)
+		sec, sens, _, err = runVariant(disk, false)
 		if err != nil {
 			return nil, fmt.Errorf("bench fig7 %s disk: %w", name, err)
 		}
@@ -107,7 +126,7 @@ func RunFig7(names []string, scale float64, workers int, diskBps float64) ([]Fig
 			masczip.New(ds.Ckt.CPat, opt),
 			ds.Ckt.GPat, ds.Ckt.CPat)
 		var st jactensor.Stats
-		sec, sens, st, err = runVariant(cs)
+		sec, sens, st, err = runVariant(cs, false)
 		if err != nil {
 			return nil, fmt.Errorf("bench fig7 %s masc: %w", name, err)
 		}
@@ -118,6 +137,7 @@ func RunFig7(names []string, scale float64, workers int, diskBps float64) ([]Fig
 		row.MascCR = float64(st.RawBytes) / float64(st.StoredBytes)
 
 		row.VsRecompute = row.RecomputeSec / row.MascSec
+		row.VsBatched = row.BatchedSec / row.MascSec
 		row.VsDisk = row.DiskSec / row.MascSec
 		rows = append(rows, row)
 	}
@@ -139,14 +159,15 @@ func compareSens(recompute, got *adjoint.Result) error {
 	return nil
 }
 
-// FormatFig7 renders the end-to-end comparison.
+// FormatFig7 renders the end-to-end comparison: Recompute is the paper's
+// Xyce-style baseline, Batched the product's StorageRecompute.
 func FormatFig7(rows []Fig7Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %12s %10s %10s %8s %13s %10s\n",
-		"Dataset", "Recompute(s)", "Disk(s)", "MASC(s)", "CR", "vsRecompute", "vsDisk")
+	fmt.Fprintf(&b, "%-10s %12s %10s %10s %10s %8s %13s %10s %10s\n",
+		"Dataset", "Recompute(s)", "Batched(s)", "Disk(s)", "MASC(s)", "CR", "vsRecompute", "vsBatched", "vsDisk")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %12.3f %10.3f %10.3f %8.2f %12.2fx %9.2fx\n",
-			r.Dataset, r.RecomputeSec, r.DiskSec, r.MascSec, r.MascCR, r.VsRecompute, r.VsDisk)
+		fmt.Fprintf(&b, "%-10s %12.3f %10.3f %10.3f %10.3f %8.2f %12.2fx %9.2fx %9.2fx\n",
+			r.Dataset, r.RecomputeSec, r.BatchedSec, r.DiskSec, r.MascSec, r.MascCR, r.VsRecompute, r.VsBatched, r.VsDisk)
 	}
 	return b.String()
 }

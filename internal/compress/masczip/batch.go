@@ -1,7 +1,6 @@
 package masczip
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -32,6 +31,21 @@ import (
 // marker. Against one bit per hit that costs at most one bit more on a run of
 // 9 or 11, and at most three when the run closes its region.
 //
+// Misses that keep their symbol are length-coded too. A miss's symbol is the
+// selector it wrote, or in Markov mode the one the table predicted. After the
+// missRun-th consecutive miss with one symbol — no hit between them, no other
+// symbol, counted from the region's start, the last hit, the last symbol change
+// or the last such count — the encoder writes
+//
+//	γ(n+1), then n × residual    — the n further misses that keep the symbol
+//
+// and those misses carry no '0' marker and no selector. A block of slots that
+// all move, each best predicted by symbol 0, makes such a run, and so does a
+// Markov table with a fixed point: the count costs one bit on a run of exactly
+// missRun and saves the marker and selector of every miss it covers. The
+// encoder looks ahead for the run's length before it writes the count
+// (missRunAhead), keeping each covered miss's prediction for its residual.
+//
 // A miss costs its distance from the prediction, not the bits it differs in.
 // The residual is z, the signed distance between the ordered integers of the
 // value and of the chosen candidate (ordered, history.go), zigzagged so that
@@ -61,8 +75,11 @@ import (
 // run-heavy blobs on disk.
 
 // longRun is the wire constant at which a hit run switches from unary to a
-// length field.
-const longRun = 8
+// length field, missRun the one at which a run of misses with one symbol does.
+const (
+	longRun = 8
+	missRun = 3
+)
 
 // regionCoder is one row of the chunk's region table: the flat slot sequence,
 // how its hits are predicted, and its Markov state and policy.
@@ -75,6 +92,22 @@ type regionCoder struct {
 	table  []uint8
 	selLen uint // width of the best-fit selector: 2 bits for four symbols, 1 for D's two
 	length lengthModel
+	same   int32 // consecutive misses with symbol prev since the last hit, symbol change or miss-run count
+}
+
+// missed books a coded miss of symbol sym, prev's symbol before it, and
+// reports whether it is the missRun-th in a row, after which a count follows.
+func (r *regionCoder) missed(prev, sym uint8) bool {
+	if r.same > 0 && sym == prev {
+		r.same++
+	} else {
+		r.same = 1
+	}
+	if r.same < missRun {
+		return false
+	}
+	r.same = 0
+	return true
 }
 
 func (cc *chunkCoder) regions() [3]regionCoder {
@@ -189,6 +222,20 @@ func (cc *chunkCoder) hitRun(r *regionCoder, k int32) int32 {
 	return n - k
 }
 
+// hit reports whether the element at position k is its hit predictor's.
+func (cc *chunkCoder) hit(r *regionCoder, k int32) bool {
+	s := r.slots[k]
+	v := math.Float64bits(cc.cur[s])
+	switch {
+	case r.hitSym == 0:
+		return v == math.Float64bits(cc.ref[s])
+	case r.rg == regionL:
+		return v == math.Float64bits(cc.mate(s))
+	default:
+		return v == math.Float64bits(cc.stamp[k])
+	}
+}
+
 // fillHits decodes the run of n hits that starts at position k.
 func (cc *chunkCoder) fillHits(r *regionCoder, k, n int32) {
 	cur, ref := cc.cur, cc.ref
@@ -206,44 +253,49 @@ func (cc *chunkCoder) fillHits(r *regionCoder, k, n int32) {
 			cur[r.slots[i]] = cc.stampD(i)
 		}
 	}
-	r.prev = r.hitSym
+	r.prev, r.same = r.hitSym, 0
 }
 
 // encodeRun writes a run of n hits and tallies it: its stream bits are
 // payload, its elements land in the zero-residual histogram bucket.
 func (cc *chunkCoder) encodeRun(w *bitstream.Writer, r *regionCoder, n int32) {
-	spent := int64(n)
 	if n < longRun {
 		w.WriteOnes(int(n))
+		cc.stats.PayloadBits += int64(n)
 	} else {
-		v := uint64(n - longRun + 1)
-		g := uint(2*bits.Len64(v) - 1) // the value's bits under one zero fewer
 		w.WriteOnes(longRun)
-		w.WriteBits(v, g)
-		spent = longRun + int64(g)
-		cc.stats.RunLengthBits += int64(g)
+		cc.stats.PayloadBits += longRun
+		cc.writeCount(w, uint64(n-longRun+1))
 	}
-	r.prev = r.hitSym
+	r.prev, r.same = r.hitSym, 0
 	cc.stats.Elements += int64(n)
-	cc.stats.PayloadBits += spent
 	cc.stats.LZHist[8] += int64(n)
 	cc.stats.HitRuns[r.rg]++
 }
 
-// decodeRunLength reads the γ field that follows longRun '1' bits and returns
-// the run's length, which may not pass the rem positions the region has left.
-func decodeRunLength(r *bitstream.Reader, rem int32) (int32, error) {
+// decodeCount reads a γ field, γ(n − base + 1), and returns n, the length of
+// the run it counts — a hit run after longRun '1' bits, or the misses a miss
+// run covers — which may not pass the rem positions the region has left.
+func decodeCount(r *bitstream.Reader, what string, base, rem int32) (int32, error) {
 	w, _ := r.Peek64()
 	z := uint(bits.LeadingZeros64(w))
 	if z >= 32 {
-		return 0, errors.New("run-length γ code has 32 or more leading zeros")
+		return 0, fmt.Errorf("%s γ code has 32 or more leading zeros", what)
 	}
-	n := w>>(63-2*z) + longRun - 1
+	n := w>>(63-2*z) + uint64(base) - 1
 	r.Skip(2*z + 1)
 	if n > uint64(rem) {
-		return 0, fmt.Errorf("hit run of %d exceeds the %d slots left", n, rem)
+		return 0, fmt.Errorf("%s of %d exceeds the %d slots left", what, n, rem)
 	}
 	return int32(n), nil
+}
+
+// writeCount writes the γ field γ(v) of a run's length and books it.
+func (cc *chunkCoder) writeCount(w *bitstream.Writer, v uint64) {
+	g := uint(2*bits.Len64(v) - 1) // the value's bits under one zero fewer
+	w.WriteBits(v, g)
+	cc.stats.RunLengthBits += int64(g)
+	cc.stats.PayloadBits += int64(g)
 }
 
 // regionMark is the writer position and miss count at a region's start.
@@ -269,9 +321,7 @@ func (cc *chunkCoder) closeRegion(r *regionCoder, w *bitstream.Writer, m *region
 
 // encodeMiss writes one element its hit predictor did not reproduce: the '0'
 // marker (none when bare, after a length-coded run), the selector (best-fit
-// matrices only) and the residual, packed into a single WriteBits word
-// whenever marker + selector + length code + payload fit in 64 bits (payloads
-// long enough to spill are written with one extra call).
+// matrices only) and the residual.
 func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 	cands *[4]float64, nSyms int, r *regionCoder, bare bool) uint8 {
 
@@ -286,22 +336,53 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 		sym = bestSym(val, cands, nSyms)
 		pre = uint64(sym) // a marker bit above it stays 0
 		preN += r.selLen
-		if cc.counts != nil {
-			cc.counts.add(r.rg, r.prev, sym)
-		}
 		cc.stats.SelectorBits += int64(r.selLen)
 	} else {
 		sym = r.table[r.prev]
-		if cc.statsOn {
-			cc.stats.MarkovPredicted++
-			if math.Float64bits(val) == math.Float64bits(cands[sym]) {
-				cc.stats.MarkovExact++
-			}
+	}
+	cc.selected(r, val, cands[sym], sym)
+	cc.writeResidual(w, pre, preN, val, cands[sym], r)
+	return sym
+}
+
+// selected books the selection of symbol sym, prediction pred, for a miss of
+// value val: the Markov counts (calibration) or the table's exactness probe,
+// the model families, and the chain state.
+func (cc *chunkCoder) selected(r *regionCoder, val, pred float64, sym uint8) {
+	if cc.calib {
+		if cc.counts != nil {
+			cc.counts.add(r.rg, r.prev, sym, 1)
+		}
+	} else if cc.statsOn {
+		cc.stats.MarkovPredicted++
+		if math.Float64bits(val) == math.Float64bits(pred) {
+			cc.stats.MarkovExact++
 		}
 	}
+	cc.note(sym, r.rg, 1)
 	r.prev = sym
+}
 
-	z := residual(val, cands[sym])
+// covered books the n misses a miss run of symbol sym covers as selected
+// books one each, though no selector is written for them; the caller probes
+// their exactness.
+func (cc *chunkCoder) covered(r *regionCoder, sym uint8, n int32) {
+	if cc.calib {
+		if cc.counts != nil {
+			cc.counts.add(r.rg, sym, sym, uint32(n))
+		}
+	} else {
+		cc.stats.MarkovPredicted += int64(n)
+	}
+	cc.note(sym, r.rg, int64(n))
+}
+
+// writeResidual writes the preN-bit prefix pre (marker and selector) and the
+// residual of val against pred, packed into a single WriteBits word whenever
+// prefix + length code + payload fit in 64 bits (payloads long enough to spill
+// are written with one extra call).
+func (cc *chunkCoder) writeResidual(w *bitstream.Writer, pre uint64, preN uint, val, pred float64, r *regionCoder) {
+	z := residual(val, pred)
 	l := bits.Len64(z)
 	code, g := r.length.code(int32(l))
 	pn := uint(max(l, 1) - 1) // the bits below the leading one
@@ -314,23 +395,38 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 	}
 	cc.stats.LZHist[(64-l)>>3]++
 	cc.stats.PayloadBits += int64(g + pn)
-	return sym
+}
+
+// missRunAhead finds the misses after position k that keep symbol sym — no
+// hit, no other symbol — and puts their predictions in cc.ahead, computing each
+// candidate set once: where the run stops at a miss of another symbol, that
+// miss's candidates wait in cc.next for the main loop. It returns how many.
+func (cc *chunkCoder) missRunAhead(r *regionCoder, k int32, sym uint8) int32 {
+	n := int32(0)
+	for j := k + 1; j < r.hi && !cc.hit(r, j); j++ {
+		if !cc.calib { // sym is a fixed point of the table: every further miss keeps it
+			cc.ahead[n] = cc.cand(r, j, sym)
+		} else {
+			nx := &cc.next
+			nx.n = cc.cands(r, j, &nx.cands)
+			if bestSym(cc.cur[r.slots[j]], &nx.cands, nx.n) != sym {
+				nx.at = j + 1
+				break
+			}
+			cc.ahead[n] = nx.cands[sym]
+		}
+		n++
+	}
+	return n
 }
 
 // decodeMissAt decodes the miss at position k of region rc, whose selector
 // starts at bit offset off of the peeked window w: past the short run of '1'
 // hit bits the caller identified in the same window but has not consumed and
-// the '0' marker, or 0 for the bare miss after a length-coded run. Selector,
-// length code and a payload that fits are extracted from the word; run,
-// marker, selector and residual are consumed with a single Skip. off ≤
-// longRun, so every fixed field lies inside the window; only a long payload
-// needs the ReadBits spill. Zero padding past the end of the stream decodes as
-// the zero-extended fields sequential reads would see, with ErrOverrun
-// surfacing from Skip/ReadBits — or, where the padding reaches a length code,
-// as a length code with too many leading zeros. The decoder knows the symbol
-// before it needs a prediction, so it computes that one: symbol 0 is the
-// blob's family in every region, and where a history makes it the usual choice
-// the other three are never formed.
+// the '0' marker, or 0 for the bare miss after a length-coded run. The decoder
+// knows the symbol before it needs a prediction, so it computes that one:
+// symbol 0 is the blob's family in every region, and where a history makes it
+// the usual choice the other three are never formed.
 func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64, rc *regionCoder, k int32) (float64, error) {
 	var sym uint8
 	if cc.calib {
@@ -340,8 +436,19 @@ func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64, rc *
 		sym = rc.table[rc.prev]
 	}
 	rc.prev = sym
-	pred := cc.cand(rc, k, sym)
+	return cc.residualAt(r, off, w, rc, cc.cand(rc, k, sym))
+}
 
+// residualAt decodes the residual that starts at bit offset off of the
+// peeked window w against pred. The length code and a payload that fits are
+// extracted from the word, and everything from the window's start to the
+// residual's end is consumed with a single Skip. off ≤ longRun + 1 + 2, so
+// every fixed field lies inside the window; only a long payload needs the
+// ReadBits spill. Zero padding past the end of the stream decodes as the
+// zero-extended fields sequential reads would see, with ErrOverrun surfacing
+// from Skip/ReadBits — or, where the padding reaches a length code, as a length
+// code with too many leading zeros.
+func (cc *chunkCoder) residualAt(r *bitstream.Reader, off uint, w uint64, rc *regionCoder, pred float64) (float64, error) {
 	wres := w << off // residual view, length code at the top
 	q := uint(bits.LeadingZeros64(wres))
 	if q > maxLengthZeros {
@@ -368,6 +475,25 @@ func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64, rc *
 	return unresidual(pred, z|1<<pn), nil
 }
 
+// decodeMissRun reads the count after a missRun-th miss of one symbol and
+// decodes the misses it covers, residuals alone, from position k on.
+func (cc *chunkCoder) decodeMissRun(r *bitstream.Reader, rc *regionCoder, k int32) (int32, error) {
+	n, err := decodeCount(r, "miss run", 0, rc.hi-k)
+	if err != nil {
+		return 0, err
+	}
+	sym := rc.prev
+	for i := k; i < k+n; i++ {
+		w, _ := r.Peek64()
+		v, err := cc.residualAt(r, 0, w, rc, cc.cand(rc, i, sym))
+		if err != nil {
+			return 0, err
+		}
+		cc.cur[rc.slots[i]] = v
+	}
+	return n, nil
+}
+
 // encodeRegions writes the chunk's three regions to w.
 func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 	var cands [4]float64
@@ -384,10 +510,30 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 					break
 				}
 			}
-			n := cc.cands(r, k, &cands)
-			sym := cc.encodeMiss(w, cc.cur[r.slots[k]], &cands, n, r, bare)
-			cc.note(sym, r.rg)
+			c, n := &cands, 0
+			if cc.next.at == k+1 { // the miss that ended a miss run: its candidates are known
+				c, n, cc.next.at = &cc.next.cands, cc.next.n, 0
+			} else {
+				n = cc.cands(r, k, c)
+			}
+			prev := r.prev
+			sym := cc.encodeMiss(w, cc.cur[r.slots[k]], c, n, r, bare)
 			bare = false
+			if !r.missed(prev, sym) {
+				continue
+			}
+			run := cc.missRunAhead(r, k, sym)
+			cc.writeCount(w, uint64(run)+1)
+			probe := cc.statsOn && !cc.calib
+			for j, pred := range cc.ahead[:run] {
+				val := cc.cur[r.slots[k+1+int32(j)]]
+				cc.writeResidual(w, 0, 0, val, pred, r)
+				if probe && math.Float64bits(val) == math.Float64bits(pred) {
+					cc.stats.MarkovExact++
+				}
+			}
+			cc.covered(r, sym, run)
+			k += run
 		}
 		cc.closeRegion(r, w, &mark)
 	}
@@ -396,10 +542,11 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 // decodeRegions fills cc.cur for the chunk's rows from r. Each iteration peeks
 // one 64-bit window and counts the run of '1' hits with a LeadingZeros64: a
 // short run and the miss behind it are decoded with a single Skip, a run that
-// closes the region or carries a length field is consumed on its own. A length
-// field that cannot be right is an error here; a stream that ends early is
-// decoded from zero padding up to the first overrun, which stays in r, or up to
-// a residual length code the padding makes impossible.
+// closes the region or carries a length field is consumed on its own, and so
+// is a miss run's count and each residual it covers. A length field that
+// cannot be right is an error here; a stream that ends early is decoded from
+// zero padding up to the first overrun, which stays in r, or up to a residual
+// length code the padding makes impossible.
 func (cc *chunkCoder) decodeRegions(r *bitstream.Reader) error {
 	table := cc.regions()
 	for i := range table {
@@ -419,7 +566,7 @@ func (cc *chunkCoder) decodeRegions(r *bitstream.Reader) error {
 					r.Skip(uint(lim))
 					if ones = lim; lim == longRun {
 						var err error
-						if ones, err = decodeRunLength(r, rem); err != nil {
+						if ones, err = decodeCount(r, "hit run", longRun, rem); err != nil {
 							return fmt.Errorf("region %s: %w", rc.rg, err)
 						}
 						bare = true
@@ -434,6 +581,7 @@ func (cc *chunkCoder) decodeRegions(r *bitstream.Reader) error {
 				}
 				off = uint(ones) + 1
 			}
+			prev := rc.prev
 			v, err := cc.decodeMissAt(r, off, w, rc, k)
 			if err != nil {
 				return fmt.Errorf("region %s: %w", rc.rg, err)
@@ -441,6 +589,13 @@ func (cc *chunkCoder) decodeRegions(r *bitstream.Reader) error {
 			cc.cur[rc.slots[k]] = v
 			bare = false
 			k++
+			if rc.missed(prev, rc.prev) {
+				n, err := cc.decodeMissRun(r, rc, k)
+				if err != nil {
+					return fmt.Errorf("region %s: %w", rc.rg, err)
+				}
+				k += n
+			}
 		}
 	}
 	return nil

@@ -59,13 +59,43 @@ func worstCaseFrames(rng *rand.Rand, p *sparse.Pattern, steps int) [][]float64 {
 	return frames
 }
 
+// missRunFrames builds the chain the miss-run count is worst on: in every
+// region's flat slot order a hit, then three misses, over and over, each miss
+// a step the temporal candidate predicts best — with the stamp candidates off,
+// every miss keeps symbol 0, so each run is exactly missRun long and its count
+// is γ(1), one bit that covers nothing. The hits are zeros, so the head blob,
+// predicted from zeros, has the same shape.
+func missRunFrames(rng *rand.Rand, p *sparse.Pattern, steps int) [][]float64 {
+	pl := newPlan(p)
+	regions := [][]int32{pl.uSlots, pl.lSlots, pl.dSlots}
+	v := mnaValues(rng, p, 0.05)
+	for _, slots := range regions {
+		for i := 0; i < len(slots); i += missRun + 1 {
+			v[slots[i]] = 0
+		}
+	}
+	frames := [][]float64{v}
+	for s := 0; s < steps; s++ {
+		nv := append([]float64(nil), frames[len(frames)-1]...)
+		for _, slots := range regions {
+			for i, slot := range slots {
+				if i%(missRun+1) != 0 {
+					nv[slot] *= 1 + 1e-6*(1+rng.Float64())
+				}
+			}
+		}
+		frames = append(frames, nv)
+	}
+	return frames
+}
+
 // batchFixtures returns the (options, frame-chain) matrix the wire-identity
 // property test runs over: every coding mode (best-fit, Markov with a short
 // calibration period, chunked) and every ablation switch, crossed with a
 // generic evolving chain, a run-heavy chain, a fully static chain, a
 // specials-laced chain, an exactly symmetric pair-stamp chain (the mate and
-// stamp hit predictors win every chained blob) and the run-length code's worst
-// case.
+// stamp hit predictors win every chained blob) and the worst cases of the hit
+// and the miss run-length codes.
 func batchFixtures() []struct {
 	name   string
 	opt    Options
@@ -129,6 +159,9 @@ func batchFixtures() []struct {
 		{"worst-case", func(rng *rand.Rand, p *sparse.Pattern) [][]float64 {
 			return worstCaseFrames(rng, p, 4)
 		}},
+		{"miss-runs", func(rng *rand.Rand, p *sparse.Pattern) [][]float64 {
+			return missRunFrames(rng, p, 4)
+		}},
 	}
 	for _, o := range opts {
 		for _, ch := range chains {
@@ -174,32 +207,33 @@ func TestBatchedWireIdentity(t *testing.T) {
 }
 
 // newBits codes frames as a store chain with the production coder and returns
-// the chunk streams' total length in bits, and what the size bound allows on
-// top of the previous revision's: a bit per hit run and three per region.
-func newBits(p *sparse.Pattern, opt Options, frames [][]float64) (stream, slack int) {
-	opt.CollectStats = true
+// the chunk streams' total length in bits.
+func newBits(p *sparse.Pattern, opt Options, frames [][]float64) int {
 	c := New(p, opt)
+	n := 0
 	for i := range frames {
 		var ref []float64
 		if i+1 < len(frames) {
 			ref = frames[i+1]
 		}
 		c.Compress(nil, frames[i], ref)
-		stream += streamBits(c)
-		slack += 3 * 3 * (len(c.curBounds) - 1)
+		n += streamBits(c)
 	}
-	st := c.Stats()
-	return stream, slack + int(st.HitRuns[regionU]+st.HitRuns[regionL]+st.HitRuns[regionD])
+	return n
 }
 
 // checkSizeBound holds the format against its predecessor: whatever the data,
-// a chain's streams are no longer than the previous revision's region coder
-// made them plus one bit per hit run (a run of 9 or 11) and three per region
-// (a length-coded run with no miss marker behind it to drop).
+// a chain's streams are no longer than the 0b10 revision's region coder made
+// them plus one bit per miss run a calibration blob counts and two per run a
+// Markov-predicted blob counts. A count is γ(n+1) for the n misses it covers,
+// each of which drops its marker and, in a calibration blob, a selector of one
+// bit or two: γ(1) on a run of exactly missRun is the one bit; with the marker
+// alone to drop, γ(2) and γ(4) are two bits more than one and three markers.
 func checkSizeBound(t *testing.T, p *sparse.Pattern, opt Options, frames [][]float64) {
 	t.Helper()
-	got, slack := newBits(p, opt, frames)
-	if legacy := legacyBits(p, opt, frames); got > legacy+slack {
+	got := newBits(p, opt, frames)
+	legacy, runs := legacyBits(p, opt, frames)
+	if slack := int(runs[0] + 2*runs[1]); got > legacy+slack {
 		t.Fatalf("%d stream bits, the previous revision %d: over by %d, allowed %d", got, legacy, got-legacy, slack)
 	}
 }
@@ -208,16 +242,17 @@ func TestNoLargerThanPreviousRevision(t *testing.T) {
 	for _, fx := range batchFixtures() {
 		t.Run(fx.name, func(t *testing.T) { checkSizeBound(t, fx.p, fx.opt, fx.frames) })
 	}
-	// The worst case is met, not only bounded: with both hit predictors off
-	// the hit set is the previous revision's, and the runs of 9 and 11 make
-	// the chain longer than it was, inside the allowance.
+	// The worst case is met, not only bounded: where every run of misses that
+	// keep their symbol is exactly missRun long, every count is a bit the
+	// previous revision did not spend, in best-fit and in Markov blobs alike.
 	rng := rand.New(rand.NewSource(17))
 	p := mnaPattern(rng, 40, 60)
-	frames := worstCaseFrames(rng, p, 3)
-	opt := Options{DisableStamp: true}
-	got, slack := newBits(p, opt, frames)
-	if over := got - legacyBits(p, opt, frames); over <= 0 || over > slack {
-		t.Fatalf("worst-case chain is %d bits longer than under the previous revision, want 1..%d", over, slack)
+	frames := missRunFrames(rng, p, 3)
+	for _, opt := range []Options{{DisableStamp: true, DisableLastValue: true}, {DisableStamp: true, DisableLastValue: true, Markov: true, CalibEvery: 2}} {
+		legacy, runs := legacyBits(p, opt, frames)
+		if over := newBits(p, opt, frames) - legacy; runs[0]+runs[1] == 0 || over != int(runs[0]+runs[1]) {
+			t.Fatalf("%+v: the chain is %d bits longer than under the previous revision, over %v miss runs; want one bit a run", opt, over, runs)
+		}
 	}
 }
 

@@ -57,24 +57,22 @@ func FuzzDecompress(f *testing.F) {
 	// past 2^31 (would wrap negative through the int32 conversion) and
 	// near-maximal chunk lengths (whose sum would overflow the payload
 	// offset if accumulated unchecked).
-	wrapDelta := []byte{flagCalib | revision}
-	wrapDelta = binary.AppendUvarint(wrapDelta, uint64(p.NNZ()))
+	wrapDelta := binary.AppendUvarint(header(), uint64(p.NNZ()))
 	wrapDelta = binary.AppendUvarint(wrapDelta, 3)
 	wrapDelta = binary.AppendUvarint(wrapDelta, 1<<33)
 	wrapDelta = binary.AppendUvarint(wrapDelta, 1)
 	f.Add(wrapDelta)
-	hugeLens := []byte{flagCalib | revision}
-	hugeLens = binary.AppendUvarint(hugeLens, uint64(p.NNZ()))
+	hugeLens := binary.AppendUvarint(header(), uint64(p.NNZ()))
 	hugeLens = binary.AppendUvarint(hugeLens, 2)
 	hugeLens = binary.AppendUvarint(hugeLens, 1) // valid boundary delta
 	hugeLens = binary.AppendUvarint(hugeLens, math.MaxUint64)
 	hugeLens = binary.AppendUvarint(hugeLens, math.MaxUint64)
 	f.Add(hugeLens)
-	// Bad run-length fields, order fields no history satisfies, and blobs of
-	// both older revisions, which the decoder must refuse at the flags byte
-	// (the golden corpus' pattern is not this one, so past that check they
-	// are foreign blobs too); then a well-formed header under an
-	// all-bits-set first byte.
+	// Bad hit-run lengths, residual length codes and miss-run counts, order
+	// fields no history satisfies, and blobs of the four older revisions,
+	// which the decoder must refuse at the header (the golden corpus' pattern
+	// is not this one, so past that check they are foreign blobs too); then a
+	// well-formed header under an all-bits-set first byte.
 	for _, seed := range adversarialBlobs(f, p) {
 		f.Add(seed)
 	}

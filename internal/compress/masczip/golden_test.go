@@ -175,11 +175,19 @@ func TestGoldenStates(t *testing.T) {
 // the order of goldenFormatProfiles then goldenRunsProfiles: the unreferenced
 // tail blobs as the last binary without the stamp revision bit wrote them
 // (revision bits 0b00), one chained blob of each corpus as the last binary
-// without the hit-run revision bit did (0b01), and the first blob of each
-// corpus as the last binary with XOR residuals did (0b11).
-var oldRevisionCorpora = []string{"prerev-nilref.bin", "prerev-chained.bin", "prerev-xor.bin"}
+// without the hit-run revision bit did (0b01), the first blob of each corpus
+// as the last binary with XOR residuals did (0b11), and as the last binary
+// without miss runs did (0b10, no extension byte).
+var oldRevisionCorpora = []string{"prerev-nilref.bin", "prerev-chained.bin", "prerev-xor.bin", "prerev-distance.bin"}
 
-// TestOlderRevisionsRefused: a blob of either older revision has a layout this
+// currentRevision reports whether a blob's header names this revision: the
+// revision bits 0b10 and an extension byte with the miss-run bit.
+func currentRevision(blob []byte) bool {
+	return blob[0]&revisionMask == revision && blob[0]>>orderShift == orderExtended &&
+		len(blob) > 1 && blob[1]&extMissRuns != 0
+}
+
+// TestOlderRevisionsRefused: a blob of any older revision has a layout this
 // decoder would read to the end and get wrong values from, so it must be
 // refused by name, on its own pattern, whatever else is in it.
 func TestOlderRevisionsRefused(t *testing.T) {
@@ -197,7 +205,7 @@ func TestOlderRevisionsRefused(t *testing.T) {
 			for _, prof := range set.profiles {
 				was := old[i]
 				i++
-				if was[0]&revisionMask == revision {
+				if currentRevision(was) {
 					t.Fatalf("%s %s: flags byte %#02x is not an older revision's", file, prof.name, was[0])
 				}
 				for _, ref := range [][]float64{nil, frames[1]} {

@@ -166,7 +166,7 @@ func TestPolynomialSeriesIsNearlyFree(t *testing.T) {
 					continue
 				}
 				st := c.Stats()
-				if got := int(blob[0] >> orderShift); got != d || st.OrderBlobs[d] != 1 {
+				if got, _ := blobFamily(blob); got != d || st.OrderBlobs[d] != 1 {
 					t.Fatalf("degree %d %+v blob %d: coded at order %d (OrderBlobs %v)", d, opt, i, got, st.OrderBlobs)
 				}
 				misses := st.SelectorElements
@@ -220,8 +220,8 @@ func TestHistoryRoundTripMatrix(t *testing.T) {
 						t.Fatalf("order %d markov=%v workers=%d rep %d: production and oracle encoders differ", o, markov, ew, rep)
 					}
 				}
-				if got := int(blob[0] >> orderShift); got != o {
-					t.Fatalf("order %d forced, flags %#02x say %d", o, blob[0], got)
+				if got, _ := blobFamily(blob); got != o {
+					t.Fatalf("order %d forced, extension byte %#02x says %d", o, blob[1], got)
 				}
 				for _, dw := range []int{1, 2, 5, 64} {
 					for name, dec := range map[string]*Compressor{"batched": New(p, Options{Workers: dw}), "scalar": newReference(p, Options{Workers: dw})} {
@@ -292,7 +292,7 @@ func TestOrderRestartsAtAnEdge(t *testing.T) {
 	blobs := encodeChainDepth(New(p, Options{}), frames, MaxOrder+1)
 	orders := make([]int, len(blobs))
 	for i, b := range blobs {
-		orders[i] = int(b[0] >> orderShift)
+		orders[i], _ = blobFamily(b)
 	}
 	// Frame jump−1 is coded against frames jump…, all on the far side of the edge.
 	if orders[jump-1] != 0 {
@@ -306,14 +306,14 @@ func TestOrderRestartsAtAnEdge(t *testing.T) {
 }
 
 // orderBlobs are nil-reference blobs over p with each nonzero order written
-// into the flags byte: no history can satisfy them. (7 is the escape to the
-// extension byte, whose blobs are extensionBlobs.)
+// into the extension byte: no history can satisfy them. (7, past MaxOrder, is
+// among extensionBlobs.)
 func orderBlobs(p *sparse.Pattern) [][]byte {
 	rng := rand.New(rand.NewSource(64))
 	good := New(p, Options{}).Compress(nil, mnaValues(rng, p, 0.01), nil)
 	var out [][]byte
 	for o := 1; o <= MaxOrder; o++ {
-		out = append(out, append([]byte{good[0] | byte(o)<<orderShift}, good[1:]...))
+		out = append(out, append([]byte{good[0], good[1] | byte(o)}, good[2:]...))
 	}
 	return out
 }
@@ -368,8 +368,8 @@ func TestHistoryAllocsPinnedZero(t *testing.T) {
 	c := New(p, Options{})
 	dst := make([]byte, 0, 1<<20)
 	blob := c.CompressHistory(dst, frames[0], frames[1:], nil)
-	if blob[0]>>orderShift == 0 {
-		t.Fatalf("flags %#02x: the waveform chain was coded at order 0", blob[0])
+	if order, _ := blobFamily(blob); order == 0 {
+		t.Fatalf("extension byte %#02x: the waveform chain was coded at order 0", blob[1])
 	}
 	out := make([]float64, p.NNZ())
 	if avg := testing.AllocsPerRun(100, func() {

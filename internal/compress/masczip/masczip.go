@@ -49,9 +49,11 @@ type Stats struct {
 	// coded — whose leading-zero class is 8·i (i = 0..7); LZHist[8] counts
 	// zero residuals, the hits among them.
 	LZHist [9]int64
-	// SelectorBits / PayloadBits split the stream cost: selector symbols
-	// against everything else (hit bits, miss markers, residuals), so their
-	// sum is the chunk streams' length in bits.
+	// SelectorBits / PayloadBits split the stream cost: the selector bits
+	// written against everything else (hit bits, miss markers, run lengths,
+	// residuals), so their sum is the chunk streams' length in bits. A miss a
+	// miss run covers is still a selection — counted in SelectorElements and
+	// its model family — but writes no selector.
 	SelectorBits int64
 	PayloadBits  int64
 	// RegionMisses / RegionBits split the same stream by region, indexed
@@ -63,8 +65,9 @@ type Stats struct {
 	RegionBits   [3]int64
 	RegionHits   [3]int64
 	HitRuns      [3]int64
-	// RunLengthBits counts the γ-coded length fields of the runs of
-	// longRun hits or more (part of PayloadBits).
+	// RunLengthBits counts the γ-coded length fields (part of PayloadBits):
+	// of the runs of longRun hits or more, and of the runs of misses that
+	// keep their symbol.
 	RunLengthBits int64
 	// MateBlobs / StampBlobs count the blobs whose flags made region L's
 	// hit predictor the symmetric mate and region D's the difference stamp.
@@ -153,6 +156,7 @@ type Compressor struct {
 	decBounds []int32
 	lens      []int
 	starts    []int
+	ahead     [][]float64 // per chunk: room for a miss run as long as its longest region
 
 	// Call state shared with encFn/decFn, which are allocated once here
 	// rather than as per-call closures.
@@ -235,6 +239,9 @@ func (c *Compressor) ensureChunks(nchunks int) {
 		c.hits = make([]hitCounts, nchunks)
 	}
 	c.hits = c.hits[:cap(c.hits)]
+	for len(c.ahead) < nchunks {
+		c.ahead = append(c.ahead, nil)
+	}
 }
 
 // SetSpans installs a span recorder: each Compress/Decompress call then
@@ -263,22 +270,26 @@ func (c *Compressor) Stats() Stats { return c.stats }
 // ResetStats clears the accumulated statistics.
 func (c *Compressor) ResetStats() { c.stats = Stats{} }
 
-// Header flag bits. Bits 1–2 are the format revision. The three before this
-// one wrote 0b00 (region D's symbol 1 the value-form stamp), 0b01 (the
+// Header flag bits. Bits 1–2 are the format revision. The three before 0b10
+// wrote 0b00 (region D's symbol 1 the value-form stamp), 0b01 (the
 // difference-form stamp of candsD) and 0b11 (a hit means "the region's hit
 // predictor is bit-exact", and hits are run-length coded over flat regions);
-// this one writes 0b10: a residual is the ordered-integer distance from the
-// prediction with an exp-Golomb length (batch.go), not the XOR of the two in a
-// leading-zero window. The decoder reads this revision only, because a blob
-// coded under an older meaning would decode to wrong values, not fail.
-// flagMateHit and flagStampHit are the encoder's per-blob choice of region L's
-// and region D's hit predictor (clear = temporal), and bits 5–7 its choice of
-// the order the temporal candidate extrapolates at (history.go; 0 = the
-// nearest frame's value). The order field's value 7 — above MaxOrder — says an
-// extension byte follows the flags byte: bits 0–2 the order, bit 3 the voltage
-// family (voltage.go), the rest unknown and refused. The decoder obeys all of
-// them whatever its own options. Only a blob that interpolates in the voltage
-// carries the extension.
+// 0b10 made a residual the ordered-integer distance from the prediction with
+// an exp-Golomb length (batch.go), not the XOR of the two in a leading-zero
+// window. flagMateHit and flagStampHit are the encoder's per-blob choice of
+// region L's and region D's hit predictor (clear = temporal), and bits 5–7 its
+// choice of the order the temporal candidate extrapolates at (history.go; 0 =
+// the nearest frame's value). The order field's value 7 — above MaxOrder — says
+// an extension byte follows the flags byte: bits 0–2 the order, bit 3 the
+// voltage family (voltage.go), bit 4 the revision this decoder reads — 0b10
+// with runs of misses that keep their symbol length-coded (batch.go) — bit 5
+// a blob of one chunk, whose chunk count is then left out, and bits 6–7
+// unknown and refused. With no revision value left in the flags byte, every
+// blob of this revision carries the extension byte with bit 4 set, and a 0b10
+// blob without it is refused like the older ones: a blob coded under an older
+// meaning would decode to wrong values, not fail. Bit 5 pays for the extension
+// byte on the blobs of a one-worker encoder. The decoder obeys the other bits
+// whatever its own options.
 const (
 	flagCalib     = 1 << 0
 	revisionMask  = 3 << 1
@@ -288,8 +299,10 @@ const (
 	orderShift    = 5
 	orderExtended = 7 // the order field's escape to the extension byte
 
-	extOrder = 1<<3 - 1
-	extVolt  = 1 << 3
+	extOrder    = 1<<3 - 1
+	extVolt     = 1 << 3
+	extMissRuns = 1 << 4
+	extOneChunk = 1 << 5
 )
 
 // Decoding errors a caller can tell apart: ErrFormat is a blob this decoder
@@ -342,16 +355,22 @@ func (c *Compressor) checkStates(states [][]float64) error {
 func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
 	w := c.writers[ci]
 	w.Reset()
+	lo, hi := c.curBounds[ci], c.curBounds[ci+1]
+	pl := c.plan
+	if longest := max(pl.uRowPtr[hi]-pl.uRowPtr[lo], pl.lRowPtr[hi]-pl.lRowPtr[lo], pl.dRowPtr[hi]-pl.dRowPtr[lo]); len(c.ahead[ci]) < int(longest) {
+		c.ahead[ci] = make([]float64, longest)
+	}
 	ec := &c.coders[ci]
 	*ec = chunkCoder{
-		plan: c.plan, opt: &c.opt,
+		plan: pl, opt: &c.opt,
 		cur: c.cur, ref: c.ref,
 		nhist: len(c.hist), nvolt: voltFrames(c.hist, c.states),
 		order: c.order, volt: c.volt,
-		rowLo: c.curBounds[ci], rowHi: c.curBounds[ci+1],
+		rowLo: lo, rowHi: hi,
 		calib: c.calib, tables: &c.tbl,
 		mateHit: c.mateHit, stampHit: c.stampHit,
 		counts: &c.counts[ci], stamp: c.stamp,
+		ahead: c.ahead[ci],
 	}
 	// The stats sink is never nil: with collection off it points at the
 	// coder's own discard field (zeroed by the assignment above, never
@@ -511,20 +530,16 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist, states [][
 	c.cur, c.ref, c.hist, c.states, c.calib, c.curBounds = cur, ref, hist, states, calib, bounds
 	c.prePass(nchunks)
 
-	order := int64(c.order)
-	if c.volt {
-		order = orderExtended
-	}
 	dst = append(dst, byte(revision|boolInt(calib)*flagCalib|
-		boolInt(c.mateHit)*flagMateHit|boolInt(c.stampHit)*flagStampHit|order<<orderShift))
-	if c.volt {
-		dst = append(dst, byte(c.order|extVolt))
-	}
+		boolInt(c.mateHit)*flagMateHit|boolInt(c.stampHit)*flagStampHit|orderExtended<<orderShift),
+		byte(int64(c.order)|boolInt(c.volt)*extVolt|extMissRuns|boolInt(nchunks == 1)*extOneChunk))
 	dst = binary.AppendUvarint(dst, uint64(len(cur)))
 	// The chunk row boundaries travel in the header: re-deriving them from
 	// the chunk count alone is not a fixed point of the partitioner when
 	// boundary collisions drop segments.
-	dst = binary.AppendUvarint(dst, uint64(nchunks))
+	if nchunks > 1 {
+		dst = binary.AppendUvarint(dst, uint64(nchunks))
+	}
 	for i := 1; i < nchunks; i++ {
 		dst = binary.AppendUvarint(dst, uint64(bounds[i]-bounds[i-1]))
 	}
@@ -623,19 +638,22 @@ func (c *Compressor) header(blob []byte, nhist int, states [][]float64) (order i
 	if rev := flags & revisionMask; rev != revision {
 		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x has revision bits %#02x, not %#02x (blob of an older format)", ErrFormat, flags, rev, revision)
 	}
-	order, off = int(flags>>orderShift), 1
-	if order == orderExtended {
-		if len(blob) < 2 {
-			return 0, false, 0, fmt.Errorf("%w: flags byte %#02x announces an extension byte the blob lacks", ErrFormat, flags)
-		}
-		ext := blob[1]
-		if unknown := ext &^ (extOrder | extVolt); unknown != 0 {
-			return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x has unknown bits %#02x", ErrFormat, flags, ext, unknown)
-		}
-		order, volt, off = int(ext&extOrder), ext&extVolt != 0, 2
-		if order > MaxOrder {
-			return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x names order %d, the format's highest is %d", ErrFormat, flags, ext, order, MaxOrder)
-		}
+	if flags>>orderShift != orderExtended {
+		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x announces no extension byte (blob of an older format: revision 0b10 before miss runs)", ErrFormat, flags)
+	}
+	if len(blob) < 2 {
+		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x announces an extension byte the blob lacks", ErrFormat, flags)
+	}
+	ext := blob[1]
+	if unknown := ext &^ (extOrder | extVolt | extMissRuns | extOneChunk); unknown != 0 {
+		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x has unknown bits %#02x", ErrFormat, flags, ext, unknown)
+	}
+	if ext&extMissRuns == 0 {
+		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x lacks the miss-run bit %#02x (blob of an older format: revision 0b10 before miss runs)", ErrFormat, flags, ext, extMissRuns)
+	}
+	order, volt, off = int(ext&extOrder), ext&extVolt != 0, 2
+	if order > MaxOrder {
+		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x names order %d, the format's highest is %d", ErrFormat, flags, ext, order, MaxOrder)
 	}
 	if order > 0 && order >= nhist {
 		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: an order-%d blob reads %d reference frames, %d given", ErrReference, flags, order, order+1, nhist)
@@ -681,11 +699,13 @@ func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist, states 
 	if n != uint64(len(cur)) {
 		return fmt.Errorf("masczip: blob holds %d elements, want %d", n, len(cur))
 	}
-	nchunks64, k := binary.Uvarint(blob[off:])
-	if k <= 0 {
-		return fmt.Errorf("masczip: bad chunk count")
+	nchunks64 := uint64(1)
+	if blob[1]&extOneChunk == 0 {
+		if nchunks64, k = binary.Uvarint(blob[off:]); k <= 0 {
+			return fmt.Errorf("masczip: bad chunk count")
+		}
+		off += k
 	}
-	off += k
 	if nchunks64 < 1 || nchunks64 > uint64(c.plan.pat.N) {
 		return fmt.Errorf("masczip: implausible chunk count %d", nchunks64)
 	}
@@ -785,6 +805,16 @@ type chunkCoder struct {
 	mateHit, stampHit bool      // the blob's hit predictors for regions L and D
 	stamp             []float64 // encoder only: stampD per packed diagonal, filled by countHits
 	err               error     // decoder only: what stopped decodeRegions
+
+	// Encoder only: the predictions of the misses a miss run covers, found
+	// before its count is written (missRunAhead), and the candidates of the
+	// miss that ended it, at position at − 1 (0: none).
+	ahead []float64
+	next  struct {
+		at    int32
+		n     int
+		cands [4]float64
+	}
 
 	// stats is never nil: it points at chStats when collection is on and at
 	// discard otherwise, so the hot loops increment unconditionally instead
@@ -1050,27 +1080,27 @@ const (
 
 func (rg region) String() string { return [...]string{"U", "L", "D"}[rg] }
 
-// note maps a selector symbol to the paper's three model families for the
-// Figure-6 statistics. It is called only for selector-coded elements (the
-// temporal-exact hits are tallied separately, in noteHits).
-func (cc *chunkCoder) note(sym uint8, rg region) {
-	cc.stats.Elements++
-	cc.stats.SelectorElements++
+// note maps n selections of a selector symbol to the paper's three model
+// families for the Figure-6 statistics. It is called only for misses, which
+// went through model selection (the hits are tallied in encodeRun).
+func (cc *chunkCoder) note(sym uint8, rg region, n int64) {
+	cc.stats.Elements += n
+	cc.stats.SelectorElements += n
 	switch rg {
 	case regionU, regionD:
 		if sym == 0 {
-			cc.stats.Temporal++
+			cc.stats.Temporal += n
 		} else {
-			cc.stats.Stamp++
+			cc.stats.Stamp += n
 		}
 	case regionL:
 		switch sym {
 		case 0:
-			cc.stats.Temporal++
+			cc.stats.Temporal += n
 		case 3:
-			cc.stats.LastValue++
+			cc.stats.LastValue += n
 		default:
-			cc.stats.Stamp++
+			cc.stats.Stamp += n
 		}
 	}
 }

@@ -17,13 +17,14 @@ import (
 )
 
 // adversarialBlobs are the decoder seeds TestCorruptedBlobNoPanic and
-// FuzzDecompress share: the bad run lengths over p, nil-reference blobs whose
-// flags name an extrapolation order, voltage-family blobs with a bad or missing
-// extension byte, and every blob of the two older-revision corpora (foreign
-// patterns here, refused at the flags byte).
+// FuzzDecompress share: the bad hit-run lengths, residual length codes and
+// miss-run counts over p, nil-reference blobs whose extension byte names an
+// extrapolation order, voltage-family blobs with a bad or missing extension
+// byte, and every blob of the four older-revision corpora (foreign patterns
+// here, refused at the header).
 func adversarialBlobs(t testing.TB, p *sparse.Pattern) [][]byte {
 	var out [][]byte
-	for _, tc := range append(badRunLengths(p), badLengthCodes(p)...) {
+	for _, tc := range badStreams(p) {
 		out = append(out, tc.blob)
 	}
 	out = append(out, orderBlobs(p)...)
@@ -412,7 +413,7 @@ func TestHeaderHardening(t *testing.T) {
 		t.Fatal(err)
 	}
 	older := good[0] &^ revisionMask
-	for _, flags := range []byte{0x80, good[0] | 0x20, 0xff, older, older | 1<<1, older | 3<<1, flagCalib, 0} {
+	for _, flags := range []byte{0x80, good[0] &^ 0x20, good[0] &^ (orderExtended << orderShift), 0xff, older, older | 1<<1, older | 3<<1, flagCalib, 0} {
 		bad := append([]byte{flags}, good[1:]...)
 		err := c.Decompress(got, bad, nil)
 		if want := fmt.Sprintf("flags byte %#02x", flags); err == nil || !strings.Contains(err.Error(), want) {
@@ -441,8 +442,7 @@ func TestHeaderHardening(t *testing.T) {
 	}
 
 	hdr := func(nchunks uint64, extra ...uint64) []byte {
-		b := []byte{flagCalib | revision}
-		b = binary.AppendUvarint(b, uint64(p.NNZ()))
+		b := append(header(), binary.AppendUvarint(nil, uint64(p.NNZ()))...)
 		b = binary.AppendUvarint(b, nchunks)
 		for _, v := range extra {
 			b = binary.AppendUvarint(b, v)
@@ -457,8 +457,7 @@ func TestHeaderHardening(t *testing.T) {
 		{"delta zero", hdr(3, 0, 1)},
 		{"delta past n", hdr(2, uint64(p.N)+7)},
 		{"chunk count past n", hdr(uint64(p.N) + 1)},
-		{"element count overflows int", append([]byte{flagCalib | revision},
-			binary.AppendUvarint(nil, math.MaxUint64)...)},
+		{"element count overflows int", append(header(), binary.AppendUvarint(nil, math.MaxUint64)...)},
 		{"max chunk lengths", hdr(2, 1, math.MaxUint64, math.MaxUint64)},
 		{"summed lengths overflow", hdr(4, 1, 1, 1,
 			1<<62, 1<<62, 1<<62, 1<<62)},
@@ -476,11 +475,11 @@ func TestHeaderHardening(t *testing.T) {
 		}()
 	}
 
-	// The run-length field and a miss's length code are as attacker-controlled
+	// The run-length fields and a miss's length code are as attacker-controlled
 	// as the header: each bad one is an error that names the chunk and the
 	// field, from the production decoder and from the oracle alike, never a
 	// clamp, an index past slots or a shift past a word.
-	for _, tc := range append(badRunLengths(p), badLengthCodes(p)...) {
+	for _, tc := range badStreams(p) {
 		for name, d := range map[string]*Compressor{"batched": c, "scalar": newReference(p, Options{})} {
 			err := d.Decompress(got, tc.blob, nil)
 			if err == nil || !strings.Contains(err.Error(), "chunk 0: region U: ") || !strings.Contains(err.Error(), tc.want) {
@@ -490,13 +489,26 @@ func TestHeaderHardening(t *testing.T) {
 	}
 }
 
+// header is the flags and extension bytes of a best-fit order-0 blob.
+func header() []byte {
+	return []byte{flagCalib | revision | orderExtended<<orderShift, extMissRuns}
+}
+
+// badStreams are the chunk streams the decoder must refuse: bad hit-run
+// lengths, residual length codes and miss-run counts.
+func badStreams(p *sparse.Pattern) []struct {
+	name, want string
+	blob       []byte
+} {
+	return append(append(badRunLengths(p), badLengthCodes(p)...), badMissRuns(p)...)
+}
+
 // oneChunkBlob is a best-fit blob over p with one chunk whose stream is what
 // body writes.
 func oneChunkBlob(p *sparse.Pattern, body func(w *bitstream.Writer)) []byte {
 	w := bitstream.NewWriter(16)
 	body(w)
-	b := []byte{flagCalib | revision}
-	b = binary.AppendUvarint(b, uint64(p.NNZ()))
+	b := append(header(), binary.AppendUvarint(nil, uint64(p.NNZ()))...)
 	b = binary.AppendUvarint(b, 1)
 	b = binary.AppendUvarint(b, uint64(w.Len()))
 	return w.AppendTo(b)
@@ -559,6 +571,44 @@ func badLengthCodes(p *sparse.Pattern) []struct {
 		{"eight leading zeros", "leading zeros", craft(1 << 8)},
 		{"length −1", "outside 0…64", craft(zigzagRef(-1) + 1)},
 		{"length 65", "outside 0…64", craft(zigzagRef(65) + 1)},
+	}
+}
+
+// badMissRuns are one-chunk blobs over p whose region U opens with missRun
+// exact misses of symbol 0 — each the '0' marker, selector 0 and the length
+// code of length 0 — and then a miss-run count the decoder must refuse: more
+// misses than the region has slots left, one more than that, γ-coded with 32
+// leading zeros, and cut off inside the γ code.
+func badMissRuns(p *sparse.Pattern) []struct {
+	name, want string
+	blob       []byte
+} {
+	craft := func(count func(w *bitstream.Writer)) []byte {
+		return oneChunkBlob(p, func(w *bitstream.Writer) {
+			for i := 0; i < missRun; i++ {
+				w.WriteBits(0b0001, 4)
+			}
+			count(w)
+		})
+	}
+	return []struct {
+		name, want string
+		blob       []byte
+	}{
+		{"miss run past the region", "miss run of", craft(func(w *bitstream.Writer) {
+			w.WriteBits(1<<20, 41) // γ(2^20): 2^20 − 1 more misses
+			w.WriteBits(0, 64)
+		})},
+		{"miss run one past the region", "miss run of", craft(func(w *bitstream.Writer) {
+			v := uint64(len(newPlan(p).uSlots) - missRun + 2)
+			w.WriteBits(v, uint(2*bits.Len64(v)-1))
+			w.WriteBits(0, 64)
+		})},
+		{"miss-run gamma overflow", "miss run γ code", craft(func(w *bitstream.Writer) {
+			w.WriteBits(0, 32)
+			w.WriteBits(math.MaxUint64, 33)
+		})},
+		{"truncated miss-run gamma", "miss run γ code", craft(func(w *bitstream.Writer) { w.WriteBits(0, 3) })},
 	}
 }
 

@@ -127,15 +127,15 @@ type markovCounts struct {
 	d [dSyms][dSyms]uint32
 }
 
-// add books one best-fit decision of region rg: sym chosen after prev.
-func (m *markovCounts) add(rg region, prev, sym uint8) {
+// add books n best-fit decisions of region rg: sym chosen after prev.
+func (m *markovCounts) add(rg region, prev, sym uint8, n uint32) {
 	switch rg {
 	case regionU:
-		m.u[prev][sym]++
+		m.u[prev][sym] += n
 	case regionL:
-		m.l[prev][sym]++
+		m.l[prev][sym] += n
 	default:
-		m.d[prev][sym]++
+		m.d[prev][sym] += n
 	}
 }
 

@@ -174,8 +174,9 @@ func checkNilRefIsValueForm(t *testing.T, p *sparse.Pattern, opt Options, cur []
 }
 
 // TestStructureCostsNoBits: what the predictor already knows is not coded. An
-// exactly symmetric tensor whose every off-diagonal moves at every step used to
-// pay at least four bits per lower-triangle entry; a linear circuit's chain,
+// exactly symmetric tensor whose every off-diagonal moves at every step pays at
+// least four bits per lower-triangle entry with the temporal hit predictor, and
+// next to none with the mate; a linear circuit's chain,
 // every frame the last one again, a bit per slot.
 func TestStructureCostsNoBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -191,13 +192,15 @@ func TestStructureCostsNoBits(t *testing.T) {
 			t.Fatalf("blob %d: region L of a symmetric tensor took %d bits, %d misses (mate blobs %d), want ≤ 64 bits and none",
 				i, st.RegionBits[regionL], st.RegionMisses[regionL], st.MateBlobs)
 		}
-		if was := 4 * len(c.plan.lSlots); legacyBits(p, Options{}, frames[i:i+2]) < was {
-			t.Fatalf("fixture: the previous revision coded it in under %d bits", was)
+		temporal := New(p, Options{DisableStamp: true, CollectStats: true})
+		temporal.Compress(nil, frames[i], frames[i+1])
+		if was := int64(4 * len(c.plan.lSlots)); temporal.Stats().RegionBits[regionL] < was {
+			t.Fatalf("fixture: with the temporal hit predictor region L took under %d bits", was)
 		}
 	}
 
 	static := mnaValues(rng, p, 0.01)
-	header := len(binary.AppendUvarint([]byte{0, 1}, uint64(p.NNZ()))) + 1 // flags, chunk count, element count, chunk length
+	header := len(binary.AppendUvarint([]byte{0, 0, 1}, uint64(p.NNZ()))) + 1 // flags, extension, chunk count, element count, chunk length
 	for _, opt := range []Options{{}, {Markov: true}, {DisableStamp: true}} {
 		c := New(p, opt)
 		c.Compress(nil, static, nil)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"masc/internal/compress/bitstream"
 	"masc/internal/sparse"
@@ -71,7 +72,8 @@ type refCoder struct {
 	*chunkCoder
 	stampOf stampFunc
 	avg     int        // the region's length estimate, in sixteenths of a bit
-	xor     *xorWindow // encoder only: code the previous revision's residuals instead
+	xor     *xorWindow // encoder only: code the XOR revision's residuals instead
+	legacy  *int64     // encoder only: code as the 0b10 revision, with no miss-run counts, and count here the runs this one counts
 }
 
 // refRegion is one region as the format describes it.
@@ -424,22 +426,37 @@ func selectorBits(nSyms int) uint {
 	return 2
 }
 
+// writeGamma writes the Elias-γ code of v: as many '0' bits as the value has
+// bits after its first, then the value.
+func (rc *refCoder) writeGamma(w *bitstream.Writer, v uint64) {
+	nb := uint(bits.Len64(v))
+	for i := uint(1); i < nb; i++ {
+		w.WriteBit(0)
+	}
+	w.WriteBits(v, nb)
+	rc.stats.RunLengthBits += int64(2*nb - 1)
+}
+
+// readGamma reads what writeGamma wrote; what names the run it counts.
+func readGamma(r *bitstream.Reader, rg *refRegion, what string) (uint64, error) {
+	z := 0
+	for r.ReadBit() == 0 {
+		if z++; z >= 32 {
+			return 0, fmt.Errorf("region %s: %s γ code has 32 or more leading zeros", rg.rg, what)
+		}
+	}
+	return uint64(1)<<uint(z) | r.ReadBits(uint(z)), nil
+}
+
 // writeRun writes n pending hits: unary below eight, else eight '1' bits and
-// the Elias-γ code of n − 7 (as many '0' bits as the value has bits after its
-// first, then the value).
+// the Elias-γ code of n − 7.
 func (rc *refCoder) writeRun(w *bitstream.Writer, rg *refRegion, n int32) {
 	before := w.BitLen()
 	for i := int32(0); i < n && i < 8; i++ {
 		w.WriteBit(1)
 	}
 	if n >= 8 {
-		v := uint64(n - 7)
-		nb := uint(bits.Len64(v))
-		for i := uint(1); i < nb; i++ {
-			w.WriteBit(0)
-		}
-		w.WriteBits(v, nb)
-		rc.stats.RunLengthBits += int64(2*nb - 1)
+		rc.writeGamma(w, uint64(n-7))
 	}
 	rc.stats.Elements += int64(n)
 	rc.stats.LZHist[8] += int64(n)
@@ -483,13 +500,62 @@ func (rc *refCoder) writeMiss(w *bitstream.Writer, rg *refRegion, k int32, prev 
 		}
 	}
 	*prev = sym
-	if rc.xor != nil {
-		rc.xor.write(w, val, cands[sym])
-	} else {
-		rc.encodeResidual(w, val, cands[sym], &rc.avg)
-	}
-	rc.note(sym, rg.rg)
+	rc.writeResidual(w, val, cands[sym])
+	rc.note(sym, rg.rg, 1)
 	rc.stats.RegionMisses[rg.rg]++
+}
+
+// writeResidual writes the residual of val against pred in the revision's
+// residual code.
+func (rc *refCoder) writeResidual(w *bitstream.Writer, val, pred float64) {
+	if rc.xor != nil {
+		rc.xor.write(w, val, pred)
+	} else {
+		rc.encodeResidual(w, val, pred, &rc.avg)
+	}
+}
+
+// symbolAt is the symbol a miss at position k of rg would take after prev.
+func (rc *refCoder) symbolAt(rg *refRegion, k int32, prev uint8) uint8 {
+	if !rc.calib {
+		return rg.table[prev]
+	}
+	var cands [4]float64
+	rc.candidates(rg, k, &cands)
+	return bestSym(rc.cur[rg.slots[k]], &cands, rg.nSyms)
+}
+
+// writeCovered writes a miss a miss run covers: its residual against the
+// run's symbol, prev, alone.
+func (rc *refCoder) writeCovered(w *bitstream.Writer, rg *refRegion, k int32, prev uint8) {
+	var cands [4]float64
+	rc.candidates(rg, k, &cands)
+	val := rc.cur[rg.slots[k]]
+	if rc.calib {
+		if rc.counts != nil {
+			rc.counts.add(rg.rg, prev, prev, 1)
+		}
+	} else if rc.statsOn {
+		rc.stats.MarkovPredicted++
+		if math.Float64bits(val) == math.Float64bits(cands[prev]) {
+			rc.stats.MarkovExact++
+		}
+	}
+	rc.writeResidual(w, val, cands[prev])
+	rc.note(prev, rg.rg, 1)
+	rc.stats.RegionMisses[rg.rg]++
+}
+
+// readCovered reads what writeCovered wrote.
+func (rc *refCoder) readCovered(r *bitstream.Reader, rg *refRegion, k int32, prev uint8) error {
+	var cands [4]float64
+	rc.candidates(rg, k, &cands)
+	v, err := rc.decodeResidual(r, cands[prev], &rc.avg)
+	if err != nil {
+		return fmt.Errorf("region %s: %w", rg.rg, err)
+	}
+	rc.cur[rg.slots[k]] = v
+	return nil
 }
 
 // readMiss reads what writeMiss wrote past the marker.
@@ -512,7 +578,10 @@ func (rc *refCoder) readMiss(r *bitstream.Reader, rg *refRegion, k int32, prev *
 }
 
 // run drives the shared encode/decode control flow. Exactly one of w and r is
-// non-nil.
+// non-nil. same counts the misses in a row of symbol prev — no hit between
+// them — since the last hit, symbol change or miss-run count; the third is
+// followed by the Elias-γ code of one more than the number of misses after it
+// that keep the symbol, and those are residuals alone.
 func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 	for _, rg := range rc.regionTable() {
 		rg := rg
@@ -521,7 +590,25 @@ func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 			*rc.xor = xorWindow{}
 		}
 		prev := uint8(0)
+		same := 0
 		marker := true // the next miss carries its '0'
+		// counted books a miss of symbol prev after one of symbol before, and
+		// reports whether a miss-run count follows it.
+		counted := func(before uint8) bool {
+			if same > 0 && prev == before {
+				same++
+			} else {
+				same = 1
+			}
+			if same < 3 {
+				return false
+			}
+			same = 0
+			return true
+		}
+		isHit := func(k int32) bool {
+			return math.Float64bits(rc.cur[rg.slots[k]]) == math.Float64bits(rc.hitPred(&rg, k))
+		}
 		if w != nil {
 			start := w.BitLen()
 			pending := int32(0)
@@ -529,30 +616,78 @@ func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 				if pending > 0 {
 					rc.writeRun(w, &rg, pending)
 					prev = rg.hitSym
+					same = 0
 					marker = pending < 8
 					pending = 0
 				}
 			}
 			for k := rg.lo; k < rg.hi; k++ {
-				if math.Float64bits(rc.cur[rg.slots[k]]) == math.Float64bits(rc.hitPred(&rg, k)) {
+				if isHit(k) {
 					pending++
 					continue
 				}
 				flush()
+				before := prev
 				rc.writeMiss(w, &rg, k, &prev, marker)
 				marker = true
+				if !counted(before) {
+					continue
+				}
+				n := int32(0)
+				for j := k + 1; j < rg.hi && !isHit(j) && rc.symbolAt(&rg, j, prev) == prev; j++ {
+					n++
+				}
+				if rc.legacy != nil {
+					atomic.AddInt64(rc.legacy, 1)
+					for j := k + 1; j <= k+n; j++ {
+						rc.writeMiss(w, &rg, j, &prev, true)
+					}
+					k += n
+					continue
+				}
+				at := w.BitLen()
+				rc.writeGamma(w, uint64(n)+1)
+				rc.stats.PayloadBits += int64(w.BitLen() - at)
+				for j := k + 1; j <= k+n; j++ {
+					rc.writeCovered(w, &rg, j, prev)
+				}
+				k += n
 			}
 			flush()
 			rc.stats.RegionBits[rg.rg] += int64(w.BitLen() - start)
 			continue
 		}
+		// missed reads the miss at position k past its marker, and the miss run
+		// it may close, and returns the position after them.
+		missed := func(k int32) (int32, error) {
+			before := prev
+			if err := rc.readMiss(r, &rg, k, &prev); err != nil {
+				return 0, err
+			}
+			if k++; !counted(before) {
+				return k, nil
+			}
+			v, err := readGamma(r, &rg, "miss run")
+			if err != nil {
+				return 0, err
+			}
+			if rem := rg.hi - k; v-1 > uint64(rem) {
+				return 0, fmt.Errorf("region %s: miss run of %d exceeds the %d slots left", rg.rg, v-1, rem)
+			}
+			for end := k + int32(v-1); k < end; k++ {
+				if err := rc.readCovered(r, &rg, k, prev); err != nil {
+					return 0, err
+				}
+			}
+			return k, nil
+		}
 		for k := rg.lo; k < rg.hi && r.Err() == nil; {
 			if !marker {
-				if err := rc.readMiss(r, &rg, k, &prev); err != nil {
+				var err error
+				if k, err = missed(k); err != nil {
 					return err
 				}
 				marker = true
-				k++
 				continue
 			}
 			// Unary part of a run: up to eight '1' bits, never past the region.
@@ -571,13 +706,10 @@ func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 				n++
 			}
 			if n == 8 {
-				z := 0
-				for r.ReadBit() == 0 {
-					if z++; z >= 32 {
-						return fmt.Errorf("region %s: run-length γ code has 32 or more leading zeros", rg.rg)
-					}
+				v, err := readGamma(r, &rg, "hit run")
+				if err != nil {
+					return err
 				}
-				v := uint64(1)<<uint(z) | r.ReadBits(uint(z))
 				if v+7 > uint64(rem) {
 					return fmt.Errorf("region %s: hit run of %d exceeds the %d slots left", rg.rg, v+7, rem)
 				}
@@ -589,33 +721,18 @@ func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 			}
 			if n > 0 {
 				prev = rg.hitSym
+				same = 0
 				k += n
 			}
 			if sawMarker {
-				if err := rc.readMiss(r, &rg, k, &prev); err != nil {
+				var err error
+				if k, err = missed(k); err != nil {
 					return err
 				}
-				k++
 			}
 		}
 	}
 	return nil
-}
-
-// newLegacy returns a Compressor whose chunks go through the region coder of
-// the revision before the hit runs, encode half only: one '1' bit per temporal
-// hit, every miss with its '0' marker, the residuals coded as today. It
-// survives as the yardstick legacyBits gives the hit-run size property test;
-// nothing decodes what it writes.
-func newLegacy(p *sparse.Pattern, opt Options) *Compressor {
-	c := New(p, opt)
-	c.preFn = func(int) {} // the old format had no hit-predictor choice
-	c.encFn = func(ci int) {
-		ec, w := c.chunkEncoder(ci)
-		ec.stamp = nil
-		ec.legacyRegions(w)
-	}
-	return c
 }
 
 // streamBits is the length in bits of the chunk streams of c's last Compress.
@@ -627,11 +744,19 @@ func streamBits(c *Compressor) int {
 	return n
 }
 
-// legacyBits codes frames as a store chain under the pre-hit-run region coder
-// and returns the chunk streams' total length in bits.
-func legacyBits(p *sparse.Pattern, opt Options, frames [][]float64) int {
-	c := newLegacy(p, opt)
-	n := 0
+// legacyBits codes frames as a store chain under the region coder of the 0b10
+// revision — the same choices and hit runs, every miss with its marker and
+// selector — and returns the chunk streams' total length in bits and how many
+// miss runs this revision counts where that one did not, in calibration blobs
+// (runs[0]) and in Markov-predicted ones (runs[1]). It is the yardstick of the
+// miss-run size property test; nothing decodes what it writes.
+func legacyBits(p *sparse.Pattern, opt Options, frames [][]float64) (n int, runs [2]int64) {
+	c := New(p, opt)
+	c.encFn = func(ci int) {
+		ec, w := c.chunkEncoder(ci)
+		ec.stamp = nil
+		_ = (&refCoder{chunkCoder: ec, stampOf: (*chunkCoder).stampD, legacy: &runs[boolInt(!ec.calib)]}).run(w, nil)
+	}
 	for i := range frames {
 		var ref []float64
 		if i+1 < len(frames) {
@@ -640,51 +765,7 @@ func legacyBits(p *sparse.Pattern, opt Options, frames [][]float64) int {
 		c.Compress(nil, frames[i], ref)
 		n += streamBits(c)
 	}
-	return n
-}
-
-func (cc *chunkCoder) legacyElement(w *bitstream.Writer, rg region, val float64, cands *[4]float64, nSyms int, prev *uint8, avg *int, table []uint8) {
-	if math.Float64bits(val) == math.Float64bits(cands[0]) {
-		w.WriteBit(1)
-		*prev = 0
-		return
-	}
-	w.WriteBit(0)
-	var sym uint8
-	if cc.calib {
-		sym = bestSym(val, cands, nSyms)
-		w.WriteBits(uint64(sym), selectorBits(nSyms))
-		if cc.counts != nil {
-			cc.counts.add(rg, *prev, sym)
-		}
-	} else {
-		sym = table[*prev]
-	}
-	*prev = sym
-	cc.encodeResidual(w, val, cands[sym], avg)
-}
-
-func (cc *chunkCoder) legacyRegions(w *bitstream.Writer) {
-	pl := cc.plan
-	var cands [4]float64
-	var prev uint8
-	var avg int
-
-	for k := pl.uRowPtr[cc.rowLo]; k < pl.uRowPtr[cc.rowHi]; k++ {
-		slot := pl.uSlots[k]
-		n := cc.candsU(slot, &cands)
-		cc.legacyElement(w, regionU, cc.cur[slot], &cands, n, &prev, &avg, cc.tables.u[:])
-	}
-	prev, avg = 0, 0
-	for k := pl.lRowPtr[cc.rowLo]; k < pl.lRowPtr[cc.rowHi]; k++ {
-		n := cc.candsL(k, &cands)
-		cc.legacyElement(w, regionL, cc.cur[pl.lSlots[k]], &cands, n, &prev, &avg, cc.tables.l[:])
-	}
-	prev, avg = 0, 0
-	for k := pl.dRowPtr[cc.rowLo]; k < pl.dRowPtr[cc.rowHi]; k++ {
-		n := cc.candsD(k, &cands)
-		cc.legacyElement(w, regionD, cc.cur[pl.dSlots[k]], &cands, n, &prev, &avg, cc.tables.d[:])
-	}
+	return n, runs
 }
 
 // xorWindow is the residual coder of the revision before the distance code,

@@ -97,11 +97,8 @@ func decodeChainStates(t *testing.T, d *Compressor, blobs [][]byte, frames, stat
 	}
 }
 
-// blobFamily reads a blob's symbol-0 family and order from its header.
+// blobFamily reads a blob's symbol-0 family and order from its extension byte.
 func blobFamily(blob []byte) (order int, volt bool) {
-	if o := int(blob[0] >> orderShift); o != orderExtended {
-		return o, false
-	}
 	return int(blob[1] & extOrder), blob[1]&extVolt != 0
 }
 
@@ -198,12 +195,13 @@ func voltageBlob(t testing.TB, p *sparse.Pattern) (blob []byte, hist, states [][
 }
 
 // extensionBlobs are the voltage family's adversarial blobs over p: a good
-// one with its extension byte's unknown bits set, naming order 7, and cut off
-// after the flags byte.
+// one with its extension byte's unknown bits set, naming order 7, without the
+// miss-run bit (a 0b10 blob's extension byte), and cut off after the flags
+// byte.
 func extensionBlobs(t testing.TB, p *sparse.Pattern) [][]byte {
 	good, _, _ := voltageBlob(t, p)
 	var out [][]byte
-	for _, ext := range []byte{good[1] | 0x10, good[1] | 0x80, extVolt | 7} {
+	for _, ext := range []byte{good[1] | 0x40, good[1] | 0x80, extVolt | extMissRuns | 7, good[1] &^ extMissRuns} {
 		out = append(out, append([]byte{good[0], ext}, good[2:]...))
 	}
 	return append(out, good[:1])
@@ -313,16 +311,16 @@ func forceVoltage(c *Compressor, o int) {
 	}
 }
 
-// TestNoStatesIsPreviousFormat: a chain coded without states never carries
-// the extension byte, whatever its frames; with states a chain the time
+// TestNoStatesIsPreviousFormat: a chain coded without states is never coded
+// in the voltage family, whatever its frames; with states a chain the time
 // family codes best is byte-identical to the same chain without them.
 func TestNoStatesIsPreviousFormat(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	p := mnaPattern(rng, 40, 60)
 	frames, states := branchVoltageFrames(rng, p, 12)
 	for _, blob := range encodeChainDepth(New(p, Options{}), frames, MaxOrder+1) {
-		if int(blob[0]>>orderShift) == orderExtended {
-			t.Fatalf("flags %#02x: a chain coded without states carries the extension byte", blob[0])
+		if _, volt := blobFamily(blob); volt {
+			t.Fatalf("extension byte %#02x: a chain coded without states is coded in the voltage", blob[1])
 		}
 	}
 	// A cubic series in the step is exact in time once four frames are above

@@ -156,7 +156,7 @@ func PublishCodecStats(reg *obs.Registry, tensor string, st masczip.Stats) {
 		"tensor", tensor).Add(float64(st.SelectorElements))
 	reg.Counter("masc_codec_selector_bits_total", "Selector bits on the wire.",
 		"tensor", tensor).Add(float64(st.SelectorBits))
-	reg.Counter("masc_codec_payload_bits_total", "Hit-run, miss-marker and residual bits on the wire.",
+	reg.Counter("masc_codec_payload_bits_total", "Hit-run, run-length, miss-marker and residual bits on the wire.",
 		"tensor", tensor).Add(float64(st.PayloadBits))
 	for rg, name := range [...]string{"u", "l", "d"} {
 		reg.Counter("masc_codec_region_bits_total", "Stream bits by region (strictly upper, strictly lower, diagonal); sums to selector + payload bits.",

@@ -55,17 +55,19 @@ type pinnedBytes struct {
 // blob stream, for three fixtures under the five store shapes the facade
 // builds, each with its states attached as the facade attaches them. A change
 // to the store layer that is meant to keep the bytes may not re-record them.
-// Every row was re-recorded when masczip's residuals became ordered-integer
-// distances with an exp-Golomb length: the chain rows hold 19 % less on
-// "voltage" (sync 194720 → 158471 B), whose C is a function of its states, 4 %
-// less on "chained", a random walk no order predicts (41195 → 39483), and 16 %
-// less on "selfcontained", which moves linearly in the step (33260 → 28041).
-// The tiered rows hold self-contained blobs only, predicted from zeros, where
-// a distance keeps the trailing zeros a window stripped: voltage/tiered 2 %
-// less, selfcontained/tiered 1.6 % more (43882 → 44589), and chained/tiered —
-// no blob on the compressed rung under this clock — the same bytes and stream,
-// its peak 41 B lower: the blob the ladder seals while it places a step is
-// shorter. The pipelined store's peak depends on how far the worker and the
+// Every row was re-recorded when masczip began to length-code runs of misses
+// that keep their symbol (a revision whose blobs carry an extension byte, and
+// leave out the chunk count where there is one chunk). The chain rows hold
+// 10 % less on "voltage" (sync 158471 → 142907 B), whose C is a function of
+// its states, 5 % less on "selfcontained", which moves linearly in the step
+// (28041 → 26546), and under 0.4 % less on "chained", a random walk no order
+// predicts and where few misses keep their symbol (39483 → 39435). The tiered
+// rows hold self-contained blobs, predicted from zeros, 2.4 % shorter on
+// "voltage" alone; the ladder places steps by their blobs' sizes, so what it
+// holds moves otherwise: voltage/tiered 0.9 % more (371057 → 374450),
+// selfcontained/tiered 1.8 % less, and chained/tiered — no blob on the
+// compressed rung under this clock — the same bytes and stream, its peak 57 B
+// lower. The pipelined store's peak depends on how far the worker and the
 // prefetch run ahead, so it is bounded (by the synchronous peak plus the
 // frames the queue can hold), not pinned.
 func TestPinnedStoreBytes(t *testing.T) {
@@ -125,21 +127,21 @@ func TestPinnedStoreBytes(t *testing.T) {
 		}},
 	}
 	want := map[string]pinnedBytes{
-		"voltage/masc-sync":                     {stored: 158471, peak: 257680, stream: 0x1b6fb3b0810da6d6},
-		"voltage/masc-async2":                   {stored: 158471, peak: -1, stream: 0x1b6fb3b0810da6d6},
-		"voltage/masc-anchors50":                {stored: 190703, peak: 315240, stream: 0x174dc991c44e07c1},
-		"voltage/markov-sync":                   {stored: 145169, peak: 244378, stream: 0xfb825e88c2f21ff8},
-		"voltage/tiered-quarter-diskless":       {stored: 371057, peak: 404475, stream: 0x3dd8869fa414d1fc},
-		"chained/masc-sync":                     {stored: 39483, peak: 63524, stream: 0x77309e931e0332ec},
-		"chained/masc-async2":                   {stored: 39483, peak: -1, stream: 0x77309e931e0332ec},
-		"chained/masc-anchors50":                {stored: 45540, peak: 75709, stream: 0x916e8c32ff20e16a},
-		"chained/markov-sync":                   {stored: 38923, peak: 62964, stream: 0xfadd9f22d20d8e27},
-		"chained/tiered-quarter-diskless":       {stored: 91920, peak: 98312, stream: 0x4222caa0e70ae523},
-		"selfcontained/masc-sync":               {stored: 28041, peak: 36095, stream: 0x7b3fc226ab4f0621},
-		"selfcontained/masc-async2":             {stored: 28041, peak: -1, stream: 0x7b3fc226ab4f0621},
-		"selfcontained/masc-anchors50":          {stored: 31286, peak: 42972, stream: 0x767276749a91e124},
-		"selfcontained/markov-sync":             {stored: 29355, peak: 37409, stream: 0x1cb683e9d58defa2},
-		"selfcontained/tiered-quarter-diskless": {stored: 44589, peak: 48005, stream: 0xf0b8cbbc67a17dca},
+		"voltage/masc-sync":                     {stored: 142907, peak: 242116, stream: 0x567c6695025847f7},
+		"voltage/masc-async2":                   {stored: 142907, peak: -1, stream: 0x567c6695025847f7},
+		"voltage/masc-anchors50":                {stored: 174932, peak: 299469, stream: 0xf8d634c29fa23332},
+		"voltage/markov-sync":                   {stored: 138764, peak: 237973, stream: 0x96789b46e3542b4e},
+		"voltage/tiered-quarter-diskless":       {stored: 374450, peak: 404182, stream: 0x682f1cda50c734a5},
+		"chained/masc-sync":                     {stored: 39435, peak: 63476, stream: 0x9ed9ce7648c5d046},
+		"chained/masc-async2":                   {stored: 39435, peak: -1, stream: 0x9ed9ce7648c5d046},
+		"chained/masc-anchors50":                {stored: 45378, peak: 75547, stream: 0x5c2ebdec6671cec5},
+		"chained/markov-sync":                   {stored: 38898, peak: 62939, stream: 0x7664747e93a6bf06},
+		"chained/tiered-quarter-diskless":       {stored: 91920, peak: 98255, stream: 0x4222caa0e70ae523},
+		"selfcontained/masc-sync":               {stored: 26546, peak: 34600, stream: 0x31dbee90ee44042a},
+		"selfcontained/masc-async2":             {stored: 26546, peak: -1, stream: 0x31dbee90ee44042a},
+		"selfcontained/masc-anchors50":          {stored: 29766, peak: 41452, stream: 0x51332807a750d7b6},
+		"selfcontained/markov-sync":             {stored: 28719, peak: 36773, stream: 0x92f25bbe66f0bfeb},
+		"selfcontained/tiered-quarter-diskless": {stored: 43807, peak: 47978, stream: 0xf487a1a9417f55e1},
 	}
 	for _, f := range fixtures {
 		frame := int64(8 * (len(f.js[0]) + len(f.cs[0])))

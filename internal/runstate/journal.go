@@ -55,8 +55,11 @@ import (
 // exact, hits are coded in runs), for the same reason. Version 5: the run's
 // shape is one opaque Plan value instead of fields of its own. Version 6:
 // masczip's residuals are ordered-integer distances under a third revision,
-// and the decoder refuses the XOR blobs a version-5 run spilled.
-const FormatVersion = 6
+// and the decoder refuses the XOR blobs a version-5 run spilled. Version 7:
+// masczip length-codes runs of misses that keep their symbol, marked by its
+// extension byte, and the decoder refuses the 0b10 blobs a version-6 run
+// spilled.
+const FormatVersion = 7
 
 // Record kind bytes.
 const (

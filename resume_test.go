@@ -333,8 +333,10 @@ func TestResumeRejectsForeignCircuit(t *testing.T) {
 // with another journal format (version 1 factored in RCM column order,
 // version 2 spilled masczip blobs without the stamp revision bit, version 3
 // without the hit-run one, version 4 spelled the plan out field by field,
-// version 5 spilled XOR-residual blobs) is refused by name, not continued and
-// not mistaken for an empty journal.
+// version 5 spilled XOR-residual blobs, version 6 blobs of masczip's 0b10
+// revision, whose misses are not length-coded in runs, which this binary's
+// decoder refuses) is refused by name, not continued and not mistaken for an
+// empty journal.
 func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	path := filepath.Join(t.TempDir(), "run.journal")
@@ -351,7 +353,7 @@ func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	if err := json.Unmarshal(data[blobframe.HeaderSize:end], &cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []int{1, 2, 3, 4, 5} {
+	for _, version := range []int{1, 2, 3, 4, 5, 6} {
 		cfg["format_version"] = version
 		payload, err := json.Marshal(cfg)
 		if err != nil {
