@@ -235,6 +235,58 @@ func TestFetchAfterCloseIsTypedError(t *testing.T) {
 	})
 }
 
+// TestReaderCallsAfterCloseDoNothing: once Close has run, the store's own
+// reader and a window slice are the same dead reader — Release and Repair
+// leave the stats and the resident meter where Close left them, and Fetch,
+// of a step the reader still held or of the next one, fails with ErrClosed.
+func TestReaderCallsAfterCloseDoNothing(t *testing.T) {
+	jp, cp, js, cs := tensorFixture(70, 40, 12)
+	n := len(js) - 1
+	for _, slice := range []bool{false, true} {
+		st := filledStore(t, defaultChunks(), js, cs, anchoredStore(jp, cp, 5, false))
+		var r interface {
+			Fetch(int) ([]float64, []float64, error)
+			Release(int)
+			Repair(int, []float64, []float64)
+		} = st
+		top := n
+		if slice {
+			sl, err := st.Slice(6, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, top = sl, 10
+		}
+		for i := top; i > top-3; i-- {
+			if _, _, err := r.Fetch(i); err != nil {
+				t.Fatalf("slice=%v: fetch %d: %v", slice, i, err)
+			}
+			if i < top {
+				r.Release(i + 1)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st.mu.Lock()
+		stats, resident := st.stats, st.resident
+		st.mu.Unlock()
+		for i := top - 3; i <= top; i++ {
+			r.Release(i)
+			r.Repair(i, js[i], cs[i])
+			if _, _, err := r.Fetch(i); !errors.Is(err, ErrClosed) {
+				t.Fatalf("slice=%v: Fetch(%d) after Close = %v, want ErrClosed", slice, i, err)
+			}
+		}
+		st.mu.Lock()
+		if st.stats != stats || st.resident != resident {
+			t.Errorf("slice=%v: calls after Close moved the store: stats %+v -> %+v, resident %d -> %d",
+				slice, stats, st.stats, resident, st.resident)
+		}
+		st.mu.Unlock()
+	}
+}
+
 // TestArenaReaderRacesClose closes the store while window slices and an
 // abandoned serial fetcher are mid-sweep (what an adjoint sweep cancelled
 // mid-fetch and a failed sibling window leave behind). Every fetch must either

@@ -3,6 +3,7 @@ package jactensor
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -22,10 +23,10 @@ import (
 // plaintext frames, and Put of step t+depth seals step t against frames
 // t+1…t+depth; EndForward seals the tail against what is above it. During the
 // reverse sweep step i is decompressed against the already-materialized steps
-// i+1…i+depth, which the store keeps after the sweep's Release until the sweep
-// is depth steps below them. Consecutive frames of a tensor that are
-// bit-identical share one array, so a tensor that does not move costs the
-// window one frame.
+// i+1…i+depth, which the reader (StoreSlice; the store's own sweep is its
+// reader over [0, n]) keeps after the sweep's Release until the sweep is depth
+// steps below them. Consecutive frames of a tensor that are bit-identical
+// share one array, so a tensor that does not move costs the window one frame.
 //
 // Every k-th step can be made a window anchor (SetAnchorEvery): the chain is
 // cut there — the anchor's blob is compressed with no reference and restarted
@@ -44,8 +45,8 @@ import (
 // the same order, the worker merely elsewhere.
 type CompressedStore struct {
 	core
-	issued int // steps whose seal job has been issued; only Put and EndForward's caller touches it
-	at     int // the lowest step the reverse sweep has fetched
+	issued int        // steps whose seal job has been issued; only Put and EndForward's caller touches it
+	own    StoreSlice // the store's own reverse reader, over [0, n]
 
 	// mu guards everything above that a worker, prefetch, window slice or
 	// abandoned fetcher goroutine can touch (steps and their records, arena,
@@ -88,6 +89,9 @@ type prefetch struct {
 // accounting.
 func NewCompressedStore(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern) *CompressedStore {
 	s := &CompressedStore{core: newCore(jc, cc)}
+	// Until EndForward sets its top, the reader spans every step: the
+	// forward pass's seals gather their history from it too.
+	s.own = StoreSlice{p: s, cd: &s.cd, hi: math.MaxInt}
 	if jPat != nil {
 		s.stats.StoredBytes += int64(len(varint.EncodeCSRIndices(jPat.RowPtr, jPat.ColIdx)))
 	}
@@ -256,62 +260,6 @@ func (s *CompressedStore) guarded(job fwdJob) (err error) {
 	return s.runJob(job)
 }
 
-// held implements frames over the store's own window.
-func (s *CompressedStore) held(step int) *heldFrame {
-	if step < 0 || step >= len(s.steps) {
-		return nil
-	}
-	return &s.steps[step].heldFrame
-}
-
-// frames is the plaintext window a seal or a reverse sweep reads its history
-// from, by step: the step records for the forward pass and the store's own
-// sweep, a slice's private cache for a window sweep. held is nil outside it.
-type frames interface{ held(step int) *heldFrame }
-
-// gather collects in cd's scratch, nearest first, the frames of w that step's
-// blob is — or was — sealed against: up to cd.depth resident ones above it,
-// none past the nearest anchor (an anchor itself has none), so a window slice
-// that starts at that anchor sees the history the forward pass did; and the
-// states of step and of those frames' steps, when every one of them has one.
-// It also meters what the history costs beyond the one frame a one-reference
-// chain holds: the bytes of the distinct arrays past the nearest (the states
-// are the caller's, not the store's). mu must be held.
-func (s *CompressedStore) gather(cd *codecs, w frames, step int) history {
-	h := history{j: cd.hist.j[:0], c: cd.hist.c[:0]}
-	extra := int64(0)
-	for t := step + 1; t <= step+cd.depth && !s.steps[t-1].pinned; t++ {
-		f := w.held(t)
-		if f == nil || f.out.j == nil {
-			break
-		}
-		if n := len(h.j); n > 0 {
-			extra += distinctBytes(f.out.j, h.j[n-1]) + distinctBytes(f.out.c, h.c[n-1])
-		}
-		h.j, h.c = append(h.j, f.out.j), append(h.c, f.out.c)
-	}
-	s.stats.HistoryBytes = max(s.stats.HistoryBytes, extra)
-	if len(h.j) > 0 {
-		h.x = cd.hist.x[:0]
-		for t := step; t <= step+len(h.j); t++ {
-			if s.steps[t].x == nil {
-				h.x = nil
-				break
-			}
-			h.x = append(h.x, s.steps[t].x)
-		}
-	}
-	return h
-}
-
-// distinctBytes is v's size unless it is the array prev.
-func distinctBytes(v, prev []float64) int64 {
-	if len(v) == 0 || &v[0] == &prev[0] {
-		return 0
-	}
-	return int64(8 * len(v))
-}
-
 // runJob is the forward step of Algorithm 2, the same in both modes: seal
 // job.step against the frames above it — or, at an anchor, against nothing and
 // with restarted codecs — keep the blobs, account them, retain an anchor's
@@ -323,7 +271,7 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 		s.cd.restart()
 	}
 	s.mu.Lock()
-	cur, h := st.out, s.gather(&s.cd, s, job.step)
+	cur, h := st.out, s.own.gather(job.step)
 	s.mu.Unlock()
 	csp := s.ob.rec.Start(job.parent, span.Compress, job.step)
 	s.cd.setParent(csp.ID())
@@ -412,7 +360,7 @@ func (s *CompressedStore) EndForward() error {
 	s.mu.Lock()
 	n := len(s.steps) - 1
 	s.steps[n].pinned = false
-	s.at = n
+	s.own.hi, s.own.at = n, n
 	s.mu.Unlock()
 	for ; s.issued <= n; s.issued++ {
 		// The worker is gone, but its jobs keep its panic guard.
@@ -459,30 +407,6 @@ func (s *CompressedStore) share(pool *[][]float64, v *[]float64, other []float64
 	s.drop(pool, *v)
 	s.hold(other)
 	*v = other
-}
-
-// dead reports whether step's frame is one no decode will read again. The
-// sweep over [lo, …] stands at step at: the next decode, of at−1, reads
-// at…at+depth−1, so at+depth and above are dead — and at lo everything is.
-func (cd *codecs) dead(step, at, lo int) bool { return step >= at+cd.depth || at == lo }
-
-// trim lets go of the released frames of w that died when the sweep over
-// [lo, …] reached at. mu must be held.
-func (s *CompressedStore) trim(cd *codecs, w frames, at, lo int) {
-	for t := at; t <= at+cd.depth; t++ {
-		if f := w.held(t); f != nil && f.released && cd.dead(t, at, lo) {
-			s.giveBack(&f.out)
-		}
-	}
-}
-
-// retire is Release: the sweep is done with f, step's frame, which goes at once
-// if it is dead already and when the sweep gets far enough below it otherwise.
-// mu must be held.
-func (s *CompressedStore) retire(cd *codecs, f *heldFrame, step, at, lo int) {
-	if f.released = true; cd.dead(step, at, lo) {
-		s.giveBack(&f.out)
-	}
 }
 
 // anchorLocked returns st's retained anchor plaintext, verified, or a zero
@@ -589,7 +513,7 @@ func (s *CompressedStore) maybePrefetch(step int) {
 	if prev.out.j != nil || prev.pinned {
 		return
 	}
-	h := s.gather(&s.cd, s, step-1)
+	h := s.own.gather(step - 1)
 	pf := &prefetch{step: step - 1, st: prev, done: make(chan struct{})}
 	s.pf = pf
 	go func() {
@@ -628,14 +552,9 @@ func (s *CompressedStore) joinPrefetch(step int) (hit bool, err error) {
 	return false, nil
 }
 
-// Fetch implements Store. Steps must be fetched in reverse order; each
-// decompression reads the plaintext of the steps above it — step i+1 must be
-// resident, the deeper ones the store has kept — except at an anchor, which is
-// copied from its retained frame. In async mode the common case is a hit on
-// the background prefetch, and fetching step i kicks off the prefetch of step
-// i-1. The returned frames are the store's own: they stay valid until Release,
-// and the store keeps them past it for as long as a lower step decodes against
-// them.
+// Fetch implements Store: the store's own reader fetches the step (StoreSlice.
+// Fetch). In async mode the common case is a hit on the background prefetch,
+// and fetching step i kicks off the prefetch of step i-1.
 func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 	// Join any in-flight prefetch first: it is either our step (the hit
 	// path) or must finish before we may run another decompression.
@@ -644,90 +563,34 @@ func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 		return nil, nil, err
 	}
 	s.mu.Lock()
-	switch {
-	case s.ferr != nil:
-		err = s.ferr
-	case s.arena.closed:
-		err = closedErr(step)
-	case !s.sealedLocked():
+	if err = s.ferr; err == nil && !s.arena.closed && !s.sealedLocked() {
 		err = &StepError{Step: step, Op: "fetch", Err: errors.New("Fetch before EndForward")}
-	case step < 0 || step >= len(s.steps):
-		err = fmt.Errorf("jactensor: fetch step %d of %d", step, len(s.steps))
 	}
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		return nil, nil, err
 	}
-	st := s.steps[step]
-	if st.out.j != nil {
-		s.at = min(s.at, step)
-	} else {
-		var out pair
-		var h history
-		if st.pinned {
-			if master := s.anchorLocked(st); master.j != nil {
-				out = s.copyFrame(master)
-				s.bumpResident(s.frameBytes)
-			}
-		} else if h = s.gather(&s.cd, s, step); len(h.j) == 0 && step+1 < len(s.steps) {
-			s.mu.Unlock()
-			return nil, nil, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
-		}
-		s.mu.Unlock()
-
-		if out.j == nil {
-			if out, err = s.decodeStep(&s.cd, step, st, h, false); err != nil {
-				return nil, nil, err
-			}
-			if s.async {
-				s.ob.prefetchMiss.Inc()
-			}
-		}
-		s.mu.Lock()
-		st.out, s.at = out, step
+	out, decoded, err := s.own.fetch(step)
+	if err != nil {
+		return nil, nil, err
 	}
-	out := st.out
-	st.released = false
-	s.trim(&s.cd, s, s.at, 0)
+	s.mu.Lock()
 	s.maybePrefetch(step)
 	s.mu.Unlock()
-	s.ob.fetches.Inc()
+	if decoded && s.async {
+		s.ob.prefetchMiss.Inc()
+	}
 	if wasPrefetched {
 		s.ob.prefetchHits.Inc()
 	}
 	return out.j, out.c, nil
 }
 
-// Repair implements Repairer: it installs recomputed plaintext for a
-// quarantined step, which both serves later fetches of the step and — the
-// part that keeps the chained store alive — restores the decompression
-// history of the steps below it.
-func (s *CompressedStore) Repair(step int, jVals, cVals []float64) {
-	rsp := s.ob.rec.Start(s.ob.spanParent(), span.Repair, step)
-	defer rsp.End()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if step < 0 || step >= len(s.steps) {
-		return // closed, or never stored
-	}
-	st := s.steps[step]
-	s.giveBack(&st.out)
-	st.heldFrame = heldFrame{out: s.copyFrame(pair{jVals, cVals})}
-	s.bumpResident(s.frameBytes)
-	s.heal(st)
-}
+// Repair implements Repairer through the store's own reader.
+func (s *CompressedStore) Repair(step int, jVals, cVals []float64) { s.own.Repair(step, jVals, cVals) }
 
-// Release implements Store: the sweep is done with the step's frame. It goes
-// back to the pool once no lower step decodes against it — at once when the
-// sweep is already that far down. An anchor's retained frame stays, so the
-// same store can be swept or sliced again.
-func (s *CompressedStore) Release(step int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f := s.held(step); f != nil {
-		s.retire(&s.cd, f, step, s.at, 0)
-	}
-}
+// Release implements Store through the store's own reader.
+func (s *CompressedStore) Release(step int) { s.own.Release(step) }
 
 // Stats implements Store.
 func (s *CompressedStore) Stats() Stats {

@@ -189,6 +189,8 @@ func (s *DiskStore) Repair(step int, jVals, cVals []float64) {
 	if step < 0 || step >= len(s.jOffs) {
 		return
 	}
+	rsp := s.ob.rec.Start(s.ob.spanParent(), span.Repair, step)
+	defer rsp.End()
 	s.repJ[step] = append([]float64(nil), jVals...)
 	s.repC[step] = append([]float64(nil), cVals...)
 	delete(s.quarantined, step)

@@ -13,10 +13,11 @@
 // call (storeBase). CompressedStore is the chain policy over it — the
 // paper's Algorithm 2: every blob in RAM, each predicted from the steps above
 // it (as many as its codecs read, held in a window of plaintext frames), sync
-// or pipelined, with window views (StoreSlice), over the codecs its caller
-// names. TieredStore is the ladder
-// policy: it holds a memory budget by placing each step on RAM, compressed
-// RAM, disk or recompute. MemStore (raw in-memory, the reference the others
+// or pipelined, over the codecs its caller names. One reverse reader,
+// StoreSlice, brings its steps back: the store's own sweep is its reader over
+// [0, n], a window view is the same reader with forked codecs and a private
+// window. TieredStore is the ladder policy: it holds a memory budget by
+// placing each step on RAM, compressed RAM, disk or recompute. MemStore (raw in-memory, the reference the others
 // are compared with) and DiskStore (raw spill) keep plaintext and share only
 // storeBase. Full recomputation lives in the adjoint package.
 package jactensor
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"masc/internal/blobframe"
+	"masc/internal/obs/span"
 )
 
 // ErrOutOfOrder reports a Fetch that violates the reverse-sequential
@@ -217,6 +219,8 @@ func (s *MemStore) Repair(step int, jVals, cVals []float64) {
 	if step < 0 || step >= len(s.j) {
 		return
 	}
+	rsp := s.ob.rec.Start(s.ob.spanParent(), span.Repair, step)
+	defer rsp.End()
 	s.j[step] = append([]float64(nil), jVals...)
 	s.c[step] = append([]float64(nil), cVals...)
 	s.jSums[step] = blobframe.ChecksumFloat64(s.j[step])

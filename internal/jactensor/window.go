@@ -4,25 +4,30 @@ import (
 	"fmt"
 
 	"masc/internal/compress"
+	"masc/internal/obs/span"
 )
 
-// StoreSlice is a window-local view of a CompressedStore: an independent
-// reverse-sequential fetcher over the step range [Lo, Hi]. Each slice owns
-// forked decoder instances and a private plaintext cache, so W slices can
-// run concurrent reverse sweeps over the same blob sequence with no decode
-// serialization. The slice's top step must be self-contained — an anchor
-// or the head step — which is exactly how the windowed adjoint engine
-// picks its boundaries (from AnchorSteps).
+// StoreSlice is the chain's one reverse reader — Algorithm 2's reverse step:
+// fetch step i by decoding it against the already-materialized steps above
+// it, release step i+1 once nothing below reads it — over the step range
+// [lo, hi]. The store's own sweep is its reader over [0, n], whose window is
+// the step records' frames (so the head frame EndForward keeps is read in
+// place) and whose codecs are the store's. A window slice (Slice) is the same
+// reader with forked decoders and a private window, so W slices can run
+// concurrent reverse sweeps over the same blob sequence with no decode
+// serialization. A slice's top step must be self-contained — an anchor or the
+// head step — which is exactly how the windowed adjoint engine picks its
+// boundaries (from AnchorSteps).
 //
 // Shared parent state (step records, stats, the resident-byte model, the
 // frame pool) is touched only under the parent's mutex; the blobs themselves
 // are immutable once the forward pass has ended.
 type StoreSlice struct {
 	p      *CompressedStore
+	cd     *codecs // the store's codecs, or forked decoders private to a slice
 	lo, hi int
 	at     int         // the lowest step fetched
-	cd     codecs      // forked decoders, private to this slice
-	out    []heldFrame // the slice's window, indexed by step-lo
+	out    []heldFrame // a slice's window, indexed by step-lo; nil = the step records'
 }
 
 // Slice returns a window-local fetcher over steps [lo, hi]. It requires a
@@ -30,7 +35,8 @@ type StoreSlice struct {
 // blobs are self-describing, so a fork can decode any of them). hi should
 // be an anchor step or the head step n: the slice decodes its top blob
 // with no reference when the plaintext is not already retained. A slice may
-// outlive the store's Close: its fetches then fail with ErrClosed.
+// outlive the store's Close: its fetches then fail with ErrClosed, and its
+// releases and repairs do nothing.
 func (s *CompressedStore) Slice(lo, hi int) (*StoreSlice, error) {
 	s.mu.Lock()
 	done := s.sealedLocked()
@@ -48,98 +54,171 @@ func (s *CompressedStore) Slice(lo, hi int) (*StoreSlice, error) {
 	if !okJ || !okC {
 		return nil, fmt.Errorf("jactensor: codec %s does not support forked decoders", s.cd.j.Name())
 	}
-	return &StoreSlice{p: s, lo: lo, hi: hi, at: hi,
-		cd: newCodecs(jf.Fork(), cf.Fork()), out: make([]heldFrame, hi-lo+1)}, nil
+	cd := newCodecs(jf.Fork(), cf.Fork())
+	return &StoreSlice{p: s, cd: &cd, lo: lo, hi: hi, at: hi, out: make([]heldFrame, hi-lo+1)}, nil
 }
 
-// held implements frames over the slice's private window.
+// held is step's frame in the reader's window: nil outside [lo, hi], and for
+// every step once the store's Close has dropped the records. mu must be held.
 func (sl *StoreSlice) held(step int) *heldFrame {
-	if step < sl.lo || step > sl.hi {
+	switch {
+	case step < sl.lo || step > sl.hi || step >= len(sl.p.steps):
 		return nil
+	case sl.out == nil:
+		return &sl.p.steps[step].heldFrame
 	}
 	return &sl.out[step-sl.lo]
 }
 
-// Fetch implements the adjoint package's JacobianSource. Steps must be
-// fetched in descending order from Hi: each decode reads the slice-local
-// plaintext of the steps above it, except self-contained steps (the slice
-// top, anchors) which decode with no reference. A step whose plaintext the
-// parent holds — the head frame, a repair, a verified anchor — is copied
-// instead. Frames come from the parent's pool and return to it once released
-// and out of every lower step's history.
-func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
-	if step < sl.lo || step > sl.hi {
-		return nil, nil, fmt.Errorf("jactensor: slice fetch step %d outside [%d,%d]", step, sl.lo, sl.hi)
+// gather collects in the reader's scratch, nearest first, the frames of its
+// window that step's blob is — or was — sealed against: up to cd.depth
+// resident ones above it, none past the nearest anchor (an anchor itself has
+// none), so a window slice that starts at that anchor sees the history the
+// forward pass did; and the states of step and of those frames' steps, when
+// every one of them has one. It also meters what the history costs beyond the
+// one frame a one-reference chain holds: the bytes of the distinct arrays past
+// the nearest (the states are the caller's, not the store's). mu must be held.
+func (sl *StoreSlice) gather(step int) history {
+	p, cd := sl.p, sl.cd
+	h := history{j: cd.hist.j[:0], c: cd.hist.c[:0]}
+	extra := int64(0)
+	for t := step + 1; t <= step+cd.depth && !p.steps[t-1].pinned; t++ {
+		f := sl.held(t)
+		if f == nil || f.out.j == nil {
+			break
+		}
+		if n := len(h.j); n > 0 {
+			extra += distinctBytes(f.out.j, h.j[n-1]) + distinctBytes(f.out.c, h.c[n-1])
+		}
+		h.j, h.c = append(h.j, f.out.j), append(h.c, f.out.c)
 	}
-	p, mine := sl.p, &sl.out[step-sl.lo]
+	p.stats.HistoryBytes = max(p.stats.HistoryBytes, extra)
+	if len(h.j) > 0 {
+		h.x = cd.hist.x[:0]
+		for t := step; t <= step+len(h.j); t++ {
+			if p.steps[t].x == nil {
+				h.x = nil
+				break
+			}
+			h.x = append(h.x, p.steps[t].x)
+		}
+	}
+	return h
+}
+
+// distinctBytes is v's size unless it is the array prev.
+func distinctBytes(v, prev []float64) int64 {
+	if len(v) == 0 || &v[0] == &prev[0] {
+		return 0
+	}
+	return int64(8 * len(v))
+}
+
+// dead reports whether step's frame is one no decode will read again. The
+// sweep stands at at: the next decode, of at−1, reads at…at+depth−1, so
+// at+depth and above are dead — and at lo everything is.
+func (sl *StoreSlice) dead(step int) bool { return step >= sl.at+sl.cd.depth || sl.at == sl.lo }
+
+// trim lets go of the released frames that died when the sweep reached at.
+// mu must be held.
+func (sl *StoreSlice) trim() {
+	for t := sl.at; t <= sl.at+sl.cd.depth; t++ {
+		if f := sl.held(t); f != nil && f.released && sl.dead(t) {
+			sl.p.giveBack(&f.out)
+		}
+	}
+}
+
+// Fetch implements the adjoint package's JacobianSource. Steps must be
+// fetched in descending order from hi: each decode reads the plaintext of the
+// steps above it in the reader's window, except self-contained steps (the top,
+// anchors) which decode with no reference. A step whose plaintext the store
+// holds outside the window — a verified anchor, or for a slice the head frame
+// or a repair of the store's own sweep — is copied instead. The returned
+// frames stay valid until Release, and the reader keeps them past it for as
+// long as a lower step decodes against them; they come from the store's pool
+// and return to it.
+func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
+	out, _, err := sl.fetch(step)
+	return out.j, out.c, err
+}
+
+// fetch is Fetch, also reporting whether the step was decoded.
+func (sl *StoreSlice) fetch(step int) (out pair, decoded bool, err error) {
+	p := sl.p
 	p.mu.Lock()
+	mine := sl.held(step)
+	if mine == nil {
+		err = closedErr(step)
+		if !p.arena.closed {
+			err = fmt.Errorf("jactensor: fetch step %d outside [%d,%d]", step, sl.lo, sl.hi)
+		}
+		p.mu.Unlock()
+		return pair{}, false, err
+	}
 	if mine.out.j != nil {
 		sl.at = min(sl.at, step)
 	} else {
-		if p.arena.closed {
-			p.mu.Unlock()
-			return nil, nil, closedErr(step)
-		}
 		st := p.steps[step]
 		src := st.out
 		if src.j == nil {
 			src = p.anchorLocked(st)
 		}
-		var out pair
 		var h history
 		if src.j != nil {
 			out = p.copyFrame(src)
 			p.bumpResident(p.frameBytes)
-		} else if h = p.gather(&sl.cd, sl, step); len(h.j) == 0 && step != sl.hi && !st.pinned {
+		} else if h = sl.gather(step); len(h.j) == 0 && step != sl.hi && !st.pinned {
 			p.mu.Unlock()
-			return nil, nil, fmt.Errorf("%w: slice step %d needs step %d resident", ErrOutOfOrder, step, step+1)
+			return pair{}, false, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
 		}
 		p.mu.Unlock()
-		if out.j == nil {
-			var err error
-			if out, err = p.decodeStep(&sl.cd, step, st, h, false); err != nil {
-				return nil, nil, err
+		if decoded = out.j == nil; decoded {
+			if out, err = p.decodeStep(sl.cd, step, st, h, false); err != nil {
+				return pair{}, false, err
 			}
 		}
 		p.mu.Lock()
 		mine.out, sl.at = out, step
 	}
-	out := mine.out
+	out = mine.out
 	mine.released = false
-	p.trim(&sl.cd, sl, sl.at, sl.lo)
+	sl.trim()
 	p.mu.Unlock()
 	p.ob.fetches.Inc()
-	return out.j, out.c, nil
+	return out, decoded, nil
 }
 
-// Release implements JacobianSource: it lets go of the slice-local frame only,
-// once no lower step of the slice decodes against it; anchor frames and the
-// parent's own frames are untouched, so the same store can be sliced and swept
-// again.
+// Release implements JacobianSource: the sweep is done with the step's frame.
+// It goes back to the pool once no lower step decodes against it — at once
+// when the sweep is already that far down. An anchor's retained frame stays,
+// so the same store can be swept or sliced again.
 func (sl *StoreSlice) Release(step int) {
-	if step < sl.lo || step > sl.hi {
-		return
-	}
 	sl.p.mu.Lock()
-	sl.p.retire(&sl.cd, &sl.out[step-sl.lo], step, sl.at, sl.lo)
-	sl.p.mu.Unlock()
+	defer sl.p.mu.Unlock()
+	if f := sl.held(step); f != nil {
+		if f.released = true; sl.dead(step) {
+			sl.p.giveBack(&f.out)
+		}
+	}
 }
 
-// Repair implements Repairer: recomputed plaintext heals the step for this
-// slice (serving the refetch and restoring the history of the steps below)
-// and lifts the parent's quarantine so the accounting matches the serial
-// engine's.
+// Repair implements Repairer: recomputed plaintext for a quarantined step
+// serves the refetch and — the part that keeps the chain alive — restores the
+// decode history of the steps below it; the store's quarantine is lifted, so a
+// slice's accounting matches the serial sweep's.
 func (sl *StoreSlice) Repair(step int, jVals, cVals []float64) {
-	if step < sl.lo || step > sl.hi {
-		return
-	}
 	p := sl.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.giveBack(&sl.out[step-sl.lo].out)
-	sl.out[step-sl.lo] = heldFrame{out: p.copyFrame(pair{jVals, cVals})}
-	p.bumpResident(p.frameBytes)
-	if step < len(p.steps) {
-		p.heal(p.steps[step])
+	f := sl.held(step)
+	if f == nil {
+		return // closed, or outside the reader's range
 	}
+	rsp := p.ob.rec.Start(p.ob.spanParent(), span.Repair, step)
+	defer rsp.End()
+	p.giveBack(&f.out)
+	*f = heldFrame{out: p.copyFrame(pair{jVals, cVals})}
+	p.bumpResident(p.frameBytes)
+	p.heal(p.steps[step])
 }

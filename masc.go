@@ -716,7 +716,7 @@ func resolveAdjointWindows(w, estSteps int) int {
 // MemBudgetBytes / masc -mem-budget: a non-negative number with an optional
 // K/M/G/T suffix (binary multiples; "KiB"/"MB" spellings and lower case
 // accepted, so "256M", "256MiB" and "268435456" all work). 0 means
-// unlimited.
+// unlimited; a positive size under one byte is refused, not rounded to it.
 func ParseByteSize(s string) (int64, error) {
 	t := strings.TrimSpace(strings.ToUpper(s))
 	if t == "" {
@@ -738,7 +738,7 @@ func ParseByteSize(s string) (int64, error) {
 	n, err := strconv.ParseFloat(strings.TrimSpace(t), 64)
 	v := n * float64(mult)
 	// Written so NaN fails it; 2^63 and up (and +Inf) do not fit an int64.
-	if err != nil || !(v >= 0 && v < 1<<63) {
+	if err != nil || !(v == 0 || v >= 1 && v < 1<<63) {
 		return 0, fmt.Errorf("masc: bad byte size %q", s)
 	}
 	return int64(v), nil

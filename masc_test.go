@@ -307,6 +307,8 @@ func TestParseByteSize(t *testing.T) {
 		want int64
 	}{
 		{"0", 0},
+		{"-0", 0},
+		{"1", 1},
 		{"4096", 4096},
 		{"64k", 64 << 10},
 		{"64K", 64 << 10},
@@ -330,7 +332,8 @@ func TestParseByteSize(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "x", "-1", "12Q", "MB",
-		"NaN", "Inf", "-Inf", "1e30", "9223372036854775807", "8E", "8388608T"} {
+		"NaN", "Inf", "-Inf", "1e30", "9223372036854775807", "8E", "8388608T",
+		"0.5", "0.9", "0.0001K"} {
 		if _, err := ParseByteSize(bad); err == nil {
 			t.Fatalf("ParseByteSize(%q) accepted", bad)
 		}

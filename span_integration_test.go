@@ -136,6 +136,43 @@ func TestSimulateSpanTreeTiered(t *testing.T) {
 	}
 }
 
+// TestEveryRepairRecordsASpan: whichever store heals a rotted step — the raw
+// ones, the chain's own reader, a window slice or the ladder — the heal is one
+// repair span, so a run's spans count what its TensorStats.Repairs does.
+func TestEveryRepairRecordsASpan(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	for _, c := range []struct {
+		name string
+		opt  SimOptions
+	}{
+		{"memory", SimOptions{Storage: StorageMemory}},
+		{"disk", SimOptions{Storage: StorageDisk}},
+		{"masc", SimOptions{Storage: StorageMASC}},
+		{"masc-windows-3", SimOptions{Storage: StorageMASC, AdjointWindows: 3}},
+		{"masc-budget-4K", SimOptions{Storage: StorageMASC, MemBudgetBytes: 4 << 10}},
+	} {
+		ob := &Observer{Spans: NewSpanRecorder(0)}
+		opt := c.opt
+		opt.Transient = TransientOptions{TStep: 2e-6, TStop: 4e-4}
+		opt.DiskDir = t.TempDir()
+		opt.Fault = NewFaultInjector(FaultProfile{Seed: 3, BitFlipOneIn: 5})
+		opt.Obs = ob
+		run, err := Simulate(ckt, opt, []Objective{obj}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		spans := 0
+		for _, r := range ob.Spans.Snapshot() {
+			if r.Kind == span.Repair {
+				spans++
+			}
+		}
+		if repairs := run.TensorStats.Repairs; repairs == 0 || spans != repairs {
+			t.Errorf("%s: %d repair spans for %d repairs", c.name, spans, repairs)
+		}
+	}
+}
+
 // TestSimulateCodecRegionStats: a run with CollectCodecStats says where each
 // tensor's bits went and what the codec decided — per region, bits summing to
 // the stream and hits + misses to the elements, hit runs, and how many blobs
