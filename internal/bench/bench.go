@@ -79,9 +79,21 @@ type codecPair struct {
 
 // historyOf is the frames above step i that codec c reads — the caller holds
 // them all: as many as a history codec's depth, the next one otherwise, none
-// at the last step.
-func historyOf(c compress.Compressor, frames [][]float64, i int) [][]float64 {
-	return frames[i+1 : min(i+1+compress.HistoryDepth(c), len(frames))]
+// at the last step — given every frame flat and in blocks.
+func historyOf(c compress.Compressor, frames [][]float64, blocks []compress.Blocks, i int) compress.History {
+	if i+1 >= len(frames) {
+		return compress.History{}
+	}
+	return compress.History{Near: frames[i+1], Far: blocks[i+2 : min(i+1+compress.HistoryDepth(c), len(frames))]}
+}
+
+// blocksOf views every frame in blocks.
+func blocksOf(frames [][]float64) []compress.Blocks {
+	out := make([]compress.Blocks, len(frames))
+	for i, f := range frames {
+		out[i] = compress.View(nil, f, new([compress.BlockLen]float64))
+	}
+	return out
 }
 
 // MeasureCodec runs the Algorithm-2 chain over the tensor: step i is
@@ -94,19 +106,20 @@ func MeasureCodec(p codecPair, tn *Tensor) (CodecResult, error) {
 	n := tn.Steps
 	gBlobs := make([][]byte, n)
 	cBlobs := make([][]byte, n)
-	encode := func(c compress.Compressor, dst []byte, frames [][]float64, i int) []byte {
-		hist := historyOf(c, frames, i)
-		return compress.Encode(c, dst, frames[i], hist, compress.StatesAt(tn.XS, i, len(hist)))
+	gBlocks, cBlocks := blocksOf(tn.GS), blocksOf(tn.CS)
+	encode := func(c compress.Compressor, dst []byte, frames [][]float64, blocks []compress.Blocks, i int) []byte {
+		hist := historyOf(c, frames, blocks, i)
+		return compress.Encode(c, dst, frames[i], hist, compress.StatesAt(tn.XS, i, hist.Len()))
 	}
-	decode := func(c compress.Compressor, cur []float64, blob []byte, frames [][]float64, i int) error {
-		hist := historyOf(c, frames, i)
-		return compress.Decode(c, cur, blob, hist, compress.StatesAt(tn.XS, i, len(hist)))
+	decode := func(c compress.Compressor, cur []float64, blob []byte, frames [][]float64, blocks []compress.Blocks, i int) error {
+		hist := historyOf(c, frames, blocks, i)
+		return compress.Decode(c, cur, blob, hist, compress.StatesAt(tn.XS, i, hist.Len()))
 	}
 
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		gBlobs[i] = encode(p.g, nil, tn.GS, i)
-		cBlobs[i] = encode(p.c, nil, tn.CS, i)
+		gBlobs[i] = encode(p.g, nil, tn.GS, gBlocks, i)
+		cBlobs[i] = encode(p.c, nil, tn.CS, cBlocks, i)
 		res.CompressedBytes += int64(len(gBlobs[i]) + len(cBlobs[i]))
 	}
 	res.CompressTime = time.Since(start)
@@ -116,10 +129,10 @@ func MeasureCodec(p codecPair, tn *Tensor) (CodecResult, error) {
 	cBuf := make([]float64, len(tn.CS[0]))
 	start = time.Now()
 	for i := n - 1; i >= 0; i-- {
-		if err := decode(p.g, gBuf, gBlobs[i], tn.GS, i); err != nil {
+		if err := decode(p.g, gBuf, gBlobs[i], tn.GS, gBlocks, i); err != nil {
 			return res, fmt.Errorf("bench: %s step %d G: %w", p.name, i, err)
 		}
-		if err := decode(p.c, cBuf, cBlobs[i], tn.CS, i); err != nil {
+		if err := decode(p.c, cBuf, cBlobs[i], tn.CS, cBlocks, i); err != nil {
 			return res, fmt.Errorf("bench: %s step %d C: %w", p.name, i, err)
 		}
 		if lossless {

@@ -121,3 +121,17 @@ func RunAppend(t *testing.T, c compress.Compressor) {
 		t.Fatalf("%s: decompress after append: %v", c.Name(), err)
 	}
 }
+
+// Frames is the history of flat frames, nearest first, as a history codec
+// reads it: the nearest flat, views of the others in blocks. None is a
+// self-contained blob's.
+func Frames(hist [][]float64) compress.History {
+	if len(hist) == 0 {
+		return compress.History{}
+	}
+	h := compress.History{Near: hist[0]}
+	for _, v := range hist[1:] {
+		h.Far = append(h.Far, compress.View(nil, v, new([compress.BlockLen]float64)))
+	}
+	return h
+}

@@ -11,6 +11,7 @@ import (
 
 	"masc/internal/compress"
 	"masc/internal/compress/chimpz"
+	"masc/internal/compress/codectest"
 	"masc/internal/compress/gzipz"
 	"masc/internal/compress/masczip"
 	"masc/internal/sparse"
@@ -36,8 +37,9 @@ func (p *plainCodec) Decompress(cur []float64, blob []byte, ref []float64) error
 // two-argument methods must never be reached through Encode or Decode.
 type historyCodec struct {
 	plainCodec
-	depth        int
-	hist, states [][]float64
+	depth  int
+	hist   compress.History
+	states [][]float64
 }
 
 func (h *historyCodec) HistoryDepth() int { return h.depth }
@@ -47,17 +49,29 @@ func (h *historyCodec) Compress(dst []byte, cur, ref []float64) []byte {
 func (h *historyCodec) Decompress(cur []float64, blob []byte, ref []float64) error {
 	panic("Decode took the one-frame path of a history codec")
 }
-func (h *historyCodec) CompressHistory(dst []byte, cur []float64, hist, states [][]float64) []byte {
+func (h *historyCodec) CompressHistory(dst []byte, cur []float64, hist compress.History, states [][]float64) []byte {
 	h.hist, h.states = hist, states
 	return append(dst, 'h')
 }
-func (h *historyCodec) DecompressHistory(cur []float64, blob []byte, hist, states [][]float64) error {
+func (h *historyCodec) DecompressHistory(cur []float64, blob []byte, hist compress.History, states [][]float64) error {
 	h.hist, h.states = hist, states
 	return nil
 }
 
 func sameFrame(a, b []float64) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+func sameHistory(a, b compress.History) bool {
+	if !sameFrame(a.Near, b.Near) || len(a.Far) != len(b.Far) {
+		return false
+	}
+	for i := range a.Far {
+		if &a.Far[i][0] != &b.Far[i][0] {
+			return false
+		}
+	}
+	return true
 }
 
 func sameFrames(a, b [][]float64) bool {
@@ -77,7 +91,7 @@ func sameFrames(a, b [][]float64) bool {
 // every frame and the states; Decode hands over what Encode did.
 func TestEncodeDecodeHandEachCodecWhatItReads(t *testing.T) {
 	cur := []float64{1, 2}
-	hist := [][]float64{{3, 4}, {5, 6}, {7, 8}}
+	hist := codectest.Frames([][]float64{{3, 4}, {5, 6}, {7, 8}})
 	states := [][]float64{{0}, {1}, {2}, {3}}
 
 	t.Run("plain-empty-history", func(t *testing.T) {
@@ -85,12 +99,12 @@ func TestEncodeDecodeHandEachCodecWhatItReads(t *testing.T) {
 		if d := compress.HistoryDepth(p); d != 1 {
 			t.Fatalf("HistoryDepth = %d, want 1", d)
 		}
-		compress.Encode(p, nil, cur, nil, nil)
+		compress.Encode(p, nil, cur, compress.History{}, nil)
 		if p.ref != nil {
 			t.Fatalf("Encode handed ref %v, want nil", p.ref)
 		}
 		p.ref = cur
-		if err := compress.Decode(p, cur, []byte{'p'}, nil, nil); err != nil || p.ref != nil {
+		if err := compress.Decode(p, cur, []byte{'p'}, compress.History{}, nil); err != nil || p.ref != nil {
 			t.Fatalf("Decode handed ref %v (%v), want nil", p.ref, err)
 		}
 	})
@@ -100,11 +114,11 @@ func TestEncodeDecodeHandEachCodecWhatItReads(t *testing.T) {
 		if string(blob) != "xp" {
 			t.Fatalf("Encode did not append to dst: %q", blob)
 		}
-		if !sameFrame(p.ref, hist[0]) {
-			t.Fatalf("Encode handed ref %v, want the nearest frame %v", p.ref, hist[0])
+		if !sameFrame(p.ref, hist.Near) {
+			t.Fatalf("Encode handed ref %v, want the nearest frame %v", p.ref, hist.Near)
 		}
 		p.ref = nil
-		if err := compress.Decode(p, cur, blob[1:], hist, states); err != nil || !sameFrame(p.ref, hist[0]) {
+		if err := compress.Decode(p, cur, blob[1:], hist, states); err != nil || !sameFrame(p.ref, hist.Near) {
 			t.Fatalf("Decode handed ref %v (%v), want the nearest frame", p.ref, err)
 		}
 	})
@@ -116,14 +130,14 @@ func TestEncodeDecodeHandEachCodecWhatItReads(t *testing.T) {
 		if blob := compress.Encode(h, nil, cur, hist, states); string(blob) != "h" {
 			t.Fatalf("Encode wrote %q", blob)
 		}
-		if !sameFrames(h.hist, hist) || !sameFrames(h.states, states) {
+		if !sameHistory(h.hist, hist) || !sameFrames(h.states, states) {
 			t.Fatalf("Encode handed %d frames and %d states, want all %d and %d",
-				len(h.hist), len(h.states), len(hist), len(states))
+				h.hist.Len(), len(h.states), hist.Len(), len(states))
 		}
-		h.hist, h.states = nil, nil
+		h.hist, h.states = compress.History{}, nil
 		if err := compress.Decode(h, cur, []byte{'h'}, hist, states); err != nil ||
-			!sameFrames(h.hist, hist) || !sameFrames(h.states, states) {
-			t.Fatalf("Decode handed %d frames and %d states (%v)", len(h.hist), len(h.states), err)
+			!sameHistory(h.hist, hist) || !sameFrames(h.states, states) {
+			t.Fatalf("Decode handed %d frames and %d states (%v)", h.hist.Len(), len(h.states), err)
 		}
 	})
 }
@@ -149,7 +163,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			frames[s][k] = 1e-3 * math.Sin(0.37*float64(k)+0.05*float64(s))
 		}
 	}
-	cur, hist := frames[0], frames[1:]
+	cur, hist := frames[0], codectest.Frames(frames[1:])
 
 	for _, tc := range []struct {
 		name string
@@ -173,6 +187,36 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBlocksViewTheFrame: a flat frame's blocks are views into it, but for a
+// short last block, a copy; At reads every value back, and a frame of whole
+// blocks needs no copy.
+func TestBlocksViewTheFrame(t *testing.T) {
+	for _, n := range []int{0, 1, compress.BlockLen - 1, compress.BlockLen, 3*compress.BlockLen + 5} {
+		v := make([]float64, n)
+		for k := range v {
+			v[k] = float64(k) + 0.5
+		}
+		var tail [compress.BlockLen]float64
+		b := compress.View(nil, v, &tail)
+		if len(b) != compress.NumBlocks(n) {
+			t.Fatalf("n=%d: %d blocks, want %d", n, len(b), compress.NumBlocks(n))
+		}
+		for k := range v {
+			if b.At(k) != v[k] {
+				t.Fatalf("n=%d: value %d reads %v, want %v", n, k, b.At(k), v[k])
+			}
+		}
+		for i, blk := range b {
+			if short := (i+1)*compress.BlockLen > n; short != (blk == &tail) || !short && &blk[0] != &v[i*compress.BlockLen] {
+				t.Fatalf("n=%d: block %d is not a view into the frame, or its short tail not the copy", n, i)
+			}
+		}
+	}
+	if h := codectest.Frames(nil); h.Len() != 0 || h.Near != nil {
+		t.Fatalf("Frames(nil) holds %d frames", h.Len())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"masc/internal/compress/codectest"
 	"masc/internal/sparse"
 )
 
@@ -275,7 +276,7 @@ func TestNoLargerThanXORResiduals(t *testing.T) {
 				c := New(fx.p, fx.opt)
 				got, slack := 0, 0
 				for i := range fx.frames[:len(fx.frames)-1] {
-					c.CompressHistory(nil, fx.frames[i], historyOf(fx.frames, i, depth), nil)
+					c.CompressHistory(nil, fx.frames[i], codectest.Frames(historyOf(fx.frames, i, depth)), nil)
 					got += streamBits(c)
 					slack += 4 * 3 * (len(c.curBounds) - 1)
 				}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"masc/internal/compress/codectest"
 )
 
 // FuzzDecompress feeds arbitrary bytes to the decoder, with and without
@@ -38,7 +40,7 @@ func FuzzDecompress(f *testing.F) {
 	}
 	top := New(p, Options{Workers: 2})
 	forceOrder(top, MaxOrder)
-	f.Add(top.CompressHistory(nil, wf[0], hist, nil))
+	f.Add(top.CompressHistory(nil, wf[0], codectest.Frames(hist), nil))
 	// State seeds: a branch-voltage chain's blobs (a pattern this small is
 	// sampled under voltEvidence, so the chooser codes them in time) and the
 	// chain's head forced into the voltage at every order.
@@ -49,7 +51,7 @@ func FuzzDecompress(f *testing.F) {
 	for o := 0; o <= MaxOrder; o++ {
 		vc := New(p, Options{Workers: 2})
 		forceVoltage(vc, o)
-		f.Add(vc.CompressHistory(nil, bv[0], bv[1:MaxOrder+2], xs[:MaxOrder+2]))
+		f.Add(vc.CompressHistory(nil, bv[0], codectest.Frames(bv[1:MaxOrder+2]), xs[:MaxOrder+2]))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3})
@@ -91,8 +93,8 @@ func FuzzDecompress(f *testing.F) {
 			{hist, nil}, {hist[:3], nil}, {[][]float64{ref}, nil}, {nil, nil},
 			{bv[1 : MaxOrder+2], xs[:MaxOrder+2]}, {bv[1:4], xs[:3]},
 		} {
-			err := c.DecompressHistory(out, blob, call.hist, call.states)
-			serr := oracle.DecompressHistory(want, blob, call.hist, call.states)
+			err := c.DecompressHistory(out, blob, codectest.Frames(call.hist), call.states)
+			serr := oracle.DecompressHistory(want, blob, codectest.Frames(call.hist), call.states)
 			if (err == nil) != (serr == nil) {
 				t.Fatalf("batched decoder: %v; scalar decoder: %v", err, serr)
 			}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"masc/internal/atomicio"
+	"masc/internal/compress/codectest"
 	"masc/internal/sparse"
 )
 
@@ -130,7 +131,7 @@ func encodeChain(c *Compressor, frames [][]float64) [][]byte {
 func encodeChainDepth(c *Compressor, frames [][]float64, depth int) [][]byte {
 	var blobs [][]byte
 	for i := range frames {
-		blobs = append(blobs, c.CompressHistory(nil, frames[i], historyOf(frames, i, depth), nil))
+		blobs = append(blobs, c.CompressHistory(nil, frames[i], codectest.Frames(historyOf(frames, i, depth)), nil))
 	}
 	return blobs
 }

@@ -3,6 +3,8 @@ package masczip
 import (
 	"math"
 	"math/bits"
+
+	"masc/internal/compress"
 )
 
 // The temporal candidate (selector symbol 0 of every region) is an
@@ -77,22 +79,24 @@ func (cc *chunkCoder) temporal(k int32) float64 {
 	if cc.order == 0 {
 		return cc.ref[k]
 	}
-	h := &cc.hist
-	m := func(i int) uint64 { return ordered(math.Float64bits(h[i][k])) }
+	f := &cc.far
+	b, o := uint32(k)/compress.BlockLen, uint32(k)%compress.BlockLen
+	m := func(i int) uint64 { return ordered(math.Float64bits(f[i-1][b][o])) }
+	m0 := ordered(math.Float64bits(cc.ref[k]))
 	var p uint64
 	switch cc.order {
 	case 1:
-		p = 2*m(0) - m(1)
+		p = 2*m0 - m(1)
 	case 2:
-		p = 3*(m(0)-m(1)) + m(2)
+		p = 3*(m0-m(1)) + m(2)
 	case 3:
-		p = 4*(m(0)+m(2)) - 6*m(1) - m(3)
+		p = 4*(m0+m(2)) - 6*m(1) - m(3)
 	case 4:
-		p = 5*(m(0)-m(3)) + 10*(m(2)-m(1)) + m(4)
+		p = 5*(m0-m(3)) + 10*(m(2)-m(1)) + m(4)
 	case 5:
-		p = 6*(m(0)+m(4)) - 15*(m(1)+m(3)) + 20*m(2) - m(5)
+		p = 6*(m0+m(4)) - 15*(m(1)+m(3)) + 20*m(2) - m(5)
 	default:
-		p = 7*(m(0)-m(5)) + 21*(m(4)-m(1)) + 35*(m(2)-m(3)) + m(6)
+		p = 7*(m0-m(5)) + 21*(m(4)-m(1)) + 35*(m(2)-m(3)) + m(6)
 	}
 	return math.Float64frombits(unordered(p))
 }
@@ -115,8 +119,8 @@ func (cc *chunkCoder) sampleOrders(n *hitCounts) {
 	cur, ref := cc.cur, cc.ref
 	misses := 0
 	for slot := cc.plan.pat.RowPtr[cc.rowLo]; slot < cc.plan.pat.RowPtr[cc.rowHi]; slot += orderSlotStride {
-		v := math.Float64bits(cur[slot])
-		if v == math.Float64bits(ref[slot]) {
+		v, v0 := math.Float64bits(cur[slot]), math.Float64bits(ref[slot])
+		if v == v0 {
 			continue
 		}
 		if misses++; misses%orderMissStride != 1 {
@@ -128,8 +132,9 @@ func (cc *chunkCoder) sampleOrders(n *hitCounts) {
 			cc.sampleVoltage(slot, cur[slot], &n.voltBits)
 		}
 		var d [MaxOrder + 1]uint64
-		for i, h := range cc.hist[:cc.nhist] {
-			d[i] = ordered(math.Float64bits(h[slot]))
+		d[0] = ordered(v0)
+		for i, f := range cc.far[:top] {
+			d[1+i] = ordered(math.Float64bits(f.At(int(slot))))
 		}
 		ov := ordered(v)
 		p := uint64(0)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"masc/internal/compress/codectest"
 	"masc/internal/sparse"
 )
 
@@ -102,7 +103,7 @@ func decodeChainDepth(t *testing.T, d *Compressor, blobs [][]byte, frames [][]fl
 	t.Helper()
 	got := make([]float64, len(frames[0]))
 	for i, blob := range blobs {
-		if err := d.DecompressHistory(got, blob, historyOf(frames, i, depth), nil); err != nil {
+		if err := d.DecompressHistory(got, blob, codectest.Frames(historyOf(frames, i, depth)), nil); err != nil {
 			t.Fatalf("blob %d (flags %#02x): %v", i, blob[0], err)
 		}
 		for k := range got {
@@ -158,8 +159,8 @@ func TestPolynomialSeriesIsNearlyFree(t *testing.T) {
 			for i := range frames {
 				hist := historyOf(frames, i, MaxOrder+1)
 				c.ResetStats()
-				blob := c.CompressHistory(nil, frames[i], hist, nil)
-				if want := oracle.CompressHistory(nil, frames[i], hist, nil); !bytes.Equal(blob, want) {
+				blob := c.CompressHistory(nil, frames[i], codectest.Frames(hist), nil)
+				if want := oracle.CompressHistory(nil, frames[i], codectest.Frames(hist), nil); !bytes.Equal(blob, want) {
 					t.Fatalf("degree %d %+v blob %d: production and oracle encoders differ (flags %#02x, %#02x)", d, opt, i, blob[0], want[0])
 				}
 				if len(hist) < d+1 {
@@ -215,8 +216,8 @@ func TestHistoryRoundTripMatrix(t *testing.T) {
 				forceOrder(oracle, o)
 				var blob []byte
 				for rep := 0; rep < 2; rep++ { // the second blob of a Markov encoder is table-driven
-					blob = enc.CompressHistory(nil, cur, hist, nil)
-					if !bytes.Equal(blob, oracle.CompressHistory(nil, cur, hist, nil)) {
+					blob = enc.CompressHistory(nil, cur, codectest.Frames(hist), nil)
+					if !bytes.Equal(blob, oracle.CompressHistory(nil, cur, codectest.Frames(hist), nil)) {
 						t.Fatalf("order %d markov=%v workers=%d rep %d: production and oracle encoders differ", o, markov, ew, rep)
 					}
 				}
@@ -227,7 +228,7 @@ func TestHistoryRoundTripMatrix(t *testing.T) {
 					for name, dec := range map[string]*Compressor{"batched": New(p, Options{Workers: dw}), "scalar": newReference(p, Options{Workers: dw})} {
 						got := make([]float64, p.NNZ())
 						// More frames than the order reads are ignored.
-						if err := dec.DecompressHistory(got, blob, append(hist[:len(hist):len(hist)], frames[MaxOrder+2]), nil); err != nil {
+						if err := dec.DecompressHistory(got, blob, codectest.Frames(append(hist[:len(hist):len(hist)], frames[MaxOrder+2])), nil); err != nil {
 							t.Fatalf("order %d markov=%v enc workers=%d, %s dec workers=%d: %v", o, markov, ew, name, dw, err)
 						}
 						for k := range got {
@@ -332,13 +333,13 @@ func orderNeedsItsHistory(t *testing.T) {
 	for o := 1; o <= MaxOrder; o++ {
 		enc := New(p, Options{})
 		forceOrder(enc, o)
-		blob := enc.CompressHistory(nil, frames[0], frames[1:o+2], nil)
+		blob := enc.CompressHistory(nil, frames[0], codectest.Frames(frames[1:o+2]), nil)
 		for name, d := range decoders {
-			if err := d.DecompressHistory(got, blob, frames[1:o+2], nil); err != nil {
+			if err := d.DecompressHistory(got, blob, codectest.Frames(frames[1:o+2]), nil); err != nil {
 				t.Fatalf("order %d, %s decoder, full history: %v", o, name, err)
 			}
 			for given := 0; given <= o; given++ {
-				err := d.DecompressHistory(got, blob, frames[1:1+given], nil)
+				err := d.DecompressHistory(got, blob, codectest.Frames(frames[1:1+given]), nil)
 				want := fmt.Sprintf("order-%d blob reads %d reference frames, %d given", o, o+1, given)
 				if !errors.Is(err, ErrReference) || !strings.Contains(err.Error(), want) {
 					t.Errorf("order %d, %s decoder, %d frames: %v, want an error saying %q", o, name, given, err, want)
@@ -349,7 +350,7 @@ func orderNeedsItsHistory(t *testing.T) {
 	for i, blob := range orderBlobs(p) {
 		for name, d := range decoders {
 			for _, hist := range [][][]float64{nil, frames[1:2]} {
-				err := d.DecompressHistory(got, blob, hist, nil)
+				err := d.DecompressHistory(got, blob, codectest.Frames(hist), nil)
 				if want := fmt.Sprintf("flags byte %#02x", blob[0]); !errors.Is(err, ErrReference) || !strings.Contains(err.Error(), want) ||
 					!strings.Contains(err.Error(), fmt.Sprintf("order-%d", i+1)) {
 					t.Errorf("order bits %d on a nil-reference blob, %s decoder, %d frames: %v", i+1, name, len(hist), err)
@@ -367,14 +368,15 @@ func TestHistoryAllocsPinnedZero(t *testing.T) {
 	frames := waveformFrames(rng, p, MaxOrder+2, -1)
 	c := New(p, Options{})
 	dst := make([]byte, 0, 1<<20)
-	blob := c.CompressHistory(dst, frames[0], frames[1:], nil)
+	blob := c.CompressHistory(dst, frames[0], codectest.Frames(frames[1:]), nil)
 	if order, _ := blobFamily(blob); order == 0 {
 		t.Fatalf("extension byte %#02x: the waveform chain was coded at order 0", blob[1])
 	}
 	out := make([]float64, p.NNZ())
+	hist := codectest.Frames(frames[1:])
 	if avg := testing.AllocsPerRun(100, func() {
-		dst = c.CompressHistory(dst[:0], frames[0], frames[1:], nil)
-		if err := c.DecompressHistory(out, dst, frames[1:], nil); err != nil {
+		dst = c.CompressHistory(dst[:0], frames[0], hist, nil)
+		if err := c.DecompressHistory(out, dst, hist, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -389,7 +391,7 @@ func BenchmarkHistory(b *testing.B) {
 	p := mnaPattern(rng, 1500, 2500)
 	frames := waveformFramesEvery(rng, p, MaxOrder+2, -1, 2)
 	for _, depth := range []int{1, MaxOrder + 1} {
-		hist := frames[1 : 1+depth]
+		hist := codectest.Frames(frames[1 : 1+depth])
 		c := New(p, Options{})
 		blob := c.CompressHistory(nil, frames[0], hist, nil)
 		out := make([]float64, p.NNZ())

@@ -137,7 +137,6 @@ type Compressor struct {
 	cnt   markovCounts
 	stats Stats
 	zeros []float64
-	one   [1][]float64 // the history of a two-argument call
 
 	// Per-chunk scratch reused across calls. A MASC run compresses the
 	// Jacobian tensor thousands of times through one Compressor, so the
@@ -161,13 +160,14 @@ type Compressor struct {
 	// Call state shared with encFn/decFn, which are allocated once here
 	// rather than as per-call closures.
 	cur, ref []float64
-	hist     [][]float64 // the reference frames, nearest first: hist[0] is ref; nil with none
-	states   [][]float64 // the coded step's state, then hist[i]'s at 1+i; nil with none
+	far      []compress.Blocks // the reference frames past ref, nearest first
+	nhist    int               // the frames the call brings: ref and far, or none
+	states   [][]float64       // the coded step's state, then frame i's at 1+i (ref is frame 0); nil with none
 	blob     []byte
 	calib    bool
 	mateHit  bool // region L's hit predictor is the symmetric mate
 	stampHit bool // region D's hit predictor is the difference stamp
-	order    int  // the blob's symbol-0 candidate reads hist[:order+1]
+	order    int  // the blob's symbol-0 candidate reads ref and far[:order]
 	volt     bool // ... interpolating in the branch voltage (voltage.go), not extrapolating in time
 	tbl      markovTables
 	preFn    func(int)
@@ -315,28 +315,33 @@ var (
 	ErrReference = errors.New("masczip: blob needs reference data the call lacks")
 )
 
-// history checks a call's frames against the pattern and returns the ones the
-// codec reads — the MaxOrder+1 nearest — with the nearest, or the all-zero
-// frame a self-contained blob is predicted from.
-func (c *Compressor) history(cur []float64, hist [][]float64) ([][]float64, []float64, error) {
+// history checks a call's frames against the pattern and returns the nearest,
+// or the all-zero frame a self-contained blob is predicted from, the ones the
+// codec reads past it — the MaxOrder nearest of them — and how many frames
+// that is in all.
+func (c *Compressor) history(cur []float64, hist compress.History) (ref []float64, far []compress.Blocks, n int, err error) {
 	if len(cur) != c.plan.nnz {
-		return nil, nil, fmt.Errorf("masczip: value count %d does not match pattern nnz %d", len(cur), c.plan.nnz)
+		return nil, nil, 0, fmt.Errorf("masczip: value count %d does not match pattern nnz %d", len(cur), c.plan.nnz)
 	}
-	if len(hist) > MaxOrder+1 {
-		hist = hist[:MaxOrder+1]
+	if hist.Near == nil {
+		if len(hist.Far) > 0 {
+			return nil, nil, 0, fmt.Errorf("masczip: %d reference frames past a missing nearest one", len(hist.Far))
+		}
+		if len(c.zeros) != c.plan.nnz {
+			c.zeros = make([]float64, c.plan.nnz)
+		}
+		return c.zeros, nil, 0, nil
 	}
-	for i, h := range hist {
-		if len(h) != c.plan.nnz {
-			return nil, nil, fmt.Errorf("masczip: reference frame %d holds %d values, pattern nnz is %d", i, len(h), c.plan.nnz)
+	if len(hist.Near) != c.plan.nnz {
+		return nil, nil, 0, fmt.Errorf("masczip: reference frame 0 holds %d values, pattern nnz is %d", len(hist.Near), c.plan.nnz)
+	}
+	far = hist.Far[:min(len(hist.Far), MaxOrder)]
+	for i, f := range far {
+		if len(f) != compress.NumBlocks(c.plan.nnz) {
+			return nil, nil, 0, fmt.Errorf("masczip: reference frame %d holds %d blocks, pattern nnz %d needs %d", i+1, len(f), c.plan.nnz, compress.NumBlocks(c.plan.nnz))
 		}
 	}
-	if len(hist) > 0 {
-		return hist, hist[0], nil
-	}
-	if len(c.zeros) != c.plan.nnz {
-		c.zeros = make([]float64, c.plan.nnz)
-	}
-	return nil, c.zeros, nil
+	return hist.Near, far, 1 + len(far), nil
 }
 
 // checkStates reports the first of states that is not a state of the
@@ -364,7 +369,7 @@ func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
 	*ec = chunkCoder{
 		plan: pl, opt: &c.opt,
 		cur: c.cur, ref: c.ref,
-		nhist: len(c.hist), nvolt: voltFrames(c.hist, c.states),
+		nhist: c.nhist, nvolt: voltFrames(c.nhist, c.states),
 		order: c.order, volt: c.volt,
 		rowLo: lo, rowHi: hi,
 		calib: c.calib, tables: &c.tbl,
@@ -375,7 +380,7 @@ func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
 	// The stats sink is never nil: with collection off it points at the
 	// coder's own discard field (zeroed by the assignment above, never
 	// merged), so the per-element hot path carries no nil checks.
-	copy(ec.hist[:], c.hist)
+	copy(ec.far[:], c.far)
 	copy(ec.states[:], c.states)
 	ec.stats = &ec.discard
 	if c.opt.CollectStats {
@@ -393,11 +398,11 @@ func (c *Compressor) countChunk(ci int) {
 
 // voltFrames is how many of the frames the voltage family can read: those
 // whose state the call brings, with the coded step's; 0 without them.
-func voltFrames(hist, states [][]float64) int {
+func voltFrames(nhist int, states [][]float64) int {
 	if len(states) < 2 {
 		return 0
 	}
-	return min(len(hist), len(states)-1)
+	return min(nhist, len(states)-1)
 }
 
 // prePass makes the blob's choices from one pass over the frame: the mate
@@ -413,7 +418,7 @@ func (c *Compressor) prePass(nchunks int) {
 	if sameBits(c.cur, c.ref) {
 		return // nothing to choose; a frame that is its reference again (a linear circuit's) is all temporal hits
 	}
-	if c.opt.DisableStamp && len(c.hist) < 2 && c.states == nil {
+	if c.opt.DisableStamp && c.nhist < 2 && c.states == nil {
 		return
 	}
 	if len(c.stamp) != len(c.plan.dSlots) {
@@ -436,7 +441,7 @@ func (c *Compressor) prePass(nchunks int) {
 	if !c.opt.DisableStamp {
 		c.mateHit, c.stampHit = n.lMate > n.lTemporal, n.dStamp > n.dTemporal
 	}
-	for o := 1; o < len(c.hist); o++ {
+	for o := 1; o < c.nhist; o++ {
 		if n.orderBits[o] < n.orderBits[c.order] {
 			c.order = o
 		}
@@ -445,7 +450,7 @@ func (c *Compressor) prePass(nchunks int) {
 		return
 	}
 	best := n.subsetBits[c.order]
-	for o := 0; o < voltFrames(c.hist, c.states); o++ {
+	for o := 0; o < voltFrames(c.nhist, c.states); o++ {
 		if n.voltBits[o] < best {
 			c.order, c.volt, best = o, true, n.voltBits[o]
 		}
@@ -471,40 +476,28 @@ func (c *Compressor) encodeChunk(ci int) {
 // Compress implements compress.Compressor: CompressHistory with ref as the
 // one frame of history and no states.
 func (c *Compressor) Compress(dst []byte, cur, ref []float64) []byte {
-	dst = c.CompressHistory(dst, cur, c.oneFrame(ref), nil)
-	c.one[0] = nil
-	return dst
+	return c.CompressHistory(dst, cur, compress.History{Near: ref}, nil)
 }
 
 // Decompress implements compress.Compressor: DecompressHistory with ref as
 // the one frame of history and no states.
 func (c *Compressor) Decompress(cur []float64, blob []byte, ref []float64) error {
-	err := c.DecompressHistory(cur, blob, c.oneFrame(ref), nil)
-	c.one[0] = nil
-	return err
-}
-
-func (c *Compressor) oneFrame(ref []float64) [][]float64 {
-	if ref == nil {
-		return nil
-	}
-	c.one[0] = ref
-	return c.one[:]
+	return c.DecompressHistory(cur, blob, compress.History{Near: ref}, nil)
 }
 
 // HistoryDepth implements compress.HistoryCompressor.
 func (c *Compressor) HistoryDepth() int { return MaxOrder + 1 }
 
 // CompressHistory implements compress.HistoryCompressor. Hits, the mate, the
-// stamp and every candidate but symbol 0 read hist[0] alone, so a blob coded
+// stamp and every candidate but symbol 0 read hist.Near alone, so a blob coded
 // with one frame and no states, or at time order 0, is the blob Compress
 // always wrote. states, when given, must be states of the pattern's dimension:
-// the coded step's, then hist[i]'s at 1+i.
-func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist, states [][]float64) []byte {
-	hist, ref, err := c.history(cur, hist)
+// the coded step's, then frame i's at 1+i.
+func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist compress.History, states [][]float64) []byte {
+	ref, far, nhist, err := c.history(cur, hist)
 	if err == nil {
-		states = states[:min(len(states), len(hist)+1)]
-		if voltFrames(hist, states) == 0 {
+		states = states[:min(len(states), nhist+1)]
+		if voltFrames(nhist, states) == 0 {
 			states = nil
 		}
 		err = c.checkStates(states)
@@ -527,7 +520,7 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist, states [][
 	nchunks := len(bounds) - 1
 
 	c.ensureChunks(nchunks)
-	c.cur, c.ref, c.hist, c.states, c.calib, c.curBounds = cur, ref, hist, states, calib, bounds
+	c.cur, c.ref, c.far, c.nhist, c.states, c.calib, c.curBounds = cur, ref, far, nhist, states, calib, bounds
 	c.prePass(nchunks)
 
 	dst = append(dst, byte(revision|boolInt(calib)*flagCalib|
@@ -560,7 +553,7 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist, states [][
 		}
 	}
 	workpool.Do(nchunks, c.encFn)
-	c.cur, c.ref, c.hist, c.states = nil, nil, nil, nil
+	c.cur, c.ref, c.far, c.states = nil, nil, nil, nil
 	if calib {
 		for i := 0; i < nchunks; i++ {
 			c.cnt.merge(&c.counts[i])
@@ -606,12 +599,12 @@ func (c *Compressor) chunkDecoder(ci int) (*chunkCoder, *bitstream.Reader) {
 	*dc = chunkCoder{
 		plan: c.plan, opt: &c.opt,
 		cur: c.cur, ref: c.ref,
-		nhist: len(c.hist), order: c.order, volt: c.volt,
+		nhist: c.nhist, order: c.order, volt: c.volt,
 		rowLo: c.decBounds[ci], rowHi: c.decBounds[ci+1],
 		calib: c.calib, tables: &c.tbl,
 		mateHit: c.mateHit, stampHit: c.stampHit,
 	}
-	copy(dc.hist[:], c.hist)
+	copy(dc.far[:], c.far)
 	copy(dc.states[:], c.states)
 	return dc, r
 }
@@ -672,18 +665,18 @@ func (c *Compressor) header(blob []byte, nhist int, states [][]float64) (order i
 // DecompressHistory implements compress.HistoryCompressor. hist must open
 // with the frames the blob was coded against, and states with the states it
 // was coded with; the blob's order and family say how many of each it reads.
-func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist, states [][]float64) error {
+func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist compress.History, states [][]float64) error {
 	if c.spanRec != nil {
 		sp := c.spanRec.Start(c.spanParent, span.Decode, -1)
 		sp.Attr("elems", int64(len(cur)))
 		sp.Attr("bytes", int64(len(blob)))
 		defer sp.End()
 	}
-	hist, ref, err := c.history(cur, hist)
+	ref, far, nhist, err := c.history(cur, hist)
 	if err != nil {
 		return err
 	}
-	order, volt, off, err := c.header(blob, len(hist), states)
+	order, volt, off, err := c.header(blob, nhist, states)
 	if err != nil {
 		return err
 	}
@@ -769,10 +762,10 @@ func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist, states 
 		}
 	}
 	c.ensureChunks(nchunks)
-	c.cur, c.ref, c.hist, c.states, c.calib, c.tbl, c.blob = cur, ref, hist, states, calib, tables, blob
+	c.cur, c.ref, c.far, c.nhist, c.states, c.calib, c.tbl, c.blob = cur, ref, far, nhist, states, calib, tables, blob
 	c.mateHit, c.stampHit, c.order, c.volt = flags&flagMateHit != 0, flags&flagStampHit != 0, order, volt
 	workpool.Do(nchunks, c.decFn)
-	c.cur, c.ref, c.hist, c.states, c.blob = nil, nil, nil, nil, nil
+	c.cur, c.ref, c.far, c.states, c.blob = nil, nil, nil, nil, nil
 	for ci := 0; ci < nchunks; ci++ {
 		if err := c.coders[ci].err; err != nil {
 			return fmt.Errorf("masczip: chunk %d: %w", ci, err)
@@ -783,10 +776,11 @@ func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist, states 
 
 // chunkCoder encodes or decodes the rows [rowLo, rowHi) of one matrix.
 type chunkCoder struct {
-	// hist is the nhist frames the call was given (hist[0] is ref); the coder
-	// reads hist[:order+1]. An array in the coder, and first in it: temporal
-	// ran a third slower with the headers behind a slice or mid-struct.
-	hist   [MaxOrder + 1][]float64
+	// far is the frames past ref of the nhist the call was given (ref is
+	// frame 0); the coder reads ref and far[:order]. An array in the coder,
+	// and first in it: temporal ran a third slower with the headers behind a
+	// slice or mid-struct.
+	far    [MaxOrder]compress.Blocks
 	plan   *plan
 	opt    *Options
 	cur    []float64 // encoder: input; decoder: output
@@ -794,7 +788,7 @@ type chunkCoder struct {
 	nhist  int
 	order  int
 	volt   bool                    // symbol 0 interpolates in the branch voltage over states (voltage.go)
-	states [MaxOrder + 2][]float64 // the coded step's state, then hist[i]'s at 1+i
+	states [MaxOrder + 2][]float64 // the coded step's state, then frame i's at 1+i
 	nvolt  int                     // encoder only: the frames the voltage family can read (voltFrames)
 	rowLo  int32
 	rowHi  int32

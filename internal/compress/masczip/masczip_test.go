@@ -13,6 +13,7 @@ import (
 	"testing/quick"
 
 	"masc/internal/compress/bitstream"
+	"masc/internal/compress/codectest"
 	"masc/internal/sparse"
 )
 
@@ -769,12 +770,12 @@ func TestCorruptedBlobNoPanic(t *testing.T) {
 	for _, seed := range adversarialBlobs(t, p) {
 		_ = c.Decompress(got, seed, ref)
 		_ = c.Decompress(got, seed, nil)
-		_ = c.DecompressHistory(got, seed, hist, states)
+		_ = c.DecompressHistory(got, seed, codectest.Frames(hist), states)
 	}
 	for trial := 0; trial < 600; trial++ {
 		src, decode := blob, func(b []byte) error { return c.Decompress(got, b, ref) }
 		if trial%2 == 1 { // a voltage-family blob, decoded against its frames and states
-			src, decode = vblob, func(b []byte) error { return c.DecompressHistory(got, b, hist, states) }
+			src, decode = vblob, func(b []byte) error { return c.DecompressHistory(got, b, codectest.Frames(hist), states) }
 		}
 		mutated := append([]byte(nil), src...)
 		switch trial / 2 % 3 {

@@ -6,7 +6,9 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"masc/internal/compress"
 	"masc/internal/compress/bitstream"
+	"masc/internal/compress/codectest"
 	"masc/internal/sparse"
 )
 
@@ -127,15 +129,24 @@ func (rc *refCoder) hitPred(rg *refRegion, k int32) float64 {
 	}
 }
 
+// frameRef is slot k's value in frame i of the call's history: the nearest
+// frame's, or a block's past it.
+func (rc *refCoder) frameRef(i int, k int32) float64 {
+	if i == 0 {
+		return rc.ref[k]
+	}
+	return rc.far[i-1][k/compress.BlockLen][k%compress.BlockLen]
+}
+
 // extrapolateRef is the order-o temporal candidate for slot k as the format
 // describes it: map the o+1 nearest frames' values to their ordered integers,
 // take backward differences until one is left per level, and add the levels up
 // — the value one step on of the degree-o polynomial through the frames, mod
 // 2^64 — then map back.
-func extrapolateRef(hist [][]float64, o int, k int32) float64 {
+func (rc *refCoder) extrapolateRef(o int, k int32) float64 {
 	level := make([]uint64, o+1)
 	for i := range level {
-		b := math.Float64bits(hist[i][k])
+		b := math.Float64bits(rc.frameRef(i, k))
 		if b>>63 == 0 {
 			level[i] = b | 1<<63
 		} else {
@@ -206,7 +217,7 @@ func (rc *refCoder) voltageRef(slot int32, o int) float64 {
 		base = rc.stampOf(rc.chunkCoder, pl.dRowPtr[row])
 		for i := range u {
 			for s := pl.pat.RowPtr[row]; s < pl.pat.RowPtr[row+1]; s++ {
-				y[i] += rc.hist[i][s]
+				y[i] += rc.frameRef(i, s)
 			}
 			u[i] = rc.states[1+i][row]
 		}
@@ -214,7 +225,7 @@ func (rc *refCoder) voltageRef(slot int32, o int) float64 {
 	} else {
 		base = rc.ref[slot]
 		for i := range u {
-			y[i] = rc.hist[i][slot]
+			y[i] = rc.frameRef(i, slot)
 			u[i] = rc.states[1+i][row] - rc.states[1+i][col]
 		}
 		at = rc.states[0][row] - rc.states[0][col]
@@ -231,7 +242,7 @@ func (rc *refCoder) firstRef(rg *refRegion, k int32, got float64) float64 {
 	case rc.volt:
 		want = rc.voltageRef(slot, rc.order)
 	case rc.order > 0:
-		want = extrapolateRef(rc.hist[:rc.nhist], rc.order, slot)
+		want = rc.extrapolateRef(rc.order, slot)
 	}
 	if math.Float64bits(got) != math.Float64bits(want) {
 		panic(fmt.Sprintf("slot %d: order-%d symbol 0 (voltage %v) %x, the transcription gives %x",
@@ -286,7 +297,7 @@ func (rc *refCoder) count() hitCounts {
 		}
 		subset := rc.nvolt > 0 && (misses-1)%8 == 0 // the voltage family's half of the sample
 		for o := 0; o < rc.nhist; o++ {
-			c := cost(rc.cur[s], extrapolateRef(rc.hist[:rc.nhist], o, s))
+			c := cost(rc.cur[s], rc.extrapolateRef(o, s))
 			n.orderBits[o] += c
 			if subset {
 				n.subsetBits[o] += c
@@ -814,7 +825,7 @@ func xorBits(p *sparse.Pattern, opt Options, frames [][]float64, depth int) int 
 	}
 	n := 0
 	for i := range frames[:len(frames)-1] {
-		c.CompressHistory(nil, frames[i], historyOf(frames, i, depth), nil)
+		c.CompressHistory(nil, frames[i], codectest.Frames(historyOf(frames, i, depth)), nil)
 		n += streamBits(c)
 	}
 	return n

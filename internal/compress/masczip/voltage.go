@@ -3,6 +3,8 @@ package masczip
 import (
 	"math"
 	"math/bits"
+
+	"masc/internal/compress"
 )
 
 // The voltage family of selector symbol 0. A capacitance is a function of the
@@ -135,6 +137,15 @@ func (cc *chunkCoder) branch(o int, k int32, u *nodes) float64 {
 	return cc.states[0][r] - cc.states[0][c]
 }
 
+// column fills y with slot k's value in each of the o+1 frames.
+func (cc *chunkCoder) column(o int, k int32, y *nodes) {
+	y[0] = cc.ref[k]
+	b, off := uint32(k)/compress.BlockLen, uint32(k)%compress.BlockLen
+	for i, f := range cc.far[:o] {
+		y[1+i] = f[b][off]
+	}
+}
+
 // voltage is the voltage-family candidate for off-diagonal slot k.
 func (cc *chunkCoder) voltage(k int32) float64 {
 	base := cc.ref[k]
@@ -143,9 +154,7 @@ func (cc *chunkCoder) voltage(k int32) float64 {
 	}
 	var u, y nodes
 	at := cc.branch(cc.order, k, &u)
-	for i := 0; i <= cc.order; i++ {
-		y[i] = cc.hist[i][k]
-	}
+	cc.column(cc.order, k, &y)
 	divide(cc.order, &u, &y)
 	return moved(base, change(cc.order, &u, &y, at))
 }
@@ -156,12 +165,24 @@ func (cc *chunkCoder) voltage(k int32) float64 {
 func (cc *chunkCoder) grounded(o int, k int32, u, y *nodes) float64 {
 	row := cc.plan.dRows[k]
 	lo, hi := cc.plan.pat.RowPtr[row], cc.plan.pat.RowPtr[row+1]
-	for i := 0; i <= o; i++ {
+	sum := 0.0
+	for _, v := range cc.ref[lo:hi] {
+		sum += v
+	}
+	y[0] = sum
+	for i, f := range cc.far[:o] {
 		sum := 0.0
-		for _, v := range cc.hist[i][lo:hi] {
-			sum += v
+		for k := uint32(lo); k < uint32(hi); {
+			blk, off := f[k/compress.BlockLen], k%compress.BlockLen
+			n := min(uint32(hi)-k, compress.BlockLen-off)
+			for _, v := range blk[off : off+n] {
+				sum += v
+			}
+			k += n
 		}
-		y[i] = sum
+		y[1+i] = sum
+	}
+	for i := 0; i <= o; i++ {
 		u[i] = cc.states[1+i][row]
 	}
 	return cc.states[0][row]
@@ -194,9 +215,7 @@ func (cc *chunkCoder) sampleVoltage(slot int32, v float64, cost *[MaxOrder + 1]i
 	} else {
 		base = cc.ref[slot]
 		at = cc.branch(top, slot, &u)
-		for i := 0; i <= top; i++ {
-			y[i] = cc.hist[i][slot]
-		}
+		cc.column(top, slot, &y)
 	}
 	divide(top, &u, &y)
 	for o := 0; o <= top; o++ {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"masc/internal/compress/codectest"
 	"masc/internal/sparse"
 )
 
@@ -76,7 +77,7 @@ func statesOf(states [][]float64, i, depth int) [][]float64 {
 func encodeChainStates(c *Compressor, frames, states [][]float64, depth int) [][]byte {
 	var blobs [][]byte
 	for i := range frames {
-		blobs = append(blobs, c.CompressHistory(nil, frames[i], historyOf(frames, i, depth), statesOf(states, i, depth)))
+		blobs = append(blobs, c.CompressHistory(nil, frames[i], codectest.Frames(historyOf(frames, i, depth)), statesOf(states, i, depth)))
 	}
 	return blobs
 }
@@ -86,7 +87,7 @@ func decodeChainStates(t *testing.T, d *Compressor, blobs [][]byte, frames, stat
 	t.Helper()
 	got := make([]float64, len(frames[0]))
 	for i, blob := range blobs {
-		if err := d.DecompressHistory(got, blob, historyOf(frames, i, depth), statesOf(states, i, depth)); err != nil {
+		if err := d.DecompressHistory(got, blob, codectest.Frames(historyOf(frames, i, depth)), statesOf(states, i, depth)); err != nil {
 			t.Fatalf("blob %d (flags %#02x): %v", i, blob[0], err)
 		}
 		for k := range got {
@@ -120,9 +121,9 @@ func TestBranchVoltageCapacitanceIsNearlyFree(t *testing.T) {
 		var blobs [][]byte
 		for i := range frames {
 			hist, xs := historyOf(frames, i, MaxOrder+1), statesOf(states, i, MaxOrder+1)
-			timeOnly.CompressHistory(nil, frames[i], hist, nil)
-			blob := volt.CompressHistory(nil, frames[i], hist, xs)
-			if want := oracle.CompressHistory(nil, frames[i], hist, xs); !bytes.Equal(blob, want) {
+			timeOnly.CompressHistory(nil, frames[i], codectest.Frames(hist), nil)
+			blob := volt.CompressHistory(nil, frames[i], codectest.Frames(hist), xs)
+			if want := oracle.CompressHistory(nil, frames[i], codectest.Frames(hist), xs); !bytes.Equal(blob, want) {
 				t.Fatalf("%+v blob %d: production and oracle encoders differ (flags %#02x, %#02x)", opt, i, blob[0], want[0])
 			}
 			if o, v := blobFamily(blob); len(hist) >= 3 && (!v || o < 2) {
@@ -187,7 +188,7 @@ func voltageBlob(t testing.TB, p *sparse.Pattern) (blob []byte, hist, states [][
 	hist, states = frames[1:], xs
 	enc := New(p, Options{})
 	forceVoltage(enc, 3) // a small pattern's sample is under voltEvidence
-	blob = enc.CompressHistory(nil, frames[0], hist, states)
+	blob = enc.CompressHistory(nil, frames[0], codectest.Frames(hist), states)
 	if _, volt := blobFamily(blob); !volt {
 		t.Fatalf("flags %#02x: the branch-voltage chain was not coded in the voltage", blob[0])
 	}
@@ -223,7 +224,7 @@ func voltageNeedsItsStates(t *testing.T) {
 	}
 	got := make([]float64, p.NNZ())
 	for name, d := range map[string]*Compressor{"batched": New(p, Options{}), "scalar": newReference(p, Options{})} {
-		if err := d.DecompressHistory(got, blob, hist, states); err != nil {
+		if err := d.DecompressHistory(got, blob, codectest.Frames(hist), states); err != nil {
 			t.Fatalf("%s decoder, full history and states: %v", name, err)
 		}
 		for _, tc := range []struct {
@@ -235,12 +236,12 @@ func voltageNeedsItsStates(t *testing.T) {
 			{"too few states", hist, states[:order+1]},
 			{"too few frames", hist[:order], states},
 		} {
-			if err := d.DecompressHistory(got, blob, tc.hist, tc.states); !errors.Is(err, ErrReference) {
+			if err := d.DecompressHistory(got, blob, codectest.Frames(tc.hist), tc.states); !errors.Is(err, ErrReference) {
 				t.Errorf("%s decoder, %s: %v, want an ErrReference", name, tc.name, err)
 			}
 		}
 		for i, bad := range extensionBlobs(t, p) {
-			err := d.DecompressHistory(got, bad, hist, states)
+			err := d.DecompressHistory(got, bad, codectest.Frames(hist), states)
 			if !errors.Is(err, ErrFormat) || !bytes.Contains([]byte(err.Error()), []byte(fmt.Sprintf("flags byte %#02x", bad[0]))) {
 				t.Errorf("%s decoder, extension blob %d: %v, want an ErrFormat naming the flags byte", name, i, err)
 			}
@@ -270,8 +271,8 @@ func TestStatesRoundTripMatrix(t *testing.T) {
 				forceVoltage(oracle, o)
 				var blob []byte
 				for rep := 0; rep < 2; rep++ {
-					blob = enc.CompressHistory(nil, cur, hist, xs)
-					if !bytes.Equal(blob, oracle.CompressHistory(nil, cur, hist, xs)) {
+					blob = enc.CompressHistory(nil, cur, codectest.Frames(hist), xs)
+					if !bytes.Equal(blob, oracle.CompressHistory(nil, cur, codectest.Frames(hist), xs)) {
 						t.Fatalf("order %d markov=%v workers=%d rep %d: production and oracle encoders differ", o, markov, ew, rep)
 					}
 				}
@@ -281,7 +282,7 @@ func TestStatesRoundTripMatrix(t *testing.T) {
 				for _, dw := range []int{1, 2, 5, 64} {
 					for name, dec := range map[string]*Compressor{"batched": New(p, Options{Workers: dw}), "scalar": newReference(p, Options{Workers: dw})} {
 						got := make([]float64, p.NNZ())
-						if err := dec.DecompressHistory(got, blob, hist, append(xs[:len(xs):len(xs)], states[MaxOrder+2])); err != nil {
+						if err := dec.DecompressHistory(got, blob, codectest.Frames(hist), append(xs[:len(xs):len(xs)], states[MaxOrder+2])); err != nil {
 							t.Fatalf("order %d markov=%v enc workers=%d, %s dec workers=%d: %v", o, markov, ew, name, dw, err)
 						}
 						for k := range got {
@@ -344,7 +345,7 @@ func BenchmarkVoltage(b *testing.B) {
 	p := mnaPattern(rng, 1500, 2500)
 	frames, states := branchVoltageFrames(rng, p, MaxOrder+2)
 	for _, xs := range [][][]float64{nil, states} {
-		hist := frames[1:]
+		hist := codectest.Frames(frames[1:])
 		c := New(p, Options{})
 		blob := c.CompressHistory(nil, frames[0], hist, xs)
 		out := make([]float64, p.NNZ())

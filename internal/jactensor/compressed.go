@@ -25,8 +25,12 @@ import (
 // reverse sweep step i is decompressed against the already-materialized steps
 // i+1…i+depth, which the reader (StoreSlice; the store's own sweep is its
 // reader over [0, n]) keeps after the sweep's Release until the sweep is depth
-// steps below them. Consecutive frames of a tensor that are bit-identical
-// share one array, so a tensor that does not move costs the window one frame.
+// steps below them. The coded step and its nearest reference are flat; the
+// frames past the nearest are held in blocks of compress.BlockLen values, and
+// a block bit-identical to the neighbouring frame's is that frame's block, so
+// a frame costs the blocks it changed. Consecutive flat frames of a tensor
+// that are bit-identical share one array, so a tensor that does not move
+// costs the window one frame.
 //
 // Every k-th step can be made a window anchor (SetAnchorEvery): the chain is
 // cut there — the anchor's blob is compressed with no reference and restarted
@@ -161,14 +165,11 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 	st := s.newRec(step)
 	st.x = s.stateOf(step)
 	s.mu.Lock()
-	var below pair
+	var below *heldFrame
 	if step > 0 {
-		below = s.steps[step-1].out // unsealed, so held: its job is issued by this Put at the earliest
+		below = &s.steps[step-1].heldFrame // unsealed, so held: its job is issued by this Put at the earliest
 	}
-	s.mu.Unlock()
-	sameJ, sameC := below.j != nil && sameBits(jVals, below.j), below.c != nil && sameBits(cVals, below.c)
-	s.mu.Lock()
-	st.out = pair{s.adopt(&s.poolJ, jVals, below.j, sameJ), s.adopt(&s.poolC, cVals, below.c, sameC)}
+	st.t = [2]held{s.adopt(0, jVals, below), s.adopt(1, cVals, below)}
 	s.steps = append(s.steps, st)
 	s.mu.Unlock()
 
@@ -189,17 +190,27 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 	return nil
 }
 
-// adopt returns a held array with vals' values: the step below's own when the
-// two are bit-identical, else a counted copy. mu must be held.
-func (s *CompressedStore) adopt(pool *[][]float64, vals, below []float64, same bool) []float64 {
-	if same {
-		s.hold(below)
-		return below
+// adopt returns tensor i of a frame put with vals: the flat array of the
+// frame below where that holds the same values; else, when the codecs read
+// frames past the nearest — as this one is until the step below is sealed —
+// blocks, each the frame below's where bit-identical; else a counted flat
+// copy, as is the first step's, which has no frame below. mu must be held.
+func (s *CompressedStore) adopt(i int, vals []float64, below *heldFrame) held {
+	var b held
+	if below != nil {
+		b = below.t[i]
 	}
-	v := takeVals(pool, len(vals))
+	switch {
+	case b.flat != nil && sameBits(vals, b.flat):
+		s.hold(b.flat)
+		return held{flat: b.flat}
+	case b.ok() && s.cd.depth > 1:
+		return held{blk: s.blocksOf(i, vals, b.blk)}
+	}
+	v := takeVals(s.flatPool(i), len(vals))
 	copy(v, vals)
 	s.bumpResident(int64(8 * len(v)))
-	return v
+	return held{flat: v}
 }
 
 // enqueue hands job to the worker. A full queue means the compressor is the
@@ -233,7 +244,7 @@ func (s *CompressedStore) worker() {
 		s.mu.Unlock()
 		if failed || s.guarded(job) != nil {
 			s.mu.Lock()
-			s.giveBack(&job.st.out)
+			s.giveBack(&job.st.heldFrame)
 			s.mu.Unlock()
 		}
 		s.ob.queueDepth.Set(float64(len(s.jobs)))
@@ -271,7 +282,8 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 		s.cd.restart()
 	}
 	s.mu.Lock()
-	cur, h := st.out, s.own.gather(job.step)
+	h := s.own.gather(job.step)
+	cur := st.flatPair()
 	s.mu.Unlock()
 	csp := s.ob.rec.Start(job.parent, span.Compress, job.step)
 	s.cd.setParent(csp.ID())
@@ -301,7 +313,7 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 			s.ob.anchorBytes.Set(float64(s.stats.AnchorBytes))
 		}
 		if !job.head {
-			s.giveBack(&st.out)
+			s.giveBack(&st.heldFrame)
 		}
 	}
 	s.mu.Unlock()
@@ -382,31 +394,50 @@ func (s *CompressedStore) sealedLocked() bool {
 	return s.forwardDone && n > 0 && s.steps[n-1].jBlob != nil
 }
 
-// drop ends one frame's hold on v: an array nothing else holds leaves the
-// resident model and goes back to its pool. mu must be held.
-func (s *CompressedStore) drop(pool *[][]float64, v []float64) {
-	if s.letGo(v) {
-		s.bumpResident(int64(-8 * len(v)))
-		s.parkVals(pool, v)
-	}
-}
-
 // giveBack ends a window frame's hold on its arrays. mu must be held.
-func (s *CompressedStore) giveBack(p *pair) {
-	if p.j != nil {
-		s.drop(&s.poolJ, p.j)
-		s.drop(&s.poolC, p.c)
-		*p = pair{}
-	}
+func (s *CompressedStore) giveBack(f *heldFrame) {
+	s.release(0, &f.t[0])
+	s.release(1, &f.t[1])
+	f.lent = false
 }
 
-// share makes *v — a counted array nothing else holds — the neighbouring
-// step's array other, whose values are bit-identical, and returns *v's own to
-// the pool. mu must be held.
-func (s *CompressedStore) share(pool *[][]float64, v *[]float64, other []float64) {
-	s.drop(pool, *v)
+// share makes *v — tensor i's counted flat array, which nothing else holds —
+// the neighbouring step's flat array other, whose values are bit-identical,
+// and returns *v's own to the pool. mu must be held.
+func (s *CompressedStore) share(i int, v *[]float64, other []float64) {
+	s.release(i, &held{flat: *v})
 	s.hold(other)
 	*v = other
+}
+
+// flatten holds f's tensors flat: where one is in blocks, the flat array of
+// below — a frame beside it, nil for none — if that holds the same values,
+// else a counted copy. mu must be held.
+func (s *CompressedStore) flatten(f, below *heldFrame) {
+	for i := range 2 {
+		h := &f.t[i]
+		if h.blk == nil {
+			continue
+		}
+		var v []float64
+		if b := below; b != nil && b.t[i].flat != nil && sameBlocks(h.blk, b.t[i].flat) {
+			v = b.t[i].flat
+			s.hold(v)
+		} else {
+			v = s.flatOf(i, *h)
+		}
+		s.release(i, h)
+		h.flat = v
+	}
+}
+
+// toBlocks holds tensor i of a window frame, h, in blocks: each the block at
+// its place in nb — the index of the frame above it, nil for none — where
+// bit-identical, else a counted copy. mu must be held.
+func (s *CompressedStore) toBlocks(i int, h *held, nb compress.Blocks) {
+	idx := s.blocksOf(i, h.flat, nb)
+	s.release(i, h)
+	h.blk = idx
 }
 
 // anchorLocked returns st's retained anchor plaintext, verified, or a zero
@@ -464,8 +495,8 @@ func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h histor
 		dsp.Attr("bytes", int64(len(jb)+len(cb)))
 		dsp.Attr("prefetch", boolAttr(prefetch))
 		dsp.End()
-		if err == nil && len(h.j) > 0 {
-			above = pair{h.j[0], h.c[0]}
+		if err == nil && h.j.Near != nil {
+			above = pair{h.j.Near, h.c.Near}
 			sameJ, sameC = sameBits(out.j, above.j), sameBits(out.c, above.c)
 		}
 	}
@@ -482,10 +513,10 @@ func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h histor
 	s.ob.decompressSec.AddDuration(elapsed)
 	s.bumpResident(s.frameBytes)
 	if sameJ {
-		s.share(&s.poolJ, &out.j, above.j)
+		s.share(0, &out.j, above.j)
 	}
 	if sameC {
-		s.share(&s.poolC, &out.c, above.c)
+		s.share(1, &out.c, above.c)
 	}
 	return out, nil
 }
@@ -510,7 +541,7 @@ func (s *CompressedStore) maybePrefetch(step int) {
 	// Anchor steps are served from their retained plaintext, and their
 	// blobs want no reference anyway.
 	prev := s.steps[step-1]
-	if prev.out.j != nil || prev.pinned {
+	if prev.resident() || prev.pinned {
 		return
 	}
 	h := s.own.gather(step - 1)
@@ -543,7 +574,7 @@ func (s *CompressedStore) joinPrefetch(step int) (hit bool, err error) {
 	s.mu.Lock()
 	s.pf = nil
 	if pf.err == nil {
-		pf.st.heldFrame = heldFrame{out: pf.out}
+		pf.st.heldFrame = flatFrame(pf.out)
 	}
 	s.mu.Unlock()
 	if pf.step == step {

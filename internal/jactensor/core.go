@@ -163,12 +163,34 @@ func (f *frame) rotted() (tensor string, err error) {
 
 // heldFrame is one step's plaintext in the chain's window: put and not yet
 // sealed, or fetched by a sweep — and, once the sweep released it, kept while a
-// step below still decodes against it. Its arrays may be the neighbouring
-// step's (core.hold).
+// step below still decodes against it. Each tensor is held flat or in blocks
+// (held), and its arrays may be the neighbouring step's (core.hold).
 type heldFrame struct {
-	out      pair
-	released bool // the sweep let go of out (ladder: the step is dead)
+	t    [2]held // the first tensor, the second
+	lent bool    // fetched and not yet released: the sweep reads the flat arrays
 }
+
+// held is one tensor of a window frame: one flat array, or the index of its
+// blocks of compress.BlockLen values. The codec scans the coded step and its
+// nearest reference element by element, so those two are flat; the frames
+// past the nearest are read only at misses and sampled slots, so they hold
+// the blocks they changed and share the rest with the frame beside them.
+// The zero value holds nothing.
+type held struct {
+	flat []float64       // nil when blocked
+	blk  compress.Blocks // nil when flat
+}
+
+func (h held) ok() bool { return h.flat != nil || h.blk != nil }
+
+// resident reports whether the window holds f's values.
+func (f *heldFrame) resident() bool { return f.t[0].ok() }
+
+// flatPair is f's flat arrays: nil where a tensor is held in blocks.
+func (f *heldFrame) flatPair() pair { return pair{f.t[0].flat, f.t[1].flat} }
+
+// flatFrame is a window frame holding p's arrays flat.
+func flatFrame(p pair) heldFrame { return heldFrame{t: [2]held{{flat: p.j}, {flat: p.c}}} }
 
 // stepRec is everything a blob-holding store knows about one step. Which
 // fields are live is the policy's business: the ladder moves a step between
@@ -179,6 +201,7 @@ type stepRec struct {
 	tier         tiersched.Tier // ladder rung
 	frame                       // checksummed plaintext at rest: the ladder's hot rung, a chain anchor
 	heldFrame                   // chain: the step's place in the history window
+	released     bool           // ladder: the step is dead
 	x            []float64      // chain: the state the step was produced at (Attachment.State) — the caller's array, not counted as resident
 	jBlob, cBlob []byte         // sealed blobs: arena memory, or the scratch frames until kept or spilled
 	jOff, cOff   int64          // spill offsets (ladder, tier == Disk)
@@ -197,11 +220,14 @@ type spanCodec interface {
 	SetSpanParent(span.ID)
 }
 
-// history is the reference frames of one seal or decode, nearest first, per
-// tensor, and the states both tensors' codecs may read beside them: the coded
-// step's, then each frame's (compress.HistoryCompressor), nil when the run
-// attached none. The zero value is none: a self-contained blob.
-type history struct{ j, c, x [][]float64 }
+// history is the reference frames of one seal or decode, per tensor, and the
+// states both tensors' codecs may read beside them: the coded step's, then
+// each frame's (compress.HistoryCompressor), nil when the run attached none.
+// The zero value is none: a self-contained blob.
+type history struct {
+	j, c compress.History
+	x    [][]float64
+}
 
 // codecs is a first-tensor/second-tensor compressor pair with the optional
 // capabilities the stores use. A StoreSlice decodes with a forked pair, which
@@ -212,13 +238,31 @@ type codecs struct {
 	// depth is how many frames above a step the chain holds for it: the
 	// deeper codec's history depth, 1 for a pair of one-reference codecs.
 	depth int
-	hist  history // gather's scratch, so a steady-state seal or decode allocates nothing
+	win   window // gather's scratch, so a steady-state seal or decode allocates nothing
+}
+
+// window is gather's scratch: the frames of one call, nearest first, which of
+// them stay flat, and per tensor the history handed to the codec, with views
+// of the flat frames past the nearest and the copies of their short last
+// blocks.
+type window struct {
+	frames []*heldFrame
+	keep   [][2]bool
+	far    [2][]compress.Blocks
+	views  [2][]compress.Blocks
+	tails  [2][][compress.BlockLen]float64
+	x      [][]float64
 }
 
 func newCodecs(j, c compress.Compressor) codecs {
 	depth := max(compress.HistoryDepth(j), compress.HistoryDepth(c))
-	return codecs{j: j, c: c, depth: depth,
-		hist: history{make([][]float64, 0, depth), make([][]float64, 0, depth), make([][]float64, 0, depth+1)}}
+	w := window{frames: make([]*heldFrame, 0, depth), keep: make([][2]bool, depth), x: make([][]float64, 0, depth+1)}
+	for i := range w.far {
+		w.far[i] = make([]compress.Blocks, 0, depth)
+		w.views[i] = make([]compress.Blocks, depth)
+		w.tails[i] = make([][compress.BlockLen]float64, depth)
+	}
+	return codecs{j: j, c: c, depth: depth, win: w}
 }
 
 // trace wires the codecs to rec, so each compress/decompress span encloses
@@ -284,12 +328,11 @@ func openPair(step int, jb, cb []byte) (jp, cp []byte, tensor string, err error)
 	return jp, cp, "", nil
 }
 
-// poolFrames caps the frame pool beyond the chain's history depth. A
-// Put/compress or fetch/Release cycle keeps a frame or two waiting (plus the
-// prefetch's and a short queue's), and the end of a forward pass parks the
-// whole history window for the sweep to take back; without a cap an
-// unbudgeted ladder would park its whole tensor there as the sweep releases
-// it.
+// poolFrames caps the frame pool. A Put/compress or fetch/Release cycle keeps
+// a frame or two waiting (plus the prefetch's and a short queue's); without a
+// cap an unbudgeted ladder would park its whole tensor there as the sweep
+// releases it. The chain's blocks wait in a pool of one frame's worth, its
+// block indices in one of a window's.
 const poolFrames = 4
 
 // core is the shared body of the blob-holding stores.
@@ -308,12 +351,15 @@ type core struct {
 	frameJ, frameC []byte
 
 	// The pools recycle plaintext arrays, one per tensor, so a steady-state
-	// Put or Fetch allocates nothing. Pooled arrays are idle memory the
-	// resident model does not count; an array counts from the moment its
-	// holder bumps the model to the matching release.
+	// Put or Fetch allocates nothing; the chain's also recycle its blocks and
+	// the tensors' block indices. Pooled arrays are idle memory the resident
+	// model does not count; an array counts from the moment its holder bumps
+	// the model to the matching release.
 	poolJ, poolC [][]float64
-	// shared lists the arrays more than one frame of the chain's window
-	// holds, with their holder counts (hold, letGo).
+	poolB        []*[compress.BlockLen]float64
+	poolIdx      [2][]compress.Blocks
+	// shared lists the arrays — flat frames and blocks — more than one frame
+	// of the chain's window holds, with their holder counts (hold, letGo).
 	shared map[*float64]int
 }
 
@@ -364,7 +410,7 @@ func takeVals(pool *[][]float64, n int) []float64 {
 // parkVals puts an idle array back in its pool, or lets it go when the pool
 // is full.
 func (k *core) parkVals(pool *[][]float64, v []float64) {
-	if len(*pool) < poolFrames+k.cd.depth {
+	if len(*pool) < poolFrames {
 		*pool = append(*pool, v)
 	}
 }
@@ -403,9 +449,11 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// hold gives v one more holder. The chain lets consecutive steps whose values
-// for a tensor are bit-identical hold one array, so a tensor that does not
-// move — a linear circuit's — costs its history window one frame, not depth+1.
+// hold gives v — a flat array or a block — one more holder. The chain lets
+// consecutive steps whose values for a block are bit-identical hold one block,
+// and consecutive flat frames that are bit-identical throughout hold one
+// array, so a tensor that does not move — a linear circuit's — costs its
+// history window one frame, not depth+1.
 func (k *core) hold(v []float64) {
 	if len(v) == 0 {
 		return
@@ -433,6 +481,109 @@ func (k *core) letGo(v []float64) bool {
 	}
 	return false
 }
+
+// flatPool is tensor i's pool of flat arrays.
+func (k *core) flatPool(i int) *[][]float64 {
+	if i == 0 {
+		return &k.poolJ
+	}
+	return &k.poolC
+}
+
+// tensorLen is tensor i's value count.
+func (k *core) tensorLen(i int) int {
+	if i == 0 {
+		return k.jLen
+	}
+	return k.cLen
+}
+
+// flatOf returns a counted flat array of tensor i holding src's values.
+func (k *core) flatOf(i int, src held) []float64 {
+	v := takeVals(k.flatPool(i), k.tensorLen(i))
+	if src.flat != nil {
+		copy(v, src.flat)
+	} else {
+		for b, blk := range src.blk {
+			copy(v[b*compress.BlockLen:], blk[:])
+		}
+	}
+	k.bumpResident(int64(8 * len(v)))
+	return v
+}
+
+// blocksOf returns a counted block index of tensor i holding src's values:
+// each block the one at its place in nb — the neighbouring frame's index, nil
+// for none — where the values are bit-identical, else a counted copy.
+func (k *core) blocksOf(i int, src []float64, nb compress.Blocks) compress.Blocks {
+	n := compress.NumBlocks(len(src))
+	var idx compress.Blocks
+	if pool := &k.poolIdx[i]; len(*pool) > 0 {
+		idx = (*pool)[len(*pool)-1]
+		*pool = (*pool)[:len(*pool)-1]
+	} else {
+		idx = make(compress.Blocks, n)
+	}
+	k.bumpResident(int64(8 * n))
+	for b := range idx {
+		vals := src[b*compress.BlockLen : min((b+1)*compress.BlockLen, len(src))]
+		if nb != nil && sameBits(vals, nb[b][:len(vals)]) {
+			k.hold(nb[b][:])
+			idx[b] = nb[b]
+			continue
+		}
+		var blk *[compress.BlockLen]float64
+		if m := len(k.poolB); m > 0 {
+			blk = k.poolB[m-1]
+			k.poolB = k.poolB[:m-1]
+		} else {
+			blk = new([compress.BlockLen]float64)
+		}
+		copy(blk[:], vals)
+		k.bumpResident(8 * compress.BlockLen)
+		idx[b] = blk
+	}
+	return idx
+}
+
+// release ends one frame's hold on tensor i's arrays: an array nothing else
+// holds — a flat array, a block — leaves the resident model and goes back to
+// its pool, and so does a block index.
+func (k *core) release(i int, h *held) {
+	if h.flat != nil && k.letGo(h.flat) {
+		k.bumpResident(int64(-8 * len(h.flat)))
+		k.parkVals(k.flatPool(i), h.flat)
+	}
+	for _, blk := range h.blk {
+		if k.letGo(blk[:]) {
+			k.bumpResident(-8 * compress.BlockLen)
+			if len(k.poolB) < compress.NumBlocks(k.jLen)+compress.NumBlocks(k.cLen) {
+				k.poolB = append(k.poolB, blk)
+			}
+		}
+	}
+	if h.blk != nil {
+		k.bumpResident(int64(-8 * len(h.blk)))
+		if len(k.poolIdx[i]) < k.cd.depth {
+			k.poolIdx[i] = append(k.poolIdx[i], h.blk)
+		}
+	}
+	*h = held{}
+}
+
+// sameBlocks reports whether blk holds flat's values, bit for bit.
+func sameBlocks(blk compress.Blocks, flat []float64) bool {
+	for b, v := range blk {
+		vals := flat[b*compress.BlockLen : min((b+1)*compress.BlockLen, len(flat))]
+		if !sameBits(vals, v[:len(vals)]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameArray reports whether a and b are one array.
+func sameArray(a, b []float64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // admitFrame brings p to rest as st's frame: sidecars first, then the fault
 // window — rot after the checksum was taken is exactly what the sidecar
@@ -491,14 +642,16 @@ func (k *core) heal(st *stepRec) {
 	k.stats.Repairs++
 }
 
-// closeCore drops every step, the pool and the arena (whose memory goes now,
-// or on the last reader's unpin). The records are emptied in place before
-// the list goes: a goroutine that outlived the run may still hold one.
+// closeCore drops every step, the pools and the arena (whose memory goes now,
+// or on the last reader's unpin), and with them everything resident. The
+// records are emptied in place before the list goes: a goroutine that
+// outlived the run may still hold one.
 func (k *core) closeCore() {
 	for _, st := range k.steps {
-		*st = stepRec{heldFrame: heldFrame{released: true}}
+		*st = stepRec{released: true}
 	}
-	k.steps, k.poolJ, k.poolC, k.shared = nil, nil, nil, nil
+	k.steps, k.poolJ, k.poolC, k.poolB, k.poolIdx, k.shared = nil, nil, nil, nil, [2][]compress.Blocks{}, nil
+	k.bumpResident(-k.resident)
 	k.arena.close()
 	k.ob.arenaBytes.Set(float64(k.arena.offHeapBytes()))
 }

@@ -4,13 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
+	"masc/internal/blobframe"
 	"masc/internal/compress"
 	"masc/internal/compress/chimpz"
 	"masc/internal/compress/masczip"
+	"masc/internal/faultinject"
 	"masc/internal/sparse"
 )
 
@@ -45,22 +48,35 @@ func (s *spyCodec) stepOf(v []float64) int {
 	return -1
 }
 
-func (s *spyCodec) steps(hist [][]float64) []int {
+// stepOfBlocks finds the fixture step whose frame has b's bits.
+func (s *spyCodec) stepOfBlocks(b compress.Blocks) int {
+	for i, f := range s.frames {
+		if sameBlocks(b, f) {
+			return i
+		}
+	}
+	return -1
+}
+
+func (s *spyCodec) steps(hist compress.History) []int {
 	out := []int{}
-	for _, h := range hist {
-		out = append(out, s.stepOf(h))
+	if hist.Near != nil {
+		out = append(out, s.stepOf(hist.Near))
+	}
+	for _, b := range hist.Far {
+		out = append(out, s.stepOfBlocks(b))
 	}
 	return out
 }
 
-func (s *spyCodec) CompressHistory(dst []byte, cur []float64, hist, states [][]float64) []byte {
+func (s *spyCodec) CompressHistory(dst []byte, cur []float64, hist compress.History, states [][]float64) []byte {
 	s.log.mu.Lock()
 	s.log.sealed[s.stepOf(cur)] = s.steps(hist)
 	s.log.mu.Unlock()
 	return s.Compressor.CompressHistory(dst, cur, hist, states)
 }
 
-func (s *spyCodec) DecompressHistory(cur []float64, blob []byte, hist, states [][]float64) error {
+func (s *spyCodec) DecompressHistory(cur []float64, blob []byte, hist compress.History, states [][]float64) error {
 	err := s.Compressor.DecompressHistory(cur, blob, hist, states)
 	s.log.mu.Lock()
 	s.log.decoded[s.stepOf(cur)] = s.steps(hist)
@@ -197,55 +213,78 @@ func TestHistoryStopsAtAnchorsAndHead(t *testing.T) {
 
 // TestRepairRestoresHistoryBelow: a step whose blob went bad mid-chain is
 // recomputed and repaired; the depth steps below it decode against the
-// repaired frame among their history, and every one comes back bit for bit.
+// repaired frame among their history, every one comes back bit for bit, and
+// the frames above it — which on the sharing fixture hold one another's
+// blocks — are bit-identical after the repair to what they were before.
 func TestRepairRestoresHistoryBelow(t *testing.T) {
 	const steps, bad = 30, 17
+	type fixture struct {
+		name   string
+		jp, cp *sparse.Pattern
+		js, cs [][]float64
+	}
+	var fixtures []fixture
 	jp, cp, js, cs := movingFixture(92, 16, steps)
-	for _, async := range []bool{false, true} {
-		jc, cc := newSpy(jp, masczip.Options{}, js), newSpy(cp, masczip.Options{}, cs)
-		st := NewCompressedStore(jc, cc, jp, cp)
-		if async {
-			st = NewCompressedStoreAsync(jc, cc, jp, cp, 2)
-		}
-		for i := range js {
-			if err := st.Put(i, js[i], cs[i]); err != nil {
+	fixtures = append(fixtures, fixture{"moving", jp, cp, js, cs})
+	jp, cp, js, cs = sharingFixture(92, 40, steps)
+	fixtures = append(fixtures, fixture{"sharing", jp, cp, js, cs})
+	for _, fx := range fixtures {
+		jp, cp, js, cs := fx.jp, fx.cp, fx.js, fx.cs
+		for _, async := range []bool{false, true} {
+			jc, cc := newSpy(jp, masczip.Options{}, js), newSpy(cp, masczip.Options{}, cs)
+			st := NewCompressedStore(jc, cc, jp, cp)
+			if async {
+				st = NewCompressedStoreAsync(jc, cc, jp, cp, 2)
+			}
+			for i := range js {
+				if err := st.Put(i, js[i], cs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.EndForward(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := st.EndForward(); err != nil {
-			t.Fatal(err)
-		}
-		st.mu.Lock()
-		st.steps[bad].cBlob[len(st.steps[bad].cBlob)/2] ^= 0x04
-		st.mu.Unlock()
-		for i := steps - 1; i >= 0; i-- {
-			j, c, err := st.Fetch(i)
-			if i == bad {
-				if err == nil {
-					t.Fatalf("async=%v: the damaged step decoded", async)
+			st.mu.Lock()
+			st.steps[bad].cBlob[len(st.steps[bad].cBlob)/2] ^= 0x04
+			st.mu.Unlock()
+			for i := steps - 1; i >= 0; i-- {
+				j, c, err := st.Fetch(i)
+				if i == bad {
+					if err == nil {
+						t.Fatalf("async=%v: the damaged step decoded", async)
+					}
+					st.mu.Lock()
+					before := checksums(st, i+1)
+					st.mu.Unlock()
+					st.Repair(i, js[i], cs[i])
+					st.mu.Lock()
+					moved := sameSums(before, checksums(st, i+1))
+					st.mu.Unlock()
+					if moved != nil {
+						t.Fatalf("%s/async=%v: repairing step %d: %v", fx.name, async, i, moved)
+					}
+					j, c, err = st.Fetch(i)
 				}
-				st.Repair(i, js[i], cs[i])
-				j, c, err = st.Fetch(i)
+				if err != nil {
+					t.Fatalf("async=%v: fetch %d: %v", async, i, err)
+				}
+				if !sameBits(j, js[i]) || !sameBits(c, cs[i]) {
+					t.Fatalf("async=%v: step %d: bits differ", async, i)
+				}
+				if i < steps-1 {
+					st.Release(i + 1)
+				}
 			}
-			if err != nil {
-				t.Fatalf("async=%v: fetch %d: %v", async, i, err)
+			for s := bad - 1; s >= bad-st.cd.depth; s-- {
+				if got, want := fmt.Sprint(cc.log.decoded[s]), fmt.Sprint(wantHistory(s, steps-1, st.cd.depth, 0)); got != want {
+					t.Fatalf("async=%v: step %d, below the repaired one, decoded against %s, want %s", async, s, got, want)
+				}
 			}
-			if !sameBits(j, js[i]) || !sameBits(c, cs[i]) {
-				t.Fatalf("async=%v: step %d: bits differ", async, i)
+			if stats := st.Stats(); stats.Repairs != 1 || stats.CorruptBlobs != 1 {
+				t.Fatalf("async=%v: %d repairs, %d corruptions, want one of each", async, stats.Repairs, stats.CorruptBlobs)
 			}
-			if i < steps-1 {
-				st.Release(i + 1)
-			}
+			st.Close()
 		}
-		for s := bad - 1; s >= bad-st.cd.depth; s-- {
-			if got, want := fmt.Sprint(cc.log.decoded[s]), fmt.Sprint(wantHistory(s, steps-1, st.cd.depth, 0)); got != want {
-				t.Fatalf("async=%v: step %d, below the repaired one, decoded against %s, want %s", async, s, got, want)
-			}
-		}
-		if stats := st.Stats(); stats.Repairs != 1 || stats.CorruptBlobs != 1 {
-			t.Fatalf("async=%v: %d repairs, %d corruptions, want one of each", async, stats.Repairs, stats.CorruptBlobs)
-		}
-		st.Close()
 	}
 }
 
@@ -357,13 +396,24 @@ func TestIdenticalTensorHoldsOneFrame(t *testing.T) {
 	}
 }
 
-// TestHistoryWindowAccounting: on a tensor that moves, the forward window
-// holds depth+1 frames, the sweep depth+2 at its peak, HistoryBytes reads the
-// depth−1 frames past the nearest, and a finished sweep leaves only blobs.
+// TestHistoryWindowAccounting: on a tensor every value of which moves, the
+// forward window holds the nearest frame flat and up to depth−1 frames in
+// blocks, none shared; the sweep, at its peak, two flat frames — the one a
+// fetch decodes and its nearest reference — and depth−1 in blocks, which is
+// what HistoryBytes reads; and a finished sweep leaves only blobs.
 func TestHistoryWindowAccounting(t *testing.T) {
 	const steps = 30
 	jp, cp, js, cs := movingFixture(95, 16, steps)
+	for s := range js {
+		for k := range js[s] {
+			js[s][k] *= 1 + float64(s)*1e-3
+		}
+		for k := range cs[s] {
+			cs[s][k] *= 1 + float64(s)*1e-3
+		}
+	}
 	frame := int64(8 * (len(js[0]) + len(cs[0])))
+	blocked := blockedBytes(len(js[0])) + blockedBytes(len(cs[0]))
 	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
 	defer st.Close()
 	index := st.Stats().StoredBytes
@@ -375,29 +425,22 @@ func TestHistoryWindowAccounting(t *testing.T) {
 		st.mu.Lock()
 		plain := st.resident - (st.stats.StoredBytes - index)
 		st.mu.Unlock()
-		if want := min(int64(i+1), depth) * frame; plain != want {
-			t.Fatalf("after put %d: %d B of plaintext, want %d frames", i, plain, want/frame)
+		if want := frame + min(int64(i), depth-1)*blocked; plain != want {
+			t.Fatalf("after put %d: %d B of plaintext, want one flat frame (%d) and %d in blocks (%d each)",
+				i, plain, frame, min(int64(i), depth-1), blocked)
 		}
 	}
 	if err := st.EndForward(); err != nil {
 		t.Fatal(err)
 	}
 	stored := blobBytes(st, index)
-	for i := steps - 1; i >= 0; i-- {
-		if _, _, err := st.Fetch(i); err != nil {
-			t.Fatal(err)
-		}
-		if i < steps-1 {
-			st.Release(i + 1)
-		}
-	}
-	st.Release(0)
+	sweep(t, st, steps, func(int) { checkMeter(t, st, index) })
 	stats := st.Stats()
-	if want := stored + (depth+1)*frame; stats.PeakResident != want {
-		t.Fatalf("PeakResident %d, want the blobs (%d) and %d frames of %d", stats.PeakResident, stored, depth+1, frame)
+	if want := stored + 2*frame + (depth-1)*blocked; stats.PeakResident != want {
+		t.Fatalf("PeakResident %d, want the blobs (%d), two flat frames of %d and %d in blocks of %d", stats.PeakResident, stored, frame, depth-1, blocked)
 	}
-	if want := (depth - 1) * frame; stats.HistoryBytes != want {
-		t.Fatalf("HistoryBytes %d, want %d frames of %d", stats.HistoryBytes, depth-1, frame)
+	if want := (depth - 1) * blocked; stats.HistoryBytes != want {
+		t.Fatalf("HistoryBytes %d, want %d frames in blocks of %d", stats.HistoryBytes, depth-1, blocked)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -406,11 +449,252 @@ func TestHistoryWindowAccounting(t *testing.T) {
 	}
 }
 
+// sharingFixture is a tensor pair whose first tensor moves in one slot a step
+// and whose second moves in every slot, by a random walk no codec predicts:
+// neighbouring frames of the first share every block but one.
+func sharingFixture(seed int64, n, steps int) (jp, cp *sparse.Pattern, js, cs [][]float64) {
+	jp, cp, js, cs = tensorFixture(seed, n, 1)
+	rng := rand.New(rand.NewSource(seed))
+	for s := 1; s < steps; s++ {
+		j, c := append([]float64(nil), js[s-1]...), append([]float64(nil), cs[s-1]...)
+		j[(s*13)%len(j)] += 1 + rng.Float64()
+		for k := range c {
+			c[k] = rng.NormFloat64() * 1e-9
+		}
+		js, cs = append(js, j), append(cs, c)
+	}
+	return
+}
+
+// sweep fetches every step of a store's own sweep in descending order,
+// releasing each step above the one fetched, and calls after, when non-nil,
+// once each fetch has returned.
+func sweep(t *testing.T, st *CompressedStore, steps int, after func(step int)) {
+	t.Helper()
+	for i := steps - 1; i >= 0; i-- {
+		if _, _, err := st.Fetch(i); err != nil {
+			t.Fatalf("fetch %d: %v", i, err)
+		}
+		if after != nil {
+			after(i)
+		}
+		if i < steps-1 {
+			st.Release(i + 1)
+		}
+	}
+	st.Release(0)
+}
+
+// heldBytes walks every window frame of st, mu held, and a finished
+// prefetch's, and returns 8 × the length of the distinct arrays they hold: a
+// flat array or a block once however many frames hold it, and every frame's
+// block index.
+func heldBytes(st *CompressedStore) int64 {
+	flats, blocks := map[*float64]bool{}, map[*[compress.BlockLen]float64]bool{}
+	frames := []heldFrame{}
+	for _, rec := range st.steps {
+		frames = append(frames, rec.heldFrame)
+	}
+	if st.pf != nil && st.pf.err == nil {
+		frames = append(frames, flatFrame(st.pf.out))
+	}
+	n := int64(0)
+	for _, f := range frames {
+		for _, h := range f.t {
+			if len(h.flat) > 0 && !flats[&h.flat[0]] {
+				flats[&h.flat[0]] = true
+				n += int64(8 * len(h.flat))
+			}
+			n += int64(8 * len(h.blk))
+			for _, b := range h.blk {
+				if !blocks[b] {
+					blocks[b] = true
+					n += 8 * compress.BlockLen
+				}
+			}
+		}
+	}
+	return n
+}
+
+// checkMeter holds the resident meter to the memory the store's window
+// actually holds, beside its blobs and anchors, once a prefetch in flight has
+// decoded its frame.
+func checkMeter(t *testing.T, st *CompressedStore, index int64) {
+	t.Helper()
+	st.mu.Lock()
+	pf := st.pf
+	st.mu.Unlock()
+	if pf != nil {
+		<-pf.done
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	plain := st.resident - (st.stats.StoredBytes - index) - st.stats.AnchorBytes
+	if held := heldBytes(st); plain != held {
+		t.Fatalf("the meter reads %d B of plaintext, the window holds %d B", plain, held)
+	}
+}
+
+// TestBlockWindowAccounting: where neighbouring frames share blocks, the
+// sweep's peak is exactly the blobs, two flat frames, one full set of blocks,
+// the blocks each of the other depth−2 frames in blocks changed, and the
+// block indices of all depth−1 — the window HistoryBytes reads — and the
+// meter equals, after every put and fetch, 8 × the distinct arrays the
+// window holds.
+func TestBlockWindowAccounting(t *testing.T) {
+	const steps = 40
+	jp, cp, js, cs := sharingFixture(98, 40, steps)
+	nj, nc := compress.NumBlocks(len(js[0])), compress.NumBlocks(len(cs[0]))
+	if nj < 4 {
+		t.Fatalf("fixture too small: %d blocks of the first tensor", nj)
+	}
+	frame := int64(8 * (len(js[0]) + len(cs[0])))
+	for _, async := range []bool{false, true} {
+		st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+		if async {
+			st = NewCompressedStoreAsync(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 2)
+		}
+		index := st.Stats().StoredBytes
+		for i := range js {
+			if err := st.Put(i, js[i], cs[i]); err != nil {
+				t.Fatal(err)
+			}
+			checkMeter(t, st, index)
+		}
+		if err := st.EndForward(); err != nil {
+			t.Fatal(err)
+		}
+		stored := blobBytes(st, index)
+		sweep(t, st, steps, func(int) { checkMeter(t, st, index) })
+		far := int64(st.cd.depth - 1)
+		const block = 8 * compress.BlockLen
+		window := int64(nj+nc)*block + (far-1)*int64(1+nc)*block + far*int64(8*(nj+nc))
+		// The pipelined sweep prefetches below a frame it still holds flat,
+		// so only the serial one is pinned to the byte.
+		if stats := st.Stats(); !async && (stats.PeakResident != stored+2*frame+window || stats.HistoryBytes != window) {
+			t.Fatalf("PeakResident %d, HistoryBytes %d; want the blobs (%d), two flat frames of %d and %d B in blocks, which HistoryBytes reads",
+				stats.PeakResident, stats.HistoryBytes, stored, frame, window)
+		}
+		st.mu.Lock()
+		if st.resident != stored || len(st.shared) != 0 {
+			t.Fatalf("async=%v: after the sweep %d B resident beside %d B of blobs, %d shared arrays", async, st.resident, stored, len(st.shared))
+		}
+		st.mu.Unlock()
+		st.Close()
+	}
+}
+
+// checksums is, per resident window frame of st from step lo up, mu held,
+// the CRC32C of each tensor's values.
+func checksums(st *CompressedStore, lo int) map[int][2]uint32 {
+	out := map[int][2]uint32{}
+	for step := lo; step < len(st.steps); step++ {
+		f := &st.steps[step].heldFrame
+		if !f.resident() {
+			continue
+		}
+		var sum [2]uint32
+		for i, h := range f.t {
+			v := h.flat
+			if v == nil {
+				v = make([]float64, st.tensorLen(i))
+				for k := range v {
+					v[k] = h.blk.At(k)
+				}
+			}
+			sum[i] = blobframe.ChecksumFloat64(v)
+		}
+		out[step] = sum
+	}
+	return out
+}
+
+// TestSharedBlocksAreCopyOnWrite: frames that share blocks with their
+// neighbours stay bit-identical through what writes plaintext near them — a
+// decode, and float rot of an anchor's retained frame (a repair mid-chain:
+// TestRepairRestoresHistoryBelow).
+func TestSharedBlocksAreCopyOnWrite(t *testing.T) {
+	const steps, anchor = 40, 10
+	jp, cp, js, cs := sharingFixture(99, 40, steps)
+	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+	defer st.Close()
+	st.SetAnchorEvery(anchor)
+	for i := range js {
+		if err := st.Put(i, js[i], cs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.EndForward(); err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for i := steps - 1; i >= 0; i-- {
+		st.mu.Lock()
+		before := checksums(st, i+1)
+		for s := i + 1; s < steps-1; s++ {
+			for b, blk := range st.steps[s].t[0].blk {
+				if above := st.steps[s+1].t[0].blk; above != nil && above[b] == blk {
+					shared++
+				}
+			}
+		}
+		if i == anchor {
+			// Rot the anchor's retained frame: the fetch below it drops
+			// the frame and decodes the anchor's blob instead.
+			rot := faultinject.New(faultinject.Profile{BitFlipOneIn: 1})
+			if !rot.MutateFloats(anchor, st.steps[anchor].j) {
+				t.Fatal("no float rot injected")
+			}
+		}
+		st.mu.Unlock()
+		j, c, err := st.Fetch(i)
+		if err != nil {
+			t.Fatalf("fetch %d: %v", i, err)
+		}
+		if !sameBits(j, js[i]) || !sameBits(c, cs[i]) {
+			t.Fatalf("step %d: bits differ", i)
+		}
+		st.mu.Lock()
+		after := checksums(st, i+1)
+		st.mu.Unlock()
+		if err := sameSums(before, after); err != nil {
+			t.Fatalf("fetching step %d: %v", i, err)
+		}
+		if i < steps-1 {
+			st.Release(i + 1)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no frame shared a block with its neighbour: the fixture tests nothing")
+	}
+	if stats := st.Stats(); stats.CorruptBlobs != 1 {
+		t.Fatalf("%d corruptions, want one: the rotted anchor", stats.CorruptBlobs)
+	}
+}
+
+// sameSums reports, by name, a frame whose checksums moved between before and
+// after; frames no longer resident in after are not compared.
+func sameSums(before, after map[int][2]uint32) error {
+	for step, sum := range before {
+		if got, ok := after[step]; ok && got != sum {
+			return fmt.Errorf("the frame of step %d changed", step)
+		}
+	}
+	return nil
+}
+
 // TestEarlyCloseLeaksNoFrame: closing a store whose newest steps still wait
-// for their history — sync or with jobs queued, states attached — stops the
-// worker, drops every frame, record and state reference, and reports no error.
+// for their history — sync or with jobs queued, states attached, on a tensor
+// whose frames share blocks — stops the worker, drops every frame, block,
+// record and state reference, leaves no array with a holder and nothing
+// resident, and reports no error.
 func TestEarlyCloseLeaksNoFrame(t *testing.T) {
 	jp, cp, js, cs, xs := voltageFixture(96, voltageNodes, 12)
+	for s := 1; s < len(js); s++ {
+		js[s] = append([]float64(nil), js[s-1]...)
+		js[s][(s*13)%len(js[s])]++
+	}
 	for _, queue := range []int{0, 1, 4} {
 		for _, puts := range []int{1, 3, 12} {
 			jc, cc := masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{})
@@ -424,6 +708,12 @@ func TestEarlyCloseLeaksNoFrame(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			st.mu.Lock()
+			shared := len(st.shared)
+			st.mu.Unlock()
+			if puts > 1 && shared == 0 {
+				t.Fatalf("queue %d, %d puts: no block shared before Close", queue, puts)
+			}
 			if err := st.Close(); err != nil {
 				t.Fatalf("queue %d, %d puts: Close: %v", queue, puts, err)
 			}
@@ -435,9 +725,9 @@ func TestEarlyCloseLeaksNoFrame(t *testing.T) {
 				}
 			}
 			st.mu.Lock()
-			if st.steps != nil || st.poolJ != nil || st.poolC != nil || st.shared != nil || !st.arena.closed {
-				t.Fatalf("queue %d, %d puts: Close left %d records, %d+%d pooled arrays, %d shared",
-					queue, puts, len(st.steps), len(st.poolJ), len(st.poolC), len(st.shared))
+			if st.steps != nil || st.poolJ != nil || st.poolC != nil || st.poolB != nil || st.shared != nil || !st.arena.closed || st.resident != 0 {
+				t.Fatalf("queue %d, %d puts: Close left %d records, %d+%d pooled arrays, %d pooled blocks, %d shared, %d B resident",
+					queue, puts, len(st.steps), len(st.poolJ), len(st.poolC), len(st.poolB), len(st.shared), st.resident)
 			}
 			st.mu.Unlock()
 			if err := st.Put(puts, js[0], cs[0]); err == nil {

@@ -12,7 +12,8 @@
 // every store shares the Put contract, the resident meter and the one Attach
 // call (storeBase). CompressedStore is the chain policy over it — the
 // paper's Algorithm 2: every blob in RAM, each predicted from the steps above
-// it (as many as its codecs read, held in a window of plaintext frames), sync
+// it (as many as its codecs read, held in a window of plaintext frames: the
+// nearest flat, the deeper ones as the blocks they changed), sync
 // or pipelined, over the codecs its caller names. One reverse reader,
 // StoreSlice, brings its steps back: the store's own sweep is its reader over
 // [0, n], a window view is the same reader with forked codecs and a private
@@ -69,9 +70,10 @@ type Stats struct {
 	AnchorBytes int64
 	// HistoryBytes is the most plaintext any one seal or decode of the
 	// compressed store read beyond its nearest reference frame — the deeper
-	// frames a history codec extrapolates from, shared arrays counted once.
-	// The store holds them, so they are inside PeakResident: this is the part
-	// of it a one-reference chain would not have.
+	// frames a history codec extrapolates from, held as the blocks they
+	// changed: shared arrays and blocks counted once, with the frames' block
+	// indices. The store holds them, so they are inside PeakResident: this is
+	// the part of it a one-reference chain would not have.
 	HistoryBytes int64
 
 	// Tiered-store placement accounting (TieredStore only). The per-tier

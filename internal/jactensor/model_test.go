@@ -82,9 +82,18 @@ func chainedBound(depth int) func(f *modelFixture, steps int, stored int64, anch
 	// their history, the frames a queue of the given depth can hold (one
 	// admitted, one running, depth waiting), the anchors, and what the sweep
 	// holds — its own hist frames of history are in held — plus one prefetch.
+	// A frame is counted at what it costs held in blocks, none of them shared:
+	// its values padded to whole blocks, and its block index.
 	return func(f *modelFixture, _ int, stored int64, anchors, held, hist int) int64 {
-		return stored + int64(3+depth+anchors+held+1+hist)*f.frame
+		frame := max(f.frame, blockedBytes(len(f.js[0]))+blockedBytes(len(f.cs[0])))
+		return stored + int64(3+depth+anchors+held+1+hist)*frame
 	}
+}
+
+// blockedBytes is what n values cost held in blocks none of which is shared:
+// the blocks, the last one padded, and the index of their pointers.
+func blockedBytes(n int) int64 {
+	return int64(8 * compress.NumBlocks(n) * (compress.BlockLen + 1))
 }
 
 func tieredShape(name string, budgetFrames int64, noDisk bool) modelShape {

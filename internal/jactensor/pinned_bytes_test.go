@@ -67,9 +67,16 @@ type pinnedBytes struct {
 // holds moves otherwise: voltage/tiered 0.9 % more (371057 → 374450),
 // selfcontained/tiered 1.8 % less, and chained/tiered — no blob on the
 // compressed rung under this clock — the same bytes and stream, its peak 57 B
-// lower. The pipelined store's peak depends on how far the worker and the
-// prefetch run ahead, so it is bounded (by the synchronous peak plus the
-// frames the queue can hold), not pinned.
+// lower. The chain rows' peaks were re-recorded alone when the history window
+// began to hold the frames past the nearest in blocks: every value of these
+// fixtures' second tensor moves each step, so a block is rarely shared and a
+// frame in blocks costs its index and the padding of its last block beside
+// its values — the peaks rose 1.3 % on "voltage" (sync 242116 → 245332),
+// 2.7 % on "chained" (63476 → 65172) and 3.1 % on "selfcontained"
+// (34600 → 35656); the benchmark's tensors, whose frames share most blocks,
+// hold 7.6 % less. The pipelined store's peak depends on how far the worker
+// and the prefetch run ahead, so it is bounded (by the synchronous peak plus
+// the frames the queue can hold, each at its cost in blocks), not pinned.
 func TestPinnedStoreBytes(t *testing.T) {
 	const steps = 120
 	type fixture struct {
@@ -127,24 +134,25 @@ func TestPinnedStoreBytes(t *testing.T) {
 		}},
 	}
 	want := map[string]pinnedBytes{
-		"voltage/masc-sync":                     {stored: 142907, peak: 242116, stream: 0x567c6695025847f7},
+		"voltage/masc-sync":                     {stored: 142907, peak: 245332, stream: 0x567c6695025847f7},
 		"voltage/masc-async2":                   {stored: 142907, peak: -1, stream: 0x567c6695025847f7},
-		"voltage/masc-anchors50":                {stored: 174932, peak: 299469, stream: 0xf8d634c29fa23332},
-		"voltage/markov-sync":                   {stored: 138764, peak: 237973, stream: 0x96789b46e3542b4e},
+		"voltage/masc-anchors50":                {stored: 174932, peak: 302685, stream: 0xf8d634c29fa23332},
+		"voltage/markov-sync":                   {stored: 138764, peak: 241189, stream: 0x96789b46e3542b4e},
 		"voltage/tiered-quarter-diskless":       {stored: 374450, peak: 404182, stream: 0x682f1cda50c734a5},
-		"chained/masc-sync":                     {stored: 39435, peak: 63476, stream: 0x9ed9ce7648c5d046},
+		"chained/masc-sync":                     {stored: 39435, peak: 65172, stream: 0x9ed9ce7648c5d046},
 		"chained/masc-async2":                   {stored: 39435, peak: -1, stream: 0x9ed9ce7648c5d046},
-		"chained/masc-anchors50":                {stored: 45378, peak: 75547, stream: 0x5c2ebdec6671cec5},
-		"chained/markov-sync":                   {stored: 38898, peak: 62939, stream: 0x7664747e93a6bf06},
+		"chained/masc-anchors50":                {stored: 45378, peak: 76987, stream: 0x5c2ebdec6671cec5},
+		"chained/markov-sync":                   {stored: 38898, peak: 64635, stream: 0x7664747e93a6bf06},
 		"chained/tiered-quarter-diskless":       {stored: 91920, peak: 98255, stream: 0x4222caa0e70ae523},
-		"selfcontained/masc-sync":               {stored: 26546, peak: 34600, stream: 0x31dbee90ee44042a},
+		"selfcontained/masc-sync":               {stored: 26546, peak: 35656, stream: 0x31dbee90ee44042a},
 		"selfcontained/masc-async2":             {stored: 26546, peak: -1, stream: 0x31dbee90ee44042a},
-		"selfcontained/masc-anchors50":          {stored: 29766, peak: 41452, stream: 0x51332807a750d7b6},
-		"selfcontained/markov-sync":             {stored: 28719, peak: 36773, stream: 0x92f25bbe66f0bfeb},
+		"selfcontained/masc-anchors50":          {stored: 29766, peak: 42332, stream: 0x51332807a750d7b6},
+		"selfcontained/markov-sync":             {stored: 28719, peak: 37829, stream: 0x92f25bbe66f0bfeb},
 		"selfcontained/tiered-quarter-diskless": {stored: 43807, peak: 47978, stream: 0xf487a1a9417f55e1},
 	}
 	for _, f := range fixtures {
-		frame := int64(8 * (len(f.js[0]) + len(f.cs[0])))
+		// A frame at what it costs in the window: in blocks, none shared.
+		frame := max(int64(8*(len(f.js[0])+len(f.cs[0]))), blockedBytes(len(f.js[0]))+blockedBytes(len(f.cs[0])))
 		syncPeak := want[f.name+"/masc-sync"].peak
 		for _, sh := range shapes {
 			name := f.name + "/" + sh.name

@@ -70,48 +70,105 @@ func (sl *StoreSlice) held(step int) *heldFrame {
 	return &sl.out[step-sl.lo]
 }
 
-// gather collects in the reader's scratch, nearest first, the frames of its
-// window that step's blob is — or was — sealed against: up to cd.depth
-// resident ones above it, none past the nearest anchor (an anchor itself has
-// none), so a window slice that starts at that anchor sees the history the
-// forward pass did; and the states of step and of those frames' steps, when
-// every one of them has one. It also meters what the history costs beyond the
-// one frame a one-reference chain holds: the bytes of the distinct arrays past
-// the nearest (the states are the caller's, not the store's). mu must be held.
+// gather collects, nearest first, the frames of the reader's window that
+// step's blob is — or was — sealed against: up to cd.depth resident ones above
+// it, none past the nearest anchor (an anchor itself has none), so a window
+// slice that starts at that anchor sees the history the forward pass did; and
+// the states of step and of those frames' steps, when every one of them has
+// one. It places the window as the codec reads it (held): step's own frame,
+// when resident, and the nearest are flat; a frame past the nearest is paged
+// to blocks unless the sweep still holds it or it holds the flat array of the
+// frame below, which stays flat — a frame at no cost. Which stay flat is
+// decided from the nearest up; the others are paged from the top down, so
+// each shares the blocks of the frame above it. It also meters what the
+// history costs beyond the one frame a one-reference chain holds: the
+// distinct arrays past the nearest and their block indices (the states are
+// the caller's, not the store's). mu must be held.
 func (sl *StoreSlice) gather(step int) history {
-	p, cd := sl.p, sl.cd
-	h := history{j: cd.hist.j[:0], c: cd.hist.c[:0]}
-	extra := int64(0)
-	for t := step + 1; t <= step+cd.depth && !p.steps[t-1].pinned; t++ {
+	p, w := sl.p, &sl.cd.win
+	fs := w.frames[:0]
+	for t := step + 1; t <= step+sl.cd.depth && !p.steps[t-1].pinned; t++ {
 		f := sl.held(t)
-		if f == nil || f.out.j == nil {
+		if f == nil || !f.resident() {
 			break
 		}
-		if n := len(h.j); n > 0 {
-			extra += distinctBytes(f.out.j, h.j[n-1]) + distinctBytes(f.out.c, h.c[n-1])
-		}
-		h.j, h.c = append(h.j, f.out.j), append(h.c, f.out.c)
+		fs = append(fs, f)
 	}
-	p.stats.HistoryBytes = max(p.stats.HistoryBytes, extra)
-	if len(h.j) > 0 {
-		h.x = cd.hist.x[:0]
-		for t := step; t <= step+len(h.j); t++ {
-			if p.steps[t].x == nil {
-				h.x = nil
-				break
-			}
-			h.x = append(h.x, p.steps[t].x)
+	w.frames = fs
+	own := sl.held(step)
+	if own != nil {
+		p.flatten(own, nil)
+	}
+	if len(fs) == 0 {
+		return history{}
+	}
+	p.flatten(fs[0], own)
+	w.keep[0] = [2]bool{true, true}
+	for n := 1; n < len(fs); n++ {
+		for i := range 2 {
+			v := fs[n].t[i].flat
+			w.keep[n][i] = v != nil && (fs[n].lent || w.keep[n-1][i] && sameArray(v, fs[n-1].t[i].flat))
 		}
+	}
+	for n := len(fs) - 1; n >= 1; n-- {
+		above := sl.held(step + n + 2)
+		for i := range 2 {
+			if h := &fs[n].t[i]; h.flat != nil && !w.keep[n][i] {
+				var nb compress.Blocks
+				if above != nil {
+					nb = above.t[i].blk
+				}
+				p.toBlocks(i, h, nb)
+			}
+		}
+	}
+
+	h := history{j: compress.History{Near: fs[0].t[0].flat}, c: compress.History{Near: fs[0].t[1].flat}}
+	extra := int64(0)
+	for i := range 2 {
+		far := w.far[i][:0]
+		for n := 1; n < len(fs); n++ {
+			t := fs[n].t[i]
+			extra += distinctBytes(t, fs[n-1].t[i])
+			b := t.blk
+			if b == nil {
+				b = compress.View(w.views[i][n-1][:0], t.flat, &w.tails[i][n-1])
+				w.views[i][n-1] = b
+			}
+			far = append(far, b)
+		}
+		w.far[i] = far
+	}
+	h.j.Far, h.c.Far = w.far[0], w.far[1]
+	p.stats.HistoryBytes = max(p.stats.HistoryBytes, extra)
+	h.x = w.x[:0]
+	for t := step; t <= step+len(fs); t++ {
+		if p.steps[t].x == nil {
+			h.x = nil
+			break
+		}
+		h.x = append(h.x, p.steps[t].x)
 	}
 	return h
 }
 
-// distinctBytes is v's size unless it is the array prev.
-func distinctBytes(v, prev []float64) int64 {
-	if len(v) == 0 || &v[0] == &prev[0] {
-		return 0
+// distinctBytes is what v costs beside prev, the frame below it: its flat
+// array unless it is prev's; its block index and every block not prev's at
+// the same place.
+func distinctBytes(v, prev held) int64 {
+	if v.flat != nil {
+		if sameArray(v.flat, prev.flat) {
+			return 0
+		}
+		return int64(8 * len(v.flat))
 	}
-	return int64(8 * len(v))
+	n := int64(8 * len(v.blk))
+	for b, blk := range v.blk {
+		if prev.blk == nil || prev.blk[b] != blk {
+			n += 8 * compress.BlockLen
+		}
+	}
+	return n
 }
 
 // dead reports whether step's frame is one no decode will read again. The
@@ -123,8 +180,8 @@ func (sl *StoreSlice) dead(step int) bool { return step >= sl.at+sl.cd.depth || 
 // mu must be held.
 func (sl *StoreSlice) trim() {
 	for t := sl.at; t <= sl.at+sl.cd.depth; t++ {
-		if f := sl.held(t); f != nil && f.released && sl.dead(t) {
-			sl.p.giveBack(&f.out)
+		if f := sl.held(t); f != nil && !f.lent && sl.dead(t) {
+			sl.p.giveBack(f)
 		}
 	}
 }
@@ -156,19 +213,18 @@ func (sl *StoreSlice) fetch(step int) (out pair, decoded bool, err error) {
 		p.mu.Unlock()
 		return pair{}, false, err
 	}
-	if mine.out.j != nil {
+	if mine.resident() {
 		sl.at = min(sl.at, step)
+		p.flatten(mine, nil)
 	} else {
 		st := p.steps[step]
-		src := st.out
-		if src.j == nil {
-			src = p.anchorLocked(st)
-		}
 		var h history
-		if src.j != nil {
+		if st.resident() {
+			out = pair{p.flatOf(0, st.t[0]), p.flatOf(1, st.t[1])}
+		} else if src := p.anchorLocked(st); src.j != nil {
 			out = p.copyFrame(src)
 			p.bumpResident(p.frameBytes)
-		} else if h = sl.gather(step); len(h.j) == 0 && step != sl.hi && !st.pinned {
+		} else if h = sl.gather(step); h.j.Near == nil && step != sl.hi && !st.pinned {
 			p.mu.Unlock()
 			return pair{}, false, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
 		}
@@ -179,10 +235,10 @@ func (sl *StoreSlice) fetch(step int) (out pair, decoded bool, err error) {
 			}
 		}
 		p.mu.Lock()
-		mine.out, sl.at = out, step
+		*mine, sl.at = flatFrame(out), step
 	}
-	out = mine.out
-	mine.released = false
+	out = mine.flatPair()
+	mine.lent = true
 	sl.trim()
 	p.mu.Unlock()
 	p.ob.fetches.Inc()
@@ -197,8 +253,8 @@ func (sl *StoreSlice) Release(step int) {
 	sl.p.mu.Lock()
 	defer sl.p.mu.Unlock()
 	if f := sl.held(step); f != nil {
-		if f.released = true; sl.dead(step) {
-			sl.p.giveBack(&f.out)
+		if f.lent = false; sl.dead(step) {
+			sl.p.giveBack(f)
 		}
 	}
 }
@@ -217,8 +273,8 @@ func (sl *StoreSlice) Repair(step int, jVals, cVals []float64) {
 	}
 	rsp := p.ob.rec.Start(p.ob.spanParent(), span.Repair, step)
 	defer rsp.End()
-	p.giveBack(&f.out)
-	*f = heldFrame{out: p.copyFrame(pair{jVals, cVals})}
+	p.giveBack(f)
+	*f = flatFrame(p.copyFrame(pair{jVals, cVals}))
 	p.bumpResident(p.frameBytes)
 	p.heal(p.steps[step])
 }
