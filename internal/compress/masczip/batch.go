@@ -50,24 +50,25 @@ import (
 // The residual is z, the signed distance between the ordered integers of the
 // value and of the chosen candidate (ordered, history.go), zigzagged so that
 // a short step either way is a small number — 0 where the candidate is exact.
-// Its length L = bits.Len64(z), 0…64, is coded against the region's running
-// estimate E of the lengths before it:
+// Its length L = bits.Len64(z), 0…64, is coded with the region's own length
+// code (lengthcode.go: a canonical Huffman code over the lengths of the
+// region's misses, its table right before the first of them):
 //
-//	EG0(zigzag(L − E)) + the L − 1 bits of z below its leading one
+//	code(L) + the L − 1 bits of z below its leading one
 //
-// where EG0(u) is u + 1 in 2·bits.Len64(u+1) − 1 bits (order-0 exp-Golomb), E
-// is (a + 8) >> 4 and a, in sixteenths of a bit, starts each region at 0 and
-// moves a quarter of the way to 16·L after every miss (lengthModel). A value a
-// few units in the last place from its prediction costs a few bits whatever
-// bits the two differ in — the XOR of 1.0 and its predecessor has 53.
+// A value a few units in the last place from its prediction costs a few bits
+// whatever bits the two differ in — the XOR of 1.0 and its predecessor has 53.
 //
-// The encoder scans ahead for each run and writes it in one or two calls, the
-// decoder counts it with one LeadingZeros64(^word) over a peeked window. Misses
-// are fused too: the encoder packs marker + selector + length code + payload
-// into a single WriteBits word, and the decoder extracts all of them from the
-// same peeked window that delimited a preceding short run, consuming run and
-// miss with one Skip (longRun + 1 + 2 + 15 bits of fixed fields always fit).
-// Candidate predictions are only computed for misses.
+// The encoder decides a region before it writes it: hit runs, markers,
+// selectors and counts gather into the prefix of the residual they precede
+// (put), each residual closes an event (putResidual), and when the region is
+// decided its lengths' code is built and the events are written behind its
+// table (writeRegion), each in one WriteBits word wherever prefix + length
+// code + payload fit in 64 bits. The encoder scans ahead for each run; the
+// decoder counts it with one LeadingZeros64(^word) over a peeked window and
+// extracts the miss behind a short run from the same window, consuming run
+// and miss with one Skip (longRun + 1 + 2 + maxCodeLen bits of fixed fields
+// always fit). Candidate predictions are only computed for misses.
 //
 // The element-at-a-time transcription of the format lives in
 // reference_test.go; the property test in batch_test.go proves byte identity
@@ -90,9 +91,13 @@ type regionCoder struct {
 	hitSym uint8 // the hit predictor as a selector symbol: 0 temporal, 1 mate (L) / stamp (D)
 	prev   uint8 // Markov chain state
 	table  []uint8
-	selLen uint // width of the best-fit selector: 2 bits for four symbols, 1 for D's two
-	length lengthModel
+	selLen uint  // width of the best-fit selector: 2 bits for four symbols, 1 for D's two
 	same   int32 // consecutive misses with symbol prev since the last hit, symbol change or miss-run count
+
+	// Decoder only: the region's length decode table (readLengthTable), nil
+	// until its first miss, indexed by the next lutBits bits.
+	lut     []uint16
+	lutBits uint
 }
 
 // missed books a coded miss of symbol sym, prev's symbol before it, and
@@ -119,44 +124,6 @@ func (cc *chunkCoder) regions() [3]regionCoder {
 		{rg: regionL, slots: pl.lSlots, lo: pl.lRowPtr[lo], hi: pl.lRowPtr[hi], table: cc.tables.l[:], selLen: 2, hitSym: mate},
 		{rg: regionD, slots: pl.dSlots, lo: pl.dRowPtr[lo], hi: pl.dRowPtr[hi], table: cc.tables.d[:], selLen: 1, hitSym: stamp},
 	}
-}
-
-// lengthModel is a region's running estimate of its residual lengths, in
-// sixteenths of a bit.
-type lengthModel int32
-
-// maxLengthZeros is the most leading zeros a length code can have: zigzag(L−E)
-// is at most 128 for L and E in 0…64, and 129 has 8 bits.
-const maxLengthZeros = 7
-
-// expected is E, the length the estimate predicts: a sixteenth of it, rounded
-// half up.
-func (m lengthModel) expected() int32 { return (int32(m) + 8) >> 4 }
-
-// code returns the exp-Golomb code of residual length l against the estimate,
-// and its width, and moves the estimate toward l.
-func (m *lengthModel) code(l int32) (uint64, uint) {
-	e := l - m.expected()
-	v := uint64(e<<1^e>>31) + 1
-	m.learn(l)
-	return v, uint(2*bits.Len64(v) - 1)
-}
-
-// decode returns the length the code value v stands for, or −1 if that is not
-// one of 0…64, and moves the estimate toward it.
-func (m *lengthModel) decode(v uint64) int32 {
-	u := int32(v - 1)
-	l := m.expected() + (u>>1 ^ -(u & 1))
-	if l < 0 || l > 64 {
-		return -1
-	}
-	m.learn(l)
-	return l
-}
-
-// learn moves the estimate a quarter of the way to l.
-func (m *lengthModel) learn(l int32) {
-	*m += lengthModel((l<<4 - int32(*m)) >> 2)
 }
 
 // cands computes the candidate predictions for position k of region r.
@@ -256,16 +223,98 @@ func (cc *chunkCoder) fillHits(r *regionCoder, k, n int32) {
 	r.prev, r.same = r.hitSym, 0
 }
 
-// encodeRun writes a run of n hits and tallies it: its stream bits are
+// event is a piece of a region the encoder has decided and not yet written:
+// the bits since the previous residual — hit runs, a marker, a selector, a
+// miss-run count — MSB-first, then a residual of length l, or none (l =
+// noResidual) where the prefix is the region's tail or a field too long to
+// share a word with a length code.
+type event struct {
+	pre  uint64
+	z    uint64
+	preN uint8
+	l    uint8
+}
+
+// put appends the n-bit field v to the prefix being gathered. A prefix stays
+// within maxPrefix bits, so that its residual's length code fits the same
+// word: a field that would pass that closes the prefix first, and one that
+// passes it alone is an event of its own.
+func (cc *chunkCoder) put(v uint64, n uint) {
+	if uint(cc.preN)+n > maxPrefix {
+		cc.closePrefix()
+		if n > maxPrefix {
+			cc.events = append(cc.events, event{pre: v, preN: uint8(n), l: noResidual})
+			return
+		}
+	}
+	cc.pre = cc.pre<<n | v
+	cc.preN += uint8(n)
+}
+
+// closePrefix makes the gathered prefix an event of its own, if there is one.
+func (cc *chunkCoder) closePrefix() {
+	if cc.preN > 0 {
+		cc.events = append(cc.events, event{pre: cc.pre, preN: cc.preN, l: noResidual})
+		cc.pre, cc.preN = 0, 0
+	}
+}
+
+// putResidual closes the gathered prefix with the residual z and counts its
+// length for the region's code: the bits below its leading one are payload
+// now, its length code when the code is known.
+func (cc *chunkCoder) putResidual(z uint64) {
+	l := bits.Len64(z)
+	cc.events = append(cc.events, event{pre: cc.pre, z: z, preN: cc.preN, l: uint8(l)})
+	cc.pre, cc.preN = 0, 0
+	cc.lengths.counts[l]++
+	cc.stats.LZHist[(64-l)>>3]++
+	cc.stats.PayloadBits += int64(max(l, 1) - 1)
+}
+
+// writeRegion builds the decided region's length code and writes its events
+// to w, the table before the first length code: each event in one WriteBits
+// word where prefix, length code and payload fit, else with one more for the
+// payload (a prefix is at most maxPrefix bits, so its code always fits
+// beside it).
+func (cc *chunkCoder) writeRegion(w *bitstream.Writer) {
+	cc.closePrefix()
+	lc := &cc.lengths
+	lc.build()
+	table := true
+	for _, e := range cc.events {
+		if e.l == noResidual {
+			w.WriteBits(e.pre, uint(e.preN))
+			continue
+		}
+		if table {
+			w.WriteBits(e.pre, uint(e.preN))
+			e.pre, e.preN, table = 0, 0, false
+			cc.stats.PayloadBits += int64(lc.write(w))
+		}
+		code, g := uint64(lc.codes[e.l]), uint(lc.lens[e.l])
+		pn := uint(max(e.l, 1) - 1) // the bits below the leading one
+		payload := e.z & (1<<pn - 1)
+		if n := uint(e.preN) + g + pn; n <= 64 {
+			w.WriteBits(e.pre<<(g+pn)|code<<pn|payload, n)
+		} else {
+			w.WriteBits(e.pre<<g|code, uint(e.preN)+g)
+			w.WriteBits(payload, pn)
+		}
+		cc.stats.PayloadBits += int64(g)
+	}
+	cc.events, *lc = cc.events[:0], lengthCode{}
+}
+
+// encodeRun gathers a run of n hits and tallies it: its stream bits are
 // payload, its elements land in the zero-residual histogram bucket.
-func (cc *chunkCoder) encodeRun(w *bitstream.Writer, r *regionCoder, n int32) {
+func (cc *chunkCoder) encodeRun(r *regionCoder, n int32) {
 	if n < longRun {
-		w.WriteOnes(int(n))
+		cc.put(1<<n-1, uint(n))
 		cc.stats.PayloadBits += int64(n)
 	} else {
-		w.WriteOnes(longRun)
+		cc.put(1<<longRun-1, longRun)
 		cc.stats.PayloadBits += longRun
-		cc.writeCount(w, uint64(n-longRun+1))
+		cc.putCount(uint64(n - longRun + 1))
 	}
 	r.prev, r.same = r.hitSym, 0
 	cc.stats.Elements += int64(n)
@@ -277,23 +326,21 @@ func (cc *chunkCoder) encodeRun(w *bitstream.Writer, r *regionCoder, n int32) {
 // the run it counts — a hit run after longRun '1' bits, or the misses a miss
 // run covers — which may not pass the rem positions the region has left.
 func decodeCount(r *bitstream.Reader, what string, base, rem int32) (int32, error) {
-	w, _ := r.Peek64()
-	z := uint(bits.LeadingZeros64(w))
-	if z >= 32 {
+	v, ok := readGamma(r)
+	if !ok {
 		return 0, fmt.Errorf("%s γ code has 32 or more leading zeros", what)
 	}
-	n := w>>(63-2*z) + uint64(base) - 1
-	r.Skip(2*z + 1)
+	n := v + uint64(base) - 1
 	if n > uint64(rem) {
 		return 0, fmt.Errorf("%s of %d exceeds the %d slots left", what, n, rem)
 	}
 	return int32(n), nil
 }
 
-// writeCount writes the γ field γ(v) of a run's length and books it.
-func (cc *chunkCoder) writeCount(w *bitstream.Writer, v uint64) {
+// putCount gathers the γ field γ(v) of a run's length and books it.
+func (cc *chunkCoder) putCount(v uint64) {
 	g := uint(2*bits.Len64(v) - 1) // the value's bits under one zero fewer
-	w.WriteBits(v, g)
+	cc.put(v, g)
 	cc.stats.RunLengthBits += int64(g)
 	cc.stats.PayloadBits += int64(g)
 }
@@ -319,10 +366,10 @@ func (cc *chunkCoder) closeRegion(r *regionCoder, w *bitstream.Writer, m *region
 	*m = now
 }
 
-// encodeMiss writes one element its hit predictor did not reproduce: the '0'
+// encodeMiss gathers one element its hit predictor did not reproduce: the '0'
 // marker (none when bare, after a length-coded run), the selector (best-fit
 // matrices only) and the residual.
-func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
+func (cc *chunkCoder) encodeMiss(val float64,
 	cands *[4]float64, nSyms int, r *regionCoder, bare bool) uint8 {
 
 	var sym uint8
@@ -341,7 +388,8 @@ func (cc *chunkCoder) encodeMiss(w *bitstream.Writer, val float64,
 		sym = r.table[r.prev]
 	}
 	cc.selected(r, val, cands[sym], sym)
-	cc.writeResidual(w, pre, preN, val, cands[sym], r)
+	cc.put(pre, preN)
+	cc.putResidual(residual(val, cands[sym]))
 	return sym
 }
 
@@ -375,26 +423,6 @@ func (cc *chunkCoder) covered(r *regionCoder, sym uint8, n int32) {
 		cc.stats.MarkovPredicted += int64(n)
 	}
 	cc.note(sym, r.rg, int64(n))
-}
-
-// writeResidual writes the preN-bit prefix pre (marker and selector) and the
-// residual of val against pred, packed into a single WriteBits word whenever
-// prefix + length code + payload fit in 64 bits (payloads long enough to spill
-// are written with one extra call).
-func (cc *chunkCoder) writeResidual(w *bitstream.Writer, pre uint64, preN uint, val, pred float64, r *regionCoder) {
-	z := residual(val, pred)
-	l := bits.Len64(z)
-	code, g := r.length.code(int32(l))
-	pn := uint(max(l, 1) - 1) // the bits below the leading one
-	payload := z & (1<<pn - 1)
-	if n := preN + g + pn; n <= 64 {
-		w.WriteBits(pre<<(g+pn)|code<<pn|payload, n)
-	} else {
-		w.WriteBits(pre<<g|code, preN+g)
-		w.WriteBits(payload, pn)
-	}
-	cc.stats.LZHist[(64-l)>>3]++
-	cc.stats.PayloadBits += int64(g + pn)
 }
 
 // missRunAhead finds the misses after position k that keep symbol sym — no
@@ -436,7 +464,15 @@ func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64, rc *
 		sym = rc.table[rc.prev]
 	}
 	rc.prev = sym
-	return cc.residualAt(r, off, w, rc, cc.cand(rc, k, sym))
+	if rc.lut == nil { // the region's first miss: its length table comes first
+		r.Skip(off)
+		if err := readLengthTable(r, rc, cc.lutBuf); err != nil {
+			return 0, err
+		}
+		w, _ = r.Peek64()
+		off = 0
+	}
+	return cc.residualAt(r, off, w, rc, cc.cand(rc, k, sym)), nil
 }
 
 // residualAt decodes the residual that starts at bit offset off of the
@@ -444,26 +480,19 @@ func (cc *chunkCoder) decodeMissAt(r *bitstream.Reader, off uint, w uint64, rc *
 // extracted from the word, and everything from the window's start to the
 // residual's end is consumed with a single Skip. off ≤ longRun + 1 + 2, so
 // every fixed field lies inside the window; only a long payload needs the
-// ReadBits spill. Zero padding past the end of the stream decodes as the
+// ReadBits spill. The region's code is complete, so every bit string is some
+// length's code; zero padding past the end of the stream decodes as the
 // zero-extended fields sequential reads would see, with ErrOverrun surfacing
-// from Skip/ReadBits — or, where the padding reaches a length code, as a length
-// code with too many leading zeros.
-func (cc *chunkCoder) residualAt(r *bitstream.Reader, off uint, w uint64, rc *regionCoder, pred float64) (float64, error) {
+// from Skip/ReadBits.
+func (cc *chunkCoder) residualAt(r *bitstream.Reader, off uint, w uint64, rc *regionCoder, pred float64) float64 {
 	wres := w << off // residual view, length code at the top
-	q := uint(bits.LeadingZeros64(wres))
-	if q > maxLengthZeros {
-		return 0, fmt.Errorf("residual length code has more than %d leading zeros", maxLengthZeros)
-	}
-	g := 2*q + 1
-	l := rc.length.decode(wres >> (64 - g))
-	if l < 0 {
-		return 0, fmt.Errorf("residual length code %d names a length outside 0…64", wres>>(64-g))
-	}
+	e := rc.lut[wres>>(64-rc.lutBits)]
+	g, l := uint(e>>8), uint(e&0xff)
 	if l == 0 {
 		r.Skip(off + g)
-		return pred, nil
+		return pred
 	}
-	pn := uint(l - 1)
+	pn := l - 1
 	var z uint64
 	if n := off + g + pn; n <= 64 {
 		z = (wres << g) >> (64 - pn) // pn = 0 shifts everything out
@@ -472,7 +501,7 @@ func (cc *chunkCoder) residualAt(r *bitstream.Reader, off uint, w uint64, rc *re
 		r.Skip(off + g)
 		z = r.ReadBits(pn)
 	}
-	return unresidual(pred, z|1<<pn), nil
+	return unresidual(pred, z|1<<pn)
 }
 
 // decodeMissRun reads the count after a missRun-th miss of one symbol and
@@ -485,16 +514,12 @@ func (cc *chunkCoder) decodeMissRun(r *bitstream.Reader, rc *regionCoder, k int3
 	sym := rc.prev
 	for i := k; i < k+n; i++ {
 		w, _ := r.Peek64()
-		v, err := cc.residualAt(r, 0, w, rc, cc.cand(rc, i, sym))
-		if err != nil {
-			return 0, err
-		}
-		cc.cur[rc.slots[i]] = v
+		cc.cur[rc.slots[i]] = cc.residualAt(r, 0, w, rc, cc.cand(rc, i, sym))
 	}
 	return n, nil
 }
 
-// encodeRegions writes the chunk's three regions to w.
+// encodeRegions decides the chunk's three regions and writes each to w.
 func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 	var cands [4]float64
 	var mark regionMark // chunkEncoder reset the writer; Compress zeroed the chunk's statistics
@@ -504,7 +529,7 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 		bare := false
 		for k := r.lo; k < r.hi; k++ {
 			if run := cc.hitRun(r, k); run > 0 {
-				cc.encodeRun(w, r, run)
+				cc.encodeRun(r, run)
 				bare = run >= longRun
 				if k += run; k >= r.hi {
 					break
@@ -517,17 +542,17 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 				n = cc.cands(r, k, c)
 			}
 			prev := r.prev
-			sym := cc.encodeMiss(w, cc.cur[r.slots[k]], c, n, r, bare)
+			sym := cc.encodeMiss(cc.cur[r.slots[k]], c, n, r, bare)
 			bare = false
 			if !r.missed(prev, sym) {
 				continue
 			}
 			run := cc.missRunAhead(r, k, sym)
-			cc.writeCount(w, uint64(run)+1)
+			cc.putCount(uint64(run) + 1)
 			probe := cc.statsOn && !cc.calib
 			for j, pred := range cc.ahead[:run] {
 				val := cc.cur[r.slots[k+1+int32(j)]]
-				cc.writeResidual(w, 0, 0, val, pred, r)
+				cc.putResidual(residual(val, pred))
 				if probe && math.Float64bits(val) == math.Float64bits(pred) {
 					cc.stats.MarkovExact++
 				}
@@ -535,6 +560,7 @@ func (cc *chunkCoder) encodeRegions(w *bitstream.Writer) {
 			cc.covered(r, sym, run)
 			k += run
 		}
+		cc.writeRegion(w)
 		cc.closeRegion(r, w, &mark)
 	}
 }

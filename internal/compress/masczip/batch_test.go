@@ -16,7 +16,7 @@ import (
 // temporal hits: most steps touch only a handful of slots (long exact-hit
 // runs for the batched coder), and every third step perturbs a contiguous
 // band with like-magnitude relative deltas so consecutive residuals share a
-// length (streaks the length model predicts).
+// length (a region of few lengths, which its length table codes in few bits).
 func runHeavyFrames(rng *rand.Rand, p *sparse.Pattern, steps int) [][]float64 {
 	nnz := p.NNZ()
 	frames := [][]float64{mnaValues(rng, p, 0.05)}
@@ -230,6 +230,10 @@ func newBits(p *sparse.Pattern, opt Options, frames [][]float64) int {
 // each of which drops its marker and, in a calibration blob, a selector of one
 // bit or two: γ(1) on a run of exactly missRun is the one bit; with the marker
 // alone to drop, γ(2) and γ(4) are two bits more than one and three markers.
+// The yardstick codes every miss the production coder codes, with the same
+// symbol and so the same residual, so each of its regions writes the same
+// length table and the same length codes: the tables cancel, and the bound
+// is the miss runs' alone.
 func checkSizeBound(t *testing.T, p *sparse.Pattern, opt Options, frames [][]float64) {
 	t.Helper()
 	got := newBits(p, opt, frames)
@@ -261,11 +265,13 @@ func TestNoLargerThanPreviousRevision(t *testing.T) {
 // code it replaced: on every fixture, coded against one frame and against
 // seven, the chained blobs' streams are no longer than the same choices coded
 // as XOR residuals in a shared leading-zero window, but for four bits a region
-// — a region's first miss codes its length against an estimate of zero, up to
-// 15 bits where a fresh window's descriptor is 11. The specials chain is left
-// out: its NaN, ±Inf and extremes sit across the number line from any finite
-// prediction, where a distance is as long as the XOR and keeps the trailing
-// zeros a window strips.
+// — a region's first miss carries the length table, γ(1) + γ(L + 1), up to 14
+// bits for one length L, where a fresh window's descriptor is 11, and a
+// zigzagged distance is up to a bit longer than the XOR's significant bits. A
+// table of more lengths is paid for by the misses it codes (DESIGN §5). The
+// specials chain is left out: its NaN, ±Inf and extremes sit across the number
+// line from any finite prediction, where a distance is as long as the XOR and
+// keeps the trailing zeros a window strips.
 func TestNoLargerThanXORResiduals(t *testing.T) {
 	for _, fx := range batchFixtures() {
 		if strings.HasSuffix(fx.name, "/specials") {
@@ -289,20 +295,27 @@ func TestNoLargerThanXORResiduals(t *testing.T) {
 }
 
 // TestBatchedTruncatedAgreesWithScalar pins the error path: on truncated
-// blobs both decoders must report an error through the same surface (no
-// panics), keeping the hardened-decoder contract of the conformance matrix.
+// blobs — a good one, whose regions open with their length tables, and the
+// crafted bad tables — both decoders must report an error through the same
+// surface (no panics), keeping the hardened-decoder contract of the
+// conformance matrix.
 func TestBatchedTruncatedAgreesWithScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := mnaPattern(rng, 14, 16)
 	frames := runHeavyFrames(rng, p, 3)
 	c := New(p, Options{})
-	blob := c.Compress(nil, frames[0], frames[1])
+	blobs := [][]byte{c.Compress(nil, frames[0], frames[1])}
+	for _, tc := range badLengthTables(p) {
+		blobs = append(blobs, tc.blob)
+	}
 	out := make([]float64, p.NNZ())
-	for k := 0; k < len(blob); k++ {
-		berr := New(p, Options{}).Decompress(out, blob[:k], frames[1])
-		serr := newReference(p, Options{}).Decompress(out, blob[:k], frames[1])
-		if (berr == nil) != (serr == nil) {
-			t.Fatalf("prefix %d: batched err %v, scalar err %v", k, berr, serr)
+	for i, blob := range blobs {
+		for k := 0; k < len(blob); k++ {
+			berr := New(p, Options{}).Decompress(out, blob[:k], frames[1])
+			serr := newReference(p, Options{}).Decompress(out, blob[:k], frames[1])
+			if (berr == nil) != (serr == nil) {
+				t.Fatalf("blob %d, prefix %d: batched err %v, scalar err %v", i, k, berr, serr)
+			}
 		}
 	}
 }

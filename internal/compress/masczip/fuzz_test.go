@@ -70,7 +70,7 @@ func FuzzDecompress(f *testing.F) {
 	hugeLens = binary.AppendUvarint(hugeLens, math.MaxUint64)
 	hugeLens = binary.AppendUvarint(hugeLens, math.MaxUint64)
 	f.Add(hugeLens)
-	// Bad hit-run lengths, residual length codes and miss-run counts, order
+	// Bad hit-run lengths, residual length tables and miss-run counts, order
 	// fields no history satisfies, and blobs of the four older revisions,
 	// which the decoder must refuse at the header (the golden corpus' pattern
 	// is not this one, so past that check they are foreign blobs too); then a

@@ -177,15 +177,18 @@ func TestGoldenStates(t *testing.T) {
 // tail blobs as the last binary without the stamp revision bit wrote them
 // (revision bits 0b00), one chained blob of each corpus as the last binary
 // without the hit-run revision bit did (0b01), the first blob of each corpus
-// as the last binary with XOR residuals did (0b11), and as the last binary
-// without miss runs did (0b10, no extension byte).
-var oldRevisionCorpora = []string{"prerev-nilref.bin", "prerev-chained.bin", "prerev-xor.bin", "prerev-distance.bin"}
+// as the last binary with XOR residuals did (0b11), as the last binary
+// without miss runs did (0b10, no extension byte), and as the last binary
+// with residual lengths coded against a running estimate did (an extension
+// byte without the length-table bit).
+var oldRevisionCorpora = []string{"prerev-nilref.bin", "prerev-chained.bin", "prerev-xor.bin", "prerev-distance.bin", "prerev-lengthmodel.bin"}
 
 // currentRevision reports whether a blob's header names this revision: the
-// revision bits 0b10 and an extension byte with the miss-run bit.
+// revision bits 0b10 and an extension byte with the miss-run and length-table
+// bits.
 func currentRevision(blob []byte) bool {
 	return blob[0]&revisionMask == revision && blob[0]>>orderShift == orderExtended &&
-		len(blob) > 1 && blob[1]&extMissRuns != 0
+		len(blob) > 1 && blob[1]&extMissRuns != 0 && blob[1]&extLengths != 0
 }
 
 // TestOlderRevisionsRefused: a blob of any older revision has a layout this

@@ -51,9 +51,9 @@ type Stats struct {
 	LZHist [9]int64
 	// SelectorBits / PayloadBits split the stream cost: the selector bits
 	// written against everything else (hit bits, miss markers, run lengths,
-	// residuals), so their sum is the chunk streams' length in bits. A miss a
-	// miss run covers is still a selection — counted in SelectorElements and
-	// its model family — but writes no selector.
+	// length tables, residuals), so their sum is the chunk streams' length in
+	// bits. A miss a miss run covers is still a selection — counted in
+	// SelectorElements and its model family — but writes no selector.
 	SelectorBits int64
 	PayloadBits  int64
 	// RegionMisses / RegionBits split the same stream by region, indexed
@@ -156,6 +156,8 @@ type Compressor struct {
 	lens      []int
 	starts    []int
 	ahead     [][]float64 // per chunk: room for a miss run as long as its longest region
+	events    [][]event   // per chunk: the encoder's decided region (batch.go)
+	luts      [][]uint16  // per chunk: the decoder's length decode table (lengthcode.go)
 
 	// Call state shared with encFn/decFn, which are allocated once here
 	// rather than as per-call closures.
@@ -241,6 +243,8 @@ func (c *Compressor) ensureChunks(nchunks int) {
 	c.hits = c.hits[:cap(c.hits)]
 	for len(c.ahead) < nchunks {
 		c.ahead = append(c.ahead, nil)
+		c.events = append(c.events, nil)
+		c.luts = append(c.luts, nil)
 	}
 }
 
@@ -274,22 +278,24 @@ func (c *Compressor) ResetStats() { c.stats = Stats{} }
 // wrote 0b00 (region D's symbol 1 the value-form stamp), 0b01 (the
 // difference-form stamp of candsD) and 0b11 (a hit means "the region's hit
 // predictor is bit-exact", and hits are run-length coded over flat regions);
-// 0b10 made a residual the ordered-integer distance from the prediction with
-// an exp-Golomb length (batch.go), not the XOR of the two in a leading-zero
-// window. flagMateHit and flagStampHit are the encoder's per-blob choice of
-// region L's and region D's hit predictor (clear = temporal), and bits 5–7 its
-// choice of the order the temporal candidate extrapolates at (history.go; 0 =
-// the nearest frame's value). The order field's value 7 — above MaxOrder — says
+// 0b10 made a residual the ordered-integer distance from the prediction, not
+// the XOR of the two in a leading-zero window. flagMateHit and flagStampHit
+// are the encoder's per-blob choice of region L's and region D's hit
+// predictor (clear = temporal), and bits 5–7 its choice of the order the
+// temporal candidate extrapolates at (history.go; 0 = the nearest frame's
+// value). The order field's value 7 — above MaxOrder — says
 // an extension byte follows the flags byte: bits 0–2 the order, bit 3 the
-// voltage family (voltage.go), bit 4 the revision this decoder reads — 0b10
-// with runs of misses that keep their symbol length-coded (batch.go) — bit 5
-// a blob of one chunk, whose chunk count is then left out, and bits 6–7
-// unknown and refused. With no revision value left in the flags byte, every
-// blob of this revision carries the extension byte with bit 4 set, and a 0b10
-// blob without it is refused like the older ones: a blob coded under an older
-// meaning would decode to wrong values, not fail. Bit 5 pays for the extension
-// byte on the blobs of a one-worker encoder. The decoder obeys the other bits
-// whatever its own options.
+// voltage family (voltage.go), bit 4 runs of misses that keep their symbol
+// length-coded (batch.go), bit 5 a blob of one chunk, whose chunk count is
+// then left out, bit 6 residual lengths coded with each region's own length
+// table (lengthcode.go), not as exp-Golomb codes against a running estimate,
+// and bit 7 unknown and refused. Bits 4 and 6 together are the revision this
+// decoder reads: with no revision value left in the flags byte, every blob of
+// it carries the extension byte with both set, and a blob without either is
+// refused like the older ones — a blob coded under an older meaning would
+// decode to wrong values, not fail. Bit 5 pays for the extension byte on the
+// blobs of a one-worker encoder. The decoder obeys the other bits whatever its
+// own options.
 const (
 	flagCalib     = 1 << 0
 	revisionMask  = 3 << 1
@@ -303,6 +309,7 @@ const (
 	extVolt     = 1 << 3
 	extMissRuns = 1 << 4
 	extOneChunk = 1 << 5
+	extLengths  = 1 << 6
 )
 
 // Decoding errors a caller can tell apart: ErrFormat is a blob this decoder
@@ -375,7 +382,7 @@ func (c *Compressor) chunkEncoder(ci int) (*chunkCoder, *bitstream.Writer) {
 		calib: c.calib, tables: &c.tbl,
 		mateHit: c.mateHit, stampHit: c.stampHit,
 		counts: &c.counts[ci], stamp: c.stamp,
-		ahead: c.ahead[ci],
+		ahead: c.ahead[ci], events: c.events[ci][:0],
 	}
 	// The stats sink is never nil: with collection off it points at the
 	// coder's own discard field (zeroed by the assignment above, never
@@ -471,6 +478,7 @@ func sameBits(a, b []float64) bool {
 func (c *Compressor) encodeChunk(ci int) {
 	ec, w := c.chunkEncoder(ci)
 	ec.encodeRegions(w)
+	c.events[ci] = ec.events
 }
 
 // Compress implements compress.Compressor: CompressHistory with ref as the
@@ -525,7 +533,7 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist compress.Hi
 
 	dst = append(dst, byte(revision|boolInt(calib)*flagCalib|
 		boolInt(c.mateHit)*flagMateHit|boolInt(c.stampHit)*flagStampHit|orderExtended<<orderShift),
-		byte(int64(c.order)|boolInt(c.volt)*extVolt|extMissRuns|boolInt(nchunks == 1)*extOneChunk))
+		byte(int64(c.order)|boolInt(c.volt)*extVolt|extMissRuns|extLengths|boolInt(nchunks == 1)*extOneChunk))
 	dst = binary.AppendUvarint(dst, uint64(len(cur)))
 	// The chunk row boundaries travel in the header: re-deriving them from
 	// the chunk count alone is not a fixed point of the partitioner when
@@ -603,6 +611,7 @@ func (c *Compressor) chunkDecoder(ci int) (*chunkCoder, *bitstream.Reader) {
 		rowLo: c.decBounds[ci], rowHi: c.decBounds[ci+1],
 		calib: c.calib, tables: &c.tbl,
 		mateHit: c.mateHit, stampHit: c.stampHit,
+		lutBuf: &c.luts[ci],
 	}
 	copy(dc.far[:], c.far)
 	copy(dc.states[:], c.states)
@@ -638,11 +647,14 @@ func (c *Compressor) header(blob []byte, nhist int, states [][]float64) (order i
 		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x announces an extension byte the blob lacks", ErrFormat, flags)
 	}
 	ext := blob[1]
-	if unknown := ext &^ (extOrder | extVolt | extMissRuns | extOneChunk); unknown != 0 {
+	if unknown := ext &^ (extOrder | extVolt | extMissRuns | extOneChunk | extLengths); unknown != 0 {
 		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x has unknown bits %#02x", ErrFormat, flags, ext, unknown)
 	}
 	if ext&extMissRuns == 0 {
 		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x lacks the miss-run bit %#02x (blob of an older format: revision 0b10 before miss runs)", ErrFormat, flags, ext, extMissRuns)
+	}
+	if ext&extLengths == 0 {
+		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x lacks the length-table bit %#02x (blob of an older format: residual lengths against a running estimate)", ErrFormat, flags, ext, extLengths)
 	}
 	order, volt, off = int(ext&extOrder), ext&extVolt != 0, 2
 	if order > MaxOrder {
@@ -799,6 +811,18 @@ type chunkCoder struct {
 	mateHit, stampHit bool      // the blob's hit predictors for regions L and D
 	stamp             []float64 // encoder only: stampD per packed diagonal, filled by countHits
 	err               error     // decoder only: what stopped decodeRegions
+
+	// Encoder only: the region being decided — its events (a per-chunk
+	// scratch the Compressor keeps across calls), the prefix gathered since
+	// the last of them (put) and the code of its lengths.
+	events  []event
+	pre     uint64
+	preN    uint8
+	lengths lengthCode
+
+	// Decoder only: the chunk's length decode table scratch, kept by the
+	// Compressor across calls (readLengthTable).
+	lutBuf *[]uint16
 
 	// Encoder only: the predictions of the misses a miss run covers, found
 	// before its count is written (missRunAhead), and the candidates of the

@@ -2,6 +2,7 @@ package masczip
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -18,10 +19,10 @@ import (
 )
 
 // adversarialBlobs are the decoder seeds TestCorruptedBlobNoPanic and
-// FuzzDecompress share: the bad hit-run lengths, residual length codes and
+// FuzzDecompress share: the bad hit-run lengths, residual length tables and
 // miss-run counts over p, nil-reference blobs whose extension byte names an
 // extrapolation order, voltage-family blobs with a bad or missing extension
-// byte, and every blob of the four older-revision corpora (foreign patterns
+// byte, and every blob of the five older-revision corpora (foreign patterns
 // here, refused at the header).
 func adversarialBlobs(t testing.TB, p *sparse.Pattern) [][]byte {
 	var out [][]byte
@@ -476,15 +477,23 @@ func TestHeaderHardening(t *testing.T) {
 		}()
 	}
 
-	// The run-length fields and a miss's length code are as attacker-controlled
-	// as the header: each bad one is an error that names the chunk and the
-	// field, from the production decoder and from the oracle alike, never a
-	// clamp, an index past slots or a shift past a word.
+	// The run-length fields and a region's length table are as
+	// attacker-controlled as the header: each bad one is an error that names
+	// the chunk and the field, from the production decoder and from the oracle
+	// alike, never a clamp, an index past slots or a shift past a word — and a
+	// bad table is an ErrLengthTable.
+	tables := map[string]bool{}
+	for _, tc := range badLengthTables(p) {
+		tables[tc.name] = true
+	}
 	for _, tc := range badStreams(p) {
 		for name, d := range map[string]*Compressor{"batched": c, "scalar": newReference(p, Options{})} {
 			err := d.Decompress(got, tc.blob, nil)
 			if err == nil || !strings.Contains(err.Error(), "chunk 0: region U: ") || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s, %s decoder: %v, want a chunk 0 region U error naming %q", tc.name, name, err, tc.want)
+			}
+			if errors.Is(err, ErrLengthTable) != tables[tc.name] {
+				t.Errorf("%s, %s decoder: %v is an ErrLengthTable: %v", tc.name, name, err, !tables[tc.name])
 			}
 		}
 	}
@@ -492,16 +501,16 @@ func TestHeaderHardening(t *testing.T) {
 
 // header is the flags and extension bytes of a best-fit order-0 blob.
 func header() []byte {
-	return []byte{flagCalib | revision | orderExtended<<orderShift, extMissRuns}
+	return []byte{flagCalib | revision | orderExtended<<orderShift, extMissRuns | extLengths}
 }
 
 // badStreams are the chunk streams the decoder must refuse: bad hit-run
-// lengths, residual length codes and miss-run counts.
+// lengths, residual length tables and miss-run counts.
 func badStreams(p *sparse.Pattern) []struct {
 	name, want string
 	blob       []byte
 } {
-	return append(append(badRunLengths(p), badLengthCodes(p)...), badMissRuns(p)...)
+	return append(append(badRunLengths(p), badLengthTables(p)...), badMissRuns(p)...)
 }
 
 // oneChunkBlob is a best-fit blob over p with one chunk whose stream is what
@@ -549,45 +558,79 @@ func badRunLengths(p *sparse.Pattern) []struct {
 	}
 }
 
-// badLengthCodes are one-chunk blobs over p whose region U opens with a miss
-// — the '0' marker and selector 0 — whose residual length code the decoder
-// must refuse: eight leading zeros, where 129 (seven) is the most a length in
-// 0…64 needs, and the lengths −1 and 65 against the region's first estimate,
-// 0.
-func badLengthCodes(p *sparse.Pattern) []struct {
+// badLengthTables are one-chunk blobs over p whose region U opens with a miss
+// — the '0' marker and selector 0 — whose residual length table the decoder
+// must refuse: a size γ code with 32 leading zeros, a length above 64 (the
+// one length of a table of one, and the 66th of a table of 66 consecutive
+// ones), a code of 0 bits beside another, three 1-bit codes
+// (over-subscribed), a 1-bit and a 2-bit code (incomplete), and a table cut
+// off inside a length's γ code. A table of no lengths, lengths out of order
+// and codes longer than 15 bits have no bit string to craft: γ codes only
+// positive numbers and a code length has four bits.
+func badLengthTables(p *sparse.Pattern) []struct {
 	name, want string
 	blob       []byte
 } {
-	craft := func(code uint64) []byte {
+	gamma := func(w *bitstream.Writer, v uint64) { w.WriteBits(v, uint(2*bits.Len64(v)-1)) }
+	craft := func(table func(w *bitstream.Writer)) []byte {
 		return oneChunkBlob(p, func(w *bitstream.Writer) {
 			w.WriteBits(0, 3)
-			w.WriteBits(code, uint(2*bits.Len64(code)-1))
+			table(w)
 			w.WriteBits(0, 64)
 		})
+	}
+	// lengths writes a table of the lengths s, each with its code length.
+	lengths := func(s []uint64, n []uint64) []byte {
+		return craft(func(w *bitstream.Writer) {
+			gamma(w, uint64(len(s)))
+			prev := uint64(0)
+			for i := range s {
+				gamma(w, s[i]+1-prev)
+				prev = s[i] + 1
+				w.WriteBits(n[i], codeLenBits)
+			}
+		})
+	}
+	consecutive := make([]uint64, 66)
+	ones := make([]uint64, 66)
+	for i := range consecutive {
+		consecutive[i], ones[i] = uint64(i), 7
 	}
 	return []struct {
 		name, want string
 		blob       []byte
 	}{
-		{"eight leading zeros", "leading zeros", craft(1 << 8)},
-		{"length −1", "outside 0…64", craft(zigzagRef(-1) + 1)},
-		{"length 65", "outside 0…64", craft(zigzagRef(65) + 1)},
+		{"size gamma overflow", "size γ code", craft(func(w *bitstream.Writer) { w.WriteBits(0, 32) })},
+		{"one length above 64", "length 65 is above 64", craft(func(w *bitstream.Writer) {
+			gamma(w, 1)
+			gamma(w, 66)
+		})},
+		{"66 lengths", "length 65 is above 64", lengths(consecutive, ones)},
+		{"code of 0 bits", "code of 0 bits", lengths([]uint64{3, 5}, []uint64{0, 1})},
+		{"over-subscribed", "over-subscribed", lengths([]uint64{3, 5, 9}, []uint64{1, 1, 1})},
+		{"incomplete", "incomplete", lengths([]uint64{3, 5}, []uint64{1, 2})},
+		{"truncated table", "symbol γ code", oneChunkBlob(p, func(w *bitstream.Writer) {
+			w.WriteBits(0, 3)
+			gamma(w, 3)
+		})},
 	}
 }
 
 // badMissRuns are one-chunk blobs over p whose region U opens with missRun
-// exact misses of symbol 0 — each the '0' marker, selector 0 and the length
-// code of length 0 — and then a miss-run count the decoder must refuse: more
-// misses than the region has slots left, one more than that, γ-coded with 32
-// leading zeros, and cut off inside the γ code.
+// exact misses of symbol 0 — each the '0' marker and selector 0, the first
+// with the table of one length, 0, whose code has no bits — and then a
+// miss-run count the decoder must refuse: more misses than the region has
+// slots left, one more than that, γ-coded with 32 leading zeros, and cut off
+// inside the γ code.
 func badMissRuns(p *sparse.Pattern) []struct {
 	name, want string
 	blob       []byte
 } {
 	craft := func(count func(w *bitstream.Writer)) []byte {
 		return oneChunkBlob(p, func(w *bitstream.Writer) {
-			for i := 0; i < missRun; i++ {
-				w.WriteBits(0b0001, 4)
+			w.WriteBits(0b000_1_1, 5)
+			for i := 1; i < missRun; i++ {
+				w.WriteBits(0, 3)
 			}
 			count(w)
 		})

@@ -18,8 +18,9 @@ import (
 // the oracle TestBatchedWireIdentity checks them against, bit for bit, so it
 // must stay a plain transcription of the format and call nothing in batch.go —
 // it shares only the candidate functions, framing and Markov calibration of
-// masczip.go, and it sums every row it needs itself rather than read the
-// encoder's pre-pass cache. The temporal candidate's extrapolation and the
+// masczip.go and the Huffman code lengths of lengthcode.go (codeLengths, which
+// TestCodeLengthsAreOptimalAndComplete checks on its own), and it sums every
+// row it needs itself rather than read the encoder's pre-pass cache. The temporal candidate's extrapolation and the
 // pre-pass that picks its order are transcribed here a second time
 // (extrapolateRef, count): every temporal candidate the oracle codes with is
 // checked against that transcription, bit for bit.
@@ -73,7 +74,7 @@ func stampValueForm(cc *chunkCoder, k int32) float64 {
 type refCoder struct {
 	*chunkCoder
 	stampOf stampFunc
-	avg     int        // the region's length estimate, in sixteenths of a bit
+	lengths refLengths // the region's residual-length code
 	xor     *xorWindow // encoder only: code the XOR revision's residuals instead
 	legacy  *int64     // encoder only: code as the 0b10 revision, with no miss-run counts, and count here the runs this one counts
 }
@@ -367,58 +368,172 @@ func bitLen(v uint64) int {
 	return n
 }
 
-// expected is the residual length a region's estimate avg (sixteenths of a
-// bit) predicts: avg/16 rounded half up.
-func expected(avg int) int { return (avg + 8) / 16 }
+// refLengths is a region's residual-length code as the format describes it:
+// each length's code as a string of '0' and '1' bits, and the other way
+// round. The encoder knows it before the region's first miss and writes its
+// table there, in front of the miss's length code; the decoder reads the
+// table there.
+type refLengths struct {
+	counts [lengthSymbols]uint32 // encoder only
+	code   map[int]string
+	length map[string]int
+}
 
-// learnLength moves the estimate a quarter of the way to length l, rounding
-// toward minus infinity.
-func learnLength(avg *int, l int) {
-	*avg += (16*l - *avg) >> 2
+// regionLengths counts the lengths of the residuals of rg's misses, each
+// against the candidate of the symbol it is coded with: in a calibration blob
+// the best one, in a Markov-predicted blob the table's after the symbol
+// before (the hit symbol after a hit). A miss a miss run covers is coded with
+// the run's symbol, which is that symbol too.
+func (rc *refCoder) regionLengths(rg *refRegion) (counts [lengthSymbols]uint32) {
+	prev := uint8(0)
+	for k := rg.lo; k < rg.hi; k++ {
+		val := rc.cur[rg.slots[k]]
+		if math.Float64bits(val) == math.Float64bits(rc.hitPred(rg, k)) {
+			prev = rg.hitSym
+			continue
+		}
+		var cands [4]float64
+		rc.candidates(rg, k, &cands)
+		sym := rg.table[prev]
+		if rc.calib {
+			sym = bestSym(val, &cands, rg.nSyms)
+		}
+		prev = sym
+		counts[bitLen(zigzagRef(int64(orderedRef(val)-orderedRef(cands[sym]))))]++
+	}
+	return counts
+}
+
+// assign gives each length with a code length n its code: in order of code
+// length, then of length, each code one more than the one before, shifted
+// left by the code lengths between them, the first all zeros. A table of one
+// length gives it the empty code.
+func (lt *refLengths) assign(lens [lengthSymbols]uint8, k int, only int) {
+	lt.code, lt.length = map[int]string{}, map[string]int{}
+	if k == 1 {
+		lt.code[only], lt.length[""] = "", only
+		return
+	}
+	code, at := uint64(0), 0
+	for n := 1; n <= maxCodeLen; n++ {
+		for s, m := range lens {
+			if int(m) != n {
+				continue
+			}
+			if at > 0 {
+				code++
+			}
+			code <<= uint(n - at)
+			at = n
+			c := fmt.Sprintf("%0*b", n, code)
+			lt.code[s], lt.length[c] = c, s
+		}
+	}
+}
+
+// writeTable writes the region's length table: γ of the number of lengths,
+// then each length, ascending, as γ of its distance from the one before (from
+// −1 for the first) and, where there is more than one, its code's length in
+// four bits.
+func (rc *refCoder) writeTable(w *bitstream.Writer) {
+	lt := &rc.lengths
+	var lens [lengthSymbols]uint8
+	k := codeLengths(&lt.counts, &lens)
+	writeGammaRef(w, uint64(k))
+	prev, only := -1, 0
+	for s, c := range lt.counts {
+		if c == 0 {
+			continue
+		}
+		writeGammaRef(w, uint64(s-prev))
+		prev, only = s, s
+		for i := codeLenBits - 1; k > 1 && i >= 0; i-- {
+			w.WriteBit(uint64(lens[s]) >> uint(i) & 1)
+		}
+	}
+	lt.assign(lens, k, only)
+}
+
+// readTable reads what writeTable wrote: a table that names no length, one
+// past 64, a code of no bits beside others, or codes that overfill or leave
+// part of the space of 15-bit strings is refused.
+func (rc *refCoder) readTable(r *bitstream.Reader) error {
+	k, ok := gammaRef(r)
+	if !ok {
+		return fmt.Errorf("%w: size γ code has 32 or more leading zeros", ErrLengthTable)
+	}
+	var lens [lengthSymbols]uint8
+	s := -1
+	for i := uint64(0); i < k; i++ {
+		d, ok := gammaRef(r)
+		if !ok {
+			return fmt.Errorf("%w: symbol γ code has 32 or more leading zeros", ErrLengthTable)
+		}
+		if d > lengthSymbols || s+int(d) > 64 {
+			return fmt.Errorf("%w: length %d is above 64", ErrLengthTable, int64(s)+int64(d))
+		}
+		s += int(d)
+		for j := 0; k > 1 && j < codeLenBits; j++ {
+			lens[s] = lens[s]<<1 | uint8(r.ReadBit())
+		}
+		if k > 1 && lens[s] == 0 {
+			return fmt.Errorf("%w: length %d has a code of 0 bits beside %d others", ErrLengthTable, s, k-1)
+		}
+	}
+	if k > 1 {
+		space := 0 // in units of 2^−15
+		for _, n := range lens {
+			if n > 0 {
+				space += 1 << (maxCodeLen - int(n))
+			}
+		}
+		if space > 1<<maxCodeLen {
+			return fmt.Errorf("%w: codes over-subscribed (Kraft sum %d/%d)", ErrLengthTable, space, 1<<maxCodeLen)
+		}
+		if space < 1<<maxCodeLen {
+			return fmt.Errorf("%w: codes incomplete (Kraft sum %d/%d)", ErrLengthTable, space, 1<<maxCodeLen)
+		}
+	}
+	rc.lengths.assign(lens, int(k), s)
+	return nil
 }
 
 // encodeResidual writes the residual of val against pred: the ordered-integer
-// distance z, zigzagged, as the order-0 exp-Golomb code of its length's
-// zigzagged difference from the region's expected length — as many '0' bits as
-// that number plus one has bits after its first, then the number plus one —
-// followed by z's bits below its leading one.
-func (cc *chunkCoder) encodeResidual(w *bitstream.Writer, val, pred float64, avg *int) {
+// distance z, zigzagged, as its length's code — after the region's table, at
+// its first miss — followed by z's bits below its leading one.
+func (rc *refCoder) encodeResidual(w *bitstream.Writer, val, pred float64) {
 	before := w.BitLen()
+	if rc.lengths.code == nil {
+		rc.writeTable(w)
+	}
 	z := zigzagRef(int64(orderedRef(val) - orderedRef(pred)))
 	l := bitLen(z)
-	v := zigzagRef(int64(l-expected(*avg))) + 1
-	nb := bitLen(v)
-	for i := 1; i < nb; i++ {
-		w.WriteBit(0)
-	}
-	for i := nb - 1; i >= 0; i-- {
-		w.WriteBit(v >> uint(i) & 1)
+	for _, b := range rc.lengths.code[l] {
+		w.WriteBit(uint64(b - '0'))
 	}
 	for i := l - 2; i >= 0; i-- {
 		w.WriteBit(z >> uint(i) & 1)
 	}
-	learnLength(avg, l)
-	cc.stats.LZHist[(64-l)/8]++
-	cc.stats.PayloadBits += int64(w.BitLen() - before)
+	rc.stats.LZHist[(64-l)/8]++
+	rc.stats.PayloadBits += int64(w.BitLen() - before)
 }
 
 // decodeResidual mirrors encodeResidual and returns the value.
-func (cc *chunkCoder) decodeResidual(r *bitstream.Reader, pred float64, avg *int) (float64, error) {
-	zeros := 0
-	for r.ReadBit() == 0 {
-		if zeros++; zeros > 7 {
-			return 0, fmt.Errorf("residual length code has more than 7 leading zeros")
+func (rc *refCoder) decodeResidual(r *bitstream.Reader, pred float64) (float64, error) {
+	if rc.lengths.length == nil {
+		if err := rc.readTable(r); err != nil {
+			return 0, err
 		}
 	}
-	v := uint64(1)
-	for i := 0; i < zeros; i++ {
-		v = v<<1 | r.ReadBit()
+	code := ""
+	l, ok := rc.lengths.length[code]
+	for !ok {
+		if len(code) == maxCodeLen {
+			return 0, fmt.Errorf("%w: %s is no length's code", ErrLengthTable, code)
+		}
+		code += string(rune('0' + r.ReadBit()))
+		l, ok = rc.lengths.length[code]
 	}
-	l := expected(*avg) + int(unzigzagRef(v-1))
-	if l < 0 || l > 64 {
-		return 0, fmt.Errorf("residual length code %d names a length outside 0…64", v)
-	}
-	learnLength(avg, l)
 	var z uint64
 	if l > 0 {
 		z = 1
@@ -437,26 +552,41 @@ func selectorBits(nSyms int) uint {
 	return 2
 }
 
-// writeGamma writes the Elias-γ code of v: as many '0' bits as the value has
-// bits after its first, then the value.
-func (rc *refCoder) writeGamma(w *bitstream.Writer, v uint64) {
+// writeGammaRef writes the Elias-γ code of v: as many '0' bits as the value
+// has bits after its first, then the value.
+func writeGammaRef(w *bitstream.Writer, v uint64) {
 	nb := uint(bits.Len64(v))
 	for i := uint(1); i < nb; i++ {
 		w.WriteBit(0)
 	}
 	w.WriteBits(v, nb)
-	rc.stats.RunLengthBits += int64(2*nb - 1)
 }
 
-// readGamma reads what writeGamma wrote; what names the run it counts.
-func readGamma(r *bitstream.Reader, rg *refRegion, what string) (uint64, error) {
+// gammaRef reads what writeGammaRef wrote, or reports false at the 32nd
+// leading zero.
+func gammaRef(r *bitstream.Reader) (uint64, bool) {
 	z := 0
 	for r.ReadBit() == 0 {
 		if z++; z >= 32 {
-			return 0, fmt.Errorf("region %s: %s γ code has 32 or more leading zeros", rg.rg, what)
+			return 0, false
 		}
 	}
-	return uint64(1)<<uint(z) | r.ReadBits(uint(z)), nil
+	return uint64(1)<<uint(z) | r.ReadBits(uint(z)), true
+}
+
+// writeGamma writes a run's length as writeGammaRef does and books it.
+func (rc *refCoder) writeGamma(w *bitstream.Writer, v uint64) {
+	writeGammaRef(w, v)
+	rc.stats.RunLengthBits += int64(2*bits.Len64(v) - 1)
+}
+
+// readRunGamma reads a run's length; what names the run it counts.
+func readRunGamma(r *bitstream.Reader, rg *refRegion, what string) (uint64, error) {
+	v, ok := gammaRef(r)
+	if !ok {
+		return 0, fmt.Errorf("region %s: %s γ code has 32 or more leading zeros", rg.rg, what)
+	}
+	return v, nil
 }
 
 // writeRun writes n pending hits: unary below eight, else eight '1' bits and
@@ -522,7 +652,7 @@ func (rc *refCoder) writeResidual(w *bitstream.Writer, val, pred float64) {
 	if rc.xor != nil {
 		rc.xor.write(w, val, pred)
 	} else {
-		rc.encodeResidual(w, val, pred, &rc.avg)
+		rc.encodeResidual(w, val, pred)
 	}
 }
 
@@ -561,7 +691,7 @@ func (rc *refCoder) writeCovered(w *bitstream.Writer, rg *refRegion, k int32, pr
 func (rc *refCoder) readCovered(r *bitstream.Reader, rg *refRegion, k int32, prev uint8) error {
 	var cands [4]float64
 	rc.candidates(rg, k, &cands)
-	v, err := rc.decodeResidual(r, cands[prev], &rc.avg)
+	v, err := rc.decodeResidual(r, cands[prev])
 	if err != nil {
 		return fmt.Errorf("region %s: %w", rg.rg, err)
 	}
@@ -580,7 +710,7 @@ func (rc *refCoder) readMiss(r *bitstream.Reader, rg *refRegion, k int32, prev *
 		sym = rg.table[*prev]
 	}
 	*prev = sym
-	v, err := rc.decodeResidual(r, cands[sym], &rc.avg)
+	v, err := rc.decodeResidual(r, cands[sym])
 	if err != nil {
 		return fmt.Errorf("region %s: %w", rg.rg, err)
 	}
@@ -596,9 +726,11 @@ func (rc *refCoder) readMiss(r *bitstream.Reader, rg *refRegion, k int32, prev *
 func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 	for _, rg := range rc.regionTable() {
 		rg := rg
-		rc.avg = 0
+		rc.lengths = refLengths{}
 		if rc.xor != nil {
 			*rc.xor = xorWindow{}
+		} else if w != nil {
+			rc.lengths.counts = rc.regionLengths(&rg)
 		}
 		prev := uint8(0)
 		same := 0
@@ -678,7 +810,7 @@ func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 			if k++; !counted(before) {
 				return k, nil
 			}
-			v, err := readGamma(r, &rg, "miss run")
+			v, err := readRunGamma(r, &rg, "miss run")
 			if err != nil {
 				return 0, err
 			}
@@ -717,7 +849,7 @@ func (rc *refCoder) run(w *bitstream.Writer, r *bitstream.Reader) error {
 				n++
 			}
 			if n == 8 {
-				v, err := readGamma(r, &rg, "hit run")
+				v, err := readRunGamma(r, &rg, "hit run")
 				if err != nil {
 					return err
 				}

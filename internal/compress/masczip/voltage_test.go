@@ -196,13 +196,13 @@ func voltageBlob(t testing.TB, p *sparse.Pattern) (blob []byte, hist, states [][
 }
 
 // extensionBlobs are the voltage family's adversarial blobs over p: a good
-// one with its extension byte's unknown bits set, naming order 7, without the
-// miss-run bit (a 0b10 blob's extension byte), and cut off after the flags
-// byte.
+// one with its extension byte's unknown bit set, naming order 7, without the
+// miss-run bit (a 0b10 blob's extension byte), without the length-table bit
+// (the miss-run revision's), and cut off after the flags byte.
 func extensionBlobs(t testing.TB, p *sparse.Pattern) [][]byte {
 	good, _, _ := voltageBlob(t, p)
 	var out [][]byte
-	for _, ext := range []byte{good[1] | 0x40, good[1] | 0x80, extVolt | extMissRuns | 7, good[1] &^ extMissRuns} {
+	for _, ext := range []byte{good[1] | 0x80, extVolt | extMissRuns | extLengths | 7, good[1] &^ extMissRuns, good[1] &^ extLengths} {
 		out = append(out, append([]byte{good[0], ext}, good[2:]...))
 	}
 	return append(out, good[:1])

@@ -77,6 +77,14 @@ type pinnedBytes struct {
 // hold 7.6 % less. The pipelined store's peak depends on how far the worker
 // and the prefetch run ahead, so it is bounded (by the synchronous peak plus
 // the frames the queue can hold, each at its cost in blocks), not pinned.
+// Every row was re-recorded again when masczip began to code residual lengths
+// with a table per region (a second extension bit): the chain rows hold 5.0 %
+// less on "voltage" (sync 142907 → 135722 B), 3.6 % less on "chained"
+// (39435 → 38030) and 17 % less on "selfcontained" (26546 → 22146);
+// voltage/tiered holds 0.1 % less (374450 → 374048) and
+// selfcontained/tiered 0.7 % more (43807 → 44106), the ladder placing steps
+// by their blobs' sizes; chained/tiered keeps its bytes and stream, its peak
+// 151 B lower.
 func TestPinnedStoreBytes(t *testing.T) {
 	const steps = 120
 	type fixture struct {
@@ -134,21 +142,21 @@ func TestPinnedStoreBytes(t *testing.T) {
 		}},
 	}
 	want := map[string]pinnedBytes{
-		"voltage/masc-sync":                     {stored: 142907, peak: 245332, stream: 0x567c6695025847f7},
-		"voltage/masc-async2":                   {stored: 142907, peak: -1, stream: 0x567c6695025847f7},
-		"voltage/masc-anchors50":                {stored: 174932, peak: 302685, stream: 0xf8d634c29fa23332},
-		"voltage/markov-sync":                   {stored: 138764, peak: 241189, stream: 0x96789b46e3542b4e},
-		"voltage/tiered-quarter-diskless":       {stored: 374450, peak: 404182, stream: 0x682f1cda50c734a5},
-		"chained/masc-sync":                     {stored: 39435, peak: 65172, stream: 0x9ed9ce7648c5d046},
-		"chained/masc-async2":                   {stored: 39435, peak: -1, stream: 0x9ed9ce7648c5d046},
-		"chained/masc-anchors50":                {stored: 45378, peak: 76987, stream: 0x5c2ebdec6671cec5},
-		"chained/markov-sync":                   {stored: 38898, peak: 64635, stream: 0x7664747e93a6bf06},
-		"chained/tiered-quarter-diskless":       {stored: 91920, peak: 98255, stream: 0x4222caa0e70ae523},
-		"selfcontained/masc-sync":               {stored: 26546, peak: 35656, stream: 0x31dbee90ee44042a},
-		"selfcontained/masc-async2":             {stored: 26546, peak: -1, stream: 0x31dbee90ee44042a},
-		"selfcontained/masc-anchors50":          {stored: 29766, peak: 42332, stream: 0x51332807a750d7b6},
-		"selfcontained/markov-sync":             {stored: 28719, peak: 37829, stream: 0x92f25bbe66f0bfeb},
-		"selfcontained/tiered-quarter-diskless": {stored: 43807, peak: 47978, stream: 0xf487a1a9417f55e1},
+		"voltage/masc-sync":                     {stored: 135722, peak: 238147, stream: 0xbf22d0297efbd18a},
+		"voltage/masc-async2":                   {stored: 135722, peak: -1, stream: 0xbf22d0297efbd18a},
+		"voltage/masc-anchors50":                {stored: 167062, peak: 294815, stream: 0x242a3f66adb827e9},
+		"voltage/markov-sync":                   {stored: 131831, peak: 234256, stream: 0x6fb558815ac87c1a},
+		"voltage/tiered-quarter-diskless":       {stored: 374048, peak: 403776, stream: 0xf5e75cdb9254fd6d},
+		"chained/masc-sync":                     {stored: 38030, peak: 63767, stream: 0x028cbb71b6c573a6},
+		"chained/masc-async2":                   {stored: 38030, peak: -1, stream: 0x028cbb71b6c573a6},
+		"chained/masc-anchors50":                {stored: 43683, peak: 75292, stream: 0x293e7fa7db69e33f},
+		"chained/markov-sync":                   {stored: 37546, peak: 63283, stream: 0x04012a4c120bcd24},
+		"chained/tiered-quarter-diskless":       {stored: 91920, peak: 98104, stream: 0x4222caa0e70ae523},
+		"selfcontained/masc-sync":               {stored: 22146, peak: 31256, stream: 0x4777d7cb5cb2baf1},
+		"selfcontained/masc-async2":             {stored: 22146, peak: -1, stream: 0x4777d7cb5cb2baf1},
+		"selfcontained/masc-anchors50":          {stored: 25121, peak: 37687, stream: 0xc3072a8da9915e01},
+		"selfcontained/markov-sync":             {stored: 23438, peak: 32548, stream: 0xa5f7b7b4c95787e0},
+		"selfcontained/tiered-quarter-diskless": {stored: 44106, peak: 47860, stream: 0x147e52332e20009c},
 	}
 	for _, f := range fixtures {
 		// A frame at what it costs in the window: in blocks, none shared.

@@ -58,8 +58,10 @@ import (
 // and the decoder refuses the XOR blobs a version-5 run spilled. Version 7:
 // masczip length-codes runs of misses that keep their symbol, marked by its
 // extension byte, and the decoder refuses the 0b10 blobs a version-6 run
-// spilled.
-const FormatVersion = 7
+// spilled. Version 8: masczip codes residual lengths with a table per region,
+// marked by a second extension bit, and the decoder refuses the blobs a
+// version-7 run spilled.
+const FormatVersion = 8
 
 // Record kind bytes.
 const (

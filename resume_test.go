@@ -334,9 +334,10 @@ func TestResumeRejectsForeignCircuit(t *testing.T) {
 // version 2 spilled masczip blobs without the stamp revision bit, version 3
 // without the hit-run one, version 4 spelled the plan out field by field,
 // version 5 spilled XOR-residual blobs, version 6 blobs of masczip's 0b10
-// revision, whose misses are not length-coded in runs, which this binary's
-// decoder refuses) is refused by name, not continued and not mistaken for an
-// empty journal.
+// revision, whose misses are not length-coded in runs, version 7 blobs whose
+// residual lengths are coded against a running estimate, both of which this
+// binary's decoder refuses) is refused by name, not continued and not
+// mistaken for an empty journal.
 func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	path := filepath.Join(t.TempDir(), "run.journal")
@@ -353,7 +354,7 @@ func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	if err := json.Unmarshal(data[blobframe.HeaderSize:end], &cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []int{1, 2, 3, 4, 5, 6} {
+	for _, version := range []int{1, 2, 3, 4, 5, 6, 7} {
 		cfg["format_version"] = version
 		payload, err := json.Marshal(cfg)
 		if err != nil {
