@@ -97,6 +97,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "masc: -resume requires -journal")
 		os.Exit(2)
 	}
+	if c.journalFsync < 0 {
+		fmt.Fprintln(os.Stderr, "masc: -journal-fsync must not be negative")
+		os.Exit(2)
+	}
 	if c.memBudget != "" {
 		b, err := masc.ParseByteSize(c.memBudget)
 		if err != nil {

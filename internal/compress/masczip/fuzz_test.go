@@ -71,17 +71,18 @@ func FuzzDecompress(f *testing.F) {
 	hugeLens = binary.AppendUvarint(hugeLens, math.MaxUint64)
 	f.Add(hugeLens)
 	// Bad hit-run lengths, residual length tables and miss-run counts, order
-	// fields no history satisfies, and blobs of the four older revisions,
-	// which the decoder must refuse at the header (the golden corpus' pattern
-	// is not this one, so past that check they are foreign blobs too); then a
-	// well-formed header under an all-bits-set first byte.
+	// fields no history satisfies, voltage blobs naming order 7 or cut short
+	// and the golden corpora's blobs, which are other patterns'; then a well-formed header under an all-bits-set first byte
+	// (order 7, refused) and under every flag bit set at order 0.
 	for _, seed := range adversarialBlobs(f, p) {
 		f.Add(seed)
 	}
-	allSet := []byte{0xff}
-	allSet = binary.AppendUvarint(allSet, uint64(p.NNZ()))
-	allSet = binary.AppendUvarint(allSet, 1)
-	f.Add(allSet)
+	for _, flags := range []byte{0xff, 1<<orderShift - 1} {
+		allSet := []byte{flags}
+		allSet = binary.AppendUvarint(allSet, uint64(p.NNZ()))
+		allSet = binary.AppendUvarint(allSet, 1)
+		f.Add(allSet)
+	}
 	oracle := newReference(p, Options{})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		out := make([]float64, p.NNZ())

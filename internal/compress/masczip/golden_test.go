@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"masc/internal/atomicio"
@@ -75,11 +74,10 @@ func readCorpus(path string) ([][]byte, error) {
 	return blobs, nil
 }
 
-// TestGoldenFormat pins the masczip on-disk format: the checked-in blobs
-// must decode to the exact deterministic frame sequence (decode
-// compatibility — old archives stay readable), and a fresh encoder over the
-// same frames must reproduce the blobs byte for byte (encode identity — the
-// format has not silently drifted). Regenerate after a deliberate format
+// TestGoldenFormat pins the masczip wire format: the checked-in blobs must
+// decode to the exact deterministic frame sequence, and a fresh encoder over
+// the same frames must reproduce the blobs byte for byte (encode identity —
+// the format has not silently drifted). Regenerate after a deliberate format
 // change with MASC_UPDATE_GOLDEN=1 go test ./internal/compress/masczip
 // -run TestGoldenFormat, and say so in the commit message.
 func TestGoldenFormat(t *testing.T) {
@@ -153,7 +151,7 @@ func TestGoldenHistory(t *testing.T) {
 }
 
 // TestGoldenStates pins the format of blobs coded with states beside their
-// frames: the extension byte and the voltage family's interpolation. The chain
+// frames: the voltage flag and the voltage family's interpolation. The chain
 // is branchVoltageFrames', every blob with two frames or more coded in the
 // voltage.
 func TestGoldenStates(t *testing.T) {
@@ -168,57 +166,6 @@ func TestGoldenStates(t *testing.T) {
 	for i, blob := range golden[:len(golden)-2] {
 		if _, volt := blobFamily(blob); !volt {
 			t.Fatalf("golden-states blob %d (flags %#02x) is not coded in the voltage", i, blob[0])
-		}
-	}
-}
-
-// oldRevisionCorpora are the refusal fixtures, one blob per golden profile in
-// the order of goldenFormatProfiles then goldenRunsProfiles: the unreferenced
-// tail blobs as the last binary without the stamp revision bit wrote them
-// (revision bits 0b00), one chained blob of each corpus as the last binary
-// without the hit-run revision bit did (0b01), the first blob of each corpus
-// as the last binary with XOR residuals did (0b11), as the last binary
-// without miss runs did (0b10, no extension byte), and as the last binary
-// with residual lengths coded against a running estimate did (an extension
-// byte without the length-table bit).
-var oldRevisionCorpora = []string{"prerev-nilref.bin", "prerev-chained.bin", "prerev-xor.bin", "prerev-distance.bin", "prerev-lengthmodel.bin"}
-
-// currentRevision reports whether a blob's header names this revision: the
-// revision bits 0b10 and an extension byte with the miss-run and length-table
-// bits.
-func currentRevision(blob []byte) bool {
-	return blob[0]&revisionMask == revision && blob[0]>>orderShift == orderExtended &&
-		len(blob) > 1 && blob[1]&extMissRuns != 0 && blob[1]&extLengths != 0
-}
-
-// TestOlderRevisionsRefused: a blob of any older revision has a layout this
-// decoder would read to the end and get wrong values from, so it must be
-// refused by name, on its own pattern, whatever else is in it.
-func TestOlderRevisionsRefused(t *testing.T) {
-	for _, file := range oldRevisionCorpora {
-		old, err := readCorpus(filepath.Join("testdata", file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		for _, set := range []struct {
-			mk       func() (*sparse.Pattern, [][]float64)
-			profiles []goldenProfile
-		}{{goldenFrames, goldenFormatProfiles}, {goldenRunFrames, goldenRunsProfiles}} {
-			p, frames := set.mk()
-			for _, prof := range set.profiles {
-				was := old[i]
-				i++
-				if currentRevision(was) {
-					t.Fatalf("%s %s: flags byte %#02x is not an older revision's", file, prof.name, was[0])
-				}
-				for _, ref := range [][]float64{nil, frames[1]} {
-					err := New(p, prof.opt).Decompress(make([]float64, p.NNZ()), was, ref)
-					if err == nil || !strings.Contains(err.Error(), "flags byte") || !strings.Contains(err.Error(), "older format") {
-						t.Errorf("%s %s: older-revision blob decoded: %v", file, prof.name, err)
-					}
-				}
-			}
 		}
 	}
 }
@@ -251,8 +198,8 @@ func goldenCorpusTest(t *testing.T, p *sparse.Pattern, frames, states [][]float6
 				}
 			}
 
-			// Decode compatibility: a fresh decoder must invert the
-			// checked-in corpus bit-exactly.
+			// Decode identity: a fresh decoder must invert the checked-in
+			// corpus bit-exactly.
 			decodeChainStates(t, New(p, prof.opt), golden, frames, states, depth)
 		})
 	}

@@ -222,7 +222,7 @@ func TestHistoryRoundTripMatrix(t *testing.T) {
 					}
 				}
 				if got, _ := blobFamily(blob); got != o {
-					t.Fatalf("order %d forced, extension byte %#02x says %d", o, blob[1], got)
+					t.Fatalf("order %d forced, flags byte %#02x says %d", o, blob[0], got)
 				}
 				for _, dw := range []int{1, 2, 5, 64} {
 					for name, dec := range map[string]*Compressor{"batched": New(p, Options{Workers: dw}), "scalar": newReference(p, Options{Workers: dw})} {
@@ -307,14 +307,14 @@ func TestOrderRestartsAtAnEdge(t *testing.T) {
 }
 
 // orderBlobs are nil-reference blobs over p with each nonzero order written
-// into the extension byte: no history can satisfy them. (7, past MaxOrder, is
-// among extensionBlobs.)
+// into the flags byte: no history can satisfy them. (7, past MaxOrder, is
+// among badVoltageBlobs.)
 func orderBlobs(p *sparse.Pattern) [][]byte {
 	rng := rand.New(rand.NewSource(64))
 	good := New(p, Options{}).Compress(nil, mnaValues(rng, p, 0.01), nil)
 	var out [][]byte
 	for o := 1; o <= MaxOrder; o++ {
-		out = append(out, append([]byte{good[0], good[1] | byte(o)}, good[2:]...))
+		out = append(out, append([]byte{good[0] | byte(o)<<orderShift}, good[1:]...))
 	}
 	return out
 }
@@ -370,7 +370,7 @@ func TestHistoryAllocsPinnedZero(t *testing.T) {
 	dst := make([]byte, 0, 1<<20)
 	blob := c.CompressHistory(dst, frames[0], codectest.Frames(frames[1:]), nil)
 	if order, _ := blobFamily(blob); order == 0 {
-		t.Fatalf("extension byte %#02x: the waveform chain was coded at order 0", blob[1])
+		t.Fatalf("flags byte %#02x: the waveform chain was coded at order 0", blob[0])
 	}
 	out := make([]float64, p.NNZ())
 	hist := codectest.Frames(frames[1:])

@@ -274,49 +274,30 @@ func (c *Compressor) Stats() Stats { return c.stats }
 // ResetStats clears the accumulated statistics.
 func (c *Compressor) ResetStats() { c.stats = Stats{} }
 
-// Header flag bits. Bits 1–2 are the format revision. The three before 0b10
-// wrote 0b00 (region D's symbol 1 the value-form stamp), 0b01 (the
-// difference-form stamp of candsD) and 0b11 (a hit means "the region's hit
-// predictor is bit-exact", and hits are run-length coded over flat regions);
-// 0b10 made a residual the ordered-integer distance from the prediction, not
-// the XOR of the two in a leading-zero window. flagMateHit and flagStampHit
-// are the encoder's per-blob choice of region L's and region D's hit
-// predictor (clear = temporal), and bits 5–7 its choice of the order the
+// The header is one flags byte. flagCalib marks a calibration blob (best-fit
+// selectors, no Markov tables); flagMateHit and flagStampHit are the
+// encoder's per-blob choice of region L's and region D's hit predictor
+// (clear = temporal); flagVolt says the temporal candidate interpolates in
+// the branch voltage (voltage.go), not in time; flagOneChunk says the blob is
+// one chunk, whose count is then left out. Bits 5–7 are the order the
 // temporal candidate extrapolates at (history.go; 0 = the nearest frame's
-// value). The order field's value 7 — above MaxOrder — says
-// an extension byte follows the flags byte: bits 0–2 the order, bit 3 the
-// voltage family (voltage.go), bit 4 runs of misses that keep their symbol
-// length-coded (batch.go), bit 5 a blob of one chunk, whose chunk count is
-// then left out, bit 6 residual lengths coded with each region's own length
-// table (lengthcode.go), not as exp-Golomb codes against a running estimate,
-// and bit 7 unknown and refused. Bits 4 and 6 together are the revision this
-// decoder reads: with no revision value left in the flags byte, every blob of
-// it carries the extension byte with both set, and a blob without either is
-// refused like the older ones — a blob coded under an older meaning would
-// decode to wrong values, not fail. Bit 5 pays for the extension byte on the
-// blobs of a one-worker encoder. The decoder obeys the other bits whatever its
-// own options.
+// value), 0 to MaxOrder. The decoder obeys the bits whatever its own options.
+// The byte names no format revision: a blob is decoded only by the process
+// that coded it, since a resumed run recomputes its store from the journal.
 const (
-	flagCalib     = 1 << 0
-	revisionMask  = 3 << 1
-	revision      = 2 << 1
-	flagMateHit   = 1 << 3
-	flagStampHit  = 1 << 4
-	orderShift    = 5
-	orderExtended = 7 // the order field's escape to the extension byte
-
-	extOrder    = 1<<3 - 1
-	extVolt     = 1 << 3
-	extMissRuns = 1 << 4
-	extOneChunk = 1 << 5
-	extLengths  = 1 << 6
+	flagCalib    = 1 << 0
+	flagMateHit  = 1 << 1
+	flagStampHit = 1 << 2
+	flagVolt     = 1 << 3
+	flagOneChunk = 1 << 4
+	orderShift   = 5
 )
 
 // Decoding errors a caller can tell apart: ErrFormat is a blob this decoder
-// does not read (an older revision, unknown header bits, an order past
-// MaxOrder, a malformed header); ErrReference is a blob coded against
-// reference data the call does not bring — fewer frames than its order reads,
-// or a voltage-family blob without the states it interpolates in.
+// does not read (empty, or an order past MaxOrder); ErrReference is a blob
+// coded against reference data the call does not bring — fewer frames than
+// its order reads, or a voltage-family blob without the states it
+// interpolates in.
 var (
 	ErrFormat    = errors.New("masczip: unreadable blob")
 	ErrReference = errors.New("masczip: blob needs reference data the call lacks")
@@ -531,9 +512,9 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist compress.Hi
 	c.cur, c.ref, c.far, c.nhist, c.states, c.calib, c.curBounds = cur, ref, far, nhist, states, calib, bounds
 	c.prePass(nchunks)
 
-	dst = append(dst, byte(revision|boolInt(calib)*flagCalib|
-		boolInt(c.mateHit)*flagMateHit|boolInt(c.stampHit)*flagStampHit|orderExtended<<orderShift),
-		byte(int64(c.order)|boolInt(c.volt)*extVolt|extMissRuns|extLengths|boolInt(nchunks == 1)*extOneChunk))
+	dst = append(dst, byte(boolInt(calib)*flagCalib|boolInt(c.mateHit)*flagMateHit|
+		boolInt(c.stampHit)*flagStampHit|boolInt(c.volt)*flagVolt|
+		boolInt(nchunks == 1)*flagOneChunk|int64(c.order)<<orderShift))
 	dst = binary.AppendUvarint(dst, uint64(len(cur)))
 	// The chunk row boundaries travel in the header: re-deriving them from
 	// the chunk count alone is not a fixed point of the partitioner when
@@ -628,50 +609,29 @@ func (c *Compressor) decodeChunk(ci int) {
 	}
 }
 
-// header reads the blob's flags byte, and the extension byte where the order
-// field escapes to one, and checks them against what the call brings: nhist
-// frames and states. It returns the blob's order and family and the offset of
-// its element count.
-func (c *Compressor) header(blob []byte, nhist int, states [][]float64) (order int, volt bool, off int, err error) {
+// header reads the blob's flags byte and checks it against what the call
+// brings: nhist frames and states. It returns the blob's order and family.
+func (c *Compressor) header(blob []byte, nhist int, states [][]float64) (order int, volt bool, err error) {
 	if len(blob) < 1 {
-		return 0, false, 0, fmt.Errorf("%w: empty blob", ErrFormat)
+		return 0, false, fmt.Errorf("%w: empty blob", ErrFormat)
 	}
 	flags := blob[0]
-	if rev := flags & revisionMask; rev != revision {
-		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x has revision bits %#02x, not %#02x (blob of an older format)", ErrFormat, flags, rev, revision)
-	}
-	if flags>>orderShift != orderExtended {
-		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x announces no extension byte (blob of an older format: revision 0b10 before miss runs)", ErrFormat, flags)
-	}
-	if len(blob) < 2 {
-		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x announces an extension byte the blob lacks", ErrFormat, flags)
-	}
-	ext := blob[1]
-	if unknown := ext &^ (extOrder | extVolt | extMissRuns | extOneChunk | extLengths); unknown != 0 {
-		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x has unknown bits %#02x", ErrFormat, flags, ext, unknown)
-	}
-	if ext&extMissRuns == 0 {
-		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x lacks the miss-run bit %#02x (blob of an older format: revision 0b10 before miss runs)", ErrFormat, flags, ext, extMissRuns)
-	}
-	if ext&extLengths == 0 {
-		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x lacks the length-table bit %#02x (blob of an older format: residual lengths against a running estimate)", ErrFormat, flags, ext, extLengths)
-	}
-	order, volt, off = int(ext&extOrder), ext&extVolt != 0, 2
+	order, volt = int(flags>>orderShift), flags&flagVolt != 0
 	if order > MaxOrder {
-		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: extension byte %#02x names order %d, the format's highest is %d", ErrFormat, flags, ext, order, MaxOrder)
+		return 0, false, fmt.Errorf("%w: flags byte %#02x names order %d, the format's highest is %d", ErrFormat, flags, order, MaxOrder)
 	}
 	if order > 0 && order >= nhist {
-		return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: an order-%d blob reads %d reference frames, %d given", ErrReference, flags, order, order+1, nhist)
+		return 0, false, fmt.Errorf("%w: flags byte %#02x: an order-%d blob reads %d reference frames, %d given", ErrReference, flags, order, order+1, nhist)
 	}
 	if volt {
 		if len(states) < order+2 {
-			return 0, false, 0, fmt.Errorf("%w: flags byte %#02x: a voltage-family order-%d blob reads %d states, %d given", ErrReference, flags, order, order+2, len(states))
+			return 0, false, fmt.Errorf("%w: flags byte %#02x: a voltage-family order-%d blob reads %d states, %d given", ErrReference, flags, order, order+2, len(states))
 		}
 		if err := c.checkStates(states[:order+2]); err != nil {
-			return 0, false, 0, fmt.Errorf("flags byte %#02x: %w", flags, err)
+			return 0, false, fmt.Errorf("flags byte %#02x: %w", flags, err)
 		}
 	}
-	return order, volt, off, nil
+	return order, volt, nil
 }
 
 // DecompressHistory implements compress.HistoryCompressor. hist must open
@@ -688,14 +648,14 @@ func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist compress
 	if err != nil {
 		return err
 	}
-	order, volt, off, err := c.header(blob, nhist, states)
+	order, volt, err := c.header(blob, nhist, states)
 	if err != nil {
 		return err
 	}
 	if !volt {
 		states = nil
 	}
-	flags := blob[0]
+	flags, off := blob[0], 1
 	n, k := binary.Uvarint(blob[off:])
 	if k <= 0 {
 		return fmt.Errorf("masczip: bad element count")
@@ -705,7 +665,7 @@ func (c *Compressor) DecompressHistory(cur []float64, blob []byte, hist compress
 		return fmt.Errorf("masczip: blob holds %d elements, want %d", n, len(cur))
 	}
 	nchunks64 := uint64(1)
-	if blob[1]&extOneChunk == 0 {
+	if flags&flagOneChunk == 0 {
 		if nchunks64, k = binary.Uvarint(blob[off:]); k <= 0 {
 			return fmt.Errorf("masczip: bad chunk count")
 		}

@@ -20,23 +20,28 @@ import (
 
 // adversarialBlobs are the decoder seeds TestCorruptedBlobNoPanic and
 // FuzzDecompress share: the bad hit-run lengths, residual length tables and
-// miss-run counts over p, nil-reference blobs whose extension byte names an
-// extrapolation order, voltage-family blobs with a bad or missing extension
-// byte, and every blob of the five older-revision corpora (foreign patterns
-// here, refused at the header).
+// miss-run counts over p, nil-reference blobs whose flags byte names an
+// extrapolation order, voltage-family blobs naming order 7 or cut off after
+// the flags byte, and every blob of the golden corpora: well-formed blobs of
+// this format over other patterns, refused at the element count unless their
+// pattern's is p's.
 func adversarialBlobs(t testing.TB, p *sparse.Pattern) [][]byte {
 	var out [][]byte
 	for _, tc := range badStreams(p) {
 		out = append(out, tc.blob)
 	}
 	out = append(out, orderBlobs(p)...)
-	out = append(out, extensionBlobs(t, p)...)
-	for _, file := range oldRevisionCorpora {
-		old, err := readCorpus(filepath.Join("testdata", file))
+	out = append(out, badVoltageBlobs(t, p)...)
+	files, err := filepath.Glob(filepath.Join("testdata", "golden-*.bin"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden corpora: %v", err)
+	}
+	for _, file := range files {
+		blobs, err := readCorpus(file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, old...)
+		out = append(out, blobs...)
 	}
 	return out
 }
@@ -400,11 +405,12 @@ func TestDecompressErrors(t *testing.T) {
 // deltas past 2^31 (which would wrap negative through the int32 cast) and
 // chunk lengths whose sum would overflow the payload offset. Those carry a
 // valid flags byte, so they reach the parser they are aimed at; the flags
-// cases put a wrong first byte on an otherwise good blob, which must be
-// refused with an error that names the byte; the order field has its own part.
+// cases put a first byte naming order 7 on an otherwise good blob, which must
+// be refused with an error that names the byte; the order field and the
+// voltage flag have their own parts.
 func TestHeaderHardening(t *testing.T) {
 	t.Run("order field", orderNeedsItsHistory)
-	t.Run("extension byte", voltageNeedsItsStates)
+	t.Run("voltage flag", voltageNeedsItsStates)
 	rng := rand.New(rand.NewSource(21))
 	p := mnaPattern(rng, 30, 40)
 	c := New(p, Options{})
@@ -414,8 +420,7 @@ func TestHeaderHardening(t *testing.T) {
 	if err := c.Decompress(got, good, nil); err != nil {
 		t.Fatal(err)
 	}
-	older := good[0] &^ revisionMask
-	for _, flags := range []byte{0x80, good[0] &^ 0x20, good[0] &^ (orderExtended << orderShift), 0xff, older, older | 1<<1, older | 3<<1, flagCalib, 0} {
+	for _, flags := range []byte{good[0] | 7<<orderShift, 0xff, 7 << orderShift} {
 		bad := append([]byte{flags}, good[1:]...)
 		err := c.Decompress(got, bad, nil)
 		if want := fmt.Sprintf("flags byte %#02x", flags); err == nil || !strings.Contains(err.Error(), want) {
@@ -499,9 +504,9 @@ func TestHeaderHardening(t *testing.T) {
 	}
 }
 
-// header is the flags and extension bytes of a best-fit order-0 blob.
+// header is the flags byte of a best-fit order-0 blob.
 func header() []byte {
-	return []byte{flagCalib | revision | orderExtended<<orderShift, extMissRuns | extLengths}
+	return []byte{flagCalib}
 }
 
 // badStreams are the chunk streams the decoder must refuse: bad hit-run
@@ -807,8 +812,8 @@ func TestCorruptedBlobNoPanic(t *testing.T) {
 	c.Compress(nil, cur, ref) // advance to a markov matrix
 	blob := c.Compress(nil, cur, ref)
 	got := make([]float64, len(cur))
-	// The crafted length fields and the older revisions' blobs first, then
-	// random damage to a good blob.
+	// The crafted header and length fields first, then random damage to a
+	// good blob.
 	vblob, hist, states := voltageBlob(t, p)
 	for _, seed := range adversarialBlobs(t, p) {
 		_ = c.Decompress(got, seed, ref)

@@ -200,7 +200,7 @@ func TestStructureCostsNoBits(t *testing.T) {
 	}
 
 	static := mnaValues(rng, p, 0.01)
-	header := len(binary.AppendUvarint([]byte{0, 0, 1}, uint64(p.NNZ()))) + 1 // flags, extension, chunk count, element count, chunk length
+	header := len(binary.AppendUvarint([]byte{0, 1}, uint64(p.NNZ()))) + 1 // flags, chunk count, element count, chunk length
 	for _, opt := range []Options{{}, {Markov: true}, {DisableStamp: true}} {
 		c := New(p, opt)
 		c.Compress(nil, static, nil)

@@ -28,8 +28,8 @@ import (
 // makes its divided difference zero, and a change that is not finite leaves
 // the order-0 prediction. Encoder and decoder therefore compute the same bits
 // everywhere. The encoder prices both families in its pre-pass and writes the
-// voltage family's order in an extension byte (masczip.go); a blob coded
-// without states never names it.
+// voltage family's flag and order in the flags byte (masczip.go); a blob
+// coded without states never sets the flag.
 
 // nodes holds the abscissae (u) or ordinates (values) of one interpolation,
 // frame 0 first.

@@ -98,9 +98,9 @@ func decodeChainStates(t *testing.T, d *Compressor, blobs [][]byte, frames, stat
 	}
 }
 
-// blobFamily reads a blob's symbol-0 family and order from its extension byte.
+// blobFamily reads a blob's symbol-0 family and order from its flags byte.
 func blobFamily(blob []byte) (order int, volt bool) {
-	return int(blob[1] & extOrder), blob[1]&extVolt != 0
+	return int(blob[0] >> orderShift), blob[0]&flagVolt != 0
 }
 
 // TestBranchVoltageCapacitanceIsNearlyFree: where every slot is a function of
@@ -195,24 +195,18 @@ func voltageBlob(t testing.TB, p *sparse.Pattern) (blob []byte, hist, states [][
 	return blob, hist, states
 }
 
-// extensionBlobs are the voltage family's adversarial blobs over p: a good
-// one with its extension byte's unknown bit set, naming order 7, without the
-// miss-run bit (a 0b10 blob's extension byte), without the length-table bit
-// (the miss-run revision's), and cut off after the flags byte.
-func extensionBlobs(t testing.TB, p *sparse.Pattern) [][]byte {
+// badVoltageBlobs are the voltage family's adversarial blobs over p: a good
+// one naming order 7, and one cut off after its flags byte.
+func badVoltageBlobs(t testing.TB, p *sparse.Pattern) [][]byte {
 	good, _, _ := voltageBlob(t, p)
-	var out [][]byte
-	for _, ext := range []byte{good[1] | 0x80, extVolt | extMissRuns | extLengths | 7, good[1] &^ extMissRuns, good[1] &^ extLengths} {
-		out = append(out, append([]byte{good[0], ext}, good[2:]...))
-	}
-	return append(out, good[:1])
+	return [][]byte{append([]byte{good[0] | 7<<orderShift}, good[1:]...), good[:1]}
 }
 
-// voltageNeedsItsStates is TestHeaderHardening's part on the extension byte:
+// voltageNeedsItsStates is TestHeaderHardening's part on the voltage flag:
 // a voltage-family blob decoded without states, with states of the wrong
 // dimension or too few of them, or against fewer frames than its order reads,
-// is an ErrReference; unknown extension bits, order 7 and a missing extension
-// byte are an ErrFormat — from both decoders, and never a panic.
+// is an ErrReference; order 7 is an ErrFormat and a blob cut off after its
+// flags byte an error — from both decoders, and never a panic.
 func voltageNeedsItsStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	p := mnaPattern(rng, 30, 40)
@@ -240,11 +234,13 @@ func voltageNeedsItsStates(t *testing.T) {
 				t.Errorf("%s decoder, %s: %v, want an ErrReference", name, tc.name, err)
 			}
 		}
-		for i, bad := range extensionBlobs(t, p) {
-			err := d.DecompressHistory(got, bad, codectest.Frames(hist), states)
-			if !errors.Is(err, ErrFormat) || !bytes.Contains([]byte(err.Error()), []byte(fmt.Sprintf("flags byte %#02x", bad[0]))) {
-				t.Errorf("%s decoder, extension blob %d: %v, want an ErrFormat naming the flags byte", name, i, err)
-			}
+		bad := badVoltageBlobs(t, p)
+		err := d.DecompressHistory(got, bad[0], codectest.Frames(hist), states)
+		if !errors.Is(err, ErrFormat) || !bytes.Contains([]byte(err.Error()), []byte(fmt.Sprintf("flags byte %#02x", bad[0][0]))) {
+			t.Errorf("%s decoder, order 7: %v, want an ErrFormat naming the flags byte", name, err)
+		}
+		if err := d.DecompressHistory(got, bad[1], codectest.Frames(hist), states); err == nil {
+			t.Errorf("%s decoder: a blob of its flags byte alone decoded", name)
 		}
 	}
 }
@@ -321,7 +317,7 @@ func TestNoStatesIsPreviousFormat(t *testing.T) {
 	frames, states := branchVoltageFrames(rng, p, 12)
 	for _, blob := range encodeChainDepth(New(p, Options{}), frames, MaxOrder+1) {
 		if _, volt := blobFamily(blob); volt {
-			t.Fatalf("extension byte %#02x: a chain coded without states is coded in the voltage", blob[1])
+			t.Fatalf("flags byte %#02x: a chain coded without states is coded in the voltage", blob[0])
 		}
 	}
 	// A cubic series in the step is exact in time once four frames are above

@@ -87,8 +87,6 @@ type Store struct {
 	jrng    *rand.Rand // deterministic backoff jitter
 	fault   *faultinject.Injector
 	ctx     context.Context // optional; cancels retry backoff
-	fsyncT  time.Duration
-	fsyncs  int64
 
 	spans      *span.Recorder
 	spanParent span.ID
@@ -321,40 +319,6 @@ func (s *Store) ReadAt(p []byte, off int64) error {
 	s.ioTime += s.throttle(len(p), time.Since(start))
 	s.ioBytes += int64(len(p))
 	return nil
-}
-
-// Sync fsyncs the spill file so every appended byte is durable before the
-// caller journals a record referencing it. fsync failures are not retried —
-// on Linux a failed fsync may drop the dirty pages, so retrying can report
-// durability that does not exist; the error surfaces as a typed *OpError.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return &OpError{Op: "fsync", Off: s.off, Attempts: 0, Err: ErrClosed}
-	}
-	start := time.Now()
-	err := s.f.Sync()
-	s.fsyncT += time.Since(start)
-	s.fsyncs++
-	if err != nil {
-		return &OpError{Op: "fsync", Off: s.off, Attempts: 1, Err: err}
-	}
-	return nil
-}
-
-// FsyncTime returns the cumulative wall time spent in Sync.
-func (s *Store) FsyncTime() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fsyncT
-}
-
-// Fsyncs returns how many Sync calls the store has performed.
-func (s *Store) Fsyncs() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fsyncs
 }
 
 // Size returns the bytes written so far.

@@ -62,11 +62,6 @@ func (s *DiskStore) Attach(a Attachment) {
 	s.wireSpill(s.spill)
 }
 
-// SyncSpill fsyncs the spill file. The run journal calls it before marking
-// the steps referencing those spill bytes durable, ordering data ahead of
-// the checkpoint record that points at it.
-func (s *DiskStore) SyncSpill() error { return s.spill.Sync() }
-
 // encode frames vals as a sealed blobframe record in the scratch buffer.
 func (s *DiskStore) encode(vals []float64, kind byte, step int) []byte {
 	need := blobframe.HeaderSize + 8*len(vals)
@@ -209,8 +204,6 @@ func (s *DiskStore) Stats() Stats {
 	st := s.stats
 	st.IOTime = s.spill.IOTime()
 	st.DiskRetries = s.spill.Retries()
-	st.FsyncTime = s.spill.FsyncTime()
-	st.Fsyncs = s.spill.Fsyncs()
 	return st
 }
 

@@ -58,11 +58,6 @@ type Stats struct {
 	// DiskRetries counts transient spill-I/O attempts absorbed by the
 	// retry policy (disk store only).
 	DiskRetries int64
-	// FsyncTime is the cumulative wall time spent fsync'ing spill files via
-	// SyncSpill (disk and tiered stores); Fsyncs counts those calls. Both are
-	// zero unless a run journal is forcing spill durability.
-	FsyncTime time.Duration
-	Fsyncs    int64
 	// AnchorBytes is the plaintext bytes currently retained as window
 	// anchor frames (compressed store with SetAnchorEvery). Anchors count
 	// toward PeakResident: they are real resident memory the windowed

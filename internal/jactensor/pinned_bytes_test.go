@@ -84,7 +84,12 @@ type pinnedBytes struct {
 // voltage/tiered holds 0.1 % less (374450 → 374048) and
 // selfcontained/tiered 0.7 % more (43807 → 44106), the ladder placing steps
 // by their blobs' sizes; chained/tiered keeps its bytes and stream, its peak
-// 151 B lower.
+// 151 B lower. Every row was re-recorded when masczip's header became one
+// byte (two before: a flags byte and an extension byte): each blob is one
+// byte shorter and otherwise the same, so the chain rows hold 240 B less
+// (two blobs a step, 120 steps), peaks too, the tiered rows 2 B less a step
+// on the compressed rung (voltage/tiered −60 B, selfcontained/tiered −64 B)
+// and every tiered peak 2 B less; chained/tiered keeps its bytes and stream.
 func TestPinnedStoreBytes(t *testing.T) {
 	const steps = 120
 	type fixture struct {
@@ -142,21 +147,21 @@ func TestPinnedStoreBytes(t *testing.T) {
 		}},
 	}
 	want := map[string]pinnedBytes{
-		"voltage/masc-sync":                     {stored: 135722, peak: 238147, stream: 0xbf22d0297efbd18a},
-		"voltage/masc-async2":                   {stored: 135722, peak: -1, stream: 0xbf22d0297efbd18a},
-		"voltage/masc-anchors50":                {stored: 167062, peak: 294815, stream: 0x242a3f66adb827e9},
-		"voltage/markov-sync":                   {stored: 131831, peak: 234256, stream: 0x6fb558815ac87c1a},
-		"voltage/tiered-quarter-diskless":       {stored: 374048, peak: 403776, stream: 0xf5e75cdb9254fd6d},
-		"chained/masc-sync":                     {stored: 38030, peak: 63767, stream: 0x028cbb71b6c573a6},
-		"chained/masc-async2":                   {stored: 38030, peak: -1, stream: 0x028cbb71b6c573a6},
-		"chained/masc-anchors50":                {stored: 43683, peak: 75292, stream: 0x293e7fa7db69e33f},
-		"chained/markov-sync":                   {stored: 37546, peak: 63283, stream: 0x04012a4c120bcd24},
-		"chained/tiered-quarter-diskless":       {stored: 91920, peak: 98104, stream: 0x4222caa0e70ae523},
-		"selfcontained/masc-sync":               {stored: 22146, peak: 31256, stream: 0x4777d7cb5cb2baf1},
-		"selfcontained/masc-async2":             {stored: 22146, peak: -1, stream: 0x4777d7cb5cb2baf1},
-		"selfcontained/masc-anchors50":          {stored: 25121, peak: 37687, stream: 0xc3072a8da9915e01},
-		"selfcontained/markov-sync":             {stored: 23438, peak: 32548, stream: 0xa5f7b7b4c95787e0},
-		"selfcontained/tiered-quarter-diskless": {stored: 44106, peak: 47860, stream: 0x147e52332e20009c},
+		"voltage/masc-sync":                     {stored: 135482, peak: 237907, stream: 0xd69fb1ffc8ce0b26},
+		"voltage/masc-async2":                   {stored: 135482, peak: -1, stream: 0xd69fb1ffc8ce0b26},
+		"voltage/masc-anchors50":                {stored: 166822, peak: 294575, stream: 0x182af7cfec98adcb},
+		"voltage/markov-sync":                   {stored: 131591, peak: 234016, stream: 0x917b8bbdbc3fa7b6},
+		"voltage/tiered-quarter-diskless":       {stored: 373988, peak: 403774, stream: 0x9e6972638ca73add},
+		"chained/masc-sync":                     {stored: 37790, peak: 63527, stream: 0x23371d7bcdb13cf0},
+		"chained/masc-async2":                   {stored: 37790, peak: -1, stream: 0x23371d7bcdb13cf0},
+		"chained/masc-anchors50":                {stored: 43443, peak: 75052, stream: 0x9cf5b88596dec50b},
+		"chained/markov-sync":                   {stored: 37306, peak: 63043, stream: 0x3c4844c288419576},
+		"chained/tiered-quarter-diskless":       {stored: 91920, peak: 98102, stream: 0x4222caa0e70ae523},
+		"selfcontained/masc-sync":               {stored: 21906, peak: 31016, stream: 0x9d069c5ae46a7a8f},
+		"selfcontained/masc-async2":             {stored: 21906, peak: -1, stream: 0x9d069c5ae46a7a8f},
+		"selfcontained/masc-anchors50":          {stored: 24881, peak: 37447, stream: 0x2f34ead3fd556a2b},
+		"selfcontained/markov-sync":             {stored: 23198, peak: 32308, stream: 0xf8262da5d163267a},
+		"selfcontained/tiered-quarter-diskless": {stored: 44042, peak: 47858, stream: 0xb017ccbf2233e815},
 	}
 	for _, f := range fixtures {
 		// A frame at what it costs in the window: in blocks, none shared.

@@ -150,19 +150,6 @@ func (s *TieredStore) Attach(a Attachment) {
 	s.cd.trace(s.ob.rec)
 }
 
-// SyncSpill fsyncs the spill file, if one exists, so every demoted blob a
-// journal checkpoint references is durable before the checkpoint record is.
-// A store that never demoted to disk syncs nothing.
-func (s *TieredStore) SyncSpill() error {
-	s.mu.Lock()
-	sp := s.spill
-	s.mu.Unlock()
-	if sp == nil {
-		return nil
-	}
-	return sp.Sync()
-}
-
 // SetRecompute installs the deliberate-drop recovery path: a dropped step's
 // Fetch re-derives its tensors through fn instead of returning an error.
 // Without it a dropped step surfaces as a degradable StepError, which the
@@ -361,7 +348,6 @@ func (s *TieredStore) encode(i int) {
 	// Corruption during the demotion itself: the sealed blob is the target.
 	st.jBlob, st.cBlob = s.seal(i, st.pair, history{})
 	d := s.model.Now().Sub(t0)
-	s.model.ObserveCompress(int(s.frameBytes), d)
 	s.stats.CompressTime += d
 	s.ob.compressSec.AddDuration(d)
 	st.jbN, st.cbN = len(st.jBlob), len(st.cBlob)
@@ -803,8 +789,6 @@ func (s *TieredStore) Stats() Stats {
 	if s.spill != nil {
 		st.IOTime = s.spill.IOTime()
 		st.DiskRetries = s.spill.Retries()
-		st.FsyncTime = s.spill.FsyncTime()
-		st.Fsyncs = s.spill.Fsyncs()
 	}
 	return st
 }

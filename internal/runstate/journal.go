@@ -46,21 +46,11 @@ import (
 // ErrFormatVersion. Version 2: the LU column order became minimum degree. The
 // pivot order is part of what a resume replays, so a journal checkpointed
 // under version 1's RCM order must be refused, not continued into a hybrid
-// run no uninterrupted binary would produce. Version 3: masczip blobs carry a
-// revision bit for region D's difference-form stamp and the decoder refuses
-// blobs without it. A resumed tiered run re-reads the spill blobs the killed
-// run wrote, so a version-2 journal would resume into a run whose every
-// spilled fetch degrades to recomputation; it is refused here instead.
-// Version 4: a second revision bit (a hit is the region's hit predictor being
-// exact, hits are coded in runs), for the same reason. Version 5: the run's
-// shape is one opaque Plan value instead of fields of its own. Version 6:
-// masczip's residuals are ordered-integer distances under a third revision,
-// and the decoder refuses the XOR blobs a version-5 run spilled. Version 7:
-// masczip length-codes runs of misses that keep their symbol, marked by its
-// extension byte, and the decoder refuses the 0b10 blobs a version-6 run
-// spilled. Version 8: masczip codes residual lengths with a table per region,
-// marked by a second extension bit, and the decoder refuses the blobs a
-// version-7 run spilled.
+// run no uninterrupted binary would produce. Version 5: the run's shape is one
+// opaque Plan value instead of fields of its own. Versions 3, 4, 6, 7 and 8
+// followed masczip format changes; a codec change needs no bump, because the
+// journal is the only thing a resume reads of the killed run — its store is
+// recomputed from the checkpoints, never read back from a spill file.
 const FormatVersion = 8
 
 // Record kind bytes.
@@ -125,10 +115,8 @@ type Writer struct {
 	mu         sync.Mutex
 	f          *os.File
 	bw         *bufio.Writer
-	path       string
 	fsyncEvery int
 	pending    int // step records since the last fsync
-	preSync    func() error
 	fsyncT     time.Duration
 	fsyncs     int64
 	scratch    []byte
@@ -146,7 +134,7 @@ func Create(path string, cfg *Config) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstate: create journal: %w", err)
 	}
-	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), path: path, fsyncEvery: cfg.FsyncEvery}
+	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), fsyncEvery: cfg.FsyncEvery}
 	payload, err := json.Marshal(cfg)
 	if err != nil {
 		f.Close()
@@ -183,7 +171,7 @@ func Append(path string, offset int64, cfg *Config) (*Writer, error) {
 	if every == 0 {
 		every = DefaultFsyncEvery
 	}
-	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), path: path, fsyncEvery: every}
+	w := &Writer{f: f, bw: bufio.NewWriterSize(f, 1<<16), fsyncEvery: every}
 	// Make the truncation itself durable before appending past it.
 	if err := w.syncLocked(); err != nil {
 		f.Close()
@@ -192,21 +180,7 @@ func Append(path string, offset int64, cfg *Config) (*Writer, error) {
 	return w, nil
 }
 
-// Path returns the journal file location.
-func (w *Writer) Path() string { return w.path }
-
-// SetPreSync installs a hook that runs before every journal fsync — the
-// facade points it at the Jacobian store's spill fsync, so any disk blob a
-// durable checkpoint logically covers is on stable storage *before* the
-// checkpoint record is.
-func (w *Writer) SetPreSync(fn func() error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.preSync = fn
-}
-
-// FsyncTime returns the cumulative wall time spent in journal fsyncs
-// (excluding the preSync hook's own accounting).
+// FsyncTime returns the cumulative wall time spent in journal fsyncs.
 func (w *Writer) FsyncTime() time.Duration {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -238,11 +212,6 @@ func (w *Writer) appendFrameLocked(kind byte, step int, payload []byte) error {
 
 // syncLocked flushes and fsyncs. Caller holds w.mu (or is the constructor).
 func (w *Writer) syncLocked() error {
-	if w.preSync != nil {
-		if err := w.preSync(); err != nil {
-			return fmt.Errorf("runstate: pre-sync (spill fsync): %w", err)
-		}
-	}
 	if err := w.bw.Flush(); err != nil {
 		return fmt.Errorf("runstate: flush journal: %w", err)
 	}
@@ -255,15 +224,6 @@ func (w *Writer) syncLocked() error {
 		return fmt.Errorf("runstate: fsync journal: %w", err)
 	}
 	return nil
-}
-
-// Sync forces the journal durable now — the facade calls it on every exit
-// path (including error returns), so the journal reflects all accepted work
-// even when the run fails.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
 }
 
 // AppendStep journals one forward checkpoint, fsync'ing when the cadence

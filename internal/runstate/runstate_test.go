@@ -238,11 +238,9 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 // intact but carries another format version is refused as such — with both
 // versions in the error — rather than reported as having no config at all.
 func TestRecoverRejectsOtherFormatVersion(t *testing.T) {
-	// Version 1 factored in RCM order; versions 2 and 3 wrote masczip blobs
-	// without the stamp and the hit-run revision bits; version 4 spelled the
-	// plan out as fields of the config; version 5 spilled XOR-residual blobs;
-	// version 6 spilled blobs of masczip's 0b10 revision, without miss runs;
-	// version 7 blobs whose residual lengths had no per-region table.
+	// Version 1 factored in RCM order; version 4 spelled the plan out as
+	// fields of the config; versions 2, 3, 5, 6 and 7 were written by
+	// binaries with an older masczip.
 	for _, version := range []int{1, 2, 3, 4, 5, 6, 7, FormatVersion + 1} {
 		cfg := testConfig()
 		cfg.FormatVersion = version

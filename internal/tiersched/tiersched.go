@@ -3,9 +3,9 @@
 // ladder — hot RAM, compressed RAM, disk spill, or deliberate
 // drop-and-recompute — a step should occupy so the store's modelled resident
 // bytes stay under a hard budget, and it prices the rungs with *measured*
-// per-operation timings sampled from the first steps of the run (compress,
-// decompress, spill write/read, and the recompute price: a forward step's
-// solve time until the reverse sweep has measured a real recomputation).
+// per-operation timings sampled from the first steps of the run (decompress,
+// spill write/read, and the recompute price: a forward step's solve time
+// until the reverse sweep has measured a real recomputation).
 //
 // The model never influences the numbers a sweep produces — every tier is
 // lossless (recomputation is bit-exact from the trajectory), so placement
@@ -138,7 +138,6 @@ type Model struct {
 	mu    sync.Mutex
 	clock Clock
 
-	compress   RateMeter
 	decompress RateMeter
 	diskWrite  RateMeter
 	diskRead   RateMeter
@@ -164,13 +163,6 @@ func NewModel(clock Clock) *Model {
 // Now reads the model's clock — stores time their operations through this
 // so tests can make "measured" durations deterministic.
 func (m *Model) Now() time.Time { return m.clock.Now() }
-
-// ObserveCompress feeds one compression sample (raw bytes in, wall time).
-func (m *Model) ObserveCompress(bytes int, d time.Duration) {
-	m.mu.Lock()
-	m.compress.Observe(bytes, d)
-	m.mu.Unlock()
-}
 
 // ObserveDecompress feeds one decompression sample (raw bytes out).
 func (m *Model) ObserveDecompress(bytes int, d time.Duration) {
@@ -274,13 +266,11 @@ func (m *Model) ExplainSpill(blobBytes, rawBytes int, diskOK bool) SpillDecision
 // Snapshot is a point-in-time view of the measured rates, for manifests and
 // debugging.
 type Snapshot struct {
-	CompressSecPerByte   float64
 	DecompressSecPerByte float64
 	DiskWriteSecPerByte  float64
 	DiskReadSecPerByte   float64
 	RecomputeSecPerStep  float64 // the price in force: measured, else the proxy
 	ForwardStepSec       float64 // the forward-step proxy on its own
-	CompressSamples      int
 	DecompressSamples    int
 	DiskWriteSamples     int
 	DiskReadSamples      int
@@ -293,13 +283,11 @@ func (m *Model) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Snapshot{
-		CompressSecPerByte:   m.compress.PerByte(),
 		DecompressSecPerByte: m.decompress.PerByte(),
 		DiskWriteSecPerByte:  m.diskWrite.PerByte(),
 		DiskReadSecPerByte:   m.diskRead.PerByte(),
 		RecomputeSecPerStep:  m.recomputeSec(),
 		ForwardStepSec:       m.stepProxy.PerByte(),
-		CompressSamples:      m.compress.n,
 		DecompressSamples:    m.decompress.n,
 		DiskWriteSamples:     m.diskWrite.n,
 		DiskReadSamples:      m.diskRead.n,

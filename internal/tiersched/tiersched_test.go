@@ -37,17 +37,17 @@ func TestTierString(t *testing.T) {
 
 func TestModelRates(t *testing.T) {
 	m := NewModel(NewFakeClock(time.Microsecond))
-	m.ObserveCompress(1000, time.Millisecond)
-	m.ObserveCompress(1000, 3*time.Millisecond)
+	m.ObserveDecompress(1000, time.Millisecond)
+	m.ObserveDecompress(1000, 3*time.Millisecond)
 	snap := m.Snapshot()
 	// 4ms over 2000 bytes = 2µs/byte.
-	if got, want := snap.CompressSecPerByte, 2e-6; !close(got, want) {
-		t.Fatalf("compress rate = %g, want %g", got, want)
+	if got, want := snap.DecompressSecPerByte, 2e-6; !close(got, want) {
+		t.Fatalf("decompress rate = %g, want %g", got, want)
 	}
-	if snap.CompressSamples != 2 {
-		t.Fatalf("samples = %d", snap.CompressSamples)
+	if snap.DecompressSamples != 2 {
+		t.Fatalf("samples = %d", snap.DecompressSamples)
 	}
-	if snap.DecompressSecPerByte != 0 || snap.RecomputeSecPerStep != 0 {
+	if snap.DiskWriteSecPerByte != 0 || snap.RecomputeSecPerStep != 0 {
 		t.Fatalf("unmeasured rates should be zero: %+v", snap)
 	}
 }
@@ -104,8 +104,6 @@ func TestDecisionsReproducible(t *testing.T) {
 		m := NewModel(clk)
 		for i := 0; i < 8; i++ {
 			t0 := m.Now()
-			m.ObserveCompress(4096, m.Now().Sub(t0))
-			t0 = m.Now()
 			m.ObserveDecompress(4096, m.Now().Sub(t0))
 			t0 = m.Now()
 			m.ObserveDiskWrite(512, m.Now().Sub(t0))

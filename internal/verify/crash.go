@@ -44,6 +44,8 @@ type CrashSpec struct {
 	StepSleepMs int    `json:"step_sleep_ms,omitempty"`
 	FsyncEvery  int    `json:"fsync_every,omitempty"`
 	Journal     string `json:"journal"`
+	// DiskDir holds the child's spill file, which the SIGKILL leaves behind.
+	DiskDir string `json:"disk_dir"`
 }
 
 // IsCrashChild reports whether this process was forked as a crash child.
@@ -71,6 +73,7 @@ func CrashChild() int {
 	opt.DiskBytesPerSec = spec.DiskBytesPerSec
 	opt.Journal = spec.Journal
 	opt.JournalFsyncEvery = spec.FsyncEvery
+	opt.DiskDir = spec.DiskDir
 	if spec.StepSleepMs > 0 {
 		d := time.Duration(spec.StepSleepMs) * time.Millisecond
 		opt.Transient.AfterStep = func(int, float64, float64, float64, int, []float64) error {
@@ -93,6 +96,8 @@ type crashScenario struct {
 	budget  int64
 	diskBPS float64
 	sleepMs int
+	// spills: a killed child always leaves a spill file behind.
+	spills bool
 	// trigger inspects the child's journal as it grows; true = kill now.
 	trigger func(r *runstate.Recovered, killStep int) bool
 }
@@ -109,14 +114,13 @@ func crashScenarios(opt Options) []crashScenario {
 			trigger: func(r *runstate.Recovered, killStep int) bool { return len(r.Steps) >= killStep }},
 		// Kill at the forward/adjoint boundary under the tiered store, so
 		// the resume rebuilds hot/compressed/spilled placements from
-		// scratch — and the spill pre-sync path ran before every
-		// checkpoint the journal kept.
+		// scratch.
 		{name: "kill-forward-done-tiered", storage: masc.StorageMASC, windows: 3, budget: budget, sleepMs: 1,
 			trigger: func(r *runstate.Recovered, _ int) bool { return r.ForwardDone }},
 		// Mid-adjoint kill: the bandwidth-modelled disk store slows the
 		// reverse sweep, and the trigger waits for a completed window
 		// record so the resume replays some windows and re-sweeps others.
-		{name: "kill-adjoint-disk", storage: masc.StorageDisk, windows: 3, diskBPS: 2e6,
+		{name: "kill-adjoint-disk", storage: masc.StorageDisk, windows: 3, diskBPS: 2e6, spills: true,
 			trigger: func(r *runstate.Recovered, _ int) bool { return len(r.Windows) >= 1 }},
 	}
 }
@@ -130,6 +134,9 @@ type CrashCaseReport struct {
 	// completed journal was still resumed and gated). Empty on failure.
 	Outcome  string
 	Failures []string
+	// GarbledSpills counts the spill files the killed child left, each
+	// overwritten with garbage before the resume.
+	GarbledSpills int
 }
 
 // CrashReport aggregates the gauntlet.
@@ -202,8 +209,8 @@ func CrashFleet(seeds int, seed int64, opt Options, childArgs []string) *CrashRe
 				rep.Killed++
 			}
 			if opt.Logf != nil {
-				opt.Logf("  %s %s: %s killStep=%d failures=%d",
-					c.Name(), sc.name, r.Outcome, killStep, len(r.Failures))
+				opt.Logf("  %s %s: %s killStep=%d garbledSpills=%d failures=%d",
+					c.Name(), sc.name, r.Outcome, killStep, r.GarbledSpills, len(r.Failures))
 			}
 		}
 	}
@@ -218,8 +225,12 @@ func runCrashScenario(exe string, childArgs []string, dir string, c *Case, bt *B
 		r.Failures = append(r.Failures, fmt.Sprintf(format, args...))
 		return r
 	}
-	journal := filepath.Join(dir, fmt.Sprintf("case%03d-%s.journal", c.Index,
+	base := filepath.Join(dir, fmt.Sprintf("case%03d-%s", c.Index,
 		strings.ReplaceAll(sc.name, "/", "-")))
+	journal, spillDir := base+".journal", base+".spill"
+	if err := os.Mkdir(spillDir, 0o755); err != nil {
+		return fail("spill dir: %v", err)
+	}
 	spec := CrashSpec{
 		CaseIndex: c.Index, CaseSeed: c.Seed, Family: c.Family,
 		Storage: string(sc.storage), Windows: sc.windows,
@@ -227,6 +238,7 @@ func runCrashScenario(exe string, childArgs []string, dir string, c *Case, bt *B
 		StepSleepMs: sc.sleepMs,
 		FsyncEvery:  1, // journal visibility at every step: the widest kill surface
 		Journal:     journal,
+		DiskDir:     spillDir,
 	}
 	raw, err := json.Marshal(&spec)
 	if err != nil {
@@ -267,6 +279,17 @@ poll:
 		}
 	}
 
+	// Nothing but the journal crosses the kill: garble every spill file the
+	// child left before resuming, which must not read them.
+	garbled, err := garbleSpills(spillDir)
+	if err != nil {
+		return fail("garble spill files: %v", err)
+	}
+	if killed && sc.spills && garbled == 0 {
+		return fail("the killed child left no spill file in %s to garble", spillDir)
+	}
+	r.GarbledSpills = garbled
+
 	run, err := masc.Resume(bt.Ckt, journal, masc.SimOptions{})
 	if err != nil {
 		return fail("resume: %v (child stderr: %s)", err, stderr.String())
@@ -291,4 +314,26 @@ poll:
 		r.Outcome = "finished-before-kill"
 	}
 	return r
+}
+
+// garbleSpills overwrites every spill file in dir with random bytes of the
+// same length and returns how many it overwrote.
+func garbleSpills(dir string) (int, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "masc-spill-*.bin"))
+	if err != nil {
+		return 0, err
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, f := range files {
+		fi, err := os.Stat(f)
+		if err != nil {
+			return 0, err
+		}
+		junk := make([]byte, fi.Size())
+		rng.Read(junk)
+		if err := os.WriteFile(f, junk, 0o644); err != nil {
+			return 0, err
+		}
+	}
+	return len(files), nil
 }

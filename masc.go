@@ -280,9 +280,9 @@ type SimOptions struct {
 	// the solver's downstream trajectory.
 	Journal string
 	// JournalFsyncEvery overrides the journal fsync cadence (checkpoints
-	// per fsync; default runstate.DefaultFsyncEvery). Phase boundaries
-	// always fsync. Smaller values shrink the crash window at the cost of
-	// forward throughput.
+	// per fsync; 0 = runstate.DefaultFsyncEvery, negative is refused).
+	// Phase boundaries always fsync. Smaller values shrink the crash window
+	// at the cost of forward throughput.
 	JournalFsyncEvery int
 }
 
@@ -437,6 +437,9 @@ func Simulate(ckt *Circuit, opt SimOptions, objectives []Objective, params []int
 		if opt.Journal == "" {
 			return nil, nil
 		}
+		if opt.JournalFsyncEvery < 0 {
+			return nil, fmt.Errorf("masc: negative journal fsync cadence %d", opt.JournalFsyncEvery)
+		}
 		cfg, err := plan.journalConfig(ckt, opt.JournalFsyncEvery)
 		if err != nil {
 			return nil, err
@@ -510,11 +513,6 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 			st.ObserveStepCost(d)
 		}
 	}
-	if st, ok := store.(interface{ SyncSpill() error }); ok && jw != nil {
-		// Spill blobs a durable checkpoint logically covers must reach
-		// stable storage before the checkpoint record does.
-		jw.SetPreSync(st.SyncSpill)
-	}
 	topt.Obs = opt.Obs
 	topt.SpanParent = rsp.ID()
 
@@ -536,17 +534,24 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 		}
 	}
 
-	// fail syncs and closes everything on an error path; the journal stays a
-	// valid, resumable prefix of the work accepted so far. The journal closes
-	// first: its final sync runs the spill pre-sync hook, which needs the
-	// store still open.
-	fail := func(err error) (*Run, error) {
-		if jw != nil {
-			jw.Close()
-		}
+	// closeAll closes the store (shutting down any async pipeline worker) and
+	// syncs and closes the journal, returning the first error; on an error
+	// path the journal stays a valid, resumable prefix of the work accepted
+	// so far.
+	closeAll := func() error {
+		var err error
 		if store != nil {
-			store.Close() // shuts down any async pipeline worker
+			err = store.Close()
 		}
+		if jw != nil {
+			if jerr := jw.Close(); err == nil {
+				err = jerr
+			}
+		}
+		return err
+	}
+	fail := func(err error) (*Run, error) {
+		closeAll()
 		return nil, err
 	}
 
@@ -677,20 +682,8 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 			}
 		}
 	}
-	// Journal before store: the journal's closing sync drives the spill
-	// pre-sync hook, which needs the store still open.
-	if jw != nil {
-		if err := jw.Close(); err != nil {
-			if store != nil {
-				store.Close()
-			}
-			return nil, err
-		}
-	}
-	if store != nil {
-		if err := store.Close(); err != nil {
-			return nil, err
-		}
+	if err := closeAll(); err != nil {
+		return nil, err
 	}
 	return run, nil
 }

@@ -90,9 +90,7 @@ func trajectoryFromSteps(steps []runstate.StepRec, method Method, gmin float64) 
 // ErrFormatVersion is what Resume returns (errors.Is) for a journal written
 // under another journal format version — including one checkpointed before
 // the LU column order changed, which this binary could only continue into a
-// run no uninterrupted binary would produce, or one whose spill file holds
-// masczip blobs from before the stamp revision bit, which this binary's
-// decoder refuses.
+// run no uninterrupted binary would produce.
 var ErrFormatVersion = runstate.ErrFormatVersion
 
 // Resume continues a journaled run after a crash, kill, or deadline: it

@@ -331,13 +331,9 @@ func TestResumeRejectsForeignCircuit(t *testing.T) {
 
 // TestResumeRejectsOtherFormatVersion: a journal checkpointed by a binary
 // with another journal format (version 1 factored in RCM column order,
-// version 2 spilled masczip blobs without the stamp revision bit, version 3
-// without the hit-run one, version 4 spelled the plan out field by field,
-// version 5 spilled XOR-residual blobs, version 6 blobs of masczip's 0b10
-// revision, whose misses are not length-coded in runs, version 7 blobs whose
-// residual lengths are coded against a running estimate, both of which this
-// binary's decoder refuses) is refused by name, not continued and not
-// mistaken for an empty journal.
+// version 4 spelled the plan out field by field; versions 2, 3, 5, 6 and 7 were
+// written by binaries with an older masczip) is refused by name, not
+// continued and not mistaken for an empty journal.
 func TestResumeRejectsOtherFormatVersion(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	path := filepath.Join(t.TempDir(), "run.journal")
@@ -586,8 +582,9 @@ func TestUnbuildableStoreLeavesJournal(t *testing.T) {
 		}
 	}
 	for what, bad := range map[string]SimOptions{
-		"unknown strategy": {Storage: "bogus"},
-		"no spill dir":     {Storage: StorageDisk, DiskDir: filepath.Join(dir, "nonexistent")},
+		"unknown strategy":       {Storage: "bogus"},
+		"no spill dir":           {Storage: StorageDisk, DiskDir: filepath.Join(dir, "nonexistent")},
+		"negative fsync cadence": {Storage: StorageMemory, JournalFsyncEvery: -1},
 	} {
 		bad.Transient, bad.Journal = opt.Transient, path
 		fds := openDescriptors()
