@@ -53,7 +53,7 @@ func main() {
 		dirTol  = flag.Float64("direct-tol", 1e-4, "adjoint-vs-direct relative tolerance")
 		workers = flag.Int("workers", 1, "masczip compression workers")
 		depth   = flag.Int("pipeline-depth", 2, "async store queue depth")
-		windows = flag.Int("adjoint-windows", 0, "chaos mode: parallel-in-time window sweeps for the reverse pass (0/1 = one sweep)")
+		adjWork = flag.Int("adjoint-workers", 0, "chaos mode: reverse-sweep workers (2 or more fetch on a separate goroutine, the degradation ladder with them; 0/1 = serial)")
 		budget  = flag.String("mem-budget", "", "chaos mode: override the tiered-store scenarios' memory budget, e.g. 8K or 64K (empty = per-scenario defaults)")
 		verbose = flag.Bool("v", false, "log every case")
 
@@ -83,7 +83,7 @@ func main() {
 	opt := verify.Options{
 		Workers:        *workers,
 		PipelineDepth:  *depth,
-		AdjointWindows: *windows,
+		AdjointWorkers: *adjWork,
 		FDChecks:       *fd,
 		FDTol:          *fdTol,
 		DirectTol:      *dirTol,
@@ -122,7 +122,7 @@ func main() {
 
 	fmt.Printf("masc-verify: %d cases, seed %d: %d passed, %d failed (%.1fs)\n",
 		len(cases), *seed, len(cases)-fr.Failed, fr.Failed, time.Since(start).Seconds())
-	fmt.Printf("  layers: dense oracle vs recompute/sync/async and markov sync/async/windows/budget (bitwise), store fetch sweep (bitwise),\n")
+	fmt.Printf("  layers: dense oracle vs recompute/sync/async and markov sync/async/budget (bitwise), store fetch sweep (bitwise),\n")
 	fmt.Printf("          direct method (max rel err %.3g), finite differences (%d checked, %d skipped, max rel err %.3g)\n",
 		fr.MaxDirectErr, fr.FDChecked, fr.FDSkipped, fr.MaxFDErr)
 	if *maniPath != "" {

@@ -49,7 +49,6 @@ type cli struct {
 	path, storage        string
 	workers, depth, top  int
 	adjWorkers           int
-	adjWindows           int
 	async                bool
 	diskBps              float64
 	memBudget            string
@@ -71,7 +70,6 @@ func main() {
 	flag.StringVar(&c.storage, "storage", "masc", "jacobian storage: recompute|memory|disk|masc|masc+markov")
 	flag.IntVar(&c.workers, "workers", 1, "parallel compressor workers")
 	flag.IntVar(&c.adjWorkers, "adjoint-workers", 1, "reverse-sweep workers (shards dF/dp + overlaps fetches; results are bit-identical for any count)")
-	flag.IntVar(&c.adjWindows, "adjoint-windows", 0, "parallel-in-time window sweeps: N>1 concurrent windows, -1 auto-sizes from CPUs and step count, 0/1 one sweep (results are bit-identical for any value)")
 	flag.BoolVar(&c.async, "async", false, "pipeline MASC compression on a background worker (overlaps with the solve)")
 	flag.IntVar(&c.depth, "pipeline-depth", 2, "async mode: max timesteps the solver may run ahead of the compressor")
 	flag.Float64Var(&c.diskBps, "disk-bps", 0, "simulated disk bandwidth in bytes/s (0 = unthrottled)")
@@ -85,7 +83,7 @@ func main() {
 	flag.DurationVar(&c.hold, "hold", 0, "keep the metrics endpoint alive this long after the run finishes")
 	flag.StringVar(&c.journal, "journal", "", "write-ahead run journal: checkpoints every accepted step so a killed run resumes bit-identically with -resume")
 	flag.IntVar(&c.journalFsync, "journal-fsync", 0, "journal checkpoints per fsync (0 = default cadence; 1 = fsync every step)")
-	flag.BoolVar(&c.resume, "resume", false, "resume the run recorded in -journal (the journal supplies storage/windows/solver knobs; the netlist must hash identically)")
+	flag.BoolVar(&c.resume, "resume", false, "resume the run recorded in -journal (the journal supplies storage/worker/solver knobs; the netlist must hash identically)")
 	flag.DurationVar(&c.deadline, "deadline", 0, "abort the run after this wall-clock budget (a journaled run interrupted this way stays resumable)")
 	flag.Parse()
 	if c.path == "" {
@@ -193,7 +191,6 @@ func run(c cli) error {
 		Storage:           masc.Storage(c.storage),
 		Workers:           c.workers,
 		AdjointWorkers:    c.adjWorkers,
-		AdjointWindows:    c.adjWindows,
 		Async:             c.async,
 		PipelineDepth:     c.depth,
 		DiskBytesPerSec:   c.diskBps,
@@ -340,7 +337,6 @@ func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, st
 		man.Set("storage", c.storage).
 			Set("workers", c.workers).
 			Set("adjoint_workers", c.adjWorkers).
-			Set("adjoint_windows", c.adjWindows).
 			Set("async", c.async).
 			Set("pipeline_depth", c.depth).
 			Set("disk_bps", c.diskBps).
@@ -367,7 +363,6 @@ func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, st
 			"fill_nnz":         run.Sens.FillNNZ,
 			"jacobian_nnz":     deck.Ckt.JPat.NNZ(),
 		})
-		man.Set("adjoint_windows_ran", run.Sens.Windows)
 		if run.HasCodecStats {
 			man.Section("codec_g", run.CodecStatsG)
 			man.Section("codec_c", run.CodecStatsC)

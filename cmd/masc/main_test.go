@@ -104,11 +104,11 @@ func TestResumedManifestRecordsOnlyWhatTheRunReports(t *testing.T) {
 		}
 		return man.Config
 	}
-	shape := []string{"workers", "adjoint_workers", "adjoint_windows", "async", "pipeline_depth",
+	shape := []string{"workers", "adjoint_workers", "async", "pipeline_depth",
 		"disk_bps", "mem_budget_bytes", "tstep", "tstop"}
 
 	first := filepath.Join(dir, "first.json")
-	if _, err := runOutput(t, cli{path: lowpass, storage: "masc", workers: 1, adjWorkers: 1, adjWindows: 2,
+	if _, err := runOutput(t, cli{path: lowpass, storage: "masc", workers: 1, adjWorkers: 1,
 		depth: 2, top: 1, journal: journal, maniPath: first}); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestResumedManifestRecordsOnlyWhatTheRunReports(t *testing.T) {
 	}
 
 	resumed := filepath.Join(dir, "resumed.json")
-	if _, err := runOutput(t, cli{path: lowpass, storage: "memory", workers: 3, adjWorkers: 2, adjWindows: 4,
+	if _, err := runOutput(t, cli{path: lowpass, storage: "memory", workers: 3, adjWorkers: 2,
 		async: true, depth: 5, diskBps: 1e6, memBudgetBytes: 1 << 20, top: 1,
 		journal: journal, resume: true, maniPath: resumed}); err != nil {
 		t.Fatal(err)
@@ -139,9 +139,8 @@ func TestResumedManifestRecordsOnlyWhatTheRunReports(t *testing.T) {
 			t.Errorf("the resumed manifest echoes the command line's %s = %v", k, v)
 		}
 	}
-	if got["resumed"] != true || got["storage"] != "masc" || got["adjoint_windows_ran"] != want["adjoint_windows_ran"] {
-		t.Errorf("resumed manifest: resumed %v, storage %v, adjoint_windows_ran %v; want true, masc, %v",
-			got["resumed"], got["storage"], got["adjoint_windows_ran"], want["adjoint_windows_ran"])
+	if got["resumed"] != true || got["storage"] != "masc" {
+		t.Errorf("resumed manifest: resumed %v, storage %v; want true, masc", got["resumed"], got["storage"])
 	}
 }
 

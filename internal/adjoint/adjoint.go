@@ -118,58 +118,19 @@ type Options struct {
 	// value of Workers.
 	Workers int
 
-	// Windows splits the reverse sweep in time: the trajectory is cut into
-	// W windows whose reverse sweeps run concurrently, each seeded with
-	// the adjoint state at its top boundary by a parameter-free seeding
-	// sweep (see windowed.go). 0 and 1 mean the plain single-sweep engine;
-	// results are bit-identical for every value of Windows, including
-	// degraded (recompute-on-corruption) runs. Composes with Workers: each
-	// window sweep gets its own worker pool of opt.Workers.
+	// Deprecated: has no effect; one reverse sweep runs.
 	Windows int
 
 	// SpanParent is the span the adjoint pass nests under (normally the
 	// run root). Spans are recorded only when Obs carries a recorder.
 	SpanParent span.ID
 
-	// Ctx, if non-nil, cancels the reverse sweep cooperatively: every
-	// engine (serial, overlapped, windowed) polls it at step boundaries,
-	// the overlapped engine also while it waits for a fetch, and aborts
-	// with an error wrapping the context's error. A wedged fetch cannot
-	// hold the sweep past a deadline: its fetcher goroutine is abandoned
-	// and drained asynchronously. Unlike the windowed engine's teardown of
-	// its siblings, cancellation is a root cause, not a casualty — it
-	// surfaces from Sensitivities.
+	// Ctx, if non-nil, cancels the reverse sweep cooperatively: the sweep
+	// polls it at step boundaries, the overlapped sweep also while it waits
+	// for a fetch, and aborts with an error wrapping the context's error. A
+	// wedged fetch cannot hold the sweep past a deadline: its fetcher
+	// goroutine is abandoned and drained asynchronously.
 	Ctx context.Context
-
-	// WindowDone, if non-nil, runs as each window sweep completes without
-	// error (on that sweep's goroutine, serialized by the engine lock),
-	// receiving the window index, the inclusive step range the window
-	// *owns* (for the seeding sweep this is its accumulation range above
-	// the penultimate boundary, not its full descent), its per-step
-	// contribution rows (flat [objectives×params], aliasing engine
-	// buffers — copy to keep), and its degraded steps. This is the run
-	// journal's adjoint checkpoint hook; a non-nil error aborts the
-	// remaining windows.
-	WindowDone func(j, lo, hi int, rows [][]float64, degraded []int) error
-
-	// Completed injects journaled window progress into the windowed
-	// engine: a window listed here has its contribution rows copied in
-	// and its sweep skipped (a completed seeding sweep still descends to
-	// generate seeds, but accumulates nothing). Progress whose geometry
-	// does not match the freshly computed window boundaries is ignored
-	// wholesale — stale journals degrade to a full re-sweep, never to a
-	// wrong fold.
-	Completed map[int]*WindowProgress
-}
-
-// WindowProgress is one completed window's journaled state: the inclusive
-// owned step range, the per-step contribution rows (Rows[i] belongs to step
-// Lo+i, flat [objectives×params]), and the steps the window healed through
-// the degradation ladder.
-type WindowProgress struct {
-	Lo, Hi   int
-	Rows     [][]float64
-	Degraded []int
 }
 
 // DegradeError reports a step that could be neither fetched nor
@@ -207,8 +168,6 @@ type sweepObs struct {
 	fill      *obs.Gauge
 	shards    *obs.Counter
 	workers   *obs.Gauge
-	windows   *obs.Gauge
-	winSweep  *obs.Histogram
 }
 
 func newSweepObs(o *obs.Observer) sweepObs {
@@ -230,8 +189,6 @@ func newSweepObs(o *obs.Observer) sweepObs {
 		fill:      reg.Gauge("masc_lu_fill_nnz", "Off-diagonal entries of L and U in the factors in hand.", "pass", "reverse"),
 		shards:    reg.Counter("masc_adjoint_param_shards_total", "Parameter-gradient shard tasks executed."),
 		workers:   reg.Gauge("masc_adjoint_workers", "Worker count of the most recent adjoint sweep."),
-		windows:   reg.Gauge("masc_adjoint_windows", "Window count of the most recent adjoint sweep (1 = serial)."),
-		winSweep:  reg.Histogram("masc_adjoint_window_sweep_seconds", "Per-window reverse-sweep wall time.", obs.TimingBuckets()),
 	}
 }
 
@@ -263,22 +220,22 @@ type Result struct {
 	// What the per-step factor requests took, as in transient.Stats: fresh
 	// pivot searches, numeric refactorizations along recorded pivots, and
 	// requests the factors in hand already answered because the step's
-	// Jacobian was bit-identical to the previous one's. A windowed run sums
-	// its window sweeps and the seeding sweep. FillNNZ is the off-diagonal
-	// entries of L and U in the factors in hand when the sweep ended (the
-	// largest among a windowed run's sweeps).
+	// Jacobian was bit-identical to the previous one's. FillNNZ is the
+	// off-diagonal entries of L and U in the factors in hand when the sweep
+	// ended.
 	Factorizations   int
 	Refactorizations int
 	FactorReuses     int
 	FillNNZ          int
 
-	// Windows is the window count the sweep actually ran with: 1 for the
-	// plain single-sweep engine, including Windows > 1 requests that fell
-	// back for lack of usable boundaries. WindowSweepSec[j] is window j's
-	// reverse-sweep wall time in ascending window order; the last entry is
-	// the seeding sweep, which doubles as the topmost window. Empty for
-	// single-sweep runs.
-	Windows        int
+	// Windows is always 1: one reverse sweep runs, whatever
+	// Options.Windows asks for.
+	//
+	// Deprecated: kept for callers that still read it.
+	Windows int
+	// WindowSweepSec is always nil.
+	//
+	// Deprecated: kept for callers that still read it.
 	WindowSweepSec []float64
 }
 
@@ -304,25 +261,16 @@ func Sensitivities(ckt *circuit.Circuit, tr *transient.Result, src JacobianSourc
 	if err != nil {
 		return nil, err
 	}
-	// The adjoint root span: every sweep/window/fetch/solve span of this
-	// pass nests under it via opt.SpanParent.
+	// The adjoint root span: the sweep span and its fetch/solve spans nest
+	// under it via opt.SpanParent.
 	rec := opt.Obs.SpanRecorder()
 	asp := rec.Start(opt.SpanParent, span.Adjoint, -1)
 	asp.Attr("workers", int64(opt.Workers))
-	asp.Attr("windows", int64(opt.Windows))
 	asp.Attr("objs", int64(len(objs)))
 	defer asp.End()
 	opt.SpanParent = asp.ID()
 	if opt.Ctx == nil {
 		opt.Ctx = context.Background()
-	}
-	if opt.Windows > 1 {
-		if res, handled, werr := runWindowed(ckt, tr, src, objs, params, trap, opt); handled {
-			return res, werr
-		}
-		// No usable window boundaries (short trajectory, un-anchored
-		// compressed store, …): the serial sweep is the W=1 degenerate
-		// case, so fall through to it.
 	}
 	s := newSweep(ckt, tr, src, objs, params, trap, opt)
 	defer s.pool.close()

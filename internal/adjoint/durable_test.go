@@ -3,6 +3,7 @@ package adjoint
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -77,26 +78,20 @@ func runForward(t *testing.T) (ckt *circuit.Circuit, res *transient.Result, src 
 	return c, r, keepAll{mem}, objs
 }
 
-// TestCancelDuringWindowedSweep is the satellite-3 regression: cancellation
-// that fires while a windowed, overlapped (fetcher-goroutine) sweep is in
-// flight must surface as the context error from Sensitivities and tear every
-// worker down cleanly — run under -race in CI.
-func TestCancelDuringWindowedSweep(t *testing.T) {
+// TestCancelMidSweep: cancellation that fires while a serial or an
+// overlapped (fetcher-goroutine) sweep is in flight must surface as the
+// context error from Sensitivities and tear every worker down cleanly — run
+// under -race in CI.
+func TestCancelMidSweep(t *testing.T) {
 	ckt, res, src, objs := runForward(t)
-	for _, cfg := range []Options{
-		{Windows: 3},
-		{Windows: 3, Workers: 2},
-		{Workers: 2},
-		{},
-	} {
+	for _, cfg := range []Options{{Workers: 2}, {}} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cs := &cancellingSource{base: src, cancel: cancel, after: 10}
 		cfg.Ctx = ctx
 		_, err := Sensitivities(ckt, res, cs, objs, cfg)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("windows=%d workers=%d: want context.Canceled, got %v",
-				cfg.Windows, cfg.Workers, err)
+			t.Fatalf("workers=%d: want context.Canceled, got %v", cfg.Workers, err)
 		}
 	}
 }
@@ -113,8 +108,7 @@ func TestPreCanceledContext(t *testing.T) {
 
 // TestWedgedFetchHonoursDeadline: a fetch that never returns must not hold
 // the overlapped sweep past the caller's deadline — the wait for the fetcher
-// selects on the context, and the wedged fetcher is abandoned. The windowed
-// engine's sweeps share that wait, so a deadline frees them too.
+// selects on the context, and the wedged fetcher is abandoned.
 func TestWedgedFetchHonoursDeadline(t *testing.T) {
 	ckt, res, src, objs := runForward(t)
 	for _, tc := range []struct {
@@ -122,7 +116,6 @@ func TestWedgedFetchHonoursDeadline(t *testing.T) {
 		opt  Options
 	}{
 		{"overlapped", Options{Workers: 2}},
-		{"windowed", Options{Windows: 3, Workers: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gate := make(chan struct{})
@@ -149,86 +142,55 @@ func TestWedgedFetchHonoursDeadline(t *testing.T) {
 	}
 }
 
-// TestWindowDoneReplayBitIdentical is the adjoint half of the resume
-// property: journaling every window's contribution rows via WindowDone and
-// replaying any subset of them through Completed must reproduce the
-// uninterrupted DOdp bits exactly — including the all-complete case, which
-// folds without sweeping.
-func TestWindowDoneReplayBitIdentical(t *testing.T) {
+// orderedSource records the steps fetched, in order.
+type orderedSource struct {
+	base    JacobianSource
+	fetched []int
+}
+
+func (o *orderedSource) Fetch(i int) ([]float64, []float64, error) {
+	o.fetched = append(o.fetched, i)
+	return o.base.Fetch(i)
+}
+
+func (o *orderedSource) Release(i int) { o.base.Release(i) }
+
+// TestWindowsOptionIsInert: Options.Windows is retired. Whatever it holds,
+// the sweep is the one reverse sweep — every step fetched once, n down to 0,
+// the DOdp bits of the zero value — and the result reports one window and no
+// per-window timings.
+func TestWindowsOptionIsInert(t *testing.T) {
 	ckt, res, src, objs := runForward(t)
-	const W = 3
-
-	want, err := Sensitivities(ckt, res, src, objs, Options{Windows: W})
+	want, err := Sensitivities(ckt, res, src, objs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Journal every window.
-	records := map[int]*WindowProgress{}
-	_, err = Sensitivities(ckt, res, src, objs, Options{Windows: W,
-		WindowDone: func(j, lo, hi int, rows [][]float64, degraded []int) error {
-			wp := &WindowProgress{Lo: lo, Hi: hi, Degraded: append([]int(nil), degraded...)}
-			for _, row := range rows {
-				wp.Rows = append(wp.Rows, append([]float64(nil), row...))
+	for _, w := range []int{-1, 0, 1, 2, 3, res.Steps() + 5} {
+		t.Run(fmt.Sprintf("windows=%d", w), func(t *testing.T) {
+			seen := &orderedSource{base: src}
+			got, err := Sensitivities(ckt, res, seen, objs, Options{Windows: w, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
 			}
-			records[j] = wp
-			return nil
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != W {
-		t.Fatalf("WindowDone fired for %d windows, want %d", len(records), W)
-	}
-	// Owned ranges must tile [0, n] exactly.
-	covered := 0
-	for _, wp := range records {
-		covered += wp.Hi - wp.Lo + 1
-	}
-	if covered != res.Steps()+1 {
-		t.Fatalf("owned ranges cover %d steps, trajectory has %d", covered, res.Steps()+1)
-	}
-
-	subset := func(js ...int) map[int]*WindowProgress {
-		m := map[int]*WindowProgress{}
-		for _, j := range js {
-			m[j] = records[j]
-		}
-		return m
-	}
-	cases := []map[int]*WindowProgress{
-		subset(0),
-		subset(W - 1),     // completed seeder, others re-swept
-		subset(0, 1),      // all but the seeder
-		subset(0, 1, W-1), // everything: fold directly
-	}
-	for ci, completed := range cases {
-		got, err := Sensitivities(ckt, res, src, objs, Options{Windows: W, Completed: completed})
-		if err != nil {
-			t.Fatalf("case %d: %v", ci, err)
-		}
-		for o := range want.DOdp {
-			for pk := range want.DOdp[o] {
-				if math.Float64bits(got.DOdp[o][pk]) != math.Float64bits(want.DOdp[o][pk]) {
-					t.Fatalf("case %d: DOdp[%d][%d] = %x, want %x", ci, o, pk,
-						math.Float64bits(got.DOdp[o][pk]), math.Float64bits(want.DOdp[o][pk]))
+			if got.Windows != 1 || got.WindowSweepSec != nil {
+				t.Fatalf("Windows %d, WindowSweepSec %v; want 1 and nil", got.Windows, got.WindowSweepSec)
+			}
+			if len(seen.fetched) != res.Steps()+1 {
+				t.Fatalf("%d fetches for %d steps", len(seen.fetched), res.Steps()+1)
+			}
+			for k, i := range seen.fetched {
+				if i != res.Steps()-k {
+					t.Fatalf("fetch %d was step %d, want %d", k, i, res.Steps()-k)
 				}
 			}
-		}
-	}
-
-	// Stale geometry must be dropped, not folded: shift one record's range.
-	bad := subset(0)
-	bad[0] = &WindowProgress{Lo: bad[0].Lo + 1, Hi: bad[0].Hi + 1, Rows: records[0].Rows}
-	got, err := Sensitivities(ckt, res, src, objs, Options{Windows: W, Completed: bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for o := range want.DOdp {
-		for pk := range want.DOdp[o] {
-			if math.Float64bits(got.DOdp[o][pk]) != math.Float64bits(want.DOdp[o][pk]) {
-				t.Fatalf("stale progress perturbed DOdp[%d][%d]", o, pk)
+			for o := range want.DOdp {
+				for pk := range want.DOdp[o] {
+					if math.Float64bits(got.DOdp[o][pk]) != math.Float64bits(want.DOdp[o][pk]) {
+						t.Fatalf("DOdp[%d][%d] = %x, want %x", o, pk,
+							math.Float64bits(got.DOdp[o][pk]), math.Float64bits(want.DOdp[o][pk]))
+					}
+				}
 			}
-		}
+		})
 	}
 }

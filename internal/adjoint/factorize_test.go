@@ -20,10 +20,14 @@ func TestForeignPatternFactorsFailLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign, err := lu.Factor(&sparse.Matrix{P: other.JPat, Val: append([]float64(nil), jv...)},
-		lu.Options{ColPerm: other.JPerm()})
-	if err != nil {
-		t.Fatal(err)
+	// Each use gets its own factors: a refactor attempt may touch them.
+	foreign := func() *lu.LU {
+		f, err := lu.Factor(&sparse.Matrix{P: other.JPat, Val: append([]float64(nil), jv...)},
+			lu.Options{ColPerm: other.JPerm()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
 	params := make([]int, len(ckt.Params()))
 	for i := range params {
@@ -40,7 +44,7 @@ func TestForeignPatternFactorsFailLoudly(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		s := newSweep(ckt, res, src, objs, params, false, Options{Workers: workers, Ctx: context.Background()})
-		s.fact = foreign.Clone()
+		s.fact = foreign()
 		err := s.run()
 		s.pool.close()
 		check("sweep", nil, err)
@@ -48,6 +52,6 @@ func TestForeignPatternFactorsFailLoudly(t *testing.T) {
 			t.Fatalf("sweep re-pivoted %d times on a pattern mismatch", s.res.Factorizations)
 		}
 	}
-	r, err := directSensitivities(ckt, res, objs, Options{}, foreign.Clone())
+	r, err := directSensitivities(ckt, res, objs, Options{}, foreign())
 	check("direct", r, err)
 }

@@ -16,8 +16,8 @@ import (
 // TestStoredGCSweepsBitIdentical is the layout's contract: one forward pass
 // captures the assembled (J, C) and the device pair (G, C) side by side, and
 // every engine that sweeps the (G, C) stores — serial, overlapped fetcher,
-// windowed over the shared source and over slices of an anchored compressed
-// store, recomputation, and the degradation ladder repairing rotted pairs —
+// over memory and compressed stores, recomputation, and the degradation
+// ladder repairing rotted pairs —
 // returns the dO/dp bits of the serial sweep over the stored J. Fixtures
 // cover both integrators and a non-default gmin (the DC step is the one
 // whose J is more than a weighted sum of the pair).
@@ -45,21 +45,18 @@ func TestStoredGCSweepsBitIdentical(t *testing.T) {
 			if fx.trap {
 				opt.Method = transient.MethodTrap
 			}
-			anchorEvery := int(opt.TStop/opt.TStep+0.5) / 4
 			newComp := func() *jactensor.CompressedStore {
-				cs := jactensor.NewCompressedStore(
+				return jactensor.NewCompressedStore(
 					masczip.New(ckt.GPat, masczip.Options{}), masczip.New(ckt.CPat, masczip.Options{}),
 					ckt.GPat, ckt.CPat)
-				cs.SetAnchorEvery(anchorEvery)
-				return cs
 			}
 			jc, gc := jactensor.NewMemStore(), jactensor.NewMemStore()
 			rotMem := jactensor.NewMemStore()
 			rotMem.Attach(jactensor.Attachment{Fault: faultinject.New(faultinject.Profile{Seed: 5, BitFlipOneIn: 3})})
 			rotComp := newComp()
 			rotComp.Attach(jactensor.Attachment{Fault: faultinject.New(faultinject.Profile{Seed: 9, BitFlipOneIn: 1})})
-			comps := []*jactensor.CompressedStore{newComp(), newComp(), newComp()}
-			pairStores := []jactensor.Store{gc, rotMem, rotComp, comps[0], comps[1], comps[2]}
+			comps := []*jactensor.CompressedStore{newComp(), newComp()}
+			pairStores := []jactensor.Store{gc, rotMem, rotComp, comps[0], comps[1]}
 
 			opt.Capture = func(step int, _ float64, _ []float64, J, C *sparse.Matrix) error {
 				return jc.Put(step, J.Val, C.Val)
@@ -103,31 +100,25 @@ func TestStoredGCSweepsBitIdentical(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				requireBitIdentical(t, label, want, got)
-				if o.Windows > 1 && got.Windows < 2 {
-					t.Fatalf("%s: fell back to one sweep", label)
-				}
 				return got
 			}
 			for _, workers := range []int{1, 2} {
-				for _, windows := range []int{1, 3} {
-					label := fmt.Sprintf("workers=%d,windows=%d", workers, windows)
-					o := Options{Workers: workers, Windows: windows}
-					sweep(label+",mem", keepAll{gc}, o)
-					sweep(label+",recompute", NewRecomputeSource(ckt, res).Pairs(), o)
-				}
+				label := fmt.Sprintf("workers=%d", workers)
+				o := Options{Workers: workers}
+				sweep(label+",mem", keepAll{gc}, o)
+				sweep(label+",recompute", NewRecomputeSource(ckt, res).Pairs(), o)
 			}
 			// A compressed store is consumed by its sweep: one per engine.
 			sweep("compressed,serial", comps[0], Options{})
 			sweep("compressed,overlapped", comps[1], Options{Workers: 2})
-			sweep("compressed,windows=3,workers=2", comps[2], Options{Windows: 3, Workers: 2})
 
 			// The ladder recomputes the pair, not J, and repairs the store
 			// with it: a healed step must refetch as (G, C).
-			got := sweep("rotted mem,windows=2,workers=2", rotMem, Options{Windows: 2, Workers: 2})
+			got := sweep("rotted mem,workers=2", rotMem, Options{Workers: 2})
 			if len(got.DegradedSteps) == 0 {
 				t.Fatal("rotted mem store degraded no step; the ladder was not exercised")
 			}
-			got = sweep("every blob rotted,windows=3", rotComp, Options{Windows: 3})
+			got = sweep("every blob rotted", rotComp, Options{})
 			if len(got.DegradedSteps) < res.Steps() {
 				t.Fatalf("every blob was rotted but only %d of %d steps degraded", len(got.DegradedSteps), res.Steps()+1)
 			}

@@ -32,7 +32,6 @@ package adjoint
 // changes no bit.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -133,33 +132,7 @@ type sweep struct {
 	opt    Options
 	params []int
 	trap   bool
-	n      int // last step of the trajectory (global, even for windows)
-
-	// Window-local sweep range [loStep, hiStep]; newSweep initializes the
-	// full [0, n] and the windowed engine narrows it. The recurrence at
-	// hiStep < n starts from a seed captured by the seeding sweep instead
-	// of the terminal condition.
-	hiStep, loStep int
-	seed           *windowSeed
-
-	// stepContrib redirects the per-step dO/dp contributions into
-	// per-step buffers (indexed [i-loStep][o*len(params)+pk]) instead of
-	// accumulating into res.DOdp. The windowed engine folds the buffers in
-	// global descending-step order afterwards, reproducing the serial
-	// accumulation sequence bit for bit. (Per-window partial sums would
-	// not: float addition is not associative.)
-	stepContrib [][]float64
-
-	// skipParamsAtOrBelow suppresses the parameter-gradient accumulation
-	// for steps i <= the bound (-1 disables nothing): the seeding sweep
-	// still fetches, factorizes, solves, and updates the λ carries —
-	// exactly the state future windows seed from — without paying the
-	// ParamEval its windows will perform.
-	skipParamsAtOrBelow int
-
-	// afterStep runs at the end of every processStep — the seed-capture
-	// hook.
-	afterStep func(i int)
+	n      int // last step of the trajectory; the sweep runs n down to 0
 
 	workers int
 	pool    *workerPool
@@ -180,11 +153,9 @@ type sweep struct {
 	res *Result
 	so  sweepObs
 
-	// spanParent is what this sweep's Sweep span nests under (the adjoint
-	// root, or a Window span in windowed mode); sweepSpan is the live Sweep
-	// span's ID, the parent of the per-step fetch/solve/param spans.
-	spanParent span.ID
-	sweepSpan  span.ID
+	// sweepSpan is the live Sweep span's ID, the parent of the per-step
+	// fetch/solve/param spans.
+	sweepSpan span.ID
 }
 
 func newSweep(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, objs []Objective, params []int, trap bool, opt Options) *sweep {
@@ -205,11 +176,7 @@ func newSweep(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, ob
 		pool:    newWorkerPool(w),
 		perm:    ckt.JPerm(),
 		so:      newSweepObs(opt.Obs),
-
-		spanParent:          opt.SpanParent,
-		skipParamsAtOrBelow: -1,
 	}
-	s.hiStep, s.loStep = s.n, 0
 	N := ckt.N
 	s.lam = make([][]float64, len(objs))
 	s.lamNext = make([][]float64, len(objs))
@@ -245,10 +212,10 @@ func newSweep(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, ob
 	return s
 }
 
-// run drives the sweep over [loStep, hiStep] to completion. Workers ≤ 1
-// keeps everything on the calling goroutine (and in the serial store-access
-// order); workers > 1 additionally overlaps the next step's fetch with the
-// current step's compute.
+// run drives the sweep from step n down to 0. Workers ≤ 1 keeps everything
+// on the calling goroutine (and in the serial store-access order); workers >
+// 1 additionally overlaps the next step's fetch with the current step's
+// compute.
 func (s *sweep) run() error {
 	if s.workers > 1 {
 		return s.runOverlapped()
@@ -332,7 +299,7 @@ func (s *sweep) runSerialFetch() error {
 	defer swp.End()
 	jBuf := s.jFrame()
 	t0 := time.Now()
-	for i := s.hiStep; i >= s.loStep; i-- {
+	for i := s.n; i >= 0; i-- {
 		if err := s.checkStop(); err != nil {
 			return err
 		}
@@ -347,36 +314,24 @@ func (s *sweep) runSerialFetch() error {
 		// mirroring Algorithm 2's "decompress M_{n-1} using M_n, then free
 		// M_n". Releasing earlier would drop the decompression reference
 		// chain of a compressed store.
-		if i < s.hiStep {
+		if i < s.n {
 			s.src.Release(i + 1)
 		}
 		if err := s.processStep(i, jv, cv); err != nil {
 			return err
 		}
 	}
-	s.src.Release(s.loStep)
+	s.src.Release(0)
 	s.res.Timing.Total = time.Since(t0)
 	return nil
 }
 
-// errSweepStopped is the cooperative-abort sentinel: the windowed engine
-// cancels its sweeps' context with it as the cause when a sibling fails, and
-// a sweep that sees it returns it so the orchestrator can distinguish
-// casualties from the root cause.
-var errSweepStopped = errors.New("adjoint: sweep aborted")
-
-// checkStop polls the sweep's context. The caller's cancellation is a root
-// cause (a real error the orchestrator reports); the windowed engine's
-// teardown is a casualty (errSweepStopped, filtered).
+// checkStop polls the caller's context.
 func (s *sweep) checkStop() error {
-	err := s.opt.Ctx.Err()
-	if err == nil {
-		return nil
+	if err := s.opt.Ctx.Err(); err != nil {
+		return fmt.Errorf("adjoint: canceled: %w", err)
 	}
-	if context.Cause(s.opt.Ctx) == errSweepStopped {
-		return errSweepStopped
-	}
-	return fmt.Errorf("adjoint: canceled: %w", err)
+	return nil
 }
 
 // runOverlapped is the workers > 1 path: a fetcher goroutine owns every
@@ -396,7 +351,7 @@ func (s *sweep) runOverlapped() error {
 
 	go func() {
 		defer close(results)
-		for i := s.hiStep; i >= s.loStep; i-- {
+		for i := s.n; i >= 0; i-- {
 			if s.checkStop() != nil {
 				return
 			}
@@ -419,7 +374,7 @@ func (s *sweep) runOverlapped() error {
 				buf.jv = append(buf.jv[:0], jv...)
 			}
 			buf.cv = append(buf.cv[:0], cv...)
-			if i < s.hiStep {
+			if i < s.n {
 				s.src.Release(i + 1)
 			}
 			buf.step = i
@@ -431,7 +386,7 @@ func (s *sweep) runOverlapped() error {
 				return
 			}
 		}
-		s.src.Release(s.loStep)
+		s.src.Release(0)
 	}()
 
 	// halt tears the pipeline down on an error: signal the fetcher, then
@@ -444,7 +399,7 @@ func (s *sweep) runOverlapped() error {
 		}
 	}
 
-	for i := s.hiStep; i >= s.loStep; i-- {
+	for i := s.n; i >= 0; i-- {
 		if err := s.checkStop(); err != nil {
 			halt()
 			return err
@@ -456,12 +411,6 @@ func (s *sweep) runOverlapped() error {
 		case buf, ok = <-results:
 		case <-s.opt.Ctx.Done():
 			err := s.checkStop()
-			if err == errSweepStopped {
-				// A sibling window failed; this fetcher is healthy, so it
-				// drains like any other teardown.
-				halt()
-				return err
-			}
 			// The caller stopped the run, and the fetcher may be why (a hung
 			// read, a dead recompute). Signal it and drain asynchronously —
 			// waiting for a stuck read would just move the hang here. Its
@@ -517,9 +466,9 @@ func (s *sweep) runOverlapped() error {
 // range and worker count) and publishes its ID as the parent of the
 // per-step fetch/solve/param spans.
 func (s *sweep) startSweepSpan() span.Span {
-	swp := s.so.rec.Start(s.spanParent, span.Sweep, -1)
-	swp.Attr("lo", int64(s.loStep))
-	swp.Attr("hi", int64(s.hiStep))
+	swp := s.so.rec.Start(s.opt.SpanParent, span.Sweep, -1)
+	swp.Attr("lo", 0)
+	swp.Attr("hi", int64(s.n))
 	swp.Attr("workers", int64(s.workers))
 	s.sweepSpan = swp.ID()
 	return swp
@@ -669,81 +618,67 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 	// evaluator/accumulator scratch; the per-cell operation sequence is
 	// exactly the serial one, and the barrier below keeps the cross-step
 	// accumulation order serial too — so the merge is deterministic and the
-	// result bit-identical for every worker count. A seeding sweep skips
-	// this block below its bound (a window owns those steps); λ carries and
-	// the swap below still run, because seeds depend on them.
-	if i > s.skipParamsAtOrBelow {
-		psp := s.so.rec.Start(s.sweepSpan, span.ParamEval, i)
-		tPar := time.Now()
-		xi, ti := s.tr.States[i], s.tr.Times[i]
-		var row []float64
-		if s.stepContrib != nil {
-			row = s.stepContrib[i-s.loStep]
+	// result bit-identical for every worker count.
+	psp := s.so.rec.Start(s.sweepSpan, span.ParamEval, i)
+	tPar := time.Now()
+	xi, ti := s.tr.States[i], s.tr.Times[i]
+	s.pool.run(func(w int) {
+		var shsp span.Span
+		if s.workers > 1 && s.so.rec != nil {
+			shsp = s.so.rec.Start(psp.ID(), span.ParamShard, i)
+			shsp.Attr("worker", int64(w))
+			defer shsp.End()
 		}
-		s.pool.run(func(w int) {
-			var shsp span.Span
-			if s.workers > 1 && s.so.rec != nil {
-				shsp = s.so.rec.Start(psp.ID(), span.ParamShard, i)
-				shsp.Attr("worker", int64(w))
-				defer shsp.End()
-			}
-			lo, hi := shard(w, s.workers, len(s.params))
-			if lo >= hi {
-				return
-			}
-			ev, acc := s.evs[w], s.accs[w]
-			for pk := lo; pk < hi; pk++ {
-				acc.Reset()
-				ev.ParamSens(s.params[pk], xi, ti, acc)
-				for o := range s.objs {
-					contrib := 0.0
-					if i >= 1 {
-						invH := 1 / s.tr.Hs[i]
-						for _, k := range acc.Touched {
-							// dfdp_i weight: λ_i for BE, ½λ_i + ½λ_{i+1} for
-							// the trapezoidal rule.
-							fw := s.lam[o][k]
-							if s.trap {
-								fw = 0.5*s.lam[o][k] + s.pendF[o][k]
-							}
-							// dqdp_i weight: λ_i/h_i − λ_{i+1}/h_{i+1}.
-							contrib += fw*acc.DFdp[k] +
-								(invH*s.lam[o][k]-s.pendQ[o][k])*acc.DQdp[k]
+		lo, hi := shard(w, s.workers, len(s.params))
+		if lo >= hi {
+			return
+		}
+		ev, acc := s.evs[w], s.accs[w]
+		for pk := lo; pk < hi; pk++ {
+			acc.Reset()
+			ev.ParamSens(s.params[pk], xi, ti, acc)
+			for o := range s.objs {
+				contrib := 0.0
+				if i >= 1 {
+					invH := 1 / s.tr.Hs[i]
+					for _, k := range acc.Touched {
+						// dfdp_i weight: λ_i for BE, ½λ_i + ½λ_{i+1} for
+						// the trapezoidal rule.
+						fw := s.lam[o][k]
+						if s.trap {
+							fw = 0.5*s.lam[o][k] + s.pendF[o][k]
 						}
-					} else {
-						// At i=0 F_0 = f(x_0): full λ_0 weight on dfdp, plus
-						// the carries from F_1.
-						for _, k := range acc.Touched {
-							fw := s.lam[o][k]
-							if s.trap {
-								fw += s.pendF[o][k]
-							}
-							contrib += fw*acc.DFdp[k] - s.pendQ[o][k]*acc.DQdp[k]
-						}
+						// dqdp_i weight: λ_i/h_i − λ_{i+1}/h_{i+1}.
+						contrib += fw*acc.DFdp[k] +
+							(invH*s.lam[o][k]-s.pendQ[o][k])*acc.DQdp[k]
 					}
-					if row != nil {
-						// Windowed mode: park the contribution; the fold
-						// applies them in the serial accumulation order.
-						row[o*len(s.params)+pk] = contrib
-					} else {
-						// With the Lagrangian L = O − Σ λᵀF and the adjoint
-						// equations satisfied, dO/dp = −Σ λ_iᵀ ∂F_i/∂p.
-						s.res.DOdp[o][pk] -= contrib
+				} else {
+					// At i=0 F_0 = f(x_0): full λ_0 weight on dfdp, plus
+					// the carries from F_1.
+					for _, k := range acc.Touched {
+						fw := s.lam[o][k]
+						if s.trap {
+							fw += s.pendF[o][k]
+						}
+						contrib += fw*acc.DFdp[k] - s.pendQ[o][k]*acc.DQdp[k]
 					}
 				}
+				// With the Lagrangian L = O − Σ λᵀF and the adjoint
+				// equations satisfied, dO/dp = −Σ λ_iᵀ ∂F_i/∂p.
+				s.res.DOdp[o][pk] -= contrib
 			}
-		})
-		psp.Attr("params", int64(len(s.params)))
-		psp.End()
-		if s.so.on {
-			d := time.Since(tPar)
-			s.res.Timing.ParamEval += d
-			s.so.paramSec.AddDuration(d)
-			s.so.shards.Add(float64(s.workers))
-			s.so.steps.Inc()
-		} else {
-			s.res.Timing.ParamEval += time.Since(tPar)
 		}
+	})
+	psp.Attr("params", int64(len(s.params)))
+	psp.End()
+	if s.so.on {
+		d := time.Since(tPar)
+		s.res.Timing.ParamEval += d
+		s.so.paramSec.AddDuration(d)
+		s.so.shards.Add(float64(s.workers))
+		s.so.steps.Inc()
+	} else {
+		s.res.Timing.ParamEval += time.Since(tPar)
 	}
 
 	for o := range s.objs {
@@ -759,9 +694,6 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 			}
 		}
 		s.lamNext[o], s.lam[o] = s.lam[o], s.lamNext[o]
-	}
-	if s.afterStep != nil {
-		s.afterStep(i)
 	}
 	return nil
 }

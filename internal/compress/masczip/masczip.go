@@ -212,7 +212,7 @@ func (c *Compressor) Restart() {
 // Fork returns an independent compressor over the same pattern and options.
 // Decompress is driven entirely by per-blob headers (each blob carries or
 // re-derives its tables), so a fork can decode any blob the original
-// produced; windowed sweeps use forks as per-slice decoders.
+// produced; store slices use forks as private decoders.
 func (c *Compressor) Fork() compress.Compressor {
 	return New(c.plan.pat, c.opt)
 }

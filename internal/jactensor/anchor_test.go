@@ -80,7 +80,7 @@ func TestAnchorBlobStreamIdenticalSyncAsync(t *testing.T) {
 
 // TestStoreSlicesConcurrentSweeps runs one slice per window concurrently,
 // each fetching its range in reverse, and bit-compares everything against
-// the fixture — the access pattern of the windowed adjoint engine.
+// the fixture — W readers over one blob sequence, side by side.
 func TestStoreSlicesConcurrentSweeps(t *testing.T) {
 	const steps = 23
 	jp, cp, js, cs := tensorFixture(63, 40, steps)

@@ -49,8 +49,9 @@ import (
 // the same order, the worker merely elsewhere.
 type CompressedStore struct {
 	core
-	issued int        // steps whose seal job has been issued; only Put and EndForward's caller touches it
-	own    StoreSlice // the store's own reverse reader, over [0, n]
+	issued      int        // steps whose seal job has been issued; only Put and EndForward's caller touches it
+	own         StoreSlice // the store's own reverse reader, over [0, n]
+	anchorEvery int        // every k-th step is an anchor; 0 = none
 
 	// mu guards everything above that a worker, prefetch, window slice or
 	// abandoned fetcher goroutine can touch (steps and their records, arena,
@@ -133,7 +134,7 @@ func (s *CompressedStore) Attach(a Attachment) {
 	s.cd.trace(s.ob.rec)
 }
 
-// SetAnchorEvery makes every k-th step (step 0 excluded) a window anchor.
+// SetAnchorEvery makes every k-th step (step 0 excluded) a chain anchor.
 // k <= 0 disables anchoring (the default). Call before the first Put;
 // anchoring an in-flight forward pass is not supported.
 func (s *CompressedStore) SetAnchorEvery(k int) {
@@ -161,8 +162,9 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 	psp := s.ob.rec.Start(s.ob.spanParent(), span.Put, step)
 	defer psp.End()
 	// The chain cuts at an anchor: its blob is self-contained and its
-	// plaintext retained. The head is never one (EndForward clears the mark).
-	st := s.newRec(step)
+	// plaintext retained. Step 0 is never one (it has nothing below it), nor
+	// is the head (EndForward clears the mark).
+	st := &stepRec{pinned: s.anchorEvery > 0 && step > 0 && step%s.anchorEvery == 0}
 	st.x = s.stateOf(step)
 	s.mu.Lock()
 	var below *heldFrame
@@ -650,12 +652,23 @@ func (s *CompressedStore) Close() error {
 // AnchorSteps returns the chain-cut layout of the finished forward pass:
 // every interior anchor step that still holds its frame, in ascending order,
 // with the head step n appended (the head's plaintext is retained by
-// EndForward, so it behaves as the top anchor). Windowed sweeps slice the
-// trajectory at exactly these steps. Returns nil before EndForward.
+// EndForward, so it behaves as the top anchor) and listed once even when its
+// number makes it an anchor. These are the steps a StoreSlice may start
+// from. Returns nil before EndForward.
 func (s *CompressedStore) AnchorSteps() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.anchorMenu(func(st *stepRec) bool { return st.j != nil })
+	if !s.forwardDone || len(s.steps) == 0 {
+		return nil
+	}
+	head := len(s.steps) - 1
+	var out []int
+	for i, st := range s.steps[:head] {
+		if st.pinned && st.j != nil {
+			out = append(out, i)
+		}
+	}
+	return append(out, head)
 }
 
 // PredictorStats returns the predictor-selection statistics accumulated by

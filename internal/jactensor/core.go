@@ -195,7 +195,7 @@ func flatFrame(p pair) heldFrame { return heldFrame{t: [2]held{{flat: p.j}, {fla
 // stepRec is everything a blob-holding store knows about one step. Which
 // fields are live is the policy's business: the ladder moves a step between
 // rungs and hands its frame out directly; the chain keeps every blob in RAM,
-// a frame on window anchors and in its history window, and hands out the
+// a frame on its anchors and in its history window, and hands out the
 // window's frames.
 type stepRec struct {
 	tier         tiersched.Tier // ladder rung
@@ -206,7 +206,7 @@ type stepRec struct {
 	jBlob, cBlob []byte         // sealed blobs: arena memory, or the scratch frames until kept or spilled
 	jOff, cOff   int64          // spill offsets (ladder, tier == Disk)
 	jbN, cbN     int            // sealed lengths, kept for spill reads
-	pinned       bool           // window anchor: the chain cuts here; the ladder demotes it last and never drops it
+	pinned       bool           // chain anchor: the chain cuts here
 	inUse        bool           // ladder: fetched and not yet released, so not evictable
 	prefetched   bool           // ladder: materialized by the background prefetch
 	quarantined  bool           // failed verification: unreadable until Repair
@@ -338,9 +338,8 @@ const poolFrames = 4
 // core is the shared body of the blob-holding stores.
 type core struct {
 	storeBase
-	cd          codecs
-	steps       []*stepRec
-	anchorEvery int // every k-th step is a window anchor; 0 = none
+	cd    codecs
+	steps []*stepRec
 
 	// Sealed blobs are slices into the arena, not heap objects: off the Go
 	// heap on unix, so the GC pacer sizes its headroom on the plaintext
@@ -370,31 +369,6 @@ func newCore(jc, cc compress.Compressor) core {
 		frameJ: make([]byte, blobframe.HeaderSize),
 		frameC: make([]byte, blobframe.HeaderSize),
 	}
-}
-
-// newRec starts the record of an admitted step. Step 0 is never an anchor:
-// it has nothing below it.
-func (k *core) newRec(step int) *stepRec {
-	return &stepRec{pinned: k.anchorEvery > 0 && step > 0 && step%k.anchorEvery == 0}
-}
-
-// anchorMenu is the window-boundary menu of a finished forward pass: the
-// pinned steps below the head for which keep holds (nil = all), ascending,
-// then the head. The head is listed once, here, even when its number makes
-// it a pinned step — a duplicate top would degenerate the windowed engine's
-// boundary split into an empty window. nil before EndForward.
-func (k *core) anchorMenu(keep func(*stepRec) bool) []int {
-	if !k.forwardDone || len(k.steps) == 0 {
-		return nil
-	}
-	head := len(k.steps) - 1
-	var out []int
-	for i, st := range k.steps[:head] {
-		if st.pinned && (keep == nil || keep(st)) {
-			out = append(out, i)
-		}
-	}
-	return append(out, head)
 }
 
 // takeVals returns an array of n values, pooled if one waits.

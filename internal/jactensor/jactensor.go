@@ -58,10 +58,10 @@ type Stats struct {
 	// DiskRetries counts transient spill-I/O attempts absorbed by the
 	// retry policy (disk store only).
 	DiskRetries int64
-	// AnchorBytes is the plaintext bytes currently retained as window
+	// AnchorBytes is the plaintext bytes currently retained as chain
 	// anchor frames (compressed store with SetAnchorEvery). Anchors count
-	// toward PeakResident: they are real resident memory the windowed
-	// sweep pays for.
+	// toward PeakResident: they are real resident memory whoever sets them
+	// pays for. The facade sets none.
 	AnchorBytes int64
 	// HistoryBytes is the most plaintext any one seal or decode of the
 	// compressed store read beyond its nearest reference frame — the deeper

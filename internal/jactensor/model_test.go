@@ -99,7 +99,7 @@ func blockedBytes(n int) int64 {
 func tieredShape(name string, budgetFrames int64, noDisk bool) modelShape {
 	return modelShape{
 		name: name,
-		mk: func(t *testing.T, rng *rand.Rand, f *modelFixture, anchorEvery int) Store {
+		mk: func(t *testing.T, rng *rand.Rand, f *modelFixture, _ int) Store {
 			cfg := TieredConfig{BudgetBytes: budgetFrames * f.frame,
 				DisablePrefetch: rng.Intn(2) == 0,
 				Model:           tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond))}
@@ -114,9 +114,6 @@ func tieredShape(name string, budgetFrames int64, noDisk bool) modelShape {
 				diskless(st)
 			}
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return f.js[step], f.cs[step], nil })
-			if anchorEvery > 0 {
-				st.SetAnchorEvery(anchorEvery)
-			}
 			return st
 		},
 		bound: func(f *modelFixture, steps int, _ int64, _, held, _ int) int64 {
@@ -326,9 +323,9 @@ func (m *modelRun) descent(src fetcher, lo, hi int) func() bool {
 	}
 }
 
-// handoff returns a cursor over [lo, hi] in the adjoint engine's
-// sharedSource pattern: each step is fetched, copied out (here: compared)
-// and released at once.
+// handoff returns a cursor over [lo, hi] in a random-access reader's
+// pattern: each step is fetched, copied out (here: compared) and released at
+// once.
 func (m *modelRun) handoff(lo, hi int) func() bool {
 	i := hi
 	return func() bool {
@@ -341,7 +338,7 @@ func (m *modelRun) handoff(lo, hi int) func() bool {
 }
 
 // interleave runs the cursors to completion, picking the next to advance at
-// random: the schedule of concurrent window sweeps, replayable from a seed.
+// random: the schedule of concurrent readers, replayable from a seed.
 func (m *modelRun) interleave(cursors []func() bool) {
 	for len(cursors) > 0 {
 		if k := m.rng.Intn(len(cursors)); !cursors[k]() {

@@ -64,7 +64,7 @@ func newStoreObs(o *obs.Observer, kind string) storeObs {
 		queueDepth:    reg.Gauge("masc_store_queue_depth", "Jobs waiting in the async compression queue.", lbl...),
 		resident:      reg.Gauge("masc_store_resident_bytes", "Modelled resident bytes held by the store right now.", lbl...),
 		peakResident:  reg.Gauge("masc_store_peak_resident_bytes", "Peak modelled resident bytes over the run.", lbl...),
-		anchorBytes:   reg.Gauge("masc_store_anchor_bytes", "Plaintext bytes retained as window anchor frames.", lbl...),
+		anchorBytes:   reg.Gauge("masc_store_anchor_bytes", "Plaintext bytes retained as chain anchor frames.", lbl...),
 		arenaBytes:    reg.Gauge("masc_store_arena_bytes", "Blob bytes currently held outside the Go heap, where runtime/metrics cannot see them.", lbl...),
 		blobBytes:     reg.Histogram("masc_store_blob_bytes", "Per-step compressed blob sizes (J+C).", obs.SizeBuckets(), lbl...),
 	}

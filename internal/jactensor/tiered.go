@@ -35,12 +35,10 @@ package jactensor
 //
 // Unlike CompressedStore's reverse-sequential prediction chain, every blob
 // here is self-contained (the codecs are restarted around each step), so
-// the store is random-access: any fetch order works, which is what lets
-// windowed reverse sweeps share it through the adjoint engine's
-// copy-on-fetch sharedSource wrapper. The price is the temporal predictor:
-// a self-contained blob is 2–3x the size of a chained one. SetAnchorEvery
-// pins the window-anchor steps against dropping (and demotes them last), so
-// a window's first fetch never lands on the recompute rung.
+// the store is random-access: any fetch order works, and a step can leave
+// the hot tier for whichever rung is cheapest without cutting a chain. The
+// price is the temporal predictor: a self-contained blob is 2–3x the size of
+// a chained one.
 //
 // Integrity mirrors the other stores: hot frames carry CRC32C sidecars
 // (verified at fetch AND before a demotion re-encodes them, so in-RAM rot
@@ -93,10 +91,10 @@ type RecomputeFunc func(step int) (jVals, cVals []float64, err error)
 
 // TieredStore is the ladder policy over core: it places steps across the
 // hot/compressed/disk/recompute rungs under TieredConfig.BudgetBytes. It
-// implements Store and Repairer and is safe for concurrent use (windowed
-// sweeps fetch through the adjoint engine's sharedSource, the prefetch runs
-// on a background goroutine): every method, and with it every codec call and
-// every arena access, runs under mu, so the arena needs no pins.
+// implements Store and Repairer and is safe for concurrent use (the prefetch
+// runs on a background goroutine, and the overlapped reverse sweep fetches
+// from its own): every method, and with it every codec call and every arena
+// access, runs under mu, so the arena needs no pins.
 type TieredStore struct {
 	mu sync.Mutex
 	core
@@ -163,30 +161,6 @@ func (s *TieredStore) SetRecompute(fn RecomputeFunc) {
 	s.mu.Unlock()
 }
 
-// SetAnchorEvery pins every k-th step (k > 0; step 0 excluded) as a window
-// anchor: anchors are demoted after every non-anchor and never dropped to
-// the recompute rung while the spill device lives, so window-boundary
-// fetches stay cheap. Mirrors CompressedStore.SetAnchorEvery's spacing
-// contract. Call before the first Put.
-func (s *TieredStore) SetAnchorEvery(k int) {
-	s.mu.Lock()
-	s.anchorEvery = k
-	s.mu.Unlock()
-}
-
-// AnchorSteps returns the ascending pinned anchor steps plus the head step,
-// or nil when no anchors were requested or the forward pass is still
-// running. The adjoint engine uses this menu to align window boundaries
-// with tier anchors.
-func (s *TieredStore) AnchorSteps() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.anchorEvery <= 0 {
-		return nil
-	}
-	return s.anchorMenu(nil)
-}
-
 // ObserveStepCost feeds one forward integration step's wall time into the
 // cost model as the recompute-cost proxy — the capture-side sampling hook
 // the transient loop drives. The proxy prices drops only until the reverse
@@ -203,7 +177,7 @@ func (s *TieredStore) Put(step int, jVals, cVals []float64) error {
 	if err := s.admit(step, jVals, cVals); err != nil {
 		return err
 	}
-	st := s.newRec(step)
+	st := &stepRec{}
 	// Hot-tier rot window: after the sidecar, before any re-encode.
 	s.admitFrame(step, st, s.copyFrame(pair{jVals, cVals}))
 	s.steps = append(s.steps, st)
@@ -235,25 +209,17 @@ func (s *TieredStore) enforceBudget() {
 	}
 }
 
-// pinnedKey sorts window anchors behind every other step in a stepHeap.
-const pinnedKey = 1 << 31
-
 // markEvictable enters step, which rests on the hot or the compressed rung,
 // into that rung's victim index.
 func (s *TieredStore) markEvictable(step int) {
 	if s.cfg.BudgetBytes <= 0 {
 		return // nothing is ever evicted
 	}
-	st := s.steps[step]
-	key := uint32(step)
-	if st.pinned {
-		key |= pinnedKey
-	}
-	s.evictable[st.tier].push(key)
+	s.evictable[s.steps[step].tier].push(uint32(step))
 }
 
-// victim takes the lowest evictable step off the given rung's index,
-// non-anchors before anchors; -1 when none is left. Lowest first because the
+// victim takes the lowest evictable step off the given rung's index; -1
+// when none is left. Lowest first because the
 // reverse sweep reads n→0, so the lowest live step is the one touched
 // furthest in the future (the Belady choice for this access pattern).
 //
@@ -266,7 +232,7 @@ func (s *TieredStore) victim(tier tiersched.Tier) int {
 	h := &s.evictable[tier]
 	for len(*h) > 0 {
 		s.probes++
-		i := int(h.pop() &^ pinnedKey)
+		i := int(h.pop())
 		if st := s.steps[i]; st.tier == tier && !st.inUse && !st.released && !st.quarantined {
 			return i
 		}
@@ -383,9 +349,6 @@ func (s *TieredStore) offload(parent span.ID, i int) {
 	}
 	diskOK := !s.spillDead
 	dec := s.model.ExplainSpill(blobBytes, int(s.frameBytes), diskOK)
-	if st.pinned && diskOK {
-		dec.Target = tiersched.Disk // anchors never drop while the spill lives
-	}
 	s.noteDecision(parent, i, blobBytes, dec)
 	if dec.Target == tiersched.Disk {
 		if st.tier == tiersched.Hot {
@@ -527,7 +490,7 @@ func (s *TieredStore) snapshotTiersLocked() {
 }
 
 // Fetch implements Store. Random access: every step is self-contained, so
-// any order works (the serial sweep reads n→0, windowed sweeps interleave).
+// any order works (the reverse sweep reads n→0).
 func (s *TieredStore) Fetch(step int) ([]float64, []float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -747,9 +710,8 @@ func (s *TieredStore) Repair(step int, jVals, cVals []float64) {
 	}
 	st.tier = tiersched.Hot
 	s.adoptHot(step, s.copyFrame(pair{jVals, cVals}))
-	// A released step may be healed and refetched by the degradation
-	// ladder (sharedSource releases the base copy immediately): repair
-	// revives it.
+	// Repairing a released step revives it, so the frame installed here is
+	// freed by the next Release rather than leaked.
 	st.released = false
 	s.heal(st)
 	if from != tiersched.Hot {
@@ -811,8 +773,7 @@ func (s *TieredStore) Close() error {
 	return nil
 }
 
-// stepHeap is a binary min-heap of step keys (the step number, with
-// pinnedKey set on anchors).
+// stepHeap is a binary min-heap of step numbers.
 type stepHeap []uint32
 
 func (h *stepHeap) push(k uint32) {

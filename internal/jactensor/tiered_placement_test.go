@@ -145,7 +145,7 @@ type placementRun struct {
 // runPlacement drives one store through capture and a reverse read in the
 // given order, checking every fetched step against the MemStore's bits, the
 // per-Put resident bound and the arena bound as it goes.
-func runPlacement(t *testing.T, budget int64, rg placementRegime, anchorEvery int, interleaved, noPrefetch bool,
+func runPlacement(t *testing.T, budget int64, rg placementRegime, markov, interleaved, noPrefetch bool,
 	n, steps int) placementRun {
 	t.Helper()
 	jp, cp, js, cs := placementFixture(n, steps)
@@ -162,17 +162,13 @@ func runPlacement(t *testing.T, budget int64, rg placementRegime, anchorEvery in
 		cfg.DiskDir = t.TempDir()
 	}
 	cfg.Model.ObserveForwardStep(rg.stepFwd)
-	st := NewTieredStore(
-		countedCodec{masczip.New(jp, masczip.Options{}), &out.encodes},
-		masczip.New(cp, masczip.Options{}), cfg)
+	mo := masczip.Options{Markov: markov}
+	st := NewTieredStore(countedCodec{masczip.New(jp, mo), &out.encodes}, masczip.New(cp, mo), cfg)
 	if rg.noDisk {
 		diskless(st)
 	}
 	defer st.Close()
 	st.SetRecompute(func(step int) ([]float64, []float64, error) { return js[step], cs[step], nil })
-	if anchorEvery > 0 {
-		st.SetAnchorEvery(anchorEvery)
-	}
 
 	sample := func(when string) {
 		st.mu.Lock()
@@ -229,12 +225,9 @@ func runPlacement(t *testing.T, budget int64, rg placementRegime, anchorEvery in
 		sample(fmt.Sprintf("fetch %d", i))
 	}
 	if interleaved {
-		// Two windows sweeping side by side, split at an anchor when there
-		// are any; each holds one step in use, like sharedSource's callers.
+		// Two descents side by side, each holding one step in use: the
+		// store is random-access, so any order reads back the same bits.
 		mid := steps / 2
-		if anchorEvery > 0 {
-			mid -= mid % anchorEvery
-		}
 		for a, b := steps-1, mid-1; a >= mid || b >= 0; a, b = a-1, b-1 {
 			if a >= mid {
 				check(a)
@@ -263,7 +256,8 @@ func runPlacement(t *testing.T, budget int64, rg placementRegime, anchorEvery in
 // TestTieredPlacementProperties is the property suite of admission-time
 // placement: across budgets (unlimited, fractions of the compressed size, a
 // tiny one, MASC_MEM_BUDGET's), cost regimes (recompute cheaper than disk,
-// disk cheaper, no disk), anchors, fetch orders and prefetch on/off —
+// disk cheaper, no disk), the codec's selector (best fit or Markov, the one
+// masc+markov runs under a budget), fetch orders and prefetch on/off —
 //
 //   - every fetched step is bit-equal to what a MemStore returns;
 //   - the codec is called exactly once for every step that left the hot
@@ -282,14 +276,14 @@ func TestTieredPlacementProperties(t *testing.T) {
 
 	for _, budget := range budgets {
 		for _, rg := range placementRegimes {
-			for _, anchorEvery := range []int{0, 8} {
+			for _, markov := range []bool{false, true} {
 				for _, interleaved := range []bool{false, true} {
 					for _, noPrefetch := range []bool{false, true} {
-						name := fmt.Sprintf("budget=%d/%s/anchors=%d/interleaved=%v/prefetch=%v",
-							budget, rg.name, anchorEvery, interleaved, !noPrefetch)
+						name := fmt.Sprintf("budget=%d/%s/markov=%v/interleaved=%v/prefetch=%v",
+							budget, rg.name, markov, interleaved, !noPrefetch)
 						t.Run(name, func(t *testing.T) {
-							a := runPlacement(t, budget, rg, anchorEvery, interleaved, noPrefetch, n, steps)
-							b := runPlacement(t, budget, rg, anchorEvery, interleaved, noPrefetch, n, steps)
+							a := runPlacement(t, budget, rg, markov, interleaved, noPrefetch, n, steps)
+							b := runPlacement(t, budget, rg, markov, interleaved, noPrefetch, n, steps)
 							if a.snap != b.snap {
 								t.Fatalf("model snapshots diverged:\n%+v\n%+v", a.snap, b.snap)
 							}
@@ -312,8 +306,8 @@ func TestTieredPlacementProperties(t *testing.T) {
 									a.encodes, left, s.TierDirectDrops, want, s)
 							}
 							// Steps that met the codec and were dropped all
-							// the same: a blob its estimate undersized, and —
-							// where anchors must spill — nothing else.
+							// the same: blobs their estimate undersized, and
+							// nothing else.
 							if wasted := s.TierDroppedSteps - int(s.TierDirectDrops); wasted > 2 {
 								t.Fatalf("%d steps were compressed and then dropped: %+v", wasted, s)
 							}
@@ -323,7 +317,7 @@ func TestTieredPlacementProperties(t *testing.T) {
 							if rg.noDisk && (s.TierDiskSteps != 0 || s.TierDroppedSteps == 0) {
 								t.Fatalf("diskless regime: %+v", s)
 							}
-							if rg.name == "drop" && anchorEvery == 0 && s.TierDiskSteps > 1 {
+							if rg.name == "drop" && s.TierDiskSteps > 1 {
 								// One unpriced spill measures the device.
 								t.Fatalf("drop regime spilled %d steps: %+v", s.TierDiskSteps, s)
 							}
@@ -350,7 +344,7 @@ func TestTieredArenaBoundedOnLongDiskRun(t *testing.T) {
 	frame := int64(8 * (len(js[0]) + len(cs[0])))
 	budget := 24 * frame
 	rg := placementRegimes[1]
-	a := runPlacement(t, budget, rg, 0, false, false, n, steps)
+	a := runPlacement(t, budget, rg, false, false, false, n, steps)
 	if a.stats.TierDroppedSteps != 0 || a.stats.TierDiskSteps < steps/2 {
 		t.Fatalf("not a disk-regime run: %+v", a.stats)
 	}
@@ -368,9 +362,9 @@ func TestTieredArenaBoundedOnLongDiskRun(t *testing.T) {
 // about a hundred of them and counts the index entries victim examined: a
 // count, not a time, and linear in the steps — the scan it replaces walked
 // the step list from 0 for every demotion, 5·10⁹ probes for this run. The
-// second pass pins every 50th step, quarantines a few frames that rot before
-// their demotion, and leaves steps in use while further promotions force
-// evictions, so every way an entry can go stale is met.
+// second pass quarantines a few frames that rot before their demotion and
+// leaves steps in use while further promotions force evictions, so every way
+// an entry can go stale is met.
 func TestTieredVictimSelectionScales(t *testing.T) {
 	const steps, floats = 100_000, 8 // 8 J + 8 C values: 16-float frames
 	const frame = 8 * 2 * floats
@@ -419,18 +413,17 @@ func TestTieredVictimSelectionScales(t *testing.T) {
 		t.Logf("%d probes for %d steps", st.probes, steps)
 	})
 
-	t.Run("pinned+quarantined+inuse", func(t *testing.T) {
+	t.Run("quarantined+inuse", func(t *testing.T) {
 		st := newStore()
 		defer st.Close()
-		st.SetAnchorEvery(50)
 		rot := map[int]bool{10: true, 5_000: true, 77_777: true}
 		fill(st, rot)
 		if got := st.Stats().CorruptBlobs; got != len(rot) {
 			t.Fatalf("%d frames quarantined at demotion, want %d", got, len(rot))
 		}
-		// A windowed read: hold the top steps in use, then promote a run of
-		// dropped steps from the middle without releasing the first few, so
-		// evictions must pass over in-use and quarantined entries.
+		// Hold the top steps in use, then promote a run of dropped steps from
+		// the middle without releasing the first few, so evictions must pass
+		// over in-use and quarantined entries.
 		fetches := 0
 		for i := steps - 1; i >= steps-5; i-- {
 			if _, _, err := st.Fetch(i); err != nil {

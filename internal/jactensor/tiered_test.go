@@ -39,98 +39,6 @@ func diskless(st *TieredStore) *TieredStore {
 	return st
 }
 
-// TestTieredAnchorsRespected pins the window-boundary contract: anchors are
-// reported only after EndForward, include the head step, and — while the
-// spill device lives — an anchor is never demoted onto the recompute rung,
-// so a window's first fetch cannot trigger a deliberate recomputation.
-func TestTieredAnchorsRespected(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(62, 40, 20)
-	st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{BudgetBytes: 8 << 10})
-	st.SetAnchorEvery(5)
-	if got := st.AnchorSteps(); got != nil {
-		t.Fatalf("AnchorSteps before EndForward = %v, want nil", got)
-	}
-	for i := range js {
-		if err := st.Put(i, js[i], cs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.EndForward(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{5, 10, 15, 19}
-	got := st.AnchorSteps()
-	if len(got) != len(want) {
-		t.Fatalf("AnchorSteps = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AnchorSteps = %v, want %v", got, want)
-		}
-	}
-	for _, a := range []int{5, 10, 15} {
-		if tier := st.steps[a].tier; tier == tiersched.Dropped {
-			t.Fatalf("anchor %d landed on the recompute rung with a live spill device", a)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTieredAnchorStepsDivisibleLength: when the trajectory length is an
-// exact multiple of the anchor spacing the head step is itself pinned, and
-// AnchorSteps must still be strictly increasing — listing the head twice
-// once degenerated the windowed engine's boundary split into empty windows
-// with silently wrong sensitivities.
-func TestTieredAnchorStepsDivisibleLength(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(64, 40, 21) // steps 0..20, head 20
-	st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{BudgetBytes: 8 << 10})
-	st.SetAnchorEvery(5) // 20 % 5 == 0: the head is a pinned step
-	for i := range js {
-		if err := st.Put(i, js[i], cs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.EndForward(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{5, 10, 15, 20}
-	got := st.AnchorSteps()
-	if len(got) != len(want) {
-		t.Fatalf("AnchorSteps = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AnchorSteps = %v, want %v", got, want)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTieredNoAnchorsMeansNilMenu: without SetAnchorEvery the boundary menu
-// must stay nil so the windowed sweep falls back to arithmetic splits.
-func TestTieredNoAnchorsMeansNilMenu(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(63, 30, 8)
-	st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{})
-	for i := range js {
-		if err := st.Put(i, js[i], cs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.EndForward(); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.AnchorSteps(); got != nil {
-		t.Fatalf("AnchorSteps = %v, want nil without anchors", got)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTieredDroppedWithoutHookDegrades: a deliberately dropped step with no
 // recompute hook must surface as a degradable StepError (the adjoint
 // sweep's recompute ladder handles it), never a silent wrong answer.

@@ -16,8 +16,9 @@ import (
 // reader with forked decoders and a private window, so W slices can run
 // concurrent reverse sweeps over the same blob sequence with no decode
 // serialization. A slice's top step must be self-contained — an anchor or the
-// head step — which is exactly how the windowed adjoint engine picks its
-// boundaries (from AnchorSteps).
+// head step, the steps AnchorSteps lists. The facade's reverse sweep reads
+// through the store's own reader and sets no anchors; slices serve callers
+// that cut the trajectory themselves.
 //
 // Shared parent state (step records, stats, the resident-byte model, the
 // frame pool) is touched only under the parent's mutex; the blobs themselves

@@ -103,8 +103,7 @@ func (f *LU) UNNZ() int { return len(f.uk) }
 // while their final length is still unknown, and the DFS state. Factor builds
 // into a pooled scratch and keeps exact-length copies, so a factorization
 // neither pays append's regrowth nor retains its slack, and concurrent
-// Factor calls (window sweeps re-pivoting after ErrPivotDegraded) each draw
-// their own.
+// Factor calls (two analyses sharing one circuit) each draw their own.
 type factorScratch struct {
 	lrow, uk          []int32
 	lx, ux            []float64

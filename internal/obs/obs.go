@@ -5,8 +5,8 @@
 //     renders in Prometheus text exposition format and as an expvar JSON
 //     snapshot, optionally served over HTTP together with net/http/pprof;
 //   - a causal span Recorder (internal/obs/span) that records the run's
-//     phase tree — forward steps, jacobian put/compress, adjoint windows,
-//     sweeps, fetches, tier decisions, disk retries — with nanosecond
+//     phase tree — forward steps, jacobian put/compress, adjoint sweeps,
+//     fetches, tier decisions, disk retries — with nanosecond
 //     timing, exportable as Chrome trace-event JSON or JSONL;
 //   - an SSE Broadcaster that live-streams finished spans to HTTP clients
 //     on /events;

@@ -1,5 +1,5 @@
 // Package span implements a causal span tree for the MASC pipeline: every
-// phase of a run (forward step, jacobian put/compress, adjoint window/sweep,
+// phase of a run (forward step, jacobian put/compress, adjoint sweep,
 // fetch, solve, tier decision, disk retry, …) records a Span with nanosecond
 // start/end times, a parent link, and a handful of typed int64 attributes.
 //
@@ -29,7 +29,7 @@ import (
 type ID uint64
 
 // Kind classifies a span. The enum mirrors the causal tree of a MASC run:
-// run → forward{step → put/compress} → adjoint{window → sweep →
+// run → forward{step → put/compress} → adjoint{sweep →
 // fetch/solve/param} → tier decision → disk retry, plus codec-level
 // encode/decode underneath compress/decompress.
 type Kind uint8
@@ -44,7 +44,6 @@ const (
 	Compress
 	Decompress
 	Adjoint
-	Window
 	Sweep
 	Fetch
 	Solve
@@ -73,7 +72,6 @@ var kindNames = [numKinds]string{
 	Compress:     "compress",
 	Decompress:   "decompress",
 	Adjoint:      "adjoint",
-	Window:       "window",
 	Sweep:        "sweep",
 	Fetch:        "fetch",
 	Solve:        "solve",

@@ -204,7 +204,8 @@ func TestJSONL(t *testing.T) {
 
 // TestGoldenChromeTrace pins the exact Chrome trace-event export for a small
 // causal tree: run → forward → {step0, step1} with a compress under step1,
-// and a concurrent window overlapping step1 (forced onto its own lane).
+// and a concurrent worker's shard overlapping step1 (forced onto its own
+// lane).
 func TestGoldenChromeTrace(t *testing.T) {
 	recs := []Record{
 		{ID: 1, Parent: 0, Kind: Run, Step: -1, Start: 0, End: 10_000},
@@ -213,7 +214,7 @@ func TestGoldenChromeTrace(t *testing.T) {
 		{ID: 4, Parent: 2, Kind: Step, Step: 1, Start: 2_500, End: 4_500},
 		{ID: 5, Parent: 4, Kind: Compress, Step: 0, Start: 3_000, End: 4_000,
 			NAttr: 1, Attrs: [MaxAttrs]Attr{{Key: "bytes", Val: 256}}},
-		{ID: 6, Parent: 1, Kind: Window, Step: -1, Start: 3_200, End: 7_000},
+		{ID: 6, Parent: 1, Kind: ParamShard, Step: -1, Start: 3_200, End: 7_000},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, recs); err != nil {
@@ -226,7 +227,7 @@ func TestGoldenChromeTrace(t *testing.T) {
 {"name":"step","cat":"masc","ph":"X","ts":1.000,"dur":1.000,"pid":1,"tid":1,"args":{"id":3,"parent":2,"step":0}},
 {"name":"step","cat":"masc","ph":"X","ts":2.500,"dur":2.000,"pid":1,"tid":1,"args":{"id":4,"parent":2,"step":1}},
 {"name":"compress","cat":"masc","ph":"X","ts":3.000,"dur":1.000,"pid":1,"tid":1,"args":{"id":5,"parent":4,"step":0,"bytes":256}},
-{"name":"window","cat":"masc","ph":"X","ts":3.200,"dur":3.800,"pid":1,"tid":2,"args":{"id":6,"parent":1,"step":-1}}
+{"name":"param_shard","cat":"masc","ph":"X","ts":3.200,"dur":3.800,"pid":1,"tid":2,"args":{"id":6,"parent":1,"step":-1}}
 ]}
 `
 	if got := buf.String(); got != want {

@@ -11,7 +11,7 @@ import (
 )
 
 // forwardDonePrefix is a valid journal up to its forward-done record: the
-// state in which window and done records are grammatical.
+// state in which a done record is grammatical.
 func forwardDonePrefix(t testing.TB) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "prefix.journal")
@@ -49,27 +49,42 @@ func FuzzRecover(f *testing.F) {
 	for cut := 0; cut <= len(full); cut++ {
 		f.Add(full[:cut])
 	}
-	// Correctly sealed window and done frames whose payload is nothing but a
-	// header of counts — what a CRC cannot catch, so the decoders must. The
-	// products wrap to the payload length in 64-bit arithmetic (8·2³¹·2³⁰ ≡ 0),
-	// so a length check that multiplies accepts them.
+	// The same run as earlier binaries journaled it, with two window records
+	// between forward-done and done, cut at every byte past forward-done:
+	// recovery must stop at the retired kind wherever the cut lands.
+	fwd := 0 // the end of the forward-done frame
+	for off := 0; off < len(full); {
+		kind, _, plen, err := blobframe.Peek(full[off:])
+		if err != nil {
+			f.Fatal(err)
+		}
+		off += blobframe.HeaderSize + plen
+		if kind == KindForwardDone {
+			fwd = off
+		}
+	}
+	old := append([]byte(nil), full[:fwd]...)
+	old = append(old, retiredWindowFrame(0, 0, 2, [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}, []int{2})...)
+	old = append(old, retiredWindowFrame(1, 3, 5, [][]float64{{-1, -2, -3}, {0, 0, 0.5}, {9, 9, 9}}, nil)...)
+	old = append(old, full[fwd:]...)
+	for cut := fwd + 1; cut <= len(old); cut++ {
+		f.Add(old[:cut])
+	}
+	// Correctly sealed done frames whose payload is nothing but a header of
+	// counts — what a CRC cannot catch, so the decoder must. The products
+	// wrap to the payload length in 64-bit arithmetic (8·2³¹·2³⁰ ≡ 0), so a
+	// length check that multiplies accepts them.
 	prefix := forwardDonePrefix(f)
-	for _, forged := range []struct {
-		kind   byte
-		counts []uint32
-	}{
-		{KindWindow, []uint32{0, 0, 1<<31 - 1, 1 << 30, 0}},
-		{KindWindow, []uint32{0, 0, 1<<31 - 1, 0, 0}},
-		{KindWindow, []uint32{0, 0, 0, 0, 1<<32 - 1}},
-		{KindDone, []uint32{1 << 31, 1 << 30, 0}},
-		{KindDone, []uint32{1 << 31, 0, 0}},
-		{KindDone, []uint32{0, 0, 1<<32 - 1}},
+	for _, counts := range [][]uint32{
+		{1 << 31, 1 << 30, 0},
+		{1 << 31, 0, 0},
+		{0, 0, 1<<32 - 1},
 	} {
-		payload := make([]byte, 0, 4*len(forged.counts))
-		for _, c := range forged.counts {
+		payload := make([]byte, 0, 4*len(counts))
+		for _, c := range counts {
 			payload = binary.LittleEndian.AppendUint32(payload, c)
 		}
-		f.Add(append(prefix[:len(prefix):len(prefix)], blobframe.Wrap(forged.kind, 0, payload)...))
+		f.Add(append(prefix[:len(prefix):len(prefix)], blobframe.Wrap(KindDone, 0, payload)...))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -86,22 +101,17 @@ func FuzzRecover(f *testing.F) {
 		if r.ForwardDone && r.ForwardSteps != len(r.Steps)-1 {
 			t.Fatalf("forward done at %d with %d checkpoints", r.ForwardSteps, len(r.Steps))
 		}
-		if !r.ForwardDone && (len(r.Windows) > 0 || r.Done != nil) {
-			t.Fatal("adjoint records before forward-done")
+		if !r.ForwardDone && r.Done != nil {
+			t.Fatal("done record before forward-done")
 		}
 		for i, s := range r.Steps {
 			if s.Step != i || (r.Config.N > 0 && len(s.X) != r.Config.N) {
 				t.Fatalf("checkpoint %d: step %d, %d unknowns", i, s.Step, len(s.X))
 			}
 		}
-		for j, wr := range r.Windows {
-			if wr.J != j || len(wr.Rows) != wr.Hi-wr.Lo+1 {
-				t.Fatalf("window %d: %+v", j, wr)
-			}
-		}
 		again, err := scan(data[:r.Offset])
 		if err != nil || again.Offset != r.Offset || len(again.Steps) != len(r.Steps) ||
-			again.ForwardDone != r.ForwardDone || len(again.Windows) != len(r.Windows) ||
+			again.ForwardDone != r.ForwardDone ||
 			(again.Done == nil) != (r.Done == nil) {
 			t.Fatalf("the recovered prefix does not recover to itself: %v", err)
 		}

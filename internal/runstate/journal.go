@@ -2,8 +2,8 @@
 // sensitivity run crash-durable: an append-only stream of CRC32C-framed
 // records (reusing the blobframe format the Jacobian stores already trust)
 // holding the run configuration, one checkpoint per accepted forward step —
-// the solution vector and the integrator restart state — and the adjoint
-// engine's per-window progress. A process death at any byte leaves a journal
+// the solution vector and the integrator restart state — the end of the
+// forward phase and the finished sensitivities. A process death at any byte leaves a journal
 // that recovers by scanning to the last valid frame; the torn tail is
 // truncated and never trusted.
 //
@@ -21,9 +21,12 @@
 //	'S'  forward checkpoint: step index, t, accepted h, next h, cut count,
 //	     and the converged solution vector (bit-exact float64 images)
 //	'F'  forward integration complete (payload: the final step index)
-//	'W'  one adjoint window folded: its step range, the parked per-step
-//	     contribution rows, and the steps it degraded to recomputation
 //	'D'  run complete: the final dO/dp matrix and degraded-step list
+//
+// 'W' is reserved: earlier binaries journaled each window of a windowed
+// reverse sweep under it. Recover stops at it like at any kind it does not
+// know, so such a journal resumes by running the reverse sweep again; no
+// later kind may reuse the byte.
 package runstate
 
 import (
@@ -58,7 +61,6 @@ const (
 	KindConfig      byte = 'R'
 	KindStep        byte = 'S'
 	KindForwardDone byte = 'F'
-	KindWindow      byte = 'W'
 	KindDone        byte = 'D'
 )
 
@@ -90,18 +92,6 @@ type StepRec struct {
 	X     []float64 // converged solution vector
 }
 
-// WindowRec is one completed adjoint window: the contribution rows it owns
-// (flat [K*P] per step, exactly as parked by the windowed engine) and the
-// steps it degraded to recomputation. Replaying the rows through the global
-// descending-step fold reproduces the serial accumulation bit for bit.
-type WindowRec struct {
-	J        int // window index (W-1 = the seeding sweep / topmost window)
-	Lo, Hi   int // owned step range, inclusive
-	RowLen   int // K*P
-	Rows     [][]float64
-	Degraded []int
-}
-
 // DoneRec is the terminal record: the finished sensitivities.
 type DoneRec struct {
 	DOdp     [][]float64
@@ -110,7 +100,7 @@ type DoneRec struct {
 
 // Writer appends records to a journal file through a buffered writer,
 // fsync'ing on a configurable step cadence and at every phase boundary.
-// Safe for concurrent use (window completions race on resume-less runs).
+// Safe for concurrent use.
 type Writer struct {
 	mu         sync.Mutex
 	f          *os.File
@@ -258,41 +248,6 @@ func (w *Writer) ForwardDone(n int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.appendFrameLocked(KindForwardDone, n, payload); err != nil {
-		return err
-	}
-	return w.syncLocked()
-}
-
-// WindowDone journals one completed adjoint window and fsyncs: a resumed
-// run replays the parked rows instead of re-sweeping the window.
-func (w *Writer) WindowDone(rec *WindowRec) error {
-	steps := rec.Hi - rec.Lo + 1
-	if steps < 0 || len(rec.Rows) != steps {
-		return fmt.Errorf("runstate: window %d rows %d != range [%d,%d]", rec.J, len(rec.Rows), rec.Lo, rec.Hi)
-	}
-	payload := make([]byte, 4*5+4*len(rec.Degraded)+8*steps*rec.RowLen)
-	binary.LittleEndian.PutUint32(payload[0:], uint32(rec.J))
-	binary.LittleEndian.PutUint32(payload[4:], uint32(rec.Lo))
-	binary.LittleEndian.PutUint32(payload[8:], uint32(rec.Hi))
-	binary.LittleEndian.PutUint32(payload[12:], uint32(rec.RowLen))
-	binary.LittleEndian.PutUint32(payload[16:], uint32(len(rec.Degraded)))
-	off := 20
-	for _, d := range rec.Degraded {
-		binary.LittleEndian.PutUint32(payload[off:], uint32(d))
-		off += 4
-	}
-	for _, row := range rec.Rows {
-		if len(row) != rec.RowLen {
-			return fmt.Errorf("runstate: window %d row length %d != %d", rec.J, len(row), rec.RowLen)
-		}
-		for _, v := range row {
-			binary.LittleEndian.PutUint64(payload[off:], math.Float64bits(v))
-			off += 8
-		}
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.appendFrameLocked(KindWindow, rec.J, payload); err != nil {
 		return err
 	}
 	return w.syncLocked()

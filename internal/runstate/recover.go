@@ -41,8 +41,6 @@ type Recovered struct {
 	// is the final step index it recorded.
 	ForwardDone  bool
 	ForwardSteps int
-	// Windows maps completed adjoint window index -> its journaled progress.
-	Windows map[int]*WindowRec
 	// Done is non-nil when the run finished.
 	Done *DoneRec
 	// Offset is the file offset just past the last valid frame — the append
@@ -76,7 +74,7 @@ func Recover(path string) (*Recovered, error) {
 
 // scan is Recover over the journal's bytes.
 func scan(data []byte) (*Recovered, error) {
-	rec := &Recovered{Windows: map[int]*WindowRec{}}
+	rec := &Recovered{}
 	off := 0
 	for {
 		if len(data)-off < blobframe.HeaderSize {
@@ -148,16 +146,6 @@ func (r *Recovered) apply(kind byte, step int, payload []byte) bool {
 		r.ForwardDone = true
 		r.ForwardSteps = n
 		return true
-	case KindWindow:
-		if !r.ForwardDone {
-			return false
-		}
-		wr, ok := decodeWindow(payload)
-		if !ok || wr.J != step {
-			return false
-		}
-		r.Windows[wr.J] = wr
-		return true
 	case KindDone:
 		if step != 0 || !r.ForwardDone || r.Done != nil {
 			return false
@@ -169,7 +157,8 @@ func (r *Recovered) apply(kind byte, step int, payload []byte) bool {
 		r.Done = dr
 		return true
 	default:
-		return false // unknown kind: written by a future version
+		// Unknown kind: written by a future version, or the retired 'W'.
+		return false
 	}
 }
 
@@ -211,41 +200,6 @@ func decodeStep(step int, p []byte) (StepRec, bool) {
 		sr.X[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[32+8*i:]))
 	}
 	return sr, true
-}
-
-func decodeWindow(p []byte) (*WindowRec, bool) {
-	if len(p) < 20 {
-		return nil, false
-	}
-	wr := &WindowRec{
-		J:      int(binary.LittleEndian.Uint32(p[0:])),
-		Lo:     int(binary.LittleEndian.Uint32(p[4:])),
-		Hi:     int(binary.LittleEndian.Uint32(p[8:])),
-		RowLen: int(binary.LittleEndian.Uint32(p[12:])),
-	}
-	deg := int(binary.LittleEndian.Uint32(p[16:]))
-	steps := wr.Hi - wr.Lo + 1
-	if !sized(len(p), 20, deg, steps, wr.RowLen) {
-		return nil, false
-	}
-	off := 20
-	if deg > 0 {
-		wr.Degraded = make([]int, deg)
-		for i := range wr.Degraded {
-			wr.Degraded[i] = int(binary.LittleEndian.Uint32(p[off:]))
-			off += 4
-		}
-	}
-	wr.Rows = make([][]float64, steps)
-	for i := range wr.Rows {
-		row := make([]float64, wr.RowLen)
-		for k := range row {
-			row[k] = math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
-			off += 8
-		}
-		wr.Rows[i] = row
-	}
-	return wr, true
 }
 
 func decodeDone(p []byte) (*DoneRec, bool) {

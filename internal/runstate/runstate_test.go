@@ -1,6 +1,7 @@
 package runstate
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -14,7 +15,7 @@ import (
 // testPlan is a resolved plan in the shape a run journals it; runstate
 // stores it byte for byte and never looks inside.
 const testPlan = `{"transient":{"TStart":0,"TStep":1e-06,"TStop":0.001,"Method":"be"},` +
-	`"storage":"masc","workers":1,"adjoint_workers":0,"windows":2,"anchor_every":5,` +
+	`"storage":"masc","workers":1,"adjoint_workers":0,` +
 	`"async":false,"pipeline_depth":0,"disk_bps":0,"disk_dir":"","mem_budget_bytes":0,` +
 	`"disable_degrade":false,"objectives":[{"Name":"v(out)","Node":1,"Weight":1,"Step":0,` +
 	`"Integral":false}],"params":[0,1,2]}`
@@ -47,14 +48,6 @@ func writeSample(t testing.TB, path string) {
 	if err := w.ForwardDone(5); err != nil {
 		t.Fatalf("ForwardDone: %v", err)
 	}
-	if err := w.WindowDone(&WindowRec{J: 0, Lo: 0, Hi: 2, RowLen: 3,
-		Rows: [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}, Degraded: []int{2}}); err != nil {
-		t.Fatalf("WindowDone: %v", err)
-	}
-	if err := w.WindowDone(&WindowRec{J: 1, Lo: 3, Hi: 5, RowLen: 3,
-		Rows: [][]float64{{-1, -2, -3}, {0, 0, 0.5}, {9, 9, 9}}}); err != nil {
-		t.Fatalf("WindowDone: %v", err)
-	}
 	if err := w.Done([][]float64{{0.25, -1.5, 1e-30}}, []int{2}); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
@@ -83,13 +76,6 @@ func TestRoundtrip(t *testing.T) {
 	s3 := r.Steps[3]
 	if s3.Step != 3 || s3.T != 3e-6 || s3.Cuts != 1 || s3.X[2] != math.Pi*3 {
 		t.Fatalf("step 3 mismatch: %+v", s3)
-	}
-	if len(r.Windows) != 2 {
-		t.Fatalf("windows = %d, want 2", len(r.Windows))
-	}
-	w0 := r.Windows[0]
-	if w0.Lo != 0 || w0.Hi != 2 || w0.Rows[2][1] != 8 || len(w0.Degraded) != 1 || w0.Degraded[0] != 2 {
-		t.Fatalf("window 0 mismatch: %+v", w0)
 	}
 	if r.Done == nil || r.Done.DOdp[0][2] != 1e-30 || r.Done.Degraded[0] != 2 {
 		t.Fatalf("done mismatch: %+v", r.Done)
@@ -220,6 +206,49 @@ func TestAppendAfterRecover(t *testing.T) {
 	}
 	if len(r2.Steps) != 3 || !r2.ForwardDone || r2.Steps[2].X[0] != 4 {
 		t.Fatalf("after append: %d steps, done=%v", len(r2.Steps), r2.ForwardDone)
+	}
+}
+
+// retiredWindowFrame seals one window record as earlier binaries journaled
+// it: kind 'W', step j, then j, lo, hi, the row length and the degraded count
+// as uint32s, the degraded steps, and the rows' float64 images.
+func retiredWindowFrame(j, lo, hi int, rows [][]float64, degraded []int) []byte {
+	rowLen := 0
+	if len(rows) > 0 {
+		rowLen = len(rows[0])
+	}
+	var p []byte
+	for _, v := range []int{j, lo, hi, rowLen, len(degraded)} {
+		p = binary.LittleEndian.AppendUint32(p, uint32(v))
+	}
+	for _, d := range degraded {
+		p = binary.LittleEndian.AppendUint32(p, uint32(d))
+	}
+	for _, row := range rows {
+		for _, v := range row {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
+		}
+	}
+	return blobframe.Wrap('W', j, p)
+}
+
+// TestRecoverStopsAtRetiredWindowRecord: earlier binaries journaled each
+// window of a windowed reverse sweep as a 'W' record after forward-done.
+// Recover treats the retired kind like any unknown one — the trusted prefix
+// ends before it, so what follows (here a done record) is dropped and a
+// resume runs the reverse sweep again.
+func TestRecoverStopsAtRetiredWindowRecord(t *testing.T) {
+	prefix := forwardDonePrefix(t)
+	window := retiredWindowFrame(0, 0, 0, [][]float64{{1}}, nil)
+	done := blobframe.Wrap(KindDone, 0, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	data := append(append(append([]byte(nil), prefix...), window...), done...)
+	r, err := scan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.ForwardDone || r.Done != nil || r.Offset != int64(len(prefix)) {
+		t.Fatalf("forward done %v, done record %v, offset %d; want true, none, %d",
+			r.ForwardDone, r.Done, r.Offset, len(prefix))
 	}
 }
 

@@ -23,8 +23,7 @@ type Pattern struct {
 	tr   []int32 // slot of the transposed entry per slot, -1 if absent
 
 	// The CSC view is what lu.Factor and Refactor read a matrix through;
-	// concurrent window sweeps (or two analyses sharing one circuit) may
-	// each be the first to ask.
+	// two analyses sharing one circuit may each be the first to ask.
 	cscOnce sync.Once
 	csc     *CSCView
 }

@@ -275,7 +275,7 @@ func BenchmarkMulVec(b *testing.B) {
 	}
 }
 
-// TestCSCConcurrentFirstUse: concurrent window sweeps' lu.Factor calls can
+// TestCSCConcurrentFirstUse: concurrent analyses' lu.Factor calls can
 // each be the first to ask a pattern for its CSC view. Run under -race.
 func TestCSCConcurrentFirstUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

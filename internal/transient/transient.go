@@ -128,7 +128,7 @@ type Options struct {
 
 // EstimatedSteps predicts the integration step count of the fixed-step
 // grid: round((TStop-TStart)/TStep). Adaptive runs and Newton step cuts can
-// land elsewhere — callers (anchor placement, window sizing) treat this as
+// land elsewhere — callers (workload sizing, anchor spacing) treat this as
 // a planning hint, not a promise.
 func (o *Options) EstimatedSteps() int {
 	if o.TStep <= 0 || o.TStop <= o.TStart {

@@ -224,7 +224,7 @@ func simulateChaos(c *Case, o Options, sc chaosScenario, inj *faultinject.Inject
 	opt.Workers = o.Workers
 	opt.Async = sc.async
 	opt.PipelineDepth = o.PipelineDepth
-	opt.AdjointWindows = o.AdjointWindows
+	opt.AdjointWorkers = o.AdjointWorkers
 	opt.Transient.Gmin = sc.gmin
 	if sc.budget > 0 {
 		opt.MemBudgetBytes = sc.budget

@@ -36,7 +36,6 @@ type CrashSpec struct {
 	Family    string `json:"family"`
 
 	Storage         string  `json:"storage"`
-	Windows         int     `json:"windows"`
 	MemBudgetBytes  int64   `json:"mem_budget_bytes,omitempty"`
 	DiskBytesPerSec float64 `json:"disk_bps,omitempty"`
 	// StepSleepMs throttles the forward loop so the parent's kill trigger
@@ -68,7 +67,6 @@ func CrashChild() int {
 	}
 	opt := bt.SimBase
 	opt.Storage = masc.Storage(spec.Storage)
-	opt.AdjointWindows = spec.Windows
 	opt.MemBudgetBytes = spec.MemBudgetBytes
 	opt.DiskBytesPerSec = spec.DiskBytesPerSec
 	opt.Journal = spec.Journal
@@ -92,7 +90,6 @@ func CrashChild() int {
 type crashScenario struct {
 	name    string
 	storage masc.Storage
-	windows int
 	budget  int64
 	diskBPS float64
 	sleepMs int
@@ -110,18 +107,18 @@ func crashScenarios(opt Options) []crashScenario {
 	return []crashScenario{
 		// Mid-forward kill under the compressed store; the throttle keeps
 		// the forward phase slow enough that the seeded step is observed.
-		{name: "kill-forward-masc", storage: masc.StorageMASC, windows: 3, sleepMs: 2,
+		{name: "kill-forward-masc", storage: masc.StorageMASC, sleepMs: 2,
 			trigger: func(r *runstate.Recovered, killStep int) bool { return len(r.Steps) >= killStep }},
 		// Kill at the forward/adjoint boundary under the tiered store, so
 		// the resume rebuilds hot/compressed/spilled placements from
 		// scratch.
-		{name: "kill-forward-done-tiered", storage: masc.StorageMASC, windows: 3, budget: budget, sleepMs: 1,
+		{name: "kill-forward-done-tiered", storage: masc.StorageMASC, budget: budget, sleepMs: 1,
 			trigger: func(r *runstate.Recovered, _ int) bool { return r.ForwardDone }},
-		// Mid-adjoint kill: the bandwidth-modelled disk store slows the
-		// reverse sweep, and the trigger waits for a completed window
-		// record so the resume replays some windows and re-sweeps others.
-		{name: "kill-adjoint-disk", storage: masc.StorageDisk, windows: 3, diskBPS: 2e6, spills: true,
-			trigger: func(r *runstate.Recovered, _ int) bool { return len(r.Windows) >= 1 }},
+		// Mid-adjoint kill: the trigger fires on forward-done, and the
+		// bandwidth-modelled disk store keeps the reverse sweep running long
+		// enough that the kill lands inside it; the resume sweeps again.
+		{name: "kill-adjoint-disk", storage: masc.StorageDisk, diskBPS: 2e6, spills: true,
+			trigger: func(r *runstate.Recovered, _ int) bool { return r.ForwardDone }},
 	}
 }
 
@@ -184,12 +181,10 @@ func CrashFleet(seeds int, seed int64, opt Options, childArgs []string) *CrashRe
 		}
 		// The uninterrupted reference. It must be journaled too: journaling
 		// pins FreshFactorPerStep, and the bit-compare needs both sides on
-		// the same factorization discipline. Storage and window count are
-		// bit-irrelevant by the engine's contract, so one reference serves
-		// every scenario.
+		// the same factorization discipline. Storage is bit-irrelevant by
+		// the engine's contract, so one reference serves every scenario.
 		refOpt := bt.SimBase
 		refOpt.Storage = masc.StorageMASC
-		refOpt.AdjointWindows = 3
 		refOpt.Journal = filepath.Join(dir, fmt.Sprintf("case%03d-ref.journal", c.Index))
 		ref, err := masc.Simulate(bt.Ckt, refOpt, bt.Objectives, nil)
 		if err != nil {
@@ -233,7 +228,7 @@ func runCrashScenario(exe string, childArgs []string, dir string, c *Case, bt *B
 	}
 	spec := CrashSpec{
 		CaseIndex: c.Index, CaseSeed: c.Seed, Family: c.Family,
-		Storage: string(sc.storage), Windows: sc.windows,
+		Storage:        string(sc.storage),
 		MemBudgetBytes: sc.budget, DiskBytesPerSec: sc.diskBPS,
 		StepSleepMs: sc.sleepMs,
 		FsyncEvery:  1, // journal visibility at every step: the widest kill surface

@@ -18,11 +18,12 @@ type Options struct {
 	Workers int
 	// PipelineDepth is the async store's queue depth (<1 = default).
 	PipelineDepth int
-	// AdjointWindows is passed through to SimOptions.AdjointWindows for
-	// the chaos gauntlet's runs: W > 1 exercises the fault scenarios under
-	// concurrent window sweeps (which must still finish bit-identical to
-	// the fault-free baseline).
-	AdjointWindows int
+	// AdjointWorkers is passed through to SimOptions.AdjointWorkers for
+	// the chaos gauntlet's runs: W > 1 exercises the fault scenarios with the
+	// reverse sweep's fetches — and with them the degradation ladder — on its
+	// fetcher goroutine (which must still finish bit-identical to the
+	// fault-free baseline).
+	AdjointWorkers int
 	// MemBudgetBytes, when > 0, overrides the budget of the tiered-store
 	// chaos scenarios (masc-verify -mem-budget). Scenarios without a budget
 	// (plain memory/disk/masc runs) are unaffected, so the fault surface of
@@ -218,9 +219,9 @@ func compareDOdp(r *CaseReport, label string, want, got [][]float64) {
 //  1. the pipeline four ways — dense in-RAM oracle, recompute, sync
 //     compressed, async compressed — with bit-identical sensitivities
 //     required across all four;
-//  2. the Markov-selector storage sync, async, under windowed reverse
-//     sweeps and under a memory budget, each bit-identical to the dense
-//     oracle, with async storing exactly sync's bytes;
+//  2. the Markov-selector storage sync, async and under a memory budget,
+//     each bit-identical to the dense oracle, with async storing exactly
+//     sync's bytes;
 //  3. a store-level sweep over one shared forward run, requiring
 //     bit-identical Jacobian fetches from dense, sync and async stores;
 //  4. the direct (forward) sensitivity method within DirectTol;
@@ -285,11 +286,11 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 }
 
 // verifyMarkov runs the Markov-selector storage through every execution mode —
-// sync, async, windowed reverse sweeps, and a tiered memory budget — and
-// requires bit-identical sensitivities against the dense oracle for all of
-// them. The selector's counts carry state from blob to blob, so a lost or
-// reordered Put, or an anchor that fails to restart them, surfaces here as a
-// bit mismatch; and async must store exactly the bytes sync does.
+// sync, async, and a tiered memory budget — and requires bit-identical
+// sensitivities against the dense oracle for all of them. The selector's
+// counts carry state from blob to blob, so a lost or reordered Put, or a
+// tiered blob that fails to restart them, surfaces here as a bit mismatch;
+// and async must store exactly the bytes sync does.
 func verifyMarkov(c *Case, opt Options, rep *CaseReport, dense *masc.Run) {
 	runMode := func(label string, mutate func(*masc.SimOptions)) *masc.Run {
 		bt, err := c.Build()
@@ -321,12 +322,6 @@ func verifyMarkov(c *Case, opt Options, rep *CaseReport, dense *masc.Run) {
 		rep.failf("markov-async stored %d bytes vs sync %d: pipelines diverged",
 			async.TensorStats.StoredBytes, sync.TensorStats.StoredBytes)
 	}
-
-	windows := opt.AdjointWindows
-	if windows <= 1 {
-		windows = 3
-	}
-	runMode("windows", func(so *masc.SimOptions) { so.AdjointWindows = windows })
 
 	budget := opt.MemBudgetBytes
 	if budget <= 0 {

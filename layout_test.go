@@ -43,7 +43,6 @@ func TestNonDefaultGminDegradedBitIdentical(t *testing.T) {
 	}{
 		{"masc", func(*SimOptions) {}},
 		{"tiered-1MiB", func(o *SimOptions) { o.MemBudgetBytes = 1 << 20 }},
-		{"windows-2", func(o *SimOptions) { o.AdjointWindows = 2 }},
 		{"workers-2", func(o *SimOptions) { o.AdjointWorkers = 2 }},
 	} {
 		opt := base

@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -212,15 +211,7 @@ type SimOptions struct {
 	// adjoint compute. 0 and 1 both mean fully serial. Sensitivities are
 	// bit-identical for every value.
 	AdjointWorkers int
-	// AdjointWindows splits the reverse sweep in time: W > 1 runs W
-	// window-local reverse sweeps concurrently, seeded at the window
-	// boundaries (parallel-in-time, on top of AdjointWorkers' within-step
-	// parallelism). -1 picks W automatically from the machine width and
-	// the step count. 0 and 1 both mean one sweep. For the MASC storage
-	// strategies the forward pass then retains one uncompressed anchor
-	// frame per window boundary (restarting the prediction chain there),
-	// which adds W-1 frames of resident memory. Sensitivities are
-	// bit-identical for every value, including degraded runs.
+	// Deprecated: has no effect; one reverse sweep runs.
 	AdjointWindows int
 	// Async pipelines the compressed store: compression runs on a
 	// background worker so the transient loop proceeds to step t+1 while
@@ -245,8 +236,8 @@ type SimOptions struct {
 	// strategy still picks the codecs (masc+markov enables the Markov
 	// selector; memory and masc use the default MASC codec). Every tier is
 	// lossless, so sensitivities stay bit-identical to the unlimited-RAM
-	// run for any budget, workers, and windows; the budget only trades
-	// memory for time. DiskDir/DiskBytesPerSec configure the spill rung.
+	// run for any budget and worker count; the budget only trades memory
+	// for time. DiskDir/DiskBytesPerSec configure the spill rung.
 	// 0 (default) disables tiering; StorageRecompute and StorageDisk
 	// ignore the budget (their footprint is already step-count-free).
 	// Async and CollectCodecStats are inert under a budget.
@@ -272,10 +263,11 @@ type SimOptions struct {
 	// A journaled run stopped this way resumes from where it stopped.
 	Ctx context.Context
 	// Journal, if non-empty, write-ahead journals the run to this path: the
-	// resolved configuration, a checkpoint per accepted forward step, and
-	// the adjoint engine's per-window progress, fsync'd on a bounded
-	// cadence. A run killed at any instant resumes via masc.Resume with
-	// bit-identical sensitivities. Journaling pins
+	// resolved configuration, a checkpoint per accepted forward step, the end
+	// of the forward phase and the finished sensitivities, fsync'd on a
+	// bounded cadence. A run killed at any instant resumes via masc.Resume
+	// with bit-identical sensitivities; one killed during the reverse sweep
+	// resumes by sweeping again. Journaling pins
 	// TransientOptions.FreshFactorPerStep so checkpoints fully determine
 	// the solver's downstream trajectory.
 	Journal string
@@ -300,18 +292,15 @@ type Run struct {
 }
 
 // runPlan is the fully resolved shape of one simulation: the solver options
-// plus the storage and parallelism choices Simulate derives from SimOptions
-// (some of which depend on runtime.NumCPU). Its JSON encoding is the journal's
-// record of the run, so Resume replays an identical shape on a different
-// machine. No field is omitempty: decoding a journaled plan overwrites every
+// plus the storage and parallelism choices Simulate derives from SimOptions.
+// Its JSON encoding is the journal's record of the run, so Resume replays an
+// identical shape on a different machine. No field is omitempty: decoding a journaled plan overwrites every
 // shape field, and only Transient's `json:"-"` fields keep the caller's values.
 type runPlan struct {
 	Transient       TransientOptions `json:"transient"`
 	Storage         Storage          `json:"storage"`
 	Workers         int              `json:"workers"`
 	AdjointWorkers  int              `json:"adjoint_workers"`
-	Windows         int              `json:"windows"`      // resolved window count
-	AnchorEvery     int              `json:"anchor_every"` // resolved anchor cadence, 0 = none
 	Async           bool             `json:"async"`
 	PipelineDepth   int              `json:"pipeline_depth"`
 	DiskBytesPerSec float64          `json:"disk_bps"`
@@ -346,18 +335,8 @@ func newRunPlan(ckt *Circuit, opt *SimOptions, objectives []Objective, params []
 	if workers < 1 {
 		workers = 1
 	}
-	est := opt.Transient.EstimatedSteps()
-	windows := resolveAdjointWindows(opt.AdjointWindows, est)
-	anchorEvery := 0
-	if windows > 1 && est > 0 {
-		// Pin ~W anchor steps so window boundaries land on self-contained
-		// frames the reverse sweeps restart from (and, under a budget,
-		// frames the scheduler demotes last and never drops).
-		anchorEvery = max(est/windows, 1)
-	}
 	return &runPlan{Transient: opt.Transient, Storage: storage, Workers: workers,
-		AdjointWorkers: opt.AdjointWorkers, Windows: windows, AnchorEvery: anchorEvery,
-		Async: opt.Async, PipelineDepth: opt.PipelineDepth,
+		AdjointWorkers: opt.AdjointWorkers, Async: opt.Async, PipelineDepth: opt.PipelineDepth,
 		DiskBytesPerSec: opt.DiskBytesPerSec, DiskDir: opt.DiskDir,
 		MemBudgetBytes: opt.MemBudgetBytes, Objectives: objectives, Params: params}, nil
 }
@@ -390,38 +369,23 @@ func (plan *runPlan) newStore(ckt *Circuit, collectStats bool) (jactensor.Store,
 			CollectStats: collectStats && !budgeted}
 		return masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
 	}
-	// anchored cuts the store at ~W steps across the estimated trajectory, so
-	// every window boundary lands on a self-contained frame the reverse
-	// sweeps restart from (and, under a budget, one the scheduler demotes
-	// last and never drops).
-	anchored := func(st interface{ SetAnchorEvery(int) }) {
-		if plan.AnchorEvery > 0 {
-			st.SetAnchorEvery(plan.AnchorEvery)
-		}
-	}
 	switch {
 	case budgeted:
 		gc, cc := mascPair()
-		ts := jactensor.NewTieredStore(gc, cc, jactensor.TieredConfig{
+		return jactensor.NewTieredStore(gc, cc, jactensor.TieredConfig{
 			BudgetBytes:     plan.MemBudgetBytes,
 			DiskDir:         plan.DiskDir,
 			DiskBytesPerSec: plan.DiskBytesPerSec,
 			Model:           plan.tierModel,
-		})
-		anchored(ts)
-		return ts, nil
+		}), nil
 	case storage == StorageMemory:
 		return jactensor.NewMemStore(), nil
 	}
 	gc, cc := mascPair()
-	var cs *jactensor.CompressedStore
 	if plan.Async {
-		cs = jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, plan.PipelineDepth)
-	} else {
-		cs = jactensor.NewCompressedStore(gc, cc, ckt.GPat, ckt.CPat)
+		return jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, plan.PipelineDepth), nil
 	}
-	anchored(cs)
-	return cs, nil
+	return jactensor.NewCompressedStore(gc, cc, ckt.GPat, ckt.CPat), nil
 }
 
 // Simulate runs the full MASC pipeline on ckt: forward transient analysis
@@ -453,9 +417,9 @@ func Simulate(ckt *Circuit, opt SimOptions, objectives []Objective, params []int
 // journal, or returns nil for an unjournaled run — so a request whose store
 // cannot be built leaves an earlier journal at that path untouched. rcv, if
 // non-nil, is recovered journal state to resume from (the store is re-seeded
-// from its checkpoints, the forward loop re-enters after the last one, and
-// completed adjoint windows are replayed instead of re-swept). Store and
-// journal are closed on every path. The run's shape comes from the plan alone;
+// from its checkpoints, and the forward loop re-enters after the last one, or
+// is skipped when the journal records its end). Store and journal are closed
+// on every path. The run's shape comes from the plan alone;
 // opt contributes only the runtime knobs (Obs, Fault, Ctx, CollectCodecStats).
 func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*runstate.Writer, error), rcv *runstate.Recovered) (*Run, error) {
 	store, err := plan.newStore(ckt, opt.CollectCodecStats)
@@ -470,7 +434,7 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 		return nil, err
 	}
 	topt := plan.Transient
-	windows, objectives, params := plan.Windows, plan.Objectives, plan.Params
+	objectives, params := plan.Objectives, plan.Params
 
 	// One context governs the forward loop, the reverse sweep, and the
 	// disk-backed stores' retry sleeps.
@@ -481,7 +445,6 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 	rec := opt.Obs.SpanRecorder()
 	rsp := rec.Start(0, span.Run, -1)
 	rsp.Attr("workers", int64(plan.Workers))
-	rsp.Attr("windows", int64(windows))
 	defer rsp.End()
 
 	// One attachment wires the store; what only some stores can do is asked
@@ -634,23 +597,8 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 	} else {
 		src = adjoint.NewRecomputeSource(ckt, tr).Pairs()
 	}
-	aopt := adjoint.Options{Params: params, StoredGC: true, Obs: opt.Obs,
-		Workers: plan.AdjointWorkers, Windows: windows, SpanParent: rsp.ID(), Ctx: opt.Ctx}
-	if jw != nil && windows > 1 {
-		rowLen := len(objectives) * len(params)
-		aopt.WindowDone = func(j, lo, hi int, rows [][]float64, degraded []int) error {
-			return jw.WindowDone(&runstate.WindowRec{J: j, Lo: lo, Hi: hi,
-				RowLen: rowLen, Rows: rows, Degraded: degraded})
-		}
-	}
-	if rcv != nil && len(rcv.Windows) > 0 {
-		aopt.Completed = make(map[int]*adjoint.WindowProgress, len(rcv.Windows))
-		for j, wr := range rcv.Windows {
-			aopt.Completed[j] = &adjoint.WindowProgress{Lo: wr.Lo, Hi: wr.Hi,
-				Rows: wr.Rows, Degraded: wr.Degraded}
-		}
-	}
-	sens, err := adjoint.Sensitivities(ckt, tr, src, objectives, aopt)
+	sens, err := adjoint.Sensitivities(ckt, tr, src, objectives, adjoint.Options{Params: params,
+		StoredGC: true, Obs: opt.Obs, Workers: plan.AdjointWorkers, SpanParent: rsp.ID(), Ctx: opt.Ctx})
 	if err != nil {
 		return fail(err)
 	}
@@ -686,23 +634,6 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 		return nil, err
 	}
 	return run, nil
-}
-
-// resolveAdjointWindows maps the SimOptions.AdjointWindows knob to a
-// concrete window count: -1 = auto (one window per CPU, but at least ~8
-// steps per window so seeding overhead cannot dominate), 0/1 = one sweep.
-func resolveAdjointWindows(w, estSteps int) int {
-	if w >= 0 {
-		return w
-	}
-	aw := runtime.NumCPU()
-	if max := estSteps / 8; aw > max {
-		aw = max
-	}
-	if aw < 1 {
-		aw = 1
-	}
-	return aw
 }
 
 // ParseByteSize parses a human byte-size string for SimOptions.

@@ -1,9 +1,9 @@
 package masc
 
 import (
+	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -172,12 +172,12 @@ func TestSimulateAdjointWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSimulateAdjointWindowsBitIdentical pins the facade contract of
-// SimOptions.AdjointWindows: parallel-in-time window sweeps (including the
-// auto width -1, and composed with AdjointWorkers) must reproduce the
-// single-sweep sensitivities bit for bit on raw and compressed storage —
-// the compressed path going through forward-pass anchor frames and
-// window-sliced concurrent decoding.
+// TestSimulateAdjointWindowsBitIdentical pins the facade contract of the
+// retired SimOptions.AdjointWindows: whatever it holds (the old auto width
+// -1 included, and composed with AdjointWorkers), one reverse sweep runs over
+// the same store — the single-sweep sensitivities bit for bit, one window
+// reported, and on compressed storage the same stored bytes and peak as the
+// W = 0 run, so no anchor cuts the chain.
 func TestSimulateAdjointWindowsBitIdentical(t *testing.T) {
 	ckt, b, obj := buildTestCircuit(t)
 	mid, err := b.NodeIndex("mid")
@@ -186,32 +186,30 @@ func TestSimulateAdjointWindowsBitIdentical(t *testing.T) {
 	}
 	objs := []Objective{obj, {Name: "int_v(mid)", Node: mid, Weight: 1, Integral: true}}
 	for _, st := range []Storage{StorageMemory, StorageMASC} {
-		serial, err := Simulate(ckt, SimOptions{
-			Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: st,
-		}, objs, nil)
-		if err != nil {
-			t.Fatalf("%s serial: %v", st, err)
-		}
-		for _, W := range []int{-1, 2, 4} {
-			for _, workers := range []int{0, 2} {
-				par, err := Simulate(ckt, SimOptions{
+		for _, workers := range []int{0, 2} {
+			var ref *Run
+			for _, W := range []int{0, -1, 2, 4} {
+				run, err := Simulate(ckt, SimOptions{
 					Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: st,
 					AdjointWindows: W, AdjointWorkers: workers,
 				}, objs, nil)
 				if err != nil {
 					t.Fatalf("%s windows=%d workers=%d: %v", st, W, workers, err)
 				}
-				if W > 1 && par.Sens.Windows != W {
-					t.Fatalf("%s windows=%d: sweep ran %d windows", st, W, par.Sens.Windows)
+				if run.Sens.Windows != 1 || run.Sens.WindowSweepSec != nil {
+					t.Fatalf("%s windows=%d workers=%d: %d windows, sweep times %v; want 1 and none",
+						st, W, workers, run.Sens.Windows, run.Sens.WindowSweepSec)
 				}
-				for o := range serial.Sens.DOdp {
-					for k := range serial.Sens.DOdp[o] {
-						a, bv := serial.Sens.DOdp[o][k], par.Sens.DOdp[o][k]
-						if math.Float64bits(a) != math.Float64bits(bv) {
-							t.Fatalf("%s windows=%d workers=%d: obj %d sens %d diverges: %g vs %g",
-								st, W, workers, o, k, bv, a)
-						}
-					}
+				if ref == nil {
+					ref = run
+					continue
+				}
+				sameBits(t, fmt.Sprintf("%s windows=%d workers=%d", st, W, workers), run.Sens.DOdp, ref.Sens.DOdp)
+				if run.TensorStats.StoredBytes != ref.TensorStats.StoredBytes ||
+					run.TensorStats.PeakResident != ref.TensorStats.PeakResident {
+					t.Fatalf("%s windows=%d workers=%d: stored %d B, peak %d B; the W = 0 run stored %d B, peak %d B",
+						st, W, workers, run.TensorStats.StoredBytes, run.TensorStats.PeakResident,
+						ref.TensorStats.StoredBytes, ref.TensorStats.PeakResident)
 				}
 			}
 		}
@@ -221,7 +219,7 @@ func TestSimulateAdjointWindowsBitIdentical(t *testing.T) {
 // TestSimulateMemBudgetBitIdentical is the facade half of the
 // tier-equivalence property suite: for every storage strategy the budget
 // promotes × integrator × budget rung (halves of the measured unlimited
-// peak down to an absurdly tiny one) × window/worker mix, the tiered run
+// peak down to an absurdly tiny one) × worker count, the tiered run
 // must reproduce the unlimited-RAM sensitivities bit for bit while its
 // PeakResident stays under the budget plus the documented frame slack.
 // MASC_MEM_BUDGET=a,b,c (ParseByteSize values) extends the budget rungs —
@@ -233,12 +231,6 @@ func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	objs := []Objective{obj, {Name: "int_v(mid)", Node: mid, Weight: 1, Integral: true}}
-	// {2, 0} is a regression shape: the ~100-step trajectory is an exact
-	// multiple of the W=2 anchor spacing (est/W = 50), which once made
-	// AnchorSteps list the head twice and degenerate the window split.
-	sweeps := []struct{ windows, workers int }{
-		{1, 0}, {2, 0}, {3, 2}, {runtime.NumCPU(), 0},
-	}
 	for _, st := range []Storage{StorageMemory, StorageMASC} {
 		for _, method := range []Method{MethodBE, MethodTrap} {
 			base := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 2e-4}, Storage: st}
@@ -260,22 +252,21 @@ func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 				}
 			}
 			for _, budget := range budgets {
-				for _, sw := range sweeps {
+				for _, workers := range []int{0, 2} {
 					opt := base
 					opt.MemBudgetBytes = budget
 					opt.DiskDir = t.TempDir()
-					opt.AdjointWindows = sw.windows
-					opt.AdjointWorkers = sw.workers
+					opt.AdjointWorkers = workers
 					run, err := Simulate(ckt, opt, objs, nil)
 					if err != nil {
-						t.Fatalf("%s/%v budget=%d W=%d wk=%d: %v", st, method, budget, sw.windows, sw.workers, err)
+						t.Fatalf("%s/%v budget=%d wk=%d: %v", st, method, budget, workers, err)
 					}
 					for o := range ref.Sens.DOdp {
 						for k := range ref.Sens.DOdp[o] {
 							a, bv := ref.Sens.DOdp[o][k], run.Sens.DOdp[o][k]
 							if math.Float64bits(a) != math.Float64bits(bv) {
-								t.Fatalf("%s/%v budget=%d W=%d wk=%d: obj %d sens %d diverges: %g vs %g",
-									st, method, budget, sw.windows, sw.workers, o, k, bv, a)
+								t.Fatalf("%s/%v budget=%d wk=%d: obj %d sens %d diverges: %g vs %g",
+									st, method, budget, workers, o, k, bv, a)
 							}
 						}
 					}
@@ -284,8 +275,8 @@ func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 					// blob mid-demotion, spill scratch, the frames the sweep
 					// holds fetched).
 					if got := run.TensorStats.PeakResident; budget > 0 && got > budget+6*frame {
-						t.Fatalf("%s/%v budget=%d W=%d wk=%d: PeakResident %d overran budget (+%d slack)",
-							st, method, budget, sw.windows, sw.workers, got, 6*frame)
+						t.Fatalf("%s/%v budget=%d wk=%d: PeakResident %d overran budget (+%d slack)",
+							st, method, budget, workers, got, 6*frame)
 					}
 					if run.TensorStats.BudgetBytes != budget {
 						t.Fatalf("%s/%v: stats echo budget %d, want %d", st, method, run.TensorStats.BudgetBytes, budget)

@@ -126,7 +126,8 @@ func agreesWithRCM(t *testing.T, label string, dodp [][]float64) {
 // the skip is only legal because it reproduces the numeric pass bit for bit,
 // so every storage × workers × windows × resume shape must land on one set
 // of bits (journaled runs pin FreshFactorPerStep; on these fixtures that
-// picks the same pivots). Anything that changes the order of floating-point
+// picks the same pivots; windows is the retired SimOptions.AdjointWindows,
+// which must change nothing). Anything that changes the order of floating-point
 // operations — the column order, the pivot rule — must re-record them the
 // same way; nothing else may.
 func TestPinnedSensitivityBits(t *testing.T) {

@@ -56,8 +56,7 @@ func CircuitHash(ckt *Circuit) uint64 {
 }
 
 // journalConfig freezes the resolved plan into the journal's config record:
-// everything a resumed run must replay identically, including the
-// NumCPU-derived window count and anchor cadence, as one JSON value.
+// everything a resumed run must replay identically, as one JSON value.
 func (plan *runPlan) journalConfig(ckt *Circuit, fsyncEvery int) (*runstate.Config, error) {
 	raw, err := json.Marshal(plan)
 	if err != nil {
@@ -97,12 +96,12 @@ var ErrFormatVersion = runstate.ErrFormatVersion
 // recovers the journal's trusted prefix (truncating any torn tail),
 // revalidates it against ckt, rebuilds the Jacobian store from the
 // checkpointed trajectory, re-enters the forward loop after the last
-// checkpoint, and replays completed adjoint windows instead of re-sweeping
-// them. The resumed run appends to the same journal, so it is itself
+// checkpoint (or skips it when the journal records its end), and runs the
+// reverse sweep. The resumed run appends to the same journal, so it is itself
 // resumable; a journal ending in a done record returns the finished
 // sensitivities without replaying anything (Run.Tran is nil in that case).
 //
-// The run's shape — storage strategy, window count, solver knobs,
+// The run's shape — storage strategy, worker counts, solver knobs,
 // objectives, parameter selection — comes from the journal, not from opt: the
 // journaled plan is decoded over a copy of opt.Transient, which keeps only its
 // per-process fields (the AfterStep, StepCost and capture hooks). Of the rest

@@ -3,6 +3,7 @@ package masc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,15 +55,14 @@ func sameBits(t *testing.T, label string, got, want [][]float64) {
 
 // TestJournalResumeTruncateAnywhere is the tentpole property at the facade:
 // a journaled run's journal, truncated at ANY point — frame boundaries, torn
-// mid-frame, mid-forward, after forward-done, between adjoint window records,
-// or complete — either refuses to resume (nothing recovered) or resumes to
+// mid-frame, mid-forward, after forward-done, or complete — either refuses to resume (nothing recovered) or resumes to
 // bit-identical sensitivities.
 func TestJournalResumeTruncateAnywhere(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	dir := t.TempDir()
 	refPath := filepath.Join(dir, "ref.journal")
 	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 2e-4}, Storage: StorageMASC,
-		AdjointWindows: 3, Journal: refPath, JournalFsyncEvery: 8}
+		Journal: refPath, JournalFsyncEvery: 8}
 	objs := []Objective{obj, {Name: "int(v)", Node: obj.Node, Weight: 2, Integral: true}}
 	ref, err := Simulate(ckt, opt, objs, nil)
 	if err != nil {
@@ -148,7 +148,7 @@ func crashedJournal(t *testing.T, ckt *Circuit, opt SimOptions, objs []Objective
 // resumes it in place.
 func TestJournalResumeAfterForwardCrash(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
-	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC, AdjointWindows: 2}
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC}
 	ref, path := crashedJournal(t, ckt, opt, []Objective{obj}, 25)
 	run, err := Resume(ckt, path, SimOptions{})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestJournalResumeAfterForwardCrash(t *testing.T) {
 // and the journal it leaves still resumes to the uninterrupted bits.
 func TestResumeKeepsCallerHooks(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
-	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC, AdjointWindows: 2}
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC}
 	ref, path := crashedJournal(t, ckt, opt, []Objective{obj}, 10)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -196,17 +196,17 @@ func TestResumeKeepsCallerHooks(t *testing.T) {
 // plan's JSON has no omitempty field to skip.
 func TestResumeIgnoresCallerShape(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
-	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC, AdjointWindows: 2}
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC}
 	ref, path := crashedJournal(t, ckt, opt, []Objective{obj}, 25)
 
-	shaped := SimOptions{Storage: StorageMemory, Async: true, MemBudgetBytes: 1 << 10, AdjointWindows: 5,
+	shaped := SimOptions{Storage: StorageMemory, Async: true, MemBudgetBytes: 1 << 10, AdjointWorkers: 5,
 		Transient: TransientOptions{TStep: 4e-6, TStop: 1e-4, Method: MethodTrap, Adaptive: true}}
 	run, err := Resume(ckt, path, shaped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Storage != StorageMASC || run.Sens.Windows != 2 {
-		t.Fatalf("resumed as %s with %d windows, journaled %s with 2", run.Storage, run.Sens.Windows, StorageMASC)
+	if run.Storage != StorageMASC {
+		t.Fatalf("resumed as %s, journaled %s", run.Storage, StorageMASC)
 	}
 	if run.TensorStats.BudgetBytes != 0 || run.Tran.Steps() != ref.Tran.Steps() ||
 		run.TensorStats.StoredBytes != ref.TensorStats.StoredBytes {
@@ -266,12 +266,13 @@ func TestResumeReseedSealsTheSameBlobs(t *testing.T) {
 }
 
 // TestResumeIgnoresRetiredPlanKeys: a journal written before a plan field was
-// deleted (disable_degrade, the degrade opt-out) still resumes under the same
-// format version — the plan decode skips keys this build no longer has — and
-// to the uninterrupted bits.
+// deleted (disable_degrade, the degrade opt-out; windows and anchor_every, the
+// windowed reverse sweep's) still resumes under the same format version — the
+// plan decode skips keys this build no longer has — and to the uninterrupted
+// bits.
 func TestResumeIgnoresRetiredPlanKeys(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
-	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC, AdjointWindows: 2}
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC}
 	ref, path := crashedJournal(t, ckt, opt, []Objective{obj}, 25)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -285,7 +286,10 @@ func TestResumeIgnoresRetiredPlanKeys(t *testing.T) {
 	if err := dec.Decode(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg["plan"].(map[string]any)["disable_degrade"] = false
+	plan := cfg["plan"].(map[string]any)
+	plan["disable_degrade"] = false
+	plan["windows"] = 2
+	plan["anchor_every"] = 25
 	payload, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -298,6 +302,73 @@ func TestResumeIgnoresRetiredPlanKeys(t *testing.T) {
 		t.Fatalf("resume of a journal whose plan holds disable_degrade: %v", err)
 	}
 	sameBits(t, "resume with a retired plan key", run.Sens.DOdp, ref.Sens.DOdp)
+}
+
+// TestResumeAfterRetiredWindowRecord: a binary that still had the windowed
+// reverse sweep journaled each finished window as a 'W' record after
+// forward-done. Its journal, killed mid-adjoint, resumes: recovery stops at
+// the record kind it does not know, the resume runs the reverse sweep again —
+// never folding the journaled rows, which here are junk — and lands on the
+// uninterrupted bits, leaving a journal that short-circuits.
+func TestResumeAfterRetiredWindowRecord(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	path := filepath.Join(t.TempDir(), "run.journal")
+	objs := []Objective{obj, {Name: "int(v)", Node: obj.Node, Weight: 2, Integral: true}}
+	ref, err := Simulate(ckt, SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4},
+		Storage: StorageMASC, Journal: path}, objs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwardDone := -1
+	for off := 0; off < len(data); {
+		kind, _, plen, err := blobframe.Peek(data[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += blobframe.HeaderSize + plen
+		if kind == 'F' {
+			forwardDone = off
+		}
+	}
+	if forwardDone < 0 {
+		t.Fatal("the journal has no forward-done record")
+	}
+	// The topmost of three windows, [n/2+1, n], as the windowed engine
+	// journaled it: index, range, row length, degraded count, then one row
+	// of objectives × params contributions per step.
+	n, rowLen := ref.Tran.Steps(), len(objs)*len(ckt.Params())
+	lo := n/2 + 1
+	payload := binary.LittleEndian.AppendUint32(nil, 2)
+	for _, v := range []int{lo, n, rowLen, 0} {
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(v))
+	}
+	for k := 0; k < (n-lo+1)*rowLen; k++ {
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(1e3+float64(k)))
+	}
+	killed := append(append([]byte(nil), data[:forwardDone]...), blobframe.Wrap('W', 2, payload)...)
+	if err := os.WriteFile(path, killed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run, err := Resume(ckt, path, SimOptions{})
+	if err != nil {
+		t.Fatalf("resume of a journal holding a window record: %v", err)
+	}
+	if run.Tran == nil || run.Tran.Steps() != n {
+		t.Fatal("the resume did not rebuild the journaled trajectory")
+	}
+	sameBits(t, "resume past a window record", run.Sens.DOdp, ref.Sens.DOdp)
+	again, err := Resume(ckt, path, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Tran != nil {
+		t.Fatal("the healed journal replayed the run instead of short-circuiting")
+	}
+	sameBits(t, "healed journal", again.Sens.DOdp, ref.Sens.DOdp)
 }
 
 // TestResumeRejectsForeignCircuit: a journal must not resume against a

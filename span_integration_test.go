@@ -23,7 +23,6 @@ func TestSimulateSpanTree(t *testing.T) {
 		Transient:      TransientOptions{TStep: 2e-6, TStop: 4e-4},
 		Storage:        StorageMASC,
 		AdjointWorkers: 2,
-		AdjointWindows: 2,
 		Obs:            ob,
 	}, []Objective{obj}, nil)
 	if err != nil {
@@ -76,7 +75,7 @@ func TestSimulateSpanTree(t *testing.T) {
 	// forward + storage + adjoint layers must all contribute kinds.
 	for _, k := range []span.Kind{
 		span.Run, span.Forward, span.Step, span.Put, span.Compress,
-		span.Adjoint, span.Window, span.Sweep, span.Fetch, span.Solve,
+		span.Adjoint, span.Sweep, span.Fetch, span.Solve,
 	} {
 		if !kinds[k] {
 			t.Errorf("missing span kind %s", k)
@@ -137,8 +136,8 @@ func TestSimulateSpanTreeTiered(t *testing.T) {
 }
 
 // TestEveryRepairRecordsASpan: whichever store heals a rotted step — the raw
-// ones, the chain's own reader, a window slice or the ladder — the heal is one
-// repair span, so a run's spans count what its TensorStats.Repairs does.
+// ones, the chain's own reader (on the sweep's goroutine or the overlapped
+// sweep's fetcher) or the ladder — the heal is one repair span, so a run's spans count what its TensorStats.Repairs does.
 func TestEveryRepairRecordsASpan(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	for _, c := range []struct {
@@ -148,7 +147,7 @@ func TestEveryRepairRecordsASpan(t *testing.T) {
 		{"memory", SimOptions{Storage: StorageMemory}},
 		{"disk", SimOptions{Storage: StorageDisk}},
 		{"masc", SimOptions{Storage: StorageMASC}},
-		{"masc-windows-3", SimOptions{Storage: StorageMASC, AdjointWindows: 3}},
+		{"masc-workers-2", SimOptions{Storage: StorageMASC, AdjointWorkers: 2}},
 		{"masc-budget-4K", SimOptions{Storage: StorageMASC, MemBudgetBytes: 4 << 10}},
 	} {
 		ob := &Observer{Spans: NewSpanRecorder(0)}
