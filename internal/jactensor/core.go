@@ -21,7 +21,6 @@ import (
 	"masc/internal/faultinject"
 	"masc/internal/obs"
 	"masc/internal/obs/span"
-	"masc/internal/tiersched"
 )
 
 // Attachment is everything a run wires into its store: telemetry, the
@@ -198,18 +197,17 @@ func flatFrame(p pair) heldFrame { return heldFrame{t: [2]held{{flat: p.j}, {fla
 // a frame on its anchors and in its history window, and hands out the
 // window's frames.
 type stepRec struct {
-	tier         tiersched.Tier // ladder rung
-	frame                       // checksummed plaintext at rest: the ladder's hot rung, a chain anchor
-	heldFrame                   // chain: the step's place in the history window
-	released     bool           // ladder: the step is dead
-	x            []float64      // chain: the state the step was produced at (Attachment.State) — the caller's array, not counted as resident
-	jBlob, cBlob []byte         // sealed blobs: arena memory, or the scratch frames until kept or spilled
-	jOff, cOff   int64          // spill offsets (ladder, tier == Disk)
-	jbN, cbN     int            // sealed lengths, kept for spill reads
-	pinned       bool           // chain anchor: the chain cuts here
-	inUse        bool           // ladder: fetched and not yet released, so not evictable
-	prefetched   bool           // ladder: materialized by the background prefetch
-	quarantined  bool           // failed verification: unreadable until Repair
+	tier         Tier      // ladder rung
+	frame                  // checksummed plaintext at rest: the ladder's hot rung, a chain anchor
+	heldFrame              // chain: the step's place in the history window
+	released     bool      // ladder: the step is dead
+	x            []float64 // chain: the state the step was produced at (Attachment.State) — the caller's array, not counted as resident
+	jBlob, cBlob []byte    // sealed blobs: arena memory, or the scratch frames until kept or dropped
+	jbN, cbN     int       // sealed lengths
+	pinned       bool      // chain anchor: the chain cuts here
+	inUse        bool      // ladder: fetched and not yet released, so not evictable
+	prefetched   bool      // ladder: materialized by the background prefetch
+	quarantined  bool      // failed verification: unreadable until Repair
 }
 
 // spanCodec is implemented by codecs (masczip) that can record encode/decode
@@ -572,8 +570,7 @@ func (k *core) admitFrame(step int, st *stepRec, p pair) {
 // then the fault window (at-rest rot, caught by the CRC when the blob is
 // opened). cur is compressed against h (none = self-contained) into the
 // scratch frames; the sealed results alias them — shortened when the injector
-// truncates — until keep copies them out or the ladder appends them to its
-// spill file.
+// truncates — until keep copies them out or the ladder drops them.
 func (k *core) seal(step int, cur pair, h history) (jb, cb []byte) {
 	k.frameJ = compress.Encode(k.cd.j, k.frameJ[:blobframe.HeaderSize], cur.j, h.j, h.x)
 	k.frameC = compress.Encode(k.cd.c, k.frameC[:blobframe.HeaderSize], cur.c, h.c, h.x)

@@ -72,18 +72,18 @@ type Stats struct {
 	HistoryBytes int64
 
 	// Tiered-store placement accounting (TieredStore only). The per-tier
-	// step/byte gauges snapshot the live placement at the last Stats or
-	// EndForward call; the counters accumulate over the run. BudgetBytes
-	// echoes the configured budget (0 = unlimited) so manifests record the
-	// constraint PeakResident was held to.
+	// step and byte counts are the placement at EndForward, when every step
+	// is live, so the step counts sum to Steps; the counters accumulate over
+	// the run. BudgetBytes echoes the configured budget (0 = unlimited) so
+	// manifests record the constraint PeakResident was held to.
 	BudgetBytes         int64
 	TierHotSteps        int
 	TierCompressedSteps int
+	// Deprecated: always 0; the tiered store has no spill rung.
 	TierDiskSteps       int
 	TierDroppedSteps    int
 	TierHotBytes        int64
 	TierCompressedBytes int64
-	TierDiskBytes       int64
 	// TierDemotions counts rung changes under budget pressure — one per
 	// step that left the hot tier, plus one per blob later evicted from the
 	// compressed rung; TierDirectDrops counts the steps among them that

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"masc/internal/compress"
 	"masc/internal/compress/chimpz"
@@ -13,7 +12,6 @@ import (
 	"masc/internal/compress/masczip"
 	"masc/internal/faultinject"
 	"masc/internal/sparse"
-	"masc/internal/tiersched"
 )
 
 // oracle is the whole specification the stores are checked against: the
@@ -96,23 +94,12 @@ func blockedBytes(n int) int64 {
 	return int64(8 * compress.NumBlocks(n) * (compress.BlockLen + 1))
 }
 
-func tieredShape(name string, budgetFrames int64, noDisk bool) modelShape {
+func tieredShape(name string, budgetFrames int64) modelShape {
 	return modelShape{
 		name: name,
 		mk: func(t *testing.T, rng *rand.Rand, f *modelFixture, _ int) Store {
-			cfg := TieredConfig{BudgetBytes: budgetFrames * f.frame,
-				DisablePrefetch: rng.Intn(2) == 0,
-				Model:           tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond))}
-			if !noDisk {
-				cfg.DiskDir = t.TempDir()
-			}
-			// A forward step priced at a nanosecond sends offloads to the
-			// recompute rung, one at a second to the spill file.
-			cfg.Model.ObserveForwardStep(time.Duration(1+rng.Intn(2)*int(time.Second-1)) * time.Nanosecond)
+			cfg := TieredConfig{BudgetBytes: budgetFrames * f.frame, DisablePrefetch: rng.Intn(2) == 0}
 			st := NewTieredStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), cfg)
-			if noDisk {
-				diskless(st)
-			}
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return f.js[step], f.cs[step], nil })
 			return st
 		},
@@ -122,8 +109,9 @@ func tieredShape(name string, budgetFrames int64, noDisk bool) modelShape {
 				return int64(steps+1) * f.frame
 			}
 			// The documented slack: the frame being admitted, a blob beside
-			// its plaintext mid-demotion, the spill scratch — a frame each —
-			// and the frames the schedule holds in use.
+			// its plaintext mid-demotion — two frames, since a blob of
+			// values that do not compress outgrows its frame — and the
+			// frames the schedule holds in use.
 			return (budgetFrames + 3 + int64(held)) * f.frame
 		},
 	}
@@ -166,9 +154,8 @@ func modelShapes() []modelShape {
 			bound: func(f *modelFixture, _ int, _ int64, _, _, _ int) int64 { return 3 * f.frame }},
 		{name: "compressed", chained: true, mk: chainedMk(false), bound: chainedBound(0)},
 		{name: "compressed-async", chained: true, mk: chainedMk(true), bound: chainedBound(8)},
-		tieredShape("tiered-unlimited", 0, false),
-		tieredShape("tiered-tight", 5, false),
-		tieredShape("tiered-diskless", 5, true),
+		tieredShape("tiered-unlimited", 0),
+		tieredShape("tiered-tight", 5),
 	}
 }
 
@@ -406,8 +393,8 @@ func (m *modelRun) reverse() {
 // TestStoreModel is the model-based suite: random schedules of Put,
 // EndForward, Fetch in every order a store's contract allows, Release and
 // Repair — serial, through window slices and in the shared-source pattern —
-// over every constructor, codec pairs, anchor spacings, budgets (none,
-// tight, tight and diskless), states attached or not and injected frame and
+// over every constructor, codec pairs, anchor spacings, budgets (none and
+// tight), states attached or not and injected frame and
 // blob rot, each checked against a map. Bits are equal, refusals are typed, PeakResident stays
 // under its bound, and a quarantined step heals through Repair and only
 // through it.
@@ -490,7 +477,7 @@ func TestPutContract(t *testing.T) {
 		},
 		"tiered": func() (Store, error) {
 			jc, cc := masc()
-			st := diskless(NewTieredStore(jc, cc, TieredConfig{BudgetBytes: 200}))
+			st := NewTieredStore(jc, cc, TieredConfig{BudgetBytes: 200})
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return js[step], cs[step], nil })
 			return st, nil
 		},

@@ -7,7 +7,6 @@ import (
 	"masc/internal/compress/masczip"
 	"masc/internal/obs"
 	"masc/internal/obs/span"
-	"masc/internal/tiersched"
 )
 
 // storeObs is the resolved telemetry handle bundle of a store. The zero
@@ -97,10 +96,10 @@ func (so *storeObs) observeResident(resident int64) {
 // per-tier placement gauges plus demotion/promotion counters labelled with
 // the destination/origin tier. Zero value = disabled, like storeObs.
 type tierObs struct {
-	steps       [tiersched.NumTiers]*obs.Gauge
-	bytes       [tiersched.NumTiers]*obs.Gauge
-	demotions   [tiersched.NumTiers]*obs.Counter
-	promotes    [tiersched.NumTiers]*obs.Counter
+	steps       [numTiers]*obs.Gauge
+	bytes       [numTiers]*obs.Gauge
+	demotions   [numTiers]*obs.Counter
+	promotes    [numTiers]*obs.Counter
 	directDrops *obs.Counter
 }
 
@@ -109,7 +108,7 @@ func newTierObs(o *obs.Observer) tierObs {
 	reg := o.Registry()
 	t := tierObs{directDrops: reg.Counter("masc_store_tier_direct_drops_total",
 		"Steps sent from the hot tier straight to the recompute rung, never compressed.")}
-	for tier := tiersched.Hot; tier <= tiersched.Dropped; tier++ {
+	for tier := TierHot; tier < numTiers; tier++ {
 		lbl := []string{"tier", tier.String()}
 		t.steps[tier] = reg.Gauge("masc_store_tier_steps",
 			"Live steps currently placed on each tier of the tiered store.", lbl...)
@@ -123,12 +122,12 @@ func newTierObs(o *obs.Observer) tierObs {
 	return t
 }
 
-func (t *tierObs) demote(to tiersched.Tier)    { t.demotions[to].Inc() }
-func (t *tierObs) promote(from tiersched.Tier) { t.promotes[from].Inc() }
+func (t *tierObs) demote(to Tier)    { t.demotions[to].Inc() }
+func (t *tierObs) promote(from Tier) { t.promotes[from].Inc() }
 
 // observe mirrors a placement snapshot into the per-tier gauges.
-func (t *tierObs) observe(steps [tiersched.NumTiers]int, bytes [tiersched.NumTiers]int64) {
-	for tier := tiersched.Hot; tier <= tiersched.Dropped; tier++ {
+func (t *tierObs) observe(steps [numTiers]int, bytes [numTiers]int64) {
+	for tier := TierHot; tier < numTiers; tier++ {
 		t.steps[tier].Set(float64(steps[tier]))
 		t.bytes[tier].Set(float64(bytes[tier]))
 	}

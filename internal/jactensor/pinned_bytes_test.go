@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
-	"time"
 
 	"masc/internal/compress/masczip"
 	"masc/internal/sparse"
-	"masc/internal/tiersched"
 )
 
 // sealedStream folds a store's sealed blobs, in step order, into one FNV-64a
@@ -31,7 +29,7 @@ func sealedStream(st Store) uint64 {
 		defer s.mu.Unlock()
 		for _, rec := range s.steps {
 			h.Write([]byte{byte(rec.tier)})
-			if rec.tier == tiersched.Compressed {
+			if rec.tier == TierCompressed {
 				h.Write(rec.jBlob)
 				h.Write(rec.cBlob)
 			}
@@ -66,7 +64,7 @@ type pinnedBytes struct {
 // "voltage" alone; the ladder places steps by their blobs' sizes, so what it
 // holds moves otherwise: voltage/tiered 0.9 % more (371057 → 374450),
 // selfcontained/tiered 1.8 % less, and chained/tiered — no blob on the
-// compressed rung under this clock — the same bytes and stream, its peak 57 B
+// compressed rung — the same bytes and stream, its peak 57 B
 // lower. The chain rows' peaks were re-recorded alone when the history window
 // began to hold the frames past the nearest in blocks: every value of these
 // fixtures' second tensor moves each step, so a block is rarely shared and a
@@ -90,6 +88,11 @@ type pinnedBytes struct {
 // (two blobs a step, 120 steps), peaks too, the tiered rows 2 B less a step
 // on the compressed rung (voltage/tiered −60 B, selfcontained/tiered −64 B)
 // and every tiered peak 2 B less; chained/tiered keeps its bytes and stream.
+// The tiered rows were named tiered-quarter-diskless until the ladder lost
+// its disk rung. They never used it, and their bytes, peaks and placements
+// did not move; only their streams were re-recorded, because the hash folds
+// in each step's rung number and the recompute rung's went from 3 to 2
+// (hashing 3 for it reproduces the old streams).
 func TestPinnedStoreBytes(t *testing.T) {
 	const steps = 120
 	type fixture struct {
@@ -136,32 +139,31 @@ func TestPinnedStoreBytes(t *testing.T) {
 			mo := masczip.Options{Markov: true}
 			return NewCompressedStore(masczip.New(f.jp, mo), masczip.New(f.cp, mo), f.jp, f.cp)
 		}},
-		{"tiered-quarter-diskless", func(t *testing.T, f fixture) Store {
+		{"tiered-quarter", func(t *testing.T, f fixture) Store {
 			raw := int64(8*(len(f.js[0])+len(f.cs[0]))) * steps
-			st := diskless(NewTieredStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), TieredConfig{
+			st := NewTieredStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), TieredConfig{
 				BudgetBytes: raw / 4, DisablePrefetch: true,
-				Model: tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond)),
-			}))
+			})
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return f.js[step], f.cs[step], nil })
 			return st
 		}},
 	}
 	want := map[string]pinnedBytes{
-		"voltage/masc-sync":                     {stored: 135482, peak: 237907, stream: 0xd69fb1ffc8ce0b26},
-		"voltage/masc-async2":                   {stored: 135482, peak: -1, stream: 0xd69fb1ffc8ce0b26},
-		"voltage/masc-anchors50":                {stored: 166822, peak: 294575, stream: 0x182af7cfec98adcb},
-		"voltage/markov-sync":                   {stored: 131591, peak: 234016, stream: 0x917b8bbdbc3fa7b6},
-		"voltage/tiered-quarter-diskless":       {stored: 373988, peak: 403774, stream: 0x9e6972638ca73add},
-		"chained/masc-sync":                     {stored: 37790, peak: 63527, stream: 0x23371d7bcdb13cf0},
-		"chained/masc-async2":                   {stored: 37790, peak: -1, stream: 0x23371d7bcdb13cf0},
-		"chained/masc-anchors50":                {stored: 43443, peak: 75052, stream: 0x9cf5b88596dec50b},
-		"chained/markov-sync":                   {stored: 37306, peak: 63043, stream: 0x3c4844c288419576},
-		"chained/tiered-quarter-diskless":       {stored: 91920, peak: 98102, stream: 0x4222caa0e70ae523},
-		"selfcontained/masc-sync":               {stored: 21906, peak: 31016, stream: 0x9d069c5ae46a7a8f},
-		"selfcontained/masc-async2":             {stored: 21906, peak: -1, stream: 0x9d069c5ae46a7a8f},
-		"selfcontained/masc-anchors50":          {stored: 24881, peak: 37447, stream: 0x2f34ead3fd556a2b},
-		"selfcontained/markov-sync":             {stored: 23198, peak: 32308, stream: 0xf8262da5d163267a},
-		"selfcontained/tiered-quarter-diskless": {stored: 44042, peak: 47858, stream: 0xb017ccbf2233e815},
+		"voltage/masc-sync":            {stored: 135482, peak: 237907, stream: 0xd69fb1ffc8ce0b26},
+		"voltage/masc-async2":          {stored: 135482, peak: -1, stream: 0xd69fb1ffc8ce0b26},
+		"voltage/masc-anchors50":       {stored: 166822, peak: 294575, stream: 0x182af7cfec98adcb},
+		"voltage/markov-sync":          {stored: 131591, peak: 234016, stream: 0x917b8bbdbc3fa7b6},
+		"voltage/tiered-quarter":       {stored: 373988, peak: 403774, stream: 0xdbdfce8b54e3ee1a},
+		"chained/masc-sync":            {stored: 37790, peak: 63527, stream: 0x23371d7bcdb13cf0},
+		"chained/masc-async2":          {stored: 37790, peak: -1, stream: 0x23371d7bcdb13cf0},
+		"chained/masc-anchors50":       {stored: 43443, peak: 75052, stream: 0x9cf5b88596dec50b},
+		"chained/markov-sync":          {stored: 37306, peak: 63043, stream: 0x3c4844c288419576},
+		"chained/tiered-quarter":       {stored: 91920, peak: 98102, stream: 0xe2218781b7b7c29d},
+		"selfcontained/masc-sync":      {stored: 21906, peak: 31016, stream: 0x9d069c5ae46a7a8f},
+		"selfcontained/masc-async2":    {stored: 21906, peak: -1, stream: 0x9d069c5ae46a7a8f},
+		"selfcontained/masc-anchors50": {stored: 24881, peak: 37447, stream: 0x2f34ead3fd556a2b},
+		"selfcontained/markov-sync":    {stored: 23198, peak: 32308, stream: 0xf8262da5d163267a},
+		"selfcontained/tiered-quarter": {stored: 44042, peak: 47858, stream: 0xe8261cff1ed6ace0},
 	}
 	for _, f := range fixtures {
 		// A frame at what it costs in the window: in blocks, none shared.

@@ -1,21 +1,19 @@
 package jactensor
 
-// The tiered Jacobian store: per-step placement across four rungs
+// The tiered Jacobian store: per-step placement across three rungs
 //
-//	hot RAM · compressed RAM · disk spill · deliberate drop-and-recompute
+//	hot RAM · compressed RAM · deliberate drop-and-recompute
 //
 // under a hard resident-byte budget. Capture-side, every Put admits the new
 // step as a hot frame and, while the modelled resident bytes exceed the
 // budget, moves the lowest hot step to the rung it will stay on: its final
 // rung is chosen once, when it leaves the hot tier, never by passing it
 // through every rung on the way down. It is compressed into RAM while the
-// compressed rung has room; after that the tiersched cost model — fed with
-// measured compress/decompress/spill/recompute timings through an injectable
-// clock — prices an estimate of its blob and sends it straight to the spill
-// file (compressed into a scratch frame and appended) or straight to the
-// recompute rung, in which case the codec never sees it. Reverse-side, Fetch
-// promotes steps back to hot frames and prefetches the next step in the
-// background.
+// compressed rung has room; after that it goes straight to the recompute
+// rung, and the codec never sees it. Nothing is priced: placement depends
+// only on frame and blob sizes, so identical runs place every step
+// identically. Reverse-side, Fetch promotes steps back to hot frames and
+// prefetches the next step in the background.
 //
 // The reverse sweep reads every step exactly once and a recomputation costs
 // the same whichever step it is, so which steps hold the compressed rung
@@ -28,10 +26,9 @@ package jactensor
 //
 // Every rung is lossless, so the sensitivities a sweep reads through this
 // store are bit-identical to the all-RAM run for any budget: hot frames are
-// exact plaintext, blobs are lossless codec output, the spill file holds
-// sealed blobs of the same kind, and a dropped step is recomputed bit-exactly
-// from the in-memory trajectory. Placement moves cost between memory and
-// time — never into the numbers.
+// exact plaintext, blobs are lossless codec output, and a dropped step is
+// recomputed bit-exactly from the in-memory trajectory. Placement moves cost
+// between memory and time — never into the numbers.
 //
 // Unlike CompressedStore's reverse-sequential prediction chain, every blob
 // here is self-contained (the codecs are restarted around each step), so
@@ -43,11 +40,8 @@ package jactensor
 // Integrity mirrors the other stores: hot frames carry CRC32C sidecars
 // (verified at fetch AND before a demotion re-encodes them, so in-RAM rot
 // cannot be laundered into a validly-sealed blob), blobs are blobframe
-// sealed, and the spill device sits behind the diskio retry policy. Any
-// verification failure quarantines the step and surfaces as a degradable
-// StepError for the adjoint recompute ladder. A spill write that still
-// fails after retries degrades the demotion to a drop instead of aborting
-// the forward pass.
+// sealed. Any verification failure quarantines the step and surfaces as a
+// degradable StepError for the adjoint recompute ladder.
 
 import (
 	"errors"
@@ -56,26 +50,50 @@ import (
 	"time"
 
 	"masc/internal/compress"
-	"masc/internal/diskio"
 	"masc/internal/obs/span"
-	"masc/internal/tiersched"
 )
+
+// Tier is one rung of the tiered store's ladder, ordered hot to cold.
+type Tier uint8
+
+const (
+	// TierHot keeps the step as plaintext frames in RAM (CRC sidecars).
+	TierHot Tier = iota
+	// TierCompressed keeps the step as self-contained sealed blobs in RAM.
+	TierCompressed
+	// TierDropped keeps nothing: the step is recomputed from the trajectory
+	// during the reverse sweep.
+	TierDropped
+
+	numTiers = 3
+)
+
+// String returns the metric-label spelling of the tier.
+func (t Tier) String() string {
+	switch t {
+	case TierHot:
+		return "hot"
+	case TierCompressed:
+		return "compressed"
+	case TierDropped:
+		return "dropped"
+	}
+	return "unknown"
+}
 
 // TieredConfig configures a TieredStore.
 type TieredConfig struct {
 	// BudgetBytes caps the modelled resident bytes (hot frames plus
-	// compressed-RAM blobs plus I/O scratch). <= 0 means unlimited: every
-	// step stays hot and the store behaves like MemStore with sidecars.
+	// compressed-RAM blobs). <= 0 means unlimited: every step stays hot
+	// and the store behaves like MemStore with sidecars.
 	// The cap is enforced up to one in-flight frame plus one blob of slack
 	// (a demotion briefly holds both representations). hotReserveFrames
 	// frames of it are kept for plaintext, whatever the compressed rung
 	// could use.
 	BudgetBytes int64
-	// Model prices the ladder; nil builds a wall-clock model.
-	Model *tiersched.Model
-	// DiskDir and DiskBytesPerSec configure the spill tier (empty dir =
-	// system temp, 0 bps = unthrottled), like DiskStore.
-	DiskDir         string
+	// Deprecated: ignored; the tiered store has no spill rung.
+	DiskDir string
+	// Deprecated: ignored; the tiered store has no spill rung.
 	DiskBytesPerSec float64
 	// DisablePrefetch turns off the reverse-sweep background promotion of
 	// step-1 while the sweep consumes step.
@@ -90,7 +108,7 @@ type TieredConfig struct {
 type RecomputeFunc func(step int) (jVals, cVals []float64, err error)
 
 // TieredStore is the ladder policy over core: it places steps across the
-// hot/compressed/disk/recompute rungs under TieredConfig.BudgetBytes. It
+// hot/compressed/recompute rungs under TieredConfig.BudgetBytes. It
 // implements Store and Repairer and is safe for concurrent use (the prefetch
 // runs on a background goroutine, and the overlapped reverse sweep fetches
 // from its own): every method, and with it every codec call and every arena
@@ -98,11 +116,7 @@ type RecomputeFunc func(step int) (jVals, cVals []float64, err error)
 type TieredStore struct {
 	mu sync.Mutex
 	core
-	cfg   TieredConfig
-	model *tiersched.Model
-
-	spill     *diskio.Store // lazily created on the first disk demotion
-	spillDead bool          // creation or a write failed: drop instead
+	cfg TieredConfig
 
 	recompute RecomputeFunc
 	closed    bool
@@ -115,8 +129,6 @@ type TieredStore struct {
 	evictable [2]stepHeap
 	probes    int64 // heap entries examined by victim, for the scale test
 
-	scratch []byte // spill read staging
-
 	prefetchBusy bool
 	prefetchWG   sync.WaitGroup
 
@@ -128,18 +140,13 @@ type TieredStore struct {
 // — codecs that keep cross-call prediction state should implement Restart()
 // so per-step blobs stay self-contained).
 func NewTieredStore(jc, cc compress.Compressor, cfg TieredConfig) *TieredStore {
-	m := cfg.Model
-	if m == nil {
-		m = tiersched.NewModel(nil)
-	}
-	return &TieredStore{core: newCore(jc, cc), cfg: cfg, model: m}
+	return &TieredStore{core: newCore(jc, cc), cfg: cfg}
 }
 
 // Attach wires telemetry (store=tiered series plus the masc_store_tier_*
-// placement families), fault injection — float rot on hot frames after their
-// sidecars are recorded, blob corruption after sealing (which covers a
-// demotion in flight), op failures on the spill device — and the context the
-// spill device's retry loop watches. Call it before the first Put.
+// placement families) and fault injection — float rot on hot frames after
+// their sidecars are recorded, blob corruption after sealing (which covers a
+// demotion in flight). Call it before the first Put.
 func (s *TieredStore) Attach(a Attachment) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,13 +168,10 @@ func (s *TieredStore) SetRecompute(fn RecomputeFunc) {
 	s.mu.Unlock()
 }
 
-// ObserveStepCost feeds one forward integration step's wall time into the
-// cost model as the recompute-cost proxy — the capture-side sampling hook
-// the transient loop drives. The proxy prices drops only until the reverse
-// sweep has measured a real recomputation.
-func (s *TieredStore) ObserveStepCost(d time.Duration) {
-	s.model.ObserveForwardStep(d)
-}
+// ObserveStepCost does nothing.
+//
+// Deprecated: ignored; the tiered store has no spill rung.
+func (s *TieredStore) ObserveStepCost(time.Duration) {}
 
 // Put implements Store: admit the step as a hot frame, then demote victims
 // until the budget holds again.
@@ -198,9 +202,9 @@ func (s *TieredStore) enforceBudget() {
 		return
 	}
 	for s.resident > s.cfg.BudgetBytes {
-		v := s.victim(tiersched.Hot)
+		v := s.victim(TierHot)
 		if v < 0 {
-			v = s.victim(tiersched.Compressed)
+			v = s.victim(TierCompressed)
 		}
 		if v < 0 {
 			return
@@ -228,7 +232,7 @@ func (s *TieredStore) markEvictable(step int) {
 // fetched, released or quarantined is discarded when it surfaces. Every
 // entry is examined at most once, so a run of n steps costs O(n log n)
 // however long it is — no scan over the steps, no per-probe map lookup.
-func (s *TieredStore) victim(tier tiersched.Tier) int {
+func (s *TieredStore) victim(tier Tier) int {
 	h := &s.evictable[tier]
 	for len(*h) > 0 {
 		s.probes++
@@ -269,14 +273,13 @@ func (s *TieredStore) blobEstimate() int {
 
 // demote moves victim i off its rung, to the rung it will stay on. A hot
 // frame is compressed into RAM if its blob fits — judged on the estimate
-// before the codec runs and on the real size after — and otherwise goes
-// where offload sends it; a blob of the compressed rung can only be
-// offloaded. The sidecars of a hot frame are verified first: plaintext that
-// rotted in RAM must quarantine, not be laundered into a freshly sealed blob
-// the fetch path would trust.
+// before the codec runs and on the real size after — and otherwise dropped;
+// a blob of the compressed rung can only be dropped. The sidecars of a hot
+// frame are verified first: plaintext that rotted in RAM must quarantine, not
+// be laundered into a freshly sealed blob the fetch path would trust.
 func (s *TieredStore) demote(i int) {
 	st := s.steps[i]
-	if st.tier == tiersched.Hot {
+	if st.tier == TierHot {
 		if _, err := st.rotted(); err != nil {
 			s.quarantine(i, st)
 			s.freeHot(st)
@@ -286,18 +289,18 @@ func (s *TieredStore) demote(i int) {
 	dsp := s.ob.rec.Start(s.ob.spanParent(), span.Demote, i)
 	s.cd.setParent(dsp.ID())
 	kept := false
-	if est := s.blobEstimate(); st.tier == tiersched.Hot && s.roomInRAM(est) {
-		s.noteDecision(dsp.ID(), i, est, tiersched.SpillDecision{Target: tiersched.Compressed})
+	if est := s.blobEstimate(); st.tier == TierHot && s.roomInRAM(est) {
+		s.noteDecision(dsp.ID(), i, est, TierCompressed)
 		s.encode(i)
-		// The real size decides; an estimate that was short sends the blob
-		// on, already made.
+		// The real size decides; an estimate that was short drops the blob,
+		// already made.
 		kept = s.roomInRAM(st.jbN+st.cbN) && s.keepBlobs(st)
 	}
 	if kept {
 		s.markEvictable(i)
-		s.noteDemote(tiersched.Compressed)
+		s.noteDemote(TierCompressed)
 	} else {
-		s.offload(dsp.ID(), i)
+		s.drop(dsp.ID(), i)
 	}
 	dsp.Attr("tier", int64(st.tier))
 	dsp.Attr("bytes", int64(st.jbN+st.cbN))
@@ -306,18 +309,18 @@ func (s *TieredStore) demote(i int) {
 
 // encode seals hot step i as self-contained blobs and frees its plaintext.
 // The step's blobs alias the scratch frames until the caller keeps them in
-// the arena, appends them to the spill file, or drops them.
+// the arena or drops them.
 func (s *TieredStore) encode(i int) {
 	st := s.steps[i]
-	t0 := s.model.Now()
+	t0 := time.Now()
 	s.cd.restart()
 	// Corruption during the demotion itself: the sealed blob is the target.
 	st.jBlob, st.cBlob = s.seal(i, st.pair, history{})
-	d := s.model.Now().Sub(t0)
+	d := time.Since(t0)
 	s.stats.CompressTime += d
 	s.ob.compressSec.AddDuration(d)
 	st.jbN, st.cbN = len(st.jBlob), len(st.cBlob)
-	st.tier = tiersched.Compressed
+	st.tier = TierCompressed
 	n := int64(st.jbN + st.cbN)
 	s.bumpResident(n)
 	s.freeHot(st)
@@ -335,96 +338,35 @@ func (s *TieredStore) keepBlobs(st *stepRec) bool {
 	return err == nil
 }
 
-// offload moves step i out of RAM: onto the spill device when the cost
-// model prefers that to a recomputation (and the device works), otherwise
-// onto the recompute rung. A hot frame is priced on the blob estimate and
-// meets the codec only if it is spilled; a step that already has its blobs
-// is priced on their real size. Spill failures after retries degrade to a
-// drop rather than aborting the forward pass.
-func (s *TieredStore) offload(parent span.ID, i int) {
+// drop moves step i onto the recompute rung: a hot frame is freed without
+// meeting the codec, a step that has its blobs gives them up.
+func (s *TieredStore) drop(parent span.ID, i int) {
 	st := s.steps[i]
-	blobBytes := st.jbN + st.cbN
-	if st.tier == tiersched.Hot {
-		blobBytes = s.blobEstimate()
-	}
-	diskOK := !s.spillDead
-	dec := s.model.ExplainSpill(blobBytes, int(s.frameBytes), diskOK)
-	s.noteDecision(parent, i, blobBytes, dec)
-	if dec.Target == tiersched.Disk {
-		if st.tier == tiersched.Hot {
-			s.encode(i)
-		}
-		if err := s.spillStep(i); err == nil {
-			return
-		}
-		// Spill device gone: degrade this and future demotions to drops.
-		s.spillDead = true
-	}
-	if st.tier == tiersched.Hot {
+	if st.tier == TierHot {
+		s.noteDecision(parent, i, s.blobEstimate(), TierDropped)
 		s.freeHot(st)
 		s.stats.TierDirectDrops++
 		s.tob.directDrops.Inc()
 	} else {
+		s.noteDecision(parent, i, st.jbN+st.cbN, TierDropped)
 		s.bumpResident(-int64(st.jbN + st.cbN))
 		st.jBlob, st.cBlob = nil, nil
 	}
 	st.jbN, st.cbN = 0, 0
-	st.tier = tiersched.Dropped
-	s.noteDemote(tiersched.Dropped)
+	st.tier = TierDropped
+	s.noteDemote(TierDropped)
 }
 
-// noteDecision records one placement with the cost-model inputs behind it,
-// so every demotion is auditable from the span stream after the fact.
-// blobBytes is what the decision was priced on: the estimate for a step
-// leaving the hot tier, the real size for one that has its blobs.
-func (s *TieredStore) noteDecision(parent span.ID, step, blobBytes int, dec tiersched.SpillDecision) {
+// noteDecision records one placement with the sizes behind it, so every
+// demotion is auditable from the span stream after the fact. blobBytes is
+// the estimate for a step leaving the hot tier, the real size for one that
+// has its blobs.
+func (s *TieredStore) noteDecision(parent span.ID, step, blobBytes int, to Tier) {
 	tsp := s.ob.rec.Start(parent, span.TierDecision, step)
-	tsp.Attr("tier", int64(dec.Target))
+	tsp.Attr("tier", int64(to))
 	tsp.Attr("est_blob_bytes", int64(blobBytes))
 	tsp.Attr("raw_bytes", s.frameBytes)
-	tsp.Attr("recompute_ns", dec.RecomputeNS)
-	tsp.Attr("disk_ns", dec.DiskNS)
-	tsp.Attr("measured", boolAttr(dec.Measured))
 	tsp.End()
-}
-
-// spillStep appends step i's sealed blobs — in the scratch frames or the
-// arena — to the spill file.
-func (s *TieredStore) spillStep(i int) error {
-	st := s.steps[i]
-	if s.spill == nil {
-		sp, err := diskio.Create(s.cfg.DiskDir, s.cfg.DiskBytesPerSec)
-		if err != nil {
-			return err
-		}
-		s.wireSpill(sp)
-		s.spill = sp
-	}
-	ssp := s.ob.rec.Start(s.ob.spanParent(), span.Spill, i)
-	t0 := s.model.Now()
-	jOff, err := s.spill.Append(st.jBlob)
-	var cOff int64
-	if err == nil {
-		cOff, err = s.spill.Append(st.cBlob)
-	}
-	if err != nil {
-		ssp.Attr("ok", 0)
-		ssp.End()
-		return err
-	}
-	d := s.model.Now().Sub(t0)
-	s.model.ObserveDiskWrite(st.jbN+st.cbN, d)
-	s.ob.ioSec.AddDuration(d)
-	st.jOff, st.cOff = jOff, cOff
-	s.bumpResident(-int64(st.jbN + st.cbN))
-	st.jBlob, st.cBlob = nil, nil
-	st.tier = tiersched.Disk
-	s.noteDemote(tiersched.Disk)
-	ssp.Attr("bytes", int64(st.jbN+st.cbN))
-	ssp.Attr("off", jOff)
-	ssp.Attr("ok", 1)
-	ssp.End()
-	return nil
 }
 
 // freeHot drops a step's plaintext frame from the resident model and parks
@@ -437,56 +379,51 @@ func (s *TieredStore) freeHot(st *stepRec) {
 	}
 }
 
-func (s *TieredStore) noteDemote(to tiersched.Tier) {
+func (s *TieredStore) noteDemote(to Tier) {
 	s.stats.TierDemotions++
 	s.tob.demote(to)
 }
 
-func (s *TieredStore) notePromote(from tiersched.Tier) {
+func (s *TieredStore) notePromote(from Tier) {
 	s.stats.TierPromotions++
 	s.tob.promote(from)
 }
 
 // EndForward implements Store: close the compressed rung to new blobs, one
-// final budget pass, then the per-tier placement snapshot.
+// final budget pass, then record the placement Stats reports.
 func (s *TieredStore) EndForward() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.forwardDone = true
 	s.enforceBudget()
-	s.snapshotTiersLocked()
-	s.stats.StoredBytes = s.stats.TierHotBytes + s.stats.TierCompressedBytes + s.stats.TierDiskBytes
+	steps, bytes := s.placement()
+	s.tob.observe(steps, bytes)
+	s.stats.TierHotSteps = steps[TierHot]
+	s.stats.TierCompressedSteps = steps[TierCompressed]
+	s.stats.TierDroppedSteps = steps[TierDropped]
+	s.stats.TierHotBytes = bytes[TierHot]
+	s.stats.TierCompressedBytes = bytes[TierCompressed]
+	s.stats.StoredBytes = bytes[TierHot] + bytes[TierCompressed]
 	s.ob.storedBytes.Add(float64(s.stats.StoredBytes))
 	return nil
 }
 
-// snapshotTiersLocked refreshes the per-tier step/byte accounting in stats
-// and mirrors it to the tier gauges.
-func (s *TieredStore) snapshotTiersLocked() {
-	var steps [tiersched.NumTiers]int
-	var bytes [tiersched.NumTiers]int64
+// placement counts the live steps on each rung and the bytes they hold
+// there.
+func (s *TieredStore) placement() (steps [numTiers]int, bytes [numTiers]int64) {
 	for _, st := range s.steps {
 		if st.released {
 			continue
 		}
 		steps[st.tier]++
 		switch st.tier {
-		case tiersched.Hot:
-			bytes[tiersched.Hot] += s.frameBytes
-		case tiersched.Compressed:
-			bytes[tiersched.Compressed] += int64(st.jbN + st.cbN)
-		case tiersched.Disk:
-			bytes[tiersched.Disk] += int64(st.jbN + st.cbN)
+		case TierHot:
+			bytes[TierHot] += s.frameBytes
+		case TierCompressed:
+			bytes[TierCompressed] += int64(st.jbN + st.cbN)
 		}
 	}
-	s.stats.TierHotSteps = steps[tiersched.Hot]
-	s.stats.TierCompressedSteps = steps[tiersched.Compressed]
-	s.stats.TierDiskSteps = steps[tiersched.Disk]
-	s.stats.TierDroppedSteps = steps[tiersched.Dropped]
-	s.stats.TierHotBytes = bytes[tiersched.Hot]
-	s.stats.TierCompressedBytes = bytes[tiersched.Compressed]
-	s.stats.TierDiskBytes = bytes[tiersched.Disk]
-	s.tob.observe(steps, bytes)
+	return steps, bytes
 }
 
 // Fetch implements Store. Random access: every step is self-contained, so
@@ -504,7 +441,7 @@ func (s *TieredStore) Fetch(step int) ([]float64, []float64, error) {
 	if st.released {
 		return nil, nil, fmt.Errorf("jactensor: step %d already released", step)
 	}
-	hit := st.tier == tiersched.Hot
+	hit := st.tier == TierHot
 	if err := s.materialize(step); err != nil {
 		return nil, nil, err
 	}
@@ -528,7 +465,7 @@ func (s *TieredStore) materialize(step int) error {
 	if st.quarantined {
 		return corruptErr(step, "fetch", "", errQuarantined)
 	}
-	if st.tier == tiersched.Hot {
+	if st.tier == TierHot {
 		// Verify the sidecars on every fetch, like MemStore: rot between
 		// Put/promote and now must degrade, not propagate.
 		if tensor, err := st.rotted(); err != nil {
@@ -547,7 +484,7 @@ func (s *TieredStore) materialize(step int) error {
 	if err != nil {
 		return err
 	}
-	st.tier = tiersched.Hot
+	st.tier = TierHot
 	s.notePromote(from)
 	s.enforceBudget()
 	return nil
@@ -557,27 +494,18 @@ func (s *TieredStore) materialize(step int) error {
 // rung holds it. parent is the enclosing promote span. Caller holds s.mu.
 func (s *TieredStore) promoteCold(step int, st *stepRec, parent span.ID) error {
 	switch st.tier {
-	case tiersched.Compressed:
+	case TierCompressed:
 		if err := s.decodeBlobs(step, st.jBlob, st.cBlob); err != nil {
 			return err
 		}
 		s.bumpResident(-int64(st.jbN + st.cbN))
 		st.jBlob, st.cBlob = nil, nil
-	case tiersched.Disk:
-		jb, cb, err := s.readSpill(step)
-		if err != nil {
-			return err
-		}
-		if err := s.decodeBlobs(step, jb, cb); err != nil {
-			return err
-		}
-	case tiersched.Dropped:
+	case TierDropped:
 		if s.recompute == nil {
 			return &StepError{Step: step, Op: "fetch", Degradable: true,
 				Err: errors.New("step deliberately dropped under the memory budget (no recompute hook)")}
 		}
 		rsp := s.ob.rec.Start(parent, span.Recompute, step)
-		t0 := s.model.Now()
 		jv, cv, err := s.recompute(step)
 		if err != nil {
 			rsp.Attr("ok", 0)
@@ -585,8 +513,6 @@ func (s *TieredStore) promoteCold(step int, st *stepRec, parent span.ID) error {
 			return &StepError{Step: step, Op: "fetch", Degradable: true,
 				Err: fmt.Errorf("recompute dropped step: %w", err)}
 		}
-		d := s.model.Now().Sub(t0)
-		s.model.ObserveRecompute(d)
 		s.stats.TierRecomputes++
 		s.adoptHot(step, s.copyFrame(pair{jv, cv}))
 		rsp.Attr("ok", 1)
@@ -601,11 +527,10 @@ func (s *TieredStore) decodeBlobs(step int, jb, cb []byte) error {
 	jp, cp, tensor, err := openPair(step, jb, cb)
 	if err == nil {
 		p := s.takeFrame()
-		t0 := s.model.Now()
+		t0 := time.Now()
 		s.cd.restart()
 		if tensor, err = s.cd.decode(p, jp, cp, history{}); err == nil {
-			d := s.model.Now().Sub(t0)
-			s.model.ObserveDecompress(int(s.frameBytes), d)
+			d := time.Since(t0)
 			s.stats.DecompressTime += d
 			s.ob.decompressSec.AddDuration(d)
 			s.adoptHot(step, p)
@@ -624,38 +549,6 @@ func (s *TieredStore) adoptHot(step int, p pair) {
 	s.bumpResident(s.frameBytes)
 }
 
-// readSpill reads a step's sealed blobs back from the spill device. Read
-// failures after retries are degradable (the record cannot be produced),
-// mirroring DiskStore.
-func (s *TieredStore) readSpill(step int) (jb, cb []byte, err error) {
-	st := s.steps[step]
-	need := st.jbN + st.cbN
-	if cap(s.scratch) < need {
-		s.bumpResident(int64(need - cap(s.scratch))) // scratch is real resident memory
-		s.scratch = make([]byte, need)
-	}
-	t0 := s.model.Now()
-	jb = s.scratch[:st.jbN]
-	cb = s.scratch[st.jbN:need]
-	read := func(dst []byte, off int64, tensor string) error {
-		if rerr := s.spill.ReadAt(dst, off); rerr != nil {
-			s.quarantine(step, st)
-			return &StepError{Step: step, Op: "fetch", Tensor: tensor, Degradable: true, Err: rerr}
-		}
-		return nil
-	}
-	if err = read(jb, st.jOff, "J"); err != nil {
-		return nil, nil, err
-	}
-	if err = read(cb, st.cOff, "C"); err != nil {
-		return nil, nil, err
-	}
-	d := s.model.Now().Sub(t0)
-	s.model.ObserveDiskRead(need, d)
-	s.ob.ioSec.AddDuration(d)
-	return jb, cb, nil
-}
-
 // maybePrefetch promotes the given step on a background goroutine when the
 // budget has a frame of slack — the reverse sweep's next fetch then finds a
 // hot frame. At most one prefetch is in flight; errors are left for the
@@ -666,7 +559,7 @@ func (s *TieredStore) maybePrefetch(step int) {
 		return
 	}
 	st := s.steps[step]
-	if st.released || st.tier == tiersched.Hot {
+	if st.released || st.tier == TierHot {
 		return
 	}
 	if s.cfg.BudgetBytes > 0 && s.resident+s.frameBytes > s.cfg.BudgetBytes {
@@ -679,7 +572,7 @@ func (s *TieredStore) maybePrefetch(step int) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.prefetchBusy = false
-		if s.closed || st.released || st.inUse || st.tier == tiersched.Hot {
+		if s.closed || st.released || st.inUse || st.tier == TierHot {
 			return
 		}
 		if s.materialize(step) == nil {
@@ -702,19 +595,19 @@ func (s *TieredStore) Repair(step int, jVals, cVals []float64) {
 	st := s.steps[step]
 	from := st.tier
 	switch st.tier {
-	case tiersched.Compressed:
+	case TierCompressed:
 		s.bumpResident(-int64(st.jbN + st.cbN))
 		st.jBlob, st.cBlob = nil, nil
-	case tiersched.Hot:
+	case TierHot:
 		s.freeHot(st)
 	}
-	st.tier = tiersched.Hot
+	st.tier = TierHot
 	s.adoptHot(step, s.copyFrame(pair{jVals, cVals}))
 	// Repairing a released step revives it, so the frame installed here is
 	// freed by the next Release rather than leaked.
 	st.released = false
 	s.heal(st)
-	if from != tiersched.Hot {
+	if from != TierHot {
 		s.notePromote(from)
 	}
 	s.enforceBudget()
@@ -733,7 +626,7 @@ func (s *TieredStore) Release(step int) {
 		return
 	}
 	s.freeHot(st)
-	if st.tier == tiersched.Compressed {
+	if st.tier == TierCompressed {
 		s.bumpResident(-int64(st.jbN + st.cbN))
 	}
 	st.jBlob, st.cBlob = nil, nil
@@ -741,22 +634,19 @@ func (s *TieredStore) Release(step int) {
 	st.inUse = false
 }
 
-// Stats implements Store.
+// Stats implements Store. The per-tier step and byte counts are the
+// placement EndForward recorded; the per-tier gauges follow the live one.
 func (s *TieredStore) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.snapshotTiersLocked()
+	s.tob.observe(s.placement())
 	st := s.stats
 	st.BudgetBytes = s.cfg.BudgetBytes
-	if s.spill != nil {
-		st.IOTime = s.spill.IOTime()
-		st.DiskRetries = s.spill.Retries()
-	}
 	return st
 }
 
-// Close implements Store: drain the prefetch, then drop everything, return
-// the arena's memory and remove the spill file. Idempotent.
+// Close implements Store: drain the prefetch, then drop everything and
+// return the arena's memory. Idempotent.
 func (s *TieredStore) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -765,11 +655,7 @@ func (s *TieredStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closeCore()
-	s.scratch = nil
 	s.evictable = [2]stepHeap{}
-	if s.spill != nil {
-		return s.spill.Close()
-	}
 	return nil
 }
 

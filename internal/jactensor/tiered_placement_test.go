@@ -9,13 +9,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"masc/internal/blobframe"
 	"masc/internal/compress"
 	"masc/internal/compress/masczip"
 	"masc/internal/sparse"
-	"masc/internal/tiersched"
 )
 
 // countedCodec counts the Compress calls that reach the codec it wraps.
@@ -81,23 +79,6 @@ func envBudgets(t *testing.T) []int64 {
 	return out
 }
 
-// placementRegime fixes where a step that finds no room in RAM goes, by what
-// the injected clock and the fed forward-step price make the cost model see.
-type placementRegime struct {
-	name    string
-	noDisk  bool
-	stepFwd time.Duration // forward-step proxy fed before the first Put
-}
-
-var placementRegimes = []placementRegime{
-	// Every FakeClock-timed operation lasts one 1µs tick, so a spill
-	// round-trip prices at a few µs: a 1 ns step makes recomputing cheaper
-	// than spilling, a 1 s step dearer.
-	{name: "drop", stepFwd: time.Nanosecond},
-	{name: "disk", stepFwd: time.Second},
-	{name: "diskless", noDisk: true, stepFwd: time.Second},
-}
-
 // placementFixture is tensorFixture's patterns with values a self-contained
 // blob can compress (runs of repeated stamps, a few entries moving per
 // step): tensorFixture's own values only shrink against the previous step,
@@ -135,38 +116,25 @@ func blobSizes(jc, cc *masczip.Compressor, js, cs [][]float64) (total, largest i
 
 // placementRun is what one pass of the placement property test observed.
 type placementRun struct {
-	tiers     []tiersched.Tier // placement at EndForward
-	snap      tiersched.Snapshot
-	stats     Stats // at EndForward
-	encodes   int   // codec Compress calls for J up to EndForward
+	tiers     []Tier // placement at EndForward
+	stats     Stats  // at EndForward
+	encodes   int    // codec Compress calls for J up to EndForward
 	arenaHigh int64
 }
 
 // runPlacement drives one store through capture and a reverse read in the
 // given order, checking every fetched step against the MemStore's bits, the
 // per-Put resident bound and the arena bound as it goes.
-func runPlacement(t *testing.T, budget int64, rg placementRegime, markov, interleaved, noPrefetch bool,
-	n, steps int) placementRun {
+func runPlacement(t *testing.T, budget int64, markov, interleaved, noPrefetch bool, n, steps int) placementRun {
 	t.Helper()
 	jp, cp, js, cs := placementFixture(n, steps)
 	frame := int64(8 * (len(js[0]) + len(cs[0])))
 	_, maxBlob := blobSizes(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), js, cs)
 	mem := NewMemStore()
 	var out placementRun
-	cfg := TieredConfig{
-		BudgetBytes:     budget,
-		DisablePrefetch: noPrefetch,
-		Model:           tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond)),
-	}
-	if !rg.noDisk {
-		cfg.DiskDir = t.TempDir()
-	}
-	cfg.Model.ObserveForwardStep(rg.stepFwd)
+	cfg := TieredConfig{BudgetBytes: budget, DisablePrefetch: noPrefetch}
 	mo := masczip.Options{Markov: markov}
 	st := NewTieredStore(countedCodec{masczip.New(jp, mo), &out.encodes}, masczip.New(cp, mo), cfg)
-	if rg.noDisk {
-		diskless(st)
-	}
 	defer st.Close()
 	st.SetRecompute(func(step int) ([]float64, []float64, error) { return js[step], cs[step], nil })
 
@@ -197,7 +165,6 @@ func runPlacement(t *testing.T, budget int64, rg placementRegime, markov, interl
 		t.Fatal(err)
 	}
 	out.stats = st.Stats()
-	out.snap = cfg.Model.Snapshot()
 	forwardEncodes := out.encodes
 	for _, s := range st.steps {
 		out.tiers = append(out.tiers, s.tier)
@@ -254,39 +221,42 @@ func runPlacement(t *testing.T, budget int64, rg placementRegime, markov, interl
 }
 
 // TestTieredPlacementProperties is the property suite of admission-time
-// placement: across budgets (unlimited, fractions of the compressed size, a
-// tiny one, MASC_MEM_BUDGET's), cost regimes (recompute cheaper than disk,
-// disk cheaper, no disk), the codec's selector (best fit or Markov, the one
-// masc+markov runs under a budget), fetch orders and prefetch on/off —
+// placement: across frame sizes, budgets (unlimited, fractions of the
+// compressed size, a tiny one, MASC_MEM_BUDGET's), the codec's selector
+// (best fit or Markov, the one masc+markov runs under a budget), fetch
+// orders and prefetch on/off —
 //
 //   - every fetched step is bit-equal to what a MemStore returns;
 //   - the codec is called exactly once for every step that left the hot
-//     tier for the compressed rung or the spill file, and not at all for a
-//     direct drop (up to the one blob whose estimate was short);
+//     tier for the compressed rung, and not at all for a direct drop (up to
+//     the one blob whose estimate was short);
+//   - a budget that binds drops steps;
 //   - PeakResident <= budget + one frame + one blob after every Put;
 //   - the arena never holds more than the budget, however many steps pass
 //     through the store;
-//   - two runs fed the same injected clock place every step identically.
+//   - two runs place every step identically.
+//
+// Placement is a function of frame and blob sizes alone, so the frame size
+// is the axis that moves it: 4 nodes, where a self-contained blob outgrows
+// its frame and the compressed rung stays empty; 8, where the tiny budget
+// holds a few frames and blobs; 20; and 64, where the tiny budget holds no
+// frame at all.
 func TestTieredPlacementProperties(t *testing.T) {
-	const n, steps = 20, 96
-	jp, cp, js, cs := placementFixture(n, steps)
-	frame := int64(8 * (len(js[0]) + len(cs[0])))
-	compressed, _ := blobSizes(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), js, cs)
-	budgets := append([]int64{0, compressed / 2, compressed / 4, compressed / 8, 4 << 10}, envBudgets(t)...)
-
-	for _, budget := range budgets {
-		for _, rg := range placementRegimes {
+	const steps = 96
+	for _, n := range []int{4, 8, 20, 64} {
+		jp, cp, js, cs := placementFixture(n, steps)
+		frame := int64(8 * (len(js[0]) + len(cs[0])))
+		compressed, _ := blobSizes(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), js, cs)
+		budgets := append([]int64{0, compressed / 2, compressed / 4, compressed / 8, 4 << 10}, envBudgets(t)...)
+		for _, budget := range budgets {
 			for _, markov := range []bool{false, true} {
 				for _, interleaved := range []bool{false, true} {
 					for _, noPrefetch := range []bool{false, true} {
-						name := fmt.Sprintf("budget=%d/%s/markov=%v/interleaved=%v/prefetch=%v",
-							budget, rg.name, markov, interleaved, !noPrefetch)
+						name := fmt.Sprintf("nodes=%d/budget=%d/markov=%v/interleaved=%v/prefetch=%v",
+							n, budget, markov, interleaved, !noPrefetch)
 						t.Run(name, func(t *testing.T) {
-							a := runPlacement(t, budget, rg, markov, interleaved, noPrefetch, n, steps)
-							b := runPlacement(t, budget, rg, markov, interleaved, noPrefetch, n, steps)
-							if a.snap != b.snap {
-								t.Fatalf("model snapshots diverged:\n%+v\n%+v", a.snap, b.snap)
-							}
+							a := runPlacement(t, budget, markov, interleaved, noPrefetch, n, steps)
+							b := runPlacement(t, budget, markov, interleaved, noPrefetch, n, steps)
 							for i := range a.tiers {
 								if a.tiers[i] != b.tiers[i] {
 									t.Fatalf("step %d placed on %v, then on %v", i, a.tiers[i], b.tiers[i])
@@ -311,15 +281,8 @@ func TestTieredPlacementProperties(t *testing.T) {
 							if wasted := s.TierDroppedSteps - int(s.TierDirectDrops); wasted > 2 {
 								t.Fatalf("%d steps were compressed and then dropped: %+v", wasted, s)
 							}
-							if rg.name == "disk" && s.TierDroppedSteps != 0 {
-								t.Fatalf("disk regime dropped %d steps: %+v", s.TierDroppedSteps, s)
-							}
-							if rg.noDisk && (s.TierDiskSteps != 0 || s.TierDroppedSteps == 0) {
-								t.Fatalf("diskless regime: %+v", s)
-							}
-							if rg.name == "drop" && s.TierDiskSteps > 1 {
-								// One unpriced spill measures the device.
-								t.Fatalf("drop regime spilled %d steps: %+v", s.TierDiskSteps, s)
+							if s.TierDroppedSteps == 0 {
+								t.Fatalf("the budget binds, yet nothing was dropped: %+v", s)
 							}
 							if a.arenaHigh > budget {
 								t.Fatalf("arena high-water %d B over the %d B budget", a.arenaHigh, budget)
@@ -332,30 +295,30 @@ func TestTieredPlacementProperties(t *testing.T) {
 	}
 }
 
-// TestTieredArenaBoundedOnLongDiskRun is the case an append-only arena could
+// TestTieredArenaBoundedOnLongDropRun is the case an append-only arena could
 // not survive under a ladder that cycled every step through compressed RAM:
-// 2 000 steps through a budget that holds a few dozen blobs, every one of
-// them headed for the spill file. The compressed rung fills once, the rest
-// are compressed into the scratch frame and appended to the file, and the
-// arena's high-water mark stays under the budget.
-func TestTieredArenaBoundedOnLongDiskRun(t *testing.T) {
+// 2 000 steps through a budget that holds a few dozen blobs, nearly all of
+// them headed for the recompute rung. The compressed rung fills once, the
+// rest go straight from the hot tier to the recompute rung without meeting
+// the codec, and the arena's high-water mark stays under the budget.
+func TestTieredArenaBoundedOnLongDropRun(t *testing.T) {
 	const n, steps = 12, 2000
 	_, _, js, cs := placementFixture(n, 1)
 	frame := int64(8 * (len(js[0]) + len(cs[0])))
 	budget := 24 * frame
-	rg := placementRegimes[1]
-	a := runPlacement(t, budget, rg, false, false, false, n, steps)
-	if a.stats.TierDroppedSteps != 0 || a.stats.TierDiskSteps < steps/2 {
-		t.Fatalf("not a disk-regime run: %+v", a.stats)
+	a := runPlacement(t, budget, false, false, false, n, steps)
+	if a.stats.TierCompressedSteps == 0 || a.stats.TierDirectDrops < steps/2 {
+		t.Fatalf("not a drop-regime run: %+v", a.stats)
 	}
 	if a.arenaHigh == 0 || a.arenaHigh > budget {
 		t.Fatalf("arena high-water %d B, want within (0, %d]", a.arenaHigh, budget)
 	}
-	if a.encodes != steps-a.stats.TierHotSteps {
-		t.Fatalf("%d codec calls for %d steps off the hot tier", a.encodes, steps-a.stats.TierHotSteps)
+	if want := steps - a.stats.TierHotSteps - int(a.stats.TierDirectDrops); a.encodes != want {
+		t.Fatalf("%d codec calls for %d steps off the hot tier of which %d direct drops (want %d)",
+			a.encodes, steps-a.stats.TierHotSteps, a.stats.TierDirectDrops, want)
 	}
-	t.Logf("%d steps, budget %d B: arena high-water %d B, %d compressed in RAM, %d spilled",
-		steps, budget, a.arenaHigh, a.stats.TierCompressedSteps, a.stats.TierDiskSteps)
+	t.Logf("%d steps, budget %d B: arena high-water %d B, %d compressed in RAM, %d dropped",
+		steps, budget, a.arenaHigh, a.stats.TierCompressedSteps, a.stats.TierDroppedSteps)
 }
 
 // TestTieredVictimSelectionScales puts 10⁵ steps through a budget that holds
@@ -387,10 +350,7 @@ func TestTieredVictimSelectionScales(t *testing.T) {
 		}
 	}
 	newStore := func() *TieredStore {
-		st := diskless(NewTieredStore(f32Codec{}, f32Codec{}, TieredConfig{
-			BudgetBytes: 100 * frame, DisablePrefetch: true,
-			Model: tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond)),
-		}))
+		st := NewTieredStore(f32Codec{}, f32Codec{}, TieredConfig{BudgetBytes: 100 * frame, DisablePrefetch: true})
 		st.SetRecompute(func(step int) ([]float64, []float64, error) {
 			for k := range j {
 				j[k], c[k] = float64(step+k), float64(step-k)

@@ -5,25 +5,16 @@ import (
 	"math"
 	"runtime"
 	"testing"
-	"time"
 
 	"masc/internal/compress/masczip"
 	"masc/internal/faultinject"
 	"masc/internal/sparse"
-	"masc/internal/tiersched"
 )
 
 // newTieredFixture builds a tiered store over masczip codecs with a
-// deterministic injected clock and a bit-exact recompute hook backed by the
-// fixture itself (standing in for adjoint.NewRecomputeSource).
-func newTieredFixture(t *testing.T, jp, cp *sparse.Pattern, js, cs [][]float64, cfg TieredConfig) *TieredStore {
-	t.Helper()
-	if cfg.Model == nil {
-		cfg.Model = tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond))
-	}
-	if cfg.DiskDir == "" {
-		cfg.DiskDir = t.TempDir()
-	}
+// bit-exact recompute hook backed by the fixture itself (standing in for
+// adjoint.NewRecomputeSource).
+func newTieredFixture(jp, cp *sparse.Pattern, js, cs [][]float64, cfg TieredConfig) *TieredStore {
 	st := NewTieredStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), cfg)
 	st.SetRecompute(func(step int) ([]float64, []float64, error) {
 		return js[step], cs[step], nil
@@ -31,12 +22,13 @@ func newTieredFixture(t *testing.T, jp, cp *sparse.Pattern, js, cs [][]float64, 
 	return st
 }
 
-// diskless puts st, before its first Put, in the state a failed spill device
-// leaves it in: the ladder has no disk rung, so evicted blobs are dropped and
-// recomputed.
-func diskless(st *TieredStore) *TieredStore {
-	st.spillDead = true
-	return st
+// TestTierString pins the metric-label spelling of each rung.
+func TestTierString(t *testing.T) {
+	for tier, want := range map[Tier]string{TierHot: "hot", TierCompressed: "compressed", TierDropped: "dropped", numTiers: "unknown"} {
+		if got := tier.String(); got != want {
+			t.Errorf("Tier(%d).String() = %q, want %q", tier, got, want)
+		}
+	}
 }
 
 // TestTieredDroppedWithoutHookDegrades: a deliberately dropped step with no
@@ -44,10 +36,7 @@ func diskless(st *TieredStore) *TieredStore {
 // sweep's recompute ladder handles it), never a silent wrong answer.
 func TestTieredDroppedWithoutHookDegrades(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(64, 40, 12)
-	st := diskless(NewTieredStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), TieredConfig{
-		BudgetBytes: 4 << 10,
-		Model:       tiersched.NewModel(tiersched.NewFakeClock(time.Microsecond)),
-	}))
+	st := NewTieredStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), TieredConfig{BudgetBytes: 4 << 10})
 	for i := range js {
 		if err := st.Put(i, js[i], cs[i]); err != nil {
 			t.Fatal(err)
@@ -57,7 +46,7 @@ func TestTieredDroppedWithoutHookDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Stats().TierDroppedSteps == 0 {
-		t.Fatal("tiny diskless budget dropped nothing")
+		t.Fatal("tiny budget dropped nothing")
 	}
 	var sawDegradable bool
 	for i := len(js) - 1; i >= 0; i-- {
@@ -85,7 +74,7 @@ func TestTieredDroppedWithoutHookDegrades(t *testing.T) {
 // under a fresh, valid blob CRC that the fetch path would then trust.
 func TestTieredHotRotQuarantinesAtDemotion(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(65, 40, 12)
-	st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{BudgetBytes: 8 << 10})
+	st := newTieredFixture(jp, cp, js, cs, TieredConfig{BudgetBytes: 8 << 10})
 	st.Attach(Attachment{Fault: faultinject.New(faultinject.Profile{Name: "rot", Seed: 7, BitFlipOneIn: 3})})
 	for i := range js {
 		if err := st.Put(i, js[i], cs[i]); err != nil {
@@ -132,25 +121,14 @@ func TestTieredHotRotQuarantinesAtDemotion(t *testing.T) {
 	}
 }
 
-// TestTieredSpillFailureFallsBackToDrop: a spill device that hard-fails
-// must degrade the demotion to a deliberate drop — the forward pass keeps
-// going, and the reverse sweep recomputes.
-func TestTieredSpillFailureFallsBackToDrop(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(66, 40, 14)
-	st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{BudgetBytes: 6 << 10})
-	// Fail every spill op with a long burst: retries are exhausted and the
-	// device is declared dead.
-	st.Attach(Attachment{Fault: faultinject.New(faultinject.Profile{Name: "eio", Seed: 3, FailOpEvery: 1, FailOpBurst: 1 << 20})})
-	fillAndVerify(t, st, js, cs)
-}
-
-// TestTieredStatsAccounting sanity-checks the per-tier snapshot: tier steps
-// partition the live steps, demotions happened under a binding budget, and
-// the configured budget is echoed back for manifests.
+// TestTieredStatsAccounting sanity-checks the per-tier placement: tier steps
+// partition the steps, and still do after the sweep has released every one
+// of them; demotions happened under a binding budget; and the configured
+// budget is echoed back for manifests.
 func TestTieredStatsAccounting(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(67, 40, 16)
 	const budget = 8 << 10
-	st := newTieredFixture(t, jp, cp, js, cs, TieredConfig{BudgetBytes: budget})
+	st := newTieredFixture(jp, cp, js, cs, TieredConfig{BudgetBytes: budget})
 	for i := range js {
 		if err := st.Put(i, js[i], cs[i]); err != nil {
 			t.Fatal(err)
@@ -163,7 +141,7 @@ func TestTieredStatsAccounting(t *testing.T) {
 	if stats.BudgetBytes != budget {
 		t.Fatalf("BudgetBytes = %d, want %d", stats.BudgetBytes, budget)
 	}
-	total := stats.TierHotSteps + stats.TierCompressedSteps + stats.TierDiskSteps + stats.TierDroppedSteps
+	total := stats.TierHotSteps + stats.TierCompressedSteps + stats.TierDroppedSteps
 	if total != len(js) {
 		t.Fatalf("tier steps sum to %d, want %d (%+v)", total, len(js), stats)
 	}
@@ -179,8 +157,13 @@ func TestTieredStatsAccounting(t *testing.T) {
 		}
 		st.Release(i)
 	}
-	if got := st.Stats().TierPromotions; got == 0 {
+	after := st.Stats()
+	if after.TierPromotions == 0 {
 		t.Fatal("reverse sweep recorded no promotions")
+	}
+	if after.TierHotSteps != stats.TierHotSteps || after.TierCompressedSteps != stats.TierCompressedSteps ||
+		after.TierDroppedSteps != stats.TierDroppedSteps {
+		t.Fatalf("placement moved when the sweep released its steps:\n%+v\n%+v", stats, after)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -199,10 +182,10 @@ func TestTieredRecyclesFrames(t *testing.T) {
 	const n, steps = 300, 200
 	jp, cp, js, cs := tensorFixture(62, n, steps)
 	frame := int64(8 * (len(js[0]) + len(cs[0])))
-	st := diskless(newTieredFixture(t, jp, cp, js, cs, TieredConfig{
+	st := newTieredFixture(jp, cp, js, cs, TieredConfig{
 		BudgetBytes:     3 * frame,
 		DisablePrefetch: true,
-	}))
+	})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range js {

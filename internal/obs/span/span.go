@@ -52,7 +52,6 @@ const (
 	TierDecision
 	Demote
 	Promote
-	Spill
 	Recompute
 	Quarantine
 	Repair
@@ -80,7 +79,6 @@ var kindNames = [numKinds]string{
 	TierDecision: "tier_decision",
 	Demote:       "demote",
 	Promote:      "promote",
-	Spill:        "spill",
 	Recompute:    "recompute",
 	Quarantine:   "quarantine",
 	Repair:       "repair",

@@ -75,10 +75,7 @@ type Options struct {
 	Capture func(step int, t float64, x []float64, J, C *sparse.Matrix) error `json:"-"`
 
 	// StepCost, if non-nil, receives the wall time of every accepted
-	// integration step (step >= 1; the DC solve is excluded — it prices
-	// differently). This is the capture-side sampling hook a tiered
-	// Jacobian store's cost model uses to learn what recomputing one step
-	// costs, without the store reaching into the solver.
+	// integration step (step >= 1; the DC solve is excluded).
 	StepCost func(step int, d time.Duration) `json:"-"`
 
 	// Ctx, if non-nil, is the run's one stop signal. The loop polls it at

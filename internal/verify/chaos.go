@@ -45,7 +45,7 @@ const (
 // chaosScenario is one fault profile applied to one storage configuration.
 // budget > 0 promotes the run to the tiered store (SimOptions.MemBudgetBytes),
 // so the faults land inside the tier ladder: hot-frame rot caught at demotion,
-// blob corruption in the compressed/disk rungs, EIO on spill writes mid-demotion.
+// blob corruption in the compressed rung.
 // gmin > 0 runs the solver with that DC conductance floor instead of the
 // default, so a recomputed step 0 must carry the run's own value.
 type chaosScenario struct {
@@ -95,9 +95,9 @@ func chaosScenarios() []chaosScenario {
 		}},
 
 		// Tiered-store scenarios: an 8 KiB budget forces every case through
-		// the whole ladder (hot -> compressed -> disk -> recompute), so the
-		// injected faults land inside demotions, spill writes, and promoted
-		// fetches rather than only at Put/Fetch boundaries.
+		// the whole ladder (hot -> compressed -> recompute), so the injected
+		// faults land inside demotions and promoted fetches rather than only
+		// at Put/Fetch boundaries.
 		{"bitflip-tiered", masc.StorageMASC, false, 8 << 10, 0, func(s int64) faultinject.Profile {
 			// Rots hot frames after their CRC sidecar (caught at demotion,
 			// never laundered into a sealed blob) and blobs after sealing
@@ -106,21 +106,6 @@ func chaosScenarios() []chaosScenario {
 		}},
 		{"truncate-tiered", masc.StorageMASC, false, 8 << 10, 0, func(s int64) faultinject.Profile {
 			return faultinject.Profile{Name: "truncate", Seed: s, TruncateOneIn: 5}
-		}},
-		{"eio-tiered-spill", masc.StorageMASC, false, 2 << 10, 0, func(s int64) faultinject.Profile {
-			// Single-shot spill-device failures during demotion and
-			// reverse-sweep reads: the disk layer's retries absorb them.
-			// The cost model sends only the cheapest handful of steps to
-			// disk on these small cases, so the cadence is dense enough to
-			// guarantee a hit on the few spill ops that happen.
-			return faultinject.Profile{Name: "eio", Seed: s, FailOpEvery: 2, FailOpBurst: 1}
-		}},
-		{"eio-hard-tiered-demote", masc.StorageMASC, false, 2 << 10, 0, func(s int64) faultinject.Profile {
-			// A persistently dead device: every spill op fails through the
-			// whole retry budget, killing the very first demotion's write
-			// mid-flight. The store must mark the device dead and fall back
-			// to deliberate drops (recompute), never abort the run.
-			return faultinject.Profile{Name: "eio-hard", Seed: s, FailOpEvery: 1, FailOpBurst: 8}
 		}},
 		{"bitflip-tiered-tiny", masc.StorageMASC, false, 1 << 10, 0, func(s int64) faultinject.Profile {
 			// A 1 KiB budget drops nearly every step: corruption has to

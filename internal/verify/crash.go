@@ -110,7 +110,7 @@ func crashScenarios(opt Options) []crashScenario {
 		{name: "kill-forward-masc", storage: masc.StorageMASC, sleepMs: 2,
 			trigger: func(r *runstate.Recovered, killStep int) bool { return len(r.Steps) >= killStep }},
 		// Kill at the forward/adjoint boundary under the tiered store, so
-		// the resume rebuilds hot/compressed/spilled placements from
+		// the resume rebuilds hot/compressed/dropped placements from
 		// scratch.
 		{name: "kill-forward-done-tiered", storage: masc.StorageMASC, budget: budget, sleepMs: 1,
 			trigger: func(r *runstate.Recovered, _ int) bool { return r.ForwardDone }},

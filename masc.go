@@ -11,7 +11,7 @@
 // bandwidth-modelled disk spill, MASC's lossless spatiotemporally predicted
 // in-memory compression (best-fit, or with the Markov selector), and — under
 // SimOptions.MemBudgetBytes — a tiered store that places every step on hot
-// RAM, compressed RAM, disk or recompute.
+// RAM, compressed RAM or recompute.
 //
 // Quick start:
 //
@@ -34,7 +34,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 
 	"masc/internal/adjoint"
 	"masc/internal/circuit"
@@ -47,7 +46,6 @@ import (
 	"masc/internal/obs/span"
 	"masc/internal/runstate"
 	"masc/internal/sparse"
-	"masc/internal/tiersched"
 	"masc/internal/transient"
 )
 
@@ -230,14 +228,15 @@ type SimOptions struct {
 	// MemBudgetBytes caps the Jacobian store's modelled resident bytes
 	// ("finish this sweep in 256 MB"). A positive budget replaces the
 	// in-RAM storage strategies (memory, masc, masc+markov) with a
-	// tiered store that places each step across hot RAM → compressed RAM →
-	// disk spill → deliberate drop-and-recompute, scheduled by a cost model
-	// fed with timings measured from the first steps of the run. The selected
-	// strategy still picks the codecs (masc+markov enables the Markov
-	// selector; memory and masc use the default MASC codec). Every tier is
-	// lossless, so sensitivities stay bit-identical to the unlimited-RAM
-	// run for any budget and worker count; the budget only trades memory
-	// for time. DiskDir/DiskBytesPerSec configure the spill rung.
+	// tiered store that places each step on hot RAM, compressed RAM or
+	// deliberate drop-and-recompute: a step that leaves hot RAM is
+	// compressed while the compressed rung has room and dropped after that.
+	// Placement depends only on frame and blob sizes, never on timings, so
+	// identical runs place identically. The selected strategy still picks
+	// the codecs (masc+markov enables the Markov selector; memory and masc
+	// use the default MASC codec). Every tier is lossless, so sensitivities
+	// stay bit-identical to the unlimited-RAM run for any budget and worker
+	// count; the budget only trades memory for time.
 	// 0 (default) disables tiering; StorageRecompute and StorageDisk
 	// ignore the budget (their footprint is already step-count-free).
 	// Async and CollectCodecStats are inert under a budget.
@@ -308,11 +307,6 @@ type runPlan struct {
 	MemBudgetBytes  int64            `json:"mem_budget_bytes"`
 	Objectives      []Objective      `json:"objectives"`
 	Params          []int            `json:"params"` // resolved parameter indices
-
-	// tierModel prices the tiered store's ladder. Nil — always, outside this
-	// package's tests — is the wall-clock model; a test hands in one over a
-	// tiersched.FakeClock so placements are a function of the samples it feeds.
-	tierModel *tiersched.Model
 }
 
 // newRunPlan resolves opt into a concrete plan for ckt; nil params means
@@ -372,12 +366,7 @@ func (plan *runPlan) newStore(ckt *Circuit, collectStats bool) (jactensor.Store,
 	switch {
 	case budgeted:
 		gc, cc := mascPair()
-		return jactensor.NewTieredStore(gc, cc, jactensor.TieredConfig{
-			BudgetBytes:     plan.MemBudgetBytes,
-			DiskDir:         plan.DiskDir,
-			DiskBytesPerSec: plan.DiskBytesPerSec,
-			Model:           plan.tierModel,
-		}), nil
+		return jactensor.NewTieredStore(gc, cc, jactensor.TieredConfig{BudgetBytes: plan.MemBudgetBytes}), nil
 	case storage == StorageMemory:
 		return jactensor.NewMemStore(), nil
 	}
@@ -464,17 +453,6 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 		err := store.Put(step, gv, cv)
 		putting = nil
 		return err
-	}
-	if st, ok := store.(interface{ ObserveStepCost(time.Duration) }); ok {
-		// The solver's per-step wall time is the tiered store's cost-model
-		// recompute-price proxy, sampled from the first steps on.
-		prevCost := topt.StepCost
-		topt.StepCost = func(step int, d time.Duration) {
-			if prevCost != nil {
-				prevCost(step, d)
-			}
-			st.ObserveStepCost(d)
-		}
 	}
 	topt.Obs = opt.Obs
 	topt.SpanParent = rsp.ID()

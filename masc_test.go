@@ -4,8 +4,13 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"masc/internal/obs/span"
+	"masc/internal/workload"
 )
 
 func buildTestCircuit(t testing.TB) (*Circuit, *Builder, Objective) {
@@ -255,7 +260,6 @@ func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 				for _, workers := range []int{0, 2} {
 					opt := base
 					opt.MemBudgetBytes = budget
-					opt.DiskDir = t.TempDir()
 					opt.AdjointWorkers = workers
 					run, err := Simulate(ckt, opt, objs, nil)
 					if err != nil {
@@ -272,8 +276,8 @@ func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 					}
 					// The hard half of the contract: the budget held, up to
 					// the documented in-flight slack (admitted frame, one
-					// blob mid-demotion, spill scratch, the frames the sweep
-					// holds fetched).
+					// blob mid-demotion, which may outgrow its frame, the
+					// frames the sweep holds fetched).
 					if got := run.TensorStats.PeakResident; budget > 0 && got > budget+6*frame {
 						t.Fatalf("%s/%v budget=%d wk=%d: PeakResident %d overran budget (+%d slack)",
 							st, method, budget, workers, got, 6*frame)
@@ -288,6 +292,92 @@ func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSimulateTierCountsCoverEveryStep: a budgeted run reports where every
+// step was placed. Its tier step counts sum to the run's steps, and a budget
+// of half the unbudgeted peak keeps some steps on the compressed rung. The
+// sweep has released every step by the time Simulate reads the store's
+// stats, so counts of the live steps would report none.
+func TestSimulateTierCountsCoverEveryStep(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: StorageMASC}
+	ref, err := Simulate(ckt, opt, []Objective{obj}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.MemBudgetBytes = ref.TensorStats.PeakResident / 2
+	run, err := Simulate(ckt, opt, []Objective{obj}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := run.TensorStats
+	if sum := st.TierHotSteps + st.TierCompressedSteps + st.TierDroppedSteps; sum != st.Steps || st.TierCompressedSteps == 0 {
+		t.Fatalf("tier steps %d hot + %d compressed + %d dropped for %d steps",
+			st.TierHotSteps, st.TierCompressedSteps, st.TierDroppedSteps, st.Steps)
+	}
+}
+
+// TestSimulateTierPlacementReproducible runs one budgeted MOS_T7 simulation
+// twice on the wall clock, under the benchmark's mem_budget shape: a budget
+// of a thirtieth of the raw tensor, which holds three frames and about
+// fifteen self-contained blobs, so every rung is used. (A seventh of what
+// StorageMASC stores is less than one frame at this scale: every step would
+// be dropped.) Placement depends on frame and blob sizes alone, so
+// the two runs place every step on the same rung in the same order, store
+// the same bytes, peak at the same resident bytes and recompute the same
+// steps.
+func TestSimulateTierPlacementReproducible(t *testing.T) {
+	ds, err := workload.Build("MOS_T7", 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := SimOptions{Transient: ds.Tran, Storage: StorageMASC}
+	ref, err := Simulate(ds.Ckt, opt, ds.Objectives, ds.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.MemBudgetBytes = ref.TensorStats.RawBytes / 30
+	type decision struct{ step, tier int64 }
+	run := func() (*Run, []decision) {
+		var mu sync.Mutex
+		var placed []decision
+		rec := NewSpanRecorder(0)
+		rec.SetSink(func(r *span.Record) {
+			if r.Kind != span.TierDecision {
+				return
+			}
+			for _, a := range r.AttrList() {
+				if a.Key == "tier" {
+					mu.Lock()
+					placed = append(placed, decision{int64(r.Step), a.Val})
+					mu.Unlock()
+				}
+			}
+		})
+		o := opt
+		o.Obs = &Observer{Spans: rec}
+		run, err := Simulate(ds.Ckt, o, ds.Objectives, ds.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run, placed
+	}
+	a, placedA := run()
+	b, placedB := run()
+	if len(placedA) == 0 || !slices.Equal(placedA, placedB) {
+		t.Fatalf("%d placements, then %d, or a step placed differently", len(placedA), len(placedB))
+	}
+	sa, sb := a.TensorStats, b.TensorStats
+	if sa.TierHotSteps == 0 || sa.TierCompressedSteps == 0 || sa.TierDroppedSteps == 0 {
+		t.Fatalf("the budget does not use every rung: %+v", sa)
+	}
+	t.Logf("%d placements; %d hot, %d compressed, %d dropped steps; stored %d B, peak %d B, %d recomputes",
+		len(placedA), sa.TierHotSteps, sa.TierCompressedSteps, sa.TierDroppedSteps, sa.StoredBytes, sa.PeakResident, sa.TierRecomputes)
+	if sa.StoredBytes != sb.StoredBytes || sa.PeakResident != sb.PeakResident || sa.TierRecomputes != sb.TierRecomputes {
+		t.Fatalf("stored %d then %d B, peak %d then %d B, %d then %d recomputes",
+			sa.StoredBytes, sb.StoredBytes, sa.PeakResident, sb.PeakResident, sa.TierRecomputes, sb.TierRecomputes)
 	}
 }
 

@@ -110,7 +110,7 @@ func TestSimulateSpanTree(t *testing.T) {
 
 // TestSimulateSpanTreeTiered checks that the tiered store's demote /
 // promote / tier-decision spans land in the same causal tree when a
-// memory budget forces spills.
+// memory budget forces demotions.
 func TestSimulateSpanTreeTiered(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	ob := &Observer{Spans: NewSpanRecorder(0)}
@@ -118,7 +118,6 @@ func TestSimulateSpanTreeTiered(t *testing.T) {
 		Transient:      TransientOptions{TStep: 2e-6, TStop: 4e-4},
 		Storage:        StorageMASC,
 		MemBudgetBytes: 4 << 10,
-		DiskDir:        t.TempDir(),
 		Obs:            ob,
 	}, []Objective{obj}, nil)
 	if err != nil {
