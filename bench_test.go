@@ -92,7 +92,7 @@ func BenchmarkFig7(b *testing.B) {
 		b.Fatal(err)
 	}
 	node := ds.Objectives[0]
-	for _, storage := range []Storage{StorageRecompute, StorageDisk, StorageMASCMarkov} {
+	for _, storage := range []Storage{StorageRecompute, StorageDisk, StorageMASC} {
 		storage := storage
 		b.Run(string(storage), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -5,7 +5,7 @@
 //	masc -netlist lowpass.sp -storage masc -workers 4
 //
 // The storage flag selects the Jacobian strategy the paper compares:
-// recompute (Xyce-style), memory, disk, masc (best-fit) and masc+markov.
+// recompute (Xyce-style), memory, disk and masc (Markov-selector MASC).
 //
 // Stopping: the run has one context. The first SIGINT/SIGTERM cancels it and
 // -deadline bounds it; either way the forward loop stops at the next step
@@ -67,7 +67,7 @@ type cli struct {
 func main() {
 	var c cli
 	flag.StringVar(&c.path, "netlist", "", "netlist file (required)")
-	flag.StringVar(&c.storage, "storage", "masc", "jacobian storage: recompute|memory|disk|masc|masc+markov")
+	flag.StringVar(&c.storage, "storage", "masc", "jacobian storage: recompute|memory|disk|masc")
 	flag.IntVar(&c.workers, "workers", 1, "parallel compressor workers")
 	flag.IntVar(&c.adjWorkers, "adjoint-workers", 1, "reverse-sweep workers (shards dF/dp + overlaps fetches; results are bit-identical for any count)")
 	flag.BoolVar(&c.async, "async", false, "pipeline MASC compression on a background worker (overlaps with the solve)")
@@ -266,7 +266,7 @@ func run(c cli) error {
 				st.TierDemotions, st.TierDirectDrops, st.TierPromotions, st.TierRecomputes)
 		}
 		// Async is inert under a budget: the tiered store compresses inside Put.
-		if c.async && st.BudgetBytes == 0 && (run.Storage == masc.StorageMASC || run.Storage == masc.StorageMASCMarkov) {
+		if c.async && st.BudgetBytes == 0 && run.Storage == masc.StorageMASC {
 			fmt.Printf("pipeline: compress %v moved off the solver thread, %v leaked back as Put stalls\n",
 				st.CompressTime, st.StallTime)
 		}

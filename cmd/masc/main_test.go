@@ -40,7 +40,7 @@ func runOutput(t *testing.T, c cli) (string, error) {
 
 // TestPipelineLineOnlyWhereAsyncRuns: the CLI reports compression moved off
 // the solver thread only for a compressed store that has a worker — an -async
-// masc or masc+markov run with no budget. Under -mem-budget Async is inert
+// masc run with no budget. Under -mem-budget Async is inert
 // (the tiered store compresses inside Put), so the line would report a
 // pipeline that does not exist.
 func TestPipelineLineOnlyWhereAsyncRuns(t *testing.T) {
@@ -52,9 +52,7 @@ func TestPipelineLineOnlyWhereAsyncRuns(t *testing.T) {
 		want    bool
 	}{
 		{"masc-async", "masc", true, 0, true},
-		{"markov-async", "masc+markov", true, 0, true},
 		{"masc-async-budget", "masc", true, 4 << 10, false},
-		{"markov-async-budget", "masc+markov", true, 8 << 10, false},
 		{"masc-sync", "masc", false, 0, false},
 		{"memory-async", "memory", true, 0, false},
 	} {
@@ -74,15 +72,20 @@ func TestPipelineLineOnlyWhereAsyncRuns(t *testing.T) {
 	}
 }
 
-// TestRetiredStorageNameFails: "auto" is not a storage; the run fails by that
-// name instead of picking a codec.
+// TestRetiredStorageNameFails: "auto" and "masc+markov" are not storages
+// (masc codes with the Markov selector); the run fails by the name instead of
+// picking a codec.
 func TestRetiredStorageNameFails(t *testing.T) {
-	out, err := runOutput(t, cli{path: lowpass, storage: "auto", workers: 1, adjWorkers: 1, depth: 2, top: 1})
-	if err == nil || !strings.Contains(err.Error(), `"auto"`) {
-		t.Fatalf("storage %q: %v, want an error naming it", "auto", err)
-	}
-	if strings.Contains(out, "dO/d(") {
-		t.Fatalf("storage %q printed sensitivities:\n%s", "auto", out)
+	for _, name := range []string{"auto", "masc+markov"} {
+		t.Run(name, func(t *testing.T) {
+			out, err := runOutput(t, cli{path: lowpass, storage: name, workers: 1, adjWorkers: 1, depth: 2, top: 1})
+			if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+				t.Fatalf("storage %q: %v, want an error naming it", name, err)
+			}
+			if strings.Contains(out, "dO/d(") {
+				t.Fatalf("storage %q printed sensitivities:\n%s", name, out)
+			}
+		})
 	}
 }
 

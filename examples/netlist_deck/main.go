@@ -36,7 +36,7 @@ func main() {
 
 	run, err := masc.Simulate(d.Ckt, masc.SimOptions{
 		Transient: masc.TransientOptions{TStep: d.Tran.TStep, TStop: d.Tran.TStop},
-		Storage:   masc.StorageMASCMarkov,
+		Storage:   masc.StorageMASC,
 	}, d.Objectives, nil)
 	if err != nil {
 		log.Fatal(err)

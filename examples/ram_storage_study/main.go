@@ -60,7 +60,7 @@ func main() {
 	}
 	strategies := []masc.Storage{
 		masc.StorageRecompute, masc.StorageMemory,
-		masc.StorageDisk, masc.StorageMASC, masc.StorageMASCMarkov,
+		masc.StorageDisk, masc.StorageMASC,
 	}
 	var ref []float64
 	fmt.Printf("%-14s %10s %14s %14s %8s\n", "storage", "time", "stored", "peak-resident", "CR")

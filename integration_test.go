@@ -13,7 +13,7 @@ import (
 
 func TestIntegrationMatrix(t *testing.T) {
 	workloads := []string{"add20", "MOS_T5", "CHIP_01", "RC_02", "ram2k"}
-	storages := []Storage{StorageRecompute, StorageMemory, StorageDisk, StorageMASC, StorageMASCMarkov}
+	storages := []Storage{StorageRecompute, StorageMemory, StorageDisk, StorageMASC}
 	methods := []Method{MethodBE, MethodTrap}
 	for _, name := range workloads {
 		name := name

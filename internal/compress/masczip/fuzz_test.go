@@ -22,9 +22,20 @@ func FuzzDecompress(f *testing.F) {
 	f.Add(c.Compress(nil, cur, ref))
 	cm := New(p, Options{Markov: true, CalibEvery: 1, Workers: 2})
 	f.Add(cm.Compress(nil, cur, ref))
+	// Markov blobs between calibrations: one where every value moves, which
+	// carries its table, and one whose one miss does not pay for a table,
+	// written in the calibration form.
+	ct := New(p, Options{Markov: true})
+	ct.Compress(nil, ref, cur)
+	f.Add(ct.Compress(nil, cur, ref))
+	fm := fewMissFrames(rand.New(rand.NewSource(3)), p, 2)
+	cf := New(p, Options{Markov: true})
+	cf.Compress(nil, fm[0], nil)
+	f.Add(cf.Compress(nil, fm[1], fm[0]))
 	// Run-heavy seeds: blobs dominated by long '1'-bit hit runs and
 	// window-shared residual streaks, steering the fuzzer at the batched
-	// run-counting and bulk-copy decode paths.
+	// run-counting and bulk-copy decode paths (the Markov one too few misses
+	// for a table).
 	rf := runHeavyFrames(rng, p, 4)
 	cr := New(p, Options{})
 	f.Add(cr.Compress(nil, rf[1], rf[2]))

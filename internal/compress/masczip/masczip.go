@@ -17,7 +17,9 @@ import (
 type Options struct {
 	// Markov enables the Markov model-selection mode: most matrices carry
 	// no per-element selector bits; every CalibEvery-th matrix runs
-	// best-fit selection and refreshes the transition statistics.
+	// best-fit selection and refreshes the transition statistics. A matrix
+	// whose table would save fewer selector bits than the table's own 24 is
+	// coded best-fit too, without the table.
 	Markov bool
 	// CalibEvery is the calibration period in Markov mode (default 16).
 	CalibEvery int
@@ -274,8 +276,10 @@ func (c *Compressor) Stats() Stats { return c.stats }
 // ResetStats clears the accumulated statistics.
 func (c *Compressor) ResetStats() { c.stats = Stats{} }
 
-// The header is one flags byte. flagCalib marks a calibration blob (best-fit
-// selectors, no Markov tables); flagMateHit and flagStampHit are the
+// The header is one flags byte. flagCalib marks a blob in the calibration
+// form (best-fit selectors, no Markov tables): every blob of a best-fit
+// compressor, and a Markov compressor's calibration blobs and the blobs its
+// table would not pay for; flagMateHit and flagStampHit are the
 // encoder's per-blob choice of region L's and region D's hit predictor
 // (clear = temporal); flagVolt says the temporal candidate interpolates in
 // the branch voltage (voltage.go), not in time; flagOneChunk says the blob is
@@ -400,14 +404,16 @@ func voltFrames(nhist int, states [][]float64) int {
 // the sampled moving elements (the lowest on a tie, so 0 when nothing was
 // sampled), and then the voltage family at the order that leaves fewer still
 // on the voltage subset of the sample, if there is one and it holds
-// voltEvidence elements.
-func (c *Compressor) prePass(nchunks int) {
+// voltEvidence elements. For a blob that would carry a Markov table (c.calib
+// clear) it returns the selector bits the table would save under the hit
+// predictors it chose (markovCounts.selectorBits); 0 for any other blob.
+func (c *Compressor) prePass(nchunks int) (selBits int) {
 	c.mateHit, c.stampHit, c.order, c.volt = false, false, 0, false
 	if sameBits(c.cur, c.ref) {
-		return // nothing to choose; a frame that is its reference again (a linear circuit's) is all temporal hits
+		return 0 // nothing to choose; a frame that is its reference again (a linear circuit's) is all temporal hits
 	}
-	if c.opt.DisableStamp && c.nhist < 2 && c.states == nil {
-		return
+	if c.opt.DisableStamp && c.nhist < 2 && c.states == nil && c.calib {
+		return 0
 	}
 	if len(c.stamp) != len(c.plan.dSlots) {
 		c.stamp = make([]float64, len(c.plan.dSlots))
@@ -420,6 +426,11 @@ func (c *Compressor) prePass(nchunks int) {
 		n.dTemporal += h.dTemporal
 		n.dStamp += h.dStamp
 		n.sampled += h.sampled
+		n.uSel.merge(h.uSel)
+		n.lSel.merge(h.lSel)
+		n.lMateSel.merge(h.lMateSel)
+		n.dSel.merge(h.dSel)
+		n.dStampSel.merge(h.dStampSel)
 		for o := range n.orderBits {
 			n.orderBits[o] += h.orderBits[o]
 			n.subsetBits[o] += h.subsetBits[o]
@@ -429,13 +440,23 @@ func (c *Compressor) prePass(nchunks int) {
 	if !c.opt.DisableStamp {
 		c.mateHit, c.stampHit = n.lMate > n.lTemporal, n.dStamp > n.dTemporal
 	}
+	if !c.calib {
+		l, d := n.lSel, n.dSel
+		if c.mateHit {
+			l = n.lMateSel
+		}
+		if c.stampHit {
+			d = n.dStampSel
+		}
+		selBits = c.cnt.selectorBits([3]selRun{n.uSel, l, d})
+	}
 	for o := 1; o < c.nhist; o++ {
 		if n.orderBits[o] < n.orderBits[c.order] {
 			c.order = o
 		}
 	}
 	if n.sampled < voltEvidence {
-		return
+		return selBits
 	}
 	best := n.subsetBits[c.order]
 	for o := 0; o < voltFrames(c.nhist, c.states); o++ {
@@ -443,6 +464,7 @@ func (c *Compressor) prePass(nchunks int) {
 			c.order, c.volt, best = o, true, n.voltBits[o]
 		}
 	}
+	return selBits
 }
 
 func sameBits(a, b []float64) bool {
@@ -499,7 +521,12 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist compress.Hi
 		sp = c.spanRec.Start(c.spanParent, span.Encode, -1)
 	}
 	base := len(dst)
-	calib := !c.opt.Markov || c.seq%c.opt.CalibEvery == 0
+	// A calibration blob codes best-fit and feeds the counts the tables come
+	// from. Any other Markov blob carries its table only where the table pays
+	// for itself: where its misses would write fewer selector bits than the
+	// table takes, it too codes best-fit, in the calibration form, whose flag
+	// tells the decoder; its choices do not feed the counts.
+	refresh := !c.opt.Markov || c.seq%c.opt.CalibEvery == 0
 	c.seq++
 
 	if c.encBounds == nil {
@@ -509,8 +536,10 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist compress.Hi
 	nchunks := len(bounds) - 1
 
 	c.ensureChunks(nchunks)
-	c.cur, c.ref, c.far, c.nhist, c.states, c.calib, c.curBounds = cur, ref, far, nhist, states, calib, bounds
-	c.prePass(nchunks)
+	c.cur, c.ref, c.far, c.nhist, c.states, c.calib, c.curBounds = cur, ref, far, nhist, states, refresh, bounds
+	selBits := c.prePass(nchunks)
+	calib := refresh || selBits < tableBits
+	c.calib = calib
 
 	dst = append(dst, byte(boolInt(calib)*flagCalib|boolInt(c.mateHit)*flagMateHit|
 		boolInt(c.stampHit)*flagStampHit|boolInt(c.volt)*flagVolt|
@@ -531,7 +560,7 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist compress.Hi
 		dst = append(dst, tb[:]...)
 	}
 
-	if calib {
+	if refresh {
 		for i := 0; i < nchunks; i++ {
 			c.counts[i] = markovCounts{}
 		}
@@ -543,7 +572,7 @@ func (c *Compressor) CompressHistory(dst []byte, cur []float64, hist compress.Hi
 	}
 	workpool.Do(nchunks, c.encFn)
 	c.cur, c.ref, c.far, c.states = nil, nil, nil, nil
-	if calib {
+	if refresh {
 		for i := 0; i < nchunks; i++ {
 			c.cnt.merge(&c.counts[i])
 		}
@@ -969,49 +998,83 @@ func (cc *chunkCoder) spatialD(k int32, out *[4]float64) (fallback uint8) {
 
 // hitCounts is what the encoder's pre-pass finds in one chunk: how many of
 // region L's and region D's elements each candidate hit predictor reproduces
-// bit for bit, and what symbol 0 would leave to code in each family at each
-// order — significant residual bits over the sampled misses.
+// bit for bit, what symbol 0 would leave to code in each family at each
+// order — significant residual bits over the sampled misses — and, in a blob
+// that would carry a Markov table, what the table would save.
 type hitCounts struct {
 	lTemporal, lMate, dTemporal, dStamp int
 	orderBits                           [MaxOrder + 1]int64 // time, over the sample
 	sampled                             int                 // the sample's voltage subset: its elements,
 	subsetBits, voltBits                [MaxOrder + 1]int64 // and what time and the voltage leave on them
+	// The misses an explicit-form blob writes a selector for (selRun), under
+	// each hit predictor: U's temporal, L's temporal and mate, D's temporal
+	// and stamp.
+	uSel, lSel, lMateSel, dSel, dStampSel selRun
 }
+
+// selRun counts, along one region's slots, the misses, and of them the first
+// missRun of each run of misses: those carry a selector in an explicit-form
+// blob whatever their symbols, the rest only where the symbol changes, the
+// run's count covering the others.
+type selRun struct{ run, miss, sel int }
+
+func (s *selRun) add(hit bool) {
+	if hit {
+		s.run = 0
+		return
+	}
+	s.miss++
+	if s.run++; s.run <= missRun {
+		s.sel++
+	}
+}
+
+func (s *selRun) merge(o selRun) { s.miss, s.sel = s.miss+o.miss, s.sel+o.sel }
 
 // countHits is the pre-pass over this chunk. It first fills cc.stamp, which
 // the voltage family's sample, the region-D scan and candsD then read instead
-// of summing rows again.
+// of summing rows again. The selectors are counted only in a blob that would
+// carry a Markov table (calib clear): they are needed only to price it.
 func (cc *chunkCoder) countHits() hitCounts {
 	pl := cc.plan
 	cur, ref := cc.cur, cc.ref
 	var n hitCounts
 	dLo, dHi := pl.dRowPtr[cc.rowLo], pl.dRowPtr[cc.rowHi]
-	if !cc.opt.DisableStamp || cc.nvolt > 0 {
+	stamp, price := !cc.opt.DisableStamp, !cc.calib
+	if stamp || cc.nvolt > 0 {
 		for k := dLo; k < dHi; k++ {
 			cc.stamp[k] = cc.stampD(k)
 		}
 	}
 	cc.sampleOrders(&n)
-	if cc.opt.DisableStamp {
+	if !stamp && !price {
 		return n
+	}
+	if price {
+		for _, slot := range pl.uSlots[pl.uRowPtr[cc.rowLo]:pl.uRowPtr[cc.rowHi]] {
+			n.uSel.add(math.Float64bits(cur[slot]) == math.Float64bits(ref[slot]))
+		}
 	}
 	for _, slot := range pl.lSlots[pl.lRowPtr[cc.rowLo]:pl.lRowPtr[cc.rowHi]] {
 		v := math.Float64bits(cur[slot])
-		if v == math.Float64bits(ref[slot]) {
-			n.lTemporal++
-		}
-		if v == math.Float64bits(cc.mate(slot)) {
-			n.lMate++
+		temporal := v == math.Float64bits(ref[slot])
+		mate := stamp && v == math.Float64bits(cc.mate(slot))
+		n.lTemporal += int(boolInt(temporal))
+		n.lMate += int(boolInt(mate))
+		if price {
+			n.lSel.add(temporal)
+			n.lMateSel.add(mate)
 		}
 	}
 	for k := dLo; k < dHi; k++ {
-		st := cc.stamp[k]
 		v := math.Float64bits(cur[pl.dSlots[k]])
-		if v == math.Float64bits(ref[pl.dSlots[k]]) {
-			n.dTemporal++
-		}
-		if v == math.Float64bits(st) {
-			n.dStamp++
+		temporal := v == math.Float64bits(ref[pl.dSlots[k]])
+		st := stamp && v == math.Float64bits(cc.stamp[k])
+		n.dTemporal += int(boolInt(temporal))
+		n.dStamp += int(boolInt(st))
+		if price {
+			n.dSel.add(temporal)
+			n.dStampSel.add(st)
 		}
 	}
 	return n

@@ -307,6 +307,69 @@ func TestMarkovSmallerThanBestFitOnStableData(t *testing.T) {
 	}
 }
 
+// fewMissFrames is a chain in which each frame is the one before it with
+// i % 2 of its values moved: every blob coded against its predecessor has no
+// miss or one.
+func fewMissFrames(rng *rand.Rand, p *sparse.Pattern, steps int) [][]float64 {
+	frames := [][]float64{mnaValues(rng, p, 0.01)}
+	for i := 1; i < steps; i++ {
+		next := append([]float64(nil), frames[i-1]...)
+		if i%2 == 1 {
+			k := rng.Intn(len(next))
+			next[k] *= 1 + 1e-6
+		}
+		frames = append(frames, next)
+	}
+	return frames
+}
+
+// TestFewMissesOmitTheTable: a Markov blob whose misses would write fewer
+// selector bits than its table costs is written in the calibration form, best
+// fit and table-less — the very blob a best-fit compressor writes — and
+// decodes bit for bit; only the calibration blobs feed the tables' counts.
+func TestFewMissesOmitTheTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	p := mnaPattern(rng, 40, 60)
+	frames := fewMissFrames(rng, p, 12)
+	mk := New(p, Options{Markov: true, CalibEvery: 4})
+	bf := New(p, Options{})
+	var ref []float64
+	var calibrated markovCounts
+	for i, cur := range frames {
+		blob := roundTrip(t, mk, cur, ref)
+		if want := bf.Compress(nil, cur, ref); string(blob) != string(want) {
+			t.Fatalf("frame %d: Markov blob %d B, best-fit %d B: not the same blob", i, len(blob), len(want))
+		}
+		if blob[0]&flagCalib == 0 {
+			t.Fatalf("frame %d (%d B) carries a table", i, len(blob))
+		}
+		if i%4 == 0 {
+			calibrated = mk.cnt
+		} else if mk.cnt != calibrated {
+			t.Fatalf("frame %d, between calibrations, moved the counts:\n%+v\nafter the calibration %+v", i, mk.cnt, calibrated)
+		}
+		ref = cur
+	}
+}
+
+// TestManyMissesKeepTheTable: where every value moves, the selectors the table
+// saves outweigh it, so every blob between calibrations carries one.
+func TestManyMissesKeepTheTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	p := mnaPattern(rng, 200, 300)
+	base := mnaValues(rng, p, 0.0)
+	c := New(p, Options{Markov: true, CalibEvery: 8})
+	ref := base
+	for i := 0; i < 16; i++ {
+		cur := evolve(rng, base, 1e-12)
+		blob := roundTrip(t, c, cur, ref)
+		if got, want := blob[0]&flagCalib != 0, i%8 == 0; got != want {
+			t.Fatalf("blob %d: calibration form %v, want %v", i, got, want)
+		}
+		ref = cur
+	}
+}
+
 func TestStatsCollected(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	p := mnaPattern(rng, 80, 150)

@@ -157,9 +157,46 @@ func (m *markovCounts) merge(o *markovCounts) {
 	}
 }
 
-// markovTables is the frozen argmax policy derived from counts; 18 bits
-// are stored in every Markov-mode blob so the decoder (which runs in
-// reverse order) needs no encoder-side state.
+// selectorBits estimates what an explicit-form coding of a blob spends on
+// selectors, which is what a Markov table would save it: selLen bits for
+// each region's misses that open a run of misses or are among its first
+// missRun (sel), and for each further miss that changes symbol, the run's
+// count covering the rest. A miss keeps its symbol as often as the
+// calibration decisions m counts kept theirs; always, in a region with none.
+func (m *markovCounts) selectorBits(runs [3]selRun) int {
+	var keep, all [3]uint64
+	tally := func(rg region, prev int, row []uint32) {
+		for sym, n := range row {
+			all[rg] += uint64(n)
+			if sym == prev {
+				keep[rg] += uint64(n)
+			}
+		}
+	}
+	for i := range m.u {
+		tally(regionU, i, m.u[i][:])
+	}
+	for i := range m.l {
+		tally(regionL, i, m.l[i][:])
+	}
+	for i := range m.d {
+		tally(regionD, i, m.d[i][:])
+	}
+	bits := 0
+	for rg, r := range runs {
+		n := uint64(r.sel)
+		if all[rg] > 0 {
+			n += uint64(r.miss-r.sel) * (all[rg] - keep[rg]) / all[rg]
+		}
+		bits += [3]int{2, 2, 1}[rg] * int(n) // regions()'s selLen
+	}
+	return bits
+}
+
+// markovTables is the frozen argmax policy derived from counts; its 18 bits,
+// packed in tableBits, travel in every blob that codes its misses without
+// selectors, so the decoder (which runs in reverse order) needs no
+// encoder-side state.
 type markovTables struct {
 	u [uSyms]uint8
 	l [lSyms]uint8
@@ -190,6 +227,9 @@ func (m *markovCounts) tables() markovTables {
 	}
 	return t
 }
+
+// tableBits is what the packed policy costs a blob.
+const tableBits = 24
 
 // pack/unpack move the 18-bit policy through a byte header.
 func (t *markovTables) pack() [3]byte {

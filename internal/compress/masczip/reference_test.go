@@ -311,16 +311,44 @@ func (rc *refCoder) count() hitCounts {
 			}
 		}
 	}
-	for k := pl.lRowPtr[rc.rowLo]; k < pl.lRowPtr[rc.rowHi]; k++ {
-		s := pl.lSlots[k]
-		n.lTemporal += same(rc.cur[s], rc.ref[s])
-		n.lMate += same(rc.cur[s], rc.mateOf(s))
+	// sel counts the misses of one hit predictor along a region, and those
+	// that open a run of misses or are among its first three.
+	sel := func(slots []int32, lo, hi int32, pred func(k int32) float64) selRun {
+		var n selRun
+		run := 0
+		for k := lo; k < hi; k++ {
+			if same(rc.cur[slots[k]], pred(k)) == 1 {
+				run = 0
+				continue
+			}
+			n.miss++
+			if run++; run <= 3 {
+				n.sel++
+			}
+		}
+		return n
 	}
-	for k := pl.dRowPtr[rc.rowLo]; k < pl.dRowPtr[rc.rowHi]; k++ {
-		s := pl.dSlots[k]
-		n.dTemporal += same(rc.cur[s], rc.ref[s])
-		n.dStamp += same(rc.cur[s], rc.stampOf(rc.chunkCoder, k))
+	temporal := func(slots []int32) func(int32) float64 {
+		return func(k int32) float64 { return rc.ref[slots[k]] }
 	}
+	uLo, uHi := pl.uRowPtr[rc.rowLo], pl.uRowPtr[rc.rowHi]
+	lLo, lHi := pl.lRowPtr[rc.rowLo], pl.lRowPtr[rc.rowHi]
+	dLo, dHi := pl.dRowPtr[rc.rowLo], pl.dRowPtr[rc.rowHi]
+	mate := func(k int32) float64 { return rc.mateOf(pl.lSlots[k]) }
+	stamp := func(k int32) float64 { return rc.stampOf(rc.chunkCoder, k) }
+	for k := lLo; k < lHi; k++ {
+		n.lTemporal += same(rc.cur[pl.lSlots[k]], temporal(pl.lSlots)(k))
+		n.lMate += same(rc.cur[pl.lSlots[k]], mate(k))
+	}
+	for k := dLo; k < dHi; k++ {
+		n.dTemporal += same(rc.cur[pl.dSlots[k]], temporal(pl.dSlots)(k))
+		n.dStamp += same(rc.cur[pl.dSlots[k]], stamp(k))
+	}
+	n.uSel = sel(pl.uSlots, uLo, uHi, temporal(pl.uSlots))
+	n.lSel = sel(pl.lSlots, lLo, lHi, temporal(pl.lSlots))
+	n.lMateSel = sel(pl.lSlots, lLo, lHi, mate)
+	n.dSel = sel(pl.dSlots, dLo, dHi, temporal(pl.dSlots))
+	n.dStampSel = sel(pl.dSlots, dLo, dHi, stamp)
 	return n
 }
 

@@ -223,7 +223,7 @@ func runPlacement(t *testing.T, budget int64, markov, interleaved, noPrefetch bo
 // TestTieredPlacementProperties is the property suite of admission-time
 // placement: across frame sizes, budgets (unlimited, fractions of the
 // compressed size, a tiny one, MASC_MEM_BUDGET's), the codec's selector
-// (best fit or Markov, the one masc+markov runs under a budget), fetch
+// (best fit or Markov, the one masc runs under a budget), fetch
 // orders and prefetch on/off —
 //
 //   - every fetched step is bit-equal to what a MemStore returns;

@@ -25,7 +25,8 @@ type Options struct {
 	// fault-free baseline).
 	AdjointWorkers int
 	// MemBudgetBytes, when > 0, overrides the budget of the tiered-store
-	// chaos scenarios (masc-verify -mem-budget). Scenarios without a budget
+	// chaos scenarios and of VerifyCase's budgeted run (masc-verify
+	// -mem-budget). Scenarios without a budget
 	// (plain memory/disk/masc runs) are unaffected, so the fault surface of
 	// the untiered stores stays covered. The fault-free baseline shares the
 	// same budget, keeping the bit-compare meaningful.
@@ -175,7 +176,7 @@ func objValue(tr *masc.TransientResult, o masc.Objective) float64 {
 
 // simulate rebuilds the case from scratch and runs the full pipeline under
 // one storage configuration.
-func simulate(c *Case, o Options, storage masc.Storage, async bool) (*masc.Run, *Built, error) {
+func simulate(c *Case, o Options, storage masc.Storage, async bool, budget int64) (*masc.Run, *Built, error) {
 	bt, err := c.Build()
 	if err != nil {
 		return nil, nil, err
@@ -185,9 +186,10 @@ func simulate(c *Case, o Options, storage masc.Storage, async bool) (*masc.Run, 
 	opt.Workers = o.Workers
 	opt.Async = async
 	opt.PipelineDepth = o.PipelineDepth
+	opt.MemBudgetBytes = budget
 	run, err := masc.Simulate(bt.Ckt, opt, bt.Objectives, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s storage=%s async=%v: %w", c.Name(), storage, async, err)
+		return nil, nil, fmt.Errorf("%s storage=%s async=%v budget=%d: %w", c.Name(), storage, async, budget, err)
 	}
 	return run, bt, nil
 }
@@ -216,16 +218,16 @@ func compareDOdp(r *CaseReport, label string, want, got [][]float64) {
 
 // VerifyCase runs the full differential matrix on one case:
 //
-//  1. the pipeline four ways — dense in-RAM oracle, recompute, sync
-//     compressed, async compressed — with bit-identical sensitivities
-//     required across all four;
-//  2. the Markov-selector storage sync, async and under a memory budget,
-//     each bit-identical to the dense oracle, with async storing exactly
-//     sync's bytes;
-//  3. a store-level sweep over one shared forward run, requiring
+//  1. the pipeline five ways — dense in-RAM oracle, recompute, and the
+//     compressed store sync, async and under a memory budget — with
+//     bit-identical sensitivities required across all five and async
+//     storing exactly sync's bytes. The Markov selector's counts carry
+//     state from blob to blob, so a lost or reordered Put, or a tiered blob
+//     that fails to restart them, surfaces here as a bit mismatch;
+//  2. a store-level sweep over one shared forward run, requiring
 //     bit-identical Jacobian fetches from dense, sync and async stores;
-//  4. the direct (forward) sensitivity method within DirectTol;
-//  5. central finite differences with Richardson extrapolation on a
+//  3. the direct (forward) sensitivity method within DirectTol;
+//  4. central finite differences with Richardson extrapolation on a
 //     parameter subset within FDTol.
 //
 // The returned error reports infrastructure failure (the case could not be
@@ -235,7 +237,7 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 	opt = opt.withDefaults()
 	rep := &CaseReport{Case: c}
 
-	dense, bt, err := simulate(c, opt, masc.StorageMemory, false)
+	dense, bt, err := simulate(c, opt, masc.StorageMemory, false, 0)
 	if err != nil {
 		return rep, err
 	}
@@ -243,14 +245,14 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 	rep.Unknowns = bt.Ckt.N
 	rep.Params = len(bt.Ckt.Params())
 
-	recomp, _, err := simulate(c, opt, masc.StorageRecompute, false)
+	recomp, _, err := simulate(c, opt, masc.StorageRecompute, false, 0)
 	if err != nil {
 		rep.failf("recompute run: %v", err)
 	} else {
 		compareDOdp(rep, "recompute vs dense", dense.Sens.DOdp, recomp.Sens.DOdp)
 	}
 
-	sync, _, err := simulate(c, opt, masc.StorageMASC, false)
+	sync, _, err := simulate(c, opt, masc.StorageMASC, false, 0)
 	if err != nil {
 		rep.failf("sync compressed run: %v", err)
 	} else {
@@ -260,7 +262,7 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 		}
 	}
 
-	async, _, err := simulate(c, opt, masc.StorageMASC, true)
+	async, _, err := simulate(c, opt, masc.StorageMASC, true, 0)
 	if err != nil {
 		rep.failf("async compressed run: %v", err)
 	} else {
@@ -276,60 +278,24 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 		}
 	}
 
-	verifyMarkov(c, opt, rep, dense)
-	verifyStores(c, opt, rep)
-	verifyDirect(c, opt, rep, dense)
-	if opt.FDChecks > 0 {
-		verifyFD(c, opt, rep, dense)
-	}
-	return rep, nil
-}
-
-// verifyMarkov runs the Markov-selector storage through every execution mode —
-// sync, async, and a tiered memory budget — and requires bit-identical
-// sensitivities against the dense oracle for all of them. The selector's
-// counts carry state from blob to blob, so a lost or reordered Put, or a
-// tiered blob that fails to restart them, surfaces here as a bit mismatch;
-// and async must store exactly the bytes sync does.
-func verifyMarkov(c *Case, opt Options, rep *CaseReport, dense *masc.Run) {
-	runMode := func(label string, mutate func(*masc.SimOptions)) *masc.Run {
-		bt, err := c.Build()
-		if err != nil {
-			rep.failf("markov %s rebuild: %v", label, err)
-			return nil
-		}
-		so := bt.SimBase
-		so.Storage = masc.StorageMASCMarkov
-		so.Workers = opt.Workers
-		so.PipelineDepth = opt.PipelineDepth
-		mutate(&so)
-		run, err := masc.Simulate(bt.Ckt, so, bt.Objectives, nil)
-		if err != nil {
-			rep.failf("markov %s run: %v", label, err)
-			return nil
-		}
-		compareDOdp(rep, "markov-"+label+" vs dense", dense.Sens.DOdp, run.Sens.DOdp)
-		return run
-	}
-
-	sync := runMode("sync", func(*masc.SimOptions) {})
-	if sync != nil && sync.TensorStats.Steps != dense.TensorStats.Steps {
-		rep.failf("markov-sync store steps %d vs dense %d",
-			sync.TensorStats.Steps, dense.TensorStats.Steps)
-	}
-	async := runMode("async", func(so *masc.SimOptions) { so.Async = true })
-	if sync != nil && async != nil && async.TensorStats.StoredBytes != sync.TensorStats.StoredBytes {
-		rep.failf("markov-async stored %d bytes vs sync %d: pipelines diverged",
-			async.TensorStats.StoredBytes, sync.TensorStats.StoredBytes)
-	}
-
 	budget := opt.MemBudgetBytes
 	if budget <= 0 {
 		// Tight enough to force demotions on every verification case while
 		// leaving the hot tier usable.
 		budget = 1 << 20
 	}
-	runMode("budget", func(so *masc.SimOptions) { so.MemBudgetBytes = budget })
+	if tiered, _, err := simulate(c, opt, masc.StorageMASC, false, budget); err != nil {
+		rep.failf("budgeted compressed run: %v", err)
+	} else {
+		compareDOdp(rep, "budget-masc vs dense", dense.Sens.DOdp, tiered.Sens.DOdp)
+	}
+
+	verifyStores(c, opt, rep)
+	verifyDirect(c, opt, rep, dense)
+	if opt.FDChecks > 0 {
+		verifyFD(c, opt, rep, dense)
+	}
+	return rep, nil
 }
 
 // verifyStores runs ONE forward integration captured into three stores at

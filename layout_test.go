@@ -97,7 +97,7 @@ func TestTensorStatsCountTheStoredPair(t *testing.T) {
 			storage Storage
 			budget  int64
 		}{
-			{StorageMemory, 0}, {StorageDisk, 0}, {StorageMASC, 0}, {StorageMASCMarkov, 0},
+			{StorageMemory, 0}, {StorageDisk, 0}, {StorageMASC, 0},
 			{StorageMASC, 256 << 10},
 		} {
 			label := fmt.Sprintf("%s/%s/budget=%d", fx.name, tc.storage, tc.budget)

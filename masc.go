@@ -9,7 +9,8 @@
 // whose per-timestep Jacobian tensor is retained through one of the
 // Storage strategies: recomputation (the Xyce-style baseline), raw memory,
 // bandwidth-modelled disk spill, MASC's lossless spatiotemporally predicted
-// in-memory compression (best-fit, or with the Markov selector), and — under
+// in-memory compression (the Markov selector, each blob carrying its selector
+// table only where the table pays for itself), and — under
 // SimOptions.MemBudgetBytes — a tiered store that places every step on hot
 // RAM, compressed RAM or recompute.
 //
@@ -188,10 +189,9 @@ const (
 	StorageMemory Storage = "memory"
 	// StorageDisk spills raw tensors to a bandwidth-modelled disk.
 	StorageDisk Storage = "disk"
-	// StorageMASC keeps MASC-compressed tensors in RAM (best-fit mode).
+	// StorageMASC keeps MASC-compressed tensors in RAM, coded with the
+	// Markov model selector.
 	StorageMASC Storage = "masc"
-	// StorageMASCMarkov is MASC with the Markov model selector.
-	StorageMASCMarkov Storage = "masc+markov"
 )
 
 // SimOptions configures Simulate.
@@ -214,8 +214,8 @@ type SimOptions struct {
 	// Async pipelines the compressed store: compression runs on a
 	// background worker so the transient loop proceeds to step t+1 while
 	// step t-1 compresses, and the reverse sweep prefetches the next step
-	// during each adjoint solve. Only meaningful for the MASC storage
-	// strategies. The stored bytes are byte-identical to sync mode.
+	// during each adjoint solve. Only meaningful for StorageMASC. The
+	// stored bytes are byte-identical to sync mode.
 	Async bool
 	// PipelineDepth bounds how many timesteps the solver may run ahead of
 	// the async compressor (default 2). Larger depths hide longer
@@ -227,14 +227,14 @@ type SimOptions struct {
 	DiskDir         string
 	// MemBudgetBytes caps the Jacobian store's modelled resident bytes
 	// ("finish this sweep in 256 MB"). A positive budget replaces the
-	// in-RAM storage strategies (memory, masc, masc+markov) with a
+	// in-RAM storage strategies (memory, masc) with a
 	// tiered store that places each step on hot RAM, compressed RAM or
 	// deliberate drop-and-recompute: a step that leaves hot RAM is
 	// compressed while the compressed rung has room and dropped after that.
 	// Placement depends only on frame and blob sizes, never on timings, so
-	// identical runs place identically. The selected strategy still picks
-	// the codecs (masc+markov enables the Markov selector; memory and masc
-	// use the default MASC codec). Every tier is lossless, so sensitivities
+	// identical runs place identically. Both strategies compress with the
+	// MASC codec: its compressed rung holds self-contained blobs, each a
+	// calibration blob. Every tier is lossless, so sensitivities
 	// stay bit-identical to the unlimited-RAM run for any budget and worker
 	// count; the budget only trades memory for time.
 	// 0 (default) disables tiering; StorageRecompute and StorageDisk
@@ -246,7 +246,7 @@ type SimOptions struct {
 	// A nil Obs (or nil fields) costs nothing on the hot paths.
 	Obs *Observer
 	// CollectCodecStats enables the masczip encoder-side predictor
-	// statistics (Run.CodecStatsG/C); MASC storage strategies only.
+	// statistics (Run.CodecStatsG/C); StorageMASC only.
 	// Adds one branch plus a few counter increments per element.
 	CollectCodecStats bool
 	// Fault, if non-nil, wires a deterministic fault injector into the
@@ -285,7 +285,7 @@ type Run struct {
 	Storage     Storage
 	// CodecStatsG/C are the predictor-selection statistics of the G and C
 	// encoders (the stored pair, see TensorLayout); valid only when
-	// HasCodecStats (MASC storage with SimOptions.CollectCodecStats set).
+	// HasCodecStats (StorageMASC with SimOptions.CollectCodecStats set).
 	CodecStatsG, CodecStatsC CodecStats
 	HasCodecStats            bool
 }
@@ -346,7 +346,7 @@ func (plan *runPlan) newStore(ckt *Circuit, collectStats bool) (jactensor.Store,
 		return nil, nil
 	case StorageDisk:
 		return jactensor.NewDiskStore(plan.DiskDir, plan.DiskBytesPerSec)
-	case StorageMemory, StorageMASC, StorageMASCMarkov:
+	case StorageMemory, StorageMASC:
 	default:
 		// A caller's typo, or a journal naming a storage this build does not
 		// have: either way, before the journal is opened.
@@ -356,10 +356,10 @@ func (plan *runPlan) newStore(ckt *Circuit, collectStats bool) (jactensor.Store,
 	// strategy: Async and CollectCodecStats are inert, and the codec is the
 	// MASC pair.
 	budgeted := plan.MemBudgetBytes > 0
-	// mascPair is the one place the storage name becomes codecs: masc+markov
-	// turns on the Markov selector, masc and memory are best-fit.
+	// mascPair is the MASC codec pair: the Markov selector, with each blob
+	// carrying its selector table only where the table pays for itself.
 	mascPair := func() (*masczip.Compressor, *masczip.Compressor) {
-		mo := masczip.Options{Markov: storage == StorageMASCMarkov, Workers: plan.Workers,
+		mo := masczip.Options{Markov: true, Workers: plan.Workers,
 			CollectStats: collectStats && !budgeted}
 		return masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
 	}

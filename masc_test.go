@@ -36,7 +36,7 @@ func TestSimulateAllStorages(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}}
 	var ref *Run
-	for _, st := range []Storage{StorageRecompute, StorageMemory, StorageDisk, StorageMASC, StorageMASCMarkov} {
+	for _, st := range []Storage{StorageRecompute, StorageMemory, StorageDisk, StorageMASC} {
 		opt.Storage = st
 		run, err := Simulate(ckt, opt, []Objective{obj}, nil)
 		if err != nil {
@@ -55,7 +55,7 @@ func TestSimulateAllStorages(t *testing.T) {
 				t.Fatalf("%s: sensitivity %d diverges: %g vs %g", st, k, a, b)
 			}
 		}
-		if st == StorageMASC || st == StorageMASCMarkov {
+		if st == StorageMASC {
 			if run.TensorStats.StoredBytes >= run.TensorStats.RawBytes {
 				t.Fatalf("%s: no compression: %+v", st, run.TensorStats)
 			}
@@ -65,30 +65,28 @@ func TestSimulateAllStorages(t *testing.T) {
 
 func TestSimulateAsyncMatchesSync(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
-	for _, st := range []Storage{StorageMASC, StorageMASCMarkov} {
-		sync, err := Simulate(ckt, SimOptions{
-			Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: st,
-		}, []Objective{obj}, nil)
-		if err != nil {
-			t.Fatalf("%s sync: %v", st, err)
-		}
-		async, err := Simulate(ckt, SimOptions{
-			Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: st, Async: true, PipelineDepth: 3,
-		}, []Objective{obj}, nil)
-		if err != nil {
-			t.Fatalf("%s async: %v", st, err)
-		}
-		// Pipelining reorders work, never results: same compressed size,
-		// bit-identical sensitivities.
-		if sync.TensorStats.StoredBytes != async.TensorStats.StoredBytes {
-			t.Fatalf("%s: stored bytes diverge: sync %d async %d",
-				st, sync.TensorStats.StoredBytes, async.TensorStats.StoredBytes)
-		}
-		for k := range sync.Sens.DOdp[0] {
-			a, b := sync.Sens.DOdp[0][k], async.Sens.DOdp[0][k]
-			if math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("%s: sensitivity %d diverges: %g vs %g", st, k, a, b)
-			}
+	sync, err := Simulate(ckt, SimOptions{
+		Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: StorageMASC,
+	}, []Objective{obj}, nil)
+	if err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	async, err := Simulate(ckt, SimOptions{
+		Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: StorageMASC, Async: true, PipelineDepth: 3,
+	}, []Objective{obj}, nil)
+	if err != nil {
+		t.Fatalf("async: %v", err)
+	}
+	// Pipelining reorders work, never results: same compressed size,
+	// bit-identical sensitivities.
+	if sync.TensorStats.StoredBytes != async.TensorStats.StoredBytes {
+		t.Fatalf("stored bytes diverge: sync %d async %d",
+			sync.TensorStats.StoredBytes, async.TensorStats.StoredBytes)
+	}
+	for k := range sync.Sens.DOdp[0] {
+		a, b := sync.Sens.DOdp[0][k], async.Sens.DOdp[0][k]
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("sensitivity %d diverges: %g vs %g", k, a, b)
 		}
 	}
 }
