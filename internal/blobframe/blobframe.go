@@ -1,6 +1,8 @@
-// Package blobframe frames stored Jacobian blobs with a small versioned
-// header and a CRC32C (Castagnoli) checksum, so every byte a store hands
-// back during the reverse sweep is integrity-checked before it is decoded.
+// Package blobframe frames records read back out of a file — the run
+// journal's, the disk store's spill — with a small versioned header and a
+// CRC32C (Castagnoli) checksum, so every byte a reader hands back is
+// integrity-checked before it is decoded. (In-RAM blobs carry a bare CRC32C:
+// their owner already knows the step, kind and length.)
 // A flipped bit, a truncated write, or a record read back at the wrong
 // offset surfaces as a verification error instead of silently corrupt
 // sensitivities.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"masc/internal/blobframe"
 	"masc/internal/compress"
 	"masc/internal/compress/masczip"
 	"masc/internal/compress/varint"
@@ -21,16 +22,20 @@ import (
 // temporal candidate extrapolates; one for a one-reference codec). During
 // forward integration the store therefore holds a window of the depth+1 newest
 // plaintext frames, and Put of step t+depth seals step t against frames
-// t+1…t+depth; EndForward seals the tail against what is above it. During the
-// reverse sweep step i is decompressed against the already-materialized steps
-// i+1…i+depth, which the reader (StoreSlice; the store's own sweep is its
-// reader over [0, n]) keeps after the sweep's Release until the sweep is depth
-// steps below them. The coded step and its nearest reference are flat; the
-// frames past the nearest are held in blocks of compress.BlockLen values, and
-// a block bit-identical to the neighbouring frame's is that frame's block, so
-// a frame costs the blocks it changed. Consecutive flat frames of a tensor
+// t+1…t+depth; EndForward seals the tail against what is above it, all but the
+// head step n, whose window frame — checksummed, never coded — is the first
+// the sweep reads. During the reverse sweep step i is decompressed against the
+// already-materialized steps i+1…i+depth, which the reader (StoreSlice; the
+// store's own sweep is its reader over [0, n]) keeps after the sweep's Release
+// until the sweep is depth steps below them. A tensor bit-identical to the
+// step above it is a repeat: its blob has no payload, and its fetch holds the
+// frame above's array, so it costs neither side a codec call. The coded step
+// and its nearest reference are flat; the frames past the nearest are held in
+// blocks of compress.BlockLen values, and a block bit-identical to the
+// neighbouring frame's is that frame's block, so a frame costs the blocks it
+// changed. Consecutive flat frames of a tensor
 // that are bit-identical share one array, so a tensor that does not move
-// costs the window one frame.
+// costs the window one frame and the store a 4-byte blob a step.
 //
 // Every k-th step can be made a window anchor (SetAnchorEvery): the chain is
 // cut there — the anchor's blob is compressed with no reference and restarted
@@ -50,6 +55,7 @@ import (
 type CompressedStore struct {
 	core
 	issued      int        // steps whose seal job has been issued; only Put and EndForward's caller touches it
+	sealed      bool       // EndForward sealed every step below the head
 	own         StoreSlice // the store's own reverse reader, over [0, n]
 	anchorEvery int        // every k-th step is an anchor; 0 = none
 
@@ -74,7 +80,6 @@ type CompressedStore struct {
 type fwdJob struct {
 	step   int
 	st     *stepRec
-	head   bool    // the last step: its plaintext stays, as the first frame the sweep reads
 	parent span.ID // the span that caused the job (a later step's put)
 }
 
@@ -314,9 +319,7 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 			s.stats.AnchorBytes += s.frameBytes
 			s.ob.anchorBytes.Set(float64(s.stats.AnchorBytes))
 		}
-		if !job.head {
-			s.giveBack(&st.heldFrame)
-		}
+		s.giveBack(&st.heldFrame)
 	}
 	s.mu.Unlock()
 	csp.Attr("bytes", int64(stored))
@@ -351,10 +354,10 @@ func (s *CompressedStore) drain() error {
 }
 
 // EndForward implements Store: the steps still waiting for their history are
-// sealed against what is above them, the final step with no reference, so the
-// reverse chain has a self-contained head, and its plaintext stays resident as
-// the first frame the sweep reads. In async mode the compression queue drains
-// first.
+// sealed against what is above them, all but the final step, whose window
+// frame is its only copy and the first frame the sweep reads: it is not coded,
+// and its sidecars are taken — no copy — for the fetch that reads it to check.
+// In async mode the compression queue drains first.
 func (s *CompressedStore) EndForward() error {
 	s.mu.Lock()
 	if s.forwardDone {
@@ -376,40 +379,57 @@ func (s *CompressedStore) EndForward() error {
 	s.steps[n].pinned = false
 	s.own.hi, s.own.at = n, n
 	s.mu.Unlock()
-	for ; s.issued <= n; s.issued++ {
+	for ; s.issued < n; s.issued++ {
 		// The worker is gone, but its jobs keep its panic guard.
 		run := s.runJob
 		if s.async {
 			run = s.guarded
 		}
-		if err := run(fwdJob{step: s.issued, st: s.steps[s.issued], head: s.issued == n, parent: s.ob.spanParent()}); err != nil {
+		if err := run(fwdJob{step: s.issued, st: s.steps[s.issued], parent: s.ob.spanParent()}); err != nil {
 			return err
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flatten(&s.steps[n].heldFrame, nil)
+	s.signHead()
+	s.sealed = true
 	return nil
 }
 
-// sealedLocked reports whether the forward pass has ended and every step's
-// blob is stored — the precondition of Fetch and Slice. mu must be held.
-func (s *CompressedStore) sealedLocked() bool {
-	n := len(s.steps)
-	return s.forwardDone && n > 0 && s.steps[n-1].jBlob != nil
-}
+// sealedLocked reports whether the forward pass has ended and every step
+// below the head is sealed — the precondition of Fetch and Slice. mu must be
+// held.
+func (s *CompressedStore) sealedLocked() bool { return s.forwardDone && s.sealed }
 
 // giveBack ends a window frame's hold on its arrays. mu must be held.
 func (s *CompressedStore) giveBack(f *heldFrame) {
 	s.release(0, &f.t[0])
 	s.release(1, &f.t[1])
-	f.lent = false
+	*f = heldFrame{}
 }
 
-// share makes *v — tensor i's counted flat array, which nothing else holds —
-// the neighbouring step's flat array other, whose values are bit-identical,
-// and returns *v's own to the pool. mu must be held.
-func (s *CompressedStore) share(i int, v *[]float64, other []float64) {
-	s.release(i, &held{flat: *v})
-	s.hold(other)
-	*v = other
+// signHead takes the sidecars of the head's window frame, its only copy, into
+// the head's record; a fetch of the head checks the plaintext it serves
+// against them. The frame is flat. mu must be held.
+func (s *CompressedStore) signHead() {
+	head := s.steps[len(s.steps)-1]
+	head.jSum, head.cSum = blobframe.ChecksumFloat64(head.t[0].flat), blobframe.ChecksumFloat64(head.t[1].flat)
+}
+
+// checkHead verifies out, the head's plaintext a fetch is about to serve,
+// against the sidecars signHead took. A mismatch quarantines the step. mu
+// must be held.
+func (s *CompressedStore) checkHead(step int, out pair) error {
+	st := s.steps[step]
+	tensor, err := checkSums(out, st.jSum, st.cSum)
+	if err == nil {
+		return nil
+	}
+	if !st.quarantined {
+		s.quarantine(step, st)
+	}
+	return corruptErr(step, "fetch", tensor, err)
 }
 
 // flatten holds f's tensors flat: where one is in blocks, the flat array of
@@ -464,11 +484,12 @@ func (s *CompressedStore) anchorLocked(st *stepRec) pair {
 
 // decodeStep is the reverse half of the blob lifecycle: pin the arena, open
 // the step's sealed blobs, decode them with cd (the store's codecs, or a
-// slice's forks) against h into a pooled frame, and quarantine the step on
-// any failure. The frame comes back counted, and sharing the arrays of the
-// nearest history frame where the values are bit-identical; it is the caller's
-// to install. At most one call runs per codec pair at a time; prefetch marks
-// the span of a background decode ahead of the sweep. mu must not be held.
+// slice's forks) against h into pooled arrays, and quarantine the step on any
+// failure. A repeat — a blob with no payload — is not decoded: the tensor is
+// the nearest history frame's array, held, not counted again. The frame comes
+// back counted and is the caller's to install. At most one call runs per codec
+// pair at a time; prefetch marks the span of a background decode ahead of the
+// sweep. mu must not be held.
 func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h history, prefetch bool) (pair, error) {
 	s.mu.Lock()
 	if st.quarantined {
@@ -480,13 +501,17 @@ func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h histor
 		return pair{}, closedErr(step)
 	}
 	jb, cb := st.jBlob, st.cBlob
-	out := s.takeFrame()
+	var out pair
+	if !isRepeat(jb, h.j.Near) {
+		out.j = takeVals(&s.poolJ, s.jLen)
+	}
+	if !isRepeat(cb, h.c.Near) {
+		out.c = takeVals(&s.poolC, s.cLen)
+	}
 	s.mu.Unlock()
 	defer s.unpinBlobs()
 
 	var elapsed time.Duration
-	var above pair
-	var sameJ, sameC bool
 	jp, cp, tensor, err := openPair(step, jb, cb)
 	if err == nil {
 		dsp := s.ob.rec.Start(s.ob.spanParent(), span.Decompress, step)
@@ -497,30 +522,32 @@ func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h histor
 		dsp.Attr("bytes", int64(len(jb)+len(cb)))
 		dsp.Attr("prefetch", boolAttr(prefetch))
 		dsp.End()
-		if err == nil && h.j.Near != nil {
-			above = pair{h.j.Near, h.c.Near}
-			sameJ, sameC = sameBits(out.j, above.j), sameBits(out.c, above.c)
-		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		// The frame verified but the codec rejected the payload, or the
-		// frame did not verify: either way a degradable corruption.
+		// The blob verified but the codec rejected the payload, or the blob
+		// did not verify: either way a degradable corruption.
 		s.parkFrame(out)
 		s.quarantine(step, st)
 		return pair{}, corruptErr(step, "fetch", tensor, err)
 	}
 	s.stats.DecompressTime += elapsed
 	s.ob.decompressSec.AddDuration(elapsed)
-	s.bumpResident(s.frameBytes)
-	if sameJ {
-		s.share(0, &out.j, above.j)
-	}
-	if sameC {
-		s.share(1, &out.c, above.c)
-	}
+	out.j = s.adoptDecoded(out.j, h.j.Near)
+	out.c = s.adoptDecoded(out.c, h.c.Near)
 	return out, nil
+}
+
+// adoptDecoded counts a decoded array, or — for a repeat, v nil — holds near.
+// mu must be held.
+func (s *CompressedStore) adoptDecoded(v, near []float64) []float64 {
+	if v == nil {
+		s.hold(near)
+		return near
+	}
+	s.bumpResident(int64(8 * len(v)))
+	return v
 }
 
 // unpinBlobs ends a decodeStep read; after Close, the last one returns the
@@ -651,10 +678,11 @@ func (s *CompressedStore) Close() error {
 
 // AnchorSteps returns the chain-cut layout of the finished forward pass:
 // every interior anchor step that still holds its frame, in ascending order,
-// with the head step n appended (the head's plaintext is retained by
-// EndForward, so it behaves as the top anchor) and listed once even when its
-// number makes it an anchor. These are the steps a StoreSlice may start
-// from. Returns nil before EndForward.
+// with the head step n appended (EndForward retains the head's plaintext, so
+// it behaves as the top anchor — while it is retained: the head has no blob,
+// so once the store's own sweep has let its frame go a slice cannot start
+// there) and listed once even when its number makes it an anchor. These are
+// the steps a StoreSlice may start from. Returns nil before EndForward.
 func (s *CompressedStore) AnchorSteps() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

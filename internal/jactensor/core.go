@@ -11,8 +11,10 @@ package jactensor
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 
 	"masc/internal/blobframe"
@@ -150,12 +152,16 @@ func (f *frame) rest(p pair) {
 
 // rotted checks the plaintext against its sidecars; a mismatch names the
 // tensor.
-func (f *frame) rotted() (tensor string, err error) {
-	if got := blobframe.ChecksumFloat64(f.j); got != f.jSum {
-		return "J", fmt.Errorf("checksum %#08x, want %#08x", got, f.jSum)
+func (f *frame) rotted() (tensor string, err error) { return checkSums(f.pair, f.jSum, f.cSum) }
+
+// checkSums checks p against the sidecars jSum, cSum; a mismatch names the
+// tensor.
+func checkSums(p pair, jSum, cSum uint32) (tensor string, err error) {
+	if got := blobframe.ChecksumFloat64(p.j); got != jSum {
+		return "J", fmt.Errorf("checksum %#08x, want %#08x", got, jSum)
 	}
-	if got := blobframe.ChecksumFloat64(f.c); got != f.cSum {
-		return "C", fmt.Errorf("checksum %#08x, want %#08x", got, f.cSum)
+	if got := blobframe.ChecksumFloat64(p.c); got != cSum {
+		return "C", fmt.Errorf("checksum %#08x, want %#08x", got, cSum)
 	}
 	return "", nil
 }
@@ -198,7 +204,7 @@ func flatFrame(p pair) heldFrame { return heldFrame{t: [2]held{{flat: p.j}, {fla
 // window's frames.
 type stepRec struct {
 	tier         Tier      // ladder rung
-	frame                  // checksummed plaintext at rest: the ladder's hot rung, a chain anchor
+	frame                  // checksummed plaintext at rest: the ladder's hot rung, a chain anchor; the chain head's sidecars alone
 	heldFrame              // chain: the step's place in the history window
 	released     bool      // ladder: the step is dead
 	x            []float64 // chain: the state the step was produced at (Attachment.State) — the caller's array, not counted as resident
@@ -303,28 +309,68 @@ func (cd *codecs) restart() {
 }
 
 // decode inflates verified payloads into p against the history they were
-// sealed against; a failure names the tensor.
+// sealed against; a tensor whose array is nil — a repeat, which has no
+// payload to decode — is skipped. A failure names the tensor.
 func (cd *codecs) decode(p pair, jp, cp []byte, h history) (tensor string, err error) {
-	if err := compress.Decode(cd.j, p.j, jp, h.j, h.x); err != nil {
-		return "J", err
+	if p.j != nil {
+		if err := compress.Decode(cd.j, p.j, jp, h.j, h.x); err != nil {
+			return "J", err
+		}
 	}
-	if err := compress.Decode(cd.c, p.c, cp, h.c, h.x); err != nil {
-		return "C", err
+	if p.c != nil {
+		if err := compress.Decode(cd.c, p.c, cp, h.c, h.x); err != nil {
+			return "C", err
+		}
 	}
 	return "", nil
 }
 
-// openPair verifies a step's sealed blobs (magic, kind, step, length,
-// CRC32C) and returns their payloads; a failure names the tensor.
+// crcLen is the integrity field an arena blob starts with: the CRC32C of the
+// tensor's tag ('J', 'C'), the step (u32, little-endian) and the payload. It
+// is all the blob carries beside its payload — the step record already knows
+// the step, the tensor and the length — and it still catches what a file
+// frame's header does: a flipped bit anywhere, a short blob, and a blob read
+// as another tensor's or another step's.
+const crcLen = 4
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// blobCRC is the CRC32C of (tensor, step, payload).
+func blobCRC(tensor byte, step int, payload []byte) uint32 {
+	var tag [5]byte
+	tag[0] = tensor
+	binary.LittleEndian.PutUint32(tag[1:], uint32(step))
+	return crc32.Update(crc32.Update(0, castagnoli, tag[:]), castagnoli, payload)
+}
+
+// openBlob verifies an arena blob as tensor step's and returns its payload,
+// aliasing blob.
+func openBlob(blob []byte, tensor byte, step int) ([]byte, error) {
+	if len(blob) < crcLen {
+		return nil, fmt.Errorf("blob of %d bytes is shorter than its %d-byte CRC", len(blob), crcLen)
+	}
+	payload := blob[crcLen:]
+	if got, want := blobCRC(tensor, step, payload), binary.LittleEndian.Uint32(blob); got != want {
+		return nil, fmt.Errorf("CRC32C %#08x, want %#08x", got, want)
+	}
+	return payload, nil
+}
+
+// openPair verifies a step's sealed blobs and returns their payloads; a
+// failure names the tensor.
 func openPair(step int, jb, cb []byte) (jp, cp []byte, tensor string, err error) {
-	if jp, err = blobframe.Open(jb, 'J', step); err != nil {
+	if jp, err = openBlob(jb, 'J', step); err != nil {
 		return nil, nil, "J", err
 	}
-	if cp, err = blobframe.Open(cb, 'C', step); err != nil {
+	if cp, err = openBlob(cb, 'C', step); err != nil {
 		return nil, nil, "C", err
 	}
 	return jp, cp, "", nil
 }
+
+// isRepeat reports whether a sealed blob is a repeat's: no payload beside
+// its CRC, and a nearest frame to repeat. A codec's payload is never empty.
+func isRepeat(blob []byte, near []float64) bool { return len(blob) == crcLen && near != nil }
 
 // poolFrames caps the frame pool. A Put/compress or fetch/Release cycle keeps
 // a frame or two waiting (plus the prefetch's and a short queue's); without a
@@ -364,8 +410,8 @@ func newCore(jc, cc compress.Compressor) core {
 	return core{
 		cd:     newCodecs(jc, cc),
 		arena:  blobArena{src: defaultChunks()},
-		frameJ: make([]byte, blobframe.HeaderSize),
-		frameC: make([]byte, blobframe.HeaderSize),
+		frameJ: make([]byte, crcLen),
+		frameC: make([]byte, crcLen),
 	}
 }
 
@@ -404,6 +450,8 @@ func (k *core) copyFrame(src pair) pair {
 func (k *core) parkFrame(p pair) {
 	if p.j != nil {
 		k.parkVals(&k.poolJ, p.j)
+	}
+	if p.c != nil {
 		k.parkVals(&k.poolC, p.c)
 	}
 }
@@ -412,6 +460,9 @@ func (k *core) parkFrame(p pair) {
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if sameArray(a, b) {
+		return true
 	}
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
@@ -566,19 +617,29 @@ func (k *core) admitFrame(step int, st *stepRec, p pair) {
 	k.fault.MutateFloats(step, p.c)
 }
 
-// seal is the forward half of the blob lifecycle: codec, blobframe.Seal,
-// then the fault window (at-rest rot, caught by the CRC when the blob is
-// opened). cur is compressed against h (none = self-contained) into the
-// scratch frames; the sealed results alias them — shortened when the injector
-// truncates — until keep copies them out or the ladder drops them.
+// seal is the forward half of the blob lifecycle: codec, CRC, then the fault
+// window (at-rest rot, caught by the CRC when the blob is opened). cur is
+// compressed against h (none = self-contained) into the scratch frames — a
+// tensor bit-identical to its nearest reference is a repeat, which meets no
+// codec and whose payload is empty; the sealed results alias the frames —
+// shortened when the injector truncates — until keep copies them out or the
+// ladder drops them.
 func (k *core) seal(step int, cur pair, h history) (jb, cb []byte) {
-	k.frameJ = compress.Encode(k.cd.j, k.frameJ[:blobframe.HeaderSize], cur.j, h.j, h.x)
-	k.frameC = compress.Encode(k.cd.c, k.frameC[:blobframe.HeaderSize], cur.c, h.c, h.x)
-	blobframe.Seal(k.frameJ, 'J', step)
-	blobframe.Seal(k.frameC, 'C', step)
+	k.frameJ = sealTensor(k.frameJ, k.cd.j, 'J', step, cur.j, h.j, h.x)
+	k.frameC = sealTensor(k.frameC, k.cd.c, 'C', step, cur.c, h.c, h.x)
 	jb, _ = k.fault.MutateBlob(step, k.frameJ)
 	cb, _ = k.fault.MutateBlob(step, k.frameC)
 	return jb, cb
+}
+
+// sealTensor codes one tensor into dst, its CRC first.
+func sealTensor(dst []byte, cd compress.Compressor, tensor byte, step int, cur []float64, h compress.History, x [][]float64) []byte {
+	dst = dst[:crcLen]
+	if h.Near == nil || !sameBits(cur, h.Near) {
+		dst = compress.Encode(cd, dst, cur, h, x)
+	}
+	binary.LittleEndian.PutUint32(dst, blobCRC(tensor, step, dst[crcLen:]))
+	return dst
 }
 
 // keep copies a sealed pair into the arena at its exact length and makes it

@@ -334,10 +334,10 @@ func TestMissingHistoryIsOutOfOrderOrCorrupt(t *testing.T) {
 func blobBytes(st *CompressedStore, index int64) int64 { return st.Stats().StoredBytes - index }
 
 // TestIdenticalTensorHoldsOneFrame: a tensor that never moves — a linear
-// circuit's — shares one array per tensor across the whole history window, so
-// the store holds exactly what a one-reference chain held: every blob, the
-// head's frame and the frame a fetch decodes into. A codec that reads one
-// reference holds that too.
+// circuit's — shares one array per tensor across the whole history window,
+// and every step below the head is a repeat whose fetch holds the head's
+// array, so the store holds every blob and the head's frame, forward and
+// reverse. A codec that reads one reference holds that too.
 func TestIdenticalTensorHoldsOneFrame(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(94, 24, 1)
 	const steps = 50
@@ -383,8 +383,8 @@ func TestIdenticalTensorHoldsOneFrame(t *testing.T) {
 		}
 		st.Release(0)
 		stats := st.Stats()
-		if stats.PeakResident != stored+2*frame || stats.HistoryBytes != 0 {
-			t.Fatalf("%s: PeakResident %d, HistoryBytes %d; want the blobs (%d) and two frames (%d each), and no history",
+		if stats.PeakResident != stored+frame || stats.HistoryBytes != 0 {
+			t.Fatalf("%s: PeakResident %d, HistoryBytes %d; want the blobs (%d) and one frame (%d), and no history",
 				name, stats.PeakResident, stats.HistoryBytes, stored, frame)
 		}
 		st.mu.Lock()

@@ -100,6 +100,22 @@ type pinnedBytes struct {
 // 0.07 % more (37306 → 37332), where a few blobs the estimate priced
 // table-less would have been shorter with it; "voltage" codes every blob
 // between calibrations with its table, as before, and keeps its bytes.
+// Every row was re-recorded when the chain stopped keeping what its sweep
+// never reads and arena blobs began to carry a 4-byte CRC in place of the
+// 16-byte file header. Each chain row holds 12 B less per blob (238 blobs:
+// 2 856 B), no blob for the head (the sweep reads its retained frame) and,
+// on "selfcontained", whose C repeats on every step, no payload for a
+// repeat: voltage −14 068 B (sync, anchors50; head 11 212 B) and −14 215
+// (markov-sync; head 11 359), chained −5 974 (head 3 118), selfcontained
+// −5 286 (sync; head 1 240, repeats 1 190), −5 266 (anchors50) and −5 354
+// (markov-sync). The chain peaks fall by the same bytes, and on
+// "selfcontained" by 624 B more: a repeat's fetch no longer takes a C array
+// (78 values) before sharing it away. The tiered rows' blobs are 24 B
+// shorter a step: voltage/tiered holds 720 B less (30 steps on the
+// compressed rung, as before), peak −23; chained/tiered keeps its bytes and
+// stream, its peak 24 B lower (the one blob coded and then dropped);
+// selfcontained/tiered holds 457 B more, the fill-once rung taking 33 steps
+// where it took 32, peak −24.
 func TestPinnedStoreBytes(t *testing.T) {
 	const steps = 120
 	type fixture struct {
@@ -156,21 +172,21 @@ func TestPinnedStoreBytes(t *testing.T) {
 		}},
 	}
 	want := map[string]pinnedBytes{
-		"voltage/masc-sync":            {stored: 135482, peak: 237907, stream: 0xd69fb1ffc8ce0b26},
-		"voltage/masc-async2":          {stored: 135482, peak: -1, stream: 0xd69fb1ffc8ce0b26},
-		"voltage/masc-anchors50":       {stored: 166822, peak: 294575, stream: 0x182af7cfec98adcb},
-		"voltage/markov-sync":          {stored: 131591, peak: 234016, stream: 0x917b8bbdbc3fa7b6},
-		"voltage/tiered-quarter":       {stored: 373988, peak: 403774, stream: 0xdbdfce8b54e3ee1a},
-		"chained/masc-sync":            {stored: 37790, peak: 63527, stream: 0x23371d7bcdb13cf0},
-		"chained/masc-async2":          {stored: 37790, peak: -1, stream: 0x23371d7bcdb13cf0},
-		"chained/masc-anchors50":       {stored: 43443, peak: 75052, stream: 0x9cf5b88596dec50b},
-		"chained/markov-sync":          {stored: 37332, peak: 63069, stream: 0x32133e7454148720},
-		"chained/tiered-quarter":       {stored: 91920, peak: 98102, stream: 0xe2218781b7b7c29d},
-		"selfcontained/masc-sync":      {stored: 21906, peak: 31016, stream: 0x9d069c5ae46a7a8f},
-		"selfcontained/masc-async2":    {stored: 21906, peak: -1, stream: 0x9d069c5ae46a7a8f},
-		"selfcontained/masc-anchors50": {stored: 24881, peak: 37447, stream: 0x2f34ead3fd556a2b},
-		"selfcontained/markov-sync":    {stored: 22865, peak: 31975, stream: 0x1ca6063076f522c4},
-		"selfcontained/tiered-quarter": {stored: 44042, peak: 47858, stream: 0xe8261cff1ed6ace0},
+		"voltage/masc-sync":            {stored: 121414, peak: 223839, stream: 0x8ad5f45d1106b0e2},
+		"voltage/masc-async2":          {stored: 121414, peak: -1, stream: 0x8ad5f45d1106b0e2},
+		"voltage/masc-anchors50":       {stored: 152754, peak: 280507, stream: 0x40f60753020c60dd},
+		"voltage/markov-sync":          {stored: 117376, peak: 219801, stream: 0x936626ab96c644a4},
+		"voltage/tiered-quarter":       {stored: 373268, peak: 403751, stream: 0xada50c45d9eafb74},
+		"chained/masc-sync":            {stored: 31816, peak: 57553, stream: 0x41e658028b2fd7a5},
+		"chained/masc-async2":          {stored: 31816, peak: -1, stream: 0x41e658028b2fd7a5},
+		"chained/masc-anchors50":       {stored: 37469, peak: 69078, stream: 0x32552b03dfdfd2dd},
+		"chained/markov-sync":          {stored: 31358, peak: 57095, stream: 0xf18e911e7ff0ae89},
+		"chained/tiered-quarter":       {stored: 91920, peak: 98078, stream: 0xe2218781b7b7c29d},
+		"selfcontained/masc-sync":      {stored: 16620, peak: 25106, stream: 0x50f3dbb3a2f11e73},
+		"selfcontained/masc-async2":    {stored: 16620, peak: -1, stream: 0x50f3dbb3a2f11e73},
+		"selfcontained/masc-anchors50": {stored: 19615, peak: 31557, stream: 0xf54a3adf35b51ad3},
+		"selfcontained/markov-sync":    {stored: 17511, peak: 25997, stream: 0x8e0b339b5fdfe122},
+		"selfcontained/tiered-quarter": {stored: 44499, peak: 47834, stream: 0xabd97733108e6d20},
 	}
 	for _, f := range fixtures {
 		// A frame at what it costs in the window: in blocks, none shared.

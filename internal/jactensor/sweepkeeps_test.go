@@ -1,0 +1,614 @@
+package jactensor
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"masc/internal/blobframe"
+	"masc/internal/compress"
+	"masc/internal/compress/masczip"
+	"masc/internal/sparse"
+)
+
+// The chain keeps only what its reverse sweep reads: no blob for the head,
+// no payload for a repeat, a CRC in place of a file header. These tests hold
+// it to that, and to catching every fault the header caught.
+
+// countingCodec is a masczip compressor that counts its encode and decode
+// calls; its forks share the counts.
+type countingCodec struct {
+	*masczip.Compressor
+	enc, dec *atomic.Int64
+}
+
+func newCounting(p *sparse.Pattern) countingCodec {
+	return countingCodec{masczip.New(p, masczip.Options{}), new(atomic.Int64), new(atomic.Int64)}
+}
+
+func (c countingCodec) CompressHistory(dst []byte, cur []float64, hist compress.History, states [][]float64) []byte {
+	c.enc.Add(1)
+	return c.Compressor.CompressHistory(dst, cur, hist, states)
+}
+
+func (c countingCodec) DecompressHistory(cur []float64, blob []byte, hist compress.History, states [][]float64) error {
+	c.dec.Add(1)
+	return c.Compressor.DecompressHistory(cur, blob, hist, states)
+}
+
+func (c countingCodec) Fork() compress.Compressor {
+	return countingCodec{c.Compressor.Fork().(*masczip.Compressor), c.enc, c.dec}
+}
+
+// repeatFixture is movingFixture with repeats: J repeats the step above it on
+// two steps of every three (so in runs of two), C on every fourth step, and
+// both at once on some. rep[i][s] reports whether tensor i of step s repeats
+// step s+1's.
+func repeatFixture(seed int64, steps int) (jp, cp *sparse.Pattern, js, cs [][]float64, rep [2][]bool) {
+	jp, cp, js, cs = movingFixture(seed, 16, steps)
+	rep = [2][]bool{make([]bool, steps), make([]bool, steps)}
+	for s := steps - 2; s >= 0; s-- {
+		if s%3 != 2 {
+			js[s], rep[0][s] = append([]float64(nil), js[s+1]...), true
+		}
+		if s%4 == 1 {
+			cs[s], rep[1][s] = append([]float64(nil), cs[s+1]...), true
+		}
+	}
+	return jp, cp, js, cs, rep
+}
+
+// TestRepeatsMeetNoCodec: the head is never coded and a repeat meets no codec
+// on either side: its blob is its CRC alone, and its fetch — in the store's
+// own sweep, sync or prefetched, and in a slice — is the array fetched for the
+// step above it. Every other step below the head is coded once and decoded
+// once per sweep.
+func TestRepeatsMeetNoCodec(t *testing.T) {
+	const steps = 30
+	n := steps - 1
+	jp, cp, js, cs, rep := repeatFixture(91, steps)
+	var coded [2]int64
+	for i := range rep {
+		for s := 0; s < n; s++ {
+			if !rep[i][s] {
+				coded[i]++
+			}
+		}
+	}
+	for _, queue := range []int{0, 2} {
+		for _, slice := range []bool{false, true} {
+			name := fmt.Sprintf("queue%d/slice=%v", queue, slice)
+			jc, cc := newCounting(jp), newCounting(cp)
+			var st *CompressedStore
+			if queue == 0 {
+				st = NewCompressedStore(jc, cc, jp, cp)
+			} else {
+				st = NewCompressedStoreAsync(jc, cc, jp, cp, queue)
+			}
+			for s := range js {
+				if err := st.Put(s, js[s], cs[s]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.EndForward(); err != nil {
+				t.Fatal(err)
+			}
+			codecs := [2]countingCodec{jc, cc}
+			for i, c := range codecs {
+				if got := c.enc.Load(); got != coded[i] {
+					t.Fatalf("%s: tensor %d met the encoder %d times, want %d (the steps below the head, less the repeats)", name, i, got, coded[i])
+				}
+			}
+			st.mu.Lock()
+			if head := st.steps[n]; head.jBlob != nil || head.cBlob != nil {
+				t.Fatalf("%s: the head has blobs of %d and %d B", name, len(head.jBlob), len(head.cBlob))
+			}
+			for s := 0; s < n; s++ {
+				for i, b := range [2][]byte{st.steps[s].jBlob, st.steps[s].cBlob} {
+					if repeat := len(b) == crcLen; repeat != rep[i][s] {
+						t.Fatalf("%s: step %d tensor %d: a %d-byte blob, repeat %v", name, s, i, len(b), rep[i][s])
+					}
+				}
+			}
+			st.mu.Unlock()
+
+			var src interface {
+				Fetch(int) ([]float64, []float64, error)
+				Release(int)
+			} = st
+			if slice {
+				sl, err := st.Slice(0, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src = sl
+			}
+			var above [2][]float64
+			for s := n; s >= 0; s-- {
+				j, c, err := src.Fetch(s)
+				if err != nil {
+					t.Fatalf("%s: fetch %d: %v", name, s, err)
+				}
+				if !sameBits(j, js[s]) || !sameBits(c, cs[s]) {
+					t.Fatalf("%s: step %d: bits differ", name, s)
+				}
+				for i, v := range [2][]float64{j, c} {
+					if s < n && rep[i][s] != sameArray(v, above[i]) {
+						t.Fatalf("%s: step %d tensor %d: repeat %v, fetched the array above: %v", name, s, i, rep[i][s], !rep[i][s])
+					}
+				}
+				if s < n {
+					src.Release(s + 1)
+				}
+				above = [2][]float64{j, c}
+			}
+			src.Release(0)
+			for i, c := range codecs {
+				if got := c.dec.Load(); got != coded[i] {
+					t.Fatalf("%s: tensor %d met the decoder %d times, want %d", name, i, got, coded[i])
+				}
+			}
+			st.Close()
+		}
+	}
+}
+
+// sweepRepairing runs a reverse sweep over src the way the adjoint's
+// degradation ladder does — a degradable fetch failure is repaired with the
+// fixture's plaintext and refetched — checking every step's bits, and returns
+// the steps whose fetch failed. check, if non-nil, vets each failure.
+func sweepRepairing(t *testing.T, src interface {
+	Store
+	Repairer
+}, js, cs [][]float64, check func(step int, err error)) map[int]bool {
+	t.Helper()
+	failed := map[int]bool{}
+	for s := len(js) - 1; s >= 0; s-- {
+		j, c, err := src.Fetch(s)
+		if err != nil {
+			var se *StepError
+			if !errors.As(err, &se) || !se.Corrupt || !se.Degradable || se.Step != s {
+				t.Fatalf("fetch %d: %v, want a degradable corruption naming the step", s, err)
+			}
+			if check != nil {
+				check(s, err)
+			}
+			failed[s] = true
+			src.Repair(s, js[s], cs[s])
+			if j, c, err = src.Fetch(s); err != nil {
+				t.Fatalf("refetch %d after Repair: %v", s, err)
+			}
+		}
+		if !sameBits(j, js[s]) || !sameBits(c, cs[s]) {
+			t.Fatalf("step %d: bits differ", s)
+		}
+		src.Release(s)
+	}
+	return failed
+}
+
+// blobFault is one way an arena blob can go bad, applied to the step records
+// with the store's lock held; it damages steps a and, for a swap, b.
+type blobFault struct {
+	name   string
+	damage func(recs []*stepRec, a, b int)
+	both   bool // b is damaged too
+}
+
+// blobFaults is every fault class the 16-byte file header caught: a flipped
+// bit in the payload or in the integrity field, a short blob, a step's J and
+// C blobs swapped, and two steps' blobs swapped.
+var blobFaults = []blobFault{
+	{name: "payload-bit", damage: func(r []*stepRec, a, _ int) { r[a].cBlob[len(r[a].cBlob)-1] ^= 0x20 }},
+	{name: "crc-bit", damage: func(r []*stepRec, a, _ int) { r[a].jBlob[1] ^= 0x01 }},
+	{name: "one-byte-short", damage: func(r []*stepRec, a, _ int) { r[a].cBlob = r[a].cBlob[:len(r[a].cBlob)-1] }},
+	{name: "j-c-swapped", damage: func(r []*stepRec, a, _ int) { r[a].jBlob, r[a].cBlob = r[a].cBlob, r[a].jBlob }},
+	{name: "steps-swapped", both: true, damage: func(r []*stepRec, a, b int) {
+		r[a].jBlob, r[b].jBlob = r[b].jBlob, r[a].jBlob
+		r[a].cBlob, r[b].cBlob = r[b].cBlob, r[a].cBlob
+	}},
+}
+
+// TestArenaCRCCatchesEveryFault: each fault class the file header caught is
+// caught by the arena blob's 4-byte CRC — not later by the codec — in the
+// chain store, on coded blobs and on a repeat's (J never moves, so every J
+// blob is a CRC alone), and in the tiered store; the fetch quarantines exactly
+// the steps it names, and after Repair the sweep is bit-identical.
+func TestArenaCRCCatchesEveryFault(t *testing.T) {
+	const steps = 24
+	// The tiered store's blobs are self-contained, so it takes a fixture that
+	// compresses without a reference, or its compressed rung stays empty.
+	jp, cp, js, cs := movingFixture(92, 20, steps)
+	for s := range js {
+		js[s] = js[0]
+	}
+	tjp, tcp, tjs, tcs := placementFixture(20, steps)
+	stores := []struct {
+		name   string
+		js, cs [][]float64
+		mk     func() (Store, *recAccess)
+	}{
+		{"chain", js, cs, func() (Store, *recAccess) {
+			st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+			return st, &recAccess{lock: st.mu.Lock, unlock: st.mu.Unlock, recs: func() []*stepRec { return st.steps }}
+		}},
+		{"tiered", tjs, tcs, func() (Store, *recAccess) {
+			raw := int64(8*(len(tjs[0])+len(tcs[0]))) * steps
+			st := NewTieredStore(masczip.New(tjp, masczip.Options{}), masczip.New(tcp, masczip.Options{}),
+				TieredConfig{BudgetBytes: raw / 4, DisablePrefetch: true})
+			st.SetRecompute(func(step int) ([]float64, []float64, error) { return tjs[step], tcs[step], nil })
+			return st, &recAccess{lock: st.mu.Lock, unlock: st.mu.Unlock, recs: func() []*stepRec { return st.steps }}
+		}},
+	}
+	for _, sh := range stores {
+		for _, f := range blobFaults {
+			t.Run(sh.name+"/"+f.name, func(t *testing.T) {
+				st, acc := sh.mk()
+				defer st.Close()
+				js, cs := sh.js, sh.cs
+				for s := range js {
+					if err := st.Put(s, js[s], cs[s]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := st.EndForward(); err != nil {
+					t.Fatal(err)
+				}
+				// The two highest steps with blobs: for the tiered store, the
+				// top of its compressed rung.
+				acc.lock()
+				var withBlobs []int
+				for s, r := range acc.recs() {
+					if r.jBlob != nil {
+						withBlobs = append(withBlobs, s)
+					}
+				}
+				if len(withBlobs) < 2 {
+					acc.unlock()
+					t.Fatalf("%d steps hold blobs", len(withBlobs))
+				}
+				a, b := withBlobs[len(withBlobs)-1], withBlobs[len(withBlobs)-2]
+				f.damage(acc.recs(), a, b)
+				acc.unlock()
+				want := map[int]bool{a: true}
+				if f.both {
+					want[b] = true
+				}
+				failed := sweepRepairing(t, st.(interface {
+					Store
+					Repairer
+				}), js, cs, func(s int, err error) {
+					if !strings.Contains(err.Error(), "CRC32C") {
+						t.Fatalf("fetch %d: %v, want the CRC to catch it", s, err)
+					}
+				})
+				if fmt.Sprint(failed) != fmt.Sprint(want) {
+					t.Fatalf("quarantined %v, damaged %v", failed, want)
+				}
+				if stats := st.Stats(); stats.CorruptBlobs != len(want) || stats.Repairs != len(want) {
+					t.Fatalf("%d corrupt blobs and %d repairs, want %d", stats.CorruptBlobs, stats.Repairs, len(want))
+				}
+			})
+		}
+	}
+}
+
+// recAccess reaches a store's step records under its lock.
+type recAccess struct {
+	lock, unlock func()
+	recs         func() []*stepRec
+}
+
+// TestHeadRotIsRepaired: the head's window frame is its only copy, so rot
+// between EndForward and the fetch of step n is caught by the sidecars
+// EndForward took: the step is quarantined as a degradable corruption, one
+// Repair heals it, and the sweep is bit-identical to a MemStore's — in the
+// store's own sweep and in a slice.
+func TestHeadRotIsRepaired(t *testing.T) {
+	const steps = 20
+	n := steps - 1
+	jp, cp, js, cs := movingFixture(93, 20, steps)
+	for _, queue := range []int{0, 2} {
+		for tensor := range 2 {
+			t.Run(fmt.Sprintf("queue%d/tensor%d", queue, tensor), func(t *testing.T) {
+				jc, cc := masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{})
+				var st *CompressedStore
+				if queue == 0 {
+					st = NewCompressedStore(jc, cc, jp, cp)
+				} else {
+					st = NewCompressedStoreAsync(jc, cc, jp, cp, queue)
+				}
+				defer st.Close()
+				mem := NewMemStore()
+				for s := range js {
+					if err := st.Put(s, js[s], cs[s]); err != nil {
+						t.Fatal(err)
+					}
+					if err := mem.Put(s, js[s], cs[s]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := st.EndForward(); err != nil {
+					t.Fatal(err)
+				}
+				if err := mem.EndForward(); err != nil {
+					t.Fatal(err)
+				}
+				st.mu.Lock()
+				blobframe.FlipBit(st.steps[n].t[tensor].flat, 3, 17)
+				st.mu.Unlock()
+				mj, mc := make([][]float64, steps), make([][]float64, steps)
+				for s := range mj {
+					var err error
+					if mj[s], mc[s], err = mem.Fetch(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				failed := sweepRepairing(t, st, mj, mc, nil)
+				if len(failed) != 1 || !failed[n] {
+					t.Fatalf("fetches failed at %v, want the head %d alone", failed, n)
+				}
+				if stats := st.Stats(); stats.Repairs != 1 || stats.CorruptBlobs != 1 {
+					t.Fatalf("%d repairs, %d corrupt, want one of each", stats.Repairs, stats.CorruptBlobs)
+				}
+			})
+		}
+	}
+	// A slice checks the copy it makes of the head's frame: rot is caught
+	// there, the frame stays the store's own sweep's, and the slice's Repair
+	// heals the step.
+	t.Run("slice", func(t *testing.T) {
+		st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+		defer st.Close()
+		for s := range js {
+			if err := st.Put(s, js[s], cs[s]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.EndForward(); err != nil {
+			t.Fatal(err)
+		}
+		st.mu.Lock()
+		blobframe.FlipBit(st.steps[n].t[1].flat, 5, 40)
+		st.mu.Unlock()
+		sl, err := st.Slice(0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var se *StepError
+		if _, _, err := sl.Fetch(n); !errors.As(err, &se) || !se.Corrupt || !se.Degradable || se.Step != n {
+			t.Fatalf("slice fetch of a rotted head: %v, want a degradable corruption naming step %d", err, n)
+		}
+		st.mu.Lock()
+		kept := st.steps[n].resident()
+		st.mu.Unlock()
+		if !kept {
+			t.Fatal("the slice let the store's head frame go")
+		}
+		sl.Repair(n, js[n], cs[n])
+		for s := n; s >= 0; s-- {
+			j, c, err := sl.Fetch(s)
+			if err != nil {
+				t.Fatalf("slice fetch %d: %v", s, err)
+			}
+			if !sameBits(j, js[s]) || !sameBits(c, cs[s]) {
+				t.Fatalf("slice step %d: bits differ", s)
+			}
+			sl.Release(s)
+		}
+		if stats := st.Stats(); stats.Repairs != 1 || stats.CorruptBlobs != 1 {
+			t.Fatalf("%d repairs, %d corrupt, want one of each", stats.Repairs, stats.CorruptBlobs)
+		}
+	})
+}
+
+// TestSliceRefusesAGoneHead: the head has no blob, so it serves a slice only
+// while the store retains its plaintext. Once the store's own sweep has let
+// the head frame go, a slice topped there is refused with ErrOutOfOrder
+// naming the step, and no corruption is counted; a slice read while the head
+// is retained reads every step.
+func TestSliceRefusesAGoneHead(t *testing.T) {
+	const steps = 16
+	n := steps - 1
+	jp, cp, js, cs := movingFixture(94, 20, steps)
+	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+	defer st.Close()
+	for s := range js {
+		if err := st.Put(s, js[s], cs[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.EndForward(); err != nil {
+		t.Fatal(err)
+	}
+	early, err := st.Slice(0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep(t, st, steps, nil)
+	late, err := st.Slice(0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = late.Fetch(n)
+	if want := fmt.Sprintf("step %d is the head", n); !errors.Is(err, ErrOutOfOrder) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("slice fetch of a head that is gone: %v, want ErrOutOfOrder saying %q", err, want)
+	}
+	var se *StepError
+	if errors.As(err, &se) {
+		t.Fatalf("slice fetch of a head that is gone: a StepError %v", se)
+	}
+	if c := st.Stats().CorruptBlobs; c != 0 {
+		t.Fatalf("%d corrupt blobs counted", c)
+	}
+	// A slice made while the head was retained but read only after the
+	// sweep finds it gone too; one read while it is retained reads it all.
+	if _, _, err := early.Fetch(n); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("slice made before the sweep, read after it: %v, want ErrOutOfOrder", err)
+	}
+	st2 := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+	defer st2.Close()
+	for s := range js {
+		if err := st2.Put(s, js[s], cs[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st2.EndForward(); err != nil {
+		t.Fatal(err)
+	}
+	sl, err := st2.Slice(0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := n; s >= 0; s-- {
+		j, c, err := sl.Fetch(s)
+		if err != nil {
+			t.Fatalf("slice fetch %d: %v", s, err)
+		}
+		if !sameBits(j, js[s]) || !sameBits(c, cs[s]) {
+			t.Fatalf("slice step %d: bits differ", s)
+		}
+		sl.Release(s)
+	}
+	// A slice opened mid-sweep, while the store's own sweep still holds the
+	// head's frame but has paged it to blocks for the history of a lower
+	// step, copies that frame: bit-identical reads, nothing counted corrupt,
+	// nothing repaired, and the own sweep goes on.
+	for at := n - 2; at > n-st2.cd.depth; at-- {
+		st3 := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+		defer st3.Close()
+		for s := range js {
+			if err := st3.Put(s, js[s], cs[s]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st3.EndForward(); err != nil {
+			t.Fatal(err)
+		}
+		read := func(src interface {
+			Fetch(int) ([]float64, []float64, error)
+			Release(int)
+		}, who string, from, to int) {
+			t.Helper()
+			for s := from; s >= to; s-- {
+				j, c, err := src.Fetch(s)
+				if err != nil {
+					t.Fatalf("own sweep at %d: %s fetch %d: %v", at, who, s, err)
+				}
+				if !sameBits(j, js[s]) || !sameBits(c, cs[s]) {
+					t.Fatalf("own sweep at %d: %s step %d: bits differ", at, who, s)
+				}
+				src.Release(s)
+			}
+		}
+		read(st3, "own", n, at)
+		st3.mu.Lock()
+		inBlocks := st3.steps[n].t[0].blk != nil || st3.steps[n].t[1].blk != nil
+		st3.mu.Unlock()
+		if !inBlocks {
+			t.Fatalf("own sweep at %d: the head's frame is not in blocks", at)
+		}
+		sl, err := st3.Slice(0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read(sl, "slice", n, 0)
+		read(st3, "own", at-1, 0)
+		if s := st3.Stats(); s.CorruptBlobs != 0 || s.Repairs != 0 {
+			t.Fatalf("own sweep at %d: %d corrupt blobs, %d repairs", at, s.CorruptBlobs, s.Repairs)
+		}
+	}
+}
+
+// TestTieredResidentCountsArena: the compressed rung's arena keeps every blob
+// it took until Close, so throughout a budgeted run — every Put, fetch,
+// repair of a step on the compressed rung, and release, of a fetched step or
+// of one left unread, with and without the prefetch — the store's resident
+// bytes are never below the arena's used bytes; after the sweep they are
+// exactly those, and after Close none.
+func TestTieredResidentCountsArena(t *testing.T) {
+	const steps = 60
+	jp, cp, js, cs := placementFixture(20, steps)
+	raw := int64(8*(len(js[0])+len(cs[0]))) * steps
+	for _, noPrefetch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prefetch=%v", !noPrefetch), func(t *testing.T) {
+			st := NewTieredStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}),
+				TieredConfig{BudgetBytes: raw / 4, DisablePrefetch: noPrefetch})
+			defer st.Close()
+			st.SetRecompute(func(step int) ([]float64, []float64, error) { return js[step], cs[step], nil })
+			check := func(when string) {
+				t.Helper()
+				st.mu.Lock()
+				defer st.mu.Unlock()
+				if st.resident < st.arena.used {
+					t.Fatalf("%s: %d B resident, the arena holds %d B", when, st.resident, st.arena.used)
+				}
+			}
+			for s := range js {
+				if err := st.Put(s, js[s], cs[s]); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("put %d", s))
+			}
+			if err := st.EndForward(); err != nil {
+				t.Fatal(err)
+			}
+			stats := st.Stats()
+			if stats.TierCompressedSteps == 0 || stats.TierDroppedSteps == 0 {
+				t.Fatalf("the budget does not bind both rungs: %+v", stats)
+			}
+			// The lowest step of the compressed rung is released unread, as a
+			// sweep abandoned above it would leave it.
+			st.mu.Lock()
+			skipped := 0
+			for st.steps[skipped].tier != TierCompressed {
+				skipped++
+			}
+			st.mu.Unlock()
+			st.Release(skipped)
+			check(fmt.Sprintf("release %d unread", skipped))
+			repaired := false
+			for s := steps - 1; s >= 0; s-- {
+				if s == skipped {
+					continue
+				}
+				st.mu.Lock()
+				onRung := st.steps[s].tier == TierCompressed
+				st.mu.Unlock()
+				if onRung && !repaired {
+					st.Repair(s, js[s], cs[s])
+					check(fmt.Sprintf("repair %d", s))
+					repaired = true
+				}
+				j, c, err := st.Fetch(s)
+				if err != nil {
+					t.Fatalf("fetch %d: %v", s, err)
+				}
+				if !sameBits(j, js[s]) || !sameBits(c, cs[s]) {
+					t.Fatalf("step %d: bits differ", s)
+				}
+				check(fmt.Sprintf("fetch %d", s))
+				st.Release(s)
+				check(fmt.Sprintf("release %d", s))
+			}
+			if !repaired {
+				t.Fatal("no step on the compressed rung to repair")
+			}
+			st.prefetchWG.Wait()
+			st.mu.Lock()
+			if st.resident != st.arena.used || st.arena.used == 0 {
+				st.mu.Unlock()
+				t.Fatalf("after the sweep %d B resident, the arena holds %d B", st.resident, st.arena.used)
+			}
+			st.mu.Unlock()
+			st.Close()
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			if st.resident != 0 {
+				t.Fatalf("%d B resident after Close", st.resident)
+			}
+		})
+	}
+}

@@ -39,9 +39,10 @@ package jactensor
 //
 // Integrity mirrors the other stores: hot frames carry CRC32C sidecars
 // (verified at fetch AND before a demotion re-encodes them, so in-RAM rot
-// cannot be laundered into a validly-sealed blob), blobs are blobframe
-// sealed. Any verification failure quarantines the step and surfaces as a
-// degradable StepError for the adjoint recompute ladder.
+// cannot be laundered into a validly-sealed blob), blobs carry the CRC32C of
+// (tensor, step, payload) the chain's do. Any verification failure
+// quarantines the step and surfaces as a degradable StepError for the adjoint
+// recompute ladder.
 
 import (
 	"errors"
@@ -83,9 +84,10 @@ func (t Tier) String() string {
 
 // TieredConfig configures a TieredStore.
 type TieredConfig struct {
-	// BudgetBytes caps the modelled resident bytes (hot frames plus
-	// compressed-RAM blobs). <= 0 means unlimited: every step stays hot
-	// and the store behaves like MemStore with sidecars.
+	// BudgetBytes caps the modelled resident bytes (hot frames plus the
+	// arena, which keeps every blob the compressed rung took until Close).
+	// <= 0 means unlimited: every step stays hot and the store behaves like
+	// MemStore with sidecars.
 	// The cap is enforced up to one in-flight frame plus one blob of slack
 	// (a demotion briefly holds both representations). hotReserveFrames
 	// frames of it are kept for plaintext, whatever the compressed rung
@@ -124,9 +126,9 @@ type TieredStore struct {
 	// blobSum/blobN is the running mean sealed blob size (J+C), the
 	// estimate a hot step is placed on before it has been compressed.
 	blobSum, blobN int64
-	// evictable indexes the steps resting on the hot and the compressed
-	// rung, lowest first; see victim.
-	evictable [2]stepHeap
+	// evictable indexes the steps resting on the hot rung, lowest first; see
+	// victim.
+	evictable stepHeap
 	probes    int64 // heap entries examined by victim, for the scale test
 
 	prefetchBusy bool
@@ -191,21 +193,18 @@ func (s *TieredStore) Put(step int, jVals, cVals []float64) error {
 	return nil
 }
 
-// enforceBudget demotes steps until resident <= budget: hot frames first,
-// then — only once no hot frame can go, which the hot reserve keeps from
-// happening during capture — blobs of the compressed rung. A frame the
-// caller is admitting or returning is exempt because callers mark it
-// evictable only afterwards; whatever is left over budget then is in-use
-// frames, which budget + slack covers.
+// enforceBudget demotes hot frames until resident <= budget. A blob of the
+// compressed rung is never a victim: the fill-once arena keeps its bytes
+// until Close, so dropping it would free nothing. A frame the caller is
+// admitting or returning is exempt because callers mark it evictable only
+// afterwards; whatever is left over budget then is in-use frames, which
+// budget + slack covers.
 func (s *TieredStore) enforceBudget() {
 	if s.cfg.BudgetBytes <= 0 {
 		return
 	}
 	for s.resident > s.cfg.BudgetBytes {
-		v := s.victim(TierHot)
-		if v < 0 {
-			v = s.victim(TierCompressed)
-		}
+		v := s.victim()
 		if v < 0 {
 			return
 		}
@@ -213,31 +212,31 @@ func (s *TieredStore) enforceBudget() {
 	}
 }
 
-// markEvictable enters step, which rests on the hot or the compressed rung,
-// into that rung's victim index.
+// markEvictable enters step, which rests on the hot rung, into the victim
+// index.
 func (s *TieredStore) markEvictable(step int) {
 	if s.cfg.BudgetBytes <= 0 {
 		return // nothing is ever evicted
 	}
-	s.evictable[s.steps[step].tier].push(uint32(step))
+	s.evictable.push(uint32(step))
 }
 
-// victim takes the lowest evictable step off the given rung's index; -1
-// when none is left. Lowest first because the
+// victim takes the lowest evictable hot step off the index; -1 when none
+// is left. Lowest first because the
 // reverse sweep reads n→0, so the lowest live step is the one touched
 // furthest in the future (the Belady choice for this access pattern).
 //
 // The index is a min-heap with lazy deletion: a step is pushed when it comes
-// to rest on the rung, and an entry whose step has since moved, been
+// to rest on the hot rung, and an entry whose step has since moved, been
 // fetched, released or quarantined is discarded when it surfaces. Every
 // entry is examined at most once, so a run of n steps costs O(n log n)
 // however long it is — no scan over the steps, no per-probe map lookup.
-func (s *TieredStore) victim(tier Tier) int {
-	h := &s.evictable[tier]
+func (s *TieredStore) victim() int {
+	h := &s.evictable
 	for len(*h) > 0 {
 		s.probes++
 		i := int(h.pop())
-		if st := s.steps[i]; st.tier == tier && !st.inUse && !st.released && !st.quarantined {
+		if st := s.steps[i]; st.tier == TierHot && !st.inUse && !st.released && !st.quarantined {
 			return i
 		}
 	}
@@ -271,25 +270,22 @@ func (s *TieredStore) blobEstimate() int {
 	return int(s.blobSum / s.blobN)
 }
 
-// demote moves victim i off its rung, to the rung it will stay on. A hot
-// frame is compressed into RAM if its blob fits — judged on the estimate
-// before the codec runs and on the real size after — and otherwise dropped;
-// a blob of the compressed rung can only be dropped. The sidecars of a hot
-// frame are verified first: plaintext that rotted in RAM must quarantine, not
-// be laundered into a freshly sealed blob the fetch path would trust.
+// demote moves hot victim i off its rung, to the rung it will stay on: it
+// is compressed into RAM if its blob fits — judged on the estimate before the
+// codec runs and on the real size after — and otherwise dropped. The
+// sidecars are verified first: plaintext that rotted in RAM must quarantine,
+// not be laundered into a freshly sealed blob the fetch path would trust.
 func (s *TieredStore) demote(i int) {
 	st := s.steps[i]
-	if st.tier == TierHot {
-		if _, err := st.rotted(); err != nil {
-			s.quarantine(i, st)
-			s.freeHot(st)
-			return
-		}
+	if _, err := st.rotted(); err != nil {
+		s.quarantine(i, st)
+		s.freeHot(st)
+		return
 	}
 	dsp := s.ob.rec.Start(s.ob.spanParent(), span.Demote, i)
 	s.cd.setParent(dsp.ID())
 	kept := false
-	if est := s.blobEstimate(); st.tier == TierHot && s.roomInRAM(est) {
+	if est := s.blobEstimate(); s.roomInRAM(est) {
 		s.noteDecision(dsp.ID(), i, est, TierCompressed)
 		s.encode(i)
 		// The real size decides; an estimate that was short drops the blob,
@@ -297,7 +293,6 @@ func (s *TieredStore) demote(i int) {
 		kept = s.roomInRAM(st.jbN+st.cbN) && s.keepBlobs(st)
 	}
 	if kept {
-		s.markEvictable(i)
 		s.noteDemote(TierCompressed)
 	} else {
 		s.drop(dsp.ID(), i)
@@ -339,7 +334,8 @@ func (s *TieredStore) keepBlobs(st *stepRec) bool {
 }
 
 // drop moves step i onto the recompute rung: a hot frame is freed without
-// meeting the codec, a step that has its blobs gives them up.
+// meeting the codec, a step whose blobs did not fit the arena gives up the
+// scratch frames they lie in.
 func (s *TieredStore) drop(parent span.ID, i int) {
 	st := s.steps[i]
 	if st.tier == TierHot {
@@ -498,7 +494,7 @@ func (s *TieredStore) promoteCold(step int, st *stepRec, parent span.ID) error {
 		if err := s.decodeBlobs(step, st.jBlob, st.cBlob); err != nil {
 			return err
 		}
-		s.bumpResident(-int64(st.jbN + st.cbN))
+		// The blobs' bytes stay in the arena, and counted, until Close.
 		st.jBlob, st.cBlob = nil, nil
 	case TierDropped:
 		if s.recompute == nil {
@@ -594,13 +590,9 @@ func (s *TieredStore) Repair(step int, jVals, cVals []float64) {
 	defer rsp.End()
 	st := s.steps[step]
 	from := st.tier
-	switch st.tier {
-	case TierCompressed:
-		s.bumpResident(-int64(st.jbN + st.cbN))
-		st.jBlob, st.cBlob = nil, nil
-	case TierHot:
-		s.freeHot(st)
-	}
+	// A blob's bytes stay in the arena, and counted, until Close.
+	st.jBlob, st.cBlob = nil, nil
+	s.freeHot(st)
 	st.tier = TierHot
 	s.adoptHot(step, s.copyFrame(pair{jVals, cVals}))
 	// Repairing a released step revives it, so the frame installed here is
@@ -625,10 +617,8 @@ func (s *TieredStore) Release(step int) {
 	if st.released {
 		return
 	}
+	// A blob's bytes stay in the arena, and counted, until Close.
 	s.freeHot(st)
-	if st.tier == TierCompressed {
-		s.bumpResident(-int64(st.jbN + st.cbN))
-	}
 	st.jBlob, st.cBlob = nil, nil
 	st.released = true
 	st.inUse = false
@@ -655,7 +645,7 @@ func (s *TieredStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closeCore()
-	s.evictable = [2]stepHeap{}
+	s.evictable = nil
 	return nil
 }
 

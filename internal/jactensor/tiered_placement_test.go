@@ -384,33 +384,61 @@ func TestTieredVictimSelectionScales(t *testing.T) {
 		// Hold the top steps in use, then promote a run of dropped steps from
 		// the middle without releasing the first few, so evictions must pass
 		// over in-use and quarantined entries.
+		// Only frames in use may hold the meter over the budget: the arena
+		// keeps every blob the compressed rung took, and the meter counts it,
+		// until Close (DESIGN.md §6.5), so once it fills the budget every hot
+		// frame left is one the sweep holds or, after a Repair, the repaired
+		// frame, which the budget is enforced around before it can be a victim.
+		budget := int64(100 * frame)
+		held, maxHeld := 0, 0
+		note := func(op string, step int) {
+			t.Helper()
+			maxHeld = max(maxHeld, held)
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			if limit := max(budget, st.arena.used+int64(held+1)*frame); st.resident > limit {
+				t.Fatalf("%s %d: %d B resident, over %d: the budget, or the %d B arena and %d frames in use and one admitted",
+					op, step, st.resident, limit, st.arena.used, held)
+			}
+		}
 		fetches := 0
 		for i := steps - 1; i >= steps-5; i-- {
 			if _, _, err := st.Fetch(i); err != nil {
 				t.Fatal(err)
 			}
+			held++
+			note("fetch", i)
 			fetches++
 		}
 		for i := 60_000; i > 59_000; i-- {
 			if _, _, err := st.Fetch(i); err != nil {
 				t.Fatal(err)
 			}
+			held++
+			note("fetch", i)
 			fetches++
 			if i < 59_995 {
 				st.Release(i)
+				held--
+				note("release", i)
 			}
 		}
 		for step := range rot {
 			st.Repair(step, j, c)
+			note("repair", step)
 			fetches++
 		}
 		if limit := int64(2 * (steps + fetches)); st.probes > limit {
 			t.Fatalf("victim examined %d index entries for %d steps and %d fetches (limit %d)",
 				st.probes, steps, fetches, limit)
 		}
-		if peak, budget := st.Stats().PeakResident, int64(100*frame); peak > budget+8*frame {
-			t.Fatalf("PeakResident %d over budget %d with in-use slack", peak, budget)
+		// Inside a call one frame more may be in flight beside the most frames
+		// held at once: a promotion's, before the budget is enforced around it.
+		if peak, limit := st.Stats().PeakResident, max(budget, st.arena.used+int64(maxHeld+1)*frame); peak > limit {
+			t.Fatalf("PeakResident %d over %d: the budget, or the %d B arena and %d frames in use and one admitted",
+				peak, limit, st.arena.used, maxHeld)
 		}
+		t.Logf("PeakResident %d: budget %d, arena %d B, at most %d frames in use", st.Stats().PeakResident, budget, st.arena.used, maxHeld)
 		t.Logf("%d probes for %d steps and %d fetches", st.probes, steps, fetches)
 	})
 }

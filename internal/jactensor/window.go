@@ -11,12 +11,13 @@ import (
 // fetch step i by decoding it against the already-materialized steps above
 // it, release step i+1 once nothing below reads it — over the step range
 // [lo, hi]. The store's own sweep is its reader over [0, n], whose window is
-// the step records' frames (so the head frame EndForward keeps is read in
-// place) and whose codecs are the store's. A window slice (Slice) is the same
-// reader with forked decoders and a private window, so W slices can run
-// concurrent reverse sweeps over the same blob sequence with no decode
-// serialization. A slice's top step must be self-contained — an anchor or the
-// head step, the steps AnchorSteps lists. The facade's reverse sweep reads
+// the step records' frames (so the head frame EndForward keeps — the head's
+// only copy, for it has no blob — is read in place) and whose codecs are the
+// store's. A window slice (Slice) is the same reader with forked decoders and
+// a private window, so W slices can run concurrent reverse sweeps over the
+// same blob sequence with no decode serialization. A slice's top step must be
+// self-contained — an anchor, or the head step while its plaintext is
+// retained: the steps AnchorSteps lists. The facade's reverse sweep reads
 // through the store's own reader and sets no anchors; slices serve callers
 // that cut the trajectory themselves.
 //
@@ -34,10 +35,12 @@ type StoreSlice struct {
 // Slice returns a window-local fetcher over steps [lo, hi]. It requires a
 // finished forward pass and codecs that support Fork (masczip does; its
 // blobs are self-describing, so a fork can decode any of them). hi should
-// be an anchor step or the head step n: the slice decodes its top blob
-// with no reference when the plaintext is not already retained. A slice may
-// outlive the store's Close: its fetches then fail with ErrClosed, and its
-// releases and repairs do nothing.
+// be an anchor step or the head step n: the slice copies a retained anchor
+// frame or decodes the anchor's self-contained blob; the head has no blob, so
+// it serves a slice only while the store retains its plaintext — once the
+// store's own sweep has let it go, fetching it fails with ErrOutOfOrder. A
+// slice may outlive the store's Close: its fetches then fail with ErrClosed,
+// and its releases and repairs do nothing.
 func (s *CompressedStore) Slice(lo, hi int) (*StoreSlice, error) {
 	s.mu.Lock()
 	done := s.sealedLocked()
@@ -189,13 +192,14 @@ func (sl *StoreSlice) trim() {
 
 // Fetch implements the adjoint package's JacobianSource. Steps must be
 // fetched in descending order from hi: each decode reads the plaintext of the
-// steps above it in the reader's window, except self-contained steps (the top,
-// anchors) which decode with no reference. A step whose plaintext the store
-// holds outside the window — a verified anchor, or for a slice the head frame
-// or a repair of the store's own sweep — is copied instead. The returned
-// frames stay valid until Release, and the reader keeps them past it for as
-// long as a lower step decodes against them; they come from the store's pool
-// and return to it.
+// steps above it in the reader's window, except anchors, which decode with no
+// reference. A step whose plaintext the store holds outside the window — a
+// verified anchor, or for a slice the head frame or a repair of the store's
+// own sweep — is copied instead; the head, which has no blob, is served only
+// so, and its frame is checked against the sidecars EndForward took. The
+// returned frames stay valid until Release, and the reader keeps them past it
+// for as long as a lower step decodes against them; they come from the store's
+// pool and return to it.
 func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
 	out, _, err := sl.fetch(step)
 	return out.j, out.c, err
@@ -214,17 +218,42 @@ func (sl *StoreSlice) fetch(step int) (out pair, decoded bool, err error) {
 		p.mu.Unlock()
 		return pair{}, false, err
 	}
+	head := step == len(p.steps)-1
 	if mine.resident() {
-		sl.at = min(sl.at, step)
 		p.flatten(mine, nil)
+		// The own reader's head frame is the head's only copy; a slice's
+		// frames are its own copies, checked when they were made.
+		if sl.out == nil && head {
+			if err = p.checkHead(step, mine.flatPair()); err != nil {
+				// The frame goes unless the sweep holds it, so a refetch
+				// fails until Repair installs good plaintext.
+				if !mine.lent {
+					p.giveBack(mine)
+				}
+				p.mu.Unlock()
+				return pair{}, false, err
+			}
+		}
+		sl.at = min(sl.at, step)
 	} else {
 		st := p.steps[step]
 		var h history
 		if st.resident() {
 			out = pair{p.flatOf(0, st.t[0]), p.flatOf(1, st.t[1])}
+			if head {
+				if err = p.checkHead(step, out); err != nil {
+					p.parkFrame(out)
+					p.bumpResident(-p.frameBytes)
+					p.mu.Unlock()
+					return pair{}, false, err
+				}
+			}
 		} else if src := p.anchorLocked(st); src.j != nil {
 			out = p.copyFrame(src)
 			p.bumpResident(p.frameBytes)
+		} else if head && !st.quarantined {
+			p.mu.Unlock()
+			return pair{}, false, fmt.Errorf("%w: step %d is the head, which has no blob, and its plaintext is gone", ErrOutOfOrder, step)
 		} else if h = sl.gather(step); h.j.Near == nil && step != sl.hi && !st.pinned {
 			p.mu.Unlock()
 			return pair{}, false, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
@@ -277,5 +306,8 @@ func (sl *StoreSlice) Repair(step int, jVals, cVals []float64) {
 	p.giveBack(f)
 	*f = flatFrame(p.copyFrame(pair{jVals, cVals}))
 	p.bumpResident(p.frameBytes)
+	if sl.out == nil && step == len(p.steps)-1 {
+		p.signHead() // the repaired frame is the head's only copy now
+	}
 	p.heal(p.steps[step])
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"masc/internal/compress/masczip"
 	"masc/internal/obs/span"
+	"masc/internal/sparse"
 	"masc/internal/workload"
 )
 
@@ -171,17 +173,52 @@ func TestEveryRepairRecordsASpan(t *testing.T) {
 	}
 }
 
+// codedBlobs is a capture hook that counts, per tensor (G, C), the blobs a
+// chain store codes from the steps it sees: every step but the head, which
+// is kept as plaintext, less the repeats — a tensor bit-identical to the step
+// above it, whose blob has no payload and meets no codec.
+type codedBlobs struct {
+	steps   int
+	repeats [2]int
+	prev    [2][]float64
+}
+
+func (c *codedBlobs) capture(_ int, _ float64, _ []float64, G, C *sparse.Matrix) error {
+	for i, v := range [2][]float64{G.Val, C.Val} {
+		if c.steps > 0 && len(v) == len(c.prev[i]) {
+			same := true
+			for k := range v {
+				if math.Float64bits(v[k]) != math.Float64bits(c.prev[i][k]) {
+					same = false
+					break
+				}
+			}
+			if same {
+				c.repeats[i]++
+			}
+		}
+		c.prev[i] = append(c.prev[i][:0], v...)
+	}
+	c.steps++
+	return nil
+}
+
+// of is tensor i's coded blob count.
+func (c *codedBlobs) of(i int) int64 { return int64(c.steps - 1 - c.repeats[i]) }
+
 // TestSimulateCodecRegionStats: a run with CollectCodecStats says where each
 // tensor's bits went and what the codec decided — per region, bits summing to
 // the stream and hits + misses to the elements, hit runs, and how many blobs
 // took the mate or the stamp as hit predictor — in Run and in the
-// masc_codec_* families, for the serial and the pipelined store.
+// masc_codec_* families, for the serial and the pipelined store. The blobs
+// counted are the ones coded: the head and the repeats meet no codec.
 func TestSimulateCodecRegionStats(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	for _, async := range []bool{false, true} {
 		ob := &Observer{Reg: NewRegistry()}
+		var coded codedBlobs
 		run, err := Simulate(ckt, SimOptions{
-			Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4},
+			Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4, CaptureGC: coded.capture},
 			Storage:   StorageMASC, Async: async,
 			CollectCodecStats: true, Obs: ob,
 		}, []Objective{obj}, nil)
@@ -191,8 +228,12 @@ func TestSimulateCodecRegionStats(t *testing.T) {
 		if !run.HasCodecStats {
 			t.Fatal("no codec statistics")
 		}
+		if coded.steps != run.TensorStats.Steps {
+			t.Fatalf("async=%v: the hook saw %d steps, the store %d", async, coded.steps, run.TensorStats.Steps)
+		}
 		prom := string(ob.Reg.WritePrometheus(nil))
-		for tensor, st := range map[string]CodecStats{"g": run.CodecStatsG, "c": run.CodecStatsC} {
+		for i, tensor := range []string{"g", "c"} {
+			st := [2]CodecStats{run.CodecStatsG, run.CodecStatsC}[i]
 			var regionBits, misses, elements int64
 			lines := []string{
 				fmt.Sprintf("masc_codec_hit_predictor_blobs_total{tensor=%q,predictor=\"mate\"} %d\n", tensor, st.MateBlobs),
@@ -219,7 +260,7 @@ func TestSimulateCodecRegionStats(t *testing.T) {
 					fmt.Sprintf("masc_codec_history_order_blobs_total{tensor=%q,order=\"%d\",family=\"time\"} %d\n", tensor, o, n-st.VoltBlobs[o]),
 					fmt.Sprintf("masc_codec_history_order_blobs_total{tensor=%q,order=\"%d\",family=\"voltage\"} %d\n", tensor, o, st.VoltBlobs[o]))
 			}
-			if want := int64(run.TensorStats.Steps); blobs != want {
+			if want := coded.of(i); blobs != want {
 				t.Errorf("async=%v tensor %s: OrderBlobs %v sum to %d, %d blobs were coded", async, tensor, st.OrderBlobs, blobs, want)
 			}
 			for _, line := range lines {
@@ -248,7 +289,8 @@ func TestSimulateCodecRegionStats(t *testing.T) {
 // most blobs with two frames or more interpolates in the branch voltage the
 // facade attaches beside them; G's hardly moves and so hardly extrapolates, the
 // store reports the frames that cost, and a linear circuit's tensor, which
-// never moves, pays none.
+// never moves, is never coded — every step repeats the one above it — and
+// pays no history.
 func TestSimulateCodecRegionStatsOrders(t *testing.T) {
 	for _, fx := range []struct {
 		name   string
@@ -258,12 +300,15 @@ func TestSimulateCodecRegionStatsOrders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := Simulate(ds.Ckt, SimOptions{Transient: ds.Tran, Storage: StorageMASC, CollectCodecStats: true},
+		var coded codedBlobs
+		tran := ds.Tran
+		tran.CaptureGC = coded.capture
+		run, err := Simulate(ds.Ckt, SimOptions{Transient: tran, Storage: StorageMASC, CollectCodecStats: true},
 			ds.Objectives, ds.Params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blobs, frame := int64(run.TensorStats.Steps), int64(8*(ds.Ckt.GPat.NNZ()+ds.Ckt.CPat.NNZ()))
+		blobs, frame := coded.of(1), int64(8*(ds.Ckt.GPat.NNZ()+ds.Ckt.CPat.NNZ()))
 		var high, all, volt int64
 		for o, n := range run.CodecStatsC.OrderBlobs {
 			if all += n; o >= 4 {
@@ -278,17 +323,17 @@ func TestSimulateCodecRegionStatsOrders(t *testing.T) {
 			t.Fatalf("%s: C's OrderBlobs sum to %d over %d blobs", fx.name, all, blobs)
 		}
 		if fx.linear {
-			if zero := run.CodecStatsC.OrderBlobs[0]; zero != blobs || run.TensorStats.HistoryBytes != 0 {
-				t.Fatalf("%s: a tensor that never moves coded %d of %d blobs at order 0 and held %d B of history",
-					fx.name, zero, blobs, run.TensorStats.HistoryBytes)
+			if blobs != 0 || coded.of(0) != 0 || run.TensorStats.HistoryBytes != 0 {
+				t.Fatalf("%s: a tensor that never moves coded %d G and %d C blobs of %d steps and held %d B of history",
+					fx.name, coded.of(0), blobs, coded.steps, run.TensorStats.HistoryBytes)
 			}
 			continue
 		}
 		if 2*high <= blobs {
 			t.Fatalf("%s: C reads five frames or more on %d of %d blobs", fx.name, high, blobs)
 		}
-		if 2*volt <= blobs-2 { // the head has no frame, the step below it one
-			t.Fatalf("%s: C interpolates in the voltage on %d of the %d blobs with two frames or more", fx.name, volt, blobs-2)
+		if 2*volt <= blobs-1 { // the step below the head has one frame
+			t.Fatalf("%s: C interpolates in the voltage on %d of the %d blobs with two frames or more", fx.name, volt, blobs-1)
 		}
 		if hb := run.TensorStats.HistoryBytes; hb <= frame || hb > masczip.MaxOrder*frame {
 			t.Fatalf("%s: HistoryBytes %d, want between one frame (%d) and %d of them", fx.name, hb, frame, masczip.MaxOrder)
