@@ -73,7 +73,7 @@ func main() {
 	flag.BoolVar(&c.async, "async", false, "pipeline MASC compression on a background worker (overlaps with the solve)")
 	flag.IntVar(&c.depth, "pipeline-depth", 2, "async mode: max timesteps the solver may run ahead of the compressor")
 	flag.Float64Var(&c.diskBps, "disk-bps", 0, "simulated disk bandwidth in bytes/s (0 = unthrottled)")
-	flag.StringVar(&c.memBudget, "mem-budget", "", "hard cap on resident Jacobian bytes, e.g. 64M or 512K (tiered store: each step is kept in hot RAM, compressed RAM or recomputed; results stay bit-identical; empty = unlimited)")
+	flag.StringVar(&c.memBudget, "mem-budget", "", "cap on resident Jacobian bytes, e.g. 64M or 512K (the MASC chain keeps the first steps whose blobs fit and recomputes the rest in the reverse sweep; results stay bit-identical; empty = unlimited)")
 	flag.IntVar(&c.top, "top", 12, "print the top-N sensitivities per objective")
 	flag.StringVar(&c.csvPath, "csv", "", "write .print waveforms to this CSV file")
 	flag.StringVar(&c.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
@@ -261,12 +261,17 @@ func run(c cli) error {
 			masc.TensorLayout, st.RawBytes, st.StoredBytes,
 			float64(st.RawBytes)/float64(st.StoredBytes), st.PeakResident)
 		if st.BudgetBytes > 0 {
-			fmt.Printf("tiers: budget %d B — %d hot / %d compressed / %d dropped steps, %d demotions (%d direct drops, never compressed), %d promotions, %d recomputes\n",
-				st.BudgetBytes, st.TierHotSteps, st.TierCompressedSteps, st.TierDroppedSteps,
-				st.TierDemotions, st.TierDirectDrops, st.TierPromotions, st.TierRecomputes)
+			// The kept steps are a prefix, so the first dropped step is
+			// the count of kept ones.
+			first := "none dropped"
+			if st.TierDroppedSteps > 0 {
+				first = fmt.Sprintf("first dropped step %d", st.TierKeptSteps)
+			}
+			fmt.Printf("tiers: budget %d B — %d kept / %d dropped steps (%s), %d recomputed\n",
+				st.BudgetBytes, st.TierKeptSteps, st.TierDroppedSteps, first, st.TierRecomputes)
 		}
-		// Async is inert under a budget: the tiered store compresses inside Put.
-		if c.async && st.BudgetBytes == 0 && run.Storage == masc.StorageMASC {
+		// A budget makes either in-RAM strategy the MASC chain.
+		if c.async && (run.Storage == masc.StorageMASC || st.BudgetBytes > 0) {
 			fmt.Printf("pipeline: compress %v moved off the solver thread, %v leaked back as Put stalls\n",
 				st.CompressTime, st.StallTime)
 		}

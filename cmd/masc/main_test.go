@@ -40,9 +40,8 @@ func runOutput(t *testing.T, c cli) (string, error) {
 
 // TestPipelineLineOnlyWhereAsyncRuns: the CLI reports compression moved off
 // the solver thread only for a compressed store that has a worker — an -async
-// masc run with no budget. Under -mem-budget Async is inert
-// (the tiered store compresses inside Put), so the line would report a
-// pipeline that does not exist.
+// masc run, with or without a budget (a budget keeps the chain and its
+// worker), or an -async memory run a budget makes the chain.
 func TestPipelineLineOnlyWhereAsyncRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -52,9 +51,11 @@ func TestPipelineLineOnlyWhereAsyncRuns(t *testing.T) {
 		want    bool
 	}{
 		{"masc-async", "masc", true, 0, true},
-		{"masc-async-budget", "masc", true, 4 << 10, false},
+		{"masc-async-budget", "masc", true, 8 << 10, true},
 		{"masc-sync", "masc", false, 0, false},
+		{"masc-sync-budget", "masc", false, 8 << 10, false},
 		{"memory-async", "memory", true, 0, false},
+		{"memory-async-budget", "memory", true, 8 << 10, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := runOutput(t, cli{path: lowpass, storage: tc.storage, async: tc.async,

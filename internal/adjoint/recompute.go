@@ -23,7 +23,7 @@ func NewRecomputeSource(ckt *circuit.Circuit, tr *transient.Result) *RecomputeSo
 
 // Pair re-evaluates the circuit at step i's converged state and returns the
 // device matrices G_i and C_i — bit for bit what transient.Run handed its
-// CaptureGC hook, so it re-seeds a (G, C) store, answers a tiered store's
+// CaptureGC hook, so it re-seeds a (G, C) store, answers a budgeted chain's
 // planned drops and heals a corrupt step. The slices alias the evaluator and
 // are valid until the next Pair or Fetch.
 func (s *RecomputeSource) Pair(i int) (gVals, cVals []float64, err error) {

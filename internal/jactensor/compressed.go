@@ -52,12 +52,17 @@ import (
 // on a background goroutine while the adjoint solve consumes step i. The blob
 // sequence is byte-identical to sync mode: both run the same runJob calls in
 // the same order, the worker merely elsewhere.
+//
+// Under a memory budget (SetBudget, budget.go) the chain keeps the prefix of
+// steps whose blobs fit and drops the rest, which the reverse sweep
+// recomputes.
 type CompressedStore struct {
 	core
 	issued      int        // steps whose seal job has been issued; only Put and EndForward's caller touches it
 	sealed      bool       // EndForward sealed every step below the head
 	own         StoreSlice // the store's own reverse reader, over [0, n]
 	anchorEvery int        // every k-th step is an anchor; 0 = none
+	budget      int64      // SetBudget; 0 = none
 
 	// mu guards everything above that a worker, prefetch, window slice or
 	// abandoned fetcher goroutine can touch (steps and their records, arena,
@@ -71,6 +76,9 @@ type CompressedStore struct {
 	wkDone  chan struct{}
 	drained bool  // the job queue is closed (EndForward or Close ran)
 	ferr    error // first compression error; surfaces on Put/EndForward/Fetch/Close
+
+	dropFrom  int           // the first step the budget dropped; math.MaxInt while none is
+	recompute RecomputeFunc // SetRecompute: re-derives a dropped step
 
 	pf *prefetch // at most one in-flight reverse prefetch
 }
@@ -98,7 +106,7 @@ type prefetch struct {
 // one-off shared-index footprint to the stats, matching the paper's
 // accounting.
 func NewCompressedStore(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern) *CompressedStore {
-	s := &CompressedStore{core: newCore(jc, cc)}
+	s := &CompressedStore{core: newCore(jc, cc), dropFrom: math.MaxInt}
 	// Until EndForward sets its top, the reader spans every step: the
 	// forward pass's seals gather their history from it too.
 	s.own = StoreSlice{p: s, cd: &s.cd, hi: math.MaxInt}
@@ -172,15 +180,23 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 	st := &stepRec{pinned: s.anchorEvery > 0 && step > 0 && step%s.anchorEvery == 0}
 	st.x = s.stateOf(step)
 	s.mu.Lock()
-	var below *heldFrame
-	if step > 0 {
-		below = &s.steps[step-1].heldFrame // unsealed, so held: its job is issued by this Put at the earliest
+	if step == 0 && !s.fits(0) {
+		s.dropFromStep(0, 0, psp.ID()) // the budget cannot hold the window
 	}
-	st.t = [2]held{s.adopt(0, jVals, below), s.adopt(1, cVals, below)}
+	if !s.dropped(step) {
+		var below *heldFrame
+		if step > 0 {
+			below = &s.steps[step-1].heldFrame // unsealed, so held: its job is issued by this Put at the earliest
+		}
+		st.t = [2]held{s.adopt(0, jVals, below), s.adopt(1, cVals, below)}
+	}
 	s.steps = append(s.steps, st)
+	// A dropped step's due one is dropped too: the first dropped step was
+	// sealed, or refused, before this Put issued its job.
+	dropped := s.dropped(step)
 	s.mu.Unlock()
 
-	if due := step - s.cd.depth; due >= 0 {
+	if due := step - s.cd.depth; due >= 0 && !dropped {
 		s.issued = due + 1
 		job := fwdJob{step: due, st: s.steps[due], parent: psp.ID()}
 		if s.async {
@@ -280,18 +296,23 @@ func (s *CompressedStore) guarded(job fwdJob) (err error) {
 
 // runJob is the forward step of Algorithm 2, the same in both modes: seal
 // job.step against the frames above it — or, at an anchor, against nothing and
-// with restarted codecs — keep the blobs, account them, retain an anchor's
-// plaintext and let the step's frame go. mu must not be held.
+// with restarted codecs — keep the blobs if the budget admits them, account
+// them, retain an anchor's plaintext and let the step's frame go. A step the
+// budget has dropped does nothing. mu must not be held.
 func (s *CompressedStore) runJob(job fwdJob) error {
 	st := job.st
+	s.mu.Lock()
+	if s.dropped(job.step) {
+		s.mu.Unlock()
+		return nil
+	}
+	h := s.own.gather(job.step)
+	cur := st.flatPair()
+	s.mu.Unlock()
 	cut := st.pinned
 	if cut {
 		s.cd.restart()
 	}
-	s.mu.Lock()
-	h := s.own.gather(job.step)
-	cur := st.flatPair()
-	s.mu.Unlock()
 	csp := s.ob.rec.Start(job.parent, span.Compress, job.step)
 	s.cd.setParent(csp.ID())
 	start := time.Now()
@@ -299,17 +320,26 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 	stored := len(jb) + len(cb)
 
 	s.mu.Lock()
-	tensor, err := s.keep(st, jb, cb)
+	var tensor string
+	var err error
+	kept := s.fits(stored)
+	if kept {
+		tensor, err = s.keep(st, jb, cb)
+	}
 	elapsed := time.Since(start)
-	if err != nil {
+	s.stats.CompressTime += elapsed
+	switch {
+	case err != nil:
 		err = &StepError{Step: job.step, Op: "compress", Tensor: tensor, Err: err}
 		if s.ferr == nil {
 			s.ferr = err
 		}
 		stored = 0
-	} else {
+	case !kept:
+		s.dropFromStep(job.step, stored, csp.ID())
+		stored = 0
+	default:
 		s.stats.StoredBytes += int64(stored)
-		s.stats.CompressTime += elapsed
 		s.bumpResident(int64(stored))
 		if cut {
 			// The anchor is a counted private copy: the window's frame may be
@@ -329,8 +359,10 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 		return err
 	}
 	s.ob.compressSec.AddDuration(elapsed)
-	s.ob.storedBytes.Add(float64(stored))
-	s.ob.blobBytes.Observe(float64(stored))
+	if kept {
+		s.ob.storedBytes.Add(float64(stored))
+		s.ob.blobBytes.Observe(float64(stored))
+	}
 	return nil
 }
 
@@ -357,7 +389,8 @@ func (s *CompressedStore) drain() error {
 // sealed against what is above them, all but the final step, whose window
 // frame is its only copy and the first frame the sweep reads: it is not coded,
 // and its sidecars are taken — no copy — for the fetch that reads it to check.
-// In async mode the compression queue drains first.
+// In async mode the compression queue drains first. Under a budget it records
+// how many steps were kept.
 func (s *CompressedStore) EndForward() error {
 	s.mu.Lock()
 	if s.forwardDone {
@@ -391,8 +424,15 @@ func (s *CompressedStore) EndForward() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flatten(&s.steps[n].heldFrame, nil)
-	s.signHead()
+	if !s.dropped(n) {
+		s.flatten(&s.steps[n].heldFrame, nil)
+		s.signHead()
+	}
+	if s.budget > 0 {
+		s.stats.TierKeptSteps = min(s.dropFrom, len(s.steps))
+		s.stats.TierDroppedSteps = len(s.steps) - s.stats.TierKeptSteps
+		s.ob.droppedSteps.Set(float64(s.stats.TierDroppedSteps))
+	}
 	s.sealed = true
 	return nil
 }
@@ -562,7 +602,8 @@ func (s *CompressedStore) unpinBlobs() {
 }
 
 // maybePrefetch schedules a background decompression of step-1 against the
-// (resident) frames from step up. mu must be held.
+// (resident) frames from step up — or, for a step the budget dropped, its
+// recomputation. mu must be held.
 func (s *CompressedStore) maybePrefetch(step int) {
 	if !s.async || s.pf != nil || step <= 0 || s.arena.closed {
 		return
@@ -573,7 +614,11 @@ func (s *CompressedStore) maybePrefetch(step int) {
 	if prev.resident() || prev.pinned {
 		return
 	}
-	h := s.own.gather(step - 1)
+	var h history
+	recompute := s.dropped(step - 1)
+	if !recompute {
+		h = s.own.gather(step - 1)
+	}
 	pf := &prefetch{step: step - 1, st: prev, done: make(chan struct{})}
 	s.pf = pf
 	go func() {
@@ -585,7 +630,11 @@ func (s *CompressedStore) maybePrefetch(step int) {
 			}
 			close(pf.done)
 		}()
-		pf.out, pf.err = s.decodeStep(&s.cd, pf.step, pf.st, h, true)
+		if recompute {
+			pf.out, pf.err = s.recomputeStep(pf.step)
+		} else {
+			pf.out, pf.err = s.decodeStep(&s.cd, pf.step, pf.st, h, true)
+		}
 	}()
 }
 

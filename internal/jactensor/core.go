@@ -2,12 +2,11 @@ package jactensor
 
 // What the stores share. storeBase is the part every store has — the Put
 // contract, the stats with the resident meter, the corruption count and the
-// attachment. core is what the two blob-holding stores (CompressedStore, the
-// chain policy; TieredStore, the ladder policy) are built on: one record per
-// step, the arena, the frame pool and the one path a step takes from
-// plaintext to a sealed blob and back. core owns data and transitions only.
-// It has no lock — each policy calls it under its own discipline — and it
-// decides no placement.
+// attachment. core is what the blob-holding store, CompressedStore, is built
+// on: one record per step, the arena, the frame pool and the one path a step
+// takes from plaintext to a sealed blob and back. core owns data and
+// transitions only. It has no lock — the store calls it under its own — and
+// it decides nothing: what is kept is the store's and its budget's call.
 
 import (
 	"context"
@@ -59,7 +58,7 @@ type storeBase struct {
 }
 
 // attach resolves a into the store's handles; kind labels the metric series
-// (memory, disk, compressed, tiered).
+// (memory, disk, compressed).
 func (b *storeBase) attach(a Attachment, kind string) {
 	b.ob = newStoreObs(a.Obs, kind)
 	b.ob.scope = a.Scope
@@ -197,22 +196,15 @@ func (f *heldFrame) flatPair() pair { return pair{f.t[0].flat, f.t[1].flat} }
 // flatFrame is a window frame holding p's arrays flat.
 func flatFrame(p pair) heldFrame { return heldFrame{t: [2]held{{flat: p.j}, {flat: p.c}}} }
 
-// stepRec is everything a blob-holding store knows about one step. Which
-// fields are live is the policy's business: the ladder moves a step between
-// rungs and hands its frame out directly; the chain keeps every blob in RAM,
-// a frame on its anchors and in its history window, and hands out the
-// window's frames.
+// stepRec is everything the chain knows about one step: its blobs in the
+// arena, a frame on its anchors, its place in the history window.
 type stepRec struct {
-	tier         Tier      // ladder rung
-	frame                  // checksummed plaintext at rest: the ladder's hot rung, a chain anchor; the chain head's sidecars alone
-	heldFrame              // chain: the step's place in the history window
-	released     bool      // ladder: the step is dead
-	x            []float64 // chain: the state the step was produced at (Attachment.State) — the caller's array, not counted as resident
-	jBlob, cBlob []byte    // sealed blobs: arena memory, or the scratch frames until kept or dropped
+	frame                  // checksummed plaintext at rest: an anchor; the head's sidecars alone
+	heldFrame              // the step's place in the history window
+	x            []float64 // the state the step was produced at (Attachment.State) — the caller's array, not counted as resident
+	jBlob, cBlob []byte    // sealed blobs in the arena; nil for the head and a dropped step
 	jbN, cbN     int       // sealed lengths
-	pinned       bool      // chain anchor: the chain cuts here
-	inUse        bool      // ladder: fetched and not yet released, so not evictable
-	prefetched   bool      // ladder: materialized by the background prefetch
+	pinned       bool      // anchor: the chain cuts here
 	quarantined  bool      // failed verification: unreadable until Repair
 }
 
@@ -296,8 +288,8 @@ func (cd *codecs) setParent(id span.ID) {
 }
 
 // restart cuts the codecs' cross-call prediction state (Markov counts,
-// calibration phase), so the next blob round-trips on its own. Codecs without
-// the capability still get a value-chain cut from a nil reference.
+// calibration phase), so an anchor's blob round-trips on its own. Codecs
+// without the capability still get a value-chain cut from a nil reference.
 func (cd *codecs) restart() {
 	type restarter interface{ Restart() }
 	if r, ok := cd.j.(restarter); ok {
@@ -374,12 +366,12 @@ func isRepeat(blob []byte, near []float64) bool { return len(blob) == crcLen && 
 
 // poolFrames caps the frame pool. A Put/compress or fetch/Release cycle keeps
 // a frame or two waiting (plus the prefetch's and a short queue's); without a
-// cap an unbudgeted ladder would park its whole tensor there as the sweep
-// releases it. The chain's blocks wait in a pool of one frame's worth, its
-// block indices in one of a window's.
+// cap the pool would grow to the window's high-water mark and keep it. The
+// blocks wait in a pool of one frame's worth, the block indices in one of a
+// window's.
 const poolFrames = 4
 
-// core is the shared body of the blob-holding stores.
+// core is the body of the blob-holding store.
 type core struct {
 	storeBase
 	cd    codecs
@@ -619,11 +611,11 @@ func (k *core) admitFrame(step int, st *stepRec, p pair) {
 
 // seal is the forward half of the blob lifecycle: codec, CRC, then the fault
 // window (at-rest rot, caught by the CRC when the blob is opened). cur is
-// compressed against h (none = self-contained) into the scratch frames — a
-// tensor bit-identical to its nearest reference is a repeat, which meets no
-// codec and whose payload is empty; the sealed results alias the frames —
-// shortened when the injector truncates — until keep copies them out or the
-// ladder drops them.
+// compressed against h (none = an anchor's self-contained blob) into the
+// scratch frames — a tensor bit-identical to its nearest reference is a
+// repeat, which meets no codec and whose payload is empty; the sealed results
+// alias the frames — shortened when the injector truncates — until keep copies
+// them out or the budget refuses them.
 func (k *core) seal(step int, cur pair, h history) (jb, cb []byte) {
 	k.frameJ = sealTensor(k.frameJ, k.cd.j, 'J', step, cur.j, h.j, h.x)
 	k.frameC = sealTensor(k.frameC, k.cd.c, 'C', step, cur.c, h.c, h.x)
@@ -680,7 +672,7 @@ func (k *core) heal(st *stepRec) {
 // outlived the run may still hold one.
 func (k *core) closeCore() {
 	for _, st := range k.steps {
-		*st = stepRec{released: true}
+		*st = stepRec{}
 	}
 	k.steps, k.poolJ, k.poolC, k.poolB, k.poolIdx, k.shared = nil, nil, nil, nil, [2][]compress.Blocks{}, nil
 	k.bumpResident(-k.resident)

@@ -6,21 +6,21 @@
 // produce, and the sweep rebuilds J = G + C/h from it; the benchmark's trace
 // still feeds the assembled (J, C).
 //
-// The package is one core, two placement policies and two raw stores. The
-// core (core.go) owns the per-step records, the blob arena, the frame pool
-// and the single seal / keep / open-and-decode / quarantine / heal path, and
-// every store shares the Put contract, the resident meter and the one Attach
-// call (storeBase). CompressedStore is the chain policy over it — the
-// paper's Algorithm 2: every blob in RAM, each predicted from the steps above
-// it (as many as its codecs read, held in a window of plaintext frames: the
-// nearest flat, the deeper ones as the blocks they changed), sync
-// or pipelined, over the codecs its caller names. One reverse reader,
+// The package is one chain store and two raw stores. The core (core.go) owns
+// the per-step records, the blob arena, the frame pool and the single seal /
+// keep / open-and-decode / quarantine / heal path, and every store shares the
+// Put contract, the resident meter and the one Attach call (storeBase).
+// CompressedStore is the chain over it — the paper's Algorithm 2: every blob
+// in RAM, each predicted from the steps above it (as many as its codecs read,
+// held in a window of plaintext frames: the nearest flat, the deeper ones as
+// the blocks they changed), sync or pipelined, over the codecs its caller
+// names. Under a memory budget (budget.go) it keeps the prefix of steps whose
+// blobs fit and recomputes the rest in the reverse sweep. One reverse reader,
 // StoreSlice, brings its steps back: the store's own sweep is its reader over
 // [0, n], a window view is the same reader with forked codecs and a private
-// window. TieredStore is the ladder policy: it holds a memory budget by
-// placing each step on RAM, compressed RAM, disk or recompute. MemStore (raw in-memory, the reference the others
-// are compared with) and DiskStore (raw spill) keep plaintext and share only
-// storeBase. Full recomputation lives in the adjoint package.
+// window. MemStore (raw in-memory, the reference the others are compared
+// with) and DiskStore (raw spill) keep plaintext and share only storeBase.
+// Full recomputation lives in the adjoint package.
 package jactensor
 
 import (
@@ -71,31 +71,22 @@ type Stats struct {
 	// the part of it a one-reference chain would not have.
 	HistoryBytes int64
 
-	// Tiered-store placement accounting (TieredStore only). The per-tier
-	// step and byte counts are the placement at EndForward, when every step
-	// is live, so the step counts sum to Steps; the counters accumulate over
-	// the run. BudgetBytes echoes the configured budget (0 = unlimited) so
-	// manifests record the constraint PeakResident was held to.
-	BudgetBytes         int64
-	TierHotSteps        int
-	TierCompressedSteps int
-	// Deprecated: always 0; the tiered store has no spill rung.
-	TierDiskSteps       int
-	TierDroppedSteps    int
-	TierHotBytes        int64
-	TierCompressedBytes int64
-	// TierDemotions counts rung changes under budget pressure — one per
-	// step that left the hot tier, plus one per blob later evicted from the
-	// compressed rung; TierDirectDrops counts the steps among them that
-	// went from the hot tier straight to the recompute rung without ever
-	// meeting the codec; TierPromotions counts re-materializations during
-	// the reverse sweep; TierRecomputes counts deliberately-dropped steps
-	// re-derived from the trajectory (distinct from Repairs, which heal
-	// corruption).
-	TierDemotions   int64
-	TierDirectDrops int64
-	TierPromotions  int64
-	TierRecomputes  int64
+	// Budget accounting (a CompressedStore under SetBudget; the facade's
+	// MemBudgetBytes). BudgetBytes echoes the budget (0 = none) so manifests
+	// record the constraint PeakResident was held to. The kept steps are the
+	// prefix [0, TierKeptSteps), so TierKeptSteps is also the first dropped
+	// step when TierDroppedSteps > 0; the two sum to Steps. TierRecomputes
+	// counts the dropped steps re-derived from the trajectory during the
+	// sweep (distinct from Repairs, which heal corruption).
+	BudgetBytes      int64
+	TierKeptSteps    int
+	TierDroppedSteps int
+	TierRecomputes   int64
+	// Deprecated: always 0; no store spills under a budget.
+	TierDiskSteps int
+	// Deprecated: always 0; a budgeted store has no hot rung to leave or
+	// return to.
+	TierDemotions, TierPromotions int64
 }
 
 // Store retains per-step pairs of value arrays written forward and read

@@ -55,6 +55,25 @@ func tensorFixture(seed int64, n, steps int) (jp, cp *sparse.Pattern, js, cs [][
 	return
 }
 
+// placementFixture is tensorFixture's patterns with values that compress on
+// their own: runs of repeated stamps, with a few entries moving per step.
+func placementFixture(n, steps int) (jp, cp *sparse.Pattern, js, cs [][]float64) {
+	jp, cp, js, cs = tensorFixture(71, n, steps)
+	rng := rand.New(rand.NewSource(72))
+	for s := range js {
+		for i := range js[s] {
+			js[s][i] = float64(1+(i/6)%3) * (1 + 1e-3*float64(s))
+		}
+		for i := range cs[s] {
+			cs[s][i] = 1e-9 * float64(1+(i/5)%2)
+		}
+		for k := rng.Intn(8); k > 0; k-- {
+			js[s][rng.Intn(len(js[s]))] = rng.NormFloat64()
+		}
+	}
+	return
+}
+
 // fillAndVerify pushes the fixture through the store and reads it back in
 // reverse, comparing bit-exactly (unless lossy).
 func fillAndVerify(t *testing.T, st Store, js, cs [][]float64) {

@@ -88,31 +88,43 @@ func chainedBound(depth int) func(f *modelFixture, steps int, stored int64, anch
 	}
 }
 
-// blockedBytes is what n values cost held in blocks none of which is shared:
-// the blocks, the last one padded, and the index of their pointers.
-func blockedBytes(n int) int64 {
-	return int64(8 * compress.NumBlocks(n) * (compress.BlockLen + 1))
-}
-
-func tieredShape(name string, budgetFrames int64) modelShape {
+// budgetedShape is the chain under a budget drawn per schedule: below the
+// windows' reserve (nothing kept), or the reserve and room for up to half the
+// steps' frames (a kept prefix, the rest dropped, or all kept).
+func budgetedShape(name string, async bool) modelShape {
+	var budget int64 // this schedule's, for the bound
+	queue := 0
 	return modelShape{
-		name: name,
+		name:    name,
+		chained: true,
 		mk: func(t *testing.T, rng *rand.Rand, f *modelFixture, _ int) Store {
-			cfg := TieredConfig{BudgetBytes: budgetFrames * f.frame, DisablePrefetch: rng.Intn(2) == 0}
-			st := NewTieredStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), cfg)
+			jc, cc := modelCodecs(rng, f)
+			var st *CompressedStore
+			if async {
+				queue = 1 + rng.Intn(4)
+				st = NewCompressedStoreAsync(jc, cc, f.jp, f.cp, queue)
+			} else {
+				st = NewCompressedStore(jc, cc, f.jp, f.cp)
+			}
+			reserve := ReserveBytes(st.cd.depth, len(f.js[0]), len(f.cs[0]))
+			if rng.Intn(3) == 0 {
+				budget = 1 + rng.Int63n(reserve)
+			} else {
+				budget = reserve + rng.Int63n(int64(len(f.js))*f.frame/2+1)
+			}
+			st.SetBudget(budget)
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return f.js[step], f.cs[step], nil })
 			return st
 		},
-		bound: func(f *modelFixture, steps int, _ int64, _, held, _ int) int64 {
-			if budgetFrames == 0 {
-				// Everything stays hot; a repair may briefly hold its copy.
-				return int64(steps+1) * f.frame
+		// The budget and one frame in flight — at least two frames, since
+		// the sweep holds the step above the one it fetches — and in async
+		// mode the frames the queue holds.
+		bound: func(f *modelFixture, _ int, _ int64, _, _, _ int) int64 {
+			limit := max(budget, f.frame) + f.frame
+			if async {
+				limit += int64(queue+2) * f.frame
 			}
-			// The documented slack: the frame being admitted, a blob beside
-			// its plaintext mid-demotion — two frames, since a blob of
-			// values that do not compress outgrows its frame — and the
-			// frames the schedule holds in use.
-			return (budgetFrames + 3 + int64(held)) * f.frame
+			return limit
 		},
 	}
 }
@@ -154,8 +166,8 @@ func modelShapes() []modelShape {
 			bound: func(f *modelFixture, _ int, _ int64, _, _, _ int) int64 { return 3 * f.frame }},
 		{name: "compressed", chained: true, mk: chainedMk(false), bound: chainedBound(0)},
 		{name: "compressed-async", chained: true, mk: chainedMk(true), bound: chainedBound(8)},
-		tieredShape("tiered-unlimited", 0),
-		tieredShape("tiered-tight", 5),
+		budgetedShape("budgeted", false),
+		budgetedShape("budgeted-async", true),
 	}
 }
 
@@ -393,8 +405,9 @@ func (m *modelRun) reverse() {
 // TestStoreModel is the model-based suite: random schedules of Put,
 // EndForward, Fetch in every order a store's contract allows, Release and
 // Repair — serial, through window slices and in the shared-source pattern —
-// over every constructor, codec pairs, anchor spacings, budgets (none and
-// tight), states attached or not and injected frame and
+// over every constructor, codec pairs, anchor spacings, budgets (below the
+// chain's reserve, binding, or fitting it whole), states attached or not and
+// injected frame and
 // blob rot, each checked against a map. Bits are equal, refusals are typed, PeakResident stays
 // under its bound, and a quarantined step heals through Repair and only
 // through it.
@@ -453,7 +466,7 @@ func TestStoreModel(t *testing.T) {
 // TestPutContract: every store, the states attached, refuses an out-of-order
 // step, a step whose value counts differ from step 0's and a step after
 // EndForward, with a non-degradable *StepError{Op: "put"} naming the step, and
-// counts none of them. Before the contract was shared, the tiered, disk and memory stores
+// counts none of them. Before the contract was shared, the disk and memory stores
 // took a step with changed value counts (the disk store then reported the
 // caller's bug as a corrupt record at fetch time).
 func TestPutContract(t *testing.T) {
@@ -475,9 +488,11 @@ func TestPutContract(t *testing.T) {
 			jc, cc := masc()
 			return NewCompressedStoreAsync(jc, cc, jp, cp, 2), nil
 		},
-		"tiered": func() (Store, error) {
+		"budgeted": func() (Store, error) {
 			jc, cc := masc()
-			st := NewTieredStore(jc, cc, TieredConfig{BudgetBytes: 200})
+			st := NewCompressedStore(jc, cc, jp, cp)
+			// The windows' reserve and room for a few blobs.
+			st.SetBudget(ReserveBytes(st.cd.depth, len(js[0]), len(cs[0])) + 2<<10)
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return js[step], cs[step], nil })
 			return st, nil
 		},

@@ -13,8 +13,8 @@ import (
 // value (all-nil handles) makes every hook a cheap no-op, so the hot
 // paths carry no "is telemetry on?" branching of their own.
 type storeObs struct {
-	// rec records store-internal spans (put/compress/decompress, tier
-	// moves); scope is the fixed fallback parent (the run root span) used
+	// rec records store-internal spans (put/compress/decompress, the
+	// budget's decision, recomputes); scope is the fixed fallback parent (the run root span) used
 	// whenever the recorder's dynamic scope — the forward step span, set
 	// only by the single-threaded forward loop — is clear, e.g. for
 	// reverse-sweep decompressions and prefetches.
@@ -37,11 +37,13 @@ type storeObs struct {
 	peakResident  *obs.Gauge
 	anchorBytes   *obs.Gauge
 	arenaBytes    *obs.Gauge
+	droppedSteps  *obs.Gauge
+	recomputes    *obs.Counter
 	blobBytes     *obs.Histogram
 }
 
 // newStoreObs resolves the masc_store_* metric families, labelled with the
-// store kind ("memory", "disk", "compressed", "tiered"). All families are
+// store kind ("memory", "disk", "compressed"). All families are
 // registered eagerly so /metrics exposes them from the first scrape, before
 // any traffic. A nil observer yields all-nil handles.
 func newStoreObs(o *obs.Observer, kind string) storeObs {
@@ -65,6 +67,8 @@ func newStoreObs(o *obs.Observer, kind string) storeObs {
 		peakResident:  reg.Gauge("masc_store_peak_resident_bytes", "Peak modelled resident bytes over the run.", lbl...),
 		anchorBytes:   reg.Gauge("masc_store_anchor_bytes", "Plaintext bytes retained as chain anchor frames.", lbl...),
 		arenaBytes:    reg.Gauge("masc_store_arena_bytes", "Blob bytes currently held outside the Go heap, where runtime/metrics cannot see them.", lbl...),
+		droppedSteps:  reg.Gauge("masc_store_dropped_steps", "Steps the memory budget kept no blob for, recomputed in the reverse sweep.", lbl...),
+		recomputes:    reg.Counter("masc_store_recomputes_total", "Dropped steps re-derived from the trajectory during the reverse sweep.", lbl...),
 		blobBytes:     reg.Histogram("masc_store_blob_bytes", "Per-step compressed blob sizes (J+C).", obs.SizeBuckets(), lbl...),
 	}
 }
@@ -90,47 +94,6 @@ func boolAttr(b bool) int64 {
 func (so *storeObs) observeResident(resident int64) {
 	so.resident.Set(float64(resident))
 	so.peakResident.SetMax(float64(resident))
-}
-
-// tierObs is the tier-ladder telemetry bundle of the tiered store: live
-// per-tier placement gauges plus demotion/promotion counters labelled with
-// the destination/origin tier. Zero value = disabled, like storeObs.
-type tierObs struct {
-	steps       [numTiers]*obs.Gauge
-	bytes       [numTiers]*obs.Gauge
-	demotions   [numTiers]*obs.Counter
-	promotes    [numTiers]*obs.Counter
-	directDrops *obs.Counter
-}
-
-// newTierObs registers the masc_store_tier_* families, one series per tier.
-func newTierObs(o *obs.Observer) tierObs {
-	reg := o.Registry()
-	t := tierObs{directDrops: reg.Counter("masc_store_tier_direct_drops_total",
-		"Steps sent from the hot tier straight to the recompute rung, never compressed.")}
-	for tier := TierHot; tier < numTiers; tier++ {
-		lbl := []string{"tier", tier.String()}
-		t.steps[tier] = reg.Gauge("masc_store_tier_steps",
-			"Live steps currently placed on each tier of the tiered store.", lbl...)
-		t.bytes[tier] = reg.Gauge("masc_store_tier_bytes",
-			"Resident bytes currently held on each tier of the tiered store.", lbl...)
-		t.demotions[tier] = reg.Counter("masc_store_tier_demotions_total",
-			"Steps demoted onto each tier under memory-budget pressure.", lbl...)
-		t.promotes[tier] = reg.Counter("masc_store_tier_promotions_total",
-			"Steps promoted back to hot RAM from each tier during the reverse sweep.", lbl...)
-	}
-	return t
-}
-
-func (t *tierObs) demote(to Tier)    { t.demotions[to].Inc() }
-func (t *tierObs) promote(from Tier) { t.promotes[from].Inc() }
-
-// observe mirrors a placement snapshot into the per-tier gauges.
-func (t *tierObs) observe(steps [numTiers]int, bytes [numTiers]int64) {
-	for tier := TierHot; tier < numTiers; tier++ {
-		t.steps[tier].Set(float64(steps[tier]))
-		t.bytes[tier].Set(float64(bytes[tier]))
-	}
 }
 
 // PublishCodecStats mirrors one codec's predictor-selection statistics

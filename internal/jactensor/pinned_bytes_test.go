@@ -9,33 +9,21 @@ import (
 	"masc/internal/sparse"
 )
 
-// sealedStream folds a store's sealed blobs, in step order, into one FNV-64a
-// hash: every J blob then every C blob of a chained store; for a tiered store
-// each step's rung, followed by its blobs when it rests on the compressed
-// rung (so the hash pins the placement as well as the bytes). This accessor
-// is the only part of the pin that knows where a store keeps its blobs.
+// sealedStream folds a chain store's sealed blobs, in step order, into one
+// FNV-64a hash: every step's J blob then its C blob; a step the budget
+// dropped has none. This accessor is the only part of the pin that knows
+// where a store keeps its blobs.
 func sealedStream(st Store) uint64 {
-	h := fnv.New64a()
-	switch s := st.(type) {
-	case *CompressedStore:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, rec := range s.steps {
-			h.Write(rec.jBlob)
-			h.Write(rec.cBlob)
-		}
-	case *TieredStore:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, rec := range s.steps {
-			h.Write([]byte{byte(rec.tier)})
-			if rec.tier == TierCompressed {
-				h.Write(rec.jBlob)
-				h.Write(rec.cBlob)
-			}
-		}
-	default:
+	s, ok := st.(*CompressedStore)
+	if !ok {
 		panic(fmt.Sprintf("sealedStream: %T holds no sealed blobs", st))
+	}
+	h := fnv.New64a()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, rec := range s.steps {
+		h.Write(rec.jBlob)
+		h.Write(rec.cBlob)
 	}
 	return h.Sum64()
 }
@@ -115,7 +103,11 @@ type pinnedBytes struct {
 // compressed rung, as before), peak −23; chained/tiered keeps its bytes and
 // stream, its peak 24 B lower (the one blob coded and then dropped);
 // selfcontained/tiered holds 457 B more, the fill-once rung taking 33 steps
-// where it took 32, peak −24.
+// where it took 32, peak −24. The tiered rows became the budget-half rows
+// when a budget became an admission rule on the chain and the ladder, with
+// its self-contained blobs, was deleted: the chain under the windows' reserve
+// and half the masc-sync row's bytes keeps a prefix of the masc-sync row's
+// blobs and recomputes the rest (recorded then; nothing carried over).
 func TestPinnedStoreBytes(t *testing.T) {
 	const steps = 120
 	type fixture struct {
@@ -142,6 +134,23 @@ func TestPinnedStoreBytes(t *testing.T) {
 		jp, cp, js, cs = placementFixture(20, steps)
 		fixtures = append(fixtures, fixture{"selfcontained", jp, cp, js, cs, walk(20)})
 	}
+	want := map[string]pinnedBytes{
+		"voltage/masc-sync":            {stored: 121414, peak: 223839, stream: 0x8ad5f45d1106b0e2},
+		"voltage/masc-async2":          {stored: 121414, peak: -1, stream: 0x8ad5f45d1106b0e2},
+		"voltage/masc-anchors50":       {stored: 152754, peak: 280507, stream: 0x40f60753020c60dd},
+		"voltage/markov-sync":          {stored: 117376, peak: 219801, stream: 0x936626ab96c644a4},
+		"voltage/budget-half":          {stored: 62201, peak: 171706, stream: 0xb5e298422506639a},
+		"chained/masc-sync":            {stored: 31816, peak: 57553, stream: 0x41e658028b2fd7a5},
+		"chained/masc-async2":          {stored: 31816, peak: -1, stream: 0x41e658028b2fd7a5},
+		"chained/masc-anchors50":       {stored: 37469, peak: 69078, stream: 0x32552b03dfdfd2dd},
+		"chained/markov-sync":          {stored: 31358, peak: 57095, stream: 0xf18e911e7ff0ae89},
+		"chained/budget-half":          {stored: 16275, peak: 42900, stream: 0x4e0c20ef0948c3c7},
+		"selfcontained/masc-sync":      {stored: 16620, peak: 25106, stream: 0x50f3dbb3a2f11e73},
+		"selfcontained/masc-async2":    {stored: 16620, peak: -1, stream: 0x50f3dbb3a2f11e73},
+		"selfcontained/masc-anchors50": {stored: 19615, peak: 31557, stream: 0xf54a3adf35b51ad3},
+		"selfcontained/markov-sync":    {stored: 17511, peak: 25997, stream: 0x8e0b339b5fdfe122},
+		"selfcontained/budget-half":    {stored: 8401, peak: 20095, stream: 0x40f14c192a336462},
+	}
 	const asyncDepth = 2
 	shapes := []struct {
 		name string
@@ -162,31 +171,13 @@ func TestPinnedStoreBytes(t *testing.T) {
 			mo := masczip.Options{Markov: true}
 			return NewCompressedStore(masczip.New(f.jp, mo), masczip.New(f.cp, mo), f.jp, f.cp)
 		}},
-		{"tiered-quarter", func(t *testing.T, f fixture) Store {
-			raw := int64(8*(len(f.js[0])+len(f.cs[0]))) * steps
-			st := NewTieredStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), TieredConfig{
-				BudgetBytes: raw / 4, DisablePrefetch: true,
-			})
+		{"budget-half", func(t *testing.T, f fixture) Store {
+			// The windows' reserve and half the unbudgeted chain.
+			st := NewCompressedStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), f.jp, f.cp)
+			st.SetBudget(ReserveBytes(st.cd.depth, len(f.js[0]), len(f.cs[0])) + want[f.name+"/masc-sync"].stored/2)
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return f.js[step], f.cs[step], nil })
 			return st
 		}},
-	}
-	want := map[string]pinnedBytes{
-		"voltage/masc-sync":            {stored: 121414, peak: 223839, stream: 0x8ad5f45d1106b0e2},
-		"voltage/masc-async2":          {stored: 121414, peak: -1, stream: 0x8ad5f45d1106b0e2},
-		"voltage/masc-anchors50":       {stored: 152754, peak: 280507, stream: 0x40f60753020c60dd},
-		"voltage/markov-sync":          {stored: 117376, peak: 219801, stream: 0x936626ab96c644a4},
-		"voltage/tiered-quarter":       {stored: 373268, peak: 403751, stream: 0xada50c45d9eafb74},
-		"chained/masc-sync":            {stored: 31816, peak: 57553, stream: 0x41e658028b2fd7a5},
-		"chained/masc-async2":          {stored: 31816, peak: -1, stream: 0x41e658028b2fd7a5},
-		"chained/masc-anchors50":       {stored: 37469, peak: 69078, stream: 0x32552b03dfdfd2dd},
-		"chained/markov-sync":          {stored: 31358, peak: 57095, stream: 0xf18e911e7ff0ae89},
-		"chained/tiered-quarter":       {stored: 91920, peak: 98078, stream: 0xe2218781b7b7c29d},
-		"selfcontained/masc-sync":      {stored: 16620, peak: 25106, stream: 0x50f3dbb3a2f11e73},
-		"selfcontained/masc-async2":    {stored: 16620, peak: -1, stream: 0x50f3dbb3a2f11e73},
-		"selfcontained/masc-anchors50": {stored: 19615, peak: 31557, stream: 0xf54a3adf35b51ad3},
-		"selfcontained/markov-sync":    {stored: 17511, peak: 25997, stream: 0x8e0b339b5fdfe122},
-		"selfcontained/tiered-quarter": {stored: 44499, peak: 47834, stream: 0xabd97733108e6d20},
 	}
 	for _, f := range fixtures {
 		// A frame at what it costs in the window: in blocks, none shared.

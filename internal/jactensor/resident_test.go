@@ -1,7 +1,6 @@
 package jactensor
 
 import (
-	"fmt"
 	"testing"
 
 	"masc/internal/compress/masczip"
@@ -126,89 +125,6 @@ func TestPeakResidentModel(t *testing.T) {
 			}
 			tc.check(t, peak)
 		})
-	}
-}
-
-// TestTieredBudgetEnforced is the budget half of the -mem-budget contract:
-// for every budget on the ladder, PeakResident never exceeds the budget
-// plus the documented slack — the in-flight frame a Put or Fetch is
-// admitting, one sealed blob held alongside its plaintext mid-demotion, and
-// the frames the sweep itself holds fetched (the serial pattern keeps two in
-// flight). The absurdly tiny budget must degrade to deliberate drops (and
-// stay exact through recompute), never overrun the model silently.
-func TestTieredBudgetEnforced(t *testing.T) {
-	const n, steps = 60, 20
-	jp, cp, js, cs := tensorFixture(55, n, steps)
-	frame := int64(8 * (len(js[0]) + len(cs[0])))
-	raw := frame * steps
-
-	// Slack: up to three live frames (fetched step, the not-yet-released
-	// step above it, the one being admitted) plus a blob alongside its
-	// plaintext during one demotion, which for values that do not compress
-	// outgrows its frame: two frames.
-	slack := 5 * frame
-
-	// The last budget is absurdly tiny: recompute rung only.
-	for _, budget := range []int64{raw / 2, raw / 4, raw / 8, 4 << 10} {
-		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			st := newTieredFixture(jp, cp, js, cs, TieredConfig{BudgetBytes: budget})
-			for i := range js {
-				if err := st.Put(i, js[i], cs[i]); err != nil {
-					t.Fatal(err)
-				}
-				if got := st.Stats().PeakResident; got > budget+slack {
-					t.Fatalf("forward peak %d exceeds budget %d + slack %d", got, budget, slack)
-				}
-			}
-			if err := st.EndForward(); err != nil {
-				t.Fatal(err)
-			}
-			for i := len(js) - 1; i >= 0; i-- {
-				if _, _, err := st.Fetch(i); err != nil {
-					t.Fatalf("fetch %d: %v", i, err)
-				}
-				if i < len(js)-1 {
-					st.Release(i + 1)
-				}
-			}
-			stats := st.Stats()
-			if stats.PeakResident > budget+slack {
-				t.Fatalf("peak %d exceeds budget %d + slack %d (%+v)", stats.PeakResident, budget, slack, stats)
-			}
-			if budget <= 4<<10 && (stats.TierDroppedSteps == 0 || stats.TierRecomputes == 0) {
-				t.Fatalf("tiny budget never reached the recompute rung: %+v", stats)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestTieredUnlimitedBudgetStaysHot: budget 0 disables the ladder — the
-// store must behave exactly like MemStore's footprint (everything hot, no
-// demotions), so "tiered with no budget" costs nothing over the default.
-func TestTieredUnlimitedBudgetStaysHot(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(56, 40, 10)
-	st := newTieredFixture(jp, cp, js, cs, TieredConfig{})
-	for i := range js {
-		if err := st.Put(i, js[i], cs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.EndForward(); err != nil {
-		t.Fatal(err)
-	}
-	stats := st.Stats()
-	raw := int64(8*(len(js[0])+len(cs[0]))) * int64(len(js))
-	if stats.PeakResident != raw {
-		t.Fatalf("unlimited peak = %d, want raw %d", stats.PeakResident, raw)
-	}
-	if stats.TierHotSteps != len(js) || stats.TierDemotions != 0 {
-		t.Fatalf("unlimited budget still demoted: %+v", stats)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

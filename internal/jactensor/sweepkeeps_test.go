@@ -214,17 +214,17 @@ var blobFaults = []blobFault{
 // TestArenaCRCCatchesEveryFault: each fault class the file header caught is
 // caught by the arena blob's 4-byte CRC — not later by the codec — in the
 // chain store, on coded blobs and on a repeat's (J never moves, so every J
-// blob is a CRC alone), and in the tiered store; the fetch quarantines exactly
-// the steps it names, and after Repair the sweep is bit-identical.
+// blob is a CRC alone), and under a budget that drops the top of the chain,
+// on the two highest kept blobs, the first of which decodes against
+// recomputed frames; the fetch quarantines exactly the steps it names, and
+// after Repair the sweep is bit-identical.
 func TestArenaCRCCatchesEveryFault(t *testing.T) {
 	const steps = 24
-	// The tiered store's blobs are self-contained, so it takes a fixture that
-	// compresses without a reference, or its compressed rung stays empty.
 	jp, cp, js, cs := movingFixture(92, 20, steps)
 	for s := range js {
 		js[s] = js[0]
 	}
-	tjp, tcp, tjs, tcs := placementFixture(20, steps)
+	bjp, bcp, bjs, bcs := movingFixture(94, 20, steps)
 	stores := []struct {
 		name   string
 		js, cs [][]float64
@@ -234,11 +234,11 @@ func TestArenaCRCCatchesEveryFault(t *testing.T) {
 			st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
 			return st, &recAccess{lock: st.mu.Lock, unlock: st.mu.Unlock, recs: func() []*stepRec { return st.steps }}
 		}},
-		{"tiered", tjs, tcs, func() (Store, *recAccess) {
-			raw := int64(8*(len(tjs[0])+len(tcs[0]))) * steps
-			st := NewTieredStore(masczip.New(tjp, masczip.Options{}), masczip.New(tcp, masczip.Options{}),
-				TieredConfig{BudgetBytes: raw / 4, DisablePrefetch: true})
-			st.SetRecompute(func(step int) ([]float64, []float64, error) { return tjs[step], tcs[step], nil })
+		{"budgeted", bjs, bcs, func() (Store, *recAccess) {
+			st := NewCompressedStore(masczip.New(bjp, masczip.Options{}), masczip.New(bcp, masczip.Options{}), bjp, bcp)
+			// The windows' reserve and room for about half the blobs.
+			st.SetBudget(ReserveBytes(st.cd.depth, len(bjs[0]), len(bcs[0])) + 3<<10)
+			st.SetRecompute(func(step int) ([]float64, []float64, error) { return bjs[step], bcs[step], nil })
 			return st, &recAccess{lock: st.mu.Lock, unlock: st.mu.Unlock, recs: func() []*stepRec { return st.steps }}
 		}},
 	}
@@ -256,8 +256,9 @@ func TestArenaCRCCatchesEveryFault(t *testing.T) {
 				if err := st.EndForward(); err != nil {
 					t.Fatal(err)
 				}
-				// The two highest steps with blobs: for the tiered store, the
-				// top of its compressed rung.
+				// The two highest steps with blobs: under the budget, the top
+				// of the kept prefix.
+				kept := st.Stats().TierKeptSteps
 				acc.lock()
 				var withBlobs []int
 				for s, r := range acc.recs() {
@@ -270,6 +271,10 @@ func TestArenaCRCCatchesEveryFault(t *testing.T) {
 					t.Fatalf("%d steps hold blobs", len(withBlobs))
 				}
 				a, b := withBlobs[len(withBlobs)-1], withBlobs[len(withBlobs)-2]
+				if sh.name == "budgeted" && (kept >= steps-1 || a != kept-1) {
+					acc.unlock()
+					t.Fatalf("the budget kept %d of %d steps, the highest blob is step %d", kept, steps, a)
+				}
 				f.damage(acc.recs(), a, b)
 				acc.unlock()
 				want := map[int]bool{a: true}
@@ -519,96 +524,5 @@ func TestSliceRefusesAGoneHead(t *testing.T) {
 		if s := st3.Stats(); s.CorruptBlobs != 0 || s.Repairs != 0 {
 			t.Fatalf("own sweep at %d: %d corrupt blobs, %d repairs", at, s.CorruptBlobs, s.Repairs)
 		}
-	}
-}
-
-// TestTieredResidentCountsArena: the compressed rung's arena keeps every blob
-// it took until Close, so throughout a budgeted run — every Put, fetch,
-// repair of a step on the compressed rung, and release, of a fetched step or
-// of one left unread, with and without the prefetch — the store's resident
-// bytes are never below the arena's used bytes; after the sweep they are
-// exactly those, and after Close none.
-func TestTieredResidentCountsArena(t *testing.T) {
-	const steps = 60
-	jp, cp, js, cs := placementFixture(20, steps)
-	raw := int64(8*(len(js[0])+len(cs[0]))) * steps
-	for _, noPrefetch := range []bool{false, true} {
-		t.Run(fmt.Sprintf("prefetch=%v", !noPrefetch), func(t *testing.T) {
-			st := NewTieredStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}),
-				TieredConfig{BudgetBytes: raw / 4, DisablePrefetch: noPrefetch})
-			defer st.Close()
-			st.SetRecompute(func(step int) ([]float64, []float64, error) { return js[step], cs[step], nil })
-			check := func(when string) {
-				t.Helper()
-				st.mu.Lock()
-				defer st.mu.Unlock()
-				if st.resident < st.arena.used {
-					t.Fatalf("%s: %d B resident, the arena holds %d B", when, st.resident, st.arena.used)
-				}
-			}
-			for s := range js {
-				if err := st.Put(s, js[s], cs[s]); err != nil {
-					t.Fatal(err)
-				}
-				check(fmt.Sprintf("put %d", s))
-			}
-			if err := st.EndForward(); err != nil {
-				t.Fatal(err)
-			}
-			stats := st.Stats()
-			if stats.TierCompressedSteps == 0 || stats.TierDroppedSteps == 0 {
-				t.Fatalf("the budget does not bind both rungs: %+v", stats)
-			}
-			// The lowest step of the compressed rung is released unread, as a
-			// sweep abandoned above it would leave it.
-			st.mu.Lock()
-			skipped := 0
-			for st.steps[skipped].tier != TierCompressed {
-				skipped++
-			}
-			st.mu.Unlock()
-			st.Release(skipped)
-			check(fmt.Sprintf("release %d unread", skipped))
-			repaired := false
-			for s := steps - 1; s >= 0; s-- {
-				if s == skipped {
-					continue
-				}
-				st.mu.Lock()
-				onRung := st.steps[s].tier == TierCompressed
-				st.mu.Unlock()
-				if onRung && !repaired {
-					st.Repair(s, js[s], cs[s])
-					check(fmt.Sprintf("repair %d", s))
-					repaired = true
-				}
-				j, c, err := st.Fetch(s)
-				if err != nil {
-					t.Fatalf("fetch %d: %v", s, err)
-				}
-				if !sameBits(j, js[s]) || !sameBits(c, cs[s]) {
-					t.Fatalf("step %d: bits differ", s)
-				}
-				check(fmt.Sprintf("fetch %d", s))
-				st.Release(s)
-				check(fmt.Sprintf("release %d", s))
-			}
-			if !repaired {
-				t.Fatal("no step on the compressed rung to repair")
-			}
-			st.prefetchWG.Wait()
-			st.mu.Lock()
-			if st.resident != st.arena.used || st.arena.used == 0 {
-				st.mu.Unlock()
-				t.Fatalf("after the sweep %d B resident, the arena holds %d B", st.resident, st.arena.used)
-			}
-			st.mu.Unlock()
-			st.Close()
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			if st.resident != 0 {
-				t.Fatalf("%d B resident after Close", st.resident)
-			}
-		})
 	}
 }

@@ -177,8 +177,11 @@ func distinctBytes(v, prev held) int64 {
 
 // dead reports whether step's frame is one no decode will read again. The
 // sweep stands at at: the next decode, of at−1, reads at…at+depth−1, so
-// at+depth and above are dead — and at lo everything is.
-func (sl *StoreSlice) dead(step int) bool { return step >= sl.at+sl.cd.depth || sl.at == sl.lo }
+// at+depth and above are dead — and at lo everything is. So is a recomputed
+// frame no kept step below reads. mu must be held.
+func (sl *StoreSlice) dead(step int) bool {
+	return step >= sl.at+sl.cd.depth || sl.at == sl.lo || sl.p.unread(step)
+}
 
 // trim lets go of the released frames that died when the sweep reached at.
 // mu must be held.
@@ -196,7 +199,8 @@ func (sl *StoreSlice) trim() {
 // reference. A step whose plaintext the store holds outside the window — a
 // verified anchor, or for a slice the head frame or a repair of the store's
 // own sweep — is copied instead; the head, which has no blob, is served only
-// so, and its frame is checked against the sidecars EndForward took. The
+// so, and its frame is checked against the sidecars EndForward took. A step
+// the budget dropped is recomputed into the window. The
 // returned frames stay valid until Release, and the reader keeps them past it
 // for as long as a lower step decodes against them; they come from the store's
 // pool and return to it.
@@ -221,9 +225,10 @@ func (sl *StoreSlice) fetch(step int) (out pair, decoded bool, err error) {
 	head := step == len(p.steps)-1
 	if mine.resident() {
 		p.flatten(mine, nil)
-		// The own reader's head frame is the head's only copy; a slice's
-		// frames are its own copies, checked when they were made.
-		if sl.out == nil && head {
+		// The own reader's head frame is the head's only copy, unless the
+		// budget dropped it; a slice's frames are its own copies, checked
+		// when they were made.
+		if sl.out == nil && head && !p.dropped(step) {
 			if err = p.checkHead(step, mine.flatPair()); err != nil {
 				// The frame goes unless the sweep holds it, so a refetch
 				// fails until Repair installs good plaintext.
@@ -238,9 +243,10 @@ func (sl *StoreSlice) fetch(step int) (out pair, decoded bool, err error) {
 	} else {
 		st := p.steps[step]
 		var h history
+		recompute := false
 		if st.resident() {
 			out = pair{p.flatOf(0, st.t[0]), p.flatOf(1, st.t[1])}
-			if head {
+			if head && !p.dropped(step) {
 				if err = p.checkHead(step, out); err != nil {
 					p.parkFrame(out)
 					p.bumpResident(-p.frameBytes)
@@ -251,18 +257,25 @@ func (sl *StoreSlice) fetch(step int) (out pair, decoded bool, err error) {
 		} else if src := p.anchorLocked(st); src.j != nil {
 			out = p.copyFrame(src)
 			p.bumpResident(p.frameBytes)
-		} else if head && !st.quarantined {
-			p.mu.Unlock()
-			return pair{}, false, fmt.Errorf("%w: step %d is the head, which has no blob, and its plaintext is gone", ErrOutOfOrder, step)
-		} else if h = sl.gather(step); h.j.Near == nil && step != sl.hi && !st.pinned {
-			p.mu.Unlock()
-			return pair{}, false, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
+		} else if recompute = p.dropped(step); !recompute {
+			if head && !st.quarantined {
+				p.mu.Unlock()
+				return pair{}, false, fmt.Errorf("%w: step %d is the head, which has no blob, and its plaintext is gone", ErrOutOfOrder, step)
+			}
+			if h = sl.gather(step); h.j.Near == nil && step != sl.hi && !st.pinned {
+				p.mu.Unlock()
+				return pair{}, false, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
+			}
 		}
 		p.mu.Unlock()
-		if decoded = out.j == nil; decoded {
-			if out, err = p.decodeStep(sl.cd, step, st, h, false); err != nil {
-				return pair{}, false, err
-			}
+		switch decoded = out.j == nil; {
+		case recompute:
+			out, err = p.recomputeStep(step)
+		case decoded:
+			out, err = p.decodeStep(sl.cd, step, st, h, false)
+		}
+		if err != nil {
+			return pair{}, false, err
 		}
 		p.mu.Lock()
 		*mine, sl.at = flatFrame(out), step

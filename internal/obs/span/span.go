@@ -50,8 +50,6 @@ const (
 	ParamEval
 	ParamShard
 	TierDecision
-	Demote
-	Promote
 	Recompute
 	Quarantine
 	Repair
@@ -77,8 +75,6 @@ var kindNames = [numKinds]string{
 	ParamEval:    "param_eval",
 	ParamShard:   "param_shard",
 	TierDecision: "tier_decision",
-	Demote:       "demote",
-	Promote:      "promote",
 	Recompute:    "recompute",
 	Quarantine:   "quarantine",
 	Repair:       "repair",

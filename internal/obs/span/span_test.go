@@ -177,7 +177,7 @@ func TestAttrOverflowDropped(t *testing.T) {
 func TestJSONL(t *testing.T) {
 	r := NewRecorder(8)
 	r.SetClock(fakeClock(500))
-	sp := r.Start(0, Demote, 12)
+	sp := r.Start(0, TierDecision, 12)
 	sp.Attr("tier", 2)
 	sp.End()
 
@@ -193,7 +193,7 @@ func TestJSONL(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &obj); err != nil {
 		t.Fatalf("invalid JSON %q: %v", lines[0], err)
 	}
-	if obj["kind"] != "demote" || obj["step"] != float64(12) {
+	if obj["kind"] != "tier_decision" || obj["step"] != float64(12) {
 		t.Fatalf("decoded %v", obj)
 	}
 	attrs, ok := obj["attrs"].(map[string]any)

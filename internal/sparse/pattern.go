@@ -8,7 +8,7 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -194,32 +194,38 @@ func (b *Builder) Add(i, j int32) {
 // Len reports the number of recorded (possibly duplicate) entries.
 func (b *Builder) Len() int { return len(b.rows) }
 
-// Build sorts, deduplicates and freezes the recorded entries into a Pattern.
+// Build sorts, deduplicates and freezes the recorded entries into a Pattern:
+// a counting pass buckets the columns by row, then each row is sorted and
+// deduplicated in place — no comparison sort over the whole triplet list.
 func (b *Builder) Build() *Pattern {
-	type entry struct{ i, j int32 }
-	ents := make([]entry, len(b.rows))
-	for k := range b.rows {
-		ents[k] = entry{b.rows[k], b.cols[k]}
-	}
-	sort.Slice(ents, func(a, c int) bool {
-		if ents[a].i != ents[c].i {
-			return ents[a].i < ents[c].i
-		}
-		return ents[a].j < ents[c].j
-	})
-	p := &Pattern{N: b.n, RowPtr: make([]int32, b.n+1)}
-	var last entry = entry{-1, -1}
-	for _, e := range ents {
-		if e == last {
-			continue
-		}
-		last = e
-		p.ColIdx = append(p.ColIdx, e.j)
-		p.RowPtr[e.i+1]++
+	start := make([]int32, b.n+1)
+	for _, i := range b.rows {
+		start[i+1]++
 	}
 	for i := 0; i < b.n; i++ {
-		p.RowPtr[i+1] += p.RowPtr[i]
+		start[i+1] += start[i]
 	}
+	cols := make([]int32, len(b.cols))
+	next := append([]int32(nil), start[:b.n]...)
+	for k, i := range b.rows {
+		cols[next[i]] = b.cols[k]
+		next[i]++
+	}
+	p := &Pattern{N: b.n, RowPtr: make([]int32, b.n+1)}
+	out := int32(0)
+	for i := 0; i < b.n; i++ {
+		row := cols[start[i]:start[i+1]]
+		slices.Sort(row)
+		prev := int32(-1)
+		for _, j := range row {
+			if j != prev {
+				cols[out], prev = j, j
+				out++
+			}
+		}
+		p.RowPtr[i+1] = out
+	}
+	p.ColIdx = slices.Clip(cols[:out])
 	return p
 }
 

@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -37,6 +39,53 @@ func TestBuilderDedupAndOrder(t *testing.T) {
 	for i, c := range p.ColIdx {
 		if c != wantCols[i] {
 			t.Fatalf("colIdx = %v, want %v", p.ColIdx, wantCols)
+		}
+	}
+}
+
+// TestBuilderMatchesSortReference checks the row-bucket Build against the
+// sort-then-deduplicate construction it replaced, on random triplet sets with
+// heavy duplication, empty rows and empty builders.
+func TestBuilderMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		b := NewBuilder(n)
+		type entry struct{ i, j int32 }
+		var ents []entry
+		rows := 1 + rng.Intn(n) // the other rows stay empty
+		for k := rng.Intn(6 * n); k > 0; k-- {
+			e := entry{int32(rng.Intn(rows)), int32(rng.Intn(n))}
+			if rng.Intn(3) == 0 && len(ents) > 0 {
+				e = ents[rng.Intn(len(ents))]
+			}
+			ents = append(ents, e)
+			b.Add(e.i, e.j)
+		}
+		sort.Slice(ents, func(a, c int) bool {
+			if ents[a].i != ents[c].i {
+				return ents[a].i < ents[c].i
+			}
+			return ents[a].j < ents[c].j
+		})
+		want := &Pattern{N: n, RowPtr: make([]int32, n+1)}
+		for k, e := range ents {
+			if k > 0 && e == ents[k-1] {
+				continue
+			}
+			want.ColIdx = append(want.ColIdx, e.j)
+			want.RowPtr[e.i+1]++
+		}
+		for i := 0; i < n; i++ {
+			want.RowPtr[i+1] += want.RowPtr[i]
+		}
+		got := b.Build()
+		if err := got.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got.N != want.N || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+			t.Fatalf("trial %d (n=%d, %d triplets):\n got RowPtr %v ColIdx %v\nwant RowPtr %v ColIdx %v",
+				trial, n, len(ents), got.RowPtr, got.ColIdx, want.RowPtr, want.ColIdx)
 		}
 	}
 }

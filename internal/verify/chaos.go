@@ -43,16 +43,17 @@ const (
 )
 
 // chaosScenario is one fault profile applied to one storage configuration.
-// budget > 0 promotes the run to the tiered store (SimOptions.MemBudgetBytes),
-// so the faults land inside the tier ladder: hot-frame rot caught at demotion,
-// blob corruption in the compressed rung.
+// keep > 0 runs the MASC chain under a memory budget (splitBudget) that keeps
+// about that share of its steps and drops the rest, so the faults land in the
+// kept blobs — the top one decoded against recomputed frames — while the
+// dropped steps are recomputed in the same sweep.
 // gmin > 0 runs the solver with that DC conductance floor instead of the
 // default, so a recomputed step 0 must carry the run's own value.
 type chaosScenario struct {
 	name    string
 	storage masc.Storage
 	async   bool
-	budget  int64
+	keep    float64
 	gmin    float64
 	profile func(seed int64) faultinject.Profile
 }
@@ -94,23 +95,23 @@ func chaosScenarios() []chaosScenario {
 			return faultinject.Profile{Name: "panic", Seed: s, PanicAtStep: 1 + int(s%10)}
 		}},
 
-		// Tiered-store scenarios: an 8 KiB budget forces every case through
-		// the whole ladder (hot -> compressed -> recompute), so the injected
-		// faults land inside demotions and promoted fetches rather than only
-		// at Put/Fetch boundaries.
-		{"bitflip-tiered", masc.StorageMASC, false, 8 << 10, 0, func(s int64) faultinject.Profile {
-			// Rots hot frames after their CRC sidecar (caught at demotion,
-			// never laundered into a sealed blob) and blobs after sealing
-			// (caught at decode). Both heal through the repair ladder.
+		// Budgeted chains: half the steps kept, so the injected faults land
+		// in kept blobs, the top kept one decoding against recomputed frames.
+		{"bitflip-budget", masc.StorageMASC, false, 0.5, 0, func(s int64) faultinject.Profile {
+			// Rots blobs after sealing (caught at decode); they heal
+			// through the repair ladder.
 			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 5}
 		}},
-		{"truncate-tiered", masc.StorageMASC, false, 8 << 10, 0, func(s int64) faultinject.Profile {
+		{"truncate-budget", masc.StorageMASC, false, 0.5, 0, func(s int64) faultinject.Profile {
 			return faultinject.Profile{Name: "truncate", Seed: s, TruncateOneIn: 5}
 		}},
-		{"bitflip-tiered-tiny", masc.StorageMASC, false, 1 << 10, 0, func(s int64) faultinject.Profile {
-			// A 1 KiB budget drops nearly every step: corruption has to
-			// survive a store that lives almost entirely on the recompute rung.
-			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 7}
+		{"bitflip-budget-async", masc.StorageMASC, true, 0.5, 0, func(s int64) faultinject.Profile {
+			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 5}
+		}},
+		{"bitflip-budget-tight", masc.StorageMASC, false, 0.1, 0, func(s int64) faultinject.Profile {
+			// A tenth of the chain kept: corruption has to survive a store
+			// that recomputes nearly every step.
+			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 3}
 		}},
 
 		// A non-default gmin with every blob rotted: each step, the DC step
@@ -120,7 +121,7 @@ func chaosScenarios() []chaosScenario {
 		{"bitflip-all-masc-gmin", masc.StorageMASC, false, 0, 1e-6, func(s int64) faultinject.Profile {
 			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 1}
 		}},
-		{"bitflip-all-tiered-gmin", masc.StorageMASC, false, 8 << 10, 1e-6, func(s int64) faultinject.Profile {
+		{"bitflip-all-budget-gmin", masc.StorageMASC, false, 0.5, 1e-6, func(s int64) faultinject.Profile {
 			return faultinject.Profile{Name: "bitflip", Seed: s, BitFlipOneIn: 1}
 		}},
 	}
@@ -133,6 +134,9 @@ type ChaosCaseReport struct {
 	Outcome  ChaosOutcome
 	// Degraded is how many reverse-sweep steps fell back to recomputation.
 	Degraded int
+	// Kept and Dropped are the steps a budgeted run's chain kept and
+	// dropped (both 0 without a budget, or when the run failed).
+	Kept, Dropped int
 	// Faults is what the injector actually delivered.
 	Faults faultinject.Stats
 	// Detail carries the error text (failure outcomes) or a mismatch
@@ -198,8 +202,9 @@ func dodpEqual(want, got [][]float64) (string, bool) {
 }
 
 // simulateChaos rebuilds the case and runs it under one storage
-// configuration with an optional fault injector attached to the store.
-func simulateChaos(c *Case, o Options, sc chaosScenario, inj *faultinject.Injector) (*masc.Run, error) {
+// configuration and memory budget (0 = none) with an optional fault injector
+// attached to the store.
+func simulateChaos(c *Case, o Options, sc chaosScenario, budget int64, inj *faultinject.Injector) (*masc.Run, error) {
 	bt, err := c.Build()
 	if err != nil {
 		return nil, err
@@ -211,12 +216,7 @@ func simulateChaos(c *Case, o Options, sc chaosScenario, inj *faultinject.Inject
 	opt.PipelineDepth = o.PipelineDepth
 	opt.AdjointWorkers = o.AdjointWorkers
 	opt.Transient.Gmin = sc.gmin
-	if sc.budget > 0 {
-		opt.MemBudgetBytes = sc.budget
-		if o.MemBudgetBytes > 0 {
-			opt.MemBudgetBytes = o.MemBudgetBytes
-		}
-	}
+	opt.MemBudgetBytes = budget
 	opt.Fault = inj
 	return masc.Simulate(bt.Ckt, opt, bt.Objectives, nil)
 }
@@ -226,8 +226,17 @@ func simulateChaos(c *Case, o Options, sc chaosScenario, inj *faultinject.Inject
 // finishes and its numbers need a reference.
 func chaosCase(c *Case, sc chaosScenario, opt Options) *ChaosCaseReport {
 	rep := &ChaosCaseReport{Case: c, Scenario: sc.name}
+	var budget int64
+	if sc.keep > 0 {
+		var err error
+		if budget, err = splitBudget(c, opt, sc.keep); err != nil {
+			rep.Outcome = OutcomeOpaque
+			rep.Detail = fmt.Sprintf("fault-free unbudgeted run: %v", err)
+			return rep
+		}
+	}
 	inj := faultinject.New(sc.profile(c.Seed))
-	run, err := simulateChaos(c, opt, sc, inj)
+	run, err := simulateChaos(c, opt, sc, budget, inj)
 	rep.Faults = inj.Stats()
 
 	if err != nil {
@@ -240,8 +249,9 @@ func chaosCase(c *Case, sc chaosScenario, opt Options) *ChaosCaseReport {
 		return rep
 	}
 	rep.Degraded = len(run.Sens.DegradedSteps)
+	rep.Kept, rep.Dropped = run.TensorStats.TierKeptSteps, run.TensorStats.TierDroppedSteps
 
-	base, berr := simulateChaos(c, opt, sc, nil)
+	base, berr := simulateChaos(c, opt, sc, budget, nil)
 	if berr != nil {
 		rep.Outcome = OutcomeOpaque
 		rep.Detail = fmt.Sprintf("fault-free baseline failed: %v", berr)
@@ -280,8 +290,8 @@ func ChaosFleet(n int, seed int64, opt Options) *ChaosReport {
 				cr.Failed++
 			}
 			if opt.Logf != nil {
-				opt.Logf("%-22s %-20s %-18s degraded=%-3d faults={blobs:%d ops:%d panics:%d} %s",
-					c.Name(), sc.name, string(rep.Outcome), rep.Degraded,
+				opt.Logf("%-22s %-23s %-18s degraded=%-3d kept/dropped=%d/%d faults={blobs:%d ops:%d panics:%d} %s",
+					c.Name(), sc.name, string(rep.Outcome), rep.Degraded, rep.Kept, rep.Dropped,
 					rep.Faults.BlobsCorrupted, rep.Faults.OpsFailed, rep.Faults.Panics, rep.Detail)
 			}
 		}

@@ -3,6 +3,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"masc/internal/faultinject"
@@ -35,6 +36,21 @@ func TestChaosFleetSmall(t *testing.T) {
 	}
 	if cr.Counts[OutcomeFailedLoud] == 0 {
 		t.Fatalf("no run exercised the fail-loudly path: %v", cr.Counts)
+	}
+	// The budgeted scenarios keep part of each chain and drop the rest, so
+	// their faults land in kept blobs of a sweep that also recomputes.
+	budgeted := 0
+	for _, r := range cr.Reports {
+		if !strings.Contains(r.Scenario, "-budget") || r.Outcome == OutcomeFailedLoud {
+			continue
+		}
+		budgeted++
+		if r.Kept == 0 || r.Dropped == 0 {
+			t.Errorf("%s/%s: kept %d, dropped %d steps", r.Case.Name(), r.Scenario, r.Kept, r.Dropped)
+		}
+	}
+	if budgeted == 0 {
+		t.Fatal("no budgeted run finished")
 	}
 }
 

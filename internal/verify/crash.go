@@ -99,20 +99,18 @@ type crashScenario struct {
 	trigger func(r *runstate.Recovered, killStep int) bool
 }
 
-func crashScenarios(opt Options) []crashScenario {
-	budget := opt.MemBudgetBytes
-	if budget <= 0 {
-		budget = 64 << 10
-	}
+// crashScenarios is the matrix for one case; budget is the budgeted
+// scenario's memory budget.
+func crashScenarios(budget int64) []crashScenario {
 	return []crashScenario{
 		// Mid-forward kill under the compressed store; the throttle keeps
 		// the forward phase slow enough that the seeded step is observed.
 		{name: "kill-forward-masc", storage: masc.StorageMASC, sleepMs: 2,
 			trigger: func(r *runstate.Recovered, killStep int) bool { return len(r.Steps) >= killStep }},
-		// Kill at the forward/adjoint boundary under the tiered store, so
-		// the resume rebuilds hot/compressed/dropped placements from
-		// scratch.
-		{name: "kill-forward-done-tiered", storage: masc.StorageMASC, budget: budget, sleepMs: 1,
+		// Kill at the forward/adjoint boundary under a budget that keeps
+		// about half the chain, so the resume re-seeds the store, keeps the
+		// same prefix and recomputes the rest.
+		{name: "kill-forward-done-budget", storage: masc.StorageMASC, budget: budget, sleepMs: 1,
 			trigger: func(r *runstate.Recovered, _ int) bool { return r.ForwardDone }},
 		// Mid-adjoint kill: the trigger fires on forward-done, and the
 		// bandwidth-modelled disk store keeps the reverse sweep running long
@@ -193,8 +191,12 @@ func CrashFleet(seeds int, seed int64, opt Options, childArgs []string) *CrashRe
 			rep.Failed++
 			continue
 		}
+		budget := opt.MemBudgetBytes
+		if budget <= 0 {
+			budget = masc.BudgetReserve(bt.Ckt) + ref.TensorStats.StoredBytes/2
+		}
 		rng := rand.New(rand.NewSource(c.Seed ^ 0x6b696c6c)) // "kill"
-		for _, sc := range crashScenarios(opt) {
+		for _, sc := range crashScenarios(budget) {
 			killStep := 3 + rng.Intn(bt.Steps/2+1)
 			r := runCrashScenario(exe, childArgs, dir, c, bt, sc, killStep, ref)
 			rep.Reports = append(rep.Reports, r)

@@ -24,12 +24,13 @@ type Options struct {
 	// fetcher goroutine (which must still finish bit-identical to the
 	// fault-free baseline).
 	AdjointWorkers int
-	// MemBudgetBytes, when > 0, overrides the budget of the tiered-store
-	// chaos scenarios and of VerifyCase's budgeted run (masc-verify
-	// -mem-budget). Scenarios without a budget
-	// (plain memory/disk/masc runs) are unaffected, so the fault surface of
-	// the untiered stores stays covered. The fault-free baseline shares the
-	// same budget, keeping the bit-compare meaningful.
+	// MemBudgetBytes, when > 0, overrides the budget of the budgeted chaos
+	// and crash scenarios and of VerifyCase's budgeted run (masc-verify
+	// -mem-budget), which otherwise keep about half of each case's chain
+	// (splitBudget). Scenarios without a budget (plain memory/disk/masc
+	// runs) are unaffected, so the fault surface of the unbudgeted stores
+	// stays covered. The fault-free baseline shares the same budget, keeping
+	// the bit-compare meaningful.
 	MemBudgetBytes int64
 	// FDChecks bounds how many parameters per case are cross-checked
 	// against central finite differences; 0 disables the FD layer.
@@ -194,6 +195,21 @@ func simulate(c *Case, o Options, storage masc.Storage, async bool, budget int64
 	return run, bt, nil
 }
 
+// splitBudget is the memory budget a budgeted scenario runs c under:
+// o.MemBudgetBytes when set, else the MASC chain's reserve and the share keep
+// of what its fault-free unbudgeted run stores, so the chain keeps about
+// that share of its steps and drops the rest.
+func splitBudget(c *Case, o Options, keep float64) (int64, error) {
+	if o.MemBudgetBytes > 0 {
+		return o.MemBudgetBytes, nil
+	}
+	run, bt, err := simulate(c, o, masc.StorageMASC, false, 0)
+	if err != nil {
+		return 0, err
+	}
+	return masc.BudgetReserve(bt.Ckt) + int64(keep*float64(run.TensorStats.StoredBytes)), nil
+}
+
 // compareDOdp bit-compares two sensitivity matrices.
 func compareDOdp(r *CaseReport, label string, want, got [][]float64) {
 	if len(want) != len(got) {
@@ -219,11 +235,11 @@ func compareDOdp(r *CaseReport, label string, want, got [][]float64) {
 // VerifyCase runs the full differential matrix on one case:
 //
 //  1. the pipeline five ways — dense in-RAM oracle, recompute, and the
-//     compressed store sync, async and under a memory budget — with
-//     bit-identical sensitivities required across all five and async
-//     storing exactly sync's bytes. The Markov selector's counts carry
-//     state from blob to blob, so a lost or reordered Put, or a tiered blob
-//     that fails to restart them, surfaces here as a bit mismatch;
+//     compressed store sync, async and under a memory budget that keeps
+//     about half the chain — with bit-identical sensitivities required
+//     across all five and async storing exactly sync's bytes. The Markov
+//     selector's counts carry state from blob to blob, so a lost or
+//     reordered Put surfaces here as a bit mismatch;
 //  2. a store-level sweep over one shared forward run, requiring
 //     bit-identical Jacobian fetches from dense, sync and async stores;
 //  3. the direct (forward) sensitivity method within DirectTol;
@@ -278,16 +294,16 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 		}
 	}
 
-	budget := opt.MemBudgetBytes
-	if budget <= 0 {
-		// Tight enough to force demotions on every verification case while
-		// leaving the hot tier usable.
-		budget = 1 << 20
-	}
-	if tiered, _, err := simulate(c, opt, masc.StorageMASC, false, budget); err != nil {
-		rep.failf("budgeted compressed run: %v", err)
-	} else {
-		compareDOdp(rep, "budget-masc vs dense", dense.Sens.DOdp, tiered.Sens.DOdp)
+	if sync != nil {
+		budget := opt.MemBudgetBytes
+		if budget <= 0 {
+			budget = masc.BudgetReserve(bt.Ckt) + sync.TensorStats.StoredBytes/2
+		}
+		if budgeted, _, err := simulate(c, opt, masc.StorageMASC, false, budget); err != nil {
+			rep.failf("budgeted compressed run: %v", err)
+		} else {
+			compareDOdp(rep, "budget-masc vs dense", dense.Sens.DOdp, budgeted.Sens.DOdp)
+		}
 	}
 
 	verifyStores(c, opt, rep)

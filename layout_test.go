@@ -42,7 +42,7 @@ func TestNonDefaultGminDegradedBitIdentical(t *testing.T) {
 		tune func(*SimOptions)
 	}{
 		{"masc", func(*SimOptions) {}},
-		{"tiered-1MiB", func(o *SimOptions) { o.MemBudgetBytes = 1 << 20 }},
+		{"budget-1MiB", func(o *SimOptions) { o.MemBudgetBytes = 1 << 20 }},
 		{"workers-2", func(o *SimOptions) { o.AdjointWorkers = 2 }},
 	} {
 		opt := base

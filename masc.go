@@ -10,9 +10,9 @@
 // Storage strategies: recomputation (the Xyce-style baseline), raw memory,
 // bandwidth-modelled disk spill, MASC's lossless spatiotemporally predicted
 // in-memory compression (the Markov selector, each blob carrying its selector
-// table only where the table pays for itself), and — under
-// SimOptions.MemBudgetBytes — a tiered store that places every step on hot
-// RAM, compressed RAM or recompute.
+// table only where the table pays for itself). Under SimOptions.MemBudgetBytes
+// the MASC chain keeps the first steps whose blobs fit the budget and
+// recomputes the rest in the reverse sweep.
 //
 // Quick start:
 //
@@ -214,8 +214,9 @@ type SimOptions struct {
 	// Async pipelines the compressed store: compression runs on a
 	// background worker so the transient loop proceeds to step t+1 while
 	// step t-1 compresses, and the reverse sweep prefetches the next step
-	// during each adjoint solve. Only meaningful for StorageMASC. The
-	// stored bytes are byte-identical to sync mode.
+	// during each adjoint solve. Only meaningful for StorageMASC, or
+	// StorageMemory under a budget. The stored bytes are byte-identical to
+	// sync mode, and under a budget so are the steps kept.
 	Async bool
 	// PipelineDepth bounds how many timesteps the solver may run ahead of
 	// the async compressor (default 2). Larger depths hide longer
@@ -226,27 +227,29 @@ type SimOptions struct {
 	DiskBytesPerSec float64
 	DiskDir         string
 	// MemBudgetBytes caps the Jacobian store's modelled resident bytes
-	// ("finish this sweep in 256 MB"). A positive budget replaces the
-	// in-RAM storage strategies (memory, masc) with a
-	// tiered store that places each step on hot RAM, compressed RAM or
-	// deliberate drop-and-recompute: a step that leaves hot RAM is
-	// compressed while the compressed rung has room and dropped after that.
-	// Placement depends only on frame and blob sizes, never on timings, so
-	// identical runs place identically. Both strategies compress with the
-	// MASC codec: its compressed rung holds self-contained blobs, each a
-	// calibration blob. Every tier is lossless, so sensitivities
-	// stay bit-identical to the unlimited-RAM run for any budget and worker
-	// count; the budget only trades memory for time.
-	// 0 (default) disables tiering; StorageRecompute and StorageDisk
-	// ignore the budget (their footprint is already step-count-free).
-	// Async and CollectCodecStats are inert under a budget.
+	// ("finish this sweep in 256 MB"). A positive budget makes either in-RAM
+	// strategy (memory, masc) the MASC chain under an admission rule: a step's
+	// blob is kept while the blobs kept so far, it and a reserve of
+	// (depth+1) frames for the windows' plaintext fit the budget; after the
+	// first that does not, every later step is dropped without meeting the
+	// codec, and the reverse sweep recomputes it from the trajectory. A
+	// budget the whole chain fits under stores exactly what the unbudgeted
+	// run stores. Admission depends only on frame and blob sizes, never on
+	// timings, so identical runs keep the same steps; every step comes back
+	// bit-exact, so sensitivities stay bit-identical to the unlimited-RAM run
+	// for any budget and worker count — the budget only trades memory for
+	// time. The cap holds up to one frame in flight, plus the frames waiting
+	// in the compression queue under Async. 0 (default) means no budget;
+	// StorageRecompute and StorageDisk ignore it (their footprint is already
+	// step-count-free).
 	MemBudgetBytes int64
 	// Obs, if non-nil, receives telemetry from every pipeline stage:
 	// metric updates into Obs.Reg and the run's span tree into Obs.Spans.
 	// A nil Obs (or nil fields) costs nothing on the hot paths.
 	Obs *Observer
 	// CollectCodecStats enables the masczip encoder-side predictor
-	// statistics (Run.CodecStatsG/C); StorageMASC only.
+	// statistics (Run.CodecStatsG/C); StorageMASC, or StorageMemory under a
+	// budget.
 	// Adds one branch plus a few counter increments per element.
 	CollectCodecStats bool
 	// Fault, if non-nil, wires a deterministic fault injector into the
@@ -285,7 +288,8 @@ type Run struct {
 	Storage     Storage
 	// CodecStatsG/C are the predictor-selection statistics of the G and C
 	// encoders (the stored pair, see TensorLayout); valid only when
-	// HasCodecStats (StorageMASC with SimOptions.CollectCodecStats set).
+	// HasCodecStats (SimOptions.CollectCodecStats set on the MASC chain:
+	// StorageMASC, or StorageMemory under a budget).
 	CodecStatsG, CodecStatsC CodecStats
 	HasCodecStats            bool
 }
@@ -352,29 +356,29 @@ func (plan *runPlan) newStore(ckt *Circuit, collectStats bool) (jactensor.Store,
 		// have: either way, before the journal is opened.
 		return nil, fmt.Errorf("masc: unknown storage strategy %q", storage)
 	}
-	// Under a budget the tiered store owns residency policy for every in-RAM
-	// strategy: Async and CollectCodecStats are inert, and the codec is the
-	// MASC pair.
-	budgeted := plan.MemBudgetBytes > 0
-	// mascPair is the MASC codec pair: the Markov selector, with each blob
-	// carrying its selector table only where the table pays for itself.
-	mascPair := func() (*masczip.Compressor, *masczip.Compressor) {
-		mo := masczip.Options{Markov: true, Workers: plan.Workers,
-			CollectStats: collectStats && !budgeted}
-		return masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
-	}
-	switch {
-	case budgeted:
-		gc, cc := mascPair()
-		return jactensor.NewTieredStore(gc, cc, jactensor.TieredConfig{BudgetBytes: plan.MemBudgetBytes}), nil
-	case storage == StorageMemory:
+	// A budget makes either in-RAM strategy the budgeted MASC chain.
+	if storage == StorageMemory && plan.MemBudgetBytes <= 0 {
 		return jactensor.NewMemStore(), nil
 	}
-	gc, cc := mascPair()
+	// The MASC codec pair: the Markov selector, with each blob carrying its
+	// selector table only where the table pays for itself.
+	mo := masczip.Options{Markov: true, Workers: plan.Workers, CollectStats: collectStats}
+	gc, cc := masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
+	var s *jactensor.CompressedStore
 	if plan.Async {
-		return jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, plan.PipelineDepth), nil
+		s = jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, plan.PipelineDepth)
+	} else {
+		s = jactensor.NewCompressedStore(gc, cc, ckt.GPat, ckt.CPat)
 	}
-	return jactensor.NewCompressedStore(gc, cc, ckt.GPat, ckt.CPat), nil
+	s.SetBudget(plan.MemBudgetBytes)
+	return s, nil
+}
+
+// BudgetReserve is the part of SimOptions.MemBudgetBytes the MASC chain over
+// ckt keeps back for its windows' plaintext: a budget must exceed it by a
+// blob for the chain to keep any step, and one under it keeps none.
+func BudgetReserve(ckt *Circuit) int64 {
+	return jactensor.ReserveBytes(masczip.MaxOrder+1, ckt.GPat.NNZ(), ckt.CPat.NNZ())
 }
 
 // Simulate runs the full MASC pipeline on ckt: forward transient analysis
@@ -558,12 +562,12 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 		}
 	}
 	run := &Run{Tran: tr, Storage: plan.Storage}
-	if st, ok := store.(interface{ SetRecompute(jactensor.RecomputeFunc) }); ok {
-		// The trajectory now exists: give the tiered store the bit-exact
-		// recompute path for deliberately dropped steps — the same
-		// re-derivation the degradation ladder uses for corruption, but
-		// wired inside the store so planned drops never count as degraded.
-		st.SetRecompute(adjoint.NewRecomputeSource(ckt, tr).Pair)
+	if cs, ok := store.(*jactensor.CompressedStore); ok && plan.MemBudgetBytes > 0 {
+		// The trajectory now exists: give the budgeted chain the bit-exact
+		// recompute path for the steps it dropped — the same re-derivation
+		// the degradation ladder uses for corruption, but wired inside the
+		// store so planned drops never count as degraded.
+		cs.SetRecompute(adjoint.NewRecomputeSource(ckt, tr).Pair)
 	}
 
 	var src adjoint.JacobianSource

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -219,13 +220,16 @@ func TestSimulateAdjointWindowsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSimulateMemBudgetBitIdentical is the facade half of the
-// tier-equivalence property suite: for every storage strategy the budget
-// promotes × integrator × budget rung (halves of the measured unlimited
-// peak down to an absurdly tiny one) × worker count, the tiered run
-// must reproduce the unlimited-RAM sensitivities bit for bit while its
-// PeakResident stays under the budget plus the documented frame slack.
-// MASC_MEM_BUDGET=a,b,c (ParseByteSize values) extends the budget rungs —
+// TestSimulateMemBudgetBitIdentical is the facade half of the budget suite:
+// for every storage strategy a budget makes the MASC chain × integrator ×
+// budget (from one the chain fits under to one below its windows' reserve)
+// × adjoint workers, the budgeted run reproduces the unbudgeted StorageMemory
+// run's sensitivities bit for bit with no degraded step; the kept steps and
+// the dropped ones sum to the run's steps, and every dropped step is
+// recomputed once; and PeakResident stays within the budget and one frame in
+// flight — at least two frames, since the sweep holds the step above the one
+// it fetches — and, with two adjoint workers, the step the fetcher holds
+// ahead. MASC_MEM_BUDGET=a,b,c (ParseByteSize values) extends the budgets —
 // the CI budget-sweep matrix drives it.
 func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 	ckt, b, obj := buildTestCircuit(t)
@@ -234,71 +238,112 @@ func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	objs := []Objective{obj, {Name: "int_v(mid)", Node: mid, Weight: 1, Integral: true}}
-	for _, st := range []Storage{StorageMemory, StorageMASC} {
-		for _, method := range []Method{MethodBE, MethodTrap} {
-			base := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 2e-4}, Storage: st}
-			base.Transient.Method = method
-			ref, err := Simulate(ckt, base, objs, nil)
-			if err != nil {
-				t.Fatalf("%s/%v unlimited: %v", st, method, err)
-			}
-			peak := ref.TensorStats.PeakResident
-			frame := ref.TensorStats.RawBytes / int64(ref.TensorStats.Steps)
-			budgets := []int64{peak / 2, peak / 4, peak / 8, 4 << 10}
-			if env := os.Getenv("MASC_MEM_BUDGET"); env != "" {
-				for _, f := range strings.Split(env, ",") {
-					n, perr := ParseByteSize(f)
-					if perr != nil {
-						t.Fatalf("MASC_MEM_BUDGET: %v", perr)
-					}
-					budgets = append(budgets, n)
+	for _, method := range []Method{MethodBE, MethodTrap} {
+		base := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 2e-4}, Storage: StorageMemory}
+		base.Transient.Method = method
+		ref, err := Simulate(ckt, base, objs, nil)
+		if err != nil {
+			t.Fatalf("%v memory: %v", method, err)
+		}
+		base.Storage = StorageMASC
+		chain, err := Simulate(ckt, base, objs, nil)
+		if err != nil {
+			t.Fatalf("%v masc: %v", method, err)
+		}
+		peak := chain.TensorStats.PeakResident
+		frame := ref.TensorStats.RawBytes / int64(ref.TensorStats.Steps)
+		budgets := []int64{2 * peak, peak * 3 / 4, peak / 2, peak / 4, frame}
+		if env := os.Getenv("MASC_MEM_BUDGET"); env != "" {
+			for _, f := range strings.Split(env, ",") {
+				n, perr := ParseByteSize(f)
+				if perr != nil {
+					t.Fatalf("MASC_MEM_BUDGET: %v", perr)
 				}
+				budgets = append(budgets, n)
 			}
+		}
+		split := false
+		for _, st := range []Storage{StorageMemory, StorageMASC} {
 			for _, budget := range budgets {
 				for _, workers := range []int{0, 2} {
+					label := fmt.Sprintf("%s/%v budget=%d wk=%d", st, method, budget, workers)
 					opt := base
+					opt.Storage = st
 					opt.MemBudgetBytes = budget
 					opt.AdjointWorkers = workers
 					run, err := Simulate(ckt, opt, objs, nil)
 					if err != nil {
-						t.Fatalf("%s/%v budget=%d wk=%d: %v", st, method, budget, workers, err)
+						t.Fatalf("%s: %v", label, err)
 					}
-					for o := range ref.Sens.DOdp {
-						for k := range ref.Sens.DOdp[o] {
-							a, bv := ref.Sens.DOdp[o][k], run.Sens.DOdp[o][k]
-							if math.Float64bits(a) != math.Float64bits(bv) {
-								t.Fatalf("%s/%v budget=%d wk=%d: obj %d sens %d diverges: %g vs %g",
-									st, method, budget, workers, o, k, bv, a)
-							}
-						}
+					sameBits(t, label, run.Sens.DOdp, ref.Sens.DOdp)
+					s := run.TensorStats
+					if s.BudgetBytes != budget || s.TierKeptSteps+s.TierDroppedSteps != s.Steps || s.TierRecomputes != int64(s.TierDroppedSteps) {
+						t.Fatalf("%s: %+v", label, s)
 					}
-					// The hard half of the contract: the budget held, up to
-					// the documented in-flight slack (admitted frame, one
-					// blob mid-demotion, which may outgrow its frame, the
-					// frames the sweep holds fetched).
-					if got := run.TensorStats.PeakResident; budget > 0 && got > budget+6*frame {
-						t.Fatalf("%s/%v budget=%d wk=%d: PeakResident %d overran budget (+%d slack)",
-							st, method, budget, workers, got, 6*frame)
+					split = split || s.TierKeptSteps > 0 && s.TierDroppedSteps > 0
+					if limit := max(budget, frame) + int64(1+workers/2)*frame; s.PeakResident > limit {
+						t.Fatalf("%s: PeakResident %d over %d, the budget and the frames in flight", label, s.PeakResident, limit)
 					}
-					if run.TensorStats.BudgetBytes != budget {
-						t.Fatalf("%s/%v: stats echo budget %d, want %d", st, method, run.TensorStats.BudgetBytes, budget)
+					if budget >= 2*peak && (s.TierDroppedSteps != 0 || s.StoredBytes != chain.TensorStats.StoredBytes) {
+						t.Fatalf("%s: a budget the chain fits under dropped %d steps and stored %d B, the chain %d B",
+							label, s.TierDroppedSteps, s.StoredBytes, chain.TensorStats.StoredBytes)
 					}
 					if len(run.Sens.DegradedSteps) != 0 {
-						t.Fatalf("%s/%v budget=%d: planned drops leaked into DegradedSteps: %v",
-							st, method, budget, run.Sens.DegradedSteps)
+						t.Fatalf("%s: planned drops leaked into DegradedSteps: %v", label, run.Sens.DegradedSteps)
 					}
 				}
 			}
 		}
+		if !split {
+			t.Fatalf("%v: no budget kept some steps and dropped the rest (chain peak %d B, frame %d B)", method, peak, frame)
+		}
 	}
 }
 
-// TestSimulateTierCountsCoverEveryStep: a budgeted run reports where every
-// step was placed. Its tier step counts sum to the run's steps, and a budget
-// of half the unbudgeted peak keeps some steps on the compressed rung. The
-// sweep has released every step by the time Simulate reads the store's
-// stats, so counts of the live steps would report none.
-func TestSimulateTierCountsCoverEveryStep(t *testing.T) {
+// TestSimulateBudgetAsyncMatchesSync: under a budget that keeps some steps
+// and drops the rest, the pipelined chain keeps the same steps and stores
+// the same bytes as the synchronous one, and both give the unbudgeted run's
+// sensitivities bit for bit — the codec statistics included, which a
+// budget no longer turns off.
+func TestSimulateBudgetAsyncMatchesSync(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: StorageMASC, CollectCodecStats: true}
+	ref, err := Simulate(ckt, opt, []Objective{obj}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.MemBudgetBytes = ref.TensorStats.PeakResident / 2
+	var runs [2]*Run
+	for i, async := range []bool{false, true} {
+		o := opt
+		o.Async = async
+		if runs[i], err = Simulate(ckt, o, []Objective{obj}, nil); err != nil {
+			t.Fatalf("async=%v: %v", async, err)
+		}
+		sameBits(t, fmt.Sprintf("async=%v", async), runs[i].Sens.DOdp, ref.Sens.DOdp)
+		if !runs[i].HasCodecStats {
+			t.Fatalf("async=%v: no codec statistics under a budget", async)
+		}
+	}
+	s, a := runs[0].TensorStats, runs[1].TensorStats
+	if s.TierKeptSteps == 0 || s.TierDroppedSteps == 0 {
+		t.Fatalf("the budget does not split the chain: %+v", s)
+	}
+	if a.StoredBytes != s.StoredBytes || a.TierKeptSteps != s.TierKeptSteps || a.TierRecomputes != s.TierRecomputes {
+		t.Fatalf("async kept %d steps in %d B with %d recomputes; sync %d in %d B with %d",
+			a.TierKeptSteps, a.StoredBytes, a.TierRecomputes, s.TierKeptSteps, s.StoredBytes, s.TierRecomputes)
+	}
+	if !reflect.DeepEqual(runs[1].CodecStatsG, runs[0].CodecStatsG) || !reflect.DeepEqual(runs[1].CodecStatsC, runs[0].CodecStatsC) {
+		t.Fatal("async and sync codec statistics differ")
+	}
+}
+
+// TestSimulateBudgetCountsCoverEveryStep: a budgeted run reports what it kept.
+// Its kept and dropped step counts sum to the run's steps, and a budget of
+// half the unbudgeted peak keeps some steps and drops the rest. The sweep has
+// released every step by the time Simulate reads the store's stats, so counts
+// of the live steps would report none.
+func TestSimulateBudgetCountsCoverEveryStep(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: StorageMASC}
 	ref, err := Simulate(ckt, opt, []Objective{obj}, nil)
@@ -311,22 +356,20 @@ func TestSimulateTierCountsCoverEveryStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := run.TensorStats
-	if sum := st.TierHotSteps + st.TierCompressedSteps + st.TierDroppedSteps; sum != st.Steps || st.TierCompressedSteps == 0 {
-		t.Fatalf("tier steps %d hot + %d compressed + %d dropped for %d steps",
-			st.TierHotSteps, st.TierCompressedSteps, st.TierDroppedSteps, st.Steps)
+	if st.TierKeptSteps+st.TierDroppedSteps != st.Steps || st.TierKeptSteps == 0 || st.TierDroppedSteps == 0 {
+		t.Fatalf("%d kept + %d dropped steps for %d steps", st.TierKeptSteps, st.TierDroppedSteps, st.Steps)
 	}
 }
 
-// TestSimulateTierPlacementReproducible runs one budgeted MOS_T7 simulation
-// twice on the wall clock, under the benchmark's mem_budget shape: a budget
-// of a thirtieth of the raw tensor, which holds three frames and about
-// fifteen self-contained blobs, so every rung is used. (A seventh of what
-// StorageMASC stores is less than one frame at this scale: every step would
-// be dropped.) Placement depends on frame and blob sizes alone, so
-// the two runs place every step on the same rung in the same order, store
-// the same bytes, peak at the same resident bytes and recompute the same
-// steps.
-func TestSimulateTierPlacementReproducible(t *testing.T) {
+// TestSimulateBudgetPlacementReproducible runs one budgeted MOS_T7
+// simulation twice on the wall clock, under the windows' reserve and half of
+// what the unbudgeted chain stores, so the chain keeps a prefix and drops the
+// rest.
+// Admission depends on frame and blob sizes alone, so the two runs record the
+// same one decision — the first dropped step, with the sizes that refused it,
+// the reserve among them BudgetReserve's — keep the same steps, store the same bytes, peak at the same resident
+// bytes and recompute the same steps.
+func TestSimulateBudgetPlacementReproducible(t *testing.T) {
 	ds, err := workload.Build("MOS_T7", 0.3)
 	if err != nil {
 		t.Fatal(err)
@@ -336,22 +379,20 @@ func TestSimulateTierPlacementReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.MemBudgetBytes = ref.TensorStats.RawBytes / 30
-	type decision struct{ step, tier int64 }
+	opt.MemBudgetBytes = BudgetReserve(ds.Ckt) + ref.TensorStats.StoredBytes/2
+	type decision struct {
+		step  int
+		attrs []span.Attr
+	}
 	run := func() (*Run, []decision) {
 		var mu sync.Mutex
-		var placed []decision
+		var decided []decision
 		rec := NewSpanRecorder(0)
 		rec.SetSink(func(r *span.Record) {
-			if r.Kind != span.TierDecision {
-				return
-			}
-			for _, a := range r.AttrList() {
-				if a.Key == "tier" {
-					mu.Lock()
-					placed = append(placed, decision{int64(r.Step), a.Val})
-					mu.Unlock()
-				}
+			if r.Kind == span.TierDecision {
+				mu.Lock()
+				decided = append(decided, decision{int(r.Step), append([]span.Attr(nil), r.AttrList()...)})
+				mu.Unlock()
 			}
 		})
 		o := opt
@@ -360,22 +401,25 @@ func TestSimulateTierPlacementReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return run, placed
+		return run, decided
 	}
-	a, placedA := run()
-	b, placedB := run()
-	if len(placedA) == 0 || !slices.Equal(placedA, placedB) {
-		t.Fatalf("%d placements, then %d, or a step placed differently", len(placedA), len(placedB))
-	}
+	a, decidedA := run()
+	b, decidedB := run()
 	sa, sb := a.TensorStats, b.TensorStats
-	if sa.TierHotSteps == 0 || sa.TierCompressedSteps == 0 || sa.TierDroppedSteps == 0 {
-		t.Fatalf("the budget does not use every rung: %+v", sa)
+	if len(decidedA) != 1 || decidedA[0].step != sa.TierKeptSteps || sa.TierKeptSteps == 0 || sa.TierDroppedSteps == 0 {
+		t.Fatalf("decisions %v for %+v, want one, at the first dropped step", decidedA, sa)
 	}
-	t.Logf("%d placements; %d hot, %d compressed, %d dropped steps; stored %d B, peak %d B, %d recomputes",
-		len(placedA), sa.TierHotSteps, sa.TierCompressedSteps, sa.TierDroppedSteps, sa.StoredBytes, sa.PeakResident, sa.TierRecomputes)
-	if sa.StoredBytes != sb.StoredBytes || sa.PeakResident != sb.PeakResident || sa.TierRecomputes != sb.TierRecomputes {
-		t.Fatalf("stored %d then %d B, peak %d then %d B, %d then %d recomputes",
-			sa.StoredBytes, sb.StoredBytes, sa.PeakResident, sb.PeakResident, sa.TierRecomputes, sb.TierRecomputes)
+	if !slices.Contains(decidedA[0].attrs, span.Attr{Key: "reserve_bytes", Val: BudgetReserve(ds.Ckt)}) {
+		t.Fatalf("decision %v; BudgetReserve is %d B", decidedA[0].attrs, BudgetReserve(ds.Ckt))
+	}
+	if len(decidedB) != 1 || decidedB[0].step != decidedA[0].step || !slices.Equal(decidedA[0].attrs, decidedB[0].attrs) {
+		t.Fatalf("decisions %v, then %v", decidedA, decidedB)
+	}
+	t.Logf("kept %d, dropped %d steps; stored %d B, peak %d B, %d recomputes; decision %v",
+		sa.TierKeptSteps, sa.TierDroppedSteps, sa.StoredBytes, sa.PeakResident, sa.TierRecomputes, decidedA[0].attrs)
+	if sa.StoredBytes != sb.StoredBytes || sa.PeakResident != sb.PeakResident || sa.TierKeptSteps != sb.TierKeptSteps || sa.TierRecomputes != sb.TierRecomputes {
+		t.Fatalf("stored %d then %d B, peak %d then %d B, kept %d then %d, %d then %d recomputes",
+			sa.StoredBytes, sb.StoredBytes, sa.PeakResident, sb.PeakResident, sa.TierKeptSteps, sb.TierKeptSteps, sa.TierRecomputes, sb.TierRecomputes)
 	}
 }
 

@@ -156,7 +156,7 @@ func TestPinnedSensitivityBits(t *testing.T) {
 	storages := []storageCase{
 		{"memory", StorageMemory, 0},
 		{"masc", StorageMASC, 0},
-		{"tiered", StorageMASC, 4 << 10},
+		{"budget", StorageMASC, 4 << 10},
 		{"recompute", StorageRecompute, 0},
 	}
 	const tstep = 2e-6

@@ -110,35 +110,57 @@ func TestSimulateSpanTree(t *testing.T) {
 	}
 }
 
-// TestSimulateSpanTreeTiered checks that the tiered store's demote /
-// promote / tier-decision spans land in the same causal tree when a
-// memory budget forces demotions.
-func TestSimulateSpanTreeTiered(t *testing.T) {
+// TestSimulateSpanTreeBudget checks that a budget that drops steps records
+// its one decision — a tier_decision span at the first dropped step, with the
+// sizes it was made on — and a recompute span for every dropped step, in the
+// run's causal tree.
+func TestSimulateSpanTreeBudget(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	ob := &Observer{Spans: NewSpanRecorder(0)}
-	_, err := Simulate(ckt, SimOptions{
+	run, err := Simulate(ckt, SimOptions{
 		Transient:      TransientOptions{TStep: 2e-6, TStop: 4e-4},
 		Storage:        StorageMASC,
-		MemBudgetBytes: 4 << 10,
+		MemBudgetBytes: 8 << 10,
 		Obs:            ob,
 	}, []Objective{obj}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[span.Kind]bool{}
-	for _, r := range ob.Spans.Snapshot() {
-		kinds[r.Kind] = true
+	recs := ob.Spans.Snapshot()
+	ids := map[span.ID]bool{}
+	for _, r := range recs {
+		ids[r.ID] = true
 	}
-	for _, k := range []span.Kind{span.Demote, span.TierDecision, span.Promote} {
-		if !kinds[k] {
-			t.Errorf("tiered run missing span kind %s", k)
+	var decisions, recomputes int
+	for _, r := range recs {
+		switch r.Kind {
+		case span.TierDecision:
+			decisions++
+			keys := map[string]bool{}
+			for _, a := range r.AttrList() {
+				keys[a.Key] = true
+			}
+			if int(r.Step) != run.TensorStats.TierKeptSteps || len(keys) != 4 || !keys["arena_bytes"] || !keys["blob_bytes"] || !keys["reserve_bytes"] || !keys["budget_bytes"] {
+				t.Errorf("decision at step %d with %v; the first dropped step is %d", r.Step, r.AttrList(), run.TensorStats.TierKeptSteps)
+			}
+		case span.Recompute:
+			recomputes++
+		default:
+			continue
 		}
+		if !ids[r.Parent] {
+			t.Errorf("%s span at step %d has no parent in the tree", r.Kind, r.Step)
+		}
+	}
+	if s := run.TensorStats; decisions != 1 || s.TierKeptSteps == 0 || s.TierDroppedSteps == 0 || int64(recomputes) != s.TierRecomputes || s.TierRecomputes != int64(s.TierDroppedSteps) {
+		t.Fatalf("%d decisions, %d recompute spans: %+v", decisions, recomputes, s)
 	}
 }
 
 // TestEveryRepairRecordsASpan: whichever store heals a rotted step — the raw
 // ones, the chain's own reader (on the sweep's goroutine or the overlapped
-// sweep's fetcher) or the ladder — the heal is one repair span, so a run's spans count what its TensorStats.Repairs does.
+// sweep's fetcher), with or without a budget — the heal is one repair span,
+// so a run's spans count what its TensorStats.Repairs does.
 func TestEveryRepairRecordsASpan(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	for _, c := range []struct {
@@ -149,7 +171,7 @@ func TestEveryRepairRecordsASpan(t *testing.T) {
 		{"disk", SimOptions{Storage: StorageDisk}},
 		{"masc", SimOptions{Storage: StorageMASC}},
 		{"masc-workers-2", SimOptions{Storage: StorageMASC, AdjointWorkers: 2}},
-		{"masc-budget-4K", SimOptions{Storage: StorageMASC, MemBudgetBytes: 4 << 10}},
+		{"masc-budget-8K", SimOptions{Storage: StorageMASC, MemBudgetBytes: 8 << 10}},
 	} {
 		ob := &Observer{Spans: NewSpanRecorder(0)}
 		opt := c.opt
