@@ -99,7 +99,6 @@ func BenchmarkFig7(b *testing.B) {
 				run, err := Simulate(ds.Ckt, SimOptions{
 					Transient:       TransientOptions{TStep: ds.Tran.TStep, TStop: ds.Tran.TStop},
 					Storage:         storage,
-					Workers:         4,
 					DiskBytesPerSec: bench.DefaultDiskBps,
 				}, []Objective{node}, ds.Params)
 				if err != nil {

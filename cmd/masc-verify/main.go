@@ -51,7 +51,6 @@ func main() {
 		fd      = flag.Int("fd", 4, "finite-difference checks per case (0 disables the FD layer)")
 		fdTol   = flag.Float64("fd-tol", 1e-6, "finite-difference relative tolerance")
 		dirTol  = flag.Float64("direct-tol", 1e-4, "adjoint-vs-direct relative tolerance")
-		workers = flag.Int("workers", 1, "masczip compression workers")
 		depth   = flag.Int("pipeline-depth", 2, "async store queue depth")
 		adjWork = flag.Int("adjoint-workers", 0, "chaos mode: reverse-sweep workers (2 or more fetch on a separate goroutine, the degradation ladder with them; 0/1 = serial)")
 		budget  = flag.String("mem-budget", "", "chaos and crash modes: override the budgeted scenarios' memory budget, e.g. 8K or 64K (empty = each case's reserve and half what its chain stores)")
@@ -81,7 +80,6 @@ func main() {
 	}
 
 	opt := verify.Options{
-		Workers:        *workers,
 		PipelineDepth:  *depth,
 		AdjointWorkers: *adjWork,
 		FDChecks:       *fd,
@@ -132,7 +130,6 @@ func main() {
 			Set("fd_checks", *fd).
 			Set("fd_tol", *fdTol).
 			Set("direct_tol", *dirTol).
-			Set("workers", *workers).
 			Set("pipeline_depth", *depth)
 		man.Section("fleet", map[string]any{
 			"cases":          len(cases),

@@ -2,7 +2,7 @@
 // transient analysis with Jacobian-tensor capture, then adjoint sensitivity
 // analysis of every .obj objective with respect to every device parameter.
 //
-//	masc -netlist lowpass.sp -storage masc -workers 4
+//	masc -netlist lowpass.sp -storage masc -adjoint-workers 4
 //
 // The storage flag selects the Jacobian strategy the paper compares:
 // recompute (Xyce-style), memory, disk and masc (Markov-selector MASC).
@@ -47,7 +47,7 @@ import (
 // cli bundles the parsed command-line configuration.
 type cli struct {
 	path, storage        string
-	workers, depth, top  int
+	depth, top           int
 	adjWorkers           int
 	async                bool
 	diskBps              float64
@@ -68,7 +68,6 @@ func main() {
 	var c cli
 	flag.StringVar(&c.path, "netlist", "", "netlist file (required)")
 	flag.StringVar(&c.storage, "storage", "masc", "jacobian storage: recompute|memory|disk|masc")
-	flag.IntVar(&c.workers, "workers", 1, "parallel compressor workers")
 	flag.IntVar(&c.adjWorkers, "adjoint-workers", 1, "reverse-sweep workers (shards dF/dp + overlaps fetches; results are bit-identical for any count)")
 	flag.BoolVar(&c.async, "async", false, "pipeline MASC compression on a background worker (overlaps with the solve)")
 	flag.IntVar(&c.depth, "pipeline-depth", 2, "async mode: max timesteps the solver may run ahead of the compressor")
@@ -189,7 +188,6 @@ func run(c cli) error {
 	simOpt := masc.SimOptions{
 		Transient:         masc.TransientOptions{TStep: deck.Tran.TStep, TStop: deck.Tran.TStop},
 		Storage:           masc.Storage(c.storage),
-		Workers:           c.workers,
 		AdjointWorkers:    c.adjWorkers,
 		Async:             c.async,
 		PipelineDepth:     c.depth,
@@ -339,7 +337,6 @@ func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, st
 		man.Set("resumed", true)
 	} else {
 		man.Set("storage", c.storage).
-			Set("workers", c.workers).
 			Set("adjoint_workers", c.adjWorkers).
 			Set("async", c.async).
 			Set("pipeline_depth", c.depth).

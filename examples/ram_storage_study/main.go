@@ -55,7 +55,6 @@ func main() {
 
 	base := masc.SimOptions{
 		Transient:       masc.TransientOptions{TStep: 1e-10, TStop: 5e-8},
-		Workers:         4,
 		DiskBytesPerSec: 0.5e9, // the paper's SSD
 	}
 	strategies := []masc.Storage{

@@ -37,7 +37,6 @@ func TestIntegrationMatrix(t *testing.T) {
 					opt := SimOptions{
 						Transient: TransientOptions{TStep: ds.Tran.TStep, TStop: ds.Tran.TStop, Method: m},
 						Storage:   st,
-						Workers:   2,
 					}
 					run, err := Simulate(ds.Ckt, opt, objs, params)
 					if err != nil {

@@ -226,7 +226,7 @@ func TestCorruptAnchorFallsBackToBlob(t *testing.T) {
 	if err := st.EndForward(); err != nil {
 		t.Fatal(err)
 	}
-	st.steps[10].j[3] += 1 // rot after the sidecar was recorded
+	st.steps[10].vals[0][3] += 1 // rot after the sidecar was recorded
 
 	// Direct fetch path.
 	jv, _, err := st.Fetch(15)
@@ -261,7 +261,7 @@ func TestCorruptAnchorFallsBackToBlob(t *testing.T) {
 	}
 
 	// Slice path: the same rot on another anchor, seen through a slice.
-	st.steps[5].j[0] += 1
+	st.steps[5].vals[0][0] += 1
 	sl, err := st.Slice(1, 5)
 	if err != nil {
 		t.Fatal(err)

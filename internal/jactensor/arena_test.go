@@ -389,10 +389,10 @@ func TestStoreBlobsLiveInArena(t *testing.T) {
 	filledStore(t, st.arena.src, js, cs, st)
 	var blobBytes int64
 	for i, rec := range st.steps {
-		if cap(rec.jBlob) != len(rec.jBlob) || cap(rec.cBlob) != len(rec.cBlob) {
+		if cap(rec.blobs[0]) != len(rec.blobs[0]) || cap(rec.blobs[1]) != len(rec.blobs[1]) {
 			t.Fatalf("step %d blob carries slack", i)
 		}
-		blobBytes += int64(len(rec.jBlob) + len(rec.cBlob))
+		blobBytes += int64(len(rec.blobs[0]) + len(rec.blobs[1]))
 	}
 	if got := st.Stats().StoredBytes; got != blobBytes {
 		t.Fatalf("StoredBytes %d != arena blob bytes %d", got, blobBytes)

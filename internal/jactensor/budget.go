@@ -70,16 +70,20 @@ func (s *CompressedStore) SetRecompute(fn RecomputeFunc) {
 }
 
 // reserve is the plaintext the budget keeps back for the windows.
-func (s *CompressedStore) reserve() int64 { return ReserveBytes(s.cd.depth, s.jLen, s.cLen) }
+func (s *CompressedStore) reserve() int64 { return ReserveBytes(s.cd.depth, s.lens[:]...) }
 
 // ReserveBytes is the most plaintext the window of a chain whose codecs read
-// depth frames holds over tensors of nj and nc values: depth+1 frames, in
-// blocks where the window holds any (depth > 1). A budget must exceed it by a
-// blob for the chain to keep any step.
-func ReserveBytes(depth, nj, nc int) int64 {
-	frame := int64(8 * (nj + nc))
-	if depth > 1 {
-		frame = blockedBytes(nj) + blockedBytes(nc)
+// depth frames holds over tensors of the given value counts: depth+1 frames,
+// in blocks where the window holds any (depth > 1). A budget must exceed it by
+// a blob for the chain to keep any step.
+func ReserveBytes(depth int, lens ...int) int64 {
+	frame := int64(0)
+	for _, n := range lens {
+		if depth > 1 {
+			frame += blockedBytes(n)
+		} else {
+			frame += int64(8 * n)
+		}
 	}
 	return int64(depth+1) * frame
 }
@@ -124,33 +128,35 @@ func (s *CompressedStore) dropFromStep(step, blobBytes int, parent span.ID) {
 // recomputeStep re-derives dropped step's plaintext into a counted pooled
 // frame, the caller's to install; after Close it fails with ErrClosed. mu
 // must not be held.
-func (s *CompressedStore) recomputeStep(step int) (pair, error) {
+func (s *CompressedStore) recomputeStep(step int) (tensors, error) {
 	s.mu.Lock()
 	fn := s.recompute
 	s.mu.Unlock()
 	if fn == nil {
-		return pair{}, &StepError{Step: step, Op: "fetch", Degradable: true,
+		return tensors{}, &StepError{Step: step, Op: "fetch", Degradable: true,
 			Err: errors.New("step dropped under the memory budget (no recompute hook)")}
 	}
 	rsp := s.ob.rec.Start(s.ob.spanParent(), span.Recompute, step)
-	jv, cv, err := fn(step)
-	if err == nil && (len(jv) != s.jLen || len(cv) != s.cLen) {
-		err = fmt.Errorf("%d/%d values, the step had %d/%d", len(jv), len(cv), s.jLen, s.cLen)
+	var got tensors
+	var err error
+	got[0], got[1], err = fn(step)
+	if err == nil && got.lens() != s.lens {
+		err = fmt.Errorf("%v values, the step had %v", got.lens(), s.lens)
 	}
 	rsp.Attr("ok", boolAttr(err == nil))
 	rsp.End()
 	if err != nil {
-		return pair{}, &StepError{Step: step, Op: "fetch", Degradable: true,
+		return tensors{}, &StepError{Step: step, Op: "fetch", Degradable: true,
 			Err: fmt.Errorf("recompute dropped step: %w", err)}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.arena.closed {
-		return pair{}, closedErr(step) // Close raced an abandoned fetcher
+		return tensors{}, closedErr(step) // Close raced an abandoned fetcher
 	}
 	s.stats.TierRecomputes++
 	s.ob.recomputes.Inc()
-	out := s.copyFrame(pair{jv, cv})
+	out := s.copyFrame(got)
 	s.bumpResident(s.frameBytes)
 	return out, nil
 }

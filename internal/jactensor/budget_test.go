@@ -122,7 +122,7 @@ func runBudget(t *testing.T, f budgetFixture, budget int64, queue int, markov bo
 	st.mu.Lock()
 	r.arena = st.arena.used
 	for i, rec := range st.steps {
-		if hasBlob := rec.jBlob != nil; hasBlob != (i < kept && i < n) {
+		if hasBlob := rec.blobs[0] != nil; hasBlob != (i < kept && i < n) {
 			st.mu.Unlock()
 			t.Fatalf("step %d holds a blob: %v, yet %d steps were kept of %d", i, hasBlob, kept, n+1)
 		}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"masc/internal/blobframe"
 	"masc/internal/compress"
 	"masc/internal/compress/masczip"
 	"masc/internal/compress/varint"
@@ -59,7 +58,7 @@ import (
 type CompressedStore struct {
 	core
 	issued      int        // steps whose seal job has been issued; only Put and EndForward's caller touches it
-	sealed      bool       // EndForward sealed every step below the head
+	sealed      bool       // EndForward sealed every step below the head: Fetch and Slice may start
 	own         StoreSlice // the store's own reverse reader, over [0, n]
 	anchorEvery int        // every k-th step is an anchor; 0 = none
 	budget      int64      // SetBudget; 0 = none
@@ -95,7 +94,7 @@ type fwdJob struct {
 type prefetch struct {
 	step int
 	st   *stepRec
-	out  pair
+	out  tensors
 	err  error
 	done chan struct{}
 }
@@ -106,15 +105,14 @@ type prefetch struct {
 // one-off shared-index footprint to the stats, matching the paper's
 // accounting.
 func NewCompressedStore(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern) *CompressedStore {
-	s := &CompressedStore{core: newCore(jc, cc), dropFrom: math.MaxInt}
+	s := &CompressedStore{core: newCore([nTensors]compress.Compressor{jc, cc}), dropFrom: math.MaxInt}
 	// Until EndForward sets its top, the reader spans every step: the
 	// forward pass's seals gather their history from it too.
 	s.own = StoreSlice{p: s, cd: &s.cd, hi: math.MaxInt}
-	if jPat != nil {
-		s.stats.StoredBytes += int64(len(varint.EncodeCSRIndices(jPat.RowPtr, jPat.ColIdx)))
-	}
-	if cPat != nil {
-		s.stats.StoredBytes += int64(len(varint.EncodeCSRIndices(cPat.RowPtr, cPat.ColIdx)))
+	for _, pat := range [nTensors]*sparse.Pattern{jPat, cPat} {
+		if pat != nil {
+			s.stats.StoredBytes += int64(len(varint.EncodeCSRIndices(pat.RowPtr, pat.ColIdx)))
+		}
 	}
 	return s
 }
@@ -163,10 +161,11 @@ func (s *CompressedStore) SetAnchorEvery(k int) {
 // caller proceeds to the next timestep at once and a worker error surfaces one
 // Put late at worst.
 func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
+	vals := tensors{jVals, cVals}
 	s.mu.Lock()
 	err := s.ferr
 	if err == nil {
-		err = s.admit(step, jVals, cVals)
+		err = s.admit(step, vals)
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -178,7 +177,9 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 	// plaintext retained. Step 0 is never one (it has nothing below it), nor
 	// is the head (EndForward clears the mark).
 	st := &stepRec{pinned: s.anchorEvery > 0 && step > 0 && step%s.anchorEvery == 0}
-	st.x = s.stateOf(step)
+	if s.state != nil {
+		st.x = s.state(step)
+	}
 	s.mu.Lock()
 	if step == 0 && !s.fits(0) {
 		s.dropFromStep(0, 0, psp.ID()) // the budget cannot hold the window
@@ -188,7 +189,9 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 		if step > 0 {
 			below = &s.steps[step-1].heldFrame // unsealed, so held: its job is issued by this Put at the earliest
 		}
-		st.t = [2]held{s.adopt(0, jVals, below), s.adopt(1, cVals, below)}
+		for i := range st.t {
+			st.t[i] = s.adopt(i, vals[i], below)
+		}
 	}
 	s.steps = append(s.steps, st)
 	// A dropped step's due one is dropped too: the first dropped step was
@@ -230,7 +233,7 @@ func (s *CompressedStore) adopt(i int, vals []float64, below *heldFrame) held {
 	case b.ok() && s.cd.depth > 1:
 		return held{blk: s.blocksOf(i, vals, b.blk)}
 	}
-	v := takeVals(s.flatPool(i), len(vals))
+	v := takeVals(&s.pool[i], len(vals))
 	copy(v, vals)
 	s.bumpResident(int64(8 * len(v)))
 	return held{flat: v}
@@ -307,7 +310,7 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 		return nil
 	}
 	h := s.own.gather(job.step)
-	cur := st.flatPair()
+	cur := st.flat()
 	s.mu.Unlock()
 	cut := st.pinned
 	if cut {
@@ -316,15 +319,15 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 	csp := s.ob.rec.Start(job.parent, span.Compress, job.step)
 	s.cd.setParent(csp.ID())
 	start := time.Now()
-	jb, cb := s.seal(job.step, cur, h)
-	stored := len(jb) + len(cb)
+	sealed := s.seal(job.step, cur, h)
+	stored := sealedLen(sealed)
 
 	s.mu.Lock()
 	var tensor string
 	var err error
 	kept := s.fits(stored)
 	if kept {
-		tensor, err = s.keep(st, jb, cb)
+		tensor, err = s.keep(st, sealed)
 	}
 	elapsed := time.Since(start)
 	s.stats.CompressTime += elapsed
@@ -437,15 +440,11 @@ func (s *CompressedStore) EndForward() error {
 	return nil
 }
 
-// sealedLocked reports whether the forward pass has ended and every step
-// below the head is sealed — the precondition of Fetch and Slice. mu must be
-// held.
-func (s *CompressedStore) sealedLocked() bool { return s.forwardDone && s.sealed }
-
 // giveBack ends a window frame's hold on its arrays. mu must be held.
 func (s *CompressedStore) giveBack(f *heldFrame) {
-	s.release(0, &f.t[0])
-	s.release(1, &f.t[1])
+	for i := range f.t {
+		s.release(i, &f.t[i])
+	}
 	*f = heldFrame{}
 }
 
@@ -454,15 +453,15 @@ func (s *CompressedStore) giveBack(f *heldFrame) {
 // against them. The frame is flat. mu must be held.
 func (s *CompressedStore) signHead() {
 	head := s.steps[len(s.steps)-1]
-	head.jSum, head.cSum = blobframe.ChecksumFloat64(head.t[0].flat), blobframe.ChecksumFloat64(head.t[1].flat)
+	head.sums = sidecars(head.flat())
 }
 
 // checkHead verifies out, the head's plaintext a fetch is about to serve,
 // against the sidecars signHead took. A mismatch quarantines the step. mu
 // must be held.
-func (s *CompressedStore) checkHead(step int, out pair) error {
+func (s *CompressedStore) checkHead(step int, out tensors) error {
 	st := s.steps[step]
-	tensor, err := checkSums(out, st.jSum, st.cSum)
+	tensor, err := checkSums(out, st.sums)
 	if err == nil {
 		return nil
 	}
@@ -476,7 +475,7 @@ func (s *CompressedStore) checkHead(step int, out pair) error {
 // below — a frame beside it, nil for none — if that holds the same values,
 // else a counted copy. mu must be held.
 func (s *CompressedStore) flatten(f, below *heldFrame) {
-	for i := range 2 {
+	for i := range f.t {
 		h := &f.t[i]
 		if h.blk == nil {
 			continue
@@ -502,24 +501,24 @@ func (s *CompressedStore) toBlocks(i int, h *held, nb compress.Blocks) {
 	h.blk = idx
 }
 
-// anchorLocked returns st's retained anchor plaintext, verified, or a zero
-// pair when there is none or it has rotted — in which case the frame is
+// anchorLocked returns st's retained anchor plaintext, verified, and whether
+// there is any: none when it has rotted either — in which case the frame is
 // dropped and counted, and the caller decodes the step's self-contained blob
 // instead. The slices are the store's own: callers copy. mu must be held.
-func (s *CompressedStore) anchorLocked(st *stepRec) pair {
-	if st.j == nil {
-		return pair{}
+func (s *CompressedStore) anchorLocked(st *stepRec) (tensors, bool) {
+	if st.vals[0] == nil {
+		return tensors{}, false
 	}
-	if _, err := st.rotted(); err == nil {
-		return st.pair
+	if _, err := checkSums(st.vals, st.sums); err == nil {
+		return st.vals, true
 	}
-	s.parkFrame(st.pair)
+	s.parkFrame(st.vals)
 	st.frame = frame{}
 	s.stats.AnchorBytes -= s.frameBytes
 	s.ob.anchorBytes.Set(float64(s.stats.AnchorBytes))
 	s.bumpResident(-s.frameBytes)
 	s.noteCorrupt()
-	return pair{}
+	return tensors{}, false
 }
 
 // decodeStep is the reverse half of the blob lifecycle: pin the arena, open
@@ -527,39 +526,38 @@ func (s *CompressedStore) anchorLocked(st *stepRec) pair {
 // slice's forks) against h into pooled arrays, and quarantine the step on any
 // failure. A repeat — a blob with no payload — is not decoded: the tensor is
 // the nearest history frame's array, held, not counted again. The frame comes
-// back counted and is the caller's to install. At most one call runs per codec
-// pair at a time; prefetch marks the span of a background decode ahead of the
+// back counted and is the caller's to install. At most one call runs per set of
+// codecs at a time; prefetch marks the span of a background decode ahead of the
 // sweep. mu must not be held.
-func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h history, prefetch bool) (pair, error) {
+func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h history, prefetch bool) (tensors, error) {
 	s.mu.Lock()
 	if st.quarantined {
 		s.mu.Unlock()
-		return pair{}, corruptErr(step, "fetch", "", errQuarantined)
+		return tensors{}, corruptErr(step, "fetch", "", errQuarantined)
 	}
 	if s.arena.pin() != nil {
 		s.mu.Unlock()
-		return pair{}, closedErr(step)
+		return tensors{}, closedErr(step)
 	}
-	jb, cb := st.jBlob, st.cBlob
-	var out pair
-	if !isRepeat(jb, h.j.Near) {
-		out.j = takeVals(&s.poolJ, s.jLen)
-	}
-	if !isRepeat(cb, h.c.Near) {
-		out.c = takeVals(&s.poolC, s.cLen)
+	blobs := st.blobs
+	var out tensors
+	for i, b := range blobs {
+		if !isRepeat(b, h.t[i].Near) {
+			out[i] = takeVals(&s.pool[i], s.lens[i])
+		}
 	}
 	s.mu.Unlock()
 	defer s.unpinBlobs()
 
 	var elapsed time.Duration
-	jp, cp, tensor, err := openPair(step, jb, cb)
+	payloads, tensor, err := openBlobs(step, blobs)
 	if err == nil {
 		dsp := s.ob.rec.Start(s.ob.spanParent(), span.Decompress, step)
 		cd.setParent(dsp.ID())
 		start := time.Now()
-		tensor, err = cd.decode(out, jp, cp, h)
+		tensor, err = cd.decode(out, payloads, h)
 		elapsed = time.Since(start)
-		dsp.Attr("bytes", int64(len(jb)+len(cb)))
+		dsp.Attr("bytes", int64(sealedLen(blobs)))
 		dsp.Attr("prefetch", boolAttr(prefetch))
 		dsp.End()
 	}
@@ -570,24 +568,20 @@ func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h histor
 		// did not verify: either way a degradable corruption.
 		s.parkFrame(out)
 		s.quarantine(step, st)
-		return pair{}, corruptErr(step, "fetch", tensor, err)
+		return tensors{}, corruptErr(step, "fetch", tensor, err)
 	}
 	s.stats.DecompressTime += elapsed
 	s.ob.decompressSec.AddDuration(elapsed)
-	out.j = s.adoptDecoded(out.j, h.j.Near)
-	out.c = s.adoptDecoded(out.c, h.c.Near)
-	return out, nil
-}
-
-// adoptDecoded counts a decoded array, or — for a repeat, v nil — holds near.
-// mu must be held.
-func (s *CompressedStore) adoptDecoded(v, near []float64) []float64 {
-	if v == nil {
-		s.hold(near)
-		return near
+	// A decoded array counts; a repeat holds the nearest frame's.
+	for i, v := range out {
+		if v != nil {
+			s.bumpResident(int64(8 * len(v)))
+		} else {
+			out[i] = h.t[i].Near
+			s.hold(out[i])
+		}
 	}
-	s.bumpResident(int64(8 * len(v)))
-	return v
+	return out, nil
 }
 
 // unpinBlobs ends a decodeStep read; after Close, the last one returns the
@@ -672,7 +666,7 @@ func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 		return nil, nil, err
 	}
 	s.mu.Lock()
-	if err = s.ferr; err == nil && !s.arena.closed && !s.sealedLocked() {
+	if err = s.ferr; err == nil && !s.arena.closed && !s.sealed {
 		err = &StepError{Step: step, Op: "fetch", Err: errors.New("Fetch before EndForward")}
 	}
 	s.mu.Unlock()
@@ -692,7 +686,7 @@ func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 	if wasPrefetched {
 		s.ob.prefetchHits.Inc()
 	}
-	return out.j, out.c, nil
+	return out[0], out[1], nil
 }
 
 // Repair implements Repairer through the store's own reader.
@@ -741,7 +735,7 @@ func (s *CompressedStore) AnchorSteps() []int {
 	head := len(s.steps) - 1
 	var out []int
 	for i, st := range s.steps[:head] {
-		if st.pinned && st.j != nil {
+		if st.pinned && st.vals[0] != nil {
 			out = append(out, i)
 		}
 	}
@@ -750,21 +744,21 @@ func (s *CompressedStore) AnchorSteps() []int {
 
 // PredictorStats returns the predictor-selection statistics accumulated by
 // the first-tensor (G in the facade) and C codecs, when the store was built
-// over masczip compressors with Options.CollectStats enabled (ok reports both conditions). In async
-// mode call it only after EndForward or Close, once the worker has
-// drained.
+// over masczip compressors with Options.CollectStats enabled (ok reports both
+// conditions). In async mode call it only after EndForward or Close, once the
+// worker has drained.
 func (s *CompressedStore) PredictorStats() (j, c masczip.Stats, ok bool) {
 	type statser interface{ Stats() masczip.Stats }
-	js, okJ := s.cd.j.(statser)
-	cs, okC := s.cd.c.(statser)
-	if !okJ || !okC {
-		return j, c, false
+	var st [nTensors]masczip.Stats
+	for i, cd := range s.cd.c {
+		sc, isStatser := cd.(statser)
+		if !isStatser {
+			return j, c, false
+		}
+		st[i] = sc.Stats()
+		// CollectStats off leaves the counters at zero; report !ok so
+		// callers can distinguish "no data" from "all-zero data".
+		ok = ok || st[i].Elements != 0
 	}
-	j, c = js.Stats(), cs.Stats()
-	// CollectStats off leaves the counters at zero; report !ok so callers
-	// can distinguish "no data" from "all-zero data".
-	if j.Elements == 0 && c.Elements == 0 {
-		return j, c, false
-	}
-	return j, c, true
+	return st[0], st[1], ok
 }

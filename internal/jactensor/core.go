@@ -18,7 +18,6 @@ import (
 
 	"masc/internal/blobframe"
 	"masc/internal/compress"
-	"masc/internal/diskio"
 	"masc/internal/faultinject"
 	"masc/internal/obs"
 	"masc/internal/obs/span"
@@ -43,13 +42,35 @@ type Attachment struct {
 	State func(step int) []float64
 }
 
+// nTensors is how many tensors a step holds: the first — G in the facade, J
+// in the benchmark's trace — and C. Every per-tensor rule is one loop over
+// them, indexed by tensor.
+const nTensors = 2
+
+// tensorTags names each tensor: its tag in an arena blob's CRC and a spill
+// record's kind, and, as a string, its StepError.Tensor.
+var tensorTags = [nTensors]byte{'J', 'C'}
+
+func tensorName(i int) string { return string(tensorTags[i]) }
+
+// tensors is one step's plaintext, one value array per tensor.
+type tensors [nTensors][]float64
+
+// lens is v's value counts.
+func (v tensors) lens() (n [nTensors]int) {
+	for i := range v {
+		n[i] = len(v[i])
+	}
+	return n
+}
+
 // storeBase is the state and bookkeeping that do not depend on what a store
 // keeps or where.
 type storeBase struct {
 	stats       Stats
 	resident    int64
-	jLen, cLen  int   // per-step value counts, fixed by step 0
-	frameBytes  int64 // 8*(jLen+cLen)
+	lens        [nTensors]int // per-step value counts, fixed by step 0
+	frameBytes  int64         // 8 × the sum of lens
 	forwardDone bool
 	fault       *faultinject.Injector // nil = fault-free
 	ctx         context.Context
@@ -67,45 +88,29 @@ func (b *storeBase) attach(a Attachment, kind string) {
 	b.state = a.State
 }
 
-// stateOf is the state the attachment gives for step, nil without one.
-func (b *storeBase) stateOf(step int) []float64 {
-	if b.state == nil {
-		return nil
-	}
-	return b.state(step)
-}
-
-// wireSpill hands a spill device the attachment's share: op faults, the
-// retry spans' recorder and parent, and the context its backoff watches.
-func (b *storeBase) wireSpill(sp *diskio.Store) {
-	sp.SetFault(b.fault)
-	sp.SetSpans(b.ob.rec, b.ob.scope)
-	if b.ctx != nil {
-		sp.SetContext(b.ctx)
-	}
-}
-
 // admit is the Put contract, checked here for every store: steps arrive in
 // order from 0, never after EndForward, and always with step 0's value
 // counts. A violation is the caller's bug, not a storage fault — typed,
 // naming the step, and not degradable, so it aborts the forward pass instead
 // of surfacing later as a corrupt record. An admitted step is counted.
-func (b *storeBase) admit(step int, jVals, cVals []float64) error {
+func (b *storeBase) admit(step int, v tensors) error {
 	var why string
 	switch {
 	case b.forwardDone:
 		why = "Put after EndForward"
 	case step != b.stats.Steps:
 		why = fmt.Sprintf("out of order (expected step %d)", b.stats.Steps)
-	case step > 0 && (len(jVals) != b.jLen || len(cVals) != b.cLen):
-		why = fmt.Sprintf("value counts changed (%d/%d, step 0 had %d/%d)", len(jVals), len(cVals), b.jLen, b.cLen)
+	case step > 0 && v.lens() != b.lens:
+		why = fmt.Sprintf("value counts changed (%v, step 0 had %v)", v.lens(), b.lens)
 	}
 	if why != "" {
 		return &StepError{Step: step, Op: "put", Err: errors.New(why)}
 	}
 	if step == 0 {
-		b.jLen, b.cLen = len(jVals), len(cVals)
-		b.frameBytes = int64(8 * (b.jLen + b.cLen))
+		b.lens = v.lens()
+		for _, n := range b.lens {
+			b.frameBytes += int64(8 * n)
+		}
 	}
 	b.stats.Steps++
 	b.stats.RawBytes += b.frameBytes
@@ -132,35 +137,28 @@ func (b *storeBase) noteCorrupt() {
 
 var errQuarantined = errors.New("step is quarantined")
 
-// pair is one step's plaintext: the first tensor's values and the second's.
-type pair struct{ j, c []float64 }
-
-// frame is a plaintext pair at rest, with the CRC32C sidecars taken when it
+// frame is a step's plaintext at rest, with the CRC32C sidecars taken when it
 // came to rest: bit rot between then and the next read is detected instead
 // of flowing into the sensitivities.
 type frame struct {
-	pair
-	jSum, cSum uint32
+	vals tensors
+	sums [nTensors]uint32
 }
 
-// rest makes p the frame's plaintext and records its sidecars.
-func (f *frame) rest(p pair) {
-	f.pair = p
-	f.jSum, f.cSum = blobframe.ChecksumFloat64(p.j), blobframe.ChecksumFloat64(p.c)
-}
-
-// rotted checks the plaintext against its sidecars; a mismatch names the
-// tensor.
-func (f *frame) rotted() (tensor string, err error) { return checkSums(f.pair, f.jSum, f.cSum) }
-
-// checkSums checks p against the sidecars jSum, cSum; a mismatch names the
-// tensor.
-func checkSums(p pair, jSum, cSum uint32) (tensor string, err error) {
-	if got := blobframe.ChecksumFloat64(p.j); got != jSum {
-		return "J", fmt.Errorf("checksum %#08x, want %#08x", got, jSum)
+// sidecars is the CRC32C of each of v's arrays.
+func sidecars(v tensors) (sums [nTensors]uint32) {
+	for i := range v {
+		sums[i] = blobframe.ChecksumFloat64(v[i])
 	}
-	if got := blobframe.ChecksumFloat64(p.c); got != cSum {
-		return "C", fmt.Errorf("checksum %#08x, want %#08x", got, cSum)
+	return sums
+}
+
+// checkSums checks v against its sidecars; a mismatch names the tensor.
+func checkSums(v tensors, sums [nTensors]uint32) (tensor string, err error) {
+	for i, want := range sums {
+		if got := blobframe.ChecksumFloat64(v[i]); got != want {
+			return tensorName(i), fmt.Errorf("checksum %#08x, want %#08x", got, want)
+		}
 	}
 	return "", nil
 }
@@ -170,8 +168,8 @@ func checkSums(p pair, jSum, cSum uint32) (tensor string, err error) {
 // step below still decodes against it. Each tensor is held flat or in blocks
 // (held), and its arrays may be the neighbouring step's (core.hold).
 type heldFrame struct {
-	t    [2]held // the first tensor, the second
-	lent bool    // fetched and not yet released: the sweep reads the flat arrays
+	t    [nTensors]held
+	lent bool // fetched and not yet released: the sweep reads the flat arrays
 }
 
 // held is one tensor of a window frame: one flat array, or the index of its
@@ -190,22 +188,31 @@ func (h held) ok() bool { return h.flat != nil || h.blk != nil }
 // resident reports whether the window holds f's values.
 func (f *heldFrame) resident() bool { return f.t[0].ok() }
 
-// flatPair is f's flat arrays: nil where a tensor is held in blocks.
-func (f *heldFrame) flatPair() pair { return pair{f.t[0].flat, f.t[1].flat} }
+// flat is f's flat arrays: nil where a tensor is held in blocks.
+func (f *heldFrame) flat() (v tensors) {
+	for i := range f.t {
+		v[i] = f.t[i].flat
+	}
+	return v
+}
 
-// flatFrame is a window frame holding p's arrays flat.
-func flatFrame(p pair) heldFrame { return heldFrame{t: [2]held{{flat: p.j}, {flat: p.c}}} }
+// flatFrame is a window frame holding v's arrays flat.
+func flatFrame(v tensors) (f heldFrame) {
+	for i := range v {
+		f.t[i].flat = v[i]
+	}
+	return f
+}
 
 // stepRec is everything the chain knows about one step: its blobs in the
 // arena, a frame on its anchors, its place in the history window.
 type stepRec struct {
-	frame                  // checksummed plaintext at rest: an anchor; the head's sidecars alone
-	heldFrame              // the step's place in the history window
-	x            []float64 // the state the step was produced at (Attachment.State) — the caller's array, not counted as resident
-	jBlob, cBlob []byte    // sealed blobs in the arena; nil for the head and a dropped step
-	jbN, cbN     int       // sealed lengths
-	pinned       bool      // anchor: the chain cuts here
-	quarantined  bool      // failed verification: unreadable until Repair
+	frame                        // checksummed plaintext at rest: an anchor; the head's sidecars alone
+	heldFrame                    // the step's place in the history window
+	x           []float64        // the state the step was produced at (Attachment.State) — the caller's array, not counted as resident
+	blobs       [nTensors][]byte // sealed blobs in the arena; nil for the head and a dropped step
+	pinned      bool             // anchor: the chain cuts here
+	quarantined bool             // failed verification: unreadable until Repair
 }
 
 // spanCodec is implemented by codecs (masczip) that can record encode/decode
@@ -217,22 +224,22 @@ type spanCodec interface {
 }
 
 // history is the reference frames of one seal or decode, per tensor, and the
-// states both tensors' codecs may read beside them: the coded step's, then
+// states every tensor's codec may read beside them: the coded step's, then
 // each frame's (compress.HistoryCompressor), nil when the run attached none.
 // The zero value is none: a self-contained blob.
 type history struct {
-	j, c compress.History
-	x    [][]float64
+	t [nTensors]compress.History
+	x [][]float64
 }
 
-// codecs is a first-tensor/second-tensor compressor pair with the optional
-// capabilities the stores use. A StoreSlice decodes with a forked pair, which
-// is why the decode half of the blob path hangs off this type and not core.
+// codecs is one compressor per tensor with the optional capabilities the
+// stores use. A StoreSlice decodes with forked codecs, which is why the decode
+// half of the blob path hangs off this type and not core.
 type codecs struct {
-	j, c         compress.Compressor
-	spanJ, spanC spanCodec // nil unless the codecs trace and spans are on
+	c     [nTensors]compress.Compressor
+	spans [nTensors]spanCodec // nil unless the codec traces and spans are on
 	// depth is how many frames above a step the chain holds for it: the
-	// deeper codec's history depth, 1 for a pair of one-reference codecs.
+	// deepest codec's history depth, 1 for one-reference codecs.
 	depth int
 	win   window // gather's scratch, so a steady-state seal or decode allocates nothing
 }
@@ -243,22 +250,25 @@ type codecs struct {
 // blocks.
 type window struct {
 	frames []*heldFrame
-	keep   [][2]bool
-	far    [2][]compress.Blocks
-	views  [2][]compress.Blocks
-	tails  [2][][compress.BlockLen]float64
+	keep   [][nTensors]bool
+	far    [nTensors][]compress.Blocks
+	views  [nTensors][]compress.Blocks
+	tails  [nTensors][][compress.BlockLen]float64
 	x      [][]float64
 }
 
-func newCodecs(j, c compress.Compressor) codecs {
-	depth := max(compress.HistoryDepth(j), compress.HistoryDepth(c))
-	w := window{frames: make([]*heldFrame, 0, depth), keep: make([][2]bool, depth), x: make([][]float64, 0, depth+1)}
+func newCodecs(c [nTensors]compress.Compressor) codecs {
+	depth := 0
+	for _, t := range c {
+		depth = max(depth, compress.HistoryDepth(t))
+	}
+	w := window{frames: make([]*heldFrame, 0, depth), keep: make([][nTensors]bool, depth), x: make([][]float64, 0, depth+1)}
 	for i := range w.far {
 		w.far[i] = make([]compress.Blocks, 0, depth)
 		w.views[i] = make([]compress.Blocks, depth)
 		w.tails[i] = make([][compress.BlockLen]float64, depth)
 	}
-	return codecs{j: j, c: c, depth: depth, win: w}
+	return codecs{c: c, depth: depth, win: w}
 }
 
 // trace wires the codecs to rec, so each compress/decompress span encloses
@@ -267,23 +277,20 @@ func (cd *codecs) trace(rec *span.Recorder) {
 	if rec == nil {
 		return
 	}
-	if sc, ok := cd.j.(spanCodec); ok {
-		sc.SetSpans(rec)
-		cd.spanJ = sc
-	}
-	if sc, ok := cd.c.(spanCodec); ok {
-		sc.SetSpans(rec)
-		cd.spanC = sc
+	for i, c := range cd.c {
+		if sc, ok := c.(spanCodec); ok {
+			sc.SetSpans(rec)
+			cd.spans[i] = sc
+		}
 	}
 }
 
 // setParent points the codecs' next encode/decode span at id.
 func (cd *codecs) setParent(id span.ID) {
-	if cd.spanJ != nil {
-		cd.spanJ.SetSpanParent(id)
-	}
-	if cd.spanC != nil {
-		cd.spanC.SetSpanParent(id)
+	for _, sc := range cd.spans {
+		if sc != nil {
+			sc.SetSpanParent(id)
+		}
 	}
 }
 
@@ -292,26 +299,23 @@ func (cd *codecs) setParent(id span.ID) {
 // without the capability still get a value-chain cut from a nil reference.
 func (cd *codecs) restart() {
 	type restarter interface{ Restart() }
-	if r, ok := cd.j.(restarter); ok {
-		r.Restart()
-	}
-	if r, ok := cd.c.(restarter); ok {
-		r.Restart()
+	for _, c := range cd.c {
+		if r, ok := c.(restarter); ok {
+			r.Restart()
+		}
 	}
 }
 
-// decode inflates verified payloads into p against the history they were
+// decode inflates verified payloads into out against the history they were
 // sealed against; a tensor whose array is nil — a repeat, which has no
 // payload to decode — is skipped. A failure names the tensor.
-func (cd *codecs) decode(p pair, jp, cp []byte, h history) (tensor string, err error) {
-	if p.j != nil {
-		if err := compress.Decode(cd.j, p.j, jp, h.j, h.x); err != nil {
-			return "J", err
+func (cd *codecs) decode(out tensors, payloads [nTensors][]byte, h history) (tensor string, err error) {
+	for i, v := range out {
+		if v == nil {
+			continue
 		}
-	}
-	if p.c != nil {
-		if err := compress.Decode(cd.c, p.c, cp, h.c, h.x); err != nil {
-			return "C", err
+		if err := compress.Decode(cd.c[i], v, payloads[i], h.t[i], h.x); err != nil {
+			return tensorName(i), err
 		}
 	}
 	return "", nil
@@ -335,29 +339,28 @@ func blobCRC(tensor byte, step int, payload []byte) uint32 {
 	return crc32.Update(crc32.Update(0, castagnoli, tag[:]), castagnoli, payload)
 }
 
-// openBlob verifies an arena blob as tensor step's and returns its payload,
-// aliasing blob.
-func openBlob(blob []byte, tensor byte, step int) ([]byte, error) {
-	if len(blob) < crcLen {
-		return nil, fmt.Errorf("blob of %d bytes is shorter than its %d-byte CRC", len(blob), crcLen)
+// openBlobs verifies a step's sealed blobs as its tensors' and returns their
+// payloads, aliasing the blobs; a failure names the tensor.
+func openBlobs(step int, blobs [nTensors][]byte) (payloads [nTensors][]byte, tensor string, err error) {
+	for i, b := range blobs {
+		if len(b) < crcLen {
+			return payloads, tensorName(i), fmt.Errorf("blob of %d bytes is shorter than its %d-byte CRC", len(b), crcLen)
+		}
+		payloads[i] = b[crcLen:]
+		if got, want := blobCRC(tensorTags[i], step, payloads[i]), binary.LittleEndian.Uint32(b); got != want {
+			return payloads, tensorName(i), fmt.Errorf("CRC32C %#08x, want %#08x", got, want)
+		}
 	}
-	payload := blob[crcLen:]
-	if got, want := blobCRC(tensor, step, payload), binary.LittleEndian.Uint32(blob); got != want {
-		return nil, fmt.Errorf("CRC32C %#08x, want %#08x", got, want)
-	}
-	return payload, nil
+	return payloads, "", nil
 }
 
-// openPair verifies a step's sealed blobs and returns their payloads; a
-// failure names the tensor.
-func openPair(step int, jb, cb []byte) (jp, cp []byte, tensor string, err error) {
-	if jp, err = openBlob(jb, 'J', step); err != nil {
-		return nil, nil, "J", err
+// sealedLen is the sealed size of a step's blobs.
+func sealedLen(blobs [nTensors][]byte) int {
+	n := 0
+	for _, b := range blobs {
+		n += len(b)
 	}
-	if cp, err = openBlob(cb, 'C', step); err != nil {
-		return nil, nil, "C", err
-	}
-	return jp, cp, "", nil
+	return n
 }
 
 // isRepeat reports whether a sealed blob is a repeat's: no payload beside
@@ -379,32 +382,31 @@ type core struct {
 
 	// Sealed blobs are slices into the arena, not heap objects: off the Go
 	// heap on unix, so the GC pacer sizes its headroom on the plaintext
-	// working set alone (DESIGN.md, "Modelled vs real memory"). frameJ/frameC
-	// are the scratch frames seal compresses into; only one seal runs at a
-	// time per store.
-	arena          blobArena
-	frameJ, frameC []byte
+	// working set alone (DESIGN.md, "Modelled vs real memory"). sealBuf holds
+	// the scratch blobs seal compresses into, one per tensor; only one seal
+	// runs at a time per store.
+	arena   blobArena
+	sealBuf [nTensors][]byte
 
-	// The pools recycle plaintext arrays, one per tensor, so a steady-state
-	// Put or Fetch allocates nothing; the chain's also recycle its blocks and
-	// the tensors' block indices. Pooled arrays are idle memory the resident
-	// model does not count; an array counts from the moment its holder bumps
-	// the model to the matching release.
-	poolJ, poolC [][]float64
-	poolB        []*[compress.BlockLen]float64
-	poolIdx      [2][]compress.Blocks
+	// The pools recycle plaintext arrays and block indices, one pool per
+	// tensor, and blocks, so a steady-state Put or Fetch allocates nothing.
+	// Pooled arrays are idle memory the resident model does not count; an
+	// array counts from the moment its holder bumps the model to the
+	// matching release.
+	pool    [nTensors][][]float64
+	poolB   []*[compress.BlockLen]float64
+	poolIdx [nTensors][]compress.Blocks
 	// shared lists the arrays — flat frames and blocks — more than one frame
 	// of the chain's window holds, with their holder counts (hold, letGo).
 	shared map[*float64]int
 }
 
-func newCore(jc, cc compress.Compressor) core {
-	return core{
-		cd:     newCodecs(jc, cc),
-		arena:  blobArena{src: defaultChunks()},
-		frameJ: make([]byte, crcLen),
-		frameC: make([]byte, crcLen),
+func newCore(c [nTensors]compress.Compressor) core {
+	k := core{cd: newCodecs(c), arena: blobArena{src: defaultChunks()}}
+	for i := range k.sealBuf {
+		k.sealBuf[i] = make([]byte, crcLen)
 	}
+	return k
 }
 
 // takeVals returns an array of n values, pooled if one waits.
@@ -425,26 +427,21 @@ func (k *core) parkVals(pool *[][]float64, v []float64) {
 	}
 }
 
-// takeFrame returns a frame of the store's value counts.
-func (k *core) takeFrame() pair {
-	return pair{takeVals(&k.poolJ, k.jLen), takeVals(&k.poolC, k.cLen)}
-}
-
 // copyFrame returns a pooled frame holding a copy of src.
-func (k *core) copyFrame(src pair) pair {
-	p := k.takeFrame()
-	copy(p.j, src.j)
-	copy(p.c, src.c)
-	return p
+func (k *core) copyFrame(src tensors) (v tensors) {
+	for i := range v {
+		v[i] = takeVals(&k.pool[i], k.lens[i])
+		copy(v[i], src[i])
+	}
+	return v
 }
 
 // parkFrame puts an idle frame nothing else holds back in the pools.
-func (k *core) parkFrame(p pair) {
-	if p.j != nil {
-		k.parkVals(&k.poolJ, p.j)
-	}
-	if p.c != nil {
-		k.parkVals(&k.poolC, p.c)
+func (k *core) parkFrame(v tensors) {
+	for i := range v {
+		if v[i] != nil {
+			k.parkVals(&k.pool[i], v[i])
+		}
 	}
 }
 
@@ -497,25 +494,9 @@ func (k *core) letGo(v []float64) bool {
 	return false
 }
 
-// flatPool is tensor i's pool of flat arrays.
-func (k *core) flatPool(i int) *[][]float64 {
-	if i == 0 {
-		return &k.poolJ
-	}
-	return &k.poolC
-}
-
-// tensorLen is tensor i's value count.
-func (k *core) tensorLen(i int) int {
-	if i == 0 {
-		return k.jLen
-	}
-	return k.cLen
-}
-
 // flatOf returns a counted flat array of tensor i holding src's values.
 func (k *core) flatOf(i int, src held) []float64 {
-	v := takeVals(k.flatPool(i), k.tensorLen(i))
+	v := takeVals(&k.pool[i], k.lens[i])
 	if src.flat != nil {
 		copy(v, src.flat)
 	} else {
@@ -567,12 +548,16 @@ func (k *core) blocksOf(i int, src []float64, nb compress.Blocks) compress.Block
 func (k *core) release(i int, h *held) {
 	if h.flat != nil && k.letGo(h.flat) {
 		k.bumpResident(int64(-8 * len(h.flat)))
-		k.parkVals(k.flatPool(i), h.flat)
+		k.parkVals(&k.pool[i], h.flat)
+	}
+	frameBlocks := 0
+	for _, n := range k.lens {
+		frameBlocks += compress.NumBlocks(n)
 	}
 	for _, blk := range h.blk {
 		if k.letGo(blk[:]) {
 			k.bumpResident(-8 * compress.BlockLen)
-			if len(k.poolB) < compress.NumBlocks(k.jLen)+compress.NumBlocks(k.cLen) {
+			if len(k.poolB) < frameBlocks {
 				k.poolB = append(k.poolB, blk)
 			}
 		}
@@ -600,54 +585,47 @@ func sameBlocks(blk compress.Blocks, flat []float64) bool {
 // sameArray reports whether a and b are one array.
 func sameArray(a, b []float64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
-// admitFrame brings p to rest as st's frame: sidecars first, then the fault
+// admitFrame brings v to rest as st's frame: sidecars first, then the fault
 // window — rot after the checksum was taken is exactly what the sidecar
 // exists to catch.
-func (k *core) admitFrame(step int, st *stepRec, p pair) {
-	st.rest(p)
-	k.fault.MutateFloats(step, p.j)
-	k.fault.MutateFloats(step, p.c)
+func (k *core) admitFrame(step int, st *stepRec, v tensors) {
+	st.frame = frame{vals: v, sums: sidecars(v)}
+	for i := range v {
+		k.fault.MutateFloats(step, v[i])
+	}
 }
 
 // seal is the forward half of the blob lifecycle: codec, CRC, then the fault
-// window (at-rest rot, caught by the CRC when the blob is opened). cur is
-// compressed against h (none = an anchor's self-contained blob) into the
-// scratch frames — a tensor bit-identical to its nearest reference is a
-// repeat, which meets no codec and whose payload is empty; the sealed results
-// alias the frames — shortened when the injector truncates — until keep copies
-// them out or the budget refuses them.
-func (k *core) seal(step int, cur pair, h history) (jb, cb []byte) {
-	k.frameJ = sealTensor(k.frameJ, k.cd.j, 'J', step, cur.j, h.j, h.x)
-	k.frameC = sealTensor(k.frameC, k.cd.c, 'C', step, cur.c, h.c, h.x)
-	jb, _ = k.fault.MutateBlob(step, k.frameJ)
-	cb, _ = k.fault.MutateBlob(step, k.frameC)
-	return jb, cb
+// window (at-rest rot, caught by the CRC when the blob is opened). Each of
+// cur's tensors is compressed against h (none = an anchor's self-contained
+// blob) into its scratch blob after the CRC — a tensor bit-identical to its
+// nearest reference is a repeat, which meets no codec and whose payload is
+// empty; the sealed results alias the scratch — shortened when the injector
+// truncates — until keep copies them out or the budget refuses them.
+func (k *core) seal(step int, cur tensors, h history) (sealed [nTensors][]byte) {
+	for i, ht := range h.t {
+		dst := k.sealBuf[i][:crcLen]
+		if ht.Near == nil || !sameBits(cur[i], ht.Near) {
+			dst = compress.Encode(k.cd.c[i], dst, cur[i], ht, h.x)
+		}
+		binary.LittleEndian.PutUint32(dst, blobCRC(tensorTags[i], step, dst[crcLen:]))
+		k.sealBuf[i] = dst
+		sealed[i], _ = k.fault.MutateBlob(step, dst)
+	}
+	return sealed
 }
 
-// sealTensor codes one tensor into dst, its CRC first.
-func sealTensor(dst []byte, cd compress.Compressor, tensor byte, step int, cur []float64, h compress.History, x [][]float64) []byte {
-	dst = dst[:crcLen]
-	if h.Near == nil || !sameBits(cur, h.Near) {
-		dst = compress.Encode(cd, dst, cur, h, x)
+// keep copies a step's sealed blobs into the arena at their exact length and
+// makes them st's. On failure (closed arena, no memory to map) st is
+// untouched and the tensor is named.
+func (k *core) keep(st *stepRec, sealed [nTensors][]byte) (tensor string, err error) {
+	var kept [nTensors][]byte
+	for i, b := range sealed {
+		if kept[i], err = k.arena.append(b); err != nil {
+			return tensorName(i), err
+		}
 	}
-	binary.LittleEndian.PutUint32(dst, blobCRC(tensor, step, dst[crcLen:]))
-	return dst
-}
-
-// keep copies a sealed pair into the arena at its exact length and makes it
-// st's blobs. On failure (closed arena, no memory to map) st is untouched and
-// the tensor is named.
-func (k *core) keep(st *stepRec, jb, cb []byte) (tensor string, err error) {
-	aj, err := k.arena.append(jb)
-	if err != nil {
-		return "J", err
-	}
-	ac, err := k.arena.append(cb)
-	if err != nil {
-		return "C", err
-	}
-	st.jBlob, st.cBlob = aj, ac
-	st.jbN, st.cbN = len(aj), len(ac)
+	st.blobs = kept
 	k.ob.arenaBytes.Set(float64(k.arena.offHeapBytes()))
 	return "", nil
 }
@@ -674,7 +652,7 @@ func (k *core) closeCore() {
 	for _, st := range k.steps {
 		*st = stepRec{}
 	}
-	k.steps, k.poolJ, k.poolC, k.poolB, k.poolIdx, k.shared = nil, nil, nil, nil, [2][]compress.Blocks{}, nil
+	k.steps, k.pool, k.poolB, k.poolIdx, k.shared = nil, [nTensors][][]float64{}, nil, [nTensors][]compress.Blocks{}, nil
 	k.bumpResident(-k.resident)
 	k.arena.close()
 	k.ob.arenaBytes.Set(float64(k.arena.offHeapBytes()))

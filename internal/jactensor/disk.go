@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"masc/internal/blobframe"
@@ -19,21 +20,29 @@ import (
 // truncated write, or a read at the wrong offset surfaces as a typed,
 // degradable corruption error at fetch time instead of silently wrong
 // sensitivities.
+//
+// mu orders the reverse sweep's calls (Fetch, Repair, Release) against
+// Close, which may race the last fetch of a canceled sweep's fetcher.
 type DiskStore struct {
 	storeBase
-	spill        *diskio.Store
-	jOffs, cOffs []int64
-	quarantined  map[int]bool
-	repJ, repC   map[int][]float64 // repaired plaintext, keyed by step
-	scratch      []byte
-	jBuf, cBuf   []float64
+	mu          sync.Mutex
+	spill       *diskio.Store
+	offs        [][nTensors]int64 // each step's records in the spill file
+	quarantined map[int]bool
+	repaired    map[int]tensors // repaired plaintext, keyed by step
+	scratch     []byte
+	buf         tensors // the fetch buffers
 }
 
 // trackResident brings the resident-byte model up to date: the streaming
 // encode scratch plus the fetch buffers are the only state the spill store
 // keeps in RAM.
 func (s *DiskStore) trackResident() {
-	s.bumpResident(int64(cap(s.scratch)) + int64(8*(len(s.jBuf)+len(s.cBuf))) - s.resident)
+	n := int64(cap(s.scratch))
+	for _, v := range s.buf {
+		n += int64(8 * len(v))
+	}
+	s.bumpResident(n - s.resident)
 }
 
 // NewDiskStore creates a spill-backed store. dir may be empty (temp dir);
@@ -43,12 +52,7 @@ func NewDiskStore(dir string, bytesPerSec float64) (*DiskStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DiskStore{
-		spill:       sp,
-		quarantined: map[int]bool{},
-		repJ:        map[int][]float64{},
-		repC:        map[int][]float64{},
-	}, nil
+	return &DiskStore{spill: sp, quarantined: map[int]bool{}, repaired: map[int]tensors{}}, nil
 }
 
 // Attach wires telemetry, fault injection and the run's context. Blob
@@ -59,7 +63,11 @@ func NewDiskStore(dir string, bytesPerSec float64) (*DiskStore, error) {
 // before the first Put.
 func (s *DiskStore) Attach(a Attachment) {
 	s.attach(a, "disk")
-	s.wireSpill(s.spill)
+	s.spill.SetFault(s.fault)
+	s.spill.SetSpans(s.ob.rec, s.ob.scope)
+	if s.ctx != nil {
+		s.spill.SetContext(s.ctx)
+	}
 }
 
 // encode frames vals as a sealed blobframe record in the scratch buffer.
@@ -78,31 +86,24 @@ func (s *DiskStore) encode(vals []float64, kind byte, step int) []byte {
 
 // Put implements Store.
 func (s *DiskStore) Put(step int, jVals, cVals []float64) error {
-	if err := s.admit(step, jVals, cVals); err != nil {
+	vals := tensors{jVals, cVals}
+	if err := s.admit(step, vals); err != nil {
 		return err
 	}
 	psp := s.ob.rec.Start(s.ob.spanParent(), span.Put, step)
 	defer psp.End()
 	start := time.Now()
-	write := func(vals []float64, kind byte, tensor string) (int64, error) {
-		rec := s.encode(vals, kind, step)
+	var offs [nTensors]int64
+	for i, v := range vals {
+		rec := s.encode(v, tensorTags[i], step)
 		rec, _ = s.fault.MutateBlob(step, rec)
 		off, err := s.spill.Append(rec)
 		if err != nil {
-			return 0, &StepError{Step: step, Op: "put", Tensor: tensor, Err: err}
+			return &StepError{Step: step, Op: "put", Tensor: tensorName(i), Err: err}
 		}
-		return off, nil
+		offs[i] = off
 	}
-	off, err := write(jVals, 'J', "J")
-	if err != nil {
-		return err
-	}
-	s.jOffs = append(s.jOffs, off)
-	off, err = write(cVals, 'C', "C")
-	if err != nil {
-		return err
-	}
-	s.cOffs = append(s.cOffs, off)
+	s.offs = append(s.offs, offs)
 	s.trackResident()
 	s.ob.ioSec.AddDuration(time.Since(start))
 	psp.Attr("bytes", s.frameBytes)
@@ -122,72 +123,73 @@ func (s *DiskStore) EndForward() error {
 // (magic, kind, step, length, CRC32C) before decoding; verification or
 // read failures quarantine the step and return a degradable *StepError.
 func (s *DiskStore) Fetch(step int) ([]float64, []float64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.forwardDone {
 		return nil, nil, &StepError{Step: step, Op: "fetch", Err: errors.New("Fetch before EndForward")}
 	}
-	if step < 0 || step >= len(s.jOffs) {
-		return nil, nil, fmt.Errorf("jactensor: fetch step %d of %d", step, len(s.jOffs))
+	if step < 0 || step >= len(s.offs) {
+		return nil, nil, fmt.Errorf("jactensor: fetch step %d of %d", step, len(s.offs))
 	}
-	if j, ok := s.repJ[step]; ok {
+	if r, ok := s.repaired[step]; ok {
 		s.ob.fetches.Inc()
-		return j, s.repC[step], nil
+		return r[0], r[1], nil
 	}
 	if s.quarantined[step] {
 		return nil, nil, corruptErr(step, "fetch", "", errQuarantined)
 	}
 	start := time.Now()
-	if len(s.jBuf) != s.jLen {
-		s.jBuf = make([]float64, s.jLen)
-		s.cBuf = make([]float64, s.cLen)
+	if s.buf.lens() != s.lens {
+		for i := range s.buf {
+			s.buf[i] = make([]float64, s.lens[i])
+		}
 	}
-	read := func(dst []float64, off int64, kind byte, tensor string) error {
+	for i, dst := range s.buf {
 		need := blobframe.HeaderSize + 8*len(dst)
 		if cap(s.scratch) < need {
 			s.scratch = make([]byte, need)
 		}
 		raw := s.scratch[:need]
-		if err := s.spill.ReadAt(raw, off); err != nil {
+		if err := s.spill.ReadAt(raw, s.offs[step][i]); err != nil {
 			// A read failure here (after retries) means the record cannot
 			// be produced — degradable, like corruption.
 			s.quarantined[step] = true
 			s.noteCorrupt()
-			return &StepError{Step: step, Op: "fetch", Tensor: tensor, Degradable: true, Err: err}
+			return nil, nil, &StepError{Step: step, Op: "fetch", Tensor: tensorName(i), Degradable: true, Err: err}
 		}
-		payload, err := blobframe.Open(raw, kind, step)
+		payload, err := blobframe.Open(raw, tensorTags[i], step)
 		if err != nil {
 			s.quarantined[step] = true
 			s.noteCorrupt()
-			return corruptErr(step, "fetch", tensor, err)
+			return nil, nil, corruptErr(step, "fetch", tensorName(i), err)
 		}
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+		for k := range dst {
+			dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*k:]))
 		}
-		return nil
-	}
-	if err := read(s.jBuf, s.jOffs[step], 'J', "J"); err != nil {
-		return nil, nil, err
-	}
-	if err := read(s.cBuf, s.cOffs[step], 'C', "C"); err != nil {
-		return nil, nil, err
 	}
 	d := time.Since(start)
 	s.stats.IOTime += d
 	s.trackResident()
 	s.ob.fetches.Inc()
 	s.ob.ioSec.AddDuration(d)
-	return s.jBuf, s.cBuf, nil
+	return s.buf[0], s.buf[1], nil
 }
 
 // Repair implements Repairer: the recomputed plaintext shadows the damaged
 // on-disk record for any later fetch of the step.
 func (s *DiskStore) Repair(step int, jVals, cVals []float64) {
-	if step < 0 || step >= len(s.jOffs) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if step < 0 || step >= len(s.offs) {
 		return
 	}
 	rsp := s.ob.rec.Start(s.ob.spanParent(), span.Repair, step)
 	defer rsp.End()
-	s.repJ[step] = append([]float64(nil), jVals...)
-	s.repC[step] = append([]float64(nil), cVals...)
+	var r tensors
+	for i, v := range (tensors{jVals, cVals}) {
+		r[i] = append([]float64(nil), v...)
+	}
+	s.repaired[step] = r
 	delete(s.quarantined, step)
 	s.stats.Repairs++
 }
@@ -195,8 +197,9 @@ func (s *DiskStore) Repair(step int, jVals, cVals []float64) {
 // Release implements Store; the disk store reuses one fetch buffer, and
 // drops any repaired plaintext for the step.
 func (s *DiskStore) Release(step int) {
-	delete(s.repJ, step)
-	delete(s.repC, step)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.repaired, step)
 }
 
 // Stats implements Store.
@@ -207,8 +210,13 @@ func (s *DiskStore) Stats() Stats {
 	return st
 }
 
-// Close implements Store, removing the spill file. Idempotent, like the
-// spill store underneath. It touches nothing but the spill, whose lock
-// orders it against the last fetch of a canceled sweep's fetcher; that fetch
-// then fails to read and is recomputed.
-func (s *DiskStore) Close() error { return s.spill.Close() }
+// Close implements Store, removing the spill file; the scratch and the fetch
+// buffers leave the meter. Idempotent, like the spill store underneath. A
+// fetch after it fails to read and is recomputed.
+func (s *DiskStore) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.scratch, s.buf = nil, tensors{}
+	s.bumpResident(-s.resident)
+	return s.spill.Close()
+}

@@ -85,11 +85,11 @@ func TestSyncAsyncEquivalence(t *testing.T) {
 			}
 			for i, sr := range sync.steps {
 				ar := async.steps[i]
-				if !bytes.Equal(sr.jBlob, ar.jBlob) {
-					t.Fatalf("J blob %d differs (%d vs %d bytes)", i, len(sr.jBlob), len(ar.jBlob))
+				if !bytes.Equal(sr.blobs[0], ar.blobs[0]) {
+					t.Fatalf("J blob %d differs (%d vs %d bytes)", i, len(sr.blobs[0]), len(ar.blobs[0]))
 				}
-				if !bytes.Equal(sr.cBlob, ar.cBlob) {
-					t.Fatalf("C blob %d differs (%d vs %d bytes)", i, len(sr.cBlob), len(ar.cBlob))
+				if !bytes.Equal(sr.blobs[1], ar.blobs[1]) {
+					t.Fatalf("C blob %d differs (%d vs %d bytes)", i, len(sr.blobs[1]), len(ar.blobs[1]))
 				}
 			}
 			ss, as := sync.Stats(), async.Stats()

@@ -34,7 +34,7 @@ func allStoreFaultCases(jp *patternPair) []faultCase {
 	flipBlob := func(t *testing.T, st Store, step int) {
 		cs := st.(*CompressedStore)
 		cs.mu.Lock()
-		cs.steps[step].jBlob[len(cs.steps[step].jBlob)/2] ^= 0x10
+		cs.steps[step].blobs[0][len(cs.steps[step].blobs[0])/2] ^= 0x10
 		cs.mu.Unlock()
 	}
 	return []faultCase{
@@ -42,7 +42,7 @@ func allStoreFaultCases(jp *patternPair) []faultCase {
 			name: "mem-bitflip-J",
 			mk:   func(t *testing.T) Store { return NewMemStore() },
 			corrupt: func(t *testing.T, st Store, step int) {
-				blobframe.FlipBit(st.(*MemStore).j[step], 0, 13)
+				blobframe.FlipBit(st.(*MemStore).steps[step][0], 0, 13)
 			},
 		},
 		{
@@ -50,7 +50,7 @@ func allStoreFaultCases(jp *patternPair) []faultCase {
 			mk:   func(t *testing.T) Store { return NewMemStore() },
 			corrupt: func(t *testing.T, st Store, step int) {
 				ms := st.(*MemStore)
-				blobframe.FlipBit(ms.c[step], len(ms.c[step])-1, 51)
+				blobframe.FlipBit(ms.steps[step][1], len(ms.steps[step][1])-1, 51)
 			},
 		},
 		{
@@ -70,7 +70,7 @@ func allStoreFaultCases(jp *patternPair) []faultCase {
 				}
 				defer f.Close()
 				// Flip one payload byte of the step's J record on disk.
-				if _, err := f.WriteAt([]byte{0xFF}, ds.jOffs[step]+blobframe.HeaderSize+2); err != nil {
+				if _, err := f.WriteAt([]byte{0xFF}, ds.offs[step][0]+blobframe.HeaderSize+2); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -82,7 +82,7 @@ func allStoreFaultCases(jp *patternPair) []faultCase {
 			mk:   mkCompressed(false),
 			corrupt: func(t *testing.T, st Store, step int) {
 				cs := st.(*CompressedStore)
-				cs.steps[step].cBlob = cs.steps[step].cBlob[:len(cs.steps[step].cBlob)-3]
+				cs.steps[step].blobs[1] = cs.steps[step].blobs[1][:len(cs.steps[step].blobs[1])-3]
 			},
 		},
 	}
@@ -184,7 +184,7 @@ func TestDiskStoreTruncatedSpill(t *testing.T) {
 	}
 	// Chop the tail: the last step's C record (and part of its J record)
 	// are gone.
-	if err := os.Truncate(st.spill.Path(), st.jOffs[len(js)-1]+8); err != nil {
+	if err := os.Truncate(st.spill.Path(), st.offs[len(js)-1][0]+8); err != nil {
 		t.Fatal(err)
 	}
 	last := len(js) - 1

@@ -245,7 +245,7 @@ func TestRepairRestoresHistoryBelow(t *testing.T) {
 				t.Fatal(err)
 			}
 			st.mu.Lock()
-			st.steps[bad].cBlob[len(st.steps[bad].cBlob)/2] ^= 0x04
+			st.steps[bad].blobs[1][len(st.steps[bad].blobs[1])/2] ^= 0x04
 			st.mu.Unlock()
 			for i := steps - 1; i >= 0; i-- {
 				j, c, err := st.Fetch(i)
@@ -598,7 +598,7 @@ func checksums(st *CompressedStore, lo int) map[int][2]uint32 {
 		for i, h := range f.t {
 			v := h.flat
 			if v == nil {
-				v = make([]float64, st.tensorLen(i))
+				v = make([]float64, st.lens[i])
 				for k := range v {
 					v[k] = h.blk.At(k)
 				}
@@ -643,7 +643,7 @@ func TestSharedBlocksAreCopyOnWrite(t *testing.T) {
 			// Rot the anchor's retained frame: the fetch below it drops
 			// the frame and decodes the anchor's blob instead.
 			rot := faultinject.New(faultinject.Profile{BitFlipOneIn: 1})
-			if !rot.MutateFloats(anchor, st.steps[anchor].j) {
+			if !rot.MutateFloats(anchor, st.steps[anchor].vals[0]) {
 				t.Fatal("no float rot injected")
 			}
 		}
@@ -725,9 +725,9 @@ func TestEarlyCloseLeaksNoFrame(t *testing.T) {
 				}
 			}
 			st.mu.Lock()
-			if st.steps != nil || st.poolJ != nil || st.poolC != nil || st.poolB != nil || st.shared != nil || !st.arena.closed || st.resident != 0 {
+			if st.steps != nil || st.pool[0] != nil || st.pool[1] != nil || st.poolB != nil || st.shared != nil || !st.arena.closed || st.resident != 0 {
 				t.Fatalf("queue %d, %d puts: Close left %d records, %d+%d pooled arrays, %d pooled blocks, %d shared, %d B resident",
-					queue, puts, len(st.steps), len(st.poolJ), len(st.poolC), len(st.poolB), len(st.shared), st.resident)
+					queue, puts, len(st.steps), len(st.pool[0]), len(st.pool[1]), len(st.poolB), len(st.shared), st.resident)
 			}
 			st.mu.Unlock()
 			if err := st.Put(puts, js[0], cs[0]); err == nil {

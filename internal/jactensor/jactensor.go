@@ -1,10 +1,12 @@
 // Package jactensor manages the Jacobian tensor — per timestep, a pair of
 // value arrays produced by forward integration and consumed in reverse by the
-// adjoint sweep. The stores are generic over the pair: every j-named
-// parameter, field and blob below is the first tensor and every c-named one
-// the second. The facade stores (G, C) = (∂f/∂x, ∂q/∂x), what the devices
+// adjoint sweep. The facade stores (G, C) = (∂f/∂x, ∂q/∂x), what the devices
 // produce, and the sweep rebuilds J = G + C/h from it; the benchmark's trace
-// still feeds the assembled (J, C).
+// still feeds the assembled (J, C). The exported signatures name the first
+// tensor j… and the second c…; inside, a step's tensors are indexed: nTensors
+// of them, one step's plaintext a tensors array, and every per-tensor field
+// and rule an array and a loop over them, the tensor's tag and error name
+// from tensorTags.
 //
 // The package is one chain store and two raw stores. The core (core.go) owns
 // the per-step records, the blob arena, the frame pool and the single seal /
@@ -123,10 +125,10 @@ type Store interface {
 // Close, which may race the last fetch of a canceled sweep's fetcher.
 type MemStore struct {
 	storeBase
-	mu           sync.Mutex
-	j, c         [][]float64
-	jSums, cSums []uint32
-	quarantined  map[int]bool
+	mu          sync.Mutex
+	steps       []tensors // nil arrays once released
+	sums        [][nTensors]uint32
+	quarantined map[int]bool
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -138,19 +140,23 @@ func (s *MemStore) Attach(a Attachment) { s.attach(a, "memory") }
 
 // Put implements Store.
 func (s *MemStore) Put(step int, jVals, cVals []float64) error {
-	if err := s.admit(step, jVals, cVals); err != nil {
+	vals := tensors{jVals, cVals}
+	if err := s.admit(step, vals); err != nil {
 		return err
 	}
-	jCopy := append([]float64(nil), jVals...)
-	cCopy := append([]float64(nil), cVals...)
-	s.jSums = append(s.jSums, blobframe.ChecksumFloat64(jCopy))
-	s.cSums = append(s.cSums, blobframe.ChecksumFloat64(cCopy))
+	var own tensors
+	var sums [nTensors]uint32
+	for i, v := range vals {
+		own[i] = append([]float64(nil), v...)
+		sums[i] = blobframe.ChecksumFloat64(own[i])
+	}
 	// Fault injection models bit rot that happens after the checksum was
 	// recorded — exactly the window the sidecar exists to cover.
-	s.fault.MutateFloats(step, jCopy)
-	s.fault.MutateFloats(step, cCopy)
-	s.j = append(s.j, jCopy)
-	s.c = append(s.c, cCopy)
+	for _, v := range own {
+		s.fault.MutateFloats(step, v)
+	}
+	s.steps = append(s.steps, own)
+	s.sums = append(s.sums, sums)
 	s.bumpResident(s.frameBytes)
 	return nil
 }
@@ -163,7 +169,7 @@ func (s *MemStore) EndForward() error {
 	return nil
 }
 
-// Fetch implements Store. Each fetch re-verifies the step's CRC32C sidecar;
+// Fetch implements Store. Each fetch re-verifies the step's CRC32C sidecars;
 // a mismatch quarantines the step and returns a degradable *StepError so
 // the adjoint sweep can fall back to recomputation.
 func (s *MemStore) Fetch(step int) ([]float64, []float64, error) {
@@ -172,47 +178,42 @@ func (s *MemStore) Fetch(step int) ([]float64, []float64, error) {
 	if !s.forwardDone {
 		return nil, nil, &StepError{Step: step, Op: "fetch", Err: errors.New("Fetch before EndForward")}
 	}
-	if step < 0 || step >= len(s.j) {
-		return nil, nil, fmt.Errorf("jactensor: fetch step %d of %d", step, len(s.j))
+	if step < 0 || step >= len(s.steps) {
+		return nil, nil, fmt.Errorf("jactensor: fetch step %d of %d", step, len(s.steps))
 	}
-	if s.j[step] == nil {
+	vals := s.steps[step]
+	if vals[0] == nil {
 		return nil, nil, fmt.Errorf("jactensor: step %d already released", step)
 	}
 	if s.quarantined[step] {
 		return nil, nil, corruptErr(step, "fetch", "", errQuarantined)
 	}
-	if got := blobframe.ChecksumFloat64(s.j[step]); got != s.jSums[step] {
-		return nil, nil, s.quarantine(step, "J", got, s.jSums[step])
-	}
-	if got := blobframe.ChecksumFloat64(s.c[step]); got != s.cSums[step] {
-		return nil, nil, s.quarantine(step, "C", got, s.cSums[step])
+	for i, v := range vals {
+		if got, want := blobframe.ChecksumFloat64(v), s.sums[step][i]; got != want {
+			s.quarantined[step] = true
+			s.noteCorrupt()
+			return nil, nil, corruptErr(step, "fetch", tensorName(i),
+				fmt.Errorf("checksum %#08x, want %#08x", got, want))
+		}
 	}
 	s.ob.fetches.Inc()
-	return s.j[step], s.c[step], nil
-}
-
-// quarantine marks a step corrupt, counts it, and builds the typed error.
-func (s *MemStore) quarantine(step int, tensor string, got, want uint32) error {
-	s.quarantined[step] = true
-	s.noteCorrupt()
-	return corruptErr(step, "fetch", tensor,
-		fmt.Errorf("checksum %#08x, want %#08x", got, want))
+	return vals[0], vals[1], nil
 }
 
 // Repair implements Repairer: it installs recomputed plaintext for a
-// quarantined step and refreshes the sidecar.
+// quarantined step and refreshes the sidecars.
 func (s *MemStore) Repair(step int, jVals, cVals []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if step < 0 || step >= len(s.j) {
+	if step < 0 || step >= len(s.steps) {
 		return
 	}
 	rsp := s.ob.rec.Start(s.ob.spanParent(), span.Repair, step)
 	defer rsp.End()
-	s.j[step] = append([]float64(nil), jVals...)
-	s.c[step] = append([]float64(nil), cVals...)
-	s.jSums[step] = blobframe.ChecksumFloat64(s.j[step])
-	s.cSums[step] = blobframe.ChecksumFloat64(s.c[step])
+	for i, v := range (tensors{jVals, cVals}) {
+		s.steps[step][i] = append([]float64(nil), v...)
+		s.sums[step][i] = blobframe.ChecksumFloat64(s.steps[step][i])
+	}
 	delete(s.quarantined, step)
 	s.stats.Repairs++
 }
@@ -221,22 +222,22 @@ func (s *MemStore) Repair(step int, jVals, cVals []float64) {
 func (s *MemStore) Release(step int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if step >= 0 && step < len(s.j) {
-		if s.j[step] != nil {
-			s.bumpResident(-int64(8 * (len(s.j[step]) + len(s.c[step]))))
+	if step >= 0 && step < len(s.steps) {
+		if s.steps[step][0] != nil {
+			s.bumpResident(-s.frameBytes)
 		}
-		s.j[step] = nil
-		s.c[step] = nil
+		s.steps[step] = tensors{}
 	}
 }
 
 // Stats implements Store.
 func (s *MemStore) Stats() Stats { return s.stats }
 
-// Close implements Store; later fetches fail.
+// Close implements Store; later fetches fail. The steps leave the meter.
 func (s *MemStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.j, s.c = nil, nil
+	s.steps = nil
+	s.bumpResident(-s.resident)
 	return nil
 }

@@ -18,21 +18,21 @@ import (
 // pairs that were put, by step, admitted in order with step 0's value counts
 // until the forward pass ends.
 type oracle struct {
-	steps []pair
+	steps []tensors
 	ended bool
 }
 
 func (o *oracle) put(step int, j, c []float64) bool {
 	if o.ended || step != len(o.steps) ||
-		(step > 0 && (len(j) != len(o.steps[0].j) || len(c) != len(o.steps[0].c))) {
+		(step > 0 && (len(j) != len(o.steps[0][0]) || len(c) != len(o.steps[0][1]))) {
 		return false
 	}
-	o.steps = append(o.steps, pair{append([]float64(nil), j...), append([]float64(nil), c...)})
+	o.steps = append(o.steps, tensors{append([]float64(nil), j...), append([]float64(nil), c...)})
 	return true
 }
 
 func (o *oracle) same(step int, j, c []float64) bool {
-	return sameBits(j, o.steps[step].j) && sameBits(c, o.steps[step].c)
+	return sameBits(j, o.steps[step][0]) && sameBits(c, o.steps[step][1])
 }
 
 // modelFixture is one randomly sized tensor, with the states its steps were
@@ -283,7 +283,7 @@ func (m *modelRun) fetch(src fetcher, step int) {
 		if _, _, err := src.Fetch(step); err == nil {
 			m.t.Fatalf("step %d readable while quarantined", step)
 		}
-		src.(Repairer).Repair(step, m.want.steps[step].j, m.want.steps[step].c)
+		src.(Repairer).Repair(step, m.want.steps[step][0], m.want.steps[step][1])
 		m.healed++
 		if j, c, err = src.Fetch(step); err != nil {
 			m.t.Fatalf("fetch %d after Repair: %v", step, err)

@@ -22,8 +22,8 @@ func sealedStream(st Store) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, rec := range s.steps {
-		h.Write(rec.jBlob)
-		h.Write(rec.cBlob)
+		h.Write(rec.blobs[0])
+		h.Write(rec.blobs[1])
 	}
 	return h.Sum64()
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"masc/internal/compress/masczip"
+	"masc/internal/obs"
 )
 
 // TestPeakResidentModel pins the resident-memory accounting the three
@@ -184,5 +185,47 @@ func TestDiskStorePeakCoversFetchBuffers(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseEmptiesTheMeter: Close with no sweep takes whatever a store still
+// holds off its resident meter, so the masc_store_resident_bytes gauge of
+// every store reads 0 after it.
+func TestCloseEmptiesTheMeter(t *testing.T) {
+	jp, cp, js, cs := tensorFixture(51, 12, 3)
+	stores := map[string]func(t *testing.T) Store{
+		"memory": func(t *testing.T) Store { return NewMemStore() },
+		"disk": func(t *testing.T) Store {
+			st, err := NewDiskStore(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		},
+		"compressed": func(t *testing.T) Store {
+			return NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+		},
+	}
+	for name, mk := range stores {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			st := mk(t)
+			st.(interface{ Attach(Attachment) }).Attach(Attachment{Obs: &obs.Observer{Reg: reg}})
+			for i := range js {
+				if err := st.Put(i, js[i], cs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gauge := reg.Gauge("masc_store_resident_bytes", "", "store", name)
+			if gauge.Value() == 0 {
+				t.Fatal("the store holds nothing before Close")
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if v := gauge.Value(); v != 0 {
+				t.Fatalf("masc_store_resident_bytes = %v B after Close, want 0", v)
+			}
+		})
 	}
 }

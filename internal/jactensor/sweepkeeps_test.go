@@ -102,11 +102,11 @@ func TestRepeatsMeetNoCodec(t *testing.T) {
 				}
 			}
 			st.mu.Lock()
-			if head := st.steps[n]; head.jBlob != nil || head.cBlob != nil {
-				t.Fatalf("%s: the head has blobs of %d and %d B", name, len(head.jBlob), len(head.cBlob))
+			if head := st.steps[n]; head.blobs[0] != nil || head.blobs[1] != nil {
+				t.Fatalf("%s: the head has blobs of %d and %d B", name, len(head.blobs[0]), len(head.blobs[1]))
 			}
 			for s := 0; s < n; s++ {
-				for i, b := range [2][]byte{st.steps[s].jBlob, st.steps[s].cBlob} {
+				for i, b := range [2][]byte{st.steps[s].blobs[0], st.steps[s].blobs[1]} {
 					if repeat := len(b) == crcLen; repeat != rep[i][s] {
 						t.Fatalf("%s: step %d tensor %d: a %d-byte blob, repeat %v", name, s, i, len(b), rep[i][s])
 					}
@@ -201,13 +201,13 @@ type blobFault struct {
 // bit in the payload or in the integrity field, a short blob, a step's J and
 // C blobs swapped, and two steps' blobs swapped.
 var blobFaults = []blobFault{
-	{name: "payload-bit", damage: func(r []*stepRec, a, _ int) { r[a].cBlob[len(r[a].cBlob)-1] ^= 0x20 }},
-	{name: "crc-bit", damage: func(r []*stepRec, a, _ int) { r[a].jBlob[1] ^= 0x01 }},
-	{name: "one-byte-short", damage: func(r []*stepRec, a, _ int) { r[a].cBlob = r[a].cBlob[:len(r[a].cBlob)-1] }},
-	{name: "j-c-swapped", damage: func(r []*stepRec, a, _ int) { r[a].jBlob, r[a].cBlob = r[a].cBlob, r[a].jBlob }},
+	{name: "payload-bit", damage: func(r []*stepRec, a, _ int) { r[a].blobs[1][len(r[a].blobs[1])-1] ^= 0x20 }},
+	{name: "crc-bit", damage: func(r []*stepRec, a, _ int) { r[a].blobs[0][1] ^= 0x01 }},
+	{name: "one-byte-short", damage: func(r []*stepRec, a, _ int) { r[a].blobs[1] = r[a].blobs[1][:len(r[a].blobs[1])-1] }},
+	{name: "j-c-swapped", damage: func(r []*stepRec, a, _ int) { r[a].blobs[0], r[a].blobs[1] = r[a].blobs[1], r[a].blobs[0] }},
 	{name: "steps-swapped", both: true, damage: func(r []*stepRec, a, b int) {
-		r[a].jBlob, r[b].jBlob = r[b].jBlob, r[a].jBlob
-		r[a].cBlob, r[b].cBlob = r[b].cBlob, r[a].cBlob
+		r[a].blobs[0], r[b].blobs[0] = r[b].blobs[0], r[a].blobs[0]
+		r[a].blobs[1], r[b].blobs[1] = r[b].blobs[1], r[a].blobs[1]
 	}},
 }
 
@@ -262,7 +262,7 @@ func TestArenaCRCCatchesEveryFault(t *testing.T) {
 				acc.lock()
 				var withBlobs []int
 				for s, r := range acc.recs() {
-					if r.jBlob != nil {
+					if r.blobs[0] != nil {
 						withBlobs = append(withBlobs, s)
 					}
 				}

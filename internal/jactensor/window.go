@@ -43,7 +43,7 @@ type StoreSlice struct {
 // and its releases and repairs do nothing.
 func (s *CompressedStore) Slice(lo, hi int) (*StoreSlice, error) {
 	s.mu.Lock()
-	done := s.sealedLocked()
+	done := s.sealed
 	n := len(s.steps) - 1
 	s.mu.Unlock()
 	if !done {
@@ -53,12 +53,15 @@ func (s *CompressedStore) Slice(lo, hi int) (*StoreSlice, error) {
 		return nil, fmt.Errorf("jactensor: slice [%d,%d] out of range [0,%d]", lo, hi, n)
 	}
 	type forker interface{ Fork() compress.Compressor }
-	jf, okJ := s.cd.j.(forker)
-	cf, okC := s.cd.c.(forker)
-	if !okJ || !okC {
-		return nil, fmt.Errorf("jactensor: codec %s does not support forked decoders", s.cd.j.Name())
+	var forks [nTensors]compress.Compressor
+	for i, c := range s.cd.c {
+		f, ok := c.(forker)
+		if !ok {
+			return nil, fmt.Errorf("jactensor: codec %s does not support forked decoders", c.Name())
+		}
+		forks[i] = f.Fork()
 	}
-	cd := newCodecs(jf.Fork(), cf.Fork())
+	cd := newCodecs(forks)
 	return &StoreSlice{p: s, cd: &cd, lo: lo, hi: hi, at: hi, out: make([]heldFrame, hi-lo+1)}, nil
 }
 
@@ -107,16 +110,15 @@ func (sl *StoreSlice) gather(step int) history {
 		return history{}
 	}
 	p.flatten(fs[0], own)
-	w.keep[0] = [2]bool{true, true}
-	for n := 1; n < len(fs); n++ {
-		for i := range 2 {
+	for n := range fs {
+		for i := range w.keep[n] {
 			v := fs[n].t[i].flat
-			w.keep[n][i] = v != nil && (fs[n].lent || w.keep[n-1][i] && sameArray(v, fs[n-1].t[i].flat))
+			w.keep[n][i] = n == 0 || v != nil && (fs[n].lent || w.keep[n-1][i] && sameArray(v, fs[n-1].t[i].flat))
 		}
 	}
 	for n := len(fs) - 1; n >= 1; n-- {
 		above := sl.held(step + n + 2)
-		for i := range 2 {
+		for i := range fs[n].t {
 			if h := &fs[n].t[i]; h.flat != nil && !w.keep[n][i] {
 				var nb compress.Blocks
 				if above != nil {
@@ -127,9 +129,9 @@ func (sl *StoreSlice) gather(step int) history {
 		}
 	}
 
-	h := history{j: compress.History{Near: fs[0].t[0].flat}, c: compress.History{Near: fs[0].t[1].flat}}
+	var h history
 	extra := int64(0)
-	for i := range 2 {
+	for i := range h.t {
 		far := w.far[i][:0]
 		for n := 1; n < len(fs); n++ {
 			t := fs[n].t[i]
@@ -142,8 +144,8 @@ func (sl *StoreSlice) gather(step int) history {
 			far = append(far, b)
 		}
 		w.far[i] = far
+		h.t[i] = compress.History{Near: fs[0].t[i].flat, Far: far}
 	}
-	h.j.Far, h.c.Far = w.far[0], w.far[1]
 	p.stats.HistoryBytes = max(p.stats.HistoryBytes, extra)
 	h.x = w.x[:0]
 	for t := step; t <= step+len(fs); t++ {
@@ -206,11 +208,11 @@ func (sl *StoreSlice) trim() {
 // pool and return to it.
 func (sl *StoreSlice) Fetch(step int) ([]float64, []float64, error) {
 	out, _, err := sl.fetch(step)
-	return out.j, out.c, err
+	return out[0], out[1], err
 }
 
 // fetch is Fetch, also reporting whether the step was decoded.
-func (sl *StoreSlice) fetch(step int) (out pair, decoded bool, err error) {
+func (sl *StoreSlice) fetch(step int) (out tensors, decoded bool, err error) {
 	p := sl.p
 	p.mu.Lock()
 	mine := sl.held(step)
@@ -220,7 +222,7 @@ func (sl *StoreSlice) fetch(step int) (out pair, decoded bool, err error) {
 			err = fmt.Errorf("jactensor: fetch step %d outside [%d,%d]", step, sl.lo, sl.hi)
 		}
 		p.mu.Unlock()
-		return pair{}, false, err
+		return tensors{}, false, err
 	}
 	head := step == len(p.steps)-1
 	if mine.resident() {
@@ -229,14 +231,14 @@ func (sl *StoreSlice) fetch(step int) (out pair, decoded bool, err error) {
 		// budget dropped it; a slice's frames are its own copies, checked
 		// when they were made.
 		if sl.out == nil && head && !p.dropped(step) {
-			if err = p.checkHead(step, mine.flatPair()); err != nil {
+			if err = p.checkHead(step, mine.flat()); err != nil {
 				// The frame goes unless the sweep holds it, so a refetch
 				// fails until Repair installs good plaintext.
 				if !mine.lent {
 					p.giveBack(mine)
 				}
 				p.mu.Unlock()
-				return pair{}, false, err
+				return tensors{}, false, err
 			}
 		}
 		sl.at = min(sl.at, step)
@@ -245,42 +247,44 @@ func (sl *StoreSlice) fetch(step int) (out pair, decoded bool, err error) {
 		var h history
 		recompute := false
 		if st.resident() {
-			out = pair{p.flatOf(0, st.t[0]), p.flatOf(1, st.t[1])}
+			for i := range out {
+				out[i] = p.flatOf(i, st.t[i])
+			}
 			if head && !p.dropped(step) {
 				if err = p.checkHead(step, out); err != nil {
 					p.parkFrame(out)
 					p.bumpResident(-p.frameBytes)
 					p.mu.Unlock()
-					return pair{}, false, err
+					return tensors{}, false, err
 				}
 			}
-		} else if src := p.anchorLocked(st); src.j != nil {
+		} else if src, ok := p.anchorLocked(st); ok {
 			out = p.copyFrame(src)
 			p.bumpResident(p.frameBytes)
 		} else if recompute = p.dropped(step); !recompute {
 			if head && !st.quarantined {
 				p.mu.Unlock()
-				return pair{}, false, fmt.Errorf("%w: step %d is the head, which has no blob, and its plaintext is gone", ErrOutOfOrder, step)
+				return tensors{}, false, fmt.Errorf("%w: step %d is the head, which has no blob, and its plaintext is gone", ErrOutOfOrder, step)
 			}
-			if h = sl.gather(step); h.j.Near == nil && step != sl.hi && !st.pinned {
+			if h = sl.gather(step); h.t[0].Near == nil && step != sl.hi && !st.pinned {
 				p.mu.Unlock()
-				return pair{}, false, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
+				return tensors{}, false, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
 			}
 		}
 		p.mu.Unlock()
-		switch decoded = out.j == nil; {
+		switch decoded = out[0] == nil; {
 		case recompute:
 			out, err = p.recomputeStep(step)
 		case decoded:
 			out, err = p.decodeStep(sl.cd, step, st, h, false)
 		}
 		if err != nil {
-			return pair{}, false, err
+			return tensors{}, false, err
 		}
 		p.mu.Lock()
 		*mine, sl.at = flatFrame(out), step
 	}
-	out = mine.flatPair()
+	out = mine.flat()
 	mine.lent = true
 	sl.trim()
 	p.mu.Unlock()
@@ -317,7 +321,7 @@ func (sl *StoreSlice) Repair(step int, jVals, cVals []float64) {
 	rsp := p.ob.rec.Start(p.ob.spanParent(), span.Repair, step)
 	defer rsp.End()
 	p.giveBack(f)
-	*f = flatFrame(p.copyFrame(pair{jVals, cVals}))
+	*f = flatFrame(p.copyFrame(tensors{jVals, cVals}))
 	p.bumpResident(p.frameBytes)
 	if sl.out == nil && step == len(p.steps)-1 {
 		p.signHead() // the repaired frame is the head's only copy now

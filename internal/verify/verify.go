@@ -14,8 +14,6 @@ import (
 
 // Options configures a verification run.
 type Options struct {
-	// Workers is the masczip worker count used by the compressed runs.
-	Workers int
 	// PipelineDepth is the async store's queue depth (<1 = default).
 	PipelineDepth int
 	// AdjointWorkers is passed through to SimOptions.AdjointWorkers for
@@ -52,9 +50,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
 	if o.FDTol == 0 {
 		o.FDTol = 1e-6
 	}
@@ -184,7 +179,6 @@ func simulate(c *Case, o Options, storage masc.Storage, async bool, budget int64
 	}
 	opt := bt.SimBase
 	opt.Storage = storage
-	opt.Workers = o.Workers
 	opt.Async = async
 	opt.PipelineDepth = o.PipelineDepth
 	opt.MemBudgetBytes = budget
@@ -328,7 +322,7 @@ func verifyStores(c *Case, opt Options, rep *CaseReport) {
 		return
 	}
 	ckt := bt.Ckt
-	mo := masczip.Options{Workers: opt.Workers}
+	var mo masczip.Options
 	mem := jactensor.NewMemStore()
 	syncSt := jactensor.NewCompressedStore(
 		masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo), ckt.GPat, ckt.CPat)

@@ -201,8 +201,6 @@ type SimOptions struct {
 	Transient TransientOptions
 	// Storage selects the Jacobian strategy; default StorageMASC.
 	Storage Storage
-	// Workers bounds the parallel compressor (default 1).
-	Workers int
 	// AdjointWorkers bounds the reverse sweep's parallelism: values > 1
 	// shard the parameter-gradient loop and the per-objective RHS builds
 	// across that many workers and overlap Jacobian fetches with the
@@ -302,7 +300,6 @@ type Run struct {
 type runPlan struct {
 	Transient       TransientOptions `json:"transient"`
 	Storage         Storage          `json:"storage"`
-	Workers         int              `json:"workers"`
 	AdjointWorkers  int              `json:"adjoint_workers"`
 	Async           bool             `json:"async"`
 	PipelineDepth   int              `json:"pipeline_depth"`
@@ -329,11 +326,7 @@ func newRunPlan(ckt *Circuit, opt *SimOptions, objectives []Objective, params []
 	if storage == "" {
 		storage = StorageMASC // an unknown name fails in newStore
 	}
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	return &runPlan{Transient: opt.Transient, Storage: storage, Workers: workers,
+	return &runPlan{Transient: opt.Transient, Storage: storage,
 		AdjointWorkers: opt.AdjointWorkers, Async: opt.Async, PipelineDepth: opt.PipelineDepth,
 		DiskBytesPerSec: opt.DiskBytesPerSec, DiskDir: opt.DiskDir,
 		MemBudgetBytes: opt.MemBudgetBytes, Objectives: objectives, Params: params}, nil
@@ -362,7 +355,7 @@ func (plan *runPlan) newStore(ckt *Circuit, collectStats bool) (jactensor.Store,
 	}
 	// The MASC codec pair: the Markov selector, with each blob carrying its
 	// selector table only where the table pays for itself.
-	mo := masczip.Options{Markov: true, Workers: plan.Workers, CollectStats: collectStats}
+	mo := masczip.Options{Markov: true, CollectStats: collectStats}
 	gc, cc := masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
 	var s *jactensor.CompressedStore
 	if plan.Async {
@@ -437,7 +430,6 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 	// nests under it. Inert (zero span, ID 0) without a recorder.
 	rec := opt.Obs.SpanRecorder()
 	rsp := rec.Start(0, span.Run, -1)
-	rsp.Attr("workers", int64(plan.Workers))
 	defer rsp.End()
 
 	// One attachment wires the store; what only some stores can do is asked

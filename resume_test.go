@@ -267,9 +267,9 @@ func TestResumeReseedSealsTheSameBlobs(t *testing.T) {
 
 // TestResumeIgnoresRetiredPlanKeys: a journal written before a plan field was
 // deleted (disable_degrade, the degrade opt-out; windows and anchor_every, the
-// windowed reverse sweep's) still resumes under the same format version — the
-// plan decode skips keys this build no longer has — and to the uninterrupted
-// bits.
+// windowed reverse sweep's; workers, the compressor's row chunks, here four)
+// still resumes under the same format version — the plan decode skips keys
+// this build no longer has — and to the uninterrupted bits.
 func TestResumeIgnoresRetiredPlanKeys(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC}
@@ -290,6 +290,7 @@ func TestResumeIgnoresRetiredPlanKeys(t *testing.T) {
 	plan["disable_degrade"] = false
 	plan["windows"] = 2
 	plan["anchor_every"] = 25
+	plan["workers"] = 4
 	payload, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +300,7 @@ func TestResumeIgnoresRetiredPlanKeys(t *testing.T) {
 	}
 	run, err := Resume(ckt, path, SimOptions{})
 	if err != nil {
-		t.Fatalf("resume of a journal whose plan holds disable_degrade: %v", err)
+		t.Fatalf("resume of a journal whose plan holds retired keys: %v", err)
 	}
 	sameBits(t, "resume with a retired plan key", run.Sens.DOdp, ref.Sens.DOdp)
 }
