@@ -255,9 +255,17 @@ func run(c cli) error {
 	}
 	if run.Tran != nil && run.Storage != masc.StorageRecompute {
 		st := run.TensorStats
-		fmt.Printf("tensor: layout %s, raw %d B, stored %d B (CR %.2f), peak resident %d B\n",
+		// A budget makes either in-RAM strategy the MASC chain.
+		chain := run.Storage == masc.StorageMASC || st.BudgetBytes > 0
+		repeats := ""
+		if chain {
+			// Of the steps below the head, those whose tensor repeats the
+			// step above, per tensor of the layout: they hold no blob.
+			repeats = fmt.Sprintf(", repeat steps %d+%d of %d", st.RepeatSteps[0], st.RepeatSteps[1], st.Steps-1)
+		}
+		fmt.Printf("tensor: layout %s, raw %d B, stored %d B (CR %.2f), peak resident %d B%s\n",
 			masc.TensorLayout, st.RawBytes, st.StoredBytes,
-			float64(st.RawBytes)/float64(st.StoredBytes), st.PeakResident)
+			float64(st.RawBytes)/float64(st.StoredBytes), st.PeakResident, repeats)
 		if st.BudgetBytes > 0 {
 			// The kept steps are a prefix, so the first dropped step is
 			// the count of kept ones.
@@ -268,8 +276,7 @@ func run(c cli) error {
 			fmt.Printf("tiers: budget %d B — %d kept / %d dropped steps (%s), %d recomputed\n",
 				st.BudgetBytes, st.TierKeptSteps, st.TierDroppedSteps, first, st.TierRecomputes)
 		}
-		// A budget makes either in-RAM strategy the MASC chain.
-		if c.async && (run.Storage == masc.StorageMASC || st.BudgetBytes > 0) {
+		if c.async && chain {
 			fmt.Printf("pipeline: compress %v moved off the solver thread, %v leaked back as Put stalls\n",
 				st.CompressTime, st.StallTime)
 		}

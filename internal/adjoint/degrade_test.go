@@ -11,17 +11,17 @@ import (
 	"masc/internal/transient"
 )
 
-// degradeFixture runs one forward transient on the RC ladder, capturing
-// into both a clean MemStore (the reference) and the store under test.
-func degradeFixture(t *testing.T, faulty jactensor.Store) (*Result, *Result, *transient.Result) {
+// degradeFixture runs one forward transient of tc, capturing into both a
+// clean MemStore (the reference) and the store under test.
+func degradeFixture(t *testing.T, tc testCase, faulty jactensor.Store) (*Result, *Result, *transient.Result) {
 	t.Helper()
-	ckt, b := rcLadder(t)
-	node, err := b.NodeIndex("n6")
+	ckt, b := tc.build(t)
+	node, err := b.NodeIndex(tc.obj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean := jactensor.NewMemStore()
-	opt := transient.Options{TStop: 2e-4, TStep: 2e-6}
+	opt := tc.opt
 	opt.Capture = func(step int, _ float64, _ []float64, J, C *sparse.Matrix) error {
 		if err := clean.Put(step, J.Val, C.Val); err != nil {
 			return err
@@ -53,29 +53,33 @@ func degradeFixture(t *testing.T, faulty jactensor.Store) (*Result, *Result, *tr
 // TestDegradedSweepBitIdentical corrupts stored blobs with the fault
 // injector and asserts the tentpole guarantee: the reverse sweep degrades
 // to per-step recomputation for the damaged steps and finishes with
-// sensitivities BIT-IDENTICAL to the fault-free run.
+// sensitivities BIT-IDENTICAL to the fault-free run. The memory store rots
+// the RC ladder's raw frames; the compressed store runs the diode rectifier,
+// whose tensors move, since a linear circuit's chain is all repeats and holds
+// no blob to rot.
 func TestDegradedSweepBitIdentical(t *testing.T) {
-	mk := map[string]func() (jactensor.Store, *faultinject.Injector){
-		"mem": func() (jactensor.Store, *faultinject.Injector) {
+	mk := map[string]func() (testCase, jactensor.Store, *faultinject.Injector){
+		"mem": func() (testCase, jactensor.Store, *faultinject.Injector) {
 			in := faultinject.New(faultinject.Profile{Seed: 11, BitFlipOneIn: 10})
 			st := jactensor.NewMemStore()
 			st.Attach(jactensor.Attachment{Fault: in})
-			return st, in
+			return cases()[0], st, in
 		},
-		"compressed-sync": func() (jactensor.Store, *faultinject.Injector) {
+		"compressed-sync": func() (testCase, jactensor.Store, *faultinject.Injector) {
 			in := faultinject.New(faultinject.Profile{Seed: 12, BitFlipOneIn: 10})
-			ckt, _ := rcLadder(t)
+			tc := cases()[1]
+			ckt, _ := tc.build(t)
 			st := jactensor.NewCompressedStore(
 				masczip.New(ckt.JPat, masczip.Options{}), masczip.New(ckt.CPat, masczip.Options{}),
 				ckt.JPat, ckt.CPat)
 			st.Attach(jactensor.Attachment{Fault: in})
-			return st, in
+			return tc, st, in
 		},
 	}
 	for name, build := range mk {
 		t.Run(name, func(t *testing.T) {
-			st, in := build()
-			want, got, _ := degradeFixture(t, st)
+			tc, st, in := build()
+			want, got, _ := degradeFixture(t, tc, st)
 			if !in.Stats().Any() {
 				t.Fatal("injector delivered no faults; test proves nothing")
 			}

@@ -51,19 +51,26 @@ func (f budgetFixture) frame() int64 { return int64(8 * (len(f.js[0]) + len(f.cs
 // budgetFixtures: a chain of 3 KB frames whose blobs are a few hundred bytes
 // — its 25 KB reserve is over MASC_MEM_BUDGET's 16K, and the whole chain does
 // not fit in its 96K — one coded in the voltage family, whose frames are
-// 12 KB, one of repeated stamps, and one whose tensors repeat the step above
+// 12 KB, one of repeated stamps, one whose tensors repeat the step above
 // on most steps, so the recomputed frames are shared and repeats sit on both
-// sides of the first dropped step.
+// sides of the first dropped step, and one — a linear circuit's — whose
+// tensors never move, so its chain holds no blob and no budget at or above
+// the reserve binds it.
 func budgetFixtures() []budgetFixture {
 	jp, cp, js, cs := movingFixture(81, 40, 320)
 	vjp, vcp, vjs, vcs, vxs := voltageFixture(82, voltageNodes, 60)
 	pjp, pcp, pjs, pcs := placementFixture(20, 200)
 	rjp, rcp, rjs, rcs, _ := repeatFixture(83, 200)
+	sjp, scp, sjs, scs := tensorFixture(84, 40, 1)
+	for len(sjs) < 200 {
+		sjs, scs = append(sjs, sjs[0]), append(scs, scs[0])
+	}
 	return []budgetFixture{
 		{"moving", jp, cp, js, cs, nil},
 		{"voltage", vjp, vcp, vjs, vcs, vxs},
 		{"stamps", pjp, pcp, pjs, pcs, nil},
 		{"repeats", rjp, rcp, rjs, rcs, nil},
+		{"still", sjp, scp, sjs, scs, nil},
 	}
 }
 
@@ -122,9 +129,14 @@ func runBudget(t *testing.T, f budgetFixture, budget int64, queue int, markov bo
 	st.mu.Lock()
 	r.arena = st.arena.used
 	for i, rec := range st.steps {
-		if hasBlob := rec.blobs[0] != nil; hasBlob != (i < kept && i < n) {
-			st.mu.Unlock()
-			t.Fatalf("step %d holds a blob: %v, yet %d steps were kept of %d", i, hasBlob, kept, n+1)
+		// A kept step below the head holds, per tensor, a blob or a repeat
+		// mark; the head and a dropped step hold neither.
+		held := i < kept && i < n
+		for k, b := range rec.blobs {
+			if held && (b != nil) == rec.repeat[k] || !held && (b != nil || rec.repeat[k]) {
+				st.mu.Unlock()
+				t.Fatalf("step %d tensor %d: a %d B blob, marked a repeat %v, yet %d steps were kept of %d", i, k, len(b), rec.repeat[k], kept, n+1)
+			}
 		}
 	}
 	st.mu.Unlock()
@@ -173,7 +185,8 @@ func runBudget(t *testing.T, f budgetFixture, budget int64, queue int, markov bo
 // what the unbudgeted chain stores — StoredBytes, PeakResident and the blob
 // stream, to the byte — sync and pipelined. One byte less than the arena
 // plus the reserve refuses the last coded step, so the top two steps are
-// dropped and recomputed.
+// dropped and recomputed — or, on a chain whose arena is empty, is under the
+// reserve and keeps no step.
 func TestBudgetFitsStoresWhatTheChainStores(t *testing.T) {
 	for _, f := range budgetFixtures() {
 		for _, queue := range []int{0, 2} {
@@ -193,7 +206,12 @@ func TestBudgetFitsStoresWhatTheChainStores(t *testing.T) {
 					}
 				}
 				edge := runBudget(t, f, ref.arena+reserve-1, queue, false).stats
-				if n := len(f.js) - 1; edge.TierKeptSteps != n-1 || edge.TierDroppedSteps != 2 || edge.TierRecomputes != 2 {
+				n := len(f.js) - 1
+				if ref.arena == 0 {
+					if edge.TierKeptSteps != 0 || edge.TierDroppedSteps != n+1 || edge.TierRecomputes != int64(n+1) {
+						t.Fatalf("one byte under the reserve: %+v, want every step dropped", edge)
+					}
+				} else if edge.TierKeptSteps != n-1 || edge.TierDroppedSteps != 2 || edge.TierRecomputes != 2 {
 					t.Fatalf("one byte under the fit: %+v, want steps %d and %d dropped", edge, n-1, n)
 				}
 			})
@@ -207,7 +225,8 @@ func TestBudgetFitsStoresWhatTheChainStores(t *testing.T) {
 // forward mode (sync, or pipelined with a queue of 1, 2 or 4): every step
 // comes back bit-equal and the kept steps are a prefix (runBudget); kept and
 // dropped steps sum to Steps and each dropped step is recomputed once; a
-// budget under the chain drops something; and PeakResident stays within the
+// budget under the chain drops something, and one at or over the reserve
+// keeps every step of a chain with no blob; and PeakResident stays within the
 // budget and one frame in flight — at least two frames, since the sweep
 // holds the step above the one being fetched — plus, pipelined, the frames
 // the queue and the prefetch hold. Admission depends on sizes alone: the sync
@@ -233,6 +252,9 @@ func TestBudgetBinds(t *testing.T) {
 						}
 						if budget < ref.arena+reserve && !markov && s.TierDroppedSteps == 0 {
 							t.Fatalf("a budget under the chain's %d B dropped nothing: %+v", ref.arena+reserve, s)
+						}
+						if ref.arena == 0 && budget >= reserve && s.TierKeptSteps != s.Steps {
+							t.Fatalf("a chain with no blob kept %d of %d steps under a budget at or over the %d B reserve", s.TierKeptSteps, s.Steps, reserve)
 						}
 						limit := max(budget, frame) + frame
 						if queue > 0 {

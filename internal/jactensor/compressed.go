@@ -27,14 +27,14 @@ import (
 // already-materialized steps i+1…i+depth, which the reader (StoreSlice; the
 // store's own sweep is its reader over [0, n]) keeps after the sweep's Release
 // until the sweep is depth steps below them. A tensor bit-identical to the
-// step above it is a repeat: its blob has no payload, and its fetch holds the
-// frame above's array, so it costs neither side a codec call. The coded step
+// step above it is a repeat: it has no blob, and its fetch holds the frame
+// above's array, so it costs neither side a codec call. The coded step
 // and its nearest reference are flat; the frames past the nearest are held in
 // blocks of compress.BlockLen values, and a block bit-identical to the
 // neighbouring frame's is that frame's block, so a frame costs the blocks it
 // changed. Consecutive flat frames of a tensor
 // that are bit-identical share one array, so a tensor that does not move
-// costs the window one frame and the store a 4-byte blob a step.
+// costs the window one frame and the arena nothing.
 //
 // Every k-th step can be made a window anchor (SetAnchorEvery): the chain is
 // cut there — the anchor's blob is compressed with no reference and restarted
@@ -111,9 +111,10 @@ func NewCompressedStore(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern) 
 	s.own = StoreSlice{p: s, cd: &s.cd, hi: math.MaxInt}
 	for _, pat := range [nTensors]*sparse.Pattern{jPat, cPat} {
 		if pat != nil {
-			s.stats.StoredBytes += int64(len(varint.EncodeCSRIndices(pat.RowPtr, pat.ColIdx)))
+			s.stats.IndexBytes += int64(len(varint.EncodeCSRIndices(pat.RowPtr, pat.ColIdx)))
 		}
 	}
+	s.stats.StoredBytes = s.stats.IndexBytes
 	return s
 }
 
@@ -319,7 +320,7 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 	csp := s.ob.rec.Start(job.parent, span.Compress, job.step)
 	s.cd.setParent(csp.ID())
 	start := time.Now()
-	sealed := s.seal(job.step, cur, h)
+	sealed, repeat := s.seal(job.step, cur, h)
 	stored := sealedLen(sealed)
 
 	s.mu.Lock()
@@ -327,7 +328,7 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 	var err error
 	kept := s.fits(stored)
 	if kept {
-		tensor, err = s.keep(st, sealed)
+		tensor, err = s.keep(st, sealed, repeat)
 	}
 	elapsed := time.Since(start)
 	s.stats.CompressTime += elapsed
@@ -343,6 +344,11 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 		stored = 0
 	default:
 		s.stats.StoredBytes += int64(stored)
+		for i, r := range repeat {
+			if r {
+				s.stats.RepeatSteps[i]++
+			}
+		}
 		s.bumpResident(int64(stored))
 		if cut {
 			// The anchor is a counted private copy: the window's frame may be
@@ -524,25 +530,41 @@ func (s *CompressedStore) anchorLocked(st *stepRec) (tensors, bool) {
 // decodeStep is the reverse half of the blob lifecycle: pin the arena, open
 // the step's sealed blobs, decode them with cd (the store's codecs, or a
 // slice's forks) against h into pooled arrays, and quarantine the step on any
-// failure. A repeat — a blob with no payload — is not decoded: the tensor is
-// the nearest history frame's array, held, not counted again. The frame comes
-// back counted and is the caller's to install. At most one call runs per set of
-// codecs at a time; prefetch marks the span of a background decode ahead of the
-// sweep. mu must not be held.
+// failure. A repeat has no blob: the tensor is the nearest history frame's
+// array, held, not counted again, and a step whose every tensor repeats
+// touches neither the arena nor a codec. The frame comes back counted and is
+// the caller's to install. At most one call runs per set of codecs at a time;
+// prefetch marks the span of a background decode ahead of the sweep. mu must
+// not be held.
 func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h history, prefetch bool) (tensors, error) {
 	s.mu.Lock()
 	if st.quarantined {
 		s.mu.Unlock()
 		return tensors{}, corruptErr(step, "fetch", "", errQuarantined)
 	}
+	for i, r := range st.repeat {
+		if r && h.t[i].Near == nil {
+			s.quarantine(step, st)
+			s.mu.Unlock()
+			return tensors{}, corruptErr(step, "fetch", tensorName(i), errors.New("a repeat, and the frame above it is not resident"))
+		}
+	}
+	var out tensors
+	if st.allRepeat() {
+		defer s.mu.Unlock()
+		if s.arena.closed {
+			return tensors{}, closedErr(step)
+		}
+		s.settle(&out, h)
+		return out, nil
+	}
 	if s.arena.pin() != nil {
 		s.mu.Unlock()
 		return tensors{}, closedErr(step)
 	}
-	blobs := st.blobs
-	var out tensors
-	for i, b := range blobs {
-		if !isRepeat(b, h.t[i].Near) {
+	blobs, repeat := st.blobs, st.repeat
+	for i, r := range repeat {
+		if !r {
 			out[i] = takeVals(&s.pool[i], s.lens[i])
 		}
 	}
@@ -550,7 +572,7 @@ func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h histor
 	defer s.unpinBlobs()
 
 	var elapsed time.Duration
-	payloads, tensor, err := openBlobs(step, blobs)
+	payloads, tensor, err := openBlobs(step, blobs, repeat)
 	if err == nil {
 		dsp := s.ob.rec.Start(s.ob.spanParent(), span.Decompress, step)
 		cd.setParent(dsp.ID())
@@ -572,7 +594,13 @@ func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h histor
 	}
 	s.stats.DecompressTime += elapsed
 	s.ob.decompressSec.AddDuration(elapsed)
-	// A decoded array counts; a repeat holds the nearest frame's.
+	s.settle(&out, h)
+	return out, nil
+}
+
+// settle counts out's decoded arrays and makes each repeat, whose array is
+// nil, the nearest frame's, held. mu must be held.
+func (s *CompressedStore) settle(out *tensors, h history) {
 	for i, v := range out {
 		if v != nil {
 			s.bumpResident(int64(8 * len(v)))
@@ -581,7 +609,6 @@ func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h histor
 			s.hold(out[i])
 		}
 	}
-	return out, nil
 }
 
 // unpinBlobs ends a decodeStep read; after Close, the last one returns the

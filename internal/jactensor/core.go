@@ -210,9 +210,21 @@ type stepRec struct {
 	frame                        // checksummed plaintext at rest: an anchor; the head's sidecars alone
 	heldFrame                    // the step's place in the history window
 	x           []float64        // the state the step was produced at (Attachment.State) — the caller's array, not counted as resident
-	blobs       [nTensors][]byte // sealed blobs in the arena; nil for the head and a dropped step
+	blobs       [nTensors][]byte // sealed blobs in the arena; nil for the head, a dropped step and a repeat
+	repeat      [nTensors]bool   // the kept tensor is bit-identical to the step above's: no blob, its fetch holds that frame's array
 	pinned      bool             // anchor: the chain cuts here
 	quarantined bool             // failed verification: unreadable until Repair
+}
+
+// allRepeat reports whether every tensor of the step repeats the step above:
+// the step holds no blob at all.
+func (st *stepRec) allRepeat() bool {
+	for _, r := range st.repeat {
+		if !r {
+			return false
+		}
+	}
+	return true
 }
 
 // spanCodec is implemented by codecs (masczip) that can record encode/decode
@@ -308,7 +320,7 @@ func (cd *codecs) restart() {
 
 // decode inflates verified payloads into out against the history they were
 // sealed against; a tensor whose array is nil — a repeat, which has no
-// payload to decode — is skipped. A failure names the tensor.
+// payload — is skipped. A failure names the tensor.
 func (cd *codecs) decode(out tensors, payloads [nTensors][]byte, h history) (tensor string, err error) {
 	for i, v := range out {
 		if v == nil {
@@ -340,9 +352,13 @@ func blobCRC(tensor byte, step int, payload []byte) uint32 {
 }
 
 // openBlobs verifies a step's sealed blobs as its tensors' and returns their
-// payloads, aliasing the blobs; a failure names the tensor.
-func openBlobs(step int, blobs [nTensors][]byte) (payloads [nTensors][]byte, tensor string, err error) {
+// payloads, aliasing the blobs; a repeat has neither. A failure names the
+// tensor.
+func openBlobs(step int, blobs [nTensors][]byte, repeat [nTensors]bool) (payloads [nTensors][]byte, tensor string, err error) {
 	for i, b := range blobs {
+		if repeat[i] {
+			continue
+		}
 		if len(b) < crcLen {
 			return payloads, tensorName(i), fmt.Errorf("blob of %d bytes is shorter than its %d-byte CRC", len(b), crcLen)
 		}
@@ -362,10 +378,6 @@ func sealedLen(blobs [nTensors][]byte) int {
 	}
 	return n
 }
-
-// isRepeat reports whether a sealed blob is a repeat's: no payload beside
-// its CRC, and a nearest frame to repeat. A codec's payload is never empty.
-func isRepeat(blob []byte, near []float64) bool { return len(blob) == crcLen && near != nil }
 
 // poolFrames caps the frame pool. A Put/compress or fetch/Release cycle keeps
 // a frame or two waiting (plus the prefetch's and a short queue's); without a
@@ -598,34 +610,38 @@ func (k *core) admitFrame(step int, st *stepRec, v tensors) {
 // seal is the forward half of the blob lifecycle: codec, CRC, then the fault
 // window (at-rest rot, caught by the CRC when the blob is opened). Each of
 // cur's tensors is compressed against h (none = an anchor's self-contained
-// blob) into its scratch blob after the CRC — a tensor bit-identical to its
-// nearest reference is a repeat, which meets no codec and whose payload is
-// empty; the sealed results alias the scratch — shortened when the injector
-// truncates — until keep copies them out or the budget refuses them.
-func (k *core) seal(step int, cur tensors, h history) (sealed [nTensors][]byte) {
+// blob) into its scratch blob after the CRC — except a tensor bit-identical
+// to its nearest reference, a repeat, which meets no codec and seals to
+// nothing: the sweep reads that frame, so there is nothing to keep. The
+// sealed results alias the scratch — shortened when the injector truncates —
+// until keep copies them out or the budget refuses them.
+func (k *core) seal(step int, cur tensors, h history) (sealed [nTensors][]byte, repeat [nTensors]bool) {
 	for i, ht := range h.t {
-		dst := k.sealBuf[i][:crcLen]
-		if ht.Near == nil || !sameBits(cur[i], ht.Near) {
-			dst = compress.Encode(k.cd.c[i], dst, cur[i], ht, h.x)
+		if repeat[i] = ht.Near != nil && sameBits(cur[i], ht.Near); repeat[i] {
+			continue
 		}
+		dst := compress.Encode(k.cd.c[i], k.sealBuf[i][:crcLen], cur[i], ht, h.x)
 		binary.LittleEndian.PutUint32(dst, blobCRC(tensorTags[i], step, dst[crcLen:]))
 		k.sealBuf[i] = dst
 		sealed[i], _ = k.fault.MutateBlob(step, dst)
 	}
-	return sealed
+	return sealed, repeat
 }
 
 // keep copies a step's sealed blobs into the arena at their exact length and
-// makes them st's. On failure (closed arena, no memory to map) st is
-// untouched and the tensor is named.
-func (k *core) keep(st *stepRec, sealed [nTensors][]byte) (tensor string, err error) {
+// makes them and the repeat marks st's; a repeat appends nothing. On failure
+// (closed arena, no memory to map) st is untouched and the tensor is named.
+func (k *core) keep(st *stepRec, sealed [nTensors][]byte, repeat [nTensors]bool) (tensor string, err error) {
 	var kept [nTensors][]byte
 	for i, b := range sealed {
+		if repeat[i] {
+			continue
+		}
 		if kept[i], err = k.arena.append(b); err != nil {
 			return tensorName(i), err
 		}
 	}
-	st.blobs = kept
+	st.blobs, st.repeat = kept, repeat
 	k.ob.arenaBytes.Set(float64(k.arena.offHeapBytes()))
 	return "", nil
 }

@@ -331,20 +331,21 @@ func TestMissingHistoryIsOutOfOrderOrCorrupt(t *testing.T) {
 
 // blobBytes is what the store's sealed blobs take: StoredBytes without the
 // shared-index footprint, which the resident meter does not carry.
-func blobBytes(st *CompressedStore, index int64) int64 { return st.Stats().StoredBytes - index }
+func blobBytes(st *CompressedStore) int64 {
+	s := st.Stats()
+	return s.StoredBytes - s.IndexBytes
+}
 
 // TestIdenticalTensorHoldsOneFrame: a tensor that never moves — a linear
 // circuit's — shares one array per tensor across the whole history window,
-// and every step below the head is a repeat whose fetch holds the head's
-// array, so the store holds every blob and the head's frame, forward and
-// reverse. A codec that reads one reference holds that too.
+// and every step below the head is a repeat, which holds no blob and whose
+// fetch holds the head's array without opening the arena or timing a decode,
+// so the store holds the head's frame alone, forward and reverse, and the
+// same bytes at any length: at 60 steps and at 600 its blobs take nothing and
+// its peak is one frame. A codec that reads one reference holds that too.
 func TestIdenticalTensorHoldsOneFrame(t *testing.T) {
-	jp, cp, js, cs := tensorFixture(94, 24, 1)
-	const steps = 50
-	for len(js) < steps {
-		js, cs = append(js, js[0]), append(cs, cs[0])
-	}
-	frame := int64(8 * (len(js[0]) + len(cs[0])))
+	jp, cp, js0, cs0 := tensorFixture(94, 24, 1)
+	frame := int64(8 * (len(js0[0]) + len(cs0[0])))
 	for name, mk := range map[string]func() *CompressedStore{
 		"masc": func() *CompressedStore {
 			return NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
@@ -354,45 +355,55 @@ func TestIdenticalTensorHoldsOneFrame(t *testing.T) {
 		},
 		"chimp": func() *CompressedStore { return NewCompressedStore(chimpz.NewTemporal(), chimpz.NewTemporal(), jp, cp) },
 	} {
-		st := mk()
-		index := st.Stats().StoredBytes
-		for i := range js {
-			// The solver's buffers, not the fixture's: sharing is by value.
-			if err := st.Put(i, append([]float64(nil), js[i]...), append([]float64(nil), cs[i]...)); err != nil {
+		var peaks []int64
+		for _, steps := range []int{60, 600} {
+			name := fmt.Sprintf("%s/%d", name, steps)
+			st := mk()
+			for i := 0; i < steps; i++ {
+				// The solver's buffers, not the fixture's: sharing is by value.
+				if err := st.Put(i, append([]float64(nil), js0[0]...), append([]float64(nil), cs0[0]...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.EndForward(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := st.EndForward(); err != nil {
-			t.Fatal(err)
-		}
-		stored := blobBytes(st, index)
-		if peak := st.Stats().PeakResident; peak != stored+frame {
-			t.Fatalf("%s: PeakResident %d after the forward pass, want the blobs (%d) and one frame (%d)", name, peak, stored, frame)
-		}
-		for i := steps - 1; i >= 0; i-- {
-			j, c, err := st.Fetch(i)
-			if err != nil {
-				t.Fatalf("%s: fetch %d: %v", name, i, err)
+			if stored := blobBytes(st); stored != 0 {
+				t.Fatalf("%s: the blobs take %d B, want none", name, stored)
 			}
-			if !sameBits(j, js[i]) || !sameBits(c, cs[i]) {
-				t.Fatalf("%s: step %d: bits differ", name, i)
+			if s := st.Stats(); s.PeakResident != frame || s.RepeatSteps != [nTensors]int{steps - 1, steps - 1} {
+				t.Fatalf("%s: PeakResident %d after the forward pass, want one frame (%d); RepeatSteps %v, want every step below the head",
+					name, s.PeakResident, frame, s.RepeatSteps)
 			}
-			if i < steps-1 {
-				st.Release(i + 1)
+			for i := steps - 1; i >= 0; i-- {
+				j, c, err := st.Fetch(i)
+				if err != nil {
+					t.Fatalf("%s: fetch %d: %v", name, i, err)
+				}
+				if !sameBits(j, js0[0]) || !sameBits(c, cs0[0]) {
+					t.Fatalf("%s: step %d: bits differ", name, i)
+				}
+				if i < steps-1 {
+					st.Release(i + 1)
+				}
 			}
+			st.Release(0)
+			stats := st.Stats()
+			if stats.PeakResident != frame || stats.HistoryBytes != 0 || stats.DecompressTime != 0 {
+				t.Fatalf("%s: PeakResident %d, HistoryBytes %d, DecompressTime %v; want one frame (%d), no history and no decode",
+					name, stats.PeakResident, stats.HistoryBytes, stats.DecompressTime, frame)
+			}
+			peaks = append(peaks, stats.PeakResident)
+			st.mu.Lock()
+			if st.resident != 0 || st.arena.used != 0 || len(st.shared) != 0 {
+				t.Fatalf("%s: after the sweep %d B resident, %d B of arena, %d shared arrays", name, st.resident, st.arena.used, len(st.shared))
+			}
+			st.mu.Unlock()
+			st.Close()
 		}
-		st.Release(0)
-		stats := st.Stats()
-		if stats.PeakResident != stored+frame || stats.HistoryBytes != 0 {
-			t.Fatalf("%s: PeakResident %d, HistoryBytes %d; want the blobs (%d) and one frame (%d), and no history",
-				name, stats.PeakResident, stats.HistoryBytes, stored, frame)
+		if peaks[0] != peaks[1] {
+			t.Fatalf("%s: PeakResident %d at 60 steps, %d at 600", name, peaks[0], peaks[1])
 		}
-		st.mu.Lock()
-		if st.resident != stored || len(st.shared) != 0 {
-			t.Fatalf("%s: after the sweep %d B resident beside %d B of blobs, %d shared arrays", name, st.resident, stored, len(st.shared))
-		}
-		st.mu.Unlock()
-		st.Close()
 	}
 }
 
@@ -416,14 +427,13 @@ func TestHistoryWindowAccounting(t *testing.T) {
 	blocked := blockedBytes(len(js[0])) + blockedBytes(len(cs[0]))
 	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
 	defer st.Close()
-	index := st.Stats().StoredBytes
 	depth := int64(masczip.MaxOrder + 1)
 	for i := range js {
 		if err := st.Put(i, js[i], cs[i]); err != nil {
 			t.Fatal(err)
 		}
 		st.mu.Lock()
-		plain := st.resident - (st.stats.StoredBytes - index)
+		plain := st.resident - (st.stats.StoredBytes - st.stats.IndexBytes)
 		st.mu.Unlock()
 		if want := frame + min(int64(i), depth-1)*blocked; plain != want {
 			t.Fatalf("after put %d: %d B of plaintext, want one flat frame (%d) and %d in blocks (%d each)",
@@ -433,8 +443,8 @@ func TestHistoryWindowAccounting(t *testing.T) {
 	if err := st.EndForward(); err != nil {
 		t.Fatal(err)
 	}
-	stored := blobBytes(st, index)
-	sweep(t, st, steps, func(int) { checkMeter(t, st, index) })
+	stored := blobBytes(st)
+	sweep(t, st, steps, func(int) { checkMeter(t, st) })
 	stats := st.Stats()
 	if want := stored + 2*frame + (depth-1)*blocked; stats.PeakResident != want {
 		t.Fatalf("PeakResident %d, want the blobs (%d), two flat frames of %d and %d in blocks of %d", stats.PeakResident, stored, frame, depth-1, blocked)
@@ -520,7 +530,7 @@ func heldBytes(st *CompressedStore) int64 {
 // checkMeter holds the resident meter to the memory the store's window
 // actually holds, beside its blobs and anchors, once a prefetch in flight has
 // decoded its frame.
-func checkMeter(t *testing.T, st *CompressedStore, index int64) {
+func checkMeter(t *testing.T, st *CompressedStore) {
 	t.Helper()
 	st.mu.Lock()
 	pf := st.pf
@@ -530,7 +540,7 @@ func checkMeter(t *testing.T, st *CompressedStore, index int64) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	plain := st.resident - (st.stats.StoredBytes - index) - st.stats.AnchorBytes
+	plain := st.resident - (st.stats.StoredBytes - st.stats.IndexBytes) - st.stats.AnchorBytes
 	if held := heldBytes(st); plain != held {
 		t.Fatalf("the meter reads %d B of plaintext, the window holds %d B", plain, held)
 	}
@@ -555,18 +565,17 @@ func TestBlockWindowAccounting(t *testing.T) {
 		if async {
 			st = NewCompressedStoreAsync(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 2)
 		}
-		index := st.Stats().StoredBytes
 		for i := range js {
 			if err := st.Put(i, js[i], cs[i]); err != nil {
 				t.Fatal(err)
 			}
-			checkMeter(t, st, index)
+			checkMeter(t, st)
 		}
 		if err := st.EndForward(); err != nil {
 			t.Fatal(err)
 		}
-		stored := blobBytes(st, index)
-		sweep(t, st, steps, func(int) { checkMeter(t, st, index) })
+		stored := blobBytes(st)
+		sweep(t, st, steps, func(int) { checkMeter(t, st) })
 		far := int64(st.cd.depth - 1)
 		const block = 8 * compress.BlockLen
 		window := int64(nj+nc)*block + (far-1)*int64(1+nc)*block + far*int64(8*(nj+nc))

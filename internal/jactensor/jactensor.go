@@ -72,6 +72,16 @@ type Stats struct {
 	// indices. The store holds them, so they are inside PeakResident: this is
 	// the part of it a one-reference chain would not have.
 	HistoryBytes int64
+	// IndexBytes is the part of StoredBytes that is the patterns' shared
+	// index (varint.EncodeCSRIndices), counted once as the paper counts it
+	// (compressed store only). The arena never holds it, so neither
+	// PeakResident nor a memory budget includes it: what the chain's blobs
+	// take is StoredBytes − IndexBytes.
+	IndexBytes int64
+	// RepeatSteps counts, per tensor, the kept steps whose values are
+	// bit-identical to the step above's (compressed store only): repeats,
+	// which hold no blob and meet no codec.
+	RepeatSteps [nTensors]int
 
 	// Budget accounting (a CompressedStore under SetBudget; the facade's
 	// MemBudgetBytes). BudgetBytes echoes the budget (0 = none) so manifests

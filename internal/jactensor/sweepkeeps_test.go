@@ -14,7 +14,7 @@ import (
 )
 
 // The chain keeps only what its reverse sweep reads: no blob for the head,
-// no payload for a repeat, a CRC in place of a file header. These tests hold
+// no blob for a repeat, a CRC in place of a file header. These tests hold
 // it to that, and to catching every fault the header caught.
 
 // countingCodec is a masczip compressor that counts its encode and decode
@@ -61,8 +61,9 @@ func repeatFixture(seed int64, steps int) (jp, cp *sparse.Pattern, js, cs [][]fl
 }
 
 // TestRepeatsMeetNoCodec: the head is never coded and a repeat meets no codec
-// on either side: its blob is its CRC alone, and its fetch — in the store's
-// own sweep, sync or prefetched, and in a slice — is the array fetched for the
+// on either side: it holds no blob — the arena holds the other blobs and not
+// a byte more — RepeatSteps counts it, and its fetch — in the store's own
+// sweep, sync or prefetched, and in a slice — is the array fetched for the
 // step above it. Every other step below the head is coded once and decoded
 // once per sweep.
 func TestRepeatsMeetNoCodec(t *testing.T) {
@@ -70,10 +71,13 @@ func TestRepeatsMeetNoCodec(t *testing.T) {
 	n := steps - 1
 	jp, cp, js, cs, rep := repeatFixture(91, steps)
 	var coded [2]int64
+	var repeats [nTensors]int
 	for i := range rep {
 		for s := 0; s < n; s++ {
 			if !rep[i][s] {
 				coded[i]++
+			} else {
+				repeats[i]++
 			}
 		}
 	}
@@ -105,12 +109,20 @@ func TestRepeatsMeetNoCodec(t *testing.T) {
 			if head := st.steps[n]; head.blobs[0] != nil || head.blobs[1] != nil {
 				t.Fatalf("%s: the head has blobs of %d and %d B", name, len(head.blobs[0]), len(head.blobs[1]))
 			}
+			blobs := int64(0)
 			for s := 0; s < n; s++ {
-				for i, b := range [2][]byte{st.steps[s].blobs[0], st.steps[s].blobs[1]} {
-					if repeat := len(b) == crcLen; repeat != rep[i][s] {
-						t.Fatalf("%s: step %d tensor %d: a %d-byte blob, repeat %v", name, s, i, len(b), rep[i][s])
+				for i, b := range st.steps[s].blobs {
+					if r := st.steps[s].repeat[i]; r != rep[i][s] || r != (b == nil) || !r && len(b) <= crcLen {
+						t.Fatalf("%s: step %d tensor %d: a %d-byte blob, marked a repeat %v, a repeat %v", name, s, i, len(b), r, rep[i][s])
 					}
+					blobs += int64(len(b))
 				}
+			}
+			if st.arena.used != blobs {
+				t.Fatalf("%s: the arena holds %d B, the coded blobs %d B", name, st.arena.used, blobs)
+			}
+			if st.stats.RepeatSteps != repeats {
+				t.Fatalf("%s: RepeatSteps %v, want %v", name, st.stats.RepeatSteps, repeats)
 			}
 			st.mu.Unlock()
 
@@ -152,6 +164,42 @@ func TestRepeatsMeetNoCodec(t *testing.T) {
 			}
 			st.Close()
 		}
+	}
+}
+
+// TestSliceTopAtARepeatIsCorrupt: a repeat is served by the frame above it,
+// so a slice topped at a repeat — neither an anchor nor the head — has no
+// frame to serve it from: the fetch is a degradable corruption naming the
+// step and the tensor, not a nil array, and Repair heals it.
+func TestSliceTopAtARepeatIsCorrupt(t *testing.T) {
+	const steps, top = 12, 3 // J repeats at step 3, C does not
+	jp, cp, js, cs, rep := repeatFixture(95, steps)
+	if !rep[0][top] || rep[1][top] {
+		t.Fatalf("step %d repeats %v, %v; the test wants J alone", top, rep[0][top], rep[1][top])
+	}
+	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
+	defer st.Close()
+	for s := range js {
+		if err := st.Put(s, js[s], cs[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.EndForward(); err != nil {
+		t.Fatal(err)
+	}
+	sl, err := st.Slice(0, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = sl.Fetch(top)
+	var se *StepError
+	if !errors.As(err, &se) || !se.Corrupt || !se.Degradable || se.Step != top || se.Tensor != "J" {
+		t.Fatalf("fetch of a repeat with no frame above: %v, want a degradable corruption naming step %d, tensor J", err, top)
+	}
+	sl.Repair(top, js[top], cs[top])
+	j, c, err := sl.Fetch(top)
+	if err != nil || !sameBits(j, js[top]) || !sameBits(c, cs[top]) {
+		t.Fatalf("refetch after Repair: %v", err)
 	}
 }
 
@@ -213,17 +261,14 @@ var blobFaults = []blobFault{
 
 // TestArenaCRCCatchesEveryFault: each fault class the file header caught is
 // caught by the arena blob's 4-byte CRC — not later by the codec — in the
-// chain store, on coded blobs and on a repeat's (J never moves, so every J
-// blob is a CRC alone), and under a budget that drops the top of the chain,
-// on the two highest kept blobs, the first of which decodes against
-// recomputed frames; the fetch quarantines exactly the steps it names, and
-// after Repair the sweep is bit-identical.
+// chain store, on the two highest coded blobs, and under a budget that drops
+// the top of the chain, on the two highest kept blobs, the first of which
+// decodes against recomputed frames; the fetch quarantines exactly the steps
+// it names, and after Repair the sweep is bit-identical. Both chains' tensors
+// move on every step: a repeat has no blob to damage.
 func TestArenaCRCCatchesEveryFault(t *testing.T) {
 	const steps = 24
 	jp, cp, js, cs := movingFixture(92, 20, steps)
-	for s := range js {
-		js[s] = js[0]
-	}
 	bjp, bcp, bjs, bcs := movingFixture(94, 20, steps)
 	stores := []struct {
 		name   string
@@ -262,7 +307,7 @@ func TestArenaCRCCatchesEveryFault(t *testing.T) {
 				acc.lock()
 				var withBlobs []int
 				for s, r := range acc.recs() {
-					if r.blobs[0] != nil {
+					if r.blobs[0] != nil && r.blobs[1] != nil {
 						withBlobs = append(withBlobs, s)
 					}
 				}

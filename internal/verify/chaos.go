@@ -137,6 +137,11 @@ type ChaosCaseReport struct {
 	// Kept and Dropped are the steps a budgeted run's chain kept and
 	// dropped (both 0 without a budget, or when the run failed).
 	Kept, Dropped int
+	// ChainBytes is what the blobs of the fault-free unbudgeted chain take,
+	// which a budgeted scenario's budget is split from (0 without a budget,
+	// or under Options.MemBudgetBytes). A chain of repeats has none, and no
+	// budget at or over the reserve binds it.
+	ChainBytes int64
 	// Faults is what the injector actually delivered.
 	Faults faultinject.Stats
 	// Detail carries the error text (failure outcomes) or a mismatch
@@ -228,7 +233,7 @@ func chaosCase(c *Case, sc chaosScenario, opt Options) *ChaosCaseReport {
 	var budget int64
 	if sc.keep > 0 {
 		var err error
-		if budget, err = splitBudget(c, opt, sc.keep); err != nil {
+		if budget, rep.ChainBytes, err = splitBudget(c, opt, sc.keep); err != nil {
 			rep.Outcome = OutcomeOpaque
 			rep.Detail = fmt.Sprintf("fault-free unbudgeted run: %v", err)
 			return rep
@@ -289,8 +294,8 @@ func ChaosFleet(n int, seed int64, opt Options) *ChaosReport {
 				cr.Failed++
 			}
 			if opt.Logf != nil {
-				opt.Logf("%-22s %-23s %-18s degraded=%-3d kept/dropped=%d/%d faults={blobs:%d ops:%d panics:%d} %s",
-					c.Name(), sc.name, string(rep.Outcome), rep.Degraded, rep.Kept, rep.Dropped,
+				opt.Logf("%-22s %-23s %-18s degraded=%-3d kept/dropped=%d/%d chain=%dB faults={blobs:%d ops:%d panics:%d} %s",
+					c.Name(), sc.name, string(rep.Outcome), rep.Degraded, rep.Kept, rep.Dropped, rep.ChainBytes,
 					rep.Faults.BlobsCorrupted, rep.Faults.OpsFailed, rep.Faults.Panics, rep.Detail)
 			}
 		}

@@ -193,7 +193,7 @@ func CrashFleet(seeds int, seed int64, opt Options, childArgs []string) *CrashRe
 		}
 		budget := opt.MemBudgetBytes
 		if budget <= 0 {
-			budget = masc.BudgetReserve(bt.Ckt) + ref.TensorStats.StoredBytes/2
+			budget = budgetShare(bt.Ckt, ref.TensorStats, 0.5)
 		}
 		rng := rand.New(rand.NewSource(c.Seed ^ 0x6b696c6c)) // "kill"
 		for _, sc := range crashScenarios(budget) {

@@ -189,19 +189,30 @@ func simulate(c *Case, o Options, storage masc.Storage, async bool, budget int64
 	return run, bt, nil
 }
 
-// splitBudget is the memory budget a budgeted scenario runs c under:
-// o.MemBudgetBytes when set, else the MASC chain's reserve and the share keep
-// of what its fault-free unbudgeted run stores, so the chain keeps about
-// that share of its steps and drops the rest.
-func splitBudget(c *Case, o Options, keep float64) (int64, error) {
+// splitBudget is the memory budget a budgeted scenario runs c under, and the
+// bytes the blobs of c's fault-free unbudgeted MASC chain take: o.MemBudgetBytes
+// when set (and no chain run, 0 bytes), else budgetShare of that chain.
+func splitBudget(c *Case, o Options, keep float64) (budget, chain int64, err error) {
 	if o.MemBudgetBytes > 0 {
-		return o.MemBudgetBytes, nil
+		return o.MemBudgetBytes, 0, nil
 	}
 	run, bt, err := simulate(c, o, masc.StorageMASC, false, 0)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return masc.BudgetReserve(bt.Ckt) + int64(keep*float64(run.TensorStats.StoredBytes)), nil
+	return budgetShare(bt.Ckt, run.TensorStats, keep), blobBytes(run.TensorStats), nil
+}
+
+// blobBytes is what a MASC chain's blobs take: StoredBytes less the shared
+// index, which is counted once and never held in the arena a budget caps.
+func blobBytes(st masc.TensorStats) int64 { return st.StoredBytes - st.IndexBytes }
+
+// budgetShare is the memory budget that keeps about the share keep of the
+// steps of the chain over ckt whose unbudgeted run reported st: the chain's
+// reserve and that share of its blob bytes. A chain with no blob bytes — every
+// step a repeat — keeps every step under it.
+func budgetShare(ckt *masc.Circuit, st masc.TensorStats, keep float64) int64 {
+	return masc.BudgetReserve(ckt) + int64(keep*float64(blobBytes(st)))
 }
 
 // compareDOdp bit-compares two sensitivity matrices.
@@ -291,7 +302,7 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 	if sync != nil {
 		budget := opt.MemBudgetBytes
 		if budget <= 0 {
-			budget = masc.BudgetReserve(bt.Ckt) + sync.TensorStats.StoredBytes/2
+			budget = budgetShare(bt.Ckt, sync.TensorStats, 0.5)
 		}
 		if budgeted, _, err := simulate(c, opt, masc.StorageMASC, false, budget); err != nil {
 			rep.failf("budgeted compressed run: %v", err)
