@@ -169,14 +169,14 @@ func runChaos(seeds int, seed int64, opt verify.Options, reg *obs.Registry, mani
 	start := time.Now()
 	cr := verify.ChaosFleet(seeds, seed, opt)
 
-	reg.Gauge("masc_chaos_runs", "Fault-injected pipeline runs.").Set(float64(len(cr.Reports)))
+	reg.Gauge("masc_chaos_runs", "Fault-injected pipeline runs.").Set(float64(len(cr.Reports) - cr.Counts[verify.OutcomeNotRun]))
 	reg.Gauge("masc_chaos_failed", "Chaos contract violations.").Set(float64(cr.Failed))
 
 	fmt.Printf("masc-verify -chaos: %d seeds × %d scenarios = %d runs, seed %d (%.1fs)\n",
 		seeds, len(cr.Reports)/max(seeds, 1), len(cr.Reports), seed, time.Since(start).Seconds())
 	for _, oc := range []verify.ChaosOutcome{
 		verify.OutcomeDegraded, verify.OutcomeAbsorbed, verify.OutcomeFailedLoud,
-		verify.OutcomeClean, verify.OutcomeSilent, verify.OutcomeOpaque,
+		verify.OutcomeClean, verify.OutcomeNotRun, verify.OutcomeSilent, verify.OutcomeOpaque,
 	} {
 		if n := cr.Counts[oc]; n > 0 {
 			fmt.Printf("  %-18s %d\n", string(oc), n)

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"masc/internal/compress"
 )
 
 // Compressor implements compress.Compressor with stdlib gzip.
@@ -28,14 +26,6 @@ func (c *Compressor) Name() string { return "gzip" }
 
 // Lossless implements compress.Compressor.
 func (c *Compressor) Lossless() bool { return true }
-
-// Fork returns an independent decoder instance for window-local store
-// slices. The codec is stateless (every blob is self-contained), so a copy
-// at the same level suffices.
-func (c *Compressor) Fork() compress.Compressor {
-	cp := *c
-	return &cp
-}
 
 // Compress implements compress.Compressor. ref is ignored: classic gzip
 // sees only the raw byte stream.

@@ -200,25 +200,6 @@ func New(p *sparse.Pattern, opt Options) *Compressor {
 	return c
 }
 
-// Restart cuts the prediction chain: the next Compress call behaves exactly
-// as the first call on a fresh compressor would — it re-calibrates (so the
-// emitted blob carries its own coding tables) and starts the Markov counts
-// from scratch. Callers that pass ref=nil for the post-restart frame get a
-// fully self-contained blob, which is how the compressed store opens a new
-// window at an anchor step.
-func (c *Compressor) Restart() {
-	c.seq = 0
-	c.cnt = markovCounts{}
-}
-
-// Fork returns an independent compressor over the same pattern and options.
-// Decompress is driven entirely by per-blob headers (each blob carries or
-// re-derives its tables), so a fork can decode any blob the original
-// produced; store slices use forks as private decoders.
-func (c *Compressor) Fork() compress.Compressor {
-	return New(c.plan.pat, c.opt)
-}
-
 // ensureChunks grows the per-chunk scratch to hold nchunks entries.
 func (c *Compressor) ensureChunks(nchunks int) {
 	for len(c.writers) < nchunks {

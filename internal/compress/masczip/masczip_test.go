@@ -933,54 +933,3 @@ func TestChunkLayoutIndependentOfDecoderWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestRestartMatchesFreshCompressor pins the chain-cut contract: after
-// Restart, a compressor's output is byte-identical to a brand-new
-// compressor's on the same sequence, and the blobs are decodable by a Fork
-// with no shared mutable state.
-func TestRestartMatchesFreshCompressor(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	p := mnaPattern(rng, 50, 80)
-	vals := mnaValues(rng, p, 0.02)
-	seq := [][]float64{vals}
-	for step := 0; step < 7; step++ {
-		vals = evolve(rng, vals, 1e-5)
-		seq = append(seq, vals)
-	}
-	for _, opt := range []Options{{}, {Markov: true, CalibEvery: 3}} {
-		c := New(p, opt)
-		// Warm the chain state past a calibration boundary.
-		var ref []float64
-		for _, v := range seq[:4] {
-			c.Compress(nil, v, ref)
-			ref = v
-		}
-		c.Restart()
-		fresh := New(p, opt)
-		ref = nil
-		for i, v := range seq[4:] {
-			a := c.Compress(nil, v, ref)
-			b := fresh.Compress(nil, v, ref)
-			if len(a) != len(b) {
-				t.Fatalf("markov=%v step %d: restart blob %dB, fresh blob %dB", opt.Markov, i, len(a), len(b))
-			}
-			for k := range a {
-				if a[k] != b[k] {
-					t.Fatalf("markov=%v step %d: blobs diverge at byte %d", opt.Markov, i, k)
-				}
-			}
-			// A forked decoder must decode any blob independently.
-			got := make([]float64, len(v))
-			fk := c.Fork().(*Compressor)
-			if err := fk.Decompress(got, a, ref); err != nil {
-				t.Fatalf("fork decompress: %v", err)
-			}
-			for k := range v {
-				if math.Float64bits(got[k]) != math.Float64bits(v[k]) {
-					t.Fatalf("markov=%v step %d: fork decode mismatch at %d", opt.Markov, i, k)
-				}
-			}
-			ref = v
-		}
-	}
-}

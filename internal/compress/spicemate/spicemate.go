@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"masc/internal/compress"
 )
 
 // Compressor implements compress.Compressor (lossy).
@@ -48,14 +46,6 @@ func (c *Compressor) Name() string { return "spicemate" }
 
 // Lossless implements compress.Compressor: this codec is lossy by design.
 func (c *Compressor) Lossless() bool { return false }
-
-// Fork returns an independent decoder instance for window-local store
-// slices. The codec is stateless (every blob is self-contained), so a copy
-// with the same tolerance suffices.
-func (c *Compressor) Fork() compress.Compressor {
-	cp := *c
-	return &cp
-}
 
 // Compress implements compress.Compressor. Each value is delta-predicted
 // from the reference (temporal) when available, truncated to the error

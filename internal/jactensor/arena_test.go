@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"masc/internal/compress/masczip"
+	"masc/internal/sparse"
 )
 
 // countingChunks wraps a chunk source and counts what it hands out and gets
@@ -172,6 +172,16 @@ func TestArenaPinDefersRelease(t *testing.T) {
 	})
 }
 
+// chainStore is a masczip chain over the two patterns, sync or with a queue
+// of two.
+func chainStore(jp, cp *sparse.Pattern, async bool) *CompressedStore {
+	jc, cc := masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{})
+	if async {
+		return NewCompressedStoreAsync(jc, cc, jp, cp, 2)
+	}
+	return NewCompressedStore(jc, cc, jp, cp)
+}
+
 // filledStore runs the fixture's forward pass through a compressed store
 // whose arena draws from src.
 func filledStore(t *testing.T, src chunkSource, js, cs [][]float64, st *CompressedStore) *CompressedStore {
@@ -189,18 +199,14 @@ func filledStore(t *testing.T, src chunkSource, js, cs [][]float64, st *Compress
 }
 
 // TestFetchAfterCloseIsTypedError: a fetch that arrives after Close — from
-// the store or from a window slice that outlived it — gets ErrClosed, not a
-// fault on unmapped memory, and Close stays idempotent.
+// a fetcher that outlived the run — gets ErrClosed, not a fault on unmapped
+// memory, and Close stays idempotent.
 func TestFetchAfterCloseIsTypedError(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(70, 40, 12)
 	forEachChunkSource(t, func(t *testing.T, src chunkSource) {
 		for _, async := range []bool{false, true} {
-			st := filledStore(t, src, js, cs, anchoredStore(jp, cp, 5, async))
+			st := filledStore(t, src, js, cs, chainStore(jp, cp, async))
 			n := len(js) - 1
-			sl, err := st.Slice(6, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if _, _, err := st.Fetch(n); err != nil {
 				t.Fatal(err)
 			}
@@ -219,9 +225,6 @@ func TestFetchAfterCloseIsTypedError(t *testing.T) {
 			if _, _, err := st.Fetch(n - 2); !errors.Is(err, ErrClosed) {
 				t.Fatalf("async=%v: Fetch after Close = %v, want ErrClosed", async, err)
 			}
-			if _, _, err := sl.Fetch(10); !errors.Is(err, ErrClosed) {
-				t.Fatalf("async=%v: slice Fetch after Close = %v, want ErrClosed", async, err)
-			}
 			var se *StepError
 			if _, _, err := st.Fetch(n - 2); !errors.As(err, &se) || se.Degradable {
 				t.Fatalf("async=%v: closed-store error must not invite a recompute: %v", async, err)
@@ -230,80 +233,68 @@ func TestFetchAfterCloseIsTypedError(t *testing.T) {
 			// harmless too.
 			st.Repair(3, js[3], cs[3])
 			st.Release(n)
-			sl.Release(10)
 		}
 	})
 }
 
-// TestReaderCallsAfterCloseDoNothing: once Close has run, the store's own
-// reader and a window slice are the same dead reader — Release and Repair
-// leave the stats and the resident meter where Close left them, and Fetch,
-// of a step the reader still held or of the next one, fails with ErrClosed.
+// TestReaderCallsAfterCloseDoNothing: once Close has run the reader is dead —
+// Release and Repair leave the stats and the resident meter where Close left
+// them, and Fetch, of a step the sweep still held or of the next one, fails
+// with ErrClosed — sync and with the prefetch.
 func TestReaderCallsAfterCloseDoNothing(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(70, 40, 12)
 	n := len(js) - 1
-	for _, slice := range []bool{false, true} {
-		st := filledStore(t, defaultChunks(), js, cs, anchoredStore(jp, cp, 5, false))
-		var r interface {
-			Fetch(int) ([]float64, []float64, error)
-			Release(int)
-			Repair(int, []float64, []float64)
-		} = st
-		top := n
-		if slice {
-			sl, err := st.Slice(6, 10)
-			if err != nil {
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			st := filledStore(t, defaultChunks(), js, cs, chainStore(jp, cp, async))
+			for i := n; i > n-3; i-- {
+				if _, _, err := st.Fetch(i); err != nil {
+					t.Fatalf("async=%v: fetch %d: %v", async, i, err)
+				}
+				if i < n {
+					st.Release(i + 1)
+				}
+			}
+			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			r, top = sl, 10
-		}
-		for i := top; i > top-3; i-- {
-			if _, _, err := r.Fetch(i); err != nil {
-				t.Fatalf("slice=%v: fetch %d: %v", slice, i, err)
+			st.mu.Lock()
+			stats, resident := st.stats, st.resident
+			st.mu.Unlock()
+			for i := n - 3; i <= n; i++ {
+				st.Release(i)
+				st.Repair(i, js[i], cs[i])
+				if _, _, err := st.Fetch(i); !errors.Is(err, ErrClosed) {
+					t.Fatalf("async=%v: Fetch(%d) after Close = %v, want ErrClosed", async, i, err)
+				}
 			}
-			if i < top {
-				r.Release(i + 1)
+			st.mu.Lock()
+			if st.stats != stats || st.resident != resident {
+				t.Errorf("async=%v: calls after Close moved the store: stats %+v -> %+v, resident %d -> %d",
+					async, stats, st.stats, resident, st.resident)
 			}
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		st.mu.Lock()
-		stats, resident := st.stats, st.resident
-		st.mu.Unlock()
-		for i := top - 3; i <= top; i++ {
-			r.Release(i)
-			r.Repair(i, js[i], cs[i])
-			if _, _, err := r.Fetch(i); !errors.Is(err, ErrClosed) {
-				t.Fatalf("slice=%v: Fetch(%d) after Close = %v, want ErrClosed", slice, i, err)
-			}
-		}
-		st.mu.Lock()
-		if st.stats != stats || st.resident != resident {
-			t.Errorf("slice=%v: calls after Close moved the store: stats %+v -> %+v, resident %d -> %d",
-				slice, stats, st.stats, resident, st.resident)
-		}
-		st.mu.Unlock()
+			st.mu.Unlock()
+		})
 	}
 }
 
-// TestArenaReaderRacesClose closes the store while window slices and an
-// abandoned serial fetcher are mid-sweep (what an adjoint sweep cancelled
-// mid-fetch and a failed sibling window leave behind). Every fetch must either
-// return bit-exact data or ErrClosed; under -race this also checks that the
-// pin/close hand-off is properly synchronized.
+// TestArenaReaderRacesClose closes the store while an abandoned fetcher is
+// mid-sweep — what an adjoint sweep cancelled mid-fetch leaves behind — and,
+// in async mode, while the prefetch it started decodes the next step. Every
+// fetch must either return bit-exact data or ErrClosed; under -race this also
+// checks that the pin/close hand-off is properly synchronized.
 func TestArenaReaderRacesClose(t *testing.T) {
 	const steps = 60
 	jp, cp, js, cs := tensorFixture(71, 40, steps)
-	check := func(who string, i int, jv, cv []float64) error {
+	check := func(i int, jv, cv []float64) error {
 		for k := range jv {
 			if math.Float64bits(jv[k]) != math.Float64bits(js[i][k]) {
-				return fmt.Errorf("%s step %d: J[%d] mismatch", who, i, k)
+				return fmt.Errorf("step %d: J[%d] mismatch", i, k)
 			}
 		}
 		for k := range cv {
 			if math.Float64bits(cv[k]) != math.Float64bits(cs[i][k]) {
-				return fmt.Errorf("%s step %d: C[%d] mismatch", who, i, k)
+				return fmt.Errorf("step %d: C[%d] mismatch", i, k)
 			}
 		}
 		return nil
@@ -311,57 +302,35 @@ func TestArenaReaderRacesClose(t *testing.T) {
 	forEachChunkSource(t, func(t *testing.T, src chunkSource) {
 		for _, async := range []bool{false, true} {
 			for closeAfter := 0; closeAfter < 12; closeAfter += 3 {
-				st := filledStore(t, src, js, cs, anchoredStore(jp, cp, 10, async))
-				tops := st.AnchorSteps()
-				var wg sync.WaitGroup
-				errs := make(chan error, len(tops)+1)
-				progress := make(chan struct{}, 4*steps)
-				sweep := func(who string, lo, hi int, from interface {
-					Fetch(int) ([]float64, []float64, error)
-					Release(int)
-				}) {
-					defer wg.Done()
-					for i := hi; i >= lo; i-- {
-						jv, cv, err := from.Fetch(i)
+				st := filledStore(t, src, js, cs, chainStore(jp, cp, async))
+				errs := make(chan error, 1)
+				progress := make(chan struct{}, steps)
+				go func() {
+					defer close(errs)
+					for i := steps - 1; i >= 0; i-- {
+						jv, cv, err := st.Fetch(i)
 						if errors.Is(err, ErrClosed) {
 							return
 						}
+						if err == nil {
+							err = check(i, jv, cv)
+						}
 						if err != nil {
-							errs <- fmt.Errorf("%s step %d: %w", who, i, err)
+							errs <- fmt.Errorf("step %d: %w", i, err)
 							return
 						}
-						if err := check(who, i, jv, cv); err != nil {
-							errs <- err
-							return
-						}
-						if i < hi {
-							from.Release(i + 1)
+						if i < steps-1 {
+							st.Release(i + 1)
 						}
 						progress <- struct{}{}
 					}
-				}
-				lo := 0
-				for w, hi := range tops[:len(tops)-1] {
-					sl, err := st.Slice(lo, hi)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wg.Add(1)
-					go sweep(fmt.Sprintf("slice %d", w), lo, hi, sl)
-					lo = hi + 1
-				}
-				// The store itself serves the top window, as the serial
-				// engine's fetcher would.
-				wg.Add(1)
-				go sweep("store", lo, steps-1, st)
+				}()
 				for i := 0; i < closeAfter; i++ {
 					<-progress
 				}
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
 				}
-				wg.Wait()
-				close(errs)
 				for err := range errs {
 					t.Errorf("async=%v closeAfter=%d: %v", async, closeAfter, err)
 				}
@@ -369,7 +338,7 @@ func TestArenaReaderRacesClose(t *testing.T) {
 				pins, chunks := st.arena.pins, len(st.arena.chunks)
 				st.mu.Unlock()
 				if pins != 0 || chunks != 0 {
-					t.Fatalf("async=%v closeAfter=%d: %d pins, %d chunks held after every reader finished",
+					t.Fatalf("async=%v closeAfter=%d: %d pins, %d chunks held after the fetcher finished",
 						async, closeAfter, pins, chunks)
 				}
 			}

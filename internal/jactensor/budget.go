@@ -70,7 +70,7 @@ func (s *CompressedStore) SetRecompute(fn RecomputeFunc) {
 }
 
 // reserve is the plaintext the budget keeps back for the windows.
-func (s *CompressedStore) reserve() int64 { return ReserveBytes(s.cd.depth, s.lens[:]...) }
+func (s *CompressedStore) reserve() int64 { return ReserveBytes(s.depth, s.lens[:]...) }
 
 // ReserveBytes is the most plaintext the window of a chain whose codecs read
 // depth frames holds over tensors of the given value counts: depth+1 frames,
@@ -106,7 +106,7 @@ func (s *CompressedStore) dropped(step int) bool { return step >= s.dropFrom }
 // unread reports whether no kept step decodes against step's frame: the
 // kept steps are below dropFrom, and a step's frame is read by the depth
 // steps below it. mu must be held.
-func (s *CompressedStore) unread(step int) bool { return s.dropped(max(step-s.cd.depth, 0)) }
+func (s *CompressedStore) unread(step int) bool { return s.dropped(max(step-s.depth, 0)) }
 
 // dropFromStep ends admission at step, whose sealed pair of blobBytes did not
 // fit (0: none was made): it and every later step are dropped, and the forward

@@ -120,8 +120,8 @@ func runBudget(t *testing.T, f budgetFixture, budget int64, queue int, markov bo
 	if err := st.EndForward(); err != nil {
 		t.Fatal(err)
 	}
-	r := budgetRun{stream: sealedStream(st), depth: st.cd.depth, enc: jc.enc.Load() + cc.enc.Load(),
-		reserve: ReserveBytes(st.cd.depth, len(f.js[0]), len(f.cs[0]))}
+	r := budgetRun{stream: sealedStream(st), depth: st.depth, enc: jc.enc.Load() + cc.enc.Load(),
+		reserve: ReserveBytes(st.depth, len(f.js[0]), len(f.cs[0]))}
 	n, kept := len(f.js)-1, st.Stats().TierKeptSteps
 	if budget <= 0 {
 		kept = n + 1
@@ -315,7 +315,7 @@ func TestBudgetDroppedWithoutHookDegrades(t *testing.T) {
 	f := budgetFixtures()[0]
 	st := NewCompressedStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), f.jp, f.cp)
 	defer st.Close()
-	st.SetBudget(ReserveBytes(st.cd.depth, len(f.js[0]), len(f.cs[0])) + 4<<10)
+	st.SetBudget(ReserveBytes(st.depth, len(f.js[0]), len(f.cs[0])) + 4<<10)
 	for i := range f.js {
 		if err := st.Put(i, f.js[i], f.cs[i]); err != nil {
 			t.Fatal(err)

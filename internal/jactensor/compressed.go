@@ -24,9 +24,10 @@ import (
 // t+1…t+depth; EndForward seals the tail against what is above it, all but the
 // head step n, whose window frame — checksummed, never coded — is the first
 // the sweep reads. During the reverse sweep step i is decompressed against the
-// already-materialized steps i+1…i+depth, which the reader (StoreSlice; the
-// store's own sweep is its reader over [0, n]) keeps after the sweep's Release
-// until the sweep is depth steps below them. A tensor bit-identical to the
+// already-materialized steps i+1…i+depth, which the store keeps after the
+// sweep's Release until the sweep is depth steps below them (reader.go). The
+// chain has that one reader and no other way in: it is never cut, and no
+// plaintext but the window's is kept. A tensor bit-identical to the
 // step above it is a repeat: it has no blob, and its fetch holds the frame
 // above's array, so it costs neither side a codec call. The coded step
 // and its nearest reference are flat; the frames past the nearest are held in
@@ -35,14 +36,6 @@ import (
 // changed. Consecutive flat frames of a tensor
 // that are bit-identical share one array, so a tensor that does not move
 // costs the window one frame and the arena nothing.
-//
-// Every k-th step can be made a window anchor (SetAnchorEvery): the chain is
-// cut there — the anchor's blob is compressed with no reference and restarted
-// codecs, no step's history reaches past the nearest anchor above it — and its
-// plaintext stays resident as a checksummed frame, so a window-local reverse
-// sweep (StoreSlice) can start at it without decoding the chain above. A
-// rotted anchor frame is dropped and the step served from its self-contained
-// blob: a slower fetch, not an error.
 //
 // In async mode (NewCompressedStoreAsync) the compression runs on a
 // persistent background worker behind a bounded queue, so Put returns as
@@ -57,15 +50,15 @@ import (
 // recomputes.
 type CompressedStore struct {
 	core
-	issued      int        // steps whose seal job has been issued; only Put and EndForward's caller touches it
-	sealed      bool       // EndForward sealed every step below the head: Fetch and Slice may start
-	own         StoreSlice // the store's own reverse reader, over [0, n]
-	anchorEvery int        // every k-th step is an anchor; 0 = none
-	budget      int64      // SetBudget; 0 = none
+	issued   int              // steps whose seal job has been issued; only Put and EndForward's caller touches it
+	sealed   bool             // EndForward sealed every step below the head: Fetch may start
+	at       int              // the lowest step the reverse sweep has fetched
+	headSums [nTensors]uint32 // the head's CRC32C sidecars (signHead): its window frame is its only copy
+	budget   int64            // SetBudget; 0 = none
 
-	// mu guards everything above that a worker, prefetch, window slice or
-	// abandoned fetcher goroutine can touch (steps and their records, arena,
-	// stats, resident, pools, ferr). Codec calls run outside it: the forward
+	// mu guards everything above that a worker, prefetch or abandoned
+	// fetcher goroutine can touch (steps and their records, arena, stats,
+	// resident, pools, ferr). Codec calls run outside it: the forward
 	// ones are serialized per store (the caller in sync mode, the single
 	// worker in async mode, EndForward after the drain), the reverse ones by
 	// Fetch joining any prefetch first, on a pinned arena.
@@ -106,9 +99,6 @@ type prefetch struct {
 // accounting.
 func NewCompressedStore(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern) *CompressedStore {
 	s := &CompressedStore{core: newCore([nTensors]compress.Compressor{jc, cc}), dropFrom: math.MaxInt}
-	// Until EndForward sets its top, the reader spans every step: the
-	// forward pass's seals gather their history from it too.
-	s.own = StoreSlice{p: s, cd: &s.cd, hi: math.MaxInt}
 	for _, pat := range [nTensors]*sparse.Pattern{jPat, cPat} {
 		if pat != nil {
 			s.stats.IndexBytes += int64(len(varint.EncodeCSRIndices(pat.RowPtr, pat.ColIdx)))
@@ -137,22 +127,12 @@ func NewCompressedStoreAsync(jc, cc compress.Compressor, jPat, cPat *sparse.Patt
 }
 
 // Attach wires telemetry and fault injection into the store: blob corruption
-// applies after frames are sealed, float rot to anchor frames after their
-// sidecars, and worker panics fire when the async pipeline compresses the
-// configured step. Call it before the first Put (the worker reads the
-// handles unlocked afterwards).
+// applies after frames are sealed, and worker panics fire when the async
+// pipeline compresses the configured step. Call it before the first Put (the
+// worker reads the handles unlocked afterwards).
 func (s *CompressedStore) Attach(a Attachment) {
 	s.attach(a, "compressed")
-	s.cd.trace(s.ob.rec)
-}
-
-// SetAnchorEvery makes every k-th step (step 0 excluded) a chain anchor.
-// k <= 0 disables anchoring (the default). Call before the first Put;
-// anchoring an in-flight forward pass is not supported.
-func (s *CompressedStore) SetAnchorEvery(k int) {
-	if s.stats.Steps == 0 {
-		s.anchorEvery = max(k, 0)
-	}
+	s.traceCodecs(s.ob.rec)
 }
 
 // Put implements Store: the admitted step's values, and the state it was
@@ -174,10 +154,7 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 	}
 	psp := s.ob.rec.Start(s.ob.spanParent(), span.Put, step)
 	defer psp.End()
-	// The chain cuts at an anchor: its blob is self-contained and its
-	// plaintext retained. Step 0 is never one (it has nothing below it), nor
-	// is the head (EndForward clears the mark).
-	st := &stepRec{pinned: s.anchorEvery > 0 && step > 0 && step%s.anchorEvery == 0}
+	st := &stepRec{}
 	if s.state != nil {
 		st.x = s.state(step)
 	}
@@ -200,7 +177,7 @@ func (s *CompressedStore) Put(step int, jVals, cVals []float64) error {
 	dropped := s.dropped(step)
 	s.mu.Unlock()
 
-	if due := step - s.cd.depth; due >= 0 && !dropped {
+	if due := step - s.depth; due >= 0 && !dropped {
 		s.issued = due + 1
 		job := fwdJob{step: due, st: s.steps[due], parent: psp.ID()}
 		if s.async {
@@ -231,7 +208,7 @@ func (s *CompressedStore) adopt(i int, vals []float64, below *heldFrame) held {
 	case b.flat != nil && sameBits(vals, b.flat):
 		s.hold(b.flat)
 		return held{flat: b.flat}
-	case b.ok() && s.cd.depth > 1:
+	case b.ok() && s.depth > 1:
 		return held{blk: s.blocksOf(i, vals, b.blk)}
 	}
 	v := takeVals(&s.pool[i], len(vals))
@@ -299,10 +276,9 @@ func (s *CompressedStore) guarded(job fwdJob) (err error) {
 }
 
 // runJob is the forward step of Algorithm 2, the same in both modes: seal
-// job.step against the frames above it — or, at an anchor, against nothing and
-// with restarted codecs — keep the blobs if the budget admits them, account
-// them, retain an anchor's plaintext and let the step's frame go. A step the
-// budget has dropped does nothing. mu must not be held.
+// job.step against the frames above it, keep the blobs if the budget admits
+// them, account them and let the step's frame go. A step the budget has
+// dropped does nothing. mu must not be held.
 func (s *CompressedStore) runJob(job fwdJob) error {
 	st := job.st
 	s.mu.Lock()
@@ -310,15 +286,11 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 		s.mu.Unlock()
 		return nil
 	}
-	h := s.own.gather(job.step)
+	h := s.gather(job.step)
 	cur := st.flat()
 	s.mu.Unlock()
-	cut := st.pinned
-	if cut {
-		s.cd.restart()
-	}
 	csp := s.ob.rec.Start(job.parent, span.Compress, job.step)
-	s.cd.setParent(csp.ID())
+	s.setParent(csp.ID())
 	start := time.Now()
 	sealed, repeat := s.seal(job.step, cur, h)
 	stored := sealedLen(sealed)
@@ -350,19 +322,10 @@ func (s *CompressedStore) runJob(job fwdJob) error {
 			}
 		}
 		s.bumpResident(int64(stored))
-		if cut {
-			// The anchor is a counted private copy: the window's frame may be
-			// the next step's too, and the fault window mutates an anchor.
-			s.admitFrame(job.step, st, s.copyFrame(cur))
-			s.bumpResident(s.frameBytes)
-			s.stats.AnchorBytes += s.frameBytes
-			s.ob.anchorBytes.Set(float64(s.stats.AnchorBytes))
-		}
 		s.giveBack(&st.heldFrame)
 	}
 	s.mu.Unlock()
 	csp.Attr("bytes", int64(stored))
-	csp.Attr("anchor", boolAttr(cut))
 	csp.End()
 	if err != nil {
 		return err
@@ -418,8 +381,7 @@ func (s *CompressedStore) EndForward() error {
 	}
 	s.mu.Lock()
 	n := len(s.steps) - 1
-	s.steps[n].pinned = false
-	s.own.hi, s.own.at = n, n
+	s.at = n
 	s.mu.Unlock()
 	for ; s.issued < n; s.issued++ {
 		// The worker is gone, but its jobs keep its panic guard.
@@ -454,12 +416,11 @@ func (s *CompressedStore) giveBack(f *heldFrame) {
 	*f = heldFrame{}
 }
 
-// signHead takes the sidecars of the head's window frame, its only copy, into
-// the head's record; a fetch of the head checks the plaintext it serves
-// against them. The frame is flat. mu must be held.
+// signHead takes the sidecars of the head's window frame, its only copy; a
+// fetch of the head checks the plaintext it serves against them. The frame is
+// flat. mu must be held.
 func (s *CompressedStore) signHead() {
-	head := s.steps[len(s.steps)-1]
-	head.sums = sidecars(head.flat())
+	s.headSums = sidecars(s.steps[len(s.steps)-1].flat())
 }
 
 // checkHead verifies out, the head's plaintext a fetch is about to serve,
@@ -467,7 +428,7 @@ func (s *CompressedStore) signHead() {
 // must be held.
 func (s *CompressedStore) checkHead(step int, out tensors) error {
 	st := s.steps[step]
-	tensor, err := checkSums(out, st.sums)
+	tensor, err := checkSums(out, s.headSums)
 	if err == nil {
 		return nil
 	}
@@ -507,36 +468,15 @@ func (s *CompressedStore) toBlocks(i int, h *held, nb compress.Blocks) {
 	h.blk = idx
 }
 
-// anchorLocked returns st's retained anchor plaintext, verified, and whether
-// there is any: none when it has rotted either — in which case the frame is
-// dropped and counted, and the caller decodes the step's self-contained blob
-// instead. The slices are the store's own: callers copy. mu must be held.
-func (s *CompressedStore) anchorLocked(st *stepRec) (tensors, bool) {
-	if st.vals[0] == nil {
-		return tensors{}, false
-	}
-	if _, err := checkSums(st.vals, st.sums); err == nil {
-		return st.vals, true
-	}
-	s.parkFrame(st.vals)
-	st.frame = frame{}
-	s.stats.AnchorBytes -= s.frameBytes
-	s.ob.anchorBytes.Set(float64(s.stats.AnchorBytes))
-	s.bumpResident(-s.frameBytes)
-	s.noteCorrupt()
-	return tensors{}, false
-}
-
 // decodeStep is the reverse half of the blob lifecycle: pin the arena, open
-// the step's sealed blobs, decode them with cd (the store's codecs, or a
-// slice's forks) against h into pooled arrays, and quarantine the step on any
-// failure. A repeat has no blob: the tensor is the nearest history frame's
-// array, held, not counted again, and a step whose every tensor repeats
-// touches neither the arena nor a codec. The frame comes back counted and is
-// the caller's to install. At most one call runs per set of codecs at a time;
-// prefetch marks the span of a background decode ahead of the sweep. mu must
-// not be held.
-func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h history, prefetch bool) (tensors, error) {
+// the step's sealed blobs, decode them against h into pooled arrays, and
+// quarantine the step on any failure. A repeat has no blob: the tensor is the
+// nearest history frame's array, held, not counted again, and a step whose
+// every tensor repeats touches neither the arena nor a codec. The frame comes
+// back counted and is the caller's to install. At most one call runs at a
+// time; prefetch marks the span of a background decode ahead of the sweep. mu
+// must not be held.
+func (s *CompressedStore) decodeStep(step int, st *stepRec, h history, prefetch bool) (tensors, error) {
 	s.mu.Lock()
 	if st.quarantined {
 		s.mu.Unlock()
@@ -575,9 +515,9 @@ func (s *CompressedStore) decodeStep(cd *codecs, step int, st *stepRec, h histor
 	payloads, tensor, err := openBlobs(step, blobs, repeat)
 	if err == nil {
 		dsp := s.ob.rec.Start(s.ob.spanParent(), span.Decompress, step)
-		cd.setParent(dsp.ID())
+		s.setParent(dsp.ID())
 		start := time.Now()
-		tensor, err = cd.decode(out, payloads, h)
+		tensor, err = s.decode(out, payloads, h)
 		elapsed = time.Since(start)
 		dsp.Attr("bytes", int64(sealedLen(blobs)))
 		dsp.Attr("prefetch", boolAttr(prefetch))
@@ -629,16 +569,14 @@ func (s *CompressedStore) maybePrefetch(step int) {
 	if !s.async || s.pf != nil || step <= 0 || s.arena.closed {
 		return
 	}
-	// Anchor steps are served from their retained plaintext, and their
-	// blobs want no reference anyway.
 	prev := s.steps[step-1]
-	if prev.resident() || prev.pinned {
+	if prev.resident() {
 		return
 	}
 	var h history
 	recompute := s.dropped(step - 1)
 	if !recompute {
-		h = s.own.gather(step - 1)
+		h = s.gather(step - 1)
 	}
 	pf := &prefetch{step: step - 1, st: prev, done: make(chan struct{})}
 	s.pf = pf
@@ -654,7 +592,7 @@ func (s *CompressedStore) maybePrefetch(step int) {
 		if recompute {
 			pf.out, pf.err = s.recomputeStep(pf.step)
 		} else {
-			pf.out, pf.err = s.decodeStep(&s.cd, pf.step, pf.st, h, true)
+			pf.out, pf.err = s.decodeStep(pf.step, pf.st, h, true)
 		}
 	}()
 }
@@ -682,9 +620,9 @@ func (s *CompressedStore) joinPrefetch(step int) (hit bool, err error) {
 	return false, nil
 }
 
-// Fetch implements Store: the store's own reader fetches the step (StoreSlice.
-// Fetch). In async mode the common case is a hit on the background prefetch,
-// and fetching step i kicks off the prefetch of step i-1.
+// Fetch implements Store: the reader fetches the step (fetch, reader.go). In
+// async mode the common case is a hit on the background prefetch, and
+// fetching step i kicks off the prefetch of step i-1.
 func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 	// Join any in-flight prefetch first: it is either our step (the hit
 	// path) or must finish before we may run another decompression.
@@ -700,7 +638,7 @@ func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	out, decoded, err := s.own.fetch(step)
+	out, decoded, err := s.fetch(step)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -716,12 +654,6 @@ func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
 	return out[0], out[1], nil
 }
 
-// Repair implements Repairer through the store's own reader.
-func (s *CompressedStore) Repair(step int, jVals, cVals []float64) { s.own.Repair(step, jVals, cVals) }
-
-// Release implements Store through the store's own reader.
-func (s *CompressedStore) Release(step int) { s.own.Release(step) }
-
 // Stats implements Store.
 func (s *CompressedStore) Stats() Stats {
 	s.mu.Lock()
@@ -731,9 +663,8 @@ func (s *CompressedStore) Stats() Stats {
 
 // Close implements Store. In async mode it shuts the pipeline down, even
 // when the forward pass was abandoned before EndForward. The blobs' memory
-// is returned now, or — when a window slice or an abandoned fetcher is still
-// reading one — by that reader's unpin; every later Fetch fails with
-// ErrClosed. Idempotent.
+// is returned now, or — when an abandoned fetcher is still reading one — by
+// its unpin; every later Fetch fails with ErrClosed. Idempotent.
 func (s *CompressedStore) Close() error {
 	s.mu.Lock()
 	s.forwardDone = true
@@ -746,29 +677,6 @@ func (s *CompressedStore) Close() error {
 	return s.ferr
 }
 
-// AnchorSteps returns the chain-cut layout of the finished forward pass:
-// every interior anchor step that still holds its frame, in ascending order,
-// with the head step n appended (EndForward retains the head's plaintext, so
-// it behaves as the top anchor — while it is retained: the head has no blob,
-// so once the store's own sweep has let its frame go a slice cannot start
-// there) and listed once even when its number makes it an anchor. These are
-// the steps a StoreSlice may start from. Returns nil before EndForward.
-func (s *CompressedStore) AnchorSteps() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.forwardDone || len(s.steps) == 0 {
-		return nil
-	}
-	head := len(s.steps) - 1
-	var out []int
-	for i, st := range s.steps[:head] {
-		if st.pinned && st.vals[0] != nil {
-			out = append(out, i)
-		}
-	}
-	return append(out, head)
-}
-
 // PredictorStats returns the predictor-selection statistics accumulated by
 // the first-tensor (G in the facade) and C codecs, when the store was built
 // over masczip compressors with Options.CollectStats enabled (ok reports both
@@ -777,7 +685,7 @@ func (s *CompressedStore) AnchorSteps() []int {
 func (s *CompressedStore) PredictorStats() (j, c masczip.Stats, ok bool) {
 	type statser interface{ Stats() masczip.Stats }
 	var st [nTensors]masczip.Stats
-	for i, cd := range s.cd.c {
+	for i, cd := range s.codec {
 		sc, isStatser := cd.(statser)
 		if !isStatser {
 			return j, c, false

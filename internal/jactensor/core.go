@@ -137,14 +137,6 @@ func (b *storeBase) noteCorrupt() {
 
 var errQuarantined = errors.New("step is quarantined")
 
-// frame is a step's plaintext at rest, with the CRC32C sidecars taken when it
-// came to rest: bit rot between then and the next read is detected instead
-// of flowing into the sensitivities.
-type frame struct {
-	vals tensors
-	sums [nTensors]uint32
-}
-
 // sidecars is the CRC32C of each of v's arrays.
 func sidecars(v tensors) (sums [nTensors]uint32) {
 	for i := range v {
@@ -205,14 +197,13 @@ func flatFrame(v tensors) (f heldFrame) {
 }
 
 // stepRec is everything the chain knows about one step: its blobs in the
-// arena, a frame on its anchors, its place in the history window.
+// arena and its place in the history window. It is 184 bytes on a 64-bit
+// platform (TestStepRecordSize), and the store keeps one per step.
 type stepRec struct {
-	frame                        // checksummed plaintext at rest: an anchor; the head's sidecars alone
 	heldFrame                    // the step's place in the history window
 	x           []float64        // the state the step was produced at (Attachment.State) — the caller's array, not counted as resident
 	blobs       [nTensors][]byte // sealed blobs in the arena; nil for the head, a dropped step and a repeat
 	repeat      [nTensors]bool   // the kept tensor is bit-identical to the step above's: no blob, its fetch holds that frame's array
-	pinned      bool             // anchor: the chain cuts here
 	quarantined bool             // failed verification: unreadable until Repair
 }
 
@@ -244,18 +235,6 @@ type history struct {
 	x [][]float64
 }
 
-// codecs is one compressor per tensor with the optional capabilities the
-// stores use. A StoreSlice decodes with forked codecs, which is why the decode
-// half of the blob path hangs off this type and not core.
-type codecs struct {
-	c     [nTensors]compress.Compressor
-	spans [nTensors]spanCodec // nil unless the codec traces and spans are on
-	// depth is how many frames above a step the chain holds for it: the
-	// deepest codec's history depth, 1 for one-reference codecs.
-	depth int
-	win   window // gather's scratch, so a steady-state seal or decode allocates nothing
-}
-
 // window is gather's scratch: the frames of one call, nearest first, which of
 // them stay flat, and per tensor the history handed to the codec, with views
 // of the flat frames past the nearest and the copies of their short last
@@ -269,51 +248,25 @@ type window struct {
 	x      [][]float64
 }
 
-func newCodecs(c [nTensors]compress.Compressor) codecs {
-	depth := 0
-	for _, t := range c {
-		depth = max(depth, compress.HistoryDepth(t))
-	}
-	w := window{frames: make([]*heldFrame, 0, depth), keep: make([][nTensors]bool, depth), x: make([][]float64, 0, depth+1)}
-	for i := range w.far {
-		w.far[i] = make([]compress.Blocks, 0, depth)
-		w.views[i] = make([]compress.Blocks, depth)
-		w.tails[i] = make([][compress.BlockLen]float64, depth)
-	}
-	return codecs{c: c, depth: depth, win: w}
-}
-
-// trace wires the codecs to rec, so each compress/decompress span encloses
-// the codec's own encode/decode span.
-func (cd *codecs) trace(rec *span.Recorder) {
+// traceCodecs wires the codecs to rec, so each compress/decompress span
+// encloses the codec's own encode/decode span.
+func (k *core) traceCodecs(rec *span.Recorder) {
 	if rec == nil {
 		return
 	}
-	for i, c := range cd.c {
+	for i, c := range k.codec {
 		if sc, ok := c.(spanCodec); ok {
 			sc.SetSpans(rec)
-			cd.spans[i] = sc
+			k.spans[i] = sc
 		}
 	}
 }
 
 // setParent points the codecs' next encode/decode span at id.
-func (cd *codecs) setParent(id span.ID) {
-	for _, sc := range cd.spans {
+func (k *core) setParent(id span.ID) {
+	for _, sc := range k.spans {
 		if sc != nil {
 			sc.SetSpanParent(id)
-		}
-	}
-}
-
-// restart cuts the codecs' cross-call prediction state (Markov counts,
-// calibration phase), so an anchor's blob round-trips on its own. Codecs
-// without the capability still get a value-chain cut from a nil reference.
-func (cd *codecs) restart() {
-	type restarter interface{ Restart() }
-	for _, c := range cd.c {
-		if r, ok := c.(restarter); ok {
-			r.Restart()
 		}
 	}
 }
@@ -321,12 +274,12 @@ func (cd *codecs) restart() {
 // decode inflates verified payloads into out against the history they were
 // sealed against; a tensor whose array is nil — a repeat, which has no
 // payload — is skipped. A failure names the tensor.
-func (cd *codecs) decode(out tensors, payloads [nTensors][]byte, h history) (tensor string, err error) {
+func (k *core) decode(out tensors, payloads [nTensors][]byte, h history) (tensor string, err error) {
 	for i, v := range out {
 		if v == nil {
 			continue
 		}
-		if err := compress.Decode(cd.c[i], v, payloads[i], h.t[i], h.x); err != nil {
+		if err := compress.Decode(k.codec[i], v, payloads[i], h.t[i], h.x); err != nil {
 			return tensorName(i), err
 		}
 	}
@@ -389,7 +342,12 @@ const poolFrames = 4
 // core is the body of the blob-holding store.
 type core struct {
 	storeBase
-	cd    codecs
+	codec [nTensors]compress.Compressor
+	spans [nTensors]spanCodec // nil unless the codec traces and spans are on
+	// depth is how many frames above a step the chain holds for it: the
+	// deepest codec's history depth, 1 for one-reference codecs.
+	depth int
+	win   window // gather's scratch, so a steady-state seal or decode allocates nothing
 	steps []*stepRec
 
 	// Sealed blobs are slices into the arena, not heap objects: off the Go
@@ -414,7 +372,17 @@ type core struct {
 }
 
 func newCore(c [nTensors]compress.Compressor) core {
-	k := core{cd: newCodecs(c), arena: blobArena{src: defaultChunks()}}
+	depth := 0
+	for _, t := range c {
+		depth = max(depth, compress.HistoryDepth(t))
+	}
+	w := window{frames: make([]*heldFrame, 0, depth), keep: make([][nTensors]bool, depth), x: make([][]float64, 0, depth+1)}
+	for i := range w.far {
+		w.far[i] = make([]compress.Blocks, 0, depth)
+		w.views[i] = make([]compress.Blocks, depth)
+		w.tails[i] = make([][compress.BlockLen]float64, depth)
+	}
+	k := core{codec: c, depth: depth, win: w, arena: blobArena{src: defaultChunks()}}
 	for i := range k.sealBuf {
 		k.sealBuf[i] = make([]byte, crcLen)
 	}
@@ -576,7 +544,7 @@ func (k *core) release(i int, h *held) {
 	}
 	if h.blk != nil {
 		k.bumpResident(int64(-8 * len(h.blk)))
-		if len(k.poolIdx[i]) < k.cd.depth {
+		if len(k.poolIdx[i]) < k.depth {
 			k.poolIdx[i] = append(k.poolIdx[i], h.blk)
 		}
 	}
@@ -597,20 +565,10 @@ func sameBlocks(blk compress.Blocks, flat []float64) bool {
 // sameArray reports whether a and b are one array.
 func sameArray(a, b []float64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
-// admitFrame brings v to rest as st's frame: sidecars first, then the fault
-// window — rot after the checksum was taken is exactly what the sidecar
-// exists to catch.
-func (k *core) admitFrame(step int, st *stepRec, v tensors) {
-	st.frame = frame{vals: v, sums: sidecars(v)}
-	for i := range v {
-		k.fault.MutateFloats(step, v[i])
-	}
-}
-
 // seal is the forward half of the blob lifecycle: codec, CRC, then the fault
 // window (at-rest rot, caught by the CRC when the blob is opened). Each of
-// cur's tensors is compressed against h (none = an anchor's self-contained
-// blob) into its scratch blob after the CRC — except a tensor bit-identical
+// cur's tensors is compressed against h (none = a self-contained blob) into
+// its scratch blob after the CRC — except a tensor bit-identical
 // to its nearest reference, a repeat, which meets no codec and seals to
 // nothing: the sweep reads that frame, so there is nothing to keep. The
 // sealed results alias the scratch — shortened when the injector truncates —
@@ -620,7 +578,7 @@ func (k *core) seal(step int, cur tensors, h history) (sealed [nTensors][]byte, 
 		if repeat[i] = ht.Near != nil && sameBits(cur[i], ht.Near); repeat[i] {
 			continue
 		}
-		dst := compress.Encode(k.cd.c[i], k.sealBuf[i][:crcLen], cur[i], ht, h.x)
+		dst := compress.Encode(k.codec[i], k.sealBuf[i][:crcLen], cur[i], ht, h.x)
 		binary.LittleEndian.PutUint32(dst, blobCRC(tensorTags[i], step, dst[crcLen:]))
 		k.sealBuf[i] = dst
 		sealed[i], _ = k.fault.MutateBlob(step, dst)

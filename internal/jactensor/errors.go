@@ -10,7 +10,7 @@ import (
 // errors.Is(err, ErrCorrupt).
 var ErrCorrupt = errors.New("jactensor: stored blob failed integrity verification")
 
-// ErrClosed reports a Put, Fetch or slice fetch on a compressed store whose
+// ErrClosed reports a Put or Fetch on a compressed store whose
 // Close has already run: the blobs are gone, so the call fails instead of
 // touching them. It arrives wrapped in a non-degradable *StepError.
 var ErrClosed = errors.New("jactensor: store is closed")

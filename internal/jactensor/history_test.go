@@ -13,7 +13,6 @@ import (
 	"masc/internal/compress"
 	"masc/internal/compress/chimpz"
 	"masc/internal/compress/masczip"
-	"masc/internal/faultinject"
 	"masc/internal/sparse"
 )
 
@@ -21,7 +20,7 @@ import (
 // decodes, which frames it was handed as history — by matching their bits
 // against the fixture's — so the tests can hold the chain policy to "step s is
 // sealed against, and decoded against, steps s+1…s+depth, stopping at the
-// nearest anchor above s and at the head". Forks share the log.
+// head".
 type spyCodec struct {
 	*masczip.Compressor
 	frames [][]float64 // the fixture's frames of this tensor, by step
@@ -84,21 +83,11 @@ func (s *spyCodec) DecompressHistory(cur []float64, blob []byte, hist compress.H
 	return err
 }
 
-func (s *spyCodec) Fork() compress.Compressor {
-	return &spyCodec{s.Compressor.Fork().(*masczip.Compressor), s.frames, s.log}
-}
-
 // wantHistory is the chain policy's rule for a run of n+1 steps.
-func wantHistory(step, n, depth, anchorEvery int) []int {
+func wantHistory(step, n, depth int) []int {
 	out := []int{}
-	anchor := func(t int) bool { return anchorEvery > 0 && t > 0 && t < n && t%anchorEvery == 0 }
-	if anchor(step) {
-		return out
-	}
 	for t := step + 1; t <= min(step+depth, n); t++ {
-		if out = append(out, t); anchor(t) {
-			break
-		}
+		out = append(out, t)
 	}
 	return out
 }
@@ -114,99 +103,81 @@ func movingFixture(seed int64, n, steps int) (jp, cp *sparse.Pattern, js, cs [][
 	return
 }
 
-// TestHistoryStopsAtAnchorsAndHead: over sync stores, pipelined ones of
-// depth 1/2/4 and window slices at 2, 3 and 5 windows, every blob is sealed
-// against exactly the frames the rule names and decoded against the same
-// ones; the blob stream is the sync store's byte for byte; and every step
-// comes back bit for bit.
-func TestHistoryStopsAtAnchorsAndHead(t *testing.T) {
+// TestHistoryStopsAtHead: over a sync store and pipelined ones of queue
+// depth 1, 2 and 4, with one coder worker and with three, every blob is
+// sealed against exactly the frames the rule names and decoded against the
+// same ones; the blob stream is the sync store's byte for byte; and every
+// step comes back bit for bit.
+func TestHistoryStopsAtHead(t *testing.T) {
 	const steps = 41
 	jp, cp, js, cs := movingFixture(91, 16, steps)
 	n := steps - 1
-	for _, anchorEvery := range []int{0, 20, 14, 8, 7, 1} { // 1, 2, 3, 5 and 6 windows, and every step its own
+	for _, workers := range []int{1, 3} {
 		var syncStream uint64
 		for _, queue := range []int{0, 1, 2, 4} {
-			name := fmt.Sprintf("anchors%d/queue%d", anchorEvery, queue)
-			opt := masczip.Options{Workers: 1 + anchorEvery%3}
-			jc, cc := newSpy(jp, opt, js), newSpy(cp, opt, cs)
-			var st *CompressedStore
-			if queue == 0 {
-				st = NewCompressedStore(jc, cc, jp, cp)
-			} else {
-				st = NewCompressedStoreAsync(jc, cc, jp, cp, queue)
-			}
-			st.SetAnchorEvery(anchorEvery)
-			for i := range js {
-				if err := st.Put(i, js[i], cs[i]); err != nil {
-					t.Fatalf("%s: put %d: %v", name, i, err)
-				}
-			}
-			if err := st.EndForward(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if stream := sealedStream(st); queue == 0 {
-				syncStream = stream
-			} else if stream != syncStream {
-				t.Fatalf("%s: blob stream %#x, the sync store's is %#x", name, stream, syncStream)
-			}
-			depth := st.cd.depth
-			if depth != masczip.MaxOrder+1 {
-				t.Fatalf("%s: the store holds %d frames of history for masczip, want %d", name, depth, masczip.MaxOrder+1)
-			}
-			for _, log := range []*spyLog{jc.log, cc.log} {
-				for s := 0; s <= n; s++ {
-					if got, want := fmt.Sprint(log.sealed[s]), fmt.Sprint(wantHistory(s, n, depth, anchorEvery)); got != want {
-						t.Fatalf("%s: step %d sealed against %s, want %s", name, s, got, want)
-					}
-				}
-			}
-
-			// Read everything back: serially, or through one slice per window.
-			tops := st.AnchorSteps()
-			if queue%2 == 0 {
-				tops = []int{n}
-			}
-			var srcs []fetcher
-			lo := 0
-			for _, hi := range tops {
-				if len(tops) == 1 {
-					srcs = append(srcs, st)
+			name := fmt.Sprintf("workers%d/queue%d", workers, queue)
+			t.Run(name, func(t *testing.T) {
+				opt := masczip.Options{Workers: workers}
+				jc, cc := newSpy(jp, opt, js), newSpy(cp, opt, cs)
+				var st *CompressedStore
+				if queue == 0 {
+					st = NewCompressedStore(jc, cc, jp, cp)
 				} else {
-					sl, err := st.Slice(lo, hi)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					srcs = append(srcs, sl)
+					st = NewCompressedStoreAsync(jc, cc, jp, cp, queue)
 				}
-				lo = hi + 1
-			}
-			lo = 0
-			for w, hi := range tops {
-				for i := hi; i >= lo; i-- {
-					j, c, err := srcs[w].Fetch(i)
+				for i := range js {
+					if err := st.Put(i, js[i], cs[i]); err != nil {
+						t.Fatalf("%s: put %d: %v", name, i, err)
+					}
+				}
+				if err := st.EndForward(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if stream := sealedStream(st); queue == 0 {
+					syncStream = stream
+				} else if stream != syncStream {
+					t.Fatalf("%s: blob stream %#x, the sync store's is %#x", name, stream, syncStream)
+				}
+				depth := st.depth
+				if depth != masczip.MaxOrder+1 {
+					t.Fatalf("%s: the store holds %d frames of history for masczip, want %d", name, depth, masczip.MaxOrder+1)
+				}
+				for _, log := range []*spyLog{jc.log, cc.log} {
+					for s := 0; s <= n; s++ {
+						if got, want := fmt.Sprint(log.sealed[s]), fmt.Sprint(wantHistory(s, n, depth)); got != want {
+							t.Fatalf("%s: step %d sealed against %s, want %s", name, s, got, want)
+						}
+					}
+				}
+				for i := n; i >= 0; i-- {
+					j, c, err := st.Fetch(i)
 					if err != nil {
 						t.Fatalf("%s: fetch %d: %v", name, i, err)
 					}
 					if !sameBits(j, js[i]) || !sameBits(c, cs[i]) {
 						t.Fatalf("%s: step %d: bits differ", name, i)
 					}
-					if i < hi {
-						srcs[w].Release(i + 1)
+					if i < n {
+						st.Release(i + 1)
 					}
 				}
-				srcs[w].Release(lo)
-				lo = hi + 1
-			}
-			for _, log := range []*spyLog{jc.log, cc.log} {
-				for s, got := range log.decoded {
-					if want := wantHistory(s, n, depth, anchorEvery); fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("%s: step %d decoded against %v, sealed against %v", name, s, got, want)
+				st.Release(0)
+				for _, log := range []*spyLog{jc.log, cc.log} {
+					// The head is never coded, so never decoded: every step below
+					// it is, once.
+					if len(log.decoded) != n {
+						t.Fatalf("%s: %d steps decoded, want %d", name, len(log.decoded), n)
+					}
+					for s, got := range log.decoded {
+						if want := wantHistory(s, n, depth); fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("%s: step %d decoded against %v, sealed against %v", name, s, got, want)
+						}
 					}
 				}
-			}
-			if err := st.Close(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+				if err := st.Close(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			})
 		}
 	}
 }
@@ -275,8 +246,8 @@ func TestRepairRestoresHistoryBelow(t *testing.T) {
 					st.Release(i + 1)
 				}
 			}
-			for s := bad - 1; s >= bad-st.cd.depth; s-- {
-				if got, want := fmt.Sprint(cc.log.decoded[s]), fmt.Sprint(wantHistory(s, steps-1, st.cd.depth, 0)); got != want {
+			for s := bad - 1; s >= bad-st.depth; s-- {
+				if got, want := fmt.Sprint(cc.log.decoded[s]), fmt.Sprint(wantHistory(s, steps-1, st.depth)); got != want {
 					t.Fatalf("async=%v: step %d, below the repaired one, decoded against %s, want %s", async, s, got, want)
 				}
 			}
@@ -528,8 +499,8 @@ func heldBytes(st *CompressedStore) int64 {
 }
 
 // checkMeter holds the resident meter to the memory the store's window
-// actually holds, beside its blobs and anchors, once a prefetch in flight has
-// decoded its frame.
+// actually holds, beside its blobs, once a prefetch in flight has decoded its
+// frame.
 func checkMeter(t *testing.T, st *CompressedStore) {
 	t.Helper()
 	st.mu.Lock()
@@ -540,7 +511,7 @@ func checkMeter(t *testing.T, st *CompressedStore) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	plain := st.resident - (st.stats.StoredBytes - st.stats.IndexBytes) - st.stats.AnchorBytes
+	plain := st.resident - (st.stats.StoredBytes - st.stats.IndexBytes)
 	if held := heldBytes(st); plain != held {
 		t.Fatalf("the meter reads %d B of plaintext, the window holds %d B", plain, held)
 	}
@@ -576,7 +547,7 @@ func TestBlockWindowAccounting(t *testing.T) {
 		}
 		stored := blobBytes(st)
 		sweep(t, st, steps, func(int) { checkMeter(t, st) })
-		far := int64(st.cd.depth - 1)
+		far := int64(st.depth - 1)
 		const block = 8 * compress.BlockLen
 		window := int64(nj+nc)*block + (far-1)*int64(1+nc)*block + far*int64(8*(nj+nc))
 		// The pipelined sweep prefetches below a frame it still holds flat,
@@ -621,14 +592,13 @@ func checksums(st *CompressedStore, lo int) map[int][2]uint32 {
 
 // TestSharedBlocksAreCopyOnWrite: frames that share blocks with their
 // neighbours stay bit-identical through what writes plaintext near them — a
-// decode, and float rot of an anchor's retained frame (a repair mid-chain:
-// TestRepairRestoresHistoryBelow).
+// decode, and a repair mid-chain of a step whose blob went bad (the steps
+// below it: TestRepairRestoresHistoryBelow).
 func TestSharedBlocksAreCopyOnWrite(t *testing.T) {
-	const steps, anchor = 40, 10
+	const steps, bad = 40, 10
 	jp, cp, js, cs := sharingFixture(99, 40, steps)
 	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
 	defer st.Close()
-	st.SetAnchorEvery(anchor)
 	for i := range js {
 		if err := st.Put(i, js[i], cs[i]); err != nil {
 			t.Fatal(err)
@@ -637,6 +607,13 @@ func TestSharedBlocksAreCopyOnWrite(t *testing.T) {
 	if err := st.EndForward(); err != nil {
 		t.Fatal(err)
 	}
+	st.mu.Lock()
+	if st.steps[bad].blobs[0] == nil {
+		st.mu.Unlock()
+		t.Fatalf("step %d holds no blob of the first tensor to damage", bad)
+	}
+	st.steps[bad].blobs[0][crcLen] ^= 0x10
+	st.mu.Unlock()
 	shared := 0
 	for i := steps - 1; i >= 0; i-- {
 		st.mu.Lock()
@@ -648,16 +625,15 @@ func TestSharedBlocksAreCopyOnWrite(t *testing.T) {
 				}
 			}
 		}
-		if i == anchor {
-			// Rot the anchor's retained frame: the fetch below it drops
-			// the frame and decodes the anchor's blob instead.
-			rot := faultinject.New(faultinject.Profile{BitFlipOneIn: 1})
-			if !rot.MutateFloats(anchor, st.steps[anchor].vals[0]) {
-				t.Fatal("no float rot injected")
-			}
-		}
 		st.mu.Unlock()
 		j, c, err := st.Fetch(i)
+		if i == bad {
+			if err == nil {
+				t.Fatalf("step %d: the damaged blob decoded", i)
+			}
+			st.Repair(i, js[i], cs[i])
+			j, c, err = st.Fetch(i)
+		}
 		if err != nil {
 			t.Fatalf("fetch %d: %v", i, err)
 		}
@@ -677,8 +653,8 @@ func TestSharedBlocksAreCopyOnWrite(t *testing.T) {
 	if shared == 0 {
 		t.Fatal("no frame shared a block with its neighbour: the fixture tests nothing")
 	}
-	if stats := st.Stats(); stats.CorruptBlobs != 1 {
-		t.Fatalf("%d corruptions, want one: the rotted anchor", stats.CorruptBlobs)
+	if stats := st.Stats(); stats.CorruptBlobs != 1 || stats.Repairs != 1 {
+		t.Fatalf("%d corruptions, %d repairs, want one of each: the damaged blob", stats.CorruptBlobs, stats.Repairs)
 	}
 }
 

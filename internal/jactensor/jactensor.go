@@ -18,10 +18,9 @@
 // the blocks they changed), sync or pipelined, over the codecs its caller
 // names. Under a memory budget (budget.go) it keeps the prefix of steps whose
 // blobs fit and recomputes the rest in the reverse sweep. One reverse reader,
-// StoreSlice, brings its steps back: the store's own sweep is its reader over
-// [0, n], a window view is the same reader with forked codecs and a private
-// window. MemStore (raw in-memory, the reference the others are compared
-// with) and DiskStore (raw spill) keep plaintext and share only storeBase.
+// the store's own (reader.go), brings its steps back. MemStore (raw
+// in-memory, the reference the others are compared with) and DiskStore (raw
+// spill) keep plaintext and share only storeBase.
 // Full recomputation lives in the adjoint package.
 package jactensor
 
@@ -60,10 +59,7 @@ type Stats struct {
 	// DiskRetries counts transient spill-I/O attempts absorbed by the
 	// retry policy (disk store only).
 	DiskRetries int64
-	// AnchorBytes is the plaintext bytes currently retained as chain
-	// anchor frames (compressed store with SetAnchorEvery). Anchors count
-	// toward PeakResident: they are real resident memory whoever sets them
-	// pays for. The facade sets none.
+	// Deprecated: always 0; the chain keeps no anchor frames.
 	AnchorBytes int64
 	// HistoryBytes is the most plaintext any one seal or decode of the
 	// compressed store read beyond its nearest reference frame — the deeper

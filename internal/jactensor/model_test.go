@@ -48,19 +48,17 @@ type modelFixture struct {
 // resident bound that go with it.
 type modelShape struct {
 	name string
-	// chained stores are read in descending order (or through slices);
-	// the others in any order.
+	// chained stores are read in descending order; the others in any order.
 	chained bool
-	mk      func(t *testing.T, rng *rand.Rand, f *modelFixture, anchorEvery int) Store
+	mk      func(t *testing.T, rng *rand.Rand, f *modelFixture) Store
 	// bound is the most PeakResident may ever read: stored is the bytes the
 	// store reports holding, held the frames the schedule can have out at
 	// once on top of what the store keeps for itself, hist the frames of
 	// history a chained store's codecs read (0 for the other stores).
-	bound func(f *modelFixture, steps int, stored int64, anchors, held, hist int) int64
+	bound func(f *modelFixture, steps int, stored int64, held, hist int) int64
 }
 
-// modelCodecs draws a codec pair the chained stores accept (only the masczip
-// ones can be forked for window slices).
+// modelCodecs draws a codec pair the chained stores accept.
 func modelCodecs(rng *rand.Rand, f *modelFixture) (jc, cc compress.Compressor) {
 	switch rng.Intn(6) {
 	case 0:
@@ -75,16 +73,16 @@ func modelCodecs(rng *rand.Rand, f *modelFixture) (jc, cc compress.Compressor) {
 	}
 }
 
-func chainedBound(depth int) func(f *modelFixture, steps int, stored int64, anchors, held, hist int) int64 {
+func chainedBound(depth int) func(f *modelFixture, steps int, stored int64, held, hist int) int64 {
 	// Every blob, the chain's newest frame and the hist below it that wait for
 	// their history, the frames a queue of the given depth can hold (one
-	// admitted, one running, depth waiting), the anchors, and what the sweep
+	// admitted, one running, depth waiting), and what the sweep
 	// holds — its own hist frames of history are in held — plus one prefetch.
 	// A frame is counted at what it costs held in blocks, none of them shared:
 	// its values padded to whole blocks, and its block index.
-	return func(f *modelFixture, _ int, stored int64, anchors, held, hist int) int64 {
+	return func(f *modelFixture, _ int, stored int64, held, hist int) int64 {
 		frame := max(f.frame, blockedBytes(len(f.js[0]))+blockedBytes(len(f.cs[0])))
-		return stored + int64(3+depth+anchors+held+1+hist)*frame
+		return stored + int64(3+depth+held+1+hist)*frame
 	}
 }
 
@@ -97,7 +95,7 @@ func budgetedShape(name string, async bool) modelShape {
 	return modelShape{
 		name:    name,
 		chained: true,
-		mk: func(t *testing.T, rng *rand.Rand, f *modelFixture, _ int) Store {
+		mk: func(t *testing.T, rng *rand.Rand, f *modelFixture) Store {
 			jc, cc := modelCodecs(rng, f)
 			var st *CompressedStore
 			if async {
@@ -106,7 +104,7 @@ func budgetedShape(name string, async bool) modelShape {
 			} else {
 				st = NewCompressedStore(jc, cc, f.jp, f.cp)
 			}
-			reserve := ReserveBytes(st.cd.depth, len(f.js[0]), len(f.cs[0]))
+			reserve := ReserveBytes(st.depth, len(f.js[0]), len(f.cs[0]))
 			if rng.Intn(3) == 0 {
 				budget = 1 + rng.Int63n(reserve)
 			} else {
@@ -119,7 +117,7 @@ func budgetedShape(name string, async bool) modelShape {
 		// The budget and one frame in flight — at least two frames, since
 		// the sweep holds the step above the one it fetches — and in async
 		// mode the frames the queue holds.
-		bound: func(f *modelFixture, _ int, _ int64, _, _, _ int) int64 {
+		bound: func(f *modelFixture, _ int, _ int64, _, _ int) int64 {
 			limit := max(budget, f.frame) + f.frame
 			if async {
 				limit += int64(queue+2) * f.frame
@@ -130,8 +128,8 @@ func budgetedShape(name string, async bool) modelShape {
 }
 
 func modelShapes() []modelShape {
-	chainedMk := func(async bool) func(t *testing.T, rng *rand.Rand, f *modelFixture, anchorEvery int) Store {
-		return func(t *testing.T, rng *rand.Rand, f *modelFixture, anchorEvery int) Store {
+	chainedMk := func(async bool) func(t *testing.T, rng *rand.Rand, f *modelFixture) Store {
+		return func(t *testing.T, rng *rand.Rand, f *modelFixture) Store {
 			var st *CompressedStore
 			depth := 1 + rng.Intn(8)
 			jc, cc := modelCodecs(rng, f)
@@ -143,18 +141,17 @@ func modelShapes() []modelShape {
 			if st.async != async {
 				t.Fatalf("store built async=%v, want %v", st.async, async)
 			}
-			st.SetAnchorEvery(anchorEvery)
 			return st
 		}
 	}
 	return []modelShape{
 		{name: "memory",
-			mk: func(*testing.T, *rand.Rand, *modelFixture, int) Store { return NewMemStore() },
-			bound: func(f *modelFixture, steps int, _ int64, _, _, _ int) int64 {
+			mk: func(*testing.T, *rand.Rand, *modelFixture) Store { return NewMemStore() },
+			bound: func(f *modelFixture, steps int, _ int64, _, _ int) int64 {
 				return int64(steps) * f.frame
 			}},
 		{name: "disk",
-			mk: func(t *testing.T, _ *rand.Rand, _ *modelFixture, _ int) Store {
+			mk: func(t *testing.T, _ *rand.Rand, _ *modelFixture) Store {
 				st, err := NewDiskStore(t.TempDir(), 0)
 				if err != nil {
 					t.Fatal(err)
@@ -163,7 +160,7 @@ func modelShapes() []modelShape {
 			},
 			// One encode scratch and one fetch buffer pair, whatever the
 			// step count.
-			bound: func(f *modelFixture, _ int, _ int64, _, _, _ int) int64 { return 3 * f.frame }},
+			bound: func(f *modelFixture, _ int, _ int64, _, _ int) int64 { return 3 * f.frame }},
 		{name: "compressed", chained: true, mk: chainedMk(false), bound: chainedBound(0)},
 		{name: "compressed-async", chained: true, mk: chainedMk(true), bound: chainedBound(8)},
 		budgetedShape("budgeted", false),
@@ -181,15 +178,15 @@ type modelRun struct {
 	want   oracle
 	faulty bool
 	healed int
-	// anchors and held feed the shape's bound: the retained anchor frames and
-	// the most frames the reverse schedule holds fetched at once.
-	anchors, held int
+	// held feeds the shape's bound: the most frames the reverse schedule
+	// holds fetched at once.
+	held int
 }
 
 // hist is the history depth of a chained store's codecs, 0 for the others.
 func (m *modelRun) hist() int {
 	if cs, ok := m.st.(*CompressedStore); ok {
-		return cs.cd.depth
+		return cs.depth
 	}
 	return 0
 }
@@ -198,7 +195,7 @@ func (m *modelRun) hist() int {
 func (m *modelRun) checkPeak(when string) {
 	m.t.Helper()
 	stats := m.st.Stats()
-	if limit := m.sh.bound(m.f, len(m.want.steps), stats.StoredBytes, m.anchors, m.held, m.hist()); stats.PeakResident > limit {
+	if limit := m.sh.bound(m.f, len(m.want.steps), stats.StoredBytes, m.held, m.hist()); stats.PeakResident > limit {
 		m.t.Fatalf("%s: PeakResident %d above its bound %d (frame %d, %+v)", when, stats.PeakResident, limit, m.f.frame, stats)
 	}
 }
@@ -350,41 +347,10 @@ func (m *modelRun) interleave(cursors []func() bool) {
 // store's contract allows.
 func (m *modelRun) reverse() {
 	n := len(m.f.js) - 1
-	var tops []int // window boundaries, when the store offers any
-	if a, ok := m.st.(interface{ AnchorSteps() []int }); ok {
-		tops = a.AnchorSteps()
-	}
-	windowed := func(cursor func(lo, hi int) func() bool) {
-		var cursors []func() bool
-		lo := 0
-		for _, hi := range tops {
-			cursors = append(cursors, cursor(lo, hi))
-			lo = hi + 1
-		}
-		m.interleave(cursors)
-	}
-	serial := func() {
+	switch pick := m.rng.Intn(3); {
+	case m.sh.chained || pick == 0:
 		m.held = 2
 		m.interleave([]func() bool{m.descent(m.st, 0, n)})
-	}
-	cs, _ := m.st.(*CompressedStore)
-	switch pick := m.rng.Intn(3); {
-	case m.sh.chained && pick > 0 && len(tops) > 1:
-		// Window slices, each its own reverse chain, side by side.
-		if _, err := cs.Slice(0, tops[0]); err != nil {
-			serial() // codecs that cannot fork
-			return
-		}
-		m.held = (2 + m.hist()) * len(tops)
-		windowed(func(lo, hi int) func() bool {
-			sl, err := cs.Slice(lo, hi)
-			if err != nil {
-				m.t.Fatal(err)
-			}
-			return m.descent(sl, lo, hi)
-		})
-	case m.sh.chained || pick == 0:
-		serial()
 	case pick == 1:
 		// Any order at all, one step held at a time.
 		m.held = 1
@@ -392,24 +358,29 @@ func (m *modelRun) reverse() {
 			m.handoff(i, i)()
 		}
 	default:
+		// Two random-access readers side by side, over the two halves.
 		m.held = 1
-		if len(tops) < 2 && n > 0 {
+		tops := []int{n}
+		if n > 0 {
 			tops = []int{n / 2, n}
-		} else if len(tops) == 0 {
-			tops = []int{n}
 		}
-		windowed(m.handoff)
+		var cursors []func() bool
+		lo := 0
+		for _, hi := range tops {
+			cursors = append(cursors, m.handoff(lo, hi))
+			lo = hi + 1
+		}
+		m.interleave(cursors)
 	}
 }
 
 // TestStoreModel is the model-based suite: random schedules of Put,
 // EndForward, Fetch in every order a store's contract allows, Release and
-// Repair — serial, through window slices and in the shared-source pattern —
-// over every constructor, codec pairs, anchor spacings, budgets (below the
-// chain's reserve, binding, or fitting it whole), states attached or not and
-// injected frame and
-// blob rot, each checked against a map. Bits are equal, refusals are typed, PeakResident stays
-// under its bound, and a quarantined step heals through Repair and only
+// Repair — serial and in the shared-source pattern — over every constructor,
+// codec pairs, budgets (below the chain's reserve, binding, or fitting it
+// whole), states attached or not and injected frame and blob rot, each
+// checked against a map. Bits are equal, refusals are typed, PeakResident
+// stays under its bound, and a quarantined step heals through Repair and only
 // through it.
 func TestStoreModel(t *testing.T) {
 	for _, sh := range modelShapes() {
@@ -429,15 +400,8 @@ func TestStoreModel(t *testing.T) {
 					f.jp, f.cp, f.js, f.cs, f.xs = voltageFixture(seed, 4+rng.Intn(2*voltageNodes), steps)
 				}
 				f.frame = int64(8 * (len(f.js[0]) + len(f.cs[0])))
-				anchorEvery := 0
-				if rng.Intn(2) == 0 {
-					anchorEvery = 2 + rng.Intn(7)
-				}
 				m := &modelRun{t: t, rng: rng, f: f, sh: sh, faulty: seed%3 == 2}
-				m.st = sh.mk(t, rng, f, anchorEvery)
-				if anchorEvery > 0 {
-					m.anchors = steps / anchorEvery
-				}
+				m.st = sh.mk(t, rng, f)
 				att := stateOfStep(f.xs)
 				if f.xs == nil {
 					att.State = nil
@@ -492,7 +456,7 @@ func TestPutContract(t *testing.T) {
 			jc, cc := masc()
 			st := NewCompressedStore(jc, cc, jp, cp)
 			// The windows' reserve and room for a few blobs.
-			st.SetBudget(ReserveBytes(st.cd.depth, len(js[0]), len(cs[0])) + 2<<10)
+			st.SetBudget(ReserveBytes(st.depth, len(js[0]), len(cs[0])) + 2<<10)
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return js[step], cs[step], nil })
 			return st, nil
 		},

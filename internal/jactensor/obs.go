@@ -35,7 +35,6 @@ type storeObs struct {
 	queueDepth    *obs.Gauge
 	resident      *obs.Gauge
 	peakResident  *obs.Gauge
-	anchorBytes   *obs.Gauge
 	arenaBytes    *obs.Gauge
 	droppedSteps  *obs.Gauge
 	recomputes    *obs.Counter
@@ -65,7 +64,6 @@ func newStoreObs(o *obs.Observer, kind string) storeObs {
 		queueDepth:    reg.Gauge("masc_store_queue_depth", "Jobs waiting in the async compression queue.", lbl...),
 		resident:      reg.Gauge("masc_store_resident_bytes", "Modelled resident bytes held by the store right now.", lbl...),
 		peakResident:  reg.Gauge("masc_store_peak_resident_bytes", "Peak modelled resident bytes over the run.", lbl...),
-		anchorBytes:   reg.Gauge("masc_store_anchor_bytes", "Plaintext bytes retained as chain anchor frames.", lbl...),
 		arenaBytes:    reg.Gauge("masc_store_arena_bytes", "Blob bytes currently held outside the Go heap, where runtime/metrics cannot see them.", lbl...),
 		droppedSteps:  reg.Gauge("masc_store_dropped_steps", "Steps the memory budget kept no blob for, recomputed in the reverse sweep.", lbl...),
 		recomputes:    reg.Counter("masc_store_recomputes_total", "Dropped steps re-derived from the trajectory during the reverse sweep.", lbl...),

@@ -38,7 +38,7 @@ type pinnedBytes struct {
 
 // TestPinnedStoreBytes pins, to the byte, what the blob-holding stores keep:
 // the stored byte count, the modelled resident peak and a hash of the sealed
-// blob stream, for three fixtures under the five store shapes the facade
+// blob stream, for three fixtures under the four store shapes the facade
 // builds, each with its states attached as the facade attaches them. A change
 // to the store layer that is meant to keep the bytes may not re-record them.
 // Every row was re-recorded when masczip began to length-code runs of misses
@@ -114,7 +114,8 @@ type pinnedBytes struct {
 // 476 B less (119 repeats), anchors50 468 B less (117), peaks the same; the
 // stream hashes no repeat. budget-half, whose budget is half the masc-sync
 // row's bytes, 238 B less, holds 256 B less, peak too. The "voltage" and
-// "chained" rows have no repeat and did not move.
+// "chained" rows have no repeat and did not move. The three masc-anchors50
+// rows went when the chain lost its anchors; no other row moved.
 func TestPinnedStoreBytes(t *testing.T) {
 	const steps = 120
 	type fixture struct {
@@ -142,21 +143,18 @@ func TestPinnedStoreBytes(t *testing.T) {
 		fixtures = append(fixtures, fixture{"selfcontained", jp, cp, js, cs, walk(20)})
 	}
 	want := map[string]pinnedBytes{
-		"voltage/masc-sync":            {stored: 121414, peak: 223839, stream: 0x8ad5f45d1106b0e2},
-		"voltage/masc-async2":          {stored: 121414, peak: -1, stream: 0x8ad5f45d1106b0e2},
-		"voltage/masc-anchors50":       {stored: 152754, peak: 280507, stream: 0x40f60753020c60dd},
-		"voltage/markov-sync":          {stored: 117376, peak: 219801, stream: 0x936626ab96c644a4},
-		"voltage/budget-half":          {stored: 62201, peak: 171706, stream: 0xb5e298422506639a},
-		"chained/masc-sync":            {stored: 31816, peak: 57553, stream: 0x41e658028b2fd7a5},
-		"chained/masc-async2":          {stored: 31816, peak: -1, stream: 0x41e658028b2fd7a5},
-		"chained/masc-anchors50":       {stored: 37469, peak: 69078, stream: 0x32552b03dfdfd2dd},
-		"chained/markov-sync":          {stored: 31358, peak: 57095, stream: 0xf18e911e7ff0ae89},
-		"chained/budget-half":          {stored: 16275, peak: 42900, stream: 0x4e0c20ef0948c3c7},
-		"selfcontained/masc-sync":      {stored: 16144, peak: 24630, stream: 0x04ed825104424d3e},
-		"selfcontained/masc-async2":    {stored: 16144, peak: -1, stream: 0x04ed825104424d3e},
-		"selfcontained/masc-anchors50": {stored: 19147, peak: 31089, stream: 0x0c37b5b83a22dc4f},
-		"selfcontained/markov-sync":    {stored: 17035, peak: 25521, stream: 0xd4d3830622ff2f91},
-		"selfcontained/budget-half":    {stored: 8145, peak: 19839, stream: 0xd6abde609b665fee},
+		"voltage/masc-sync":         {stored: 121414, peak: 223839, stream: 0x8ad5f45d1106b0e2},
+		"voltage/masc-async2":       {stored: 121414, peak: -1, stream: 0x8ad5f45d1106b0e2},
+		"voltage/markov-sync":       {stored: 117376, peak: 219801, stream: 0x936626ab96c644a4},
+		"voltage/budget-half":       {stored: 62201, peak: 171706, stream: 0xb5e298422506639a},
+		"chained/masc-sync":         {stored: 31816, peak: 57553, stream: 0x41e658028b2fd7a5},
+		"chained/masc-async2":       {stored: 31816, peak: -1, stream: 0x41e658028b2fd7a5},
+		"chained/markov-sync":       {stored: 31358, peak: 57095, stream: 0xf18e911e7ff0ae89},
+		"chained/budget-half":       {stored: 16275, peak: 42900, stream: 0x4e0c20ef0948c3c7},
+		"selfcontained/masc-sync":   {stored: 16144, peak: 24630, stream: 0x04ed825104424d3e},
+		"selfcontained/masc-async2": {stored: 16144, peak: -1, stream: 0x04ed825104424d3e},
+		"selfcontained/markov-sync": {stored: 17035, peak: 25521, stream: 0xd4d3830622ff2f91},
+		"selfcontained/budget-half": {stored: 8145, peak: 19839, stream: 0xd6abde609b665fee},
 	}
 	const asyncDepth = 2
 	shapes := []struct {
@@ -169,11 +167,6 @@ func TestPinnedStoreBytes(t *testing.T) {
 		{"masc-async2", func(t *testing.T, f fixture) Store {
 			return NewCompressedStoreAsync(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), f.jp, f.cp, asyncDepth)
 		}},
-		{"masc-anchors50", func(t *testing.T, f fixture) Store {
-			st := NewCompressedStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), f.jp, f.cp)
-			st.SetAnchorEvery(50)
-			return st
-		}},
 		{"markov-sync", func(t *testing.T, f fixture) Store {
 			mo := masczip.Options{Markov: true}
 			return NewCompressedStore(masczip.New(f.jp, mo), masczip.New(f.cp, mo), f.jp, f.cp)
@@ -181,7 +174,7 @@ func TestPinnedStoreBytes(t *testing.T) {
 		{"budget-half", func(t *testing.T, f fixture) Store {
 			// The windows' reserve and half the unbudgeted chain.
 			st := NewCompressedStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), f.jp, f.cp)
-			st.SetBudget(ReserveBytes(st.cd.depth, len(f.js[0]), len(f.cs[0])) + want[f.name+"/masc-sync"].stored/2)
+			st.SetBudget(ReserveBytes(st.depth, len(f.js[0]), len(f.cs[0])) + want[f.name+"/masc-sync"].stored/2)
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return f.js[step], f.cs[step], nil })
 			return st
 		}},

@@ -70,40 +70,6 @@ func TestPeakResidentModel(t *testing.T) {
 			},
 		},
 		{
-			name: "compressed-anchored",
-			mk: func(t *testing.T) Store {
-				st := NewCompressedStore(
-					masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
-				st.SetAnchorEvery(5) // anchors at 5, 10, 15 → 3 retained frames
-				return st
-			},
-			check: func(t *testing.T, peak int64) {
-				// Anchor frames are real resident memory: the peak must
-				// cover the three retained frames plus the chain head, or
-				// `-mem-budget`-style reporting would lie when W > 1.
-				if peak < 4*stepBytes {
-					t.Fatalf("anchored peak = %d, misses anchor frames (want >= %d)", peak, 4*stepBytes)
-				}
-				if peak >= raw {
-					t.Fatalf("anchored peak = %d, not below raw %d", peak, raw)
-				}
-			},
-		},
-		{
-			name: "compressed-async-anchored",
-			mk: func(t *testing.T) Store {
-				st := NewCompressedStoreAsync(
-					masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 2)
-				st.SetAnchorEvery(5)
-				return st
-			},
-			check: func(t *testing.T, peak int64) {
-				if peak < 4*stepBytes {
-					t.Fatalf("async anchored peak = %d, misses anchor frames (want >= %d)", peak, 4*stepBytes)
-				}
-			},
-		},
-		{
 			name: "compressed-async",
 			mk: func(t *testing.T) Store {
 				return NewCompressedStoreAsync(

@@ -67,11 +67,12 @@ func stateOfStep(xs [][]float64) Attachment {
 
 // TestStatesFollowTheChain: with the states attached, the chain store hands
 // the codecs each blob's states beside its frames — C's encoder then codes
-// most blobs in the voltage — and over sync stores, pipelined ones of depth
-// 1/2/4 and window slices at 2, 3 and 5 windows the blob stream is the sync
-// store's byte for byte, a store given copies of the states (a resumed run's
-// re-seed holds the journal's arrays, not the solver's) seals the same
-// stream, and every step comes back bit for bit.
+// most blobs in the voltage — and over a sync store and pipelined ones of
+// queue depth 1, 2 and 4, with one coder worker and with three, the blob
+// stream is the sync store's byte for byte, a
+// store given copies of the states (a resumed run's re-seed holds the
+// journal's arrays, not the solver's) seals the same stream, and every step
+// comes back bit for bit.
 func TestStatesFollowTheChain(t *testing.T) {
 	const steps = 41
 	jp, cp, js, cs, xs := voltageFixture(98, voltageNodes, steps)
@@ -80,76 +81,62 @@ func TestStatesFollowTheChain(t *testing.T) {
 		copies[i] = append([]float64(nil), x...)
 	}
 	n := steps - 1
-	for _, anchorEvery := range []int{0, 20, 14, 8} { // 1, 2, 3 and 5 windows
+	for _, workers := range []int{1, 3} {
 		var syncStream uint64
 		for _, queue := range []int{0, 1, 2, 4, -1} { // -1: sync, fed the copies
-			name := fmt.Sprintf("anchors%d/queue%d", anchorEvery, queue)
-			opt := masczip.Options{Workers: 1 + anchorEvery%3, CollectStats: true}
-			jc, cc := masczip.New(jp, opt), masczip.New(cp, opt)
-			st, states := NewCompressedStore(jc, cc, jp, cp), xs
-			switch {
-			case queue > 0:
-				st = NewCompressedStoreAsync(jc, cc, jp, cp, queue)
-			case queue < 0:
-				states = copies
+			name := fmt.Sprintf("workers%d/queue%d", workers, queue)
+			if queue < 0 {
+				name = fmt.Sprintf("workers%d/sync-copies", workers)
 			}
-			st.SetAnchorEvery(anchorEvery)
-			st.Attach(stateOfStep(states))
-			for i := range js {
-				if err := st.Put(i, js[i], cs[i]); err != nil {
-					t.Fatalf("%s: put %d: %v", name, i, err)
+			t.Run(name, func(t *testing.T) {
+				opt := masczip.Options{Workers: workers, CollectStats: true}
+				jc, cc := masczip.New(jp, opt), masczip.New(cp, opt)
+				st, states := NewCompressedStore(jc, cc, jp, cp), xs
+				switch {
+				case queue > 0:
+					st = NewCompressedStoreAsync(jc, cc, jp, cp, queue)
+				case queue < 0:
+					states = copies
 				}
-			}
-			if err := st.EndForward(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if stream := sealedStream(st); queue == 0 {
-				syncStream = stream
-				_, c, _ := st.PredictorStats()
-				var volt int64
-				for _, b := range c.VoltBlobs {
-					volt += b
-				}
-				if 2*volt < steps {
-					t.Fatalf("%s: C coded %d of %d blobs in the voltage (VoltBlobs %v)", name, volt, steps, c.VoltBlobs)
-				}
-			} else if stream != syncStream {
-				t.Fatalf("%s: blob stream %#x, the sync store's is %#x", name, stream, syncStream)
-			}
-
-			// Read everything back: serially, or through one slice per window.
-			tops := st.AnchorSteps()
-			if queue%2 == 0 {
-				tops = []int{n}
-			}
-			lo := 0
-			for _, hi := range tops {
-				var src fetcher = st
-				if len(tops) > 1 {
-					sl, err := st.Slice(lo, hi)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+				st.Attach(stateOfStep(states))
+				for i := range js {
+					if err := st.Put(i, js[i], cs[i]); err != nil {
+						t.Fatalf("%s: put %d: %v", name, i, err)
 					}
-					src = sl
 				}
-				for i := hi; i >= lo; i-- {
-					j, c, err := src.Fetch(i)
+				if err := st.EndForward(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if stream := sealedStream(st); queue == 0 {
+					syncStream = stream
+					_, c, _ := st.PredictorStats()
+					var volt int64
+					for _, b := range c.VoltBlobs {
+						volt += b
+					}
+					if 2*volt < steps {
+						t.Fatalf("%s: C coded %d of %d blobs in the voltage (VoltBlobs %v)", name, volt, steps, c.VoltBlobs)
+					}
+				} else if stream != syncStream {
+					t.Fatalf("%s: blob stream %#x, the sync store's is %#x", name, stream, syncStream)
+				}
+				for i := n; i >= 0; i-- {
+					j, c, err := st.Fetch(i)
 					if err != nil {
 						t.Fatalf("%s: fetch %d: %v", name, i, err)
 					}
 					if !sameBits(j, js[i]) || !sameBits(c, cs[i]) {
 						t.Fatalf("%s: step %d: bits differ", name, i)
 					}
-					if i < hi {
-						src.Release(i + 1)
+					if i < n {
+						st.Release(i + 1)
 					}
 				}
-				src.Release(lo)
-				lo = hi + 1
-			}
-			if err := st.Close(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+				st.Release(0)
+				if err := st.Close(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			})
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // it to that, and to catching every fault the header caught.
 
 // countingCodec is a masczip compressor that counts its encode and decode
-// calls; its forks share the counts.
+// calls.
 type countingCodec struct {
 	*masczip.Compressor
 	enc, dec *atomic.Int64
@@ -36,10 +36,6 @@ func (c countingCodec) CompressHistory(dst []byte, cur []float64, hist compress.
 func (c countingCodec) DecompressHistory(cur []float64, blob []byte, hist compress.History, states [][]float64) error {
 	c.dec.Add(1)
 	return c.Compressor.DecompressHistory(cur, blob, hist, states)
-}
-
-func (c countingCodec) Fork() compress.Compressor {
-	return countingCodec{c.Compressor.Fork().(*masczip.Compressor), c.enc, c.dec}
 }
 
 // repeatFixture is movingFixture with repeats: J repeats the step above it on
@@ -62,10 +58,9 @@ func repeatFixture(seed int64, steps int) (jp, cp *sparse.Pattern, js, cs [][]fl
 
 // TestRepeatsMeetNoCodec: the head is never coded and a repeat meets no codec
 // on either side: it holds no blob — the arena holds the other blobs and not
-// a byte more — RepeatSteps counts it, and its fetch — in the store's own
-// sweep, sync or prefetched, and in a slice — is the array fetched for the
-// step above it. Every other step below the head is coded once and decoded
-// once per sweep.
+// a byte more — RepeatSteps counts it, and its fetch — sync or prefetched — is
+// the array fetched for the step above it. Every other step below the head is
+// coded once and decoded once.
 func TestRepeatsMeetNoCodec(t *testing.T) {
 	const steps = 30
 	n := steps - 1
@@ -82,8 +77,8 @@ func TestRepeatsMeetNoCodec(t *testing.T) {
 		}
 	}
 	for _, queue := range []int{0, 2} {
-		for _, slice := range []bool{false, true} {
-			name := fmt.Sprintf("queue%d/slice=%v", queue, slice)
+		name := fmt.Sprintf("queue%d", queue)
+		t.Run(name, func(t *testing.T) {
 			jc, cc := newCounting(jp), newCounting(cp)
 			var st *CompressedStore
 			if queue == 0 {
@@ -126,20 +121,9 @@ func TestRepeatsMeetNoCodec(t *testing.T) {
 			}
 			st.mu.Unlock()
 
-			var src interface {
-				Fetch(int) ([]float64, []float64, error)
-				Release(int)
-			} = st
-			if slice {
-				sl, err := st.Slice(0, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				src = sl
-			}
 			var above [2][]float64
 			for s := n; s >= 0; s-- {
-				j, c, err := src.Fetch(s)
+				j, c, err := st.Fetch(s)
 				if err != nil {
 					t.Fatalf("%s: fetch %d: %v", name, s, err)
 				}
@@ -152,54 +136,18 @@ func TestRepeatsMeetNoCodec(t *testing.T) {
 					}
 				}
 				if s < n {
-					src.Release(s + 1)
+					st.Release(s + 1)
 				}
 				above = [2][]float64{j, c}
 			}
-			src.Release(0)
+			st.Release(0)
 			for i, c := range codecs {
 				if got := c.dec.Load(); got != coded[i] {
 					t.Fatalf("%s: tensor %d met the decoder %d times, want %d", name, i, got, coded[i])
 				}
 			}
 			st.Close()
-		}
-	}
-}
-
-// TestSliceTopAtARepeatIsCorrupt: a repeat is served by the frame above it,
-// so a slice topped at a repeat — neither an anchor nor the head — has no
-// frame to serve it from: the fetch is a degradable corruption naming the
-// step and the tensor, not a nil array, and Repair heals it.
-func TestSliceTopAtARepeatIsCorrupt(t *testing.T) {
-	const steps, top = 12, 3 // J repeats at step 3, C does not
-	jp, cp, js, cs, rep := repeatFixture(95, steps)
-	if !rep[0][top] || rep[1][top] {
-		t.Fatalf("step %d repeats %v, %v; the test wants J alone", top, rep[0][top], rep[1][top])
-	}
-	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
-	defer st.Close()
-	for s := range js {
-		if err := st.Put(s, js[s], cs[s]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.EndForward(); err != nil {
-		t.Fatal(err)
-	}
-	sl, err := st.Slice(0, top)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = sl.Fetch(top)
-	var se *StepError
-	if !errors.As(err, &se) || !se.Corrupt || !se.Degradable || se.Step != top || se.Tensor != "J" {
-		t.Fatalf("fetch of a repeat with no frame above: %v, want a degradable corruption naming step %d, tensor J", err, top)
-	}
-	sl.Repair(top, js[top], cs[top])
-	j, c, err := sl.Fetch(top)
-	if err != nil || !sameBits(j, js[top]) || !sameBits(c, cs[top]) {
-		t.Fatalf("refetch after Repair: %v", err)
+		})
 	}
 }
 
@@ -282,7 +230,7 @@ func TestArenaCRCCatchesEveryFault(t *testing.T) {
 		{"budgeted", bjs, bcs, func() (Store, *recAccess) {
 			st := NewCompressedStore(masczip.New(bjp, masczip.Options{}), masczip.New(bcp, masczip.Options{}), bjp, bcp)
 			// The windows' reserve and room for about half the blobs.
-			st.SetBudget(ReserveBytes(st.cd.depth, len(bjs[0]), len(bcs[0])) + 3<<10)
+			st.SetBudget(ReserveBytes(st.depth, len(bjs[0]), len(bcs[0])) + 3<<10)
 			st.SetRecompute(func(step int) ([]float64, []float64, error) { return bjs[step], bcs[step], nil })
 			return st, &recAccess{lock: st.mu.Lock, unlock: st.mu.Unlock, recs: func() []*stepRec { return st.steps }}
 		}},
@@ -354,8 +302,7 @@ type recAccess struct {
 // TestHeadRotIsRepaired: the head's window frame is its only copy, so rot
 // between EndForward and the fetch of step n is caught by the sidecars
 // EndForward took: the step is quarantined as a degradable corruption, one
-// Repair heals it, and the sweep is bit-identical to a MemStore's — in the
-// store's own sweep and in a slice.
+// Repair heals it, and the sweep is bit-identical to a MemStore's.
 func TestHeadRotIsRepaired(t *testing.T) {
 	const steps = 20
 	n := steps - 1
@@ -406,168 +353,32 @@ func TestHeadRotIsRepaired(t *testing.T) {
 			})
 		}
 	}
-	// A slice checks the copy it makes of the head's frame: rot is caught
-	// there, the frame stays the store's own sweep's, and the slice's Repair
-	// heals the step.
-	t.Run("slice", func(t *testing.T) {
-		st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
-		defer st.Close()
-		for s := range js {
-			if err := st.Put(s, js[s], cs[s]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.EndForward(); err != nil {
-			t.Fatal(err)
-		}
-		st.mu.Lock()
-		blobframe.FlipBit(st.steps[n].t[1].flat, 5, 40)
-		st.mu.Unlock()
-		sl, err := st.Slice(0, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var se *StepError
-		if _, _, err := sl.Fetch(n); !errors.As(err, &se) || !se.Corrupt || !se.Degradable || se.Step != n {
-			t.Fatalf("slice fetch of a rotted head: %v, want a degradable corruption naming step %d", err, n)
-		}
-		st.mu.Lock()
-		kept := st.steps[n].resident()
-		st.mu.Unlock()
-		if !kept {
-			t.Fatal("the slice let the store's head frame go")
-		}
-		sl.Repair(n, js[n], cs[n])
-		for s := n; s >= 0; s-- {
-			j, c, err := sl.Fetch(s)
-			if err != nil {
-				t.Fatalf("slice fetch %d: %v", s, err)
-			}
-			if !sameBits(j, js[s]) || !sameBits(c, cs[s]) {
-				t.Fatalf("slice step %d: bits differ", s)
-			}
-			sl.Release(s)
-		}
-		if stats := st.Stats(); stats.Repairs != 1 || stats.CorruptBlobs != 1 {
-			t.Fatalf("%d repairs, %d corrupt, want one of each", stats.Repairs, stats.CorruptBlobs)
-		}
-	})
 }
 
-// TestSliceRefusesAGoneHead: the head has no blob, so it serves a slice only
-// while the store retains its plaintext. Once the store's own sweep has let
-// the head frame go, a slice topped there is refused with ErrOutOfOrder
-// naming the step, and no corruption is counted; a slice read while the head
-// is retained reads every step.
-func TestSliceRefusesAGoneHead(t *testing.T) {
+// TestRefetchOfAGoneHeadIsOutOfOrder: the head has no blob, so once the
+// sweep has let its frame go a refetch of it is refused with ErrOutOfOrder
+// naming the step — not a StepError, and no corruption is counted — sync and
+// with the prefetch.
+func TestRefetchOfAGoneHeadIsOutOfOrder(t *testing.T) {
 	const steps = 16
 	n := steps - 1
 	jp, cp, js, cs := movingFixture(94, 20, steps)
-	st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
-	defer st.Close()
-	for s := range js {
-		if err := st.Put(s, js[s], cs[s]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.EndForward(); err != nil {
-		t.Fatal(err)
-	}
-	early, err := st.Slice(0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep(t, st, steps, nil)
-	late, err := st.Slice(0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = late.Fetch(n)
-	if want := fmt.Sprintf("step %d is the head", n); !errors.Is(err, ErrOutOfOrder) || !strings.Contains(err.Error(), want) {
-		t.Fatalf("slice fetch of a head that is gone: %v, want ErrOutOfOrder saying %q", err, want)
-	}
-	var se *StepError
-	if errors.As(err, &se) {
-		t.Fatalf("slice fetch of a head that is gone: a StepError %v", se)
-	}
-	if c := st.Stats().CorruptBlobs; c != 0 {
-		t.Fatalf("%d corrupt blobs counted", c)
-	}
-	// A slice made while the head was retained but read only after the
-	// sweep finds it gone too; one read while it is retained reads it all.
-	if _, _, err := early.Fetch(n); !errors.Is(err, ErrOutOfOrder) {
-		t.Fatalf("slice made before the sweep, read after it: %v, want ErrOutOfOrder", err)
-	}
-	st2 := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
-	defer st2.Close()
-	for s := range js {
-		if err := st2.Put(s, js[s], cs[s]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st2.EndForward(); err != nil {
-		t.Fatal(err)
-	}
-	sl, err := st2.Slice(0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := n; s >= 0; s-- {
-		j, c, err := sl.Fetch(s)
-		if err != nil {
-			t.Fatalf("slice fetch %d: %v", s, err)
-		}
-		if !sameBits(j, js[s]) || !sameBits(c, cs[s]) {
-			t.Fatalf("slice step %d: bits differ", s)
-		}
-		sl.Release(s)
-	}
-	// A slice opened mid-sweep, while the store's own sweep still holds the
-	// head's frame but has paged it to blocks for the history of a lower
-	// step, copies that frame: bit-identical reads, nothing counted corrupt,
-	// nothing repaired, and the own sweep goes on.
-	for at := n - 2; at > n-st2.cd.depth; at-- {
-		st3 := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
-		defer st3.Close()
-		for s := range js {
-			if err := st3.Put(s, js[s], cs[s]); err != nil {
-				t.Fatal(err)
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			st := filledStore(t, defaultChunks(), js, cs, chainStore(jp, cp, async))
+			sweep(t, st, steps, nil)
+			_, _, err := st.Fetch(n)
+			if want := fmt.Sprintf("step %d is the head", n); !errors.Is(err, ErrOutOfOrder) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("async=%v: fetch of a head that is gone: %v, want ErrOutOfOrder saying %q", async, err, want)
 			}
-		}
-		if err := st3.EndForward(); err != nil {
-			t.Fatal(err)
-		}
-		read := func(src interface {
-			Fetch(int) ([]float64, []float64, error)
-			Release(int)
-		}, who string, from, to int) {
-			t.Helper()
-			for s := from; s >= to; s-- {
-				j, c, err := src.Fetch(s)
-				if err != nil {
-					t.Fatalf("own sweep at %d: %s fetch %d: %v", at, who, s, err)
-				}
-				if !sameBits(j, js[s]) || !sameBits(c, cs[s]) {
-					t.Fatalf("own sweep at %d: %s step %d: bits differ", at, who, s)
-				}
-				src.Release(s)
+			var se *StepError
+			if errors.As(err, &se) {
+				t.Fatalf("async=%v: fetch of a head that is gone: a StepError %v", async, se)
 			}
-		}
-		read(st3, "own", n, at)
-		st3.mu.Lock()
-		inBlocks := st3.steps[n].t[0].blk != nil || st3.steps[n].t[1].blk != nil
-		st3.mu.Unlock()
-		if !inBlocks {
-			t.Fatalf("own sweep at %d: the head's frame is not in blocks", at)
-		}
-		sl, err := st3.Slice(0, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		read(sl, "slice", n, 0)
-		read(st3, "own", at-1, 0)
-		if s := st3.Stats(); s.CorruptBlobs != 0 || s.Repairs != 0 {
-			t.Fatalf("own sweep at %d: %d corrupt blobs, %d repairs", at, s.CorruptBlobs, s.Repairs)
-		}
+			if c := st.Stats().CorruptBlobs; c != 0 {
+				t.Fatalf("async=%v: %d corrupt blobs counted", async, c)
+			}
+			st.Close()
+		})
 	}
 }

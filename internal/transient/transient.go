@@ -74,8 +74,7 @@ type Options struct {
 	// first.
 	Capture func(step int, t float64, x []float64, J, C *sparse.Matrix) error `json:"-"`
 
-	// StepCost, if non-nil, receives the wall time of every accepted
-	// integration step (step >= 1; the DC solve is excluded).
+	// Deprecated: never called; nothing in a run consumes step timings.
 	StepCost func(step int, d time.Duration) `json:"-"`
 
 	// Ctx, if non-nil, is the run's one stop signal. The loop polls it at
@@ -125,8 +124,8 @@ type Options struct {
 
 // EstimatedSteps predicts the integration step count of the fixed-step
 // grid: round((TStop-TStart)/TStep). Adaptive runs and Newton step cuts can
-// land elsewhere — callers (workload sizing, anchor spacing) treat this as
-// a planning hint, not a promise.
+// land elsewhere — callers (workload sizing) treat this as a planning hint,
+// not a promise.
 func (o *Options) EstimatedSteps() int {
 	if o.TStep <= 0 || o.TStop <= o.TStart {
 		return 0
@@ -607,7 +606,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		factsBefore := res.Stats.Factorizations + res.Stats.Refactorizations
 		reusesBefore := res.Stats.FactorReuses
 		var attemptStart time.Time
-		if ro.on || opt.StepCost != nil {
+		if ro.on {
 			attemptStart = time.Now()
 		}
 		if opt.FreshFactorPerStep {
@@ -695,9 +694,6 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			ro.fill.Set(float64(res.Stats.FillNNZ))
 			ro.stepSec.Observe(d.Seconds())
 			ro.simTime.Set(tNext)
-		}
-		if opt.StepCost != nil {
-			opt.StepCost(step, time.Since(attemptStart))
 		}
 		if capturing {
 			if err := capture(step, tNext); err != nil {

@@ -3,7 +3,6 @@ package transient
 import (
 	"math"
 	"testing"
-	"time"
 
 	"masc/internal/circuit"
 	"masc/internal/device"
@@ -450,34 +449,5 @@ func TestUnknownMethodRejected(t *testing.T) {
 	}
 	if _, err := Run(ckt, Options{TStop: 1e-6, TStep: 1e-7, Method: "rk4"}); err == nil {
 		t.Fatal("expected error for unknown method")
-	}
-}
-
-// TestStepCostHook pins the capture-side sampling contract of
-// Options.StepCost: one callback per accepted integration step (never the
-// DC point — it prices differently than a recomputation), in step order,
-// with a positive wall-time sample, independent of whether telemetry is on.
-func TestStepCostHook(t *testing.T) {
-	ckt, _ := buildRC(t, 1e3, 1e-6)
-	var steps []int
-	res, err := Run(ckt, Options{
-		TStop: 1e-4, TStep: 1e-5,
-		StepCost: func(step int, d time.Duration) {
-			if d <= 0 {
-				t.Fatalf("step %d: non-positive cost sample %v", step, d)
-			}
-			steps = append(steps, step)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != res.Steps() {
-		t.Fatalf("StepCost fired %d times, want %d accepted steps", len(steps), res.Steps())
-	}
-	for i, s := range steps {
-		if s != i+1 {
-			t.Fatalf("StepCost steps = %v, want 1..%d in order", steps, res.Steps())
-		}
 	}
 }

@@ -40,6 +40,11 @@ const (
 	// OutcomeOpaque: the run failed with an error that neither names a
 	// step nor identifies the fault — undiagnosable in production.
 	OutcomeOpaque ChaosOutcome = "opaque-error"
+	// OutcomeNotRun: a budgeted scenario on a case whose chain holds no
+	// blob bytes (every step a repeat, as on a linear circuit): no budget
+	// binds it and the injector has no blob to damage, so the run could only
+	// pass, and it is not made.
+	OutcomeNotRun ChaosOutcome = "not-run"
 )
 
 // chaosScenario is one fault profile applied to one storage configuration.
@@ -236,6 +241,10 @@ func chaosCase(c *Case, sc chaosScenario, opt Options) *ChaosCaseReport {
 		if budget, rep.ChainBytes, err = splitBudget(c, opt, sc.keep); err != nil {
 			rep.Outcome = OutcomeOpaque
 			rep.Detail = fmt.Sprintf("fault-free unbudgeted run: %v", err)
+			return rep
+		}
+		if rep.ChainBytes == 0 && opt.MemBudgetBytes == 0 {
+			rep.Outcome = OutcomeNotRun
 			return rep
 		}
 	}
