@@ -103,7 +103,7 @@ func run(exp string, scale float64, workers int, diskBps float64, statsJSON stri
 	}
 	if all || exp == "fig7" {
 		section("Figure 7 — end-to-end sensitivity simulation time")
-		rows, err := bench.RunFig7(nil, scale, workers, diskBps)
+		rows, err := bench.RunFig7(nil, scale, diskBps)
 		if err != nil {
 			return err
 		}

@@ -145,7 +145,7 @@ func TestFig5b6(t *testing.T) {
 }
 
 func TestFig7(t *testing.T) {
-	rows, err := RunFig7([]string{"add20"}, testScale, 2, 200e6)
+	rows, err := RunFig7([]string{"add20"}, testScale, 200e6)
 	if err != nil {
 		t.Fatal(err)
 	}

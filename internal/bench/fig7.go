@@ -35,7 +35,7 @@ const DefaultDiskBps = 0.5e9
 
 // RunFig7 reproduces the end-to-end experiment. Sensitivities from all four
 // strategies are verified bit-identical before times are reported.
-func RunFig7(names []string, scale float64, workers int, diskBps float64) ([]Fig7Row, error) {
+func RunFig7(names []string, scale, diskBps float64) ([]Fig7Row, error) {
 	if names == nil {
 		names = []string{"add20", "smult20", "mem_plus"}
 	}
@@ -119,8 +119,9 @@ func RunFig7(names []string, scale float64, workers int, diskBps float64) ([]Fig
 			return nil, err
 		}
 
-		// MASC in-memory compression (Markov mode, parallel).
-		opt := masczip.Options{Markov: true, Workers: workers}
+		// MASC in-memory compression: the Markov coder on one chunk, what
+		// -storage masc codes.
+		opt := masczip.Options{Markov: true}
 		cs := jactensor.NewCompressedStore(
 			masczip.New(ds.Ckt.GPat, opt),
 			masczip.New(ds.Ckt.CPat, opt),

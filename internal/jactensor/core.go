@@ -26,7 +26,7 @@ import (
 // Attachment is everything a run wires into its store: telemetry, the
 // fallback parent of store-side spans (normally the run root span; the
 // forward loop's step span takes precedence while one is published), a fault
-// injector, the context the spill device's retry sleeps abort on, and the
+// injector, the context the disk store's retry sleeps abort on, and the
 // states the steps were produced at. The zero value attaches nothing. Attach
 // it once, before the first Put.
 type Attachment struct {

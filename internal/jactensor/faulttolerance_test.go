@@ -64,7 +64,7 @@ func allStoreFaultCases(jp *patternPair) []faultCase {
 			},
 			corrupt: func(t *testing.T, st Store, step int) {
 				ds := st.(*DiskStore)
-				f, err := os.OpenFile(ds.spill.Path(), os.O_RDWR, 0)
+				f, err := os.OpenFile(ds.f.Name(), os.O_RDWR, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +184,7 @@ func TestDiskStoreTruncatedSpill(t *testing.T) {
 	}
 	// Chop the tail: the last step's C record (and part of its J record)
 	// are gone.
-	if err := os.Truncate(st.spill.Path(), st.offs[len(js)-1][0]+8); err != nil {
+	if err := os.Truncate(st.f.Name(), st.offs[len(js)-1][0]+8); err != nil {
 		t.Fatal(err)
 	}
 	last := len(js) - 1

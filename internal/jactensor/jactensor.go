@@ -57,7 +57,7 @@ type Stats struct {
 	CorruptBlobs int
 	Repairs      int
 	// DiskRetries counts transient spill-I/O attempts absorbed by the
-	// retry policy (disk store only).
+	// retry loop (disk store only).
 	DiskRetries int64
 	// Deprecated: always 0; the chain keeps no anchor frames.
 	AnchorBytes int64
