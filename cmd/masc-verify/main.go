@@ -35,6 +35,7 @@ import (
 
 	"masc"
 	"masc/internal/obs"
+	"masc/internal/obs/obshttp"
 	"masc/internal/verify"
 )
 
@@ -67,10 +68,10 @@ func main() {
 	flag.Parse()
 
 	reg := obs.NewRegistry()
-	var srv *obs.Server
+	var srv *obshttp.Server
 	if *metricsAddr != "" {
 		var err error
-		srv, err = obs.Serve(*metricsAddr, reg)
+		srv, err = obshttp.Serve(*metricsAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "masc-verify:", err)
 			os.Exit(1)
@@ -165,7 +166,7 @@ func main() {
 // distribution. Exit is nonzero on any contract violation: a run that
 // finished with numbers differing from the fault-free baseline (silent
 // corruption) or failed with an undiagnosable error.
-func runChaos(seeds int, seed int64, opt verify.Options, reg *obs.Registry, maniPath string, hold time.Duration, srv *obs.Server) {
+func runChaos(seeds int, seed int64, opt verify.Options, reg *obs.Registry, maniPath string, hold time.Duration, srv *obshttp.Server) {
 	start := time.Now()
 	cr := verify.ChaosFleet(seeds, seed, opt)
 

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"masc"
+	"masc/internal/obs/obshttp"
 )
 
 // cli bundles the parsed command-line configuration.
@@ -144,7 +145,7 @@ func run(c cli) error {
 			ob.Spans = masc.NewSpanRecorder(0)
 		}
 	}
-	var srv *masc.MetricsServer
+	var srv *obshttp.Server
 	var bc *masc.Broadcaster
 	if c.metricsAddr != "" {
 		// Live streaming: completed spans tee into the /events SSE
@@ -158,7 +159,7 @@ func run(c cli) error {
 			buf = masc.AppendSpanJSON(buf[:0], r)
 			bc.Publish("span", buf)
 		})
-		srv, err = masc.ServeObserver(c.metricsAddr, ob)
+		srv, err = obshttp.ServeObserver(c.metricsAddr, ob)
 		if err != nil {
 			return err
 		}

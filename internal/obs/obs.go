@@ -2,14 +2,12 @@
 // bundles orthogonal facilities behind one Observer handle:
 //
 //   - a concurrent metrics Registry (counters, gauges, histograms) that
-//     renders in Prometheus text exposition format and as an expvar JSON
-//     snapshot, optionally served over HTTP together with net/http/pprof;
+//     renders in Prometheus text exposition format and as a JSON snapshot;
 //   - a causal span Recorder (internal/obs/span) that records the run's
 //     phase tree — forward steps, jacobian put/compress, adjoint sweeps,
 //     fetches, tier decisions, disk retries — with nanosecond
 //     timing, exportable as Chrome trace-event JSON or JSONL;
-//   - an SSE Broadcaster that live-streams finished spans to HTTP clients
-//     on /events;
+//   - an SSE Broadcaster that fans finished spans out to live subscribers;
 //   - a run-Manifest writer that serializes the configuration, provenance
 //     and final aggregate statistics of a run as one JSON document, so
 //     experiments can be compared across runs and machines.
@@ -18,6 +16,10 @@
 // *Broadcaster, *Counter, *Gauge or *Histogram turns the corresponding call
 // into a no-op, so instrumented code needs no "is telemetry on?" branches
 // of its own.
+//
+// This package links no networking. Serving an Observer over HTTP
+// (/metrics, /debug/vars, /debug/pprof, /debug/spans, /events) is the job
+// of internal/obs/obshttp, which only the commands import.
 package obs
 
 import "masc/internal/obs/span"

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -23,61 +21,6 @@ func TestObserverNilSafety(t *testing.T) {
 	o3 := &Observer{Reg: NewRegistry()}
 	if o3.Registry() == nil {
 		t.Fatal("observer dropped its registry")
-	}
-}
-
-func TestServeEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("test_requests_total", "Test counter.").Add(5)
-	srv, err := Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) (int, string) {
-		resp, err := http.Get("http://" + srv.Addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(b)
-	}
-
-	code, body := get("/metrics")
-	if code != 200 || !strings.Contains(body, "test_requests_total 5") {
-		t.Fatalf("/metrics = %d:\n%s", code, body)
-	}
-	resp, err := http.Get("http://" + srv.Addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type %q", ct)
-	}
-	resp.Body.Close()
-
-	code, body = get("/debug/vars")
-	if code != 200 {
-		t.Fatalf("/debug/vars = %d", code)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := vars["masc_metrics"]; !ok {
-		t.Fatal("/debug/vars missing masc_metrics")
-	}
-
-	if code, _ := get("/debug/pprof/"); code != 200 {
-		t.Fatalf("/debug/pprof/ = %d", code)
-	}
-	if code, _ := get("/nope"); code != 404 {
-		t.Fatalf("unknown path = %d, want 404", code)
-	}
-	if code, body := get("/"); code != 200 || !strings.Contains(body, "/metrics") {
-		t.Fatalf("root help = %d: %s", code, body)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -324,7 +323,7 @@ func appendFloat(b []byte, v float64) []byte {
 // Snapshot returns a point-in-time copy of every series as nested maps:
 // family name -> label signature ("" for none) -> value. Histograms map to
 // {"count": n, "sum": s, "buckets": {le: cumulative}}. The result is used
-// by the expvar export and may be embedded in run manifests.
+// by /debug/vars and may be embedded in run manifests.
 func (r *Registry) Snapshot() map[string]map[string]any {
 	if r == nil {
 		return nil
@@ -347,26 +346,4 @@ func (r *Registry) Snapshot() map[string]map[string]any {
 		out[name] = sm
 	}
 	return out
-}
-
-var (
-	expvarMu        sync.Mutex
-	expvarPublished = map[string]bool{}
-)
-
-// PublishExpvar exposes the registry's Snapshot under the given expvar
-// name (shown on /debug/vars). Publishing the same name twice is a no-op
-// rather than the panic expvar.Publish would raise, so tests and repeated
-// Serve calls stay safe.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil {
-		return
-	}
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvarPublished[name] {
-		return
-	}
-	expvarPublished[name] = true
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

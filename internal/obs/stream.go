@@ -1,15 +1,12 @@
 package obs
 
-import (
-	"io"
-	"net/http"
-	"sync"
-)
+import "sync"
 
 // Broadcaster fans pre-formatted Server-Sent-Events frames out to any
-// number of HTTP clients. It is the live side of the telemetry layer: the
+// number of subscribers. It is the live side of the telemetry layer: the
 // span recorder's sink publishes each finished span as an "event: span"
-// frame, so `curl -N /events` follows a run in real time.
+// frame, and obshttp streams the frames to each /events client, so
+// `curl -N /events` follows a run in real time.
 //
 // Delivery is best-effort by design: Publish never blocks the pipeline.
 // Each client has a bounded buffer; when a client falls behind, frames are
@@ -125,42 +122,4 @@ func (b *Broadcaster) Close() {
 		close(ch)
 	}
 	b.clients = make(map[chan []byte]struct{})
-}
-
-// ServeHTTP implements the /events SSE endpoint. It greets each client
-// with a hello frame (so probes get bytes even on an idle run), then
-// streams frames until the client disconnects or the broadcaster closes.
-func (b *Broadcaster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-store")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, ": masc event stream\n\nevent: hello\ndata: {\"stream\":\"masc\",\"events\":[\"span\"]}\n\n")
-	fl.Flush()
-	if b == nil {
-		return
-	}
-	ch, cancel := b.Subscribe()
-	defer cancel()
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case frame, ok := <-ch:
-			if !ok {
-				return
-			}
-			if _, err := w.Write(frame); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
 }

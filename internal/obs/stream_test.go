@@ -1,16 +1,10 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"masc/internal/obs/span"
 )
 
 func TestBroadcasterNilSafe(t *testing.T) {
@@ -120,85 +114,4 @@ func TestBroadcasterChurnRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	b.Close()
-}
-
-func TestServeObserverEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("masc_test_total", "test counter").Add(1)
-	rec := span.NewRecorder(64)
-	sp := rec.Start(0, span.Run, -1)
-	child := rec.Start(sp.ID(), span.Step, 0)
-	child.End()
-	sp.End()
-	b := NewBroadcaster()
-	ob := &Observer{Reg: reg, Spans: rec, Events: b}
-
-	srv, err := ServeObserver("127.0.0.1:0", ob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return buf.String()
-	}
-
-	spans := get("/debug/spans")
-	if !strings.Contains(spans, `"total":2`) || !strings.Contains(spans, `"kind":"run"`) {
-		t.Fatalf("/debug/spans = %s", spans)
-	}
-	chrome := get("/debug/spans?format=chrome")
-	if !strings.Contains(chrome, `"traceEvents"`) || !strings.Contains(chrome, `"name":"step"`) {
-		t.Fatalf("chrome export = %s", chrome)
-	}
-
-	// /events: read the hello frame, then a published frame, then hang up.
-	resp, err := http.Get("http://" + srv.Addr + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content-type = %q", ct)
-	}
-	br := bufio.NewReader(resp.Body)
-	readFrame := func() string {
-		var sb strings.Builder
-		for {
-			line, err := br.ReadString('\n')
-			if err != nil {
-				t.Fatalf("read frame: %v (so far %q)", err, sb.String())
-			}
-			sb.WriteString(line)
-			if line == "\n" && sb.Len() > 1 {
-				return sb.String()
-			}
-		}
-	}
-	// The stream opens with a comment block then the hello frame.
-	hello := readFrame()
-	if !strings.Contains(hello, "event: hello") {
-		hello = readFrame()
-	}
-	if !strings.Contains(hello, "event: hello") {
-		t.Fatalf("no hello frame, got %q", hello)
-	}
-	// Wait for the subscription to land before publishing.
-	for i := 0; i < 100 && b.Clients() == 0; i++ {
-		time.Sleep(5 * time.Millisecond)
-	}
-	b.Publish("span", []byte(`{"id":9}`))
-	if f := readFrame(); !strings.Contains(f, `data: {"id":9}`) {
-		t.Fatalf("event frame %q", f)
-	}
 }

@@ -85,12 +85,10 @@ type (
 	// Observer bundles the optional telemetry sinks (metrics, spans, SSE).
 	Observer = obs.Observer
 	// Registry is a concurrent metrics registry with Prometheus and
-	// expvar rendering.
+	// JSON-snapshot rendering.
 	Registry = obs.Registry
 	// Manifest is the run-manifest document written by -manifest.
 	Manifest = obs.Manifest
-	// MetricsServer is the HTTP endpoint serving /metrics and pprof.
-	MetricsServer = obs.Server
 	// CodecStats is the predictor-selection statistics of one masczip
 	// encoder (G or C), available via SimOptions.CollectCodecStats.
 	CodecStats = masczip.Stats
@@ -146,14 +144,6 @@ func NewSpanRecorder(capacity int) *SpanRecorder { return span.NewRecorder(capac
 
 // NewBroadcaster returns an SSE broadcaster for Observer.Events.
 func NewBroadcaster() *Broadcaster { return obs.NewBroadcaster() }
-
-// ServeObserver starts an HTTP listener on addr exposing the observer's
-// registry at /metrics (Prometheus text format), /debug/vars (expvar) and
-// /debug/pprof, plus /debug/spans (JSONL, ?format=chrome for a
-// Perfetto-loadable trace) and /events (SSE) when the observer carries them.
-func ServeObserver(addr string, ob *Observer) (*MetricsServer, error) {
-	return obs.ServeObserver(addr, ob)
-}
 
 // WriteSpanJSONL writes one JSON object per span record.
 func WriteSpanJSONL(w io.Writer, recs []SpanRecord) error { return span.WriteJSONL(w, recs) }

@@ -43,3 +43,26 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 		}
 	}
 }
+
+// TestLibraryLinksNoNetworkStack fails when the facade or the workload
+// catalogue links networking. Serving telemetry over HTTP is
+// internal/obs/obshttp's job alone and only the commands import it, so a
+// process that runs a simulation without serving — an example, the
+// benchmark — neither maps the HTTP, TLS and pprof code nor runs its inits.
+func TestLibraryLinksNoNetworkStack(t *testing.T) {
+	banned := map[string]bool{
+		"net": true, "net/http": true, "net/http/pprof": true, "expvar": true, "crypto/tls": true,
+	}
+	for _, p := range goList(t, "-deps", ".", "./internal/workload") {
+		if banned[p] {
+			t.Errorf("the masc package or internal/workload links %s", p)
+		}
+	}
+	const server = "masc/internal/obs/obshttp"
+	for _, edge := range goList(t, "-f", `{{range .Imports}}{{$.ImportPath}}>{{.}} {{end}}`, "./...") {
+		from, to, _ := strings.Cut(edge, ">")
+		if to == server && !strings.HasPrefix(from, "masc/cmd/") {
+			t.Errorf("%s imports %s: only the commands may serve telemetry", from, server)
+		}
+	}
+}
