@@ -69,8 +69,8 @@ func main() {
 	var c cli
 	flag.StringVar(&c.path, "netlist", "", "netlist file (required)")
 	flag.StringVar(&c.storage, "storage", "masc", "jacobian storage: recompute|memory|disk|masc")
-	flag.IntVar(&c.adjWorkers, "adjoint-workers", 1, "reverse-sweep workers (shards dF/dp + overlaps fetches; results are bit-identical for any count)")
-	flag.BoolVar(&c.async, "async", false, "pipeline MASC compression on a background worker (overlaps with the solve)")
+	flag.IntVar(&c.adjWorkers, "adjoint-workers", 1, "reverse-sweep workers (more than 1 shards dF/dp and overlaps fetches, as -async does at any count; results are bit-identical for any count)")
+	flag.BoolVar(&c.async, "async", false, "pipeline the MASC store both ways: compression on a background worker during the solve, and the reverse sweep's fetches one step ahead of the adjoint solve")
 	flag.IntVar(&c.depth, "pipeline-depth", 2, "async mode: max timesteps the solver may run ahead of the compressor")
 	flag.Float64Var(&c.diskBps, "disk-bps", 0, "simulated disk bandwidth in bytes/s (0 = unthrottled)")
 	flag.StringVar(&c.memBudget, "mem-budget", "", "cap on resident Jacobian bytes, e.g. 64M or 512K (the MASC chain keeps the first steps whose blobs fit and recomputes the rest in the reverse sweep; results stay bit-identical; empty = unlimited)")

@@ -40,10 +40,11 @@ import (
 // the returned slices are valid until the matching Release.
 //
 // A sweep the caller's context stops while it waits on its overlapped
-// fetcher (Options.Workers > 1) returns without waiting for that fetcher, so
-// the fetcher's last Fetch and Release may run concurrently with whatever
-// the caller does next — typically closing the source. A source must
-// tolerate that: calls after its Close fail or do nothing, they do not race.
+// fetcher (Options.Workers > 1, or an async store) returns without waiting
+// for that fetcher, so the fetcher's last Fetch and Release may run
+// concurrently with whatever the caller does next — typically closing the
+// source. A source must tolerate that: calls after its Close fail or do
+// nothing, they do not race.
 type JacobianSource interface {
 	// Fetch returns step i's pair: the G values (on the circuit's GPat) and
 	// C values (on CPat) under Options.StoredGC, the assembled J values (on
@@ -110,12 +111,14 @@ type Options struct {
 	// ("adjoint_fetch", "adjoint_solve", "param_eval", "degrade").
 	Obs *obs.Observer
 
-	// Workers bounds the reverse sweep's parallelism. 0 and 1 both mean
-	// fully serial (single goroutine, serial store-access order); W > 1
-	// shards the parameter-gradient loop and the per-objective RHS builds
-	// across W workers and overlaps the next step's Jacobian fetch with
-	// the current step's compute. Results are bit-identical for every
-	// value of Workers.
+	// Workers bounds the reverse sweep's parallelism. 0 and 1 both mean one
+	// worker: the per-step compute runs on the calling goroutine, and so do
+	// the fetches (serial store-access order) unless the source is an async
+	// store, which the sweep always reads through a fetcher goroutine one
+	// step ahead of the compute. W > 1 shards the parameter-gradient loop
+	// and the per-objective RHS builds across W workers and overlaps the
+	// next step's Jacobian fetch with the current step's compute for every
+	// source. Results are bit-identical for every value of Workers.
 	Workers int
 
 	// Deprecated: has no effect; one reverse sweep runs.
@@ -195,11 +198,11 @@ func newSweepObs(o *obs.Observer) sweepObs {
 // Timing is the wall-clock split of a sensitivity run.
 type Timing struct {
 	Total time.Duration
-	// Fetch is the solver-visible Jacobian acquisition time. With
-	// Workers ≤ 1 that is the full recompute/decompress/IO cost; with the
-	// fetch/solve overlap it is only the time the sweep actually blocked
-	// waiting for a step (the hidden remainder is reported through the
-	// masc_adjoint_fetch_* metrics).
+	// Fetch is the solver-visible Jacobian acquisition time. On the serial
+	// sweep (Workers ≤ 1, a source that is not async) that is the full
+	// recompute/decompress/IO cost; with the fetch/solve overlap it is only
+	// the time the sweep actually blocked waiting for a step (the hidden
+	// remainder is reported through the masc_adjoint_fetch_* metrics).
 	Fetch       time.Duration
 	FactorSolve time.Duration // LU factorizations and adjoint solves
 	ParamEval   time.Duration // ∂F/∂p accumulation
@@ -241,8 +244,9 @@ type Result struct {
 
 // Sensitivities runs the adjoint reverse sweep over the trajectory tr.
 // opt.Workers > 1 shards the per-step work across a bounded pool and
-// overlaps Jacobian fetches with compute; results are bit-identical for
-// every worker count (see parallel.go for the engine and the argument).
+// overlaps Jacobian fetches with compute, as does an async store at any
+// worker count; results are bit-identical for every worker count (see
+// parallel.go for the engine and the argument).
 func Sensitivities(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, objs []Objective, opt Options) (*Result, error) {
 	if tr.Steps() < 1 {
 		return nil, fmt.Errorf("adjoint: trajectory has no integration steps")

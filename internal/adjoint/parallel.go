@@ -19,6 +19,9 @@ package adjoint
 //     J_i from a stored (G_i, C_i) pair, which acquire does straight into
 //     the fetcher's buffer, and the degradation ladder (quarantine →
 //     recompute → repair → refetch), which runs unchanged on the fetcher.
+//     It runs with more than one worker, and at any worker count for an
+//     async store: the fetcher is that store's reverse pipeline, the
+//     sweep's only read-ahead.
 //
 // Determinism notes. Shards are pure functions of (worker count, length),
 // each worker writes only its own res.DOdp[o][pk] cells and lam rows, and
@@ -212,12 +215,13 @@ func newSweep(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, ob
 	return s
 }
 
-// run drives the sweep from step n down to 0. Workers ≤ 1 keeps everything
-// on the calling goroutine (and in the serial store-access order); workers >
-// 1 additionally overlaps the next step's fetch with the current step's
-// compute.
+// run drives the sweep from step n down to 0. It overlaps the next step's
+// fetch with the current step's compute when workers > 1 or the source
+// reports that it is async (jactensor.CompressedStore.Async), whose reverse
+// half the fetcher is; any other source at workers ≤ 1 keeps everything on
+// the calling goroutine, in the serial store-access order.
 func (s *sweep) run() error {
-	if s.workers > 1 {
+	if a, ok := s.src.(interface{ Async() bool }); s.workers > 1 || ok && a.Async() {
 		return s.runOverlapped()
 	}
 	return s.runSerialFetch()
@@ -291,9 +295,9 @@ func (s *sweep) acquireStored(i int) (av, cv []float64, degraded bool, err error
 	return ra, rc, true, nil
 }
 
-// runSerialFetch is the workers ≤ 1 path: fetch, compute, and store
-// bookkeeping all interleave on the calling goroutine exactly as in the
-// original serial sweep.
+// runSerialFetch is the path of a source that is not async at workers ≤ 1:
+// fetch, compute, and store bookkeeping all interleave on the calling
+// goroutine exactly as in the original serial sweep.
 func (s *sweep) runSerialFetch() error {
 	swp := s.startSweepSpan()
 	defer swp.End()
@@ -334,10 +338,10 @@ func (s *sweep) checkStop() error {
 	return nil
 }
 
-// runOverlapped is the workers > 1 path: a fetcher goroutine owns every
-// JacobianSource call (Fetch, the degradation ladder, Release) and keeps
-// one step of lookahead in two rotating buffers, so acquisition cost hides
-// behind the previous step's factor+solve+accumulate.
+// runOverlapped is the path of workers > 1 and of an async source: a fetcher
+// goroutine owns every JacobianSource call (Fetch, the degradation ladder,
+// Release) and keeps one step of lookahead in two rotating buffers, so
+// acquisition cost hides behind the previous step's factor+solve+accumulate.
 func (s *sweep) runOverlapped() error {
 	swp := s.startSweepSpan()
 	defer swp.End()

@@ -1,16 +1,20 @@
 package adjoint
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"masc/internal/compress/masczip"
 	"masc/internal/faultinject"
 	"masc/internal/jactensor"
+	"masc/internal/obs"
+	"masc/internal/obs/span"
 	"masc/internal/sparse"
 	"masc/internal/transient"
 )
@@ -262,5 +266,87 @@ func TestSweepErrorTeardown(t *testing.T) {
 	}
 	if _, err := Sensitivities(ckt, res, store, objs, Options{Workers: 4}); err == nil {
 		t.Fatal("second sweep over a released store should fail")
+	}
+}
+
+// asyncSource is a source that reports whether it is async, as an async
+// jactensor.CompressedStore does, and announces each Fetch as it begins.
+type asyncSource struct {
+	JacobianSource
+	async bool
+	begun chan int // buffered for every fetch of the sweep, so Fetch never blocks on it
+}
+
+func (a *asyncSource) Async() bool { return a.async }
+
+func (a *asyncSource) Fetch(i int) ([]float64, []float64, error) {
+	a.begun <- i
+	return a.JacobianSource.Fetch(i)
+}
+
+// TestAsyncSourceIsSweptByTheFetcher: the sweep reads a source that reports
+// async through its fetcher goroutine at every worker count, one worker
+// included, so Fetch(i−1) begins while the sweep still holds step i — checked
+// where step i's fetch span ends on the sweep's goroutine, before step i's
+// work begins, by waiting (boundedly) for Fetch(i−1) to begin. A source that
+// does not report async is swept serially at one worker: there, when step
+// i's fetch span ends, no Fetch below i has begun. Both give the serial
+// sweep's bits.
+func TestAsyncSourceIsSweptByTheFetcher(t *testing.T) {
+	ckt, res, src, objs := runForward(t)
+	want, err := Sensitivities(ckt, res, src, objs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		async   bool
+		workers int
+	}
+	runs := []run{{false, 0}, {false, 1}, {true, 0}}
+	for _, w := range workerCounts(t) {
+		runs = append(runs, run{true, w})
+	}
+	for _, r := range runs {
+		label := fmt.Sprintf("async=%v/workers=%d", r.async, r.workers)
+		t.Run(label, func(t *testing.T) {
+			as := &asyncSource{JacobianSource: src, async: r.async, begun: make(chan int, res.Steps()+1)}
+			low := res.Steps() + 1 // the lowest step whose Fetch has begun
+			var faults []string    // the sink's first, on the sweep's goroutine
+			rec := span.NewRecorder(0)
+			rec.SetSink(func(s *span.Record) {
+				if s.Kind != span.Fetch || s.Step < 1 || len(faults) > 0 {
+					return
+				}
+				i := int(s.Step)
+				if !r.async {
+					for len(as.begun) > 0 {
+						low = min(low, <-as.begun)
+					}
+					if low != i {
+						faults = append(faults, fmt.Sprintf("step %d's fetch span ended with Fetch(%d) begun", i, low))
+					}
+					return
+				}
+				timeout := time.After(10 * time.Second)
+				for low > i-1 {
+					select {
+					case j := <-as.begun:
+						low = min(low, j)
+					case <-timeout:
+						faults = append(faults, fmt.Sprintf("Fetch(%d) did not begin while the sweep held step %d", i-1, i))
+						return
+					}
+				}
+			})
+			got, err := Sensitivities(ckt, res, as, objs, Options{Workers: r.workers,
+				Obs: &obs.Observer{Reg: obs.NewRegistry(), Spans: rec}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(faults) > 0 {
+				t.Fatal(faults[0])
+			}
+			requireBitIdentical(t, label, want, got)
+		})
 	}
 }

@@ -240,7 +240,7 @@ func TestFetchAfterCloseIsTypedError(t *testing.T) {
 // TestReaderCallsAfterCloseDoNothing: once Close has run the reader is dead —
 // Release and Repair leave the stats and the resident meter where Close left
 // them, and Fetch, of a step the sweep still held or of the next one, fails
-// with ErrClosed — sync and with the prefetch.
+// with ErrClosed — sync and async.
 func TestReaderCallsAfterCloseDoNothing(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(70, 40, 12)
 	n := len(js) - 1
@@ -279,10 +279,12 @@ func TestReaderCallsAfterCloseDoNothing(t *testing.T) {
 }
 
 // TestArenaReaderRacesClose closes the store while an abandoned fetcher is
-// mid-sweep — what an adjoint sweep cancelled mid-fetch leaves behind — and,
-// in async mode, while the prefetch it started decodes the next step. Every
-// fetch must either return bit-exact data or ErrClosed; under -race this also
-// checks that the pin/close hand-off is properly synchronized.
+// mid-sweep — what an adjoint sweep cancelled mid-fetch leaves behind, at any
+// worker count when the store is async, for the sweep reads an async store
+// through its fetcher goroutine. Every fetch must either return bit-exact
+// data or ErrClosed; under -race this also checks that the pin/close
+// hand-off is properly synchronized, and in async mode that Close's drain of
+// the worker does not race the fetcher.
 func TestArenaReaderRacesClose(t *testing.T) {
 	const steps = 60
 	jp, cp, js, cs := tensorFixture(71, 40, steps)

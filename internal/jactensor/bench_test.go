@@ -109,49 +109,40 @@ func BenchmarkStoreForward(b *testing.B) {
 }
 
 // BenchmarkStoreFetch measures the reverse sweep: fetch every step from
-// last to first with a simulated adjoint solve between fetches, sync vs
-// async (prefetching) mode.
+// last to first with a simulated adjoint solve between fetches. The store's
+// reader is the same in both modes — an async store's read-ahead is the
+// adjoint sweep's fetcher — so it runs on the sync store.
 func BenchmarkStoreFetch(b *testing.B) {
 	jp, cp, js, cs := tensorFixture(92, 120, 2)
 	solve := calibrateSolve(jp, cp, js, cs)
 
 	const steps = 64
-	for _, mode := range []string{"sync", "async"} {
-		b.Run(mode, func(b *testing.B) {
-			for it := 0; it < b.N; it++ {
-				b.StopTimer()
-				opt := masczip.Options{}
-				jc, cc := masczip.New(jp, opt), masczip.New(cp, opt)
-				var st Store
-				if mode == "async" {
-					st = NewCompressedStoreAsync(jc, cc, jp, cp, 4)
-				} else {
-					st = NewCompressedStore(jc, cc, jp, cp)
-				}
-				for i := 0; i < steps; i++ {
-					if err := st.Put(i, js[i%2], cs[i%2]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := st.EndForward(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for i := steps - 1; i >= 0; i-- {
-					if _, _, err := st.Fetch(i); err != nil {
-						b.Fatal(err)
-					}
-					benchSolve(solve)
-					if i < steps-1 {
-						st.Release(i + 1)
-					}
-				}
-				b.StopTimer()
-				if err := st.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
+	for it := 0; it < b.N; it++ {
+		b.StopTimer()
+		opt := masczip.Options{}
+		st := NewCompressedStore(masczip.New(jp, opt), masczip.New(cp, opt), jp, cp)
+		for i := 0; i < steps; i++ {
+			if err := st.Put(i, js[i%2], cs[i%2]); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+		if err := st.EndForward(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for i := steps - 1; i >= 0; i-- {
+			if _, _, err := st.Fetch(i); err != nil {
+				b.Fatal(err)
+			}
+			benchSolve(solve)
+			if i < steps-1 {
+				st.Release(i + 1)
+			}
+		}
+		b.StopTimer()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

@@ -47,8 +47,8 @@ type RecomputeFunc func(step int) (jVals, cVals []float64, err error)
 
 // SetBudget caps the store's modelled resident bytes (the arena plus the
 // windows' plaintext) at bytes by the admission rule above; <= 0 means none.
-// The cap holds up to one frame in flight (a fetch or prefetch materializing
-// a step while the sweep holds the one above it) and, in async mode, the
+// The cap holds up to one frame in flight (a fetch materializing a step while
+// the sweep holds the one above it) and, in async mode, the
 // frames waiting in the compression queue. Call it before the first Put.
 func (s *CompressedStore) SetBudget(bytes int64) {
 	if s.stats.Steps == 0 {

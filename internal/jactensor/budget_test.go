@@ -229,7 +229,7 @@ func TestBudgetFitsStoresWhatTheChainStores(t *testing.T) {
 // keeps every step of a chain with no blob; and PeakResident stays within the
 // budget and one frame in flight — at least two frames, since the sweep
 // holds the step above the one being fetched — plus, pipelined, the frames
-// the queue and the prefetch hold. Admission depends on sizes alone: the sync
+// the queue holds. Admission depends on sizes alone: the sync
 // store, run twice, keeps the same steps in the same bytes at the same peak,
 // and every pipelined store keeps what it keeps, blob for blob.
 func TestBudgetBinds(t *testing.T) {

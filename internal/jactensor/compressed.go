@@ -40,10 +40,12 @@ import (
 // In async mode (NewCompressedStoreAsync) the compression runs on a
 // persistent background worker behind a bounded queue, so Put returns as
 // soon as the incoming values are copied and the solver proceeds while the
-// due step compresses; symmetrically, the reverse sweep prefetches step i-1
-// on a background goroutine while the adjoint solve consumes step i. The blob
-// sequence is byte-identical to sync mode: both run the same runJob calls in
-// the same order, the worker merely elsewhere.
+// due step compresses. The blob sequence is byte-identical to sync mode: both
+// run the same runJob calls in the same order, the worker merely elsewhere.
+// The reverse half of the pipeline is not the store's: Async reports the
+// mode, and the adjoint sweep then reads the store through its fetcher
+// goroutine, one step ahead of the solve. The store itself has one reader,
+// whichever goroutine calls it, and holds no frame ahead of the sweep.
 //
 // Under a memory budget (SetBudget, budget.go) the chain keeps the prefix of
 // steps whose blobs fit and drops the rest, which the reverse sweep
@@ -56,12 +58,12 @@ type CompressedStore struct {
 	headSums [nTensors]uint32 // the head's CRC32C sidecars (signHead): its window frame is its only copy
 	budget   int64            // SetBudget; 0 = none
 
-	// mu guards everything above that a worker, prefetch or abandoned
-	// fetcher goroutine can touch (steps and their records, arena, stats,
-	// resident, pools, ferr). Codec calls run outside it: the forward
-	// ones are serialized per store (the caller in sync mode, the single
-	// worker in async mode, EndForward after the drain), the reverse ones by
-	// Fetch joining any prefetch first, on a pinned arena.
+	// mu guards everything above that a worker or an abandoned fetcher
+	// goroutine can touch (steps and their records, arena, stats, resident,
+	// pools, ferr). Codec calls run outside it: the forward ones are
+	// serialized per store (the caller in sync mode, the single worker in
+	// async mode, EndForward after the drain), the reverse ones by the
+	// sweep, which fetches one step at a time, on a pinned arena.
 	mu      sync.Mutex
 	async   bool
 	jobs    chan fwdJob
@@ -71,8 +73,6 @@ type CompressedStore struct {
 
 	dropFrom  int           // the first step the budget dropped; math.MaxInt while none is
 	recompute RecomputeFunc // SetRecompute: re-derives a dropped step
-
-	pf *prefetch // at most one in-flight reverse prefetch
 }
 
 // fwdJob asks for step's held plaintext to be sealed against the frames above
@@ -81,15 +81,6 @@ type fwdJob struct {
 	step   int
 	st     *stepRec
 	parent span.ID // the span that caused the job (a later step's put)
-}
-
-// prefetch is one in-flight background decompression.
-type prefetch struct {
-	step int
-	st   *stepRec
-	out  tensors
-	err  error
-	done chan struct{}
 }
 
 // NewCompressedStore builds a synchronous store over the given codecs (jc
@@ -111,9 +102,9 @@ func NewCompressedStore(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern) 
 // NewCompressedStoreAsync builds a pipelined store: Put hands compression
 // jobs to a persistent background worker through a queue of the given
 // depth (the number of timesteps the solver may run ahead of the
-// compressor; <1 selects the default of 2), and the reverse sweep
-// prefetches the next step in the background. Stats gain a StallTime
-// entry: the time Put spent blocked on a full queue.
+// compressor; <1 selects the default of 2). Async reports it, so the reverse
+// sweep reads it through its fetcher. Stats gain a StallTime entry: the time
+// Put spent blocked on a full queue.
 func NewCompressedStoreAsync(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern, depth int) *CompressedStore {
 	s := NewCompressedStore(jc, cc, jPat, cPat)
 	if depth < 1 {
@@ -474,9 +465,8 @@ func (s *CompressedStore) toBlocks(i int, h *held, nb compress.Blocks) {
 // nearest history frame's array, held, not counted again, and a step whose
 // every tensor repeats touches neither the arena nor a codec. The frame comes
 // back counted and is the caller's to install. At most one call runs at a
-// time; prefetch marks the span of a background decode ahead of the sweep. mu
-// must not be held.
-func (s *CompressedStore) decodeStep(step int, st *stepRec, h history, prefetch bool) (tensors, error) {
+// time: the sweep's fetch. mu must not be held.
+func (s *CompressedStore) decodeStep(step int, st *stepRec, h history) (tensors, error) {
 	s.mu.Lock()
 	if st.quarantined {
 		s.mu.Unlock()
@@ -520,7 +510,6 @@ func (s *CompressedStore) decodeStep(step int, st *stepRec, h history, prefetch 
 		tensor, err = s.decode(out, payloads, h)
 		elapsed = time.Since(start)
 		dsp.Attr("bytes", int64(sealedLen(blobs)))
-		dsp.Attr("prefetch", boolAttr(prefetch))
 		dsp.End()
 	}
 	s.mu.Lock()
@@ -562,97 +551,11 @@ func (s *CompressedStore) unpinBlobs() {
 	s.mu.Unlock()
 }
 
-// maybePrefetch schedules a background decompression of step-1 against the
-// (resident) frames from step up — or, for a step the budget dropped, its
-// recomputation. mu must be held.
-func (s *CompressedStore) maybePrefetch(step int) {
-	if !s.async || s.pf != nil || step <= 0 || s.arena.closed {
-		return
-	}
-	prev := s.steps[step-1]
-	if prev.resident() {
-		return
-	}
-	var h history
-	recompute := s.dropped(step - 1)
-	if !recompute {
-		h = s.gather(step - 1)
-	}
-	pf := &prefetch{step: step - 1, st: prev, done: make(chan struct{})}
-	s.pf = pf
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				// A prefetch panic becomes a typed error the owning Fetch
-				// reports, naming the step.
-				pf.err = &StepError{Step: pf.step, Op: "prefetch", Err: fmt.Errorf("panic: %v", r)}
-			}
-			close(pf.done)
-		}()
-		if recompute {
-			pf.out, pf.err = s.recomputeStep(pf.step)
-		} else {
-			pf.out, pf.err = s.decodeStep(pf.step, pf.st, h, true)
-		}
-	}()
-}
-
-// joinPrefetch waits for the in-flight prefetch (if any) and installs its
-// result. It reports whether that prefetch was for `step`, and its error
-// when so.
-func (s *CompressedStore) joinPrefetch(step int) (hit bool, err error) {
-	s.mu.Lock()
-	pf := s.pf
-	s.mu.Unlock()
-	if pf == nil {
-		return false, nil
-	}
-	<-pf.done
-	s.mu.Lock()
-	s.pf = nil
-	if pf.err == nil {
-		pf.st.heldFrame = flatFrame(pf.out)
-	}
-	s.mu.Unlock()
-	if pf.step == step {
-		return true, pf.err
-	}
-	return false, nil
-}
-
-// Fetch implements Store: the reader fetches the step (fetch, reader.go). In
-// async mode the common case is a hit on the background prefetch, and
-// fetching step i kicks off the prefetch of step i-1.
-func (s *CompressedStore) Fetch(step int) ([]float64, []float64, error) {
-	// Join any in-flight prefetch first: it is either our step (the hit
-	// path) or must finish before we may run another decompression.
-	wasPrefetched, err := s.joinPrefetch(step)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.mu.Lock()
-	if err = s.ferr; err == nil && !s.arena.closed && !s.sealed {
-		err = &StepError{Step: step, Op: "fetch", Err: errors.New("Fetch before EndForward")}
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return nil, nil, err
-	}
-	out, decoded, err := s.fetch(step)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.mu.Lock()
-	s.maybePrefetch(step)
-	s.mu.Unlock()
-	if decoded && s.async {
-		s.ob.prefetchMiss.Inc()
-	}
-	if wasPrefetched {
-		s.ob.prefetchHits.Inc()
-	}
-	return out[0], out[1], nil
-}
+// Async reports whether the store runs its forward pass on a background
+// worker (NewCompressedStoreAsync). The reverse sweep reads an async store
+// through its fetcher goroutine, one step ahead of the solve, whatever its
+// worker count.
+func (s *CompressedStore) Async() bool { return s.async }
 
 // Stats implements Store.
 func (s *CompressedStore) Stats() Stats {
@@ -669,8 +572,7 @@ func (s *CompressedStore) Close() error {
 	s.mu.Lock()
 	s.forwardDone = true
 	s.mu.Unlock()
-	_ = s.drain()             // reported below
-	_, _ = s.joinPrefetch(-1) // no step is wanted: the error has no taker
+	_ = s.drain() // reported below
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closeCore()

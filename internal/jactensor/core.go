@@ -333,7 +333,7 @@ func sealedLen(blobs [nTensors][]byte) int {
 }
 
 // poolFrames caps the frame pool. A Put/compress or fetch/Release cycle keeps
-// a frame or two waiting (plus the prefetch's and a short queue's); without a
+// a frame or two waiting (plus a short queue's under async); without a
 // cap the pool would grow to the window's high-water mark and keep it. The
 // blocks wait in a pool of one frame's worth, the block indices in one of a
 // window's.

@@ -19,7 +19,7 @@ var ErrClosed = errors.New("jactensor: store is closed")
 // multi-hour run that dies (or degrades) names exactly which step went bad.
 type StepError struct {
 	Step   int
-	Op     string // "put", "fetch", "compress", "prefetch"
+	Op     string // "put", "fetch", "compress"
 	Tensor string // "J", "C", or "" when not tensor-specific
 	// Corrupt marks an integrity failure (errors.Is(err, ErrCorrupt)).
 	Corrupt bool

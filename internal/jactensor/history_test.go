@@ -466,22 +466,14 @@ func sweep(t *testing.T, st *CompressedStore, steps int, after func(step int)) {
 	st.Release(0)
 }
 
-// heldBytes walks every window frame of st, mu held, and a finished
-// prefetch's, and returns 8 × the length of the distinct arrays they hold: a
-// flat array or a block once however many frames hold it, and every frame's
-// block index.
+// heldBytes walks every window frame of st, mu held, and returns 8 × the
+// length of the distinct arrays they hold: a flat array or a block once
+// however many frames hold it, and every frame's block index.
 func heldBytes(st *CompressedStore) int64 {
 	flats, blocks := map[*float64]bool{}, map[*[compress.BlockLen]float64]bool{}
-	frames := []heldFrame{}
-	for _, rec := range st.steps {
-		frames = append(frames, rec.heldFrame)
-	}
-	if st.pf != nil && st.pf.err == nil {
-		frames = append(frames, flatFrame(st.pf.out))
-	}
 	n := int64(0)
-	for _, f := range frames {
-		for _, h := range f.t {
+	for _, rec := range st.steps {
+		for _, h := range rec.t {
 			if len(h.flat) > 0 && !flats[&h.flat[0]] {
 				flats[&h.flat[0]] = true
 				n += int64(8 * len(h.flat))
@@ -499,16 +491,9 @@ func heldBytes(st *CompressedStore) int64 {
 }
 
 // checkMeter holds the resident meter to the memory the store's window
-// actually holds, beside its blobs, once a prefetch in flight has decoded its
-// frame.
+// actually holds, beside its blobs.
 func checkMeter(t *testing.T, st *CompressedStore) {
 	t.Helper()
-	st.mu.Lock()
-	pf := st.pf
-	st.mu.Unlock()
-	if pf != nil {
-		<-pf.done
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	plain := st.resident - (st.stats.StoredBytes - st.stats.IndexBytes)
@@ -522,7 +507,8 @@ func checkMeter(t *testing.T, st *CompressedStore) {
 // the blocks each of the other depth−2 frames in blocks changed, and the
 // block indices of all depth−1 — the window HistoryBytes reads — and the
 // meter equals, after every put and fetch, 8 × the distinct arrays the
-// window holds.
+// window holds — sync and async alike, for the store reads nothing ahead of
+// the sweep.
 func TestBlockWindowAccounting(t *testing.T) {
 	const steps = 40
 	jp, cp, js, cs := sharingFixture(98, 40, steps)
@@ -550,9 +536,7 @@ func TestBlockWindowAccounting(t *testing.T) {
 		far := int64(st.depth - 1)
 		const block = 8 * compress.BlockLen
 		window := int64(nj+nc)*block + (far-1)*int64(1+nc)*block + far*int64(8*(nj+nc))
-		// The pipelined sweep prefetches below a frame it still holds flat,
-		// so only the serial one is pinned to the byte.
-		if stats := st.Stats(); !async && (stats.PeakResident != stored+2*frame+window || stats.HistoryBytes != window) {
+		if stats := st.Stats(); stats.PeakResident != stored+2*frame+window || stats.HistoryBytes != window {
 			t.Fatalf("PeakResident %d, HistoryBytes %d; want the blobs (%d), two flat frames of %d and %d B in blocks, which HistoryBytes reads",
 				stats.PeakResident, stats.HistoryBytes, stored, frame, window)
 		}
@@ -562,6 +546,82 @@ func TestBlockWindowAccounting(t *testing.T) {
 		}
 		st.mu.Unlock()
 		st.Close()
+	}
+}
+
+// TestAsyncSweepHoldsWhatSyncHolds: the store reads nothing ahead of the
+// sweep — an async store's reverse half is the adjoint sweep's fetcher — so
+// over the same steps an async store's sweep holds what a sync store's holds:
+// the meter reads the same after every Fetch and every Release, and so does
+// the sweep's peak, with a codec that reads seven frames and with one that
+// reads one.
+func TestAsyncSweepHoldsWhatSyncHolds(t *testing.T) {
+	const steps = 40
+	jp, cp, js, cs := sharingFixture(97, 40, steps)
+	codecs := map[string]func() (compress.Compressor, compress.Compressor){
+		"masczip": func() (compress.Compressor, compress.Compressor) {
+			return masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{})
+		},
+		"chimp": func() (compress.Compressor, compress.Compressor) { return chimpz.NewTemporal(), chimpz.NewTemporal() },
+	}
+	for name, mk := range codecs {
+		t.Run(name, func(t *testing.T) {
+			var st [2]*CompressedStore // sync, async
+			for k := range st {
+				jc, cc := mk()
+				st[k] = NewCompressedStore(jc, cc, jp, cp)
+				if k == 1 {
+					st[k] = NewCompressedStoreAsync(jc, cc, jp, cp, 2)
+				}
+				defer st[k].Close()
+				for i := range js {
+					if err := st[k].Put(i, js[i], cs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := st[k].EndForward(); err != nil {
+					t.Fatal(err)
+				}
+				// The sweep's peak alone: the forward pass's depends on how
+				// far the async worker lags.
+				st[k].mu.Lock()
+				st[k].stats.PeakResident = st[k].resident
+				st[k].mu.Unlock()
+			}
+			same := func(after string) {
+				t.Helper()
+				var r [2]int64
+				for k, s := range st {
+					s.mu.Lock()
+					r[k] = s.resident
+					s.mu.Unlock()
+				}
+				if r[0] != r[1] {
+					t.Fatalf("after %s the async store holds %d B, the sync one %d B", after, r[1], r[0])
+				}
+			}
+			for i := steps - 1; i >= 0; i-- {
+				for _, s := range st {
+					if _, _, err := s.Fetch(i); err != nil {
+						t.Fatalf("fetch %d: %v", i, err)
+					}
+				}
+				same(fmt.Sprintf("Fetch(%d)", i))
+				if i < steps-1 {
+					for _, s := range st {
+						s.Release(i + 1)
+					}
+					same(fmt.Sprintf("Release(%d)", i+1))
+				}
+			}
+			for _, s := range st {
+				s.Release(0)
+			}
+			same("Release(0)")
+			if p0, p1 := st[0].Stats().PeakResident, st[1].Stats().PeakResident; p0 != p1 {
+				t.Fatalf("the async store's sweep peaked at %d B, the sync one's at %d B", p1, p0)
+			}
+		})
 	}
 }
 

@@ -77,12 +77,12 @@ func chainedBound(depth int) func(f *modelFixture, steps int, stored int64, held
 	// Every blob, the chain's newest frame and the hist below it that wait for
 	// their history, the frames a queue of the given depth can hold (one
 	// admitted, one running, depth waiting), and what the sweep
-	// holds — its own hist frames of history are in held — plus one prefetch.
+	// holds — its own hist frames of history are in held.
 	// A frame is counted at what it costs held in blocks, none of them shared:
 	// its values padded to whole blocks, and its block index.
 	return func(f *modelFixture, _ int, stored int64, held, hist int) int64 {
 		frame := max(f.frame, blockedBytes(len(f.js[0]))+blockedBytes(len(f.cs[0])))
-		return stored + int64(3+depth+held+1+hist)*frame
+		return stored + int64(3+depth+held+hist)*frame
 	}
 }
 

@@ -17,7 +17,8 @@ type storeObs struct {
 	// budget's decision, recomputes); scope is the fixed fallback parent (the run root span) used
 	// whenever the recorder's dynamic scope — the forward step span, set
 	// only by the single-threaded forward loop — is clear, e.g. for
-	// reverse-sweep decompressions and prefetches.
+	// reverse-sweep decompressions, on the sweep's goroutine or its
+	// fetcher's.
 	rec   *span.Recorder
 	scope span.ID
 
@@ -29,8 +30,6 @@ type storeObs struct {
 	decompressSec *obs.Counter
 	ioSec         *obs.Counter
 	stallSec      *obs.Counter
-	prefetchHits  *obs.Counter
-	prefetchMiss  *obs.Counter
 	corrupt       *obs.Counter
 	queueDepth    *obs.Gauge
 	resident      *obs.Gauge
@@ -58,8 +57,6 @@ func newStoreObs(o *obs.Observer, kind string) storeObs {
 		decompressSec: reg.Counter("masc_store_decompress_seconds_total", "Time spent decompressing tensors.", lbl...),
 		ioSec:         reg.Counter("masc_store_io_seconds_total", "Time spent on spill-file I/O.", lbl...),
 		stallSec:      reg.Counter("masc_store_stall_seconds_total", "Solver-visible time Put blocked on a full compression queue.", lbl...),
-		prefetchHits:  reg.Counter("masc_store_prefetch_hits_total", "Reverse-sweep fetches served by the background prefetch.", lbl...),
-		prefetchMiss:  reg.Counter("masc_store_prefetch_misses_total", "Reverse-sweep fetches that decompressed in the foreground.", lbl...),
 		corrupt:       reg.Counter("masc_store_corrupt_total", "Fetches that failed blob integrity verification and were quarantined.", lbl...),
 		queueDepth:    reg.Gauge("masc_store_queue_depth", "Jobs waiting in the async compression queue.", lbl...),
 		resident:      reg.Gauge("masc_store_resident_bytes", "Modelled resident bytes held by the store right now.", lbl...),

@@ -142,25 +142,28 @@ func (s *CompressedStore) trim() {
 	}
 }
 
-// fetch is Fetch without the prefetch hand-off, also reporting whether the
-// step was decoded or recomputed rather than found in the window. Steps are
-// fetched in descending order from the head: each decode reads the plaintext
-// of the steps above it in the window. The head, which has no blob, is served
-// from its window frame, checked against the sidecars EndForward took. A step
-// the budget dropped is recomputed into the window. The returned frames stay
-// valid until Release, and the store keeps them past it for as long as a
-// lower step decodes against them; they come from the store's pool and return
-// to it.
-func (s *CompressedStore) fetch(step int) (out tensors, decoded bool, err error) {
+// Fetch implements Store. Steps are fetched in descending order from the
+// head: each decode reads the plaintext of the steps above it in the window.
+// The head, which has no blob, is served from its window frame, checked
+// against the sidecars EndForward took. A step the budget dropped is
+// recomputed into the window. The returned frames stay valid until Release,
+// and the store keeps them past it for as long as a lower step decodes
+// against them; they come from the store's pool and return to it.
+func (s *CompressedStore) Fetch(step int) (jVals, cVals []float64, err error) {
 	s.mu.Lock()
+	if err = s.ferr; err == nil && !s.arena.closed && !s.sealed {
+		err = &StepError{Step: step, Op: "fetch", Err: errors.New("Fetch before EndForward")}
+	}
 	mine := s.frameAt(step)
-	if mine == nil {
+	if err == nil && mine == nil {
 		err = closedErr(step)
 		if !s.arena.closed {
 			err = fmt.Errorf("jactensor: fetch step %d outside [0,%d]", step, len(s.steps)-1)
 		}
+	}
+	if err != nil {
 		s.mu.Unlock()
-		return tensors{}, false, err
+		return nil, nil, err
 	}
 	head := step == len(s.steps)-1
 	if mine.resident() {
@@ -174,7 +177,7 @@ func (s *CompressedStore) fetch(step int) (out tensors, decoded bool, err error)
 					s.giveBack(mine)
 				}
 				s.mu.Unlock()
-				return tensors{}, false, err
+				return nil, nil, err
 			}
 		}
 		s.at = min(s.at, step)
@@ -185,31 +188,32 @@ func (s *CompressedStore) fetch(step int) (out tensors, decoded bool, err error)
 		if !recompute {
 			if head && !st.quarantined {
 				s.mu.Unlock()
-				return tensors{}, false, fmt.Errorf("%w: step %d is the head, which has no blob, and its plaintext is gone", ErrOutOfOrder, step)
+				return nil, nil, fmt.Errorf("%w: step %d is the head, which has no blob, and its plaintext is gone", ErrOutOfOrder, step)
 			}
 			if h = s.gather(step); h.t[0].Near == nil && !head {
 				s.mu.Unlock()
-				return tensors{}, false, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
+				return nil, nil, fmt.Errorf("%w: step %d needs step %d resident", ErrOutOfOrder, step, step+1)
 			}
 		}
 		s.mu.Unlock()
+		var out tensors
 		if recompute {
 			out, err = s.recomputeStep(step)
 		} else {
-			out, err = s.decodeStep(step, st, h, false)
+			out, err = s.decodeStep(step, st, h)
 		}
 		if err != nil {
-			return tensors{}, false, err
+			return nil, nil, err
 		}
 		s.mu.Lock()
-		*mine, s.at, decoded = flatFrame(out), step, true
+		*mine, s.at = flatFrame(out), step
 	}
-	out = mine.flat()
+	out := mine.flat()
 	mine.lent = true
 	s.trim()
 	s.mu.Unlock()
 	s.ob.fetches.Inc()
-	return out, decoded, nil
+	return out[0], out[1], nil
 }
 
 // Release implements Store: the sweep is done with the step's frame. It goes

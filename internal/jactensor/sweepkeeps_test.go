@@ -58,7 +58,7 @@ func repeatFixture(seed int64, steps int) (jp, cp *sparse.Pattern, js, cs [][]fl
 
 // TestRepeatsMeetNoCodec: the head is never coded and a repeat meets no codec
 // on either side: it holds no blob — the arena holds the other blobs and not
-// a byte more — RepeatSteps counts it, and its fetch — sync or prefetched — is
+// a byte more — RepeatSteps counts it, and its fetch — sync or async — is
 // the array fetched for the step above it. Every other step below the head is
 // coded once and decoded once.
 func TestRepeatsMeetNoCodec(t *testing.T) {
@@ -358,7 +358,7 @@ func TestHeadRotIsRepaired(t *testing.T) {
 // TestRefetchOfAGoneHeadIsOutOfOrder: the head has no blob, so once the
 // sweep has let its frame go a refetch of it is refused with ErrOutOfOrder
 // naming the step — not a StepError, and no corruption is counted — sync and
-// with the prefetch.
+// async.
 func TestRefetchOfAGoneHeadIsOutOfOrder(t *testing.T) {
 	const steps = 16
 	n := steps - 1

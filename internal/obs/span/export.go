@@ -69,10 +69,11 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 // laminar family: processing records sorted by (start asc, end desc), a
 // record goes into its parent's lane only if the lane's innermost open span
 // is exactly the parent, else into an idle lane, else into a new lane.
-// Concurrent siblings (worker shards, a prefetch) therefore land on separate
-// lanes while sequential children nest under their parent. The assignment
-// is deterministic, which keeps the export golden-testable; the causal
-// parent is also recorded in args for tools that read the data directly.
+// Concurrent siblings (worker shards, a fetcher's decode) therefore land on
+// separate lanes while sequential children nest under their parent. The
+// assignment is deterministic, which keeps the export golden-testable; the
+// causal parent is also recorded in args for tools that read the data
+// directly.
 func WriteChromeTrace(w io.Writer, recs []Record) error {
 	order := make([]int, len(recs))
 	for i := range order {

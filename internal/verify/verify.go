@@ -20,7 +20,7 @@ type Options struct {
 	// the chaos gauntlet's runs: W > 1 exercises the fault scenarios with the
 	// reverse sweep's fetches — and with them the degradation ladder — on its
 	// fetcher goroutine (which must still finish bit-identical to the
-	// fault-free baseline).
+	// fault-free baseline), as the async scenarios do at any W.
 	AdjointWorkers int
 	// MemBudgetBytes, when > 0, overrides the budget of the budgeted chaos
 	// and crash scenarios and of VerifyCase's budgeted run (masc-verify

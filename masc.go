@@ -194,17 +194,20 @@ type SimOptions struct {
 	// AdjointWorkers bounds the reverse sweep's parallelism: values > 1
 	// shard the parameter-gradient loop and the per-objective RHS builds
 	// across that many workers and overlap Jacobian fetches with the
-	// adjoint compute. 0 and 1 both mean fully serial. Sensitivities are
-	// bit-identical for every value.
+	// adjoint compute. 0 and 1 both mean one worker, with the fetches on it
+	// too unless Async is set (see Async). Sensitivities are bit-identical
+	// for every value.
 	AdjointWorkers int
 	// Deprecated: has no effect; one reverse sweep runs.
 	AdjointWindows int
-	// Async pipelines the compressed store: compression runs on a
-	// background worker so the transient loop proceeds to step t+1 while
-	// step t-1 compresses, and the reverse sweep prefetches the next step
-	// during each adjoint solve. Only meaningful for StorageMASC, or
-	// StorageMemory under a budget. The stored bytes are byte-identical to
-	// sync mode, and under a budget so are the steps kept.
+	// Async pipelines the compressed store both ways: forward, compression
+	// runs on a background worker so the transient loop proceeds to step t+1
+	// while step t-1 compresses; in reverse, the sweep reads the store
+	// through its fetcher goroutine, which decodes the next step (and
+	// assembles its J) during each adjoint solve, at any AdjointWorkers.
+	// Only meaningful for StorageMASC, or StorageMemory under a budget. The
+	// stored bytes are byte-identical to sync mode, and under a budget so
+	// are the steps kept.
 	Async bool
 	// PipelineDepth bounds how many timesteps the solver may run ahead of
 	// the async compressor (default 2). Larger depths hide longer

@@ -562,14 +562,25 @@ func (c *cancelAtPoll) Err() error {
 // reverse sweep fails the run with the context's error — not ErrInterrupted,
 // which is the forward loop's — and leaves a journal that resumes to the
 // uninterrupted bits. Under -race it also checks that the fetcher a canceled
-// sweep leaves behind does not race the store's Close.
+// sweep leaves behind does not race the store's Close — with two workers,
+// and with one over an async store, which the sweep also reads through its
+// fetcher.
 func TestCancelDuringReverseSweep(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	objs := []Objective{obj}
-	for _, st := range []Storage{StorageMemory, StorageDisk, StorageMASC} {
-		t.Run(string(st), func(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opt  SimOptions
+	}{
+		{string(StorageMemory), SimOptions{Storage: StorageMemory, AdjointWorkers: 2}},
+		{string(StorageDisk), SimOptions{Storage: StorageDisk, AdjointWorkers: 2}},
+		{string(StorageMASC), SimOptions{Storage: StorageMASC, AdjointWorkers: 2}},
+		{"masc-async-1", SimOptions{Storage: StorageMASC, Async: true, AdjointWorkers: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: st, AdjointWorkers: 2}
+			opt := c.opt
+			opt.Transient = TransientOptions{TStep: 2e-6, TStop: 1e-4}
 
 			// An uncanceled run counts the polls: fwd by the forward loop's
 			// last step, total by the end of the reverse sweep.
