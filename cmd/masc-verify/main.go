@@ -52,7 +52,6 @@ func main() {
 		fd      = flag.Int("fd", 4, "finite-difference checks per case (0 disables the FD layer)")
 		fdTol   = flag.Float64("fd-tol", 1e-6, "finite-difference relative tolerance")
 		dirTol  = flag.Float64("direct-tol", 1e-4, "adjoint-vs-direct relative tolerance")
-		depth   = flag.Int("pipeline-depth", 2, "async store queue depth")
 		adjWork = flag.Int("adjoint-workers", 0, "chaos mode: reverse-sweep workers (2 or more fetch on a separate goroutine, the degradation ladder with them, as async scenarios do at any count; 0/1 = serial otherwise)")
 		budget  = flag.String("mem-budget", "", "chaos and crash modes: override the budgeted scenarios' memory budget, e.g. 8K or 64K (empty = each case's reserve and half what its chain's blobs take)")
 		verbose = flag.Bool("v", false, "log every case")
@@ -81,7 +80,6 @@ func main() {
 	}
 
 	opt := verify.Options{
-		PipelineDepth:  *depth,
 		AdjointWorkers: *adjWork,
 		FDChecks:       *fd,
 		FDTol:          *fdTol,
@@ -130,8 +128,7 @@ func main() {
 			Set("seed", *seed).
 			Set("fd_checks", *fd).
 			Set("fd_tol", *fdTol).
-			Set("direct_tol", *dirTol).
-			Set("pipeline_depth", *depth)
+			Set("direct_tol", *dirTol)
 		man.Section("fleet", map[string]any{
 			"cases":          len(cases),
 			"failed":         fr.Failed,

@@ -48,7 +48,7 @@ import (
 // cli bundles the parsed command-line configuration.
 type cli struct {
 	path, storage        string
-	depth, top           int
+	top                  int
 	adjWorkers           int
 	async                bool
 	diskBps              float64
@@ -71,7 +71,6 @@ func main() {
 	flag.StringVar(&c.storage, "storage", "masc", "jacobian storage: recompute|memory|disk|masc")
 	flag.IntVar(&c.adjWorkers, "adjoint-workers", 1, "reverse-sweep workers (more than 1 shards dF/dp and overlaps fetches, as -async does at any count; results are bit-identical for any count)")
 	flag.BoolVar(&c.async, "async", false, "pipeline the MASC store both ways: compression on a background worker during the solve, and the reverse sweep's fetches one step ahead of the adjoint solve")
-	flag.IntVar(&c.depth, "pipeline-depth", 2, "async mode: max timesteps the solver may run ahead of the compressor")
 	flag.Float64Var(&c.diskBps, "disk-bps", 0, "simulated disk bandwidth in bytes/s (0 = unthrottled)")
 	flag.StringVar(&c.memBudget, "mem-budget", "", "cap on resident Jacobian bytes, e.g. 64M or 512K (the MASC chain keeps the first steps whose blobs fit and recomputes the rest in the reverse sweep; results stay bit-identical; empty = unlimited)")
 	flag.IntVar(&c.top, "top", 12, "print the top-N sensitivities per objective")
@@ -191,7 +190,6 @@ func run(c cli) error {
 		Storage:           masc.Storage(c.storage),
 		AdjointWorkers:    c.adjWorkers,
 		Async:             c.async,
-		PipelineDepth:     c.depth,
 		DiskBytesPerSec:   c.diskBps,
 		MemBudgetBytes:    c.memBudgetBytes,
 		Obs:               ob,
@@ -347,7 +345,6 @@ func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, st
 		man.Set("storage", c.storage).
 			Set("adjoint_workers", c.adjWorkers).
 			Set("async", c.async).
-			Set("pipeline_depth", c.depth).
 			Set("disk_bps", c.diskBps).
 			Set("mem_budget_bytes", c.memBudgetBytes).
 			Set("tstep", deck.Tran.TStep).

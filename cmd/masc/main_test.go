@@ -59,7 +59,7 @@ func TestPipelineLineOnlyWhereAsyncRuns(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := runOutput(t, cli{path: lowpass, storage: tc.storage, async: tc.async,
-				memBudgetBytes: tc.budget, adjWorkers: 1, depth: 2, top: 1})
+				memBudgetBytes: tc.budget, adjWorkers: 1, top: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestPipelineLineOnlyWhereAsyncRuns(t *testing.T) {
 func TestRetiredStorageNameFails(t *testing.T) {
 	for _, name := range []string{"auto", "masc+markov"} {
 		t.Run(name, func(t *testing.T) {
-			out, err := runOutput(t, cli{path: lowpass, storage: name, adjWorkers: 1, depth: 2, top: 1})
+			out, err := runOutput(t, cli{path: lowpass, storage: name, adjWorkers: 1, top: 1})
 			if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
 				t.Fatalf("storage %q: %v, want an error naming it", name, err)
 			}
@@ -108,12 +108,11 @@ func TestResumedManifestRecordsOnlyWhatTheRunReports(t *testing.T) {
 		}
 		return man.Config
 	}
-	shape := []string{"adjoint_workers", "async", "pipeline_depth",
-		"disk_bps", "mem_budget_bytes", "tstep", "tstop"}
+	shape := []string{"adjoint_workers", "async", "disk_bps", "mem_budget_bytes", "tstep", "tstop"}
 
 	first := filepath.Join(dir, "first.json")
 	if _, err := runOutput(t, cli{path: lowpass, storage: "masc", adjWorkers: 1,
-		depth: 2, top: 1, journal: journal, maniPath: first}); err != nil {
+		top: 1, journal: journal, maniPath: first}); err != nil {
 		t.Fatal(err)
 	}
 	want := config(first)
@@ -133,7 +132,7 @@ func TestResumedManifestRecordsOnlyWhatTheRunReports(t *testing.T) {
 
 	resumed := filepath.Join(dir, "resumed.json")
 	if _, err := runOutput(t, cli{path: lowpass, storage: "memory", adjWorkers: 2,
-		async: true, depth: 5, diskBps: 1e6, memBudgetBytes: 1 << 20, top: 1,
+		async: true, diskBps: 1e6, memBudgetBytes: 1 << 20, top: 1,
 		journal: journal, resume: true, maniPath: resumed}); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +165,7 @@ func manifestStatus(t *testing.T, path string) any {
 // its manifest records the interruption.
 func TestDeadlineWritesInterruptedManifest(t *testing.T) {
 	mani := filepath.Join(t.TempDir(), "m.json")
-	_, err := runOutput(t, cli{path: lowpass, storage: "masc", adjWorkers: 1, depth: 2, top: 1,
+	_, err := runOutput(t, cli{path: lowpass, storage: "masc", adjWorkers: 1, top: 1,
 		deadline: time.Nanosecond, maniPath: mani})
 	if err == nil {
 		t.Fatal("a run past its deadline succeeded")
@@ -186,7 +185,7 @@ func TestDeadlineInReverseSweepWritesInterruptedManifest(t *testing.T) {
 	mani := filepath.Join(t.TempDir(), "m.json")
 	for d := 20 * time.Millisecond; d < 10*time.Second; d = d * 5 / 4 {
 		_, err := runOutput(t, cli{path: lowpass, storage: "disk", diskBps: 4e5, adjWorkers: 2,
-			depth: 2, top: 1, deadline: d, maniPath: mani})
+			top: 1, deadline: d, maniPath: mani})
 		switch {
 		case err == nil:
 			t.Fatalf("no deadline landed in the reverse sweep: %v stopped the forward loop, %v let the run finish", d*4/5, d)

@@ -99,18 +99,6 @@ func (p *workerPool) run(fn func(w int)) {
 	}
 }
 
-// spawn hands fn to background worker w (1-based); the caller must pair it
-// with a later drain of p.done via wait. Used to overlap main-thread work
-// (factorization) with background shards (RHS builds).
-func (p *workerPool) spawn(w int, fn func()) { p.jobs[w-1] <- fn }
-
-// wait drains n completions issued via spawn.
-func (p *workerPool) wait(n int) {
-	for i := 0; i < n; i++ {
-		<-p.done
-	}
-}
-
 func (p *workerPool) close() {
 	for _, ch := range p.jobs {
 		close(ch)
@@ -577,30 +565,17 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 	tSolve := time.Now()
 	var what lu.Outcome
 	var factErr error
-	if s.workers > 1 && len(s.objs) > 1 {
-		// Background workers build their RHS shards while the calling
-		// goroutine factorizes, then it builds shard 0 and joins.
-		for w := 1; w < s.workers; w++ {
-			w := w
-			s.pool.spawn(w, func() {
-				lo, hi := shard(w, s.workers, len(s.objs))
-				for o := lo; o < hi; o++ {
-					s.buildRHS(o, i, J, C, s.tmps[w])
-				}
-			})
+	// Worker 0, the calling goroutine, factorizes first; every worker builds
+	// its shard of the RHS, the background ones while worker 0 factorizes.
+	s.pool.run(func(w int) {
+		if w == 0 {
+			what, factErr = s.factorize(J)
 		}
-		what, factErr = s.factorize(J)
-		lo, hi := shard(0, s.workers, len(s.objs))
+		lo, hi := shard(w, s.workers, len(s.objs))
 		for o := lo; o < hi; o++ {
-			s.buildRHS(o, i, J, C, s.tmps[0])
+			s.buildRHS(o, i, J, C, s.tmps[w])
 		}
-		s.pool.wait(s.workers - 1)
-	} else {
-		what, factErr = s.factorize(J)
-		for o := range s.objs {
-			s.buildRHS(o, i, J, C, s.tmps[0])
-		}
-	}
+	})
 	if factErr != nil {
 		ssp.End()
 		return fmt.Errorf("adjoint: factor step %d: %w", i, factErr)
@@ -609,13 +584,9 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 	ssp.Attr("objs", int64(len(s.objs)))
 	ssp.Attr("lu", int64(what)) // lu.Outcome: 0 reused, 1 refactor, 2 factor
 	ssp.End()
-	if s.so.on {
-		d := time.Since(tSolve)
-		s.res.Timing.FactorSolve += d
-		s.so.solveSec.AddDuration(d)
-	} else {
-		s.res.Timing.FactorSolve += time.Since(tSolve)
-	}
+	d := time.Since(tSolve)
+	s.res.Timing.FactorSolve += d
+	s.so.solveSec.AddDuration(d)
 
 	// Accumulate dO/dp contributions of step i, sharded over parameters.
 	// Each worker owns a disjoint contiguous pk range and its own
@@ -675,15 +646,11 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 	})
 	psp.Attr("params", int64(len(s.params)))
 	psp.End()
-	if s.so.on {
-		d := time.Since(tPar)
-		s.res.Timing.ParamEval += d
-		s.so.paramSec.AddDuration(d)
-		s.so.shards.Add(float64(s.workers))
-		s.so.steps.Inc()
-	} else {
-		s.res.Timing.ParamEval += time.Since(tPar)
-	}
+	d = time.Since(tPar)
+	s.res.Timing.ParamEval += d
+	s.so.paramSec.AddDuration(d)
+	s.so.shards.Add(float64(s.workers))
+	s.so.steps.Inc()
 
 	for o := range s.objs {
 		if i >= 1 {

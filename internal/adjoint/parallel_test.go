@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,6 +22,7 @@ import (
 
 // workerCounts is the property-test sweep: serial, small, the machine
 // width, and oversubscribed. MASC_ADJOINT_WORKERS=a,b,c extends the list.
+// Each distinct count appears once, in first-seen order.
 func workerCounts(tb testing.TB) []int {
 	ws := []int{1, 2, runtime.NumCPU(), runtime.NumCPU() + 3}
 	if env := os.Getenv("MASC_ADJOINT_WORKERS"); env != "" {
@@ -32,7 +34,29 @@ func workerCounts(tb testing.TB) []int {
 			ws = append(ws, n)
 		}
 	}
-	return ws
+	var out []int
+	for _, w := range ws {
+		if !slices.Contains(out, w) {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// TestWorkerCountsAreDistinct: a count the machine width or
+// MASC_ADJOINT_WORKERS repeats runs once, where it first appears.
+func TestWorkerCountsAreDistinct(t *testing.T) {
+	n := runtime.NumCPU()
+	t.Setenv("MASC_ADJOINT_WORKERS", fmt.Sprintf("%d,2,%d,9", n+3, n+9))
+	want := []int{1, 2}
+	for _, w := range []int{n, n + 3, n + 9, 9} {
+		if !slices.Contains(want, w) {
+			want = append(want, w)
+		}
+	}
+	if got := workerCounts(t); !slices.Equal(got, want) {
+		t.Fatalf("workerCounts = %v, want %v", got, want)
+	}
 }
 
 // requireBitIdentical asserts two DOdp matrices match bit for bit.

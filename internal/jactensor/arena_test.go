@@ -177,7 +177,7 @@ func TestArenaPinDefersRelease(t *testing.T) {
 func chainStore(jp, cp *sparse.Pattern, async bool) *CompressedStore {
 	jc, cc := masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{})
 	if async {
-		return NewCompressedStoreAsync(jc, cc, jp, cp, 2)
+		return NewCompressedStoreAsync(jc, cc, jp, cp, 0)
 	}
 	return NewCompressedStore(jc, cc, jp, cp)
 }

@@ -47,7 +47,7 @@ func BenchmarkStorePut(b *testing.B) {
 			jc, cc := masczip.New(jp, opt), masczip.New(cp, opt)
 			var st Store
 			if mode == "async" {
-				st = NewCompressedStoreAsync(jc, cc, jp, cp, 4)
+				st = NewCompressedStoreAsync(jc, cc, jp, cp, 0)
 			} else {
 				st = NewCompressedStore(jc, cc, jp, cp)
 			}
@@ -87,7 +87,7 @@ func BenchmarkStoreForward(b *testing.B) {
 				jc, cc := masczip.New(jp, opt), masczip.New(cp, opt)
 				var st Store
 				if mode == "async" {
-					st = NewCompressedStoreAsync(jc, cc, jp, cp, 4)
+					st = NewCompressedStoreAsync(jc, cc, jp, cp, 0)
 				} else {
 					st = NewCompressedStore(jc, cc, jp, cp)
 				}

@@ -86,7 +86,8 @@ type budgetRun struct {
 }
 
 // runBudget drives the chain over f under budget — sync for queue 0, else
-// pipelined with that queue, with masczip's best-fit or Markov selector — and
+// pipelined, built with queue as the depth argument the store ignores, with
+// masczip's best-fit or Markov selector — and
 // reads it back in the sweep's order,
 // checking as it goes that every step is bit-equal to what was put, that the
 // kept steps are a prefix and hold blobs while the dropped ones hold nothing,
@@ -222,7 +223,9 @@ func TestBudgetFitsStoresWhatTheChainStores(t *testing.T) {
 // TestBudgetBinds is the rule's property suite, over fixtures × budgets — from
 // one that keeps three quarters of the chain down to a fraction of a frame,
 // with MASC_MEM_BUDGET's — × masczip's selector (best fit, Markov) × the
-// forward mode (sync, or pipelined with a queue of 1, 2 or 4): every step
+// forward mode (sync, or pipelined, built with a depth argument of 1, 2 or
+// 4, which the store ignores, so each pipelined run queues two steps and
+// must keep what the others keep): every step
 // comes back bit-equal and the kept steps are a prefix (runBudget); kept and
 // dropped steps sum to Steps and each dropped step is recomputed once; a
 // budget under the chain drops something, and one at or over the reserve
@@ -258,7 +261,7 @@ func TestBudgetBinds(t *testing.T) {
 						}
 						limit := max(budget, frame) + frame
 						if queue > 0 {
-							limit += int64(queue+2) * blocked
+							limit += (asyncDepth + 2) * blocked
 						}
 						if s.PeakResident > limit {
 							t.Fatalf("PeakResident %d over %d: the budget %d and the frames in flight", s.PeakResident, limit, budget)

@@ -99,19 +99,21 @@ func NewCompressedStore(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern) 
 	return s
 }
 
+// asyncDepth is how many timesteps the solver may run ahead of an async
+// store's compressor.
+const asyncDepth = 2
+
 // NewCompressedStoreAsync builds a pipelined store: Put hands compression
-// jobs to a persistent background worker through a queue of the given
-// depth (the number of timesteps the solver may run ahead of the
-// compressor; <1 selects the default of 2). Async reports it, so the reverse
-// sweep reads it through its fetcher. Stats gain a StallTime entry: the time
-// Put spent blocked on a full queue.
+// jobs to a persistent background worker through a queue of two steps.
+// Async reports it, so the reverse sweep reads it through its fetcher. Stats
+// gain a StallTime entry: the time Put spent blocked on a full queue.
+//
+// depth is ignored and callers pass 0. Deprecated: the queue depth is a
+// constant; the parameter stays so existing callers compile.
 func NewCompressedStoreAsync(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern, depth int) *CompressedStore {
 	s := NewCompressedStore(jc, cc, jPat, cPat)
-	if depth < 1 {
-		depth = 2
-	}
 	s.async = true
-	s.jobs = make(chan fwdJob, depth)
+	s.jobs = make(chan fwdJob, asyncDepth)
 	s.wkDone = make(chan struct{})
 	go s.worker()
 	return s

@@ -19,23 +19,23 @@ import (
 
 // storePair builds a sync and an async store over fresh codec instances of
 // the same profile, so both see identical compression state machines.
-func storePair(rng *rand.Rand, jp, cp *sparse.Pattern, depth int) (*CompressedStore, *CompressedStore) {
+func storePair(rng *rand.Rand, jp, cp *sparse.Pattern) (*CompressedStore, *CompressedStore) {
 	switch rng.Intn(3) {
 	case 0:
 		mo := masczip.Options{Workers: 1 + rng.Intn(3), Markov: rng.Intn(2) == 0, CalibEvery: 1 + rng.Intn(4)}
 		return NewCompressedStore(masczip.New(jp, mo), masczip.New(cp, mo), jp, cp),
-			NewCompressedStoreAsync(masczip.New(jp, mo), masczip.New(cp, mo), jp, cp, depth)
+			NewCompressedStoreAsync(masczip.New(jp, mo), masczip.New(cp, mo), jp, cp, 0)
 	case 1:
 		return NewCompressedStore(chimpz.NewTemporal(), chimpz.NewTemporal(), jp, cp),
-			NewCompressedStoreAsync(chimpz.NewTemporal(), chimpz.NewTemporal(), jp, cp, depth)
+			NewCompressedStoreAsync(chimpz.NewTemporal(), chimpz.NewTemporal(), jp, cp, 0)
 	default:
 		return NewCompressedStore(gzipz.New(), gzipz.New(), jp, cp),
-			NewCompressedStoreAsync(gzipz.New(), gzipz.New(), jp, cp, depth)
+			NewCompressedStoreAsync(gzipz.New(), gzipz.New(), jp, cp, 0)
 	}
 }
 
 // TestSyncAsyncEquivalence is the pipeline-equivalence property test: under
-// random codecs, queue depths and scheduling perturbations, the async store
+// random codecs and scheduling perturbations, the async store
 // must be observationally identical to the sync store — byte-identical blob
 // sequences, identical step accounting, and bit-identical fetches.
 func TestSyncAsyncEquivalence(t *testing.T) {
@@ -47,8 +47,7 @@ func TestSyncAsyncEquivalence(t *testing.T) {
 			n := 4 + rng.Intn(12)
 			steps := 1 + rng.Intn(40)
 			jp, cp, js, cs := tensorFixture(int64(trial), n, steps)
-			depth := 1 + rng.Intn(4)
-			sync, async := storePair(rng, jp, cp, depth)
+			sync, async := storePair(rng, jp, cp)
 			defer sync.Close()
 			defer async.Close()
 
@@ -136,7 +135,7 @@ func TestSyncAsyncEquivalence(t *testing.T) {
 func TestAsyncEarlyClose(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(5, 8, 12)
 	for k := 0; k <= len(js); k++ {
-		st := NewCompressedStoreAsync(chimpz.NewTemporal(), chimpz.NewTemporal(), jp, cp, 2)
+		st := NewCompressedStoreAsync(chimpz.NewTemporal(), chimpz.NewTemporal(), jp, cp, 0)
 		for s := 0; s < k; s++ {
 			if err := st.Put(s, js[s], cs[s]); err != nil {
 				t.Fatalf("close-at-%d: put %d: %v", k, s, err)
@@ -161,7 +160,7 @@ func TestAsyncEarlyClose(t *testing.T) {
 func TestAsyncWorkerErrorEveryPosition(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(9, 8, 20)
 	for k := 1; k <= 6; k++ {
-		st := NewCompressedStoreAsync(&poisonCodec{Compressor: gzipz.New(), failOn: k}, gzipz.New(), jp, cp, 2)
+		st := NewCompressedStoreAsync(&poisonCodec{Compressor: gzipz.New(), failOn: k}, gzipz.New(), jp, cp, 0)
 		var err error
 		for s := 0; s < len(js); s++ {
 			if err = st.Put(s, js[s], cs[s]); err != nil {

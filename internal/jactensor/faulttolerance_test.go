@@ -26,7 +26,7 @@ func allStoreFaultCases(jp *patternPair) []faultCase {
 			opt := masczip.Options{}
 			jc, cc := masczip.New(jp.j, opt), masczip.New(jp.c, opt)
 			if async {
-				return NewCompressedStoreAsync(jc, cc, jp.j, jp.c, 2)
+				return NewCompressedStoreAsync(jc, cc, jp.j, jp.c, 0)
 			}
 			return NewCompressedStore(jc, cc, jp.j, jp.c)
 		}
@@ -211,7 +211,7 @@ func TestDiskStoreTruncatedSpill(t *testing.T) {
 func TestInjectedPanicAtStepNamesStep(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(80, 20, 12)
 	for _, k := range []int{1, 3, 7} {
-		st := NewCompressedStoreAsync(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 2)
+		st := NewCompressedStoreAsync(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 0)
 		st.Attach(Attachment{Fault: faultinject.New(faultinject.Profile{Seed: 1, PanicAtStep: k})})
 		var err error
 		for i := range js {

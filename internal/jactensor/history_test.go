@@ -103,8 +103,9 @@ func movingFixture(seed int64, n, steps int) (jp, cp *sparse.Pattern, js, cs [][
 	return
 }
 
-// TestHistoryStopsAtHead: over a sync store and pipelined ones of queue
-// depth 1, 2 and 4, with one coder worker and with three, every blob is
+// TestHistoryStopsAtHead: over a sync store and pipelined ones built with a
+// depth argument of 1, 2 and 4 (which the store ignores: each queues two
+// steps), with one coder worker and with three, every blob is
 // sealed against exactly the frames the rule names and decoded against the
 // same ones; the blob stream is the sync store's byte for byte; and every
 // step comes back bit for bit.
@@ -205,7 +206,7 @@ func TestRepairRestoresHistoryBelow(t *testing.T) {
 			jc, cc := newSpy(jp, masczip.Options{}, js), newSpy(cp, masczip.Options{}, cs)
 			st := NewCompressedStore(jc, cc, jp, cp)
 			if async {
-				st = NewCompressedStoreAsync(jc, cc, jp, cp, 2)
+				st = NewCompressedStoreAsync(jc, cc, jp, cp, 0)
 			}
 			for i := range js {
 				if err := st.Put(i, js[i], cs[i]); err != nil {
@@ -322,7 +323,7 @@ func TestIdenticalTensorHoldsOneFrame(t *testing.T) {
 			return NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
 		},
 		"masc-async": func() *CompressedStore {
-			return NewCompressedStoreAsync(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 2)
+			return NewCompressedStoreAsync(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 0)
 		},
 		"chimp": func() *CompressedStore { return NewCompressedStore(chimpz.NewTemporal(), chimpz.NewTemporal(), jp, cp) },
 	} {
@@ -520,7 +521,7 @@ func TestBlockWindowAccounting(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		st := NewCompressedStore(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp)
 		if async {
-			st = NewCompressedStoreAsync(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 2)
+			st = NewCompressedStoreAsync(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 0)
 		}
 		for i := range js {
 			if err := st.Put(i, js[i], cs[i]); err != nil {
@@ -571,7 +572,7 @@ func TestAsyncSweepHoldsWhatSyncHolds(t *testing.T) {
 				jc, cc := mk()
 				st[k] = NewCompressedStore(jc, cc, jp, cp)
 				if k == 1 {
-					st[k] = NewCompressedStoreAsync(jc, cc, jp, cp, 2)
+					st[k] = NewCompressedStoreAsync(jc, cc, jp, cp, 0)
 				}
 				defer st[k].Close()
 				for i := range js {
@@ -740,12 +741,12 @@ func TestEarlyCloseLeaksNoFrame(t *testing.T) {
 		js[s] = append([]float64(nil), js[s-1]...)
 		js[s][(s*13)%len(js[s])]++
 	}
-	for _, queue := range []int{0, 1, 4} {
+	for _, async := range []bool{false, true} {
 		for _, puts := range []int{1, 3, 12} {
 			jc, cc := masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{})
 			st := NewCompressedStore(jc, cc, jp, cp)
-			if queue > 0 {
-				st = NewCompressedStoreAsync(jc, cc, jp, cp, queue)
+			if async {
+				st = NewCompressedStoreAsync(jc, cc, jp, cp, 0)
 			}
 			st.Attach(stateOfStep(xs))
 			for i := 0; i < puts; i++ {
@@ -757,26 +758,26 @@ func TestEarlyCloseLeaksNoFrame(t *testing.T) {
 			shared := len(st.shared)
 			st.mu.Unlock()
 			if puts > 1 && shared == 0 {
-				t.Fatalf("queue %d, %d puts: no block shared before Close", queue, puts)
+				t.Fatalf("async %v, %d puts: no block shared before Close", async, puts)
 			}
 			if err := st.Close(); err != nil {
-				t.Fatalf("queue %d, %d puts: Close: %v", queue, puts, err)
+				t.Fatalf("async %v, %d puts: Close: %v", async, puts, err)
 			}
-			if queue > 0 {
+			if async {
 				select {
 				case <-st.wkDone:
 				default:
-					t.Fatalf("queue %d, %d puts: the worker outlived Close", queue, puts)
+					t.Fatalf("async %v, %d puts: the worker outlived Close", async, puts)
 				}
 			}
 			st.mu.Lock()
 			if st.steps != nil || st.pool[0] != nil || st.pool[1] != nil || st.poolB != nil || st.shared != nil || !st.arena.closed || st.resident != 0 {
-				t.Fatalf("queue %d, %d puts: Close left %d records, %d+%d pooled arrays, %d pooled blocks, %d shared, %d B resident",
-					queue, puts, len(st.steps), len(st.pool[0]), len(st.pool[1]), len(st.poolB), len(st.shared), st.resident)
+				t.Fatalf("async %v, %d puts: Close left %d records, %d+%d pooled arrays, %d pooled blocks, %d shared, %d B resident",
+					async, puts, len(st.steps), len(st.pool[0]), len(st.pool[1]), len(st.poolB), len(st.shared), st.resident)
 			}
 			st.mu.Unlock()
 			if err := st.Put(puts, js[0], cs[0]); err == nil {
-				t.Fatalf("queue %d, %d puts: Put after Close succeeded", queue, puts)
+				t.Fatalf("async %v, %d puts: Put after Close succeeded", async, puts)
 			}
 		}
 	}

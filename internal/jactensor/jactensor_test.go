@@ -173,7 +173,7 @@ func TestAsyncMatchesSyncBytes(t *testing.T) {
 		opt := masczip.Options{Markov: true, CalibEvery: 4}
 		jc, cc := masczip.New(jp, opt), masczip.New(cp, opt)
 		if async {
-			return NewCompressedStoreAsync(jc, cc, jp, cp, 2)
+			return NewCompressedStoreAsync(jc, cc, jp, cp, 0)
 		}
 		return NewCompressedStore(jc, cc, jp, cp)
 	}
@@ -223,7 +223,7 @@ func TestAsyncMatchesSyncBytes(t *testing.T) {
 func TestAsyncWorkerErrorSurfaces(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(34, 20, 6)
 	jc := poisonCodec{Compressor: masczip.New(jp, masczip.Options{}), failOn: 2}
-	st := NewCompressedStoreAsync(&jc, masczip.New(cp, masczip.Options{}), jp, cp, 1)
+	st := NewCompressedStoreAsync(&jc, masczip.New(cp, masczip.Options{}), jp, cp, 0)
 	var putErr error
 	for i := range js {
 		if putErr = st.Put(i, js[i], cs[i]); putErr != nil {
@@ -253,10 +253,25 @@ func (p *poisonCodec) Compress(dst []byte, cur, ref []float64) []byte {
 	return p.Compressor.Compress(dst, cur, ref)
 }
 
+// TestAsyncQueueHoldsTwoSteps: the depth argument is ignored — a store built
+// with 1 or 7 queues two steps, as one built with 0 does.
+func TestAsyncQueueHoldsTwoSteps(t *testing.T) {
+	jp, cp, _, _ := tensorFixture(37, 8, 1)
+	for _, depth := range []int{0, 1, 7} {
+		st := NewCompressedStoreAsync(masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, depth)
+		if got := cap(st.jobs); got != 2 {
+			t.Errorf("depth %d: the queue holds %d steps, want 2", depth, got)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestAsyncCloseWithoutEndForward(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(35, 20, 4)
 	opt := masczip.Options{}
-	st := NewCompressedStoreAsync(masczip.New(jp, opt), masczip.New(cp, opt), jp, cp, 2)
+	st := NewCompressedStoreAsync(masczip.New(jp, opt), masczip.New(cp, opt), jp, cp, 0)
 	for i := range js {
 		if err := st.Put(i, js[i], cs[i]); err != nil {
 			t.Fatal(err)
@@ -270,10 +285,10 @@ func TestAsyncCloseWithoutEndForward(t *testing.T) {
 
 func TestAsyncStallTimeAccounted(t *testing.T) {
 	jp, cp, js, cs := tensorFixture(36, 80, 30)
-	// slowCodec makes compression the bottleneck so the depth-1 queue
+	// slowCodec makes compression the bottleneck so the two-step queue
 	// must stall the producer.
 	jc := slowCodec{Compressor: masczip.New(jp, masczip.Options{}), delay: time.Millisecond}
-	st := NewCompressedStoreAsync(&jc, masczip.New(cp, masczip.Options{}), jp, cp, 1)
+	st := NewCompressedStoreAsync(&jc, masczip.New(cp, masczip.Options{}), jp, cp, 0)
 	for i := range js {
 		if err := st.Put(i, js[i], cs[i]); err != nil {
 			t.Fatal(err)

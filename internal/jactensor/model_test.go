@@ -91,7 +91,6 @@ func chainedBound(depth int) func(f *modelFixture, steps int, stored int64, held
 // steps' frames (a kept prefix, the rest dropped, or all kept).
 func budgetedShape(name string, async bool) modelShape {
 	var budget int64 // this schedule's, for the bound
-	queue := 0
 	return modelShape{
 		name:    name,
 		chained: true,
@@ -99,8 +98,7 @@ func budgetedShape(name string, async bool) modelShape {
 			jc, cc := modelCodecs(rng, f)
 			var st *CompressedStore
 			if async {
-				queue = 1 + rng.Intn(4)
-				st = NewCompressedStoreAsync(jc, cc, f.jp, f.cp, queue)
+				st = NewCompressedStoreAsync(jc, cc, f.jp, f.cp, 0)
 			} else {
 				st = NewCompressedStore(jc, cc, f.jp, f.cp)
 			}
@@ -120,7 +118,7 @@ func budgetedShape(name string, async bool) modelShape {
 		bound: func(f *modelFixture, _ int, _ int64, _, _ int) int64 {
 			limit := max(budget, f.frame) + f.frame
 			if async {
-				limit += int64(queue+2) * f.frame
+				limit += (asyncDepth + 2) * f.frame
 			}
 			return limit
 		},
@@ -131,10 +129,9 @@ func modelShapes() []modelShape {
 	chainedMk := func(async bool) func(t *testing.T, rng *rand.Rand, f *modelFixture) Store {
 		return func(t *testing.T, rng *rand.Rand, f *modelFixture) Store {
 			var st *CompressedStore
-			depth := 1 + rng.Intn(8)
 			jc, cc := modelCodecs(rng, f)
 			if async {
-				st = NewCompressedStoreAsync(jc, cc, f.jp, f.cp, depth)
+				st = NewCompressedStoreAsync(jc, cc, f.jp, f.cp, 0)
 			} else {
 				st = NewCompressedStore(jc, cc, f.jp, f.cp)
 			}
@@ -162,7 +159,7 @@ func modelShapes() []modelShape {
 			// step count.
 			bound: func(f *modelFixture, _ int, _ int64, _, _ int) int64 { return 3 * f.frame }},
 		{name: "compressed", chained: true, mk: chainedMk(false), bound: chainedBound(0)},
-		{name: "compressed-async", chained: true, mk: chainedMk(true), bound: chainedBound(8)},
+		{name: "compressed-async", chained: true, mk: chainedMk(true), bound: chainedBound(asyncDepth)},
 		budgetedShape("budgeted", false),
 		budgetedShape("budgeted-async", true),
 	}
@@ -450,7 +447,7 @@ func TestPutContract(t *testing.T) {
 		},
 		"compressed-async": func() (Store, error) {
 			jc, cc := masc()
-			return NewCompressedStoreAsync(jc, cc, jp, cp, 2), nil
+			return NewCompressedStoreAsync(jc, cc, jp, cp, 0), nil
 		},
 		"budgeted": func() (Store, error) {
 			jc, cc := masc()

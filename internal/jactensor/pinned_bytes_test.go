@@ -157,7 +157,6 @@ func TestPinnedStoreBytes(t *testing.T) {
 		"selfcontained/markov-sync": {stored: 17035, peak: 25521, stream: 0xd4d3830622ff2f91},
 		"selfcontained/budget-half": {stored: 8145, peak: 19839, stream: 0xd6abde609b665fee},
 	}
-	const asyncDepth = 2
 	shapes := []struct {
 		name string
 		mk   func(t *testing.T, f fixture) Store
@@ -166,7 +165,7 @@ func TestPinnedStoreBytes(t *testing.T) {
 			return NewCompressedStore(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), f.jp, f.cp)
 		}},
 		{"masc-async2", func(t *testing.T, f fixture) Store {
-			return NewCompressedStoreAsync(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), f.jp, f.cp, asyncDepth)
+			return NewCompressedStoreAsync(masczip.New(f.jp, masczip.Options{}), masczip.New(f.cp, masczip.Options{}), f.jp, f.cp, 0)
 		}},
 		{"markov-sync", func(t *testing.T, f fixture) Store {
 			mo := masczip.Options{Markov: true}

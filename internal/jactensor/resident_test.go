@@ -73,7 +73,7 @@ func TestPeakResidentModel(t *testing.T) {
 			name: "compressed-async",
 			mk: func(t *testing.T) Store {
 				return NewCompressedStoreAsync(
-					masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 2)
+					masczip.New(jp, masczip.Options{}), masczip.New(cp, masczip.Options{}), jp, cp, 0)
 			},
 			check: func(t *testing.T, peak int64) {
 				if peak >= raw {

@@ -67,8 +67,9 @@ func stateOfStep(xs [][]float64) Attachment {
 
 // TestStatesFollowTheChain: with the states attached, the chain store hands
 // the codecs each blob's states beside its frames — C's encoder then codes
-// most blobs in the voltage — and over a sync store and pipelined ones of
-// queue depth 1, 2 and 4, with one coder worker and with three, the blob
+// most blobs in the voltage — and over a sync store and pipelined ones built
+// with a depth argument of 1, 2 and 4 (which the store ignores: each queues
+// two steps), with one coder worker and with three, the blob
 // stream is the sync store's byte for byte, a
 // store given copies of the states (a resumed run's re-seed holds the
 // journal's arrays, not the solver's) seals the same stream, and every step

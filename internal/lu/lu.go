@@ -27,10 +27,15 @@ var ErrSingular = errors.New("lu: matrix is numerically singular")
 // become numerically unusable; the caller should Factor afresh.
 var ErrPivotDegraded = errors.New("lu: recorded pivot order degraded, refactor from scratch")
 
+// pivotThreshold τ: the structurally "diagonal" row is kept as pivot if its
+// magnitude is at least τ times the column maximum. Smaller values preserve
+// the diagonal (and hence sparsity) more aggressively.
+const pivotThreshold = 0.1
+
 // refactorGrowthLimit bounds the L-entry magnitude Refactor accepts before
-// declaring the recorded pivot order degraded. A fresh factorization with the
-// default threshold τ=0.1 keeps |L| ≤ 10; letting reuse drift three decades
-// beyond that trades at most ~4 digits for refactorization speed. Past it the
+// declaring the recorded pivot order degraded. A fresh factorization with
+// τ=0.1 keeps |L| ≤ 10; letting reuse drift three decades beyond that trades
+// at most ~4 digits for refactorization speed. Past it the
 // pivot has genuinely collapsed — e.g. refactoring a DC Jacobian (diagonal
 // gmin ≈ 1e-12 on capacitor-only nodes) with pivots recorded for a transient
 // Jacobian (diagonal C/h) — and silent acceptance poisons every subsequent
@@ -39,11 +44,6 @@ const refactorGrowthLimit = 1e4
 
 // Options configures a factorization.
 type Options struct {
-	// PivotThreshold τ ∈ (0,1]: the structurally "diagonal" row is kept as
-	// pivot if its magnitude is at least τ times the column maximum.
-	// Smaller values preserve the diagonal (and hence sparsity) more
-	// aggressively. Zero means the default 0.1.
-	PivotThreshold float64
 	// ColPerm is a fill-reducing column pre-ordering: column j of the
 	// factorization is original column ColPerm[j]. Nil means natural order.
 	ColPerm []int32
@@ -53,7 +53,6 @@ type Options struct {
 type LU struct {
 	n    int
 	pat  *sparse.Pattern
-	tau  float64
 	q    []int32 // column order: factor col j == original col q[j]
 	pinv []int32 // pinv[origRow] = pivot step, or the step it was pivoted at
 	prow []int32 // prow[k] = original row pivoted at step k
@@ -142,10 +141,6 @@ func exact[T any](src []T) []T {
 // the symbolic structure for later Refactor calls.
 func Factor(a *sparse.Matrix, opt Options) (*LU, error) {
 	n := a.P.N
-	tau := opt.PivotThreshold
-	if tau == 0 {
-		tau = 0.1
-	}
 	sc := scratchPool.Get().(*factorScratch)
 	defer scratchPool.Put(sc)
 	sc.reset(n)
@@ -172,7 +167,6 @@ func Factor(a *sparse.Matrix, opt Options) (*LU, error) {
 	f := &LU{
 		n:       n,
 		pat:     a.P,
-		tau:     tau,
 		q:       q,
 		pinv:    make([]int32, n),
 		prow:    make([]int32, n),
@@ -286,7 +280,7 @@ func (f *LU) factorColumn(sc *factorScratch, a *sparse.Matrix, csc *sparse.CSCVi
 	}
 	// Prefer the structural diagonal row if it is acceptable.
 	if f.pinv[c] < 0 && sc.mark[c] == sc.tick {
-		if v := math.Abs(f.w[c]); v >= f.tau*pmax {
+		if v := math.Abs(f.w[c]); v >= pivotThreshold*pmax {
 			pivot = c
 		}
 	}

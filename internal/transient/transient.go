@@ -34,8 +34,6 @@ type Options struct {
 	AbsTol    float64 // absolute state-delta tolerance, default 1e-9
 	RelTol    float64 // relative state-delta tolerance, default 1e-6
 	Gmin      float64 // diagonal conductance floor in DC, default 1e-12
-	MaxCuts   int     // max step halvings on Newton failure, default 8
-	DampLimit float64 // max Newton update ∞-norm per iteration, default 2.0
 
 	// Method selects the integration scheme: MethodBE (default, the
 	// paper's setting) or MethodTrap (trapezoidal, second order — the
@@ -43,17 +41,11 @@ type Options struct {
 	Method Method
 
 	// Adaptive enables local-truncation-error step control: TStep becomes
-	// the initial step, bounded by [MinStep, MaxStep] (defaults TStep/128
-	// and 8·TStep). The LTE is estimated from a forward-Euler predictor;
-	// steps with scaled error above 1 are rejected and halved, smooth
-	// stretches grow the step. Off by default: the paper's experiments use
-	// the fixed-step grid.
+	// the initial step, bounded by [TStep/128, 8·TStep]. The LTE is
+	// estimated from a forward-Euler predictor; steps with scaled error
+	// above 1 are rejected and halved, smooth stretches grow the step. Off
+	// by default: the paper's experiments use the fixed-step grid.
 	Adaptive bool
-	MinStep  float64
-	MaxStep  float64
-	// LTETol scales the acceptable predictor-corrector gap relative to the
-	// Newton tolerances; default 1000 (the usual trtol-like relaxation).
-	LTETol float64
 
 	// CaptureGC, if non-nil, is called after every accepted solution with
 	// the evaluator's G = ∂f/∂x and C = ∂q/∂x at the converged state (step 0
@@ -147,31 +139,24 @@ func (o *Options) withDefaults() Options {
 	if out.Gmin == 0 {
 		out.Gmin = DefaultGmin
 	}
-	if out.MaxCuts == 0 {
-		out.MaxCuts = 8
-	}
-	if out.DampLimit == 0 {
-		out.DampLimit = 2.0
-	}
 	if out.Method == "" {
 		out.Method = MethodBE
-	}
-	if out.Adaptive {
-		if out.MinStep == 0 {
-			out.MinStep = out.TStep / 128
-		}
-		if out.MaxStep == 0 {
-			out.MaxStep = 8 * out.TStep
-		}
-		if out.LTETol == 0 {
-			out.LTETol = 1000
-		}
 	}
 	return out
 }
 
 // DefaultGmin is the DC diagonal conductance floor of a run that sets none.
 const DefaultGmin = 1e-12
+
+// Step control, the same for every run.
+const (
+	maxCuts   = 8   // max step halvings on Newton failure
+	dampLimit = 2.0 // max Newton update ∞-norm per iteration
+	// lteTol scales the acceptable predictor-corrector gap of an adaptive
+	// step relative to the Newton tolerances (the usual trtol-like
+	// relaxation).
+	lteTol = 1000
+)
 
 // ErrInterrupted is wrapped into Run's error when Options.Ctx is done. The
 // partial Result is still returned alongside it: every step recorded in it
@@ -393,8 +378,8 @@ func (s *solver) newton(x []float64, eval func(x []float64)) error {
 		}
 		// Initial step scale: cap the voltage-update ∞-norm.
 		t0 := 1.0
-		if maxdv > opt.DampLimit {
-			t0 = opt.DampLimit / maxdv
+		if maxdv > dampLimit {
+			t0 = dampLimit / maxdv
 		}
 		// Backtracking line search on the residual ∞-norm, with a
 		// nonmonotone fallback: exponential-junction residuals can rise
@@ -589,6 +574,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 	}
 
 	xTrial := make([]float64, ckt.N)
+	minStep, maxStep := opt.TStep/128, 8*opt.TStep // the adaptive step's bounds
 	for step := startStep; t < opt.TStop-1e-12*opt.TStop; {
 		if opt.Ctx != nil {
 			if cerr := opt.Ctx.Err(); cerr != nil {
@@ -651,7 +637,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		if err := s.newton(xTrial, eval); err != nil {
 			reject(cutNewton)
 			cuts++
-			if cuts > opt.MaxCuts {
+			if cuts > maxCuts {
 				return nil, fmt.Errorf("transient: step at t=%g failed after %d cuts: %w", t, cuts, err)
 			}
 			h /= 2
@@ -664,14 +650,14 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			worst := 0.0
 			for i := range xTrial {
 				pred := x[i] + h*(x[i]-xPrev[i])/hPrev
-				lim := opt.LTETol * (opt.AbsTol + opt.RelTol*math.Abs(xTrial[i]))
+				lim := lteTol * (opt.AbsTol + opt.RelTol*math.Abs(xTrial[i]))
 				if e := math.Abs(xTrial[i]-pred) / lim; e > worst {
 					worst = e
 				}
 			}
-			if worst > 1 && h > opt.MinStep {
+			if worst > 1 && h > minStep {
 				reject(cutLTE)
-				h = math.Max(h/2, opt.MinStep)
+				h = math.Max(h/2, minStep)
 				continue
 			}
 			grow = worst < 0.1
@@ -712,7 +698,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		if opt.Adaptive {
 			cuts = 0
 			if grow {
-				h = math.Min(h*1.5, opt.MaxStep)
+				h = math.Min(h*1.5, maxStep)
 			}
 		} else if cuts > 0 && h < opt.TStep {
 			// Recover the base step after successful cuts.

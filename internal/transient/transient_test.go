@@ -361,7 +361,7 @@ func TestAdaptiveStepping(t *testing.T) {
 		}
 		sum += h
 		if h > 8*1e-8+1e-15 {
-			t.Fatalf("step %d exceeded MaxStep: %g", i, h)
+			t.Fatalf("step %d exceeded 8·TStep: %g", i, h)
 		}
 	}
 	if math.Abs(sum-2e-5) > 1e-12 {

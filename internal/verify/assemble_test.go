@@ -28,7 +28,7 @@ func TestAssembleJMatchesSolverAcrossFleet(t *testing.T) {
 			topt := bt.SimBase.Transient
 			topt.Method = method
 			// The generator's Newton tolerances are set for finite differences;
-			// under LTE control they would pin every step at MinStep.
+			// under LTE control they would pin every step at TStep/128.
 			topt.AbsTol, topt.RelTol = 0, 0
 			topt.Adaptive = true
 			gmin := transient.DefaultGmin

@@ -222,7 +222,6 @@ func simulateChaos(c *Case, o Options, sc chaosScenario, budget int64, inj *faul
 	opt := bt.SimBase
 	opt.Storage = sc.storage
 	opt.Async = sc.async
-	opt.PipelineDepth = o.PipelineDepth
 	opt.AdjointWorkers = o.AdjointWorkers
 	opt.Transient.Gmin = sc.gmin
 	opt.MemBudgetBytes = budget

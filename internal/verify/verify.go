@@ -14,8 +14,6 @@ import (
 
 // Options configures a verification run.
 type Options struct {
-	// PipelineDepth is the async store's queue depth (<1 = default).
-	PipelineDepth int
 	// AdjointWorkers is passed through to SimOptions.AdjointWorkers for
 	// the chaos gauntlet's runs: W > 1 exercises the fault scenarios with the
 	// reverse sweep's fetches — and with them the degradation ladder — on its
@@ -172,7 +170,7 @@ func objValue(tr *masc.TransientResult, o masc.Objective) float64 {
 
 // simulate rebuilds the case from scratch and runs the full pipeline under
 // one storage configuration.
-func simulate(c *Case, o Options, storage masc.Storage, async bool, budget int64) (*masc.Run, *Built, error) {
+func simulate(c *Case, storage masc.Storage, async bool, budget int64) (*masc.Run, *Built, error) {
 	bt, err := c.Build()
 	if err != nil {
 		return nil, nil, err
@@ -180,7 +178,6 @@ func simulate(c *Case, o Options, storage masc.Storage, async bool, budget int64
 	opt := bt.SimBase
 	opt.Storage = storage
 	opt.Async = async
-	opt.PipelineDepth = o.PipelineDepth
 	opt.MemBudgetBytes = budget
 	run, err := masc.Simulate(bt.Ckt, opt, bt.Objectives, nil)
 	if err != nil {
@@ -196,7 +193,7 @@ func splitBudget(c *Case, o Options, keep float64) (budget, chain int64, err err
 	if o.MemBudgetBytes > 0 {
 		return o.MemBudgetBytes, 0, nil
 	}
-	run, bt, err := simulate(c, o, masc.StorageMASC, false, 0)
+	run, bt, err := simulate(c, masc.StorageMASC, false, 0)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -258,7 +255,7 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 	opt = opt.withDefaults()
 	rep := &CaseReport{Case: c}
 
-	dense, bt, err := simulate(c, opt, masc.StorageMemory, false, 0)
+	dense, bt, err := simulate(c, masc.StorageMemory, false, 0)
 	if err != nil {
 		return rep, err
 	}
@@ -266,14 +263,14 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 	rep.Unknowns = bt.Ckt.N
 	rep.Params = len(bt.Ckt.Params())
 
-	recomp, _, err := simulate(c, opt, masc.StorageRecompute, false, 0)
+	recomp, _, err := simulate(c, masc.StorageRecompute, false, 0)
 	if err != nil {
 		rep.failf("recompute run: %v", err)
 	} else {
 		compareDOdp(rep, "recompute vs dense", dense.Sens.DOdp, recomp.Sens.DOdp)
 	}
 
-	sync, _, err := simulate(c, opt, masc.StorageMASC, false, 0)
+	sync, _, err := simulate(c, masc.StorageMASC, false, 0)
 	if err != nil {
 		rep.failf("sync compressed run: %v", err)
 	} else {
@@ -283,7 +280,7 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 		}
 	}
 
-	async, _, err := simulate(c, opt, masc.StorageMASC, true, 0)
+	async, _, err := simulate(c, masc.StorageMASC, true, 0)
 	if err != nil {
 		rep.failf("async compressed run: %v", err)
 	} else {
@@ -304,14 +301,14 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 		if budget <= 0 {
 			budget = budgetShare(bt.Ckt, sync.TensorStats, 0.5)
 		}
-		if budgeted, _, err := simulate(c, opt, masc.StorageMASC, false, budget); err != nil {
+		if budgeted, _, err := simulate(c, masc.StorageMASC, false, budget); err != nil {
 			rep.failf("budgeted compressed run: %v", err)
 		} else {
 			compareDOdp(rep, "budget-masc vs dense", dense.Sens.DOdp, budgeted.Sens.DOdp)
 		}
 	}
 
-	verifyStores(c, opt, rep)
+	verifyStores(c, rep)
 	verifyDirect(c, opt, rep, dense)
 	if opt.FDChecks > 0 {
 		verifyFD(c, opt, rep, dense)
@@ -326,7 +323,7 @@ func VerifyCase(c *Case, opt Options) (*CaseReport, error) {
 // every store, and that the J rebuilt from each fetched pair is the J the
 // solver's capture saw — the tightest possible statement of "the compressor
 // is lossless where it matters, and J need not be stored".
-func verifyStores(c *Case, opt Options, rep *CaseReport) {
+func verifyStores(c *Case, rep *CaseReport) {
 	bt, err := c.Build()
 	if err != nil {
 		rep.failf("store-level rebuild: %v", err)
@@ -338,7 +335,7 @@ func verifyStores(c *Case, opt Options, rep *CaseReport) {
 	syncSt := jactensor.NewCompressedStore(
 		masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo), ckt.GPat, ckt.CPat)
 	asyncSt := jactensor.NewCompressedStoreAsync(
-		masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo), ckt.GPat, ckt.CPat, opt.PipelineDepth)
+		masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo), ckt.GPat, ckt.CPat, 0)
 	stores := []struct {
 		name string
 		st   jactensor.Store

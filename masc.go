@@ -209,9 +209,8 @@ type SimOptions struct {
 	// stored bytes are byte-identical to sync mode, and under a budget so
 	// are the steps kept.
 	Async bool
-	// PipelineDepth bounds how many timesteps the solver may run ahead of
-	// the async compressor (default 2). Larger depths hide longer
-	// compression bursts at the cost of more resident plaintext copies.
+	// Deprecated: has no effect; the solver runs at most two steps ahead of
+	// the async compressor.
 	PipelineDepth int
 	// DiskBytesPerSec models the spill-device bandwidth for StorageDisk;
 	// 0 means unthrottled. DiskDir defaults to the system temp directory.
@@ -230,9 +229,9 @@ type SimOptions struct {
 	// bit-exact, so sensitivities stay bit-identical to the unlimited-RAM run
 	// for any budget and worker count — the budget only trades memory for
 	// time. The cap holds up to one frame in flight, plus the frames waiting
-	// in the compression queue under Async. 0 (default) means no budget;
-	// StorageRecompute and StorageDisk ignore it (their footprint is already
-	// step-count-free).
+	// in the compression queue under Async, at most two. 0 (default) means
+	// no budget; StorageRecompute and StorageDisk ignore it (their footprint
+	// is already step-count-free).
 	MemBudgetBytes int64
 	// Obs, if non-nil, receives telemetry from every pipeline stage:
 	// metric updates into Obs.Reg and the run's span tree into Obs.Spans.
@@ -295,7 +294,6 @@ type runPlan struct {
 	Storage         Storage          `json:"storage"`
 	AdjointWorkers  int              `json:"adjoint_workers"`
 	Async           bool             `json:"async"`
-	PipelineDepth   int              `json:"pipeline_depth"`
 	DiskBytesPerSec float64          `json:"disk_bps"`
 	DiskDir         string           `json:"disk_dir"`
 	MemBudgetBytes  int64            `json:"mem_budget_bytes"`
@@ -320,7 +318,7 @@ func newRunPlan(ckt *Circuit, opt *SimOptions, objectives []Objective, params []
 		storage = StorageMASC // an unknown name fails in newStore
 	}
 	return &runPlan{Transient: opt.Transient, Storage: storage,
-		AdjointWorkers: opt.AdjointWorkers, Async: opt.Async, PipelineDepth: opt.PipelineDepth,
+		AdjointWorkers: opt.AdjointWorkers, Async: opt.Async,
 		DiskBytesPerSec: opt.DiskBytesPerSec, DiskDir: opt.DiskDir,
 		MemBudgetBytes: opt.MemBudgetBytes, Objectives: objectives, Params: params}, nil
 }
@@ -352,7 +350,7 @@ func (plan *runPlan) newStore(ckt *Circuit, collectStats bool) (jactensor.Store,
 	gc, cc := masczip.New(ckt.GPat, mo), masczip.New(ckt.CPat, mo)
 	var s *jactensor.CompressedStore
 	if plan.Async {
-		s = jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, plan.PipelineDepth)
+		s = jactensor.NewCompressedStoreAsync(gc, cc, ckt.GPat, ckt.CPat, 0)
 	} else {
 		s = jactensor.NewCompressedStore(gc, cc, ckt.GPat, ckt.CPat)
 	}

@@ -73,7 +73,7 @@ func TestSimulateAsyncMatchesSync(t *testing.T) {
 		t.Fatalf("sync: %v", err)
 	}
 	async, err := Simulate(ckt, SimOptions{
-		Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: StorageMASC, Async: true, PipelineDepth: 3,
+		Transient: TransientOptions{TStep: 2e-6, TStop: 4e-4}, Storage: StorageMASC, Async: true,
 	}, []Objective{obj}, nil)
 	if err != nil {
 		t.Fatalf("async: %v", err)

@@ -267,9 +267,11 @@ func TestResumeReseedSealsTheSameBlobs(t *testing.T) {
 
 // TestResumeIgnoresRetiredPlanKeys: a journal written before a plan field was
 // deleted (disable_degrade, the degrade opt-out; windows and anchor_every, the
-// windowed reverse sweep's; workers, the compressor's row chunks, here four)
-// still resumes under the same format version — the plan decode skips keys
-// this build no longer has — and to the uninterrupted bits.
+// windowed reverse sweep's; workers, the compressor's row chunks, here four;
+// pipeline_depth, the async queue's, here four; and the solver's step-control
+// fields, at the 0 every such journal holds) still resumes under the same
+// format version — the plan decode skips keys this build no longer has — and
+// to the uninterrupted bits.
 func TestResumeIgnoresRetiredPlanKeys(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	opt := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 1e-4}, Storage: StorageMASC}
@@ -291,6 +293,11 @@ func TestResumeIgnoresRetiredPlanKeys(t *testing.T) {
 	plan["windows"] = 2
 	plan["anchor_every"] = 25
 	plan["workers"] = 4
+	plan["pipeline_depth"] = 4
+	tr := plan["transient"].(map[string]any)
+	for _, k := range []string{"MaxCuts", "DampLimit", "MinStep", "MaxStep", "LTETol"} {
+		tr[k] = 0
+	}
 	payload, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
