@@ -1,4 +1,4 @@
-package masc
+package masc_test
 
 // One testing.B benchmark per table and figure of the paper. These run the
 // same experiment code as cmd/masc-bench at a reduced scale so that
@@ -9,6 +9,7 @@ package masc
 import (
 	"testing"
 
+	"masc"
 	"masc/internal/bench"
 	"masc/internal/workload"
 )
@@ -92,15 +93,15 @@ func BenchmarkFig7(b *testing.B) {
 		b.Fatal(err)
 	}
 	node := ds.Objectives[0]
-	for _, storage := range []Storage{StorageRecompute, StorageDisk, StorageMASC} {
+	for _, storage := range []masc.Storage{masc.StorageRecompute, masc.StorageDisk, masc.StorageMASC} {
 		storage := storage
 		b.Run(string(storage), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run, err := Simulate(ds.Ckt, SimOptions{
-					Transient:       TransientOptions{TStep: ds.Tran.TStep, TStop: ds.Tran.TStop},
+				run, err := masc.Simulate(ds.Ckt, masc.SimOptions{
+					Transient:       masc.TransientOptions{TStep: ds.Tran.TStep, TStop: ds.Tran.TStop},
 					Storage:         storage,
 					DiskBytesPerSec: bench.DefaultDiskBps,
-				}, []Objective{node}, ds.Params)
+				}, []masc.Objective{node}, ds.Params)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -165,8 +166,8 @@ func BenchmarkSimulatePipeline(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(ds.Ckt, SimOptions{
-			Transient: TransientOptions{TStep: ds.Tran.TStep, TStop: ds.Tran.TStop}, Storage: StorageMASC,
+		if _, err := masc.Simulate(ds.Ckt, masc.SimOptions{
+			Transient: masc.TransientOptions{TStep: ds.Tran.TStep, TStop: ds.Tran.TStop}, Storage: masc.StorageMASC,
 		}, ds.Objectives[:1], ds.Params[:4]); err != nil {
 			b.Fatal(err)
 		}

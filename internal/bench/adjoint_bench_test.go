@@ -1,35 +1,42 @@
 package bench
 
 import (
+	"slices"
 	"testing"
 
 	"masc/internal/adjoint"
-	"masc/internal/jactensor"
+	"masc/internal/sparse"
 	"masc/internal/transient"
 	"masc/internal/workload"
 )
 
-// retainAll wraps a JacobianSource and ignores Release, so one captured
-// tensor can be swept once per configuration.
-type retainAll struct{ adjoint.JacobianSource }
+// capturedPairs serves every step's captured (G, C) pair and ignores
+// Release, so one capture can be swept once per configuration.
+type capturedPairs struct{ g, c [][]float64 }
 
-func (retainAll) Release(int) {}
+func (p *capturedPairs) Fetch(i int) ([]float64, []float64, error) { return p.g[i], p.c[i], nil }
+func (*capturedPairs) Release(int)                                 {}
 
 // adjointFixture captures one forward trajectory of a multi-objective
-// dataset into a memory store wrapped to ignore releases, so every
-// benchmark iteration sweeps the same tensor.
+// dataset, so every benchmark iteration sweeps the same tensor.
 func adjointFixture(b *testing.B, name string, scale float64) (*workload.Dataset, *transient.Result, adjoint.JacobianSource) {
 	b.Helper()
 	ds, err := workload.Build(name, scale)
 	if err != nil {
 		b.Fatal(err)
 	}
-	store := jactensor.NewMemStore()
-	tr, err := ds.RunForward(store)
+	src := &capturedPairs{}
+	opt := ds.Tran
+	opt.CaptureGC = func(_ int, _ float64, _ []float64, G, C *sparse.Matrix) error {
+		src.g = append(src.g, slices.Clone(G.Val))
+		src.c = append(src.c, slices.Clone(C.Val))
+		return nil
+	}
+	tr, err := transient.Run(ds.Ckt, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ds, tr, retainAll{store}
+	return ds, tr, src
 }
 
 // BenchmarkSensitivities sweeps the reverse-sweep engine configurations on

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"masc/internal/compress"
-	"masc/internal/jactensor"
 	"masc/internal/sparse"
+	"masc/internal/transient"
 	"masc/internal/workload"
 )
 
@@ -38,20 +38,18 @@ func (t *Tensor) RawBytes() int64 {
 // CaptureTensor simulates the dataset and keeps every step's G and C
 // values, and the state it was produced at, in memory.
 func CaptureTensor(ds *workload.Dataset) (*Tensor, error) {
-	st := jactensor.NewMemStore()
-	res, err := ds.RunForward(st)
+	tn := &Tensor{Name: ds.Name, GPat: ds.Ckt.GPat, CPat: ds.Ckt.CPat}
+	opt := ds.Tran
+	opt.CaptureGC = func(_ int, _ float64, _ []float64, G, C *sparse.Matrix) error {
+		tn.GS = append(tn.GS, append([]float64(nil), G.Val...))
+		tn.CS = append(tn.CS, append([]float64(nil), C.Val...))
+		return nil
+	}
+	res, err := transient.Run(ds.Ckt, opt)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bench: %s: %w", ds.Name, err)
 	}
-	tn := &Tensor{Name: ds.Name, GPat: ds.Ckt.GPat, CPat: ds.Ckt.CPat, XS: res.States}
-	for i := 0; ; i++ {
-		g, c, err := st.Fetch(i)
-		if err != nil {
-			break
-		}
-		tn.GS = append(tn.GS, append([]float64(nil), g...))
-		tn.CS = append(tn.CS, append([]float64(nil), c...))
-	}
+	tn.XS = res.States
 	tn.Steps = len(tn.GS)
 	if tn.Steps == 0 {
 		return nil, fmt.Errorf("bench: %s captured no steps", ds.Name)

@@ -89,7 +89,7 @@ func TestTable2(t *testing.T) {
 func TestTable3OrderingHolds(t *testing.T) {
 	// The paper's headline: MASC beats FPZIP, gzip and NDZIP on these
 	// tensors; NDZIP is near 1.
-	cells, err := RunTable3([]string{"add20", "MOS_T5"}, testScale, 1)
+	cells, err := RunTable3([]string{"add20", "MOS_T5"}, nil, testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

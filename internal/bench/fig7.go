@@ -7,9 +7,9 @@ import (
 	"strings"
 	"time"
 
+	"masc"
 	"masc/internal/adjoint"
-	"masc/internal/compress/masczip"
-	"masc/internal/jactensor"
+	"masc/internal/transient"
 	"masc/internal/workload"
 )
 
@@ -33,8 +33,10 @@ type Fig7Row struct {
 // DefaultDiskBps is the paper's measurement SSD bandwidth (~0.5 GB/s).
 const DefaultDiskBps = 0.5e9
 
-// RunFig7 reproduces the end-to-end experiment. Sensitivities from all four
-// strategies are verified bit-identical before times are reported.
+// RunFig7 reproduces the end-to-end experiment: the product's strategies are
+// timed as masc.Simulate runs them, the Xyce-style baseline as a transient
+// run and one recompute sweep per objective. Sensitivities from all four are
+// verified bit-identical before times are reported.
 func RunFig7(names []string, scale, diskBps float64) ([]Fig7Row, error) {
 	if names == nil {
 		names = []string{"add20", "smult20", "mem_plus"}
@@ -49,93 +51,45 @@ func RunFig7(names []string, scale, diskBps float64) ([]Fig7Row, error) {
 			return nil, err
 		}
 		row := Fig7Row{Dataset: name}
-		var ref *adjoint.Result
 
-		// runVariant times one strategy: a store, or with none the Xyce-style
-		// flow — one Jacobian-recomputing sweep per objective — or, batched,
-		// the product's, whose one sweep re-evaluates each step's pair once
-		// for every objective.
-		runVariant := func(store jactensor.Store, batched bool) (float64, *adjoint.Result, jactensor.Stats, error) {
+		// The paper's Xyce-style baseline: one Jacobian-recomputing sweep per
+		// objective.
+		start := time.Now()
+		tr, err := transient.Run(ds.Ckt, ds.Tran)
+		if err != nil {
+			return nil, fmt.Errorf("bench fig7 %s xyce-naive: %w", name, err)
+		}
+		ref, err := adjoint.XyceNaiveSensitivities(ds.Ckt, tr, ds.Objectives, adjoint.Options{Params: ds.Params})
+		if err != nil {
+			return nil, fmt.Errorf("bench fig7 %s xyce-naive: %w", name, err)
+		}
+		row.RecomputeSec = time.Since(start).Seconds()
+
+		// The product's three strategies, each a whole masc.Simulate run:
+		// recompute in one sweep for every objective, raw tensors on the
+		// throttled disk, and the MASC-compressed chain in memory.
+		for _, v := range []struct {
+			storage masc.Storage
+			sec     *float64
+		}{
+			{masc.StorageRecompute, &row.BatchedSec},
+			{masc.StorageDisk, &row.DiskSec},
+			{masc.StorageMASC, &row.MascSec},
+		} {
 			start := time.Now()
-			tr, err := ds.RunForward(store)
+			run, err := masc.Simulate(ds.Ckt, masc.SimOptions{Transient: ds.Tran, Storage: v.storage, DiskBytesPerSec: diskBps},
+				ds.Objectives, ds.Params)
 			if err != nil {
-				return 0, nil, jactensor.Stats{}, err
+				return nil, fmt.Errorf("bench fig7 %s %s: %w", name, v.storage, err)
 			}
-			var sens *adjoint.Result
-			switch {
-			case store != nil:
-				sens, err = adjoint.Sensitivities(ds.Ckt, tr, store, ds.Objectives,
-					adjoint.Options{Params: ds.Params, StoredGC: true})
-			case batched:
-				sens, err = adjoint.Sensitivities(ds.Ckt, tr, adjoint.NewRecomputeSource(ds.Ckt, tr).Pairs(), ds.Objectives,
-					adjoint.Options{Params: ds.Params, StoredGC: true})
-			default:
-				sens, err = adjoint.XyceNaiveSensitivities(ds.Ckt, tr, ds.Objectives,
-					adjoint.Options{Params: ds.Params})
+			*v.sec = time.Since(start).Seconds()
+			if err := compareSens(ref, run.Sens); err != nil {
+				return nil, fmt.Errorf("bench fig7 %s %s: %w", name, v.storage, err)
 			}
-			if err != nil {
-				return 0, nil, jactensor.Stats{}, err
+			if v.storage == masc.StorageMASC {
+				row.MascCR = float64(run.TensorStats.RawBytes) / float64(run.TensorStats.StoredBytes)
 			}
-			total := time.Since(start).Seconds()
-			var st jactensor.Stats
-			if store != nil {
-				st = store.Stats()
-			}
-			return total, sens, st, nil
 		}
-
-		// Xyce-style recomputation.
-		sec, sens, _, err := runVariant(nil, false)
-		if err != nil {
-			return nil, fmt.Errorf("bench fig7 %s recompute: %w", name, err)
-		}
-		row.RecomputeSec = sec
-		ref = sens
-
-		// The product's recomputation.
-		sec, sens, _, err = runVariant(nil, true)
-		if err != nil {
-			return nil, fmt.Errorf("bench fig7 %s batched recompute: %w", name, err)
-		}
-		if err := compareSens(ref, sens); err != nil {
-			return nil, fmt.Errorf("bench fig7 %s batched recompute: %w", name, err)
-		}
-		row.BatchedSec = sec
-
-		// Raw tensors on throttled disk.
-		disk, err := jactensor.NewDiskStore("", diskBps)
-		if err != nil {
-			return nil, err
-		}
-		sec, sens, _, err = runVariant(disk, false)
-		if err != nil {
-			return nil, fmt.Errorf("bench fig7 %s disk: %w", name, err)
-		}
-		if err := compareSens(ref, sens); err != nil {
-			return nil, fmt.Errorf("bench fig7 %s disk: %w", name, err)
-		}
-		row.DiskSec = sec
-		if err := disk.Close(); err != nil {
-			return nil, err
-		}
-
-		// MASC in-memory compression: the Markov coder on one chunk, what
-		// -storage masc codes.
-		opt := masczip.Options{Markov: true}
-		cs := jactensor.NewCompressedStore(
-			masczip.New(ds.Ckt.GPat, opt),
-			masczip.New(ds.Ckt.CPat, opt),
-			ds.Ckt.GPat, ds.Ckt.CPat)
-		var st jactensor.Stats
-		sec, sens, st, err = runVariant(cs, false)
-		if err != nil {
-			return nil, fmt.Errorf("bench fig7 %s masc: %w", name, err)
-		}
-		if err := compareSens(ref, sens); err != nil {
-			return nil, fmt.Errorf("bench fig7 %s masc: %w", name, err)
-		}
-		row.MascSec = sec
-		row.MascCR = float64(st.RawBytes) / float64(st.StoredBytes)
 
 		row.VsRecompute = row.RecomputeSec / row.MascSec
 		row.VsBatched = row.BatchedSec / row.MascSec

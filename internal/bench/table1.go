@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"masc/internal/adjoint"
+	"masc/internal/transient"
 	"masc/internal/workload"
 )
 
@@ -38,7 +39,7 @@ func RunTable1(names []string, scale float64) ([]Table1Row, error) {
 			return nil, err
 		}
 		start := time.Now()
-		res, err := ds.RunForward(nil)
+		res, err := transient.Run(ds.Ckt, ds.Tran)
 		if err != nil {
 			return nil, err
 		}

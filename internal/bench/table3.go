@@ -20,9 +20,10 @@ type Table3Cell struct {
 	DecompRateMBps float64
 }
 
-// RunTable3 measures every codec over every dataset. Each dataset is
-// simulated once; all codecs compress the same captured tensor.
-func RunTable3(names []string, scale float64, workers int) ([]Table3Cell, error) {
+// RunTable3 measures the named codecs (CodecNames() if nil) over every
+// dataset. Each dataset is simulated once; all codecs compress the same
+// captured tensor.
+func RunTable3(names, codecs []string, scale float64, workers int) ([]Table3Cell, error) {
 	if names == nil {
 		names = workload.Table2Names()
 	}
@@ -36,7 +37,7 @@ func RunTable3(names []string, scale float64, workers int) ([]Table3Cell, error)
 		if err != nil {
 			return nil, err
 		}
-		more, err := MeasureAllCodecs(tn, nil, workers)
+		more, err := MeasureAllCodecs(tn, codecs, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -46,7 +47,7 @@ func RunTable3(names []string, scale float64, workers int) ([]Table3Cell, error)
 }
 
 // MeasureAllCodecs runs the named codecs (CodecNames() if nil) over one
-// tensor — the single-dataset slice of Table 3 used by masc-compress.
+// tensor: one dataset's row of Table 3.
 func MeasureAllCodecs(tn *Tensor, codecs []string, workers int) ([]Table3Cell, error) {
 	if codecs == nil {
 		codecs = CodecNames()

@@ -3,6 +3,7 @@ package jactensor_test
 import (
 	"testing"
 
+	"masc/internal/bench"
 	"masc/internal/compress/masczip"
 	"masc/internal/jactensor"
 	"masc/internal/workload"
@@ -24,12 +25,21 @@ func TestMarkovNoLargerOnRCNetworks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tn, err := bench.CaptureTensor(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
 			stored := func(markov bool) int64 {
 				mo := masczip.Options{Markov: markov}
-				gp, cp := ds.Ckt.GPat, ds.Ckt.CPat
-				st := jactensor.NewCompressedStore(masczip.New(gp, mo), masczip.New(cp, mo), gp, cp)
+				st := jactensor.NewCompressedStore(masczip.New(tn.GPat, mo), masczip.New(tn.CPat, mo), tn.GPat, tn.CPat)
 				defer st.Close()
-				if _, err := ds.RunForward(st); err != nil {
+				st.Attach(jactensor.Attachment{State: func(step int) []float64 { return tn.XS[step] }})
+				for i := range tn.Steps {
+					if err := st.Put(i, tn.GS[i], tn.CS[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := st.EndForward(); err != nil {
 					t.Fatal(err)
 				}
 				return st.Stats().StoredBytes

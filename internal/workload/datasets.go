@@ -3,10 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-
-	"masc/internal/jactensor"
-	"masc/internal/sparse"
-	"masc/internal/transient"
 )
 
 // Table2Names lists the seven compression datasets of the paper's Table 2,
@@ -105,41 +101,6 @@ func Build(name string, scale float64) (*Dataset, error) {
 	default:
 		return nil, fmt.Errorf("workload: unknown dataset %q", name)
 	}
-}
-
-// RunForward simulates the dataset, capturing the tensor into store (which
-// may be nil for a plain run): every step's (G, C) pair, the layout the facade
-// stores (sweep such a store with adjoint.Options.StoredGC), with the state
-// the step was produced at attached beside it as the facade attaches it. It
-// attaches the store itself, so the caller must not attach it again.
-// EndForward is called on success.
-func (d *Dataset) RunForward(store jactensor.Store) (*transient.Result, error) {
-	opt := d.Tran
-	if store != nil {
-		var putting []float64 // the state of the step being put
-		if a, ok := store.(interface{ Attach(jactensor.Attachment) }); ok {
-			a.Attach(jactensor.Attachment{State: func(int) []float64 { return putting }})
-		}
-		opt.CaptureGC = func(step int, _ float64, x []float64, G, C *sparse.Matrix) error {
-			putting = x
-			err := store.Put(step, G.Val, C.Val)
-			putting = nil
-			if err != nil {
-				return fmt.Errorf("workload: tensor capture: %w", err)
-			}
-			return nil
-		}
-	}
-	res, err := transient.Run(d.Ckt, opt)
-	if err != nil {
-		return nil, fmt.Errorf("workload %s: %w", d.Name, err)
-	}
-	if store != nil {
-		if err := store.EndForward(); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
 }
 
 // CSRBytes returns the paper's S_CSR for this dataset's stored tensor (the

@@ -6,7 +6,35 @@ import (
 
 	"masc/internal/adjoint"
 	"masc/internal/jactensor"
+	"masc/internal/sparse"
+	"masc/internal/transient"
 )
+
+// simulate runs the dataset's transient analysis and counts the (G, C) pairs
+// its capture hook hands out, putting each into store if non-nil and ending
+// the store's forward phase.
+func simulate(t *testing.T, ds *Dataset, store jactensor.Store) (*transient.Result, int) {
+	t.Helper()
+	captured := 0
+	opt := ds.Tran
+	opt.CaptureGC = func(step int, _ float64, _ []float64, G, C *sparse.Matrix) error {
+		captured++
+		if store == nil {
+			return nil
+		}
+		return store.Put(step, G.Val, C.Val)
+	}
+	res, err := transient.Run(ds.Ckt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store != nil {
+		if err := store.EndForward(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return res, captured
+}
 
 func TestAllDatasetsBuildAndSimulate(t *testing.T) {
 	names := append(Table2Names(), Table1Names()...)
@@ -25,11 +53,7 @@ func TestAllDatasetsBuildAndSimulate(t *testing.T) {
 			if ds.Elems == 0 || len(ds.Objectives) == 0 || len(ds.Params) == 0 {
 				t.Fatalf("degenerate dataset: %+v", ds)
 			}
-			store := jactensor.NewMemStore()
-			res, err := ds.RunForward(store)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, captured := simulate(t, ds, nil)
 			if res.Steps() < 5 {
 				t.Fatalf("only %d steps simulated", res.Steps())
 			}
@@ -38,9 +62,9 @@ func TestAllDatasetsBuildAndSimulate(t *testing.T) {
 					t.Fatal("non-finite final state")
 				}
 			}
-			if store.Stats().Steps != res.Steps()+1 {
+			if captured != res.Steps()+1 {
 				t.Fatalf("captured %d tensor steps for %d transient steps",
-					store.Stats().Steps, res.Steps())
+					captured, res.Steps())
 			}
 			if ds.CSRBytes(res.Steps()) <= ds.NZBytes(res.Steps()) {
 				t.Fatal("S_CSR must exceed S_NZ")
@@ -78,10 +102,7 @@ func TestDatasetSensitivityPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := jactensor.NewMemStore()
-	res, err := ds.RunForward(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := simulate(t, ds, store)
 	objs := ds.Objectives[:2]
 	opt := adjoint.Options{Params: ds.Params[:5], StoredGC: true}
 	a1, err := adjoint.Sensitivities(ds.Ckt, res, store, objs, opt)
@@ -110,11 +131,7 @@ func TestExtraWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			store := jactensor.NewMemStore()
-			res, err := ds.RunForward(store)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, _ := simulate(t, ds, nil)
 			if res.Steps() < 10 {
 				t.Fatalf("only %d steps", res.Steps())
 			}
@@ -132,10 +149,7 @@ func TestRingOscillatorActuallyOscillates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ds.RunForward(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := simulate(t, ds, nil)
 	// Count rail-to-rail transitions of one inverter output in the second
 	// half of the run.
 	node, err2 := ds.Bld.NodeIndex("n_g_1")
