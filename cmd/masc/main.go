@@ -366,6 +366,7 @@ func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, st
 			"factorizations":   run.Sens.Factorizations,
 			"refactorizations": run.Sens.Refactorizations,
 			"factor_reuses":    run.Sens.FactorReuses,
+			"factor_replays":   run.Sens.FactorReplays,
 			"fill_nnz":         run.Sens.FillNNZ,
 			"jacobian_nnz":     deck.Ckt.JPat.NNZ(),
 		})

@@ -124,6 +124,13 @@ type Options struct {
 	// Deprecated: has no effect; one reverse sweep runs.
 	Windows int
 
+	// Hint, if non-nil, is a factorization on the circuit's JPat — normally
+	// the one the forward pass's last Newton iteration used — whose pivot
+	// order the sweep's first fresh factorization tries before it searches
+	// (lu.Options.Hint). The result is bit-identical either way. The sweep
+	// only reads it, and drops it after that factorization.
+	Hint *lu.LU
+
 	// SpanParent is the span the adjoint pass nests under (normally the
 	// run root). Spans are recorded only when Obs carries a recorder.
 	SpanParent span.ID
@@ -221,14 +228,16 @@ type Result struct {
 	DegradedSteps []int
 
 	// What the per-step factor requests took, as in transient.Stats: fresh
-	// pivot searches, numeric refactorizations along recorded pivots, and
+	// factorizations, numeric refactorizations along recorded pivots, and
 	// requests the factors in hand already answered because the step's
-	// Jacobian was bit-identical to the previous one's. FillNNZ is the
-	// off-diagonal entries of L and U in the factors in hand when the sweep
-	// ended.
+	// Jacobian was bit-identical to the previous one's. FactorReplays counts
+	// the factorizations that replayed Options.Hint's pivot order instead of
+	// searching. FillNNZ is the off-diagonal entries of L and U in the factors
+	// in hand when the sweep ended.
 	Factorizations   int
 	Refactorizations int
 	FactorReuses     int
+	FactorReplays    int
 	FillNNZ          int
 
 	// Windows is always 1: one reverse sweep runs, whatever
@@ -525,6 +534,7 @@ func XyceNaiveSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []O
 		total.Factorizations += r.Factorizations
 		total.Refactorizations += r.Refactorizations
 		total.FactorReuses += r.FactorReuses
+		total.FactorReplays += r.FactorReplays
 	}
 	return total, nil
 }

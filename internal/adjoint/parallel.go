@@ -41,7 +41,6 @@ import (
 
 	"masc/internal/circuit"
 	"masc/internal/device"
-	"masc/internal/jactensor"
 	"masc/internal/lu"
 	"masc/internal/obs/span"
 	"masc/internal/sparse"
@@ -205,7 +204,7 @@ func newSweep(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, ob
 
 // run drives the sweep from step n down to 0. It overlaps the next step's
 // fetch with the current step's compute when workers > 1 or the source
-// reports that it is async (jactensor.CompressedStore.Async), whose reverse
+// reports that it is async (the compressed store's Async), whose reverse
 // half the fetcher is; any other source at workers ≤ 1 keeps everything on
 // the calling goroutine, in the serial store-access order.
 func (s *sweep) run() error {
@@ -249,6 +248,19 @@ func (s *sweep) jFrame() []float64 {
 	return make([]float64, s.ckt.JPat.NNZ())
 }
 
+// degradable is the fetch error of a step the sweep may recover by
+// recomputing it (a store's corrupt or unreadable step, as opposed to a
+// closed store or a caller's bug).
+type degradable interface{ Degradable() bool }
+
+// repairer is the optional source capability the degradation ladder uses
+// after recomputing a damaged step: Repair installs known-good plaintext for
+// the step, so later fetches (and a compressed chain's decoding of the steps
+// below it) come from the repaired values instead of the quarantined blob.
+type repairer interface {
+	Repair(step int, aVals, cVals []float64)
+}
+
 // acquireStored fetches step i's pair in the source's own layout, running
 // the degradation ladder on any recoverable fetch failure: recompute the pair
 // bit-exactly from the in-memory trajectory, hand the plaintext back to the
@@ -259,8 +271,8 @@ func (s *sweep) acquireStored(i int) (av, cv []float64, degraded bool, err error
 	if err == nil {
 		return av, cv, false, nil
 	}
-	var se *jactensor.StepError
-	if !errors.As(err, &se) || !se.Degradable {
+	var de degradable
+	if !errors.As(err, &de) || !de.Degradable() {
 		return nil, nil, false, fmt.Errorf("adjoint: fetch step %d: %w", i, err)
 	}
 	if s.rec == nil {
@@ -274,7 +286,7 @@ func (s *sweep) acquireStored(i int) (av, cv []float64, degraded bool, err error
 	if rerr != nil {
 		return nil, nil, false, &DegradeError{Step: i, Fetch: err, Recompute: rerr}
 	}
-	if rp, ok := s.src.(jactensor.Repairer); ok {
+	if rp, ok := s.src.(repairer); ok {
 		rp.Repair(i, ra, rc)
 		if av2, cv2, ferr := s.src.Fetch(i); ferr == nil {
 			ra, rc = av2, cv2
@@ -496,14 +508,22 @@ func (s *sweep) noteFetch(i int, wait, acq time.Duration, degraded bool) {
 }
 
 // factorize brings s.fact up to date with one step's Jacobian and counts
-// what that took. Runs on the sweep's own goroutine only.
+// what that took. The first fresh factorization tries Options.Hint's pivot
+// order and drops the hint. Runs on the sweep's own goroutine only.
 func (s *sweep) factorize(j *sparse.Matrix) (lu.Outcome, error) {
-	f, what, err := lu.Factorize(s.fact, j, lu.Options{ColPerm: s.perm})
+	f, what, err := lu.Factorize(s.fact, j, lu.Options{ColPerm: s.perm, Hint: s.opt.Hint})
 	if err != nil {
 		return what, err
 	}
 	s.fact = f
 	what.Count(&s.res.Factorizations, &s.res.Refactorizations, &s.res.FactorReuses)
+	switch what {
+	case lu.Replayed:
+		s.res.FactorReplays++
+		fallthrough
+	case lu.Factored:
+		s.opt.Hint = nil
+	}
 	s.res.FillNNZ = f.LNNZ() + f.UNNZ()
 	s.so.fill.Set(float64(s.res.FillNNZ))
 	if what == lu.Reused {
@@ -582,7 +602,7 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 	}
 	s.fact.SolveTMulti(s.lam)
 	ssp.Attr("objs", int64(len(s.objs)))
-	ssp.Attr("lu", int64(what)) // lu.Outcome: 0 reused, 1 refactor, 2 factor
+	ssp.Attr("lu", int64(what)) // lu.Outcome: 0 reused, 1 refactor, 2 factor, 3 replay
 	ssp.End()
 	d := time.Since(tSolve)
 	s.res.Timing.FactorSolve += d

@@ -226,7 +226,7 @@ func TestFetchAfterCloseIsTypedError(t *testing.T) {
 				t.Fatalf("async=%v: Fetch after Close = %v, want ErrClosed", async, err)
 			}
 			var se *StepError
-			if _, _, err := st.Fetch(n - 2); !errors.As(err, &se) || se.Degradable {
+			if _, _, err := st.Fetch(n - 2); !errors.As(err, &se) || se.Degradable() {
 				t.Fatalf("async=%v: closed-store error must not invite a recompute: %v", async, err)
 			}
 			// Late callers from a goroutine that outlived the run must be

@@ -133,7 +133,7 @@ func (s *CompressedStore) recomputeStep(step int) (tensors, error) {
 	fn := s.recompute
 	s.mu.Unlock()
 	if fn == nil {
-		return tensors{}, &StepError{Step: step, Op: "fetch", Degradable: true,
+		return tensors{}, &StepError{Step: step, Op: "fetch", degradable: true,
 			Err: errors.New("step dropped under the memory budget (no recompute hook)")}
 	}
 	rsp := s.ob.rec.Start(s.ob.spanParent(), span.Recompute, step)
@@ -146,7 +146,7 @@ func (s *CompressedStore) recomputeStep(step int) (tensors, error) {
 	rsp.Attr("ok", boolAttr(err == nil))
 	rsp.End()
 	if err != nil {
-		return tensors{}, &StepError{Step: step, Op: "fetch", Degradable: true,
+		return tensors{}, &StepError{Step: step, Op: "fetch", degradable: true,
 			Err: fmt.Errorf("recompute dropped step: %w", err)}
 	}
 	s.mu.Lock()

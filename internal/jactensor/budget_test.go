@@ -343,7 +343,7 @@ func TestBudgetDroppedWithoutHookDegrades(t *testing.T) {
 		j, c, err := st.Fetch(i)
 		if i >= s.TierKeptSteps {
 			var se *StepError
-			if !errors.As(err, &se) || !se.Degradable || se.Step != i || se.Op != "fetch" {
+			if !errors.As(err, &se) || !se.Degradable() || se.Step != i || se.Op != "fetch" {
 				t.Fatalf("fetch of dropped step %d: %v, want a degradable *StepError", i, err)
 			}
 			st.Repair(i, f.js[i], f.cs[i])

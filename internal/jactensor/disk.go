@@ -307,7 +307,7 @@ func (s *DiskStore) Fetch(step int) ([]float64, []float64, error) {
 			// be produced — degradable, like corruption.
 			s.quarantined[step] = true
 			s.noteCorrupt()
-			return nil, nil, &StepError{Step: step, Op: "fetch", Tensor: tensorName(i), Degradable: true, Err: err}
+			return nil, nil, &StepError{Step: step, Op: "fetch", Tensor: tensorName(i), degradable: true, Err: err}
 		}
 		payload, err := blobframe.Open(raw, tensorTags[i], step)
 		if err != nil {

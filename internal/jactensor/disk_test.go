@@ -163,7 +163,7 @@ func TestReadPastEnd(t *testing.T) {
 	st.offs[0][1] = st.off - 3
 	_, _, err := st.Fetch(0)
 	var se *StepError
-	if !errors.As(err, &se) || !se.Degradable || se.Step != 0 || se.Tensor != "C" {
+	if !errors.As(err, &se) || !se.Degradable() || se.Step != 0 || se.Tensor != "C" {
 		t.Fatalf("fetch past the end: %v, want a degradable *StepError for step 0 tensor C", err)
 	}
 	if !errors.Is(err, io.EOF) {
@@ -221,7 +221,7 @@ func TestHardBurstExhaustsRetriesWithTypedError(t *testing.T) {
 	st.Attach(Attachment{Fault: faultinject.New(faultinject.Profile{Seed: 1, FailOpEvery: 1, FailOpBurst: 10})})
 	err := st.Put(0, js[0], cs[0])
 	var se *StepError
-	if !errors.As(err, &se) || se.Degradable || se.Op != "put" || se.Step != 0 || se.Tensor != "J" {
+	if !errors.As(err, &se) || se.Degradable() || se.Op != "put" || se.Step != 0 || se.Tensor != "J" {
 		t.Fatalf("put on a dead device: %v, want a non-degradable put *StepError for step 0 tensor J", err)
 	}
 	if !strings.Contains(err.Error(), "write at offset 0 failed after 3 attempt(s)") {
@@ -260,7 +260,7 @@ func TestOpsAfterCloseReturnErrClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var se *StepError
-	if err := st.Put(0, js[0], cs[0]); !errors.Is(err, ErrClosed) || !errors.As(err, &se) || se.Degradable {
+	if err := st.Put(0, js[0], cs[0]); !errors.Is(err, ErrClosed) || !errors.As(err, &se) || se.Degradable() {
 		t.Fatalf("Put after Close: %v, want a non-degradable ErrClosed", err)
 	}
 
@@ -269,7 +269,7 @@ func TestOpsAfterCloseReturnErrClosed(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Fetch(1); !errors.Is(err, ErrClosed) || !errors.As(err, &se) || !se.Degradable {
+	if _, _, err := st.Fetch(1); !errors.Is(err, ErrClosed) || !errors.As(err, &se) || !se.Degradable() {
 		t.Fatalf("Fetch after Close: %v, want a degradable ErrClosed", err)
 	}
 	if err := st.Close(); err != nil {

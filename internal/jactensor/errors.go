@@ -22,11 +22,8 @@ type StepError struct {
 	Op     string // "put", "fetch", "compress"
 	Tensor string // "J", "C", or "" when not tensor-specific
 	// Corrupt marks an integrity failure (errors.Is(err, ErrCorrupt)).
-	Corrupt bool
-	// Degradable marks errors the reverse sweep may recover from by
-	// recomputing the step (fetch-side corruption or read failures).
-	// Put-side failures are not degradable: the forward pass must abort.
-	Degradable bool
+	Corrupt    bool
+	degradable bool // see Degradable
 	Err        error
 }
 
@@ -44,6 +41,12 @@ func (e *StepError) Unwrap() error { return e.Err }
 // the wrap chain.
 func (e *StepError) Is(target error) bool { return target == ErrCorrupt && e.Corrupt }
 
+// Degradable reports whether the reverse sweep may recover from the failure
+// by recomputing the step: fetch-side corruption or read failures, not
+// put-side ones, which must abort the forward pass. The sweep asks through
+// an interface, so it needs no import of this package.
+func (e *StepError) Degradable() bool { return e.degradable }
+
 // FailedStep returns the step the failure is attributed to; the chaos
 // harness uses it (via an interface) to assert that every loud failure is
 // diagnosable.
@@ -51,7 +54,7 @@ func (e *StepError) FailedStep() int { return e.Step }
 
 // corruptErr builds the degradable integrity-failure form of StepError.
 func corruptErr(step int, op, tensor string, err error) *StepError {
-	return &StepError{Step: step, Op: op, Tensor: tensor, Corrupt: true, Degradable: true, Err: err}
+	return &StepError{Step: step, Op: op, Tensor: tensor, Corrupt: true, degradable: true, Err: err}
 }
 
 // closedErr is the fetch failure of a closed compressed store: typed, and not

@@ -123,7 +123,7 @@ func TestCorruptStepDegradesAndRepairs(t *testing.T) {
 					if err == nil || !errors.As(err, &se) {
 						t.Fatalf("corrupt step fetch returned %v, want *StepError", err)
 					}
-					if !se.Degradable || se.Step != bad || se.FailedStep() != bad {
+					if !se.Degradable() || se.Step != bad || se.FailedStep() != bad {
 						t.Fatalf("error not degradable at step %d: %+v", bad, se)
 					}
 					if !errors.Is(err, ErrCorrupt) {
@@ -190,7 +190,7 @@ func TestDiskStoreTruncatedSpill(t *testing.T) {
 	last := len(js) - 1
 	_, _, err = st.Fetch(last)
 	var se *StepError
-	if err == nil || !errors.As(err, &se) || !se.Degradable || se.Step != last {
+	if err == nil || !errors.As(err, &se) || !se.Degradable() || se.Step != last {
 		t.Fatalf("truncated spill fetch: %v, want degradable *StepError for step %d", err, last)
 	}
 	st.Repair(last, js[last], cs[last])

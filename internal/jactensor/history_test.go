@@ -296,7 +296,7 @@ func TestMissingHistoryIsOutOfOrderOrCorrupt(t *testing.T) {
 	st.Repair(11, js[11], cs[11])
 	_, _, err = st.Fetch(10)
 	var se *StepError
-	if !errors.As(err, &se) || !se.Degradable || !se.Corrupt || se.Step != 10 || !strings.Contains(err.Error(), "reference frames, 1 given") {
+	if !errors.As(err, &se) || !se.Degradable() || !se.Corrupt || se.Step != 10 || !strings.Contains(err.Error(), "reference frames, 1 given") {
 		t.Fatalf("fetch with one frame of a deeper history: %v, want a degradable corruption naming the frames given", err)
 	}
 }

@@ -249,7 +249,7 @@ func (m *modelRun) refuse(step int, j, c []float64, what string) {
 	before := m.st.Stats()
 	err := m.st.Put(step, j, c)
 	var se *StepError
-	if !errors.As(err, &se) || se.Op != "put" || se.Step != step || se.Degradable {
+	if !errors.As(err, &se) || se.Op != "put" || se.Step != step || se.Degradable() {
 		m.t.Fatalf("Put of %s: %v, want a non-degradable *StepError{Op: put, Step: %d}", what, err, step)
 	}
 	if after := m.st.Stats(); after.Steps != before.Steps || after.RawBytes != before.RawBytes {
@@ -271,7 +271,7 @@ func (m *modelRun) fetch(src fetcher, step int) {
 	j, c, err := src.Fetch(step)
 	if err != nil {
 		var se *StepError
-		if !m.faulty || !errors.As(err, &se) || !se.Degradable || se.Step != step {
+		if !m.faulty || !errors.As(err, &se) || !se.Degradable() || se.Step != step {
 			m.t.Fatalf("fetch %d: %v (fault injection %v)", step, err, m.faulty)
 		}
 		if _, _, err := src.Fetch(step); err == nil {
@@ -470,7 +470,7 @@ func TestPutContract(t *testing.T) {
 				before := st.Stats()
 				err := st.Put(step, j, c)
 				var se *StepError
-				if !errors.As(err, &se) || se.Op != "put" || se.Step != step || se.Degradable {
+				if !errors.As(err, &se) || se.Op != "put" || se.Step != step || se.Degradable() {
 					t.Fatalf("%s: Put returned %v, want a non-degradable *StepError{Op: put, Step: %d}", what, err, step)
 				}
 				if after := st.Stats(); after.Steps != before.Steps || after.RawBytes != before.RawBytes {

@@ -169,7 +169,7 @@ func TestStatesNeededToDecode(t *testing.T) {
 		j, c, err := st.Fetch(i)
 		if err != nil {
 			var se *StepError
-			if i > lost || !errors.As(err, &se) || !se.Degradable || se.Step != i || !errors.Is(err, masczip.ErrReference) {
+			if i > lost || !errors.As(err, &se) || !se.Degradable() || se.Step != i || !errors.Is(err, masczip.ErrReference) {
 				t.Fatalf("fetch %d, the state of step %d lost: %v, want a degradable *StepError wrapping masczip.ErrReference", i, lost, err)
 			}
 			st.Repair(i, js[i], cs[i])

@@ -165,7 +165,7 @@ func sweepRepairing(t *testing.T, src interface {
 		j, c, err := src.Fetch(s)
 		if err != nil {
 			var se *StepError
-			if !errors.As(err, &se) || !se.Corrupt || !se.Degradable || se.Step != s {
+			if !errors.As(err, &se) || !se.Corrupt || !se.Degradable() || se.Step != s {
 				t.Fatalf("fetch %d: %v, want a degradable corruption naming the step", s, err)
 			}
 			if check != nil {

@@ -6,15 +6,19 @@
 // subsequent matrices are refactorized numerically in-place, which is where
 // the simulator spends most of its solve time — unless the matrix is
 // bit-identical to the one already factored (every step of a linear circuit
-// at a fixed step size), in which case Refactor does nothing at all.
-// Factorize is the one refactor-else-factor policy the forward Newton loop,
-// the reverse sweeps and the direct method share.
+// at a fixed step size), in which case Refactor does nothing at all. A fresh
+// factorization handed an earlier one on the same pattern (Options.Hint)
+// replays that one's structure instead of searching, as long as the search
+// would choose the same pivots. Factorize is the one refactor-else-factor
+// policy the forward Newton loop, the reverse sweeps and the direct method
+// share.
 package lu
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"masc/internal/sparse"
@@ -47,6 +51,15 @@ type Options struct {
 	// ColPerm is a fill-reducing column pre-ordering: column j of the
 	// factorization is original column ColPerm[j]. Nil means natural order.
 	ColPerm []int32
+
+	// Hint, if non-nil, is an earlier factorization whose pivot order Factor
+	// tries first. On the same pattern and column order, Factor runs the
+	// numeric pass along the hint's recorded structure and applies its own
+	// pivot rule in every column; at the first column where the rule picks
+	// another row it starts over with the pivot search. Either way the result
+	// is bit-identical to Factor without a hint. The hint is only read, so
+	// any number of factorizations may use one concurrently.
+	Hint *LU
 }
 
 // LU holds both factors and the recorded symbolic structure.
@@ -80,8 +93,12 @@ type LU struct {
 	// Value memo: a bit image of the a.Val most recently handed to Factor or
 	// Refactor, and whether the numeric factors above were computed from it.
 	// Refactor returns at once on a bit-identical matrix (see Refactor).
-	memo   []float64
-	memoOK bool
+	// pivoted says more: the recorded pivots are the ones Factor chooses for
+	// memo, so the factors are Factor's own result for it, and a replay of a
+	// bit-identical matrix copies them (see replay).
+	memo    []float64
+	memoOK  bool
+	pivoted bool
 
 	w []float64 // workspace, len n, zero outside active reach
 
@@ -138,8 +155,26 @@ func exact[T any](src []T) []T {
 }
 
 // Factor computes the LU factorization of a, choosing pivots, and records
-// the symbolic structure for later Refactor calls.
+// the symbolic structure for later Refactor calls. With opt.Hint it replays
+// the hint's pivot order where the pivot search would choose it.
 func Factor(a *sparse.Matrix, opt Options) (*LU, error) {
+	f, _, err := factor(a, opt)
+	return f, err
+}
+
+// factor is Factor that also reports whether it replayed opt.Hint.
+func factor(a *sparse.Matrix, opt Options) (f *LU, replayed bool, err error) {
+	if h := opt.Hint; h != nil && h.pat == a.P && len(a.Val) == len(h.memo) && h.sameOrder(opt.ColPerm) {
+		if f := h.replay(a); f != nil {
+			return f, true, nil
+		}
+	}
+	f, err = search(a, opt)
+	return f, false, err
+}
+
+// search is the factorization with a pivot search in every column.
+func search(a *sparse.Matrix, opt Options) (*LU, error) {
 	n := a.P.N
 	sc := scratchPool.Get().(*factorScratch)
 	defer scratchPool.Put(sc)
@@ -188,8 +223,67 @@ func Factor(a *sparse.Matrix, opt Options) (*LU, error) {
 	f.lrow, f.lx = exact(sc.lrow), exact(sc.lx)
 	f.uk, f.ux = exact(sc.uk), exact(sc.ux)
 	f.topoRow, f.topoDest = exact(sc.topoRow), exact(sc.topoDest)
-	f.memo, f.memoOK = exact(a.Val), true
+	f.memo, f.memoOK, f.pivoted = exact(a.Val), true, true
 	return f, nil
+}
+
+// sameOrder reports whether perm, as Options.ColPerm, names f's column
+// order.
+func (f *LU) sameOrder(perm []int32) bool {
+	if perm == nil {
+		for j, c := range f.q {
+			if c != int32(j) {
+				return false
+			}
+		}
+		return true
+	}
+	return slices.Equal(f.q, perm)
+}
+
+// replay factors a, a matrix on f's pattern, along f's recorded structure:
+// the numeric pass with Factor's pivot rule checked in every column (see
+// numeric). The new factors share f's symbolic arrays, which nothing writes
+// after Factor, and own their numeric ones. When f's factors are Factor's own
+// for values bit-identical to a's, replay copies them. It returns nil at the
+// first column where the rule picks a row other than f's pivot, or none.
+//
+// The result is bit-identical to Factor(a): while every pivot agrees, the
+// reach of each column, its topological order and therefore every
+// floating-point operation are the ones Factor performs.
+func (f *LU) replay(a *sparse.Matrix) *LU {
+	g := &LU{
+		n: f.n, pat: f.pat, q: f.q, pinv: f.pinv, prow: f.prow,
+		lp: f.lp, lrow: f.lrow, up: f.up, uk: f.uk,
+		topoPtr: f.topoPtr, topoRow: f.topoRow, topoDest: f.topoDest,
+		memo: exact(a.Val), memoOK: true, pivoted: true,
+		w: make([]float64, f.n),
+	}
+	if f.memoOK && f.pivoted && sameBits(f.memo, a.Val) {
+		g.lx, g.ux, g.ud = exact(f.lx), exact(f.ux), exact(f.ud)
+		return g
+	}
+	g.lx = make([]float64, len(f.lx))
+	g.ux = make([]float64, len(f.ux))
+	g.ud = make([]float64, f.n)
+	if g.numeric(a, true) != nil {
+		return nil
+	}
+	return g
+}
+
+// sameBits reports whether a and b hold the same bit patterns
+// (math.Float64bits, so −0 ≠ +0 and only same-payload NaNs match).
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // dfsReach computes the reach of column c's structural rows through the
@@ -246,20 +340,21 @@ func (f *LU) dfsReach(sc *factorScratch, csc *sparse.CSCView, c int32) {
 func (f *LU) factorColumn(sc *factorScratch, a *sparse.Matrix, csc *sparse.CSCView, j int32) error {
 	c := f.q[j]
 	f.dfsReach(sc, csc, c)
+	w, pinv, lp, lrow, lx := f.w, f.pinv, f.lp, sc.lrow, sc.lx
 	// Scatter A(:,c) into the workspace.
 	for p := csc.ColPtr[c]; p < csc.ColPtr[c+1]; p++ {
-		f.w[csc.RowIdx[p]] = a.Val[csc.Slot[p]]
+		w[csc.RowIdx[p]] = a.Val[csc.Slot[p]]
 	}
 	// Sparse triangular solve in topological order.
 	for _, node := range sc.post {
-		k := f.pinv[node]
+		k := pinv[node]
 		if k < 0 {
 			continue
 		}
-		ukj := f.w[node]
+		ukj := w[node]
 		if ukj != 0 {
-			for p := f.lp[k]; p < f.lp[k+1]; p++ {
-				f.w[sc.lrow[p]] -= ukj * sc.lx[p]
+			for p := lp[k]; p < lp[k+1]; p++ {
+				w[lrow[p]] -= ukj * lx[p]
 			}
 		}
 	}
@@ -267,10 +362,10 @@ func (f *LU) factorColumn(sc *factorScratch, a *sparse.Matrix, csc *sparse.CSCVi
 	var pivot int32 = -1
 	var pmax float64
 	for _, node := range sc.post {
-		if f.pinv[node] >= 0 {
+		if pinv[node] >= 0 {
 			continue
 		}
-		if v := math.Abs(f.w[node]); v > pmax {
+		if v := math.Abs(w[node]); v > pmax {
 			pmax = v
 			pivot = node
 		}
@@ -279,13 +374,13 @@ func (f *LU) factorColumn(sc *factorScratch, a *sparse.Matrix, csc *sparse.CSCVi
 		return ErrSingular
 	}
 	// Prefer the structural diagonal row if it is acceptable.
-	if f.pinv[c] < 0 && sc.mark[c] == sc.tick {
-		if v := math.Abs(f.w[c]); v >= pivotThreshold*pmax {
+	if pinv[c] < 0 && sc.mark[c] == sc.tick {
+		if v := math.Abs(w[c]); v >= pivotThreshold*pmax {
 			pivot = c
 		}
 	}
-	d := f.w[pivot]
-	f.pinv[pivot] = j
+	d := w[pivot]
+	pinv[pivot] = j
 	f.prow[j] = pivot
 	f.ud[j] = d
 
@@ -295,20 +390,20 @@ func (f *LU) factorColumn(sc *factorScratch, a *sparse.Matrix, csc *sparse.CSCVi
 	// directions only require whole columns to be processed in pivot order.
 	for _, node := range sc.post {
 		sc.topoRow = append(sc.topoRow, node)
-		k := f.pinv[node]
+		k := pinv[node]
 		switch {
 		case node == pivot:
 			sc.topoDest = append(sc.topoDest, -1)
 		case k >= 0 && k < j:
 			sc.topoDest = append(sc.topoDest, int32(len(sc.uk)))
 			sc.uk = append(sc.uk, k)
-			sc.ux = append(sc.ux, f.w[node])
+			sc.ux = append(sc.ux, w[node])
 		default: // unpivoted → L
 			sc.topoDest = append(sc.topoDest, -(int32(len(sc.lrow)) + 2))
 			sc.lrow = append(sc.lrow, node)
-			sc.lx = append(sc.lx, f.w[node]/d)
+			sc.lx = append(sc.lx, w[node]/d)
 		}
-		f.w[node] = 0
+		w[node] = 0
 	}
 	f.lp = append(f.lp, int32(len(sc.lrow)))
 	f.up = append(f.up, int32(len(sc.uk)))
@@ -350,6 +445,7 @@ func (f *LU) refactor(a *sparse.Matrix) (reused bool, err error) {
 	// Invalidate before the numeric pass: an ErrPivotDegraded exit leaves the
 	// factors half-written, and the same matrix again must not be skipped.
 	f.memoOK = false
+	f.pivoted = false
 	copy(f.memo[d:], val[d:])
 	if err := f.refactorNumeric(a); err != nil {
 		return false, err
@@ -358,61 +454,102 @@ func (f *LU) refactor(a *sparse.Matrix) (reused bool, err error) {
 	return false, nil
 }
 
+// errReplayPivot stops a replay at a column where Factor's pivot rule picks a
+// row other than the recorded one.
+var errReplayPivot = errors.New("lu: replay pivot differs from the pivot search's")
+
 // refactorNumeric is the numeric pass of Refactor along the recorded pivots.
-func (f *LU) refactorNumeric(a *sparse.Matrix) error {
+func (f *LU) refactorNumeric(a *sparse.Matrix) error { return f.numeric(a, false) }
+
+// numeric recomputes lx, ux and ud for a along the recorded structure. A
+// refactorization (replay false) checks each recorded pivot against the
+// growth limit and returns ErrPivotDegraded when one has collapsed. A replay
+// instead applies Factor's pivot rule to the column — the first maximum over
+// the unpivoted reach rows in topological order, the diagonal row if it is
+// within pivotThreshold of it — and returns errReplayPivot where that rule
+// picks another row or finds none.
+func (f *LU) numeric(a *sparse.Matrix, replay bool) error {
 	csc := a.P.CSC()
+	colPtr, rowIdx, slot, val := csc.ColPtr, csc.RowIdx, csc.Slot, a.Val
+	q, pinv, prow := f.q, f.pinv, f.prow
+	lp, lrow, lx, ux, ud := f.lp, f.lrow, f.lx, f.ux, f.ud
+	topoPtr, topoRow, topoDest := f.topoPtr, f.topoRow, f.topoDest
+	w := f.w
 	for j := 0; j < f.n; j++ {
-		c := f.q[j]
-		for p := csc.ColPtr[c]; p < csc.ColPtr[c+1]; p++ {
-			f.w[csc.RowIdx[p]] = a.Val[csc.Slot[p]]
+		c := q[j]
+		for p := colPtr[c]; p < colPtr[c+1]; p++ {
+			w[rowIdx[p]] = val[slot[p]]
 		}
-		lo, hi := f.topoPtr[j], f.topoPtr[j+1]
+		lo, hi := topoPtr[j], topoPtr[j+1]
 		// Apply the recorded updates in the recorded topological order.
 		for t := lo; t < hi; t++ {
-			node := f.topoRow[t]
-			k := f.pinv[node]
-			if node == f.prow[j] || k > int32(j) {
+			node := topoRow[t]
+			k := pinv[node]
+			if node == prow[j] || k > int32(j) {
 				continue // pivot or L node: no update from it
 			}
-			ukj := f.w[node]
-			dst := f.topoDest[t]
-			f.ux[dst] = ukj
+			ukj := w[node]
+			ux[topoDest[t]] = ukj
 			if ukj != 0 {
-				for p := f.lp[k]; p < f.lp[k+1]; p++ {
-					f.w[f.lrow[p]] -= ukj * f.lx[p]
+				for p := lp[k]; p < lp[k+1]; p++ {
+					w[lrow[p]] -= ukj * lx[p]
 				}
 			}
 		}
-		d := f.w[f.prow[j]]
-		bad := d == 0 || math.IsNaN(d) || math.IsInf(d, 0)
-		if !bad {
+		d := w[prow[j]]
+		var err error
+		if replay {
+			var pivot int32 = -1
+			var pmax float64
+			diag := false
+			for t := lo; t < hi; t++ {
+				if topoDest[t] >= 0 {
+					continue // pivoted at an earlier column
+				}
+				node := topoRow[t]
+				if v := math.Abs(w[node]); v > pmax {
+					pmax = v
+					pivot = node
+				}
+				diag = diag || node == c
+			}
+			if diag && math.Abs(w[c]) >= pivotThreshold*pmax {
+				pivot = c
+			}
+			if pivot != prow[j] || pmax == 0 {
+				err = errReplayPivot
+			}
+		} else if d == 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+			err = ErrPivotDegraded
+		} else {
 			// Pivot-growth guard: the recorded pivot must still dominate its
 			// column well enough that the L entries stay bounded.
 			maxw := 0.0
 			for t := lo; t < hi; t++ {
-				if f.topoDest[t] < -1 {
-					if a := math.Abs(f.w[f.topoRow[t]]); a > maxw {
+				if topoDest[t] < -1 {
+					if a := math.Abs(w[topoRow[t]]); a > maxw {
 						maxw = a
 					}
 				}
 			}
-			bad = maxw > refactorGrowthLimit*math.Abs(d)
+			if maxw > refactorGrowthLimit*math.Abs(d) {
+				err = ErrPivotDegraded
+			}
 		}
-		if bad {
+		if err != nil {
 			// Clear workspace before bailing out.
 			for t := lo; t < hi; t++ {
-				f.w[f.topoRow[t]] = 0
+				w[topoRow[t]] = 0
 			}
-			return ErrPivotDegraded
+			return err
 		}
-		f.ud[j] = d
+		ud[j] = d
 		for t := lo; t < hi; t++ {
-			node := f.topoRow[t]
-			dst := f.topoDest[t]
-			if dst < -1 {
-				f.lx[-(dst + 2)] = f.w[node] / d
+			node := topoRow[t]
+			if dst := topoDest[t]; dst < -1 {
+				lx[-(dst + 2)] = w[node] / d
 			}
-			f.w[node] = 0
+			w[node] = 0
 		}
 	}
 	return nil
@@ -428,25 +565,30 @@ const (
 	Refactored
 	// Factored: a fresh pivot search (no factors yet, or ErrPivotDegraded).
 	Factored
+	// Replayed: a fresh factorization that followed Options.Hint's pivots
+	// because the pivot search would have chosen them. Its result is
+	// Factored's, bit for bit.
+	Replayed
 )
 
-// Count adds one to the counter matching o.
+// Count adds one to the counter matching o; a replay counts as a
+// factorization, because its result is Factor's.
 func (o Outcome) Count(factored, refactored, reused *int) {
 	switch o {
 	case Reused:
 		*reused++
 	case Refactored:
 		*refactored++
-	case Factored:
+	case Factored, Replayed:
 		*factored++
 	}
 }
 
 // Factorize returns factors of a: f itself after a Refactor when f is
 // non-nil and its recorded pivots still hold, otherwise a fresh Factor with
-// opt. Only ErrPivotDegraded falls back to re-pivoting; any other Refactor
-// error (a foreign pattern, a short value array) is returned, with f
-// unchanged, because re-pivoting would hide it.
+// opt (Replayed when it followed opt.Hint). Only ErrPivotDegraded falls back
+// to re-pivoting; any other Refactor error (a foreign pattern, a short value
+// array) is returned, with f unchanged, because re-pivoting would hide it.
 func Factorize(f *LU, a *sparse.Matrix, opt Options) (*LU, Outcome, error) {
 	if f != nil {
 		reused, err := f.refactor(a)
@@ -459,9 +601,12 @@ func Factorize(f *LU, a *sparse.Matrix, opt Options) (*LU, Outcome, error) {
 			return f, 0, err
 		}
 	}
-	nf, err := Factor(a, opt)
-	if err != nil {
+	nf, replayed, err := factor(a, opt)
+	switch {
+	case err != nil:
 		return f, 0, err
+	case replayed:
+		return nf, Replayed, nil
 	}
 	return nf, Factored, nil
 }
@@ -469,30 +614,31 @@ func Factorize(f *LU, a *sparse.Matrix, opt Options) (*LU, Outcome, error) {
 // Solve solves A·x = b in place: on return b holds x.
 func (f *LU) Solve(b []float64) {
 	n := f.n
-	y := f.w // reuse workspace; fully overwritten then consumed
+	q, prow, lp, lrow, lx, up, uk, ux, ud := f.q, f.prow, f.lp, f.lrow, f.lx, f.up, f.uk, f.ux, f.ud
+	y := f.w[:n] // reuse workspace; fully overwritten then consumed
 	// Forward solve L̂ y = P b, processing pivot steps in order.
 	for k := 0; k < n; k++ {
-		yk := b[f.prow[k]]
+		yk := b[prow[k]]
 		y[k] = yk
 		if yk != 0 {
-			for p := f.lp[k]; p < f.lp[k+1]; p++ {
-				b[f.lrow[p]] -= yk * f.lx[p]
+			for p := lp[k]; p < lp[k+1]; p++ {
+				b[lrow[p]] -= yk * lx[p]
 			}
 		}
 	}
 	// Back solve Û x̂ = y.
 	for j := n - 1; j >= 0; j-- {
-		xj := y[j] / f.ud[j]
+		xj := y[j] / ud[j]
 		y[j] = xj
 		if xj != 0 {
-			for p := f.up[j]; p < f.up[j+1]; p++ {
-				y[f.uk[p]] -= xj * f.ux[p]
+			for p := up[j]; p < up[j+1]; p++ {
+				y[uk[p]] -= xj * ux[p]
 			}
 		}
 	}
 	// Un-permute: x[q[j]] = x̂[j].
 	for j := 0; j < n; j++ {
-		b[f.q[j]] = y[j]
+		b[q[j]] = y[j]
 		y[j] = 0
 	}
 }
@@ -500,27 +646,26 @@ func (f *LU) Solve(b []float64) {
 // SolveT solves Aᵀ·x = b in place: on return b holds x.
 func (f *LU) SolveT(b []float64) {
 	n := f.n
-	z := f.w
+	q, pinv, prow, lp, lrow, lx, up, uk, ux, ud := f.q, f.pinv, f.prow, f.lp, f.lrow, f.lx, f.up, f.uk, f.ux, f.ud
+	z := f.w[:n]
 	// Forward solve Ûᵀ z = ĉ with ĉ[j] = b[q[j]].
 	for j := 0; j < n; j++ {
-		s := b[f.q[j]]
-		for p := f.up[j]; p < f.up[j+1]; p++ {
-			s -= f.ux[p] * z[f.uk[p]]
+		s := b[q[j]]
+		for p := up[j]; p < up[j+1]; p++ {
+			s -= ux[p] * z[uk[p]]
 		}
-		z[j] = s / f.ud[j]
+		z[j] = s / ud[j]
 	}
 	// Back solve L̂ᵀ ŷ = z; x[prow[k]] = ŷ[k].
 	for k := n - 1; k >= 0; k-- {
 		s := z[k]
-		for p := f.lp[k]; p < f.lp[k+1]; p++ {
-			s -= f.lx[p] * z[f.pinv[f.lrow[p]]]
+		for p := lp[k]; p < lp[k+1]; p++ {
+			s -= lx[p] * z[pinv[lrow[p]]]
 		}
 		z[k] = s
 	}
 	for k := 0; k < n; k++ {
-		b[f.prow[k]] = z[k]
+		b[prow[k]] = z[k]
 	}
-	for k := 0; k < n; k++ {
-		z[k] = 0
-	}
+	clear(z)
 }

@@ -41,6 +41,7 @@ func (f *LU) SolveMulti(bs [][]float64) {
 		return
 	}
 	n := f.n
+	q, prow, lp, lrow, lx, up, uk, ux, ud := f.q, f.prow, f.lp, f.lrow, f.lx, f.up, f.uk, f.ux, f.ud
 	zs, ws := f.multiScratch(k)
 	// Scatter the right-hand sides into the original-row-indexed workspace.
 	for r, b := range bs {
@@ -52,34 +53,39 @@ func (f *LU) SolveMulti(bs [][]float64) {
 	// the role of the in-place-updated b; zs holds y.
 	for kk := 0; kk < n; kk++ {
 		base := kk * k
-		copy(zs[base:base+k], ws[int(f.prow[kk])*k:int(f.prow[kk])*k+k])
-		for p := f.lp[kk]; p < f.lp[kk+1]; p++ {
-			l := f.lx[p]
-			wb := int(f.lrow[p]) * k
-			for r := 0; r < k; r++ {
-				ws[wb+r] -= zs[base+r] * l
+		y := zs[base : base+k]
+		pb := int(prow[kk]) * k
+		copy(y, ws[pb:pb+k])
+		for p := lp[kk]; p < lp[kk+1]; p++ {
+			l := lx[p]
+			wb := int(lrow[p]) * k
+			dst := ws[wb : wb+k]
+			for r, yr := range y {
+				dst[r] -= yr * l
 			}
 		}
 	}
 	// Back solve Û x̂ = y.
 	for j := n - 1; j >= 0; j-- {
 		base := j * k
-		d := f.ud[j]
-		for r := 0; r < k; r++ {
-			zs[base+r] /= d
+		x := zs[base : base+k]
+		d := ud[j]
+		for r := range x {
+			x[r] /= d
 		}
-		for p := f.up[j]; p < f.up[j+1]; p++ {
-			u := f.ux[p]
-			ub := int(f.uk[p]) * k
-			for r := 0; r < k; r++ {
-				zs[ub+r] -= zs[base+r] * u
+		for p := up[j]; p < up[j+1]; p++ {
+			u := ux[p]
+			ub := int(uk[p]) * k
+			dst := zs[ub : ub+k]
+			for r, xr := range x {
+				dst[r] -= xr * u
 			}
 		}
 	}
 	// Un-permute: x[q[j]] = x̂[j].
 	for j := 0; j < n; j++ {
 		base := j * k
-		qj := f.q[j]
+		qj := q[j]
 		for r, b := range bs {
 			b[qj] = zs[base+r]
 		}
@@ -101,40 +107,45 @@ func (f *LU) SolveTMulti(bs [][]float64) {
 		return
 	}
 	n := f.n
+	q, pinv, prow, lp, lrow, lx, up, uk, ux, ud := f.q, f.pinv, f.prow, f.lp, f.lrow, f.lx, f.up, f.uk, f.ux, f.ud
 	zs, _ := f.multiScratch(k)
 	// Forward solve Ûᵀ z = ĉ with ĉ[j] = b[q[j]].
 	for j := 0; j < n; j++ {
 		base := j * k
-		qj := f.q[j]
+		z := zs[base : base+k]
+		qj := q[j]
 		for r, b := range bs {
-			zs[base+r] = b[qj]
+			z[r] = b[qj]
 		}
-		for p := f.up[j]; p < f.up[j+1]; p++ {
-			u := f.ux[p]
-			ub := int(f.uk[p]) * k
-			for r := 0; r < k; r++ {
-				zs[base+r] -= u * zs[ub+r]
+		for p := up[j]; p < up[j+1]; p++ {
+			u := ux[p]
+			ub := int(uk[p]) * k
+			src := zs[ub : ub+k]
+			for r, sr := range src {
+				z[r] -= u * sr
 			}
 		}
-		d := f.ud[j]
-		for r := 0; r < k; r++ {
-			zs[base+r] /= d
+		d := ud[j]
+		for r := range z {
+			z[r] /= d
 		}
 	}
 	// Back solve L̂ᵀ ŷ = z; x[prow[kk]] = ŷ[kk].
 	for kk := n - 1; kk >= 0; kk-- {
 		base := kk * k
-		for p := f.lp[kk]; p < f.lp[kk+1]; p++ {
-			l := f.lx[p]
-			sb := int(f.pinv[f.lrow[p]]) * k
-			for r := 0; r < k; r++ {
-				zs[base+r] -= l * zs[sb+r]
+		z := zs[base : base+k]
+		for p := lp[kk]; p < lp[kk+1]; p++ {
+			l := lx[p]
+			sb := int(pinv[lrow[p]]) * k
+			src := zs[sb : sb+k]
+			for r, sr := range src {
+				z[r] -= l * sr
 			}
 		}
 	}
 	for kk := 0; kk < n; kk++ {
 		base := kk * k
-		row := f.prow[kk]
+		row := prow[kk]
 		for r, b := range bs {
 			b[row] = zs[base+r]
 		}

@@ -1,10 +1,11 @@
 // Package transient implements the forward time-domain analysis: a DC
-// operating point via gmin stepping followed by fixed-step backward-Euler
-// integration with a damped Newton–Raphson solve at every timestep. The
-// CaptureGC hook hands the converged per-step device matrices (G = ∂f/∂x
-// and C = ∂q/∂x) to the caller — this is where MASC's compression pipeline
-// attaches during forward integration; Result.AssembleJ rebuilds the system
-// Jacobian J = G + C/h from them, bit for bit.
+// operating point (plain Newton, then gmin stepping if that fails) followed
+// by fixed-step backward-Euler integration with a damped Newton–Raphson
+// solve at every timestep. The CaptureGC hook hands the converged per-step
+// device matrices (G = ∂f/∂x and C = ∂q/∂x) to the caller — this is where
+// MASC's compression pipeline attaches during forward integration;
+// Result.AssembleJ rebuilds the system Jacobian J = G + C/h from them, bit
+// for bit.
 package transient
 
 import (
@@ -101,7 +102,9 @@ type Options struct {
 	// factorization state across the whole step history, which a
 	// checkpoint cannot capture; journaled runs set this so a resumed run
 	// takes bit-identical Newton trajectories, trading a few percent of
-	// forward time for replayability.
+	// forward time for replayability. The dropped factors stay the next
+	// factorization's hint (lu.Options.Hint), whose result is the pivot
+	// search's, bit for bit.
 	FreshFactorPerStep bool
 
 	// Obs, if non-nil, receives per-step telemetry: the
@@ -187,16 +190,21 @@ const (
 
 // Stats aggregates solver work counters. Every Newton iteration asks for
 // factors of its Jacobian once; the three LU counters say what that took:
-// a fresh pivot search, a numeric refactorization along the recorded
+// a fresh factorization, a numeric refactorization along the recorded
 // pivots, or nothing because the Jacobian was bit-identical to the one
-// already factored (a linear circuit at a fixed step). FillNNZ is what
-// every one of those requests and every solve pays for: the off-diagonal
-// entries of L and U in the factors in hand when the pass ended.
+// already factored (a linear circuit at a fixed step). FactorReplays counts
+// the fresh factorizations that replayed the previous factors' pivot order
+// because the pivot search would have chosen it (lu.Options.Hint): the DC
+// point's for the first step, and a dropped one's under FreshFactorPerStep.
+// The others searched. FillNNZ is what every one of those requests and
+// every solve pays for: the off-diagonal entries of L and U in the factors
+// in hand when the pass ended.
 type Stats struct {
 	NewtonIters      int
 	Factorizations   int
 	Refactorizations int
 	FactorReuses     int
+	FactorReplays    int
 	FillNNZ          int
 	StepsAccepted    int
 	StepsCut         int
@@ -298,6 +306,10 @@ type solver struct {
 	opt  Options
 	J    *sparse.Matrix
 	fact *lu.LU
+	// hint is factors the next fresh factorization replays if the pivot
+	// search would choose their pivots (lu.Options.Hint); it is dropped once
+	// a factorization has used it.
+	hint *lu.LU
 	perm []int32
 	res  []float64 // Newton residual / solution buffer
 	dx   []float64 // line-search direction
@@ -340,12 +352,19 @@ func (s *solver) newton(x []float64, eval func(x []float64)) error {
 	rnorm := resNorm()
 	for iter := 0; iter < opt.MaxNewton; iter++ {
 		s.st.NewtonIters++
-		f, what, err := lu.Factorize(s.fact, s.J, lu.Options{ColPerm: s.perm})
+		f, what, err := lu.Factorize(s.fact, s.J, lu.Options{ColPerm: s.perm, Hint: s.hint})
 		if err != nil {
 			return fmt.Errorf("transient: newton iteration %d: %w", iter, err)
 		}
 		s.fact = f
 		what.Count(&s.st.Factorizations, &s.st.Refactorizations, &s.st.FactorReuses)
+		switch what {
+		case lu.Replayed:
+			s.st.FactorReplays++
+			fallthrough
+		case lu.Factored:
+			s.hint = nil
+		}
 		s.st.FillNNZ = f.LNNZ() + f.UNNZ()
 		s.fact.Solve(s.res) // res now holds dx = J⁻¹ r
 		copy(s.dx, s.res)
@@ -414,34 +433,86 @@ func (s *solver) newton(x []float64, eval func(x []float64)) error {
 	return fmt.Errorf("transient: newton did not converge in %d iterations", opt.MaxNewton)
 }
 
-// DCOperatingPoint solves f(x, t) + gmin·x = 0 with gmin stepping, starting
-// from the zero state.
+// DCOperatingPoint solves f(x, t) + gmin·x = 0 from the zero state: plain
+// Newton at opt.Gmin, and gmin stepping if that fails (see solver.dc).
 func DCOperatingPoint(ckt *circuit.Circuit, t float64, opt Options) ([]float64, Stats, error) {
 	opt = opt.withDefaults()
 	var st Stats
-	s := newSolver(ckt, opt, &st)
-	x := make([]float64, ckt.N)
-	// Descend the gmin ladder; each rung starts from the previous solution.
-	ladder := []float64{1e-2, 1e-4, 1e-6, 1e-8, 1e-10, opt.Gmin}
-	for _, g := range ladder {
-		eval := func(xx []float64) {
-			s.ev.Run(xx, t)
-			for i := range s.res {
-				s.res[i] = s.ev.F[i] + g*xx[i]
-			}
-			s.ev.BuildJ(s.J, 0)
-			ckt.AddGmin(s.J, g)
-		}
-		if err := s.newton(x, eval); err != nil {
-			return nil, st, fmt.Errorf("transient: DC at gmin=%g: %w", g, err)
+	x, _, err := newSolver(ckt, opt, &st).dc(t)
+	return x, st, err
+}
+
+// dc solves the DC operating point at time t, leaving its factors in s.fact.
+// It runs plain Newton from the zero state at the floor gmin first, as SPICE
+// does. Only if that fails (or ends off the finite numbers) does it clear the
+// state and the factors and descend the gmin ladder — so a circuit that needs
+// the ladder gets the ladder's bits, and one that does not is spared its
+// rungs. ladder reports which of the two converged.
+func (s *solver) dc(t float64) (x []float64, ladder bool, err error) {
+	x = make([]float64, s.ckt.N)
+	if s.newton(x, s.dcEval(t, s.opt.Gmin)) == nil && finite(x) {
+		return x, false, nil
+	}
+	clear(x)
+	s.fact = nil
+	if err := s.gminLadder(t, x); err != nil {
+		return nil, true, err
+	}
+	return x, true, nil
+}
+
+// gminLadder solves the DC point into x, which holds the starting state, by
+// descending the gmin ladder; each rung starts from the previous solution.
+func (s *solver) gminLadder(t float64, x []float64) error {
+	for _, g := range []float64{1e-2, 1e-4, 1e-6, 1e-8, 1e-10, s.opt.Gmin} {
+		if err := s.newton(x, s.dcEval(t, g)); err != nil {
+			return fmt.Errorf("transient: DC at gmin=%g: %w", g, err)
 		}
 	}
-	return x, st, nil
+	return nil
+}
+
+// dcEval returns the Newton evaluation of the DC system f(x, t) + g·x = 0.
+func (s *solver) dcEval(t, g float64) func(x []float64) {
+	return func(x []float64) {
+		s.ev.Run(x, t)
+		for i := range s.res {
+			s.res[i] = s.ev.F[i] + g*x[i]
+		}
+		s.ev.BuildJ(s.J, 0)
+		s.ckt.AddGmin(s.J, g)
+	}
+}
+
+// finite reports whether every entry of x is a finite number.
+func finite(x []float64) bool {
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Run performs the full analysis: DC point, then backward-Euler steps until
 // TStop, invoking the capture hooks after every accepted solution.
 func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
+	return run(ckt, opt, nil)
+}
+
+// RunFactored is Run that also returns the factors of the Jacobian the last
+// Newton iteration factored, nil if no step ran one (a resumed run that had
+// nothing left to integrate). They are the reverse sweep's hint for its first
+// factorization (adjoint.Options.Hint); nothing else holds them.
+func RunFactored(ckt *circuit.Circuit, opt Options) (*Result, *lu.LU, error) {
+	var last *lu.LU
+	res, err := run(ckt, opt, &last)
+	return res, last, err
+}
+
+// run is Run; on success it leaves the solver's last factors in *last when
+// last is non-nil.
+func run(ckt *circuit.Circuit, opt Options, last **lu.LU) (*Result, error) {
 	opt = opt.withDefaults()
 	if opt.TStep <= 0 || opt.TStop <= opt.TStart {
 		return nil, fmt.Errorf("transient: bad time axis [%g, %g] step %g", opt.TStart, opt.TStop, opt.TStep)
@@ -525,14 +596,20 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			dcStart = time.Now()
 		}
 		dsp := ro.rec.Start(fsp.ID(), span.DC, 0)
-		dcX, dcStats, err := DCOperatingPoint(ckt, opt.TStart, opt)
+		// One solver for the DC point and the steps: the DC's factors become
+		// the first step's hint, not factors to refactor along, so the first
+		// step factors as it would from scratch, bit for bit.
+		s = newSolver(ckt, opt, &res.Stats)
+		dcX, ladder, err := s.dc(opt.TStart)
 		if err != nil {
 			dsp.End()
 			return nil, err
 		}
+		s.hint, s.fact = s.fact, nil
+		dcStats := &res.Stats // the DC's work alone, so far
 		dsp.Attr("iters", int64(dcStats.NewtonIters))
+		dsp.Attr("ladder", boolInt(ladder))
 		dsp.End()
-		res.Stats = dcStats
 		if ro.on {
 			d := time.Since(dcStart)
 			ro.steps.Inc()
@@ -543,7 +620,6 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			ro.stepSec.Observe(d.Seconds())
 			ro.simTime.Set(opt.TStart)
 		}
-		s = newSolver(ckt, opt, &res.Stats)
 		x = dcX
 
 		// Accept the DC point as step 0 and hand it to the capture hooks.
@@ -595,8 +671,8 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		if ro.on {
 			attemptStart = time.Now()
 		}
-		if opt.FreshFactorPerStep {
-			s.fact = nil
+		if opt.FreshFactorPerStep && s.fact != nil {
+			s.hint, s.fact = s.fact, nil
 		}
 		ssp := ro.rec.Start(fsp.ID(), span.Step, step)
 		ssp.Attr("t_ps", int64(math.Round(tNext*1e12)))
@@ -716,5 +792,15 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		}
 	}
 	fsp.Attr("steps", int64(res.Stats.StepsAccepted))
+	if last != nil {
+		*last = s.fact
+	}
 	return res, nil
+}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

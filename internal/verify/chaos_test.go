@@ -85,7 +85,7 @@ func TestChaosFleetSmall(t *testing.T) {
 // error chains the storage layers actually produce.
 func TestFailedStepUnwrapsChains(t *testing.T) {
 	inner := &jactensor.StepError{Step: 7, Op: "fetch", Tensor: "J", Corrupt: true,
-		Degradable: true, Err: errors.New("checksum")}
+		Err: errors.New("checksum")}
 	wrapped := fmt.Errorf("adjoint: fetch step 7: %w", fmt.Errorf("x: %w", inner))
 	if step, ok := failedStep(wrapped); !ok || step != 7 {
 		t.Fatalf("failedStep(%v) = %d, %v", wrapped, step, ok)

@@ -42,6 +42,7 @@ import (
 	"masc/internal/device"
 	"masc/internal/faultinject"
 	"masc/internal/jactensor"
+	"masc/internal/lu"
 	"masc/internal/netlist"
 	"masc/internal/obs"
 	"masc/internal/obs/span"
@@ -504,7 +505,12 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 	// fresh store (bit-exact, via the recompute source), then either
 	// re-enter the forward loop after the last checkpoint or, when the
 	// forward phase already completed, skip it entirely.
-	var tr *transient.Result
+	var (
+		tr *transient.Result
+		// last is the forward pass's last factors, the reverse sweep's hint
+		// for its first factorization; only the sweep holds it after that.
+		last *lu.LU
+	)
 	if rcv != nil && len(rcv.Steps) > 0 {
 		method := topt.Method
 		if method == "" {
@@ -533,11 +539,11 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 	}
 
 	if tr == nil {
-		fresh, err := transient.Run(ckt, topt)
+		fresh, fact, err := transient.RunFactored(ckt, topt)
 		if err != nil {
 			return fail(err)
 		}
-		tr = fresh
+		tr, last = fresh, fact
 		if jw != nil {
 			if err := jw.ForwardDone(tr.Steps()); err != nil {
 				return fail(err)
@@ -563,7 +569,8 @@ func (plan *runPlan) execute(ckt *Circuit, opt *SimOptions, journal func() (*run
 		src = adjoint.NewRecomputeSource(ckt, tr).Pairs()
 	}
 	sens, err := adjoint.Sensitivities(ckt, tr, src, objectives, adjoint.Options{Params: params,
-		StoredGC: true, Obs: opt.Obs, Workers: plan.AdjointWorkers, SpanParent: rsp.ID(), Ctx: opt.Ctx})
+		StoredGC: true, Obs: opt.Obs, Workers: plan.AdjointWorkers, SpanParent: rsp.ID(), Ctx: opt.Ctx,
+		Hint: last})
 	if err != nil {
 		return fail(err)
 	}

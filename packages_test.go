@@ -66,3 +66,16 @@ func TestLibraryLinksNoNetworkStack(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepLinksNoStore fails when the reverse sweep or the workload
+// catalogue links the Jacobian stores. The sweep reads a store through what
+// it declares itself — a fetch error that answers Degradable() and a source
+// that can Repair a step — so a caller that sweeps a recompute source, or
+// only builds circuits, does not link the codecs and the chain.
+func TestSweepLinksNoStore(t *testing.T) {
+	for _, p := range goList(t, "-deps", "./internal/workload", "./internal/adjoint") {
+		if p == "masc/internal/jactensor" {
+			t.Errorf("internal/workload or internal/adjoint links %s", p)
+		}
+	}
+}
