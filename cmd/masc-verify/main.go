@@ -52,7 +52,7 @@ func main() {
 		fd      = flag.Int("fd", 4, "finite-difference checks per case (0 disables the FD layer)")
 		fdTol   = flag.Float64("fd-tol", 1e-6, "finite-difference relative tolerance")
 		dirTol  = flag.Float64("direct-tol", 1e-4, "adjoint-vs-direct relative tolerance")
-		adjWork = flag.Int("adjoint-workers", 0, "chaos mode: reverse-sweep workers (2 or more fetch on a separate goroutine, the degradation ladder with them, as async scenarios do at any count; 0/1 = serial otherwise)")
+		adjWork = flag.Int("adjoint-workers", 0, "chaos mode: reverse-sweep workers sharding dF/dp (the fetches, and the degradation ladder with them, run on the sweep's fetcher goroutine at any count)")
 		budget  = flag.String("mem-budget", "", "chaos and crash modes: override the budgeted scenarios' memory budget, e.g. 8K or 64K (empty = each case's reserve and half what its chain's blobs take)")
 		verbose = flag.Bool("v", false, "log every case")
 

@@ -69,8 +69,8 @@ func main() {
 	var c cli
 	flag.StringVar(&c.path, "netlist", "", "netlist file (required)")
 	flag.StringVar(&c.storage, "storage", "masc", "jacobian storage: recompute|memory|disk|masc")
-	flag.IntVar(&c.adjWorkers, "adjoint-workers", 1, "reverse-sweep workers (more than 1 shards dF/dp and overlaps fetches, as -async does at any count; results are bit-identical for any count)")
-	flag.BoolVar(&c.async, "async", false, "pipeline the MASC store both ways: compression on a background worker during the solve, and the reverse sweep's fetches one step ahead of the adjoint solve")
+	flag.IntVar(&c.adjWorkers, "adjoint-workers", 1, "reverse-sweep workers sharding dF/dp and the adjoint right-hand sides (fetches run one step ahead at any count; results are bit-identical for any count)")
+	flag.BoolVar(&c.async, "async", false, "pipeline the MASC store's forward pass: compression on a background worker during the solve")
 	flag.Float64Var(&c.diskBps, "disk-bps", 0, "simulated disk bandwidth in bytes/s (0 = unthrottled)")
 	flag.StringVar(&c.memBudget, "mem-budget", "", "cap on resident Jacobian bytes, e.g. 64M or 512K (the MASC chain keeps the first steps whose blobs fit and recomputes the rest in the reverse sweep; results stay bit-identical; empty = unlimited)")
 	flag.IntVar(&c.top, "top", 12, "print the top-N sensitivities per objective")
@@ -247,7 +247,7 @@ func run(c cli) error {
 			run.Tran.Steps(), run.Tran.Stats.NewtonIters,
 			run.Tran.Stats.Factorizations+run.Tran.Stats.Refactorizations,
 			run.Tran.Stats.FactorReuses, fill, float64(fill)/float64(nnz))
-		fmt.Printf("sensitivity: total %v (fetch %v, solve %v, ∂F/∂p %v), %d (re)factorizations, %d factor reuses\n",
+		fmt.Printf("sensitivity: total %v (fetch wait %v, solve %v, ∂F/∂p %v), %d (re)factorizations, %d factor reuses\n",
 			run.Sens.Timing.Total, run.Sens.Timing.Fetch,
 			run.Sens.Timing.FactorSolve, run.Sens.Timing.ParamEval,
 			run.Sens.Factorizations+run.Sens.Refactorizations, run.Sens.FactorReuses)

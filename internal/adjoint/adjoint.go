@@ -39,9 +39,9 @@ import (
 // sweep. Fetch is called in strictly decreasing step order (n, n-1, …, 0);
 // the returned slices are valid until the matching Release.
 //
-// A sweep the caller's context stops while it waits on its overlapped
-// fetcher (Options.Workers > 1, or an async store) returns without waiting
-// for that fetcher, so the fetcher's last Fetch and Release may run
+// Every call comes from the sweep's fetcher goroutine, one at a time. A
+// sweep the caller's context stops while it waits on that fetcher returns
+// without waiting for it, so the fetcher's last Fetch and Release may run
 // concurrently with whatever the caller does next — typically closing the
 // source. A source must tolerate that: calls after its Close fail or do
 // nothing, they do not race.
@@ -107,18 +107,16 @@ type Options struct {
 	StoredGC bool
 
 	// Obs, if non-nil, receives per-step telemetry: the masc_adjoint_*
-	// metric families and one trace event per reverse-sweep phase
-	// ("adjoint_fetch", "adjoint_solve", "param_eval", "degrade").
+	// metric families and, when it carries a span recorder, the spans
+	// adjoint and sweep, then per step fetch (wait_ns, degraded), solve and
+	// param_eval (param_shard under it with more than one worker).
 	Obs *obs.Observer
 
-	// Workers bounds the reverse sweep's parallelism. 0 and 1 both mean one
-	// worker: the per-step compute runs on the calling goroutine, and so do
-	// the fetches (serial store-access order) unless the source is an async
-	// store, which the sweep always reads through a fetcher goroutine one
-	// step ahead of the compute. W > 1 shards the parameter-gradient loop
-	// and the per-objective RHS builds across W workers and overlaps the
-	// next step's Jacobian fetch with the current step's compute for every
-	// source. Results are bit-identical for every value of Workers.
+	// Workers is how many workers shard the parameter-gradient loop and the
+	// per-objective RHS builds; 0 and 1 both mean one, the calling
+	// goroutine. Whatever its value, the sweep reads the source through a
+	// fetcher goroutine one step ahead of the compute. Results are
+	// bit-identical for every value of Workers.
 	Workers int
 
 	// Deprecated: has no effect; one reverse sweep runs.
@@ -136,10 +134,10 @@ type Options struct {
 	SpanParent span.ID
 
 	// Ctx, if non-nil, cancels the reverse sweep cooperatively: the sweep
-	// polls it at step boundaries, the overlapped sweep also while it waits
-	// for a fetch, and aborts with an error wrapping the context's error. A
-	// wedged fetch cannot hold the sweep past a deadline: its fetcher
-	// goroutine is abandoned and drained asynchronously.
+	// polls it at step boundaries and while it waits for a fetch, and
+	// aborts with an error wrapping the context's error. A wedged fetch
+	// cannot hold the sweep past a deadline: its fetcher goroutine is
+	// abandoned and drained asynchronously.
 	Ctx context.Context
 }
 
@@ -205,11 +203,10 @@ func newSweepObs(o *obs.Observer) sweepObs {
 // Timing is the wall-clock split of a sensitivity run.
 type Timing struct {
 	Total time.Duration
-	// Fetch is the solver-visible Jacobian acquisition time. On the serial
-	// sweep (Workers ≤ 1, a source that is not async) that is the full
-	// recompute/decompress/IO cost; with the fetch/solve overlap it is only
-	// the time the sweep actually blocked waiting for a step (the hidden
-	// remainder is reported through the masc_adjoint_fetch_* metrics).
+	// Fetch is the solver-visible Jacobian acquisition time: the time the
+	// sweep blocked waiting for its fetcher to deliver a step. The full
+	// recompute/decompress/IO cost, and the part of it hidden behind
+	// compute, are reported through the masc_adjoint_fetch_* metrics.
 	Fetch       time.Duration
 	FactorSolve time.Duration // LU factorizations and adjoint solves
 	ParamEval   time.Duration // ∂F/∂p accumulation
@@ -251,11 +248,11 @@ type Result struct {
 	WindowSweepSec []float64
 }
 
-// Sensitivities runs the adjoint reverse sweep over the trajectory tr.
-// opt.Workers > 1 shards the per-step work across a bounded pool and
-// overlaps Jacobian fetches with compute, as does an async store at any
-// worker count; results are bit-identical for every worker count (see
-// parallel.go for the engine and the argument).
+// Sensitivities runs the adjoint reverse sweep over the trajectory tr. Its
+// fetcher overlaps each Jacobian fetch with the previous step's compute, and
+// opt.Workers > 1 shards the per-step work across a bounded pool; results
+// are bit-identical for every worker count (see parallel.go for the engine
+// and the argument).
 func Sensitivities(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, objs []Objective, opt Options) (*Result, error) {
 	if tr.Steps() < 1 {
 		return nil, fmt.Errorf("adjoint: trajectory has no integration steps")

@@ -78,9 +78,8 @@ func runForward(t *testing.T) (ckt *circuit.Circuit, res *transient.Result, src 
 	return c, r, keepAll{mem}, objs
 }
 
-// TestCancelMidSweep: cancellation that fires while a serial or an
-// overlapped (fetcher-goroutine) sweep is in flight must surface as the
-// context error from Sensitivities and tear every worker down cleanly — run
+// TestCancelMidSweep: cancellation that fires while a one-worker or a
+// two-worker sweep is in flight must surface as the context error from Sensitivities and tear every worker down cleanly — run
 // under -race in CI.
 func TestCancelMidSweep(t *testing.T) {
 	ckt, res, src, objs := runForward(t)
@@ -107,8 +106,8 @@ func TestPreCanceledContext(t *testing.T) {
 }
 
 // TestWedgedFetchHonoursDeadline: a fetch that never returns must not hold
-// the overlapped sweep past the caller's deadline — the wait for the fetcher
-// selects on the context, and the wedged fetcher is abandoned.
+// the sweep past the caller's deadline at any worker count — the wait for
+// the fetcher selects on the context, and the wedged fetcher is abandoned.
 func TestWedgedFetchHonoursDeadline(t *testing.T) {
 	ckt, res, src, objs := runForward(t)
 	for _, tc := range []struct {
@@ -116,6 +115,7 @@ func TestWedgedFetchHonoursDeadline(t *testing.T) {
 		opt  Options
 	}{
 		{"overlapped", Options{Workers: 2}},
+		{"one-worker", Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gate := make(chan struct{})

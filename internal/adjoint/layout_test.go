@@ -15,10 +15,10 @@ import (
 
 // TestStoredGCSweepsBitIdentical is the layout's contract: one forward pass
 // captures the assembled (J, C) and the device pair (G, C) side by side, and
-// every engine that sweeps the (G, C) stores — serial, overlapped fetcher,
-// over memory and compressed stores, recomputation, and the degradation
+// every engine that sweeps the (G, C) stores — one and two workers, over
+// memory and compressed stores, recomputation, and the degradation
 // ladder repairing rotted pairs —
-// returns the dO/dp bits of the serial sweep over the stored J. Fixtures
+// returns the dO/dp bits of the one-worker sweep over the stored J. Fixtures
 // cover both integrators and a non-default gmin (the DC step is the one
 // whose J is more than a weighted sum of the pair).
 func TestStoredGCSweepsBitIdentical(t *testing.T) {
@@ -109,8 +109,8 @@ func TestStoredGCSweepsBitIdentical(t *testing.T) {
 				sweep(label+",recompute", NewRecomputeSource(ckt, res).Pairs(), o)
 			}
 			// A compressed store is consumed by its sweep: one per engine.
-			sweep("compressed,serial", comps[0], Options{})
-			sweep("compressed,overlapped", comps[1], Options{Workers: 2})
+			sweep("compressed,workers=1", comps[0], Options{})
+			sweep("compressed,workers=2", comps[1], Options{Workers: 2})
 
 			// The ladder recomputes the pair, not J, and repairs the store
 			// with it: a healed step must refetch as (G, C).

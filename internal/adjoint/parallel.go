@@ -1,7 +1,7 @@
 package adjoint
 
 // The parallel adjoint engine. Three independent levers, all preserving
-// bit-identical results relative to the serial sweep:
+// bit-identical results for every worker count:
 //
 //  1. Multi-RHS solves: all K objective systems J_iᵀλ = rhs share one
 //     factorization, so lu.SolveTMulti traverses the factor columns once
@@ -11,7 +11,7 @@ package adjoint
 //     contiguous shards across a bounded pool. Each (objective, param)
 //     cell is touched by exactly one worker with exactly the serial
 //     operation sequence, and a per-step barrier keeps the cross-step
-//     accumulation order identical to the serial sweep.
+//     accumulation order that of a single worker.
 //  3. Fetch/solve overlap: a dedicated fetcher goroutine owns every
 //     JacobianSource call and runs one step ahead of the solver, so
 //     decompression / disk reads / recomputation hide behind the
@@ -19,9 +19,9 @@ package adjoint
 //     J_i from a stored (G_i, C_i) pair, which acquire does straight into
 //     the fetcher's buffer, and the degradation ladder (quarantine →
 //     recompute → repair → refetch), which runs unchanged on the fetcher.
-//     It runs with more than one worker, and at any worker count for an
-//     async store: the fetcher is that store's reverse pipeline, the
-//     sweep's only read-ahead.
+//     Every sweep runs it, for every source at every worker count: the
+//     fetcher is the sweep's only read-ahead, and the one goroutine that
+//     calls the source.
 //
 // Determinism notes. Shards are pure functions of (worker count, length),
 // each worker writes only its own res.DOdp[o][pk] cells and lam rows, and
@@ -202,21 +202,9 @@ func newSweep(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, ob
 	return s
 }
 
-// run drives the sweep from step n down to 0. It overlaps the next step's
-// fetch with the current step's compute when workers > 1 or the source
-// reports that it is async (the compressed store's Async), whose reverse
-// half the fetcher is; any other source at workers ≤ 1 keeps everything on
-// the calling goroutine, in the serial store-access order.
-func (s *sweep) run() error {
-	if a, ok := s.src.(interface{ Async() bool }); s.workers > 1 || ok && a.Async() {
-		return s.runOverlapped()
-	}
-	return s.runSerialFetch()
-}
-
 // acquire materializes step i's J and C values. Under Options.StoredGC the
 // source holds (G_i, C_i) and J_i is assembled here, into jDst (JPat-sized),
-// so the overlapped fetcher builds it off the solver's critical path straight
+// so the fetcher builds it off the solver's critical path straight
 // into its rotating buffer. The returned slices may alias jDst or source
 // internals and are only valid until the next acquire/Release.
 func (s *sweep) acquire(i int, jDst []float64) (jv, cv []float64, degraded bool, err error) {
@@ -295,41 +283,6 @@ func (s *sweep) acquireStored(i int) (av, cv []float64, degraded bool, err error
 	return ra, rc, true, nil
 }
 
-// runSerialFetch is the path of a source that is not async at workers ≤ 1:
-// fetch, compute, and store bookkeeping all interleave on the calling
-// goroutine exactly as in the original serial sweep.
-func (s *sweep) runSerialFetch() error {
-	swp := s.startSweepSpan()
-	defer swp.End()
-	jBuf := s.jFrame()
-	t0 := time.Now()
-	for i := s.n; i >= 0; i-- {
-		if err := s.checkStop(); err != nil {
-			return err
-		}
-		tFetch := time.Now()
-		jv, cv, degraded, err := s.acquire(i, jBuf)
-		if err != nil {
-			return err
-		}
-		d := time.Since(tFetch)
-		s.noteFetch(i, d, d, degraded)
-		// Step i+1 is no longer needed once step i has materialized —
-		// mirroring Algorithm 2's "decompress M_{n-1} using M_n, then free
-		// M_n". Releasing earlier would drop the decompression reference
-		// chain of a compressed store.
-		if i < s.n {
-			s.src.Release(i + 1)
-		}
-		if err := s.processStep(i, jv, cv); err != nil {
-			return err
-		}
-	}
-	s.src.Release(0)
-	s.res.Timing.Total = time.Since(t0)
-	return nil
-}
-
 // checkStop polls the caller's context.
 func (s *sweep) checkStop() error {
 	if err := s.opt.Ctx.Err(); err != nil {
@@ -338,11 +291,15 @@ func (s *sweep) checkStop() error {
 	return nil
 }
 
-// runOverlapped is the path of workers > 1 and of an async source: a fetcher
-// goroutine owns every JacobianSource call (Fetch, the degradation ladder,
-// Release) and keeps one step of lookahead in two rotating buffers, so
-// acquisition cost hides behind the previous step's factor+solve+accumulate.
-func (s *sweep) runOverlapped() error {
+// run drives the sweep from step n down to 0. A fetcher goroutine owns every
+// JacobianSource call (Fetch, the degradation ladder, Release) and keeps one
+// step of lookahead in two rotating buffers, so acquisition cost hides behind
+// the previous step's factor+solve+accumulate. The source sees Fetch(n),
+// Fetch(n−1), Release(n), …, Release(0) from one goroutine at a time: step
+// i+1 is released only once step i has materialized, mirroring Algorithm 2's
+// "decompress M_{n−1} using M_n, then free M_n" — releasing earlier would
+// drop the decompression reference chain of a compressed store.
+func (s *sweep) run() error {
 	swp := s.startSweepSpan()
 	defer swp.End()
 	t0 := time.Now()
@@ -478,8 +435,8 @@ func (s *sweep) startSweepSpan() span.Span {
 	return swp
 }
 
-// noteFetch records the acquisition of step i. wait is the solver-visible
-// duration (== acq when fetching inline), acq the true acquisition time.
+// noteFetch records the acquisition of step i. wait is the time the solver
+// blocked on the fetcher, acq the fetcher's acquisition time.
 func (s *sweep) noteFetch(i int, wait, acq time.Duration, degraded bool) {
 	s.res.Timing.Fetch += wait
 	if degraded {

@@ -8,9 +8,12 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"masc/internal/circuit"
 	"masc/internal/compress/masczip"
 	"masc/internal/faultinject"
 	"masc/internal/jactensor"
@@ -77,7 +80,7 @@ func requireBitIdentical(t *testing.T, label string, want, got *Result) {
 
 // TestParallelSweepBitIdentical is the tentpole property test: for every
 // circuit family, integrator, objective mix, and worker count (including
-// oversubscription), the parallel sweep must reproduce the serial sweep's
+// oversubscription), the sharded sweep must reproduce the one-worker sweep's
 // bits exactly.
 func TestParallelSweepBitIdentical(t *testing.T) {
 	type fixture struct {
@@ -293,84 +296,161 @@ func TestSweepErrorTeardown(t *testing.T) {
 	}
 }
 
-// asyncSource is a source that reports whether it is async, as an async
-// jactensor.CompressedStore does, and announces each Fetch as it begins.
-type asyncSource struct {
+// beganSource announces each Fetch as it begins.
+type beganSource struct {
 	JacobianSource
-	async bool
 	begun chan int // buffered for every fetch of the sweep, so Fetch never blocks on it
 }
 
-func (a *asyncSource) Async() bool { return a.async }
-
-func (a *asyncSource) Fetch(i int) ([]float64, []float64, error) {
-	a.begun <- i
-	return a.JacobianSource.Fetch(i)
+func (b *beganSource) Fetch(i int) ([]float64, []float64, error) {
+	b.begun <- i
+	return b.JacobianSource.Fetch(i)
 }
 
-// TestAsyncSourceIsSweptByTheFetcher: the sweep reads a source that reports
-// async through its fetcher goroutine at every worker count, one worker
-// included, so Fetch(i−1) begins while the sweep still holds step i — checked
-// where step i's fetch span ends on the sweep's goroutine, before step i's
-// work begins, by waiting (boundedly) for Fetch(i−1) to begin. A source that
-// does not report async is swept serially at one worker: there, when step
-// i's fetch span ends, no Fetch below i has begun. Both give the serial
-// sweep's bits.
-func TestAsyncSourceIsSweptByTheFetcher(t *testing.T) {
-	ckt, res, src, objs := runForward(t)
-	want, err := Sensitivities(ckt, res, src, objs, Options{})
+// sweepSources builds, for the forward run of runForward's circuit, every
+// kind of source a sweep reads (J, C) from: a memory store, recomputation,
+// and a masczip chain in sync and in async mode. Each call builds fresh
+// ones, for a chain is consumed by its sweep.
+func sweepSources(t *testing.T) (ckt *circuit.Circuit, res *transient.Result, objs []Objective, build map[string]func() JacobianSource) {
+	t.Helper()
+	ckt, res, mem, objs := runForward(t)
+	chain := func(async bool) func() JacobianSource {
+		return func() JacobianSource {
+			jc, cc := masczip.New(ckt.JPat, masczip.Options{}), masczip.New(ckt.CPat, masczip.Options{})
+			st := jactensor.NewCompressedStore(jc, cc, ckt.JPat, ckt.CPat)
+			if async {
+				st = jactensor.NewCompressedStoreAsync(jc, cc, ckt.JPat, ckt.CPat, 0)
+			}
+			t.Cleanup(func() { st.Close() })
+			for i := 0; i <= res.Steps(); i++ {
+				jv, cv, err := mem.Fetch(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Put(i, jv, cv); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.EndForward(); err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+	}
+	return ckt, res, objs, map[string]func() JacobianSource{
+		"memory":     func() JacobianSource { return mem },
+		"recompute":  func() JacobianSource { return NewRecomputeSource(ckt, res) },
+		"masc":       chain(false),
+		"masc-async": chain(true),
+	}
+}
+
+// TestEverySourceIsSweptByTheFetcher: the sweep reads every source through
+// its fetcher goroutine at every worker count, one worker (and the zero
+// value) included, so Fetch(i−1) begins while the sweep still holds step i —
+// checked where step i's fetch span ends on the sweep's goroutine, before
+// step i's work begins, by waiting (boundedly) for Fetch(i−1) to begin. Every
+// run gives the one-worker memory sweep's bits.
+func TestEverySourceIsSweptByTheFetcher(t *testing.T) {
+	ckt, res, objs, sources := sweepSources(t)
+	want, err := Sensitivities(ckt, res, sources["memory"](), objs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type run struct {
-		async   bool
-		workers int
-	}
-	runs := []run{{false, 0}, {false, 1}, {true, 0}}
-	for _, w := range workerCounts(t) {
-		runs = append(runs, run{true, w})
-	}
-	for _, r := range runs {
-		label := fmt.Sprintf("async=%v/workers=%d", r.async, r.workers)
-		t.Run(label, func(t *testing.T) {
-			as := &asyncSource{JacobianSource: src, async: r.async, begun: make(chan int, res.Steps()+1)}
-			low := res.Steps() + 1 // the lowest step whose Fetch has begun
-			var faults []string    // the sink's first, on the sweep's goroutine
-			rec := span.NewRecorder(0)
-			rec.SetSink(func(s *span.Record) {
-				if s.Kind != span.Fetch || s.Step < 1 || len(faults) > 0 {
-					return
-				}
-				i := int(s.Step)
-				if !r.async {
-					for len(as.begun) > 0 {
-						low = min(low, <-as.begun)
-					}
-					if low != i {
-						faults = append(faults, fmt.Sprintf("step %d's fetch span ended with Fetch(%d) begun", i, low))
-					}
-					return
-				}
-				timeout := time.After(10 * time.Second)
-				for low > i-1 {
-					select {
-					case j := <-as.begun:
-						low = min(low, j)
-					case <-timeout:
-						faults = append(faults, fmt.Sprintf("Fetch(%d) did not begin while the sweep held step %d", i-1, i))
+	for _, name := range []string{"memory", "recompute", "masc", "masc-async"} {
+		for _, w := range append([]int{0}, workerCounts(t)...) {
+			label := fmt.Sprintf("%s/workers=%d", name, w)
+			t.Run(label, func(t *testing.T) {
+				bs := &beganSource{JacobianSource: sources[name](), begun: make(chan int, res.Steps()+1)}
+				low := res.Steps() + 1 // the lowest step whose Fetch has begun
+				var faults []string    // the sink's first, on the sweep's goroutine
+				rec := span.NewRecorder(0)
+				rec.SetSink(func(s *span.Record) {
+					if s.Kind != span.Fetch || s.Step < 1 || len(faults) > 0 {
 						return
 					}
+					i := int(s.Step)
+					timeout := time.After(10 * time.Second)
+					for low > i-1 {
+						select {
+						case j := <-bs.begun:
+							low = min(low, j)
+						case <-timeout:
+							faults = append(faults, fmt.Sprintf("Fetch(%d) did not begin while the sweep held step %d", i-1, i))
+							return
+						}
+					}
+				})
+				got, err := Sensitivities(ckt, res, bs, objs, Options{Workers: w,
+					Obs: &obs.Observer{Reg: obs.NewRegistry(), Spans: rec}})
+				if err != nil {
+					t.Fatal(err)
 				}
+				if len(faults) > 0 {
+					t.Fatal(faults[0])
+				}
+				requireBitIdentical(t, label, want, got)
 			})
-			got, err := Sensitivities(ckt, res, as, objs, Options{Workers: r.workers,
-				Obs: &obs.Observer{Reg: obs.NewRegistry(), Spans: rec}})
-			if err != nil {
-				t.Fatal(err)
+		}
+	}
+}
+
+// callLog records a source's Fetch and Release calls in the order they
+// begin, and fails a call that begins while another is still running.
+type callLog struct {
+	JacobianSource
+	mu      sync.Mutex
+	calls   []string
+	running atomic.Int32
+	overlap atomic.Bool
+}
+
+func (c *callLog) enter(call string) {
+	if c.running.Add(1) > 1 {
+		c.overlap.Store(true)
+	}
+	c.mu.Lock()
+	c.calls = append(c.calls, call)
+	c.mu.Unlock()
+}
+
+func (c *callLog) Fetch(i int) ([]float64, []float64, error) {
+	c.enter(fmt.Sprintf("Fetch(%d)", i))
+	defer c.running.Add(-1)
+	return c.JacobianSource.Fetch(i)
+}
+
+func (c *callLog) Release(i int) {
+	c.enter(fmt.Sprintf("Release(%d)", i))
+	defer c.running.Add(-1)
+	c.JacobianSource.Release(i)
+}
+
+// TestSourceCallOrderIsWorkerIndependent pins what the store's accounting
+// rests on: whatever the worker count, the source sees Fetch(n), Fetch(n−1),
+// Release(n), …, Fetch(0), Release(1), Release(0), one call at a time — so
+// what a store holds, and its PeakResident, cannot depend on Workers.
+func TestSourceCallOrderIsWorkerIndependent(t *testing.T) {
+	ckt, res, objs, sources := sweepSources(t)
+	n := res.Steps()
+	want := []string{fmt.Sprintf("Fetch(%d)", n)}
+	for i := n - 1; i >= 0; i-- {
+		want = append(want, fmt.Sprintf("Fetch(%d)", i), fmt.Sprintf("Release(%d)", i+1))
+	}
+	want = append(want, "Release(0)")
+	for _, name := range []string{"memory", "masc", "masc-async"} {
+		for _, w := range []int{1, 2, 3} {
+			log := &callLog{JacobianSource: sources[name]()}
+			if _, err := Sensitivities(ckt, res, log, objs, Options{Workers: w}); err != nil {
+				t.Fatalf("%s/workers=%d: %v", name, w, err)
 			}
-			if len(faults) > 0 {
-				t.Fatal(faults[0])
+			if log.overlap.Load() {
+				t.Fatalf("%s/workers=%d: two source calls ran at once", name, w)
 			}
-			requireBitIdentical(t, label, want, got)
-		})
+			if !slices.Equal(log.calls, want) {
+				t.Fatalf("%s/workers=%d: %d calls %v…, want %d calls %v…",
+					name, w, len(log.calls), log.calls[:min(6, len(log.calls))], len(want), want[:6])
+			}
+		}
 	}
 }

@@ -40,8 +40,8 @@ func adjointFixture(b *testing.B, name string, scale float64) (*workload.Dataset
 }
 
 // BenchmarkSensitivities sweeps the reverse-sweep engine configurations on
-// a multi-objective workload: the serial sweep and the sharded/overlapped
-// engine at increasing worker counts.
+// a multi-objective workload: one worker, and the sharded engine at
+// increasing worker counts.
 func BenchmarkSensitivities(b *testing.B) {
 	ds, tr, src := adjointFixture(b, "add20", 0.1)
 	for _, cfg := range []struct {

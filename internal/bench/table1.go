@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"masc/internal/adjoint"
+	"masc/internal/obs"
 	"masc/internal/transient"
 	"masc/internal/workload"
 )
@@ -46,12 +47,16 @@ func RunTable1(names []string, scale float64) ([]Table1Row, error) {
 		tran := time.Since(start)
 
 		// The Xyce-style baseline the paper times: one recompute-everything
-		// reverse sweep per objective.
+		// reverse sweep per objective. T_jac is the fetcher's acquisition
+		// time, not Timing.Fetch: the sweep overlaps it with the solves and
+		// only blocks for the part it cannot hide.
+		reg := obs.NewRegistry()
 		sens, err := adjoint.XyceNaiveSensitivities(ds.Ckt, res, ds.Objectives,
-			adjoint.Options{Params: ds.Params})
+			adjoint.Options{Params: ds.Params, Obs: &obs.Observer{Reg: reg}})
 		if err != nil {
 			return nil, err
 		}
+		jac := reg.Counter("masc_adjoint_fetch_seconds_total", "").Value()
 		rows = append(rows, Table1Row{
 			Name:    ds.Name,
 			Kind:    ds.Kind,
@@ -62,7 +67,7 @@ func RunTable1(names []string, scale float64) ([]Table1Row, error) {
 			TranSec: tran.Seconds(),
 			SensSec: sens.Timing.Total.Seconds(),
 			Ratio:   sens.Timing.Total.Seconds() / tran.Seconds(),
-			JacFrac: sens.Timing.Fetch.Seconds() / sens.Timing.Total.Seconds(),
+			JacFrac: jac / sens.Timing.Total.Seconds(),
 		})
 	}
 	return rows, nil

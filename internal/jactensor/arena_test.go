@@ -279,12 +279,11 @@ func TestReaderCallsAfterCloseDoNothing(t *testing.T) {
 }
 
 // TestArenaReaderRacesClose closes the store while an abandoned fetcher is
-// mid-sweep — what an adjoint sweep cancelled mid-fetch leaves behind, at any
-// worker count when the store is async, for the sweep reads an async store
-// through its fetcher goroutine. Every fetch must either return bit-exact
-// data or ErrClosed; under -race this also checks that the pin/close
-// hand-off is properly synchronized, and in async mode that Close's drain of
-// the worker does not race the fetcher.
+// mid-sweep — what an adjoint sweep cancelled mid-fetch leaves behind, for
+// the sweep reads every store through its fetcher goroutine. Every fetch
+// must either return bit-exact data or ErrClosed; under -race this also
+// checks that the pin/close hand-off is properly synchronized, and in async
+// mode that Close's drain of the worker does not race the fetcher.
 func TestArenaReaderRacesClose(t *testing.T) {
 	const steps = 60
 	jp, cp, js, cs := tensorFixture(71, 40, steps)

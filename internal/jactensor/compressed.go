@@ -42,10 +42,10 @@ import (
 // soon as the incoming values are copied and the solver proceeds while the
 // due step compresses. The blob sequence is byte-identical to sync mode: both
 // run the same runJob calls in the same order, the worker merely elsewhere.
-// The reverse half of the pipeline is not the store's: Async reports the
-// mode, and the adjoint sweep then reads the store through its fetcher
-// goroutine, one step ahead of the solve. The store itself has one reader,
-// whichever goroutine calls it, and holds no frame ahead of the sweep.
+// The reverse half of the pipeline is not the store's: the adjoint sweep
+// reads every store through its fetcher goroutine, one step ahead of the
+// solve, whatever the mode. The store itself has one reader, whichever
+// goroutine calls it, and holds no frame ahead of the sweep.
 //
 // Under a memory budget (SetBudget, budget.go) the chain keeps the prefix of
 // steps whose blobs fit and drops the rest, which the reverse sweep
@@ -104,8 +104,7 @@ func NewCompressedStore(jc, cc compress.Compressor, jPat, cPat *sparse.Pattern) 
 const asyncDepth = 2
 
 // NewCompressedStoreAsync builds a pipelined store: Put hands compression
-// jobs to a persistent background worker through a queue of two steps.
-// Async reports it, so the reverse sweep reads it through its fetcher. Stats
+// jobs to a persistent background worker through a queue of two steps. Stats
 // gain a StallTime entry: the time Put spent blocked on a full queue.
 //
 // depth is ignored and callers pass 0. Deprecated: the queue depth is a
@@ -552,12 +551,6 @@ func (s *CompressedStore) unpinBlobs() {
 	}
 	s.mu.Unlock()
 }
-
-// Async reports whether the store runs its forward pass on a background
-// worker (NewCompressedStoreAsync). The reverse sweep reads an async store
-// through its fetcher goroutine, one step ahead of the solve, whatever its
-// worker count.
-func (s *CompressedStore) Async() bool { return s.async }
 
 // Stats implements Store.
 func (s *CompressedStore) Stats() Stats {

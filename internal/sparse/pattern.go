@@ -125,20 +125,6 @@ func (p *Pattern) TransposeSlots() []int32 {
 	return p.tr
 }
 
-// RowOf returns the row of slot k via binary search over RowPtr.
-func (p *Pattern) RowOf(k int32) int32 {
-	lo, hi := int32(0), int32(p.N)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.RowPtr[mid+1] <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Validate checks structural invariants; it is intended for tests and for
 // patterns decoded from external data.
 func (p *Pattern) Validate() error {

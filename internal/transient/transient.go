@@ -108,8 +108,10 @@ type Options struct {
 	FreshFactorPerStep bool
 
 	// Obs, if non-nil, receives per-step telemetry: the
-	// masc_transient_* metric families and one trace event per solve
-	// attempt ("dc", "solve", "step_cut").
+	// masc_transient_* metric families and, when it carries a span
+	// recorder, the spans forward and dc (iters, ladder), then one step span
+	// per solve attempt (t_ps, then iters when accepted or cut — 1 a Newton
+	// failure, 2 an LTE rejection — when not).
 	Obs *obs.Observer `json:"-"`
 
 	// SpanParent is the span the forward pass nests under (normally the

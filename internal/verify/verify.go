@@ -15,10 +15,10 @@ import (
 // Options configures a verification run.
 type Options struct {
 	// AdjointWorkers is passed through to SimOptions.AdjointWorkers for
-	// the chaos gauntlet's runs: W > 1 exercises the fault scenarios with the
-	// reverse sweep's fetches — and with them the degradation ladder — on its
-	// fetcher goroutine (which must still finish bit-identical to the
-	// fault-free baseline), as the async scenarios do at any W.
+	// the chaos gauntlet's runs: W > 1 exercises the fault scenarios with
+	// dF/dp sharded across W workers beside the fetcher goroutine that runs
+	// the degradation ladder (which must still finish bit-identical to the
+	// fault-free baseline).
 	AdjointWorkers int
 	// MemBudgetBytes, when > 0, overrides the budget of the budgeted chaos
 	// and crash scenarios and of VerifyCase's budgeted run (masc-verify

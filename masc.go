@@ -192,23 +192,19 @@ type SimOptions struct {
 	Transient TransientOptions
 	// Storage selects the Jacobian strategy; default StorageMASC.
 	Storage Storage
-	// AdjointWorkers bounds the reverse sweep's parallelism: values > 1
-	// shard the parameter-gradient loop and the per-objective RHS builds
-	// across that many workers and overlap Jacobian fetches with the
-	// adjoint compute. 0 and 1 both mean one worker, with the fetches on it
-	// too unless Async is set (see Async). Sensitivities are bit-identical
-	// for every value.
+	// AdjointWorkers is how many workers shard the reverse sweep's
+	// parameter-gradient loop and per-objective RHS builds; 0 and 1 both
+	// mean one. At every value the sweep reads the store through a fetcher
+	// goroutine one step ahead of the adjoint compute. Sensitivities are
+	// bit-identical for every value.
 	AdjointWorkers int
 	// Deprecated: has no effect; one reverse sweep runs.
 	AdjointWindows int
-	// Async pipelines the compressed store both ways: forward, compression
-	// runs on a background worker so the transient loop proceeds to step t+1
-	// while step t-1 compresses; in reverse, the sweep reads the store
-	// through its fetcher goroutine, which decodes the next step (and
-	// assembles its J) during each adjoint solve, at any AdjointWorkers.
-	// Only meaningful for StorageMASC, or StorageMemory under a budget. The
-	// stored bytes are byte-identical to sync mode, and under a budget so
-	// are the steps kept.
+	// Async pipelines the compressed store's forward pass: compression runs
+	// on a background worker so the transient loop proceeds to step t+1
+	// while step t-1 compresses. Only meaningful for StorageMASC, or
+	// StorageMemory under a budget. The stored bytes are byte-identical to
+	// sync mode, and under a budget so are the steps kept.
 	Async bool
 	// Deprecated: has no effect; the solver runs at most two steps ahead of
 	// the async compressor.
@@ -250,7 +246,7 @@ type SimOptions struct {
 	// Ctx, if non-nil, is the run's one stop signal: a signal handler's
 	// context, a deadline (context.WithTimeout) or an explicit cancel. The
 	// forward loop and the reverse sweep poll it at step boundaries, the
-	// overlapped sweep also while it waits for a fetch, and the disk-backed
+	// sweep also while it waits for a fetch, and the disk-backed
 	// stores' I/O retry sleeps abort on it. The run returns the context's
 	// error (wrapped); the forward phase additionally wraps ErrInterrupted.
 	// A journaled run stopped this way resumes from where it stopped.

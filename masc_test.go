@@ -140,8 +140,8 @@ func TestDirectMatchesAdjointFacade(t *testing.T) {
 }
 
 // TestSimulateAdjointWorkersBitIdentical pins the facade contract of
-// SimOptions.AdjointWorkers: the parallel reverse sweep (sharded dF/dp,
-// multi-RHS solves, fetch/solve overlap) must reproduce the serial sweep's
+// SimOptions.AdjointWorkers: the sharded reverse sweep (dF/dp and the RHS
+// builds across workers) must reproduce the one-worker sweep's
 // sensitivities bit for bit, on both raw and compressed storage.
 func TestSimulateAdjointWorkersBitIdentical(t *testing.T) {
 	ckt, b, obj := buildTestCircuit(t)
@@ -171,6 +171,43 @@ func TestSimulateAdjointWorkersBitIdentical(t *testing.T) {
 						t.Fatalf("%s workers=%d: obj %d sens %d diverges: %g vs %g", st, w, o, k, bv, a)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestPeakResidentIndependentOfAdjointWorkers: the sweep's fetcher makes the
+// same store calls in the same order at every worker count, so a MASC run's
+// stored bytes and PeakResident are equal at one and two adjoint workers —
+// without a budget, and under one that binds (some steps kept, some dropped).
+func TestPeakResidentIndependentOfAdjointWorkers(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	base := SimOptions{Transient: TransientOptions{TStep: 2e-6, TStop: 2e-4}, Storage: StorageMASC}
+	chain, err := Simulate(ckt, base, []Objective{obj}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{0, BudgetReserve(ckt) + chain.TensorStats.StoredBytes/2} {
+		var ref *TensorStats
+		for _, workers := range []int{1, 2} {
+			opt := base
+			opt.MemBudgetBytes = budget
+			opt.AdjointWorkers = workers
+			run, err := Simulate(ckt, opt, []Objective{obj}, nil)
+			if err != nil {
+				t.Fatalf("budget=%d workers=%d: %v", budget, workers, err)
+			}
+			s := &run.TensorStats
+			if budget > 0 && (s.TierKeptSteps == 0 || s.TierDroppedSteps == 0) {
+				t.Fatalf("budget=%d: kept %d, dropped %d steps; want a budget that binds", budget, s.TierKeptSteps, s.TierDroppedSteps)
+			}
+			if ref == nil {
+				ref = s
+				continue
+			}
+			if s.PeakResident != ref.PeakResident || s.StoredBytes != ref.StoredBytes {
+				t.Fatalf("budget=%d: workers=2 peak %d B, stored %d B; workers=1 peak %d B, stored %d B",
+					budget, s.PeakResident, s.StoredBytes, ref.PeakResident, ref.StoredBytes)
 			}
 		}
 	}
@@ -228,8 +265,8 @@ func TestSimulateAdjointWindowsBitIdentical(t *testing.T) {
 // the dropped ones sum to the run's steps, and every dropped step is
 // recomputed once; and PeakResident stays within the budget and one frame in
 // flight — at least two frames, since the sweep holds the step above the one
-// it fetches — and, with two adjoint workers, the step the fetcher holds
-// ahead. MASC_MEM_BUDGET=a,b,c (ParseByteSize values) extends the budgets —
+// it fetches — at every worker count, for the fetcher's copies are the
+// sweep's, not the store's. MASC_MEM_BUDGET=a,b,c (ParseByteSize values) extends the budgets —
 // the CI budget-sweep matrix drives it.
 func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 	ckt, b, obj := buildTestCircuit(t)
@@ -281,7 +318,7 @@ func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 						t.Fatalf("%s: %+v", label, s)
 					}
 					split = split || s.TierKeptSteps > 0 && s.TierDroppedSteps > 0
-					if limit := max(budget, frame) + int64(1+workers/2)*frame; s.PeakResident > limit {
+					if limit := max(budget, frame) + frame; s.PeakResident > limit {
 						t.Fatalf("%s: PeakResident %d over %d, the budget and the frames in flight", label, s.PeakResident, limit)
 					}
 					if budget >= 2*peak && (s.TierDroppedSteps != 0 || s.StoredBytes != chain.TensorStats.StoredBytes) {

@@ -565,13 +565,12 @@ func (c *cancelAtPoll) Err() error {
 	return c.Context.Err()
 }
 
-// TestCancelDuringReverseSweep: a context that ends during the overlapped
-// reverse sweep fails the run with the context's error — not ErrInterrupted,
-// which is the forward loop's — and leaves a journal that resumes to the
-// uninterrupted bits. Under -race it also checks that the fetcher a canceled
-// sweep leaves behind does not race the store's Close — with two workers,
-// and with one over an async store, which the sweep also reads through its
-// fetcher.
+// TestCancelDuringReverseSweep: a context that ends during the reverse sweep
+// fails the run with the context's error — not ErrInterrupted, which is the
+// forward loop's — and leaves a journal that resumes to the uninterrupted
+// bits. Under -race it also checks that the fetcher a canceled sweep leaves
+// behind does not race the store's Close — with two workers, and with one
+// over a sync and an async store.
 func TestCancelDuringReverseSweep(t *testing.T) {
 	ckt, _, obj := buildTestCircuit(t)
 	objs := []Objective{obj}
@@ -583,6 +582,7 @@ func TestCancelDuringReverseSweep(t *testing.T) {
 		{string(StorageDisk), SimOptions{Storage: StorageDisk, AdjointWorkers: 2}},
 		{string(StorageMASC), SimOptions{Storage: StorageMASC, AdjointWorkers: 2}},
 		{"masc-async-1", SimOptions{Storage: StorageMASC, Async: true, AdjointWorkers: 1}},
+		{"masc-1", SimOptions{Storage: StorageMASC, AdjointWorkers: 1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
