@@ -2,7 +2,7 @@
 // on the laptop-scale workload analogues.
 //
 //	masc-bench -experiment table3 -scale 1 -workers 8
-//	masc-bench -experiment table3 -datasets add20 -codecs masc,gzip,chimp -workers 1
+//	masc-bench -experiment table3 -datasets add20 -codecs masc,gzip,chimp
 //	masc-bench -experiment all -scale 0.25
 //
 // Experiments: table1, fig1, table2, table3, fig5b, fig6, fig7, parallel,
@@ -34,7 +34,7 @@ func main() {
 		datasets  = flag.String("datasets", "", "comma-separated datasets (default: each experiment's own): "+strings.Join(datasetNames(), " "))
 		codecs    = flag.String("codecs", "", "comma-separated Table 3 codecs (default: all): "+strings.Join(bench.CodecNames(), " "))
 		scale     = flag.Float64("scale", 1.0, "workload scale (1 = benchmark size)")
-		workers   = flag.Int("workers", runtime.NumCPU(), "parallel compressor workers")
+		workers   = flag.Int("workers", 1, "Table 3's compressor workers (row chunks, which move CR; parallel keeps its own list)")
 		diskBps   = flag.Float64("disk-bps", bench.DefaultDiskBps, "simulated disk bandwidth (bytes/s)")
 		statsJSON = flag.String("stats-json", "", "write every experiment's raw rows as one JSON document")
 	)

@@ -112,11 +112,13 @@ type Options struct {
 	// param_eval (param_shard under it with more than one worker).
 	Obs *obs.Observer
 
-	// Workers is how many workers shard the parameter-gradient loop and the
-	// per-objective RHS builds; 0 and 1 both mean one, the calling
-	// goroutine. Whatever its value, the sweep reads the source through a
-	// fetcher goroutine one step ahead of the compute. Results are
-	// bit-identical for every value of Workers.
+	// Workers is how many shards the reverse sweep splits the
+	// parameter-gradient loop and the per-objective RHS builds into, each
+	// step, on the process-wide worker pool (internal/workpool); 0 and 1
+	// both mean one, run on the sweep's goroutine. Whatever its value, the
+	// sweep reads the source through a fetcher goroutine one step ahead of
+	// the compute. Results are bit-identical for every value of Workers.
+	// DirectSensitivities runs serially and ignores it.
 	Workers int
 
 	// Deprecated: has no effect; one reverse sweep runs.
@@ -250,9 +252,9 @@ type Result struct {
 
 // Sensitivities runs the adjoint reverse sweep over the trajectory tr. Its
 // fetcher overlaps each Jacobian fetch with the previous step's compute, and
-// opt.Workers > 1 shards the per-step work across a bounded pool; results
-// are bit-identical for every worker count (see parallel.go for the engine
-// and the argument).
+// opt.Workers > 1 shards the per-step work across the process-wide worker
+// pool; results are bit-identical for every worker count (see parallel.go
+// for the engine and the argument).
 func Sensitivities(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, objs []Objective, opt Options) (*Result, error) {
 	if tr.Steps() < 1 {
 		return nil, fmt.Errorf("adjoint: trajectory has no integration steps")
@@ -283,7 +285,6 @@ func Sensitivities(ckt *circuit.Circuit, tr *transient.Result, src JacobianSourc
 		opt.Ctx = context.Background()
 	}
 	s := newSweep(ckt, tr, src, objs, params, trap, opt)
-	defer s.pool.close()
 	if err := s.run(); err != nil {
 		return nil, err
 	}
@@ -306,11 +307,10 @@ func isTrap(tr *transient.Result) (bool, error) {
 // DirectSensitivities computes the same dO/dp with the forward (direct)
 // method: one sensitivity state s = ∂x/∂p propagated per parameter. It is
 // O(#params) solves per step versus the adjoint's O(#objectives) and serves
-// as an independent cross-check. The per-parameter right-hand-side builds
-// shard across opt.Workers and all per-step solves share one blocked
-// multi-RHS kernel; as in the adjoint sweep, results are bit-identical for
-// every worker count (each parameter's value stream is param-local, so
-// reordering builds across parameters changes no per-parameter operation).
+// as an independent cross-check: the reference the reverse sweep is checked
+// against. It runs serially on the calling goroutine (opt.Workers is
+// ignored), and all per-parameter solves of a step share one blocked
+// multi-RHS kernel.
 func DirectSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Objective, opt Options) (*Result, error) {
 	return directSensitivities(ckt, tr, objs, opt, nil)
 }
@@ -336,15 +336,6 @@ func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 	}
 	t0 := time.Now()
 	N := ckt.N
-	W := opt.Workers
-	if W < 1 {
-		W = 1
-	}
-	if W > len(params) && len(params) > 0 {
-		W = len(params)
-	}
-	pool := newWorkerPool(W)
-	defer pool.close()
 	ev := circuit.NewEval(ckt)
 	J := sparse.NewMatrix(ckt.JPat)
 	perm := ckt.JPerm()
@@ -373,20 +364,8 @@ func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 		s[k] = make([]float64, N)
 		rhsAll[k] = make([]float64, N)
 	}
-	// Per-worker scratch: sparse accumulator, G_{i-1}·s workspace, and an
-	// evaluator (ParamSens keeps its device state in the Eval; worker 0
-	// shares the one that assembles J).
-	accs := make([]*device.SensAccum, W)
-	gss := make([][]float64, W)
-	evs := make([]*circuit.Eval, W)
-	evs[0] = ev
-	for w := 0; w < W; w++ {
-		accs[w] = device.NewSensAccum(N)
-		gss[w] = make([]float64, N)
-		if w > 0 {
-			evs[w] = circuit.NewEval(ckt)
-		}
-	}
+	acc := device.NewSensAccum(N)
+	gs := make([]float64, N) // G_{i-1}·s workspace
 	// prevQ holds the previous step's sparse ∂q/∂p pairs per parameter.
 	type kv struct {
 		k int32
@@ -403,25 +382,21 @@ func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 	if err := factorize(); err != nil {
 		return nil, fmt.Errorf("adjoint: direct DC factor: %w", err)
 	}
-	pool.run(func(w int) {
-		lo, hi := shard(w, W, len(params))
-		acc := accs[w]
-		for pk := lo; pk < hi; pk++ {
-			acc.Reset()
-			evs[w].ParamSens(params[pk], tr.States[0], tr.Times[0], acc)
-			rhs := rhsAll[pk]
-			for k := range rhs {
-				rhs[k] = 0
-			}
-			for _, k := range acc.Touched {
-				rhs[k] = -acc.DFdp[k]
-				prevQ[pk] = append(prevQ[pk], kv{k, acc.DQdp[k]})
-				if trap {
-					prevF[pk] = append(prevF[pk], kv{k, acc.DFdp[k]})
-				}
+	for pk := range params {
+		acc.Reset()
+		ev.ParamSens(params[pk], tr.States[0], tr.Times[0], acc)
+		rhs := rhsAll[pk]
+		for k := range rhs {
+			rhs[k] = 0
+		}
+		for _, k := range acc.Touched {
+			rhs[k] = -acc.DFdp[k]
+			prevQ[pk] = append(prevQ[pk], kv{k, acc.DQdp[k]})
+			if trap {
+				prevF[pk] = append(prevF[pk], kv{k, acc.DFdp[k]})
 			}
 		}
-	})
+	}
 	fact.SolveMulti(rhsAll)
 	for pk := range params {
 		s[pk], rhsAll[pk] = rhsAll[pk], s[pk]
@@ -437,49 +412,45 @@ func directSensitivities(ckt *circuit.Circuit, tr *transient.Result, objs []Obje
 		if err := factorize(); err != nil {
 			return nil, fmt.Errorf("adjoint: direct factor step %d: %w", i, err)
 		}
-		pool.run(func(w int) {
-			lo, hi := shard(w, W, len(params))
-			acc, gs := accs[w], gss[w]
-			for pk := lo; pk < hi; pk++ {
-				acc.Reset()
-				evs[w].ParamSens(params[pk], tr.States[i], tr.Times[i], acc)
-				// BE:   rhs = C_{i-1}s/h − (dqdp_i − dqdp_{i-1})/h − dfdp_i.
-				// Trap: rhs = C_{i-1}s/h − ½G_{i-1}s − (dqdp_i − dqdp_{i-1})/h
-				//             − ½(dfdp_i + dfdp_{i-1}).
-				rhs := rhsAll[pk]
-				cPrev.MulVec(s[pk], rhs)
+		for pk := range params {
+			acc.Reset()
+			ev.ParamSens(params[pk], tr.States[i], tr.Times[i], acc)
+			// BE:   rhs = C_{i-1}s/h − (dqdp_i − dqdp_{i-1})/h − dfdp_i.
+			// Trap: rhs = C_{i-1}s/h − ½G_{i-1}s − (dqdp_i − dqdp_{i-1})/h
+			//             − ½(dfdp_i + dfdp_{i-1}).
+			rhs := rhsAll[pk]
+			cPrev.MulVec(s[pk], rhs)
+			for k := range rhs {
+				rhs[k] *= invH
+			}
+			if trap {
+				gPrev.MulVec(s[pk], gs)
 				for k := range rhs {
-					rhs[k] *= invH
+					rhs[k] -= 0.5 * gs[k]
 				}
-				if trap {
-					gPrev.MulVec(s[pk], gs)
-					for k := range rhs {
-						rhs[k] -= 0.5 * gs[k]
-					}
-					for _, k := range acc.Touched {
-						rhs[k] -= invH*acc.DQdp[k] + 0.5*acc.DFdp[k]
-					}
-					for _, e := range prevF[pk] {
-						rhs[e.k] -= 0.5 * e.v
-					}
-					prevF[pk] = prevF[pk][:0]
-					for _, k := range acc.Touched {
-						prevF[pk] = append(prevF[pk], kv{k, acc.DFdp[k]})
-					}
-				} else {
-					for _, k := range acc.Touched {
-						rhs[k] -= invH*acc.DQdp[k] + acc.DFdp[k]
-					}
-				}
-				for _, e := range prevQ[pk] {
-					rhs[e.k] += invH * e.v
-				}
-				prevQ[pk] = prevQ[pk][:0]
 				for _, k := range acc.Touched {
-					prevQ[pk] = append(prevQ[pk], kv{k, acc.DQdp[k]})
+					rhs[k] -= invH*acc.DQdp[k] + 0.5*acc.DFdp[k]
+				}
+				for _, e := range prevF[pk] {
+					rhs[e.k] -= 0.5 * e.v
+				}
+				prevF[pk] = prevF[pk][:0]
+				for _, k := range acc.Touched {
+					prevF[pk] = append(prevF[pk], kv{k, acc.DFdp[k]})
+				}
+			} else {
+				for _, k := range acc.Touched {
+					rhs[k] -= invH*acc.DQdp[k] + acc.DFdp[k]
 				}
 			}
-		})
+			for _, e := range prevQ[pk] {
+				rhs[e.k] += invH * e.v
+			}
+			prevQ[pk] = prevQ[pk][:0]
+			for _, k := range acc.Touched {
+				prevQ[pk] = append(prevQ[pk], kv{k, acc.DQdp[k]})
+			}
+		}
 		fact.SolveMulti(rhsAll)
 		for pk := range params {
 			s[pk], rhsAll[pk] = rhsAll[pk], s[pk]

@@ -46,7 +46,6 @@ func TestForeignPatternFactorsFailLoudly(t *testing.T) {
 		s := newSweep(ckt, res, src, objs, params, false, Options{Workers: workers, Ctx: context.Background()})
 		s.fact = foreign()
 		err := s.run()
-		s.pool.close()
 		check("sweep", nil, err)
 		if s.res.Factorizations != 0 {
 			t.Fatalf("sweep re-pivoted %d times on a pattern mismatch", s.res.Factorizations)

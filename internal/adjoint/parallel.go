@@ -8,10 +8,11 @@ package adjoint
 //     and streams the K right-hand sides through each entry.
 //  2. Worker sharding: the per-step parameter-gradient loop (and the
 //     per-objective RHS builds feeding the solve) are split into disjoint
-//     contiguous shards across a bounded pool. Each (objective, param)
-//     cell is touched by exactly one worker with exactly the serial
-//     operation sequence, and a per-step barrier keeps the cross-step
-//     accumulation order that of a single worker.
+//     contiguous shards, one workpool.Do index each, on the process-wide
+//     pool the codecs' row chunks run on. Each (objective, param) cell is
+//     touched by exactly one shard with exactly the serial operation
+//     sequence, and Do's barrier keeps the cross-step accumulation order
+//     that of a single worker.
 //  3. Fetch/solve overlap: a dedicated fetcher goroutine owns every
 //     JacobianSource call and runs one step ahead of the solver, so
 //     decompression / disk reads / recomputation hide behind the
@@ -24,7 +25,7 @@ package adjoint
 //     calls the source.
 //
 // Determinism notes. Shards are pure functions of (worker count, length),
-// each worker writes only its own res.DOdp[o][pk] cells and lam rows, and
+// each shard writes only its own res.DOdp[o][pk] cells and lam rows, and
 // floating-point accumulation never crosses a shard boundary — so results
 // are bit-identical for every worker count, including 1. The fetcher copies
 // fetched values into private rotating buffers before touching the next
@@ -45,63 +46,14 @@ import (
 	"masc/internal/obs/span"
 	"masc/internal/sparse"
 	"masc/internal/transient"
+	"masc/internal/workpool"
 )
 
-// shard returns the half-open range [lo, hi) of items worker w owns out of
-// total, for a pool of the given size. Shards are contiguous, disjoint, and
-// cover [0, total); they depend only on (w, workers, total).
+// shard returns the half-open range [lo, hi) of items shard w owns out of
+// total, split workers ways. Shards are contiguous, disjoint, and cover
+// [0, total); they depend only on (w, workers, total).
 func shard(w, workers, total int) (lo, hi int) {
 	return w * total / workers, (w + 1) * total / workers
-}
-
-// workerPool runs identical closures on w workers: w-1 persistent
-// background goroutines plus the calling goroutine as worker 0. With w = 1
-// it degenerates to a plain function call — no goroutines, no channels.
-type workerPool struct {
-	w    int
-	jobs []chan func()
-	done chan struct{}
-}
-
-func newWorkerPool(w int) *workerPool {
-	if w < 1 {
-		w = 1
-	}
-	p := &workerPool{w: w}
-	if w > 1 {
-		p.done = make(chan struct{}, w-1)
-		p.jobs = make([]chan func(), w-1)
-		for i := range p.jobs {
-			ch := make(chan func(), 1)
-			p.jobs[i] = ch
-			go func() {
-				for fn := range ch {
-					fn()
-					p.done <- struct{}{}
-				}
-			}()
-		}
-	}
-	return p
-}
-
-// run executes fn(w) for every worker and returns after all complete (a
-// barrier). Worker 0 is the calling goroutine.
-func (p *workerPool) run(fn func(w int)) {
-	for i, ch := range p.jobs {
-		w := i + 1
-		ch <- func() { fn(w) }
-	}
-	fn(0)
-	for range p.jobs {
-		<-p.done
-	}
-}
-
-func (p *workerPool) close() {
-	for _, ch := range p.jobs {
-		close(ch)
-	}
 }
 
 // fetchBuf is one slot of the fetch pipeline: a private copy of a step's
@@ -125,7 +77,6 @@ type sweep struct {
 	n      int // last step of the trajectory; the sweep runs n down to 0
 
 	workers int
-	pool    *workerPool
 
 	fact *lu.LU
 	perm []int32
@@ -135,9 +86,9 @@ type sweep struct {
 	pendQ   [][]float64 // λ_{i+1}/h_{i+1} (dqdp regroup)
 	pendF   [][]float64 // ½λ_{i+1} (trapezoidal dfdp regroup)
 
-	evs  []*circuit.Eval // per-worker parameter-sensitivity evaluators
+	evs  []*circuit.Eval // per-shard parameter-sensitivity evaluators
 	accs []*device.SensAccum
-	tmps [][]float64 // per-worker Jᵀλ scratch (trapezoidal RHS builds)
+	tmps [][]float64 // per-shard Jᵀλ scratch (trapezoidal RHS builds)
 
 	rec *RecomputeSource // lazy recompute fallback for degraded steps
 	res *Result
@@ -163,7 +114,6 @@ func newSweep(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, ob
 		trap:    trap,
 		n:       tr.Steps(),
 		workers: w,
-		pool:    newWorkerPool(w),
 		perm:    ckt.JPerm(),
 		so:      newSweepObs(opt.Obs),
 	}
@@ -542,9 +492,10 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 	tSolve := time.Now()
 	var what lu.Outcome
 	var factErr error
-	// Worker 0, the calling goroutine, factorizes first; every worker builds
-	// its shard of the RHS, the background ones while worker 0 factorizes.
-	s.pool.run(func(w int) {
+	// Shard 0 factorizes first; every shard builds its part of the RHS, the
+	// others while shard 0 factorizes. Whichever goroutine runs shard 0, the
+	// factors are the same bits.
+	workpool.Do(s.workers, func(w int) {
 		if w == 0 {
 			what, factErr = s.factorize(J)
 		}
@@ -566,15 +517,15 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 	s.so.solveSec.AddDuration(d)
 
 	// Accumulate dO/dp contributions of step i, sharded over parameters.
-	// Each worker owns a disjoint contiguous pk range and its own
+	// Each shard owns a disjoint contiguous pk range and its own
 	// evaluator/accumulator scratch; the per-cell operation sequence is
-	// exactly the serial one, and the barrier below keeps the cross-step
+	// exactly the serial one, and Do's barrier keeps the cross-step
 	// accumulation order serial too — so the merge is deterministic and the
 	// result bit-identical for every worker count.
 	psp := s.so.rec.Start(s.sweepSpan, span.ParamEval, i)
 	tPar := time.Now()
 	xi, ti := s.tr.States[i], s.tr.Times[i]
-	s.pool.run(func(w int) {
+	workpool.Do(s.workers, func(w int) {
 		var shsp span.Span
 		if s.workers > 1 && s.so.rec != nil {
 			shsp = s.so.rec.Start(psp.ID(), span.ParamShard, i)

@@ -1,6 +1,7 @@
 package adjoint
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -229,46 +230,114 @@ func TestParallelDegradedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDirectParallelBitIdentical pins the same property for the forward
-// method: sharded RHS builds plus the blocked SolveMulti must match the
-// serial baseline bit for bit.
-func TestDirectParallelBitIdentical(t *testing.T) {
-	for _, trap := range []bool{false, true} {
-		name := "be"
-		if trap {
-			name = "trap"
-		}
-		t.Run(name, func(t *testing.T) {
-			ckt, b := bjtAmp(t)
-			opt := transient.Options{TStop: 5e-5, TStep: 1e-6}
-			if trap {
-				opt.Method = transient.MethodTrap
-			}
-			res, err := transient.Run(ckt, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			node, err := b.NodeIndex("col")
-			if err != nil {
-				t.Fatal(err)
-			}
-			objs := []Objective{
-				{Node: node, Weight: 1},
-				{Node: node, Weight: 1, Integral: true},
-			}
-			want, err := DirectSensitivities(ckt, res, objs, Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range workerCounts(t) {
-				got, err := DirectSensitivities(ckt, res, objs, Options{Workers: w})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				requireBitIdentical(t, "workers="+strconv.Itoa(w), want, got)
-			}
-		})
+// TestSweepAndCodecShareThePool: the reverse sweep's shards and masczip's
+// row chunks run on one process-wide pool. A three-worker sweep over a chain
+// coded in three row chunks, and a three-chunk encode/decode loop running
+// beside it, each give the bits they give alone.
+func TestSweepAndCodecShareThePool(t *testing.T) {
+	tc := cases()[2] // the BJT amplifier: rows for three chunks, and tensors that move, so the chain codes blobs
+	ckt, b := tc.build(t)
+	node, err := b.NodeIndex(tc.obj)
+	if err != nil {
+		t.Fatal(err)
 	}
+	mem := jactensor.NewMemStore()
+	var frames [][]float64 // every step's J, for the codec loop
+	opt := tc.opt
+	opt.Capture = func(step int, _ float64, _ []float64, J, C *sparse.Matrix) error {
+		frames = append(frames, slices.Clone(J.Val))
+		return mem.Put(step, J.Val, C.Val)
+	}
+	res, err := transient.Run(ckt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.EndForward(); err != nil {
+		t.Fatal(err)
+	}
+	objs := []Objective{
+		{Node: node, Weight: 1},
+		{Node: node, Weight: 0.5, Step: res.Steps() / 2},
+		{Node: node, Weight: 2, Integral: true},
+	}
+	want, err := Sensitivities(ckt, res, keepAll{mem}, objs, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked := masczip.Options{Workers: 3}
+	chain := jactensor.NewCompressedStore(masczip.New(ckt.JPat, chunked), masczip.New(ckt.CPat, chunked), ckt.JPat, ckt.CPat)
+	t.Cleanup(func() { chain.Close() })
+	for i := 0; i <= res.Steps(); i++ {
+		jv, cv, err := mem.Fetch(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := chain.Put(i, jv, cv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := chain.EndForward(); err != nil {
+		t.Fatal(err)
+	}
+
+	// codecLoop codes every frame against the one before it and decodes it
+	// back, returning the blobs.
+	codecLoop := func() ([][]byte, error) {
+		c := masczip.New(ckt.JPat, chunked)
+		out := make([]float64, ckt.JPat.NNZ())
+		var blobs [][]byte
+		for i := 1; i < len(frames); i++ {
+			blob := c.Compress(nil, frames[i], frames[i-1])
+			if err := c.Decompress(out, blob, frames[i-1]); err != nil {
+				return nil, fmt.Errorf("step %d: %w", i, err)
+			}
+			for k := range out {
+				if math.Float64bits(out[k]) != math.Float64bits(frames[i][k]) {
+					return nil, fmt.Errorf("step %d: value %d decoded as %g, coded %g", i, k, out[k], frames[i][k])
+				}
+			}
+			blobs = append(blobs, blob)
+		}
+		return blobs, nil
+	}
+	alone, err := codecLoop()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		got      *Result
+		sweepErr error
+		swept    atomic.Bool
+		wg       sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer swept.Store(true)
+		got, sweepErr = Sensitivities(ckt, res, chain, objs, Options{Workers: 3})
+	}()
+	// Keep the codec busy on the pool until the sweep is done.
+	var codecErr error
+	for rounds := 0; codecErr == nil && (rounds == 0 || !swept.Load()); rounds++ {
+		blobs, err := codecLoop()
+		for i := 0; err == nil && i < len(alone); i++ {
+			if !bytes.Equal(blobs[i], alone[i]) {
+				err = fmt.Errorf("blob %d differs from the loop run alone", i)
+			}
+		}
+		if err != nil {
+			codecErr = fmt.Errorf("codec loop beside the sweep, round %d: %w", rounds, err)
+		}
+	}
+	wg.Wait()
+	if codecErr != nil {
+		t.Fatal(codecErr)
+	}
+	if sweepErr != nil {
+		t.Fatal(sweepErr)
+	}
+	requireBitIdentical(t, "workers=3 beside the codec", want, got)
 }
 
 // TestSweepErrorTeardown pins the overlap path's failure mode: a

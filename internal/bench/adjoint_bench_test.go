@@ -65,26 +65,18 @@ func BenchmarkSensitivities(b *testing.B) {
 	}
 }
 
-// BenchmarkDirectSensitivities does the same for the forward method, where
-// the multi-RHS batch spans parameters instead of objectives.
+// BenchmarkDirectSensitivities times the forward method, which runs
+// serially, with its multi-RHS batch spanning parameters instead of
+// objectives.
 func BenchmarkDirectSensitivities(b *testing.B) {
 	ds, tr, _ := adjointFixture(b, "add20", 0.1)
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial-multiRHS", 1},
-		{"workers4", 4},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := adjoint.DirectSensitivities(ds.Ckt, tr, ds.Objectives,
-					adjoint.Options{Params: ds.Params, Workers: cfg.workers})
-				if err != nil {
-					b.Fatal(err)
-				}
+	b.Run("serial-multiRHS", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, err := adjoint.DirectSensitivities(ds.Ckt, tr, ds.Objectives, adjoint.Options{Params: ds.Params})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

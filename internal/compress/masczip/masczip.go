@@ -8,9 +8,9 @@ import (
 
 	"masc/internal/compress"
 	"masc/internal/compress/bitstream"
-	"masc/internal/compress/workpool"
 	"masc/internal/obs/span"
 	"masc/internal/sparse"
+	"masc/internal/workpool"
 )
 
 // Options configures a Compressor.

@@ -10,49 +10,9 @@ import (
 	"fmt"
 )
 
-// AppendUvarint appends the LEB128 encoding of v to dst.
-func AppendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
 // zigzag maps signed deltas to unsigned codes, small magnitudes first.
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// EncodeDeltas compresses a slice of int32 values by zigzag-coding the
-// difference between consecutive elements. The first element is coded as a
-// delta from zero. It returns the encoded bytes appended to dst.
-func EncodeDeltas(dst []byte, xs []int32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(xs)))
-	prev := int64(0)
-	for _, x := range xs {
-		dst = binary.AppendUvarint(dst, zigzag(int64(x)-prev))
-		prev = int64(x)
-	}
-	return dst
-}
-
-// DecodeDeltas reverses EncodeDeltas. It returns the decoded slice and the
-// number of bytes consumed.
-func DecodeDeltas(src []byte) ([]int32, int, error) {
-	n, k := binary.Uvarint(src)
-	if k <= 0 {
-		return nil, 0, fmt.Errorf("varint: bad length header")
-	}
-	off := k
-	out := make([]int32, n)
-	prev := int64(0)
-	for i := range out {
-		u, k := binary.Uvarint(src[off:])
-		if k <= 0 {
-			return nil, 0, fmt.Errorf("varint: truncated stream at element %d", i)
-		}
-		off += k
-		prev += unzigzag(u)
-		out[i] = int32(prev)
-	}
-	return out, off, nil
-}
 
 // EncodeCSRIndices compresses a CSR index pair (rowPtr, colIdx).
 // Row pointers are monotone, so consecutive deltas are the per-row counts;

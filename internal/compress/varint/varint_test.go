@@ -5,59 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"testing/quick"
 )
-
-func TestDeltasRoundTrip(t *testing.T) {
-	cases := [][]int32{
-		nil,
-		{},
-		{0},
-		{5},
-		{-3},
-		{1, 2, 3, 4, 5},
-		{100, 50, 200, -7, 0},
-		{1 << 30, -(1 << 30), 0},
-	}
-	for i, xs := range cases {
-		enc := EncodeDeltas(nil, xs)
-		got, n, err := DecodeDeltas(enc)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if n != len(enc) {
-			t.Fatalf("case %d: consumed %d of %d bytes", i, n, len(enc))
-		}
-		if len(xs) == 0 && len(got) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, xs) {
-			t.Fatalf("case %d: got %v, want %v", i, got, xs)
-		}
-	}
-}
-
-func TestDeltasQuick(t *testing.T) {
-	f := func(xs []int32) bool {
-		enc := EncodeDeltas(nil, xs)
-		got, _, err := DecodeDeltas(enc)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(xs) {
-			return false
-		}
-		for i := range xs {
-			if got[i] != xs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func randomCSR(rng *rand.Rand, nrows, maxCols int) (rowPtr, colIdx []int32) {
 	rowPtr = make([]int32, nrows+1)
@@ -136,13 +84,6 @@ func TestCSRIndicesCompressionRatio(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeDeltas(nil); err == nil {
-		t.Fatal("expected error on empty input")
-	}
-	enc := EncodeDeltas(nil, []int32{1, 2, 3})
-	if _, _, err := DecodeDeltas(enc[:len(enc)-1]); err == nil {
-		t.Fatal("expected error on truncated input")
-	}
 	if _, _, err := DecodeCSRIndices(nil); err == nil {
 		t.Fatal("expected error on empty CSR input")
 	}

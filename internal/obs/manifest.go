@@ -74,16 +74,6 @@ func (m *Manifest) Write(path string) error {
 	return atomicio.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// WriteJSON writes any value as an indented JSON document at path — the
-// shared helper behind -stats-json style flags. Atomic like Manifest.Write.
-func WriteJSON(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFile(path, append(b, '\n'), 0o644)
-}
-
 // ReadManifest loads a manifest written by Write, rejecting torn or
 // trailing-garbage documents: the file must be exactly one JSON object.
 // Comparison tooling reads crash-site manifests through this, so a

@@ -103,21 +103,6 @@ func TestManifestMemoryProvenance(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stats.json")
-	if err := WriteJSON(path, map[string]int{"a": 1}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]int
-	if err := json.Unmarshal(b, &m); err != nil || m["a"] != 1 {
-		t.Fatalf("bad stats file: %v %v", err, m)
-	}
-}
-
 func TestReadManifestRejectsTorn(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.json")

@@ -192,9 +192,9 @@ type SimOptions struct {
 	Transient TransientOptions
 	// Storage selects the Jacobian strategy; default StorageMASC.
 	Storage Storage
-	// AdjointWorkers is how many workers shard the reverse sweep's
-	// parameter-gradient loop and per-objective RHS builds; 0 and 1 both
-	// mean one. At every value the sweep reads the store through a fetcher
+	// AdjointWorkers is how many shards the reverse sweep splits its
+	// parameter-gradient loop and per-objective RHS builds into, on the
+	// process-wide worker pool; 0 and 1 both mean one. At every value the sweep reads the store through a fetcher
 	// goroutine one step ahead of the adjoint compute. Sensitivities are
 	// bit-identical for every value.
 	AdjointWorkers int

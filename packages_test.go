@@ -71,11 +71,18 @@ func TestLibraryLinksNoNetworkStack(t *testing.T) {
 // catalogue links the Jacobian stores. The sweep reads a store through what
 // it declares itself — a fetch error that answers Degradable() and a source
 // that can Repair a step — so a caller that sweeps a recompute source, or
-// only builds circuits, does not link the codecs and the chain.
+// only builds circuits, does not link the codecs and the chain. The sweep
+// shards on internal/workpool, the pool the codecs share, and links no
+// codec package either.
 func TestSweepLinksNoStore(t *testing.T) {
 	for _, p := range goList(t, "-deps", "./internal/workload", "./internal/adjoint") {
 		if p == "masc/internal/jactensor" {
 			t.Errorf("internal/workload or internal/adjoint links %s", p)
+		}
+	}
+	for _, p := range goList(t, "-deps", "./internal/adjoint") {
+		if strings.HasPrefix(p, "masc/internal/compress/") || p == "masc/internal/compress" {
+			t.Errorf("internal/adjoint links %s", p)
 		}
 	}
 }
