@@ -2,9 +2,10 @@
 // simulator solves at every Newton iteration. The algorithm is left-looking
 // Gilbert–Peierls with threshold partial pivoting. Because every Jacobian of
 // a transient run shares one sparsity pattern, the factorization records its
-// symbolic structure (reach sets, pivot order, fill pattern) once and
-// subsequent matrices are refactorized numerically in-place, which is where
-// the simulator spends most of its solve time — unless the matrix is
+// symbolic structure (pivot order, fill pattern) once and subsequent
+// matrices are refactorized numerically in-place, walking the factors' own
+// column lists in the order the search met their rows, which is where the
+// simulator spends most of its solve time — unless the matrix is
 // bit-identical to the one already factored (every step of a linear circuit
 // at a fixed step size), in which case Refactor does nothing at all. A fresh
 // factorization handed an earlier one on the same pattern (Options.Hint)
@@ -76,19 +77,17 @@ type LU struct {
 	lrow []int32
 	lx   []float64
 
-	// U columns: pivot-step indices k < j, sorted ascending; diagonal in ud.
+	// U columns: pivot-step indices k < j; diagonal in ud.
 	up []int32
 	uk []int32
 	ux []float64
 	ud []float64
 
-	// Recorded numeric recipe for Refactor: per column, the reach in
-	// topological order (original rows) and each node's destination:
-	// >= 0: index into ux (U node; k = pinv[row]); -1: pivot; -2..: L node
-	// encoded as -(lxIndex+2).
-	topoPtr  []int32
-	topoRow  []int32
-	topoDest []int32
+	// A column's U and L entries are in the order Factor met their rows,
+	// the reach's topological order, which is the order Refactor applies the
+	// U updates in. ppos[j] is the pivot's position among column j's L rows
+	// in that order, which a replay's first-maximum rule needs.
+	ppos []int32
 
 	// Value memo: a bit image of the a.Val most recently handed to Factor or
 	// Refactor, and whether the numeric factors above were computed from it.
@@ -115,15 +114,14 @@ func (f *LU) N() int { return f.n }
 func (f *LU) LNNZ() int { return len(f.lrow) }
 func (f *LU) UNNZ() int { return len(f.uk) }
 
-// factorScratch is the working set only Factor needs: the six fill arrays
+// factorScratch is the working set only Factor needs: the four fill arrays
 // while their final length is still unknown, and the DFS state. Factor builds
 // into a pooled scratch and keeps exact-length copies, so a factorization
 // neither pays append's regrowth nor retains its slack, and concurrent
 // Factor calls (two analyses sharing one circuit) each draw their own.
 type factorScratch struct {
-	lrow, uk          []int32
-	lx, ux            []float64
-	topoRow, topoDest []int32
+	lrow, uk []int32
+	lx, ux   []float64
 
 	mark []int32 // DFS visit stamp per original row
 	tick int32
@@ -137,7 +135,6 @@ var scratchPool = sync.Pool{New: func() any { return new(factorScratch) }}
 func (sc *factorScratch) reset(n int) {
 	sc.lrow, sc.uk = sc.lrow[:0], sc.uk[:0]
 	sc.lx, sc.ux = sc.lx[:0], sc.ux[:0]
-	sc.topoRow, sc.topoDest = sc.topoRow[:0], sc.topoDest[:0]
 	if cap(sc.mark) < n {
 		sc.mark = make([]int32, n)
 	}
@@ -200,16 +197,16 @@ func search(a *sparse.Matrix, opt Options) (*LU, error) {
 		}
 	}
 	f := &LU{
-		n:       n,
-		pat:     a.P,
-		q:       q,
-		pinv:    make([]int32, n),
-		prow:    make([]int32, n),
-		lp:      make([]int32, 1, n+1),
-		up:      make([]int32, 1, n+1),
-		ud:      make([]float64, n),
-		w:       make([]float64, n),
-		topoPtr: make([]int32, 1, n+1),
+		n:    n,
+		pat:  a.P,
+		q:    q,
+		pinv: make([]int32, n),
+		prow: make([]int32, n),
+		lp:   make([]int32, 1, n+1),
+		up:   make([]int32, 1, n+1),
+		ud:   make([]float64, n),
+		ppos: make([]int32, n),
+		w:    make([]float64, n),
 	}
 	for i := range f.pinv {
 		f.pinv[i] = -1
@@ -222,7 +219,6 @@ func search(a *sparse.Matrix, opt Options) (*LU, error) {
 	}
 	f.lrow, f.lx = exact(sc.lrow), exact(sc.lx)
 	f.uk, f.ux = exact(sc.uk), exact(sc.ux)
-	f.topoRow, f.topoDest = exact(sc.topoRow), exact(sc.topoDest)
 	f.memo, f.memoOK, f.pivoted = exact(a.Val), true, true
 	return f, nil
 }
@@ -254,8 +250,7 @@ func (f *LU) sameOrder(perm []int32) bool {
 func (f *LU) replay(a *sparse.Matrix) *LU {
 	g := &LU{
 		n: f.n, pat: f.pat, q: f.q, pinv: f.pinv, prow: f.prow,
-		lp: f.lp, lrow: f.lrow, up: f.up, uk: f.uk,
-		topoPtr: f.topoPtr, topoRow: f.topoRow, topoDest: f.topoDest,
+		lp: f.lp, lrow: f.lrow, up: f.up, uk: f.uk, ppos: f.ppos,
 		memo: exact(a.Val), memoOK: true, pivoted: true,
 		w: make([]float64, f.n),
 	}
@@ -384,22 +379,19 @@ func (f *LU) factorColumn(sc *factorScratch, a *sparse.Matrix, csc *sparse.CSCVi
 	f.prow[j] = pivot
 	f.ud[j] = d
 
-	// Collect U entries (pivoted rows) and L entries (remaining rows),
-	// recording the refactor recipe in DFS topological order. Entry order
-	// within a column is irrelevant to the solves: both substitution
-	// directions only require whole columns to be processed in pivot order.
+	// Collect U entries (pivoted rows) and L entries (remaining rows) in DFS
+	// topological order, the order numeric replays. The solves do not care:
+	// both substitution directions only require whole columns to be
+	// processed in pivot order.
 	for _, node := range sc.post {
-		sc.topoRow = append(sc.topoRow, node)
 		k := pinv[node]
 		switch {
 		case node == pivot:
-			sc.topoDest = append(sc.topoDest, -1)
+			f.ppos[j] = int32(len(sc.lrow)) - lp[j]
 		case k >= 0 && k < j:
-			sc.topoDest = append(sc.topoDest, int32(len(sc.uk)))
 			sc.uk = append(sc.uk, k)
 			sc.ux = append(sc.ux, w[node])
 		default: // unpivoted → L
-			sc.topoDest = append(sc.topoDest, -(int32(len(sc.lrow)) + 2))
 			sc.lrow = append(sc.lrow, node)
 			sc.lx = append(sc.lx, w[node]/d)
 		}
@@ -407,7 +399,6 @@ func (f *LU) factorColumn(sc *factorScratch, a *sparse.Matrix, csc *sparse.CSCVi
 	}
 	f.lp = append(f.lp, int32(len(sc.lrow)))
 	f.up = append(f.up, int32(len(sc.uk)))
-	f.topoPtr = append(f.topoPtr, int32(len(sc.topoRow)))
 	return nil
 }
 
@@ -461,98 +452,100 @@ var errReplayPivot = errors.New("lu: replay pivot differs from the pivot search'
 // refactorNumeric is the numeric pass of Refactor along the recorded pivots.
 func (f *LU) refactorNumeric(a *sparse.Matrix) error { return f.numeric(a, false) }
 
-// numeric recomputes lx, ux and ud for a along the recorded structure. A
-// refactorization (replay false) checks each recorded pivot against the
-// growth limit and returns ErrPivotDegraded when one has collapsed. A replay
-// instead applies Factor's pivot rule to the column — the first maximum over
-// the unpivoted reach rows in topological order, the diagonal row if it is
-// within pivotThreshold of it — and returns errReplayPivot where that rule
-// picks another row or finds none.
+// numeric recomputes lx, ux and ud for a along the recorded structure,
+// walking each column's U list (the updates, in Factor's order), its pivot
+// and its L list. A refactorization (replay false) checks each recorded
+// pivot against the growth limit and returns ErrPivotDegraded when one has
+// collapsed. A replay instead applies Factor's pivot rule to the column —
+// the first maximum over the unpivoted reach rows in topological order, the
+// diagonal row if it is within pivotThreshold of it — and returns
+// errReplayPivot where that rule picks another row or finds none.
 func (f *LU) numeric(a *sparse.Matrix, replay bool) error {
 	csc := a.P.CSC()
 	colPtr, rowIdx, slot, val := csc.ColPtr, csc.RowIdx, csc.Slot, a.Val
-	q, pinv, prow := f.q, f.pinv, f.prow
-	lp, lrow, lx, ux, ud := f.lp, f.lrow, f.lx, f.ux, f.ud
-	topoPtr, topoRow, topoDest := f.topoPtr, f.topoRow, f.topoDest
+	q, pinv, prow, ppos := f.q, f.pinv, f.prow, f.ppos
+	lp, lrow, lx, up, uk, ux, ud := f.lp, f.lrow, f.lx, f.up, f.uk, f.ux, f.ud
 	w := f.w
 	for j := 0; j < f.n; j++ {
 		c := q[j]
 		for p := colPtr[c]; p < colPtr[c+1]; p++ {
 			w[rowIdx[p]] = val[slot[p]]
 		}
-		lo, hi := topoPtr[j], topoPtr[j+1]
-		// Apply the recorded updates in the recorded topological order.
-		for t := lo; t < hi; t++ {
-			node := topoRow[t]
-			k := pinv[node]
-			if node == prow[j] || k > int32(j) {
-				continue // pivot or L node: no update from it
-			}
-			ukj := w[node]
-			ux[topoDest[t]] = ukj
+		// A U row is final when its turn comes: every row whose L column
+		// holds it precedes it in topological order.
+		for p := up[j]; p < up[j+1]; p++ {
+			k := uk[p]
+			r := prow[k]
+			ukj := w[r]
+			ux[p] = ukj
+			w[r] = 0
 			if ukj != 0 {
-				for p := lp[k]; p < lp[k+1]; p++ {
-					w[lrow[p]] -= ukj * lx[p]
+				rows, xs := span(lrow, lx, lp[k], lp[k+1])
+				for i, row := range rows {
+					w[row] -= ukj * xs[i]
 				}
 			}
 		}
-		d := w[prow[j]]
+		piv := prow[j]
+		d := w[piv]
+		rows, xs := span(lrow, lx, lp[j], lp[j+1])
 		var err error
 		if replay {
-			var pivot int32 = -1
-			var pmax float64
-			diag := false
-			for t := lo; t < hi; t++ {
-				if topoDest[t] >= 0 {
-					continue // pivoted at an earlier column
-				}
-				node := topoRow[t]
-				if v := math.Abs(w[node]); v > pmax {
-					pmax = v
-					pivot = node
-				}
-				diag = diag || node == c
+			pp := ppos[j]
+			pivot, pmax := firstMax(w, rows[:pp], -1, 0)
+			if v := math.Abs(d); v > pmax {
+				pivot, pmax = piv, v
 			}
-			if diag && math.Abs(w[c]) >= pivotThreshold*pmax {
+			pivot, pmax = firstMax(w, rows[pp:], pivot, pmax)
+			// Factor prefers the diagonal row when it is in the reach and
+			// unpivoted; outside the reach w[c] is 0, which passes only when
+			// pmax is 0 and the column fails anyway.
+			if pinv[c] >= int32(j) && math.Abs(w[c]) >= pivotThreshold*pmax {
 				pivot = c
 			}
-			if pivot != prow[j] || pmax == 0 {
+			if pivot != piv || pmax == 0 {
 				err = errReplayPivot
 			}
 		} else if d == 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 			err = ErrPivotDegraded
-		} else {
+		} else if _, maxw := firstMax(w, rows, -1, 0); maxw > refactorGrowthLimit*math.Abs(d) {
 			// Pivot-growth guard: the recorded pivot must still dominate its
 			// column well enough that the L entries stay bounded.
-			maxw := 0.0
-			for t := lo; t < hi; t++ {
-				if topoDest[t] < -1 {
-					if a := math.Abs(w[topoRow[t]]); a > maxw {
-						maxw = a
-					}
-				}
-			}
-			if maxw > refactorGrowthLimit*math.Abs(d) {
-				err = ErrPivotDegraded
-			}
+			err = ErrPivotDegraded
 		}
+		w[piv] = 0
 		if err != nil {
 			// Clear workspace before bailing out.
-			for t := lo; t < hi; t++ {
-				w[topoRow[t]] = 0
+			for _, r := range rows {
+				w[r] = 0
 			}
 			return err
 		}
 		ud[j] = d
-		for t := lo; t < hi; t++ {
-			node := topoRow[t]
-			if dst := topoDest[t]; dst < -1 {
-				lx[-(dst + 2)] = w[node] / d
-			}
-			w[node] = 0
+		for i, r := range rows {
+			xs[i] = w[r] / d
+			w[r] = 0
 		}
 	}
 	return nil
+}
+
+// span returns idx[lo:hi] and x[lo:hi] with a length the compiler can see is
+// shared, so a loop ranging over the first indexes the second unchecked.
+func span(idx []int32, x []float64, lo, hi int32) ([]int32, []float64) {
+	rows := idx[lo:hi]
+	return rows, x[lo:hi:hi][:len(rows)]
+}
+
+// firstMax returns the first of rows whose |w| exceeds pmax and every |w|
+// before it, and that magnitude; pivot and pmax when none does.
+func firstMax(w []float64, rows []int32, pivot int32, pmax float64) (int32, float64) {
+	for _, r := range rows {
+		if v := math.Abs(w[r]); v > pmax {
+			pivot, pmax = r, v
+		}
+	}
+	return pivot, pmax
 }
 
 // Outcome says how Factorize brought the factors up to date with a matrix.
@@ -621,8 +614,9 @@ func (f *LU) Solve(b []float64) {
 		yk := b[prow[k]]
 		y[k] = yk
 		if yk != 0 {
-			for p := lp[k]; p < lp[k+1]; p++ {
-				b[lrow[p]] -= yk * lx[p]
+			rows, xs := span(lrow, lx, lp[k], lp[k+1])
+			for i, r := range rows {
+				b[r] -= yk * xs[i]
 			}
 		}
 	}
@@ -631,8 +625,9 @@ func (f *LU) Solve(b []float64) {
 		xj := y[j] / ud[j]
 		y[j] = xj
 		if xj != 0 {
-			for p := up[j]; p < up[j+1]; p++ {
-				y[uk[p]] -= xj * ux[p]
+			ks, xs := span(uk, ux, up[j], up[j+1])
+			for i, k := range ks {
+				y[k] -= xj * xs[i]
 			}
 		}
 	}
@@ -651,16 +646,18 @@ func (f *LU) SolveT(b []float64) {
 	// Forward solve Ûᵀ z = ĉ with ĉ[j] = b[q[j]].
 	for j := 0; j < n; j++ {
 		s := b[q[j]]
-		for p := up[j]; p < up[j+1]; p++ {
-			s -= ux[p] * z[uk[p]]
+		ks, xs := span(uk, ux, up[j], up[j+1])
+		for i, k := range ks {
+			s -= xs[i] * z[k]
 		}
 		z[j] = s / ud[j]
 	}
 	// Back solve L̂ᵀ ŷ = z; x[prow[k]] = ŷ[k].
 	for k := n - 1; k >= 0; k-- {
 		s := z[k]
-		for p := lp[k]; p < lp[k+1]; p++ {
-			s -= lx[p] * z[pinv[lrow[p]]]
+		rows, xs := span(lrow, lx, lp[k], lp[k+1])
+		for i, r := range rows {
+			s -= xs[i] * z[pinv[r]]
 		}
 		z[k] = s
 	}

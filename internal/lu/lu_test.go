@@ -265,31 +265,6 @@ func BenchmarkFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkRefactor alternates two matrices so every call is a memo miss —
-// the compare, the copy and the numeric pass; "same" is the memo hit.
-func BenchmarkRefactor(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := randomSPDish(rng, 2000, 10000)
-	ms := [2]*sparse.Matrix{perturbed(m, rng, 1), m}
-	f, err := Factor(m, Options{ColPerm: MinDegree(m.P)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name string
-		step int
-	}{{"changed", 1}, {"same", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := f.Refactor(ms[(i*bc.step)&1]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkSolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomSPDish(rng, 2000, 10000)

@@ -236,7 +236,6 @@ func TestRefactorAndFactorAllocations(t *testing.T) {
 	for name, s := range map[string][2]int{
 		"lrow": {len(f.lrow), cap(f.lrow)}, "lx": {len(f.lx), cap(f.lx)},
 		"uk": {len(f.uk), cap(f.uk)}, "ux": {len(f.ux), cap(f.ux)},
-		"topoRow": {len(f.topoRow), cap(f.topoRow)}, "topoDest": {len(f.topoDest), cap(f.topoDest)},
 	} {
 		if s[0] != s[1] {
 			t.Errorf("%s: len %d, cap %d; Factor must keep exact-length arrays", name, s[0], s[1])
@@ -245,8 +244,8 @@ func TestRefactorAndFactorAllocations(t *testing.T) {
 	if raceEnabled {
 		return // sync.Pool drops items at random under the race detector
 	}
-	// The LU itself, seven length-n arrays, the six fill arrays and the memo.
-	const want = 15
+	// The LU itself, seven length-n arrays, the four fill arrays and the memo.
+	const want = 13
 	if a := testing.AllocsPerRun(50, func() {
 		if _, err := Factor(m1, Options{ColPerm: perm}); err != nil {
 			t.Fatal(err)

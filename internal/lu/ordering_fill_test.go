@@ -2,6 +2,7 @@ package lu_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"masc/internal/lu"
@@ -36,6 +37,26 @@ func midRunJacobian(tb testing.TB, name string, scale float64) (*sparse.Matrix, 
 	return j, ds.Ckt.JPerm()
 }
 
+// fillCircuit is a generated circuit at a scale, with the fill
+// TestMinDegreeFillCeilings allows Factor on its mid-run Jacobian.
+type fillCircuit struct {
+	name    string
+	scale   float64
+	ceiling int // measured; under RCM
+}
+
+func (c fillCircuit) String() string { return fmt.Sprintf("%sx%g", c.name, c.scale) }
+
+// fillCircuits are the benchmark's three circuits, then the two worst cases
+// of a bandwidth ordering.
+var fillCircuits = []fillCircuit{
+	{"smult20", 1, 11000}, // 8 974; 87 729
+	{"MOS_T7", 2, 11000},  // 9 656; 13 164
+	{"RC_01", 1.5, 20000}, // 16 894; 33 294
+	{"CHIP_09", 1, 6500},  // 5 469; 188 179
+	{"add20", 1, 23000},   // 19 851; 98 421
+}
+
 // TestMinDegreeFillCeilings pins the fill of lu.Factor under the circuit's
 // column order on the benchmark's three circuits and the two worst cases of
 // a bandwidth ordering (a long BJT chain with a supply rail, a wide adder).
@@ -43,17 +64,7 @@ func midRunJacobian(tb testing.TB, name string, scale float64) (*sparse.Matrix, 
 // below what reverse Cuthill–McKee gave, so a regression of the ordering
 // fails here before it shows as a slow benchmark.
 func TestMinDegreeFillCeilings(t *testing.T) {
-	for _, c := range []struct {
-		name    string
-		scale   float64
-		ceiling int // measured; under RCM
-	}{
-		{"smult20", 1, 11000}, // 8 974; 87 729
-		{"MOS_T7", 2, 11000},  // 9 656; 13 164
-		{"RC_01", 1.5, 20000}, // 16 894; 33 294
-		{"CHIP_09", 1, 6500},  // 5 469; 188 179
-		{"add20", 1, 23000},   // 19 851; 98 421
-	} {
+	for _, c := range fillCircuits {
 		j, perm := midRunJacobian(t, c.name, c.scale)
 		f, err := lu.Factor(j, lu.Options{ColPerm: perm})
 		if err != nil {

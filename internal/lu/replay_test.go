@@ -20,7 +20,7 @@ func sameLU(t *testing.T, label string, f, g *LU) {
 	}{
 		{"q", f.q, g.q}, {"pinv", f.pinv, g.pinv}, {"prow", f.prow, g.prow},
 		{"lp", f.lp, g.lp}, {"lrow", f.lrow, g.lrow}, {"up", f.up, g.up}, {"uk", f.uk, g.uk},
-		{"topoPtr", f.topoPtr, g.topoPtr}, {"topoRow", f.topoRow, g.topoRow}, {"topoDest", f.topoDest, g.topoDest},
+		{"ppos", f.ppos, g.ppos},
 	} {
 		if !slices.Equal(p.a, p.b) {
 			t.Fatalf("%s: %s differs from Factor's", label, p.name)
@@ -193,8 +193,7 @@ func TestReplayFallsBackAtAPivotMismatch(t *testing.T) {
 		// stops.
 		j := -1
 		for jj := len(perm) - 1; jj >= 0 && j < 0; jj-- {
-			lo, hi := h.topoPtr[jj], h.topoPtr[jj+1]
-			if h.prow[jj] == perm[jj] && hi-lo >= 2 && slices.Max(h.topoDest[lo:hi]) < 0 {
+			if h.prow[jj] == perm[jj] && h.lp[jj+1] > h.lp[jj] && h.up[jj+1] == h.up[jj] {
 				j = jj
 			}
 		}
@@ -293,7 +292,7 @@ func TestReplayAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &g.lrow[0] != &h.lrow[0] || &g.topoRow[0] != &h.topoRow[0] || &g.lx[0] == &h.lx[0] {
+	if &g.lrow[0] != &h.lrow[0] || &g.ppos[0] != &h.ppos[0] || &g.lx[0] == &h.lx[0] {
 		t.Fatal("a replay must share the hint's symbolic arrays and own its numeric ones")
 	}
 }
